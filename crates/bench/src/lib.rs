@@ -3,15 +3,12 @@
 //! The benches live in `benches/` and run on the homegrown [`timing`]
 //! harness (the workspace is offline; Criterion is not resolvable):
 //!
-//! * `figures` — one bench group per paper table/figure (Table I/II, Figs.
-//!   3–10), each running the corresponding experiment at bench-sized
-//!   density and printing the measured series once before timing;
 //! * `ablations` — the DESIGN.md ablations: dlopen page sharing on/off,
 //!   Wasmtime's code cache on/off, in-place vs. lowered execution, and
-//!   OCI-vs-runwasi sandbox accounting;
-//! * `wasm_core` — microbenchmarks of the Wasm substrate (decode, validate,
-//!   side-table build, lowering, execution on both tiers).
+//!   OCI-vs-runwasi sandbox accounting.
 //!
+//! Timing the figures and the Wasm substrate is the job of the repository
+//! benchmark (`benchmark/`, workloads `fig_sweep` and the `wasm.*` probes).
 //! This library provides the shared workload helpers so the benches stay
 //! declarative.
 

@@ -213,6 +213,10 @@ pub struct Kubelet {
     infra_procs: std::collections::BTreeMap<String, Pid>,
     /// Supervised pods (admitted with [`RestartPolicy::Always`]).
     pods: std::collections::BTreeMap<String, PodEntry>,
+    /// Running count of `pods` entries with no `infra_procs` entry
+    /// (supervised, resources torn down between restarts). Kept in step at
+    /// the four sites that insert into or remove from either table.
+    torn_down: usize,
     next_seq: u64,
     pods_synced: usize,
 }
@@ -241,6 +245,7 @@ impl Kubelet {
             pid,
             infra_procs: Default::default(),
             pods: Default::default(),
+            torn_down: 0,
             next_seq: 0,
             pods_synced: 0,
         })
@@ -262,8 +267,11 @@ impl Kubelet {
     /// resources are torn down. This is the count the scheduler holds
     /// against [`NodeConfig::max_pods`].
     pub fn occupancy(&self) -> usize {
-        self.infra_procs.len()
-            + self.pods.keys().filter(|k| !self.infra_procs.contains_key(*k)).count()
+        debug_assert_eq!(
+            self.torn_down,
+            self.pods.keys().filter(|k| !self.infra_procs.contains_key(*k)).count()
+        );
+        self.infra_procs.len() + self.torn_down
     }
 
     /// Supervised pod entries, in name order.
@@ -399,7 +407,11 @@ impl Kubelet {
                 .heap(POD_INFRA_BYTES, "pod-infra")
                 .build()?
                 .detach();
-        self.infra_procs.insert(spec.name.clone(), infra_pid);
+        if self.infra_procs.insert(spec.name.clone(), infra_pid).is_none()
+            && self.pods.contains_key(&spec.name)
+        {
+            self.torn_down -= 1;
+        }
 
         // kubelet bookkeeping growth.
         charge_anon(&self.kernel, self.pid, KUBELET_GROWTH_PER_POD, "kubelet-pod")?;
@@ -512,6 +524,9 @@ impl Kubelet {
             Err(_) => entry.phase = PodPhase::Failed,
         }
         let phase = entry.phase;
+        if !self.pods.contains_key(&name) && !self.infra_procs.contains_key(&name) {
+            self.torn_down += 1;
+        }
         self.pods.insert(name, entry);
         phase
     }
@@ -793,11 +808,12 @@ impl Kubelet {
         containerd: &mut Containerd,
         pod_name: &str,
     ) -> KernelResult<StepTrace> {
-        let grace = self
-            .pods
-            .remove(pod_name)
-            .and_then(|e| e.spec.termination_grace)
-            .unwrap_or(DEFAULT_TERMINATION_GRACE);
+        let entry = self.pods.remove(pod_name);
+        if entry.is_some() && !self.infra_procs.contains_key(pod_name) {
+            self.torn_down -= 1;
+        }
+        let grace =
+            entry.and_then(|e| e.spec.termination_grace).unwrap_or(DEFAULT_TERMINATION_GRACE);
         let mut trace = StepTrace::new();
         let mut first_err: Option<KernelError> = None;
         match containerd.begin_pod_termination(pod_name, &mut trace) {
@@ -833,6 +849,9 @@ impl Kubelet {
     ) -> KernelResult<()> {
         let mut first_err: Option<KernelError> = None;
         if let Some(pid) = self.infra_procs.remove(pod_name) {
+            if self.pods.contains_key(pod_name) {
+                self.torn_down += 1;
+            }
             // The infra process may already be dead (OOM-killed): reap
             // whatever state it is in.
             if matches!(self.kernel.proc_state(pid), Ok(simkernel::ProcState::Running)) {

@@ -115,18 +115,16 @@ impl Scheduler {
     /// lowest node index breaking ties. `None` means the cluster is full.
     pub fn place(&self, nodes: &[Node]) -> Option<usize> {
         let with_throttle = self.policy == Policy::LeastThrottled;
-        let snapshots: Vec<NodeSnapshot> =
-            nodes.iter().map(|n| NodeSnapshot::observe_with(n, with_throttle)).collect();
-        self.place_from(&snapshots)
+        self.place_from(nodes.iter().map(|n| NodeSnapshot::observe_with(n, with_throttle)))
     }
 
-    /// [`Scheduler::place`] on pre-taken snapshots (testable without a
-    /// booted cluster).
-    pub fn place_from(&self, snapshots: &[NodeSnapshot]) -> Option<usize> {
-        let mut best: Option<&NodeSnapshot> = None;
-        for s in snapshots.iter().filter(|s| s.feasible()) {
+    /// [`Scheduler::place`] on pre-taken snapshots, in ascending node
+    /// index (testable without a booted cluster).
+    pub fn place_from(&self, snapshots: impl IntoIterator<Item = NodeSnapshot>) -> Option<usize> {
+        let mut best: Option<NodeSnapshot> = None;
+        for s in snapshots.into_iter().filter(NodeSnapshot::feasible) {
             // Ascending index, strict preference: first best wins ties.
-            if best.is_none_or(|b| self.policy.prefers(s, b)) {
+            if best.is_none_or(|b| self.policy.prefers(&s, &b)) {
                 best = Some(s);
             }
         }
@@ -153,28 +151,28 @@ mod tests {
     fn binpack_fills_fullest_first() {
         let s = Scheduler::new(Policy::BinPack);
         let snaps = [snap(0, 3, 100, 0), snap(1, 7, 100, 0), snap(2, 5, 100, 0)];
-        assert_eq!(s.place_from(&snaps), Some(1));
+        assert_eq!(s.place_from(snaps), Some(1));
     }
 
     #[test]
     fn spread_picks_emptiest() {
         let s = Scheduler::new(Policy::Spread);
         let snaps = [snap(0, 3, 100, 0), snap(1, 7, 100, 0), snap(2, 1, 100, 0)];
-        assert_eq!(s.place_from(&snaps), Some(2));
+        assert_eq!(s.place_from(snaps), Some(2));
     }
 
     #[test]
     fn spread_breaks_pod_ties_on_memory() {
         let s = Scheduler::new(Policy::Spread);
         let snaps = [snap(0, 2, 100, 0), snap(1, 2, 900, 0)];
-        assert_eq!(s.place_from(&snaps), Some(1));
+        assert_eq!(s.place_from(snaps), Some(1));
     }
 
     #[test]
     fn least_throttled_routes_around_pressure() {
         let s = Scheduler::new(Policy::LeastThrottled);
         let snaps = [snap(0, 1, 100, 50), snap(1, 4, 100, 0)];
-        assert_eq!(s.place_from(&snaps), Some(1));
+        assert_eq!(s.place_from(snaps), Some(1));
     }
 
     #[test]
@@ -182,7 +180,7 @@ mod tests {
         for policy in Policy::ALL {
             let s = Scheduler::new(policy);
             let snaps = [snap(0, 2, 100, 1), snap(1, 2, 100, 1), snap(2, 2, 100, 1)];
-            assert_eq!(s.place_from(&snaps), Some(0), "{}", policy.label());
+            assert_eq!(s.place_from(snaps), Some(0), "{}", policy.label());
         }
     }
 
@@ -194,7 +192,7 @@ mod tests {
         let mut full = snap(1, 500, 100, 0);
         full.max_pods = 500;
         let snaps = [cordoned, full, snap(2, 9, 100, 0)];
-        assert_eq!(s.place_from(&snaps), Some(2));
-        assert_eq!(s.place_from(&snaps[..2]), None);
+        assert_eq!(s.place_from(snaps), Some(2));
+        assert_eq!(s.place_from(snaps[..2].iter().copied()), None);
     }
 }

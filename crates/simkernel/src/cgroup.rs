@@ -397,6 +397,11 @@ impl CgroupTree {
         self.groups.get(&id).map(|g| g.children.clone()).unwrap_or_default()
     }
 
+    /// Number of processes directly in this cgroup (0 if it does not exist).
+    pub fn procs(&self, id: CgroupId) -> u64 {
+        self.groups.get(&id).map_or(0, |g| g.procs)
+    }
+
     pub fn proc_attached(&mut self, id: CgroupId) {
         if let Some(g) = self.groups.get_mut(&id) {
             g.procs += 1;

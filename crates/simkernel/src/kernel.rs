@@ -103,6 +103,9 @@ struct KernelState {
     vfs: Vfs,
     cgroups: CgroupTree,
     procs: std::collections::BTreeMap<Pid, Process>,
+    /// Running count of `procs` entries that are alive. Written only by
+    /// `spawn_child` and `teardown`.
+    live: usize,
     next_pid: u64,
     /// Machine-wide anonymous bytes (all processes).
     total_anon: u64,
@@ -149,6 +152,7 @@ impl Kernel {
             vfs: Vfs::new(),
             cgroups: CgroupTree::new(),
             procs: std::collections::BTreeMap::new(),
+            live: 0,
             next_pid: 1,
             total_anon: 0,
             total_kernel: cfg.boot_used_bytes,
@@ -272,7 +276,7 @@ impl Kernel {
         st.check_power()?;
         let stat = st.cgroups.stat(cg).ok_or(KernelError::NoSuchCgroup(cg))?;
         let children = st.cgroups.children(cg);
-        let has_procs = st.procs.values().any(|p| p.cgroup == cg && p.is_alive());
+        let has_procs = st.cgroups.procs(cg) > 0;
         if has_procs || !children.is_empty() || stat.anon_bytes > 0 || stat.kernel_bytes > 0 {
             return Err(KernelError::CgroupBusy(cg));
         }
@@ -427,6 +431,7 @@ impl Kernel {
         let mut proc = Process::new(pid, name, parent, cgroup);
         proc.kernel_charged = base;
         st.procs.insert(pid, proc);
+        st.live += 1;
         st.cgroups.proc_attached(cgroup);
         Ok(pid)
     }
@@ -478,18 +483,14 @@ impl Kernel {
     pub fn exit(&self, pid: Pid, code: i32) -> KernelResult<()> {
         let mut st = self.st();
         st.check_power()?;
-        st.teardown(pid)?;
-        st.procs.get_mut(&pid).expect("torn down").state = ProcState::Exited(code);
-        Ok(())
+        st.teardown(pid, ProcState::Exited(code))
     }
 
     /// Kernel OOM-kill: like exit, but recorded as such.
     pub fn oom_kill(&self, pid: Pid) -> KernelResult<()> {
         let mut st = self.st();
         st.check_power()?;
-        st.teardown(pid)?;
-        st.procs.get_mut(&pid).expect("torn down").state = ProcState::OomKilled;
-        Ok(())
+        st.teardown(pid, ProcState::OomKilled)
     }
 
     /// Forget an exited process entirely.
@@ -520,7 +521,9 @@ impl Kernel {
 
     /// Number of live processes.
     pub fn live_procs(&self) -> usize {
-        self.st().procs.values().filter(|p| p.is_alive()).count()
+        let st = self.st();
+        debug_assert_eq!(st.live, st.recount_live());
+        st.live
     }
 
     // --------------------------------------------------------------- memory
@@ -546,10 +549,14 @@ impl Kernel {
         }
         let p = st.alive_mut(pid)?;
         let id = p.alloc_mapping_id();
-        p.mappings.insert(
+        p.insert_mapping(Mapping {
             id,
-            Mapping { id, kind, len, committed_anon: 0, touched_file: 0, label: label.to_string() },
-        );
+            kind,
+            len,
+            committed_anon: 0,
+            touched_file: 0,
+            label: label.to_string(),
+        });
         Ok(id)
     }
 
@@ -577,11 +584,11 @@ impl Kernel {
         let mut st = self.st();
         st.check_power()?;
         let p = st.alive_mut(pid)?;
-        let m = p.mappings.get_mut(&mapping).ok_or(KernelError::NoSuchMapping(pid, mapping))?;
-        if new_len < m.committed_anon + m.touched_file {
+        let m = p.mapping(mapping).ok_or(KernelError::NoSuchMapping(pid, mapping))?;
+        if new_len < m.rss() {
             return Err(KernelError::InvalidState("mremap below committed size".into()));
         }
-        m.len = new_len;
+        p.set_mapping_len(mapping, new_len);
         Ok(())
     }
 
@@ -591,7 +598,7 @@ impl Kernel {
         st.check_power()?;
         let (cg, m) = {
             let p = st.alive_mut(pid)?;
-            let m = p.mappings.remove(&mapping).ok_or(KernelError::NoSuchMapping(pid, mapping))?;
+            let m = p.remove_mapping(mapping).ok_or(KernelError::NoSuchMapping(pid, mapping))?;
             (p.cgroup, m)
         };
         st.release_mapping(pid, cg, &m);
@@ -624,13 +631,8 @@ impl Kernel {
     pub fn overwrite_file(&self, id: FileId, content: FileContent) -> KernelResult<()> {
         let mut st = self.st();
         st.check_power()?;
-        let charged = st.vfs.get(id).and_then(|f| f.charged_to);
         let evicted = st.vfs.overwrite(id, content).ok_or(KernelError::NoSuchFile(id))?;
-        if evicted > 0 {
-            if let Some(cg) = charged {
-                st.cgroups.uncharge(cg, ChargeKind::File, evicted);
-            }
-        }
+        st.uncharge_evicted(evicted);
         Ok(())
     }
 
@@ -657,8 +659,7 @@ impl Kernel {
             if let KernelError::OutOfMemory { .. } = e {
                 // As in Linux, breaching memory.max on a page-cache fault
                 // OOM-kills the reading process.
-                st.teardown(pid)?;
-                st.procs.get_mut(&pid).expect("torn down").state = ProcState::OomKilled;
+                st.teardown(pid, ProcState::OomKilled)?;
             }
             return Err(e);
         }
@@ -677,8 +678,7 @@ impl Kernel {
             Ok(out) => Ok(out),
             Err(e) => {
                 if let KernelError::OutOfMemory { .. } = e {
-                    st.teardown(pid)?;
-                    st.procs.get_mut(&pid).expect("torn down").state = ProcState::OomKilled;
+                    st.teardown(pid, ProcState::OomKilled)?;
                 }
                 Err(e)
             }
@@ -687,20 +687,15 @@ impl Kernel {
 
     /// Bytes of a file currently in the page cache.
     pub fn file_cached(&self, id: FileId) -> KernelResult<u64> {
-        self.st().vfs.get(id).map(|f| f.cached_bytes).ok_or(KernelError::NoSuchFile(id))
+        self.st().vfs.get(id).map(|f| f.cached_bytes()).ok_or(KernelError::NoSuchFile(id))
     }
 
     /// Drop a file's page cache (used by teardown paths between repetitions).
     pub fn evict_file(&self, id: FileId) -> KernelResult<u64> {
         let mut st = self.st();
-        let f = st.vfs.get_mut(id).ok_or(KernelError::NoSuchFile(id))?;
-        let evicted = f.cached_bytes;
-        let charged = f.charged_to.take();
-        f.cached_bytes = 0;
-        if let Some(cg) = charged {
-            st.cgroups.uncharge(cg, ChargeKind::File, evicted);
-        }
-        Ok(evicted)
+        let evicted = st.vfs.evict(id).ok_or(KernelError::NoSuchFile(id))?;
+        st.uncharge_evicted(evicted);
+        Ok(evicted.0)
     }
 
     /// Delete a file, dropping any cache.
@@ -726,6 +721,21 @@ impl Kernel {
         let buff_cache = st.vfs.total_cached();
         let free = total.saturating_sub(used + buff_cache);
         FreeReport { total, used, buff_cache, free, available: free + buff_cache }
+    }
+
+    /// Verify the running totals (`Vfs::total_cached`, every process's
+    /// `rss`, `live_procs`) against the values recomputed by walking the
+    /// files, mappings and processes they summarise. `Err` names the first
+    /// total that drifted.
+    pub fn check_accounting(&self) -> Result<(), String> {
+        let st = self.st();
+        st.vfs.check()?;
+        st.procs.values().try_for_each(Process::check)?;
+        let live = st.recount_live();
+        if st.live != live {
+            return Err(format!("live processes: counter {} != {live} counted", st.live));
+        }
+        Ok(())
     }
 
     /// Snapshot of every live process: (pid, name, cgroup, rss).
@@ -818,6 +828,13 @@ impl KernelState {
         Ok(())
     }
 
+    /// Uncharge what [`Vfs::evict`] reports it dropped.
+    fn uncharge_evicted(&mut self, (evicted, charged): (u64, Option<CgroupId>)) {
+        if let Some(cg) = charged {
+            self.cgroups.uncharge(cg, ChargeKind::File, evicted);
+        }
+    }
+
     /// Make room for `bytes` of new residency, evicting unmapped page cache
     /// if needed.
     fn ensure_physical(&mut self, bytes: u64) -> KernelResult<()> {
@@ -835,14 +852,9 @@ impl KernelState {
             if need == 0 {
                 break;
             }
-            let f = self.vfs.get_mut(fid).expect("evictable file exists");
-            let evicted = f.cached_bytes;
-            let charged = f.charged_to.take();
-            f.cached_bytes = 0;
-            if let Some(cg) = charged {
-                self.cgroups.uncharge(cg, ChargeKind::File, evicted);
-            }
-            need = need.saturating_sub(evicted);
+            let evicted = self.vfs.evict(fid).expect("evictable file exists");
+            self.uncharge_evicted(evicted);
+            need = need.saturating_sub(evicted.0);
         }
         if need > 0 {
             return Err(KernelError::PhysicalExhausted {
@@ -859,7 +871,7 @@ impl KernelState {
     fn fault_file(&mut self, cg: CgroupId, id: FileId, limit: u64) -> KernelResult<(u64, u64)> {
         let (size, cached) = {
             let f = self.vfs.get(id).ok_or(KernelError::NoSuchFile(id))?;
-            (f.size(), f.cached_bytes)
+            (f.size(), f.cached_bytes())
         };
         let target =
             round_up_pages(size.min(limit), PAGE_SIZE).min(round_up_pages(size, PAGE_SIZE));
@@ -875,7 +887,7 @@ impl KernelState {
         let mut fresh = cached;
         loop {
             self.ensure_physical(target - fresh)?;
-            let now_cached = self.vfs.get(id).ok_or(KernelError::NoSuchFile(id))?.cached_bytes;
+            let now_cached = self.vfs.get(id).ok_or(KernelError::NoSuchFile(id))?.cached_bytes();
             if now_cached == fresh {
                 break;
             }
@@ -891,8 +903,7 @@ impl KernelState {
             self.cgroups.record_oom(victim);
             return Err(KernelError::OutOfMemory { cgroup: victim, requested: delta, limit });
         }
-        let f = self.vfs.get_mut(id).expect("checked above");
-        f.cached_bytes = target;
+        self.vfs.set_cached(id, target).expect("checked above");
         self.cgroups.charge(charge_to, ChargeKind::File, delta);
         let queued = self.io_pressure(cg, id, delta);
         Ok((delta, queued))
@@ -939,17 +950,12 @@ impl KernelState {
             if budget == 0 {
                 break;
             }
-            let f = self.vfs.get_mut(fid).expect("evictable file exists");
-            if f.charged_to == Some(reader) {
+            if self.vfs.get(fid).expect("evictable file exists").charged_to == Some(reader) {
                 continue;
             }
-            let evicted = f.cached_bytes;
-            let charged = f.charged_to.take();
-            f.cached_bytes = 0;
-            if let Some(cg) = charged {
-                self.cgroups.uncharge(cg, ChargeKind::File, evicted);
-            }
-            budget = budget.saturating_sub(evicted);
+            let evicted = self.vfs.evict(fid).expect("evictable file exists");
+            self.uncharge_evicted(evicted);
+            budget = budget.saturating_sub(evicted.0);
         }
     }
 
@@ -991,8 +997,7 @@ impl KernelState {
                         KernelError::OutOfMemory { cgroup: offender, requested: delta, limit };
                     match victim {
                         Some(v) => {
-                            self.teardown(v)?;
-                            self.procs.get_mut(&v).expect("torn down").state = ProcState::OomKilled;
+                            self.teardown(v, ProcState::OomKilled)?;
                             if v == pid {
                                 return Err(oom);
                             }
@@ -1003,27 +1008,21 @@ impl KernelState {
                 self.ensure_physical(delta)?;
                 self.cgroups.charge(cg, ChargeKind::Anon, delta);
                 self.total_anon += delta;
-                let p = self.alive_mut(pid)?;
-                let m = p.mappings.get_mut(&mapping).expect("checked");
-                m.committed_anon = target;
                 // COW: the written range is no longer backed by the file
                 // for this process — the file share must not be counted
                 // twice in RSS / mapped_file / working set.
-                if cow {
-                    let overlap = m.touched_file.min(target);
-                    if overlap > 0 {
-                        m.touched_file -= overlap;
-                        self.cgroups.adjust_mapped_file(cg, -(overlap as i64));
-                    }
+                let overlap = if cow { touched_file.min(target) } else { 0 };
+                if overlap > 0 {
+                    self.cgroups.adjust_mapped_file(cg, -(overlap as i64));
                 }
+                self.alive_mut(pid)?.set_resident(mapping, target, touched_file - overlap);
             }
             (MapKind::FileShared(fid), _) | (MapKind::FileCow(fid), false) => {
                 if let Err(e) = self.fault_file(cg, fid, rounded) {
                     if let KernelError::OutOfMemory { .. } = e {
                         // Page-cache charge breached memory.max: the kernel
                         // OOM-kills the faulting process, as with anon.
-                        self.teardown(pid)?;
-                        self.procs.get_mut(&pid).expect("torn down").state = ProcState::OomKilled;
+                        self.teardown(pid, ProcState::OomKilled)?;
                     }
                     return Err(e);
                 }
@@ -1033,8 +1032,7 @@ impl KernelState {
                 }
                 let delta = target - touched_file;
                 self.cgroups.adjust_mapped_file(cg, delta as i64);
-                let p = self.alive_mut(pid)?;
-                p.mappings.get_mut(&mapping).expect("checked").touched_file = target;
+                self.alive_mut(pid)?.set_resident(mapping, committed_anon, target);
             }
         }
         if let Err(e) = self.recompute_page_tables(pid) {
@@ -1053,11 +1051,7 @@ impl KernelState {
                 if m.touched_file > 0 {
                     self.cgroups.adjust_mapped_file(cg2, -(m.touched_file as i64));
                 }
-                let p = self.alive_mut(pid)?;
-                if let Some(mm) = p.mappings.get_mut(&mapping) {
-                    mm.committed_anon = 0;
-                    mm.touched_file = 0;
-                }
+                self.alive_mut(pid)?.set_resident(mapping, 0, 0);
             }
             return Err(e);
         }
@@ -1106,12 +1100,13 @@ impl KernelState {
         Ok(())
     }
 
-    /// Tear down a live process: unmap everything and uncharge kernel bytes.
-    fn teardown(&mut self, pid: Pid) -> KernelResult<()> {
+    /// Tear down a live process into `final_state`: unmap everything and
+    /// uncharge kernel bytes. The only way a process stops being alive.
+    fn teardown(&mut self, pid: Pid, final_state: ProcState) -> KernelResult<()> {
+        debug_assert_ne!(final_state, ProcState::Running);
         let (cg, kernel, mappings) = {
             let p = self.alive_mut(pid)?;
-            let maps: Vec<Mapping> = std::mem::take(&mut p.mappings).into_values().collect();
-            (p.cgroup, p.kernel_charged, maps)
+            (p.cgroup, p.kernel_charged, p.take_mappings())
         };
         for m in &mappings {
             self.release_mapping(pid, cg, m);
@@ -1121,7 +1116,13 @@ impl KernelState {
         self.cgroups.proc_detached(cg);
         let p = self.procs.get_mut(&pid).expect("exists");
         p.kernel_charged = 0;
+        p.state = final_state;
+        self.live -= 1;
         Ok(())
+    }
+
+    fn recount_live(&self) -> usize {
+        self.procs.values().filter(|p| p.is_alive()).count()
     }
 }
 

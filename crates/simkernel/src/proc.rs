@@ -62,8 +62,12 @@ pub struct Process {
     pub state: ProcState,
     /// Namespaces this process owns (created fresh for it, not inherited).
     pub owned_namespaces: Vec<NamespaceKind>,
-    pub(crate) next_mapping: u64,
-    pub(crate) mappings: BTreeMap<MappingId, Mapping>,
+    next_mapping: u64,
+    /// Private: every residency change goes through the methods below, so
+    /// the running `rss` cannot drift from the mappings it summarises.
+    mappings: BTreeMap<MappingId, Mapping>,
+    /// Running sum of every mapping's [`Mapping::rss`].
+    rss: u64,
     /// Kernel bytes currently charged for this process (base + page tables).
     pub(crate) kernel_charged: u64,
 }
@@ -79,6 +83,7 @@ impl Process {
             owned_namespaces: Vec::new(),
             next_mapping: 0,
             mappings: BTreeMap::new(),
+            rss: 0,
             kernel_charged: 0,
         }
     }
@@ -89,7 +94,25 @@ impl Process {
 
     /// Resident set size: private anon + touched shared file pages.
     pub fn rss(&self) -> u64 {
+        debug_assert_eq!(self.rss, self.recount_rss());
+        self.rss
+    }
+
+    fn recount_rss(&self) -> u64 {
         self.mappings.values().map(|m| m.rss()).sum()
+    }
+
+    /// Compare the running RSS against a walk over every mapping.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let walked = self.recount_rss();
+        if self.rss == walked {
+            Ok(())
+        } else {
+            Err(format!(
+                "{:?}: running rss {} != {walked} summed over mappings",
+                self.pid, self.rss
+            ))
+        }
     }
 
     /// Total reserved virtual address space.
@@ -115,6 +138,40 @@ impl Process {
         self.next_mapping += 1;
         id
     }
+
+    pub(crate) fn insert_mapping(&mut self, m: Mapping) {
+        self.rss += m.rss();
+        let old = self.mappings.insert(m.id, m);
+        debug_assert!(old.is_none(), "mapping ids are allocated once");
+    }
+
+    pub(crate) fn remove_mapping(&mut self, id: MappingId) -> Option<Mapping> {
+        let m = self.mappings.remove(&id)?;
+        self.rss -= m.rss();
+        Some(m)
+    }
+
+    /// Empty the address space (process teardown).
+    pub(crate) fn take_mappings(&mut self) -> Vec<Mapping> {
+        self.rss = 0;
+        std::mem::take(&mut self.mappings).into_values().collect()
+    }
+
+    /// Set how much of a mapping is resident as private anon / file pages.
+    pub(crate) fn set_resident(&mut self, id: MappingId, committed_anon: u64, touched_file: u64) {
+        if let Some(m) = self.mappings.get_mut(&id) {
+            self.rss = self.rss - m.rss() + committed_anon + touched_file;
+            m.committed_anon = committed_anon;
+            m.touched_file = touched_file;
+        }
+    }
+
+    /// Change a mapping's reserved length (`mremap`); residency is untouched.
+    pub(crate) fn set_mapping_len(&mut self, id: MappingId, len: u64) {
+        if let Some(m) = self.mappings.get_mut(&id) {
+            m.len = len;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -126,17 +183,14 @@ mod tests {
     fn rss_and_vsz() {
         let mut p = Process::new(Pid(1), "t", None, CgroupId(0));
         let id = p.alloc_mapping_id();
-        p.mappings.insert(
+        p.insert_mapping(Mapping {
             id,
-            Mapping {
-                id,
-                kind: MapKind::AnonPrivate,
-                len: 1 << 20,
-                committed_anon: 4096,
-                touched_file: 0,
-                label: "heap".into(),
-            },
-        );
+            kind: MapKind::AnonPrivate,
+            len: 1 << 20,
+            committed_anon: 4096,
+            touched_file: 0,
+            label: "heap".into(),
+        });
         assert_eq!(p.rss(), 4096);
         assert_eq!(p.vsz(), 1 << 20);
         assert_eq!(p.anon_bytes(), 4096);

@@ -53,8 +53,9 @@ pub struct File {
     pub id: FileId,
     pub path: String,
     pub content: FileContent,
-    /// Bytes of this file currently resident in the page cache.
-    pub cached_bytes: u64,
+    /// Bytes of this file currently resident in the page cache. Private:
+    /// [`Vfs`] is the only writer, so its running total cannot drift.
+    cached_bytes: u64,
     /// The cgroup charged for the cached pages (Linux first-toucher rule).
     pub charged_to: Option<CgroupId>,
     /// Number of live shared mappings of this file. Cached pages of files
@@ -66,6 +67,11 @@ impl File {
     pub fn size(&self) -> u64 {
         self.content.len()
     }
+
+    /// Bytes of this file currently resident in the page cache.
+    pub fn cached_bytes(&self) -> u64 {
+        self.cached_bytes
+    }
 }
 
 /// The filesystem: a flat, sorted path namespace (directories are implicit
@@ -75,6 +81,8 @@ pub struct Vfs {
     next_id: u64,
     files: BTreeMap<FileId, File>,
     by_path: BTreeMap<String, FileId>,
+    /// Running sum of every file's `cached_bytes`.
+    cached_total: u64,
 }
 
 impl Vfs {
@@ -105,13 +113,32 @@ impl Vfs {
     }
 
     /// Replace the contents of an existing file, dropping its cache.
-    pub fn overwrite(&mut self, id: FileId, content: FileContent) -> Option<u64> {
-        let f = self.files.get_mut(&id)?;
-        let evicted = f.cached_bytes;
-        f.cached_bytes = 0;
-        f.charged_to = None;
-        f.content = content;
+    /// Returns the evicted bytes and the cgroup they were charged to.
+    pub fn overwrite(
+        &mut self,
+        id: FileId,
+        content: FileContent,
+    ) -> Option<(u64, Option<CgroupId>)> {
+        let evicted = self.evict(id)?;
+        self.files.get_mut(&id)?.content = content;
         Some(evicted)
+    }
+
+    /// Set a file's resident bytes (a fault brought pages in).
+    pub fn set_cached(&mut self, id: FileId, bytes: u64) -> Option<()> {
+        let f = self.files.get_mut(&id)?;
+        self.cached_total = self.cached_total - f.cached_bytes + bytes;
+        f.cached_bytes = bytes;
+        Some(())
+    }
+
+    /// Drop a file's page cache. Returns the evicted bytes and the cgroup
+    /// they were charged to (the caller uncharges it).
+    pub fn evict(&mut self, id: FileId) -> Option<(u64, Option<CgroupId>)> {
+        let f = self.files.get_mut(&id)?;
+        let evicted = std::mem::take(&mut f.cached_bytes);
+        self.cached_total -= evicted;
+        Some((evicted, f.charged_to.take()))
     }
 
     pub fn get(&self, id: FileId) -> Option<&File> {
@@ -131,6 +158,7 @@ impl Vfs {
         let f = self.files.remove(&id)?;
         self.by_path.remove(&f.path);
         let cached = f.cached_bytes;
+        self.cached_total -= cached;
         Some((f, cached))
     }
 
@@ -144,7 +172,25 @@ impl Vfs {
 
     /// Total bytes resident in the page cache across all files.
     pub fn total_cached(&self) -> u64 {
+        debug_assert_eq!(self.cached_total, self.recount_cached());
+        self.cached_total
+    }
+
+    fn recount_cached(&self) -> u64 {
         self.files.values().map(|f| f.cached_bytes).sum()
+    }
+
+    /// Compare the running total against a walk over every file.
+    pub(crate) fn check(&self) -> Result<(), String> {
+        let walked = self.recount_cached();
+        if self.cached_total == walked {
+            Ok(())
+        } else {
+            Err(format!(
+                "page cache: running total {} != {walked} summed over files",
+                self.cached_total
+            ))
+        }
     }
 
     /// Files with cached pages and no live mappings, in id order
@@ -207,8 +253,8 @@ mod tests {
         let mut vfs = Vfs::new();
         let a = vfs.create("/a", FileContent::Synthetic(8192)).unwrap();
         let b = vfs.create("/b", FileContent::Synthetic(8192)).unwrap();
-        vfs.get_mut(a).unwrap().cached_bytes = 8192;
-        vfs.get_mut(b).unwrap().cached_bytes = 8192;
+        vfs.set_cached(a, 8192).unwrap();
+        vfs.set_cached(b, 8192).unwrap();
         vfs.get_mut(b).unwrap().map_refs = 1;
         let ev: Vec<_> = vfs.evictable().collect();
         assert_eq!(ev, vec![a]);
@@ -219,10 +265,11 @@ mod tests {
     fn overwrite_drops_cache() {
         let mut vfs = Vfs::new();
         let id = vfs.create("/f", FileContent::Synthetic(4096)).unwrap();
-        vfs.get_mut(id).unwrap().cached_bytes = 4096;
+        vfs.set_cached(id, 4096).unwrap();
         let evicted = vfs.overwrite(id, FileContent::Synthetic(100)).unwrap();
-        assert_eq!(evicted, 4096);
-        assert_eq!(vfs.get(id).unwrap().cached_bytes, 0);
+        assert_eq!(evicted, (4096, None));
+        assert_eq!(vfs.get(id).unwrap().cached_bytes(), 0);
+        assert_eq!(vfs.total_cached(), 0);
         assert_eq!(vfs.get(id).unwrap().size(), 100);
     }
 }

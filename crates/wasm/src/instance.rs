@@ -127,10 +127,11 @@ impl EpochState {
 /// A host (import) function: receives the instance memory and arguments.
 pub type HostFunc = Box<dyn FnMut(&mut Option<LinearMemory>, &[Value]) -> Result<Vec<Value>, Trap>>;
 
-/// Named host imports for instantiation.
+/// Named host imports for instantiation, keyed module → name so that
+/// resolution looks both up by borrowed `&str`.
 #[derive(Default)]
 pub struct Imports {
-    funcs: BTreeMap<(String, String), HostFunc>,
+    funcs: BTreeMap<String, BTreeMap<String, HostFunc>>,
 }
 
 impl Imports {
@@ -145,12 +146,12 @@ impl Imports {
         name: &str,
         f: impl FnMut(&mut Option<LinearMemory>, &[Value]) -> Result<Vec<Value>, Trap> + 'static,
     ) -> Self {
-        self.funcs.insert((module.to_string(), name.to_string()), Box::new(f));
+        self.register(module, name, Box::new(f));
         self
     }
 
     pub fn register(&mut self, module: &str, name: &str, f: HostFunc) {
-        self.funcs.insert((module.to_string(), name.to_string()), f);
+        self.funcs.entry(module.to_string()).or_default().insert(name.to_string(), f);
     }
 }
 
@@ -269,10 +270,13 @@ impl Instance {
         for imp in &module.imports {
             match &imp.desc {
                 ImportDesc::Func(_) => {
-                    let key = (imp.module.clone(), imp.name.clone());
-                    let f = imports.funcs.remove(&key).ok_or_else(|| {
-                        InstantiateError::MissingImport(imp.module.clone(), imp.name.clone())
-                    })?;
+                    let f = imports
+                        .funcs
+                        .get_mut(imp.module.as_str())
+                        .and_then(|names| names.remove(imp.name.as_str()))
+                        .ok_or_else(|| {
+                            InstantiateError::MissingImport(imp.module.clone(), imp.name.clone())
+                        })?;
                     host_funcs.push(Some(f));
                 }
                 other => return Err(InstantiateError::UnsupportedImport(format!("{other:?}"))),
@@ -338,7 +342,8 @@ impl Instance {
         };
 
         // Data segments.
-        for seg in &inst.module.data.clone() {
+        let module = Arc::clone(&inst.module);
+        for seg in &module.data {
             let offset = match seg.offset {
                 ConstExpr::I32(v) => v as u32,
                 _ => return Err(InstantiateError::SegmentOutOfBounds("data")),

@@ -1,4 +1,12 @@
 //! Linear memory: 64 KiB pages, bounds-checked little-endian access.
+//!
+//! Buffers are recycled: a dropped memory parks its buffer in a per-thread
+//! slot and the next [`LinearMemory::new`] on that thread takes it back,
+//! re-zeroing only the pages the previous owner wrote. A pod start then
+//! pays for the pages its predecessor dirtied, not for the module's whole
+//! declared minimum.
+
+use std::cell::Cell;
 
 use crate::types::Limits;
 use crate::values::Trap;
@@ -9,23 +17,58 @@ pub const WASM_PAGE_SIZE: u32 = 65536;
 /// Hard cap on pages (the 4 GiB i32 address space).
 pub const MAX_PAGES: u32 = 65536;
 
+const PAGE: usize = WASM_PAGE_SIZE as usize;
+
 /// A linear memory instance.
 #[derive(Debug, Clone)]
 pub struct LinearMemory {
     data: Vec<u8>,
+    /// One flag per page of `data`: written since it was last known zero.
+    /// `write`, `write_bytes` and `grow` are the only mutators of `data`,
+    /// and each keeps this in step — recycling is only as sound as this.
+    dirty: Vec<bool>,
     limits: Limits,
+}
+
+/// A parked buffer: every page of `data` not flagged in `dirty` is zero.
+struct Spare {
+    data: Vec<u8>,
+    dirty: Vec<bool>,
+}
+
+thread_local! {
+    /// At most one spare buffer per thread.
+    static SPARE: Cell<Option<Spare>> = const { Cell::new(None) };
 }
 
 impl LinearMemory {
     /// Allocate with `limits.min` pages zeroed.
     pub fn new(limits: Limits) -> LinearMemory {
-        let bytes = (limits.min as usize) * WASM_PAGE_SIZE as usize;
-        LinearMemory { data: vec![0; bytes], limits }
+        let pages = limits.min as usize;
+        let bytes = pages * PAGE;
+        // `try_with`: a memory built while the thread tears down its locals
+        // simply finds no spare.
+        let spare = SPARE.try_with(Cell::take).ok().flatten();
+        let (data, dirty) = match spare {
+            Some(Spare { mut data, mut dirty }) => {
+                data.truncate(bytes);
+                dirty.truncate(pages);
+                for (page, flag) in dirty.iter_mut().enumerate().filter(|(_, flag)| **flag) {
+                    data[page * PAGE..(page + 1) * PAGE].fill(0);
+                    *flag = false;
+                }
+                data.resize(bytes, 0);
+                dirty.resize(pages, false);
+                (data, dirty)
+            }
+            None => (vec![0; bytes], vec![false; pages]),
+        };
+        LinearMemory { data, dirty, limits }
     }
 
     /// Current size in pages.
     pub fn size_pages(&self) -> u32 {
-        (self.data.len() / WASM_PAGE_SIZE as usize) as u32
+        (self.data.len() / PAGE) as u32
     }
 
     /// Current size in bytes.
@@ -48,8 +91,20 @@ impl LinearMemory {
         if new > cap {
             return -1;
         }
-        self.data.resize(new as usize * WASM_PAGE_SIZE as usize, 0);
+        self.data.resize(new as usize * PAGE, 0);
+        self.dirty.resize(new as usize, false);
         old as i32
+    }
+
+    /// Flag the pages covering `len` bytes at `start` as written.
+    #[inline]
+    fn mark_dirty(&mut self, start: usize, len: usize) {
+        if len == 0 {
+            return;
+        }
+        for flag in &mut self.dirty[start / PAGE..=(start + len - 1) / PAGE] {
+            *flag = true;
+        }
     }
 
     #[inline]
@@ -81,6 +136,7 @@ impl LinearMemory {
     ) -> Result<(), Trap> {
         let start = self.range(addr, offset, N)?;
         self.data[start..start + N].copy_from_slice(&v);
+        self.mark_dirty(start, N);
         Ok(())
     }
 
@@ -94,6 +150,7 @@ impl LinearMemory {
     pub fn write_bytes(&mut self, addr: u32, bytes: &[u8]) -> Result<(), Trap> {
         let start = self.range(addr, 0, bytes.len())?;
         self.data[start..start + bytes.len()].copy_from_slice(bytes);
+        self.mark_dirty(start, bytes.len());
         Ok(())
     }
 
@@ -113,6 +170,17 @@ impl LinearMemory {
 
     pub fn store_u64(&mut self, addr: u32, offset: u32, v: u64) -> Result<(), Trap> {
         self.write(addr, offset, v.to_le_bytes())
+    }
+}
+
+impl Drop for LinearMemory {
+    /// Park the buffer for the next [`LinearMemory::new`] on this thread,
+    /// replacing any older spare.
+    fn drop(&mut self) {
+        let spare =
+            Spare { data: std::mem::take(&mut self.data), dirty: std::mem::take(&mut self.dirty) };
+        // Err: the thread is tearing down its locals; the buffer just frees.
+        let _ = SPARE.try_with(|slot| slot.set(Some(spare)));
     }
 }
 

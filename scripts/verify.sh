@@ -7,8 +7,10 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release --offline
 
-echo "== cargo test -q =="
-cargo test -q --offline
+echo "== cargo test --workspace -q =="
+# Every crate's unit, integration and property tests, not the root
+# package's alone (~75 s cold).
+cargo test --workspace -q --offline
 
 echo "== cargo fmt --check =="
 cargo fmt --check

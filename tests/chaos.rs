@@ -27,6 +27,14 @@ use memwasm::workloads::hung_service_image;
 /// environment variable (shared with every test in this binary).
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
+/// The kernels' running totals (page cache, per-process RSS, live
+/// processes) still equal the walks they replaced, on every node.
+fn assert_accounting(cluster: &Cluster) {
+    for node in &cluster.nodes {
+        assert_eq!(node.kernel.check_accounting(), Ok(()), "node {}", node.index);
+    }
+}
+
 fn wamr_cluster(w: &Workload) -> Cluster {
     let mut cluster = new_cluster(&[Config::WamrCrun], w).unwrap();
     warmup(&mut cluster, Config::WamrCrun).unwrap();
@@ -88,6 +96,7 @@ fn injected_sync_fault_becomes_crashloop_then_recovers() {
     assert_eq!(entry.stdout, b"microservice ready\n");
     assert_eq!(cluster.stats().running, 1);
     cluster.teardown_managed().unwrap();
+    assert_accounting(&cluster);
 }
 
 #[test]
@@ -114,6 +123,7 @@ fn engine_instantiate_fault_recovers_on_the_runwasi_path() {
     assert_eq!(entry.phase, PodPhase::Running);
     assert_eq!(entry.stdout, b"microservice ready\n");
     cluster.teardown_managed().unwrap();
+    assert_accounting(&cluster);
 }
 
 #[test]
@@ -161,6 +171,7 @@ fn oom_killed_pod_is_detected_and_restarted() {
     assert_eq!(entry.restarts, 1);
     cluster.teardown_managed().unwrap();
     assert_eq!(cluster.stats().pods_managed, 0);
+    assert_accounting(&cluster);
 }
 
 #[test]
@@ -184,6 +195,7 @@ fn remove_pod_is_idempotent_on_a_crashlooping_pod() {
     cluster.remove_pod("svc-0").unwrap();
     assert!(cluster.kubelet().managed_pod("svc-0").is_none());
     assert_eq!(cluster.stats().crash_loop, 0);
+    assert_accounting(&cluster);
 }
 
 #[test]
@@ -247,6 +259,7 @@ fn spurious_probe_faults_below_threshold_do_not_kill() {
     assert_eq!(entry.phase, PodPhase::Running);
     assert_eq!((entry.restarts, entry.failures), (0, 0));
     cluster.teardown_managed().unwrap();
+    assert_accounting(&cluster);
 }
 
 #[test]
@@ -273,6 +286,7 @@ fn clean_pod_termination_advances_no_simulated_time() {
         "SIGTERM work is recorded under the Terminating phase"
     );
     assert!(cluster.kubelet().managed_pod("svc-0").is_none());
+    assert_accounting(&cluster);
 }
 
 #[test]
@@ -311,6 +325,7 @@ fn wedged_pod_termination_rides_out_the_grace_period_then_sigkills() {
     assert!(trace.entries().iter().any(|(p, _)| *p == Phase::Terminating));
     assert!(cluster.kubelet().managed_pod("hung-0").is_none());
     assert_eq!(cluster.kernel().live_procs(), procs_before, "SIGKILL reaped everything");
+    assert_accounting(&cluster);
 }
 
 #[test]
@@ -357,6 +372,7 @@ fn zero_attacker_isolation_run_matches_plain_supervised_deploy() {
 
     assert_eq!(baseline.victims, plain, "armed-but-idle controllers must not perturb victims");
     assert_eq!(baseline.rounds, rounds);
+    assert_accounting(&cluster);
 }
 
 #[test]
@@ -411,6 +427,7 @@ fn pressure_eviction_is_a_distinct_cluster_stats_reason() {
     assert_eq!(stats.evicted, 0, "memory-pressure bucket stays empty");
     assert_eq!(stats.running, 2, "victims keep running");
     cluster.teardown_managed().unwrap();
+    assert_accounting(&cluster);
 }
 
 #[test]

@@ -18,6 +18,14 @@ use memwasm::simkernel::{Duration, KernelConfig, KernelResult};
 /// environment variable — tests in one binary share the environment.
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
+/// The kernels' running totals (page cache, per-process RSS, live
+/// processes) still equal the walks they replaced, on every node.
+fn assert_accounting(cluster: &Cluster) {
+    for node in &cluster.nodes {
+        assert_eq!(node.kernel.check_accounting(), Ok(()), "node {}", node.index);
+    }
+}
+
 fn wamr_cluster(nodes: usize, workload: &Workload) -> KernelResult<Cluster> {
     let mut cluster = Cluster::bootstrap_nodes(
         nodes,
@@ -65,6 +73,7 @@ fn crash_one_of_three_nodes_reschedules_on_survivors() {
     assert_eq!(cluster.ready_replicas(&ctrl), 6);
     assert!(ctrl.replicas.iter().all(|r| r.node != victim), "{:?}", ctrl.replicas);
     assert_eq!(cluster.stats().ready, 6, "dead node's pods must not be counted");
+    assert_accounting(&cluster);
 }
 
 #[test]
@@ -98,6 +107,7 @@ fn partition_heal_reconverges_without_double_counting() {
     assert_eq!(cluster.node(victim).kubelet.pod_count(), 0);
     assert_eq!(cluster.ready_replicas(&ctrl), 6);
     assert_eq!(cluster.stats().running, 6);
+    assert_accounting(&cluster);
 }
 
 #[test]
@@ -160,6 +170,7 @@ fn drain_racing_rolling_update_converges_within_budget() {
         let e = cluster.node(r.node).kubelet.managed_pod(&r.pod).unwrap();
         assert_eq!(e.spec.image, image_v2);
     }
+    assert_accounting(&cluster);
 }
 
 #[test]
