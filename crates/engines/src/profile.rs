@@ -124,7 +124,7 @@ pub static WAMR: EngineProfile = EngineProfile {
 /// optimizations" direction: same tiny library and baseline as the
 /// interpreter build, but functions are eagerly lowered like the JIT
 /// engines, trading per-container code memory for execution speed.
-/// Explored by `cargo run -p harness --bin wamr_aot`.
+/// Explored by `cargo run -p harness --bin studies -- wamr-aot`.
 pub static WAMR_AOT: EngineProfile = EngineProfile {
     kind: EngineKind::Wamr,
     name: "wamr-aot",

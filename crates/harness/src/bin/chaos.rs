@@ -25,6 +25,9 @@
 //! contribution config, checking the containment contracts and that the
 //! zero-attacker path is byte-identical across repeated runs.
 
+#[path = "../cli.rs"]
+mod cli;
+
 use harness::chaos::{check_hung_outcome, check_outcome, sweep, ChaosPlan, WASM_CONFIGS};
 use harness::cluster_scale::run_drain;
 use harness::explorer::{explore, recovery_table, run_schedule, ExplorePlan, InvariantKnobs};
@@ -37,10 +40,7 @@ use simkernel::FaultSite;
 fn run_isolation(configs: &[Config], workload: &Workload, plan: &IsolationPlan) -> usize {
     let (table, scores) =
         isolation_sweep(configs, &Attacker::ALL, workload, plan).expect("isolation sweep");
-    println!("{}", table.render());
-    if let Ok(path) = table.save_csv("isolation") {
-        println!("CSV written to {}", path.display());
-    }
+    table.emit("isolation");
     let mut violations = 0;
     for s in &scores {
         if let Err(msg) = check_isolation(s, plan) {
@@ -130,66 +130,33 @@ fn run_explore(seed: u64, schedules: Option<usize>) {
 /// Print the crash/partition recovery-time table across the Wasm configs.
 fn run_recovery() {
     let workload = Workload::light();
-    let table = recovery_table(&workload).expect("recovery table");
-    println!("{}", table.render());
-    if let Ok(path) = table.save_csv("recovery") {
-        println!("CSV written to {}", path.display());
-    }
+    recovery_table(&workload).expect("recovery table").emit("recovery");
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let isolation_smoke = args.iter().any(|a| a == "--isolation-smoke");
-    let multinode_smoke = args.iter().any(|a| a == "--multinode-smoke");
-    if multinode_smoke {
-        run_multinode_smoke();
-        return;
+/// `--isolation-smoke`: the isolation grid on the contribution config
+/// plus the zero-attacker determinism check.
+fn run_isolation_smoke() {
+    let workload = Workload::light();
+    let plan = IsolationPlan::smoke();
+    let mut violations = run_isolation(&[Config::WamrCrun], &workload, &plan);
+    // Zero-attacker determinism: the baseline leg must be a pure
+    // observer — repeated runs byte-identical.
+    let a = run_tenants(Config::WamrCrun, &workload, &plan, None).expect("baseline");
+    let b = run_tenants(Config::WamrCrun, &workload, &plan, None).expect("baseline");
+    if a != b {
+        eprintln!("FAIL: zero-attacker baseline not byte-identical:\n{a:?}\n{b:?}");
+        violations += 1;
     }
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse::<u64>().ok())
-        .unwrap_or(0xC4A0_5EED);
-    if args.iter().any(|a| a == "--node-crash-smoke") {
-        run_node_crash_smoke(seed);
-        return;
+    if violations > 0 {
+        eprintln!("{violations} isolation scenario(s) violated the containment contract");
+        std::process::exit(1);
     }
-    if args.iter().any(|a| a == "--explore") {
-        let schedules = args
-            .iter()
-            .position(|a| a == "--schedules")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse::<usize>().ok());
-        run_explore(seed, schedules);
-        return;
-    }
-    if args.iter().any(|a| a == "--recovery") {
-        run_recovery();
-        return;
-    }
+    println!("isolation smoke: all attackers contained, victims ready, baseline deterministic");
+}
 
-    if isolation_smoke {
-        let workload = Workload::light();
-        let plan = IsolationPlan::smoke();
-        let mut violations = run_isolation(&[Config::WamrCrun], &workload, &plan);
-        // Zero-attacker determinism: the baseline leg must be a pure
-        // observer — repeated runs byte-identical.
-        let a = run_tenants(Config::WamrCrun, &workload, &plan, None).expect("baseline");
-        let b = run_tenants(Config::WamrCrun, &workload, &plan, None).expect("baseline");
-        if a != b {
-            eprintln!("FAIL: zero-attacker baseline not byte-identical:\n{a:?}\n{b:?}");
-            violations += 1;
-        }
-        if violations > 0 {
-            eprintln!("{violations} isolation scenario(s) violated the containment contract");
-            std::process::exit(1);
-        }
-        println!("isolation smoke: all attackers contained, victims ready, baseline deterministic");
-        return;
-    }
-
+/// The chaos sweep itself: the light CI plan under `--smoke`, else the
+/// default plan followed by the full isolation grid.
+fn run_sweep(seed: u64, smoke: bool) {
     let (workload, plan) = if smoke {
         (Workload::light(), ChaosPlan::smoke(seed))
     } else {
@@ -200,10 +167,7 @@ fn main() {
     };
 
     let (table, outcome) = sweep(&workload, &plan).expect("chaos sweep");
-    println!("{}", table.render());
-    if let Ok(path) = table.save_csv("chaos") {
-        println!("CSV written to {}", path.display());
-    }
+    table.emit("chaos");
 
     let mut violations = 0;
     for o in &outcome.faults {
@@ -246,4 +210,73 @@ fn main() {
     let wedged: usize = outcome.hung.iter().map(|h| h.wedged).sum();
     let kills: u64 = outcome.hung.iter().map(|h| h.probe_kills).sum();
     println!("hung-guest: {wedged} wedged pods, {kills} liveness kills, all recovered");
+}
+
+const USAGE: &str = "chaos [--smoke | --isolation-smoke | --multinode-smoke | --node-crash-smoke \
+                     | --explore [--schedules N] | --recovery] [--seed N]";
+
+fn main() {
+    let modes = [
+        "--smoke",
+        "--isolation-smoke",
+        "--multinode-smoke",
+        "--node-crash-smoke",
+        "--explore",
+        "--recovery",
+    ];
+    let cli = cli::Cli::parse(USAGE, &[], &modes, &["--seed", "--schedules"]);
+    let mut given = modes.into_iter().filter(|m| cli.has(m));
+    let mode = given.next();
+    if given.next().is_some() {
+        cli::usage_exit(USAGE, "at most one mode");
+    }
+    let schedules = cli.value("--schedules").map(|n| usize::try_from(n).unwrap_or(usize::MAX));
+    if schedules.is_some() && mode != Some("--explore") {
+        cli::usage_exit(USAGE, "--schedules goes with --explore");
+    }
+    let seed = cli.value("--seed").unwrap_or(0xC4A0_5EED);
+    match mode {
+        Some("--multinode-smoke") => run_multinode_smoke(),
+        Some("--node-crash-smoke") => run_node_crash_smoke(seed),
+        Some("--explore") => run_explore(seed, schedules),
+        Some("--recovery") => run_recovery(),
+        Some("--isolation-smoke") => run_isolation_smoke(),
+        smoke => run_sweep(seed, smoke.is_some()),
+    }
+}
+
+// `cli.rs` is compiled into all five binaries; its tests live here, in the
+// binary with the richest command line, so they run once.
+#[cfg(test)]
+mod tests {
+    use super::cli::Cli;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        let args = args.iter().map(|a| a.to_string());
+        Cli::parse_from(args, &["run"], &["--smoke"], &["--seed"])
+    }
+
+    #[test]
+    fn known_arguments_parse() {
+        let cli = parse(&["run", "--smoke", "--seed", "7", "--seed", "9"]).unwrap();
+        assert_eq!(cli.command.as_deref(), Some("run"));
+        assert!(cli.has("--smoke") && !cli.has("--seed"));
+        assert_eq!(cli.value("--seed"), Some(9));
+        assert_eq!(parse(&[]).unwrap(), Cli::default());
+    }
+
+    #[test]
+    fn typos_are_errors_not_defaults() {
+        for bad in [
+            &["--smok"][..],
+            &["walk"],
+            &["run", "run"],
+            &["--seed"],
+            &["--seed", "x"],
+            &["--seed", "-1"],
+            &["--seed=7"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
 }

@@ -14,6 +14,9 @@
 //! runs: one config, a few thousand requests, the same contracts.
 //! Exit 1 on any violation.
 
+#[path = "../cli.rs"]
+mod cli;
+
 use harness::chaos::WASM_CONFIGS;
 use harness::traffic::{
     check_contract, check_scenario, contract_sweep, contract_table, run_overload_contract,
@@ -21,16 +24,15 @@ use harness::traffic::{
 };
 use harness::{Config, Workload};
 
+const USAGE: &str = "traffic [--smoke | --scenario] [--seed N]";
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let scenario_only = args.iter().any(|a| a == "--scenario");
-    let seed = args
-        .iter()
-        .position(|a| a == "--seed")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xC4A0_5EED_u64);
+    let cli = cli::Cli::parse(USAGE, &[], &["--smoke", "--scenario"], &["--seed"]);
+    let (smoke, scenario_only) = (cli.has("--smoke"), cli.has("--scenario"));
+    if smoke && scenario_only {
+        cli::usage_exit(USAGE, "at most one mode");
+    }
+    let seed = cli.value("--seed").unwrap_or(0xC4A0_5EED);
 
     let workload = Workload::serving();
     let mut violations = 0usize;
@@ -73,10 +75,7 @@ fn main() {
     // Full run: steady sweep over every Wasm config.
     let plan = SweepPlan::new(seed);
     let (table, summaries) = traffic_sweep(&WASM_CONFIGS, &workload, &plan).expect("traffic sweep");
-    println!("{}", table.render());
-    if let Ok(path) = table.save_csv("traffic") {
-        println!("CSV written to {}", path.display());
-    }
+    table.emit("traffic");
     for s in &summaries {
         if s.run.measured().completed == 0 {
             eprintln!("FAIL: {} served nothing in the steady sweep", s.config.label());

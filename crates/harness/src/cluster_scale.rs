@@ -9,14 +9,11 @@
 //! `scripts/verify.sh` lints direct `manage_pod`/`sync_pod` calls out of
 //! harness code.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-
 use k8s_sim::{Cluster, DeploymentController, DeploymentSpec, Policy};
 use simkernel::{Duration, KernelConfig, KernelResult};
 
 use crate::config::{Config, Workload};
-use crate::parallel::worker_count;
+use crate::parallel::run_grid;
 use crate::report::{mb, Table};
 
 /// One multi-node density sweep: cluster shape plus the pod counts to
@@ -132,7 +129,9 @@ pub fn density_sweep(
     plan: &ScalePlan,
     workload: &Workload,
 ) -> KernelResult<(Table, Vec<ScaleSample>)> {
-    let samples = run_scale_points(plan, workload)?;
+    let samples = run_grid(&plan.densities, |&pods| {
+        measure_scale(plan.config, plan.nodes, pods, plan.policy, workload)
+    })?;
     let mut table = Table::new(
         format!(
             "Cluster density sweep: {} on {} nodes ({} placement)",
@@ -163,40 +162,6 @@ pub fn density_sweep(
         );
     }
     Ok((table, samples))
-}
-
-/// Measure every density of the plan on its own cluster, work-stealing
-/// across [`worker_count`] threads, results merged in plan order.
-fn run_scale_points(plan: &ScalePlan, workload: &Workload) -> KernelResult<Vec<ScaleSample>> {
-    let threads = worker_count(plan.densities.len());
-    if threads <= 1 || plan.densities.len() <= 1 {
-        return plan
-            .densities
-            .iter()
-            .map(|&pods| measure_scale(plan.config, plan.nodes, pods, plan.policy, workload))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<KernelResult<ScaleSample>>>> =
-        plan.densities.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(plan.densities.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&pods) = plan.densities.get(i) else { break };
-                let result = measure_scale(plan.config, plan.nodes, pods, plan.policy, workload);
-                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("every claimed slot is filled before scope exit")
-        })
-        .collect()
 }
 
 /// Scheduler-policy ablation: the same (nodes, pods) point under every

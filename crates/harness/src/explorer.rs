@@ -20,16 +20,13 @@
 //! regressing. A violated schedule is shrunk to its minimal failing
 //! prefix ([`shrink`]), reproducible from the printed seed.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-
 use k8s_sim::{Cluster, DeploymentController, DeploymentSpec, NodeCondition, Policy};
 use simkernel::rng::SplitMix64;
 use simkernel::{Duration, KernelResult};
 
 use crate::cluster_scale::{new_scaled_cluster, warmup_nodes};
 use crate::config::{Config, Workload};
-use crate::parallel::worker_count;
+use crate::parallel::run_grid;
 
 /// One step of a fault schedule, naming its target node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -428,39 +425,12 @@ pub fn explore(
     workload: &Workload,
     knobs: InvariantKnobs,
 ) -> KernelResult<ExploreReport> {
-    let run_one = |i: usize| -> KernelResult<ScheduleOutcome> {
+    let indices: Vec<usize> = (0..plan.schedules).collect();
+    let outcomes = run_grid(&indices, |&i| {
         let seed = plan.schedule_seed(i);
         let events = generate_schedule(seed, plan.nodes, plan.max_events);
         run_schedule(plan, seed, &events, workload, knobs)
-    };
-    let threads = worker_count(plan.schedules);
-    let outcomes: Vec<ScheduleOutcome> = if threads <= 1 || plan.schedules <= 1 {
-        (0..plan.schedules).map(run_one).collect::<KernelResult<_>>()?
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<KernelResult<ScheduleOutcome>>>> =
-            (0..plan.schedules).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(plan.schedules) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= plan.schedules {
-                        break;
-                    }
-                    let result = run_one(i);
-                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .expect("every claimed slot is filled before scope exit")
-            })
-            .collect::<KernelResult<_>>()?
-    };
+    })?;
 
     let mut counterexamples = Vec::new();
     for (index, full) in outcomes.iter().enumerate() {

@@ -129,7 +129,7 @@ pub fn figs6_7(workload: &Workload, densities: &[usize]) -> KernelResult<(Table,
     ))
 }
 
-fn startup_figure(title: &str, n: usize, workload: &Workload) -> KernelResult<Table> {
+pub(crate) fn startup_figure(title: &str, n: usize, workload: &Workload) -> KernelResult<Table> {
     let mut table = Table::new(title, vec![format!("{n} pods")], "s");
     let cells: Vec<Cell> = Config::ALL.iter().map(|&c| Cell::startup(c, n)).collect();
     for sample in run_cells(&cells, workload)? {

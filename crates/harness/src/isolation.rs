@@ -26,15 +26,12 @@
 //! deploy, and the whole sweep is byte-identical across worker counts
 //! (merged in grid order, like the figure driver).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-
 use k8s_sim::{Cluster, DeployOpts, NodeConfig, PodPhase, ProbeSpec, RestartPolicy};
 use oci_spec_lite::ImageBuilder;
 use simkernel::{Duration, IoModel, KernelConfig, KernelResult, Sim, TaskSpec};
 
 use crate::config::{Config, Workload};
-use crate::parallel::worker_count;
+use crate::parallel::run_grid;
 use crate::report::Table;
 use crate::runner::warmup;
 
@@ -481,7 +478,7 @@ pub fn check_isolation(s: &IsolationScore, plan: &IsolationPlan) -> Result<(), S
 /// one attacker-free baseline plus one run per attacker — and assemble the
 /// score table (rows: configurations; columns: attackers).
 ///
-/// Cells fan out over [`worker_count`] workers exactly like the figure
+/// Cells fan out over [`run_grid`]'s workers exactly like the figure
 /// driver: every cell boots its own cluster, and results merge in grid
 /// order, so the table is byte-identical for every `HARNESS_THREADS`.
 pub fn isolation_sweep(
@@ -497,35 +494,7 @@ pub fn isolation_sweep(
         })
         .collect();
 
-    let threads = worker_count(cells.len());
-    let runs: Vec<IsolationRun> = if threads <= 1 || cells.len() <= 1 {
-        cells
-            .iter()
-            .map(|&(c, a)| run_tenants(c, workload, plan, a))
-            .collect::<KernelResult<_>>()?
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<KernelResult<IsolationRun>>>> =
-            cells.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(cells.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(c, a)) = cells.get(i) else { break };
-                    let result = run_tenants(c, workload, plan, a);
-                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .expect("every claimed slot is filled before scope exit")
-            })
-            .collect::<KernelResult<_>>()?
-    };
+    let runs = run_grid(&cells, |&(c, a)| run_tenants(c, workload, plan, a))?;
 
     let mut table = Table::new(
         format!(
@@ -548,29 +517,6 @@ pub fn isolation_sweep(
         table.row(config.label(), row, config.is_ours());
     }
     Ok((table, scores))
-}
-
-/// Aggregate throttle counters over a sweep's score cells — the
-/// observability surface `bench_trajectory` folds into BENCH_harness.json.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ThrottleTotals {
-    pub cpu_throttle_events: u64,
-    pub cpu_throttled_ns: u64,
-    pub io_throttle_events: u64,
-    pub io_queued_ns: u64,
-}
-
-pub fn throttle_totals(scores: &[IsolationScore]) -> ThrottleTotals {
-    let mut t = ThrottleTotals::default();
-    for s in scores {
-        if let Some(f) = &s.attacked.fate {
-            t.cpu_throttle_events += f.cpu_throttle_events;
-            t.cpu_throttled_ns += f.cpu_throttled_ns;
-            t.io_throttle_events += f.io_throttle_events;
-            t.io_queued_ns += f.io_queued_ns;
-        }
-    }
-    t
 }
 
 #[cfg(test)]

@@ -4,8 +4,10 @@
 //! configurations ([`config`]), the measurement methodology ([`runner`]),
 //! and the paper's quantitative claims as executable checks ([`claims`]).
 //!
-//! Binaries (`cargo run -p harness --bin figN`) print the corresponding
-//! table and write a CSV under `target/experiments/`.
+//! Every sweep fans out through [`parallel::run_grid`], the only place the
+//! harness spawns threads. Five binaries drive it: `figures <fig3..fig10|
+//! table1|table2|phases|cluster|claims>` (print a table, write a CSV under
+//! `target/experiments/`), `calibrate`, `studies`, `chaos` and `traffic`.
 
 pub mod chaos;
 pub mod claims;
@@ -29,12 +31,10 @@ pub use explorer::{
     ScheduleOutcome,
 };
 pub use isolation::{
-    check_isolation, isolation_sweep, run_tenants, throttle_totals, Attacker, AttackerFate,
-    IsolationPlan, IsolationRun, IsolationScore, ThrottleTotals, VictimObservation,
+    check_isolation, isolation_sweep, run_tenants, Attacker, AttackerFate, IsolationPlan,
+    IsolationRun, IsolationScore, VictimObservation,
 };
-pub use parallel::{
-    effective_workers, run_cells, run_cells_on, run_cells_tracked, worker_count, Cell, GridRun,
-};
+pub use parallel::{run_cells, run_cells_on, run_grid, run_grid_on, worker_count, Cell};
 pub use report::{mb, Table};
 pub use runner::{
     deploy_density, measure_cell, measure_memory, measure_startup, new_cluster, warmup, CellSample,
@@ -51,15 +51,5 @@ use simkernel::KernelResult;
 
 /// Startup figure at an arbitrary density (used by the claim checks).
 pub fn figures_startup(workload: &Workload, n: usize) -> KernelResult<Table> {
-    let mut table = Table::new(
-        format!("Time to start {n} concurrent containers"),
-        vec![format!("{n} pods")],
-        "s",
-    );
-    let cells: Vec<Cell> = Config::ALL.iter().map(|&c| Cell::startup(c, n)).collect();
-    for sample in run_cells(&cells, workload)? {
-        let s = sample.startup.expect("startup cell");
-        table.row(s.config.label(), vec![s.total.as_secs_f64()], s.config.is_ours());
-    }
-    Ok(table)
+    figures::startup_figure(&format!("Time to start {n} concurrent containers"), n, workload)
 }

@@ -65,73 +65,42 @@ pub fn worker_count(cells: usize) -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get()).min(cap)
 }
 
-/// Measure every cell, fanning out over [`worker_count`] workers, and
-/// return the samples in grid order.
-pub fn run_cells(cells: &[Cell], workload: &Workload) -> KernelResult<Vec<CellSample>> {
-    run_cells_on(cells, workload, worker_count(cells.len()))
+/// Run `run` on every item, fanning out over [`worker_count`] workers,
+/// and return the results in item order. The one place the harness spawns
+/// threads: every sweep (figure cells, chaos and isolation grids, fault
+/// schedules, traffic cells, cluster densities) is a caller.
+pub fn run_grid<T: Sync, R: Send>(
+    items: &[T],
+    run: impl Fn(&T) -> KernelResult<R> + Sync,
+) -> KernelResult<Vec<R>> {
+    run_grid_on(items, worker_count(items.len()), run)
 }
 
-/// The number of workers a grid run *actually* uses for `cells` cells
-/// when `threads` are requested: the serial fast path (one requested
-/// thread or a single-cell grid) runs on the calling thread, and a
-/// parallel run never spawns more workers than there are cells.
-///
-/// Benchmarks must record this — not the requested thread count — so a
-/// run that degraded to serial (e.g. a one-core host) is never labeled
-/// as parallel.
-pub fn effective_workers(cells: usize, threads: usize) -> usize {
-    if threads <= 1 || cells <= 1 {
-        1
-    } else {
-        threads.min(cells)
-    }
-}
-
-/// A completed grid run: the samples in grid order plus the worker
-/// count that actually measured them (see [`effective_workers`]).
-#[derive(Debug, Clone)]
-pub struct GridRun {
-    pub samples: Vec<CellSample>,
-    pub workers: usize,
-}
-
-/// [`run_cells_on`], but also reporting the resolved worker count.
-pub fn run_cells_tracked(
-    cells: &[Cell],
-    workload: &Workload,
+/// [`run_grid`] with an explicit worker count. One requested thread or a
+/// grid of at most one item runs serially on the calling thread; a
+/// parallel run never spawns more workers than there are items. Output
+/// is identical for every `threads` value.
+pub fn run_grid_on<T: Sync, R: Send>(
+    items: &[T],
     threads: usize,
-) -> KernelResult<GridRun> {
-    let workers = effective_workers(cells.len(), threads);
-    let samples = run_cells_on(cells, workload, threads)?;
-    Ok(GridRun { samples, workers })
-}
-
-/// [`run_cells`] with an explicit worker count (1 = serial in the calling
-/// thread). Output is identical for every `threads` value.
-pub fn run_cells_on(
-    cells: &[Cell],
-    workload: &Workload,
-    threads: usize,
-) -> KernelResult<Vec<CellSample>> {
-    if threads <= 1 || cells.len() <= 1 {
-        return cells
-            .iter()
-            .map(|c| measure_cell(c.config, c.density, workload, c.observe))
-            .collect();
+    run: impl Fn(&T) -> KernelResult<R> + Sync,
+) -> KernelResult<Vec<R>> {
+    if threads <= 1 || items.len() <= 1 {
+        return items.iter().map(run).collect();
     }
 
     // Work stealing via a shared claim counter: each worker repeatedly
-    // claims the next unclaimed cell index, so long cells (density 400)
+    // claims the next unclaimed item index, so long items (density 400)
     // don't leave workers idle the way static chunking would.
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<KernelResult<CellSample>>>> =
-        cells.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<KernelResult<R>>>> =
+        items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
-        for _ in 0..threads.min(cells.len()) {
+        for _ in 0..threads.min(items.len()) {
             scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(cell) = cells.get(i) else { break };
-                let result = measure_cell(cell.config, cell.density, workload, cell.observe);
+                let Some(item) = items.get(i) else { break };
+                let result = run(item);
                 *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
             });
         }
@@ -149,15 +118,74 @@ pub fn run_cells_on(
         .collect()
 }
 
+/// Measure every cell through [`run_grid`]; samples in grid order.
+pub fn run_cells(cells: &[Cell], workload: &Workload) -> KernelResult<Vec<CellSample>> {
+    run_cells_on(cells, workload, worker_count(cells.len()))
+}
+
+/// [`run_cells`] with an explicit worker count (1 = serial in the calling
+/// thread). Output is identical for every `threads` value.
+pub fn run_cells_on(
+    cells: &[Cell],
+    workload: &Workload,
+    threads: usize,
+) -> KernelResult<Vec<CellSample>> {
+    run_grid_on(cells, threads, |c| measure_cell(c.config, c.density, workload, c.observe))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkernel::KernelError;
 
     #[test]
     fn worker_count_respects_env_and_cells() {
         // Never more workers than cells, regardless of the machine.
         assert_eq!(worker_count(1), 1);
         assert!(worker_count(1_000_000) >= 1);
+    }
+
+    #[test]
+    fn run_grid_returns_results_in_item_order() {
+        let items: Vec<u64> = (0..5).collect();
+        // One worker, two, and more workers than items.
+        for threads in [1, 2, 16] {
+            let out = run_grid_on(&items, threads, |&i| Ok(i * i)).unwrap();
+            assert_eq!(out, [0, 1, 4, 9, 16], "{threads} worker(s)");
+        }
+    }
+
+    #[test]
+    fn first_error_in_grid_order_wins_even_when_a_later_item_fails_first() {
+        let fail =
+            |i: &usize| -> KernelResult<()> { Err(KernelError::PathNotFound(i.to_string())) };
+        // Item 0 blocks until item 1 has already failed on the other worker.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let (tx, rx) = (Mutex::new(tx), Mutex::new(rx));
+        let err = run_grid_on(&[0usize, 1], 2, |i| {
+            if *i == 0 {
+                rx.lock().unwrap().recv().expect("item 1 signals before it fails");
+            } else {
+                tx.lock().unwrap().send(()).expect("item 0 is waiting");
+            }
+            fail(i)
+        })
+        .unwrap_err();
+        assert_eq!(err, KernelError::PathNotFound("0".into()));
+        // The serial path stops at the same error.
+        assert_eq!(run_grid_on(&[2usize, 0, 1], 1, fail).unwrap_err(), fail(&2).unwrap_err());
+    }
+
+    #[test]
+    fn zero_and_one_item_grids_run_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let on_caller = |_: &u8| Ok(std::thread::current().id() == caller);
+        assert_eq!(run_grid_on(&[], 8, on_caller).unwrap(), [] as [bool; 0]);
+        assert_eq!(run_grid_on(&[7], 8, on_caller).unwrap(), [true]);
+        // ... and so does any grid when one worker is requested.
+        assert_eq!(run_grid_on(&[7, 8, 9], 1, on_caller).unwrap(), [true; 3]);
+        // Two items on two workers leave the calling thread.
+        assert_eq!(run_grid_on(&[7, 8], 2, on_caller).unwrap(), [false; 2]);
     }
 
     #[test]

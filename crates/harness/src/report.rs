@@ -1,4 +1,4 @@
-//! Table formatting and CSV output for the figure binaries.
+//! Table formatting and CSV output for the harness binaries.
 
 use std::fmt::Write as _;
 use std::path::Path;
@@ -80,13 +80,18 @@ impl Table {
         out
     }
 
-    /// Write the CSV beside the repo's other experiment outputs.
-    pub fn save_csv(&self, name: &str) -> std::io::Result<std::path::PathBuf> {
+    /// What every binary does with a finished table: print it, write the
+    /// CSV beside the repo's other experiment outputs
+    /// (`target/experiments/<name>.csv`), and say where it went — or, on
+    /// stderr, why it could not be written.
+    pub fn emit(&self, name: &str) {
+        println!("{}", self.render());
         let dir = Path::new("target/experiments");
-        std::fs::create_dir_all(dir)?;
         let path = dir.join(format!("{name}.csv"));
-        std::fs::write(&path, self.to_csv())?;
-        Ok(path)
+        match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, self.to_csv())) {
+            Ok(()) => println!("CSV written to {}", path.display()),
+            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+        }
     }
 
     /// Value lookup by row label (for assertions and claim checks).

@@ -26,9 +26,6 @@
 //! pre-overload baseline; re-run overload with the retry budget disabled
 //! and assert the system demonstrably degrades (the control arm).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-
 use k8s_sim::{
     Cluster, DeploymentController, DeploymentSpec, HpaSpec, LatencyHistogram, ProbeSpec,
     ResilientClient, RetryBudget, RetryPolicy, Service, ServiceConfig,
@@ -37,7 +34,7 @@ use simkernel::rng::SplitMix64;
 use simkernel::{CalendarQueue, Duration, KernelResult, SimTime};
 
 use crate::config::{Config, Workload};
-use crate::parallel::worker_count;
+use crate::parallel::run_grid;
 use crate::report::Table;
 use crate::runner::warmup;
 
@@ -845,39 +842,14 @@ pub fn run_steady_cell(
 }
 
 /// The traffic sweep: one steady-state cell per config, fanned out over
-/// [`worker_count`] workers and merged in grid order — byte-identical for
+/// [`run_grid`]'s workers and merged in grid order — byte-identical for
 /// every `HARNESS_THREADS`.
 pub fn traffic_sweep(
     configs: &[Config],
     workload: &Workload,
     plan: &SweepPlan,
 ) -> KernelResult<(Table, Vec<TrafficSummary>)> {
-    let threads = worker_count(configs.len());
-    let summaries: Vec<TrafficSummary> = if threads <= 1 || configs.len() <= 1 {
-        configs.iter().map(|&c| run_steady_cell(c, workload, plan)).collect::<KernelResult<_>>()?
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<KernelResult<TrafficSummary>>>> =
-            configs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(configs.len()) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&c) = configs.get(i) else { break };
-                    let result = run_steady_cell(c, workload, plan);
-                    *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .expect("every claimed slot is filled before scope exit")
-            })
-            .collect::<KernelResult<_>>()?
-    };
+    let summaries = run_grid(configs, |&c| run_steady_cell(c, workload, plan))?;
 
     let mut table = Table::new(
         format!(
@@ -1130,31 +1102,7 @@ pub fn contract_sweep(
     workload: &Workload,
     plan: &ContractPlan,
 ) -> KernelResult<Vec<ContractOutcome>> {
-    let threads = worker_count(configs.len());
-    if threads <= 1 || configs.len() <= 1 {
-        return configs.iter().map(|&c| run_overload_contract(c, workload, plan)).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<KernelResult<ContractOutcome>>>> =
-        configs.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(configs.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&c) = configs.get(i) else { break };
-                let result = run_overload_contract(c, workload, plan);
-                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .unwrap_or_else(PoisonError::into_inner)
-                .expect("every claimed slot is filled before scope exit")
-        })
-        .collect()
+    run_grid(configs, |&c| run_overload_contract(c, workload, plan))
 }
 
 /// The overload-recovery table (one row per config).

@@ -359,7 +359,7 @@ impl Kubelet {
 
     /// Sync one pod: run the full startup pipeline through the CRI.
     /// Returns the pod record with its accumulated DES steps.
-    pub fn sync_pod(
+    pub(crate) fn sync_pod(
         &mut self,
         containerd: &mut Containerd,
         spec: PodSpec,
@@ -480,7 +480,7 @@ impl Kubelet {
     /// [`Kubelet::reconcile`] on the backoff schedule) instead of failing
     /// the deploy; a non-retryable error parks the pod as `Failed`.
     /// Returns the pod's resulting phase.
-    pub fn manage_pod(
+    pub(crate) fn manage_pod(
         &mut self,
         containerd: &mut Containerd,
         spec: PodSpec,

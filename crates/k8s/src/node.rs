@@ -121,7 +121,7 @@ impl Node {
     /// memory. The node's kubelet/containerd state is left frozen (stale)
     /// — the control plane only learns of the death when the lease
     /// expires.
-    pub fn crash(&mut self) -> KernelResult<()> {
+    pub(crate) fn crash(&mut self) -> KernelResult<()> {
         if !self.alive {
             return Err(KernelError::InvalidState(format!("{} is already crashed", self.name)));
         }
@@ -179,7 +179,7 @@ impl Node {
     /// lease); idempotent for pods already gone. Returns the fenced names.
     /// On error the un-drained names stay queued, so a later renewal can
     /// retry the fence.
-    pub fn fence(&mut self) -> KernelResult<Vec<String>> {
+    pub(crate) fn fence(&mut self) -> KernelResult<Vec<String>> {
         let mut fenced = Vec::new();
         while let Some(name) = self.fence_pending.first().cloned() {
             self.kubelet.remove_pod(&mut self.containerd, &name)?;

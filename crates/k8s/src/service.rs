@@ -125,7 +125,7 @@ impl CircuitBreaker {
 
     /// Does this breaker admit traffic right now? Half-open admits exactly
     /// one trial at a time.
-    pub fn admits(&self) -> bool {
+    pub(crate) fn admits(&self) -> bool {
         match self.state {
             BreakerState::Closed => true,
             BreakerState::Open => false,
@@ -134,7 +134,7 @@ impl CircuitBreaker {
     }
 
     /// Record a service success. Closes a half-open breaker.
-    pub fn on_success(&mut self) {
+    pub(crate) fn on_success(&mut self) {
         self.consecutive_failures = 0;
         self.trial_inflight = false;
         self.state = BreakerState::Closed;
@@ -142,7 +142,7 @@ impl CircuitBreaker {
 
     /// Record a service failure (timeout/interrupt — not an admission
     /// shed). Returns `true` if this failure opened the breaker.
-    pub fn on_failure(&mut self, now: SimTime, threshold: u32) -> bool {
+    pub(crate) fn on_failure(&mut self, now: SimTime, threshold: u32) -> bool {
         match self.state {
             BreakerState::HalfOpen => {
                 // The trial failed: straight back to open, cool-off re-armed.
@@ -217,7 +217,7 @@ impl RetryBudget {
     }
 
     /// Try to pay for one retry. A disabled budget always approves.
-    pub fn try_withdraw(&mut self) -> bool {
+    pub(crate) fn try_withdraw(&mut self) -> bool {
         if !self.enabled {
             return true;
         }
@@ -256,7 +256,7 @@ impl RetryPolicy {
 
     /// Backoff before attempt `attempt` (2, 3, …): `base × 2^(attempt-2)`,
     /// capped.
-    pub fn backoff_for(&self, attempt: u32) -> Duration {
+    pub(crate) fn backoff_for(&self, attempt: u32) -> Duration {
         let shift = attempt.saturating_sub(2).min(20);
         let ns = self.base_backoff.as_nanos().saturating_mul(1u64 << shift);
         Duration::from_nanos(ns.min(self.max_backoff.as_nanos()))

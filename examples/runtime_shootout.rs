@@ -8,8 +8,13 @@
 use memwasm::harness::{mb, measure_cell, Config, Observe, Workload};
 
 fn main() {
-    let density: usize =
-        std::env::args().nth(1).and_then(|a| a.parse().ok()).filter(|d| *d >= 1).unwrap_or(20);
+    let density: usize = match std::env::args().nth(1) {
+        None => 20,
+        Some(arg) => arg.parse().ok().filter(|d| *d >= 1).unwrap_or_else(|| {
+            eprintln!("usage: runtime_shootout [density >= 1]");
+            std::process::exit(2)
+        }),
+    };
     let workload = Workload::default();
 
     println!("{:<28} {:>12} {:>12} {:>12}", "runtime", "metrics MB", "free MB", "startup s");

@@ -30,9 +30,9 @@
 //! assert!(sample.metrics_avg > 0);
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `crates/bench` for the
-//! benchmarks regenerating each table and figure (in-tree timing harness;
-//! no external bench dependency).
+//! See `examples/` for runnable scenarios, `cargo run -p harness --bin
+//! figures -- <name>` to regenerate each table and figure, and
+//! `benchmark/` for what doing so costs on the host.
 
 pub use container_runtimes;
 pub use containerd_sim;

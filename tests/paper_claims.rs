@@ -1,6 +1,6 @@
 //! The paper's quantitative claims as a test suite (fast densities).
 //!
-//! These run the same checks as `cargo run -p harness --bin verify_claims`
+//! These run the same checks as `cargo run -p harness --bin figures -- claims`
 //! but at reduced densities so they fit a test run; the full-density run
 //! (10/100/400 pods) is recorded in EXPERIMENTS.md.
 
@@ -18,7 +18,7 @@ fn memory_claims_hold_at_reduced_density() {
 #[cfg_attr(
     debug_assertions,
     ignore = "startup claims need the calibrated workload; run with --release \
-              (or `cargo run --release -p harness --bin verify_claims`)"
+              (or `cargo run --release -p harness --bin figures -- claims`)"
 )]
 fn startup_shape_claims_hold() {
     // 10 pods is the paper's small density; 400 is the contended one —
@@ -36,7 +36,7 @@ fn startup_shape_claims_hold() {
             | "fig9_ours_beats_python_at_400" => {
                 assert!(c.passed, "{}: {}\n{text}", c.name, c.detail)
             }
-            _ => {} // full-density crossover magnitudes checked by verify_claims
+            _ => {} // full-density crossover magnitudes checked by `figures claims`
         }
     }
 }

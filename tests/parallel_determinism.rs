@@ -4,9 +4,7 @@
 
 use std::sync::Mutex;
 
-use memwasm::harness::{
-    figures, run_cells_on, run_cells_tracked, Cell, CellSample, Config, Observe, Workload,
-};
+use memwasm::harness::{figures, run_cells_on, Cell, CellSample, Config, Observe, Workload};
 
 /// Serializes every test that mutates the process-wide `HARNESS_THREADS`
 /// environment variable — tests in one binary share the environment.
@@ -116,9 +114,8 @@ fn pinned_thread_counts_are_byte_identical_and_parallel_is_not_slower() {
     run_cells_on(&cells, &w, 1).unwrap();
     let serial_s = t.elapsed().as_secs_f64();
     let t = std::time::Instant::now();
-    let run = run_cells_tracked(&cells, &w, 4).unwrap();
+    run_cells_on(&cells, &w, 4).unwrap();
     let parallel_s = t.elapsed().as_secs_f64();
-    assert_eq!(run.workers, 4, "4 requested workers on a >=4-core host must all resolve");
     assert!(
         parallel_s <= serial_s * 1.05,
         "parallel driver slower than serial: {parallel_s:.2}s vs {serial_s:.2}s"
