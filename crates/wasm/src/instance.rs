@@ -159,11 +159,21 @@ impl Imports {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Work units retired across all invocations. Deliberately
-    /// tier-dependent: the in-place interpreter counts every dispatched
-    /// bytecode (including `block`/`end` bookkeeping it must execute), the
-    /// lowered tier counts its compiled instructions — mirroring how real
-    /// interpreters do more dispatch work than compiled code for the same
-    /// program. The engine time models multiply this by per-tier costs.
+    /// tier-dependent, mirroring how real interpreters do more dispatch
+    /// work than compiled code for the same program; the engine time
+    /// models multiply this by per-tier costs, so the counting rule is part
+    /// of every simulated startup time.
+    ///
+    /// * In-place tier: one unit per dispatched bytecode, control
+    ///   bookkeeping included — `block`, `loop`, `if`, `else` and every
+    ///   `end` control actually reaches (the function's last one too). An
+    ///   `end` that a taken branch, a `return` or a false `if` with no
+    ///   `else` arm jumps past is never dispatched and is not counted; a
+    ///   back-edge to a `loop` does not re-dispatch the `loop` opcode.
+    /// * Lowered tier: one unit per executed [`crate::lowered::OpWord`].
+    ///
+    /// A unit is counted before it executes, so a trapping instruction is
+    /// counted, and so is the unit that finds the fuel tank empty.
     pub instrs_retired: u64,
     /// Calls into host (WASI) functions.
     pub host_calls: u64,
@@ -171,8 +181,6 @@ pub struct ExecStats {
     pub side_table_bytes: u64,
     /// Bytes of lowered internal code built by the lowered tier.
     pub lowered_bytes: u64,
-    /// High-water mark of the operand stack, in slots.
-    pub peak_stack_slots: u64,
     /// Superinstruction-fusion events in the code compiled for this
     /// instance (lowered tier only; 0 on the in-place tier).
     pub fused_ops: u64,
@@ -218,20 +226,19 @@ pub struct Instance {
     pub(crate) global_types: Vec<ValType>,
     pub(crate) table: Vec<Option<u32>>,
     pub(crate) host_funcs: Vec<Option<HostFunc>>,
-    /// Lazily built control side-tables (in-place tier), per local function.
-    pub(crate) side_tables: Vec<Option<Arc<interp::SideTable>>>,
+    /// Per local function: has this instance been charged for its control
+    /// side-table yet (in-place tier; the table itself is shared per
+    /// module, the accounting is per instance).
+    pub(crate) side_table_charged: Vec<bool>,
     /// Eagerly compiled functions (lowered tier), per local function.
     pub(crate) lowered: Vec<Option<Arc<LoweredFunc>>>,
     pub(crate) stats: ExecStats,
     pub(crate) fuel: Option<u64>,
     epoch: Option<EpochState>,
-    /// Reusable operand stack: cleared and handed to the interpreter on
-    /// each invocation so repeated invokes don't reallocate.
+    /// Reusable slot buffer — locals and operands of every live frame
+    /// (in-place tier) or the register file (lowered tier) — handed to the
+    /// executor on each invocation so repeated invokes don't reallocate.
     pub(crate) value_stack: Vec<Slot>,
-    /// Recycled `locals` buffers from popped interpreter frames.
-    pub(crate) locals_pool: Vec<Vec<Slot>>,
-    /// Recycled label stacks from popped interpreter frames.
-    pub(crate) labels_pool: Vec<Vec<interp::Label>>,
 }
 
 impl std::fmt::Debug for Instance {
@@ -332,13 +339,11 @@ impl Instance {
             global_types,
             table,
             host_funcs,
-            side_tables: vec![None; n_local_funcs],
+            side_table_charged: vec![false; n_local_funcs],
             lowered: vec![None; n_local_funcs],
             stats: ExecStats::default(),
             module,
             value_stack: Vec::new(),
-            locals_pool: Vec::new(),
-            labels_pool: Vec::new(),
         };
 
         // Data segments.
@@ -473,32 +478,109 @@ impl Instance {
         result
     }
 
-    /// Burn fuel for `n` instructions and service the epoch watchdog.
-    #[inline]
-    pub(crate) fn burn(&mut self, n: u64) -> Result<(), Trap> {
+    /// Call host function `func_idx` with its arguments taken from
+    /// `slots[at..]` and its results written back over them — the calling
+    /// convention both executors use for Wasm functions too. Returns the
+    /// number of results.
+    pub(crate) fn call_host_in_place(
+        &mut self,
+        func_idx: u32,
+        slots: &mut Vec<Slot>,
+        at: usize,
+    ) -> Result<usize, Trap> {
+        let module = Arc::clone(&self.module);
+        let ft = module.func_type(func_idx).expect("validated");
+        let args: Vec<Value> =
+            ft.params.iter().zip(&slots[at..]).map(|(t, s)| Value::from_slot(*s, *t)).collect();
+        let results = self.call_host(func_idx, &args)?;
+        if results.len() != ft.results.len() {
+            return Err(Trap::HostError(format!(
+                "host function returned {} values, expected {}",
+                results.len(),
+                ft.results.len()
+            )));
+        }
+        if slots.len() < at + results.len() {
+            slots.resize(at + results.len(), Slot(0));
+        }
+        for (slot, v) in slots[at..].iter_mut().zip(&results) {
+            *slot = v.to_slot();
+        }
+        Ok(results.len())
+    }
+
+    /// Resolve a `call_indirect` through table element `elem` and check
+    /// the callee against the expected type.
+    pub(crate) fn resolve_indirect(&self, type_idx: u32, elem: u32) -> Result<u32, Trap> {
+        let entry = self.table.get(elem as usize).ok_or(Trap::TableOutOfBounds)?;
+        let f = entry.ok_or(Trap::UninitializedElement)?;
+        let expected = &self.module.types[type_idx as usize];
+        let actual = self.module.func_type(f).ok_or(Trap::UninitializedElement)?;
+        if actual != expected {
+            return Err(Trap::IndirectCallTypeMismatch);
+        }
+        Ok(f)
+    }
+
+    // Work-unit accounting. The executors do not call into the instance
+    // per unit: they take a *slice* — the number of units that can retire
+    // before anything has to be looked at — count it down in a local, and
+    // come back here when it is spent or when they stop. Because a slice
+    // ends one unit short of the next event, the event itself is always
+    // judged by `safepoint`, one unit at a time, and lands on the same
+    // unit as if every unit had been.
+
+    /// Units that can retire from here with no fuel exhaustion and no
+    /// epoch tick: `min(fuel left, units to the next tick − 1)`.
+    pub(crate) fn slice(&self) -> u64 {
+        let fuel = self.fuel.unwrap_or(u64::MAX);
+        let tick = self.epoch.as_ref().map_or(u64::MAX, |ep| ep.until_tick - 1);
+        fuel.min(tick)
+    }
+
+    /// Account for `n` units retired inside a slice.
+    pub(crate) fn settle(&mut self, n: u64) {
         self.stats.instrs_retired += n;
         if let Some(fuel) = &mut self.fuel {
-            if *fuel < n {
-                *fuel = 0;
-                return Err(Trap::OutOfFuel);
-            }
             *fuel -= n;
         }
         if let Some(ep) = &mut self.epoch {
-            if n >= ep.until_tick {
-                // Crossed one or more tick boundaries: advance the shared
-                // clock and check the deadline (the epoch "safepoint").
-                let past = n - ep.until_tick;
-                let ticks = 1 + past / ep.tick_instrs;
-                ep.until_tick = ep.tick_instrs - past % ep.tick_instrs;
-                if ep.clock.advance(ticks) >= ep.deadline {
+            ep.until_tick -= n;
+        }
+    }
+
+    /// Retire one unit the slow way: burn its fuel (it is counted even if
+    /// there is none left) and service the epoch watchdog.
+    fn safepoint(&mut self) -> Result<(), Trap> {
+        self.stats.instrs_retired += 1;
+        if let Some(fuel) = &mut self.fuel {
+            if *fuel == 0 {
+                return Err(Trap::OutOfFuel);
+            }
+            *fuel -= 1;
+        }
+        if let Some(ep) = &mut self.epoch {
+            ep.until_tick -= 1;
+            if ep.until_tick == 0 {
+                // A tick boundary: advance the shared clock and check the
+                // deadline (the epoch "safepoint").
+                ep.until_tick = ep.tick_instrs;
+                if ep.clock.advance(1) >= ep.deadline {
                     return Err(Trap::Interrupted);
                 }
-            } else {
-                ep.until_tick -= n;
             }
         }
         Ok(())
+    }
+
+    /// The executors' slow path, taken by the unit that finds its slice
+    /// spent: settle the `spent` slice, retire this unit through
+    /// [`Instance::safepoint`], and hand out the next slice.
+    #[cold]
+    pub(crate) fn next_slice(&mut self, spent: u64) -> Result<u64, Trap> {
+        self.settle(spent);
+        self.safepoint()?;
+        Ok(self.slice())
     }
 }
 

@@ -1,9 +1,12 @@
 //! Instructions: the MVP opcode space, a streaming reader, and a writer.
 //!
 //! The same [`read_instr`] routine is used by the module decoder, the
-//! validator, the control side-table builder, the in-place interpreter and
-//! the lowering pass, so there is exactly one definition of the binary
-//! instruction grammar in the workspace.
+//! validator, the control side-table builder and the lowering pass, so
+//! everything that *scans* code shares one definition of the binary
+//! instruction grammar. The in-place interpreter ([`crate::interp`]) is the
+//! one exception by design: it dispatches on the opcode byte and reads
+//! immediates where they lie — only from bodies the side-table builder has
+//! already scanned with `read_instr`.
 
 use crate::error::DecodeError;
 use crate::leb128;

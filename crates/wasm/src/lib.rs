@@ -13,9 +13,10 @@
 //!   algorithm with value/control stacks;
 //! * two execution tiers whose *memory/startup trade-off is the paper's
 //!   subject*:
-//!   [`interp`] executes **in place** from the raw code bytes with only a
-//!   small lazily-built control side-table (how WAMR's classic interpreter
-//!   stays tiny), while [`lowered`] first compiles every function into a
+//!   [`interp`] executes **in place**, dispatching on the raw code bytes
+//!   with only a small lazily-built control side-table (how WAMR's classic
+//!   interpreter stays tiny), while [`lowered`] first compiles every
+//!   function into a
 //!   wide, jump-resolved internal representation (how JIT/AOT engines like
 //!   Wasmtime trade memory for speed);
 //! * [`instance`]: linking, imports/exports, start function, host functions
@@ -23,6 +24,11 @@
 //!
 //! Both tiers are exercised against each other by property tests; the
 //! engines crate charges their measured allocations to the simulated kernel.
+
+// Both dispatch loops index guest-controlled offsets into slot vectors,
+// code and linear memory; their speed is not to be bought with unchecked
+// indexing.
+#![forbid(unsafe_code)]
 
 pub mod builder;
 pub mod cache;

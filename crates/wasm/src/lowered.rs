@@ -38,8 +38,12 @@ use std::sync::{Arc, OnceLock};
 
 use crate::instance::Instance;
 use crate::instr::{read_instr, BrTableData, Instruction};
+use crate::interp::SideTable;
 use crate::module::Module;
-use crate::numeric::{wasm_max_f32, wasm_max_f64, wasm_min_f32, wasm_min_f64};
+use crate::numeric::{
+    i32_div_s, i32_div_u, i32_rem_s, i32_rem_u, i64_div_s, i64_div_u, i64_rem_s, i64_rem_u,
+    wasm_max_f32, wasm_max_f64, wasm_min_f32, wasm_min_f64,
+};
 use crate::types::BlockType;
 use crate::values::{nearest_f32, nearest_f64, trunc, Slot, Trap, Value};
 
@@ -339,16 +343,33 @@ impl LoweredFunc {
     }
 }
 
-/// Per-module shared store of compiled functions. Instances of the same
-/// module share one compilation (first compiler wins a race); per-instance
-/// `stats.lowered_bytes` still charges the full footprint to every
+/// One lazily filled cell per local function, allocated on first use.
+type PerFunc<T> = OnceLock<Box<[OnceLock<T>]>>;
+
+/// Per-module shared store of what the executors derive from function
+/// bodies: lowered code for this tier, control side-tables for the in-place
+/// tier. Instances of the same module share one copy of each (first
+/// builder wins a race); per-instance `stats.lowered_bytes` and
+/// `stats.side_table_bytes` still charge the full footprint to every
 /// instance, matching how a real runtime maps the code into each sandbox.
 ///
 /// The store is deliberately excluded from `Module`'s `Clone`/`PartialEq`:
 /// it is a cache, not module identity.
 #[derive(Default)]
 pub(crate) struct CompiledCode {
-    funcs: OnceLock<Box<[OnceLock<Arc<LoweredFunc>>]>>,
+    lowered: PerFunc<Arc<LoweredFunc>>,
+    side_tables: PerFunc<SideTable>,
+}
+
+fn cells<T>(store: &PerFunc<T>, n: usize) -> &[OnceLock<T>] {
+    store.get_or_init(|| (0..n).map(|_| OnceLock::new()).collect())
+}
+
+impl CompiledCode {
+    /// The side-table cells of a module with `n` local functions.
+    pub(crate) fn side_tables(&self, n: usize) -> &[OnceLock<SideTable>] {
+        cells(&self.side_tables, n)
+    }
 }
 
 impl Clone for CompiledCode {
@@ -365,17 +386,18 @@ impl PartialEq for CompiledCode {
 
 impl std::fmt::Debug for CompiledCode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let n = self.funcs.get().map_or(0, |s| s.iter().filter(|c| c.get().is_some()).count());
-        write!(f, "CompiledCode({n} compiled)")
+        fn filled<T>(store: &PerFunc<T>) -> usize {
+            store.get().map_or(0, |s| s.iter().filter(|c| c.get().is_some()).count())
+        }
+        let (lowered, side_tables) = (filled(&self.lowered), filled(&self.side_tables));
+        write!(f, "CompiledCode({lowered} lowered, {side_tables} side tables)")
     }
 }
 
 /// Fetch (or compile and publish) the shared lowered code for `func_idx`.
 pub(crate) fn shared_lowered(module: &Module, func_idx: u32) -> Result<Arc<LoweredFunc>, Trap> {
-    let n = module.funcs.len();
-    let store = module.compiled.funcs.get_or_init(|| (0..n).map(|_| OnceLock::new()).collect());
     let local_idx = (func_idx - module.num_imported_funcs()) as usize;
-    let cell = &store[local_idx];
+    let cell = &cells(&module.compiled.lowered, module.funcs.len())[local_idx];
     if let Some(f) = cell.get() {
         return Ok(Arc::clone(f));
     }
@@ -1346,17 +1368,6 @@ fn lowered_func(inst: &mut Instance, func_idx: u32) -> Result<Arc<LoweredFunc>, 
     Ok(lf)
 }
 
-fn resolve_indirect(inst: &Instance, type_idx: u32, elem: usize) -> Result<u32, Trap> {
-    let entry = inst.table.get(elem).ok_or(Trap::TableOutOfBounds)?;
-    let f = entry.ok_or(Trap::UninitializedElement)?;
-    let expected = &inst.module.types[type_idx as usize];
-    let actual = inst.module.func_type(f).ok_or(Trap::UninitializedElement)?;
-    if actual != expected {
-        return Err(Trap::IndirectCallTypeMismatch);
-    }
-    Ok(f)
-}
-
 /// Invoke `func_idx` with typed arguments through the lowered executor.
 pub(crate) fn invoke(
     inst: &mut Instance,
@@ -1393,503 +1404,463 @@ fn run(
     for (i, v) in args.iter().enumerate() {
         regs[i] = v.to_slot();
     }
-    if regs.len() as u64 > inst.stats.peak_stack_slots {
-        inst.stats.peak_stack_slots = regs.len() as u64;
-    }
     let mut frames: Vec<LFrame> = Vec::new();
     let mut cur = LFrame { func, base: 0, pc: 0 };
     // Declared before the dispatch macros so their bodies can see it
     // (macro hygiene resolves identifiers at the definition site).
     let mut w: OpWord;
 
-    macro_rules! r {
-        ($i:expr) => {
-            regs[cur.base + $i as usize]
-        };
-    }
-    macro_rules! mem {
-        () => {
-            inst.memory.as_mut().expect("validated memory access")
-        };
-    }
-    macro_rules! jump {
-        () => {
-            cur.pc = (w.imm & TARGET_MASK) as usize
-        };
-    }
-    macro_rules! bin {
-        ($get:ident, $from:ident, $f:expr) => {{
-            let x = r!(w.b).$get();
-            let y = r!(w.c).$get();
-            r!(w.a) = Slot::$from($f(x, y));
-        }};
-    }
-    macro_rules! binimm {
-        ($get:ident, $from:ident, $f:expr) => {{
-            let x = r!(w.b).$get();
-            let y = Slot(w.imm).$get();
-            r!(w.a) = Slot::$from($f(x, y));
-        }};
-    }
-    macro_rules! rel {
-        ($get:ident, $f:expr) => {{
-            let x = r!(w.b).$get();
-            let y = r!(w.c).$get();
-            r!(w.a) = Slot::from_bool($f(&x, &y));
-        }};
-    }
-    macro_rules! un {
-        ($get:ident, $from:ident, $f:expr) => {{
-            let x = r!(w.b).$get();
-            r!(w.a) = Slot::$from($f(x));
-        }};
-    }
-    macro_rules! ld {
-        ($n:literal, $conv:expr) => {{
-            let addr = r!(w.b).u32();
-            let bytes: [u8; $n] = mem!().read(addr, w.imm as u32)?;
-            r!(w.a) = $conv(bytes);
-        }};
-    }
-    macro_rules! ldat {
-        ($n:literal, $conv:expr) => {{
-            let bytes: [u8; $n] = mem!().read(w.imm as u32, 0)?;
-            r!(w.a) = $conv(bytes);
-        }};
-    }
-    macro_rules! st {
-        ($get:ident, $to:expr) => {{
-            let v = r!(w.c).$get();
-            let addr = r!(w.b).u32();
-            mem!().write(addr, w.imm as u32, $to(v))?;
-        }};
-    }
-    macro_rules! stat {
-        ($get:ident, $to:expr) => {{
-            let v = r!(w.c).$get();
-            mem!().write(w.imm as u32, 0, $to(v))?;
-        }};
-    }
-    macro_rules! brrel {
-        ($get:ident, $f:expr) => {{
-            let x = r!(w.b).$get();
-            let y = r!(w.c).$get();
-            if $f(x, y) {
-                jump!();
-            }
-        }};
-    }
-    macro_rules! shuffle {
-        ($dst:expr, $src:expr, $n:expr) => {{
-            let d = cur.base + $dst as usize;
-            let s = cur.base + $src as usize;
-            if d != s {
-                regs.copy_within(s..s + $n as usize, d);
-            }
-        }};
-    }
-    macro_rules! do_call {
-        ($f:expr) => {{
-            let f: u32 = $f;
-            let ab = cur.base + w.a as usize;
-            if f < imported {
-                // Host calls need the typed signature; clone it once here
-                // (the hot Wasm→Wasm path below avoids the allocation).
-                let ft = inst.module.func_type(f).expect("validated").clone();
-                let call_args: Vec<Value> = ft
-                    .params
-                    .iter()
-                    .enumerate()
-                    .map(|(i, t)| Value::from_slot(regs[ab + i], *t))
-                    .collect();
-                let results = inst.call_host(f, &call_args)?;
-                if results.len() != ft.results.len() {
-                    return Err(Trap::HostError(format!(
-                        "host function returned {} values, expected {}",
-                        results.len(),
-                        ft.results.len()
-                    )));
+    // Units left in the current slice (see `Instance::slice`): counted
+    // down in a local, settled into the instance on the way out. Every
+    // exit from the dispatch loop is a `break 'run` for that reason (and
+    // the macros live inside the block because labels are hygienic).
+    let mut slice = inst.slice();
+    let mut left = slice;
+    let outcome = 'run: {
+        macro_rules! trap {
+            ($t:expr) => {
+                break 'run Err($t)
+            };
+        }
+        macro_rules! tri {
+            ($e:expr) => {
+                match $e {
+                    Ok(v) => v,
+                    Err(t) => trap!(t),
                 }
-                for (i, v) in results.into_iter().enumerate() {
-                    regs[ab + i] = v.to_slot();
+            };
+        }
+        macro_rules! r {
+            ($i:expr) => {
+                regs[cur.base + $i as usize]
+            };
+        }
+        macro_rules! mem {
+            () => {
+                inst.memory.as_mut().expect("validated memory access")
+            };
+        }
+        macro_rules! jump {
+            () => {
+                cur.pc = (w.imm & TARGET_MASK) as usize
+            };
+        }
+        macro_rules! bin {
+            ($get:ident, $from:ident, $f:expr) => {{
+                let x = r!(w.b).$get();
+                let y = r!(w.c).$get();
+                r!(w.a) = Slot::$from($f(x, y));
+            }};
+        }
+        macro_rules! bin_try {
+            ($get:ident, $from:ident, $f:expr) => {{
+                let x = r!(w.b).$get();
+                let y = r!(w.c).$get();
+                r!(w.a) = Slot::$from(tri!($f(x, y)));
+            }};
+        }
+        macro_rules! binimm {
+            ($get:ident, $from:ident, $f:expr) => {{
+                let x = r!(w.b).$get();
+                let y = Slot(w.imm).$get();
+                r!(w.a) = Slot::$from($f(x, y));
+            }};
+        }
+        macro_rules! rel {
+            ($get:ident, $f:expr) => {{
+                let x = r!(w.b).$get();
+                let y = r!(w.c).$get();
+                r!(w.a) = Slot::from_bool($f(&x, &y));
+            }};
+        }
+        macro_rules! un {
+            ($get:ident, $from:ident, $f:expr) => {{
+                let x = r!(w.b).$get();
+                r!(w.a) = Slot::$from($f(x));
+            }};
+        }
+        macro_rules! ld {
+            ($n:literal, $conv:expr) => {{
+                let addr = r!(w.b).u32();
+                let bytes: [u8; $n] = tri!(mem!().read(addr, w.imm as u32));
+                r!(w.a) = $conv(bytes);
+            }};
+        }
+        macro_rules! ldat {
+            ($n:literal, $conv:expr) => {{
+                let bytes: [u8; $n] = tri!(mem!().read(w.imm as u32, 0));
+                r!(w.a) = $conv(bytes);
+            }};
+        }
+        macro_rules! st {
+            ($get:ident, $to:expr) => {{
+                let v = r!(w.c).$get();
+                let addr = r!(w.b).u32();
+                tri!(mem!().write(addr, w.imm as u32, $to(v)));
+            }};
+        }
+        macro_rules! stat {
+            ($get:ident, $to:expr) => {{
+                let v = r!(w.c).$get();
+                tri!(mem!().write(w.imm as u32, 0, $to(v)));
+            }};
+        }
+        macro_rules! brrel {
+            ($get:ident, $f:expr) => {{
+                let x = r!(w.b).$get();
+                let y = r!(w.c).$get();
+                if $f(x, y) {
+                    jump!();
                 }
+            }};
+        }
+        macro_rules! shuffle {
+            ($dst:expr, $src:expr, $n:expr) => {{
+                let d = cur.base + $dst as usize;
+                let s = cur.base + $src as usize;
+                if d != s {
+                    regs.copy_within(s..s + $n as usize, d);
+                }
+            }};
+        }
+        macro_rules! do_call {
+            ($f:expr) => {{
+                let f: u32 = $f;
+                let ab = cur.base + w.a as usize;
+                if f < imported {
+                    // Foreign code runs next: leave the instance exact.
+                    inst.settle(slice - left);
+                    (slice, left) = (0, 0);
+                    tri!(inst.call_host_in_place(f, regs, ab));
+                    slice = inst.slice();
+                    left = slice;
+                } else {
+                    if frames.len() + 1 >= inst.config.max_call_depth {
+                        trap!(Trap::StackOverflow);
+                    }
+                    let callee = tri!(lowered_func(inst, f));
+                    let need = ab + callee.frame_size as usize;
+                    if regs.len() < need {
+                        regs.resize(need, Slot(0));
+                    }
+                    // Args are already in place at the callee's base; zero the
+                    // declared locals (the region may hold stale slots).
+                    let lp = callee.param_count as usize;
+                    let ln = lp + callee.local_count as usize;
+                    for s in &mut regs[ab + lp..ab + ln] {
+                        *s = Slot(0);
+                    }
+                    frames.push(std::mem::replace(
+                        &mut cur,
+                        LFrame { func: callee, base: ab, pc: 0 },
+                    ));
+                }
+            }};
+        }
+
+        loop {
+            if left == 0 {
+                // On a trap nothing is left to settle: `next_slice` did it.
+                let spent = std::mem::take(&mut slice);
+                slice = tri!(inst.next_slice(spent));
+                left = slice;
             } else {
-                if frames.len() + 1 >= inst.config.max_call_depth {
-                    return Err(Trap::StackOverflow);
-                }
-                let callee = lowered_func(inst, f)?;
-                let need = ab + callee.frame_size as usize;
-                if regs.len() < need {
-                    regs.resize(need, Slot(0));
-                }
-                // Args are already in place at the callee's base; zero the
-                // declared locals (the region may hold stale slots).
-                let lp = callee.param_count as usize;
-                let ln = lp + callee.local_count as usize;
-                for s in &mut regs[ab + lp..ab + ln] {
-                    *s = Slot(0);
-                }
-                if need as u64 > inst.stats.peak_stack_slots {
-                    inst.stats.peak_stack_slots = need as u64;
-                }
-                frames.push(std::mem::replace(&mut cur, LFrame { func: callee, base: ab, pc: 0 }));
+                left -= 1;
             }
-        }};
-    }
+            w = cur.func.ops[cur.pc];
+            cur.pc += 1;
+            match w.code {
+                Op::Copy => r!(w.a) = r!(w.b),
+                Op::Const => r!(w.a) = Slot(w.imm),
+                Op::Select => {
+                    let v = if r!(w.imm as u16).i32() != 0 { r!(w.b) } else { r!(w.c) };
+                    r!(w.a) = v;
+                }
+                Op::GlobalGet => r!(w.a) = inst.globals[w.imm as usize],
+                Op::GlobalSet => inst.globals[w.imm as usize] = r!(w.b),
+                Op::MemorySize => {
+                    let pages = mem!().size_pages();
+                    r!(w.a) = Slot::from_u32(pages);
+                }
+                Op::MemoryGrow => {
+                    let delta = r!(w.b).u32();
+                    let grown = mem!().grow(delta);
+                    r!(w.a) = Slot::from_i32(grown);
+                }
+                Op::Unreachable => trap!(Trap::Unreachable),
 
-    loop {
-        w = cur.func.ops[cur.pc];
-        cur.pc += 1;
-        inst.burn(1)?;
-        match w.code {
-            Op::Copy => r!(w.a) = r!(w.b),
-            Op::Const => r!(w.a) = Slot(w.imm),
-            Op::Select => {
-                let v = if r!(w.imm as u16).i32() != 0 { r!(w.b) } else { r!(w.c) };
-                r!(w.a) = v;
-            }
-            Op::GlobalGet => r!(w.a) = inst.globals[w.imm as usize],
-            Op::GlobalSet => inst.globals[w.imm as usize] = r!(w.b),
-            Op::MemorySize => {
-                let pages = mem!().size_pages();
-                r!(w.a) = Slot::from_u32(pages);
-            }
-            Op::MemoryGrow => {
-                let delta = r!(w.b).u32();
-                let grown = mem!().grow(delta);
-                r!(w.a) = Slot::from_i32(grown);
-            }
-            Op::Unreachable => return Err(Trap::Unreachable),
+                Op::I32Load => ld!(4, |b| Slot::from_u32(u32::from_le_bytes(b))),
+                Op::I64Load => ld!(8, |b| Slot::from_u64(u64::from_le_bytes(b))),
+                Op::F32Load => ld!(4, |b| Slot::from_u32(u32::from_le_bytes(b))),
+                Op::F64Load => ld!(8, |b| Slot::from_u64(u64::from_le_bytes(b))),
+                Op::I32Load8S => ld!(1, |b: [u8; 1]| Slot::from_i32(b[0] as i8 as i32)),
+                Op::I32Load8U => ld!(1, |b: [u8; 1]| Slot::from_u32(b[0] as u32)),
+                Op::I32Load16S => ld!(2, |b| Slot::from_i32(i16::from_le_bytes(b) as i32)),
+                Op::I32Load16U => ld!(2, |b| Slot::from_u32(u16::from_le_bytes(b) as u32)),
+                Op::I64Load8S => ld!(1, |b: [u8; 1]| Slot::from_i64(b[0] as i8 as i64)),
+                Op::I64Load8U => ld!(1, |b: [u8; 1]| Slot::from_u64(b[0] as u64)),
+                Op::I64Load16S => ld!(2, |b| Slot::from_i64(i16::from_le_bytes(b) as i64)),
+                Op::I64Load16U => ld!(2, |b| Slot::from_u64(u16::from_le_bytes(b) as u64)),
+                Op::I64Load32S => ld!(4, |b| Slot::from_i64(i32::from_le_bytes(b) as i64)),
+                Op::I64Load32U => ld!(4, |b| Slot::from_u64(u32::from_le_bytes(b) as u64)),
+                Op::I32LoadAt => ldat!(4, |b| Slot::from_u32(u32::from_le_bytes(b))),
+                Op::I64LoadAt => ldat!(8, |b| Slot::from_u64(u64::from_le_bytes(b))),
+                Op::F32LoadAt => ldat!(4, |b| Slot::from_u32(u32::from_le_bytes(b))),
+                Op::F64LoadAt => ldat!(8, |b| Slot::from_u64(u64::from_le_bytes(b))),
 
-            Op::I32Load => ld!(4, |b| Slot::from_u32(u32::from_le_bytes(b))),
-            Op::I64Load => ld!(8, |b| Slot::from_u64(u64::from_le_bytes(b))),
-            Op::F32Load => ld!(4, |b| Slot::from_u32(u32::from_le_bytes(b))),
-            Op::F64Load => ld!(8, |b| Slot::from_u64(u64::from_le_bytes(b))),
-            Op::I32Load8S => ld!(1, |b: [u8; 1]| Slot::from_i32(b[0] as i8 as i32)),
-            Op::I32Load8U => ld!(1, |b: [u8; 1]| Slot::from_u32(b[0] as u32)),
-            Op::I32Load16S => ld!(2, |b| Slot::from_i32(i16::from_le_bytes(b) as i32)),
-            Op::I32Load16U => ld!(2, |b| Slot::from_u32(u16::from_le_bytes(b) as u32)),
-            Op::I64Load8S => ld!(1, |b: [u8; 1]| Slot::from_i64(b[0] as i8 as i64)),
-            Op::I64Load8U => ld!(1, |b: [u8; 1]| Slot::from_u64(b[0] as u64)),
-            Op::I64Load16S => ld!(2, |b| Slot::from_i64(i16::from_le_bytes(b) as i64)),
-            Op::I64Load16U => ld!(2, |b| Slot::from_u64(u16::from_le_bytes(b) as u64)),
-            Op::I64Load32S => ld!(4, |b| Slot::from_i64(i32::from_le_bytes(b) as i64)),
-            Op::I64Load32U => ld!(4, |b| Slot::from_u64(u32::from_le_bytes(b) as u64)),
-            Op::I32LoadAt => ldat!(4, |b| Slot::from_u32(u32::from_le_bytes(b))),
-            Op::I64LoadAt => ldat!(8, |b| Slot::from_u64(u64::from_le_bytes(b))),
-            Op::F32LoadAt => ldat!(4, |b| Slot::from_u32(u32::from_le_bytes(b))),
-            Op::F64LoadAt => ldat!(8, |b| Slot::from_u64(u64::from_le_bytes(b))),
+                Op::I32Store => st!(u32, |v: u32| v.to_le_bytes()),
+                Op::I64Store => st!(u64, |v: u64| v.to_le_bytes()),
+                Op::F32Store => st!(u32, |v: u32| v.to_le_bytes()),
+                Op::F64Store => st!(u64, |v: u64| v.to_le_bytes()),
+                Op::I32Store8 => st!(u32, |v: u32| [v as u8]),
+                Op::I32Store16 => st!(u32, |v: u32| (v as u16).to_le_bytes()),
+                Op::I64Store8 => st!(u64, |v: u64| [v as u8]),
+                Op::I64Store16 => st!(u64, |v: u64| (v as u16).to_le_bytes()),
+                Op::I64Store32 => st!(u64, |v: u64| (v as u32).to_le_bytes()),
+                Op::I32StoreAt => stat!(u32, |v: u32| v.to_le_bytes()),
+                Op::I64StoreAt => stat!(u64, |v: u64| v.to_le_bytes()),
+                Op::F32StoreAt => stat!(u32, |v: u32| v.to_le_bytes()),
+                Op::F64StoreAt => stat!(u64, |v: u64| v.to_le_bytes()),
 
-            Op::I32Store => st!(u32, |v: u32| v.to_le_bytes()),
-            Op::I64Store => st!(u64, |v: u64| v.to_le_bytes()),
-            Op::F32Store => st!(u32, |v: u32| v.to_le_bytes()),
-            Op::F64Store => st!(u64, |v: u64| v.to_le_bytes()),
-            Op::I32Store8 => st!(u32, |v: u32| [v as u8]),
-            Op::I32Store16 => st!(u32, |v: u32| (v as u16).to_le_bytes()),
-            Op::I64Store8 => st!(u64, |v: u64| [v as u8]),
-            Op::I64Store16 => st!(u64, |v: u64| (v as u16).to_le_bytes()),
-            Op::I64Store32 => st!(u64, |v: u64| (v as u32).to_le_bytes()),
-            Op::I32StoreAt => stat!(u32, |v: u32| v.to_le_bytes()),
-            Op::I64StoreAt => stat!(u64, |v: u64| v.to_le_bytes()),
-            Op::F32StoreAt => stat!(u32, |v: u32| v.to_le_bytes()),
-            Op::F64StoreAt => stat!(u64, |v: u64| v.to_le_bytes()),
+                Op::I32Eqz => un!(i32, from_bool, |x| x == 0),
+                Op::I32Eq => rel!(i32, i32::eq),
+                Op::I32Ne => rel!(i32, i32::ne),
+                Op::I32LtS => rel!(i32, i32::lt),
+                Op::I32LtU => rel!(u32, u32::lt),
+                Op::I32GtS => rel!(i32, i32::gt),
+                Op::I32GtU => rel!(u32, u32::gt),
+                Op::I32LeS => rel!(i32, i32::le),
+                Op::I32LeU => rel!(u32, u32::le),
+                Op::I32GeS => rel!(i32, i32::ge),
+                Op::I32GeU => rel!(u32, u32::ge),
+                Op::I64Eqz => un!(i64, from_bool, |x| x == 0),
+                Op::I64Eq => rel!(i64, i64::eq),
+                Op::I64Ne => rel!(i64, i64::ne),
+                Op::I64LtS => rel!(i64, i64::lt),
+                Op::I64LtU => rel!(u64, u64::lt),
+                Op::I64GtS => rel!(i64, i64::gt),
+                Op::I64GtU => rel!(u64, u64::gt),
+                Op::I64LeS => rel!(i64, i64::le),
+                Op::I64LeU => rel!(u64, u64::le),
+                Op::I64GeS => rel!(i64, i64::ge),
+                Op::I64GeU => rel!(u64, u64::ge),
+                Op::F32Eq => rel!(f32, |a: &f32, b: &f32| a == b),
+                Op::F32Ne => rel!(f32, |a: &f32, b: &f32| a != b),
+                Op::F32Lt => rel!(f32, |a: &f32, b: &f32| a < b),
+                Op::F32Gt => rel!(f32, |a: &f32, b: &f32| a > b),
+                Op::F32Le => rel!(f32, |a: &f32, b: &f32| a <= b),
+                Op::F32Ge => rel!(f32, |a: &f32, b: &f32| a >= b),
+                Op::F64Eq => rel!(f64, |a: &f64, b: &f64| a == b),
+                Op::F64Ne => rel!(f64, |a: &f64, b: &f64| a != b),
+                Op::F64Lt => rel!(f64, |a: &f64, b: &f64| a < b),
+                Op::F64Gt => rel!(f64, |a: &f64, b: &f64| a > b),
+                Op::F64Le => rel!(f64, |a: &f64, b: &f64| a <= b),
+                Op::F64Ge => rel!(f64, |a: &f64, b: &f64| a >= b),
 
-            Op::I32Eqz => un!(i32, from_bool, |x| x == 0),
-            Op::I32Eq => rel!(i32, i32::eq),
-            Op::I32Ne => rel!(i32, i32::ne),
-            Op::I32LtS => rel!(i32, i32::lt),
-            Op::I32LtU => rel!(u32, u32::lt),
-            Op::I32GtS => rel!(i32, i32::gt),
-            Op::I32GtU => rel!(u32, u32::gt),
-            Op::I32LeS => rel!(i32, i32::le),
-            Op::I32LeU => rel!(u32, u32::le),
-            Op::I32GeS => rel!(i32, i32::ge),
-            Op::I32GeU => rel!(u32, u32::ge),
-            Op::I64Eqz => un!(i64, from_bool, |x| x == 0),
-            Op::I64Eq => rel!(i64, i64::eq),
-            Op::I64Ne => rel!(i64, i64::ne),
-            Op::I64LtS => rel!(i64, i64::lt),
-            Op::I64LtU => rel!(u64, u64::lt),
-            Op::I64GtS => rel!(i64, i64::gt),
-            Op::I64GtU => rel!(u64, u64::gt),
-            Op::I64LeS => rel!(i64, i64::le),
-            Op::I64LeU => rel!(u64, u64::le),
-            Op::I64GeS => rel!(i64, i64::ge),
-            Op::I64GeU => rel!(u64, u64::ge),
-            Op::F32Eq => rel!(f32, |a: &f32, b: &f32| a == b),
-            Op::F32Ne => rel!(f32, |a: &f32, b: &f32| a != b),
-            Op::F32Lt => rel!(f32, |a: &f32, b: &f32| a < b),
-            Op::F32Gt => rel!(f32, |a: &f32, b: &f32| a > b),
-            Op::F32Le => rel!(f32, |a: &f32, b: &f32| a <= b),
-            Op::F32Ge => rel!(f32, |a: &f32, b: &f32| a >= b),
-            Op::F64Eq => rel!(f64, |a: &f64, b: &f64| a == b),
-            Op::F64Ne => rel!(f64, |a: &f64, b: &f64| a != b),
-            Op::F64Lt => rel!(f64, |a: &f64, b: &f64| a < b),
-            Op::F64Gt => rel!(f64, |a: &f64, b: &f64| a > b),
-            Op::F64Le => rel!(f64, |a: &f64, b: &f64| a <= b),
-            Op::F64Ge => rel!(f64, |a: &f64, b: &f64| a >= b),
+                Op::I32Clz => un!(u32, from_u32, |x: u32| x.leading_zeros()),
+                Op::I32Ctz => un!(u32, from_u32, |x: u32| x.trailing_zeros()),
+                Op::I32Popcnt => un!(u32, from_u32, |x: u32| x.count_ones()),
+                Op::I32Add => bin!(i32, from_i32, i32::wrapping_add),
+                Op::I32Sub => bin!(i32, from_i32, i32::wrapping_sub),
+                Op::I32Mul => bin!(i32, from_i32, i32::wrapping_mul),
+                Op::I32DivS => bin_try!(i32, from_i32, i32_div_s),
+                Op::I32DivU => bin_try!(u32, from_u32, i32_div_u),
+                Op::I32RemS => bin_try!(i32, from_i32, i32_rem_s),
+                Op::I32RemU => bin_try!(u32, from_u32, i32_rem_u),
+                Op::I32And => bin!(u32, from_u32, |x, y| x & y),
+                Op::I32Or => bin!(u32, from_u32, |x, y| x | y),
+                Op::I32Xor => bin!(u32, from_u32, |x, y| x ^ y),
+                Op::I32Shl => bin!(u32, from_u32, |x: u32, y: u32| x.wrapping_shl(y)),
+                Op::I32ShrS => {
+                    let x = r!(w.b).i32();
+                    let y = r!(w.c).u32();
+                    r!(w.a) = Slot::from_i32(x.wrapping_shr(y));
+                }
+                Op::I32ShrU => bin!(u32, from_u32, |x: u32, y: u32| x.wrapping_shr(y)),
+                Op::I32Rotl => bin!(u32, from_u32, |x: u32, y: u32| x.rotate_left(y & 31)),
+                Op::I32Rotr => bin!(u32, from_u32, |x: u32, y: u32| x.rotate_right(y & 31)),
+                Op::I32AddImm => binimm!(i32, from_i32, i32::wrapping_add),
+                Op::I32SubImm => binimm!(i32, from_i32, i32::wrapping_sub),
+                Op::I32MulImm => binimm!(i32, from_i32, i32::wrapping_mul),
+                Op::I32AndImm => binimm!(u32, from_u32, |x, y| x & y),
+                Op::I32OrImm => binimm!(u32, from_u32, |x, y| x | y),
+                Op::I32XorImm => binimm!(u32, from_u32, |x, y| x ^ y),
+                Op::I32ShlImm => binimm!(u32, from_u32, |x: u32, y: u32| x.wrapping_shl(y)),
+                Op::I32ShrSImm => {
+                    let x = r!(w.b).i32();
+                    let y = Slot(w.imm).u32();
+                    r!(w.a) = Slot::from_i32(x.wrapping_shr(y));
+                }
+                Op::I32ShrUImm => binimm!(u32, from_u32, |x: u32, y: u32| x.wrapping_shr(y)),
 
-            Op::I32Clz => un!(u32, from_u32, |x: u32| x.leading_zeros()),
-            Op::I32Ctz => un!(u32, from_u32, |x: u32| x.trailing_zeros()),
-            Op::I32Popcnt => un!(u32, from_u32, |x: u32| x.count_ones()),
-            Op::I32Add => bin!(i32, from_i32, i32::wrapping_add),
-            Op::I32Sub => bin!(i32, from_i32, i32::wrapping_sub),
-            Op::I32Mul => bin!(i32, from_i32, i32::wrapping_mul),
-            Op::I32DivS => {
-                let x = r!(w.b).i32();
-                let y = r!(w.c).i32();
-                if y == 0 {
-                    return Err(Trap::IntegerDivideByZero);
+                Op::I64Clz => un!(u64, from_u64, |x: u64| x.leading_zeros() as u64),
+                Op::I64Ctz => un!(u64, from_u64, |x: u64| x.trailing_zeros() as u64),
+                Op::I64Popcnt => un!(u64, from_u64, |x: u64| x.count_ones() as u64),
+                Op::I64Add => bin!(i64, from_i64, i64::wrapping_add),
+                Op::I64Sub => bin!(i64, from_i64, i64::wrapping_sub),
+                Op::I64Mul => bin!(i64, from_i64, i64::wrapping_mul),
+                Op::I64DivS => bin_try!(i64, from_i64, i64_div_s),
+                Op::I64DivU => bin_try!(u64, from_u64, i64_div_u),
+                Op::I64RemS => bin_try!(i64, from_i64, i64_rem_s),
+                Op::I64RemU => bin_try!(u64, from_u64, i64_rem_u),
+                Op::I64And => bin!(u64, from_u64, |x, y| x & y),
+                Op::I64Or => bin!(u64, from_u64, |x, y| x | y),
+                Op::I64Xor => bin!(u64, from_u64, |x, y| x ^ y),
+                Op::I64Shl => bin!(u64, from_u64, |x: u64, y: u64| x.wrapping_shl(y as u32)),
+                Op::I64ShrS => {
+                    let x = r!(w.b).i64();
+                    let y = r!(w.c).u64();
+                    r!(w.a) = Slot::from_i64(x.wrapping_shr(y as u32));
                 }
-                if x == i32::MIN && y == -1 {
-                    return Err(Trap::IntegerOverflow);
+                Op::I64ShrU => bin!(u64, from_u64, |x: u64, y: u64| x.wrapping_shr(y as u32)),
+                Op::I64Rotl => bin!(u64, from_u64, |x: u64, y: u64| x.rotate_left((y & 63) as u32)),
+                Op::I64Rotr => {
+                    bin!(u64, from_u64, |x: u64, y: u64| x.rotate_right((y & 63) as u32))
                 }
-                r!(w.a) = Slot::from_i32(x.wrapping_div(y));
-            }
-            Op::I32DivU => {
-                let x = r!(w.b).u32();
-                let y = r!(w.c).u32();
-                if y == 0 {
-                    return Err(Trap::IntegerDivideByZero);
-                }
-                r!(w.a) = Slot::from_u32(x / y);
-            }
-            Op::I32RemS => {
-                let x = r!(w.b).i32();
-                let y = r!(w.c).i32();
-                if y == 0 {
-                    return Err(Trap::IntegerDivideByZero);
-                }
-                r!(w.a) = Slot::from_i32(x.wrapping_rem(y));
-            }
-            Op::I32RemU => {
-                let x = r!(w.b).u32();
-                let y = r!(w.c).u32();
-                if y == 0 {
-                    return Err(Trap::IntegerDivideByZero);
-                }
-                r!(w.a) = Slot::from_u32(x % y);
-            }
-            Op::I32And => bin!(u32, from_u32, |x, y| x & y),
-            Op::I32Or => bin!(u32, from_u32, |x, y| x | y),
-            Op::I32Xor => bin!(u32, from_u32, |x, y| x ^ y),
-            Op::I32Shl => bin!(u32, from_u32, |x: u32, y: u32| x.wrapping_shl(y)),
-            Op::I32ShrS => {
-                let x = r!(w.b).i32();
-                let y = r!(w.c).u32();
-                r!(w.a) = Slot::from_i32(x.wrapping_shr(y));
-            }
-            Op::I32ShrU => bin!(u32, from_u32, |x: u32, y: u32| x.wrapping_shr(y)),
-            Op::I32Rotl => bin!(u32, from_u32, |x: u32, y: u32| x.rotate_left(y & 31)),
-            Op::I32Rotr => bin!(u32, from_u32, |x: u32, y: u32| x.rotate_right(y & 31)),
-            Op::I32AddImm => binimm!(i32, from_i32, i32::wrapping_add),
-            Op::I32SubImm => binimm!(i32, from_i32, i32::wrapping_sub),
-            Op::I32MulImm => binimm!(i32, from_i32, i32::wrapping_mul),
-            Op::I32AndImm => binimm!(u32, from_u32, |x, y| x & y),
-            Op::I32OrImm => binimm!(u32, from_u32, |x, y| x | y),
-            Op::I32XorImm => binimm!(u32, from_u32, |x, y| x ^ y),
-            Op::I32ShlImm => binimm!(u32, from_u32, |x: u32, y: u32| x.wrapping_shl(y)),
-            Op::I32ShrSImm => {
-                let x = r!(w.b).i32();
-                let y = Slot(w.imm).u32();
-                r!(w.a) = Slot::from_i32(x.wrapping_shr(y));
-            }
-            Op::I32ShrUImm => binimm!(u32, from_u32, |x: u32, y: u32| x.wrapping_shr(y)),
 
-            Op::I64Clz => un!(u64, from_u64, |x: u64| x.leading_zeros() as u64),
-            Op::I64Ctz => un!(u64, from_u64, |x: u64| x.trailing_zeros() as u64),
-            Op::I64Popcnt => un!(u64, from_u64, |x: u64| x.count_ones() as u64),
-            Op::I64Add => bin!(i64, from_i64, i64::wrapping_add),
-            Op::I64Sub => bin!(i64, from_i64, i64::wrapping_sub),
-            Op::I64Mul => bin!(i64, from_i64, i64::wrapping_mul),
-            Op::I64DivS => {
-                let x = r!(w.b).i64();
-                let y = r!(w.c).i64();
-                if y == 0 {
-                    return Err(Trap::IntegerDivideByZero);
-                }
-                if x == i64::MIN && y == -1 {
-                    return Err(Trap::IntegerOverflow);
-                }
-                r!(w.a) = Slot::from_i64(x.wrapping_div(y));
-            }
-            Op::I64DivU => {
-                let x = r!(w.b).u64();
-                let y = r!(w.c).u64();
-                if y == 0 {
-                    return Err(Trap::IntegerDivideByZero);
-                }
-                r!(w.a) = Slot::from_u64(x / y);
-            }
-            Op::I64RemS => {
-                let x = r!(w.b).i64();
-                let y = r!(w.c).i64();
-                if y == 0 {
-                    return Err(Trap::IntegerDivideByZero);
-                }
-                r!(w.a) = Slot::from_i64(x.wrapping_rem(y));
-            }
-            Op::I64RemU => {
-                let x = r!(w.b).u64();
-                let y = r!(w.c).u64();
-                if y == 0 {
-                    return Err(Trap::IntegerDivideByZero);
-                }
-                r!(w.a) = Slot::from_u64(x % y);
-            }
-            Op::I64And => bin!(u64, from_u64, |x, y| x & y),
-            Op::I64Or => bin!(u64, from_u64, |x, y| x | y),
-            Op::I64Xor => bin!(u64, from_u64, |x, y| x ^ y),
-            Op::I64Shl => bin!(u64, from_u64, |x: u64, y: u64| x.wrapping_shl(y as u32)),
-            Op::I64ShrS => {
-                let x = r!(w.b).i64();
-                let y = r!(w.c).u64();
-                r!(w.a) = Slot::from_i64(x.wrapping_shr(y as u32));
-            }
-            Op::I64ShrU => bin!(u64, from_u64, |x: u64, y: u64| x.wrapping_shr(y as u32)),
-            Op::I64Rotl => bin!(u64, from_u64, |x: u64, y: u64| x.rotate_left((y & 63) as u32)),
-            Op::I64Rotr => bin!(u64, from_u64, |x: u64, y: u64| x.rotate_right((y & 63) as u32)),
+                Op::F32Abs => un!(f32, from_f32, f32::abs),
+                Op::F32Neg => un!(f32, from_f32, |x: f32| -x),
+                Op::F32Ceil => un!(f32, from_f32, f32::ceil),
+                Op::F32Floor => un!(f32, from_f32, f32::floor),
+                Op::F32Trunc => un!(f32, from_f32, f32::trunc),
+                Op::F32Nearest => un!(f32, from_f32, nearest_f32),
+                Op::F32Sqrt => un!(f32, from_f32, f32::sqrt),
+                Op::F32Add => bin!(f32, from_f32, |x, y| x + y),
+                Op::F32Sub => bin!(f32, from_f32, |x, y| x - y),
+                Op::F32Mul => bin!(f32, from_f32, |x, y| x * y),
+                Op::F32Div => bin!(f32, from_f32, |x, y| x / y),
+                Op::F32Min => bin!(f32, from_f32, wasm_min_f32),
+                Op::F32Max => bin!(f32, from_f32, wasm_max_f32),
+                Op::F32Copysign => bin!(f32, from_f32, f32::copysign),
+                Op::F64Abs => un!(f64, from_f64, f64::abs),
+                Op::F64Neg => un!(f64, from_f64, |x: f64| -x),
+                Op::F64Ceil => un!(f64, from_f64, f64::ceil),
+                Op::F64Floor => un!(f64, from_f64, f64::floor),
+                Op::F64Trunc => un!(f64, from_f64, f64::trunc),
+                Op::F64Nearest => un!(f64, from_f64, nearest_f64),
+                Op::F64Sqrt => un!(f64, from_f64, f64::sqrt),
+                Op::F64Add => bin!(f64, from_f64, |x, y| x + y),
+                Op::F64Sub => bin!(f64, from_f64, |x, y| x - y),
+                Op::F64Mul => bin!(f64, from_f64, |x, y| x * y),
+                Op::F64Div => bin!(f64, from_f64, |x, y| x / y),
+                Op::F64Min => bin!(f64, from_f64, wasm_min_f64),
+                Op::F64Max => bin!(f64, from_f64, wasm_max_f64),
+                Op::F64Copysign => bin!(f64, from_f64, f64::copysign),
 
-            Op::F32Abs => un!(f32, from_f32, f32::abs),
-            Op::F32Neg => un!(f32, from_f32, |x: f32| -x),
-            Op::F32Ceil => un!(f32, from_f32, f32::ceil),
-            Op::F32Floor => un!(f32, from_f32, f32::floor),
-            Op::F32Trunc => un!(f32, from_f32, f32::trunc),
-            Op::F32Nearest => un!(f32, from_f32, nearest_f32),
-            Op::F32Sqrt => un!(f32, from_f32, f32::sqrt),
-            Op::F32Add => bin!(f32, from_f32, |x, y| x + y),
-            Op::F32Sub => bin!(f32, from_f32, |x, y| x - y),
-            Op::F32Mul => bin!(f32, from_f32, |x, y| x * y),
-            Op::F32Div => bin!(f32, from_f32, |x, y| x / y),
-            Op::F32Min => bin!(f32, from_f32, wasm_min_f32),
-            Op::F32Max => bin!(f32, from_f32, wasm_max_f32),
-            Op::F32Copysign => bin!(f32, from_f32, f32::copysign),
-            Op::F64Abs => un!(f64, from_f64, f64::abs),
-            Op::F64Neg => un!(f64, from_f64, |x: f64| -x),
-            Op::F64Ceil => un!(f64, from_f64, f64::ceil),
-            Op::F64Floor => un!(f64, from_f64, f64::floor),
-            Op::F64Trunc => un!(f64, from_f64, f64::trunc),
-            Op::F64Nearest => un!(f64, from_f64, nearest_f64),
-            Op::F64Sqrt => un!(f64, from_f64, f64::sqrt),
-            Op::F64Add => bin!(f64, from_f64, |x, y| x + y),
-            Op::F64Sub => bin!(f64, from_f64, |x, y| x - y),
-            Op::F64Mul => bin!(f64, from_f64, |x, y| x * y),
-            Op::F64Div => bin!(f64, from_f64, |x, y| x / y),
-            Op::F64Min => bin!(f64, from_f64, wasm_min_f64),
-            Op::F64Max => bin!(f64, from_f64, wasm_max_f64),
-            Op::F64Copysign => bin!(f64, from_f64, f64::copysign),
+                Op::I32WrapI64 => un!(i64, from_i32, |x: i64| x as i32),
+                Op::I32TruncF32S => {
+                    let x = r!(w.b).f32();
+                    r!(w.a) = Slot::from_i32(tri!(trunc::i32_from_f32(x)));
+                }
+                Op::I32TruncF32U => {
+                    let x = r!(w.b).f32();
+                    r!(w.a) = Slot::from_u32(tri!(trunc::u32_from_f32(x)));
+                }
+                Op::I32TruncF64S => {
+                    let x = r!(w.b).f64();
+                    r!(w.a) = Slot::from_i32(tri!(trunc::i32_from_f64(x)));
+                }
+                Op::I32TruncF64U => {
+                    let x = r!(w.b).f64();
+                    r!(w.a) = Slot::from_u32(tri!(trunc::u32_from_f64(x)));
+                }
+                Op::I64ExtendI32S => un!(i32, from_i64, |x: i32| x as i64),
+                Op::I64ExtendI32U => un!(u32, from_u64, |x: u32| x as u64),
+                Op::I64TruncF32S => {
+                    let x = r!(w.b).f32();
+                    r!(w.a) = Slot::from_i64(tri!(trunc::i64_from_f32(x)));
+                }
+                Op::I64TruncF32U => {
+                    let x = r!(w.b).f32();
+                    r!(w.a) = Slot::from_u64(tri!(trunc::u64_from_f32(x)));
+                }
+                Op::I64TruncF64S => {
+                    let x = r!(w.b).f64();
+                    r!(w.a) = Slot::from_i64(tri!(trunc::i64_from_f64(x)));
+                }
+                Op::I64TruncF64U => {
+                    let x = r!(w.b).f64();
+                    r!(w.a) = Slot::from_u64(tri!(trunc::u64_from_f64(x)));
+                }
+                Op::F32ConvertI32S => un!(i32, from_f32, |x: i32| x as f32),
+                Op::F32ConvertI32U => un!(u32, from_f32, |x: u32| x as f32),
+                Op::F32ConvertI64S => un!(i64, from_f32, |x: i64| x as f32),
+                Op::F32ConvertI64U => un!(u64, from_f32, |x: u64| x as f32),
+                Op::F32DemoteF64 => un!(f64, from_f32, |x: f64| x as f32),
+                Op::F64ConvertI32S => un!(i32, from_f64, |x: i32| x as f64),
+                Op::F64ConvertI32U => un!(u32, from_f64, |x: u32| x as f64),
+                Op::F64ConvertI64S => un!(i64, from_f64, |x: i64| x as f64),
+                Op::F64ConvertI64U => un!(u64, from_f64, |x: u64| x as f64),
+                Op::F64PromoteF32 => un!(f32, from_f64, |x: f32| x as f64),
 
-            Op::I32WrapI64 => un!(i64, from_i32, |x: i64| x as i32),
-            Op::I32TruncF32S => {
-                let x = r!(w.b).f32();
-                r!(w.a) = Slot::from_i32(trunc::i32_from_f32(x)?);
-            }
-            Op::I32TruncF32U => {
-                let x = r!(w.b).f32();
-                r!(w.a) = Slot::from_u32(trunc::u32_from_f32(x)?);
-            }
-            Op::I32TruncF64S => {
-                let x = r!(w.b).f64();
-                r!(w.a) = Slot::from_i32(trunc::i32_from_f64(x)?);
-            }
-            Op::I32TruncF64U => {
-                let x = r!(w.b).f64();
-                r!(w.a) = Slot::from_u32(trunc::u32_from_f64(x)?);
-            }
-            Op::I64ExtendI32S => un!(i32, from_i64, |x: i32| x as i64),
-            Op::I64ExtendI32U => un!(u32, from_u64, |x: u32| x as u64),
-            Op::I64TruncF32S => {
-                let x = r!(w.b).f32();
-                r!(w.a) = Slot::from_i64(trunc::i64_from_f32(x)?);
-            }
-            Op::I64TruncF32U => {
-                let x = r!(w.b).f32();
-                r!(w.a) = Slot::from_u64(trunc::u64_from_f32(x)?);
-            }
-            Op::I64TruncF64S => {
-                let x = r!(w.b).f64();
-                r!(w.a) = Slot::from_i64(trunc::i64_from_f64(x)?);
-            }
-            Op::I64TruncF64U => {
-                let x = r!(w.b).f64();
-                r!(w.a) = Slot::from_u64(trunc::u64_from_f64(x)?);
-            }
-            Op::F32ConvertI32S => un!(i32, from_f32, |x: i32| x as f32),
-            Op::F32ConvertI32U => un!(u32, from_f32, |x: u32| x as f32),
-            Op::F32ConvertI64S => un!(i64, from_f32, |x: i64| x as f32),
-            Op::F32ConvertI64U => un!(u64, from_f32, |x: u64| x as f32),
-            Op::F32DemoteF64 => un!(f64, from_f32, |x: f64| x as f32),
-            Op::F64ConvertI32S => un!(i32, from_f64, |x: i32| x as f64),
-            Op::F64ConvertI32U => un!(u32, from_f64, |x: u32| x as f64),
-            Op::F64ConvertI64S => un!(i64, from_f64, |x: i64| x as f64),
-            Op::F64ConvertI64U => un!(u64, from_f64, |x: u64| x as f64),
-            Op::F64PromoteF32 => un!(f32, from_f64, |x: f32| x as f64),
-
-            Op::Br => jump!(),
-            Op::BrShuffle => {
-                shuffle!(w.a, w.b, w.c);
-                jump!();
-            }
-            Op::BrIfz => {
-                if r!(w.b).i32() == 0 {
+                Op::Br => jump!(),
+                Op::BrShuffle => {
+                    shuffle!(w.a, w.b, w.c);
                     jump!();
                 }
-            }
-            Op::BrIf => {
-                if r!(w.b).i32() != 0 {
-                    jump!();
+                Op::BrIfz => {
+                    if r!(w.b).i32() == 0 {
+                        jump!();
+                    }
                 }
-            }
-            Op::BrIfShuffle => {
-                if r!(w.b).i32() != 0 {
-                    let src = (w.imm >> 32) as u16;
-                    shuffle!(w.a, src, w.c);
-                    jump!();
+                Op::BrIf => {
+                    if r!(w.b).i32() != 0 {
+                        jump!();
+                    }
                 }
-            }
-            Op::BrI32Eq => brrel!(i32, |x, y| x == y),
-            Op::BrI32Ne => brrel!(i32, |x, y| x != y),
-            Op::BrI32LtS => brrel!(i32, |x, y| x < y),
-            Op::BrI32LtU => brrel!(u32, |x, y| x < y),
-            Op::BrI32GtS => brrel!(i32, |x, y| x > y),
-            Op::BrI32GtU => brrel!(u32, |x, y| x > y),
-            Op::BrI32LeS => brrel!(i32, |x, y| x <= y),
-            Op::BrI32LeU => brrel!(u32, |x, y| x <= y),
-            Op::BrI32GeS => brrel!(i32, |x, y| x >= y),
-            Op::BrI32GeU => brrel!(u32, |x, y| x >= y),
-            Op::BrTable => {
-                let sel = r!(w.b).u32() as usize;
-                let br = {
-                    let t = &cur.func.tables[w.imm as usize];
-                    *t.arms.get(sel).unwrap_or(&t.default)
-                };
-                if br.arity > 0 {
-                    shuffle!(br.dst, br.src, br.arity);
+                Op::BrIfShuffle => {
+                    if r!(w.b).i32() != 0 {
+                        let src = (w.imm >> 32) as u16;
+                        shuffle!(w.a, src, w.c);
+                        jump!();
+                    }
                 }
-                cur.pc = br.target as usize;
-            }
-            Op::Ret => {
-                let res = cur.func.result_count as usize;
-                if res > 0 && w.b != 0 {
-                    let s = cur.base + w.b as usize;
-                    regs.copy_within(s..s + res, cur.base);
+                Op::BrI32Eq => brrel!(i32, |x, y| x == y),
+                Op::BrI32Ne => brrel!(i32, |x, y| x != y),
+                Op::BrI32LtS => brrel!(i32, |x, y| x < y),
+                Op::BrI32LtU => brrel!(u32, |x, y| x < y),
+                Op::BrI32GtS => brrel!(i32, |x, y| x > y),
+                Op::BrI32GtU => brrel!(u32, |x, y| x > y),
+                Op::BrI32LeS => brrel!(i32, |x, y| x <= y),
+                Op::BrI32LeU => brrel!(u32, |x, y| x <= y),
+                Op::BrI32GeS => brrel!(i32, |x, y| x >= y),
+                Op::BrI32GeU => brrel!(u32, |x, y| x >= y),
+                Op::BrTable => {
+                    let sel = r!(w.b).u32() as usize;
+                    let br = {
+                        let t = &cur.func.tables[w.imm as usize];
+                        *t.arms.get(sel).unwrap_or(&t.default)
+                    };
+                    if br.arity > 0 {
+                        shuffle!(br.dst, br.src, br.arity);
+                    }
+                    cur.pc = br.target as usize;
                 }
-                match frames.pop() {
-                    Some(f) => cur = f,
-                    None => return Ok(()),
+                Op::Ret => {
+                    let res = cur.func.result_count as usize;
+                    if res > 0 && w.b != 0 {
+                        let s = cur.base + w.b as usize;
+                        regs.copy_within(s..s + res, cur.base);
+                    }
+                    match frames.pop() {
+                        Some(f) => cur = f,
+                        None => break 'run Ok(()),
+                    }
                 }
-            }
-            Op::Call => do_call!(w.imm as u32),
-            Op::CallIndirect => {
-                // Read the selector *before* the callee's locals are
-                // zeroed: it lives just past the argument window, inside
-                // the callee's frame.
-                let elem = r!(w.b).u32() as usize;
-                let f = resolve_indirect(inst, w.imm as u32, elem)?;
-                do_call!(f)
+                Op::Call => do_call!(w.imm as u32),
+                Op::CallIndirect => {
+                    // Read the selector *before* the callee's locals are
+                    // zeroed: it lives just past the argument window, inside
+                    // the callee's frame.
+                    let elem = r!(w.b).u32();
+                    let f = tri!(inst.resolve_indirect(w.imm as u32, elem));
+                    do_call!(f)
+                }
             }
         }
-    }
+    };
+    inst.settle(slice - left);
+    outcome
 }
 
 #[cfg(test)]

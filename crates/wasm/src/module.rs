@@ -123,8 +123,9 @@ pub struct Module {
     pub data: Vec<DataSegment>,
     /// Custom sections, preserved verbatim.
     pub customs: Vec<(String, Bytes)>,
-    /// Shared lowered-tier compilation cache (excluded from `Clone` and
-    /// `PartialEq` — it is derived state, not module identity).
+    /// Shared per-function derived code — lowered functions and control
+    /// side-tables (excluded from `Clone` and `PartialEq` — it is derived
+    /// state, not module identity).
     pub(crate) compiled: crate::lowered::CompiledCode,
 }
 

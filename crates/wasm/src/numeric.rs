@@ -1,405 +1,47 @@
-//! Shared execution of all *simple* (non-control, non-call) instructions.
-//!
-//! Both execution tiers — the in-place interpreter and the lowered-code
-//! executor — delegate here, so the ~140 numeric/memory/variable opcodes
-//! have exactly one implementation, and the tier-equivalence property tests
-//! genuinely test the control-flow machinery rather than duplicated math.
+//! Scalar semantics the two execution tiers share: the operators whose
+//! WebAssembly meaning is not a single Rust operator — integer division
+//! and remainder (which trap) and float `min`/`max` (which propagate NaN
+//! and order the zeros). Each tier has its own dispatch loop and operand
+//! addressing; keeping these here means a trap condition is written once,
+//! and the tier-equivalence tests exercise control flow rather than two
+//! copies of the same arithmetic.
 
-use crate::instr::Instruction;
-use crate::memory::LinearMemory;
-use crate::values::{nearest_f32, nearest_f64, trunc, Slot, Trap};
+use crate::values::Trap;
 
-/// Result of attempting to execute an instruction as "simple".
-pub(crate) enum Simple {
-    /// Executed; stack/locals/globals/memory updated.
-    Done,
-    /// Control-flow or call instruction — the tier must handle it.
-    NotSimple,
+macro_rules! div_rem {
+    ($s:ty, $u:ty, $div_s:ident, $div_u:ident, $rem_s:ident, $rem_u:ident) => {
+        #[inline]
+        pub(crate) fn $div_s(a: $s, b: $s) -> Result<$s, Trap> {
+            if b == 0 {
+                return Err(Trap::IntegerDivideByZero);
+            }
+            // MIN / -1 is the one quotient that does not fit.
+            a.checked_div(b).ok_or(Trap::IntegerOverflow)
+        }
+
+        #[inline]
+        pub(crate) fn $div_u(a: $u, b: $u) -> Result<$u, Trap> {
+            a.checked_div(b).ok_or(Trap::IntegerDivideByZero)
+        }
+
+        /// MIN % -1 is 0, not a trap.
+        #[inline]
+        pub(crate) fn $rem_s(a: $s, b: $s) -> Result<$s, Trap> {
+            if b == 0 {
+                return Err(Trap::IntegerDivideByZero);
+            }
+            Ok(a.wrapping_rem(b))
+        }
+
+        #[inline]
+        pub(crate) fn $rem_u(a: $u, b: $u) -> Result<$u, Trap> {
+            a.checked_rem(b).ok_or(Trap::IntegerDivideByZero)
+        }
+    };
 }
 
-#[inline]
-fn pop(stack: &mut Vec<Slot>) -> Slot {
-    stack.pop().expect("validated stack")
-}
-
-/// Execute `i` if it is a simple instruction.
-pub(crate) fn exec_simple(
-    i: &Instruction,
-    stack: &mut Vec<Slot>,
-    locals: &mut [Slot],
-    globals: &mut [Slot],
-    memory: &mut Option<LinearMemory>,
-) -> Result<Simple, Trap> {
-    use Instruction as I;
-    macro_rules! mem {
-        () => {
-            memory.as_mut().expect("validated memory access")
-        };
-    }
-    macro_rules! binop {
-        (i32, $f:expr) => {{
-            let b = pop(stack).i32();
-            let a = pop(stack).i32();
-            stack.push(Slot::from_i32($f(a, b)));
-        }};
-        (u32, $f:expr) => {{
-            let b = pop(stack).u32();
-            let a = pop(stack).u32();
-            stack.push(Slot::from_u32($f(a, b)));
-        }};
-        (i64, $f:expr) => {{
-            let b = pop(stack).i64();
-            let a = pop(stack).i64();
-            stack.push(Slot::from_i64($f(a, b)));
-        }};
-        (u64, $f:expr) => {{
-            let b = pop(stack).u64();
-            let a = pop(stack).u64();
-            stack.push(Slot::from_u64($f(a, b)));
-        }};
-        (f32, $f:expr) => {{
-            let b = pop(stack).f32();
-            let a = pop(stack).f32();
-            stack.push(Slot::from_f32($f(a, b)));
-        }};
-        (f64, $f:expr) => {{
-            let b = pop(stack).f64();
-            let a = pop(stack).f64();
-            stack.push(Slot::from_f64($f(a, b)));
-        }};
-    }
-    macro_rules! relop {
-        ($getter:ident, $f:expr) => {{
-            let b = pop(stack).$getter();
-            let a = pop(stack).$getter();
-            stack.push(Slot::from_bool($f(&a, &b)));
-        }};
-    }
-    macro_rules! unop {
-        ($getter:ident, $from:ident, $f:expr) => {{
-            let a = pop(stack).$getter();
-            stack.push(Slot::$from($f(a)));
-        }};
-    }
-    macro_rules! load {
-        ($a:expr, $n:literal, $conv:expr) => {{
-            let addr = pop(stack).u32();
-            let bytes: [u8; $n] = mem!().read(addr, $a.offset)?;
-            stack.push($conv(bytes));
-        }};
-    }
-    macro_rules! store {
-        ($a:expr, $getter:ident, $to:expr) => {{
-            let v = pop(stack).$getter();
-            let addr = pop(stack).u32();
-            mem!().write(addr, $a.offset, $to(v))?;
-        }};
-    }
-
-    match i {
-        I::Nop => {}
-        I::Drop => {
-            pop(stack);
-        }
-        I::Select => {
-            let c = pop(stack).i32();
-            let b = pop(stack);
-            let a = pop(stack);
-            stack.push(if c != 0 { a } else { b });
-        }
-        I::LocalGet(idx) => stack.push(locals[*idx as usize]),
-        I::LocalSet(idx) => locals[*idx as usize] = pop(stack),
-        I::LocalTee(idx) => locals[*idx as usize] = *stack.last().expect("validated"),
-        I::GlobalGet(idx) => stack.push(globals[*idx as usize]),
-        I::GlobalSet(idx) => globals[*idx as usize] = pop(stack),
-
-        I::I32Load(a) => load!(a, 4, |b| Slot::from_u32(u32::from_le_bytes(b))),
-        I::I64Load(a) => load!(a, 8, |b| Slot::from_u64(u64::from_le_bytes(b))),
-        I::F32Load(a) => load!(a, 4, |b| Slot::from_u32(u32::from_le_bytes(b))),
-        I::F64Load(a) => load!(a, 8, |b| Slot::from_u64(u64::from_le_bytes(b))),
-        I::I32Load8S(a) => load!(a, 1, |b: [u8; 1]| Slot::from_i32(b[0] as i8 as i32)),
-        I::I32Load8U(a) => load!(a, 1, |b: [u8; 1]| Slot::from_u32(b[0] as u32)),
-        I::I32Load16S(a) => {
-            load!(a, 2, |b| Slot::from_i32(i16::from_le_bytes(b) as i32))
-        }
-        I::I32Load16U(a) => {
-            load!(a, 2, |b| Slot::from_u32(u16::from_le_bytes(b) as u32))
-        }
-        I::I64Load8S(a) => load!(a, 1, |b: [u8; 1]| Slot::from_i64(b[0] as i8 as i64)),
-        I::I64Load8U(a) => load!(a, 1, |b: [u8; 1]| Slot::from_u64(b[0] as u64)),
-        I::I64Load16S(a) => {
-            load!(a, 2, |b| Slot::from_i64(i16::from_le_bytes(b) as i64))
-        }
-        I::I64Load16U(a) => {
-            load!(a, 2, |b| Slot::from_u64(u16::from_le_bytes(b) as u64))
-        }
-        I::I64Load32S(a) => {
-            load!(a, 4, |b| Slot::from_i64(i32::from_le_bytes(b) as i64))
-        }
-        I::I64Load32U(a) => {
-            load!(a, 4, |b| Slot::from_u64(u32::from_le_bytes(b) as u64))
-        }
-        I::I32Store(a) => store!(a, u32, |v: u32| v.to_le_bytes()),
-        I::I64Store(a) => store!(a, u64, |v: u64| v.to_le_bytes()),
-        I::F32Store(a) => store!(a, u32, |v: u32| v.to_le_bytes()),
-        I::F64Store(a) => store!(a, u64, |v: u64| v.to_le_bytes()),
-        I::I32Store8(a) => store!(a, u32, |v: u32| [v as u8]),
-        I::I32Store16(a) => store!(a, u32, |v: u32| (v as u16).to_le_bytes()),
-        I::I64Store8(a) => store!(a, u64, |v: u64| [v as u8]),
-        I::I64Store16(a) => store!(a, u64, |v: u64| (v as u16).to_le_bytes()),
-        I::I64Store32(a) => store!(a, u64, |v: u64| (v as u32).to_le_bytes()),
-        I::MemorySize => {
-            let pages = mem!().size_pages();
-            stack.push(Slot::from_u32(pages));
-        }
-        I::MemoryGrow => {
-            let delta = pop(stack).u32();
-            let r = mem!().grow(delta);
-            stack.push(Slot::from_i32(r));
-        }
-
-        I::I32Const(v) => stack.push(Slot::from_i32(*v)),
-        I::I64Const(v) => stack.push(Slot::from_i64(*v)),
-        I::F32Const(v) => stack.push(Slot::from_f32(*v)),
-        I::F64Const(v) => stack.push(Slot::from_f64(*v)),
-
-        I::I32Eqz => unop!(i32, from_bool, |a| a == 0),
-        I::I32Eq => relop!(i32, i32::eq),
-        I::I32Ne => relop!(i32, i32::ne),
-        I::I32LtS => relop!(i32, i32::lt),
-        I::I32LtU => relop!(u32, u32::lt),
-        I::I32GtS => relop!(i32, i32::gt),
-        I::I32GtU => relop!(u32, u32::gt),
-        I::I32LeS => relop!(i32, i32::le),
-        I::I32LeU => relop!(u32, u32::le),
-        I::I32GeS => relop!(i32, i32::ge),
-        I::I32GeU => relop!(u32, u32::ge),
-        I::I64Eqz => unop!(i64, from_bool, |a| a == 0),
-        I::I64Eq => relop!(i64, i64::eq),
-        I::I64Ne => relop!(i64, i64::ne),
-        I::I64LtS => relop!(i64, i64::lt),
-        I::I64LtU => relop!(u64, u64::lt),
-        I::I64GtS => relop!(i64, i64::gt),
-        I::I64GtU => relop!(u64, u64::gt),
-        I::I64LeS => relop!(i64, i64::le),
-        I::I64LeU => relop!(u64, u64::le),
-        I::I64GeS => relop!(i64, i64::ge),
-        I::I64GeU => relop!(u64, u64::ge),
-        I::F32Eq => relop!(f32, |a: &f32, b: &f32| a == b),
-        I::F32Ne => relop!(f32, |a: &f32, b: &f32| a != b),
-        I::F32Lt => relop!(f32, |a: &f32, b: &f32| a < b),
-        I::F32Gt => relop!(f32, |a: &f32, b: &f32| a > b),
-        I::F32Le => relop!(f32, |a: &f32, b: &f32| a <= b),
-        I::F32Ge => relop!(f32, |a: &f32, b: &f32| a >= b),
-        I::F64Eq => relop!(f64, |a: &f64, b: &f64| a == b),
-        I::F64Ne => relop!(f64, |a: &f64, b: &f64| a != b),
-        I::F64Lt => relop!(f64, |a: &f64, b: &f64| a < b),
-        I::F64Gt => relop!(f64, |a: &f64, b: &f64| a > b),
-        I::F64Le => relop!(f64, |a: &f64, b: &f64| a <= b),
-        I::F64Ge => relop!(f64, |a: &f64, b: &f64| a >= b),
-
-        I::I32Clz => unop!(u32, from_u32, |a: u32| a.leading_zeros()),
-        I::I32Ctz => unop!(u32, from_u32, |a: u32| a.trailing_zeros()),
-        I::I32Popcnt => unop!(u32, from_u32, |a: u32| a.count_ones()),
-        I::I32Add => binop!(i32, i32::wrapping_add),
-        I::I32Sub => binop!(i32, i32::wrapping_sub),
-        I::I32Mul => binop!(i32, i32::wrapping_mul),
-        I::I32DivS => {
-            let b = pop(stack).i32();
-            let a = pop(stack).i32();
-            if b == 0 {
-                return Err(Trap::IntegerDivideByZero);
-            }
-            if a == i32::MIN && b == -1 {
-                return Err(Trap::IntegerOverflow);
-            }
-            stack.push(Slot::from_i32(a.wrapping_div(b)));
-        }
-        I::I32DivU => {
-            let b = pop(stack).u32();
-            let a = pop(stack).u32();
-            if b == 0 {
-                return Err(Trap::IntegerDivideByZero);
-            }
-            stack.push(Slot::from_u32(a / b));
-        }
-        I::I32RemS => {
-            let b = pop(stack).i32();
-            let a = pop(stack).i32();
-            if b == 0 {
-                return Err(Trap::IntegerDivideByZero);
-            }
-            stack.push(Slot::from_i32(a.wrapping_rem(b)));
-        }
-        I::I32RemU => {
-            let b = pop(stack).u32();
-            let a = pop(stack).u32();
-            if b == 0 {
-                return Err(Trap::IntegerDivideByZero);
-            }
-            stack.push(Slot::from_u32(a % b));
-        }
-        I::I32And => binop!(u32, |a, b| a & b),
-        I::I32Or => binop!(u32, |a, b| a | b),
-        I::I32Xor => binop!(u32, |a, b| a ^ b),
-        I::I32Shl => binop!(u32, |a: u32, b: u32| a.wrapping_shl(b)),
-        I::I32ShrS => {
-            let b = pop(stack).u32();
-            let a = pop(stack).i32();
-            stack.push(Slot::from_i32(a.wrapping_shr(b)));
-        }
-        I::I32ShrU => binop!(u32, |a: u32, b: u32| a.wrapping_shr(b)),
-        I::I32Rotl => binop!(u32, |a: u32, b: u32| a.rotate_left(b & 31)),
-        I::I32Rotr => binop!(u32, |a: u32, b: u32| a.rotate_right(b & 31)),
-        I::I64Clz => unop!(u64, from_u64, |a: u64| a.leading_zeros() as u64),
-        I::I64Ctz => unop!(u64, from_u64, |a: u64| a.trailing_zeros() as u64),
-        I::I64Popcnt => unop!(u64, from_u64, |a: u64| a.count_ones() as u64),
-        I::I64Add => binop!(i64, i64::wrapping_add),
-        I::I64Sub => binop!(i64, i64::wrapping_sub),
-        I::I64Mul => binop!(i64, i64::wrapping_mul),
-        I::I64DivS => {
-            let b = pop(stack).i64();
-            let a = pop(stack).i64();
-            if b == 0 {
-                return Err(Trap::IntegerDivideByZero);
-            }
-            if a == i64::MIN && b == -1 {
-                return Err(Trap::IntegerOverflow);
-            }
-            stack.push(Slot::from_i64(a.wrapping_div(b)));
-        }
-        I::I64DivU => {
-            let b = pop(stack).u64();
-            let a = pop(stack).u64();
-            if b == 0 {
-                return Err(Trap::IntegerDivideByZero);
-            }
-            stack.push(Slot::from_u64(a / b));
-        }
-        I::I64RemS => {
-            let b = pop(stack).i64();
-            let a = pop(stack).i64();
-            if b == 0 {
-                return Err(Trap::IntegerDivideByZero);
-            }
-            stack.push(Slot::from_i64(a.wrapping_rem(b)));
-        }
-        I::I64RemU => {
-            let b = pop(stack).u64();
-            let a = pop(stack).u64();
-            if b == 0 {
-                return Err(Trap::IntegerDivideByZero);
-            }
-            stack.push(Slot::from_u64(a % b));
-        }
-        I::I64And => binop!(u64, |a, b| a & b),
-        I::I64Or => binop!(u64, |a, b| a | b),
-        I::I64Xor => binop!(u64, |a, b| a ^ b),
-        I::I64Shl => binop!(u64, |a: u64, b: u64| a.wrapping_shl(b as u32)),
-        I::I64ShrS => {
-            let b = pop(stack).u64();
-            let a = pop(stack).i64();
-            stack.push(Slot::from_i64(a.wrapping_shr(b as u32)));
-        }
-        I::I64ShrU => binop!(u64, |a: u64, b: u64| a.wrapping_shr(b as u32)),
-        I::I64Rotl => binop!(u64, |a: u64, b: u64| a.rotate_left((b & 63) as u32)),
-        I::I64Rotr => binop!(u64, |a: u64, b: u64| a.rotate_right((b & 63) as u32)),
-
-        I::F32Abs => unop!(f32, from_f32, f32::abs),
-        I::F32Neg => unop!(f32, from_f32, |a: f32| -a),
-        I::F32Ceil => unop!(f32, from_f32, f32::ceil),
-        I::F32Floor => unop!(f32, from_f32, f32::floor),
-        I::F32Trunc => unop!(f32, from_f32, f32::trunc),
-        I::F32Nearest => unop!(f32, from_f32, nearest_f32),
-        I::F32Sqrt => unop!(f32, from_f32, f32::sqrt),
-        I::F32Add => binop!(f32, |a, b| a + b),
-        I::F32Sub => binop!(f32, |a, b| a - b),
-        I::F32Mul => binop!(f32, |a, b| a * b),
-        I::F32Div => binop!(f32, |a, b| a / b),
-        I::F32Min => binop!(f32, wasm_min_f32),
-        I::F32Max => binop!(f32, wasm_max_f32),
-        I::F32Copysign => binop!(f32, f32::copysign),
-        I::F64Abs => unop!(f64, from_f64, f64::abs),
-        I::F64Neg => unop!(f64, from_f64, |a: f64| -a),
-        I::F64Ceil => unop!(f64, from_f64, f64::ceil),
-        I::F64Floor => unop!(f64, from_f64, f64::floor),
-        I::F64Trunc => unop!(f64, from_f64, f64::trunc),
-        I::F64Nearest => unop!(f64, from_f64, nearest_f64),
-        I::F64Sqrt => unop!(f64, from_f64, f64::sqrt),
-        I::F64Add => binop!(f64, |a, b| a + b),
-        I::F64Sub => binop!(f64, |a, b| a - b),
-        I::F64Mul => binop!(f64, |a, b| a * b),
-        I::F64Div => binop!(f64, |a, b| a / b),
-        I::F64Min => binop!(f64, wasm_min_f64),
-        I::F64Max => binop!(f64, wasm_max_f64),
-        I::F64Copysign => binop!(f64, f64::copysign),
-
-        I::I32WrapI64 => unop!(i64, from_i32, |a: i64| a as i32),
-        I::I32TruncF32S => {
-            let a = pop(stack).f32();
-            stack.push(Slot::from_i32(trunc::i32_from_f32(a)?));
-        }
-        I::I32TruncF32U => {
-            let a = pop(stack).f32();
-            stack.push(Slot::from_u32(trunc::u32_from_f32(a)?));
-        }
-        I::I32TruncF64S => {
-            let a = pop(stack).f64();
-            stack.push(Slot::from_i32(trunc::i32_from_f64(a)?));
-        }
-        I::I32TruncF64U => {
-            let a = pop(stack).f64();
-            stack.push(Slot::from_u32(trunc::u32_from_f64(a)?));
-        }
-        I::I64ExtendI32S => unop!(i32, from_i64, |a: i32| a as i64),
-        I::I64ExtendI32U => unop!(u32, from_u64, |a: u32| a as u64),
-        I::I64TruncF32S => {
-            let a = pop(stack).f32();
-            stack.push(Slot::from_i64(trunc::i64_from_f32(a)?));
-        }
-        I::I64TruncF32U => {
-            let a = pop(stack).f32();
-            stack.push(Slot::from_u64(trunc::u64_from_f32(a)?));
-        }
-        I::I64TruncF64S => {
-            let a = pop(stack).f64();
-            stack.push(Slot::from_i64(trunc::i64_from_f64(a)?));
-        }
-        I::I64TruncF64U => {
-            let a = pop(stack).f64();
-            stack.push(Slot::from_u64(trunc::u64_from_f64(a)?));
-        }
-        I::F32ConvertI32S => unop!(i32, from_f32, |a: i32| a as f32),
-        I::F32ConvertI32U => unop!(u32, from_f32, |a: u32| a as f32),
-        I::F32ConvertI64S => unop!(i64, from_f32, |a: i64| a as f32),
-        I::F32ConvertI64U => unop!(u64, from_f32, |a: u64| a as f32),
-        I::F32DemoteF64 => unop!(f64, from_f32, |a: f64| a as f32),
-        I::F64ConvertI32S => unop!(i32, from_f64, |a: i32| a as f64),
-        I::F64ConvertI32U => unop!(u32, from_f64, |a: u32| a as f64),
-        I::F64ConvertI64S => unop!(i64, from_f64, |a: i64| a as f64),
-        I::F64ConvertI64U => unop!(u64, from_f64, |a: u64| a as f64),
-        I::F64PromoteF32 => unop!(f32, from_f64, |a: f32| a as f64),
-        I::I32ReinterpretF32 => {} // bit pattern already in the slot
-        I::I64ReinterpretF64 => {}
-        I::F32ReinterpretI32 => {}
-        I::F64ReinterpretI64 => {}
-
-        // Control flow and calls are tier-specific.
-        I::Unreachable
-        | I::Block(_)
-        | I::Loop(_)
-        | I::If(_)
-        | I::Else
-        | I::End
-        | I::Br(_)
-        | I::BrIf(_)
-        | I::BrTable(_)
-        | I::Return
-        | I::Call(_)
-        | I::CallIndirect { .. } => return Ok(Simple::NotSimple),
-    }
-    Ok(Simple::Done)
-}
+div_rem!(i32, u32, i32_div_s, i32_div_u, i32_rem_s, i32_rem_u);
+div_rem!(i64, u64, i64_div_s, i64_div_u, i64_rem_s, i64_rem_u);
 
 /// Wasm `min`: NaN-propagating, -0 < +0.
 pub(crate) fn wasm_min_f32(a: f32, b: f32) -> f32 {
@@ -469,183 +111,29 @@ pub(crate) fn wasm_max_f64(a: f64, b: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::instr::MemArg;
-    use crate::types::Limits;
-
-    fn run1(i: Instruction, inputs: &[Slot]) -> Result<Slot, Trap> {
-        let mut stack = inputs.to_vec();
-        let mut mem = None;
-        exec_simple(&i, &mut stack, &mut [], &mut [], &mut mem)?;
-        Ok(stack.pop().unwrap())
-    }
-
-    #[test]
-    fn arithmetic_basics() {
-        assert_eq!(
-            run1(Instruction::I32Add, &[Slot::from_i32(2), Slot::from_i32(3)]).unwrap().i32(),
-            5
-        );
-        assert_eq!(
-            run1(Instruction::I32Sub, &[Slot::from_i32(2), Slot::from_i32(3)]).unwrap().i32(),
-            -1
-        );
-        assert_eq!(
-            run1(Instruction::I32Mul, &[Slot::from_i32(i32::MAX), Slot::from_i32(2)])
-                .unwrap()
-                .i32(),
-            -2,
-            "wrapping multiply"
-        );
-    }
 
     #[test]
     fn division_traps() {
-        assert_eq!(
-            run1(Instruction::I32DivS, &[Slot::from_i32(1), Slot::from_i32(0)]),
-            Err(Trap::IntegerDivideByZero)
-        );
-        assert_eq!(
-            run1(Instruction::I32DivS, &[Slot::from_i32(i32::MIN), Slot::from_i32(-1)]),
-            Err(Trap::IntegerOverflow)
-        );
-        assert_eq!(
-            run1(Instruction::I32RemS, &[Slot::from_i32(i32::MIN), Slot::from_i32(-1)])
-                .unwrap()
-                .i32(),
-            0,
-            "rem of MIN/-1 is 0, not a trap"
-        );
-        assert_eq!(
-            run1(Instruction::I64DivU, &[Slot::from_u64(7), Slot::from_u64(2)]).unwrap().u64(),
-            3
-        );
-    }
-
-    #[test]
-    fn shifts_mask_count() {
-        assert_eq!(
-            run1(Instruction::I32Shl, &[Slot::from_u32(1), Slot::from_u32(33)]).unwrap().u32(),
-            2,
-            "shift count is modulo 32"
-        );
-        assert_eq!(
-            run1(Instruction::I32ShrS, &[Slot::from_i32(-8), Slot::from_u32(1)]).unwrap().i32(),
-            -4
-        );
+        assert_eq!(i32_div_s(1, 0), Err(Trap::IntegerDivideByZero));
+        assert_eq!(i32_div_s(i32::MIN, -1), Err(Trap::IntegerOverflow));
+        assert_eq!(i32_div_s(-7, 2), Ok(-3));
+        assert_eq!(i32_rem_s(i32::MIN, -1), Ok(0), "rem of MIN/-1 is 0, not a trap");
+        assert_eq!(i32_rem_s(1, 0), Err(Trap::IntegerDivideByZero));
+        assert_eq!(i32_div_u(7, 0), Err(Trap::IntegerDivideByZero));
+        assert_eq!(i32_rem_u(7, 0), Err(Trap::IntegerDivideByZero));
+        assert_eq!(i64_div_s(i64::MIN, -1), Err(Trap::IntegerOverflow));
+        assert_eq!(i64_div_u(7, 2), Ok(3));
+        assert_eq!(i64_rem_s(-7, 2), Ok(-1));
+        assert_eq!(i64_rem_u(7, 0), Err(Trap::IntegerDivideByZero));
     }
 
     #[test]
     fn float_min_max_semantics() {
-        let r = run1(Instruction::F32Min, &[Slot::from_f32(f32::NAN), Slot::from_f32(1.0)])
-            .unwrap()
-            .f32();
-        assert!(r.is_nan());
-        let r =
-            run1(Instruction::F64Min, &[Slot::from_f64(-0.0), Slot::from_f64(0.0)]).unwrap().f64();
-        assert!(r.is_sign_negative());
-        let r =
-            run1(Instruction::F64Max, &[Slot::from_f64(-0.0), Slot::from_f64(0.0)]).unwrap().f64();
-        assert!(r.is_sign_positive());
-    }
-
-    #[test]
-    fn select_picks_by_condition() {
-        let mut stack = vec![Slot::from_i32(10), Slot::from_i32(20), Slot::from_i32(1)];
-        exec_simple(&Instruction::Select, &mut stack, &mut [], &mut [], &mut None).unwrap();
-        assert_eq!(stack.pop().unwrap().i32(), 10);
-    }
-
-    #[test]
-    fn locals_and_globals() {
-        let mut stack = vec![];
-        let mut locals = [Slot::from_i32(5)];
-        let mut globals = [Slot::from_i64(9)];
-        exec_simple(&Instruction::LocalGet(0), &mut stack, &mut locals, &mut globals, &mut None)
-            .unwrap();
-        assert_eq!(stack.last().unwrap().i32(), 5);
-        exec_simple(&Instruction::LocalTee(0), &mut stack, &mut locals, &mut globals, &mut None)
-            .unwrap();
-        exec_simple(&Instruction::GlobalSet(0), &mut stack, &mut locals, &mut globals, &mut None)
-            .unwrap();
-        assert_eq!(globals[0].i64(), 5);
-        assert!(stack.is_empty());
-    }
-
-    #[test]
-    fn memory_load_store_subwidth() {
-        let mut mem = Some(LinearMemory::new(Limits::new(1, None)));
-        let mut stack = vec![Slot::from_u32(16), Slot::from_i32(-1)];
-        exec_simple(
-            &Instruction::I32Store8(MemArg::default()),
-            &mut stack,
-            &mut [],
-            &mut [],
-            &mut mem,
-        )
-        .unwrap();
-        let mut stack = vec![Slot::from_u32(16)];
-        exec_simple(
-            &Instruction::I32Load8S(MemArg::default()),
-            &mut stack,
-            &mut [],
-            &mut [],
-            &mut mem,
-        )
-        .unwrap();
-        assert_eq!(stack.pop().unwrap().i32(), -1);
-        let mut stack = vec![Slot::from_u32(16)];
-        exec_simple(
-            &Instruction::I32Load8U(MemArg::default()),
-            &mut stack,
-            &mut [],
-            &mut [],
-            &mut mem,
-        )
-        .unwrap();
-        assert_eq!(stack.pop().unwrap().i32(), 255);
-    }
-
-    #[test]
-    fn conversions() {
-        assert_eq!(
-            run1(Instruction::I32WrapI64, &[Slot::from_i64(0x1_0000_0005)]).unwrap().i32(),
-            5
-        );
-        assert_eq!(run1(Instruction::I64ExtendI32S, &[Slot::from_i32(-1)]).unwrap().i64(), -1);
-        assert_eq!(
-            run1(Instruction::I64ExtendI32U, &[Slot::from_i32(-1)]).unwrap().u64(),
-            0xffff_ffff
-        );
-        assert_eq!(run1(Instruction::I32TruncF64S, &[Slot::from_f64(-3.9)]).unwrap().i32(), -3);
-        assert_eq!(
-            run1(Instruction::I32TruncF64S, &[Slot::from_f64(f64::NAN)]),
-            Err(Trap::InvalidConversionToInteger)
-        );
-        assert_eq!(
-            run1(Instruction::F64ConvertI64U, &[Slot::from_u64(u64::MAX)]).unwrap().f64(),
-            u64::MAX as f64
-        );
-    }
-
-    #[test]
-    fn reinterpret_is_identity_on_slots() {
-        let s = Slot::from_f32(1.5);
-        let r = run1(Instruction::I32ReinterpretF32, &[s]).unwrap();
-        assert_eq!(r.u32(), 1.5f32.to_bits());
-    }
-
-    #[test]
-    fn control_flow_is_not_simple() {
-        let mut stack = vec![];
-        let out = exec_simple(&Instruction::Return, &mut stack, &mut [], &mut [], &mut None);
-        assert!(matches!(out, Ok(Simple::NotSimple)));
-    }
-
-    #[test]
-    fn clz_ctz_popcnt() {
-        assert_eq!(run1(Instruction::I32Clz, &[Slot::from_u32(1)]).unwrap().u32(), 31);
-        assert_eq!(run1(Instruction::I32Ctz, &[Slot::from_u32(8)]).unwrap().u32(), 3);
-        assert_eq!(run1(Instruction::I32Popcnt, &[Slot::from_u32(0xff)]).unwrap().u32(), 8);
-        assert_eq!(run1(Instruction::I64Clz, &[Slot::from_u64(1)]).unwrap().u64(), 63);
+        assert!(wasm_min_f32(f32::NAN, 1.0).is_nan());
+        assert!(wasm_max_f64(1.0, f64::NAN).is_nan());
+        assert!(wasm_min_f64(-0.0, 0.0).is_sign_negative());
+        assert!(wasm_max_f64(-0.0, 0.0).is_sign_positive());
+        assert_eq!(wasm_min_f32(1.0, 2.0), 1.0);
+        assert_eq!(wasm_max_f32(1.0, 2.0), 2.0);
     }
 }
