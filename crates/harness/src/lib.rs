@@ -9,6 +9,8 @@
 //! table1|table2|phases|cluster|claims>` (print a table, write a CSV under
 //! `target/experiments/`), `calibrate`, `studies`, `chaos` and `traffic`.
 
+#![forbid(unsafe_code)]
+
 pub mod chaos;
 pub mod claims;
 pub mod cluster_scale;

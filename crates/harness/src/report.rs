@@ -43,18 +43,24 @@ impl Table {
         let _ = writeln!(out, "{}", "=".repeat(self.title.len()));
         let label_w = self.rows.iter().map(|r| r.label.len() + 2).chain([12]).max().unwrap_or(12);
         let _ = write!(out, "{:label_w$}", "runtime");
+        // A column is as wide as its title plus a two-space gutter, 14 at
+        // least, for the title and the values under it alike.
+        let mut widths = Vec::with_capacity(self.columns.len());
         for c in &self.columns {
             // An empty unit means the columns name their own units.
             let header =
                 if self.unit.is_empty() { c.clone() } else { format!("{c} [{}]", self.unit) };
-            let _ = write!(out, "{:>14}", header);
+            let w = (header.chars().count() + 2).max(14);
+            let _ = write!(out, "{header:>w$}");
+            widths.push(w);
         }
         let _ = writeln!(out);
         for r in &self.rows {
             let marker = if r.ours { "* " } else { "  " };
             let _ = write!(out, "{:label_w$}", format!("{marker}{}", r.label));
-            for v in &r.values {
-                let _ = write!(out, "{:>14.2}", v);
+            for (i, v) in r.values.iter().enumerate() {
+                let w = widths.get(i).copied().unwrap_or(14);
+                let _ = write!(out, "{v:>w$.2}");
             }
             let _ = writeln!(out);
         }
@@ -131,5 +137,20 @@ mod tests {
         assert!(csv.contains("crun-wasmtime,15.1000,15.0000,false"));
         assert_eq!(t.value("wamr", 1), Some(5.4));
         assert!(t.ours().unwrap().ours);
+    }
+
+    #[test]
+    fn a_long_header_widens_its_own_column_only() {
+        let mut t = Table::new("T", vec!["p99 ms".into(), "overload goodput rps".into()], "");
+        t.row("crun-wamr", vec![1.5, 250.0], true);
+        let text = t.render();
+        let lines: Vec<&str> = text.lines().collect();
+        // 12-wide label column, a 14-wide column, then one sized to its
+        // 20-character title plus the gutter.
+        assert_eq!(
+            lines[2],
+            format!("{:12}{:>14}{:>22}", "runtime", "p99 ms", "overload goodput rps")
+        );
+        assert_eq!(lines[3], format!("{:12}{:>14}{:>22}", "* crun-wamr", "1.50", "250.00"));
     }
 }

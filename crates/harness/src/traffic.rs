@@ -6,11 +6,13 @@
 //! or diurnal profiles and flow through the full `k8s::service` overload
 //! plane: pick-of-2 routing → bounded-queue admission → per-endpoint
 //! single-server execution with deadline/watchdog caps → client-side
-//! retry budget and backoff → circuit breakers → brownout. The whole run
-//! executes on a private [`CalendarQueue`] (the same structure behind the
-//! DES scheduler), with the cluster's own clock advanced in coarse ticks,
-//! so millions of simulated requests cost no wall-clock sleeps and every
-//! run is byte-identical for a given seed.
+//! retry budget and backoff → circuit breakers → brownout. The loop merges
+//! a streamed arrival generator with a private [`CalendarQueue`] (the same
+//! structure behind the DES scheduler) of `Copy` events, with the
+//! cluster's own clock advanced in coarse ticks: a request touches no
+//! allocator, the queue holds only work in flight, millions of simulated
+//! requests cost no wall-clock sleeps and every run is byte-identical for
+//! a given seed.
 //!
 //! Per-request service time is the queueing model's per-config constant:
 //! a fixed per-request instruction count priced by each engine's
@@ -175,6 +177,8 @@ impl TrafficPlan {
 #[derive(Debug, Clone)]
 pub struct PhaseStats {
     pub label: &'static str,
+    /// [`PhaseSpec::measured`] of the phase this is the record of.
+    pub measured: bool,
     pub arrivals: u64,
     /// Requests that completed successfully (goodput numerator).
     pub completed: u64,
@@ -196,9 +200,10 @@ pub struct PhaseStats {
 }
 
 impl PhaseStats {
-    fn new(label: &'static str) -> PhaseStats {
+    fn new(label: &'static str, measured: bool) -> PhaseStats {
         PhaseStats {
             label,
+            measured,
             arrivals: 0,
             completed: 0,
             degraded: 0,
@@ -242,6 +247,14 @@ pub struct TrafficRun {
     /// Endpoint tokens aborted by `sync` (pod left the ready set) and
     /// re-driven through the retry path.
     pub aborted_retried: u64,
+    /// Attempts taken off an endpoint's queue because the sibling attempt
+    /// of the same request (its hedge, or the primary the hedge beat)
+    /// completed first: admitted, never served.
+    pub siblings_cancelled: u64,
+    /// High-water mark of the loop's event queue — ticks, finishes, retries
+    /// and hedges in flight; arrivals are streamed and never queued. A
+    /// deterministic count: it follows work in flight, not requests offered.
+    pub peak_live_events: usize,
     /// Summed metrics-server working set over ready endpoints at the end
     /// of the run.
     pub endpoint_working_set: u64,
@@ -252,8 +265,8 @@ pub struct TrafficRun {
 impl TrafficRun {
     /// Fold the measured phases into one summary row.
     pub fn measured(&self) -> PhaseStats {
-        let mut total = PhaseStats::new("measured");
-        for p in self.phases.iter().filter(|p| p.label != "warmup") {
+        let mut total = PhaseStats::new("measured", true);
+        for p in self.phases.iter().filter(|p| p.measured) {
             total.arrivals += p.arrivals;
             total.completed += p.completed;
             total.degraded += p.degraded;
@@ -312,85 +325,190 @@ struct ScenarioScript {
 const TOKENS_PER_REQ: u64 = 32;
 const HEDGE_TOKEN_OFFSET: u64 = 16;
 
-#[derive(Debug, Clone)]
+/// What the calendar queue carries. `Copy`, and it rides in the queue entry
+/// itself, so nothing is stored per event once it has popped. Arrivals are
+/// not events: they come from the [`Arrivals`] stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
-    /// Issue an attempt for request `req` (first arrival or post-backoff
-    /// retry; the request's own state knows which attempt).
-    Attempt(usize),
-    /// An endpoint surfaces the outcome of `token` (scheduled by
-    /// `try_start`; the endpoint is re-resolved by pod name because
-    /// indices shift on sync).
-    Finish { pod: String, token: u64 },
+    /// Re-issue request `req` after its retry backoff.
+    Retry(usize),
+    /// The endpoint with stable id `endpoint` surfaces the outcome of
+    /// `token` (scheduled by `try_start`; the index is re-resolved from the
+    /// id because indices shift on sync).
+    Finish { endpoint: u32, token: u64 },
     /// Hedge request `req` if it is still unresolved.
     Hedge(usize),
     /// Coarse cluster tick.
     Tick,
 }
 
-#[derive(Debug, Clone)]
+/// The one fixed-size record the loop keeps per request.
+#[derive(Debug, Clone, Copy)]
 struct ReqState {
     arrival: SimTime,
-    deadline: SimTime,
-    phase: usize,
+    /// Outstanding attempt tokens and the id of the endpoint each is
+    /// queued/serving on; the first `live` are in use. Two is the most a
+    /// request can have: a retry is only issued when none is outstanding,
+    /// so the primary and its one hedge are the maximum.
+    outstanding: [(u64, u32); 2],
+    live: u8,
+    phase: u8,
     /// Attempts issued so far (1 after the first).
-    attempt: u32,
+    attempt: u8,
     done: bool,
     failed: bool,
     hedged: bool,
-    /// Outstanding attempt tokens and the pod each is queued/serving on.
-    outstanding: Vec<(u64, String)>,
+}
+
+impl ReqState {
+    fn outstanding(&self) -> &[(u64, u32)] {
+        &self.outstanding[..usize::from(self.live)]
+    }
+
+    fn add_outstanding(&mut self, token: u64, endpoint: u32) {
+        self.outstanding[usize::from(self.live)] = (token, endpoint);
+        self.live += 1;
+    }
+
+    /// Forget `token` (it finished or was aborted), keeping the order of
+    /// what remains: the hedge excludes the *first* outstanding endpoint.
+    fn settle(&mut self, token: u64) {
+        let live = usize::from(self.live);
+        if let Some(i) = self.outstanding().iter().position(|&(t, _)| t == token) {
+            self.outstanding.copy_within(i + 1..live, i);
+            self.live -= 1;
+        }
+    }
+}
+
+/// The open-loop arrival stream: walks the chained phases — each starts
+/// where the previous one's arrivals end — drawing one gap at a time from
+/// the phase's own [`SplitMix64`], so the loop holds the next arrival and
+/// nothing else of the requests still to come.
+struct Arrivals<'a> {
+    phases: &'a [PhaseSpec],
+    /// Phase being emitted (`phases.len()` once every phase has run out).
+    phase: usize,
+    /// Arrivals the current phase has yet to emit.
+    left: usize,
+    rng: SplitMix64,
+    phase_start: SimTime,
+    /// Time of the arrival drawn last (the run's start before the first).
+    last: SimTime,
+}
+
+impl<'a> Arrivals<'a> {
+    fn new(phases: &'a [PhaseSpec], start: SimTime) -> Arrivals<'a> {
+        let mut stream = Arrivals {
+            phases,
+            phase: 0,
+            left: 0,
+            rng: SplitMix64::new(0),
+            phase_start: start,
+            last: start,
+        };
+        stream.enter(0);
+        stream
+    }
+
+    fn enter(&mut self, phase: usize) {
+        self.phase = phase;
+        self.phase_start = self.last;
+        if let Some(spec) = self.phases.get(phase) {
+            self.left = spec.requests;
+            self.rng = SplitMix64::new(spec.seed);
+        }
+    }
+
+    /// Draw the next arrival as `(time, phase)`; `None` once every phase
+    /// has run out. A phase's span is recorded into `stats` when its last
+    /// arrival has been drawn and the stream moves on.
+    fn advance(&mut self, stats: &mut [PhaseStats]) -> Option<(SimTime, usize)> {
+        loop {
+            let spec = self.phases.get(self.phase)?;
+            if self.left > 0 {
+                self.left -= 1;
+                let gap = spec.profile.next_gap(self.last.since(self.phase_start), &mut self.rng);
+                self.last += gap;
+                return Some((self.last, self.phase));
+            }
+            stats[self.phase].span = self.last.since(self.phase_start);
+            self.enter(self.phase + 1);
+        }
+    }
 }
 
 struct Loop {
-    queue: CalendarQueue,
-    events: Vec<Ev>,
+    /// Ticks, finishes, retries and hedges in flight. The payload's leading
+    /// sequence number makes equal-time events pop in push order.
+    queue: CalendarQueue<(u64, Ev)>,
+    next_seq: u64,
+    peak_live_events: usize,
     reqs: Vec<ReqState>,
     phases: Vec<PhaseStats>,
     client: ResilientClient,
     attempts: u64,
     aborted_retried: u64,
+    siblings_cancelled: u64,
     now: SimTime,
     hedge_after: Option<Duration>,
+    /// Per-request deadline, counted from the request's arrival.
+    deadline: Duration,
 }
 
 impl Loop {
     fn push(&mut self, at: SimTime, ev: Ev) {
-        let id = self.events.len();
-        self.events.push(ev);
-        self.queue.push(at, id);
+        self.queue.push(at, (self.next_seq, ev));
+        self.next_seq += 1;
+        self.peak_live_events = self.peak_live_events.max(self.queue.len());
+    }
+
+    /// A request of `phase` arrives at `self.now`: record it and issue its
+    /// first attempt.
+    fn arrive(&mut self, phase: usize, service: &mut Service) {
+        let req = self.reqs.len();
+        self.reqs.push(ReqState {
+            arrival: self.now,
+            outstanding: [(0, 0); 2],
+            live: 0,
+            phase: phase as u8,
+            attempt: 0,
+            done: false,
+            failed: false,
+            hedged: false,
+        });
+        self.issue(req, service);
     }
 
     /// Issue one attempt for `req` against the service at `self.now`.
     fn issue(&mut self, req: usize, service: &mut Service) {
-        let (deadline, phase, attempt) = {
-            let r = &self.reqs[req];
-            if r.done || r.failed {
-                return;
-            }
-            (r.deadline, r.phase, r.attempt + 1)
-        };
+        let r = self.reqs[req];
+        if r.done || r.failed {
+            return;
+        }
+        let (deadline, phase) = (r.arrival + self.deadline, usize::from(r.phase));
         if self.now >= deadline {
             self.reqs[req].failed = true;
             self.phases[phase].timeouts += 1;
             return;
         }
+        let attempt = r.attempt + 1;
         self.reqs[req].attempt = attempt;
         self.attempts += 1;
         if attempt > 1 {
             self.phases[phase].retries += 1;
         }
-        let token = req as u64 * TOKENS_PER_REQ + attempt as u64;
+        let token = req as u64 * TOKENS_PER_REQ + u64::from(attempt);
         let admitted = service
             .route(None)
             .and_then(|ep| service.admit(ep, self.now, token, deadline).map(|a| (ep, a)));
         match admitted {
             Ok((ep, a)) => {
-                let pod = service.endpoints[ep].pod.clone();
-                self.reqs[req].outstanding.push((token, pod));
+                self.reqs[req].add_outstanding(token, service.endpoints[ep].id);
                 if a.server_idle {
                     self.start(ep, service);
                 }
-                if let (Some(d), 1, false) = (self.hedge_after, attempt, self.reqs[req].hedged) {
+                if let (Some(d), 1, false) = (self.hedge_after, attempt, r.hedged) {
                     self.push(self.now + d, Ev::Hedge(req));
                 }
             }
@@ -406,65 +524,88 @@ impl Loop {
     /// Start the endpoint's next queued request, scheduling its finish.
     fn start(&mut self, ep: usize, service: &mut Service) {
         if let Some(st) = service.try_start(ep, self.now) {
-            let pod = service.endpoints[ep].pod.clone();
-            self.push(st.finish, Ev::Finish { pod, token: st.token });
+            let endpoint = service.endpoints[ep].id;
+            self.push(st.finish, Ev::Finish { endpoint, token: st.token });
         }
     }
 
     /// Route a failed/shed/aborted attempt of `req` through the retry
     /// budget: schedule a backed-off re-issue or give up.
     fn retry_or_fail(&mut self, req: usize) {
-        let r = &self.reqs[req];
-        if r.done || r.failed || !r.outstanding.is_empty() {
+        let r = self.reqs[req];
+        if r.done || r.failed || r.live > 0 {
             // A sibling attempt (hedge) is still live — not a failure yet.
             return;
         }
-        let (phase, next_attempt, deadline) = (r.phase, r.attempt + 1, r.deadline);
-        match self.client.approve_retry(next_attempt) {
-            Some(backoff) if self.now + backoff < deadline => {
-                self.push(self.now + backoff, Ev::Attempt(req));
+        match self.client.approve_retry(u32::from(r.attempt) + 1) {
+            Some(backoff) if self.now + backoff < r.arrival + self.deadline => {
+                self.push(self.now + backoff, Ev::Retry(req));
             }
             _ => {
                 self.reqs[req].failed = true;
-                self.phases[phase].failed += 1;
+                self.phases[usize::from(r.phase)].failed += 1;
             }
         }
     }
 
     /// Handle a finish event: surface the completion, settle the request,
     /// and start the endpoint's next queued request.
-    fn finish(&mut self, pod: &str, token: u64, service: &mut Service) {
-        let Some(ep) = service.endpoint_of(pod) else { return };
+    fn finish(&mut self, endpoint: u32, token: u64, service: &mut Service) {
+        let Some(ep) = service.endpoint_index(endpoint) else { return };
         if service.endpoints[ep].serving.map(|s| s.token) != Some(token) {
             return; // stale: the attempt was aborted or superseded
         }
         let Some(c) = service.complete(ep, self.now) else { return };
         let req = (token / TOKENS_PER_REQ) as usize;
-        self.reqs[req].outstanding.retain(|(t, _)| *t != token);
+        self.reqs[req].settle(token);
+        let r = self.reqs[req];
         if c.ok {
             self.client.note_success();
-            if !self.reqs[req].done && !self.reqs[req].failed {
+            if !r.done && !r.failed {
                 self.reqs[req].done = true;
-                let phase = self.reqs[req].phase;
-                self.phases[phase].completed += 1;
+                let phase = &mut self.phases[usize::from(r.phase)];
+                phase.completed += 1;
                 if c.degraded {
-                    self.phases[phase].degraded += 1;
+                    phase.degraded += 1;
                 }
-                let latency = self.now.since(self.reqs[req].arrival);
-                self.phases[phase].hist.record(latency);
+                phase.hist.record(self.now.since(r.arrival));
                 // First completion wins: cancel any still-queued sibling
                 // (a hedge that lost the race) so it never runs.
-                let siblings: Vec<(u64, String)> = self.reqs[req].outstanding.drain(..).collect();
-                for (tok, sib_pod) in siblings {
-                    if let Some(sib_ep) = service.endpoint_of(&sib_pod) {
-                        service.cancel_queued(sib_ep, tok);
+                for &(tok, sibling) in r.outstanding() {
+                    if let Some(sib_ep) = service.endpoint_index(sibling) {
+                        self.siblings_cancelled += u64::from(service.cancel_queued(sib_ep, tok));
                     }
                 }
+                self.reqs[req].live = 0;
             }
-        } else if !self.reqs[req].done {
+        } else if !r.done {
             self.retry_or_fail(req);
         }
         self.start(ep, service);
+    }
+
+    /// Hedge `req` if it is still unresolved: a second attempt on another
+    /// endpoint, best-effort (a shed hedge is not retried).
+    fn hedge(&mut self, req: usize, service: &mut Service) {
+        let r = self.reqs[req];
+        if r.done || r.failed || r.live == 0 || r.hedged {
+            return;
+        }
+        self.reqs[req].hedged = true;
+        let primary_ep = service.endpoint_index(r.outstanding[0].1);
+        let token = req as u64 * TOKENS_PER_REQ + u64::from(r.attempt) + HEDGE_TOKEN_OFFSET;
+        let deadline = r.arrival + self.deadline;
+        let admitted = service
+            .route(primary_ep)
+            .and_then(|ep| service.admit(ep, self.now, token, deadline).map(|a| (ep, a)));
+        if let Ok((ep, a)) = admitted {
+            self.phases[usize::from(r.phase)].hedges += 1;
+            self.attempts += 1;
+            self.reqs[req].add_outstanding(token, service.endpoints[ep].id);
+            if a.server_idle {
+                self.start(ep, service);
+            }
+        }
     }
 
     /// Handle endpoint-abort tokens returned by `sync`: the pod left the
@@ -476,7 +617,7 @@ impl Loop {
             if req >= self.reqs.len() {
                 continue;
             }
-            self.reqs[req].outstanding.retain(|(t, _)| *t != token);
+            self.reqs[req].settle(token);
             if !self.reqs[req].done && !self.reqs[req].failed {
                 self.aborted_retried += 1;
                 self.retry_or_fail(req);
@@ -566,48 +707,41 @@ fn run_traffic_on(
     let mut policy = RetryPolicy::new(exec);
     policy.max_attempts = plan.max_attempts;
 
+    // A request's phase and attempt count are stored as bytes, and attempt
+    // numbers share the token space with the hedge offset.
+    assert!(phases.len() <= 256, "a traffic run has at most 256 phases");
+    assert!(
+        u64::from(plan.max_attempts) < HEDGE_TOKEN_OFFSET,
+        "max_attempts must stay below the hedge token offset ({HEDGE_TOKEN_OFFSET})"
+    );
+    let execs = |n: u64| Duration::from_nanos(exec.as_nanos().saturating_mul(n));
     let mut lp = Loop {
-        queue: CalendarQueue::new(),
-        events: Vec::new(),
-        reqs: Vec::new(),
-        phases: phases.iter().map(|p| PhaseStats::new(p.label)).collect(),
+        queue: CalendarQueue::default(),
+        next_seq: 0,
+        peak_live_events: 0,
+        reqs: Vec::with_capacity(phases.iter().map(|p| p.requests).sum()),
+        phases: phases
+            .iter()
+            .map(|p| PhaseStats {
+                arrivals: p.requests as u64,
+                ..PhaseStats::new(p.label, p.measured)
+            })
+            .collect(),
         client: ResilientClient::new(policy, budget),
         attempts: 0,
         aborted_retried: 0,
+        siblings_cancelled: 0,
         now: cluster.now(),
-        hedge_after: plan
-            .hedge_after_execs
-            .map(|m| Duration::from_nanos(exec.as_nanos().saturating_mul(m))),
+        hedge_after: plan.hedge_after_execs.map(execs),
+        deadline: execs(plan.deadline_execs),
     };
 
-    // Pre-schedule every arrival: phases chain — each starts where the
-    // previous one's arrivals end.
+    // Arrivals are streamed, one drawn ahead, and merged with the queue.
     let start = cluster.now();
-    let mut t = start;
-    for (pi, phase) in phases.iter().enumerate() {
-        let mut rng = SplitMix64::new(phase.seed);
-        let phase_start = t;
-        lp.phases[pi].arrivals = phase.requests as u64;
-        for _ in 0..phase.requests {
-            t = t + phase.profile.next_gap(t.since(phase_start), &mut rng);
-            let deadline =
-                t + Duration::from_nanos(exec.as_nanos().saturating_mul(plan.deadline_execs));
-            let req = lp.reqs.len();
-            lp.reqs.push(ReqState {
-                arrival: t,
-                deadline,
-                phase: pi,
-                attempt: 0,
-                done: false,
-                failed: false,
-                hedged: false,
-                outstanding: Vec::new(),
-            });
-            lp.push(t, Ev::Attempt(req));
-        }
-        lp.phases[pi].span = t.since(phase_start);
-    }
-    let drain_until = t + Duration::from_nanos(exec.as_nanos().saturating_mul(256));
+    let mut arrivals = Arrivals::new(phases, start);
+    let mut next_arrival = arrivals.advance(&mut lp.phases);
+    // Ticks go on this long after the last arrival even with nothing queued.
+    let drain = execs(256);
 
     // The coarse tick cadence.
     let mut next_tick = start + plan.tick;
@@ -629,39 +763,27 @@ fn run_traffic_on(
         )
     });
 
-    while let Some((at, id)) = lp.queue.pop() {
+    loop {
+        // Arrival first on a tie: a request arriving in the same nanosecond
+        // as a tick, finish, retry or hedge is served before it, so the
+        // queue yields only what is due strictly before the next arrival.
+        // (Among queued events push order decides; see `Loop::queue`.)
+        let queued = match next_arrival {
+            Some((at, _)) => lp.queue.pop_before(at),
+            None => lp.queue.pop(),
+        };
+        let Some((at, (_, ev))) = queued else {
+            let Some((at, phase)) = next_arrival else { break };
+            lp.now = at;
+            lp.arrive(phase, &mut service);
+            next_arrival = arrivals.advance(&mut lp.phases);
+            continue;
+        };
         lp.now = at;
-        let ev = lp.events[id].clone();
         match ev {
-            Ev::Attempt(req) => lp.issue(req, &mut service),
-            Ev::Finish { pod, token } => lp.finish(&pod, token, &mut service),
-            Ev::Hedge(req) => {
-                let live = {
-                    let r = &lp.reqs[req];
-                    !r.done && !r.failed && !r.outstanding.is_empty() && !r.hedged
-                };
-                if live {
-                    lp.reqs[req].hedged = true;
-                    let phase = lp.reqs[req].phase;
-                    let (deadline, attempt) = (lp.reqs[req].deadline, lp.reqs[req].attempt);
-                    let primary_ep =
-                        lp.reqs[req].outstanding.first().and_then(|(_, p)| service.endpoint_of(p));
-                    let token = req as u64 * TOKENS_PER_REQ + attempt as u64 + HEDGE_TOKEN_OFFSET;
-                    let admitted = service
-                        .route(primary_ep)
-                        .and_then(|ep| service.admit(ep, lp.now, token, deadline).map(|a| (ep, a)));
-                    if let Ok((ep, a)) = admitted {
-                        lp.phases[phase].hedges += 1;
-                        lp.attempts += 1;
-                        let pod = service.endpoints[ep].pod.clone();
-                        lp.reqs[req].outstanding.push((token, pod));
-                        if a.server_idle {
-                            lp.start(ep, &mut service);
-                        }
-                    }
-                    // A failed hedge admission is best-effort: no retry.
-                }
-            }
+            Ev::Retry(req) => lp.issue(req, &mut service),
+            Ev::Finish { endpoint, token } => lp.finish(endpoint, token, &mut service),
+            Ev::Hedge(req) => lp.hedge(req, &mut service),
             Ev::Tick => {
                 let cnow = cluster.now();
                 if lp.now > cnow {
@@ -712,7 +834,10 @@ fn run_traffic_on(
                 }
 
                 next_tick = next_tick + plan.tick;
-                if next_tick <= drain_until || !lp.queue.is_empty() {
+                if next_arrival.is_some()
+                    || next_tick <= arrivals.last + drain
+                    || !lp.queue.is_empty()
+                {
                     lp.push(next_tick, Ev::Tick);
                 }
             }
@@ -721,12 +846,9 @@ fn run_traffic_on(
 
     // Account still-unresolved requests as failures (queue drained — only
     // requests stuck behind open breakers with exhausted budgets remain).
-    for req in 0..lp.reqs.len() {
-        let r = &lp.reqs[req];
-        if !r.done && !r.failed {
-            lp.phases[r.phase].failed += 1;
-            lp.reqs[req].failed = true;
-        }
+    for r in lp.reqs.iter_mut().filter(|r| !r.done && !r.failed) {
+        lp.phases[usize::from(r.phase)].failed += 1;
+        r.failed = true;
     }
 
     let mut endpoint_working_set = 0u64;
@@ -746,22 +868,23 @@ fn run_traffic_on(
         breaker_opens: service.endpoints.iter().map(|e| e.breaker.opened_total).sum::<u64>(),
         brownout_engagements: service.brownout_engagements,
         aborted_retried: lp.aborted_retried,
+        siblings_cancelled: lp.siblings_cancelled,
+        peak_live_events: lp.peak_live_events,
         endpoint_working_set,
         scenario: scenario_obs.map(|(_, _, _, obs)| obs),
     })
 }
 
-/// p99 over every measured phase's histogram (the HPA's latency signal).
+/// p99 of the measured phase with the most completions so far (the HPA's
+/// latency signal); the earliest such phase on a tie, zero before any.
 fn measured_p99(phases: &[PhaseStats]) -> Duration {
-    let mut h = LatencyHistogram::new();
-    let mut best = Duration::ZERO;
-    for p in phases {
-        if p.hist.count() > h.count() {
-            best = p.hist.quantile(0.99);
-            h = p.hist.clone();
+    let mut best: Option<&LatencyHistogram> = None;
+    for p in phases.iter().filter(|p| p.measured) {
+        if p.hist.count() > best.map_or(0, LatencyHistogram::count) {
+            best = Some(&p.hist);
         }
     }
-    best
+    best.map_or(Duration::ZERO, |h| h.quantile(0.99))
 }
 
 // ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@
 //!   ("measured by the OS", Figs. 4, 5 and 7), which also sees shim
 //!   processes, daemon growth, kernel overhead and the page cache.
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod cluster;
 pub mod kubelet;

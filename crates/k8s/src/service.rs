@@ -326,6 +326,11 @@ pub struct InFlight {
 /// circuit breaker and accounting.
 #[derive(Debug, Clone)]
 pub struct Endpoint {
+    /// Stable handle assigned by [`Service::sync`] when the pod first joins
+    /// the ready set: never reused, and carried across syncs with the rest
+    /// of the endpoint's state, so a caller can name an endpoint in a
+    /// `Copy` event while indices shift underneath it.
+    pub id: u32,
     /// Pod name on its node's kubelet.
     pub pod: String,
     /// Node index hosting the pod.
@@ -344,8 +349,9 @@ pub struct Endpoint {
 }
 
 impl Endpoint {
-    fn new(pod: String, node: usize) -> Endpoint {
+    fn new(id: u32, pod: String, node: usize) -> Endpoint {
         Endpoint {
+            id,
             pod,
             node,
             queue: VecDeque::new(),
@@ -473,6 +479,8 @@ pub struct Service {
     pub degraded_served: u64,
     /// Routing RNG (pick-of-2); seeded, service-owned, deterministic.
     rng: SplitMix64,
+    /// The next [`Endpoint::id`] `sync` hands out.
+    next_endpoint_id: u32,
 }
 
 impl Service {
@@ -486,6 +494,7 @@ impl Service {
             admitted: 0,
             degraded_served: 0,
             rng: SplitMix64::new(seed),
+            next_endpoint_id: 0,
         }
     }
 
@@ -493,17 +502,19 @@ impl Service {
         self.sheds.iter().sum()
     }
 
-    /// Endpoint index by pod name.
-    pub fn endpoint_of(&self, pod: &str) -> Option<usize> {
-        self.endpoints.iter().position(|e| e.pod == pod)
+    /// Current index of the endpoint `sync` gave `id` to (`None` once its
+    /// pod has left the ready set).
+    pub fn endpoint_index(&self, id: u32) -> Option<usize> {
+        self.endpoints.iter().position(|e| e.id == id)
     }
 
     /// Rebuild the endpoint list from the controller's currently-ready
     /// replicas (readiness gating: a pod joins only while Running *and*
-    /// ready on its node). Existing endpoint state (queue, breaker,
-    /// accounting) carries over by pod name; endpoints whose pod left the
-    /// ready set are dropped and their queued/in-flight tokens returned so
-    /// the client can abort-and-retry them.
+    /// ready on its node). Existing endpoint state (id, queue, breaker,
+    /// accounting) carries over by pod name, a pod joining gets the next
+    /// unused id; endpoints whose pod left the ready set are dropped and
+    /// their queued/in-flight tokens returned so the client can
+    /// abort-and-retry them.
     pub fn sync(&mut self, cluster: &Cluster, ctrl: &DeploymentController) -> Vec<u64> {
         let mut fresh: Vec<Endpoint> = Vec::with_capacity(ctrl.replicas.len());
         for r in &ctrl.replicas {
@@ -522,7 +533,10 @@ impl Service {
                     ep.node = r.node;
                     fresh.push(ep);
                 }
-                None => fresh.push(Endpoint::new(r.pod.clone(), r.node)),
+                None => {
+                    fresh.push(Endpoint::new(self.next_endpoint_id, r.pod.clone(), r.node));
+                    self.next_endpoint_id += 1;
+                }
             }
         }
         // Whatever is left lost its pod: abort its queued and in-flight
@@ -542,19 +556,28 @@ impl Service {
     /// endpoints (ties break to the lower index). `exclude` skips an
     /// endpoint (hedges must not land on the primary's pod).
     pub fn route(&mut self, exclude: Option<usize>) -> Result<usize, ShedReason> {
-        let candidates: Vec<usize> = self
-            .endpoints
-            .iter()
-            .enumerate()
-            .filter(|(i, e)| Some(*i) != exclude && e.breaker.admits())
-            .map(|(i, _)| i)
-            .collect();
-        match candidates.len() {
+        // The candidates are never collected, so routing allocates nothing:
+        // the k-th one is found by walking the endpoints (a handful) again,
+        // and when every endpoint is a candidate — the usual case — it is
+        // simply endpoint k.
+        let endpoints = &self.endpoints;
+        let candidates = || {
+            (0..endpoints.len()).filter(|&i| Some(i) != exclude && endpoints[i].breaker.admits())
+        };
+        let n = candidates().count();
+        let kth = |k: usize| {
+            if n == endpoints.len() {
+                k
+            } else {
+                candidates().nth(k).expect("k < candidate count")
+            }
+        };
+        match n {
             0 => Err(ShedReason::NoEndpoint),
-            1 => Ok(candidates[0]),
-            n => {
-                let a = candidates[self.rng.index(n)];
-                let b = candidates[self.rng.index(n)];
+            1 => Ok(kth(0)),
+            _ => {
+                let a = kth(self.rng.index(n));
+                let b = kth(self.rng.index(n));
                 let (da, db) = (self.endpoints[a].depth(), self.endpoints[b].depth());
                 if db < da || (db == da && b < a) {
                     Ok(b)
@@ -828,7 +851,7 @@ mod tests {
     fn test_service(n: usize) -> Service {
         let mut s = Service::new(test_config(), 7);
         for i in 0..n {
-            s.endpoints.push(Endpoint::new(format!("pod-{i}"), 0));
+            s.endpoints.push(Endpoint::new(i as u32, format!("pod-{i}"), 0));
         }
         s
     }
@@ -1043,6 +1066,33 @@ mod tests {
         for _ in 0..32 {
             assert_eq!(s.route(Some(0)).unwrap(), 1);
         }
+    }
+
+    #[test]
+    fn route_picks_the_kth_admitting_endpoint_with_two_draws_in_order() {
+        // Endpoint 1's breaker is open and 3 is excluded: the candidates
+        // are 0, 2 and 4 in index order. The reference spells that list out
+        // and makes the same two draws from a copy of the routing RNG.
+        let mut s = test_service(5);
+        s.endpoints[1].breaker.state = BreakerState::Open;
+        let deadline = t(10_000);
+        for token in 0..3 {
+            s.admit(2, t(0), token, deadline).unwrap();
+        }
+        s.admit(4, t(0), 3, deadline).unwrap();
+        let mut reference = s.rng.clone();
+        let candidates = [0usize, 2, 4];
+        let mut seen = [false; 5];
+        for _ in 0..200 {
+            let a = candidates[reference.index(3)];
+            let b = candidates[reference.index(3)];
+            let (da, db) = (s.endpoints[a].depth(), s.endpoints[b].depth());
+            let expect = if db < da || (db == da && b < a) { b } else { a };
+            let got = s.route(Some(3)).unwrap();
+            assert_eq!(got, expect);
+            seen[got] = true;
+        }
+        assert_eq!(seen, [true, false, true, false, true]);
     }
 
     #[test]

@@ -174,11 +174,11 @@ struct TaskRt {
     finished_at: SimTime,
 }
 
-/// A calendar (bucketed) event queue over `(time, task)` pairs.
+/// A calendar (bucketed) event queue over `(time, payload)` pairs.
 ///
 /// Timed events — pending admissions and sleep ends — land in a bucket
 /// keyed by `time / width mod buckets`; within a bucket entries stay
-/// sorted ascending by `(time, task)`. Locating the minimum walks one
+/// sorted ascending by `(time, payload)`. Locating the minimum walks one
 /// calendar revolution starting at the bucket of the last popped time and
 /// returns the first bucket whose head falls inside its own "year" window;
 /// a sparse far-future tail falls back to a direct scan of bucket heads.
@@ -187,11 +187,17 @@ struct TaskRt {
 /// where the old `BTreeMap` event map paid O(log n) — the difference that
 /// keeps 10k-pod cluster sweeps tractable.
 ///
+/// The payload is any `Copy + Ord` value and rides in the queue entry;
+/// its order breaks ties between equal times. The DES queues task ids
+/// (`usize`, the default, and what [`CalendarQueue::new`] builds); the
+/// traffic loop queues `(sequence number, event)` so that equal-time
+/// events pop in push order. Other payloads start from `default()`.
+///
 /// Invariant: every queued time is `>=` the last popped time (the DES
 /// never schedules into the past).
 #[derive(Debug, Clone)]
-pub struct CalendarQueue {
-    buckets: Vec<Vec<(u64, usize)>>,
+pub struct CalendarQueue<P = usize> {
+    buckets: Vec<Vec<(u64, P)>>,
     /// Bucket width in nanoseconds.
     width: u64,
     len: usize,
@@ -203,14 +209,8 @@ const INITIAL_BUCKETS: usize = 16;
 /// 50ms initial width — the dispatch-gap scale of the startup programs.
 const INITIAL_WIDTH: u64 = 50_000_000;
 
-impl Default for CalendarQueue {
+impl<P: Copy + Ord> Default for CalendarQueue<P> {
     fn default() -> Self {
-        CalendarQueue::new()
-    }
-}
-
-impl CalendarQueue {
-    pub fn new() -> CalendarQueue {
         CalendarQueue {
             buckets: vec![Vec::new(); INITIAL_BUCKETS],
             width: INITIAL_WIDTH,
@@ -218,7 +218,18 @@ impl CalendarQueue {
             cursor: 0,
         }
     }
+}
 
+impl CalendarQueue {
+    /// A queue of task ids. Fixing the payload here (as `HashMap::new`
+    /// fixes its hasher) keeps `CalendarQueue::new()` inferable at every
+    /// call site that pushes an integer literal.
+    pub fn new() -> CalendarQueue {
+        CalendarQueue::default()
+    }
+}
+
+impl<P: Copy + Ord> CalendarQueue<P> {
     pub fn len(&self) -> usize {
         self.len
     }
@@ -227,33 +238,48 @@ impl CalendarQueue {
         self.len == 0
     }
 
-    pub fn push(&mut self, t: SimTime, id: usize) {
+    pub fn push(&mut self, t: SimTime, payload: P) {
         let t = t.as_nanos();
         debug_assert!(t >= self.cursor, "event scheduled in the past");
         let b = ((t / self.width) as usize) % self.buckets.len();
         let bucket = &mut self.buckets[b];
-        let at = bucket.partition_point(|&e| e < (t, id));
-        bucket.insert(at, (t, id));
+        let at = bucket.partition_point(|&e| e < (t, payload));
+        bucket.insert(at, (t, payload));
         self.len += 1;
         if self.len > self.buckets.len() * 4 {
             self.resize(self.buckets.len() * 2);
         }
     }
 
-    /// Earliest `(time, task)` without removing it; ties broken by task id.
-    pub fn peek(&self) -> Option<(SimTime, usize)> {
+    /// Earliest `(time, payload)` without removing it; ties broken by payload.
+    pub fn peek(&self) -> Option<(SimTime, P)> {
         let b = self.locate()?;
-        let (t, id) = self.buckets[b][0];
-        Some((SimTime(t), id))
+        let (t, payload) = self.buckets[b][0];
+        Some((SimTime(t), payload))
     }
 
-    /// Remove and return the earliest `(time, task)`.
-    pub fn pop(&mut self) -> Option<(SimTime, usize)> {
+    /// Remove and return the earliest `(time, payload)`.
+    pub fn pop(&mut self) -> Option<(SimTime, P)> {
         let b = self.locate()?;
-        let (t, id) = self.buckets[b].remove(0);
+        Some(self.take_head(b))
+    }
+
+    /// Remove and return the earliest entry if its time is strictly before
+    /// `limit` — one minimum search for a caller that merges the queue with
+    /// another time-ordered source whose next item is due at `limit`.
+    pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, P)> {
+        let b = self.locate()?;
+        if self.buckets[b][0].0 >= limit.as_nanos() {
+            return None;
+        }
+        Some(self.take_head(b))
+    }
+
+    fn take_head(&mut self, b: usize) -> (SimTime, P) {
+        let (t, payload) = self.buckets[b].remove(0);
         self.cursor = t;
         self.len -= 1;
-        Some((SimTime(t), id))
+        (SimTime(t), payload)
     }
 
     /// Bucket whose head is the global minimum.
@@ -276,28 +302,28 @@ impl CalendarQueue {
             }
         }
         // Every event is more than one revolution ahead: direct scan.
-        let mut best: Option<(u64, usize, usize)> = None;
+        let mut best: Option<((u64, P), usize)> = None;
         for (b, bucket) in self.buckets.iter().enumerate() {
-            if let Some(&(t, id)) = bucket.first() {
-                if best.is_none_or(|(bt, bid, _)| (t, id) < (bt, bid)) {
-                    best = Some((t, id, b));
+            if let Some(&head) = bucket.first() {
+                if best.is_none_or(|(min, _)| head < min) {
+                    best = Some((head, b));
                 }
             }
         }
-        best.map(|(_, _, b)| b)
+        best.map(|(_, b)| b)
     }
 
     fn resize(&mut self, nbuckets: usize) {
-        let mut entries: Vec<(u64, usize)> = self.buckets.iter().flatten().copied().collect();
+        let mut entries: Vec<(u64, P)> = self.buckets.iter().flatten().copied().collect();
         let min = entries.iter().map(|e| e.0).min().unwrap_or(0);
         let max = entries.iter().map(|e| e.0).max().unwrap_or(0);
         // Spread the live range across one rotation.
         self.width = ((max - min) / nbuckets as u64 + 1).max(1);
         self.buckets = vec![Vec::new(); nbuckets];
         entries.sort_unstable();
-        for &(t, id) in &entries {
+        for &(t, payload) in &entries {
             let b = ((t / self.width) as usize) % nbuckets;
-            self.buckets[b].push((t, id)); // ascending input keeps buckets sorted
+            self.buckets[b].push((t, payload)); // ascending input keeps buckets sorted
         }
     }
 }
@@ -896,6 +922,24 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime(300), 2)));
         assert_eq!(q.pop(), None);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn calendar_queue_carries_an_ordered_payload_and_pops_before_a_limit() {
+        // The traffic loop's shape: (sequence number, event) payloads, so
+        // equal-time entries pop in push order whatever the event is.
+        let mut q: CalendarQueue<(u64, char)> = CalendarQueue::default();
+        q.push(SimTime(100), (0, 'z'));
+        q.push(SimTime(200), (1, 'a'));
+        q.push(SimTime(100), (2, 'b'));
+        // Strict: an entry due exactly at the limit stays queued.
+        assert_eq!(q.pop_before(SimTime(100)), None);
+        assert_eq!(q.pop_before(SimTime(101)), Some((SimTime(100), (0, 'z'))));
+        assert_eq!(q.pop_before(SimTime(101)), Some((SimTime(100), (2, 'b'))));
+        assert_eq!(q.pop_before(SimTime(101)), None);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop(), Some((SimTime(200), (1, 'a'))));
+        assert_eq!(q.pop_before(SimTime(u64::MAX)), None);
     }
 
     #[test]
