@@ -178,11 +178,7 @@ pub fn run_config(
 
     let mut rounds = 0;
     while !cluster.kubelet().settled() && rounds < plan.max_rounds {
-        let now = cluster.kernel().now();
-        match cluster.kubelet().next_deadline() {
-            Some(deadline) if deadline > now => cluster.kernel().advance(deadline - now),
-            _ => cluster.kernel().advance(Duration::from_secs(1)),
-        }
+        cluster.step();
         cluster.reconcile();
         rounds += 1;
     }
@@ -271,11 +267,7 @@ pub fn run_hung_guest(
     let mut probe_kills = 0u64;
     let mut rounds = 0;
     while !cluster.kubelet().settled() && rounds < plan.max_rounds {
-        let now = cluster.kernel().now();
-        match cluster.kubelet().next_deadline() {
-            Some(deadline) if deadline > now => cluster.kernel().advance(deadline - now),
-            _ => cluster.kernel().advance(Duration::from_secs(1)),
-        }
+        cluster.step();
         let report = cluster.reconcile();
         probe_kills += report.probe_killed.len() as u64;
         rounds += 1;

@@ -177,17 +177,25 @@ pub fn generate_schedule(seed: u64, nodes: usize, max_events: usize) -> Vec<Faul
     events
 }
 
-/// Drive one bounded reconcile round: controller pass, kubelet/lease
-/// pass, clock step to the next deadline (or one second).
-fn drive_round(cluster: &mut Cluster, ctrl: &mut DeploymentController) -> KernelResult<()> {
-    cluster.reconcile_controller(ctrl)?;
-    cluster.reconcile();
-    let now = cluster.now();
-    match cluster.next_deadline() {
-        Some(d) if d > now => cluster.advance(d - now),
-        _ => cluster.advance(Duration::from_secs(1)),
-    }
-    Ok(())
+/// Drive reconcile rounds — controller pass, kubelet/lease pass, clock
+/// step — until `done` holds or `max_rounds` have run; returns the rounds
+/// run. `done` is asked before each round, so it sees what the previous
+/// round's step brought and a time it records includes that step.
+fn drive(
+    cluster: &mut Cluster,
+    ctrl: &mut DeploymentController,
+    max_rounds: usize,
+    mut done: impl FnMut(&Cluster, &DeploymentController) -> bool,
+) -> KernelResult<usize> {
+    let steps = cluster.run_rounds(max_rounds, |c| {
+        if done(c, ctrl) {
+            return Ok(true);
+        }
+        c.reconcile_controller(ctrl)?;
+        c.reconcile();
+        Ok(false)
+    })?;
+    Ok(steps.unwrap_or(max_rounds))
 }
 
 /// Has the deployment reconverged: full replica count, all ready, all on
@@ -268,9 +276,12 @@ pub fn run_schedule(
         return Ok(ScheduleOutcome { seed, events: events.to_vec(), violations, rounds: 0 });
     }
 
+    // Node conditions change only in a reconcile pass, so looking at them
+    // before each round (and once after the last) misses none.
     let mut not_ready_seen = false;
-    let observe_not_ready =
-        |cluster: &Cluster| cluster.nodes.iter().any(|n| n.condition == NodeCondition::NotReady);
+    let mut observe = |cluster: &Cluster| {
+        not_ready_seen |= cluster.nodes.iter().any(|n| n.condition == NodeCondition::NotReady);
+    };
 
     for ev in events {
         match *ev {
@@ -286,10 +297,10 @@ pub fn run_schedule(
         // A bounded settle between events, so later events land at
         // varying detection stages (before expiry, mid-grace, after
         // eviction) — that interleaving is the point of the explorer.
-        for _ in 0..10 {
-            drive_round(&mut cluster, &mut ctrl)?;
-            not_ready_seen |= observe_not_ready(&cluster);
-        }
+        drive(&mut cluster, &mut ctrl, 10, |c, _| {
+            observe(c);
+            false
+        })?;
     }
 
     // Post-schedule convergence. First wait out the detection horizon —
@@ -303,18 +314,15 @@ pub fn run_schedule(
         + cfg.pod_eviction_grace
         + cfg.renew_interval
         + cfg.renew_interval;
-    let mut rounds = 0;
     let max_rounds = 500;
-    while cluster.now() < horizon && rounds < max_rounds {
-        drive_round(&mut cluster, &mut ctrl)?;
-        not_ready_seen |= observe_not_ready(&cluster);
-        rounds += 1;
-    }
-    while !reconverged(&cluster, &ctrl) && rounds < max_rounds {
-        drive_round(&mut cluster, &mut ctrl)?;
-        not_ready_seen |= observe_not_ready(&cluster);
-        rounds += 1;
-    }
+    let mut rounds = drive(&mut cluster, &mut ctrl, max_rounds, |c, _| {
+        observe(c);
+        c.now() >= horizon
+    })?;
+    rounds += drive(&mut cluster, &mut ctrl, max_rounds - rounds, |c, ctrl| {
+        observe(c);
+        reconverged(c, ctrl)
+    })?;
     if !reconverged(&cluster, &ctrl) {
         violations.push(format!("did not reconverge within {max_rounds} rounds"));
     }
@@ -323,16 +331,16 @@ pub fn run_schedule(
     // Monotonicity after convergence: with no further faults the ready
     // count must never regress.
     if violations.is_empty() {
-        for _ in 0..10 {
-            drive_round(&mut cluster, &mut ctrl)?;
-            not_ready_seen |= observe_not_ready(&cluster);
-            let ready = cluster.ready_replicas(&ctrl);
-            if ready < ctrl.spec.replicas {
-                violations.push(format!("ready count regressed to {ready} after convergence"));
-                break;
-            }
+        drive(&mut cluster, &mut ctrl, 10, |c, ctrl| {
+            observe(c);
+            c.ready_replicas(ctrl) < ctrl.spec.replicas
+        })?;
+        let ready = cluster.ready_replicas(&ctrl);
+        if ready < ctrl.spec.replicas {
+            violations.push(format!("ready count regressed to {ready} after convergence"));
         }
     }
+    observe(&cluster);
 
     if knobs.forbid_not_ready && not_ready_seen {
         violations.push("a node was observed NotReady (forbidden by knob)".to_string());
@@ -474,14 +482,12 @@ pub fn recovery_times(config: Config, workload: &Workload) -> KernelResult<Recov
     let t0 = cluster.now();
     cluster.crash_node(victim)?;
     let mut detect = None;
-    let mut rounds = 0;
-    while !(reconverged(&cluster, &ctrl) && detect.is_some()) && rounds < max_rounds {
-        drive_round(&mut cluster, &mut ctrl)?;
-        if detect.is_none() && cluster.node(victim).condition == NodeCondition::NotReady {
-            detect = Some(cluster.now().since(t0));
+    drive(&mut cluster, &mut ctrl, max_rounds, |c, ctrl| {
+        if detect.is_none() && c.node(victim).condition == NodeCondition::NotReady {
+            detect = Some(c.now().since(t0));
         }
-        rounds += 1;
-    }
+        detect.is_some() && reconverged(c, ctrl)
+    })?;
     let detect = detect.unwrap_or(Duration(u64::MAX));
     let crash_reconverge = cluster.now().since(t0);
 
@@ -493,24 +499,14 @@ pub fn recovery_times(config: Config, workload: &Workload) -> KernelResult<Recov
     cluster.partition_node(victim)?;
     // Drive until the partition has been detected and the victim's
     // replicas re-homed (an undetected partition still looks converged).
-    let mut rounds = 0;
-    while !(ctrl.replicas.iter().all(|r| r.node != victim) && reconverged(&cluster, &ctrl))
-        && rounds < max_rounds
-    {
-        drive_round(&mut cluster, &mut ctrl)?;
-        rounds += 1;
-    }
+    drive(&mut cluster, &mut ctrl, max_rounds, |c, ctrl| {
+        ctrl.replicas.iter().all(|r| r.node != victim) && reconverged(c, ctrl)
+    })?;
     cluster.heal_node(victim)?;
     let t1 = cluster.now();
-    let mut rounds = 0;
-    while !(cluster.node(victim).ready()
-        && cluster.node(victim).kubelet.pod_count() == 0
-        && reconverged(&cluster, &ctrl))
-        && rounds < max_rounds
-    {
-        drive_round(&mut cluster, &mut ctrl)?;
-        rounds += 1;
-    }
+    drive(&mut cluster, &mut ctrl, max_rounds, |c, ctrl| {
+        c.node(victim).ready() && c.node(victim).kubelet.pod_count() == 0 && reconverged(c, ctrl)
+    })?;
     let heal_reconverge = cluster.now().since(t1);
 
     Ok(RecoverySample { config, detect, crash_reconverge, heal_reconverge })

@@ -395,11 +395,7 @@ pub fn run_tenants(
         if cluster.kubelet().settled() || rounds >= plan.max_rounds {
             break;
         }
-        let now = cluster.kernel().now();
-        match cluster.kubelet().next_deadline() {
-            Some(deadline) if deadline > now => cluster.kernel().advance(deadline - now),
-            _ => cluster.kernel().advance(Duration::from_secs(1)),
-        }
+        cluster.step();
         let report = cluster.reconcile();
         if let Some(f) = fate.as_mut() {
             let hits = |names: &[String]| {

@@ -2,14 +2,15 @@
 //! loop, and the overload-and-recover contract.
 //!
 //! Requests arrive open-loop (arrivals never wait for completions — the
-//! property that makes overload *possible*) from seeded Poisson, bursty,
-//! or diurnal profiles and flow through the full `k8s::service` overload
+//! property that makes overload *possible*) from seeded Poisson or bursty
+//! profiles and flow through the full `k8s::service` overload
 //! plane: pick-of-2 routing → bounded-queue admission → per-endpoint
 //! single-server execution with deadline/watchdog caps → client-side
 //! retry budget and backoff → circuit breakers → brownout. The loop merges
-//! a streamed arrival generator with a private [`CalendarQueue`] (the same
-//! structure behind the DES scheduler) of `Copy` events, with the
-//! cluster's own clock advanced in coarse ticks: a request touches no
+//! a streamed arrival generator with a [`CalendarQueue`] (the same
+//! structure behind the DES scheduler) of `Copy` events and moves the
+//! cluster's clock to each event's instant, so `cluster.now()` is the
+//! event time for everything an event touches: a request touches no
 //! allocator, the queue holds only work in flight, millions of simulated
 //! requests cost no wall-clock sleeps and every run is byte-identical for
 //! a given seed.
@@ -78,9 +79,6 @@ pub enum ArrivalProfile {
     /// Square-wave load: `base_rps` for half of each period, `burst_rps`
     /// for the other half (Poisson within each half).
     Bursty { base_rps: f64, burst_rps: f64, period: Duration },
-    /// A compressed diurnal cycle: rate ramps piecewise-linearly
-    /// trough → peak → trough over each `day` (Poisson at the local rate).
-    Diurnal { trough_rps: f64, peak_rps: f64, day: Duration },
 }
 
 impl ArrivalProfile {
@@ -95,13 +93,6 @@ impl ArrivalProfile {
                 } else {
                     burst_rps
                 }
-            }
-            ArrivalProfile::Diurnal { trough_rps, peak_rps, day } => {
-                let phase =
-                    (t.as_nanos() % day.as_nanos().max(1)) as f64 / day.as_nanos().max(1) as f64;
-                // Triangle wave: trough at 0/1, peak at 0.5.
-                let ramp = 1.0 - (2.0 * phase - 1.0).abs();
-                trough_rps + (peak_rps - trough_rps) * ramp
             }
         }
     }
@@ -133,42 +124,32 @@ pub struct PhaseSpec {
     pub measured: bool,
 }
 
+/// Per-request deadline, in multiples of the full-service time.
+const DEADLINE_EXECS: u64 = 64;
+
+/// The service tick: kubelet reconcile, endpoint sync and breaker/brownout
+/// evaluation interval.
+const TICK: Duration = Duration::from_millis(250);
+
 /// Knobs of one traffic run (per-config values derive from
-/// [`request_exec`] inside [`run_traffic`]).
+/// [`request_exec`] inside [`run_traffic`]; queue capacity and attempt
+/// count are [`ServiceConfig::for_exec`]'s and [`RetryPolicy::new`]'s).
 #[derive(Debug, Clone, Copy)]
 pub struct TrafficPlan {
     /// Deployment replicas behind the service.
     pub replicas: usize,
-    /// Bounded per-endpoint queue capacity.
-    pub queue_capacity: usize,
-    /// Per-request deadline, in multiples of the full-service time.
-    pub deadline_execs: u64,
-    /// Coarse cluster tick: reconcile + endpoint sync + breaker/brownout
-    /// evaluation interval.
-    pub tick: Duration,
     /// Hedge a still-unfinished request this many exec-multiples after
     /// admission (`None`: hedging off).
     pub hedge_after_execs: Option<u64>,
     /// `false` runs the contract's control arm: unlimited retries.
     pub retry_budget_enabled: bool,
-    /// Total attempts per request (first + retries).
-    pub max_attempts: u32,
     /// Seed for the service's routing RNG.
     pub seed: u64,
 }
 
 impl TrafficPlan {
     pub fn new(seed: u64) -> TrafficPlan {
-        TrafficPlan {
-            replicas: 2,
-            queue_capacity: 16,
-            deadline_execs: 64,
-            tick: Duration::from_millis(250),
-            hedge_after_execs: None,
-            retry_budget_enabled: true,
-            max_attempts: 4,
-            seed,
-        }
+        TrafficPlan { replicas: 2, hedge_after_execs: None, retry_budget_enabled: true, seed }
     }
 }
 
@@ -450,7 +431,6 @@ struct Loop {
     attempts: u64,
     aborted_retried: u64,
     siblings_cancelled: u64,
-    now: SimTime,
     hedge_after: Option<Duration>,
     /// Per-request deadline, counted from the request's arrival.
     deadline: Duration,
@@ -463,12 +443,12 @@ impl Loop {
         self.peak_live_events = self.peak_live_events.max(self.queue.len());
     }
 
-    /// A request of `phase` arrives at `self.now`: record it and issue its
-    /// first attempt.
-    fn arrive(&mut self, phase: usize, service: &mut Service) {
+    /// A request of `phase` arrives at `now`: record it and issue its first
+    /// attempt.
+    fn arrive(&mut self, phase: usize, now: SimTime, service: &mut Service) {
         let req = self.reqs.len();
         self.reqs.push(ReqState {
-            arrival: self.now,
+            arrival: now,
             outstanding: [(0, 0); 2],
             live: 0,
             phase: phase as u8,
@@ -477,17 +457,17 @@ impl Loop {
             failed: false,
             hedged: false,
         });
-        self.issue(req, service);
+        self.issue(req, now, service);
     }
 
-    /// Issue one attempt for `req` against the service at `self.now`.
-    fn issue(&mut self, req: usize, service: &mut Service) {
+    /// Issue one attempt for `req` against the service at `now`.
+    fn issue(&mut self, req: usize, now: SimTime, service: &mut Service) {
         let r = self.reqs[req];
         if r.done || r.failed {
             return;
         }
         let (deadline, phase) = (r.arrival + self.deadline, usize::from(r.phase));
-        if self.now >= deadline {
+        if now >= deadline {
             self.reqs[req].failed = true;
             self.phases[phase].timeouts += 1;
             return;
@@ -501,29 +481,29 @@ impl Loop {
         let token = req as u64 * TOKENS_PER_REQ + u64::from(attempt);
         let admitted = service
             .route(None)
-            .and_then(|ep| service.admit(ep, self.now, token, deadline).map(|a| (ep, a)));
+            .and_then(|ep| service.admit(ep, now, token, deadline).map(|a| (ep, a)));
         match admitted {
             Ok((ep, a)) => {
                 self.reqs[req].add_outstanding(token, service.endpoints[ep].id);
                 if a.server_idle {
-                    self.start(ep, service);
+                    self.start(ep, now, service);
                 }
                 if let (Some(d), 1, false) = (self.hedge_after, attempt, r.hedged) {
-                    self.push(self.now + d, Ev::Hedge(req));
+                    self.push(now + d, Ev::Hedge(req));
                 }
             }
             Err(_reason) => {
                 // Typed 503 (already tallied by the service); client-side
                 // the shed feeds the retry path.
                 self.phases[phase].shed += 1;
-                self.retry_or_fail(req);
+                self.retry_or_fail(req, now);
             }
         }
     }
 
     /// Start the endpoint's next queued request, scheduling its finish.
-    fn start(&mut self, ep: usize, service: &mut Service) {
-        if let Some(st) = service.try_start(ep, self.now) {
+    fn start(&mut self, ep: usize, now: SimTime, service: &mut Service) {
+        if let Some(st) = service.try_start(ep, now) {
             let endpoint = service.endpoints[ep].id;
             self.push(st.finish, Ev::Finish { endpoint, token: st.token });
         }
@@ -531,15 +511,15 @@ impl Loop {
 
     /// Route a failed/shed/aborted attempt of `req` through the retry
     /// budget: schedule a backed-off re-issue or give up.
-    fn retry_or_fail(&mut self, req: usize) {
+    fn retry_or_fail(&mut self, req: usize, now: SimTime) {
         let r = self.reqs[req];
         if r.done || r.failed || r.live > 0 {
             // A sibling attempt (hedge) is still live — not a failure yet.
             return;
         }
         match self.client.approve_retry(u32::from(r.attempt) + 1) {
-            Some(backoff) if self.now + backoff < r.arrival + self.deadline => {
-                self.push(self.now + backoff, Ev::Retry(req));
+            Some(backoff) if now + backoff < r.arrival + self.deadline => {
+                self.push(now + backoff, Ev::Retry(req));
             }
             _ => {
                 self.reqs[req].failed = true;
@@ -550,12 +530,12 @@ impl Loop {
 
     /// Handle a finish event: surface the completion, settle the request,
     /// and start the endpoint's next queued request.
-    fn finish(&mut self, endpoint: u32, token: u64, service: &mut Service) {
+    fn finish(&mut self, endpoint: u32, token: u64, now: SimTime, service: &mut Service) {
         let Some(ep) = service.endpoint_index(endpoint) else { return };
         if service.endpoints[ep].serving.map(|s| s.token) != Some(token) {
             return; // stale: the attempt was aborted or superseded
         }
-        let Some(c) = service.complete(ep, self.now) else { return };
+        let Some(c) = service.complete(ep, now) else { return };
         let req = (token / TOKENS_PER_REQ) as usize;
         self.reqs[req].settle(token);
         let r = self.reqs[req];
@@ -568,7 +548,7 @@ impl Loop {
                 if c.degraded {
                     phase.degraded += 1;
                 }
-                phase.hist.record(self.now.since(r.arrival));
+                phase.hist.record(now.since(r.arrival));
                 // First completion wins: cancel any still-queued sibling
                 // (a hedge that lost the race) so it never runs.
                 for &(tok, sibling) in r.outstanding() {
@@ -579,14 +559,14 @@ impl Loop {
                 self.reqs[req].live = 0;
             }
         } else if !r.done {
-            self.retry_or_fail(req);
+            self.retry_or_fail(req, now);
         }
-        self.start(ep, service);
+        self.start(ep, now, service);
     }
 
     /// Hedge `req` if it is still unresolved: a second attempt on another
     /// endpoint, best-effort (a shed hedge is not retried).
-    fn hedge(&mut self, req: usize, service: &mut Service) {
+    fn hedge(&mut self, req: usize, now: SimTime, service: &mut Service) {
         let r = self.reqs[req];
         if r.done || r.failed || r.live == 0 || r.hedged {
             return;
@@ -597,13 +577,13 @@ impl Loop {
         let deadline = r.arrival + self.deadline;
         let admitted = service
             .route(primary_ep)
-            .and_then(|ep| service.admit(ep, self.now, token, deadline).map(|a| (ep, a)));
+            .and_then(|ep| service.admit(ep, now, token, deadline).map(|a| (ep, a)));
         if let Ok((ep, a)) = admitted {
             self.phases[usize::from(r.phase)].hedges += 1;
             self.attempts += 1;
             self.reqs[req].add_outstanding(token, service.endpoints[ep].id);
             if a.server_idle {
-                self.start(ep, service);
+                self.start(ep, now, service);
             }
         }
     }
@@ -611,7 +591,7 @@ impl Loop {
     /// Handle endpoint-abort tokens returned by `sync`: the pod left the
     /// ready set with these attempts queued/in-flight — re-drive them
     /// through the retry path.
-    fn handle_aborts(&mut self, aborted: Vec<u64>) {
+    fn handle_aborts(&mut self, aborted: Vec<u64>, now: SimTime) {
         for token in aborted {
             let req = (token / TOKENS_PER_REQ) as usize;
             if req >= self.reqs.len() {
@@ -620,7 +600,7 @@ impl Loop {
             self.reqs[req].settle(token);
             if !self.reqs[req].done && !self.reqs[req].failed {
                 self.aborted_retried += 1;
-                self.retry_or_fail(req);
+                self.retry_or_fail(req, now);
             }
         }
     }
@@ -671,7 +651,6 @@ fn build_service(
         .min(1_000_000);
     let exec_degraded = Duration::from_nanos(exec.as_nanos() * (1_000_000 - ppm) / 1_000_000);
     let mut cfg = ServiceConfig::for_exec(exec, exec_degraded);
-    cfg.queue_capacity = plan.queue_capacity;
     if let Some(p) = &ctrl.spec.opts.liveness_probe {
         cfg.watchdog_budget = p.watchdog_budget();
     }
@@ -704,14 +683,13 @@ fn run_traffic_on(
 
     let budget =
         if plan.retry_budget_enabled { RetryBudget::new() } else { RetryBudget::disabled() };
-    let mut policy = RetryPolicy::new(exec);
-    policy.max_attempts = plan.max_attempts;
+    let policy = RetryPolicy::new(exec);
 
     // A request's phase and attempt count are stored as bytes, and attempt
     // numbers share the token space with the hedge offset.
     assert!(phases.len() <= 256, "a traffic run has at most 256 phases");
     assert!(
-        u64::from(plan.max_attempts) < HEDGE_TOKEN_OFFSET,
+        u64::from(policy.max_attempts) < HEDGE_TOKEN_OFFSET,
         "max_attempts must stay below the hedge token offset ({HEDGE_TOKEN_OFFSET})"
     );
     let execs = |n: u64| Duration::from_nanos(exec.as_nanos().saturating_mul(n));
@@ -731,9 +709,8 @@ fn run_traffic_on(
         attempts: 0,
         aborted_retried: 0,
         siblings_cancelled: 0,
-        now: cluster.now(),
         hedge_after: plan.hedge_after_execs.map(execs),
-        deadline: execs(plan.deadline_execs),
+        deadline: execs(DEADLINE_EXECS),
     };
 
     // Arrivals are streamed, one drawn ahead, and merged with the queue.
@@ -743,8 +720,7 @@ fn run_traffic_on(
     // Ticks go on this long after the last arrival even with nothing queued.
     let drain = execs(256);
 
-    // The coarse tick cadence.
-    let mut next_tick = start + plan.tick;
+    let mut next_tick = start + TICK;
     lp.push(next_tick, Ev::Tick);
 
     let mut scenario_obs = script.map(|s| {
@@ -772,23 +748,23 @@ fn run_traffic_on(
             Some((at, _)) => lp.queue.pop_before(at),
             None => lp.queue.pop(),
         };
-        let Some((at, (_, ev))) = queued else {
-            let Some((at, phase)) = next_arrival else { break };
-            lp.now = at;
-            lp.arrive(phase, &mut service);
+        // Either way the cluster's clock moves to the event's instant
+        // first. (`since` saturates: a tick that rode out a termination
+        // grace period leaves the clock ahead of the events it overtook,
+        // and time never runs backwards.)
+        let Some((now, (_, ev))) = queued else {
+            let Some((now, phase)) = next_arrival else { break };
+            cluster.advance(now.since(cluster.now()));
+            lp.arrive(phase, now, &mut service);
             next_arrival = arrivals.advance(&mut lp.phases);
             continue;
         };
-        lp.now = at;
+        cluster.advance(now.since(cluster.now()));
         match ev {
-            Ev::Retry(req) => lp.issue(req, &mut service),
-            Ev::Finish { endpoint, token } => lp.finish(endpoint, token, &mut service),
-            Ev::Hedge(req) => lp.hedge(req, &mut service),
+            Ev::Retry(req) => lp.issue(req, now, &mut service),
+            Ev::Finish { endpoint, token } => lp.finish(endpoint, token, now, &mut service),
+            Ev::Hedge(req) => lp.hedge(req, now, &mut service),
             Ev::Tick => {
-                let cnow = cluster.now();
-                if lp.now > cnow {
-                    cluster.advance(lp.now.since(cnow));
-                }
                 cluster.reconcile();
 
                 // Scenario hooks: rolling update, then HPA on the live
@@ -824,16 +800,15 @@ fn run_traffic_on(
                 }
 
                 let aborted = service.sync(&cluster, &ctrl);
-                lp.handle_aborts(aborted);
-                service.tick_breakers(&mut cluster, lp.now)?;
-                service.tick_brownout();
+                lp.handle_aborts(aborted, now);
+                service.tick(&mut cluster)?;
                 // Sync may have rebuilt endpoints with idle servers and
                 // queued work — restart them.
                 for ep in 0..service.endpoints.len() {
-                    lp.start(ep, &mut service);
+                    lp.start(ep, now, &mut service);
                 }
 
-                next_tick = next_tick + plan.tick;
+                next_tick = next_tick + TICK;
                 if next_arrival.is_some()
                     || next_tick <= arrivals.last + drain
                     || !lp.queue.is_empty()
@@ -1148,8 +1123,10 @@ pub fn run_overload_contract(
 
 /// Check one contract outcome: goodput floor under overload, bounded p99
 /// for admitted requests, p99 re-convergence after recovery, shedding
-/// actually happened, and the control arm demonstrably degrading.
-pub fn check_contract(o: &ContractOutcome, plan: &ContractPlan) -> Result<(), String> {
+/// actually happened, and the control arm demonstrably degrading. (No bound
+/// depends on the plan any more; the parameter stays because `benchmark/`
+/// calls this by signature.)
+pub fn check_contract(o: &ContractOutcome, _plan: &ContractPlan) -> Result<(), String> {
     let label = o.config.label();
     let exec = request_exec(o.config);
 
@@ -1178,7 +1155,7 @@ pub fn check_contract(o: &ContractOutcome, plan: &ContractPlan) -> Result<(), St
     //    Stays well under the 64-exec deadline — the point is that the
     //    bounded queue keeps admitted-request latency *bounded*, where an
     //    unbounded queue under 3× load grows without limit.
-    let bound_execs = 2 * plan.traffic.queue_capacity as u64 + 16;
+    let bound_execs = 2 * ServiceConfig::for_exec(exec, exec).queue_capacity as u64 + 16;
     let bound_ns = exec.as_nanos().saturating_mul(bound_execs);
     if o.overload_p99.as_nanos() > bound_ns {
         return Err(format!(
@@ -1373,7 +1350,7 @@ mod tests {
     }
 
     #[test]
-    fn bursty_and_diurnal_rates_vary() {
+    fn bursty_rate_varies() {
         let b = ArrivalProfile::Bursty {
             base_rps: 10.0,
             burst_rps: 100.0,
@@ -1381,13 +1358,5 @@ mod tests {
         };
         assert_eq!(b.rate_at(Duration::from_millis(500)), 10.0);
         assert_eq!(b.rate_at(Duration::from_millis(1_500)), 100.0);
-        let d = ArrivalProfile::Diurnal {
-            trough_rps: 10.0,
-            peak_rps: 110.0,
-            day: Duration::from_secs(10),
-        };
-        assert_eq!(d.rate_at(Duration::ZERO), 10.0);
-        assert_eq!(d.rate_at(Duration::from_secs(5)), 110.0);
-        assert!((d.rate_at(Duration::from_secs(2)) - 50.0).abs() < 1e-6);
     }
 }

@@ -29,8 +29,8 @@
 use containerd_sim::{Containerd, RuntimeClass};
 use oci_spec_lite::ImageBuilder;
 use simkernel::{
-    CgroupId, Duration, FaultSite, FreeReport, Kernel, KernelConfig, KernelError, KernelResult,
-    Sim, SimOutcome, SimTime, TaskResult, TaskSpec,
+    CgroupId, Clock, Duration, FaultSite, FreeReport, Kernel, KernelConfig, KernelError,
+    KernelResult, Sim, SimOutcome, SimTime, TaskResult, TaskSpec,
 };
 
 use crate::api::{
@@ -84,6 +84,9 @@ pub struct Cluster {
     pub scheduler: Scheduler,
     /// Failure-detection parameters shared by every node's lease.
     pub leases: LeaseConfig,
+    /// Simulated time: every node's kernel, a restarted one included,
+    /// is booted on this clock.
+    clock: Clock,
 }
 
 /// Cluster-level bookkeeping counters (summed over all nodes).
@@ -188,12 +191,14 @@ impl Cluster {
         policy: Policy,
     ) -> KernelResult<Cluster> {
         assert!(!configs.is_empty(), "a cluster needs at least one node");
+        let clock = Clock::default();
         let nodes = configs
             .iter()
             .enumerate()
-            .map(|(i, (kcfg, ncfg))| Node::bootstrap(i, kcfg.clone(), ncfg.clone()))
+            .map(|(i, (kcfg, ncfg))| Node::bootstrap(i, kcfg.clone(), ncfg.clone(), &clock))
             .collect::<KernelResult<Vec<Node>>>()?;
-        Ok(Cluster { nodes, scheduler: Scheduler::new(policy), leases: LeaseConfig::default() })
+        let (scheduler, leases) = (Scheduler::new(policy), LeaseConfig::default());
+        Ok(Cluster { nodes, scheduler, leases, clock })
     }
 
     pub fn node_count(&self) -> usize {
@@ -208,8 +213,8 @@ impl Cluster {
         &mut self.nodes[i]
     }
 
-    /// Node 0's kernel — the cluster clock reference, and *the* kernel of
-    /// a single-node cluster (the figure paths).
+    /// Node 0's kernel — *the* kernel of a single-node cluster (the figure
+    /// paths).
     pub fn kernel(&self) -> &Kernel {
         &self.nodes[0].kernel
     }
@@ -236,15 +241,27 @@ impl Cluster {
         self.nodes[0].kubepods
     }
 
-    /// Current simulated time (node clocks advance in lockstep).
+    /// Current simulated time, on every node.
+    #[inline]
     pub fn now(&self) -> SimTime {
-        self.nodes[0].kernel.now()
+        self.clock.now()
     }
 
-    /// Advance every node's clock by `d` (lockstep).
+    /// Move simulated time forward by `d`. (Inlined across crates: the
+    /// traffic loop calls this once per request event.)
+    #[inline]
     pub fn advance(&self, d: Duration) {
-        for node in &self.nodes {
-            node.kernel.advance(d);
+        self.clock.advance(d);
+    }
+
+    /// Move simulated time to the next instant at which a kubelet has
+    /// something to do — the earliest pending deadline across live nodes —
+    /// or by one second when nothing is pending.
+    pub fn step(&self) {
+        let now = self.now();
+        match self.next_deadline() {
+            Some(d) if d > now => self.advance(d - now),
+            _ => self.advance(Duration::from_secs(1)),
         }
     }
 
@@ -430,12 +447,12 @@ impl Cluster {
     /// the machine reboots).
     pub fn reconcile(&mut self) -> ReconcileReport {
         self.tick_leases();
+        let now = self.now();
         let mut merged = ReconcileReport::default();
         for node in &mut self.nodes {
             if !node.alive {
                 continue;
             }
-            let now = node.kernel.now();
             let mut r = node.kubelet.reconcile(&mut node.containerd, now);
             merged.oom_killed.append(&mut r.oom_killed);
             merged.evicted.append(&mut r.evicted);
@@ -446,13 +463,6 @@ impl Cluster {
             merged.trace.append(&mut r.trace);
         }
         merged
-    }
-
-    /// Are all kubelets settled (no supervised pod mid-transition)?
-    /// Crashed nodes don't count: their frozen state must not wedge the
-    /// survivors' convergence loop.
-    pub fn settled(&self) -> bool {
-        self.nodes.iter().filter(|n| n.alive).all(|n| n.kubelet.settled())
     }
 
     /// Earliest pending kubelet deadline across live nodes.
@@ -622,14 +632,13 @@ impl Cluster {
         self.nodes[node].crash()
     }
 
-    /// Reboot a crashed node as a fresh, empty machine at cluster time,
-    /// with a just-renewed lease. Runtime classes and images do not
+    /// Reboot a crashed node as a fresh, empty machine on the cluster's
+    /// clock, with a just-renewed lease. Runtime classes and images do not
     /// survive the reboot — re-provision the node (the harness `Config`
     /// installers do this) before scheduling onto it.
     pub fn restart_node(&mut self, node: usize) -> KernelResult<()> {
         self.check_node(node)?;
-        let now = self.now();
-        self.nodes[node].restart(now)
+        self.nodes[node].restart(&self.clock)
     }
 
     /// Cut a node off from the control plane without killing it: its pods
@@ -760,29 +769,42 @@ impl Cluster {
         ctrl.replicas.iter().filter(|r| self.replica_ready(r)).count()
     }
 
+    /// The controller round loop: `pass`, [`Cluster::step`], `pass`, … until
+    /// a pass returns `true` (no step follows it; `Some(steps taken)`) or
+    /// `max_rounds` rounds have run (`None`). Every wait for a controller
+    /// to converge is this loop. A pass that reconciles and then judges
+    /// leaves the clock where convergence was observed
+    /// ([`Cluster::settle_controller`]); one that judges what the last step
+    /// brought and then reconciles records times that include that step
+    /// (the fault explorer).
+    pub fn run_rounds(
+        &mut self,
+        max_rounds: usize,
+        mut pass: impl FnMut(&mut Cluster) -> KernelResult<bool>,
+    ) -> KernelResult<Option<usize>> {
+        for steps in 0..max_rounds {
+            if pass(self)? {
+                return Ok(Some(steps));
+            }
+            self.step();
+        }
+        Ok(None)
+    }
+
     /// Drive controller + kubelet reconciliation until every replica is
-    /// Running and ready, or `max_rounds` elapse. Each round advances the
-    /// clock to the next kubelet deadline (or one second).
+    /// Running and ready, or `max_rounds` elapse.
     pub fn settle_controller(
         &mut self,
         ctrl: &mut DeploymentController,
         max_rounds: usize,
     ) -> KernelResult<bool> {
-        for _ in 0..max_rounds {
-            self.reconcile_controller(ctrl)?;
-            self.reconcile();
-            if ctrl.replicas.len() == ctrl.spec.replicas
-                && self.ready_replicas(ctrl) == ctrl.spec.replicas
-            {
-                return Ok(true);
-            }
-            let now = self.now();
-            match self.next_deadline() {
-                Some(d) if d > now => self.advance(d - now),
-                _ => self.advance(Duration::from_secs(1)),
-            }
-        }
-        Ok(false)
+        let settled = self.run_rounds(max_rounds, |c| {
+            c.reconcile_controller(ctrl)?;
+            c.reconcile();
+            Ok(ctrl.replicas.len() == ctrl.spec.replicas
+                && c.ready_replicas(ctrl) == ctrl.spec.replicas)
+        })?;
+        Ok(settled.is_some())
     }
 
     /// Flip a controller's template to a new image and bump the revision:
@@ -836,8 +858,9 @@ impl Cluster {
 
     /// Rolling update to a new image: [`Cluster::begin_rolling_update`]
     /// followed by [`Cluster::rollout_step`] rounds until converged or
-    /// `max_rounds` elapse, advancing the clock to the next kubelet
-    /// deadline between rounds.
+    /// `max_rounds` elapse. After each step of the clock the kubelets
+    /// reconcile first, so the next round's surge and retire decisions see
+    /// the readiness the step brought.
     pub fn rolling_update(
         &mut self,
         ctrl: &mut DeploymentController,
@@ -847,21 +870,19 @@ impl Cluster {
         self.begin_rolling_update(ctrl, image);
         let mut created = 0usize;
         let mut deleted = 0usize;
-        for round in 1..=max_rounds {
-            let step = self.rollout_step(ctrl)?;
+        let mut stepped = false;
+        let done = self.run_rounds(max_rounds, |c| {
+            if stepped {
+                c.reconcile();
+            }
+            stepped = true;
+            let step = c.rollout_step(ctrl)?;
             created += step.created;
             deleted += step.deleted;
-            if step.done {
-                return Ok(RolloutReport { created, deleted, rounds: round, converged: true });
-            }
-            let now = self.now();
-            match self.next_deadline() {
-                Some(d) if d > now => self.advance(d - now),
-                _ => self.advance(Duration::from_secs(1)),
-            }
-            self.reconcile();
-        }
-        Ok(RolloutReport { created, deleted, rounds: max_rounds, converged: false })
+            Ok(step.done)
+        })?;
+        let rounds = done.map_or(max_rounds, |steps| steps + 1);
+        Ok(RolloutReport { created, deleted, rounds, converged: done.is_some() })
     }
 
     /// One HPA evaluation: observe average working set and cpu-throttle
@@ -1117,18 +1138,17 @@ mod tests {
         assert_eq!(cluster.ready_replicas(&ctrl), 4);
     }
 
-    /// Advance the clock in renew-interval steps, reconciling each step,
-    /// long enough for a lease to expire and the pod-eviction grace to
-    /// pass.
+    /// Reconcile and step until a lease has had time to expire and the
+    /// pod-eviction grace to pass.
     fn advance_past_eviction(cluster: &mut Cluster) {
-        let step = cluster.leases.renew_interval;
-        let horizon = cluster.leases.grace + cluster.leases.pod_eviction_grace;
-        let mut elapsed = Duration::from_secs(0);
-        while elapsed < horizon + step {
-            cluster.advance(step);
-            cluster.reconcile();
-            elapsed = elapsed.saturating_add(step);
-        }
+        let leases = cluster.leases;
+        let until =
+            cluster.now() + leases.grace + leases.pod_eviction_grace + leases.renew_interval;
+        let rounds = cluster.run_rounds(usize::MAX, |c| {
+            c.reconcile();
+            Ok(c.now() >= until)
+        });
+        rounds.unwrap();
     }
 
     #[test]
@@ -1165,7 +1185,7 @@ mod tests {
         assert!(ctrl.replicas.iter().all(|r| r.node != 1), "{:?}", ctrl.replicas);
         assert_eq!(cluster.stats().ready, 6);
 
-        // Reboot: fresh empty machine, clock at cluster time, Ready lease.
+        // Reboot: fresh empty machine on the cluster's clock, Ready lease.
         cluster.restart_node(1).unwrap();
         assert!(cluster.node(1).ready());
         assert_eq!(cluster.node(1).kubelet.pod_count(), 0);

@@ -1,17 +1,17 @@
 //! One worker node: kernel + containerd + kubelet, wired together.
 //!
 //! A [`Node`] owns everything the single-node cluster used to own — its
-//! own [`Kernel`] (clock, page store, cgroup tree), a [`Containerd`]
-//! daemon, and a [`Kubelet`] — so an N-node [`crate::Cluster`] is a vector
-//! of nodes sharing nothing but the scheduler above them. Each node's
-//! simulated clock ticks independently; the cluster advances them in
-//! lockstep so cross-node deadlines (probes, backoffs, grace periods)
-//! stay comparable.
+//! own [`Kernel`] (page store, cgroup tree), a [`Containerd`] daemon, and
+//! a [`Kubelet`] — so an N-node [`crate::Cluster`] is a vector of nodes
+//! sharing nothing but the scheduler above them and the cluster's
+//! [`Clock`]: every node's kernel is booted on it, so probes, backoffs,
+//! grace periods and leases on different nodes are deadlines on one
+//! timeline.
 //!
 //! Nodes can also die the *impolite* way. [`Node::crash`] is instant power
 //! loss — no SIGTERM, no cgroup teardown, pods vanish with their memory —
 //! and [`Node::restart`] reboots the machine from scratch: a fresh kernel
-//! advanced to cluster time, empty cgroup roots, a containerd with no
+//! on the same clock, empty cgroup roots, a containerd with no
 //! sandboxes and a kubelet with no pods (the crash's orphans are garbage-
 //! collected by construction — nothing of the old kernel survives the
 //! reboot). A [`Node::partition`]ed node keeps running its pods but cannot
@@ -22,12 +22,12 @@
 
 use containerd_sim::Containerd;
 use oci_spec_lite::ImageStore;
-use simkernel::{CgroupId, Kernel, KernelConfig, KernelError, KernelResult, SimTime};
+use simkernel::{CgroupId, Clock, Kernel, KernelConfig, KernelError, KernelResult, SimTime};
 
 use crate::kubelet::{Kubelet, NodeConfig};
 
 /// Node readiness as the control plane sees it: driven purely by the
-/// node's lease (heartbeats on the DES clock), never by direct inspection
+/// node's lease (heartbeats on the cluster clock), never by direct inspection
 /// — a crashed node stays `Ready` until its lease expires, exactly the
 /// detection latency a real cluster pays.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,10 +81,16 @@ pub struct Node {
 }
 
 impl Node {
-    /// Boot a node: kernel, engines, runtimes, cgroup roots, containerd,
-    /// kubelet — exactly the old single-node bootstrap.
-    pub fn bootstrap(index: usize, kcfg: KernelConfig, ncfg: NodeConfig) -> KernelResult<Node> {
-        let kernel = Kernel::boot(kcfg);
+    /// Boot a node on the cluster's clock: kernel, engines, runtimes,
+    /// cgroup roots, containerd, kubelet — exactly the old single-node
+    /// bootstrap. The lease starts renewed as of now.
+    pub(crate) fn bootstrap(
+        index: usize,
+        kcfg: KernelConfig,
+        ncfg: NodeConfig,
+        clock: &Clock,
+    ) -> KernelResult<Node> {
+        let kernel = Kernel::boot_on(kcfg, clock.clone());
         engines::install_engines(&kernel)?;
         container_runtimes::profile::install_runtimes(&kernel)?;
         let system_cgroup = kernel.cgroup_create(Kernel::ROOT_CGROUP, "system.slice")?;
@@ -105,7 +111,7 @@ impl Node {
             partitioned: false,
             condition: NodeCondition::Ready,
             not_ready_since: None,
-            lease: NodeLease { last_renewal: SimTime::ZERO },
+            lease: NodeLease { last_renewal: clock.now() },
             fence_pending: Vec::new(),
         })
     }
@@ -132,20 +138,19 @@ impl Node {
     }
 
     /// Reboot a crashed node as a fresh, empty machine re-registered with
-    /// the scheduler: a new kernel of the same shape advanced to `now`
-    /// (the cluster's lockstep clock), rebuilt cgroup roots, a containerd
-    /// with no sandboxes and a kubelet with no pods. Orphaned sandboxes,
-    /// mappings and cgroups of the old kernel are gone by construction.
-    /// Runtime classes and images are *not* carried over — a replacement
-    /// node is provisioned from scratch, so the caller re-installs them
-    /// (the harness's `Config::install_on`).
-    pub fn restart(&mut self, now: SimTime) -> KernelResult<()> {
+    /// the scheduler: a new kernel of the same shape on the cluster's
+    /// clock, rebuilt cgroup roots, a containerd with no sandboxes and a
+    /// kubelet with no pods. Orphaned sandboxes, mappings and cgroups of
+    /// the old kernel are gone by construction. Runtime classes and images
+    /// are *not* carried over — a replacement node is provisioned from
+    /// scratch, so the caller re-installs them (the harness's
+    /// `Config::install_on`).
+    pub(crate) fn restart(&mut self, clock: &Clock) -> KernelResult<()> {
         if self.alive {
             return Err(KernelError::InvalidState(format!("{} is not crashed", self.name)));
         }
-        let fresh = Node::bootstrap(self.index, self.kernel.config(), self.kubelet.config.clone())?;
-        fresh.kernel.advance(now.since(SimTime::ZERO));
-        *self = Node { lease: NodeLease { last_renewal: now }, ..fresh };
+        *self =
+            Node::bootstrap(self.index, self.kernel.config(), self.kubelet.config.clone(), clock)?;
         Ok(())
     }
 

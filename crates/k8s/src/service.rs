@@ -715,13 +715,22 @@ impl Service {
         aborted
     }
 
+    /// The periodic half of the overload plane, at the cluster's current
+    /// time: drive open breakers toward half-open, then evaluate brownout.
+    pub fn tick(&mut self, cluster: &mut Cluster) -> KernelResult<()> {
+        self.tick_breakers(cluster)?;
+        self.tick_brownout();
+        Ok(())
+    }
+
     /// Drive open breakers toward half-open: once the cool-off elapses, the
     /// endpoint is probed through the CRI probe RPC (the same
     /// [`simkernel::FaultSite::Probe`]-drawing path the kubelet's health
     /// probes use) — so a breaker only re-admits traffic to a pod that
     /// still exists and answers, and fault plans stay deterministic. A
     /// failed probe re-arms the cool-off.
-    pub fn tick_breakers(&mut self, cluster: &mut Cluster, now: SimTime) -> KernelResult<()> {
+    fn tick_breakers(&mut self, cluster: &mut Cluster) -> KernelResult<()> {
+        let now = cluster.now();
         let cooloff = self.config.breaker_cooloff;
         for e in &mut self.endpoints {
             if e.breaker.state != BreakerState::Open || now.since(e.breaker.opened_at) < cooloff {
@@ -752,7 +761,7 @@ impl Service {
     /// Evaluate the brownout policy against current mean depth (hysteresis:
     /// engage at `brownout_high`, disengage at `brownout_low`). Returns the
     /// mode after evaluation.
-    pub fn tick_brownout(&mut self) -> bool {
+    fn tick_brownout(&mut self) -> bool {
         let depth = self.mean_depth_x1000();
         if !self.degraded && depth >= self.config.brownout_high_x1000 {
             self.degraded = true;

@@ -16,7 +16,7 @@ use crate::error::{KernelError, KernelResult};
 use crate::faults::{FaultPlan, FaultSite};
 use crate::mem::{round_up_pages, MapKind, Mapping, MappingId};
 use crate::proc::{NamespaceKind, Pid, ProcState, Process};
-use crate::time::{Duration, SimTime};
+use crate::time::{Clock, Duration, SimTime};
 use crate::vfs::{FileContent, FileId, Vfs};
 
 /// Page size used for rounding (matches the paper's x86-64 testbed).
@@ -83,14 +83,14 @@ impl FreeReport {
 ///
 /// When armed, every cold read queues behind a machine-wide byte backlog
 /// (`queue_ns_per_mib` per MiB already queued), the backlog drains at
-/// `drain_bytes_per_sec` as the simulated clock advances, and — with
+/// `drain_bytes_per_sec` of simulated time, and — with
 /// `displace` — a cold read evicts other tenants' unmapped page cache, which
 /// is how a streaming thrasher makes its neighbors pay cold re-reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoModel {
     /// Queue delay per MiB of outstanding backlog at read time.
     pub queue_ns_per_mib: u64,
-    /// Backlog drain rate while the clock advances.
+    /// Backlog drain rate per second of simulated time.
     pub drain_bytes_per_sec: u64,
     /// Cold reads displace other tenants' unmapped page cache.
     pub displace: bool,
@@ -99,7 +99,7 @@ pub struct IoModel {
 #[derive(Debug)]
 struct KernelState {
     cfg: KernelConfig,
-    clock: SimTime,
+    clock: Clock,
     vfs: Vfs,
     cgroups: CgroupTree,
     procs: std::collections::BTreeMap<Pid, Process>,
@@ -116,13 +116,14 @@ struct KernelState {
     faults: FaultPlan,
     /// Armed io-pressure model; `None` (the default) is inert.
     io_model: Option<IoModel>,
-    /// Machine-wide bytes of cold-read traffic not yet drained by the disk.
+    /// Machine-wide bytes of cold-read traffic not yet drained by the disk,
+    /// as of `io_drained_at`.
     io_backlog: u64,
+    io_drained_at: SimTime,
     /// Instant power loss (node crash): every state-mutating operation
-    /// fails with [`KernelError::PoweredOff`]; the clock and read-only
-    /// observers keep working so the surviving cluster can reason about
-    /// the dead node. There is no power-on — a restarted node boots a
-    /// fresh kernel.
+    /// fails with [`KernelError::PoweredOff`]; read-only observers keep
+    /// working so the surviving cluster can reason about the dead node.
+    /// There is no power-on — a restarted node boots a fresh kernel.
     powered_off: bool,
 }
 
@@ -139,16 +140,27 @@ impl Kernel {
     /// Lock the kernel state. Poisoning is ignored: the state is a plain
     /// value and a panicking worker thread (parallel experiment driver)
     /// must not wedge every other worker sharing this kernel.
+    /// A cluster moves the clock without visiting its nodes, so a queued
+    /// cold-read backlog is drained up to now before anything reads it.
     fn st(&self) -> MutexGuard<'_, KernelState> {
-        self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+        let mut st = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        if st.io_backlog > 0 {
+            st.drain_io();
+        }
+        st
     }
 
-    /// Boot a kernel with the given configuration.
+    /// Boot a standalone kernel on a clock of its own.
     pub fn boot(cfg: KernelConfig) -> Kernel {
+        Kernel::boot_on(cfg, Clock::default())
+    }
+
+    /// Boot a kernel on an existing clock (a cluster's nodes share one).
+    pub fn boot_on(cfg: KernelConfig, clock: Clock) -> Kernel {
         assert!(cfg.ram_bytes > cfg.boot_used_bytes, "RAM must exceed boot footprint");
         assert!(cfg.cores > 0);
         let state = KernelState {
-            clock: SimTime::ZERO,
+            clock,
             vfs: Vfs::new(),
             cgroups: CgroupTree::new(),
             procs: std::collections::BTreeMap::new(),
@@ -159,6 +171,7 @@ impl Kernel {
             faults: FaultPlan::none(),
             io_model: None,
             io_backlog: 0,
+            io_drained_at: SimTime::ZERO,
             powered_off: false,
             cfg,
         };
@@ -183,8 +196,7 @@ impl Kernel {
     /// Ungraceful power loss: no process teardown, no cgroup cleanup —
     /// everything resident simply stops mattering. From here on every
     /// state-mutating call returns [`KernelError::PoweredOff`]; `now`,
-    /// `advance`, `free` and the other read-only observers keep working
-    /// (the cluster clock must not die with one node).
+    /// `free` and the other read-only observers keep working.
     pub fn power_off(&self) {
         self.st().powered_off = true;
     }
@@ -225,21 +237,15 @@ impl Kernel {
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.st().clock
+        self.st().clock.now()
     }
 
-    /// Advance the simulated clock. With an armed [`IoModel`], elapsed time
-    /// also drains the cold-read backlog at the model's disk rate.
+    /// Advance the simulated clock, for every kernel booted on it. With an
+    /// armed [`IoModel`], elapsed time drains the cold-read backlog.
     pub fn advance(&self, d: Duration) {
         let mut st = self.st();
-        st.clock += d;
-        if st.io_backlog > 0 {
-            if let Some(m) = st.io_model {
-                let drained =
-                    (d.as_nanos() as u128 * m.drain_bytes_per_sec as u128 / 1_000_000_000) as u64;
-                st.io_backlog = st.io_backlog.saturating_sub(drained);
-            }
-        }
+        st.clock.advance(d);
+        st.drain_io();
     }
 
     // ----------------------------------------------------------- io pressure
@@ -750,6 +756,20 @@ impl Kernel {
 }
 
 impl KernelState {
+    /// Drain the cold-read backlog, in whole bytes, by the time elapsed
+    /// since it was last drained. Every path that arms the model enters the
+    /// kernel between two clock movements: one floor per movement.
+    fn drain_io(&mut self) {
+        let now = self.clock.now();
+        let elapsed = now.since(self.io_drained_at);
+        self.io_drained_at = now;
+        if let Some(m) = self.io_model {
+            let drained =
+                (elapsed.as_nanos() as u128 * m.drain_bytes_per_sec as u128 / 1_000_000_000) as u64;
+            self.io_backlog = self.io_backlog.saturating_sub(drained);
+        }
+    }
+
     /// Reject state mutation on a powered-off kernel.
     fn check_power(&self) -> KernelResult<()> {
         if self.powered_off {
@@ -918,8 +938,8 @@ impl KernelState {
     /// displacement halves only run when armed, which is what keeps the
     /// default path byte-identical.
     fn io_pressure(&mut self, cg: CgroupId, id: FileId, bytes: u64) -> u64 {
-        let now_ns = self.clock.as_nanos();
-        let throttled = self.cgroups.charge_io_cold(cg, bytes, now_ns);
+        let now = self.clock.now();
+        let throttled = self.cgroups.charge_io_cold(cg, bytes, now.as_nanos());
         let Some(model) = self.io_model else {
             return 0;
         };
@@ -931,6 +951,7 @@ impl KernelState {
             queued = queued.saturating_add(IO_WINDOW_NS);
         }
         self.io_backlog = self.io_backlog.saturating_add(bytes);
+        self.io_drained_at = now;
         if model.displace {
             self.displace_cache(cg, id, bytes);
         }

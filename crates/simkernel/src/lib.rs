@@ -63,6 +63,6 @@ pub use kernel::{FreeReport, IoModel, Kernel, KernelConfig, PAGE_SIZE};
 pub use lifecycle::{Lifecycle, LifecycleState};
 pub use mem::{MapKind, MappingId};
 pub use proc::{Pid, ProcState};
-pub use time::{Duration, SimTime};
+pub use time::{Clock, Duration, SimTime};
 pub use trace::{Phase, StepTrace};
 pub use vfs::FileId;

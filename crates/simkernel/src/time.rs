@@ -6,6 +6,8 @@
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// An instant on the simulated clock, in nanoseconds since kernel boot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -112,6 +114,30 @@ impl Duration {
     }
 }
 
+/// The simulated clock: one instant behind every handle cloned from it. A
+/// standalone [`crate::Kernel`] has its own; a cluster boots every node's
+/// kernel on one ([`crate::Kernel::boot_on`]). One thread drives a
+/// simulation at a time and the value publishes no other data, so accesses
+/// are relaxed and `advance` is a load and a store.
+#[derive(Debug, Clone, Default)]
+pub struct Clock {
+    now_ns: Arc<AtomicU64>,
+}
+
+impl Clock {
+    /// Current simulated time.
+    #[inline]
+    pub fn now(&self) -> SimTime {
+        SimTime(self.now_ns.load(Ordering::Relaxed))
+    }
+
+    /// Move the clock forward by `d` (saturating).
+    #[inline]
+    pub fn advance(&self, d: Duration) {
+        self.now_ns.store((self.now() + d).0, Ordering::Relaxed);
+    }
+}
+
 impl Add<Duration> for SimTime {
     type Output = SimTime;
     #[inline]
@@ -189,6 +215,15 @@ mod tests {
         let d = (t + Duration::from_millis(500)) - t;
         assert_eq!(d.as_millis(), 500);
         assert_eq!(SimTime::ZERO.since(t), Duration::ZERO);
+    }
+
+    #[test]
+    fn clock_handles_share_one_instant() {
+        let (clock, other) = (Clock::default(), Clock::default());
+        let shared = clock.clone();
+        clock.advance(Duration::from_secs(2));
+        shared.advance(Duration::from_millis(500));
+        assert_eq!((clock.now(), other.now()), (SimTime(2_500_000_000), SimTime::ZERO));
     }
 
     #[test]

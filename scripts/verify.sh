@@ -141,4 +141,9 @@ echo "== smoke: traffic (steady cell + overload-and-recover + rollout/HPA scenar
 # degrades), and the live-traffic rollout + HPA scenario passes.
 cargo run --release --offline -p harness --bin traffic -- --smoke >/dev/null
 
+echo "== size: non-blank lines (ROADMAP item 5 reads each PR's delta off this) =="
+count() { find "$@" -not -path '*/target/*' -not -path './.git/*' -print0 | xargs -0 cat | grep -c '[^[:space:]]'; }
+echo "rust (crates/ src/ tests/ examples/): $(count crates src tests examples -name '*.rs')"
+echo "markdown (*.md): $(count . -name '*.md')"
+
 echo "verify: OK"

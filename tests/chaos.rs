@@ -360,11 +360,7 @@ fn zero_attacker_isolation_run_matches_plain_supervised_deploy() {
         .unwrap();
     let mut rounds = 0;
     while !cluster.kubelet().settled() && rounds < plan.max_rounds {
-        let now = cluster.kernel().now();
-        match cluster.kubelet().next_deadline() {
-            Some(deadline) if deadline > now => cluster.kernel().advance(deadline - now),
-            _ => cluster.kernel().advance(Duration::from_secs(1)),
-        }
+        cluster.step();
         cluster.reconcile();
         rounds += 1;
     }

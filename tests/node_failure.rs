@@ -5,14 +5,18 @@
 
 use std::sync::Mutex;
 
+use memwasm::harness::chaos::{hung_liveness_probe, HUNG_IMAGE_REF};
 use memwasm::harness::explorer::{
-    explore, generate_schedule, run_schedule, shrink, ExplorePlan, FaultEvent, InvariantKnobs,
+    explore, generate_schedule, recovery_times, run_schedule, shrink, ExplorePlan, FaultEvent,
+    InvariantKnobs,
 };
 use memwasm::harness::{Config, Workload};
 use memwasm::k8s_sim::{
-    Cluster, DeploymentController, DeploymentSpec, NodeCondition, Policy, RolloutStep,
+    Cluster, DeployOpts, DeploymentController, DeploymentSpec, NodeCondition, Policy, ProbeSpec,
+    RestartPolicy, RolloutStep,
 };
-use memwasm::simkernel::{Duration, KernelConfig, KernelResult};
+use memwasm::simkernel::{Duration, KernelConfig, KernelResult, SimTime};
+use memwasm::workloads::hung_service_image;
 
 /// Serializes every test that mutates the process-wide `HARNESS_THREADS`
 /// environment variable — tests in one binary share the environment.
@@ -37,16 +41,25 @@ fn wamr_cluster(nodes: usize, workload: &Workload) -> KernelResult<Cluster> {
     Ok(cluster)
 }
 
-/// Advance in lease-renewal steps, reconciling controller + kubelets each
-/// step, until `total` simulated time has passed.
-fn drive_for(cluster: &mut Cluster, ctrl: &mut DeploymentController, total: Duration) {
-    let step = cluster.leases.renew_interval;
-    let deadline = cluster.now() + total;
-    while cluster.now() < deadline {
-        cluster.advance(step);
-        cluster.reconcile_controller(ctrl).unwrap();
-        cluster.reconcile();
+/// Pull the rolling-update target on every node: same workload, new tag.
+fn pull_v2(cluster: &mut Cluster, w: &Workload) -> &'static str {
+    let image_v2 = "registry.local/microservice-wasm:v2";
+    for node in 0..cluster.node_count() {
+        let image = memwasm::workloads::wasm_microservice_image(image_v2, &w.wasm);
+        cluster.pull_image_on(node, image).unwrap();
     }
+    image_v2
+}
+
+/// Drive controller rounds until `total` simulated time has passed.
+fn drive_for(cluster: &mut Cluster, ctrl: &mut DeploymentController, total: Duration) {
+    let deadline = cluster.now() + total;
+    let rounds = cluster.run_rounds(usize::MAX, |c| {
+        c.reconcile_controller(ctrl)?;
+        c.reconcile();
+        Ok(c.now() >= deadline)
+    });
+    rounds.unwrap();
 }
 
 #[test]
@@ -114,13 +127,7 @@ fn partition_heal_reconverges_without_double_counting() {
 fn drain_racing_rolling_update_converges_within_budget() {
     let w = Workload::light();
     let mut cluster = wamr_cluster(3, &w).unwrap();
-    // A second image for the update (same workload, new tag).
-    let image_v2 = "registry.local/microservice-wasm:v2";
-    for node in 0..cluster.node_count() {
-        cluster
-            .pull_image_on(node, memwasm::workloads::wasm_microservice_image(image_v2, &w.wasm))
-            .unwrap();
-    }
+    let image_v2 = pull_v2(&mut cluster, &w);
     let spec = DeploymentSpec::new("svc", Config::WamrCrun.image_ref(), "crun-wamr", 6);
     let replicas = spec.replicas;
     let max_unavailable = spec.max_unavailable;
@@ -138,11 +145,13 @@ fn drain_racing_rolling_update_converges_within_budget() {
     // (that loss is the drain's, not the rollout's) — but once readiness
     // recovers into the `maxUnavailable` budget, no rollout step may ever
     // retire it back out of the budget.
-    let mut done = false;
     let mut recovered = false;
-    for _ in 0..200 {
-        let step: RolloutStep = cluster.rollout_step(&mut ctrl).unwrap();
-        let ready = cluster.ready_replicas(&ctrl);
+    let done = cluster.run_rounds(200, |c| {
+        // After a step of the clock the kubelets reconcile before the
+        // rollout decides, as in `Cluster::rolling_update`.
+        c.reconcile();
+        let step: RolloutStep = c.rollout_step(&mut ctrl)?;
+        let ready = c.ready_replicas(&ctrl);
         if recovered {
             assert!(
                 ready + max_unavailable >= replicas,
@@ -150,18 +159,9 @@ fn drain_racing_rolling_update_converges_within_budget() {
             );
         }
         recovered |= ready + max_unavailable >= replicas;
-        if step.done {
-            done = true;
-            break;
-        }
-        let now = cluster.now();
-        match cluster.next_deadline() {
-            Some(d) if d > now => cluster.advance(d - now),
-            _ => cluster.advance(Duration::from_secs(1)),
-        }
-        cluster.reconcile();
-    }
-    assert!(done, "rollout did not converge after the drain");
+        Ok(step.done)
+    });
+    assert!(done.unwrap().is_some(), "rollout did not converge after the drain");
     assert!(ctrl.replicas.iter().all(|r| r.revision == 2));
     assert!(ctrl.replicas.iter().all(|r| r.node != victim), "{:?}", ctrl.replicas);
     assert_eq!(cluster.ready_replicas(&ctrl), replicas);
@@ -221,4 +221,66 @@ fn broken_invariant_is_caught_shrunk_and_reproducible() {
         let reshrunk = shrink(&plan, c.full.seed, &regenerated, &w, knobs).unwrap().unwrap();
         assert_eq!(reshrunk, c.shrunk);
     }
+}
+
+#[test]
+fn golden_recovery_times_and_explorer_rounds() {
+    // EXPERIMENTS.md's regression canary. These are statements about one
+    // timeline and about how often the round loop stepped it: a change to
+    // the order of reconcile, step and predicate moves them.
+    let w = Workload::light();
+    let secs = Duration::from_secs;
+    let s = recovery_times(Config::WamrCrun, &w).unwrap();
+    assert_eq!((s.detect, s.crash_reconverge, s.heal_reconverge), (secs(41), secs(71), secs(1)));
+
+    let plan = ExplorePlan::smoke(0xC4A0_5EED);
+    for i in 0..3 {
+        let seed = plan.schedule_seed(i);
+        let events = generate_schedule(seed, plan.nodes, plan.max_events);
+        let o = run_schedule(&plan, seed, &events, &w, InvariantKnobs::default()).unwrap();
+        assert_eq!(o.rounds, 90, "schedule {i} {events:?}");
+    }
+
+    // `settle_controller` stops between a round's reconcile and its step;
+    // `rolling_update` has the kubelets reconcile again after each step.
+    let mut cluster = wamr_cluster(3, &w).unwrap();
+    let image_v2 = pull_v2(&mut cluster, &w);
+    let mut spec = DeploymentSpec::new("svc", Config::WamrCrun.image_ref(), "crun-wamr", 6);
+    spec.opts.readiness_probe = Some(ProbeSpec { initial_delay: secs(2), ..ProbeSpec::default() });
+    let mut ctrl = DeploymentController::new(spec);
+    assert!(cluster.settle_controller(&mut ctrl, 100).unwrap());
+    let settled_at = cluster.now();
+    let report = cluster.rolling_update(&mut ctrl, image_v2, 100).unwrap();
+    assert!(report.converged);
+    let rolled_in = cluster.now().since(settled_at);
+    assert_eq!(
+        (settled_at.since(SimTime::ZERO), report.rounds, rolled_in),
+        (secs(2), 12, secs(17))
+    );
+}
+
+#[test]
+fn wedged_drain_on_one_node_moves_every_nodes_clock() {
+    // Draining a wedged pod rides out its grace period on the simulated
+    // clock. That wait is cluster time: every node's kernel and the
+    // cluster must agree on it afterwards.
+    let w = Workload::light();
+    let mut cluster = wamr_cluster(2, &w).unwrap();
+    let ready_after = (cluster.now() + Duration::from_secs(60)).as_nanos();
+    for node in 0..cluster.node_count() {
+        cluster.pull_image_on(node, hung_service_image(HUNG_IMAGE_REF, ready_after)).unwrap();
+    }
+    let opts = DeployOpts {
+        restart: RestartPolicy::Always,
+        liveness_probe: Some(hung_liveness_probe()),
+        ..Default::default()
+    };
+    cluster.deploy_with("hung", HUNG_IMAGE_REF, "crun-wamr", 2, opts).unwrap();
+    assert_eq!(cluster.node(1).kubelet.pod_count(), 1);
+    let before = cluster.now();
+    cluster.drain_node(1).unwrap();
+    for node in &cluster.nodes {
+        assert_eq!(node.kernel.now(), cluster.now(), "node {}", node.index);
+    }
+    assert_eq!(cluster.now().since(before), Duration::from_secs(30), "the default grace");
 }
