@@ -14,9 +14,9 @@
 
 use std::collections::BTreeMap;
 
-use container_runtimes::handler::{resolve_module, wasi_spec_from_oci};
+use container_runtimes::handler::{ContainerHandler, WasmEngineHandler};
 use container_runtimes::{Container, ContainerState, LowLevelRuntime, RuntimeCtx};
-use engines::{execute_wasm_opts, Embedding, EngineKind, ExecOptions};
+use engines::{Embedding, EngineKind};
 use oci_spec_lite::{Bundle, Image, ImageStore, RuntimeSpec};
 use simkernel::image::charge_anon;
 use simkernel::{
@@ -426,28 +426,15 @@ impl Containerd {
                 container.epoch_clock = oci.epoch_clock.clone();
             }
             RuntimeClass::Runwasi { engine, fuel } => {
-                // The shim executes the module in-process.
-                let module = resolve_module(&container.bundle, &container.spec)?;
-                let wasi = wasi_spec_from_oci(&container.bundle, &container.spec);
-                let (instantiate_churn, io_churn) = container_runtimes::handler::adversarial_opts(
-                    &container.bundle,
-                    &container.spec,
-                );
-                let mut run = execute_wasm_opts(
-                    &self.kernel,
-                    shim_pid,
-                    engine.profile(),
-                    module,
-                    &wasi,
-                    *fuel,
-                    ExecOptions {
-                        embedding: Embedding::Crate,
-                        epoch_budget: container.spec.watchdog_budget_ns().map(Duration::from_nanos),
-                        instantiate_churn,
-                        io_churn,
-                        ..Default::default()
-                    },
-                )?;
+                // The shim executes the module in-process: crun's engine
+                // handler, embedded as a crate, in the shim's pid.
+                let shim = WasmEngineHandler {
+                    profile: engine.profile(),
+                    embedding: Embedding::Crate,
+                    fuel: *fuel,
+                };
+                let mut run =
+                    shim.execute(&self.kernel, shim_pid, &container.bundle, &container.spec)?;
                 trace.append(&mut run.trace);
                 container.stdout = run.stdout;
                 container.wedged = run.interrupted;

@@ -5,8 +5,12 @@
 //! to per-container runtimes, a *sandboxer* owns a pod-level sandbox that
 //! can host many containers inside **one** runtime instance. For Wasm that
 //! means a single engine per pod with one module instance per container —
-//! the engine baseline, library mapping and (for Wasmtime) code cache are
-//! paid once per pod rather than once per container.
+//! the engine library mapping and baseline are paid once per pod rather
+//! than once per container: [`engines::load_engine`] once per sandbox
+//! process, [`engines::run_module`] once per container — the two stages a
+//! crun handler or a runwasi shim runs back to back, so a container here
+//! meets the same fault site, watchdog, code cache and `cpu.max` charge
+//! as a container anywhere else.
 //!
 //! This module implements that future integration so it can be benchmarked
 //! against the paper's WAMR-crun integration (`examples/sandbox_api.rs`):
@@ -14,10 +18,9 @@
 //! equivalent, but as containers-per-pod grows the sandboxer amortizes the
 //! per-pod costs that WAMR-crun pays per container.
 
-use container_runtimes::handler::wasi_spec_from_oci;
-use engines::{execute_wasm_opts, Embedding, EngineKind, ExecOptions};
+use container_runtimes::handler::guest_from_oci;
+use engines::{load_engine, run_module, Embedding, EngineKind, ExecOptions, LoadedEngine};
 use oci_spec_lite::{Bundle, Image, RuntimeSpec};
-use simkernel::image::{charge_anon, map_shared};
 use simkernel::{
     CgroupId, Duration, Kernel, KernelError, KernelResult, Phase, Pid, ProcessImage, Step,
     StepTrace,
@@ -31,7 +34,8 @@ pub struct WasmSandbox {
     pub pid: Pid,
     fuel: u64,
     containers: Vec<SandboxContainer>,
-    engine_loaded: bool,
+    /// What `load_engine` returned, once a container has paid for it.
+    engine: Option<LoadedEngine<'static>>,
     /// Bundles owned by this sandbox (destroyed with it).
     bundles: Vec<Bundle>,
     /// Steps accumulated across sandbox + container startups, tagged with
@@ -45,6 +49,9 @@ pub struct SandboxContainer {
     pub id: String,
     pub stdout: Vec<u8>,
     pub exit_code: i32,
+    /// The guest overstayed its watchdog epoch budget during start: the
+    /// instance is up and keeps its memory, but never reached ready.
+    pub wedged: bool,
 }
 
 /// The Kuasar-style Wasm sandboxer.
@@ -78,15 +85,17 @@ impl WasmSandboxer {
             pid,
             fuel: self.fuel,
             containers: Vec::new(),
-            engine_loaded: false,
+            engine: None,
             bundles: Vec::new(),
             trace,
         })
     }
 
-    /// Add (and start) a container inside the sandbox. The engine baseline
-    /// is charged only for the first container; later containers pay only
-    /// their instance and linear memory.
+    /// Add (and start) a container inside the sandbox. The engine library
+    /// and baseline are charged only for the first container; later
+    /// containers pay only what a guest costs. On `Err` the sandbox — its
+    /// process, its other containers, its bundles — is as it was before the
+    /// call, and the same `id` can be added again.
     pub fn add_container(
         &self,
         sandbox: &mut WasmSandbox,
@@ -106,60 +115,37 @@ impl WasmSandboxer {
         }
         let bundle =
             Bundle::create(&self.kernel, &format!("{}-{id}", sandbox.pod_id), image, &spec)?;
-        let resolved = container_runtimes::handler::resolve_module(&bundle, &spec);
-        let module = match resolved {
-            Ok(m) => m,
-            Err(e) => {
-                let _ = bundle.destroy(&self.kernel);
-                return Err(e);
-            }
-        };
-        let wasi = wasi_spec_from_oci(&bundle, &spec);
-
-        // First container loads the engine into the sandbox process; later
-        // ones share it (their run charges skip lib+baseline because the
-        // mapping already exists in this PROCESS — modelled by the
-        // shared-lib path being page-cache warm and the baseline being
-        // charged only once). The flag is set only on SUCCESS: a failed
-        // first container must not leave the sandbox believing the engine
-        // is initialized.
-        let opts = ExecOptions { embedding: Embedding::Crate, ..Default::default() };
-        let run = if !sandbox.engine_loaded {
-            execute_wasm_opts(
-                &self.kernel,
-                sandbox.pid,
-                self.engine.profile(),
-                module,
-                &wasi,
-                sandbox.fuel,
-                opts,
-            )
-        } else {
-            // Subsequent containers: instantiate only — decode/validate/run
-            // the module in-process without re-charging engine lib/baseline.
-            crate::sandbox_api::instance_only(
-                &self.kernel,
-                sandbox.pid,
-                self.engine,
-                module,
-                &wasi,
-                sandbox.fuel,
-            )
-        };
-        let mut run = match run {
-            Ok(r) => r,
-            Err(e) => {
-                let _ = bundle.destroy(&self.kernel);
-                return Err(e);
-            }
-        };
-        sandbox.engine_loaded = true;
+        let started = (|| {
+            let base = ExecOptions { embedding: Embedding::Crate, ..Default::default() };
+            let (module, wasi, opts) = guest_from_oci(&bundle, &spec, base)?;
+            // The first container loads the engine and the sandbox keeps
+            // what that returned: later containers — and the retry of a
+            // first container whose *guest* failed — go straight to
+            // `run_module`. A failed load rolled itself back.
+            let engine = match sandbox.engine {
+                Some(engine) => engine,
+                None => {
+                    let (engine, mut load) =
+                        load_engine(&self.kernel, sandbox.pid, self.engine.profile(), opts)?;
+                    sandbox.trace.append(&mut load);
+                    *sandbox.engine.insert(engine)
+                }
+            };
+            let fresh = StepTrace::new();
+            run_module(&self.kernel, sandbox.pid, engine, module, &wasi, sandbox.fuel, opts, fresh)
+        })();
+        let mut run = started.inspect_err(|_| {
+            // The sandbox process survives a failed guest and both stages
+            // left it as they found it: only the bundle is ours to undo.
+            let _ = bundle.destroy(&self.kernel);
+        })?;
         sandbox.bundles.push(bundle);
         sandbox.trace.append(&mut run.trace);
         sandbox.containers.push(SandboxContainer {
             id: id.to_string(),
             stdout: run.stdout,
             exit_code: run.exit_code,
+            wedged: run.interrupted,
         });
         Ok(())
     }
@@ -180,103 +166,6 @@ impl WasmSandbox {
     pub fn containers(&self) -> &[SandboxContainer] {
         &self.containers
     }
-}
-
-/// Run a module in an already-initialized engine process: per-instance
-/// costs only (module decode/validate/execute + instance + linear memory).
-///
-/// This is a deliberately narrowed sibling of
-/// [`engines::execute_wasm_opts`]: it skips the engine-library/baseline
-/// charging (the sandbox process already carries them) and does not consult
-/// Wasmtime's on-disk code cache (the in-process engine's own compiled
-/// artifacts are warm after the first container). When changing the charge
-/// pipeline in `engines::exec`, mirror the per-instance parts here.
-fn instance_only(
-    kernel: &Kernel,
-    pid: Pid,
-    engine: EngineKind,
-    module_file: simkernel::FileId,
-    wasi: &engines::WasiSpec,
-    fuel: u64,
-) -> KernelResult<engines::EngineRun> {
-    use bytelite::Bytes;
-    use wasm_core::{decode_module, Instance, InstanceConfig, Trap};
-
-    let profile = engine.profile();
-    let mut trace = StepTrace::new();
-
-    let module_size = kernel.file_size(module_file)?;
-    // Warm by construction: the first container's full run already faulted
-    // the module in, so the cold-read result is ignored (no I/O step), as
-    // before the ProcessImage refactor.
-    let _warm = map_shared(kernel, pid, module_file, module_size, module_size, "module.wasm")?;
-    let bytes: Bytes = kernel
-        .read_file(pid, module_file)?
-        .ok_or_else(|| KernelError::InvalidState("module has no content".into()))?;
-    let module = std::sync::Arc::new(
-        decode_module(bytes).map_err(|e| KernelError::InvalidState(format!("bad module: {e}")))?,
-    );
-    trace.push(
-        Phase::ModuleLoad,
-        Step::Cpu(Duration::from_nanos(module_size * profile.validate_ns_per_byte)),
-    );
-
-    let mut ctx = wasi_sys::WasiCtx::new(kernel.clone(), pid)
-        .args(wasi.args.iter().cloned())
-        .envs(wasi.env.iter().cloned());
-    for (guest, host) in &wasi.preopens {
-        ctx = ctx.preopen(guest.clone(), host.clone());
-    }
-    let stdout = ctx.stdout_handle();
-    let stderr = ctx.stderr_handle();
-
-    let config = InstanceConfig { tier: profile.tier, fuel: Some(fuel), ..Default::default() };
-    let mut inst = Instance::instantiate(module, ctx.into_imports(), config)
-        .map_err(|e| KernelError::InvalidState(format!("instantiate: {e}")))?;
-    trace.push(Phase::Instantiate, Step::Cpu(profile.instantiate));
-    let exit_code = match inst.run_start() {
-        Ok(()) => 0,
-        Err(Trap::Exit(code)) => code,
-        Err(t) => return Err(KernelError::InvalidState(format!("guest trapped: {t}"))),
-    };
-    let stats = inst.stats();
-    trace.push(
-        Phase::Exec,
-        Step::Cpu(Duration::from_nanos(stats.instrs_retired * profile.exec_ns_per_instr)),
-    );
-
-    // Per-instance memory: compiled code (if eager), metadata, linear mem.
-    if profile.eager_compile() {
-        let code_bytes =
-            ((stats.lowered_bytes as f64 * profile.code_metadata_factor) as u64).max(4096);
-        trace.push(
-            Phase::Compile,
-            Step::Cpu(Duration::from_nanos(module_size * profile.compile_ns_per_byte)),
-        );
-        charge_anon(kernel, pid, code_bytes, "jit-code")?;
-    } else if stats.side_table_bytes > 0 {
-        charge_anon(kernel, pid, stats.side_table_bytes, "side-tables")?;
-    }
-    charge_anon(kernel, pid, profile.embedded_per_instance, "instance-meta")?;
-    if let Some(mem) = inst.memory() {
-        let bytes = mem.size_bytes() as u64;
-        if bytes > 0 {
-            charge_anon(kernel, pid, bytes, "linear-memory")?;
-        }
-    }
-
-    let stdout = stdout.borrow().clone();
-    let stderr = stderr.borrow().clone();
-    Ok(engines::EngineRun {
-        trace,
-        stdout,
-        stderr,
-        exit_code,
-        stats,
-        cache_hit: true,
-        interrupted: false,
-        epoch_clock: None,
-    })
 }
 
 #[cfg(test)]
@@ -347,6 +236,114 @@ mod tests {
             marginal * 2 < after_first,
             "second container ({marginal} B) must cost well under half the first ({after_first} B)"
         );
+    }
+
+    #[test]
+    fn six_container_pod_working_sets_are_pinned() {
+        // `examples/sandbox_api` on this module's image (the `workloads`
+        // microservice the example deploys is not a dependency of this
+        // crate; `tests/full_stack.rs` pins the example's own numbers): six
+        // containers in one pod, WAMR-crun against the sandboxer, in bytes.
+        let (kernel, image) = setup();
+        container_runtimes::profile::install_runtimes(&kernel).unwrap();
+        let ctx = container_runtimes::RuntimeCtx {
+            runtime_cgroup: kernel.cgroup_create(Kernel::ROOT_CGROUP, "system").unwrap(),
+        };
+        let rt = wamr_crun::wamr_crun_runtime(kernel.clone(), Default::default());
+        let pod_a = kernel.cgroup_create(Kernel::ROOT_CGROUP, "pod-crun").unwrap();
+        for i in 0..6 {
+            let id = format!("a{i}");
+            let mut spec = RuntimeSpec::for_command(&id, image.command());
+            spec.annotations.extend(image.config.annotations.clone());
+            let bundle = Bundle::create(&kernel, &id, &image, &spec).unwrap();
+            let mut c = rt.create(&ctx, &id, &bundle, pod_a).unwrap();
+            rt.start(&ctx, &mut c, &bundle).unwrap();
+        }
+        let pod_b = kernel.cgroup_create(Kernel::ROOT_CGROUP, "pod-sandbox").unwrap();
+        let sandboxer = WasmSandboxer::new(kernel.clone(), EngineKind::Wamr);
+        let mut sandbox = sandboxer.create_sandbox("pod-sandbox", pod_b).unwrap();
+        for i in 0..6 {
+            sandboxer.add_container(&mut sandbox, &format!("b{i}"), &image).unwrap();
+        }
+        let working_set = |pod| kernel.cgroup_working_set(pod).unwrap();
+        assert_eq!((working_set(pod_a), working_set(pod_b)), (8_765_440, 1_835_008));
+    }
+
+    #[test]
+    fn every_sandbox_container_is_charged_for_its_guest_cpu() {
+        let (kernel, image) = setup();
+        let pod = kernel.cgroup_create(Kernel::ROOT_CGROUP, "pod").unwrap();
+        kernel.cgroup_set_cpu_max(pod, Some((1_000_000, 100_000_000))).unwrap();
+        let sandboxer = WasmSandboxer::new(kernel.clone(), EngineKind::Wamr);
+        let mut sandbox = sandboxer.create_sandbox("p", pod).unwrap();
+        let mut throttled = 0;
+        for i in 0..4 {
+            sandboxer.add_container(&mut sandbox, &format!("c{i}"), &image).unwrap();
+            let now = kernel.cgroup_stats(pod).unwrap().cpu_throttled_ns;
+            assert!(now > throttled, "container {i} ran for free: {throttled} -> {now}");
+            throttled = now;
+        }
+    }
+
+    #[test]
+    fn failed_guest_start_leaves_the_sandbox_as_it_found_it() {
+        use simkernel::{FaultPlan, FaultSite};
+        let (kernel, image) = setup();
+        let sandboxer = WasmSandboxer::new(kernel.clone(), EngineKind::Wasmtime);
+        let pod = kernel.cgroup_create(Kernel::ROOT_CGROUP, "pod").unwrap();
+        let mut sandbox = sandboxer.create_sandbox("p", pod).unwrap();
+        for i in 0..3 {
+            sandboxer.add_container(&mut sandbox, &format!("c{i}"), &image).unwrap();
+        }
+        let state = |sandbox: &WasmSandbox| {
+            (
+                kernel.cgroup_working_set(sandbox.pod_cgroup).unwrap(),
+                kernel.proc_rss(sandbox.pid).unwrap(),
+                kernel.live_procs(),
+                sandbox.containers().len(),
+            )
+        };
+
+        // The fourth guest meets the fault site every guest start has,
+        // before any instance state exists.
+        let before = state(&sandbox);
+        kernel.set_fault_plan(FaultPlan::new(1).fail_call(FaultSite::EngineInstantiate, 0));
+        let err = sandboxer.add_container(&mut sandbox, "c3", &image);
+        assert!(matches!(err, Err(KernelError::FaultInjected(FaultSite::EngineInstantiate))));
+        assert_eq!(kernel.faults_injected(FaultSite::EngineInstantiate), 1);
+        assert_eq!(state(&sandbox), before);
+        // No bundle left behind: the same id starts on retry.
+        sandboxer.add_container(&mut sandbox, "c3", &image).unwrap();
+
+        // The fault lands on a fork-bomb spin instead: code, instance
+        // metadata and linear memory are all charged by then.
+        let mut churning = image.clone();
+        churning
+            .config
+            .annotations
+            .insert(oci_spec_lite::INSTANTIATE_CHURN_ANNOTATION.to_string(), "2".to_string());
+        let before = state(&sandbox);
+        kernel.set_fault_plan(FaultPlan::new(1).fail_call(FaultSite::EngineInstantiate, 1));
+        let err = sandboxer.add_container(&mut sandbox, "c4", &churning);
+        assert!(matches!(err, Err(KernelError::FaultInjected(FaultSite::EngineInstantiate))));
+        assert_eq!(state(&sandbox), before);
+        sandboxer.add_container(&mut sandbox, "c4", &churning).unwrap();
+
+        // A *first* container whose engine load fails after the library is
+        // mapped (the baseline heap is the first anonymous charge): the
+        // retry must not map the library a second time.
+        let clean_pod = kernel.cgroup_create(Kernel::ROOT_CGROUP, "clean").unwrap();
+        let mut clean = sandboxer.create_sandbox("clean", clean_pod).unwrap();
+        sandboxer.add_container(&mut clean, "c0", &image).unwrap();
+        let retry_pod = kernel.cgroup_create(Kernel::ROOT_CGROUP, "retry").unwrap();
+        let mut retried = sandboxer.create_sandbox("retry", retry_pod).unwrap();
+        let before = state(&retried);
+        kernel.set_fault_plan(FaultPlan::new(1).fail_call(FaultSite::MmapCharge, 0));
+        let err = sandboxer.add_container(&mut retried, "c0", &image);
+        assert!(matches!(err, Err(KernelError::FaultInjected(FaultSite::MmapCharge))));
+        assert_eq!(state(&retried), before);
+        sandboxer.add_container(&mut retried, "c0", &image).unwrap();
+        assert_eq!(state(&retried), state(&clean), "one library, one baseline");
     }
 
     #[test]

@@ -2,31 +2,32 @@
 //!
 //! This crate implements the integration described in §III-C of *Memory
 //! Efficient WebAssembly Containers*, structured around the paper's three
-//! aspects:
+//! aspects, each of which is one function [`WamrHandler`] calls:
 //!
-//! 1. **Dynamic library loading** — the WAMR shared library is dlopen'ed
-//!    at container start, only when a Wasm container actually runs. Its
-//!    text pages are file-backed and therefore resident **once per node**
-//!    regardless of container count; non-Wasm containers never pay for it.
+//! 1. **Dynamic library loading** — [`engines::load_engine`]: the WAMR
+//!    shared library is dlopen'ed at container start, only when a Wasm
+//!    container actually runs. Its text pages are file-backed and therefore
+//!    resident **once per node** regardless of container count; non-Wasm
+//!    containers never pay for it.
 //!    ([`WamrCrunConfig::dynamic_lib_loading`] disables the sharing to
 //!    model a statically-linked build — the `ablation_dlopen` bench.)
-//! 2. **WASI argument handling** — the OCI `process.args`, `process.env`
-//!    and rootfs mounts are plumbed into the module's WASI context
-//!    (arguments, environment variables, pre-opened directories), so
-//!    existing containerized workflows run unchanged.
-//! 3. **Sandboxed execution** — each module executes in its own container
-//!    process, inside the namespaces and cgroup the runtime created, with
-//!    an instruction budget; WAMR's in-place interpreter keeps per-instance
-//!    memory to the module bytes (shared, from the page cache) plus small
-//!    control side-tables.
+//! 2. **WASI argument handling** —
+//!    [`container_runtimes::handler::guest_from_oci`]: the OCI
+//!    `process.args`, `process.env` and rootfs mounts are plumbed into the
+//!    module's WASI context (arguments, environment variables, pre-opened
+//!    directories), so existing containerized workflows run unchanged.
+//! 3. **Sandboxed execution** — [`engines::run_module`]: each module
+//!    executes in its own container process, inside the namespaces and
+//!    cgroup the runtime created, with an instruction budget; WAMR's
+//!    in-place interpreter keeps per-instance memory to the module bytes
+//!    (shared, from the page cache) plus small control side-tables.
+//!    (`engines::execute_wasm_opts` is 1, then 3.)
 //!
 //! [`wamr_crun_runtime`] assembles the modified crun: the standard crun
 //! lifecycle from `container-runtimes` with the [`WamrHandler`] registered
 //! ahead of the stock handlers.
 
-use container_runtimes::handler::{
-    resolve_module, wasi_spec_from_oci, ContainerHandler, HandlerOutcome, PauseHandler,
-};
+use container_runtimes::handler::{guest_from_oci, ContainerHandler, HandlerOutcome, PauseHandler};
 use container_runtimes::profile::CRUN;
 use container_runtimes::LowLevelRuntime;
 use engines::profile::WAMR;
@@ -86,33 +87,13 @@ impl ContainerHandler for WamrHandler {
         bundle: &Bundle,
         spec: &RuntimeSpec,
     ) -> KernelResult<HandlerOutcome> {
-        let module = resolve_module(bundle, spec)?;
-        let wasi = wasi_spec_from_oci(bundle, spec);
-        let (instantiate_churn, io_churn) =
-            container_runtimes::handler::adversarial_opts(bundle, spec);
-        let run = execute_wasm_opts(
-            kernel,
-            pid,
-            &WAMR,
-            module,
-            &wasi,
-            self.config.fuel,
-            ExecOptions {
-                share_lib: self.config.dynamic_lib_loading,
-                share_module: self.config.share_modules,
-                embedding: engines::Embedding::CApi,
-                epoch_budget: spec.watchdog_budget_ns().map(simkernel::Duration::from_nanos),
-                instantiate_churn,
-                io_churn,
-            },
-        )?;
-        Ok(HandlerOutcome {
-            trace: run.trace,
-            stdout: run.stdout,
-            exit_code: run.exit_code,
-            interrupted: run.interrupted,
-            epoch_clock: run.epoch_clock,
-        })
+        let base = ExecOptions {
+            share_lib: self.config.dynamic_lib_loading,
+            share_module: self.config.share_modules,
+            ..Default::default()
+        };
+        let (module, wasi, opts) = guest_from_oci(bundle, spec, base)?;
+        Ok(execute_wasm_opts(kernel, pid, &WAMR, module, &wasi, self.config.fuel, opts)?.into())
     }
 }
 

@@ -1,16 +1,22 @@
 //! End-to-end Wasm execution inside a simulated container process.
 //!
-//! [`execute_wasm`] performs the *real* pipeline — read module bytes from
+//! A guest starts in two stages. [`load_engine`], once per process, dlopens
+//! the engine library and pays the embedding's baseline; [`run_module`],
+//! once per guest, performs the *real* pipeline — read module bytes from
 //! the VFS, decode, validate, (eagerly compile), instantiate with WASI, run
 //! `_start` — while charging every resident byte to the process in the
 //! simulated kernel and emitting the DES latency steps each stage costs.
-//! The container runtimes (crun handlers) and the runwasi shims are thin
-//! wrappers around this function; the figures fall out of what it charges.
+//! [`execute_wasm_opts`] is "load, then run", what the container runtimes
+//! (crun handlers) and the runwasi shims call; a sandbox process hosting
+//! many guests loads once. The figures fall out of what the two charge.
 
 use bytelite::Bytes;
-use simkernel::image::{charge_anon, map_cow, map_shared, ProcessImage};
+use simkernel::image::{
+    charge_anon, charge_cpu, map_cow, map_shared, watchdog_ticks, ProcessImage, Rollback,
+};
 use simkernel::{Duration, FileId, Kernel, KernelResult, Phase, Pid, Step, StepTrace};
 use wasi_sys::WasiCtx;
+use wasm_core::cache::content_hash;
 use wasm_core::{
     ArtifactCache, EpochClock, EpochConfig, ExecStats, Instance, InstanceConfig, Trap,
 };
@@ -60,14 +66,12 @@ pub struct ExecOptions {
     /// Embedding flavor (baseline/per-instance footprint selection).
     pub embedding: Embedding,
     /// Optional epoch-watchdog budget: the guest-time allowance before the
-    /// engine interrupts the run. The budget is converted to epoch ticks
-    /// through the profile's execution-time model, so interruption is
-    /// deterministic in retired instructions. `None` (the default) runs
-    /// without a watchdog — the figure paths are byte-identical. When the
-    /// pod's cgroup carries a `cpu.max` quota, the instruction budget is
-    /// scaled by quota/period: a throttled guest retires fewer instructions
-    /// per unit of wall time, so the same wall-time allowance catches a
-    /// spinner that an unthrottled deadline would let dodge.
+    /// engine interrupts the run. [`watchdog_ticks`] converts it to epoch
+    /// ticks through the profile's execution-time model and the pod's
+    /// `cpu.max`, so interruption is deterministic in retired instructions
+    /// and a throttled spinner cannot dodge a wall-time deadline. `None`
+    /// (the default) runs without a watchdog — the figure paths are
+    /// byte-identical.
     pub epoch_budget: Option<Duration>,
     /// Adversarial knob: after `_start`, re-instantiate the module this many
     /// times (a fork-bomb through the real `EngineInstantiate` fault site
@@ -129,21 +133,17 @@ pub fn install_engines(kernel: &Kernel) -> KernelResult<()> {
     Ok(())
 }
 
-fn io_step(bytes: u64) -> Step {
-    Step::disk_read(bytes)
+/// What [`load_engine`] hands [`run_module`]: the engine this process
+/// loaded and what one instance costs under the embedding it was loaded
+/// with, so the two stages cannot disagree about the embedding.
+#[derive(Debug, Clone, Copy)]
+pub struct LoadedEngine<'p> {
+    profile: &'p EngineProfile,
+    per_instance: u64,
 }
 
-/// FNV-1a over module bytes: the content-addressed cache key.
-fn content_hash(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// Execute `module_file` with engine `profile` inside process `pid`.
+/// Execute `module_file` with engine `profile` inside process `pid`:
+/// [`load_engine`], then [`run_module`].
 ///
 /// All resident memory is charged to `pid`'s cgroup via the kernel; the
 /// mappings stay alive after this returns (the container keeps running).
@@ -153,19 +153,6 @@ fn content_hash(bytes: &[u8]) -> u64 {
 /// N simultaneously starting containers the first pays the cold-read I/O
 /// and the rest hit the cache — a close approximation of N readers blocking
 /// on one fill.
-pub fn execute_wasm(
-    kernel: &Kernel,
-    pid: Pid,
-    profile: &EngineProfile,
-    module_file: FileId,
-    wasi: &WasiSpec,
-    fuel: u64,
-) -> KernelResult<EngineRun> {
-    execute_wasm_opts(kernel, pid, profile, module_file, wasi, fuel, ExecOptions::default())
-}
-
-/// [`execute_wasm`] with explicit sharing options.
-#[allow(clippy::too_many_arguments)]
 pub fn execute_wasm_opts(
     kernel: &Kernel,
     pid: Pid,
@@ -175,6 +162,24 @@ pub fn execute_wasm_opts(
     fuel: u64,
     opts: ExecOptions,
 ) -> KernelResult<EngineRun> {
+    let (engine, trace) = load_engine(kernel, pid, profile, opts)?;
+    run_module(kernel, pid, engine, module_file, wasi, fuel, opts, trace)
+}
+
+/// Stage one, once per process (paper §III-C aspect 1): dlopen the engine
+/// library and pay link cost, the embedding's baseline heap, init CPU and
+/// load I/O. Returns the value [`run_module`] takes and the steps this cost.
+///
+/// On `Err` the process is left as it was found — whatever the stage
+/// mapped is unmapped again — so one that outlives the failure (a sandbox)
+/// can simply call again.
+pub fn load_engine<'p>(
+    kernel: &Kernel,
+    pid: Pid,
+    profile: &'p EngineProfile,
+    opts: ExecOptions,
+) -> KernelResult<(LoadedEngine<'p>, StepTrace)> {
+    let rollback = Rollback::arm(kernel, pid)?;
     let mut trace = StepTrace::new();
 
     // --- dlopen the engine library -------------------------------------
@@ -209,18 +214,44 @@ pub fn execute_wasm_opts(
             Embedding::Crate => profile.embedded_load_io,
         }),
     );
+    rollback.commit();
+    Ok((LoadedEngine { profile, per_instance }, trace))
+}
+
+/// Stage two, once per guest (paper §III-C aspect 3): map and decode the
+/// module, build its WASI context, instantiate and run `_start` under the
+/// fuel budget and the optional watchdog, then charge what the run built
+/// and the guest CPU it burned. `trace` holds the steps this start has
+/// already cost (the engine load's, when the same start paid for it); the
+/// guest's follow them in [`EngineRun::trace`].
+///
+/// On `Err` the process is left as it was found, as for [`load_engine`]. A
+/// watchdog interruption is not an `Err`: see [`EngineRun::interrupted`].
+#[allow(clippy::too_many_arguments)]
+pub fn run_module(
+    kernel: &Kernel,
+    pid: Pid,
+    engine: LoadedEngine<'_>,
+    module_file: FileId,
+    wasi: &WasiSpec,
+    fuel: u64,
+    opts: ExecOptions,
+    mut trace: StepTrace,
+) -> KernelResult<EngineRun> {
+    let rollback = Rollback::arm(kernel, pid)?;
+    let LoadedEngine { profile, per_instance } = engine;
 
     // --- load the module -----------------------------------------------
     let module_size = kernel.file_size(module_file)?;
     if opts.share_module {
         if map_shared(kernel, pid, module_file, module_size, module_size, "module.wasm")?.is_some()
         {
-            trace.push(Phase::ModuleLoad, io_step(module_size));
+            trace.push(Phase::ModuleLoad, Step::disk_read(module_size));
         }
     } else {
         // Ablation: the engine copies the module into a private buffer.
         charge_anon(kernel, pid, module_size, "module-copy")?;
-        trace.push(Phase::ModuleLoad, io_step(module_size));
+        trace.push(Phase::ModuleLoad, Step::disk_read(module_size));
     }
     let bytes: Bytes = kernel
         .read_file(pid, module_file)?
@@ -254,28 +285,18 @@ pub fn execute_wasm_opts(
     // exhaustion, linker race) surfaces here, before any instance state is
     // built, so a retry of the whole pipeline can succeed.
     kernel.inject_fault(simkernel::FaultSite::EngineInstantiate)?;
-    // Epoch watchdog: convert the time budget to deadline ticks through the
-    // same execution-time model the Exec step below charges with, so the
-    // trap point is a pure function of the profile, the budget, and the
-    // pod's cpu.max. Under a quota the guest only gets quota/period of each
-    // wall-time window, so the instruction allowance shrinks by that ratio —
-    // throttling stretches the guest's wall time rather than granting it
-    // more retired instructions.
-    let cpu_quota = kernel.cgroup_effective_cpu_max(kernel.proc_cgroup(pid)?)?;
-    let epoch = opts.epoch_budget.map(|budget| {
-        let mut budget_ns = budget.as_nanos();
-        if let Some((quota, period)) = cpu_quota {
-            if quota < period {
-                budget_ns = (budget_ns as u128 * quota as u128 / period as u128) as u64;
-            }
-        }
-        let instrs = budget_ns / profile.exec_ns_per_instr.max(1);
-        EpochConfig {
+    // Epoch watchdog: the time budget becomes deadline ticks through the
+    // same execution-time model the Exec step below charges with, scaled
+    // by the pod's cpu.max.
+    let ns_per_tick = profile.exec_ns_per_instr.max(1) * EPOCH_TICK_INSTRS;
+    let epoch = match opts.epoch_budget {
+        Some(budget) => Some(EpochConfig {
             clock: EpochClock::new(),
-            deadline: (instrs / EPOCH_TICK_INSTRS).max(1),
+            deadline: watchdog_ticks(kernel, pid, budget, ns_per_tick)?,
             tick_instrs: EPOCH_TICK_INSTRS,
-        }
-    });
+        }),
+        None => None,
+    };
     let config =
         InstanceConfig { tier: profile.tier, fuel: Some(fuel), epoch, max_call_depth: 1024 };
     // The cache validated the module on insertion; skip re-validating per
@@ -321,7 +342,7 @@ pub fn execute_wasm_opts(
                     cache_hit = true;
                     if map_cow(kernel, pid, artifact, stats.lowered_bytes, "code-cache")?.is_some()
                     {
-                        trace.push(Phase::Compile, io_step(stats.lowered_bytes));
+                        trace.push(Phase::Compile, Step::disk_read(stats.lowered_bytes));
                     }
                     trace.push(
                         Phase::Compile,
@@ -396,7 +417,7 @@ pub fn execute_wasm_opts(
             kernel.evict_file(stream)?;
             let (cold, queued) = kernel.read_file_cold(pid, stream)?;
             if cold > 0 {
-                trace.push(Phase::Exec, io_step(cold));
+                trace.push(Phase::Exec, Step::disk_read(cold));
             }
             if queued > 0 {
                 trace.push(Phase::Exec, Step::Io(Duration::from_nanos(queued)));
@@ -405,16 +426,10 @@ pub fn execute_wasm_opts(
     }
 
     // --- cpu.max throttling ----------------------------------------------
-    // Charge the guest CPU this run consumed against the pod's quota; the
-    // returned sleep is off-CPU wall time appended to the program — a
-    // throttled tenant finishes late, it does not finish less. ZERO (no
-    // quota anywhere) pushes nothing, keeping the default path
-    // byte-identical.
-    let throttle = kernel.cgroup_charge_cpu(kernel.proc_cgroup(pid)?, exec_cpu)?;
-    if throttle > Duration::ZERO {
-        trace.push(Phase::Exec, Step::Io(throttle));
-    }
+    // Every guest is charged, whichever process hosts it.
+    charge_cpu(kernel, pid, exec_cpu, &mut trace)?;
 
+    rollback.commit();
     let stdout = stdout.borrow().clone();
     let stderr = stderr.borrow().clone();
     Ok(EngineRun { trace, stdout, stderr, exit_code, stats, cache_hit, interrupted, epoch_clock })
@@ -470,13 +485,14 @@ mod tests {
     fn run_one(kernel: &Kernel, module: FileId, kind: EngineKind, name: &str) -> (Pid, EngineRun) {
         let cg = kernel.cgroup_create(Kernel::ROOT_CGROUP, name).unwrap();
         let pid = kernel.spawn(name, cg).unwrap();
-        let run = execute_wasm(
+        let run = execute_wasm_opts(
             kernel,
             pid,
             kind.profile(),
             module,
             &WasiSpec { args: vec!["app".into()], ..Default::default() },
             100_000_000,
+            ExecOptions::default(),
         )
         .unwrap();
         (pid, run)
@@ -607,9 +623,16 @@ mod tests {
         let run_profile = |name: &str, profile: &crate::profile::EngineProfile| {
             let cg = kernel.cgroup_create(Kernel::ROOT_CGROUP, name).unwrap();
             let pid = kernel.spawn(name, cg).unwrap();
-            let run =
-                execute_wasm(&kernel, pid, profile, module, &WasiSpec::default(), 100_000_000)
-                    .unwrap();
+            let run = execute_wasm_opts(
+                &kernel,
+                pid,
+                profile,
+                module,
+                &WasiSpec::default(),
+                100_000_000,
+                ExecOptions::default(),
+            )
+            .unwrap();
             (kernel.cgroup_stat(cg).unwrap().anon_bytes, run.stats)
         };
         let (interp_mem, interp_stats) = run_profile("wamr-i", &crate::profile::WAMR);
@@ -737,13 +760,14 @@ mod tests {
             )
             .unwrap();
         let pid = kernel.spawn("argc", Kernel::ROOT_CGROUP).unwrap();
-        let run = execute_wasm(
+        let run = execute_wasm_opts(
             &kernel,
             pid,
             EngineKind::Wamr.profile(),
             module,
             &WasiSpec { args: vec!["app".into(), "-v".into(), "--x".into()], ..Default::default() },
             10_000_000,
+            ExecOptions::default(),
         )
         .unwrap();
         assert_eq!(run.exit_code, 3);

@@ -19,16 +19,18 @@
 //! * **cost model** — init/compile/validate/execute latencies that become
 //!   DES steps in the startup programs.
 //!
-//! [`exec::execute_wasm`] is the single entry point the container runtimes
-//! and runwasi shims use: it performs the real work (decode → validate →
-//! (compile) → instantiate → run under WASI) while charging every byte to
-//! the simulated kernel and emitting the latency step list.
+//! A guest starts through two stages in [`exec`]: [`load_engine`] once per
+//! process and [`run_module`] once per guest (the real work: decode →
+//! validate → (compile) → instantiate → run under WASI), charging every
+//! byte to the simulated kernel and emitting the latency step list.
+//! [`execute_wasm_opts`] — load, then run — is what the container runtimes
+//! and runwasi shims call.
 
 pub mod exec;
 pub mod profile;
 
 pub use exec::{
-    execute_wasm, execute_wasm_opts, install_engines, Embedding, EngineRun, ExecOptions, WasiSpec,
-    EPOCH_TICK_INSTRS,
+    execute_wasm_opts, install_engines, load_engine, run_module, Embedding, EngineRun, ExecOptions,
+    LoadedEngine, WasiSpec, EPOCH_TICK_INSTRS,
 };
 pub use profile::{EngineKind, EngineProfile};

@@ -31,18 +31,15 @@ mod cli;
 
 use std::sync::Arc;
 
-use container_runtimes::handler::{
-    resolve_module, wasi_spec_from_oci, ContainerHandler, HandlerOutcome, PauseHandler,
-};
+use container_runtimes::handler::{ContainerHandler, PauseHandler, WasmEngineHandler};
 use container_runtimes::profile::{CRUN, YOUKI};
 use container_runtimes::{LowLevelRuntime, RuntimeProfile};
 use containerd_sim::RuntimeClass;
-use engines::execute_wasm;
 use engines::profile::WAMR_AOT;
+use engines::EngineKind;
 use harness::{mb, measure_cell, measure_memory, new_cluster, Config, Observe, Workload};
 use k8s_sim::{Cluster, Deployment};
-use oci_spec_lite::{Bundle, RuntimeSpec};
-use simkernel::{Duration, Kernel, KernelResult, Pid};
+use simkernel::{Duration, KernelResult};
 use wamr_crun::{WamrCrunConfig, WamrHandler};
 use wasm_core::{decode_module, ExecTier, Imports, Instance, InstanceConfig, Value};
 use workloads::{MicroserviceConfig, PythonScriptConfig};
@@ -179,45 +176,6 @@ fn app_impact() -> KernelResult<()> {
 
 // ---- wamr-aot -----------------------------------------------------------
 
-/// A crun handler running WAMR in AOT mode.
-struct WamrAotHandler;
-
-impl ContainerHandler for WamrAotHandler {
-    fn name(&self) -> &str {
-        "wamr-aot"
-    }
-
-    fn matches(&self, spec: &RuntimeSpec, _bundle: &Bundle) -> bool {
-        spec.wants_wasm()
-    }
-
-    fn execute(
-        &self,
-        kernel: &Kernel,
-        pid: Pid,
-        bundle: &Bundle,
-        spec: &RuntimeSpec,
-    ) -> KernelResult<HandlerOutcome> {
-        let module = resolve_module(bundle, spec)?;
-        let wasi = wasi_spec_from_oci(bundle, spec);
-        let run = execute_wasm(
-            kernel,
-            pid,
-            &WAMR_AOT,
-            module,
-            &wasi,
-            engines::profile::DEFAULT_STARTUP_FUEL,
-        )?;
-        Ok(HandlerOutcome {
-            trace: run.trace,
-            stdout: run.stdout,
-            exit_code: run.exit_code,
-            interrupted: run.interrupted,
-            epoch_clock: run.epoch_clock,
-        })
-    }
-}
-
 fn wamr_aot() -> KernelResult<()> {
     let workload = Workload::default();
     for density in [10usize, 400] {
@@ -226,14 +184,11 @@ fn wamr_aot() -> KernelResult<()> {
         let interp = measure_cell(Config::WamrCrun, density, &workload, Observe::Both)?;
         let (interp_mem, interp_start) =
             (interp.memory.expect("memory"), interp.startup.expect("startup"));
-        let (cluster, _, d) = deploy_custom(
-            &workload,
-            &CRUN,
-            Box::new(WamrAotHandler),
-            "crun-wamr-aot",
-            "aot",
-            density,
-        )?;
+        // The crun engine handler, running WAMR in AOT mode.
+        let aot =
+            WasmEngineHandler { profile: &WAMR_AOT, ..WasmEngineHandler::new(EngineKind::Wamr) };
+        let (cluster, _, d) =
+            deploy_custom(&workload, &CRUN, Box::new(aot), "crun-wamr-aot", "aot", density)?;
         let aot_mem = cluster.average_working_set(&d)?;
         let aot_start = cluster.measure_startup(&[&d]).total().as_secs_f64();
         let wt = measure_cell(Config::CrunWasmtime, density, &workload, Observe::Both)?;

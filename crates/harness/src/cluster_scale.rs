@@ -5,9 +5,9 @@
 //! density experiments: an N-node cluster (each node the paper's 20-core
 //! testbed shape with the §III-C max-pods extension) is filled through
 //! the scheduler, and the same two observers report memory while the DES
-//! reports startup. All placement goes through [`k8s_sim::Scheduler`] —
-//! `scripts/verify.sh` lints direct `manage_pod`/`sync_pod` calls out of
-//! harness code.
+//! reports startup. All placement goes through [`k8s_sim::Scheduler`]:
+//! `Kubelet::manage_pod` and `sync_pod` are `pub(crate)` in `k8s-sim`, so
+//! harness code cannot place a pod past it.
 
 use k8s_sim::{Cluster, DeploymentController, DeploymentSpec, Policy};
 use simkernel::{Duration, KernelConfig, KernelResult};

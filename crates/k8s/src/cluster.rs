@@ -351,7 +351,8 @@ impl Cluster {
     /// With [`RestartPolicy::Always`] every pod is admitted under kubelet
     /// supervision — failures become CrashLoopBackOff entries that
     /// [`Cluster::reconcile`] retries — and the returned deployment holds
-    /// only the pods whose *first* sync succeeded.
+    /// no pods: supervised pods live in the kubelet's table
+    /// ([`Kubelet::managed`]), whether or not their first sync succeeded.
     pub fn deploy_with(
         &mut self,
         name_prefix: &str,

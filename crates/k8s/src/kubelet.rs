@@ -606,9 +606,10 @@ impl Kubelet {
             }
         }
 
-        // Health probes: every Running pod's due probes fire in admission
-        // order. The pods just torn down for OOM are no longer Running and
-        // probe nothing.
+        // Health probes: every Running pod's due probes fire in pod-name
+        // order (the supervision table is a name-keyed `BTreeMap`). The
+        // pods just torn down for OOM are no longer Running and probe
+        // nothing.
         let probed: Vec<String> = self
             .pods
             .iter()

@@ -10,7 +10,7 @@
 
 use container_runtimes::handler::{ContainerHandler, HandlerOutcome};
 use oci_spec_lite::{Bundle, RuntimeSpec};
-use simkernel::image::{charge_anon, ProcessImage};
+use simkernel::image::{charge_anon, charge_cpu, watchdog_ticks, ProcessImage};
 use simkernel::{Duration, Kernel, KernelError, KernelResult, Phase, Pid, Step, StepTrace};
 
 use crate::interp::{Interp, PyEpochClock, PyError};
@@ -166,14 +166,12 @@ impl ContainerHandler for PythonHandler {
             spec.process.args.iter().skip_while(|a| a.contains("python")).cloned().collect();
         let mut interp = Interp::new(argv, spec.process.env_pairs()).with_fuel(self.fuel);
         // Watchdog: convert the annotated time budget to op ticks through
-        // the same execution model the Exec step below charges with.
+        // the same execution model the Exec step below charges with, under
+        // the pod's cpu.max like any other guest.
         if let Some(ns) = spec.watchdog_budget_ns() {
-            let ops = ns / p.exec_ns_per_op.max(1);
-            interp = interp.with_epoch(
-                PyEpochClock::new(),
-                (ops / PY_EPOCH_TICK_OPS).max(1),
-                PY_EPOCH_TICK_OPS,
-            );
+            let ns_per_tick = p.exec_ns_per_op.max(1) * PY_EPOCH_TICK_OPS;
+            let ticks = watchdog_ticks(kernel, pid, Duration::from_nanos(ns), ns_per_tick)?;
+            interp = interp.with_epoch(PyEpochClock::new(), ticks, PY_EPOCH_TICK_OPS);
         }
         // An epoch interruption is a wedged success, not an error: the
         // interpreter is hung, its memory stays charged, and the container
@@ -189,7 +187,11 @@ impl ContainerHandler for PythonHandler {
             Err(e) => return Err(KernelError::InvalidState(format!("python runtime: {e}"))),
         };
         let stats = interp.stats();
-        trace.push(Phase::Exec, Step::Cpu(Duration::from_nanos(stats.ops * p.exec_ns_per_op)));
+        let exec_cpu = Duration::from_nanos(stats.ops * p.exec_ns_per_op);
+        trace.push(Phase::Exec, Step::Cpu(exec_cpu));
+        // The interpreter's ops are guest CPU like a Wasm guest's
+        // instructions: charged to the pod's quota, throttle sleep appended.
+        charge_cpu(kernel, pid, exec_cpu, &mut trace)?;
 
         // Imports: stdlib reads (shared page cache) + private module dicts.
         for module in interp.imported_modules() {

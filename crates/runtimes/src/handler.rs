@@ -8,10 +8,12 @@
 //! (`wamr-crun` crate) is one implementation of this trait; this module
 //! provides the pre-existing integrations it is compared against.
 
-use engines::{execute_wasm_opts, EngineKind, ExecOptions, WasiSpec};
+use engines::{
+    execute_wasm_opts, Embedding, EngineKind, EngineProfile, EngineRun, ExecOptions, WasiSpec,
+};
 use oci_spec_lite::{Bundle, RuntimeSpec};
 use simkernel::image::charge_anon;
-use simkernel::{Duration, Kernel, KernelError, KernelResult, Phase, Pid, Step, StepTrace};
+use simkernel::{Duration, FileId, Kernel, KernelError, KernelResult, Phase, Pid, Step, StepTrace};
 
 /// Result of a handler executing a container workload.
 #[derive(Debug, Default)]
@@ -33,6 +35,18 @@ pub struct HandlerOutcome {
     /// path calls [`wasm_core::EpochClock::interrupt`] on it so the guest
     /// observes the stop at its next epoch safepoint.
     pub epoch_clock: Option<wasm_core::EpochClock>,
+}
+
+impl From<EngineRun> for HandlerOutcome {
+    fn from(run: EngineRun) -> Self {
+        HandlerOutcome {
+            trace: run.trace,
+            stdout: run.stdout,
+            exit_code: run.exit_code,
+            interrupted: run.interrupted,
+            epoch_clock: run.epoch_clock,
+        }
+    }
 }
 
 /// A workload executor embedded in the low-level runtime.
@@ -62,7 +76,7 @@ pub trait ContainerHandler {
 }
 
 /// Locate the Wasm module a spec's entrypoint names within the bundle.
-pub fn resolve_module(bundle: &Bundle, spec: &RuntimeSpec) -> KernelResult<simkernel::FileId> {
+pub fn resolve_module(bundle: &Bundle, spec: &RuntimeSpec) -> KernelResult<FileId> {
     let entry = spec
         .process
         .args
@@ -74,16 +88,28 @@ pub fn resolve_module(bundle: &Bundle, spec: &RuntimeSpec) -> KernelResult<simke
 /// Guest path of the streaming data file adversarial thrasher images carry.
 pub const THRASH_STREAM_PATH: &str = "/data/stream.bin";
 
+/// What a guest start needs from its OCI container — the paper's §III-C
+/// integration aspect 2: the module the entrypoint names, the WASI view of
+/// `process.args` / `process.env` / the rootfs, and the embedder's `base`
+/// options completed with what the spec annotates (watchdog budget,
+/// adversarial churn). The one translation, so that a crun handler, a
+/// runwasi shim and a sandboxer differ only in `base`.
+pub fn guest_from_oci(
+    bundle: &Bundle,
+    spec: &RuntimeSpec,
+    base: ExecOptions,
+) -> KernelResult<(FileId, WasiSpec, ExecOptions)> {
+    let (instantiate_churn, io_churn) = adversarial_opts(bundle, spec);
+    let epoch_budget = spec.watchdog_budget_ns().map(Duration::from_nanos);
+    let opts = ExecOptions { epoch_budget, instantiate_churn, io_churn, ..base };
+    Ok((resolve_module(bundle, spec)?, wasi_spec_from_oci(bundle, spec), opts))
+}
+
 /// Extract the adversarial [`ExecOptions`] knobs from the spec's
 /// annotations: fork-bomb churn count, and thrasher passes resolved against
 /// the bundle's [`THRASH_STREAM_PATH`] file. Both default to off; a thrash
-/// annotation on an image without a stream file is silently inert. Shared
-/// by every guest-execution path (crun handlers and runwasi shims) so the
-/// attacker workloads behave identically under all seven configs.
-pub fn adversarial_opts(
-    bundle: &Bundle,
-    spec: &RuntimeSpec,
-) -> (u32, Option<(simkernel::FileId, u32)>) {
+/// annotation on an image without a stream file is silently inert.
+fn adversarial_opts(bundle: &Bundle, spec: &RuntimeSpec) -> (u32, Option<(FileId, u32)>) {
     let churn = spec.instantiate_churn().unwrap_or(0);
     let io = spec
         .io_churn_passes()
@@ -91,9 +117,9 @@ pub fn adversarial_opts(
     (churn, io)
 }
 
-/// Build the WASI configuration from the OCI process spec — the paper's
-/// §III-C integration aspect 2 (arguments, environment, preopens).
-pub fn wasi_spec_from_oci(bundle: &Bundle, spec: &RuntimeSpec) -> WasiSpec {
+/// Build the WASI configuration from the OCI process spec (arguments,
+/// environment, preopens).
+fn wasi_spec_from_oci(bundle: &Bundle, spec: &RuntimeSpec) -> WasiSpec {
     let preopens = bundle
         .host_paths
         .iter()
@@ -113,25 +139,33 @@ pub fn wasi_spec_from_oci(bundle: &Bundle, spec: &RuntimeSpec) -> WasiSpec {
     WasiSpec { args: spec.process.args.clone(), env: spec.process.env_pairs(), preopens }
 }
 
-/// One of the *pre-existing* crun Wasm integrations the paper benchmarks
-/// against (crun-Wasmtime, crun-Wasmer, crun-WasmEdge): the engine runs
-/// in-process, selected by the standard Wasm variant annotation.
+/// An engine running a Wasm container inside the process it is handed,
+/// selected by the standard Wasm variant annotation. As built by
+/// [`WasmEngineHandler::new`] it is one of the *pre-existing* crun
+/// integrations the paper benchmarks against (crun-Wasmtime, crun-Wasmer,
+/// crun-WasmEdge); embedded as a crate and handed a shim's pid, it is what
+/// a runwasi shim does.
 #[derive(Debug, Clone, Copy)]
 pub struct WasmEngineHandler {
-    pub engine: EngineKind,
+    pub profile: &'static EngineProfile,
+    pub embedding: Embedding,
     /// Instruction budget for the workload's startup phase.
     pub fuel: u64,
 }
 
 impl WasmEngineHandler {
     pub fn new(engine: EngineKind) -> Self {
-        WasmEngineHandler { engine, fuel: engines::profile::DEFAULT_STARTUP_FUEL }
+        WasmEngineHandler {
+            profile: engine.profile(),
+            embedding: Embedding::CApi,
+            fuel: engines::profile::DEFAULT_STARTUP_FUEL,
+        }
     }
 }
 
 impl ContainerHandler for WasmEngineHandler {
     fn name(&self) -> &str {
-        self.engine.profile().name
+        self.profile.name
     }
 
     fn matches(&self, spec: &RuntimeSpec, _bundle: &Bundle) -> bool {
@@ -145,30 +179,9 @@ impl ContainerHandler for WasmEngineHandler {
         bundle: &Bundle,
         spec: &RuntimeSpec,
     ) -> KernelResult<HandlerOutcome> {
-        let module = resolve_module(bundle, spec)?;
-        let wasi = wasi_spec_from_oci(bundle, spec);
-        let (instantiate_churn, io_churn) = adversarial_opts(bundle, spec);
-        let run = execute_wasm_opts(
-            kernel,
-            pid,
-            self.engine.profile(),
-            module,
-            &wasi,
-            self.fuel,
-            ExecOptions {
-                epoch_budget: spec.watchdog_budget_ns().map(Duration::from_nanos),
-                instantiate_churn,
-                io_churn,
-                ..Default::default()
-            },
-        )?;
-        Ok(HandlerOutcome {
-            trace: run.trace,
-            stdout: run.stdout,
-            exit_code: run.exit_code,
-            interrupted: run.interrupted,
-            epoch_clock: run.epoch_clock,
-        })
+        let base = ExecOptions { embedding: self.embedding, ..Default::default() };
+        let (module, wasi, opts) = guest_from_oci(bundle, spec, base)?;
+        Ok(execute_wasm_opts(kernel, pid, self.profile, module, &wasi, self.fuel, opts)?.into())
     }
 }
 

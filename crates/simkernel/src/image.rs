@@ -37,17 +37,21 @@
 //!
 //! The free functions ([`charge_anon`], [`map_shared`], [`map_cow`]) are the
 //! same discipline for charging growth onto an *existing* process (daemon
-//! metadata, per-pod kubelet growth, engine heaps). Outside this module and
-//! the kernel's own tests, nothing calls `Kernel::spawn` or
-//! `Kernel::mmap_labeled` directly — `scripts/verify.sh` lints for it.
+//! metadata, per-pod kubelet growth, engine heaps), with [`Rollback`] as
+//! their undo when several of them make up one stage. Outside this module
+//! and the kernel's own tests, nothing calls `Kernel::spawn` or
+//! `Kernel::mmap_labeled` directly — `scripts/verify.sh` lints for it, as it
+//! does for `Kernel::cgroup_charge_cpu`, whose one caller is [`charge_cpu`].
 
 use crate::cgroup::CgroupId;
 use crate::des::Step;
 use crate::error::KernelResult;
 use crate::kernel::Kernel;
 use crate::proc::{Pid, ProcState};
+use crate::time::Duration;
+use crate::trace::{Phase, StepTrace};
 use crate::vfs::FileId;
-use crate::MapKind;
+use crate::{MapKind, MappingId};
 
 /// Declarative description of a process image: optional shared text plus any
 /// number of labeled private heaps. Built with [`ProcessImage::spawn`] (new
@@ -325,6 +329,84 @@ pub fn map_cow(
     Ok(if cold { Some(bytes) } else { None })
 }
 
+/// Stage-level undo for a process that outlives the stage's failure (a
+/// sandbox survives a failed guest): dropped without [`Rollback::commit`]
+/// — an `Err` unwinding through `?` — it unmaps everything `pid` mapped
+/// since [`Rollback::arm`]. Page-cache fills stay, as after an exit.
+/// Best-effort: the failed charge may itself have OOM-killed the process.
+#[must_use = "commit on success; dropping it rolls the process back"]
+pub struct Rollback<'k> {
+    kernel: &'k Kernel,
+    pid: Pid,
+    mark: MappingId,
+}
+
+impl<'k> Rollback<'k> {
+    pub fn arm(kernel: &'k Kernel, pid: Pid) -> KernelResult<Self> {
+        Ok(Rollback { kernel, pid, mark: kernel.mapping_mark(pid)? })
+    }
+
+    pub fn commit(self) {
+        std::mem::forget(self);
+    }
+}
+
+impl Drop for Rollback<'_> {
+    fn drop(&mut self) {
+        // Mapping ids are monotonic per process: what the stage mapped is
+        // every id from the mark to the next one. Ids a failed charge
+        // already dropped itself just miss.
+        let Ok(end) = self.kernel.mapping_mark(self.pid) else { return };
+        for id in self.mark.0..end.0 {
+            let _ = self.kernel.munmap(self.pid, MappingId(id));
+        }
+    }
+}
+
+// --------------------------------------------------------------- guest CPU
+//
+// Where a guest's priced execution meets the pod's `cpu.max`, for every
+// guest runtime (the Wasm engines, the Python handler).
+
+/// Watchdog epoch ticks in a guest-time `budget`, a tick costing
+/// `ns_per_tick` in the model the Exec step is priced with — so the trap
+/// point is a pure function of profile, budget and quota. Under a
+/// `cpu.max` the guest only gets quota/period of each wall-time window, so
+/// the allowance shrinks by that ratio: throttling stretches the guest's
+/// wall time rather than granting it more retired operations.
+pub fn watchdog_ticks(
+    kernel: &Kernel,
+    pid: Pid,
+    budget: Duration,
+    ns_per_tick: u64,
+) -> KernelResult<u64> {
+    let mut budget_ns = budget.as_nanos();
+    if let Some((quota, period)) = kernel.cgroup_effective_cpu_max(kernel.proc_cgroup(pid)?)? {
+        if quota < period {
+            budget_ns = (budget_ns as u128 * quota as u128 / period as u128) as u64;
+        }
+    }
+    Ok((budget_ns / ns_per_tick.max(1)).max(1))
+}
+
+/// Charge the guest CPU a run consumed against `pid`'s effective
+/// `cpu.max`. The returned sleep is off-CPU wall time, appended to `trace`
+/// as an Exec-phase I/O step — a throttled tenant finishes late, it does
+/// not finish less. [`Duration::ZERO`] (no quota on the path to the root)
+/// pushes nothing, keeping the unlimited path byte-identical.
+pub fn charge_cpu(
+    kernel: &Kernel,
+    pid: Pid,
+    cpu: Duration,
+    trace: &mut StepTrace,
+) -> KernelResult<Duration> {
+    let throttle = kernel.cgroup_charge_cpu(kernel.proc_cgroup(pid)?, cpu)?;
+    if throttle > Duration::ZERO {
+        trace.push(Phase::Exec, Step::Io(throttle));
+    }
+    Ok(throttle)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,6 +561,53 @@ mod tests {
             assert_eq!(g.cold_read(), Some(512 << 10));
             g.exit(0).unwrap();
         }
+    }
+
+    #[test]
+    fn rollback_unmaps_what_a_failed_stage_mapped_and_nothing_older() {
+        let kernel = boot();
+        let f = kernel.ensure_file("/lib/e.so", FileContent::Synthetic(1 << 20)).unwrap();
+        let pid = kernel.spawn("host", Kernel::ROOT_CGROUP).unwrap();
+        charge_anon(&kernel, pid, 64 << 10, "older").unwrap();
+        let (rss, used) = (kernel.proc_rss(pid).unwrap(), kernel.free().used);
+        let stage = |fail: bool| -> KernelResult<()> {
+            let rollback = Rollback::arm(&kernel, pid)?;
+            map_shared(&kernel, pid, f, 1 << 20, 512 << 10, "lib")?;
+            charge_anon(&kernel, pid, 128 << 10, "heap")?;
+            if fail {
+                return Err(crate::KernelError::InvalidState("stage failed".into()));
+            }
+            rollback.commit();
+            Ok(())
+        };
+        assert!(stage(true).is_err());
+        assert_eq!(kernel.proc_rss(pid).unwrap(), rss, "only the stage's mappings went");
+        assert_eq!(kernel.free().used, used, "anon and page-table charges returned");
+        stage(false).unwrap();
+        assert_eq!(kernel.proc_rss(pid).unwrap(), rss + (512 << 10) + (128 << 10));
+        // A process the failed charge itself killed is not an error.
+        kernel.exit(pid, 137).unwrap();
+        drop(Rollback { kernel: &kernel, pid, mark: MappingId(0) });
+    }
+
+    #[test]
+    fn guest_cpu_helpers_are_inert_without_a_quota_and_scale_with_one() {
+        let kernel = boot();
+        let cg = kernel.cgroup_create(Kernel::ROOT_CGROUP, "pod").unwrap();
+        let pid = kernel.spawn("guest", cg).unwrap();
+        let budget = Duration::from_millis(40);
+        let mut trace = StepTrace::new();
+        assert_eq!(watchdog_ticks(&kernel, pid, budget, 4_000_000).unwrap(), 10);
+        assert_eq!(watchdog_ticks(&kernel, pid, Duration::ZERO, 4_000_000).unwrap(), 1);
+        assert_eq!(charge_cpu(&kernel, pid, budget, &mut trace).unwrap(), Duration::ZERO);
+        assert!(trace.is_empty(), "no quota, no step");
+
+        kernel.cgroup_set_cpu_max(cg, Some((25_000_000, 100_000_000))).unwrap();
+        assert_eq!(watchdog_ticks(&kernel, pid, budget, 4_000_000).unwrap(), 2, "a quarter");
+        let sleep = charge_cpu(&kernel, pid, budget, &mut trace).unwrap();
+        assert_eq!(sleep, Duration::from_millis(120));
+        assert_eq!(trace.entries(), &[(Phase::Exec, Step::Io(sleep))]);
+        assert_eq!(kernel.cgroup_stats(cg).unwrap().nr_cpu_throttled, 1);
     }
 
     #[test]

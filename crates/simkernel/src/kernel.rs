@@ -612,6 +612,11 @@ impl Kernel {
         Ok(())
     }
 
+    /// A point in `pid`'s mapping history ([`crate::image::Rollback`]).
+    pub(crate) fn mapping_mark(&self, pid: Pid) -> KernelResult<MappingId> {
+        Ok(self.st().alive(pid)?.mapping_mark())
+    }
+
     // ------------------------------------------------------------------ vfs
 
     /// Create a file with real or synthetic content.

@@ -151,6 +151,12 @@ impl Process {
         Some(m)
     }
 
+    /// The id the next mapping will get. Ids only grow, so the mappings
+    /// made between two calls are exactly the ids between their results.
+    pub(crate) fn mapping_mark(&self) -> MappingId {
+        MappingId(self.next_mapping)
+    }
+
     /// Empty the address space (process teardown).
     pub(crate) fn take_mappings(&mut self) -> Vec<Mapping> {
         self.rss = 0;

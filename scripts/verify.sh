@@ -75,15 +75,17 @@ lint_call_sites "hard kills go through the kubelet watchdog path" \
   "direct interrupt_pod call site(s) outside the kubelet; hard kills must ride the liveness/grace-period path"
 
 # Cgroup CPU charging and limit-setting are accounting choke points: guest
-# CPU is charged once per execution (engines' exec pipeline), and cpu/io
-# limits are applied once per pod sync (the kubelet). Call sites anywhere
-# else would double-charge or bypass the pod-spec path — page/byte charges
-# must never reach cgroup accounting around those verbs. simkernel (the
-# definition site) is exempt.
+# CPU is charged once per guest start, and cpu/io limits are applied once
+# per pod sync (the kubelet). Call sites anywhere else would double-charge
+# or bypass the pod-spec path — page/byte charges must never reach cgroup
+# accounting around those verbs. The charge verb's one caller is
+# simkernel::image::charge_cpu, inside the definition crate, which is why
+# neither the engines' run_module nor the Python handler needs an
+# exemption of its own: both call the helper. simkernel is exempt.
 lint_call_sites "cgroup charge/limit verbs ride their sanctioned choke points" \
   '\.cgroup_charge_cpu\(|\.cgroup_set_cpu_max\(|\.cgroup_set_io_read_budget\(' 'crates/*/src' \
-  '^crates/simkernel/|^crates/engines/src/exec\.rs$|^crates/k8s/src/kubelet\.rs$' \
-  "cgroup charge/limit call site(s) outside the exec pipeline / kubelet sync; charges must not bypass cgroup accounting"
+  '^crates/simkernel/|^crates/k8s/src/kubelet\.rs$' \
+  "cgroup charge/limit call site(s) outside simkernel::image / kubelet sync; charges must not bypass cgroup accounting"
 
 # Node::crash and Node::fence are pub(crate) in crates/k8s, so the
 # compiler keeps harness and example code on Cluster::crash_node /
@@ -106,6 +108,9 @@ lint_call_sites "shed and breaker taxonomies stay inside k8s::service" \
 
 echo "== smoke: examples/quickstart =="
 cargo run --release --offline --example quickstart >/dev/null
+
+echo "== smoke: examples/sandbox_api (the sandboxer's only consumer outside unit tests) =="
+cargo run --release --offline --example sandbox_api >/dev/null
 
 echo "== smoke: chaos sweep + hung-guest watchdog scenario (--smoke plan) =="
 cargo run --release --offline -p harness --bin chaos -- --smoke >/dev/null

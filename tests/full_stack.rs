@@ -3,13 +3,15 @@
 use memwasm::container_runtimes::handler::PauseHandler;
 use memwasm::container_runtimes::profile::CRUN;
 use memwasm::container_runtimes::LowLevelRuntime;
-use memwasm::containerd_sim::RuntimeClass;
+use memwasm::containerd_sim::{RuntimeClass, WasmSandboxer};
+use memwasm::engines::EngineKind;
+use memwasm::harness::chaos::{run_config, ChaosPlan};
 use memwasm::harness::{measure_memory, new_cluster, warmup, Config, Workload};
-use memwasm::k8s_sim::Cluster;
+use memwasm::k8s_sim::{Cluster, DeployOpts};
 use memwasm::pyrt::PythonHandler;
-use memwasm::simkernel::ProcState;
+use memwasm::simkernel::{Phase, ProcState, Step};
 use memwasm::wamr_crun::{WamrCrunConfig, WamrHandler};
-use memwasm::workloads::{wasm_microservice_image, MicroserviceConfig};
+use memwasm::workloads::{hung_service_image, wasm_microservice_image, MicroserviceConfig};
 
 #[test]
 fn deploy_runs_the_real_microservice() {
@@ -248,4 +250,163 @@ fn failed_pod_sync_rolls_back_cleanly() {
         .unwrap();
     assert_eq!(d.running(), 2);
     cluster.teardown(d).unwrap();
+}
+
+/// FNV-1a of a pod's startup program, phase tags included.
+fn trace_fnv(trace: &memwasm::simkernel::StepTrace) -> u64 {
+    memwasm::wasm_core::cache::content_hash(format!("{:?}", trace.entries()).as_bytes())
+}
+
+#[test]
+fn golden_pod_start_per_config() {
+    // What one pod start *is*: two pods on a fresh cluster (the first pays
+    // the cold reads, the second is warm). Per config: the FNV of each
+    // pod's `(phase, step)` program, the deployment's average working set,
+    // and what `free` says the two pods cost. Every pod prints the ready
+    // line. A refactor of the start path leaves this table alone.
+    const GOLDEN: [(Config, [u64; 2], u64, u64); 9] = [
+        (Config::WamrCrun, [0x5a7061dddc567550, 0x8852523e697e417d], 6373376, 18837504),
+        (Config::CrunWasmtime, [0xf844cc506e8b00b2, 0xdb9c0fe2f92db43c], 17506304, 41103360),
+        (Config::CrunWasmer, [0x97e6b178b9f803ef, 0x46b1718a1d945598], 28948480, 63987712),
+        (Config::CrunWasmEdge, [0xa6fff9c8d40a10ab, 0xa52d02754c36671f], 15026176, 36143104),
+        (Config::ShimWasmtime, [0x8e5fe1030c80f8a6, 0x99a49d21c9701e09], 19101696, 39067648),
+        (Config::ShimWasmer, [0xf918416e4aa3a4a3, 0x1f35ce61377d4abf], 50124800, 101113856),
+        (Config::ShimWasmEdge, [0x622ffaf854836c4b, 0xb255f9423c4f8d77], 19437568, 39739392),
+        (Config::CrunPython, [0xc289060e5fc85e7d, 0x3648a4cf54807843], 11945984, 30478336),
+        (Config::RuncPython, [0xa3a287e2282c68d2, 0x305a8d747e336751], 11945984, 35934208),
+    ];
+    let w = Workload::light();
+    for (config, traces, working_set, free_delta) in GOLDEN {
+        let mut cluster = new_cluster(&[config], &w).unwrap();
+        let before = cluster.free().used_with_cache();
+        let d = cluster.deploy("pin", config.image_ref(), config.class_name(), 2).unwrap();
+        for pod in &d.pods {
+            assert_eq!(pod.stdout, b"microservice ready\n", "{}", config.label());
+        }
+        let got = (
+            [trace_fnv(&d.pods[0].trace), trace_fnv(&d.pods[1].trace)],
+            cluster.average_working_set(&d).unwrap(),
+            cluster.free().used_with_cache() - before,
+        );
+        assert_eq!(got, (traces, working_set, free_delta), "{}", config.label());
+    }
+}
+
+#[test]
+fn golden_chaos_smoke_outcomes() {
+    // The paths only a fault plan reaches (a failed guest start, its
+    // rollback, the restart): per-site injections in `FaultSite::ALL`
+    // order, restarts, reconcile rounds and bytes left after teardown, on
+    // the handler path and on the shim path.
+    const GOLDEN: [(Config, [u64; 6], u64, usize, u64); 2] = [
+        (Config::WamrCrun, [6, 1, 6, 0, 0, 1], 2, 4, 2273280),
+        (Config::ShimWasmtime, [3, 0, 6, 0, 0, 0], 4, 3, 3108864),
+    ];
+    for (config, injected, restarts, rounds, leaked_bytes) in GOLDEN {
+        let o = run_config(config, &Workload::light(), &ChaosPlan::smoke(7)).unwrap();
+        assert_eq!(
+            (o.injected, o.restarts, o.rounds, o.leaked_bytes),
+            (injected, restarts, rounds, leaked_bytes),
+            "{}",
+            config.label()
+        );
+    }
+}
+
+#[test]
+fn golden_sandbox_api_example_working_sets() {
+    // The two numbers `examples/sandbox_api` prints (23.05 MB WAMR-crun,
+    // 16.43 MB sandboxer), in bytes: six containers of the default
+    // microservice in one pod, an engine per container against one
+    // sandbox process hosting all six.
+    let cluster = Cluster::bootstrap().unwrap();
+    let kernel = cluster.kernel().clone();
+    let mut store = memwasm::oci_spec_lite::ImageStore::new();
+    let image = store
+        .register(&kernel, wasm_microservice_image("svc:v1", &MicroserviceConfig::default()))
+        .unwrap()
+        .clone();
+
+    let pod_a = kernel.cgroup_create(cluster.kubepods(), "pod-crun").unwrap();
+    let rt = memwasm::wamr_crun::wamr_crun_runtime(kernel.clone(), WamrCrunConfig::default());
+    let ctx = memwasm::container_runtimes::RuntimeCtx { runtime_cgroup: cluster.system_cgroup() };
+    for i in 0..6 {
+        let id = format!("a{i}");
+        let mut spec = memwasm::oci_spec_lite::RuntimeSpec::for_command(&id, image.command());
+        spec.annotations.extend(image.config.annotations.clone());
+        let bundle = memwasm::oci_spec_lite::Bundle::create(&kernel, &id, &image, &spec).unwrap();
+        let mut c = rt.create(&ctx, &id, &bundle, pod_a).unwrap();
+        rt.start(&ctx, &mut c, &bundle).unwrap();
+    }
+
+    let pod_b = kernel.cgroup_create(cluster.kubepods(), "pod-sandbox").unwrap();
+    let sandboxer = WasmSandboxer::new(kernel.clone(), EngineKind::Wamr);
+    let mut sandbox = sandboxer.create_sandbox("pod-sandbox", pod_b).unwrap();
+    for i in 0..6 {
+        sandboxer.add_container(&mut sandbox, &format!("b{i}"), &image).unwrap();
+    }
+    let working_set = |pod| kernel.cgroup_working_set(pod).unwrap();
+    assert_eq!((working_set(pod_a), working_set(pod_b)), (24_174_592, 17_223_680));
+}
+
+#[test]
+fn every_config_is_charged_for_its_guest_cpu() {
+    // One pod under cpu.max 1 ms / 100 ms. Whatever runs the guest — an
+    // engine in crun, an engine in a shim, CPython — its priced execution
+    // is charged to the pod's quota and the throttle sleep is part of the
+    // pod's start program. Work charged to nobody is how a tenant escapes.
+    let w = Workload::light();
+    for config in Config::ALL {
+        let mut cluster = new_cluster(&[config], &w).unwrap();
+        let opts = DeployOpts { cpu_max: Some((1_000_000, 100_000_000)), ..Default::default() };
+        let d =
+            cluster.deploy_with("quota", config.image_ref(), config.class_name(), 1, opts).unwrap();
+        let pod = &d.pods[0];
+        let stats = cluster.kernel().cgroup_stats(pod.pod_cgroup).unwrap();
+        assert!(
+            stats.nr_cpu_throttled >= 1 && stats.cpu_throttled_ns > 0,
+            "{}: guest CPU never met the quota ({} events, {} ns)",
+            config.label(),
+            stats.nr_cpu_throttled,
+            stats.cpu_throttled_ns
+        );
+        assert!(
+            pod.trace.entries().iter().any(|(p, s)| *p == Phase::Exec && matches!(s, Step::Io(_))),
+            "{}: no throttle sleep among the Exec steps",
+            config.label()
+        );
+    }
+}
+
+#[test]
+fn wedged_sandbox_container_keeps_its_memory_and_its_neighbours() {
+    // The hung service never sees its ready threshold, so only the
+    // watchdog budget annotated on the image parks it.
+    let cluster = Cluster::bootstrap().unwrap();
+    let kernel = cluster.kernel().clone();
+    let mut store = memwasm::oci_spec_lite::ImageStore::new();
+    let hung = hung_service_image("hung:v1", u64::MAX / 2)
+        .annotation(memwasm::oci_spec_lite::WATCHDOG_BUDGET_ANNOTATION, "500000000");
+    let hung = store.register(&kernel, hung).unwrap().clone();
+    let healthy = store
+        .register(&kernel, wasm_microservice_image("svc:v1", &MicroserviceConfig::default()))
+        .unwrap()
+        .clone();
+
+    let pod = kernel.cgroup_create(cluster.kubepods(), "pod").unwrap();
+    let sandboxer = WasmSandboxer::new(kernel.clone(), EngineKind::Wamr);
+    let mut sandbox = sandboxer.create_sandbox("pod", pod).unwrap();
+    let empty = kernel.proc_rss(sandbox.pid).unwrap();
+    sandboxer.add_container(&mut sandbox, "hung", &hung).unwrap();
+    let c = &sandbox.containers()[0];
+    assert!(c.wedged && c.exit_code == 0, "interrupted, not exited: {c:?}");
+    assert_eq!(c.stdout, b"hung service: waiting\n");
+    let with_hung = kernel.proc_rss(sandbox.pid).unwrap();
+    assert!(with_hung > empty, "a wedged guest keeps what it charged");
+
+    sandboxer.add_container(&mut sandbox, "healthy", &healthy).unwrap();
+    let c = &sandbox.containers()[1];
+    assert!(!c.wedged, "the neighbour's watchdog is not this guest's");
+    assert_eq!(c.stdout, b"microservice ready\n");
+    assert!(kernel.proc_rss(sandbox.pid).unwrap() > with_hung);
 }
