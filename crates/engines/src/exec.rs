@@ -16,7 +16,6 @@ use simkernel::image::{
 };
 use simkernel::{Duration, FileId, Kernel, KernelResult, Phase, Pid, Step, StepTrace};
 use wasi_sys::WasiCtx;
-use wasm_core::cache::content_hash;
 use wasm_core::{
     ArtifactCache, EpochClock, EpochConfig, ExecStats, Instance, InstanceConfig, Trap,
 };
@@ -261,9 +260,11 @@ pub fn run_module(
     // decodes and validates each distinct module once and shares the
     // result across containers, clusters, and worker threads. The
     // *simulated* validation cost is unchanged — still charged here, per
-    // container, for every engine.
-    let module = ArtifactCache::global()
-        .get_or_decode(&bytes)
+    // container, for every engine. The cache addresses the module by its
+    // contents; `module_key` is that address, what Wasmtime names its
+    // compiled artifact after.
+    let (module_key, module) = ArtifactCache::global()
+        .get_or_decode_keyed(&bytes)
         .map_err(|e| simkernel::KernelError::InvalidState(format!("bad module: {e}")))?;
     trace.push(
         Phase::ModuleLoad,
@@ -330,8 +331,7 @@ pub fn run_module(
     if profile.eager_compile() {
         let code_bytes = (stats.lowered_bytes as f64 * profile.code_metadata_factor) as u64;
         if profile.code_cache {
-            let key = content_hash(&bytes);
-            let cache_path = format!("{}/{key:016x}.cwasm", profile.cache_dir);
+            let cache_path = format!("{}/{module_key:016x}.cwasm", profile.cache_dir);
             match kernel.lookup(&cache_path) {
                 Ok(artifact) => {
                     // Cache hit: skip compilation, pay artifact load +

@@ -29,6 +29,8 @@
 //! pre-overload baseline; re-run overload with the retry budget disabled
 //! and assert the system demonstrably degrades (the control arm).
 
+use std::cell::Cell;
+
 use k8s_sim::{
     Cluster, DeploymentController, DeploymentSpec, HpaSpec, LatencyHistogram, ProbeSpec,
     ResilientClient, RetryBudget, RetryPolicy, Service, ServiceConfig,
@@ -321,6 +323,19 @@ enum Ev {
     Hedge(usize),
     /// Coarse cluster tick.
     Tick,
+}
+
+thread_local! {
+    /// The request records of this thread's previous run, emptied: a run
+    /// takes them, grows them to its size and hands them back. Megabytes
+    /// allocated and freed per run land wherever the heap has room, and one
+    /// small allocation left above the freed block keeps it resident while
+    /// the next run's is carved out beside it, so the process's peak RSS
+    /// depends on heap layout (the benchmark's `traffic_overload`: 10.7 or
+    /// 12.3 MiB for the same work, by what the pod starts before it
+    /// happened to allocate). One buffer per thread stays where it was
+    /// first mapped.
+    static REQ_RECORDS: Cell<Vec<ReqState>> = const { Cell::new(Vec::new()) };
 }
 
 /// The one fixed-size record the loop keeps per request.
@@ -693,11 +708,13 @@ fn run_traffic_on(
         "max_attempts must stay below the hedge token offset ({HEDGE_TOKEN_OFFSET})"
     );
     let execs = |n: u64| Duration::from_nanos(exec.as_nanos().saturating_mul(n));
+    let mut reqs = REQ_RECORDS.take();
+    reqs.reserve(phases.iter().map(|p| p.requests).sum());
     let mut lp = Loop {
         queue: CalendarQueue::default(),
         next_seq: 0,
         peak_live_events: 0,
-        reqs: Vec::with_capacity(phases.iter().map(|p| p.requests).sum()),
+        reqs,
         phases: phases
             .iter()
             .map(|p| PhaseStats {
@@ -834,6 +851,8 @@ fn run_traffic_on(
         }
     }
 
+    lp.reqs.clear();
+    REQ_RECORDS.set(lp.reqs);
     Ok(TrafficRun {
         config,
         phases: lp.phases,

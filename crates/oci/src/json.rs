@@ -6,9 +6,17 @@
 //! dependency set, so this module provides the needed parser/serializer —
 //! strings with escapes, numbers, arrays, objects with stable (sorted) key
 //! order for deterministic output.
+//!
+//! There is one tokenizer, the pull `Reader`: it walks an object's
+//! members or an array's elements, scans strings and numbers, and skips
+//! (while validating) whatever its caller does not want. [`parse`] builds
+//! the generic [`Value`] tree on it; a caller that knows its schema
+//! (`RuntimeSpec::from_json`, once per container `create` and `start`)
+//! drives it directly and builds no tree.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -150,81 +158,124 @@ impl From<u64> for Value {
 fn write_value(out: &mut String, v: &Value) {
     match v {
         Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => {
-            if n.fract() == 0.0 && n.abs() < 9e15 {
-                out.push_str(&format!("{}", *n as i64));
-            } else {
-                out.push_str(&format!("{n}"));
-            }
-        }
+        Value::Bool(b) => write_bool(out, *b),
+        Value::Number(n) => write_number(out, *n),
         Value::String(s) => write_string(out, s),
-        Value::Array(a) => {
-            out.push('[');
-            for (i, item) in a.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_value(out, item);
-            }
-            out.push(']');
-        }
-        Value::Object(m) => {
-            out.push('{');
-            for (i, (k, item)) in m.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_string(out, k);
-                out.push(':');
-                write_value(out, item);
-            }
-            out.push('}');
-        }
+        Value::Array(a) => write_seq(out, ['[', ']'], a, write_value),
+        Value::Object(m) => write_seq(out, ['{', '}'], m, |out, (k, item)| {
+            write_string(out, k);
+            out.push(':');
+            write_value(out, item);
+        }),
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// `items`, comma-separated between `brackets`, each written by `item`.
+pub(crate) fn write_seq<T>(
+    out: &mut String,
+    brackets: [char; 2],
+    items: impl IntoIterator<Item = T>,
+    mut item: impl FnMut(&mut String, T),
+) {
+    out.push(brackets[0]);
+    for (i, it) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        item(out, it);
+    }
+    out.push(brackets[1]);
+}
+
+pub(crate) fn write_bool(out: &mut String, b: bool) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
+/// Integers in the `f64`-exact range print without a fraction. JSON has no
+/// NaN or infinity: they are written as `null`, as serde_json does, so the
+/// output always parses.
+pub(crate) fn write_number(out: &mut String, n: f64) {
+    if !n.is_finite() {
+        out.push_str("null");
+    } else if n.fract() == 0.0 && n.abs() < 9e15 {
+        let _ = write!(out, "{}", n as i64);
+    } else {
+        let _ = write!(out, "{n}");
+    }
+}
+
+/// A quoted string: runs that need no escape are copied whole.
+pub(crate) fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    // Every byte that needs an escape is ASCII, so `run..i` and `i + 1..`
+    // always fall on character boundaries.
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
-struct Parser<'a> {
-    input: &'a [u8],
+/// Arrays and objects may nest this deep; a document that goes deeper is
+/// rejected instead of overflowing the stack of whoever parses it.
+pub const MAX_DEPTH: u32 = 128;
+
+/// A pull reader over one JSON document: the tokenizer both decoders are
+/// built on. [`parse`] drives it into a [`Value`] tree for generic callers;
+/// `RuntimeSpec::from_json` drives it straight into the struct.
+///
+/// Every method consumes exactly one value. The typed ones are tolerant
+/// the way a DOM lookup is: a value of another type is skipped — still
+/// fully validated — and reads as absent.
+pub(crate) struct Reader<'a> {
+    input: &'a str,
     pos: usize,
+    depth: u32,
+}
+
+/// Read one document: `read` consumes the value, and nothing but
+/// whitespace may follow it.
+pub(crate) fn document<'a, T>(
+    input: &'a str,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, JsonError>,
+) -> Result<T, JsonError> {
+    let mut r = Reader { input, pos: 0, depth: 0 };
+    r.skip_ws();
+    let out = read(&mut r)?;
+    r.skip_ws();
+    if r.pos != input.len() {
+        return Err(r.err("trailing characters"));
+    }
+    Ok(out)
 }
 
 /// Parse a JSON document.
 pub fn parse(input: &str) -> Result<Value, JsonError> {
-    let mut p = Parser { input: input.as_bytes(), pos: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.input.len() {
-        return Err(p.err("trailing characters"));
-    }
-    Ok(v)
+    document(input, Reader::value)
 }
 
-impl<'a> Parser<'a> {
+impl<'a> Reader<'a> {
     fn err(&self, message: &str) -> JsonError {
         JsonError { pos: self.pos, message: message.to_string() }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.input.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -248,8 +299,138 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, lit: &str, v: Value) -> Result<Value, JsonError> {
-        if self.input[self.pos..].starts_with(lit.as_bytes()) {
+    /// The value as a tree.
+    fn value(&mut self) -> Result<Value, JsonError> {
+        Ok(match self.peek() {
+            Some(b'"') => Value::String(self.scan_string()?.into_owned()),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|r| {
+                    items.push(r.value()?);
+                    Ok(())
+                })?;
+                Value::Array(items)
+            }
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                self.object(|r, key| {
+                    map.insert(key.into_owned(), r.value()?);
+                    Ok(())
+                })?;
+                Value::Object(map)
+            }
+            Some(b'-' | b'0'..=b'9') => Value::Number(self.scan_number()?),
+            _ => self.scan_literal()?.map_or(Value::Null, Value::Bool),
+        })
+    }
+
+    /// Skip the value, validating it exactly as [`parse`] would.
+    pub fn skip(&mut self) -> Result<(), JsonError> {
+        match self.peek() {
+            Some(b'"') => self.scan_string().map(drop),
+            Some(b'[') => self.array(|r| r.skip()),
+            Some(b'{') => self.object(|r, _| r.skip()),
+            Some(b'-' | b'0'..=b'9') => self.scan_number().map(drop),
+            _ => self.scan_literal().map(drop),
+        }
+    }
+
+    /// The value if it is a string.
+    pub fn string(&mut self) -> Result<Option<String>, JsonError> {
+        match self.peek() {
+            Some(b'"') => Ok(Some(self.scan_string()?.into_owned())),
+            _ => self.skip().map(|()| None),
+        }
+    }
+
+    /// The value if it is `true` or `false`.
+    pub fn boolean(&mut self) -> Result<Option<bool>, JsonError> {
+        match self.peek() {
+            Some(b't' | b'f') => self.scan_literal(),
+            _ => self.skip().map(|()| None),
+        }
+    }
+
+    /// The value if it is a number.
+    pub fn number(&mut self) -> Result<Option<f64>, JsonError> {
+        match self.peek() {
+            Some(b'-' | b'0'..=b'9') => self.scan_number().map(Some),
+            _ => self.skip().map(|()| None),
+        }
+    }
+
+    /// Walk an array: `element` is called at each element and consumes it.
+    pub fn array(
+        &mut self,
+        element: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        match self.peek() {
+            Some(b'[') => self.sequence(b']', element),
+            _ => self.skip(),
+        }
+    }
+
+    /// Walk an object: `member` is called at each member's value with its
+    /// (unescaped) key and consumes the value. Keys arrive in document
+    /// order, duplicates included; a tree keeps the last.
+    pub fn object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        match self.peek() {
+            Some(b'{') => self.sequence(b'}', |r| {
+                let key = r.scan_string()?;
+                r.skip_ws();
+                r.expect(b':')?;
+                r.skip_ws();
+                member(r, key)
+            }),
+            _ => self.skip(),
+        }
+    }
+
+    /// The comma-separated items between the bracket at `pos` and `close`.
+    fn sequence(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+        } else {
+            loop {
+                self.skip_ws();
+                item(self)?;
+                self.skip_ws();
+                match self.bump() {
+                    Some(b',') => continue,
+                    Some(b) if b == close => break,
+                    _ => {
+                        self.pos = self.pos.saturating_sub(1);
+                        return Err(self.err(&format!("expected ',' or '{}'", close as char)));
+                    }
+                }
+            }
+        }
+        self.depth -= 1;
+        Ok(())
+    }
+
+    fn scan_literal(&mut self) -> Result<Option<bool>, JsonError> {
+        let (lit, v) = match self.peek() {
+            Some(b'n') => ("null", None),
+            Some(b't') => ("true", Some(true)),
+            Some(b'f') => ("false", Some(false)),
+            Some(other) => return Err(self.err(&format!("unexpected byte 0x{other:02x}"))),
+            None => return Err(self.err("unexpected end of input")),
+        };
+        if self.input.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -257,122 +438,69 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, JsonError> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", Value::Null),
-            Some(b't') => self.literal("true", Value::Bool(true)),
-            Some(b'f') => self.literal("false", Value::Bool(false)),
-            Some(b'"') => Ok(Value::String(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(other) => Err(self.err(&format!("unexpected byte 0x{other:02x}"))),
-            None => Err(self.err("unexpected end of input")),
-        }
-    }
-
-    fn array(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Value::Array(items)),
-                _ => {
-                    self.pos = self.pos.saturating_sub(1);
-                    return Err(self.err("expected ',' or ']'"));
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Value, JsonError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            map.insert(key, value);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Value::Object(map)),
-                _ => {
-                    self.pos = self.pos.saturating_sub(1);
-                    return Err(self.err("expected ',' or '}'"));
-                }
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A quoted string, borrowed from the input unless it holds an escape;
+    /// then each run between escapes is copied whole.
+    fn scan_string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let input = self.input;
+        let mut unescaped: Option<String> = None;
+        // `run..pos` is the pending unescaped run. It starts after an ASCII
+        // byte and ends before one, so slicing it cannot split a character.
+        let mut run = self.pos;
         loop {
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let cp = self.hex4()?;
-                        // Surrogate pairs.
-                        let c = if (0xD800..0xDC00).contains(&cp) {
-                            self.expect(b'\\')?;
-                            self.expect(b'u')?;
-                            let low = self.hex4()?;
-                            if !(0xDC00..0xE000).contains(&low) {
-                                return Err(self.err("invalid low surrogate"));
-                            }
-                            let combined = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-                            char::from_u32(combined)
-                        } else {
-                            char::from_u32(cp)
-                        };
-                        out.push(c.ok_or_else(|| self.err("invalid code point"))?);
-                    }
-                    _ => return Err(self.err("invalid escape")),
-                },
-                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
-                Some(b) => {
-                    // Re-decode UTF-8 starting at this byte.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b).ok_or_else(|| self.err("invalid UTF-8"))?;
-                    let end = start + len;
-                    if end > self.input.len() {
-                        return Err(self.err("truncated UTF-8"));
-                    }
-                    let s = std::str::from_utf8(&self.input[start..end])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos = end;
+                Some(b'"') => {
+                    let tail = &input[run..self.pos - 1];
+                    return Ok(match unescaped {
+                        None => Cow::Borrowed(tail),
+                        Some(mut s) => {
+                            s.push_str(tail);
+                            Cow::Owned(s)
+                        }
+                    });
                 }
+                Some(b'\\') => {
+                    let s = unescaped.get_or_insert_with(String::new);
+                    s.push_str(&input[run..self.pos - 1]);
+                    s.push(self.escape()?);
+                    run = self.pos;
+                }
+                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
+                Some(_) => {}
             }
         }
+    }
+
+    /// The character an escape stands for; `pos` is just past the backslash.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        Ok(match self.bump() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let cp = self.hex4()?;
+                // Surrogate pairs.
+                let c = if (0xD800..0xDC00).contains(&cp) {
+                    self.expect(b'\\')?;
+                    self.expect(b'u')?;
+                    let low = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00))
+                } else {
+                    char::from_u32(cp)
+                };
+                c.ok_or_else(|| self.err("invalid code point"))?
+            }
+            _ => return Err(self.err("invalid escape")),
+        })
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
@@ -385,7 +513,7 @@ impl<'a> Parser<'a> {
         Ok(v)
     }
 
-    fn number(&mut self) -> Result<Value, JsonError> {
+    fn scan_number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -408,21 +536,9 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.input[start..self.pos])
-            .map_err(|_| self.err("bad number"))?;
-        text.parse::<f64>()
-            .map(Value::Number)
+        self.input[start..self.pos]
+            .parse::<f64>()
             .map_err(|_| JsonError { pos: start, message: "bad number".into() })
-    }
-}
-
-fn utf8_len(first: u8) -> Option<usize> {
-    match first {
-        0x00..=0x7f => Some(1),
-        0xc0..=0xdf => Some(2),
-        0xe0..=0xef => Some(3),
-        0xf0..=0xf7 => Some(4),
-        _ => None,
     }
 }
 
@@ -477,6 +593,43 @@ mod tests {
         assert!(parse("tru").is_err());
         assert!(parse("1 2").is_err());
         assert!(parse("\"\x01\"").is_err());
+    }
+
+    /// Hostile nesting is an error, not a stack overflow: 1 MiB of open
+    /// brackets on a 2 MiB stack, through the tree builder and through
+    /// skip-and-validate (what a typed read does with a value of another
+    /// type).
+    #[test]
+    fn deep_nesting_is_rejected_not_overflowed() {
+        let run = || {
+            for unit in ["[", "{\"a\":"] {
+                let doc = unit.repeat((1 << 20) / unit.len());
+                let too_deep =
+                    JsonError { pos: 128 * unit.len(), message: "nesting too deep".into() };
+                assert_eq!(parse(&doc), Err(too_deep.clone()));
+                assert_eq!(document(&doc, Reader::skip), Err(too_deep.clone()));
+                assert_eq!(document(&doc, Reader::string), Err(too_deep));
+            }
+            // The limit itself is fine, one more is not.
+            let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+            assert!(parse(&nest(MAX_DEPTH as usize)).is_ok());
+            assert!(parse(&nest(MAX_DEPTH as usize + 1)).is_err());
+        };
+        std::thread::Builder::new().stack_size(2 << 20).spawn(run).unwrap().join().unwrap();
+    }
+
+    /// JSON has no NaN or infinity; what is written must parse.
+    #[test]
+    fn non_finite_numbers_serialize_as_null() {
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(Value::Number(n).to_json(), "null");
+            let nested = Value::object([
+                ("walls", Value::Array(vec![Value::Number(1.5), Value::Number(n)])),
+                ("inner", Value::object([("x", Value::Number(n))])),
+            ]);
+            assert_eq!(nested.to_json(), r#"{"inner":{"x":null},"walls":[1.5,null]}"#);
+            assert!(parse(&nested.to_json()).is_ok());
+        }
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! The Open Container Initiative layer of the reproduction:
 //!
 //! * [`json`] — a from-scratch JSON parser/serializer (`serde_json` is not
-//!   in the offline dependency set), with deterministic output;
+//!   in the offline dependency set), with deterministic output: one pull
+//!   tokenizer, and the generic `Value` tree built on it;
 //! * [`spec`] — the runtime-spec subset (`config.json`): process, root,
 //!   mounts, namespaces, cgroups path, memory limits, annotations —
 //!   including the `module.wasm.image/variant` annotation that routes a
-//!   container to crun's Wasm handler;
+//!   container to crun's Wasm handler — with its codec straight on the
+//!   tokenizer;
 //! * [`image`] — image store with overlay-style layer sharing;
 //! * [`bundle`] — bundle creation: real `config.json` bytes written to and
 //!   parsed back from the simulated filesystem.

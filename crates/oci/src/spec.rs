@@ -1,9 +1,12 @@
 //! OCI runtime specification types (the subset the paper's stack uses),
-//! with hand-written JSON (de)serialization against [`crate::json`].
+//! with a hand-written `config.json` codec on [`crate::json`]'s tokenizer
+//! and writers — no intermediate tree in either direction.
 
 use std::collections::BTreeMap;
 
-use crate::json::{parse, JsonError, Value};
+use crate::json::{
+    document, write_bool, write_number, write_seq, write_string, JsonError, Reader, Value,
+};
 
 /// The annotation crun uses to dispatch a container to a Wasm handler
 /// (the `module.wasm.image/variant=compat` convention).
@@ -59,7 +62,7 @@ pub struct RootSpec {
 }
 
 /// One `mounts` entry.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MountSpec {
     pub destination: String,
     pub source: String,
@@ -153,152 +156,225 @@ impl RuntimeSpec {
         self.annotations.get(BROWNOUT_ANNOTATION)?.parse().ok()
     }
 
-    /// Serialize to `config.json` bytes.
+    /// Serialize to `config.json` bytes: compact, keys in sorted order at
+    /// every level — byte for byte what serializing the equivalent
+    /// [`json::Value`](crate::json::Value) tree gives. The simulation charges
+    /// a bundle by this document's size, so the bytes are part of the model.
     pub fn to_json(&self) -> String {
-        let mounts = Value::Array(
-            self.mounts
-                .iter()
-                .map(|m| {
-                    Value::object([
-                        ("destination", Value::from(m.destination.clone())),
-                        ("source", Value::from(m.source.clone())),
-                        ("type", Value::from(m.fstype.clone())),
-                        ("options", Value::strings(m.options.iter().cloned())),
-                    ])
-                })
-                .collect(),
-        );
-        let namespaces = Value::Array(
-            self.linux
-                .namespaces
-                .iter()
-                .map(|n| Value::object([("type", Value::from(n.clone()))]))
-                .collect(),
-        );
-        let mut linux = vec![
-            ("cgroupsPath", Value::from(self.linux.cgroups_path.clone())),
-            ("namespaces", namespaces),
-        ];
+        // Roomy for the usual ~470 bytes; longer documents grow the buffer.
+        let mut out = String::with_capacity(1024);
+        out.push_str("{\"annotations\":");
+        write_seq(&mut out, ['{', '}'], &self.annotations, |out, (k, v)| {
+            write_string(out, k);
+            out.push(':');
+            write_string(out, v);
+        });
+        out.push_str(",\"hostname\":");
+        write_string(&mut out, &self.hostname);
+        out.push_str(",\"linux\":{\"cgroupsPath\":");
+        write_string(&mut out, &self.linux.cgroups_path);
+        out.push_str(",\"namespaces\":");
+        write_seq(&mut out, ['[', ']'], &self.linux.namespaces, |out, ns| {
+            out.push_str("{\"type\":");
+            write_string(out, ns);
+            out.push('}');
+        });
         if let Some(limit) = self.linux.memory.limit {
-            linux.push((
-                "resources",
-                Value::object([("memory", Value::object([("limit", Value::from(limit))]))]),
-            ));
+            out.push_str(",\"resources\":{\"memory\":{\"limit\":");
+            write_number(&mut out, limit as f64);
+            out.push_str("}}");
         }
-        let annotations = Value::Object(
-            self.annotations.iter().map(|(k, v)| (k.clone(), Value::from(v.clone()))).collect(),
-        );
-        Value::object([
-            ("ociVersion", Value::from(self.oci_version.clone())),
-            (
-                "process",
-                Value::object([
-                    ("terminal", Value::from(self.process.terminal)),
-                    ("args", Value::strings(self.process.args.iter().cloned())),
-                    ("env", Value::strings(self.process.env.iter().cloned())),
-                    ("cwd", Value::from(self.process.cwd.clone())),
-                ]),
-            ),
-            (
-                "root",
-                Value::object([
-                    ("path", Value::from(self.root.path.clone())),
-                    ("readonly", Value::from(self.root.readonly)),
-                ]),
-            ),
-            ("hostname", Value::from(self.hostname.clone())),
-            ("mounts", mounts),
-            ("annotations", annotations),
-            ("linux", Value::object(linux)),
-        ])
-        .to_json()
+        out.push_str("},\"mounts\":");
+        write_seq(&mut out, ['[', ']'], &self.mounts, |out, m| {
+            out.push_str("{\"destination\":");
+            write_string(out, &m.destination);
+            out.push_str(",\"options\":");
+            write_strings(out, &m.options);
+            out.push_str(",\"source\":");
+            write_string(out, &m.source);
+            out.push_str(",\"type\":");
+            write_string(out, &m.fstype);
+            out.push('}');
+        });
+        out.push_str(",\"ociVersion\":");
+        write_string(&mut out, &self.oci_version);
+        out.push_str(",\"process\":{\"args\":");
+        write_strings(&mut out, &self.process.args);
+        out.push_str(",\"cwd\":");
+        write_string(&mut out, &self.process.cwd);
+        out.push_str(",\"env\":");
+        write_strings(&mut out, &self.process.env);
+        out.push_str(",\"terminal\":");
+        write_bool(&mut out, self.process.terminal);
+        out.push_str("},\"root\":{\"path\":");
+        write_string(&mut out, &self.root.path);
+        out.push_str(",\"readonly\":");
+        write_bool(&mut out, self.root.readonly);
+        out.push_str("}}");
+        out
     }
 
-    /// Parse `config.json` bytes.
+    /// Parse `config.json` bytes, straight off the tokenizer. Tolerant the
+    /// way a lookup in a parsed tree is: unknown members are skipped (and
+    /// still validated), a member of the wrong type reads as absent, and
+    /// the last of a repeated key replaces the earlier ones wholesale.
+    /// Only a syntax error fails.
     pub fn from_json(input: &str) -> Result<RuntimeSpec, JsonError> {
-        let v = parse(input)?;
-        let process = v.get("process").cloned().unwrap_or(Value::Null);
-        let root = v.get("root").cloned().unwrap_or(Value::Null);
-        let linux = v.get("linux").cloned().unwrap_or(Value::Null);
-        let mounts = v
-            .get("mounts")
-            .and_then(Value::as_array)
-            .map(|a| {
-                a.iter()
-                    .map(|m| MountSpec {
-                        destination: m
-                            .get("destination")
-                            .and_then(Value::as_str)
-                            .unwrap_or_default()
-                            .to_string(),
-                        source: m
-                            .get("source")
-                            .and_then(Value::as_str)
-                            .unwrap_or_default()
-                            .to_string(),
-                        fstype: m
-                            .get("type")
-                            .and_then(Value::as_str)
-                            .unwrap_or_default()
-                            .to_string(),
-                        options: m.str_list("options"),
-                    })
-                    .collect()
-            })
-            .unwrap_or_default();
-        let annotations = v
-            .get("annotations")
-            .and_then(Value::as_object)
-            .map(|m| {
-                m.iter()
-                    .filter_map(|(k, v)| v.as_str().map(|s| (k.clone(), s.to_string())))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let namespaces = linux
-            .get("namespaces")
-            .and_then(Value::as_array)
-            .map(|a| {
-                a.iter()
-                    .filter_map(|n| n.get("type").and_then(Value::as_str).map(str::to_string))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let limit = linux
-            .get("resources")
-            .and_then(|r| r.get("memory"))
-            .and_then(|m| m.get("limit"))
-            .and_then(Value::as_u64);
-        Ok(RuntimeSpec {
-            oci_version: v
-                .get("ociVersion")
-                .and_then(Value::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            process: ProcessSpec {
-                args: process.str_list("args"),
-                env: process.str_list("env"),
-                cwd: process.get("cwd").and_then(Value::as_str).unwrap_or("/").to_string(),
-                terminal: process.get("terminal").and_then(Value::as_bool).unwrap_or(false),
-            },
-            root: RootSpec {
-                path: root.get("path").and_then(Value::as_str).unwrap_or("rootfs").to_string(),
-                readonly: root.get("readonly").and_then(Value::as_bool).unwrap_or(false),
-            },
-            hostname: v.get("hostname").and_then(Value::as_str).unwrap_or_default().to_string(),
-            mounts,
-            annotations,
-            linux: LinuxSpec {
-                namespaces,
-                cgroups_path: linux
-                    .get("cgroupsPath")
-                    .and_then(Value::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
-                memory: MemoryResources { limit },
-            },
+        document(input, |r| {
+            let mut spec = RuntimeSpec {
+                process: ProcessSpec::absent(),
+                root: RootSpec::absent(),
+                ..RuntimeSpec::default()
+            };
+            r.object(|r, key| {
+                match &*key {
+                    "ociVersion" => spec.oci_version = r.string()?.unwrap_or_default(),
+                    "process" => spec.process = ProcessSpec::read(r)?,
+                    "root" => spec.root = RootSpec::read(r)?,
+                    "hostname" => spec.hostname = r.string()?.unwrap_or_default(),
+                    "mounts" => spec.mounts = read_list(r, |r| MountSpec::read(r).map(Some))?,
+                    "annotations" => spec.annotations = read_annotations(r)?,
+                    "linux" => spec.linux = LinuxSpec::read(r)?,
+                    _ => r.skip()?,
+                }
+                Ok(())
+            })?;
+            Ok(spec)
         })
     }
+}
+
+// What each object reads as when its member is absent or not an object,
+// and how it is filled from one that is. Every `read` consumes one value.
+
+impl ProcessSpec {
+    fn absent() -> ProcessSpec {
+        ProcessSpec { cwd: "/".into(), ..ProcessSpec::default() }
+    }
+
+    fn read(r: &mut Reader) -> Result<ProcessSpec, JsonError> {
+        let mut process = ProcessSpec::absent();
+        r.object(|r, key| {
+            match &*key {
+                "args" => process.args = read_list(r, Reader::string)?,
+                "env" => process.env = read_list(r, Reader::string)?,
+                "cwd" => process.cwd = r.string()?.unwrap_or_else(|| ProcessSpec::absent().cwd),
+                "terminal" => process.terminal = r.boolean()?.unwrap_or(false),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(process)
+    }
+}
+
+impl RootSpec {
+    fn absent() -> RootSpec {
+        RootSpec { path: "rootfs".into(), readonly: false }
+    }
+
+    fn read(r: &mut Reader) -> Result<RootSpec, JsonError> {
+        let mut root = RootSpec::absent();
+        r.object(|r, key| {
+            match &*key {
+                "path" => root.path = r.string()?.unwrap_or_else(|| RootSpec::absent().path),
+                "readonly" => root.readonly = r.boolean()?.unwrap_or(false),
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(root)
+    }
+}
+
+impl MountSpec {
+    fn read(r: &mut Reader) -> Result<MountSpec, JsonError> {
+        let mut mount = MountSpec::default();
+        r.object(|r, key| {
+            match &*key {
+                "destination" => mount.destination = r.string()?.unwrap_or_default(),
+                "source" => mount.source = r.string()?.unwrap_or_default(),
+                "type" => mount.fstype = r.string()?.unwrap_or_default(),
+                "options" => mount.options = read_list(r, Reader::string)?,
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(mount)
+    }
+}
+
+impl LinuxSpec {
+    fn read(r: &mut Reader) -> Result<LinuxSpec, JsonError> {
+        let mut linux = LinuxSpec::default();
+        r.object(|r, key| {
+            match &*key {
+                "namespaces" => {
+                    linux.namespaces = read_list(r, |r| read_member(r, "type", Reader::string))?
+                }
+                "cgroupsPath" => linux.cgroups_path = r.string()?.unwrap_or_default(),
+                "resources" => {
+                    linux.memory.limit = read_member(r, "memory", |r| {
+                        read_member(r, "limit", |r| {
+                            Ok(r.number()?.and_then(|n| Value::Number(n).as_u64()))
+                        })
+                    })?
+                }
+                _ => r.skip()?,
+            }
+            Ok(())
+        })?;
+        Ok(linux)
+    }
+}
+
+/// The elements `item` yields a value for; not an array reads as empty.
+fn read_list<'a, T>(
+    r: &mut Reader<'a>,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<Option<T>, JsonError>,
+) -> Result<Vec<T>, JsonError> {
+    let mut list = Vec::new();
+    r.array(|r| {
+        list.extend(item(r)?);
+        Ok(())
+    })?;
+    Ok(list)
+}
+
+/// Member `name` of an object, read by `inner`: the last occurrence wins,
+/// and a value that is no object or has no such member reads as absent.
+fn read_member<'a, T>(
+    r: &mut Reader<'a>,
+    name: &str,
+    mut inner: impl FnMut(&mut Reader<'a>) -> Result<Option<T>, JsonError>,
+) -> Result<Option<T>, JsonError> {
+    let mut found = None;
+    r.object(|r, key| {
+        if key == name {
+            found = inner(r)?;
+            Ok(())
+        } else {
+            r.skip()
+        }
+    })?;
+    Ok(found)
+}
+
+/// The members that are strings.
+fn read_annotations(r: &mut Reader) -> Result<BTreeMap<String, String>, JsonError> {
+    let mut annotations = BTreeMap::new();
+    r.object(|r, key| {
+        match r.string()? {
+            Some(value) => annotations.insert(key.into_owned(), value),
+            None => annotations.remove(&*key),
+        };
+        Ok(())
+    })?;
+    Ok(annotations)
+}
+
+fn write_strings(out: &mut String, items: &[String]) {
+    write_seq(out, ['[', ']'], items, |out, s| write_string(out, s));
 }
 
 #[cfg(test)]

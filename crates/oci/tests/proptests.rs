@@ -54,6 +54,7 @@ fn parser_never_panics_on_garbage() {
     check("parser_never_panics_on_garbage", 512, |g| {
         let input = g.string_upto(SOUP, 0, 64);
         let _ = parse(&input);
+        let _ = RuntimeSpec::from_json(&input);
     });
 }
 
@@ -63,6 +64,7 @@ fn parser_never_panics_on_bytes() {
         let input: Vec<u8> = (0..g.index(64)).map(|_| g.next_u32() as u8).collect();
         if let Ok(s) = std::str::from_utf8(&input) {
             let _ = parse(s);
+            let _ = RuntimeSpec::from_json(s);
         }
     });
 }

@@ -146,6 +146,11 @@ echo "== smoke: traffic (steady cell + overload-and-recover + rollout/HPA scenar
 # degrades), and the live-traffic rollout + HPA scenario passes.
 cargo run --release --offline -p harness --bin traffic -- --smoke >/dev/null
 
+echo "== smoke: cluster density sweep + scheduler ablation (3 nodes) =="
+# measure_scale / density_sweep: the entry point the benchmark's
+# dense_cluster workload times, which no test above runs.
+cargo run --release --offline -p harness --bin figures -- cluster --smoke >/dev/null
+
 echo "== size: non-blank lines (ROADMAP item 5 reads each PR's delta off this) =="
 count() { find "$@" -not -path '*/target/*' -not -path './.git/*' -print0 | xargs -0 cat | grep -c '[^[:space:]]'; }
 echo "rust (crates/ src/ tests/ examples/): $(count crates src tests examples -name '*.rs')"

@@ -4,7 +4,8 @@
 //!
 //! This lives in its own integration-test binary (one test function) so the
 //! global cache counters aren't perturbed by unrelated tests running in the
-//! same process.
+//! same process — which is also why the exact count of module bytes hashed
+//! by a sweep is asserted here and nowhere else.
 
 use memwasm::harness::{figures, Config, Workload};
 use memwasm::wasm_core::ArtifactCache;
@@ -33,4 +34,11 @@ fn artifact_cache_hit_rate_exceeds_90_percent_across_a_sweep() {
         stats.misses
     );
     assert_eq!(cache.len(), 1);
+    // Every image shares the memoised module allocation, so the sweep saw
+    // one distinct buffer and hashed it once, on first sight — not once per
+    // lookup, and not a second time for each Wasmtime start's code-cache
+    // file name (both Wasmtime configs are in the sweep): that would be
+    // about 135 modules' worth.
+    let module = memwasm::workloads::microservice_module_bytes(&w.wasm);
+    assert_eq!(stats.hashed_bytes, module.len() as u64, "{stats:?}");
 }
