@@ -1,0 +1,188 @@
+//! What a resident simulated pod costs the *host*: live heap bytes and live
+//! heap blocks per pod after `Cluster::deploy`, and nothing left after
+//! teardown.
+//!
+//! The program is single-threaded and deterministic, so the bytes it has
+//! requested from the allocator and not yet returned repeat exactly from
+//! run to run — a count, not a timing. The budgets below are that count
+//! with a little headroom: a per-pod structure that allocates for entries
+//! it will never hold (a B-tree leaf for one key, a vector left at its
+//! growth capacity, a per-container copy of a per-image table) fails here
+//! before it shows in `dense_cluster`'s `peak_rss_mib`.
+//!
+//! Its own integration-test binary with one test function: the counting
+//! allocator is process-global, and a second test running beside this one
+//! would be counted into it.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
+
+use memwasm::harness::cluster_scale::{new_scaled_cluster, warmup_nodes};
+use memwasm::harness::{Config, Workload};
+use memwasm::k8s_sim::Policy;
+use memwasm::simkernel::KernelResult;
+use memwasm::workloads::MicroserviceConfig;
+
+/// Forwards every call to [`System`] unchanged and keeps three counts.
+struct Counting;
+
+static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+static LIVE_BLOCKS: AtomicUsize = AtomicUsize::new(0);
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every method hands its arguments to `System`'s method of the same
+// name and returns what that returned, so `System`'s guarantees are this
+// allocator's; the counters are statistics that publish no other data.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's contract for `alloc`, passed on as is.
+        let p = unsafe { System.alloc(layout) };
+        if !p.is_null() {
+            LIVE_BYTES.fetch_add(layout.size(), Relaxed);
+            LIVE_BLOCKS.fetch_add(1, Relaxed);
+            ALLOCATIONS.fetch_add(1, Relaxed);
+        }
+        p
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        // SAFETY: the caller's contract for `alloc_zeroed`, passed on as is.
+        let p = unsafe { System.alloc_zeroed(layout) };
+        if !p.is_null() {
+            LIVE_BYTES.fetch_add(layout.size(), Relaxed);
+            LIVE_BLOCKS.fetch_add(1, Relaxed);
+            ALLOCATIONS.fetch_add(1, Relaxed);
+        }
+        p
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract for `dealloc`, passed on as is.
+        unsafe { System.dealloc(ptr, layout) };
+        LIVE_BYTES.fetch_sub(layout.size(), Relaxed);
+        LIVE_BLOCKS.fetch_sub(1, Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        // SAFETY: the caller's contract for `realloc`, passed on as is.
+        let p = unsafe { System.realloc(ptr, layout, new_size) };
+        if !p.is_null() {
+            LIVE_BYTES.fetch_add(new_size, Relaxed);
+            LIVE_BYTES.fetch_sub(layout.size(), Relaxed);
+            ALLOCATIONS.fetch_add(1, Relaxed);
+        }
+        p
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+#[derive(Clone, Copy)]
+struct Reading {
+    bytes: usize,
+    blocks: usize,
+    allocations: usize,
+}
+
+fn reading() -> Reading {
+    Reading {
+        bytes: LIVE_BYTES.load(Relaxed),
+        blocks: LIVE_BLOCKS.load(Relaxed),
+        allocations: ALLOCATIONS.load(Relaxed),
+    }
+}
+
+const NODES: usize = 5;
+const PODS: usize = 1_000;
+
+/// What one boot → warm-up → deploy → teardown → drop cycle read.
+struct Cycle {
+    /// What `deploy` added, with the `Deployment` it returned still held —
+    /// as `measure_scale` holds it.
+    deployed: Reading,
+    /// Live bytes after teardown and drop, over the pre-bootstrap reading.
+    left_over: isize,
+}
+
+/// `dense_cluster`'s guest: boots, prints its ready line, returns.
+fn boot_only() -> Workload {
+    Workload {
+        wasm: MicroserviceConfig { loop_iterations: 1, ..MicroserviceConfig::default() },
+        ..Workload::default()
+    }
+}
+
+fn cycle(config: Config, workload: &Workload, pods: usize) -> KernelResult<Cycle> {
+    let start = reading();
+    let mut cluster = new_scaled_cluster(config, NODES, Policy::Spread, workload)?;
+    warmup_nodes(&mut cluster, config)?;
+    let before = reading();
+    let deployment = cluster.deploy("bench", config.image_ref(), config.class_name(), pods)?;
+    let after = reading();
+    cluster.teardown(deployment)?;
+    drop(cluster);
+    let end = reading();
+    Ok(Cycle {
+        deployed: Reading {
+            bytes: after.bytes - before.bytes,
+            blocks: after.blocks - before.blocks,
+            allocations: after.allocations - before.allocations,
+        },
+        left_over: end.bytes as isize - start.bytes as isize,
+    })
+}
+
+/// Per config: live bytes and live blocks a resident pod may cost.
+///
+/// The budgets are the readings of the commit this test was written at (5
+/// nodes, 1 000 boot-only pods, second cycle): crun-wamr 19 908.2 B / 87.6
+/// blocks per pod, shim-wasmtime 14 780.3 / 66.6, crun-wasmtime 20 123.2 /
+/// 88.6.
+const BUDGETS: [(Config, usize, usize); 3] = [
+    (Config::WamrCrun, 19_909, 88),
+    (Config::ShimWasmtime, 14_781, 67),
+    (Config::CrunWasmtime, 20_124, 89),
+];
+
+/// What may stay live after a cycle: process-wide caches that a second
+/// cycle can still grow by a rounding step, never anything per pod.
+const LEFT_OVER_BYTES: isize = 4_096;
+
+#[test]
+fn a_resident_pod_costs_the_host_what_it_holds_and_teardown_returns_it() {
+    let workload = boot_only();
+    for (config, bytes, blocks) in BUDGETS {
+        // A first, small cycle fills the process-wide caches (module
+        // memo, artifact cache, recycled buffers); the second is read.
+        cycle(config, &workload, 2 * NODES).unwrap();
+        let c = cycle(config, &workload, PODS).unwrap();
+        let per_pod = |n: usize| n as f64 / PODS as f64;
+        println!(
+            "{:<24} {:>8.1} B/pod {:>5.1} blocks/pod {:>4.0} allocations/start, {} B left over",
+            config.label(),
+            per_pod(c.deployed.bytes),
+            per_pod(c.deployed.blocks),
+            per_pod(c.deployed.allocations),
+            c.left_over
+        );
+        assert!(
+            c.deployed.bytes <= bytes * PODS,
+            "{}: {:.1} live bytes per resident pod, budget {bytes}",
+            config.label(),
+            per_pod(c.deployed.bytes)
+        );
+        assert!(
+            c.deployed.blocks <= blocks * PODS,
+            "{}: {:.1} live blocks per resident pod, budget {blocks}",
+            config.label(),
+            per_pod(c.deployed.blocks)
+        );
+        assert!(
+            c.left_over <= LEFT_OVER_BYTES,
+            "{}: {} bytes still live after teardown and drop",
+            config.label(),
+            c.left_over
+        );
+    }
+}
