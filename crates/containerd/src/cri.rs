@@ -66,7 +66,11 @@ pub struct CriContainer {
     /// Present for OCI-class containers (init process of the container).
     oci: Option<Container>,
     bundle: Bundle,
-    spec: RuntimeSpec,
+    /// Present for a runwasi-class container until it has started: the
+    /// shim is handed the spec in memory, where an OCI runtime re-reads
+    /// `config.json` from the bundle. Boxed, so that a record without one
+    /// does not carry room for it.
+    spec: Option<Box<RuntimeSpec>>,
 }
 
 /// A pod sandbox: cgroup + shim (+ pause container for OCI classes).
@@ -77,16 +81,24 @@ pub struct Sandbox {
     pub shim: Shim,
     pause: Option<Container>,
     pause_bundle: Option<Bundle>,
-    containers: BTreeMap<String, CriContainer>,
+    /// Sorted by id — a pod holds one container, a few at most — and grown
+    /// one exact slot at a time.
+    containers: Vec<CriContainer>,
 }
 
 impl Sandbox {
     pub fn container(&self, id: &str) -> Option<&CriContainer> {
-        self.containers.get(id)
+        self.position(id).ok().map(|i| &self.containers[i])
     }
 
+    /// In id order.
     pub fn container_ids(&self) -> Vec<String> {
-        self.containers.keys().cloned().collect()
+        self.containers.iter().map(|c| c.id.clone()).collect()
+    }
+
+    /// Where `id` is (`Ok`) or would be inserted (`Err`).
+    fn position(&self, id: &str) -> Result<usize, usize> {
+        self.containers.binary_search_by(|c| c.id.as_str().cmp(id))
     }
 }
 
@@ -293,7 +305,7 @@ impl Containerd {
                 shim,
                 pause,
                 pause_bundle,
-                containers: BTreeMap::new(),
+                containers: Vec::new(),
             },
         );
         Ok(())
@@ -325,17 +337,17 @@ impl Containerd {
         annotations: &[(String, String)],
         trace: &mut StepTrace,
     ) -> KernelResult<()> {
-        let image = self.images.get(image_ref)?.clone();
+        let image = self.images.get(image_ref)?;
         self.grow_daemon(DAEMON_GROWTH_PER_CONTAINER)?;
         let sandbox = self
             .sandboxes
             .get_mut(pod_id)
             .ok_or_else(|| KernelError::InvalidState(format!("no sandbox {pod_id}")))?;
-        if sandbox.containers.contains_key(container_id) {
+        let Err(slot) = sandbox.position(container_id) else {
             return Err(KernelError::InvalidState(format!(
                 "container {container_id} already exists in {pod_id}"
             )));
-        }
+        };
 
         let mut spec = RuntimeSpec::for_command(container_id, image.command());
         spec.process.env = image.config.env.clone();
@@ -347,7 +359,7 @@ impl Containerd {
         for (k, v) in annotations {
             spec.annotations.insert(k.clone(), v.clone());
         }
-        let bundle = Bundle::create(&self.kernel, container_id, &image, &spec)?;
+        let bundle = Bundle::create(&self.kernel, container_id, image, &spec)?;
 
         // Snapshot preparation + metadata, under the task lock.
         trace.push(Phase::RuntimeOp, Step::Acquire(TASK_SERVICE_LOCK));
@@ -356,7 +368,7 @@ impl Containerd {
         trace.push(Phase::RuntimeOp, Step::Io(Duration::from_micros(800)));
 
         let class = self.classes.get(&sandbox.class).expect("class checked at sandbox");
-        let oci = match class {
+        let (oci, spec) = match class {
             RuntimeClass::Oci { runtime } => {
                 let ctx = RuntimeCtx { runtime_cgroup: self.system_cgroup };
                 let mut c = match runtime.create(&ctx, container_id, &bundle, sandbox.pod_cgroup) {
@@ -369,13 +381,14 @@ impl Containerd {
                     }
                 };
                 trace.append(&mut c.trace);
-                Some(c)
+                (Some(c), None)
             }
-            RuntimeClass::Runwasi { .. } => None,
+            RuntimeClass::Runwasi { .. } => (None, Some(Box::new(spec))),
         };
 
+        sandbox.containers.reserve_exact(1);
         sandbox.containers.insert(
-            container_id.to_string(),
+            slot,
             CriContainer {
                 id: container_id.to_string(),
                 image: image_ref.to_string(),
@@ -403,10 +416,10 @@ impl Containerd {
             .get_mut(pod_id)
             .ok_or_else(|| KernelError::InvalidState(format!("no sandbox {pod_id}")))?;
         let shim_pid = sandbox.shim.pid;
-        let container = sandbox
-            .containers
-            .get_mut(container_id)
-            .ok_or_else(|| KernelError::InvalidState(format!("no container {container_id}")))?;
+        let slot = sandbox
+            .position(container_id)
+            .map_err(|_| KernelError::InvalidState(format!("no container {container_id}")))?;
+        let container = &mut sandbox.containers[slot];
         if !lifecycle::legal(container.state.state(), ContainerState::Running) {
             return Err(KernelError::InvalidState(format!(
                 "container {container_id} is {:?}",
@@ -418,10 +431,12 @@ impl Containerd {
             RuntimeClass::Oci { runtime } => {
                 let ctx = RuntimeCtx { runtime_cgroup: self.system_cgroup };
                 let oci = container.oci.as_mut().expect("oci class has container");
-                let before = oci.trace.len();
                 runtime.start(&ctx, oci, &container.bundle)?;
-                trace.extend_entries(&oci.trace.entries()[before..]);
-                container.stdout = oci.stdout.clone();
+                // `create` handed the create steps on, so what the runtime's
+                // record holds now is this start; nothing reads it there
+                // again, so steps and stdout move rather than copy.
+                trace.append(&mut oci.trace);
+                container.stdout = std::mem::take(&mut oci.stdout);
                 container.wedged = oci.wedged;
                 container.epoch_clock = oci.epoch_clock.clone();
             }
@@ -433,8 +448,9 @@ impl Containerd {
                     embedding: Embedding::Crate,
                     fuel: *fuel,
                 };
-                let mut run =
-                    shim.execute(&self.kernel, shim_pid, &container.bundle, &container.spec)?;
+                let spec = container.spec.as_deref().expect("runwasi class keeps the spec");
+                let mut run = shim.execute(&self.kernel, shim_pid, &container.bundle, spec)?;
+                container.spec = None;
                 trace.append(&mut run.trace);
                 container.stdout = run.stdout;
                 container.wedged = run.interrupted;
@@ -443,6 +459,19 @@ impl Containerd {
         }
         container.state.transition(ContainerState::Running, container_id)?;
         Ok(())
+    }
+
+    /// Hand a container's captured stdout to the caller — the kubelet, which
+    /// keeps the pod's log; the container record keeps none of it. Empty
+    /// for an unknown pod or container.
+    pub fn take_container_stdout(&mut self, pod_id: &str, container_id: &str) -> Vec<u8> {
+        let Some(sandbox) = self.sandboxes.get_mut(pod_id) else {
+            return Vec::new();
+        };
+        match sandbox.position(container_id) {
+            Ok(slot) => std::mem::take(&mut sandbox.containers[slot].stdout),
+            Err(_) => Vec::new(),
+        }
     }
 
     /// CRI RemovePodSandbox: stop containers, pause, and the shim.
@@ -464,7 +493,7 @@ impl Containerd {
                 first_err.get_or_insert(e);
             }
         };
-        for (_, mut c) in std::mem::take(&mut sandbox.containers) {
+        for mut c in std::mem::take(&mut sandbox.containers) {
             if let RuntimeClass::Oci { runtime } = class {
                 if let Some(oci) = c.oci.as_mut() {
                     note(runtime.delete(oci));
@@ -507,14 +536,14 @@ impl Containerd {
         if self.pod_oom_killed(pod_id) {
             return Ok(false);
         }
-        Ok(s.containers.values().all(|c| c.state.is(ContainerState::Running) && !c.wedged))
+        Ok(s.containers.iter().all(|c| c.state.is(ContainerState::Running) && !c.wedged))
     }
 
     /// True when any container in the pod wedged on its watchdog budget and
     /// is still up (Running or riding out a termination grace period).
     pub fn pod_wedged(&self, pod_id: &str) -> bool {
         self.sandboxes.get(pod_id).map_or(false, |s| {
-            s.containers.values().any(|c| {
+            s.containers.iter().any(|c| {
                 c.wedged
                     && matches!(
                         c.state.state(),
@@ -539,7 +568,7 @@ impl Containerd {
             return Ok(false);
         };
         let mut wedged = false;
-        for c in sandbox.containers.values_mut() {
+        for c in &mut sandbox.containers {
             if c.state.begin_termination() {
                 // SIGTERM delivery + signal-handler dispatch in the guest.
                 trace.push(Phase::Terminating, Step::Cpu(Duration::from_micros(150)));
@@ -567,7 +596,7 @@ impl Containerd {
         let Some(sandbox) = self.sandboxes.get_mut(pod_id) else {
             return Ok(());
         };
-        for c in sandbox.containers.values_mut() {
+        for c in &mut sandbox.containers {
             if let Some(clock) = &c.epoch_clock {
                 clock.interrupt();
             }
@@ -600,7 +629,7 @@ impl Containerd {
             |pid: Pid| matches!(self.kernel.proc_state(pid), Ok(simkernel::ProcState::OomKilled));
         oomed(s.shim.pid)
             || s.pause.as_ref().map_or(false, |p| oomed(p.pid))
-            || s.containers.values().any(|c| c.oci.as_ref().map_or(false, |o| oomed(o.pid)))
+            || s.containers.iter().any(|c| c.oci.as_ref().map_or(false, |o| oomed(o.pid)))
     }
 
     /// Pod working set as the metrics-server reads it.
@@ -744,6 +773,69 @@ mod tests {
         // The pod id is reusable afterwards (cgroup fully removed).
         cd.run_pod_sandbox("leaky", "crun-wamr", &mut StepTrace::new()).unwrap();
         cd.remove_pod_sandbox("leaky").unwrap();
+    }
+
+    #[test]
+    fn containers_are_listed_and_torn_down_in_id_order_whatever_order_they_came_in() {
+        let mut cd = boot();
+        let procs = cd.kernel.live_procs();
+        let mut trace = StepTrace::new();
+        cd.run_pod_sandbox("p", "crun-wamr", &mut trace).unwrap();
+        for id in ["m", "z", "a"] {
+            cd.create_container("p", id, "svc:v1", None, &mut trace).unwrap();
+            cd.start_container("p", id, &mut trace).unwrap();
+        }
+        let sandbox = cd.sandbox("p").unwrap();
+        assert_eq!(sandbox.container_ids(), ["a", "m", "z"]);
+        assert!(sandbox.container("m").is_some() && sandbox.container("b").is_none());
+        assert!(cd.create_container("p", "m", "svc:v1", None, &mut trace).is_err(), "duplicate id");
+        assert_eq!(cd.sandbox("p").unwrap().container_ids().len(), 3);
+
+        // Teardown attempts everything and reports the first failure: with
+        // two bundles' config.json already gone, that is the first of them
+        // in id order — "a", created last — not in creation order.
+        let config = |id: &str| cd.kernel.lookup(&format!("/run/containers/{id}/config.json"));
+        let (a, m) = (config("a").unwrap(), config("m").unwrap());
+        assert!(m < a, "created earlier");
+        cd.kernel.remove_file(m).unwrap();
+        cd.kernel.remove_file(a).unwrap();
+        let err = cd.remove_pod_sandbox("p").unwrap_err();
+        assert!(matches!(err, KernelError::NoSuchFile(f) if f == a), "{err:?}");
+        assert!(cd.sandbox("p").is_none());
+        assert_eq!(cd.kernel.live_procs(), procs, "every container was still torn down");
+    }
+
+    #[test]
+    fn a_failed_create_leaves_the_container_id_reusable() {
+        let mut cd = boot();
+        let mut trace = StepTrace::new();
+        cd.run_pod_sandbox("p", "crun-wamr", &mut trace).unwrap();
+        // The transient `crun create` process fails to spawn.
+        cd.kernel.set_fault_plan(simkernel::FaultPlan::new(1).fail_call(FaultSite::Spawn, 0));
+        let err = cd.create_container("p", "c", "svc:v1", None, &mut trace).unwrap_err();
+        assert!(matches!(err, KernelError::FaultInjected(FaultSite::Spawn)), "{err:?}");
+        assert!(cd.sandbox("p").unwrap().container_ids().is_empty());
+        cd.kernel.set_fault_plan(simkernel::FaultPlan::none());
+        cd.create_container("p", "c", "svc:v1", None, &mut trace).unwrap();
+        cd.start_container("p", "c", &mut trace).unwrap();
+        assert_eq!(cd.sandbox("p").unwrap().container("c").unwrap().stdout, b"on\n");
+        cd.remove_pod_sandbox("p").unwrap();
+    }
+
+    #[test]
+    fn the_kubelet_takes_a_containers_stdout_once() {
+        let mut cd = boot();
+        let mut trace = StepTrace::new();
+        // Bundles live under the container id: unique per pod.
+        for (pod, c, class) in [("p1", "c1", "crun-wamr"), ("p2", "c2", "runwasi-wasmtime")] {
+            cd.run_pod_sandbox(pod, class, &mut trace).unwrap();
+            cd.create_container(pod, c, "svc:v1", None, &mut trace).unwrap();
+            cd.start_container(pod, c, &mut trace).unwrap();
+            assert_eq!(cd.take_container_stdout(pod, c), b"on\n");
+            assert!(cd.take_container_stdout(pod, c).is_empty(), "moved, not copied");
+            assert!(cd.take_container_stdout(pod, "ghost").is_empty());
+        }
+        assert!(cd.take_container_stdout("ghost", "c1").is_empty());
     }
 
     #[test]

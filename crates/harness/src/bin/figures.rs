@@ -12,8 +12,9 @@
 //!   to 10k pods) and the scheduler-policy ablation; `--smoke` is the
 //!   CI-sized plan (3 nodes, tens of pods).
 //! * `claims [--quick]` — every quantitative claim of the paper checked
-//!   against this reproduction, exit 1 if one fails; `--quick` uses
-//!   densities 8/64 instead of the paper's 10 and 400.
+//!   against this reproduction, exit 1 if one fails; `--quick` checks the
+//!   memory claims at densities 8/64 instead of 10/100/400 and skips the
+//!   three startup claims pinned to 400 pods (`[SKIP]`, not counted).
 //!
 //! Figures print their table and write `target/experiments/<name>.csv`.
 
@@ -73,18 +74,23 @@ fn cluster(smoke: bool) -> KernelResult<()> {
 }
 
 fn claims(quick: bool) -> KernelResult<()> {
-    let (densities, small_n, large_n): (&[usize], usize, usize) =
-        if quick { (&[8, 64], 8, 64) } else { (&PAPER_DENSITIES, 10, 400) };
+    let (densities, large_n): (&[usize], Option<usize>) =
+        if quick { (&[8, 64], None) } else { (&PAPER_DENSITIES, Some(400)) };
     let workload = Workload::default();
     let mut all = check_memory_claims(&workload, densities)?;
-    all.extend(check_startup_claims(&workload, small_n, large_n)?);
+    all.extend(check_startup_claims(&workload, 10, large_n)?);
     let (text, passed) = render_claims(&all);
     println!("{text}");
     if !passed {
         println!("Some claims FAILED.");
         std::process::exit(1);
     }
-    println!("All {} claims hold.", all.len());
+    match all.iter().filter(|c| c.skipped).count() {
+        0 => println!("All {} claims hold.", all.len()),
+        skipped => {
+            println!("All {} evaluated claims hold ({skipped} skipped).", all.len() - skipped)
+        }
+    }
     Ok(())
 }
 

@@ -457,11 +457,10 @@ impl Kubelet {
             }
         }
 
-        let stdout = containerd
-            .sandbox(&spec.name)
-            .and_then(|s| s.container(&cid))
-            .map(|c| c.stdout.clone())
-            .unwrap_or_default();
+        let stdout = containerd.take_container_stdout(&spec.name, &cid);
+        // The record lives as long as the pod: keep the steps, not the
+        // capacity their collection grew through.
+        trace.shrink_to_fit();
 
         self.pods_synced += 1;
         Ok(PodRecord {

@@ -2,16 +2,16 @@
 //!
 //! The `config.json` is written to the simulated VFS as **real JSON
 //! bytes** — the low-level runtimes read and parse it back, exactly as crun
-//! does. The rootfs is a reference map onto image layer files (overlayfs
-//! semantics: no copies).
+//! does. The rootfs is the image's own reference map onto its layer files
+//! (overlayfs semantics: no copies), shared by every bundle of the image.
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use bytelite::Bytes;
 use simkernel::vfs::FileContent;
 use simkernel::{FileId, Kernel, KernelError, KernelResult};
 
-use crate::image::Image;
+use crate::image::{Image, Rootfs};
 use crate::spec::RuntimeSpec;
 
 /// A materialized bundle.
@@ -21,10 +21,9 @@ pub struct Bundle {
     pub path: String,
     /// The written `config.json` file.
     pub config_file: FileId,
-    /// Guest rootfs path → backing layer file.
-    pub rootfs: BTreeMap<String, FileId>,
-    /// Guest rootfs path → backing VFS path (for WASI preopens).
-    pub host_paths: BTreeMap<String, String>,
+    /// The rootfs view of the image the bundle was created from — a
+    /// snapshot: re-registering the reference leaves it as it was.
+    pub rootfs: Arc<Rootfs>,
 }
 
 impl Bundle {
@@ -40,14 +39,7 @@ impl Bundle {
         let json = spec.to_json();
         let config_file =
             kernel.create_file(&config_path, FileContent::Bytes(Bytes::from(json)))?;
-        let rootfs: BTreeMap<String, FileId> =
-            image.files.iter().map(|f| (f.guest_path.clone(), f.file)).collect();
-        let host_paths = image
-            .files
-            .iter()
-            .filter_map(|f| kernel.file_path(f.file).ok().map(|p| (f.guest_path.clone(), p)))
-            .collect();
-        Ok(Bundle { path, config_file, rootfs, host_paths })
+        Ok(Bundle { path, config_file, rootfs: Arc::clone(&image.rootfs) })
     }
 
     /// Read the spec back from the on-disk `config.json` (as the runtime
@@ -64,7 +56,7 @@ impl Bundle {
 
     /// Resolve a guest path within the rootfs.
     pub fn resolve(&self, guest_path: &str) -> Option<FileId> {
-        self.rootfs.get(guest_path).copied()
+        self.rootfs.files.get(guest_path).copied()
     }
 
     /// Remove the bundle directory contents.
@@ -107,6 +99,41 @@ mod tests {
         assert_eq!(bundle.resolve("/nope"), None);
         bundle.destroy(&kernel).unwrap();
         assert!(kernel.file_size(bundle.config_file).is_err());
+    }
+
+    #[test]
+    fn bundles_share_their_images_rootfs_and_keep_it_across_a_re_pull() {
+        let kernel = Kernel::boot(KernelConfig::default());
+        let mut store = ImageStore::new();
+        let v1 = ImageBuilder::new("svc:v1").file("/app/main.wasm", &b"\0asm"[..]);
+        let image = store.register(&kernel, v1).unwrap().clone();
+        let spec = RuntimeSpec::for_command("c", image.command());
+        let a = Bundle::create(&kernel, "a", &image, &spec).unwrap();
+        let b = Bundle::create(&kernel, "b", &image, &spec).unwrap();
+        assert!(Arc::ptr_eq(&a.rootfs, &b.rootfs), "one table per image, not per bundle");
+        assert_eq!(
+            a.rootfs.host_paths.get("/app/main.wasm").map(String::as_str),
+            Some("/var/lib/images/svc_v1/app/main.wasm")
+        );
+
+        // Re-registering the reference builds a new view; a bundle is a
+        // snapshot of the image it was created from.
+        let v2 = ImageBuilder::new("svc:v1")
+            .file("/app/main.wasm", &b"\0asm"[..])
+            .synthetic("/data/stream.bin", 1 << 20);
+        let repulled = store.register(&kernel, v2).unwrap().clone();
+        let c = Bundle::create(&kernel, "c", &repulled, &spec).unwrap();
+        assert!(!Arc::ptr_eq(&a.rootfs, &c.rootfs));
+        assert!(c.resolve("/data/stream.bin").is_some());
+        assert_eq!(a.resolve("/data/stream.bin"), None, "the earlier bundle's view is unchanged");
+        assert_eq!(a.resolve("/app/main.wasm"), c.resolve("/app/main.wasm"), "same layer file");
+
+        let pid = kernel.spawn("runtime", Kernel::ROOT_CGROUP).unwrap();
+        for bundle in [&a, &b, &c] {
+            assert_eq!(bundle.load_spec(&kernel, pid).unwrap(), spec);
+            bundle.destroy(&kernel).unwrap();
+            assert!(kernel.file_size(bundle.config_file).is_err());
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! in the paper this is the containerd snapshotter doing the same job.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use bytelite::Bytes;
 use simkernel::vfs::FileContent;
@@ -33,12 +34,24 @@ pub struct LayerFile {
     pub size: u64,
 }
 
+/// The rootfs view of an image, by guest path: a function of the image
+/// alone, so it is built once where the image is registered and every
+/// bundle of the image holds the same allocation.
+#[derive(Debug, Default, PartialEq)]
+pub struct Rootfs {
+    /// Guest rootfs path → backing layer file.
+    pub files: BTreeMap<String, FileId>,
+    /// Guest rootfs path → backing VFS path (for WASI preopens).
+    pub host_paths: BTreeMap<String, String>,
+}
+
 /// A stored image.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Image {
     pub reference: String,
     pub config: ImageConfig,
     pub files: Vec<LayerFile>,
+    pub(crate) rootfs: Arc<Rootfs>,
 }
 
 impl Image {
@@ -102,6 +115,7 @@ impl ImageBuilder {
 
     fn build(self, kernel: &Kernel) -> KernelResult<Image> {
         let mut files = Vec::with_capacity(self.files.len());
+        let mut rootfs = Rootfs::default();
         for (guest_path, content) in self.files {
             let vfs_path = format!(
                 "/var/lib/images/{}/{}",
@@ -111,19 +125,28 @@ impl ImageBuilder {
             let size = content.len();
             let file = match kernel.lookup(&vfs_path) {
                 Ok(existing) => {
-                    // Re-registering a reference refreshes changed layers
-                    // (a stale file with a different size would otherwise
-                    // serve old bytes under the new manifest).
-                    if kernel.file_size(existing)? != size {
+                    // Re-registering a reference refreshes changed layers (a
+                    // stale file would otherwise serve old bytes under the
+                    // new manifest — the same length does not make them the
+                    // same bytes). An unchanged layer keeps its file and its
+                    // page-cache residency.
+                    if kernel.file_content(existing)? != content {
                         kernel.overwrite_file(existing, content)?;
                     }
                     existing
                 }
                 Err(_) => kernel.create_file(&vfs_path, content)?,
             };
+            rootfs.files.insert(guest_path.clone(), file);
+            rootfs.host_paths.insert(guest_path.clone(), vfs_path);
             files.push(LayerFile { guest_path, file, size });
         }
-        Ok(Image { reference: self.reference, config: self.config, files })
+        Ok(Image {
+            reference: self.reference,
+            config: self.config,
+            files,
+            rootfs: Arc::new(rootfs),
+        })
     }
 }
 
@@ -200,6 +223,29 @@ mod tests {
         let first = store.register(&k, build()).unwrap().file("/app/a.wasm").unwrap().file;
         let second = store.register(&k, build()).unwrap().file("/app/a.wasm").unwrap().file;
         assert_eq!(first, second, "re-pull reuses the stored layer file");
+    }
+
+    #[test]
+    fn a_re_pulled_layer_of_the_same_length_serves_the_new_bytes() {
+        let k = kernel();
+        let mut store = ImageStore::new();
+        let pull = |store: &mut ImageStore, bytes: &'static [u8]| {
+            let image = store.register(&k, ImageBuilder::new("svc:v1").file("/app/m.wasm", bytes));
+            image.unwrap().file("/app/m.wasm").unwrap().file
+        };
+        let pid = k.spawn("reader", Kernel::ROOT_CGROUP).unwrap();
+        let first = pull(&mut store, b"AAAA");
+        assert_eq!(k.read_file(pid, first).unwrap().unwrap(), b"AAAA"[..]);
+        assert!(k.file_cached(first).unwrap() > 0);
+
+        // Identical bytes: the layer file and its page-cache residency stay.
+        assert_eq!(pull(&mut store, b"AAAA"), first);
+        assert!(k.file_cached(first).unwrap() > 0, "an unchanged layer is not refreshed");
+
+        // Same length, different bytes: the file is refreshed in place.
+        assert_eq!(pull(&mut store, b"BBBB"), first);
+        assert_eq!(k.file_cached(first).unwrap(), 0, "stale pages dropped");
+        assert_eq!(k.read_file(pid, first).unwrap().unwrap(), b"BBBB"[..]);
     }
 
     #[test]

@@ -20,7 +20,7 @@ pub mod json;
 pub mod spec;
 
 pub use bundle::Bundle;
-pub use image::{Image, ImageBuilder, ImageConfig, ImageStore, LayerFile};
+pub use image::{Image, ImageBuilder, ImageConfig, ImageStore, LayerFile, Rootfs};
 pub use json::{parse as parse_json, JsonError, Value};
 pub use spec::{
     LinuxSpec, MemoryResources, MountSpec, ProcessSpec, RootSpec, RuntimeSpec, BROWNOUT_ANNOTATION,

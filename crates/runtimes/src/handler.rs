@@ -121,6 +121,7 @@ fn adversarial_opts(bundle: &Bundle, spec: &RuntimeSpec) -> (u32, Option<(FileId
 /// environment, preopens).
 fn wasi_spec_from_oci(bundle: &Bundle, spec: &RuntimeSpec) -> WasiSpec {
     let preopens = bundle
+        .rootfs
         .host_paths
         .iter()
         .filter_map(|(guest, host)| {

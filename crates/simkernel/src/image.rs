@@ -72,14 +72,14 @@ struct TextSpec {
     path: String,
     map_len: u64,
     resident: u64,
-    label: String,
+    label: &'static str,
     shared: bool,
 }
 
 struct HeapSpec {
     map_len: u64,
     resident: u64,
-    label: String,
+    label: &'static str,
 }
 
 impl<'k> ProcessImage<'k> {
@@ -108,15 +108,9 @@ impl<'k> ProcessImage<'k> {
         path: impl Into<String>,
         map_len: u64,
         resident: u64,
-        label: impl Into<String>,
+        label: &'static str,
     ) -> Self {
-        self.text = Some(TextSpec {
-            path: path.into(),
-            map_len,
-            resident,
-            label: label.into(),
-            shared: true,
-        });
+        self.text = Some(TextSpec { path: path.into(), map_len, resident, label, shared: true });
         self
     }
 
@@ -127,28 +121,22 @@ impl<'k> ProcessImage<'k> {
         path: impl Into<String>,
         map_len: u64,
         resident: u64,
-        label: impl Into<String>,
+        label: &'static str,
     ) -> Self {
-        self.text = Some(TextSpec {
-            path: path.into(),
-            map_len,
-            resident,
-            label: label.into(),
-            shared: false,
-        });
+        self.text = Some(TextSpec { path: path.into(), map_len, resident, label, shared: false });
         self
     }
 
     /// Add a fully-touched private anonymous heap.
-    pub fn heap(mut self, bytes: u64, label: impl Into<String>) -> Self {
-        self.heaps.push(HeapSpec { map_len: bytes, resident: bytes, label: label.into() });
+    pub fn heap(mut self, bytes: u64, label: &'static str) -> Self {
+        self.heaps.push(HeapSpec { map_len: bytes, resident: bytes, label });
         self
     }
 
     /// Add a private anonymous region where only `resident` of `map_len`
     /// bytes are touched (residual runtime state, partial arenas).
-    pub fn heap_partial(mut self, map_len: u64, resident: u64, label: impl Into<String>) -> Self {
-        self.heaps.push(HeapSpec { map_len, resident, label: label.into() });
+    pub fn heap_partial(mut self, map_len: u64, resident: u64, label: &'static str) -> Self {
+        self.heaps.push(HeapSpec { map_len, resident, label });
         self
     }
 
@@ -184,18 +172,17 @@ impl<'k> ProcessImage<'k> {
         if let Some(t) = &text {
             let file = kernel.lookup(&t.path)?;
             guard.cold_read = if t.shared {
-                map_shared(kernel, guard.pid, file, t.map_len, t.resident, &t.label)?
+                map_shared(kernel, guard.pid, file, t.map_len, t.resident, t.label)?
             } else {
                 // Private copy: reserve the full map, fault in the resident
                 // fraction as anonymous memory; the read is always cold.
-                let m =
-                    kernel.mmap_labeled(guard.pid, t.map_len, MapKind::AnonPrivate, &t.label)?;
+                let m = kernel.mmap_labeled(guard.pid, t.map_len, MapKind::AnonPrivate, t.label)?;
                 kernel.touch(guard.pid, m, t.resident)?;
                 Some(t.resident)
             };
         }
         for h in &heaps {
-            let m = kernel.mmap_labeled(guard.pid, h.map_len, MapKind::AnonPrivate, &h.label)?;
+            let m = kernel.mmap_labeled(guard.pid, h.map_len, MapKind::AnonPrivate, h.label)?;
             kernel.touch(guard.pid, m, h.resident)?;
         }
         Ok(guard)
@@ -230,7 +217,7 @@ impl<'k> ProcGuard<'k> {
     }
 
     /// Charge an additional fully-touched anonymous region.
-    pub fn charge_heap(&self, bytes: u64, label: &str) -> KernelResult<()> {
+    pub fn charge_heap(&self, bytes: u64, label: &'static str) -> KernelResult<()> {
         charge_anon(self.kernel, self.pid, bytes, label)
     }
 
@@ -278,7 +265,7 @@ fn reap_quietly(kernel: &Kernel, pid: Pid, code: i32) -> KernelResult<()> {
 // `mmap_labeled` outside simkernel.
 
 /// Charge `bytes` of fully-touched private anonymous memory to `pid`.
-pub fn charge_anon(kernel: &Kernel, pid: Pid, bytes: u64, label: &str) -> KernelResult<()> {
+pub fn charge_anon(kernel: &Kernel, pid: Pid, bytes: u64, label: &'static str) -> KernelResult<()> {
     let m = kernel.mmap_labeled(pid, bytes, MapKind::AnonPrivate, label)?;
     if let Err(e) = kernel.touch(pid, m, bytes) {
         // A transient failure (injected fault) leaves the process alive with
@@ -299,7 +286,7 @@ pub fn map_shared(
     file: FileId,
     map_len: u64,
     resident: u64,
-    label: &str,
+    label: &'static str,
 ) -> KernelResult<Option<u64>> {
     let cold = kernel.file_cached(file)? < resident;
     let m = kernel.mmap_labeled(pid, map_len, MapKind::FileShared(file), label)?;
@@ -318,7 +305,7 @@ pub fn map_cow(
     pid: Pid,
     file: FileId,
     bytes: u64,
-    label: &str,
+    label: &'static str,
 ) -> KernelResult<Option<u64>> {
     let cold = kernel.file_cached(file)? < bytes;
     let m = kernel.mmap_labeled(pid, bytes, MapKind::FileCow(file), label)?;

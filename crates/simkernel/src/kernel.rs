@@ -545,7 +545,7 @@ impl Kernel {
         pid: Pid,
         len: u64,
         kind: MapKind,
-        label: &str,
+        label: &'static str,
     ) -> KernelResult<MappingId> {
         let mut st = self.st();
         st.check_power()?;
@@ -555,14 +555,7 @@ impl Kernel {
         }
         let p = st.alive_mut(pid)?;
         let id = p.alloc_mapping_id();
-        p.insert_mapping(Mapping {
-            id,
-            kind,
-            len,
-            committed_anon: 0,
-            touched_file: 0,
-            label: label.to_string(),
-        });
+        p.insert_mapping(Mapping { id, kind, len, committed_anon: 0, touched_file: 0, label });
         Ok(id)
     }
 
@@ -655,8 +648,10 @@ impl Kernel {
         self.st().vfs.get(id).map(|f| f.size()).ok_or(KernelError::NoSuchFile(id))
     }
 
-    pub fn file_path(&self, id: FileId) -> KernelResult<String> {
-        self.st().vfs.get(id).map(|f| f.path.clone()).ok_or(KernelError::NoSuchFile(id))
+    /// A file's content as stored: an inspection, not a read — nothing is
+    /// faulted into the page cache and nobody is charged.
+    pub fn file_content(&self, id: FileId) -> KernelResult<FileContent> {
+        self.st().vfs.get(id).map(|f| f.content.clone()).ok_or(KernelError::NoSuchFile(id))
     }
 
     /// Read a whole file on behalf of `pid`: faults it into the page cache

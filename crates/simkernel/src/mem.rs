@@ -55,9 +55,13 @@ pub struct Mapping {
     /// Bytes of file-backed pages this process has faulted in (its share of
     /// the page cache for RSS purposes; physical residency is on the file).
     pub touched_file: u64,
-    /// Human-readable tag for debugging and reports (e.g. "libwamr.so").
-    pub label: String,
+    /// What the region is for ("heap", "side-tables", an engine's name): a
+    /// literal or a profile's name, never built per mapping.
+    pub label: &'static str,
 }
+
+// A process holds its mappings inline in one vector: keep them a cache line.
+const _: () = assert!(std::mem::size_of::<Mapping>() <= 64);
 
 impl Mapping {
     /// Resident set contribution of this mapping, Linux-style: private anon
@@ -103,7 +107,7 @@ mod tests {
             len: 10 << 20,
             committed_anon: 1 << 20,
             touched_file: 0,
-            label: "heap".into(),
+            label: "heap",
         };
         assert_eq!(m.rss(), 1 << 20);
         assert_eq!(m.uncommitted(), 9 << 20);

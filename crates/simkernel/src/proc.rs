@@ -8,8 +8,6 @@
 //! processes live *outside* the pod cgroups, so their footprint shows up in
 //! `free` but not in per-pod metrics.
 
-use std::collections::BTreeMap;
-
 use crate::cgroup::CgroupId;
 use crate::mem::{Mapping, MappingId};
 
@@ -65,7 +63,9 @@ pub struct Process {
     next_mapping: u64,
     /// Private: every residency change goes through the methods below, so
     /// the running `rss` cannot drift from the mappings it summarises.
-    mappings: BTreeMap<MappingId, Mapping>,
+    /// Sorted by id — ids only grow, so an insert is a push — and a process
+    /// holds a handful, so a lookup is a binary search over one allocation.
+    mappings: Vec<Mapping>,
     /// Running sum of every mapping's [`Mapping::rss`].
     rss: u64,
     /// Kernel bytes currently charged for this process (base + page tables).
@@ -82,7 +82,7 @@ impl Process {
             state: ProcState::Running,
             owned_namespaces: Vec::new(),
             next_mapping: 0,
-            mappings: BTreeMap::new(),
+            mappings: Vec::new(),
             rss: 0,
             kernel_charged: 0,
         }
@@ -99,7 +99,7 @@ impl Process {
     }
 
     fn recount_rss(&self) -> u64 {
-        self.mappings.values().map(|m| m.rss()).sum()
+        self.mappings.iter().map(|m| m.rss()).sum()
     }
 
     /// Compare the running RSS against a walk over every mapping.
@@ -117,20 +117,25 @@ impl Process {
 
     /// Total reserved virtual address space.
     pub fn vsz(&self) -> u64 {
-        self.mappings.values().map(|m| m.len).sum()
+        self.mappings.iter().map(|m| m.len).sum()
     }
 
     /// Private anonymous bytes only (what the process "owns" exclusively).
     pub fn anon_bytes(&self) -> u64 {
-        self.mappings.values().map(|m| m.committed_anon).sum()
+        self.mappings.iter().map(|m| m.committed_anon).sum()
     }
 
+    /// Every mapping, in id order.
     pub fn mappings(&self) -> impl Iterator<Item = &Mapping> {
-        self.mappings.values()
+        self.mappings.iter()
     }
 
     pub fn mapping(&self, id: MappingId) -> Option<&Mapping> {
-        self.mappings.get(&id)
+        self.position(id).map(|i| &self.mappings[i])
+    }
+
+    fn position(&self, id: MappingId) -> Option<usize> {
+        self.mappings.binary_search_by_key(&id, |m| m.id).ok()
     }
 
     pub(crate) fn alloc_mapping_id(&mut self) -> MappingId {
@@ -140,13 +145,16 @@ impl Process {
     }
 
     pub(crate) fn insert_mapping(&mut self, m: Mapping) {
+        debug_assert!(
+            self.mappings.last().is_none_or(|last| last.id < m.id),
+            "mapping ids are allocated once, in order"
+        );
         self.rss += m.rss();
-        let old = self.mappings.insert(m.id, m);
-        debug_assert!(old.is_none(), "mapping ids are allocated once");
+        self.mappings.push(m);
     }
 
     pub(crate) fn remove_mapping(&mut self, id: MappingId) -> Option<Mapping> {
-        let m = self.mappings.remove(&id)?;
+        let m = self.mappings.remove(self.position(id)?);
         self.rss -= m.rss();
         Some(m)
     }
@@ -157,15 +165,16 @@ impl Process {
         MappingId(self.next_mapping)
     }
 
-    /// Empty the address space (process teardown).
+    /// Empty the address space (process teardown); id order.
     pub(crate) fn take_mappings(&mut self) -> Vec<Mapping> {
         self.rss = 0;
-        std::mem::take(&mut self.mappings).into_values().collect()
+        std::mem::take(&mut self.mappings)
     }
 
     /// Set how much of a mapping is resident as private anon / file pages.
     pub(crate) fn set_resident(&mut self, id: MappingId, committed_anon: u64, touched_file: u64) {
-        if let Some(m) = self.mappings.get_mut(&id) {
+        if let Some(i) = self.position(id) {
+            let m = &mut self.mappings[i];
             self.rss = self.rss - m.rss() + committed_anon + touched_file;
             m.committed_anon = committed_anon;
             m.touched_file = touched_file;
@@ -174,16 +183,110 @@ impl Process {
 
     /// Change a mapping's reserved length (`mremap`); residency is untouched.
     pub(crate) fn set_mapping_len(&mut self, id: MappingId, len: u64) {
-        if let Some(m) = self.mappings.get_mut(&id) {
-            m.len = len;
+        if let Some(i) = self.position(id) {
+            self.mappings[i].len = len;
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
     use crate::mem::MapKind;
+
+    fn anon(id: MappingId, len: u64, committed_anon: u64) -> Mapping {
+        Mapping { id, kind: MapKind::AnonPrivate, len, committed_anon, touched_file: 0, label: "m" }
+    }
+
+    /// Everything a mapping holds but its (constant) kind and label.
+    fn fields(m: &Mapping) -> (MappingId, u64, u64, u64) {
+        (m.id, m.len, m.committed_anon, m.touched_file)
+    }
+
+    #[test]
+    fn mapping_table_agrees_with_a_btree_model() {
+        crate::prop::check("mapping_table_agrees_with_a_btree_model", 128, |g| {
+            let mut p = Process::new(Pid(1), "t", None, CgroupId(0));
+            let mut model: BTreeMap<MappingId, Mapping> = BTreeMap::new();
+            for _ in 0..1 + g.index(96) {
+                // Any id: live, removed, or never issued (the last two must
+                // miss the same way).
+                let issued = p.mapping_mark().0;
+                let any = MappingId(g.range_u64(0, issued + 2));
+                match g.index(6) {
+                    0..=2 => {
+                        let id = p.alloc_mapping_id();
+                        assert_eq!(id.0, issued, "ids are issued in order, never reused");
+                        let m = anon(id, g.range_u64(1, 1 << 20), g.range_u64(0, 1 << 16));
+                        model.insert(id, m.clone());
+                        p.insert_mapping(m);
+                    }
+                    3 => {
+                        let removed = p.remove_mapping(any);
+                        assert_eq!(
+                            removed.as_ref().map(fields),
+                            model.remove(&any).as_ref().map(fields)
+                        );
+                        assert_eq!(p.mapping_mark().0, issued, "a removal frees no id");
+                    }
+                    4 => {
+                        let (anon_bytes, file_bytes) =
+                            (g.range_u64(0, 1 << 16), g.range_u64(0, 1 << 16));
+                        p.set_resident(any, anon_bytes, file_bytes);
+                        if let Some(m) = model.get_mut(&any) {
+                            m.committed_anon = anon_bytes;
+                            m.touched_file = file_bytes;
+                        }
+                    }
+                    _ => {
+                        let len = g.range_u64(1, 1 << 24);
+                        p.set_mapping_len(any, len);
+                        if let Some(m) = model.get_mut(&any) {
+                            m.len = len;
+                        }
+                    }
+                }
+                p.check().unwrap();
+                assert!(p.mappings().map(fields).eq(model.values().map(fields)), "id order");
+                assert_eq!(p.rss(), model.values().map(|m| m.rss()).sum::<u64>());
+                assert_eq!(p.vsz(), model.values().map(|m| m.len).sum::<u64>());
+                assert_eq!(p.anon_bytes(), model.values().map(|m| m.committed_anon).sum::<u64>());
+                for id in (0..p.mapping_mark().0 + 2).map(MappingId) {
+                    assert_eq!(p.mapping(id).map(fields), model.get(&id).map(fields), "{id:?}");
+                }
+            }
+            let taken = p.take_mappings();
+            assert!(taken.iter().map(fields).eq(model.values().map(fields)), "teardown order");
+            assert_eq!((p.rss(), p.mappings().count()), (0, 0));
+        });
+    }
+
+    #[test]
+    fn removal_from_the_middle_and_of_the_last_keeps_order_and_ids() {
+        let mut p = Process::new(Pid(1), "t", None, CgroupId(0));
+        let ids: Vec<MappingId> = (0..4)
+            .map(|i| {
+                let id = p.alloc_mapping_id();
+                p.insert_mapping(anon(id, 1 << 20, 4096 * (i + 1)));
+                id
+            })
+            .collect();
+        let mark = p.mapping_mark();
+        assert_eq!(p.remove_mapping(ids[1]).map(|m| m.committed_anon), Some(8192));
+        assert_eq!(p.remove_mapping(ids[3]).map(|m| m.committed_anon), Some(16384));
+        assert!(p.remove_mapping(ids[1]).is_none(), "already removed");
+        assert_eq!(p.mappings().map(|m| m.id).collect::<Vec<_>>(), [ids[0], ids[2]]);
+        assert_eq!(p.rss(), 4096 + 12288);
+        assert_eq!(p.mapping_mark(), mark, "the mark counts ids issued, not mappings live");
+        // The next mapping lands after every id ever issued, removed or not.
+        let next = p.alloc_mapping_id();
+        assert_eq!(next, mark);
+        p.insert_mapping(anon(next, 4096, 0));
+        assert_eq!(p.mappings().last().map(|m| m.id), Some(next));
+        assert!(p.mapping(ids[3]).is_none() && p.mapping(next).is_some());
+    }
 
     #[test]
     fn rss_and_vsz() {
@@ -195,7 +298,7 @@ mod tests {
             len: 1 << 20,
             committed_anon: 4096,
             touched_file: 0,
-            label: "heap".into(),
+            label: "heap",
         });
         assert_eq!(p.rss(), 4096);
         assert_eq!(p.vsz(), 1 << 20);

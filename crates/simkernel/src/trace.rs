@@ -150,14 +150,15 @@ impl StepTrace {
     }
 
     /// Move every record from `other` onto the end of `self`, keeping
-    /// `other`'s phase attribution. `other` is left empty.
+    /// `other`'s phase attribution. `other` is left empty and holding no
+    /// buffer: a drained trace often lives as long as its pod.
     pub fn append(&mut self, other: &mut StepTrace) {
-        self.entries.append(&mut other.entries);
+        self.entries.append(&mut std::mem::take(&mut other.entries));
     }
 
-    /// Copy records (e.g. the tail of another trace) onto the end.
-    pub fn extend_entries<'a>(&mut self, entries: impl IntoIterator<Item = &'a (Phase, Step)>) {
-        self.entries.extend(entries.into_iter().cloned());
+    /// Give back the capacity growth left over, for a trace that is kept.
+    pub fn shrink_to_fit(&mut self) {
+        self.entries.shrink_to_fit();
     }
 
     pub fn entries(&self) -> &[(Phase, Step)] {

@@ -18,7 +18,7 @@ use crate::cgroup::CgroupId;
 pub struct FileId(pub u64);
 
 /// File contents: real bytes or a synthetic size.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FileContent {
     /// Real bytes; `len` is the file size.
     Bytes(Bytes),

@@ -151,6 +151,12 @@ echo "== smoke: cluster density sweep + scheduler ablation (3 nodes) =="
 # dense_cluster workload times, which no test above runs.
 cargo run --release --offline -p harness --bin figures -- cluster --smoke >/dev/null
 
+echo "== smoke: paper claims at reduced density (figures claims --quick) =="
+# Memory claims at 8/64 pods and the 10-pod startup claims; the three
+# claims pinned to 400 pods print [SKIP] and do not count, so exit 1 here
+# means a claim that was evaluated failed.
+cargo run --release --offline -p harness --bin figures -- claims --quick >/dev/null
+
 echo "== size: non-blank lines (ROADMAP item 5 reads each PR's delta off this) =="
 count() { find "$@" -not -path '*/target/*' -not -path './.git/*' -print0 | xargs -0 cat | grep -c '[^[:space:]]'; }
 echo "rust (crates/ src/ tests/ examples/): $(count crates src tests examples -name '*.rs')"
