@@ -121,3 +121,45 @@ fn pinned_thread_counts_are_byte_identical_and_parallel_is_not_slower() {
         "parallel driver slower than serial: {parallel_s:.2}s vs {serial_s:.2}s"
     );
 }
+
+/// FNV-1a of each paper figure's CSV bytes at `Workload::light()`,
+/// densities {2, 4} (Figs. 8 and 9: startup at 2 and at 4 pods — a CSV
+/// does not carry the title). Recorded from the per-figure sweeps before
+/// they were replaced: whatever produces the figures has to reproduce
+/// these bytes.
+const FIGURE_CSV_DIGESTS: [(&str, u64); 8] = [
+    ("fig3", 0x6550_98b7_3c65_a3cc),
+    ("fig4", 0x1985_b765_17ab_198b),
+    ("fig5", 0xe01f_01ad_3fe1_77e0),
+    ("fig6", 0x7b92_1bc8_caee_ad0b),
+    ("fig7", 0x21af_3753_dcdb_748e),
+    ("fig8", 0x928c_17b4_0a73_ee4e),
+    ("fig9", 0x9ac4_72be_8cdd_4bc2),
+    ("fig10", 0x117d_6aa0_2d8f_04bd),
+];
+
+#[test]
+fn golden_figure_csv_digests() {
+    let _env = ENV_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let w = Workload::light();
+    let d = [2usize, 4];
+    for threads in ["1", "4"] {
+        std::env::set_var("HARNESS_THREADS", threads);
+        let tables = [
+            figures::fig3(&w, &d),
+            figures::fig4(&w, &d),
+            figures::fig5(&w, &d),
+            figures::fig6(&w, &d),
+            figures::fig7(&w, &d),
+            memwasm::harness::figures_startup(&w, 2),
+            memwasm::harness::figures_startup(&w, 4),
+            figures::fig10(&w, &d),
+        ];
+        std::env::remove_var("HARNESS_THREADS");
+        for ((name, digest), table) in FIGURE_CSV_DIGESTS.iter().zip(tables) {
+            let csv = table.unwrap().to_csv();
+            let got = memwasm::wasm_core::cache::content_hash(csv.as_bytes());
+            assert_eq!(got, *digest, "{name} at HARNESS_THREADS={threads}: {got:#018x}\n{csv}");
+        }
+    }
+}
