@@ -179,10 +179,6 @@ impl Containerd {
         self.sandboxes.values().map(|s| s.pod_cgroup)
     }
 
-    pub fn kubepods_cgroup(&self) -> CgroupId {
-        self.kubepods
-    }
-
     /// Charge daemon metadata growth.
     fn grow_daemon(&self, bytes: u64) -> KernelResult<()> {
         charge_anon(&self.kernel, self.daemon_pid, bytes, "daemon-meta")

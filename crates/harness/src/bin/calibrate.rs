@@ -15,25 +15,29 @@ mod cli;
 
 use std::sync::Arc;
 
-use harness::{figures_startup, mb, measure_memory, Config, Workload};
+use harness::{mb, Column, Config, Figure, Grid, Workload};
 use wasm_core::{decode_module, ExecTier, Imports, Instance, InstanceConfig, Value};
 
 const USAGE: &str = "calibrate <memory|startup|workload>";
 
 fn memory() {
-    let w = Workload::default();
+    let grid = Grid::measure(&Config::ALL, &[16], &Workload::default()).unwrap();
     println!("{:<28} {:>10} {:>10}", "config", "metricsMB", "freeMB");
     for c in Config::ALL {
-        let s = measure_memory(c, 16, &w).unwrap();
+        let s = grid.at(c, 16).unwrap().memory;
         println!("{:<28} {:>10.2} {:>10.2}", c.label(), mb(s.metrics_avg), mb(s.free_per_pod));
     }
 }
 
 fn startup() {
-    let w = Workload::default();
-    for n in [10usize, 400] {
-        let t = figures_startup(&w, n).unwrap();
-        println!("{}", t.render());
+    let grid = Grid::measure(&Config::ALL, &[10, 400], &Workload::default()).unwrap();
+    for (n, title) in [
+        (10, "Time to start 10 concurrent containers"),
+        (400, "Time to start 400 concurrent containers"),
+    ] {
+        let figure =
+            Figure { name: "startup", title, configs: &Config::ALL, column: Column::StartupAt(n) };
+        println!("{}", figure.table(&grid).unwrap().render());
     }
 }
 

@@ -37,7 +37,7 @@ use container_runtimes::{LowLevelRuntime, RuntimeProfile};
 use containerd_sim::RuntimeClass;
 use engines::profile::WAMR_AOT;
 use engines::EngineKind;
-use harness::{mb, measure_cell, measure_memory, new_cluster, Config, Observe, Workload};
+use harness::{mb, measure_cell, measure_memory, new_cluster, Config, Grid, Observe, Workload};
 use k8s_sim::{Cluster, Deployment};
 use simkernel::{Duration, KernelResult};
 use wamr_crun::{WamrCrunConfig, WamrHandler};
@@ -96,9 +96,10 @@ fn design_questions() -> KernelResult<()> {
         ("Wasmer", Config::CrunWasmer),
         ("WasmEdge", Config::CrunWasmEdge),
     ];
+    let grid = Grid::measure(&engine_rows.map(|r| r.1), &[density], &workload)?;
     let mut best = ("", f64::INFINITY);
     for (name, config) in engine_rows {
-        let s = measure_memory(config, density, &workload)?;
+        let s = grid.at(config, density)?.memory;
         let m = mb(s.metrics_avg);
         if m < best.1 {
             best = (name, m);

@@ -20,7 +20,10 @@
 //! regressing. A violated schedule is shrunk to its minimal failing
 //! prefix ([`shrink`]), reproducible from the printed seed.
 
-use k8s_sim::{Cluster, DeploymentController, DeploymentSpec, NodeCondition, Policy};
+use k8s_sim::{
+    Cluster, DeploymentController, DeploymentSpec, NodeCondition, Policy, LEASE_GRACE,
+    LEASE_RENEW_INTERVAL, POD_EVICTION_GRACE,
+};
 use simkernel::rng::SplitMix64;
 use simkernel::{Duration, KernelResult};
 
@@ -308,12 +311,11 @@ pub fn run_schedule(
     // lease expires, so judging the invariants any earlier would pass
     // schedules whose damage simply hasn't been detected yet. Then drive
     // until the deployment reconverges.
-    let cfg = cluster.leases;
     let horizon = cluster.now()
-        + cfg.grace
-        + cfg.pod_eviction_grace
-        + cfg.renew_interval
-        + cfg.renew_interval;
+        + LEASE_GRACE
+        + POD_EVICTION_GRACE
+        + LEASE_RENEW_INTERVAL
+        + LEASE_RENEW_INTERVAL;
     let max_rounds = 500;
     let mut rounds = drive(&mut cluster, &mut ctrl, max_rounds, |c, _| {
         observe(c);

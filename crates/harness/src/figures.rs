@@ -1,147 +1,211 @@
-//! Regeneration of every table and figure in the paper's evaluation.
+//! The paper's evaluation: one measured grid, and its figures as data.
 //!
-//! Each `figN` function deploys the corresponding configurations at the
-//! paper's densities and returns a [`Table`] with the same rows/series the
-//! paper plots. Absolute values come from this reproduction's simulated
-//! testbed; EXPERIMENTS.md records them against the paper's claims.
+//! Table II *is* a grid — runtime configurations × deployment densities,
+//! every cell read by two memory observers and one startup clock from the
+//! same deployment. [`Grid::measure`] is the only function here that
+//! deploys (besides the phase breakdown, [`fig8_phases`]); each paper
+//! figure is a row of [`FIGURES`] and [`Figure::table`] projects it out of
+//! a grid, as [`crate::claims::check`] does for the paper's claims.
+//! Absolute values come from this reproduction's simulated testbed;
+//! EXPERIMENTS.md records them against the paper's claims.
 
-use simkernel::{KernelResult, Phase};
+use simkernel::{KernelError, KernelResult, Phase};
 
 use crate::config::{Config, Workload};
 use crate::parallel::{run_cells, Cell};
 use crate::report::{mb, Table};
-use crate::runner::{deploy_density, MemorySample};
+use crate::runner::{deploy_density, MemorySample, StartupSample};
 
 /// The paper's deployment densities (Table II: 10 to 400 containers).
 pub const PAPER_DENSITIES: [usize; 3] = [10, 100, 400];
 
-fn density_columns(densities: &[usize]) -> Vec<String> {
-    densities.iter().map(|d| format!("{d} pods")).collect()
+/// What one cell's deployment measured: both memory observers and the
+/// startup clock.
+#[derive(Debug, Clone, Copy)]
+pub struct Sample {
+    pub memory: MemorySample,
+    pub startup: StartupSample,
 }
 
-/// Run the (configs × densities) memory grid through the parallel driver
-/// and return the samples in grid order (config-major, as the serial loops
-/// produced them).
-fn memory_grid(
-    configs: &[Config],
-    densities: &[usize],
-    workload: &Workload,
-) -> KernelResult<Vec<MemorySample>> {
-    let cells = Cell::memory_grid(configs, densities);
-    Ok(run_cells(&cells, workload)?.into_iter().map(|c| c.memory.expect("memory cell")).collect())
+/// The samples of a (configurations × densities) grid, each cell measured
+/// exactly once.
+#[derive(Debug, Clone)]
+pub struct Grid {
+    densities: Vec<usize>,
+    samples: Vec<Sample>,
 }
 
-/// Assemble one figure table from a grid-ordered sample list.
-fn memory_table(
-    title: &str,
-    configs: &[Config],
-    densities: &[usize],
-    samples: &[MemorySample],
-    use_free: bool,
-) -> Table {
-    let mut table = Table::new(title, density_columns(densities), "MB/ctr");
-    let mut it = samples.iter();
-    for &config in configs {
-        let values = densities
+impl Grid {
+    /// Deploy every (configuration, density) cell once — each on its own
+    /// freshly booted, warmed cluster, through the parallel driver — and
+    /// keep all three readings. Densities are put in ascending order, and
+    /// one listed twice is measured once.
+    pub fn measure(
+        configs: &[Config],
+        densities: &[usize],
+        workload: &Workload,
+    ) -> KernelResult<Grid> {
+        let mut densities = densities.to_vec();
+        densities.sort_unstable();
+        densities.dedup();
+        let cells: Vec<Cell> = configs
             .iter()
-            .map(|_| {
-                let s = it.next().expect("one sample per grid cell");
-                mb(if use_free { s.free_per_pod } else { s.metrics_avg })
+            .flat_map(|&c| densities.iter().map(move |&d| Cell::both(c, d)))
+            .collect();
+        let samples = run_cells(&cells, workload)?
+            .into_iter()
+            .map(|c| Sample {
+                memory: c.memory.expect("Cell::both observes memory"),
+                startup: c.startup.expect("Cell::both observes startup"),
             })
             .collect();
-        table.row(config.label(), values, config.is_ours());
+        Ok(Grid { densities, samples })
     }
-    table
+
+    /// The densities measured, ascending.
+    pub fn densities(&self) -> &[usize] {
+        &self.densities
+    }
+
+    /// The sample of one cell; a cell that was not measured is an error
+    /// naming it, never another cell's numbers.
+    pub fn at(&self, config: Config, density: usize) -> KernelResult<Sample> {
+        self.samples
+            .iter()
+            .find(|s| s.memory.config == config && s.memory.density == density)
+            .copied()
+            .ok_or_else(|| {
+                KernelError::InvalidState(format!(
+                    "the grid has no cell ({}, {density} pods)",
+                    config.label()
+                ))
+            })
+    }
 }
 
-fn memory_figure(
-    title: &str,
-    configs: &[Config],
-    densities: &[usize],
-    workload: &Workload,
-    use_free: bool,
-) -> KernelResult<Table> {
-    let samples = memory_grid(configs, densities, workload)?;
-    Ok(memory_table(title, configs, densities, &samples, use_free))
+/// Which reading of its cells a figure plots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Column {
+    /// Metrics-server working set per container, a column per density.
+    Metrics,
+    /// `free` growth per container, a column per density.
+    Free,
+    /// `free` per container, averaged over the densities.
+    MeanFree,
+    /// Time to start this many concurrent containers.
+    StartupAt(usize),
 }
 
-const FIG3_TITLE: &str =
-    "Figure 3: Avg memory/container, Wasm runtimes in crun (Kubernetes metrics-server)";
-const FIG4_TITLE: &str = "Figure 4: Avg memory/container, Wasm runtimes in crun (Linux free)";
-const FIG6_TITLE: &str =
-    "Figure 6: Avg memory/container vs Python containers (Kubernetes metrics-server)";
-const FIG7_TITLE: &str = "Figure 7: Avg memory/container vs Python containers (Linux free)";
+/// One paper figure: the configurations it shows and the reading it plots.
+#[derive(Debug, Clone, Copy)]
+pub struct Figure {
+    /// Subcommand of the `figures` binary and stem of the CSV file.
+    pub name: &'static str,
+    pub title: &'static str,
+    pub configs: &'static [Config],
+    pub column: Column,
+}
 
-const FIG3_4_CONFIGS: [Config; 4] =
+const CRUN_WASM: [Config; 4] =
     [Config::WamrCrun, Config::CrunWasmtime, Config::CrunWasmer, Config::CrunWasmEdge];
-const FIG6_7_CONFIGS: [Config; 4] =
+const VS_SHIMS: [Config; 4] =
+    [Config::WamrCrun, Config::ShimWasmtime, Config::ShimWasmer, Config::ShimWasmEdge];
+/// The paper also quotes containerd-shim-wasmtime (the second-best Wasm
+/// runtime) against the Python containers.
+const VS_PYTHON: [Config; 4] =
     [Config::WamrCrun, Config::ShimWasmtime, Config::CrunPython, Config::RuncPython];
 
-/// Fig. 3: memory per container, Wasm runtimes in crun, metrics-server.
-pub fn fig3(workload: &Workload, densities: &[usize]) -> KernelResult<Table> {
-    memory_figure(FIG3_TITLE, &FIG3_4_CONFIGS, densities, workload, false)
-}
+/// Figs. 3–10 of the paper. A figure is added by adding a row.
+pub const FIGURES: [Figure; 8] = [
+    Figure {
+        name: "fig3",
+        title: "Figure 3: Avg memory/container, Wasm runtimes in crun (Kubernetes metrics-server)",
+        configs: &CRUN_WASM,
+        column: Column::Metrics,
+    },
+    Figure {
+        name: "fig4",
+        title: "Figure 4: Avg memory/container, Wasm runtimes in crun (Linux free)",
+        configs: &CRUN_WASM,
+        column: Column::Free,
+    },
+    Figure {
+        name: "fig5",
+        title: "Figure 5: Avg memory/container, runwasi shims vs ours (Linux free)",
+        configs: &VS_SHIMS,
+        column: Column::Free,
+    },
+    Figure {
+        name: "fig6",
+        title: "Figure 6: Avg memory/container vs Python containers (Kubernetes metrics-server)",
+        configs: &VS_PYTHON,
+        column: Column::Metrics,
+    },
+    Figure {
+        name: "fig7",
+        title: "Figure 7: Avg memory/container vs Python containers (Linux free)",
+        configs: &VS_PYTHON,
+        column: Column::Free,
+    },
+    Figure {
+        name: "fig8",
+        title: "Figure 8: Time to start 10 concurrent containers",
+        configs: &Config::ALL,
+        column: Column::StartupAt(10),
+    },
+    Figure {
+        name: "fig9",
+        title: "Figure 9: Time to start 400 concurrent containers",
+        configs: &Config::ALL,
+        column: Column::StartupAt(400),
+    },
+    Figure {
+        name: "fig10",
+        title: "Figure 10: Avg memory/container across runtimes (mean over deployment sizes, free)",
+        configs: &Config::ALL,
+        column: Column::MeanFree,
+    },
+];
 
-/// Fig. 4: same configurations, measured by the OS (`free`).
-pub fn fig4(workload: &Workload, densities: &[usize]) -> KernelResult<Table> {
-    memory_figure(FIG4_TITLE, &FIG3_4_CONFIGS, densities, workload, true)
-}
-
-/// Figs. 3 and 4 from **one** grid run: both figures observe the same
-/// configurations, differing only in which observer column they plot, and
-/// [`MemorySample`] carries both observers from a single deployment.
-pub fn figs3_4(workload: &Workload, densities: &[usize]) -> KernelResult<(Table, Table)> {
-    let samples = memory_grid(&FIG3_4_CONFIGS, densities, workload)?;
-    Ok((
-        memory_table(FIG3_TITLE, &FIG3_4_CONFIGS, densities, &samples, false),
-        memory_table(FIG4_TITLE, &FIG3_4_CONFIGS, densities, &samples, true),
-    ))
-}
-
-/// Fig. 5: runwasi shims vs. our integration (`free`).
-pub fn fig5(workload: &Workload, densities: &[usize]) -> KernelResult<Table> {
-    memory_figure(
-        "Figure 5: Avg memory/container, runwasi shims vs ours (Linux free)",
-        &[Config::WamrCrun, Config::ShimWasmtime, Config::ShimWasmer, Config::ShimWasmEdge],
-        densities,
-        workload,
-        true,
-    )
-}
-
-/// Fig. 6: ours vs. Python containers (metrics-server). The paper also
-/// quotes containerd-shim-wasmtime (the second-best Wasm runtime) here.
-pub fn fig6(workload: &Workload, densities: &[usize]) -> KernelResult<Table> {
-    memory_figure(FIG6_TITLE, &FIG6_7_CONFIGS, densities, workload, false)
-}
-
-/// Fig. 7: same comparison via `free`.
-pub fn fig7(workload: &Workload, densities: &[usize]) -> KernelResult<Table> {
-    memory_figure(FIG7_TITLE, &FIG6_7_CONFIGS, densities, workload, true)
-}
-
-/// Figs. 6 and 7 from one grid run (same sharing as [`figs3_4`]).
-pub fn figs6_7(workload: &Workload, densities: &[usize]) -> KernelResult<(Table, Table)> {
-    let samples = memory_grid(&FIG6_7_CONFIGS, densities, workload)?;
-    Ok((
-        memory_table(FIG6_TITLE, &FIG6_7_CONFIGS, densities, &samples, false),
-        memory_table(FIG7_TITLE, &FIG6_7_CONFIGS, densities, &samples, true),
-    ))
-}
-
-pub(crate) fn startup_figure(title: &str, n: usize, workload: &Workload) -> KernelResult<Table> {
-    let mut table = Table::new(title, vec![format!("{n} pods")], "s");
-    let cells: Vec<Cell> = Config::ALL.iter().map(|&c| Cell::startup(c, n)).collect();
-    for sample in run_cells(&cells, workload)? {
-        let s = sample.startup.expect("startup cell");
-        table.row(s.config.label(), vec![s.total.as_secs_f64()], s.config.is_ours());
+impl Figure {
+    /// The densities of the figure as the paper plots it — with
+    /// [`Figure::configs`], the sub-grid `figures <name>` measures.
+    pub fn densities(&self) -> &[usize] {
+        match &self.column {
+            Column::StartupAt(n) => std::slice::from_ref(n),
+            _ => &PAPER_DENSITIES,
+        }
     }
-    Ok(table)
-}
 
-/// Fig. 8: time to start 10 concurrent containers' workloads.
-pub fn fig8(workload: &Workload) -> KernelResult<Table> {
-    startup_figure("Figure 8: Time to start 10 concurrent containers", 10, workload)
+    /// Project the figure out of `grid`: the memory columns span the
+    /// grid's densities, a startup column reads its own.
+    pub fn table(&self, grid: &Grid) -> KernelResult<Table> {
+        let densities = grid.densities();
+        let (columns, unit) = match self.column {
+            Column::Metrics | Column::Free => {
+                (densities.iter().map(|d| format!("{d} pods")).collect(), "MB/ctr")
+            }
+            Column::MeanFree => (vec!["mean".to_string()], "MB/ctr"),
+            Column::StartupAt(n) => (vec![format!("{n} pods")], "s"),
+        };
+        let mut table = Table::new(self.title, columns, unit);
+        for &config in self.configs {
+            let at_each = |read: fn(Sample) -> f64| -> KernelResult<Vec<f64>> {
+                densities.iter().map(|&d| grid.at(config, d).map(read)).collect()
+            };
+            let values = match self.column {
+                Column::Metrics => at_each(|s| mb(s.memory.metrics_avg))?,
+                Column::Free => at_each(|s| mb(s.memory.free_per_pod))?,
+                Column::MeanFree => {
+                    let free = at_each(|s| mb(s.memory.free_per_pod))?;
+                    vec![free.iter().sum::<f64>() / free.len() as f64]
+                }
+                Column::StartupAt(n) => vec![grid.at(config, n)?.startup.total.as_secs_f64()],
+            };
+            table.row(config.label(), values, config.is_ours());
+        }
+        Ok(table)
+    }
 }
 
 /// Fig. 8 companion: where the startup time of Fig. 8 goes, per lifecycle
@@ -165,29 +229,6 @@ pub fn fig8_phases(workload: &Workload, n: usize) -> KernelResult<Table> {
         let busy = d.mean_phase_busy();
         let values = Phase::STARTUP.iter().map(|p| busy[p.index()].as_secs_f64()).collect();
         table.row(config.label(), values, config.is_ours());
-    }
-    Ok(table)
-}
-
-/// Fig. 9: time to start 400 concurrent containers' workloads.
-pub fn fig9(workload: &Workload) -> KernelResult<Table> {
-    startup_figure("Figure 9: Time to start 400 concurrent containers", 400, workload)
-}
-
-/// Fig. 10: memory overview, all runtimes, averaged over the densities
-/// (`free` observer, as in the §IV-F discussion).
-pub fn fig10(workload: &Workload, densities: &[usize]) -> KernelResult<Table> {
-    let mut table = Table::new(
-        "Figure 10: Avg memory/container across runtimes (mean over deployment sizes, free)",
-        vec!["mean".to_string()],
-        "MB/ctr",
-    );
-    let samples = memory_grid(&Config::ALL, densities, workload)?;
-    let mut it = samples.iter();
-    for config in Config::ALL {
-        let total: f64 =
-            densities.iter().map(|_| mb(it.next().expect("sample").free_per_pod)).sum();
-        table.row(config.label(), vec![total / densities.len() as f64], config.is_ours());
     }
     Ok(table)
 }
@@ -245,15 +286,36 @@ mod tests {
 
     #[test]
     fn small_density_fig3_shape() {
-        let w = Workload::light();
-        let t = fig3(&w, &[4]).unwrap();
-        assert_eq!(t.rows.len(), 4);
+        let fig3 = &FIGURES[0];
+        let grid = Grid::measure(fig3.configs, &[4], &Workload::light()).unwrap();
+        let t = fig3.table(&grid).unwrap();
+        assert_eq!((t.rows.len(), t.columns.as_slice()), (4, &["4 pods".to_string()][..]));
         let ours = t.ours().unwrap().values[0];
         for r in &t.rows {
             if !r.ours {
                 assert!(ours < r.values[0], "{}: {} vs ours {}", r.label, r.values[0], ours);
             }
         }
+    }
+
+    #[test]
+    fn a_cell_that_was_not_measured_is_an_error_naming_it() {
+        // Density 2 listed twice is one cell.
+        let grid = Grid::measure(&[Config::WamrCrun], &[2, 2], &Workload::light()).unwrap();
+        assert_eq!(grid.densities(), [2]);
+        let s = grid.at(Config::WamrCrun, 2).unwrap();
+        assert_eq!((s.memory.config, s.startup.density), (Config::WamrCrun, 2));
+        for (config, density) in [(Config::WamrCrun, 3), (Config::RuncPython, 2)] {
+            let e = grid.at(config, density).unwrap_err().to_string();
+            assert!(e.contains(config.label()) && e.contains(&format!("{density} pods")), "{e}");
+        }
+        // A figure propagates it: Fig. 3 needs three more configurations,
+        // Fig. 8 the 10-pod cell.
+        let e = FIGURES[0].table(&grid).unwrap_err().to_string();
+        assert!(e.contains("crun-wasmtime") && e.contains("2 pods"), "{e}");
+        let fig8 = FIGURES.iter().find(|f| f.name == "fig8").unwrap();
+        let e = fig8.table(&grid).unwrap_err().to_string();
+        assert!(e.contains("crun-wamr") && e.contains("10 pods"), "{e}");
     }
 
     #[test]

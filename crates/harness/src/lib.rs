@@ -1,13 +1,15 @@
 //! # harness — experiment drivers regenerating the paper's evaluation
 //!
-//! One function per table/figure ([`figures`]), the nine runtime
-//! configurations ([`config`]), the measurement methodology ([`runner`]),
-//! and the paper's quantitative claims as executable checks ([`claims`]).
+//! The nine runtime configurations ([`config`]), the measurement
+//! methodology ([`runner`]), the paper's evaluation as one measured
+//! [`Grid`] with its figures as data ([`figures`]), and the paper's
+//! quantitative claims as checks on that grid ([`claims`]).
 //!
 //! Every sweep fans out through [`parallel::run_grid`], the only place the
 //! harness spawns threads. Five binaries drive it: `figures <fig3..fig10|
-//! table1|table2|phases|cluster|claims>` (print a table, write a CSV under
-//! `target/experiments/`), `calibrate`, `studies`, `chaos` and `traffic`.
+//! all|table1|table2|phases|cluster|claims>` (print a table, write a CSV
+//! under `target/experiments/`), `calibrate`, `studies`, `chaos` and
+//! `traffic`.
 
 #![forbid(unsafe_code)]
 
@@ -32,6 +34,7 @@ pub use explorer::{
     Counterexample, ExplorePlan, ExploreReport, FaultEvent, InvariantKnobs, RecoverySample,
     ScheduleOutcome,
 };
+pub use figures::{Column, Figure, Grid, Sample, FIGURES, PAPER_DENSITIES};
 pub use isolation::{
     check_isolation, isolation_sweep, run_tenants, Attacker, AttackerFate, IsolationPlan,
     IsolationRun, IsolationScore, VictimObservation,
@@ -48,10 +51,3 @@ pub use traffic::{
     ArrivalProfile, ContractOutcome, ContractPlan, PhaseSpec, PhaseStats, ScenarioObservation,
     SweepPlan, TrafficPlan, TrafficRun, TrafficSummary,
 };
-
-use simkernel::KernelResult;
-
-/// Startup figure at an arbitrary density (used by the claim checks).
-pub fn figures_startup(workload: &Workload, n: usize) -> KernelResult<Table> {
-    figures::startup_figure(&format!("Time to start {n} concurrent containers"), n, workload)
-}

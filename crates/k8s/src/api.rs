@@ -2,9 +2,9 @@
 
 use simkernel::{CgroupId, Duration, Phase, SimTime, StepTrace};
 
-/// A kubelet health probe (`livenessProbe` / `readinessProbe` /
-/// `startupProbe`): fired on the simulated clock from the kubelet's
-/// reconcile loop as CRI probe RPCs against the pod's containers.
+/// A kubelet health probe (`livenessProbe` / `readinessProbe`): fired on
+/// the simulated clock from the kubelet's reconcile loop as CRI probe RPCs
+/// against the pod's containers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeSpec {
     /// `initialDelaySeconds`: quiet window after the container starts
@@ -13,7 +13,7 @@ pub struct ProbeSpec {
     /// `periodSeconds`: interval between probe firings.
     pub period: Duration,
     /// `failureThreshold`: consecutive failures before the probe verdict
-    /// flips (liveness/startup: kill and restart; readiness: unready).
+    /// flips (liveness: kill and restart; readiness: unready).
     pub failure_threshold: u32,
 }
 
@@ -62,8 +62,6 @@ pub struct PodSpec {
     pub liveness_probe: Option<ProbeSpec>,
     /// Readiness probe: gates the pod's contribution to cluster readiness.
     pub readiness_probe: Option<ProbeSpec>,
-    /// Startup probe: holds liveness/readiness off until the first success.
-    pub startup_probe: Option<ProbeSpec>,
     /// `terminationGracePeriodSeconds`: how long `remove_pod` waits between
     /// SIGTERM and SIGKILL for containers that do not terminate promptly.
     /// `None` uses the Kubernetes default (30s).

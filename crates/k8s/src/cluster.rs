@@ -18,9 +18,9 @@
 //! Nodes can also leave the cluster ungracefully. [`Cluster::crash_node`]
 //! is instant power loss and [`Cluster::partition_node`] cuts a node off
 //! without killing it; both are detected the same way a real cluster
-//! detects them — the node's lease ([`LeaseConfig`]) goes stale, the node
+//! detects them — the node's lease goes stale, the node
 //! turns NotReady, the scheduler stops placing on it, and after
-//! [`LeaseConfig::pod_eviction_grace`] the controller gives up its
+//! [`POD_EVICTION_GRACE`] the controller gives up its
 //! replicas and reschedules them on survivors. A healed partition is
 //! *fenced* on reconnection: the stale duplicates are terminated before
 //! the node turns Ready again, so replica counts reconverge without
@@ -42,30 +42,15 @@ use crate::node::{Node, NodeCondition};
 use crate::scheduler::{Policy, Scheduler};
 use crate::service::ServiceSignal;
 
-/// Lease-based failure-detection parameters, on Kubernetes' defaults: a
-/// 10 s renew interval against a 40 s grace window, plus the controller's
-/// pod-eviction grace counted from the moment a node turns NotReady.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LeaseConfig {
-    /// How often a reachable node renews its lease.
-    pub renew_interval: Duration,
-    /// Lease staleness past which the node is marked NotReady — the upper
-    /// bound on failure-detection latency.
-    pub grace: Duration,
-    /// How long after NotReady the controller keeps a node's replicas
-    /// before giving them up for rescheduling on survivors.
-    pub pod_eviction_grace: Duration,
-}
-
-impl Default for LeaseConfig {
-    fn default() -> Self {
-        LeaseConfig {
-            renew_interval: Duration::from_secs(10),
-            grace: Duration::from_secs(40),
-            pod_eviction_grace: Duration::from_secs(30),
-        }
-    }
-}
+/// Lease-based failure detection, on Kubernetes' defaults: how often a
+/// reachable node renews its lease.
+pub const LEASE_RENEW_INTERVAL: Duration = Duration::from_secs(10);
+/// Lease staleness past which a node is marked NotReady — the upper bound
+/// on failure-detection latency.
+pub const LEASE_GRACE: Duration = Duration::from_secs(40);
+/// How long after NotReady the controller keeps a node's replicas before
+/// giving them up for rescheduling on survivors.
+pub const POD_EVICTION_GRACE: Duration = Duration::from_secs(30);
 
 /// What one [`Cluster::tick_leases`] pass observed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -82,8 +67,6 @@ pub struct LeaseReport {
 pub struct Cluster {
     pub nodes: Vec<Node>,
     pub scheduler: Scheduler,
-    /// Failure-detection parameters shared by every node's lease.
-    pub leases: LeaseConfig,
     /// Simulated time: every node's kernel, a restarted one included,
     /// is booted on this clock.
     clock: Clock,
@@ -134,8 +117,6 @@ pub struct DeployOpts {
     pub liveness_probe: Option<ProbeSpec>,
     /// Readiness probe applied to every pod (gates [`ClusterStats::ready`]).
     pub readiness_probe: Option<ProbeSpec>,
-    /// Startup probe applied to every pod.
-    pub startup_probe: Option<ProbeSpec>,
     /// Per-pod SIGTERM → SIGKILL grace period (`None`: Kubernetes' 30s).
     pub termination_grace: Option<Duration>,
 }
@@ -152,7 +133,6 @@ impl DeployOpts {
             io_read_budget: self.io_read_budget,
             liveness_probe: self.liveness_probe,
             readiness_probe: self.readiness_probe,
-            startup_probe: self.startup_probe,
             termination_grace: self.termination_grace,
         }
     }
@@ -197,8 +177,7 @@ impl Cluster {
             .enumerate()
             .map(|(i, (kcfg, ncfg))| Node::bootstrap(i, kcfg.clone(), ncfg.clone(), &clock))
             .collect::<KernelResult<Vec<Node>>>()?;
-        let (scheduler, leases) = (Scheduler::new(policy), LeaseConfig::default());
-        Ok(Cluster { nodes, scheduler, leases, clock })
+        Ok(Cluster { nodes, scheduler: Scheduler::new(policy), clock })
     }
 
     pub fn node_count(&self) -> usize {
@@ -222,10 +201,6 @@ impl Cluster {
     /// Node 0's containerd (the single-node daemon).
     pub fn containerd(&self) -> &Containerd {
         &self.nodes[0].containerd
-    }
-
-    pub fn containerd_mut(&mut self) -> &mut Containerd {
-        &mut self.nodes[0].containerd
     }
 
     /// Node 0's kubelet (the single-node kubelet).
@@ -401,17 +376,16 @@ impl Cluster {
     /// failure detector. Every node that is due attempts a heartbeat
     /// renewal: reachable nodes renew unless the [`FaultSite::Heartbeat`]
     /// plan flakes the RPC; crashed and partitioned nodes never renew. A
-    /// lease staler than [`LeaseConfig::grace`] marks its node NotReady.
+    /// lease staler than [`LEASE_GRACE`] marks its node NotReady.
     /// The first successful renewal of an expired lease fences the stale
     /// replicas the controller re-homed in the meantime, then marks the
     /// node Ready again; if fencing is interrupted mid-drain the node
     /// stays NotReady and the next due renewal retries.
     pub fn tick_leases(&mut self) -> LeaseReport {
         let now = self.now();
-        let cfg = self.leases;
         let mut report = LeaseReport::default();
         for node in &mut self.nodes {
-            let due = now.since(node.lease.last_renewal) >= cfg.renew_interval;
+            let due = now.since(node.lease.last_renewal) >= LEASE_RENEW_INTERVAL;
             let reachable = node.alive && !node.partitioned;
             if due && reachable && node.kernel.inject_fault(FaultSite::Heartbeat).is_ok() {
                 node.lease.last_renewal = now;
@@ -431,7 +405,7 @@ impl Cluster {
                     }
                 }
             } else if node.condition == NodeCondition::Ready
-                && now.since(node.lease.last_renewal) >= cfg.grace
+                && now.since(node.lease.last_renewal) >= LEASE_GRACE
             {
                 node.condition = NodeCondition::NotReady;
                 node.not_ready_since = Some(now);
@@ -626,7 +600,7 @@ impl Cluster {
     /// Ungraceful node death: instant power loss. No SIGTERM, no cgroup
     /// teardown — the node's pods vanish with its memory. Detection is
     /// *not* instant: the node stays Ready until its lease outlives
-    /// [`LeaseConfig::grace`], exactly the detection latency a real
+    /// [`LEASE_GRACE`], exactly the detection latency a real
     /// cluster pays.
     pub fn crash_node(&mut self, node: usize) -> KernelResult<()> {
         self.check_node(node)?;
@@ -644,7 +618,7 @@ impl Cluster {
 
     /// Cut a node off from the control plane without killing it: its pods
     /// keep running, but lease renewals stop, so after
-    /// [`LeaseConfig::grace`] the node turns NotReady and the controller
+    /// [`LEASE_GRACE`] the node turns NotReady and the controller
     /// re-homes its replicas.
     pub fn partition_node(&mut self, node: usize) -> KernelResult<()> {
         self.check_node(node)?;
@@ -663,7 +637,7 @@ impl Cluster {
 
     /// One controller reconcile pass: forget replicas that vanished or
     /// reached a terminal phase (Failed, Evicted), give up on replicas
-    /// stranded on unreachable nodes once [`LeaseConfig::pod_eviction_grace`]
+    /// stranded on unreachable nodes once [`POD_EVICTION_GRACE`]
     /// expires (queueing them for fencing on reconnection), then create
     /// replicas through the scheduler until the desired count is met — or
     /// no node is feasible, in which case creation resumes on a later pass
@@ -671,7 +645,6 @@ impl Cluster {
     /// created.
     pub fn reconcile_controller(&mut self, ctrl: &mut DeploymentController) -> KernelResult<usize> {
         let now = self.now();
-        let eviction_grace = self.leases.pod_eviction_grace;
         let mut dead: Vec<ReplicaEntry> = Vec::new();
         let mut stranded: Vec<ReplicaEntry> = Vec::new();
         let nodes = &self.nodes;
@@ -683,7 +656,7 @@ impl Cluster {
                 // replica for the eviction grace — the node may come back
                 // — then give it up for rescheduling on survivors.
                 match node.not_ready_since {
-                    Some(since) if now.since(since) >= eviction_grace => {
+                    Some(since) if now.since(since) >= POD_EVICTION_GRACE => {
                         stranded.push(r.clone());
                         false
                     }
@@ -1142,9 +1115,7 @@ mod tests {
     /// Reconcile and step until a lease has had time to expire and the
     /// pod-eviction grace to pass.
     fn advance_past_eviction(cluster: &mut Cluster) {
-        let leases = cluster.leases;
-        let until =
-            cluster.now() + leases.grace + leases.pod_eviction_grace + leases.renew_interval;
+        let until = cluster.now() + LEASE_GRACE + POD_EVICTION_GRACE + LEASE_RENEW_INTERVAL;
         let rounds = cluster.run_rounds(usize::MAX, |c| {
             c.reconcile();
             Ok(c.now() >= until)

@@ -148,9 +148,6 @@ pub struct PodEntry {
     /// probed pods earn it with a successful probe and lose it after
     /// `failureThreshold` consecutive failures.
     pub ready: bool,
-    /// Startup probe passed (liveness/readiness are held off until then).
-    /// True from the start for pods without a startup probe.
-    pub started: bool,
     /// The pod was evicted for sustained cpu/io throttle pressure (distinct
     /// from the memory-pressure `Evicted` reason).
     pub pressure_evicted: bool,
@@ -165,7 +162,6 @@ pub struct PodEntry {
     wedged: bool,
     liveness: Option<ProbeState>,
     readiness: Option<ProbeState>,
-    startup: Option<ProbeState>,
 }
 
 /// What one [`Kubelet::reconcile`] pass did.
@@ -182,9 +178,9 @@ pub struct ReconcileReport {
     pub restarted: Vec<String>,
     /// Pods whose restart attempt failed again (backoff extended).
     pub backoff: Vec<String>,
-    /// Pods whose liveness (or startup) probe crossed its failure
-    /// threshold this pass: the guest was epoch-interrupted, the pod torn
-    /// down, and a backoff restart scheduled.
+    /// Pods whose liveness probe crossed its failure threshold this pass:
+    /// the guest was epoch-interrupted, the pod torn down, and a backoff
+    /// restart scheduled.
     pub probe_killed: Vec<String>,
     /// Recovery work performed, tagged [`Phase::TeardownAfterFault`] —
     /// deliberately kept out of the pods' startup traces so the figure
@@ -310,21 +306,17 @@ impl Kubelet {
     /// True when every supervised pod is in a steady phase (Running or a
     /// terminal phase) with no restart pending and no probe verdict still
     /// in flight — the chaos harness's convergence condition. A Running pod
-    /// is *not* steady while its startup probe has yet to pass, while its
-    /// readiness probe holds it unready, or while its guest sits wedged
-    /// under a liveness/startup probe that will eventually fire the
-    /// detect → interrupt → restart path.
+    /// is *not* steady while its readiness probe holds it unready, or while
+    /// its guest sits wedged under a liveness probe that will eventually
+    /// fire the detect → interrupt → restart path.
     pub fn settled(&self) -> bool {
         self.pods.values().all(|e| {
             e.next_restart_at.is_none()
                 && match e.phase {
                     PodPhase::Evicted | PodPhase::Failed => true,
                     PodPhase::Running => {
-                        e.started
-                            && (e.ready || e.spec.readiness_probe.is_none())
-                            && !(e.wedged
-                                && (e.spec.liveness_probe.is_some()
-                                    || e.spec.startup_probe.is_some()))
+                        (e.ready || e.spec.readiness_probe.is_none())
+                            && !(e.wedged && e.spec.liveness_probe.is_some())
                     }
                     _ => false,
                 }
@@ -332,24 +324,21 @@ impl Kubelet {
     }
 
     /// Earliest pending deadline across supervised pods: restart backoffs,
-    /// plus probe firings that still have a verdict to deliver (startup not
-    /// yet passed, readiness lost, or a wedged guest awaiting liveness
-    /// detection). Steady-state probes against settled pods are excluded —
-    /// they fire forever and would otherwise keep the chaos loop spinning.
+    /// plus probe firings that still have a verdict to deliver (readiness
+    /// lost, or a wedged guest awaiting liveness detection). Steady-state
+    /// probes against settled pods are excluded — they fire forever and
+    /// would otherwise keep the chaos loop spinning.
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.pods
             .values()
             .flat_map(|e| {
-                let mut due = [e.next_restart_at, None, None, None];
+                let mut due = [e.next_restart_at, None, None];
                 if e.phase == PodPhase::Running {
-                    if !e.started {
-                        due[1] = e.startup.map(|p| p.due);
+                    if !e.ready && e.spec.readiness_probe.is_some() {
+                        due[1] = e.readiness.map(|p| p.due);
                     }
-                    if e.started && !e.ready && e.spec.readiness_probe.is_some() {
-                        due[2] = e.readiness.map(|p| p.due);
-                    }
-                    if e.started && e.wedged {
-                        due[3] = e.liveness.map(|p| p.due);
+                    if e.wedged {
+                        due[2] = e.liveness.map(|p| p.due);
                     }
                 }
                 due.into_iter().flatten()
@@ -497,14 +486,12 @@ impl Kubelet {
             next_restart_at: None,
             stdout: Vec::new(),
             ready: false,
-            started: false,
             pressure_evicted: false,
             trace: StepTrace::new(),
             dispatched_at,
             wedged: false,
             liveness: None,
             readiness: None,
-            startup: None,
         };
         match self.sync_pod(containerd, spec, dispatched_at) {
             Ok(record) => {
@@ -532,9 +519,7 @@ impl Kubelet {
 
     /// Arm a freshly Running pod's probe machinery at time `now`.
     fn arm_probes(e: &mut PodEntry, now: SimTime) {
-        e.started = e.spec.startup_probe.is_none();
         e.ready = e.spec.readiness_probe.is_none();
-        e.startup = e.spec.startup_probe.as_ref().map(|p| ProbeState::arm(p, now));
         e.liveness = e.spec.liveness_probe.as_ref().map(|p| ProbeState::arm(p, now));
         e.readiness = e.spec.readiness_probe.as_ref().map(|p| ProbeState::arm(p, now));
     }
@@ -570,11 +555,11 @@ impl Kubelet {
     /// 1. **OOM detection** — a Running pod whose backing processes (shim,
     ///    pause, container init, pod infra) show an OOM kill is torn down
     ///    and scheduled for restart on the backoff schedule.
-    /// 2. **Health probes** — startup, liveness, and readiness probes due
-    ///    by `now` fire as CRI RPCs. A liveness (or startup) probe crossing
-    ///    its failure threshold interrupts the guest via its watchdog epoch
-    ///    clock, tears the pod down, and schedules a backoff restart; a
-    ///    readiness verdict only toggles the pod's readiness gate.
+    /// 2. **Health probes** — liveness and readiness probes due by `now`
+    ///    fire as CRI RPCs. A liveness probe crossing its failure threshold
+    ///    interrupts the guest via its watchdog epoch clock, tears the pod
+    ///    down, and schedules a backoff restart; a readiness verdict only
+    ///    toggles the pod's readiness gate.
     /// 3. **Node-pressure eviction** — while available memory is below
     ///    [`NodeConfig::eviction_threshold`], the newest best-effort pod is
     ///    evicted (terminal: evicted pods are not restarted).
@@ -619,45 +604,13 @@ impl Kubelet {
             let mut kill = false;
             {
                 let e = self.pods.get_mut(&name).expect("selected from table");
-                // Startup probe: until it passes, nothing else fires.
-                if !e.started {
-                    if let (Some(p), Some(mut st)) = (e.spec.startup_probe, e.startup) {
-                        let (passed, killed) = Self::fire_probes(
-                            containerd,
-                            &name,
-                            &p,
-                            &mut st,
-                            now,
-                            &mut report.trace,
-                        );
-                        e.startup = Some(st);
-                        kill = killed;
-                        if passed {
-                            e.started = true;
-                            // Liveness/readiness start their clocks only
-                            // once the workload has proven it is up.
-                            e.liveness =
-                                e.spec.liveness_probe.as_ref().map(|lp| ProbeState::arm(lp, now));
-                            e.readiness =
-                                e.spec.readiness_probe.as_ref().map(|rp| ProbeState::arm(rp, now));
-                        }
-                    }
+                if let (Some(p), Some(mut st)) = (e.spec.liveness_probe, e.liveness) {
+                    let (_, killed) =
+                        Self::fire_probes(containerd, &name, &p, &mut st, now, &mut report.trace);
+                    e.liveness = Some(st);
+                    kill = killed;
                 }
-                if e.started && !kill {
-                    if let (Some(p), Some(mut st)) = (e.spec.liveness_probe, e.liveness) {
-                        let (_, killed) = Self::fire_probes(
-                            containerd,
-                            &name,
-                            &p,
-                            &mut st,
-                            now,
-                            &mut report.trace,
-                        );
-                        e.liveness = Some(st);
-                        kill = killed;
-                    }
-                }
-                if e.started && !kill {
+                if !kill {
                     if let (Some(p), Some(mut st)) = (e.spec.readiness_probe, e.readiness) {
                         let (passed, unready) = Self::fire_probes(
                             containerd,

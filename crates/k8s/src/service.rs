@@ -498,10 +498,6 @@ impl Service {
         }
     }
 
-    pub fn total_shed(&self) -> u64 {
-        self.sheds.iter().sum()
-    }
-
     /// Current index of the endpoint `sync` gave `id` to (`None` once its
     /// pod has left the ready set).
     pub fn endpoint_index(&self, id: u32) -> Option<usize> {

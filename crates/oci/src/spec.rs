@@ -150,12 +150,6 @@ impl RuntimeSpec {
         self.annotations.get(IO_CHURN_ANNOTATION)?.parse().ok()
     }
 
-    /// The function's optional-work share (ppm), if [`BROWNOUT_ANNOTATION`]
-    /// is set — the fraction of request work skippable in degraded mode.
-    pub fn brownout_optional_work_ppm(&self) -> Option<u32> {
-        self.annotations.get(BROWNOUT_ANNOTATION)?.parse().ok()
-    }
-
     /// Serialize to `config.json` bytes: compact, keys in sorted order at
     /// every level — byte for byte what serializing the equivalent
     /// [`json::Value`](crate::json::Value) tree gives. The simulation charges

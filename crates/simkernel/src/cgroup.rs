@@ -239,10 +239,6 @@ impl CgroupTree {
         }
     }
 
-    pub fn cpu_max(&self, id: CgroupId) -> Option<(u64, u64)> {
-        self.groups.get(&id).and_then(|g| g.cpu_max)
-    }
-
     /// The most restrictive `cpu.max` on the path to root (lowest
     /// quota/period ratio), with the cgroup it is set on.
     pub fn effective_cpu_max(&self, id: CgroupId) -> Option<(CgroupId, u64, u64)> {

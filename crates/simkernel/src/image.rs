@@ -38,10 +38,11 @@
 //! The free functions ([`charge_anon`], [`map_shared`], [`map_cow`]) are the
 //! same discipline for charging growth onto an *existing* process (daemon
 //! metadata, per-pod kubelet growth, engine heaps), with [`Rollback`] as
-//! their undo when several of them make up one stage. Outside this module
-//! and the kernel's own tests, nothing calls `Kernel::spawn` or
-//! `Kernel::mmap_labeled` directly — `scripts/verify.sh` lints for it, as it
-//! does for `Kernel::cgroup_charge_cpu`, whose one caller is [`charge_cpu`].
+//! their undo when several of them make up one stage. `Kernel::mmap_labeled`
+//! and `Kernel::cgroup_charge_cpu` (whose one caller is [`charge_cpu`]) are
+//! `pub(crate)`, so the compiler keeps other crates on these doorways;
+//! `Kernel::spawn` has to stay `pub`, and `scripts/verify.sh` lints that
+//! nothing outside this crate calls it.
 
 use crate::cgroup::CgroupId;
 use crate::des::Step;
@@ -77,8 +78,7 @@ struct TextSpec {
 }
 
 struct HeapSpec {
-    map_len: u64,
-    resident: u64,
+    bytes: u64,
     label: &'static str,
 }
 
@@ -129,14 +129,7 @@ impl<'k> ProcessImage<'k> {
 
     /// Add a fully-touched private anonymous heap.
     pub fn heap(mut self, bytes: u64, label: &'static str) -> Self {
-        self.heaps.push(HeapSpec { map_len: bytes, resident: bytes, label });
-        self
-    }
-
-    /// Add a private anonymous region where only `resident` of `map_len`
-    /// bytes are touched (residual runtime state, partial arenas).
-    pub fn heap_partial(mut self, map_len: u64, resident: u64, label: &'static str) -> Self {
-        self.heaps.push(HeapSpec { map_len, resident, label });
+        self.heaps.push(HeapSpec { bytes, label });
         self
     }
 
@@ -146,7 +139,7 @@ impl<'k> ProcessImage<'k> {
         let page = |b: u64| crate::mem::round_up_pages(b, crate::kernel::PAGE_SIZE);
         let private_text =
             text.as_ref().filter(|t| !t.shared).map(|t| page(t.resident)).unwrap_or(0);
-        heaps.iter().map(|h| page(h.resident)).sum::<u64>() + private_text
+        heaps.iter().map(|h| page(h.bytes)).sum::<u64>() + private_text
     }
 
     /// Spawn (if needed) and charge the image. On any failure the spawned
@@ -182,8 +175,8 @@ impl<'k> ProcessImage<'k> {
             };
         }
         for h in &heaps {
-            let m = kernel.mmap_labeled(guard.pid, h.map_len, MapKind::AnonPrivate, h.label)?;
-            kernel.touch(guard.pid, m, h.resident)?;
+            let m = kernel.mmap_labeled(guard.pid, h.bytes, MapKind::AnonPrivate, h.label)?;
+            kernel.touch(guard.pid, m, h.bytes)?;
         }
         Ok(guard)
     }

@@ -342,14 +342,6 @@ impl Kernel {
         }
     }
 
-    pub fn cgroup_cpu_max(&self, cg: CgroupId) -> KernelResult<Option<(u64, u64)>> {
-        let st = self.st();
-        if !st.cgroups.exists(cg) {
-            return Err(KernelError::NoSuchCgroup(cg));
-        }
-        Ok(st.cgroups.cpu_max(cg))
-    }
-
     /// The tightest `(quota_ns, period_ns)` on the path from `cg` to the
     /// root, or `None` when the whole path is unlimited.
     pub fn cgroup_effective_cpu_max(&self, cg: CgroupId) -> KernelResult<Option<(u64, u64)>> {
@@ -364,7 +356,7 @@ impl Kernel {
     /// the root. Returns the extra off-CPU time the caller must serve before
     /// running again — [`Duration::ZERO`] when no quota applies, so the
     /// unlimited path is byte-identical to a kernel without the controller.
-    pub fn cgroup_charge_cpu(&self, cg: CgroupId, cpu: Duration) -> KernelResult<Duration> {
+    pub(crate) fn cgroup_charge_cpu(&self, cg: CgroupId, cpu: Duration) -> KernelResult<Duration> {
         let mut st = self.st();
         if !st.cgroups.exists(cg) {
             return Err(KernelError::NoSuchCgroup(cg));
@@ -540,7 +532,7 @@ impl Kernel {
     }
 
     /// Reserve a region with a debug label.
-    pub fn mmap_labeled(
+    pub(crate) fn mmap_labeled(
         &self,
         pid: Pid,
         len: u64,

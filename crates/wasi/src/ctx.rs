@@ -146,11 +146,6 @@ impl WasiCtx {
         self.state.borrow().exit_code
     }
 
-    /// Total bytes the guest wrote to stdout+stderr so far.
-    pub fn bytes_written(&self) -> usize {
-        self.stdout.borrow().len() + self.stderr.borrow().len()
-    }
-
     /// Build the import set for [`wasm_core::Instance::instantiate`].
     pub fn into_imports(self) -> wasm_core::instance::Imports {
         crate::host::build_imports(self.state)

@@ -326,10 +326,11 @@ pub(crate) fn build_imports(state: Rc<RefCell<WasiState>>) -> Imports {
                     2 => size,
                     _ => return ok(Errno::Inval),
                 };
-                let new = base + delta;
-                if new < 0 {
+                // Both operands are the guest's: a sum past either end of
+                // the i64 range is as invalid as a negative one.
+                let Some(new) = base.checked_add(delta).filter(|&n| n >= 0) else {
                     return ok(Errno::Inval);
-                }
+                };
                 *offset = new as u64;
                 m.store_u64(new_ptr, 0, new as u64)?;
                 ok(Errno::Success)
@@ -363,16 +364,18 @@ pub(crate) fn build_imports(state: Rc<RefCell<WasiState>>) -> Imports {
                 let m = mem(memory)?;
                 let buf = i32_arg(args, 0)?;
                 let len = i32_arg(args, 1)?;
+                // The guest names the length: check the destination before
+                // generating, and generate straight into it, so that no
+                // host work or allocation is sized by `len` alone.
+                m.read_bytes(buf, len)?;
                 let mut s = st.borrow_mut();
-                let mut bytes = Vec::with_capacity(len as usize);
-                while bytes.len() < len as usize {
+                for at in (0..len).step_by(8) {
                     s.rng ^= s.rng << 13;
                     s.rng ^= s.rng >> 7;
                     s.rng ^= s.rng << 17;
-                    bytes.extend_from_slice(&s.rng.to_le_bytes());
+                    let word = s.rng.to_le_bytes();
+                    m.write_bytes(buf + at, &word[..word.len().min((len - at) as usize)])?;
                 }
-                bytes.truncate(len as usize);
-                m.write_bytes(buf, &bytes)?;
                 ok(Errno::Success)
             }),
         );
@@ -404,8 +407,11 @@ mod tests {
 
     use simkernel::vfs::FileContent;
     use simkernel::{Kernel, KernelConfig};
-    use wasm_core::{FuncType, Instance, InstanceConfig, ModuleBuilder, Trap, ValType, Value};
+    use wasm_core::{
+        ExecTier, FuncType, Instance, InstanceConfig, ModuleBuilder, Trap, ValType, Value,
+    };
 
+    use crate::errno::Errno;
     use crate::WasiCtx;
 
     fn kernel_and_pid() -> (Kernel, simkernel::Pid) {
@@ -591,6 +597,93 @@ mod tests {
         assert_eq!(out, vec![Value::I64(5_000_000_000)]);
         let r1 = inst.memory().unwrap().load_u64(32, 0).unwrap();
         assert_ne!(r1, 0, "random bytes written");
+    }
+
+    #[test]
+    fn fd_seek_past_the_i64_range_is_inval_and_leaves_the_offset() {
+        // Guest: open "f" under preopen fd 3 (fd stored at 64), seek to
+        // i64::MAX from the start, seek i64::MAX further from there
+        // (errno kept at 120, new offset would land at 104), then ask
+        // where the offset is (at 112).
+        let mut b = ModuleBuilder::new();
+        let path_open = b.import_func("wasi_snapshot_preview1", "path_open", wasi_sig(9));
+        let fd_seek = b.import_func(
+            "wasi_snapshot_preview1",
+            "fd_seek",
+            FuncType::new(
+                vec![ValType::I32, ValType::I64, ValType::I32, ValType::I32],
+                vec![ValType::I32],
+            ),
+        );
+        let mem = b.memory(1, None);
+        b.export_memory("memory", mem);
+        b.data(0, &b"f"[..]);
+        let f = b.func(FuncType::new(vec![], vec![ValType::I32]), |f| {
+            f.i32_const(3).i32_const(0).i32_const(0).i32_const(1);
+            f.i32_const(0).i32_const(0).i32_const(0).i32_const(0).i32_const(64);
+            f.call(path_open).drop_();
+            f.i32_const(64).i32_load(0).i64_const(i64::MAX).i32_const(0).i32_const(96);
+            f.call(fd_seek).drop_();
+            f.i32_const(120);
+            f.i32_const(64).i32_load(0).i64_const(i64::MAX).i32_const(1).i32_const(104);
+            f.call(fd_seek).i32_store(0);
+            f.i32_const(64).i32_load(0).i64_const(0).i32_const(1).i32_const(112);
+            f.call(fd_seek);
+        });
+        b.export_func("main", f);
+        let module = Arc::new(b.build());
+
+        for tier in [ExecTier::InPlace, ExecTier::Lowered] {
+            let (kernel, pid) = kernel_and_pid();
+            let content = FileContent::Bytes(bytelite::Bytes::from_static(b"x"));
+            kernel.create_file("/rootfs/data/f", content).unwrap();
+            let ctx = WasiCtx::new(kernel, pid).preopen("/data", "/rootfs/data");
+            let config = InstanceConfig { tier, ..Default::default() };
+            let mut inst =
+                Instance::instantiate(module.clone(), ctx.into_imports(), config).unwrap();
+            assert_eq!(inst.invoke("main", &[]).unwrap(), vec![Value::I32(0)], "{tier:?}");
+            let m = inst.memory().unwrap();
+            assert_eq!(m.load_u32(120, 0).unwrap(), Errno::Inval.raw() as u32, "{tier:?}");
+            assert_eq!(m.load_u64(104, 0).unwrap(), 0, "{tier:?}: no offset reported");
+            assert_eq!(m.load_u64(112, 0).unwrap(), i64::MAX as u64, "{tier:?}");
+        }
+    }
+
+    #[test]
+    fn random_get_checks_the_destination_before_it_generates() {
+        // `huge` asks for 4 GiB − 1 of random bytes into a one-page memory;
+        // `next` asks for 16 at address 0.
+        let mut b = ModuleBuilder::new();
+        let random = b.import_func("wasi_snapshot_preview1", "random_get", wasi_sig(2));
+        let mem = b.memory(1, None);
+        b.export_memory("memory", mem);
+        let huge = b.func(FuncType::new(vec![], vec![ValType::I32]), |f| {
+            f.i32_const(0).i32_const(u32::MAX as i32).call(random);
+        });
+        b.export_func("huge", huge);
+        let next = b.func(FuncType::new(vec![], vec![ValType::I32]), |f| {
+            f.i32_const(0).i32_const(16).call(random);
+        });
+        b.export_func("next", next);
+        let module = Arc::new(b.build());
+
+        for tier in [ExecTier::InPlace, ExecTier::Lowered] {
+            let next_bytes = |after_huge: bool| {
+                let (kernel, pid) = kernel_and_pid();
+                let ctx = WasiCtx::new(kernel, pid).random_seed(7);
+                let config = InstanceConfig { tier, ..Default::default() };
+                let mut inst =
+                    Instance::instantiate(module.clone(), ctx.into_imports(), config).unwrap();
+                if after_huge {
+                    assert_eq!(inst.invoke("huge", &[]), Err(Trap::MemoryOutOfBounds), "{tier:?}");
+                }
+                assert_eq!(inst.invoke("next", &[]).unwrap(), vec![Value::I32(0)], "{tier:?}");
+                inst.memory().unwrap().read_bytes(0, 16).unwrap().to_vec()
+            };
+            // The refused call drew nothing from the generator.
+            assert_eq!(next_bytes(true), next_bytes(false), "{tier:?}");
+            assert_ne!(next_bytes(false), [0; 16]);
+        }
     }
 
     #[test]

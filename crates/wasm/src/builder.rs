@@ -98,11 +98,6 @@ impl ModuleBuilder {
         self
     }
 
-    pub fn export_global(&mut self, name: &str, idx: u32) -> &mut Self {
-        self.module.exports.push(Export { name: name.to_string(), desc: ExportDesc::Global(idx) });
-        self
-    }
-
     pub fn start(&mut self, func_idx: u32) -> &mut Self {
         self.module.start = Some(func_idx);
         self

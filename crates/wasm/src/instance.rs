@@ -402,11 +402,6 @@ impl Instance {
         self.fuel
     }
 
-    /// Top up or set the instruction budget.
-    pub fn set_fuel(&mut self, fuel: Option<u64>) {
-        self.fuel = fuel;
-    }
-
     /// A handle to the epoch clock, if an epoch watchdog is configured.
     /// Cloneable; `interrupt()` on any clone stops the guest at its next
     /// epoch check.

@@ -201,11 +201,6 @@ impl Module {
     pub fn code_size(&self) -> u64 {
         self.bodies.iter().map(|b| b.code.len() as u64).sum()
     }
-
-    /// Total bytes of active data segments.
-    pub fn data_size(&self) -> u64 {
-        self.data.iter().map(|d| d.bytes.len() as u64).sum()
-    }
 }
 
 #[cfg(test)]

@@ -48,11 +48,11 @@ lint_call_sites() {
 }
 
 # Outside simkernel (which owns the primitives), non-test code must build
-# processes via simkernel::image::ProcessImage, not raw kernel.spawn /
-# mmap_labeled.
+# processes via simkernel::image::ProcessImage, not raw kernel.spawn
+# (Kernel::mmap_labeled is pub(crate): the compiler holds that one).
 lint_call_sites "process creation goes through ProcessImage" \
-  'kernel\.spawn\(|\.mmap_labeled\(' 'crates/*/src' '^crates/simkernel/' \
-  "direct kernel.spawn/mmap_labeled call site(s) found; use simkernel::image::ProcessImage"
+  'kernel\.spawn\(' 'crates/*/src' '^crates/simkernel/' \
+  "direct kernel.spawn call site(s) found; use simkernel::image::ProcessImage"
 
 # Any simkernel call that can return KernelError::FaultInjected must be
 # propagated (`?`) or matched in non-test code, never unwrap()/expect()ed:
@@ -74,18 +74,15 @@ lint_call_sites "hard kills go through the kubelet watchdog path" \
   '^crates/containerd/src/cri\.rs$|^crates/k8s/src/kubelet\.rs$' \
   "direct interrupt_pod call site(s) outside the kubelet; hard kills must ride the liveness/grace-period path"
 
-# Cgroup CPU charging and limit-setting are accounting choke points: guest
-# CPU is charged once per guest start, and cpu/io limits are applied once
-# per pod sync (the kubelet). Call sites anywhere else would double-charge
-# or bypass the pod-spec path — page/byte charges must never reach cgroup
-# accounting around those verbs. The charge verb's one caller is
-# simkernel::image::charge_cpu, inside the definition crate, which is why
-# neither the engines' run_module nor the Python handler needs an
-# exemption of its own: both call the helper. simkernel is exempt.
-lint_call_sites "cgroup charge/limit verbs ride their sanctioned choke points" \
-  '\.cgroup_charge_cpu\(|\.cgroup_set_cpu_max\(|\.cgroup_set_io_read_budget\(' 'crates/*/src' \
+# Cgroup limit-setting is an accounting choke point: cpu/io limits are
+# applied once per pod sync (the kubelet), and call sites anywhere else
+# would bypass the pod-spec path. (The charge verb, Kernel::cgroup_charge_cpu,
+# is pub(crate): guest CPU is charged once per guest start through its one
+# caller, simkernel::image::charge_cpu.) simkernel is exempt.
+lint_call_sites "cgroup limit verbs ride their sanctioned choke point" \
+  '\.cgroup_set_cpu_max\(|\.cgroup_set_io_read_budget\(' 'crates/*/src' \
   '^crates/simkernel/|^crates/k8s/src/kubelet\.rs$' \
-  "cgroup charge/limit call site(s) outside simkernel::image / kubelet sync; charges must not bypass cgroup accounting"
+  "cgroup limit call site(s) outside the kubelet's pod sync; limits must not bypass the pod-spec path"
 
 # Node::crash and Node::fence are pub(crate) in crates/k8s, so the
 # compiler keeps harness and example code on Cluster::crash_node /
@@ -157,9 +154,15 @@ echo "== smoke: paper claims at reduced density (figures claims --quick) =="
 # means a claim that was evaluated failed.
 cargo run --release --offline -p harness --bin figures -- claims --quick >/dev/null
 
-echo "== size: non-blank lines (ROADMAP item 5 reads each PR's delta off this) =="
+echo "== size: non-blank lines (ROADMAP item 7 reads each PR's delta off this, split test / non-test) =="
 count() { find "$@" -not -path '*/target/*' -not -path './.git/*' -print0 | xargs -0 cat | grep -c '[^[:space:]]'; }
-echo "rust (crates/ src/ tests/ examples/): $(count crates src tests examples -name '*.rs')"
+# Non-test Rust is what precedes a file's first '#[cfg(test)]' (the repo's
+# tests-at-end convention) under crates/*/src, src/ and examples/; the
+# rest of those files, tests/ and crates/*/tests/ are test code.
+non_test=$(find crates/*/src src examples -name '*.rs' -print0 \
+  | xargs -0 awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t' | grep -c '[^[:space:]]')
 echo "markdown (*.md): $(count . -name '*.md')"
+echo "rust non-test: $non_test"
+echo "rust test: $(($(count crates src tests examples -name '*.rs') - non_test))"
 
 echo "verify: OK"

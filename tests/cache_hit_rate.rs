@@ -7,7 +7,7 @@
 //! same process — which is also why the exact count of module bytes hashed
 //! by a sweep is asserted here and nowhere else.
 
-use memwasm::harness::{figures, Config, Workload};
+use memwasm::harness::{Config, Grid, Workload};
 use memwasm::wasm_core::ArtifactCache;
 
 #[test]
@@ -16,9 +16,9 @@ fn artifact_cache_hit_rate_exceeds_90_percent_across_a_sweep() {
     let cache = ArtifactCache::global();
     cache.clear();
 
-    // A reduced fig10-shaped sweep: all nine configurations × two
-    // densities, both observers' samples from each deployment.
-    figures::fig10(&w, &[4, 10]).unwrap();
+    // The paper's grid at reduced size: all nine configurations × two
+    // densities, every observer's sample from each deployment.
+    Grid::measure(&Config::ALL, &[4, 10], &w).unwrap();
 
     let stats = cache.stats();
     let total = stats.hits + stats.misses;

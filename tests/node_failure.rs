@@ -13,7 +13,7 @@ use memwasm::harness::explorer::{
 use memwasm::harness::{Config, Workload};
 use memwasm::k8s_sim::{
     Cluster, DeployOpts, DeploymentController, DeploymentSpec, NodeCondition, Policy, ProbeSpec,
-    RestartPolicy, RolloutStep,
+    RestartPolicy, RolloutStep, LEASE_GRACE, LEASE_RENEW_INTERVAL, POD_EVICTION_GRACE,
 };
 use memwasm::simkernel::{Duration, KernelConfig, KernelResult, SimTime};
 use memwasm::workloads::hung_service_image;
@@ -79,7 +79,7 @@ fn crash_one_of_three_nodes_reschedules_on_survivors() {
 
     // Wait out lease grace + eviction grace; the controller evicts the
     // lost replicas and re-homes them on the two survivors.
-    let horizon = cluster.leases.grace + cluster.leases.pod_eviction_grace;
+    let horizon = LEASE_GRACE + POD_EVICTION_GRACE;
     drive_for(&mut cluster, &mut ctrl, horizon + Duration::from_secs(20));
     assert_eq!(cluster.node(victim).condition, NodeCondition::NotReady);
     assert!(cluster.settle_controller(&mut ctrl, 100).unwrap());
@@ -101,7 +101,7 @@ fn partition_heal_reconverges_without_double_counting() {
     assert!(stale > 0);
 
     cluster.partition_node(victim).unwrap();
-    let horizon = cluster.leases.grace + cluster.leases.pod_eviction_grace;
+    let horizon = LEASE_GRACE + POD_EVICTION_GRACE;
     drive_for(&mut cluster, &mut ctrl, horizon + Duration::from_secs(20));
     assert!(cluster.settle_controller(&mut ctrl, 100).unwrap());
     // Re-homed on the survivors — but the partitioned node's pods still
@@ -114,8 +114,7 @@ fn partition_heal_reconverges_without_double_counting() {
     // Heal: the first renewal fences the stale replicas before the node
     // turns Ready, so counts reconverge to exactly `replicas`.
     cluster.heal_node(victim).unwrap();
-    let renew = cluster.leases.renew_interval;
-    drive_for(&mut cluster, &mut ctrl, renew);
+    drive_for(&mut cluster, &mut ctrl, LEASE_RENEW_INTERVAL);
     assert!(cluster.node(victim).ready());
     assert_eq!(cluster.node(victim).kubelet.pod_count(), 0);
     assert_eq!(cluster.ready_replicas(&ctrl), 6);

@@ -4,7 +4,9 @@
 
 use std::sync::Mutex;
 
-use memwasm::harness::{figures, run_cells_on, Cell, CellSample, Config, Observe, Workload};
+use memwasm::harness::{
+    run_cells_on, Cell, CellSample, Column, Config, Figure, Grid, Observe, Workload, FIGURES,
+};
 
 /// Serializes every test that mutates the process-wide `HARNESS_THREADS`
 /// environment variable — tests in one binary share the environment.
@@ -45,39 +47,27 @@ fn parallel_samples_match_serial_in_grid_order() {
     }
 }
 
-#[test]
-fn figure_csv_bytes_are_identical_across_drivers() {
-    // HARNESS_THREADS steers the driver the figure functions use; both
-    // comparisons live under ENV_LOCK so the env var is never mutated
-    // concurrently.
-    let _env = ENV_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let w = Workload::light();
-    let densities = [2usize, 4];
-
-    std::env::set_var("HARNESS_THREADS", "1");
-    let serial_fig5 = figures::fig5(&w, &densities).unwrap();
-    let (serial_fig3, serial_fig4) = figures::figs3_4(&w, &densities).unwrap();
-
-    std::env::set_var("HARNESS_THREADS", "4");
-    let parallel_fig5 = figures::fig5(&w, &densities).unwrap();
-    let (parallel_fig3, parallel_fig4) = figures::figs3_4(&w, &densities).unwrap();
+/// The paper's grid at test size — every configuration at densities
+/// {2, 4} — with `HARNESS_THREADS` pinned. Callers hold `ENV_LOCK`.
+fn light_grid(threads: &str) -> Grid {
+    std::env::set_var("HARNESS_THREADS", threads);
+    let grid = Grid::measure(&Config::ALL, &[2, 4], &Workload::light());
     std::env::remove_var("HARNESS_THREADS");
-
-    assert_eq!(serial_fig5.to_csv().into_bytes(), parallel_fig5.to_csv().into_bytes());
-    assert_eq!(serial_fig3.to_csv().into_bytes(), parallel_fig3.to_csv().into_bytes());
-    assert_eq!(serial_fig4.to_csv().into_bytes(), parallel_fig4.to_csv().into_bytes());
-    assert_eq!(serial_fig5.render(), parallel_fig5.render());
+    grid.unwrap()
 }
 
 #[test]
-fn paired_figures_match_their_standalone_forms() {
-    // figs3_4 shares one grid run; the standalone fig3/fig4 run their own
-    // grids. Same cells, same samples, same bytes.
-    let w = Workload::light();
-    let densities = [3usize];
-    let (f3, f4) = figures::figs3_4(&w, &densities).unwrap();
-    assert_eq!(f3.to_csv(), figures::fig3(&w, &densities).unwrap().to_csv());
-    assert_eq!(f4.to_csv(), figures::fig4(&w, &densities).unwrap().to_csv());
+fn figure_csv_bytes_are_identical_across_drivers() {
+    // HARNESS_THREADS steers the driver `Grid::measure` uses; the env var
+    // is only mutated under ENV_LOCK.
+    let _env = ENV_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+    let (serial, parallel) = (light_grid("1"), light_grid("4"));
+    // The memory figures; Figs. 8 and 9 read 10 and 400 pods.
+    for fig in FIGURES.iter().filter(|f| !matches!(f.column, Column::StartupAt(_))) {
+        let (s, p) = (fig.table(&serial).unwrap(), fig.table(&parallel).unwrap());
+        assert_eq!(s.to_csv().into_bytes(), p.to_csv().into_bytes(), "{}", fig.name);
+        assert_eq!(s.render(), p.render(), "{}", fig.name);
+    }
 }
 
 #[test]
@@ -86,15 +76,12 @@ fn pinned_thread_counts_are_byte_identical_and_parallel_is_not_slower() {
     // byte-identical every time (CSV bytes are the paper's ground truth).
     let _env = ENV_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let w = Workload::light();
-    let densities = [2usize, 4];
 
     let mut runs = Vec::new();
     for threads in ["1", "2", "8"] {
-        std::env::set_var("HARNESS_THREADS", threads);
-        let fig5 = figures::fig5(&w, &densities).unwrap();
+        let fig5 = FIGURES[2].table(&light_grid(threads)).unwrap();
         runs.push((threads, fig5.to_csv().into_bytes(), fig5.render()));
     }
-    std::env::remove_var("HARNESS_THREADS");
     let (_, csv1, render1) = &runs[0];
     for (threads, csv, render) in &runs[1..] {
         assert_eq!(csv, csv1, "fig5 CSV bytes differ at HARNESS_THREADS={threads}");
@@ -125,7 +112,7 @@ fn pinned_thread_counts_are_byte_identical_and_parallel_is_not_slower() {
 /// FNV-1a of each paper figure's CSV bytes at `Workload::light()`,
 /// densities {2, 4} (Figs. 8 and 9: startup at 2 and at 4 pods — a CSV
 /// does not carry the title). Recorded from the per-figure sweeps before
-/// they were replaced: whatever produces the figures has to reproduce
+/// one grid replaced them: whatever produces the figures has to reproduce
 /// these bytes.
 const FIGURE_CSV_DIGESTS: [(&str, u64); 8] = [
     ("fig3", 0x6550_98b7_3c65_a3cc),
@@ -141,25 +128,19 @@ const FIGURE_CSV_DIGESTS: [(&str, u64); 8] = [
 #[test]
 fn golden_figure_csv_digests() {
     let _env = ENV_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    let w = Workload::light();
-    let d = [2usize, 4];
     for threads in ["1", "4"] {
-        std::env::set_var("HARNESS_THREADS", threads);
-        let tables = [
-            figures::fig3(&w, &d),
-            figures::fig4(&w, &d),
-            figures::fig5(&w, &d),
-            figures::fig6(&w, &d),
-            figures::fig7(&w, &d),
-            memwasm::harness::figures_startup(&w, 2),
-            memwasm::harness::figures_startup(&w, 4),
-            figures::fig10(&w, &d),
-        ];
-        std::env::remove_var("HARNESS_THREADS");
-        for ((name, digest), table) in FIGURE_CSV_DIGESTS.iter().zip(tables) {
-            let csv = table.unwrap().to_csv();
+        let grid = light_grid(threads);
+        for (fig, (name, digest)) in FIGURES.iter().zip(FIGURE_CSV_DIGESTS) {
+            assert_eq!(fig.name, name);
+            // The paper's 10 and 400 pods are not test-sized.
+            let column = match fig.name {
+                "fig8" => Column::StartupAt(2),
+                "fig9" => Column::StartupAt(4),
+                _ => fig.column,
+            };
+            let csv = Figure { column, ..*fig }.table(&grid).unwrap().to_csv();
             let got = memwasm::wasm_core::cache::content_hash(csv.as_bytes());
-            assert_eq!(got, *digest, "{name} at HARNESS_THREADS={threads}: {got:#018x}\n{csv}");
+            assert_eq!(got, digest, "{name} at HARNESS_THREADS={threads}: {got:#018x}\n{csv}");
         }
     }
 }
