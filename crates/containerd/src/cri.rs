@@ -46,6 +46,18 @@ pub enum RuntimeClass {
     Runwasi { engine: EngineKind, fuel: u64 },
 }
 
+impl RuntimeClass {
+    /// The same class on `kernel` (a fork of the one it executes on).
+    fn fork(&self, kernel: &Kernel) -> RuntimeClass {
+        match self {
+            RuntimeClass::Oci { runtime } => {
+                RuntimeClass::Oci { runtime: runtime.fork(kernel.clone()) }
+            }
+            &RuntimeClass::Runwasi { engine, fuel } => RuntimeClass::Runwasi { engine, fuel },
+        }
+    }
+}
+
 /// A CRI container record.
 #[derive(Debug)]
 pub struct CriContainer {
@@ -73,6 +85,29 @@ pub struct CriContainer {
     spec: Option<Box<RuntimeSpec>>,
 }
 
+impl CriContainer {
+    /// Reading of the retained watchdog clock (`u64::MAX` once
+    /// interrupted); `None` when the container started without a budget.
+    pub fn watchdog_epoch(&self) -> Option<u64> {
+        self.epoch_clock.as_ref().map(EpochClock::now)
+    }
+
+    /// Deep copy; the retained watchdog clock is re-made at its reading
+    /// (see [`Container::fork`]).
+    fn fork(&self) -> CriContainer {
+        CriContainer {
+            id: self.id.clone(),
+            image: self.image.clone(),
+            stdout: self.stdout.clone(),
+            epoch_clock: self.epoch_clock.as_ref().map(EpochClock::fork),
+            oci: self.oci.as_ref().map(Container::fork),
+            bundle: self.bundle.clone(),
+            spec: self.spec.clone(),
+            ..*self
+        }
+    }
+}
+
 /// A pod sandbox: cgroup + shim (+ pause container for OCI classes).
 pub struct Sandbox {
     pub pod_id: String,
@@ -87,6 +122,18 @@ pub struct Sandbox {
 }
 
 impl Sandbox {
+    fn fork(&self) -> Sandbox {
+        Sandbox {
+            pod_id: self.pod_id.clone(),
+            pod_cgroup: self.pod_cgroup,
+            class: self.class.clone(),
+            shim: self.shim.clone(),
+            pause: self.pause.as_ref().map(Container::fork),
+            pause_bundle: self.pause_bundle.clone(),
+            containers: self.containers.iter().map(CriContainer::fork).collect(),
+        }
+    }
+
     pub fn container(&self, id: &str) -> Option<&CriContainer> {
         self.position(id).ok().map(|i| &self.containers[i])
     }
@@ -149,6 +196,21 @@ impl Containerd {
             sandboxes: BTreeMap::new(),
             pause_image,
         })
+    }
+
+    /// A deep copy of the daemon's tables — images, runtime classes,
+    /// sandboxes with their containers and bundles — driving `kernel`, a
+    /// [`Kernel::fork`] of this daemon's: pids, cgroup and file ids carry
+    /// over. Image layers and handlers are immutable and stay shared.
+    pub fn fork(&self, kernel: Kernel) -> Containerd {
+        Containerd {
+            images: self.images.clone(),
+            classes: self.classes.iter().map(|(n, c)| (n.clone(), c.fork(&kernel))).collect(),
+            sandboxes: self.sandboxes.iter().map(|(n, s)| (n.clone(), s.fork())).collect(),
+            pause_image: self.pause_image.clone(),
+            kernel,
+            ..*self
+        }
     }
 
     /// Register a runtime class under a name (e.g. "crun-wamr", "runwasi-wasmtime").
@@ -430,11 +492,12 @@ impl Containerd {
                 runtime.start(&ctx, oci, &container.bundle)?;
                 // `create` handed the create steps on, so what the runtime's
                 // record holds now is this start; nothing reads it there
-                // again, so steps and stdout move rather than copy.
+                // again, so steps, stdout and the watchdog clock (one holder
+                // per container) move rather than copy.
                 trace.append(&mut oci.trace);
                 container.stdout = std::mem::take(&mut oci.stdout);
                 container.wedged = oci.wedged;
-                container.epoch_clock = oci.epoch_clock.clone();
+                container.epoch_clock = oci.epoch_clock.take();
             }
             RuntimeClass::Runwasi { engine, fuel } => {
                 // The shim executes the module in-process: crun's engine

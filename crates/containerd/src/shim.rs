@@ -111,7 +111,7 @@ pub fn install_shims(kernel: &Kernel) -> KernelResult<()> {
 }
 
 /// A live shim process, registered in a sandbox that tears it down.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Shim {
     pub pid: Pid,
     pub profile: &'static ShimProfile,

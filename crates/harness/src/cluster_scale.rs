@@ -9,10 +9,11 @@
 //! `Kubelet::manage_pod` and `sync_pod` are `pub(crate)` in `k8s-sim`, so
 //! harness code cannot place a pod past it.
 
-use k8s_sim::{Cluster, DeploymentController, DeploymentSpec, Policy};
+use k8s_sim::{Cluster, Policy};
 use simkernel::{Duration, KernelConfig, KernelResult};
 
 use crate::config::{Config, Workload};
+use crate::explorer::Settled;
 use crate::parallel::run_grid;
 use crate::report::{mb, Table};
 
@@ -87,13 +88,13 @@ pub fn new_scaled_cluster(
 /// guarantees exactly one each on an empty, uniform cluster), then tear
 /// them down — the multi-node analogue of [`crate::runner::warmup`].
 pub fn warmup_nodes(cluster: &mut Cluster, config: Config) -> KernelResult<()> {
-    let saved = cluster.scheduler.policy;
-    cluster.scheduler.policy = Policy::Spread;
-    let d =
-        cluster.deploy("warmup", config.image_ref(), config.class_name(), cluster.node_count())?;
-    cluster.teardown(d)?;
+    let saved = std::mem::replace(&mut cluster.scheduler.policy, Policy::Spread);
+    let warmed = cluster
+        .deploy("warmup", config.image_ref(), config.class_name(), cluster.node_count())
+        .and_then(|d| cluster.teardown(d));
+    // On the error path too: the caller may handle it and go on placing.
     cluster.scheduler.policy = saved;
-    Ok(())
+    warmed
 }
 
 /// Measure one (nodes, pods) point on a fresh warmed cluster.
@@ -222,11 +223,9 @@ pub fn run_drain(
     replicas: usize,
     workload: &Workload,
 ) -> KernelResult<DrainOutcome> {
-    let mut cluster = new_scaled_cluster(config, nodes, Policy::Spread, workload)?;
-    warmup_nodes(&mut cluster, config)?;
-    let spec = DeploymentSpec::new("svc", config.image_ref(), config.class_name(), replicas);
-    let mut ctrl = DeploymentController::new(spec);
-    if !cluster.settle_controller(&mut ctrl, 100)? {
+    let Settled { mut cluster, mut ctrl, settled } =
+        Settled::boot(config, nodes, replicas, workload)?;
+    if !settled {
         return Ok(DrainOutcome {
             drained: Vec::new(),
             converged: false,
@@ -274,6 +273,23 @@ mod tests {
         assert_eq!(t.value("binpack", 2), Some(9.0));
         assert_eq!(t.value("spread", 1), Some(3.0));
         assert_eq!(t.value("spread", 2), Some(3.0));
+    }
+
+    #[test]
+    fn a_failed_warmup_leaves_the_scheduler_policy_as_it_found_it() {
+        let w = Workload::light();
+        let mut cluster = new_scaled_cluster(Config::WamrCrun, 2, Policy::BinPack, &w).unwrap();
+        // The warm-up's first pod fails its first spawn; `deploy` is strict.
+        cluster
+            .node(0)
+            .kernel
+            .set_fault_plan(simkernel::FaultPlan::new(1).fail_call(simkernel::FaultSite::Spawn, 0));
+        let err = warmup_nodes(&mut cluster, Config::WamrCrun).unwrap_err();
+        assert!(matches!(err, simkernel::KernelError::FaultInjected(_)), "{err:?}");
+        assert_eq!(cluster.scheduler.policy, Policy::BinPack);
+        // And on the path that always worked.
+        warmup_nodes(&mut cluster, Config::WamrCrun).unwrap();
+        assert_eq!(cluster.scheduler.policy, Policy::BinPack);
     }
 
     #[test]

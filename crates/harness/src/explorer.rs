@@ -6,10 +6,15 @@
 //! generator tracks per-node state so every event is semantically valid
 //! (only live nodes crash or partition, only crashed nodes restart, only
 //! partitioned nodes heal) and at least one node stays reachable — the
-//! cluster is wounded, never beheaded. Each schedule runs on a fresh
-//! cluster, so schedules are independent and [`explore`] can fan them
-//! across `HARNESS_THREADS` workers with results merged in seed order:
-//! the rendered report is byte-identical for any worker count.
+//! cluster is wounded, never beheaded. The settled cluster a schedule
+//! starts from depends on the plan, never on the seed, so [`explore`] boots
+//! it once and each schedule runs on its own [`Cluster::fork`] of it — a
+//! deep copy on a clock of its own, sharing nothing mutable with the
+//! template or a sibling. Schedules are therefore as independent as on
+//! fresh clusters, and [`explore`] can fan them across `HARNESS_THREADS`
+//! workers with results merged in seed order: the rendered report is
+//! byte-identical for any worker count, and to running each schedule
+//! through a standalone [`run_schedule`].
 //!
 //! After the last event the harness drives lease ticks, controller and
 //! kubelet reconciliation until the deployment reconverges, then checks
@@ -17,15 +22,16 @@
 //! Running and ready, none bound to a crashed or NotReady node, every pod
 //! on a Ready node known to the controller (no stale duplicates surviving
 //! a fence), and — once convergence is reached — the ready count never
-//! regressing. A violated schedule is shrunk to its minimal failing
-//! prefix ([`shrink`]), reproducible from the printed seed.
+//! regressing — and every node's kernel, crashed ones included, still
+//! passing `Kernel::check_accounting`. A violated schedule is shrunk to its
+//! minimal failing prefix ([`shrink`]), reproducible from the printed seed.
 
 use k8s_sim::{
     Cluster, DeploymentController, DeploymentSpec, NodeCondition, Policy, LEASE_GRACE,
     LEASE_RENEW_INTERVAL, POD_EVICTION_GRACE,
 };
 use simkernel::rng::SplitMix64;
-use simkernel::{Duration, KernelResult};
+use simkernel::{Duration, KernelError, KernelResult};
 
 use crate::cluster_scale::{new_scaled_cluster, warmup_nodes};
 use crate::config::{Config, Workload};
@@ -256,6 +262,67 @@ pub fn check_invariants(
     }
 }
 
+/// Rounds an initial deployment gets to become ready.
+const SETTLE_ROUNDS: usize = 100;
+
+/// A warmed cluster under a controller-managed deployment `svc`, driven
+/// until every replica is ready: where every fault scenario starts.
+pub(crate) struct Settled {
+    pub cluster: Cluster,
+    pub ctrl: DeploymentController,
+    /// Did the deployment become ready within [`SETTLE_ROUNDS`]?
+    pub settled: bool,
+}
+
+impl Settled {
+    /// Boot → warm → settle: a function of its arguments alone, so one
+    /// boot serves every schedule of a plan.
+    pub(crate) fn boot(
+        config: Config,
+        nodes: usize,
+        replicas: usize,
+        workload: &Workload,
+    ) -> KernelResult<Settled> {
+        let mut cluster = new_scaled_cluster(config, nodes, Policy::Spread, workload)?;
+        warmup_nodes(&mut cluster, config)?;
+        let spec = DeploymentSpec::new("svc", config.image_ref(), config.class_name(), replicas);
+        let mut ctrl = DeploymentController::new(spec);
+        let settled = cluster.settle_controller(&mut ctrl, SETTLE_ROUNDS)?;
+        Ok(Settled { cluster, ctrl, settled })
+    }
+
+    fn for_plan(plan: &ExplorePlan, workload: &Workload) -> KernelResult<Settled> {
+        Settled::boot(plan.config, plan.nodes, plan.replicas, workload)
+    }
+
+    fn fork(&self) -> Settled {
+        Settled { cluster: self.cluster.fork(), ctrl: self.ctrl.clone(), settled: self.settled }
+    }
+
+    /// `Err` for a caller that measures what a ready deployment does next.
+    fn ready(self) -> KernelResult<Settled> {
+        if self.settled {
+            Ok(self)
+        } else {
+            Err(did_not_settle(&self.cluster, &self.ctrl, SETTLE_ROUNDS))
+        }
+    }
+}
+
+/// The error of a scenario whose deployment never became ready.
+pub(crate) fn did_not_settle(
+    cluster: &Cluster,
+    ctrl: &DeploymentController,
+    rounds: usize,
+) -> KernelError {
+    KernelError::InvalidState(format!(
+        "deployment {} did not settle in {rounds} rounds: {}/{} ready",
+        ctrl.spec.name,
+        cluster.ready_replicas(ctrl),
+        ctrl.spec.replicas
+    ))
+}
+
 /// Run one schedule on a fresh cluster and check every invariant.
 pub fn run_schedule(
     plan: &ExplorePlan,
@@ -264,17 +331,22 @@ pub fn run_schedule(
     workload: &Workload,
     knobs: InvariantKnobs,
 ) -> KernelResult<ScheduleOutcome> {
+    run_settled(Settled::for_plan(plan, workload)?, plan, seed, events, workload, knobs)
+}
+
+/// Run one schedule on a settled cluster of its own — freshly booted, or a
+/// fork of one — and check every invariant.
+fn run_settled(
+    start: Settled,
+    plan: &ExplorePlan,
+    seed: u64,
+    events: &[FaultEvent],
+    workload: &Workload,
+    knobs: InvariantKnobs,
+) -> KernelResult<ScheduleOutcome> {
     let mut violations = Vec::new();
-    let mut cluster = new_scaled_cluster(plan.config, plan.nodes, Policy::Spread, workload)?;
-    warmup_nodes(&mut cluster, plan.config)?;
-    let spec = DeploymentSpec::new(
-        "svc",
-        plan.config.image_ref(),
-        plan.config.class_name(),
-        plan.replicas,
-    );
-    let mut ctrl = DeploymentController::new(spec);
-    if !cluster.settle_controller(&mut ctrl, 100)? {
+    let Settled { mut cluster, mut ctrl, settled } = start;
+    if !settled {
         violations.push("initial deployment did not settle".to_string());
         return Ok(ScheduleOutcome { seed, events: events.to_vec(), violations, rounds: 0 });
     }
@@ -347,14 +419,25 @@ pub fn run_schedule(
     if knobs.forbid_not_ready && not_ready_seen {
         violations.push("a node was observed NotReady (forbidden by knob)".to_string());
     }
+    violations.extend(accounting_drift(&cluster));
     Ok(ScheduleOutcome { seed, events: events.to_vec(), violations, rounds })
+}
+
+/// Conservation where the faults are: every node's kernel, a crashed one
+/// included (the check only reads), must still agree with its running
+/// totals. One violation per node that does not.
+fn accounting_drift(cluster: &Cluster) -> impl Iterator<Item = String> + '_ {
+    cluster.nodes.iter().filter_map(|node| {
+        let drift = node.kernel.check_accounting().err()?;
+        Some(format!("accounting, node {}: {drift}", node.index))
+    })
 }
 
 /// Shrink a failing schedule to its minimal failing *prefix*: the
 /// shortest `events[..k]` that still violates an invariant, found by
-/// replaying prefixes of growing length on fresh clusters. Returns the
-/// prefix outcome (`None` if no prefix fails — the violation needed the
-/// full schedule).
+/// replaying prefixes of growing length, each on its own fork of one
+/// settled cluster. Returns the prefix outcome (`None` if no prefix fails —
+/// the violation needed the full schedule).
 pub fn shrink(
     plan: &ExplorePlan,
     seed: u64,
@@ -362,8 +445,20 @@ pub fn shrink(
     workload: &Workload,
     knobs: InvariantKnobs,
 ) -> KernelResult<Option<ScheduleOutcome>> {
+    shrink_on(&Settled::for_plan(plan, workload)?, plan, seed, events, workload, knobs)
+}
+
+/// [`shrink`] on forks of `template`, the plan's settled cluster.
+fn shrink_on(
+    template: &Settled,
+    plan: &ExplorePlan,
+    seed: u64,
+    events: &[FaultEvent],
+    workload: &Workload,
+    knobs: InvariantKnobs,
+) -> KernelResult<Option<ScheduleOutcome>> {
     for k in 1..=events.len() {
-        let outcome = run_schedule(plan, seed, &events[..k], workload, knobs)?;
+        let outcome = run_settled(template.fork(), plan, seed, &events[..k], workload, knobs)?;
         if !outcome.violations.is_empty() {
             return Ok(Some(outcome));
         }
@@ -425,30 +520,36 @@ impl ExploreReport {
     }
 }
 
-/// Enumerate and run every schedule of the plan, fanned across
-/// `HARNESS_THREADS` work-stealing workers (each schedule runs on its own
-/// fresh cluster), results merged in seed order; then shrink every
-/// violated schedule serially, in order. Byte-identical output for any
-/// worker count.
+/// Boot the plan's settled cluster once, then enumerate and run every
+/// schedule, fanned across `HARNESS_THREADS` work-stealing workers (each
+/// schedule runs on its own fork of the borrowed template), results merged
+/// in seed order; then shrink every violated schedule serially, in order.
+/// Byte-identical output for any worker count.
 pub fn explore(
     plan: &ExplorePlan,
     workload: &Workload,
     knobs: InvariantKnobs,
 ) -> KernelResult<ExploreReport> {
+    let template = Settled::for_plan(plan, workload)?;
     let indices: Vec<usize> = (0..plan.schedules).collect();
     let outcomes = run_grid(&indices, |&i| {
         let seed = plan.schedule_seed(i);
         let events = generate_schedule(seed, plan.nodes, plan.max_events);
-        run_schedule(plan, seed, &events, workload, knobs)
+        run_settled(template.fork(), plan, seed, &events, workload, knobs)
     })?;
+    // Every fork has run and gone; the template they copied must be as
+    // consistent as when it settled.
+    if let Some(drift) = accounting_drift(&template.cluster).next() {
+        return Err(KernelError::InvalidState(format!("explorer template: {drift}")));
+    }
 
     let mut counterexamples = Vec::new();
     for (index, full) in outcomes.iter().enumerate() {
         if full.violations.is_empty() {
             continue;
         }
-        let shrunk =
-            shrink(plan, full.seed, &full.events, workload, knobs)?.unwrap_or_else(|| full.clone());
+        let shrunk = shrink_on(&template, plan, full.seed, &full.events, workload, knobs)?
+            .unwrap_or_else(|| full.clone());
         counterexamples.push(Counterexample { index, full: full.clone(), shrunk });
     }
     Ok(ExploreReport { plan: *plan, outcomes, counterexamples })
@@ -470,17 +571,16 @@ pub struct RecoverySample {
 
 /// Measure detection latency and time-to-reconverge for one runtime
 /// configuration: a 3-node cluster under a 6-replica deployment, one
-/// crash scenario and one partition/heal scenario on fresh clusters.
+/// crash scenario and one partition/heal scenario, each on its own copy of
+/// the settled cluster. A deployment that never became ready is an error,
+/// not a timing.
 pub fn recovery_times(config: Config, workload: &Workload) -> KernelResult<RecoverySample> {
     let (nodes, replicas, victim) = (3, 6, 1);
     let max_rounds = 600;
+    let template = Settled::boot(config, nodes, replicas, workload)?.ready()?;
 
     // Crash: time from power loss to NotReady, and to reconvergence.
-    let mut cluster = new_scaled_cluster(config, nodes, Policy::Spread, workload)?;
-    warmup_nodes(&mut cluster, config)?;
-    let spec = DeploymentSpec::new("svc", config.image_ref(), config.class_name(), replicas);
-    let mut ctrl = DeploymentController::new(spec.clone());
-    cluster.settle_controller(&mut ctrl, 100)?;
+    let Settled { mut cluster, mut ctrl, .. } = template.fork();
     let t0 = cluster.now();
     cluster.crash_node(victim)?;
     let mut detect = None;
@@ -494,10 +594,7 @@ pub fn recovery_times(config: Config, workload: &Workload) -> KernelResult<Recov
     let crash_reconverge = cluster.now().since(t0);
 
     // Partition + heal: time from heal to fenced reconvergence.
-    let mut cluster = new_scaled_cluster(config, nodes, Policy::Spread, workload)?;
-    warmup_nodes(&mut cluster, config)?;
-    let mut ctrl = DeploymentController::new(spec);
-    cluster.settle_controller(&mut ctrl, 100)?;
+    let Settled { mut cluster, mut ctrl, .. } = template;
     cluster.partition_node(victim)?;
     // Drive until the partition has been detected and the victim's
     // replicas re-homed (an undetected partition still looks converged).
@@ -609,5 +706,50 @@ mod tests {
         assert!(!o.violations.is_empty());
         let shrunk = shrink(&plan, 7, &events, &w, knobs).unwrap().expect("a failing prefix");
         assert_eq!(shrunk.events, vec![FaultEvent::Crash(1)], "minimal prefix is the first fault");
+    }
+
+    #[test]
+    fn a_schedule_on_a_fork_is_the_schedule_on_a_booted_cluster_for_every_config() {
+        let w = Workload::light();
+        let knobs = InvariantKnobs::default();
+        let script = [
+            FaultEvent::Crash(1),
+            FaultEvent::Partition(2),
+            FaultEvent::Restart(1),
+            FaultEvent::Heal(2),
+        ];
+        for config in Config::ALL {
+            let plan = ExplorePlan { config, ..ExplorePlan::smoke(7) };
+            let booted = run_schedule(&plan, 7, &script, &w, knobs).unwrap();
+            assert!(booted.violations.is_empty(), "{config:?}: {:?}", booted.violations);
+            let template = Settled::for_plan(&plan, &w).unwrap();
+            let on = |start: Settled| run_settled(start, &plan, 7, &script, &w, knobs).unwrap();
+            // Two forks of one template, and a fork of a fork.
+            assert_eq!(on(template.fork()), booted, "{config:?}");
+            assert_eq!(on(template.fork()), booted, "{config:?}: a sibling ran first");
+            assert_eq!(on(template.fork().fork()), booted, "{config:?}");
+            assert_eq!(accounting_drift(&template.cluster).next(), None);
+        }
+    }
+
+    #[test]
+    fn a_deployment_that_never_settles_is_a_violation_per_schedule_and_an_error_to_time() {
+        // One node admits 500 pods: replica 501 is never placed.
+        let plan = ExplorePlan { nodes: 1, replicas: 501, schedules: 2, ..ExplorePlan::smoke(1) };
+        let w = Workload::light();
+        let knobs = InvariantKnobs::default();
+        let report = explore(&plan, &w, knobs).unwrap();
+        assert_eq!(report.outcomes.len(), 2);
+        for (i, o) in report.outcomes.iter().enumerate() {
+            assert_eq!(o.violations, ["initial deployment did not settle"]);
+            assert_eq!(o.rounds, 0);
+            let alone = run_schedule(&plan, o.seed, &o.events, &w, knobs).unwrap();
+            assert_eq!(*o, alone, "schedule {i}");
+            assert_eq!(report.counterexamples[i].shrunk, alone);
+        }
+        // What the recovery table measures starts from a ready deployment.
+        let err = Settled::for_plan(&plan, &w).and_then(Settled::ready).err().expect("not ready");
+        let expected = "deployment svc did not settle in 100 rounds: 500/501 ready";
+        assert!(matches!(&err, KernelError::InvalidState(m) if m == expected), "{err:?}");
     }
 }

@@ -639,7 +639,10 @@ fn serving_cluster(
         Some(ProbeSpec { period: Duration::from_secs(1), ..ProbeSpec::default() });
     spec.opts.liveness_probe = Some(ProbeSpec::default());
     let mut ctrl = DeploymentController::new(spec);
-    cluster.settle_controller(&mut ctrl, 50)?;
+    let rounds = 50;
+    if !cluster.settle_controller(&mut ctrl, rounds)? {
+        return Err(crate::explorer::did_not_settle(&cluster, &ctrl, rounds));
+    }
     Ok((cluster, ctrl))
 }
 

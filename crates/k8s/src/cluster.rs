@@ -72,6 +72,14 @@ pub struct Cluster {
     clock: Clock,
 }
 
+// The fault explorer's workers all borrow one cluster to fork. An `Rc`, a
+// `RefCell` or a non-`Sync` handler added to any layer below fails here,
+// not as a trait-bound error inside `harness::parallel`.
+const _: fn() = || {
+    fn shared<T: Send + Sync>() {}
+    shared::<Cluster>();
+};
+
 /// Cluster-level bookkeeping counters (summed over all nodes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ClusterStats {
@@ -178,6 +186,20 @@ impl Cluster {
             .map(|(i, (kcfg, ncfg))| Node::bootstrap(i, kcfg.clone(), ncfg.clone(), &clock))
             .collect::<KernelResult<Vec<Node>>>()?;
         Ok(Cluster { nodes, scheduler: Scheduler::new(policy), clock })
+    }
+
+    /// A deep copy of the cluster standing on a clock of its own at this
+    /// cluster's instant: what booting and driving a second cluster the
+    /// same way would have built, for the price of copying it. A fork
+    /// shares nothing mutable with its origin — immutable data (image
+    /// layers, module bytes, handlers) stays shared by `Arc`, and the two
+    /// `Arc`-backed cells, the clock and every retained watchdog clock, are
+    /// re-made at their readings — so either side can be driven, crashed
+    /// or dropped without the other noticing.
+    pub fn fork(&self) -> Cluster {
+        let clock = self.clock.fork();
+        let nodes = self.nodes.iter().map(|n| n.fork(&clock)).collect();
+        Cluster { nodes, scheduler: self.scheduler, clock }
     }
 
     pub fn node_count(&self) -> usize {
@@ -1278,5 +1300,77 @@ mod tests {
         assert_eq!(down.to, 2, "{down:?}");
         assert_eq!(ctrl.replicas.len(), 2);
         assert!(cluster.settle_controller(&mut ctrl, 50).unwrap());
+    }
+
+    /// A container whose start OOM-kills the process it has been pointed
+    /// at — standing in for a restart whose memory pushes a neighbour over
+    /// a shared limit.
+    struct Assassin(std::sync::Arc<std::sync::Mutex<Option<simkernel::Pid>>>);
+
+    impl container_runtimes::handler::ContainerHandler for Assassin {
+        fn name(&self) -> &str {
+            "assassin"
+        }
+        fn matches(
+            &self,
+            spec: &oci_spec_lite::RuntimeSpec,
+            _bundle: &oci_spec_lite::Bundle,
+        ) -> bool {
+            spec.process.args.first().map(String::as_str) == Some("/kill")
+        }
+        fn execute(
+            &self,
+            kernel: &Kernel,
+            _pid: simkernel::Pid,
+            _bundle: &oci_spec_lite::Bundle,
+            _spec: &oci_spec_lite::RuntimeSpec,
+        ) -> KernelResult<container_runtimes::handler::HandlerOutcome> {
+            if let Some(victim) = self.0.lock().unwrap().take() {
+                kernel.oom_kill(victim)?;
+            }
+            Ok(Default::default())
+        }
+    }
+
+    #[test]
+    fn an_oom_kill_is_acted_on_by_the_first_pass_that_could_have_seen_it() {
+        let mut cluster = cluster_with_wamr();
+        let target = std::sync::Arc::new(std::sync::Mutex::new(None));
+        let mut crun = LowLevelRuntime::new(cluster.kernel().clone(), &CRUN);
+        crun.register_handler(Box::new(Assassin(target.clone())));
+        crun.register_handler(Box::new(PauseHandler));
+        cluster.register_class("crun-assassin", RuntimeClass::Oci { runtime: crun });
+        cluster
+            .pull_image(ImageBuilder::new("assassin:v1").entrypoint(["/kill".to_string()]))
+            .unwrap();
+        let opts = DeployOpts { restart: RestartPolicy::Always, ..Default::default() };
+        cluster.deploy_with("victim", "svc:v1", "crun-wamr", 1, opts).unwrap();
+        cluster.deploy_with("killer", "assassin:v1", "crun-assassin", 1, opts).unwrap();
+        let kernel = cluster.kernel().clone();
+        let init_of = |pod: &str| {
+            let name = format!("container:{pod}-c0");
+            kernel.ps().into_iter().find(|p| p.1 == name).expect("container init").0
+        };
+        assert!(cluster.reconcile().quiet(), "nobody killed yet: the pass walks no pod");
+
+        // Killed between two passes: torn down by the very next one.
+        kernel.oom_kill(init_of("killer-0")).unwrap();
+        let pass = cluster.reconcile();
+        assert_eq!(pass.oom_killed, ["killer-0"]);
+        assert!(cluster.reconcile().quiet(), "the total has not moved since");
+
+        // Killed by a restart, later in the same pass than the walk: that
+        // pass cannot have seen it (the victim still reads Running), the
+        // next one must.
+        *target.lock().unwrap() = Some(init_of("victim-0"));
+        cluster.advance(Kubelet::backoff_delay(0));
+        let pass = cluster.reconcile();
+        assert_eq!((pass.restarted, pass.oom_killed), (vec!["killer-0".to_string()], vec![]));
+        assert_eq!(cluster.kubelet().managed_pod("victim-0").unwrap().phase, PodPhase::Running);
+        assert!(cluster.containerd().pod_oom_killed("victim-0"));
+        let pass = cluster.reconcile();
+        assert_eq!(pass.oom_killed, ["victim-0"]);
+        assert_eq!(kernel.oom_kills(), 2);
+        assert_eq!(kernel.check_accounting(), Ok(()));
     }
 }

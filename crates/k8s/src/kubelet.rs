@@ -127,7 +127,7 @@ impl ProbeState {
 /// A pod under kubelet supervision ([`RestartPolicy::Always`]): survives
 /// sync failures and OOM kills as a table entry whose phase tracks the
 /// recovery state machine.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PodEntry {
     pub spec: PodSpec,
     /// Admission order (monotonic). Node-pressure eviction removes the
@@ -215,6 +215,8 @@ pub struct Kubelet {
     torn_down: usize,
     next_seq: u64,
     pods_synced: usize,
+    /// [`Kernel::oom_kills`] as read at the top of the last reconcile pass.
+    oom_kills_seen: u64,
 }
 
 impl Kubelet {
@@ -244,7 +246,21 @@ impl Kubelet {
             torn_down: 0,
             next_seq: 0,
             pods_synced: 0,
+            oom_kills_seen: 0,
         })
+    }
+
+    /// A deep copy of the kubelet's tables supervising `kernel`, a
+    /// [`Kernel::fork`] of this kubelet's (pids carry over).
+    pub fn fork(&self, kernel: Kernel) -> Kubelet {
+        Kubelet {
+            kernel,
+            config: self.config.clone(),
+            infra_procs: self.infra_procs.clone(),
+            pods: self.pods.clone(),
+            // The daemon's pid and the counters: plain `Copy` values.
+            ..*self
+        }
     }
 
     /// Number of pods currently managed.
@@ -569,12 +585,23 @@ impl Kubelet {
     pub fn reconcile(&mut self, containerd: &mut Containerd, now: SimTime) -> ReconcileReport {
         let mut report = ReconcileReport::default();
 
-        let running: Vec<String> = self
-            .pods
-            .iter()
-            .filter(|(_, e)| e.phase == PodPhase::Running)
-            .map(|(n, _)| n.clone())
-            .collect();
+        // No process on this node has been OOM-killed since the last pass
+        // looked: skip the walk. It would find nothing — a pod's processes
+        // reach `OomKilled` only through the kernel's counted teardown, and
+        // a pod re-enters Running only through `sync_pod`, on fresh
+        // processes. The reading is taken before the walk, so a kill that a
+        // restart causes later in this pass is seen by the next one.
+        let oom_kills = self.kernel.oom_kills();
+        let running: Vec<String> = if oom_kills == self.oom_kills_seen {
+            Vec::new()
+        } else {
+            self.pods
+                .iter()
+                .filter(|(_, e)| e.phase == PodPhase::Running)
+                .map(|(n, _)| n.clone())
+                .collect()
+        };
+        self.oom_kills_seen = oom_kills;
         for name in running {
             let infra_oomed = self.infra_procs.get(&name).map_or(false, |&pid| {
                 matches!(self.kernel.proc_state(pid), Ok(ProcState::OomKilled))

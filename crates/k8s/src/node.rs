@@ -116,6 +116,21 @@ impl Node {
         })
     }
 
+    /// A deep copy of the node — kernel, containerd, kubelet — on `clock`:
+    /// one forked kernel, and both daemons re-pointed at it.
+    pub(crate) fn fork(&self, clock: &Clock) -> Node {
+        let kernel = self.kernel.fork(clock);
+        Node {
+            name: self.name.clone(),
+            containerd: self.containerd.fork(kernel.clone()),
+            kubelet: self.kubelet.fork(kernel.clone()),
+            kernel,
+            fence_pending: self.fence_pending.clone(),
+            // Ids, flags, condition and lease: plain `Copy` values.
+            ..*self
+        }
+    }
+
     /// Is this node a feasible placement target: powered on and its lease
     /// current? (Cordoning is a separate, orthogonal bit.)
     pub fn ready(&self) -> bool {

@@ -49,8 +49,10 @@ impl From<EngineRun> for HandlerOutcome {
     }
 }
 
-/// A workload executor embedded in the low-level runtime.
-pub trait ContainerHandler {
+/// A workload executor embedded in the low-level runtime. A handler is a
+/// stateless value (`Send + Sync`): every fork of a cluster shares the ones
+/// its runtimes registered, possibly across worker threads.
+pub trait ContainerHandler: Send + Sync {
     /// Handler name for diagnostics ("wamr", "wasmtime", "pause", ...).
     fn name(&self) -> &str;
 

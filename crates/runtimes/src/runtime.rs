@@ -9,6 +9,8 @@
 //! real binaries do — so the steady-state memory the experiments measure
 //! contains only container (and pause) processes.
 
+use std::sync::Arc;
+
 use oci_spec_lite::Bundle;
 use simkernel::lifecycle;
 use simkernel::proc::NamespaceKind;
@@ -49,6 +51,24 @@ pub struct Container {
     pub epoch_clock: Option<wasm_core::EpochClock>,
 }
 
+impl Container {
+    /// A deep copy for a forked kernel (pids and cgroup ids carry over).
+    /// The retained watchdog clock is a cell, so it is re-made at its
+    /// reading: a derived `Clone` would let an interrupt in one copy tick
+    /// the other's.
+    pub fn fork(&self) -> Container {
+        Container {
+            id: self.id.clone(),
+            trace: self.trace.clone(),
+            stdout: self.stdout.clone(),
+            handler: self.handler.clone(),
+            epoch_clock: self.epoch_clock.as_ref().map(wasm_core::EpochClock::fork),
+            // Pid, cgroup, lifecycle state, `wedged`: plain `Copy` values.
+            ..*self
+        }
+    }
+}
+
 /// Ambient context for runtime invocations.
 #[derive(Debug, Clone)]
 pub struct RuntimeCtx {
@@ -62,7 +82,8 @@ pub struct RuntimeCtx {
 pub struct LowLevelRuntime {
     kernel: Kernel,
     profile: &'static RuntimeProfile,
-    handlers: Vec<Box<dyn ContainerHandler>>,
+    /// Stateless values, so forks of a runtime share them.
+    handlers: Vec<Arc<dyn ContainerHandler>>,
 }
 
 impl LowLevelRuntime {
@@ -70,9 +91,15 @@ impl LowLevelRuntime {
         LowLevelRuntime { kernel, profile, handlers: Vec::new() }
     }
 
+    /// The same runtime — profile and handlers, in order — on `kernel`: a
+    /// [`Kernel::fork`] of the one this runtime drives.
+    pub fn fork(&self, kernel: Kernel) -> LowLevelRuntime {
+        LowLevelRuntime { kernel, profile: self.profile, handlers: self.handlers.clone() }
+    }
+
     /// Register a workload handler. Order matters: first match wins.
     pub fn register_handler(&mut self, handler: Box<dyn ContainerHandler>) -> &mut Self {
-        self.handlers.push(handler);
+        self.handlers.push(Arc::from(handler));
         self
     }
 

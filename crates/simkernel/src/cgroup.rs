@@ -146,7 +146,7 @@ impl Cgroup {
 }
 
 /// The cgroup hierarchy.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CgroupTree {
     next_id: u64,
     groups: BTreeMap<CgroupId, Cgroup>,

@@ -96,7 +96,7 @@ pub struct IoModel {
     pub displace: bool,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct KernelState {
     cfg: KernelConfig,
     clock: Clock,
@@ -111,6 +111,9 @@ struct KernelState {
     total_anon: u64,
     /// Machine-wide kernel-overhead bytes.
     total_kernel: u64,
+    /// Processes OOM-killed since boot, reaped ones included. Written only
+    /// by `teardown`, which every kill goes through.
+    oom_kills: u64,
     /// Installed fault schedule. The default (zero) plan is inert: it never
     /// draws from its RNG and never alters an operation.
     faults: FaultPlan,
@@ -127,7 +130,8 @@ struct KernelState {
     powered_off: bool,
 }
 
-/// Handle to the simulated kernel. Clone freely.
+/// Handle to the simulated kernel. Clone freely: a clone is another handle
+/// to the *same* kernel. [`Kernel::fork`] is the deep copy.
 #[derive(Debug, Clone)]
 pub struct Kernel {
     state: Arc<Mutex<KernelState>>,
@@ -168,6 +172,7 @@ impl Kernel {
             next_pid: 1,
             total_anon: 0,
             total_kernel: cfg.boot_used_bytes,
+            oom_kills: 0,
             faults: FaultPlan::none(),
             io_model: None,
             io_backlog: 0,
@@ -175,6 +180,17 @@ impl Kernel {
             powered_off: false,
             cfg,
         };
+        Kernel { state: Arc::new(Mutex::new(state)) }
+    }
+
+    /// A deep copy of this kernel, standing on `clock`: VFS and page cache,
+    /// cgroup tree, processes and their mappings, running totals, the fault
+    /// plan with its per-site RNG state, io model and backlog, power state.
+    /// The copy shares nothing mutable with its origin (file contents are
+    /// immutable `Bytes`); `clock` should read what this kernel's clock
+    /// reads, or the copy's deadlines and io backlog shift with it.
+    pub fn fork(&self, clock: &Clock) -> Kernel {
+        let state = KernelState { clock: clock.clone(), ..self.st().clone() };
         Kernel { state: Arc::new(Mutex::new(state)) }
     }
 
@@ -517,6 +533,13 @@ impl Kernel {
         self.st().procs.get(&pid).map(|p| p.cgroup).ok_or(KernelError::NoSuchProcess(pid))
     }
 
+    /// Processes OOM-killed since boot (a running total; reaping a victim
+    /// does not lower it). While it has not moved, no process has been
+    /// OOM-killed — what lets a supervisor skip asking per process.
+    pub fn oom_kills(&self) -> u64 {
+        self.st().oom_kills
+    }
+
     /// Number of live processes.
     pub fn live_procs(&self) -> usize {
         let st = self.st();
@@ -723,8 +746,9 @@ impl Kernel {
 
     /// Verify the running totals (`Vfs::total_cached`, every process's
     /// `rss`, `live_procs`) against the values recomputed by walking the
-    /// files, mappings and processes they summarise. `Err` names the first
-    /// total that drifted.
+    /// files, mappings and processes they summarise, and `oom_kills`
+    /// against the victims not yet reaped (a lower bound: reaping forgets
+    /// the victim, not the kill). `Err` names the first total that drifted.
     pub fn check_accounting(&self) -> Result<(), String> {
         let st = self.st();
         st.vfs.check()?;
@@ -732,6 +756,10 @@ impl Kernel {
         let live = st.recount_live();
         if st.live != live {
             return Err(format!("live processes: counter {} != {live} counted", st.live));
+        }
+        let victims = st.procs.values().filter(|p| p.state == ProcState::OomKilled).count() as u64;
+        if st.oom_kills < victims {
+            return Err(format!("oom kills: counter {} < {victims} unreaped", st.oom_kills));
         }
         Ok(())
     }
@@ -1131,6 +1159,7 @@ impl KernelState {
         p.kernel_charged = 0;
         p.state = final_state;
         self.live -= 1;
+        self.oom_kills += u64::from(final_state == ProcState::OomKilled);
         Ok(())
     }
 
@@ -1240,8 +1269,13 @@ mod tests {
         assert!(matches!(err, KernelError::OutOfMemory { .. }));
         assert_eq!(k.proc_state(pid).unwrap(), ProcState::OomKilled);
         assert_eq!(k.cgroup_oom_events(cg).unwrap(), 1);
+        assert_eq!(k.oom_kills(), 1);
         // Charges rolled back.
         assert_eq!(k.cgroup_stat(cg).unwrap().anon_bytes, 0);
+        // The total counts kills, not corpses: reaping does not lower it.
+        k.reap(pid).unwrap();
+        assert_eq!(k.oom_kills(), 1);
+        assert_eq!(k.check_accounting(), Ok(()));
     }
 
     #[test]
@@ -1263,6 +1297,7 @@ mod tests {
         k.touch(small, ms, 4 << 20).unwrap();
         assert_eq!(k.proc_state(big).unwrap(), ProcState::OomKilled);
         assert_eq!(k.proc_state(small).unwrap(), ProcState::Running);
+        assert_eq!(k.oom_kills(), 1, "the sibling, once; the survivor not at all");
         assert_eq!(k.proc_rss(small).unwrap(), 4 << 20);
         assert!(k.cgroup_oom_events(parent).unwrap() >= 1, "event lands on the offender");
         assert_eq!(k.cgroup_oom_events(cg_small).unwrap(), 0);
@@ -1612,7 +1647,83 @@ mod tests {
         k.cgroup_set_limit(cg2, Some(64 << 10)).unwrap();
         let pid = k.spawn("r", cg2).unwrap();
         let f = k.create_file("/big", FileContent::Synthetic(1 << 20)).unwrap();
+        assert_eq!(k.oom_kills(), 0, "a refused spawn kills nobody");
         assert!(matches!(k.read_file(pid, f), Err(KernelError::OutOfMemory { .. })));
+        assert_eq!(k.oom_kills(), 1);
+    }
+
+    #[test]
+    fn oom_kills_counts_every_kill_path_once() {
+        let k = kernel();
+        let f = k.create_file("/big", FileContent::Synthetic(1 << 20)).unwrap();
+        let reader = |name: &str| {
+            let cg = k.cgroup_create(Kernel::ROOT_CGROUP, name).unwrap();
+            k.cgroup_set_limit(cg, Some(64 << 10)).unwrap();
+            k.spawn(name, cg).unwrap()
+        };
+        // A cold read, a mapped-file fault and the explicit verb; the two
+        // anon-fault paths (faulter, sibling) and `read_file` are counted
+        // in the tests above.
+        let cold = reader("cold");
+        assert!(k.read_file_cold(cold, f).is_err());
+        assert_eq!(k.oom_kills(), 1);
+        let mapper = reader("mapper");
+        let m = k.mmap(mapper, 1 << 20, MapKind::FileShared(f)).unwrap();
+        assert!(k.touch(mapper, m, 1 << 20).is_err());
+        assert_eq!(k.oom_kills(), 2);
+        let plain = k.spawn("plain", Kernel::ROOT_CGROUP).unwrap();
+        k.oom_kill(plain).unwrap();
+        assert_eq!(k.oom_kills(), 3);
+        for pid in [cold, mapper, plain] {
+            assert_eq!(k.proc_state(pid).unwrap(), ProcState::OomKilled);
+        }
+        // An exit is not a kill, and a dead process cannot be killed twice.
+        let quiet = k.spawn("quiet", Kernel::ROOT_CGROUP).unwrap();
+        k.exit(quiet, 0).unwrap();
+        assert!(k.oom_kill(plain).is_err());
+        assert_eq!(k.oom_kills(), 3);
+        assert_eq!(k.check_accounting(), Ok(()));
+    }
+
+    #[test]
+    fn a_fork_is_a_deep_copy_on_its_own_clock() {
+        let k = kernel();
+        k.set_fault_plan(crate::FaultPlan::new(7).with_rate(crate::FaultSite::Probe, 500_000));
+        let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
+        let pid = k.spawn("p", cg).unwrap();
+        let heap = k.mmap(pid, 1 << 20, MapKind::AnonPrivate).unwrap();
+        k.touch(pid, heap, 64 << 10).unwrap();
+        let file = k.create_file("/f", FileContent::Synthetic(256 << 10)).unwrap();
+        k.advance(Duration::from_secs(3));
+
+        let clock = k.st().clock.fork();
+        let fork = k.fork(&clock);
+        assert_eq!((fork.now(), fork.free(), fork.ps()), (k.now(), k.free(), k.ps()));
+        let observe = |k: &Kernel| (k.now(), k.free(), k.ps(), k.file_cached(file).unwrap());
+        let before = observe(&k);
+
+        // Everything a fork can do to itself leaves the origin as it was.
+        let child = fork.spawn("child", cg).unwrap();
+        fork.touch(pid, heap, 1 << 20).unwrap();
+        fork.read_file_cold(child, file).unwrap();
+        fork.exit(pid, 0).unwrap();
+        fork.advance(Duration::from_secs(5));
+        fork.power_off();
+        assert_eq!(observe(&k), before);
+        assert!(!k.powered_off() && fork.powered_off());
+        assert_ne!(fork.free(), k.free());
+        assert_eq!((k.check_accounting(), fork.check_accounting()), (Ok(()), Ok(())));
+
+        // The fault plan went along with its RNG state: a second fork, taken
+        // now, draws what the origin draws, and drawing from one does not
+        // advance the other.
+        let twin = k.fork(&clock);
+        let draw = |k: &Kernel| -> Vec<bool> {
+            (0..32).map(|_| k.inject_fault(crate::FaultSite::Probe).is_err()).collect()
+        };
+        let from_twin = draw(&twin);
+        assert_eq!(draw(&k), from_twin);
+        assert!(from_twin.contains(&true) && from_twin.contains(&false));
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl NamespaceKind {
 }
 
 /// A simulated process.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Process {
     pub pid: Pid,
     pub name: String,

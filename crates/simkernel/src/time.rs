@@ -125,6 +125,13 @@ pub struct Clock {
 }
 
 impl Clock {
+    /// A clock of its own at this one's instant: what a fork of a
+    /// simulation stands on (a `clone` is another handle to the *same*
+    /// instant).
+    pub fn fork(&self) -> Clock {
+        Clock { now_ns: Arc::new(AtomicU64::new(self.now().0)) }
+    }
+
     /// Current simulated time.
     #[inline]
     pub fn now(&self) -> SimTime {

@@ -76,7 +76,7 @@ impl File {
 
 /// The filesystem: a flat, sorted path namespace (directories are implicit
 /// prefixes, which is all the container stack needs for bundles and images).
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Vfs {
     next_id: u64,
     files: BTreeMap<FileId, File>,

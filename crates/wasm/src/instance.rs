@@ -52,6 +52,13 @@ impl EpochClock {
         EpochClock::default()
     }
 
+    /// A clock of its own at this one's reading (a `clone` is another
+    /// handle to the *same* clock): what a copy of an embedder's state
+    /// retains, so that interrupting the copy's guest leaves this one alone.
+    pub fn fork(&self) -> EpochClock {
+        EpochClock { epoch: Arc::new(AtomicU64::new(self.now())) }
+    }
+
     /// Current epoch.
     pub fn now(&self) -> u64 {
         self.epoch.load(Ordering::Relaxed)

@@ -126,8 +126,14 @@ cargo run --release --offline -p harness --bin chaos -- --node-crash-smoke >/dev
 echo "== smoke: fault-schedule explorer (12 seeded schedules) =="
 # Seeded schedules of {crash, restart, partition, heal}; every schedule
 # must reconverge and pass the invariants, violations shrink to a minimal
-# failing prefix (exit 1 if any survive).
-cargo run --release --offline -p harness --bin chaos -- --explore --schedules 12 >/dev/null
+# failing prefix (exit 1 if any survive). Twice: one settled cluster is
+# borrowed by every worker that forks it, so the binary's stdout must not
+# depend on how many there are.
+for n in 1 2; do
+  HARNESS_THREADS=$n cargo run --release --offline -p harness --bin chaos -- \
+    --explore --schedules 12 >"target/explore-smoke.t$n"
+done
+cmp target/explore-smoke.t1 target/explore-smoke.t2
 
 echo "== smoke: adversarial isolation (1 attacker × 4 kinds vs 4 victims) =="
 # Containment contracts on the contribution config: every attacker
