@@ -9,15 +9,24 @@
 //! [`execute_wasm_opts`] is "load, then run", what the container runtimes
 //! (crun handlers) and the runwasi shims call; a sandbox process hosting
 //! many guests loads once. The figures fall out of what the two charge.
+//!
+//! The *host* runs each distinct guest once per process: [`run_module`]
+//! asks [`guests`] what the guest with these [`GuestInputs`] does, which
+//! calls [`execute_guest`] on first sight and hands the recorded
+//! [`GuestOutcome`] to every later start. The simulated cost is charged
+//! from the outcome, per container, on every start.
+
+use std::sync::Arc;
 
 use bytelite::Bytes;
 use simkernel::image::{
     charge_anon, charge_cpu, map_cow, map_shared, watchdog_ticks, ProcessImage, Rollback,
 };
-use simkernel::{Duration, FileId, Kernel, KernelResult, Phase, Pid, Step, StepTrace};
+use simkernel::{Duration, FileId, Kernel, KernelResult, Phase, Pid, Replay, Step, StepTrace};
 use wasi_sys::WasiCtx;
 use wasm_core::{
-    ArtifactCache, EpochClock, EpochConfig, ExecStats, Instance, InstanceConfig, Trap,
+    ArtifactCache, EpochClock, EpochConfig, ExecStats, ExecTier, Instance, InstanceConfig, Module,
+    Trap,
 };
 
 use crate::profile::{EngineKind, EngineProfile};
@@ -31,7 +40,7 @@ const RELOC_NS_PER_KIB: u64 = 60;
 pub const EPOCH_TICK_INSTRS: u64 = 10_000;
 
 /// WASI configuration extracted from the OCI spec (paper §III-C item 2).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WasiSpec {
     pub args: Vec<String>,
     pub env: Vec<(String, String)>,
@@ -120,6 +129,146 @@ pub struct EngineRun {
     /// Watchdog handle when an epoch budget was configured: `interrupt()`
     /// models the engine stopping the guest at its next epoch check.
     pub epoch_clock: Option<EpochClock>,
+}
+
+/// Every input a Wasm guest can see: the key its outcome is recorded
+/// under. Anything else it can reach is the kernel, through a WASI host
+/// function, and a guest that does is never replayed
+/// ([`GuestOutcome::observed_world`]).
+#[derive(Debug, Clone, Copy)]
+pub struct GuestInputs<'a> {
+    /// Compared by identity: the artifact cache hands every start of one
+    /// module the same `Arc`, and an entry owns a clone, so the address
+    /// cannot come to mean another module while the entry lives.
+    pub module: &'a Arc<Module>,
+    pub tier: ExecTier,
+    pub fuel: u64,
+    pub max_call_depth: usize,
+    /// The watchdog deadline in epoch ticks, and the instructions retired
+    /// per tick. [`watchdog_ticks`] has folded the pod's `cpu.max` into
+    /// the ticks, so a throttled start and an unthrottled one differ here.
+    pub deadline: Option<(u64, u64)>,
+    pub wasi: &'a WasiSpec,
+}
+
+/// [`GuestInputs`], owned: what an entry of [`guests`] is filed under.
+#[derive(Debug)]
+pub struct GuestKey {
+    module: Arc<Module>,
+    tier: ExecTier,
+    fuel: u64,
+    max_call_depth: usize,
+    deadline: Option<(u64, u64)>,
+    wasi: WasiSpec,
+}
+
+impl PartialEq<GuestKey> for GuestInputs<'_> {
+    fn eq(&self, k: &GuestKey) -> bool {
+        Arc::ptr_eq(self.module, &k.module)
+            && self.tier == k.tier
+            && self.fuel == k.fuel
+            && self.max_call_depth == k.max_call_depth
+            && self.deadline == k.deadline
+            && *self.wasi == k.wasi
+    }
+}
+
+impl From<&GuestInputs<'_>> for GuestKey {
+    fn from(i: &GuestInputs<'_>) -> GuestKey {
+        GuestKey {
+            module: Arc::clone(i.module),
+            tier: i.tier,
+            fuel: i.fuel,
+            max_call_depth: i.max_call_depth,
+            deadline: i.deadline,
+            wasi: i.wasi.clone(),
+        }
+    }
+}
+
+/// What a start does on first sight: everything [`run_module`] charges a
+/// container for, so that a later start of the same guest is charged from
+/// this and the host does not run it again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct GuestOutcome {
+    /// What `_start` came to: returned, `Err(Trap::Exit(code))`,
+    /// `Err(Trap::Interrupted)` at the watchdog deadline, or a hard trap.
+    pub end: Result<(), Trap>,
+    pub stats: ExecStats,
+    pub stdout: Bytes,
+    pub stderr: Bytes,
+    /// Size of the linear memory when the run ended (0 without one).
+    pub memory_bytes: u64,
+    /// The watchdog clock's reading when the run ended, `None` without a
+    /// deadline.
+    pub epoch: Option<u64>,
+    /// The guest reached the kernel through WASI — read a file, opened a
+    /// path, asked the time — so this is what it did *this* time, a
+    /// function of more than its [`GuestInputs`]; it is never recorded.
+    pub observed_world: bool,
+}
+
+/// The process-wide record of what each distinct guest does, shared by
+/// every cluster and worker thread. One entry per distinct guest ever
+/// started, pinning its module as the artifact cache pins the buffer;
+/// after [`ArtifactCache::clear`] a module is decoded into a new `Arc`,
+/// misses here and is executed again. `clear()` for tests that reset
+/// process-wide state.
+pub fn guests() -> &'static Replay<GuestKey, GuestOutcome> {
+    static GUESTS: Replay<GuestKey, GuestOutcome> = Replay::new();
+    &GUESTS
+}
+
+/// Really run the guest as `pid`: build its WASI context, instantiate,
+/// run `_start`, and report what that did. It charges nothing and takes no
+/// part in choosing between executing and replaying — [`run_module`] does
+/// both around it, and a test that needs a real execution calls this.
+///
+/// `Err` only when the module cannot be instantiated (an import nobody
+/// provides): the guest never started, and there is no outcome to record.
+pub fn execute_guest(
+    kernel: &Kernel,
+    pid: Pid,
+    inputs: &GuestInputs<'_>,
+) -> KernelResult<GuestOutcome> {
+    let wasi = inputs.wasi;
+    let mut ctx = WasiCtx::new(kernel.clone(), pid)
+        .args(wasi.args.iter().cloned())
+        .envs(wasi.env.iter().cloned());
+    for (guest, host) in &wasi.preopens {
+        ctx = ctx.preopen(guest.clone(), host.clone());
+    }
+    let stdout = ctx.stdout_handle();
+    let stderr = ctx.stderr_handle();
+    let world = ctx.world_mark();
+
+    let config = InstanceConfig {
+        tier: inputs.tier,
+        fuel: Some(inputs.fuel),
+        epoch: inputs.deadline.map(|(deadline, tick_instrs)| EpochConfig {
+            clock: EpochClock::new(),
+            deadline,
+            tick_instrs,
+        }),
+        max_call_depth: inputs.max_call_depth,
+    };
+    // The cache validated the module on insertion; skip re-validating per
+    // container.
+    let mut inst =
+        Instance::instantiate_prevalidated(Arc::clone(inputs.module), ctx.into_imports(), config)
+            .map_err(|e| simkernel::KernelError::InvalidState(format!("instantiate: {e}")))?;
+    let end = inst.run_start();
+    let stdout = Bytes::from(stdout.take());
+    let stderr = Bytes::from(stderr.take());
+    Ok(GuestOutcome {
+        end,
+        stats: inst.stats(),
+        stdout,
+        stderr,
+        memory_bytes: inst.memory().map_or(0, |m| m.size_bytes() as u64),
+        epoch: inst.epoch_clock().map(|c| c.now()),
+        observed_world: world.observed(),
+    })
 }
 
 /// Install the four engine shared libraries (and the Wasmtime cache
@@ -218,9 +367,10 @@ pub fn load_engine<'p>(
 }
 
 /// Stage two, once per guest (paper §III-C aspect 3): map and decode the
-/// module, build its WASI context, instantiate and run `_start` under the
-/// fuel budget and the optional watchdog, then charge what the run built
-/// and the guest CPU it burned. `trace` holds the steps this start has
+/// module, learn what the guest does under the fuel budget and the
+/// optional watchdog — [`execute_guest`] the first time this process sees
+/// it, the recorded [`GuestOutcome`] after — then charge what the run
+/// built and the guest CPU it burned. `trace` holds the steps this start has
 /// already cost (the engine load's, when the same start paid for it); the
 /// guest's follow them in [`EngineRun::trace`].
 ///
@@ -271,58 +421,57 @@ pub fn run_module(
         Step::Cpu(Duration::from_nanos(module_size * profile.validate_ns_per_byte)),
     );
 
-    // --- WASI context ----------------------------------------------------
-    let mut ctx = WasiCtx::new(kernel.clone(), pid)
-        .args(wasi.args.iter().cloned())
-        .envs(wasi.env.iter().cloned());
-    for (guest, host) in &wasi.preopens {
-        ctx = ctx.preopen(guest.clone(), host.clone());
-    }
-    let stdout = ctx.stdout_handle();
-    let stderr = ctx.stderr_handle();
-
-    // --- instantiate (and compile, for eager tiers) ---------------------
+    // --- instantiate and run `_start` -------------------------------------
     // Fault choke point: a transient engine-instantiation failure (resource
     // exhaustion, linker race) surfaces here, before any instance state is
-    // built, so a retry of the whole pipeline can succeed.
+    // built, so a retry of the whole pipeline can succeed. Ahead of the
+    // record below: a plan fires on a start that would have been replayed.
     kernel.inject_fault(simkernel::FaultSite::EngineInstantiate)?;
     // Epoch watchdog: the time budget becomes deadline ticks through the
     // same execution-time model the Exec step below charges with, scaled
     // by the pod's cpu.max.
     let ns_per_tick = profile.exec_ns_per_instr.max(1) * EPOCH_TICK_INSTRS;
-    let epoch = match opts.epoch_budget {
-        Some(budget) => Some(EpochConfig {
-            clock: EpochClock::new(),
-            deadline: watchdog_ticks(kernel, pid, budget, ns_per_tick)?,
-            tick_instrs: EPOCH_TICK_INSTRS,
-        }),
+    let deadline = match opts.epoch_budget {
+        Some(budget) => {
+            Some((watchdog_ticks(kernel, pid, budget, ns_per_tick)?, EPOCH_TICK_INSTRS))
+        }
         None => None,
     };
-    let config =
-        InstanceConfig { tier: profile.tier, fuel: Some(fuel), epoch, max_call_depth: 1024 };
-    // The cache validated the module on insertion; skip re-validating per
-    // container.
-    let mut inst = Instance::instantiate_prevalidated(module, ctx.into_imports(), config)
-        .map_err(|e| simkernel::KernelError::InvalidState(format!("instantiate: {e}")))?;
-    let epoch_clock = inst.epoch_clock();
+    let inputs = GuestInputs {
+        module: &module,
+        tier: profile.tier,
+        fuel,
+        max_call_depth: 1024,
+        deadline,
+        wasi,
+    };
+    // The host executes each distinct guest once and keeps the outcome;
+    // everything below is charged from it, per container, whether it was
+    // computed just now or for an earlier start. A guest that looked at
+    // the kernel is executed every time.
+    let outcome = guests().outcome(&inputs, || {
+        execute_guest(kernel, pid, &inputs).map(|o| {
+            let replayable = !o.observed_world;
+            (o, replayable)
+        })
+    })?;
+    let stats = outcome.stats;
     trace.push(Phase::Instantiate, Step::Cpu(profile.instantiate));
 
-    // --- run _start -------------------------------------------------------
     // An epoch interruption is NOT an error: the guest is wedged, not gone.
     // Its pages stay charged and the container stays up, exactly like a
     // real hung process — detection is the health probes' job. Fuel
     // exhaustion stays a hard error (the figure paths' backstop).
     let mut interrupted = false;
-    let exit_code = match inst.run_start() {
+    let exit_code = match &outcome.end {
         Ok(()) => 0,
-        Err(Trap::Exit(code)) => code,
+        Err(Trap::Exit(code)) => *code,
         Err(Trap::Interrupted) => {
             interrupted = true;
             0
         }
         Err(t) => return Err(simkernel::KernelError::InvalidState(format!("guest trapped: {t}"))),
     };
-    let stats = inst.stats();
     let mut exec_cpu = Duration::from_nanos(stats.instrs_retired * profile.exec_ns_per_instr);
     trace.push(Phase::Exec, Step::Cpu(exec_cpu));
 
@@ -380,13 +529,10 @@ pub fn run_module(
         }
     }
 
-    // Instance overhead + linear memory (the real Vec the instance holds).
+    // Instance overhead + linear memory (as large as the guest left it).
     charge_anon(kernel, pid, per_instance, "instance-meta")?;
-    if let Some(mem) = inst.memory() {
-        let bytes = mem.size_bytes() as u64;
-        if bytes > 0 {
-            charge_anon(kernel, pid, bytes, "linear-memory")?;
-        }
+    if outcome.memory_bytes > 0 {
+        charge_anon(kernel, pid, outcome.memory_bytes, "linear-memory")?;
     }
 
     // --- adversarial churn (isolation harness only) ----------------------
@@ -430,9 +576,23 @@ pub fn run_module(
     charge_cpu(kernel, pid, exec_cpu, &mut trace)?;
 
     rollback.commit();
-    let stdout = stdout.borrow().clone();
-    let stderr = stderr.borrow().clone();
-    Ok(EngineRun { trace, stdout, stderr, exit_code, stats, cache_hit, interrupted, epoch_clock })
+    // A watchdog handle of this container's own, at the reading the run
+    // ended on (as `EpochClock::fork` makes one).
+    let epoch_clock = outcome.epoch.map(|reading| {
+        let clock = EpochClock::new();
+        clock.advance(reading);
+        clock
+    });
+    Ok(EngineRun {
+        trace,
+        stdout: outcome.stdout.to_vec(),
+        stderr: outcome.stderr.to_vec(),
+        exit_code,
+        stats,
+        cache_hit,
+        interrupted,
+        epoch_clock,
+    })
 }
 
 #[cfg(test)]

@@ -30,7 +30,8 @@ pub mod exec;
 pub mod profile;
 
 pub use exec::{
-    execute_wasm_opts, install_engines, load_engine, run_module, Embedding, EngineRun, ExecOptions,
-    LoadedEngine, WasiSpec, EPOCH_TICK_INSTRS,
+    execute_guest, execute_wasm_opts, guests, install_engines, load_engine, run_module, Embedding,
+    EngineRun, ExecOptions, GuestInputs, GuestKey, GuestOutcome, LoadedEngine, WasiSpec,
+    EPOCH_TICK_INSTRS,
 };
 pub use profile::{EngineKind, EngineProfile};

@@ -7,13 +7,18 @@
 //! proportional to the real AST size), and latency steps follow CPython's
 //! cold-start shape (binary exec, interpreter init, per-import work,
 //! parse, execute).
+//!
+//! The *host* parses and runs each distinct script once per process
+//! ([`scripts`], the same record `engines::exec` keeps of Wasm guests);
+//! every container is still charged for both, from the outcome.
 
+use bytelite::Bytes;
 use container_runtimes::handler::{ContainerHandler, HandlerOutcome};
-use oci_spec_lite::{Bundle, RuntimeSpec};
+use oci_spec_lite::{Bundle, ProcessSpec, RuntimeSpec};
 use simkernel::image::{charge_anon, charge_cpu, watchdog_ticks, ProcessImage};
-use simkernel::{Duration, Kernel, KernelError, KernelResult, Phase, Pid, Step, StepTrace};
+use simkernel::{Duration, Kernel, KernelError, KernelResult, Phase, Pid, Replay, Step, StepTrace};
 
-use crate::interp::{Interp, PyEpochClock, PyError};
+use crate::interp::{Interp, PyEpochClock, PyError, PyStats};
 use crate::parser::parse;
 
 /// Interpreter ops per epoch tick — the granularity at which the watchdog
@@ -79,6 +84,105 @@ pub fn install_python(kernel: &Kernel) -> KernelResult<()> {
         )?;
     }
     Ok(())
+}
+
+/// Every input a script can see: the key its outcome is recorded under.
+/// [`Interp`] holds no handle to the kernel (`time.time()` counts its own
+/// ops), so unlike a Wasm guest a script has no road to anything else.
+#[derive(Debug, Clone, Copy)]
+pub struct ScriptInputs<'a> {
+    pub source: &'a Bytes,
+    /// `sys.argv` and `os.environ` are functions of its `args` and `env`,
+    /// the two fields the key holds.
+    pub process: &'a ProcessSpec,
+    pub fuel: u64,
+    /// The watchdog deadline in ticks of [`PY_EPOCH_TICK_OPS`] ops, the
+    /// pod's `cpu.max` folded in.
+    pub deadline: Option<u64>,
+}
+
+/// [`ScriptInputs`], owned: what an entry of [`scripts`] is filed under.
+#[derive(Debug)]
+pub struct ScriptKey {
+    source: Bytes,
+    args: Vec<String>,
+    env: Vec<String>,
+    fuel: u64,
+    deadline: Option<u64>,
+}
+
+impl PartialEq<ScriptKey> for ScriptInputs<'_> {
+    fn eq(&self, k: &ScriptKey) -> bool {
+        self.fuel == k.fuel
+            && self.deadline == k.deadline
+            && *self.source == k.source
+            && self.process.args == k.args
+            && self.process.env == k.env
+    }
+}
+
+impl From<&ScriptInputs<'_>> for ScriptKey {
+    fn from(i: &ScriptInputs<'_>) -> ScriptKey {
+        ScriptKey {
+            source: i.source.clone(),
+            args: i.process.args.clone(),
+            env: i.process.env.clone(),
+            fuel: i.fuel,
+            deadline: i.deadline,
+        }
+    }
+}
+
+/// What a start does on first sight: everything [`PythonHandler`] charges
+/// a container for.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ScriptOutcome {
+    /// AST nodes of the parsed script.
+    pub nodes: u64,
+    /// What the run came to: the exit code (`sys.exit` or falling off the
+    /// end), [`PyError::Interrupted`] at the watchdog deadline, or an
+    /// uncaught error.
+    pub end: Result<i32, PyError>,
+    pub stats: PyStats,
+    pub stdout: Bytes,
+    /// Modules imported, in order.
+    pub imported: Vec<String>,
+}
+
+/// The process-wide record of what each distinct script does; `clear()`
+/// for tests that reset process-wide state.
+pub fn scripts() -> &'static Replay<ScriptKey, ScriptOutcome> {
+    static SCRIPTS: Replay<ScriptKey, ScriptOutcome> = Replay::new();
+    &SCRIPTS
+}
+
+/// Really parse and run the script, and report what that did. It charges
+/// nothing and takes no part in choosing between executing and replaying.
+///
+/// `Err` only when the script is not a program (not UTF-8, does not
+/// parse): nothing ran, and there is no outcome to record.
+pub fn execute_script(inputs: &ScriptInputs<'_>) -> KernelResult<ScriptOutcome> {
+    let source = std::str::from_utf8(inputs.source)
+        .map_err(|_| KernelError::InvalidState("script is not UTF-8".into()))?;
+    let program =
+        parse(source).map_err(|e| KernelError::InvalidState(format!("python parse: {e}")))?;
+    let process = inputs.process;
+    let argv = process.args.iter().skip_while(|a| a.contains("python")).cloned().collect();
+    let mut interp = Interp::new(argv, process.env_pairs()).with_fuel(inputs.fuel);
+    if let Some(ticks) = inputs.deadline {
+        interp = interp.with_epoch(PyEpochClock::new(), ticks, PY_EPOCH_TICK_OPS);
+    }
+    let end = match interp.run(&program) {
+        Err(PyError::Exit(code)) => Ok(code),
+        end => end,
+    };
+    Ok(ScriptOutcome {
+        nodes: program.node_count() as u64,
+        end,
+        stats: interp.stats(),
+        imported: interp.imported_modules().to_vec(),
+        stdout: Bytes::from(std::mem::take(&mut interp.stdout)),
+    })
 }
 
 /// Handler executing `python3 <script.py>` containers.
@@ -150,43 +254,42 @@ impl ContainerHandler for PythonHandler {
         let source = kernel
             .read_file(pid, script_file)?
             .ok_or_else(|| KernelError::InvalidState("script has no content".into()))?;
-        let source = std::str::from_utf8(&source)
-            .map_err(|_| KernelError::InvalidState("script is not UTF-8".into()))?;
 
-        // Parse (real) and charge code objects.
-        let program =
-            parse(source).map_err(|e| KernelError::InvalidState(format!("python parse: {e}")))?;
-        let nodes = program.node_count() as u64;
+        // Watchdog: convert the annotated time budget to op ticks through
+        // the same execution model the Exec step below charges with, under
+        // the pod's cpu.max like any other guest.
+        let deadline = match spec.watchdog_budget_ns() {
+            Some(ns) => {
+                let ns_per_tick = p.exec_ns_per_op.max(1) * PY_EPOCH_TICK_OPS;
+                Some(watchdog_ticks(kernel, pid, Duration::from_nanos(ns), ns_per_tick)?)
+            }
+            None => None,
+        };
+        // Parse and execute (real) — once per distinct script per process;
+        // everything below is charged from the outcome, per container.
+        let inputs =
+            ScriptInputs { source: &source, process: &spec.process, fuel: self.fuel, deadline };
+        let outcome = scripts().outcome(&inputs, || execute_script(&inputs).map(|o| (o, true)))?;
+
+        // Code objects.
+        let nodes = outcome.nodes;
         trace.push(Phase::Compile, Step::Cpu(Duration::from_nanos(nodes * p.parse_ns_per_node)));
         let code_bytes = (nodes * p.bytes_per_ast_node).max(4096);
         charge_anon(kernel, pid, code_bytes, "py-code")?;
 
-        // Execute (real).
-        let argv: Vec<String> =
-            spec.process.args.iter().skip_while(|a| a.contains("python")).cloned().collect();
-        let mut interp = Interp::new(argv, spec.process.env_pairs()).with_fuel(self.fuel);
-        // Watchdog: convert the annotated time budget to op ticks through
-        // the same execution model the Exec step below charges with, under
-        // the pod's cpu.max like any other guest.
-        if let Some(ns) = spec.watchdog_budget_ns() {
-            let ns_per_tick = p.exec_ns_per_op.max(1) * PY_EPOCH_TICK_OPS;
-            let ticks = watchdog_ticks(kernel, pid, Duration::from_nanos(ns), ns_per_tick)?;
-            interp = interp.with_epoch(PyEpochClock::new(), ticks, PY_EPOCH_TICK_OPS);
-        }
         // An epoch interruption is a wedged success, not an error: the
         // interpreter is hung, its memory stays charged, and the container
         // reaches Running — probes are how the kubelet finds out.
         let mut interrupted = false;
-        let exit_code = match interp.run(&program) {
-            Ok(code) => code,
-            Err(PyError::Exit(code)) => code,
+        let exit_code = match &outcome.end {
+            Ok(code) => *code,
             Err(PyError::Interrupted) => {
                 interrupted = true;
                 0
             }
             Err(e) => return Err(KernelError::InvalidState(format!("python runtime: {e}"))),
         };
-        let stats = interp.stats();
+        let stats = outcome.stats;
         let exec_cpu = Duration::from_nanos(stats.ops * p.exec_ns_per_op);
         trace.push(Phase::Exec, Step::Cpu(exec_cpu));
         // The interpreter's ops are guest CPU like a Wasm guest's
@@ -194,7 +297,7 @@ impl ContainerHandler for PythonHandler {
         charge_cpu(kernel, pid, exec_cpu, &mut trace)?;
 
         // Imports: stdlib reads (shared page cache) + private module dicts.
-        for module in interp.imported_modules() {
+        for module in &outcome.imported {
             let path = format!("/usr/lib/python3.10/{module}.py");
             if let Ok(f) = kernel.lookup(&path) {
                 let cold = kernel.file_cached(f)? == 0;
@@ -213,7 +316,7 @@ impl ContainerHandler for PythonHandler {
 
         Ok(HandlerOutcome {
             trace,
-            stdout: interp.stdout.clone(),
+            stdout: outcome.stdout.to_vec(),
             exit_code,
             interrupted,
             epoch_clock: None,

@@ -123,7 +123,7 @@ enum Flow {
 }
 
 /// Interpreter statistics for the container cost model.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PyStats {
     /// Bytecode-ish operations executed.
     pub ops: u64,

@@ -16,6 +16,9 @@ pub mod lexer;
 pub mod parser;
 
 pub use ast::{BinOp, Expr, Program, Stmt};
-pub use handler::{install_python, PythonHandler, PythonProfile, PYTHON};
+pub use handler::{
+    execute_script, install_python, scripts, PythonHandler, PythonProfile, ScriptInputs, ScriptKey,
+    ScriptOutcome, PYTHON,
+};
 pub use interp::{Interp, PyEpochClock, PyError, PyStats, PyValue};
 pub use parser::{parse, ParseError};

@@ -49,6 +49,7 @@ pub mod lifecycle;
 pub mod mem;
 pub mod proc;
 pub mod prop;
+pub mod replay;
 pub mod rng;
 pub mod time;
 pub mod trace;
@@ -63,6 +64,7 @@ pub use kernel::{FreeReport, IoModel, Kernel, KernelConfig, PAGE_SIZE};
 pub use lifecycle::{Lifecycle, LifecycleState};
 pub use mem::{MapKind, MappingId};
 pub use proc::{Pid, ProcState};
+pub use replay::{Replay, ReplayStats};
 pub use time::{Clock, Duration, SimTime};
 pub use trace::{Phase, StepTrace};
 pub use vfs::FileId;

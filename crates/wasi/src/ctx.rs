@@ -1,6 +1,6 @@
 //! The WASI context: per-instance arguments, environment, preopens, stdio.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use simkernel::{FileId, Kernel, Pid};
@@ -21,10 +21,28 @@ pub(crate) enum FdEntry {
     File { file: FileId, offset: u64 },
 }
 
+/// Read-only handle to a context's *observed the world* mark (valid after
+/// execution, like the stdio handles): set once a host function has reached
+/// the kernel — read a file, opened a path, asked the time. What such a
+/// guest did is a function of more than its arguments, environment and
+/// preopens, so an embedder must not take one run of it for the next.
+#[derive(Debug, Clone)]
+pub struct WorldMark(Rc<Cell<bool>>);
+
+impl WorldMark {
+    pub fn observed(&self) -> bool {
+        self.0.get()
+    }
+}
+
 /// Mutable WASI state shared by all host functions of one instance.
 pub(crate) struct WasiState {
-    pub kernel: Kernel,
-    pub pid: Pid,
+    /// The guest's only road to anything outside this struct. Private to
+    /// this module: host functions go through [`WasiState::world`], which
+    /// sets `observed`, so a new one cannot reach the kernel unmarked.
+    kernel: Kernel,
+    pid: Pid,
+    observed: Rc<Cell<bool>>,
     pub args: Vec<String>,
     pub env: Vec<(String, String)>,
     /// fd table; indices 0..=2 are stdio, preopens start at 3.
@@ -37,11 +55,17 @@ pub(crate) struct WasiState {
 }
 
 impl WasiState {
+    /// The kernel and the process this context executes as, marking the
+    /// context as having observed the world.
+    pub fn world(&self) -> (&Kernel, Pid) {
+        self.observed.set(true);
+        (&self.kernel, self.pid)
+    }
+
     pub fn resolve(&self, dir_fd: usize, rel_path: &str) -> Option<String> {
         let entry = self.fds.get(dir_fd)?.as_ref()?;
         let FdEntry::PreopenDir { guest_path } = entry else { return None };
-        let (gp, host_prefix) = self.preopens.iter().find(|(g, _)| g == guest_path)?;
-        let _ = gp;
+        let (_, host_prefix) = self.preopens.iter().find(|(g, _)| g == guest_path)?;
         let mut p = host_prefix.trim_end_matches('/').to_string();
         p.push('/');
         p.push_str(rel_path.trim_start_matches('/'));
@@ -76,6 +100,7 @@ impl WasiCtx {
         let state = WasiState {
             kernel,
             pid,
+            observed: Rc::new(Cell::new(false)),
             args: Vec::new(),
             env: Vec::new(),
             fds: vec![
@@ -125,7 +150,10 @@ impl WasiCtx {
         self
     }
 
-    /// Seed `random_get` (deterministic by default).
+    /// Seed `random_get` (deterministic by default). Nothing feeds it
+    /// today, so `random_get` is a pure function of a per-context constant;
+    /// the day an embedder passes a seed here, the seed is a guest-visible
+    /// input and joins the key of `engines::exec`'s outcome record.
     pub fn random_seed(self, seed: u64) -> Self {
         self.state.borrow_mut().rng = seed | 1;
         self
@@ -139,6 +167,11 @@ impl WasiCtx {
     /// Handle to the captured stderr bytes.
     pub fn stderr_handle(&self) -> StdioHandle {
         self.stderr.clone()
+    }
+
+    /// Handle to the *observed the world* mark.
+    pub fn world_mark(&self) -> WorldMark {
+        WorldMark(self.state.borrow().observed.clone())
     }
 
     /// Exit code recorded by `proc_exit`, if the guest called it.

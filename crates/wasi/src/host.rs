@@ -138,8 +138,7 @@ pub(crate) fn build_imports(state: Rc<RefCell<WasiState>>) -> Imports {
                 for i in 0..iovs_len {
                     let base = m.load_u32(iovs + i * 8, 0)?;
                     let len = m.load_u32(iovs + i * 8, 4)?;
-                    let bytes = m.read_bytes(base, len)?.to_vec();
-                    sink.borrow_mut().extend_from_slice(&bytes);
+                    sink.borrow_mut().extend_from_slice(m.read_bytes(base, len)?);
                     written += len;
                 }
                 m.store_u32(nwritten_ptr, 0, written)?;
@@ -172,8 +171,7 @@ pub(crate) fn build_imports(state: Rc<RefCell<WasiState>>) -> Imports {
                 };
                 // Fault the file via the kernel (charges the container's
                 // cgroup) and copy from its content.
-                let kernel = s.kernel.clone();
-                let pid = s.pid;
+                let (kernel, pid) = s.world();
                 let content = match kernel.read_file(pid, file) {
                     Ok(Some(bytes)) => bytes,
                     Ok(None) => return ok(Errno::Io), // synthetic file
@@ -288,8 +286,7 @@ pub(crate) fn build_imports(state: Rc<RefCell<WasiState>>) -> Imports {
                 let Some(host_path) = s.resolve(dir_fd, &rel) else {
                     return ok(Errno::NotCapable);
                 };
-                let kernel = s.kernel.clone();
-                let Ok(file) = kernel.lookup(&host_path) else {
+                let Ok(file) = s.world().0.lookup(&host_path) else {
                     return ok(Errno::NoEnt);
                 };
                 let fd = s.alloc_fd(FdEntry::File { file, offset: 0 });
@@ -315,7 +312,7 @@ pub(crate) fn build_imports(state: Rc<RefCell<WasiState>>) -> Imports {
                 let whence = i32_arg(args, 2)?;
                 let new_ptr = i32_arg(args, 3)?;
                 let mut s = st.borrow_mut();
-                let kernel = s.kernel.clone();
+                let kernel = s.world().0.clone();
                 let Some(Some(FdEntry::File { file, offset })) = s.fds.get_mut(fd) else {
                     return ok(Errno::BadF);
                 };
@@ -347,7 +344,7 @@ pub(crate) fn build_imports(state: Rc<RefCell<WasiState>>) -> Imports {
             Box::new(move |memory, args| {
                 let m = mem(memory)?;
                 let time_ptr = i32_arg(args, 2)?;
-                let now = st.borrow().kernel.now().as_nanos();
+                let now = st.borrow().world().0.now().as_nanos();
                 m.store_u64(time_ptr, 0, now)?;
                 ok(Errno::Success)
             }),
@@ -683,6 +680,83 @@ mod tests {
             // The refused call drew nothing from the generator.
             assert_eq!(next_bytes(true), next_bytes(false), "{tier:?}");
             assert_ne!(next_bytes(false), [0; 16]);
+        }
+    }
+
+    /// One guest per host function, each calling just that function: the
+    /// four that reach the kernel leave the context marked, the rest do
+    /// not — stdin, stdio, arguments, environment, preopen names, the
+    /// generator and `proc_exit` are all inside the context.
+    #[test]
+    fn only_the_kernel_reading_host_functions_mark_the_context() {
+        use crate::ctx::FdEntry;
+        use Value::{I32, I64};
+        let cases: [(&str, &[Value], bool); 16] = [
+            ("args_sizes_get", &[I32(0), I32(4)], false),
+            ("args_get", &[I32(8), I32(64)], false),
+            ("environ_sizes_get", &[I32(0), I32(4)], false),
+            ("environ_get", &[I32(8), I32(64)], false),
+            ("fd_write", &[I32(1), I32(8), I32(0), I32(16)], false),
+            ("fd_read", &[I32(0), I32(8), I32(0), I32(16)], false), // stdin: EOF
+            ("fd_read", &[I32(4), I32(8), I32(0), I32(16)], true),
+            ("fd_close", &[I32(4)], false),
+            ("fd_prestat_get", &[I32(3), I32(8)], false),
+            ("fd_prestat_dir_name", &[I32(3), I32(8), I32(64)], false),
+            (
+                "path_open",
+                &[I32(3), I32(0), I32(0), I32(1), I32(0), I32(0), I32(0), I32(0), I32(64)],
+                true,
+            ),
+            ("fd_seek", &[I32(4), I64(0), I32(0), I32(16)], true),
+            ("clock_time_get", &[I32(0), I64(0), I32(16)], true),
+            ("random_get", &[I32(32), I32(8)], false),
+            ("sched_yield", &[], false),
+            ("proc_exit", &[I32(0)], false),
+        ];
+        for (name, args, observes) in cases {
+            let mut b = ModuleBuilder::new();
+            let params = args.iter().map(|v| v.ty()).collect();
+            let results = if name == "proc_exit" { vec![] } else { vec![ValType::I32] };
+            let host =
+                b.import_func("wasi_snapshot_preview1", name, FuncType::new(params, results));
+            let mem = b.memory(1, None);
+            b.export_memory("memory", mem);
+            b.data(0, &b"f"[..]);
+            let go = b.func(FuncType::new(vec![], vec![]), |f| {
+                for arg in args {
+                    match *arg {
+                        I32(v) => f.i32_const(v),
+                        I64(v) => f.i64_const(v),
+                        _ => unreachable!("wasi takes integers"),
+                    };
+                }
+                f.call(host);
+                if name != "proc_exit" {
+                    f.drop_();
+                }
+            });
+            b.export_func("go", go);
+
+            let (kernel, pid) = kernel_and_pid();
+            let content = FileContent::Bytes(bytelite::Bytes::from_static(b"x"));
+            let file = kernel.create_file("/rootfs/data/f", content).unwrap();
+            let ctx =
+                WasiCtx::new(kernel, pid).arg("svc").env("K", "v").preopen("/data", "/rootfs/data");
+            // An open file at fd 4, as a `path_open` would have left it.
+            assert_eq!(ctx.state.borrow_mut().alloc_fd(FdEntry::File { file, offset: 0 }), 4);
+            let mark = ctx.world_mark();
+            let mut inst = Instance::instantiate(
+                Arc::new(b.build()),
+                ctx.into_imports(),
+                InstanceConfig::default(),
+            )
+            .unwrap();
+            assert!(!mark.observed(), "{name}: building the context observes nothing");
+            match inst.invoke("go", &[]) {
+                Ok(_) | Err(Trap::Exit(0)) => {}
+                Err(t) => panic!("{name}: {t}"),
+            }
+            assert_eq!(mark.observed(), observes, "{name}{args:?}");
         }
     }
 

@@ -48,5 +48,5 @@ pub mod ctx;
 pub mod errno;
 mod host;
 
-pub use ctx::{StdioHandle, WasiCtx};
+pub use ctx::{StdioHandle, WasiCtx, WorldMark};
 pub use errno::Errno;

@@ -1,6 +1,6 @@
 //! What a resident simulated pod costs the *host*: live heap bytes and live
-//! heap blocks per pod after `Cluster::deploy`, and nothing left after
-//! teardown.
+//! heap blocks per pod after `Cluster::deploy`, how many allocations
+//! starting it made, and nothing left after teardown.
 //!
 //! The program is single-threaded and deterministic, so the bytes it has
 //! requested from the allocator and not yet returned repeat exactly from
@@ -131,25 +131,28 @@ fn cycle(config: Config, workload: &Workload, pods: usize) -> KernelResult<Cycle
     })
 }
 
-/// Per config: live bytes and live blocks a resident pod may cost — what
-/// this commit reads (5 nodes, 1 000 boot-only pods, second cycle) plus a
-/// few percent, so that one more one-entry B-tree leaf per pod (≥ 368 B)
-/// does not fit.
+/// Per config: live bytes and live blocks a resident pod may cost, and
+/// allocations starting it may make — what this commit reads (5 nodes,
+/// 1 000 boot-only pods, second cycle) plus a few percent, so that one
+/// more one-entry B-tree leaf per pod (≥ 368 B), or a dozen more boxes per
+/// start, does not fit.
 ///
-/// | config | bytes / blocks per pod | when the test was written |
-/// |---|---|---|
-/// | crun-wamr | 8 050.3 / 40.1 | 19 908.2 / 87.6 |
-/// | shim-wasmtime | 5 377.6 / 22.1 | 14 780.3 / 66.6 |
-/// | crun-wasmtime | 8 598.4 / 40.1 | 20 123.2 / 88.6 |
+/// | config | bytes / blocks per pod | when the test was written | allocations per start | before guests were replayed |
+/// |---|---|---|---|---|
+/// | crun-wamr | 8 017.6 / 40.1 | 19 908.2 / 87.6 | 267 | 334 |
+/// | shim-wasmtime | 5 344.8 / 22.1 | 14 780.3 / 66.6 | 80 | 147 |
+/// | crun-wasmtime | 8 565.7 / 40.1 | 20 123.2 / 88.6 | 271 | 338 |
 ///
-/// The right-hand column is the tree with a `BTreeMap` per process and per
+/// The third column is the tree with a `BTreeMap` per process and per
 /// sandbox, two rootfs maps per bundle, a `String` per mapping label and
 /// traces left at their growth capacity; the budgets are below 0.6 × its
-/// bytes and 0.85 × its blocks.
-const BUDGETS: [(Config, usize, usize); 3] = [
-    (Config::WamrCrun, 8_250, 42),
-    (Config::ShimWasmtime, 5_550, 24),
-    (Config::CrunWasmtime, 8_800, 42),
+/// bytes and 0.85 × its blocks. The last is a start that builds a WASI
+/// context, fifteen boxed host functions with their names, an instance and
+/// a linear memory for a guest the process has already run.
+const BUDGETS: [(Config, usize, usize, usize); 3] = [
+    (Config::WamrCrun, 8_250, 42, 275),
+    (Config::ShimWasmtime, 5_550, 24, 83),
+    (Config::CrunWasmtime, 8_800, 42, 279),
 ];
 
 /// What may stay live after a cycle: process-wide caches that a second
@@ -159,7 +162,7 @@ const LEFT_OVER_BYTES: isize = 4_096;
 #[test]
 fn a_resident_pod_costs_the_host_what_it_holds_and_teardown_returns_it() {
     let workload = boot_only();
-    for (config, bytes, blocks) in BUDGETS {
+    for (config, bytes, blocks, allocations) in BUDGETS {
         // A first, small cycle fills the process-wide caches (module
         // memo, artifact cache, recycled buffers); the second is read.
         cycle(config, &workload, 2 * NODES).unwrap();
@@ -184,6 +187,12 @@ fn a_resident_pod_costs_the_host_what_it_holds_and_teardown_returns_it() {
             "{}: {:.1} live blocks per resident pod, budget {blocks}",
             config.label(),
             per_pod(c.deployed.blocks)
+        );
+        assert!(
+            c.deployed.allocations <= allocations * PODS,
+            "{}: {:.1} allocations per pod start, budget {allocations}",
+            config.label(),
+            per_pod(c.deployed.allocations)
         );
         assert!(
             c.left_over <= LEFT_OVER_BYTES,
