@@ -77,12 +77,10 @@ pub struct CriContainer {
     epoch_clock: Option<EpochClock>,
     /// Present for OCI-class containers (init process of the container).
     oci: Option<Container>,
+    /// Keeps the spec it wrote until the container has started: an OCI
+    /// runtime's `config.json` reads return it, and the runwasi shim is
+    /// handed it in memory.
     bundle: Bundle,
-    /// Present for a runwasi-class container until it has started: the
-    /// shim is handed the spec in memory, where an OCI runtime re-reads
-    /// `config.json` from the bundle. Boxed, so that a record without one
-    /// does not carry room for it.
-    spec: Option<Box<RuntimeSpec>>,
 }
 
 impl CriContainer {
@@ -102,7 +100,6 @@ impl CriContainer {
             epoch_clock: self.epoch_clock.as_ref().map(EpochClock::fork),
             oci: self.oci.as_ref().map(Container::fork),
             bundle: self.bundle.clone(),
-            spec: self.spec.clone(),
             ..*self
         }
     }
@@ -290,11 +287,11 @@ impl Containerd {
                         &format!("{pod_id}-pause"),
                         vec!["/pause".to_string()],
                     );
-                    let bundle = Bundle::create(
+                    let mut bundle = Bundle::create(
                         &self.kernel,
                         &format!("{pod_id}-pause"),
                         &self.pause_image,
-                        &spec,
+                        spec,
                     )?;
                     let ctx = RuntimeCtx { runtime_cgroup: self.system_cgroup };
                     let mut pause = runtime
@@ -307,6 +304,7 @@ impl Containerd {
                         let _ = bundle.destroy(&self.kernel);
                         return Err(e);
                     }
+                    bundle.release_spec();
                     Ok((pause, bundle))
                 })();
                 let (mut pause, bundle) = match pause_result {
@@ -417,7 +415,7 @@ impl Containerd {
         for (k, v) in annotations {
             spec.annotations.insert(k.clone(), v.clone());
         }
-        let bundle = Bundle::create(&self.kernel, container_id, image, &spec)?;
+        let bundle = Bundle::create(&self.kernel, container_id, image, spec)?;
 
         // Snapshot preparation + metadata, under the task lock.
         trace.push(Phase::RuntimeOp, Step::Acquire(TASK_SERVICE_LOCK));
@@ -426,7 +424,7 @@ impl Containerd {
         trace.push(Phase::RuntimeOp, Step::Io(Duration::from_micros(800)));
 
         let class = self.classes.get(&sandbox.class).expect("class checked at sandbox");
-        let (oci, spec) = match class {
+        let oci = match class {
             RuntimeClass::Oci { runtime } => {
                 let ctx = RuntimeCtx { runtime_cgroup: self.system_cgroup };
                 let mut c = match runtime.create(&ctx, container_id, &bundle, sandbox.pod_cgroup) {
@@ -439,9 +437,9 @@ impl Containerd {
                     }
                 };
                 trace.append(&mut c.trace);
-                (Some(c), None)
+                Some(c)
             }
-            RuntimeClass::Runwasi { .. } => (None, Some(Box::new(spec))),
+            RuntimeClass::Runwasi { .. } => None,
         };
 
         sandbox.containers.reserve_exact(1);
@@ -456,7 +454,6 @@ impl Containerd {
                 epoch_clock: None,
                 oci,
                 bundle,
-                spec,
             },
         );
         Ok(())
@@ -507,15 +504,15 @@ impl Containerd {
                     embedding: Embedding::Crate,
                     fuel: *fuel,
                 };
-                let spec = container.spec.as_deref().expect("runwasi class keeps the spec");
+                let spec = container.bundle.spec().expect("kept until the container starts");
                 let mut run = shim.execute(&self.kernel, shim_pid, &container.bundle, spec)?;
-                container.spec = None;
                 trace.append(&mut run.trace);
                 container.stdout = run.stdout;
                 container.wedged = run.interrupted;
                 container.epoch_clock = run.epoch_clock;
             }
         }
+        container.bundle.release_spec();
         container.state.transition(ContainerState::Running, container_id)?;
         Ok(())
     }
@@ -895,6 +892,24 @@ mod tests {
             assert!(cd.take_container_stdout(pod, "ghost").is_empty());
         }
         assert!(cd.take_container_stdout("ghost", "c1").is_empty());
+    }
+
+    /// A bundle keeps its spec until its container starts, in both
+    /// classes; the pause container starts with its sandbox.
+    #[test]
+    fn a_started_container_holds_no_spec() {
+        let mut cd = boot();
+        let mut trace = StepTrace::new();
+        for (pod, c, class) in [("p1", "c1", "crun-wamr"), ("p2", "c2", "runwasi-wasmtime")] {
+            cd.run_pod_sandbox(pod, class, &mut trace).unwrap();
+            cd.create_container(pod, c, "svc:v1", None, &mut trace).unwrap();
+            let sandbox = cd.sandbox(pod).unwrap();
+            assert!(sandbox.pause_bundle.as_ref().is_none_or(|b| b.spec().is_none()));
+            assert!(sandbox.container(c).unwrap().bundle.spec().is_some(), "not started yet");
+            cd.start_container(pod, c, &mut trace).unwrap();
+            assert!(cd.sandbox(pod).unwrap().container(c).unwrap().bundle.spec().is_none());
+        }
+        assert!(cd.sandbox("p1").unwrap().pause_bundle.is_some(), "the OCI pod has a pause");
     }
 
     #[test]

@@ -113,11 +113,12 @@ impl WasmSandboxer {
                 spec.process.args
             )));
         }
-        let bundle =
-            Bundle::create(&self.kernel, &format!("{}-{id}", sandbox.pod_id), image, &spec)?;
+        let mut bundle =
+            Bundle::create(&self.kernel, &format!("{}-{id}", sandbox.pod_id), image, spec)?;
         let started = (|| {
             let base = ExecOptions { embedding: Embedding::Crate, ..Default::default() };
-            let (module, wasi, opts) = guest_from_oci(&bundle, &spec, base)?;
+            let spec = bundle.spec().expect("a new bundle keeps its spec");
+            let (module, wasi, opts) = guest_from_oci(&bundle, spec, base)?;
             // The first container loads the engine and the sandbox keeps
             // what that returned: later containers — and the retry of a
             // first container whose *guest* failed — go straight to
@@ -139,6 +140,7 @@ impl WasmSandboxer {
             // left it as they found it: only the bundle is ours to undo.
             let _ = bundle.destroy(&self.kernel);
         })?;
+        bundle.release_spec();
         sandbox.bundles.push(bundle);
         sandbox.trace.append(&mut run.trace);
         sandbox.containers.push(SandboxContainer {

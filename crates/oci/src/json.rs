@@ -11,8 +11,8 @@
 //! members or an array's elements, scans strings and numbers, and skips
 //! (while validating) whatever its caller does not want. [`parse`] builds
 //! the generic [`Value`] tree on it; a caller that knows its schema
-//! (`RuntimeSpec::from_json`, once per container `create` and `start`)
-//! drives it directly and builds no tree.
+//! (`RuntimeSpec::from_json`, whenever a runtime reads a `config.json`
+//! its bundle did not write) drives it directly and builds no tree.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -44,6 +44,9 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// 2^63, exactly: the first `f64` past `i64::MAX`.
+const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+
 impl Value {
     /// Object member lookup.
     pub fn get(&self, key: &str) -> Option<&Value> {
@@ -67,15 +70,24 @@ impl Value {
         }
     }
 
+    /// A whole number in `i64`'s range; out of range is `None`, not clamped.
     pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Number(n) if n.fract() == 0.0 => Some(*n as i64),
+        match *self {
+            Value::Number(n) if n.fract() == 0.0 && (-TWO_63..TWO_63).contains(&n) => {
+                Some(n as i64)
+            }
             _ => None,
         }
     }
 
+    /// A whole number in `u64`'s range; out of range is `None`, not clamped.
     pub fn as_u64(&self) -> Option<u64> {
-        self.as_i64().filter(|v| *v >= 0).map(|v| v as u64)
+        match *self {
+            Value::Number(n) if n.fract() == 0.0 && (0.0..2.0 * TWO_63).contains(&n) => {
+                Some(n as u64)
+            }
+            _ => None,
+        }
     }
 
     pub fn as_bool(&self) -> Option<bool> {
@@ -194,7 +206,7 @@ pub(crate) fn write_bool(out: &mut String, b: bool) {
 /// Integers in the `f64`-exact range print without a fraction. JSON has no
 /// NaN or infinity: they are written as `null`, as serde_json does, so the
 /// output always parses.
-pub(crate) fn write_number(out: &mut String, n: f64) {
+fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9e15 {
@@ -351,10 +363,16 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// The value if it is a number.
-    pub fn number(&mut self) -> Result<Option<f64>, JsonError> {
+    /// The value if it is a whole number in `u64`'s range. A plain integer
+    /// token is read exactly; any other spelling (`-0`, `2.0`, `1e3`) as
+    /// the `f64` a tree would hold.
+    pub fn unsigned(&mut self) -> Result<Option<u64>, JsonError> {
         match self.peek() {
-            Some(b'-' | b'0'..=b'9') => self.scan_number().map(Some),
+            Some(b'-' | b'0'..=b'9') => {
+                let start = self.pos;
+                let n = self.scan_number()?;
+                Ok(self.input[start..self.pos].parse().ok().or(Value::Number(n).as_u64()))
+            }
             _ => self.skip().map(|()| None),
         }
     }
@@ -656,6 +674,35 @@ mod tests {
         assert_eq!(v.str_list("missing"), Vec::<String>::new());
         assert_eq!(parse("-1").unwrap().as_u64(), None);
         assert_eq!(parse("1.5").unwrap().as_i64(), None);
+    }
+
+    /// Out of range reads as absent, not as the nearest bound.
+    #[test]
+    fn whole_number_accessors_do_not_saturate() {
+        let n = |s: &str| parse(s).unwrap();
+        assert_eq!(n("9223372036854775807").as_i64(), None, "rounds to 2^63");
+        assert_eq!(n("-9223372036854775808").as_i64(), Some(i64::MIN));
+        assert_eq!(n("1e19").as_i64(), None);
+        assert_eq!(n("1e19").as_u64(), Some(10_000_000_000_000_000_000));
+        assert_eq!(n("18446744073709551615").as_u64(), None, "rounds to 2^64");
+        assert_eq!(n("-0").as_u64(), Some(0));
+        assert_eq!(n("1e999").as_u64(), None);
+    }
+
+    #[test]
+    fn unsigned_reads_a_plain_integer_exactly() {
+        let read = |s: &str| document(s, Reader::unsigned);
+        assert_eq!(read("18446744073709551615"), Ok(Some(u64::MAX)));
+        assert_eq!(read("9007199254740993"), Ok(Some((1 << 53) + 1)));
+        assert_eq!(read("18446744073709551616"), Ok(None), "past u64::MAX");
+        // Other spellings go through f64, as a tree holds them.
+        assert_eq!(read("2.0"), Ok(Some(2)));
+        assert_eq!(read("1e3"), Ok(Some(1000)));
+        assert_eq!(read("-0"), Ok(Some(0)));
+        assert_eq!(read("-1"), Ok(None));
+        assert_eq!(read("1.5"), Ok(None));
+        assert_eq!(read("\"7\""), Ok(None));
+        assert!(read("1e").is_err());
     }
 
     #[test]

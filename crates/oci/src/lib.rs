@@ -12,7 +12,8 @@
 //!   tokenizer;
 //! * [`image`] — image store with overlay-style layer sharing;
 //! * [`bundle`] — bundle creation: real `config.json` bytes written to and
-//!   parsed back from the simulated filesystem.
+//!   read back from the simulated filesystem; a read of the bytes a bundle
+//!   wrote returns the spec it kept instead of a parse.
 
 pub mod bundle;
 pub mod image;

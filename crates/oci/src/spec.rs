@@ -3,10 +3,9 @@
 //! and writers — no intermediate tree in either direction.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
-use crate::json::{
-    document, write_bool, write_number, write_seq, write_string, JsonError, Reader, Value,
-};
+use crate::json::{document, write_bool, write_seq, write_string, JsonError, Reader};
 
 /// The annotation crun uses to dispatch a container to a Wasm handler
 /// (the `module.wasm.image/variant=compat` convention).
@@ -174,9 +173,9 @@ impl RuntimeSpec {
             out.push('}');
         });
         if let Some(limit) = self.linux.memory.limit {
-            out.push_str(",\"resources\":{\"memory\":{\"limit\":");
-            write_number(&mut out, limit as f64);
-            out.push_str("}}");
+            // Exact integer text: the tree's `f64` writer would round
+            // anything from 2^53 up.
+            let _ = write!(out, ",\"resources\":{{\"memory\":{{\"limit\":{limit}}}}}");
         }
         out.push_str("},\"mounts\":");
         write_seq(&mut out, ['[', ']'], &self.mounts, |out, m| {
@@ -235,6 +234,14 @@ impl RuntimeSpec {
             })?;
             Ok(spec)
         })
+    }
+}
+
+/// A copy, for [`Bundle::create`](crate::Bundle::create) callers that keep
+/// the spec they hand it.
+impl From<&RuntimeSpec> for RuntimeSpec {
+    fn from(spec: &RuntimeSpec) -> RuntimeSpec {
+        spec.clone()
     }
 }
 
@@ -308,11 +315,8 @@ impl LinuxSpec {
                 }
                 "cgroupsPath" => linux.cgroups_path = r.string()?.unwrap_or_default(),
                 "resources" => {
-                    linux.memory.limit = read_member(r, "memory", |r| {
-                        read_member(r, "limit", |r| {
-                            Ok(r.number()?.and_then(|n| Value::Number(n).as_u64()))
-                        })
-                    })?
+                    linux.memory.limit =
+                        read_member(r, "memory", |r| read_member(r, "limit", Reader::unsigned))?
                 }
                 _ => r.skip()?,
             }
@@ -418,11 +422,16 @@ mod tests {
         assert!(!spec.wants_wasm());
     }
 
+    /// Every `u64`, not only those an `f64` holds exactly.
     #[test]
     fn memory_limit_survives() {
         let mut spec = RuntimeSpec::for_command("c", vec!["x".into()]);
-        spec.linux.memory.limit = Some(128 << 20);
-        let back = RuntimeSpec::from_json(&spec.to_json()).unwrap();
-        assert_eq!(back.linux.memory.limit, Some(128 << 20));
+        for limit in [0, 128 << 20, (1 << 53) + 1, i64::MAX as u64 + 1, u64::MAX] {
+            spec.linux.memory.limit = Some(limit);
+            let json = spec.to_json();
+            assert!(json.contains(&format!("\"limit\":{limit}}}")), "{json}");
+            let back = RuntimeSpec::from_json(&json).unwrap();
+            assert_eq!(back.linux.memory.limit, Some(limit));
+        }
     }
 }

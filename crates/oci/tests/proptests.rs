@@ -69,54 +69,70 @@ fn parser_never_panics_on_bytes() {
     });
 }
 
+/// Everything the string writer escapes (`"`, `\`, the short escapes,
+/// other control characters), DEL, `/`, non-ASCII of every UTF-8 width,
+/// and plain letters.
+const ESCAPE_SET: &[char] = &[
+    '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1}', '\u{8}', '\u{c}', '\u{1f}', '\u{7f}', '/', 'é',
+    '世', '😀', 'a', 'Z', '=',
+];
+
+/// A string from the escape set, sometimes empty.
+fn text(g: &mut SplitMix64) -> String {
+    g.string_upto(ESCAPE_SET, 0, 9)
+}
+
+/// Up to three strings; a quarter of the time none.
+fn texts(g: &mut SplitMix64) -> Vec<String> {
+    (0..g.index(4)).map(|_| text(g)).collect()
+}
+
+/// Any spec at all: every string drawn from the escape set, any namespace
+/// names, any mounts, an absent limit or any `u64`, and every list, map
+/// and string sometimes empty — the domain over which `Bundle::load_spec`
+/// reuses a kept spec, on the law `from_json(to_json(s)) == s`.
 fn gen_spec(g: &mut SplitMix64) -> RuntimeSpec {
-    const ARG: &[char] = &['a', 'z', 'A', 'Z', '0', '9', '_', '.', '/', '-'];
-    const KEY: &[char] = &['A', 'B', 'M', 'X', '_'];
-    const VAL: &[char] = &['a', 'z', '0', '9', ':', '/'];
-    let args = (0..1 + g.index(3)).map(|_| g.string_upto(ARG, 1, 21)).collect();
-    let env = (0..g.index(4))
-        .map(|_| format!("{}={}", g.string_upto(KEY, 1, 11), g.string_upto(VAL, 0, 17)))
-        .collect();
-    let mut annotations = BTreeMap::new();
-    for _ in 0..g.index(3) {
-        annotations.insert(
-            g.string_upto(&['a', 'k', 'z', '.'], 1, 17),
-            g.string_upto(&['a', 'z', '0', '9'], 0, 9),
-        );
-    }
     RuntimeSpec {
-        oci_version: "1.0.2".into(),
+        oci_version: text(g),
         process: ProcessSpec {
-            args,
-            env,
-            cwd: format!("/{}", g.string_upto(&['a', 'm', 'z'], 0, 11)),
+            args: texts(g),
+            env: texts(g),
+            cwd: text(g),
             terminal: g.next_bool(),
         },
-        root: RootSpec { path: "rootfs".into(), readonly: g.next_bool() },
-        hostname: g.string_upto(&['a', 'z', '0', '9', '-'], 1, 13),
+        root: RootSpec { path: text(g), readonly: g.next_bool() },
+        hostname: text(g),
         mounts: (0..g.index(3))
-            .map(|i| MountSpec {
-                destination: format!("/mnt/{i}"),
-                source: format!("src{i}"),
-                fstype: "tmpfs".into(),
-                options: vec!["ro".into()],
+            .map(|_| MountSpec {
+                destination: text(g),
+                source: text(g),
+                fstype: text(g),
+                options: texts(g),
             })
             .collect(),
-        annotations,
+        annotations: (0..g.index(4)).map(|_| (text(g), text(g))).collect(),
         linux: LinuxSpec {
-            namespaces: vec!["pid".into(), "mount".into(), "network".into()],
-            cgroups_path: "/kubepods/p".into(),
-            memory: MemoryResources { limit: g.next_bool().then(|| g.range_u64(1, 1 << 32)) },
+            namespaces: texts(g),
+            cgroups_path: text(g),
+            // Every magnitude equally often.
+            memory: MemoryResources { limit: g.next_bool().then(|| g.next_u64() >> g.index(64)) },
         },
     }
 }
 
 #[test]
 fn runtime_spec_roundtrip() {
-    check("runtime_spec_roundtrip", 128, |g| {
+    let (mut big_limits, mut empty_lists) = (0, 0);
+    check("runtime_spec_roundtrip", 512, |g| {
         let spec = gen_spec(g);
         let json = spec.to_json();
         let back = RuntimeSpec::from_json(&json).unwrap();
-        assert_eq!(back, spec);
+        assert_eq!(back, spec, "{json}");
+        big_limits += spec.linux.memory.limit.is_some_and(|l| l >= 1 << 53) as u32;
+        empty_lists += (spec.mounts.is_empty() && spec.linux.namespaces.is_empty()) as u32;
     });
+    // The generator reaches past f64's exact integers, and the empty ends.
+    assert!(big_limits > 20 && empty_lists > 20, "{big_limits} {empty_lists}");
+    let empty = RuntimeSpec::default();
+    assert_eq!(RuntimeSpec::from_json(&empty.to_json()).unwrap(), empty);
 }

@@ -1,7 +1,7 @@
 //! The low-level OCI runtime lifecycle: create → start → kill → delete.
 //!
 //! `create` runs a *transient* runtime process (crun/runc/youki) that
-//! parses the bundle's real `config.json` off the simulated filesystem,
+//! reads the bundle's real `config.json` off the simulated filesystem,
 //! creates the container cgroup, spawns the container init process, and
 //! unshare()s its namespaces. `start` dispatches the workload to the first
 //! matching [`ContainerHandler`], which executes it inside the container
@@ -158,7 +158,8 @@ impl LowLevelRuntime {
 
         let op_result =
             self.transient_runtime_op(ctx, "create", &mut trace, |kernel, rt_pid, trace| {
-                // Parse the real config.json bytes off the VFS.
+                // Read the real config.json bytes off the VFS; the parse
+                // is charged by size whether or not the host repeats it.
                 let spec = bundle.load_spec(kernel, rt_pid)?;
                 let config_kib = kernel.file_size(bundle.config_file)?.div_ceil(1024);
                 trace.push(

@@ -109,6 +109,12 @@ cargo run --release --offline --example quickstart >/dev/null
 echo "== smoke: examples/sandbox_api (the sandboxer's only consumer outside unit tests) =="
 cargo run --release --offline --example sandbox_api >/dev/null
 
+echo "== smoke: examples/hybrid_pods (Wasm and Python pods on one crun binary) =="
+cargo run --release --offline --example hybrid_pods >/dev/null
+
+echo "== smoke: examples/multi_tenant (a memory limit through config.json to an OOM) =="
+cargo run --release --offline --example multi_tenant >/dev/null
+
 echo "== smoke: chaos sweep + hung-guest watchdog scenario (--smoke plan) =="
 cargo run --release --offline -p harness --bin chaos -- --smoke >/dev/null
 

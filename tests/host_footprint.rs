@@ -137,22 +137,24 @@ fn cycle(config: Config, workload: &Workload, pods: usize) -> KernelResult<Cycle
 /// more one-entry B-tree leaf per pod (≥ 368 B), or a dozen more boxes per
 /// start, does not fit.
 ///
-/// | config | bytes / blocks per pod | when the test was written | allocations per start | before guests were replayed |
-/// |---|---|---|---|---|
-/// | crun-wamr | 8 017.6 / 40.1 | 19 908.2 / 87.6 | 267 | 334 |
-/// | shim-wasmtime | 5 344.8 / 22.1 | 14 780.3 / 66.6 | 80 | 147 |
-/// | crun-wasmtime | 8 565.7 / 40.1 | 20 123.2 / 88.6 | 271 | 338 |
+/// | config | bytes / blocks per pod | when the test was written | allocations per start | before bundles kept their spec | before guests were replayed |
+/// |---|---|---|---|---|---|
+/// | crun-wamr | 7 989.2 / 38.1 | 19 908.2 / 87.6 | 163 | 267 | 334 |
+/// | shim-wasmtime | 5 348.4 / 21.1 | 14 780.3 / 66.6 | 78 | 80 | 147 |
+/// | crun-wasmtime | 8 537.3 / 38.1 | 20 123.2 / 88.6 | 167 | 271 | 338 |
 ///
 /// The third column is the tree with a `BTreeMap` per process and per
 /// sandbox, two rootfs maps per bundle, a `String` per mapping label and
-/// traces left at their growth capacity; the budgets are below 0.6 × its
-/// bytes and 0.85 × its blocks. The last is a start that builds a WASI
-/// context, fifteen boxed host functions with their names, an instance and
-/// a linear memory for a guest the process has already run.
+/// traces left at their growth capacity; the bytes and blocks budgets were
+/// set below 0.6 × its bytes and 0.85 × its blocks. The fifth is a crun pod
+/// start that parses the two `config.json` documents it has just written
+/// twice each. The last is a start that builds a WASI context, fifteen
+/// boxed host functions with their names, an instance and a linear memory
+/// for a guest the process has already run.
 const BUDGETS: [(Config, usize, usize, usize); 3] = [
-    (Config::WamrCrun, 8_250, 42, 275),
-    (Config::ShimWasmtime, 5_550, 24, 83),
-    (Config::CrunWasmtime, 8_800, 42, 279),
+    (Config::WamrCrun, 8_250, 42, 168),
+    (Config::ShimWasmtime, 5_550, 24, 81),
+    (Config::CrunWasmtime, 8_800, 42, 172),
 ];
 
 /// What may stay live after a cycle: process-wide caches that a second
