@@ -13,6 +13,7 @@
 //! with no low-level runtime at all.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use container_runtimes::handler::{ContainerHandler, WasmEngineHandler};
 use container_runtimes::{Container, ContainerState, LowLevelRuntime, RuntimeCtx};
@@ -62,7 +63,8 @@ impl RuntimeClass {
 #[derive(Debug)]
 pub struct CriContainer {
     pub id: String,
-    pub image: String,
+    /// The image's own reference, shared.
+    pub image: Arc<str>,
     /// Position in the shared OCI lifecycle state machine — the same
     /// machine `LowLevelRuntime` containers use.
     pub state: Lifecycle,
@@ -105,11 +107,12 @@ impl CriContainer {
     }
 }
 
-/// A pod sandbox: cgroup + shim (+ pause container for OCI classes).
+/// A pod sandbox: cgroup + shim (+ pause container for OCI classes). Its
+/// pod id is its key in the daemon's table.
 pub struct Sandbox {
-    pub pod_id: String,
     pub pod_cgroup: CgroupId,
-    pub class: String,
+    /// The runtime class's registered name, shared.
+    pub class: Arc<str>,
     pub shim: Shim,
     pause: Option<Container>,
     pause_bundle: Option<Bundle>,
@@ -121,7 +124,6 @@ pub struct Sandbox {
 impl Sandbox {
     fn fork(&self) -> Sandbox {
         Sandbox {
-            pod_id: self.pod_id.clone(),
             pod_cgroup: self.pod_cgroup,
             class: self.class.clone(),
             shim: self.shim.clone(),
@@ -153,8 +155,9 @@ pub struct Containerd {
     system_cgroup: CgroupId,
     kubepods: CgroupId,
     images: ImageStore,
-    classes: BTreeMap<String, RuntimeClass>,
-    sandboxes: BTreeMap<String, Sandbox>,
+    classes: BTreeMap<Arc<str>, RuntimeClass>,
+    /// Boxed: a tree leaf holds eleven pointers, not eleven sandboxes.
+    sandboxes: BTreeMap<String, Box<Sandbox>>,
     pause_image: Image,
 }
 
@@ -202,8 +205,12 @@ impl Containerd {
     pub fn fork(&self, kernel: Kernel) -> Containerd {
         Containerd {
             images: self.images.clone(),
-            classes: self.classes.iter().map(|(n, c)| (n.clone(), c.fork(&kernel))).collect(),
-            sandboxes: self.sandboxes.iter().map(|(n, s)| (n.clone(), s.fork())).collect(),
+            classes: self.classes.iter().map(|(n, c)| (Arc::clone(n), c.fork(&kernel))).collect(),
+            sandboxes: self
+                .sandboxes
+                .iter()
+                .map(|(n, s)| (n.clone(), Box::new(s.fork())))
+                .collect(),
             pause_image: self.pause_image.clone(),
             kernel,
             ..*self
@@ -212,13 +219,13 @@ impl Containerd {
 
     /// Register a runtime class under a name (e.g. "crun-wamr", "runwasi-wasmtime").
     pub fn register_class(&mut self, name: &str, class: RuntimeClass) {
-        self.classes.insert(name.to_string(), class);
+        self.classes.insert(name.into(), class);
     }
 
     /// Register ("pull") an image.
     pub fn pull_image(&mut self, builder: oci_spec_lite::ImageBuilder) -> KernelResult<String> {
         let image = self.images.register(&self.kernel, builder)?;
-        Ok(image.reference.clone())
+        Ok(image.reference.to_string())
     }
 
     /// Look up a pulled image by reference — how the service layer reads
@@ -229,7 +236,7 @@ impl Containerd {
     }
 
     pub fn sandbox(&self, pod_id: &str) -> Option<&Sandbox> {
-        self.sandboxes.get(pod_id)
+        self.sandboxes.get(pod_id).map(|s| &**s)
     }
 
     /// Pod cgroups of every live sandbox, in pod-id order — the per-pod
@@ -254,9 +261,9 @@ impl Containerd {
         if self.sandboxes.contains_key(pod_id) {
             return Err(KernelError::InvalidState(format!("sandbox {pod_id} exists")));
         }
-        let class = self
+        let (class_name, class) = self
             .classes
-            .get(class_name)
+            .get_key_value(class_name)
             .ok_or_else(|| KernelError::InvalidState(format!("no runtime class {class_name}")))?;
         trace.push(Phase::Sandbox, Step::Cpu(Duration::from_micros(900))); // CRI handling
         self.grow_daemon(DAEMON_GROWTH_PER_POD)?;
@@ -352,18 +359,15 @@ impl Containerd {
             }
         };
 
-        self.sandboxes.insert(
-            pod_id.to_string(),
-            Sandbox {
-                pod_id: pod_id.to_string(),
-                pod_cgroup,
-                class: class_name.to_string(),
-                shim,
-                pause,
-                pause_bundle,
-                containers: Vec::new(),
-            },
-        );
+        let sandbox = Sandbox {
+            pod_cgroup,
+            class: Arc::clone(class_name),
+            shim,
+            pause,
+            pause_bundle,
+            containers: Vec::new(),
+        };
+        self.sandboxes.insert(pod_id.to_string(), Box::new(sandbox));
         Ok(())
     }
 
@@ -447,7 +451,7 @@ impl Containerd {
             slot,
             CriContainer {
                 id: container_id.to_string(),
-                image: image_ref.to_string(),
+                image: Arc::clone(&image.reference),
                 state: Lifecycle::new(),
                 stdout: Vec::new(),
                 wedged: false,
@@ -748,7 +752,7 @@ mod tests {
         cd.run_pod_sandbox("pod-1", "crun-wamr", &mut trace).unwrap();
         assert!(trace.steps().iter().any(|s| matches!(s, Step::Acquire(_))));
         assert!(
-            trace.entries().iter().all(|(p, _)| *p == Phase::Sandbox),
+            trace.entries().all(|(p, _)| p == Phase::Sandbox),
             "RunPodSandbox work (shim, pause) is all sandbox-phase"
         );
         cd.create_container("pod-1", "c1", "svc:v1", None, &mut trace).unwrap();
@@ -758,7 +762,7 @@ mod tests {
         assert_eq!(c.state, ContainerState::Running);
         assert_eq!(c.stdout, b"on\n");
         // The start carried engine work: later phases are represented too.
-        assert!(trace.entries().iter().any(|(p, _)| *p == Phase::Exec));
+        assert!(trace.entries().any(|(p, _)| p == Phase::Exec));
         // Pod working set includes pause + wasm workload.
         let ws = cd.pod_working_set("pod-1").unwrap();
         assert!(ws > 500 << 10, "{ws}");

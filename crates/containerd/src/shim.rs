@@ -175,7 +175,7 @@ mod tests {
         assert!(trace.steps().iter().any(|s| matches!(s, Step::Acquire(_))));
         assert!(trace.steps().iter().any(|s| matches!(s, Step::Io(_))), "first spawn is cold");
         assert!(
-            trace.entries().iter().all(|(p, _)| *p == Phase::Sandbox),
+            trace.entries().all(|(p, _)| p == Phase::Sandbox),
             "shim spawn is sandbox-phase work"
         );
         let _shim = Shim { pid: shim.detach(), profile: &SHIM_WASMTIME };

@@ -72,7 +72,7 @@ impl WamrHandler {
 }
 
 impl ContainerHandler for WamrHandler {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "wamr"
     }
 

@@ -1,5 +1,7 @@
 //! Kubernetes API objects (the subset the experiments use).
 
+use std::sync::Arc;
+
 use simkernel::{CgroupId, Duration, Phase, SimTime, StepTrace};
 
 /// A kubelet health probe (`livenessProbe` / `readinessProbe`): fired on
@@ -43,10 +45,11 @@ impl ProbeSpec {
 #[derive(Debug, Clone, Default)]
 pub struct PodSpec {
     pub name: String,
-    /// Image reference for the single container.
-    pub image: String,
-    /// Runtime class name registered with containerd.
-    pub runtime_class: String,
+    /// Image reference for the single container (shared by every pod of a
+    /// deployment).
+    pub image: Arc<str>,
+    /// Runtime class name registered with containerd (shared likewise).
+    pub runtime_class: Arc<str>,
     /// Optional memory limit (resources.limits.memory).
     pub memory_limit: Option<u64>,
     /// Optional `cpu.max` quota as `(quota_ns, period_ns)` applied to the
@@ -154,8 +157,8 @@ impl Deployment {
 pub struct DeploymentSpec {
     /// Pod-name prefix (`{name}-r{revision}-{ordinal}`).
     pub name: String,
-    pub image: String,
-    pub runtime_class: String,
+    pub image: Arc<str>,
+    pub runtime_class: Arc<str>,
     /// Desired replica count.
     pub replicas: usize,
     /// `maxSurge`: extra pods allowed above `replicas` during a rolling
@@ -172,8 +175,8 @@ pub struct DeploymentSpec {
 impl DeploymentSpec {
     pub fn new(
         name: impl Into<String>,
-        image: impl Into<String>,
-        runtime_class: impl Into<String>,
+        image: impl Into<Arc<str>>,
+        runtime_class: impl Into<Arc<str>>,
         replicas: usize,
     ) -> DeploymentSpec {
         DeploymentSpec {

@@ -26,6 +26,8 @@
 //! the node turns Ready again, so replica counts reconverge without
 //! split-brain double-counting.
 
+use std::sync::Arc;
+
 use containerd_sim::{Containerd, RuntimeClass};
 use oci_spec_lite::ImageBuilder;
 use simkernel::{
@@ -131,11 +133,11 @@ pub struct DeployOpts {
 
 impl DeployOpts {
     /// Build the [`PodSpec`] these options imply for one pod name.
-    fn pod_spec(&self, name: String, image: &str, runtime_class: &str) -> PodSpec {
+    fn pod_spec(&self, name: String, image: &Arc<str>, runtime_class: &Arc<str>) -> PodSpec {
         PodSpec {
             name,
-            image: image.to_string(),
-            runtime_class: runtime_class.to_string(),
+            image: Arc::clone(image),
+            runtime_class: Arc::clone(runtime_class),
             memory_limit: self.memory_limit,
             cpu_max: self.cpu_max,
             io_read_budget: self.io_read_budget,
@@ -364,9 +366,10 @@ impl Cluster {
         // after the clock has advanced (rolling updates, chaos rounds)
         // must not back-date its pods to boot.
         let base = self.now();
+        let (image, runtime_class) = (Arc::from(image), Arc::from(runtime_class));
         for i in 0..n {
             let dispatched_at = base + gap.scaled(i as u64);
-            let spec = opts.pod_spec(format!("{name_prefix}-{i}"), image, runtime_class);
+            let spec = opts.pod_spec(format!("{name_prefix}-{i}"), &image, &runtime_class);
             let idx = self.place_pod()?;
             let node = &mut self.nodes[idx];
             match opts.restart {
@@ -809,7 +812,7 @@ impl Cluster {
     /// it for you.
     pub fn begin_rolling_update(&mut self, ctrl: &mut DeploymentController, image: &str) {
         ctrl.revision += 1;
-        ctrl.spec.image = image.to_string();
+        ctrl.spec.image = image.into();
     }
 
     /// One rolling-update round: surge new-revision pods up to
@@ -1129,7 +1132,7 @@ mod tests {
         assert!(ctrl.replicas.iter().all(|r| r.revision == 2));
         for r in &ctrl.replicas {
             let e = cluster.node(r.node).kubelet.managed_pod(&r.pod).unwrap();
-            assert_eq!(e.spec.image, "svc:v2");
+            assert_eq!(&*e.spec.image, "svc:v2");
         }
         assert_eq!(cluster.ready_replicas(&ctrl), 4);
     }
@@ -1308,7 +1311,7 @@ mod tests {
     struct Assassin(std::sync::Arc<std::sync::Mutex<Option<simkernel::Pid>>>);
 
     impl container_runtimes::handler::ContainerHandler for Assassin {
-        fn name(&self) -> &str {
+        fn name(&self) -> &'static str {
             "assassin"
         }
         fn matches(

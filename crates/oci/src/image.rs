@@ -48,7 +48,8 @@ pub struct Rootfs {
 /// A stored image.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Image {
-    pub reference: String,
+    /// Shared with every container record created from the image.
+    pub reference: Arc<str>,
     pub config: ImageConfig,
     pub files: Vec<LayerFile>,
     pub(crate) rootfs: Arc<Rootfs>,
@@ -142,7 +143,7 @@ impl ImageBuilder {
             files.push(LayerFile { guest_path, file, size });
         }
         Ok(Image {
-            reference: self.reference,
+            reference: self.reference.into(),
             config: self.config,
             files,
             rootfs: Arc::new(rootfs),
@@ -153,7 +154,7 @@ impl ImageBuilder {
 /// The node-local image store (containerd's content store stand-in).
 #[derive(Debug, Default, Clone)]
 pub struct ImageStore {
-    images: BTreeMap<String, Image>,
+    images: BTreeMap<Arc<str>, Image>,
 }
 
 impl ImageStore {
@@ -164,7 +165,7 @@ impl ImageStore {
     /// Register ("pull") an image, materializing its layers in the VFS.
     pub fn register(&mut self, kernel: &Kernel, builder: ImageBuilder) -> KernelResult<&Image> {
         let image = builder.build(kernel)?;
-        let reference = image.reference.clone();
+        let reference = Arc::clone(&image.reference);
         self.images.insert(reference.clone(), image);
         Ok(self.images.get(&reference).expect("just inserted"))
     }

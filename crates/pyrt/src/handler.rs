@@ -211,7 +211,7 @@ impl PythonHandler {
 }
 
 impl ContainerHandler for PythonHandler {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "python"
     }
 

@@ -54,7 +54,7 @@ impl From<EngineRun> for HandlerOutcome {
 /// its runtimes registered, possibly across worker threads.
 pub trait ContainerHandler: Send + Sync {
     /// Handler name for diagnostics ("wamr", "wasmtime", "pause", ...).
-    fn name(&self) -> &str;
+    fn name(&self) -> &'static str;
 
     /// Should this handler run the given container?
     fn matches(&self, spec: &RuntimeSpec, bundle: &Bundle) -> bool;
@@ -167,7 +167,7 @@ impl WasmEngineHandler {
 }
 
 impl ContainerHandler for WasmEngineHandler {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         self.profile.name
     }
 
@@ -197,7 +197,7 @@ pub struct PauseHandler;
 pub const PAUSE_RESIDENT: u64 = 300 << 10;
 
 impl ContainerHandler for PauseHandler {
-    fn name(&self) -> &str {
+    fn name(&self) -> &'static str {
         "pause"
     }
 

@@ -41,8 +41,8 @@ pub struct Container {
     pub trace: StepTrace,
     /// Captured workload stdout.
     pub stdout: Vec<u8>,
-    /// Name of the handler that ran the workload.
-    pub handler: String,
+    /// Name of the handler that ran the workload ("" before `start`).
+    pub handler: &'static str,
     /// The workload overstayed its watchdog epoch budget: the container is
     /// up but never reached ready. Liveness probes report failure for it.
     pub wedged: bool,
@@ -61,9 +61,9 @@ impl Container {
             id: self.id.clone(),
             trace: self.trace.clone(),
             stdout: self.stdout.clone(),
-            handler: self.handler.clone(),
             epoch_clock: self.epoch_clock.as_ref().map(wasm_core::EpochClock::fork),
-            // Pid, cgroup, lifecycle state, `wedged`: plain `Copy` values.
+            // Pid, cgroup, lifecycle state, handler name, `wedged`: plain
+            // `Copy` values.
             ..*self
         }
     }
@@ -107,7 +107,7 @@ impl LowLevelRuntime {
         self.profile
     }
 
-    pub fn handler_names(&self) -> Vec<&str> {
+    pub fn handler_names(&self) -> Vec<&'static str> {
         self.handlers.iter().map(|h| h.name()).collect()
     }
 
@@ -199,7 +199,7 @@ impl LowLevelRuntime {
             state: Lifecycle::new(),
             trace,
             stdout: Vec::new(),
-            handler: String::new(),
+            handler: "",
             wedged: false,
             epoch_clock: None,
         })
@@ -234,7 +234,7 @@ impl LowLevelRuntime {
         let p = self.profile;
         let mut trace = StepTrace::new();
         let mut outcome_slot: Option<HandlerOutcome> = None;
-        let mut handler_name = String::new();
+        let mut handler_name = "";
 
         self.transient_runtime_op(ctx, "start", &mut trace, |kernel, rt_pid, trace| {
             let spec = bundle.load_spec(kernel, rt_pid)?;
@@ -245,7 +245,7 @@ impl LowLevelRuntime {
                         container.id, spec.process.args
                     ))
                 })?;
-            handler_name = handler.name().to_string();
+            handler_name = handler.name();
             // In-process handlers (crun's Wasm handlers) keep the runtime's
             // image resident in the container process — its (shared) binary
             // text and a private residual. exec()ing handlers (Python,

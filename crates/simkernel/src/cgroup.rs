@@ -30,6 +30,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::table::IdTable;
+
 /// Length of the io read-budget accounting window (1 simulated second).
 pub const IO_WINDOW_NS: u64 = 1_000_000_000;
 
@@ -149,7 +151,7 @@ impl Cgroup {
 #[derive(Debug, Clone)]
 pub struct CgroupTree {
     next_id: u64,
-    groups: BTreeMap<CgroupId, Cgroup>,
+    groups: IdTable<CgroupId, Cgroup>,
     root: CgroupId,
 }
 
@@ -164,7 +166,7 @@ pub enum ChargeKind {
 impl CgroupTree {
     pub fn new() -> Self {
         let root = CgroupId(0);
-        let mut groups = BTreeMap::new();
+        let mut groups = IdTable::new();
         groups.insert(root, Cgroup::new("/", None));
         CgroupTree { next_id: 1, groups, root }
     }
@@ -174,17 +176,17 @@ impl CgroupTree {
     }
 
     pub fn exists(&self, id: CgroupId) -> bool {
-        self.groups.contains_key(&id)
+        self.groups.contains(id)
     }
 
     pub fn create(&mut self, parent: CgroupId, name: &str) -> Option<CgroupId> {
-        if !self.groups.contains_key(&parent) {
+        if !self.groups.contains(parent) {
             return None;
         }
         let id = CgroupId(self.next_id);
         self.next_id += 1;
         self.groups.insert(id, Cgroup::new(name, Some(parent)));
-        self.groups.get_mut(&parent).unwrap().children.push(id);
+        self.groups.get_mut(parent).unwrap().children.push(id);
         Some(id)
     }
 
@@ -194,14 +196,14 @@ impl CgroupTree {
         if id == self.root {
             return false;
         }
-        let Some(g) = self.groups.get(&id) else { return false };
+        let Some(g) = self.groups.get(id) else { return false };
         if g.procs > 0 || !g.children.is_empty() || g.stat.current > 0 {
             return false;
         }
         let parent = g.parent;
-        self.groups.remove(&id);
+        self.groups.remove(id);
         if let Some(p) = parent {
-            if let Some(pg) = self.groups.get_mut(&p) {
+            if let Some(pg) = self.groups.get_mut(p) {
                 pg.children.retain(|c| *c != id);
             }
         }
@@ -209,7 +211,7 @@ impl CgroupTree {
     }
 
     pub fn set_limit(&mut self, id: CgroupId, limit: Option<u64>) -> bool {
-        match self.groups.get_mut(&id) {
+        match self.groups.get_mut(id) {
             Some(g) => {
                 g.limit = limit;
                 true
@@ -219,7 +221,7 @@ impl CgroupTree {
     }
 
     pub fn limit(&self, id: CgroupId) -> Option<u64> {
-        self.groups.get(&id).and_then(|g| g.limit)
+        self.groups.get(id).and_then(|g| g.limit)
     }
 
     /// Set `cpu.max` as `(quota_ns, period_ns)`. A zero quota or period is
@@ -230,7 +232,7 @@ impl CgroupTree {
                 return false;
             }
         }
-        match self.groups.get_mut(&id) {
+        match self.groups.get_mut(id) {
             Some(g) => {
                 g.cpu_max = cpu_max;
                 true
@@ -245,7 +247,7 @@ impl CgroupTree {
         let mut best: Option<(CgroupId, u64, u64)> = None;
         let mut cur = Some(id);
         while let Some(c) = cur {
-            let g = self.groups.get(&c)?;
+            let g = self.groups.get(c)?;
             if let Some((q, p)) = g.cpu_max {
                 let tighter = match best {
                     // Compare q/p < bq/bp without division: q*bp < bq*p.
@@ -278,7 +280,7 @@ impl CgroupTree {
         if sleep == 0 {
             return 0;
         }
-        let g = self.groups.get_mut(&limiter).expect("limiter found by ancestor walk");
+        let g = self.groups.get_mut(limiter).expect("limiter found by ancestor walk");
         g.nr_cpu_throttled += 1;
         g.cpu_throttled_ns += sleep;
         sleep
@@ -286,7 +288,7 @@ impl CgroupTree {
 
     /// Set the cold-read byte budget per [`IO_WINDOW_NS`]; `None` lifts it.
     pub fn set_io_read_budget(&mut self, id: CgroupId, budget: Option<u64>) -> bool {
-        match self.groups.get_mut(&id) {
+        match self.groups.get_mut(id) {
             Some(g) => {
                 g.io_read_budget = budget;
                 g.io_window_start_ns = 0;
@@ -298,7 +300,7 @@ impl CgroupTree {
     }
 
     pub fn io_read_budget(&self, id: CgroupId) -> Option<u64> {
-        self.groups.get(&id).and_then(|g| g.io_read_budget)
+        self.groups.get(id).and_then(|g| g.io_read_budget)
     }
 
     /// Account `bytes` of cold page-cache read by `id` at simulated instant
@@ -307,13 +309,13 @@ impl CgroupTree {
     /// against its current window and defers the excess. Returns the
     /// deferred (throttled) byte count — 0 when no budget is set.
     pub fn charge_io_cold(&mut self, id: CgroupId, bytes: u64, now_ns: u64) -> u64 {
-        if !self.groups.contains_key(&id) || bytes == 0 {
+        if !self.groups.contains(id) || bytes == 0 {
             return 0;
         }
         let mut budget_owner = None;
         let mut cur = Some(id);
         while let Some(c) = cur {
-            let g = self.groups.get_mut(&c).expect("ancestor exists");
+            let g = self.groups.get_mut(c).expect("ancestor exists");
             g.io_cold_bytes += bytes;
             if budget_owner.is_none() && g.io_read_budget.is_some() {
                 budget_owner = Some(c);
@@ -321,7 +323,7 @@ impl CgroupTree {
             cur = g.parent;
         }
         let Some(owner) = budget_owner else { return 0 };
-        let g = self.groups.get_mut(&owner).expect("owner found by ancestor walk");
+        let g = self.groups.get_mut(owner).expect("owner found by ancestor walk");
         let budget = g.io_read_budget.expect("owner has a budget");
         if now_ns.saturating_sub(g.io_window_start_ns) >= IO_WINDOW_NS {
             g.io_window_start_ns = now_ns;
@@ -340,7 +342,7 @@ impl CgroupTree {
     pub fn record_io_queue(&mut self, id: CgroupId, ns: u64) {
         let mut cur = Some(id);
         while let Some(c) = cur {
-            let Some(g) = self.groups.get_mut(&c) else { break };
+            let Some(g) = self.groups.get_mut(c) else { break };
             g.io_queued_ns += ns;
             cur = g.parent;
         }
@@ -348,7 +350,7 @@ impl CgroupTree {
 
     /// Full controller snapshot for one cgroup.
     pub fn stats(&self, id: CgroupId) -> Option<CgroupStats> {
-        let g = self.groups.get(&id)?;
+        let g = self.groups.get(id)?;
         Some(CgroupStats {
             mem: g.stat,
             oom_events: g.oom_events,
@@ -363,49 +365,49 @@ impl CgroupTree {
     }
 
     pub fn stat(&self, id: CgroupId) -> Option<MemStat> {
-        self.groups.get(&id).map(|g| g.stat)
+        self.groups.get(id).map(|g| g.stat)
     }
 
     /// Mapped file bytes in the subtree (the non-reclaimable file share).
     pub fn mapped_file(&self, id: CgroupId) -> Option<u64> {
-        self.groups.get(&id).map(|g| g.mapped_file)
+        self.groups.get(id).map(|g| g.mapped_file)
     }
 
     /// Metrics-server working set for a cgroup.
     pub fn working_set(&self, id: CgroupId) -> Option<u64> {
-        let g = self.groups.get(&id)?;
+        let g = self.groups.get(id)?;
         Some(g.stat.working_set(g.mapped_file))
     }
 
     pub fn oom_events(&self, id: CgroupId) -> Option<u64> {
-        self.groups.get(&id).map(|g| g.oom_events)
+        self.groups.get(id).map(|g| g.oom_events)
     }
 
     pub fn name(&self, id: CgroupId) -> Option<&str> {
-        self.groups.get(&id).map(|g| g.name.as_str())
+        self.groups.get(id).map(|g| g.name.as_str())
     }
 
     pub fn parent(&self, id: CgroupId) -> Option<CgroupId> {
-        self.groups.get(&id).and_then(|g| g.parent)
+        self.groups.get(id).and_then(|g| g.parent)
     }
 
     pub fn children(&self, id: CgroupId) -> Vec<CgroupId> {
-        self.groups.get(&id).map(|g| g.children.clone()).unwrap_or_default()
+        self.groups.get(id).map(|g| g.children.clone()).unwrap_or_default()
     }
 
     /// Number of processes directly in this cgroup (0 if it does not exist).
     pub fn procs(&self, id: CgroupId) -> u64 {
-        self.groups.get(&id).map_or(0, |g| g.procs)
+        self.groups.get(id).map_or(0, |g| g.procs)
     }
 
     pub fn proc_attached(&mut self, id: CgroupId) {
-        if let Some(g) = self.groups.get_mut(&id) {
+        if let Some(g) = self.groups.get_mut(id) {
             g.procs += 1;
         }
     }
 
     pub fn proc_detached(&mut self, id: CgroupId) {
-        if let Some(g) = self.groups.get_mut(&id) {
+        if let Some(g) = self.groups.get_mut(id) {
             g.procs = g.procs.saturating_sub(1);
         }
     }
@@ -415,7 +417,7 @@ impl CgroupTree {
     pub fn check_limit(&self, id: CgroupId, bytes: u64) -> Option<(CgroupId, u64)> {
         let mut cur = Some(id);
         while let Some(c) = cur {
-            let g = self.groups.get(&c)?;
+            let g = self.groups.get(c)?;
             if let Some(lim) = g.limit {
                 if g.stat.current.saturating_add(bytes) > lim {
                     return Some((c, lim));
@@ -427,7 +429,7 @@ impl CgroupTree {
     }
 
     pub fn record_oom(&mut self, id: CgroupId) {
-        if let Some(g) = self.groups.get_mut(&id) {
+        if let Some(g) = self.groups.get_mut(id) {
             g.oom_events += 1;
         }
     }
@@ -435,12 +437,12 @@ impl CgroupTree {
     /// Charge `bytes` of `kind` to `id` and all its ancestors.
     /// The caller is responsible for limit checks (via [`CgroupTree::check_limit`]).
     pub fn charge(&mut self, id: CgroupId, kind: ChargeKind, bytes: u64) -> bool {
-        if !self.groups.contains_key(&id) {
+        if !self.groups.contains(id) {
             return false;
         }
         let mut cur = Some(id);
         while let Some(c) = cur {
-            let g = self.groups.get_mut(&c).expect("ancestor exists");
+            let g = self.groups.get_mut(c).expect("ancestor exists");
             g.stat.current += bytes;
             match kind {
                 ChargeKind::Anon => g.stat.anon_bytes += bytes,
@@ -454,12 +456,12 @@ impl CgroupTree {
 
     /// Reverse of [`CgroupTree::charge`].
     pub fn uncharge(&mut self, id: CgroupId, kind: ChargeKind, bytes: u64) -> bool {
-        if !self.groups.contains_key(&id) {
+        if !self.groups.contains(id) {
             return false;
         }
         let mut cur = Some(id);
         while let Some(c) = cur {
-            let g = self.groups.get_mut(&c).expect("ancestor exists");
+            let g = self.groups.get_mut(c).expect("ancestor exists");
             g.stat.current = g.stat.current.saturating_sub(bytes);
             match kind {
                 ChargeKind::Anon => g.stat.anon_bytes = g.stat.anon_bytes.saturating_sub(bytes),
@@ -473,11 +475,41 @@ impl CgroupTree {
         true
     }
 
+    /// Check the tree's shape and its process counters: every group's
+    /// `children` are exactly the groups naming it as `parent` (in id
+    /// order), and its `procs` counter equals `live(group)`, the live
+    /// processes in it.
+    pub(crate) fn check(&self, live: impl Fn(CgroupId) -> u64) -> Result<(), String> {
+        self.groups.check("cgroups")?;
+        let mut named: BTreeMap<CgroupId, Vec<CgroupId>> = BTreeMap::new();
+        for (id, g) in self.groups.iter() {
+            if let Some(p) = g.parent {
+                named.entry(p).or_default().push(id);
+            }
+        }
+        for (id, g) in self.groups.iter() {
+            let expected = named.remove(&id).unwrap_or_default();
+            if g.children != expected {
+                return Err(format!(
+                    "{id:?}: children {:?} != {expected:?} naming it as parent",
+                    g.children
+                ));
+            }
+            if g.procs != live(id) {
+                return Err(format!("{id:?}: procs counter {} != {} live", g.procs, live(id)));
+            }
+        }
+        match named.into_iter().next() {
+            Some((parent, kids)) => Err(format!("{kids:?} name a missing parent {parent:?}")),
+            None => Ok(()),
+        }
+    }
+
     /// Adjust the subtree's mapped-file counter (can be negative).
     pub fn adjust_mapped_file(&mut self, id: CgroupId, delta: i64) {
         let mut cur = Some(id);
         while let Some(c) = cur {
-            let Some(g) = self.groups.get_mut(&c) else { break };
+            let Some(g) = self.groups.get_mut(c) else { break };
             if delta >= 0 {
                 g.mapped_file += delta as u64;
             } else {

@@ -586,7 +586,7 @@ mod tests {
         assert_eq!(watchdog_ticks(&kernel, pid, budget, 4_000_000).unwrap(), 2, "a quarter");
         let sleep = charge_cpu(&kernel, pid, budget, &mut trace).unwrap();
         assert_eq!(sleep, Duration::from_millis(120));
-        assert_eq!(trace.entries(), &[(Phase::Exec, Step::Io(sleep))]);
+        assert_eq!(trace.entries().collect::<Vec<_>>(), [(Phase::Exec, Step::Io(sleep))]);
         assert_eq!(kernel.cgroup_stats(cg).unwrap().nr_cpu_throttled, 1);
     }
 

@@ -6,6 +6,7 @@
 //! lock keeps cross-subsystem invariants (physical conservation, hierarchical
 //! charging) trivially atomic.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use bytelite::Bytes;
@@ -16,6 +17,7 @@ use crate::error::{KernelError, KernelResult};
 use crate::faults::{FaultPlan, FaultSite};
 use crate::mem::{round_up_pages, MapKind, Mapping, MappingId};
 use crate::proc::{NamespaceKind, Pid, ProcState, Process};
+use crate::table::IdTable;
 use crate::time::{Clock, Duration, SimTime};
 use crate::vfs::{FileContent, FileId, Vfs};
 
@@ -102,7 +104,7 @@ struct KernelState {
     clock: Clock,
     vfs: Vfs,
     cgroups: CgroupTree,
-    procs: std::collections::BTreeMap<Pid, Process>,
+    procs: IdTable<Pid, Process>,
     /// Running count of `procs` entries that are alive. Written only by
     /// `spawn_child` and `teardown`.
     live: usize,
@@ -167,7 +169,7 @@ impl Kernel {
             clock,
             vfs: Vfs::new(),
             cgroups: CgroupTree::new(),
-            procs: std::collections::BTreeMap::new(),
+            procs: IdTable::new(),
             live: 0,
             next_pid: 1,
             total_anon: 0,
@@ -324,6 +326,7 @@ impl Kernel {
 
     pub fn cgroup_set_limit(&self, cg: CgroupId, limit: Option<u64>) -> KernelResult<()> {
         let mut st = self.st();
+        st.check_power()?;
         if st.cgroups.set_limit(cg, limit) {
             Ok(())
         } else {
@@ -348,6 +351,7 @@ impl Kernel {
     /// quota or period.
     pub fn cgroup_set_cpu_max(&self, cg: CgroupId, max: Option<(u64, u64)>) -> KernelResult<()> {
         let mut st = self.st();
+        st.check_power()?;
         if !st.cgroups.exists(cg) {
             return Err(KernelError::NoSuchCgroup(cg));
         }
@@ -374,6 +378,7 @@ impl Kernel {
     /// unlimited path is byte-identical to a kernel without the controller.
     pub(crate) fn cgroup_charge_cpu(&self, cg: CgroupId, cpu: Duration) -> KernelResult<Duration> {
         let mut st = self.st();
+        st.check_power()?;
         if !st.cgroups.exists(cg) {
             return Err(KernelError::NoSuchCgroup(cg));
         }
@@ -384,6 +389,7 @@ impl Kernel {
     /// ([`IO_WINDOW_NS`]-sized windows). Rejects a zero budget.
     pub fn cgroup_set_io_read_budget(&self, cg: CgroupId, budget: Option<u64>) -> KernelResult<()> {
         let mut st = self.st();
+        st.check_power()?;
         if !st.cgroups.exists(cg) {
             return Err(KernelError::NoSuchCgroup(cg));
         }
@@ -433,7 +439,7 @@ impl Kernel {
             return Err(KernelError::NoSuchCgroup(cgroup));
         }
         if let Some(p) = parent {
-            if !st.procs.get(&p).map(|pr| pr.is_alive()).unwrap_or(false) {
+            if !st.procs.get(p).map(|pr| pr.is_alive()).unwrap_or(false) {
                 return Err(KernelError::NoSuchProcess(p));
             }
         }
@@ -511,9 +517,9 @@ impl Kernel {
     pub fn reap(&self, pid: Pid) -> KernelResult<()> {
         let mut st = self.st();
         st.check_power()?;
-        match st.procs.get(&pid) {
+        match st.procs.get(pid) {
             Some(p) if !p.is_alive() => {
-                st.procs.remove(&pid);
+                st.procs.remove(pid);
                 Ok(())
             }
             Some(_) => Err(KernelError::InvalidState(format!("{pid:?} still running"))),
@@ -522,15 +528,15 @@ impl Kernel {
     }
 
     pub fn proc_state(&self, pid: Pid) -> KernelResult<ProcState> {
-        self.st().procs.get(&pid).map(|p| p.state).ok_or(KernelError::NoSuchProcess(pid))
+        self.st().procs.get(pid).map(|p| p.state).ok_or(KernelError::NoSuchProcess(pid))
     }
 
     pub fn proc_rss(&self, pid: Pid) -> KernelResult<u64> {
-        self.st().procs.get(&pid).map(|p| p.rss()).ok_or(KernelError::NoSuchProcess(pid))
+        self.st().procs.get(pid).map(|p| p.rss()).ok_or(KernelError::NoSuchProcess(pid))
     }
 
     pub fn proc_cgroup(&self, pid: Pid) -> KernelResult<CgroupId> {
-        self.st().procs.get(&pid).map(|p| p.cgroup).ok_or(KernelError::NoSuchProcess(pid))
+        self.st().procs.get(pid).map(|p| p.cgroup).ok_or(KernelError::NoSuchProcess(pid))
     }
 
     /// Processes OOM-killed since boot (a running total; reaping a victim
@@ -714,6 +720,7 @@ impl Kernel {
     /// Drop a file's page cache (used by teardown paths between repetitions).
     pub fn evict_file(&self, id: FileId) -> KernelResult<u64> {
         let mut st = self.st();
+        st.check_power()?;
         let evicted = st.vfs.evict(id).ok_or(KernelError::NoSuchFile(id))?;
         st.uncharge_evicted(evicted);
         Ok(evicted.0)
@@ -722,6 +729,7 @@ impl Kernel {
     /// Delete a file, dropping any cache.
     pub fn remove_file(&self, id: FileId) -> KernelResult<()> {
         let mut st = self.st();
+        st.check_power()?;
         let charged = st.vfs.get(id).and_then(|f| f.charged_to);
         let (_f, cached) = st.vfs.remove(id).ok_or(KernelError::NoSuchFile(id))?;
         if cached > 0 {
@@ -745,17 +753,33 @@ impl Kernel {
     }
 
     /// Verify the running totals (`Vfs::total_cached`, every process's
-    /// `rss`, `live_procs`) against the values recomputed by walking the
-    /// files, mappings and processes they summarise, and `oom_kills`
-    /// against the victims not yet reaped (a lower bound: reaping forgets
-    /// the victim, not the kill). `Err` names the first total that drifted.
+    /// `rss`, `live_procs`, each cgroup's process count) against the values
+    /// recomputed by walking the files, mappings and processes they
+    /// summarise, and `oom_kills` against the victims not yet reaped (a
+    /// lower bound: reaping forgets the victim, not the kill). The tables
+    /// must agree with each other too: the path index and the files are a
+    /// bijection, every cgroup's children name it as their parent, and
+    /// every live process sits in a cgroup that exists. `Err` names the
+    /// first law that failed.
     pub fn check_accounting(&self) -> Result<(), String> {
         let st = self.st();
         st.vfs.check()?;
+        st.procs.check("processes")?;
+        if let Some((pid, p)) = st.procs.iter().find(|(pid, p)| p.pid != *pid) {
+            return Err(format!("{pid:?} holds the record of {:?}", p.pid));
+        }
         st.procs.values().try_for_each(Process::check)?;
         let live = st.recount_live();
         if st.live != live {
             return Err(format!("live processes: counter {} != {live} counted", st.live));
+        }
+        let mut in_group: BTreeMap<CgroupId, u64> = BTreeMap::new();
+        for p in st.procs.values().filter(|p| p.is_alive()) {
+            *in_group.entry(p.cgroup).or_default() += 1;
+        }
+        st.cgroups.check(|cg| in_group.get(&cg).copied().unwrap_or(0))?;
+        if let Some(cg) = in_group.keys().find(|&&cg| !st.cgroups.exists(cg)) {
+            return Err(format!("live processes in {cg:?}, which does not exist"));
         }
         let victims = st.procs.values().filter(|p| p.state == ProcState::OomKilled).count() as u64;
         if st.oom_kills < victims {
@@ -800,7 +824,7 @@ impl KernelState {
     }
 
     fn alive(&self, pid: Pid) -> KernelResult<&Process> {
-        match self.procs.get(&pid) {
+        match self.procs.get(pid) {
             Some(p) if p.is_alive() => Ok(p),
             Some(_) => Err(KernelError::InvalidState(format!("{pid:?} not running"))),
             None => Err(KernelError::NoSuchProcess(pid)),
@@ -808,7 +832,7 @@ impl KernelState {
     }
 
     fn alive_mut(&mut self, pid: Pid) -> KernelResult<&mut Process> {
-        match self.procs.get_mut(&pid) {
+        match self.procs.get_mut(pid) {
             Some(p) if p.is_alive() => Ok(p),
             Some(_) => Err(KernelError::InvalidState(format!("{pid:?} not running"))),
             None => Err(KernelError::NoSuchProcess(pid)),
@@ -1155,7 +1179,7 @@ impl KernelState {
         self.cgroups.uncharge(cg, ChargeKind::Kernel, kernel);
         self.total_kernel = self.total_kernel.saturating_sub(kernel);
         self.cgroups.proc_detached(cg);
-        let p = self.procs.get_mut(&pid).expect("exists");
+        let p = self.procs.get_mut(pid).expect("exists");
         p.kernel_charged = 0;
         p.state = final_state;
         self.live -= 1;

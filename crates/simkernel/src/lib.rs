@@ -51,6 +51,7 @@ pub mod proc;
 pub mod prop;
 pub mod replay;
 pub mod rng;
+pub mod table;
 pub mod time;
 pub mod trace;
 pub mod vfs;

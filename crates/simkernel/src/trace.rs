@@ -10,7 +10,9 @@
 //! per-phase breakdown of the startup latency — the `fig8_phases` report —
 //! falls out of the same data.
 
-use crate::des::Step;
+use std::fmt;
+
+use crate::des::{LockId, Step};
 use crate::time::Duration;
 
 /// Which stage of the container lifecycle a step belongs to.
@@ -126,6 +128,49 @@ impl Phase {
     }
 }
 
+/// One `(Phase, Step)` record in 16 bytes, not a tuple's 24: the phase
+/// rides in the padding between the step's tag and its payload.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Entry {
+    Cpu(Phase, Duration),
+    Io(Phase, Duration),
+    Acquire(Phase, LockId),
+    Release(Phase, LockId),
+}
+
+impl Entry {
+    fn new(phase: Phase, step: Step) -> Entry {
+        match step {
+            Step::Cpu(d) => Entry::Cpu(phase, d),
+            Step::Io(d) => Entry::Io(phase, d),
+            Step::Acquire(l) => Entry::Acquire(phase, l),
+            Step::Release(l) => Entry::Release(phase, l),
+        }
+    }
+
+    fn phase(self) -> Phase {
+        match self {
+            Entry::Cpu(p, _) | Entry::Io(p, _) | Entry::Acquire(p, _) | Entry::Release(p, _) => p,
+        }
+    }
+
+    fn step(self) -> Step {
+        match self {
+            Entry::Cpu(_, d) => Step::Cpu(d),
+            Entry::Io(_, d) => Step::Io(d),
+            Entry::Acquire(_, l) => Step::Acquire(l),
+            Entry::Release(_, l) => Step::Release(l),
+        }
+    }
+}
+
+/// Printed as the `(Phase, Step)` pair it stands for.
+impl fmt::Debug for Entry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (self.phase(), self.step()).fmt(f)
+    }
+}
+
 /// An ordered list of `(Phase, Step)` records.
 ///
 /// Insertion order is the simulation order: [`StepTrace::steps`] flattens to
@@ -133,7 +178,7 @@ impl Phase {
 /// what keeps every figure byte-identical across the refactor.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StepTrace {
-    entries: Vec<(Phase, Step)>,
+    entries: Vec<Entry>,
 }
 
 impl StepTrace {
@@ -142,11 +187,11 @@ impl StepTrace {
     }
 
     pub fn push(&mut self, phase: Phase, step: Step) {
-        self.entries.push((phase, step));
+        self.entries.push(Entry::new(phase, step));
     }
 
     pub fn extend(&mut self, phase: Phase, steps: impl IntoIterator<Item = Step>) {
-        self.entries.extend(steps.into_iter().map(|s| (phase, s)));
+        self.entries.extend(steps.into_iter().map(|s| Entry::new(phase, s)));
     }
 
     /// Move every record from `other` onto the end of `self`, keeping
@@ -161,8 +206,9 @@ impl StepTrace {
         self.entries.shrink_to_fit();
     }
 
-    pub fn entries(&self) -> &[(Phase, Step)] {
-        &self.entries
+    /// Every record, in insertion order.
+    pub fn entries(&self) -> impl Iterator<Item = (Phase, Step)> + '_ {
+        self.entries.iter().map(|e| (e.phase(), e.step()))
     }
 
     pub fn len(&self) -> usize {
@@ -176,20 +222,20 @@ impl StepTrace {
     /// Flatten to the raw step program in insertion order (what the DES
     /// consumes; byte-identical to the pre-trace plumbing).
     pub fn steps(&self) -> Vec<Step> {
-        self.entries.iter().map(|(_, s)| s.clone()).collect()
+        self.entries.iter().map(|e| e.step()).collect()
     }
 
     pub fn into_steps(self) -> Vec<Step> {
-        self.entries.into_iter().map(|(_, s)| s).collect()
+        self.entries.into_iter().map(Entry::step).collect()
     }
 
     /// Busy time (CPU + I/O; lock steps carry no duration) charged to each
     /// phase, indexed as [`Phase::ALL`].
     pub fn phase_busy(&self) -> [Duration; Phase::ALL.len()] {
         let mut totals = [Duration::ZERO; Phase::ALL.len()];
-        for (phase, step) in &self.entries {
-            if let Step::Cpu(d) | Step::Io(d) = step {
-                totals[phase.index()] += *d;
+        for e in &self.entries {
+            if let Step::Cpu(d) | Step::Io(d) = e.step() {
+                totals[e.phase().index()] += d;
             }
         }
         totals
@@ -208,7 +254,6 @@ impl StepTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::des::LockId;
 
     #[test]
     fn flatten_preserves_insertion_order_across_phases() {
@@ -234,7 +279,29 @@ mod tests {
         b.push(Phase::Compile, Step::Cpu(Duration::from_micros(7)));
         a.append(&mut b);
         assert!(b.is_empty());
-        assert_eq!(a.entries()[1].0, Phase::Compile);
+        assert_eq!(a.entries().nth(1).map(|(p, _)| p), Some(Phase::Compile));
+    }
+
+    /// A record costs 16 bytes, and reads and prints as the pair it packs.
+    #[test]
+    fn a_record_is_a_step_with_its_phase_in_the_padding() {
+        assert_eq!(std::mem::size_of::<Step>(), 16);
+        assert_eq!(std::mem::size_of::<Entry>(), 16);
+        let steps = [
+            Step::Cpu(Duration::from_nanos(u64::MAX)),
+            Step::Io(Duration::from_micros(3)),
+            Step::Acquire(LockId(u32::MAX)),
+            Step::Release(LockId(7)),
+        ];
+        let mut t = StepTrace::new();
+        for (phase, step) in Phase::ALL.into_iter().zip(steps.iter().cycle()) {
+            t.push(phase, step.clone());
+        }
+        let pairs: Vec<(Phase, Step)> =
+            Phase::ALL.into_iter().zip(steps.iter().cloned().cycle()).collect();
+        assert_eq!(t.entries().collect::<Vec<_>>(), pairs);
+        assert_eq!(format!("{t:?}"), format!("StepTrace {{ entries: {pairs:?} }}"));
+        assert_eq!(t.clone().into_steps(), t.steps());
     }
 
     #[test]

@@ -7,11 +7,10 @@
 //! identically in page-cache accounting, which is what the memory
 //! experiments observe.
 
-use std::collections::BTreeMap;
-
 use bytelite::Bytes;
 
 use crate::cgroup::CgroupId;
+use crate::table::IdTable;
 
 /// Identifier of a file in the VFS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -79,8 +78,10 @@ impl File {
 #[derive(Debug, Clone, Default)]
 pub struct Vfs {
     next_id: u64,
-    files: BTreeMap<FileId, File>,
-    by_path: BTreeMap<String, FileId>,
+    files: IdTable<FileId, File>,
+    /// Every file's id, sorted by the file's own path: the path is stored
+    /// once, in the file.
+    by_path: Vec<FileId>,
     /// Running sum of every file's `cached_bytes`.
     cached_total: u64,
 }
@@ -92,9 +93,7 @@ impl Vfs {
 
     /// Create a file. Returns `None` if the path already exists.
     pub fn create(&mut self, path: &str, content: FileContent) -> Option<FileId> {
-        if self.by_path.contains_key(path) {
-            return None;
-        }
+        let at = self.find(path).err()?;
         let id = FileId(self.next_id);
         self.next_id += 1;
         self.files.insert(
@@ -108,8 +107,17 @@ impl Vfs {
                 map_refs: 0,
             },
         );
-        self.by_path.insert(path.to_string(), id);
+        self.by_path.insert(at, id);
         Some(id)
+    }
+
+    /// Where `path` is in the path index (`Ok`) or would be inserted (`Err`).
+    fn find(&self, path: &str) -> Result<usize, usize> {
+        self.by_path.binary_search_by(|&id| self.path(id).cmp(path))
+    }
+
+    fn path(&self, id: FileId) -> &str {
+        &self.files.get(id).expect("indexed files exist").path
     }
 
     /// Replace the contents of an existing file, dropping its cache.
@@ -120,13 +128,13 @@ impl Vfs {
         content: FileContent,
     ) -> Option<(u64, Option<CgroupId>)> {
         let evicted = self.evict(id)?;
-        self.files.get_mut(&id)?.content = content;
+        self.files.get_mut(id)?.content = content;
         Some(evicted)
     }
 
     /// Set a file's resident bytes (a fault brought pages in).
     pub fn set_cached(&mut self, id: FileId, bytes: u64) -> Option<()> {
-        let f = self.files.get_mut(&id)?;
+        let f = self.files.get_mut(id)?;
         self.cached_total = self.cached_total - f.cached_bytes + bytes;
         f.cached_bytes = bytes;
         Some(())
@@ -135,28 +143,29 @@ impl Vfs {
     /// Drop a file's page cache. Returns the evicted bytes and the cgroup
     /// they were charged to (the caller uncharges it).
     pub fn evict(&mut self, id: FileId) -> Option<(u64, Option<CgroupId>)> {
-        let f = self.files.get_mut(&id)?;
+        let f = self.files.get_mut(id)?;
         let evicted = std::mem::take(&mut f.cached_bytes);
         self.cached_total -= evicted;
         Some((evicted, f.charged_to.take()))
     }
 
     pub fn get(&self, id: FileId) -> Option<&File> {
-        self.files.get(&id)
+        self.files.get(id)
     }
 
     pub fn get_mut(&mut self, id: FileId) -> Option<&mut File> {
-        self.files.get_mut(&id)
+        self.files.get_mut(id)
     }
 
     pub fn lookup(&self, path: &str) -> Option<FileId> {
-        self.by_path.get(path).copied()
+        self.find(path).ok().map(|at| self.by_path[at])
     }
 
     /// Remove a file; returns the bytes that were cached (for uncharging).
     pub fn remove(&mut self, id: FileId) -> Option<(File, u64)> {
-        let f = self.files.remove(&id)?;
-        self.by_path.remove(&f.path);
+        let at = self.find(&self.files.get(id)?.path).expect("every file is indexed");
+        self.by_path.remove(at);
+        let f = self.files.remove(id).expect("found above");
         let cached = f.cached_bytes;
         self.cached_total -= cached;
         Some((f, cached))
@@ -164,10 +173,11 @@ impl Vfs {
 
     /// All files whose path starts with `prefix`, in path order.
     pub fn list_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a File> + 'a {
-        self.by_path
-            .range(prefix.to_string()..)
-            .take_while(move |(p, _)| p.starts_with(prefix))
-            .filter_map(move |(_, id)| self.files.get(id))
+        let start = self.by_path.partition_point(|&id| self.path(id) < prefix);
+        self.by_path[start..]
+            .iter()
+            .map(|&id| self.files.get(id).expect("indexed files exist"))
+            .take_while(move |f| f.path.starts_with(prefix))
     }
 
     /// Total bytes resident in the page cache across all files.
@@ -180,16 +190,38 @@ impl Vfs {
         self.files.values().map(|f| f.cached_bytes).sum()
     }
 
-    /// Compare the running total against a walk over every file.
+    /// Compare the running total against a walk over every file, and the
+    /// path index against the files table: a bijection, in path order.
     pub(crate) fn check(&self) -> Result<(), String> {
         let walked = self.recount_cached();
-        if self.cached_total == walked {
-            Ok(())
-        } else {
-            Err(format!(
+        if self.cached_total != walked {
+            return Err(format!(
                 "page cache: running total {} != {walked} summed over files",
                 self.cached_total
-            ))
+            ));
+        }
+        self.files.check("files")?;
+        if let Some(id) = self.by_path.iter().find(|&&id| !self.files.contains(id)) {
+            return Err(format!("path index: {id:?} names no file"));
+        }
+        if let Some(w) = self.by_path.windows(2).find(|w| self.path(w[0]) >= self.path(w[1])) {
+            return Err(format!(
+                "path index: {:?} is indexed out of order or twice",
+                self.path(w[1])
+            ));
+        }
+        if self.by_path.len() != self.files.len() {
+            return Err(format!(
+                "path index: {} entries for {} files",
+                self.by_path.len(),
+                self.files.len()
+            ));
+        }
+        match self.files.iter().find(|&(id, f)| f.id != id || self.lookup(&f.path) != Some(id)) {
+            Some((id, f)) => {
+                Err(format!("path index: {id:?} is not found under its path {:?}", f.path))
+            }
+            None => Ok(()),
         }
     }
 

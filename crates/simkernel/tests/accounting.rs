@@ -1,15 +1,19 @@
 //! The kernel's running totals — page-cache bytes, per-process RSS, live
-//! process count — must equal what walking the files, mappings and
-//! processes gives, after any sequence of operations. The kernel is sized
-//! so that the sequences reach the paths that move the totals indirectly:
+//! process count, each cgroup's process count — must equal what walking
+//! the files, mappings and processes gives, and its tables must agree with
+//! each other, after any sequence of operations. The kernel is sized so
+//! that the sequences reach the paths that move the totals indirectly:
 //! physical-pressure eviction, cross-tenant cache displacement, OOM kills
 //! from a tight `memory.max`, and charges refused because RAM is exhausted.
+//! A powered-off kernel refuses every verb that would change it.
 
+use simkernel::proc::NamespaceKind;
 use simkernel::prop::check;
 use simkernel::rng::SplitMix64;
 use simkernel::vfs::FileContent;
 use simkernel::{
-    FileId, IoModel, Kernel, KernelConfig, KernelError, MapKind, MappingId, Pid, ProcState,
+    CgroupId, Duration, FileId, IoModel, Kernel, KernelConfig, KernelError, KernelResult, MapKind,
+    MappingId, Pid, ProcState, StepTrace,
 };
 
 /// The [`World::step`] operation that drops page cache directly.
@@ -17,13 +21,17 @@ const DROP_CACHE: usize = 13;
 
 struct World {
     kernel: Kernel,
-    cgroups: [simkernel::CgroupId; 2],
+    /// `roomy`, `tight`, then the groups the sequence created and has not
+    /// removed.
+    cgroups: Vec<CgroupId>,
     procs: Vec<Pid>,
     maps: Vec<(Pid, MappingId, u64)>,
     files: Vec<FileId>,
     created: u32,
     /// `touch` calls that found RAM exhausted even after eviction.
     exhausted: u64,
+    /// Created groups removed again.
+    removed: u64,
 }
 
 impl World {
@@ -47,12 +55,13 @@ impl World {
         kernel.cgroup_set_limit(tight, Some(6 << 20)).unwrap();
         World {
             kernel,
-            cgroups: [roomy, tight],
+            cgroups: vec![roomy, tight],
             procs: Vec::new(),
             maps: Vec::new(),
             files: Vec::new(),
             created: 0,
             exhausted: 0,
+            removed: 0,
         }
     }
 
@@ -65,9 +74,10 @@ impl World {
         let pid = (!self.procs.is_empty()).then(|| *g.choose(&self.procs));
         let file = (!self.files.is_empty()).then(|| *g.choose(&self.files));
         let map = (!self.maps.is_empty()).then(|| *g.choose(&self.maps));
+        let cgroup = *g.choose(&self.cgroups);
         let op = g.index(16);
         match op {
-            0 | 1 => self.procs.extend(k.spawn("p", *g.choose(&self.cgroups))),
+            0 | 1 => self.procs.extend(k.spawn("p", cgroup)),
             2 => {
                 self.created += 1;
                 let size = g.range_u64(1, 4 << 20);
@@ -126,17 +136,35 @@ impl World {
             }
             DROP_CACHE => {
                 if let Some(f) = file {
+                    // Only a powered-off kernel refuses these two.
+                    let allowed =
+                        |r: &KernelResult<()>| r.is_ok() || *r == Err(KernelError::PoweredOff);
                     match g.index(3) {
-                        0 => drop(k.evict_file(f).unwrap()),
+                        0 => {
+                            let r = k.evict_file(f).map(drop);
+                            assert!(allowed(&r), "{r:?}");
+                        }
                         1 => {
                             let size = g.range_u64(1, 2 << 20);
                             let _ = k.overwrite_file(f, FileContent::Synthetic(size));
                         }
                         _ => {
-                            k.remove_file(f).unwrap();
-                            self.files.retain(|x| *x != f);
+                            let r = k.remove_file(f);
+                            assert!(allowed(&r), "{r:?}");
+                            if r.is_ok() {
+                                self.files.retain(|x| *x != f);
+                            }
                         }
                     }
+                }
+            }
+            14 if g.next_bool() => self.cgroups.extend(k.cgroup_create(cgroup, "g")),
+            14 => {
+                // Refused while the group holds processes, children or
+                // charges; `roomy` and `tight` stay.
+                if !self.cgroups[..2].contains(&cgroup) && k.cgroup_remove(cgroup).is_ok() {
+                    self.cgroups.retain(|c| *c != cgroup);
+                    self.removed += 1;
                 }
             }
             // Rare: the rest of the sequence runs against a dead machine.
@@ -170,6 +198,7 @@ fn running_totals_equal_recomputed_walks_under_random_ops() {
     let mut oom_kills = 0u64;
     let mut pressure_evictions = 0u64;
     let mut exhausted = 0u64;
+    let mut removed = 0u64;
     check("running_totals_equal_recomputed_walks_under_random_ops", 96, |g| {
         let mut w = World::new(g);
         for _ in 0..g.range_u64(50, 300) {
@@ -180,10 +209,73 @@ fn running_totals_equal_recomputed_walks_under_random_ops() {
             pressure_evictions += u64::from(shrank && !drops_cache);
         }
         exhausted += w.exhausted;
+        removed += w.removed;
         oom_kills += w.kernel.cgroup_oom_events(w.cgroups[1]).unwrap();
     });
     // The sequences must actually reach the indirect paths.
     assert!(oom_kills > 0, "no sequence hit memory.max");
     assert!(exhausted > 0, "no sequence ran out of RAM");
     assert!(pressure_evictions > 0, "no sequence evicted or displaced page cache");
+    assert!(removed > 0, "no sequence removed a cgroup it created");
+}
+
+/// Every verb that changes a kernel answers `PoweredOff` once the power is
+/// gone, and changes nothing; the observers keep answering.
+#[test]
+fn a_powered_off_kernel_refuses_every_mutating_verb() {
+    let k = Kernel::boot(KernelConfig::default());
+    let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "g").unwrap();
+    let empty = k.cgroup_create(Kernel::ROOT_CGROUP, "empty").unwrap();
+    let pid = k.spawn("p", cg).unwrap();
+    let zombie = k.spawn("z", cg).unwrap();
+    k.exit(zombie, 0).unwrap();
+    let anon = k.mmap(pid, 1 << 20, MapKind::AnonPrivate).unwrap();
+    k.touch(pid, anon, 4 << 10).unwrap();
+    let file = k.create_file("/f", FileContent::Synthetic(1 << 20)).unwrap();
+    k.read_file(pid, file).unwrap();
+    let cow = k.mmap(pid, 1 << 20, MapKind::FileCow(file)).unwrap();
+    let snapshot = || (k.free(), k.cgroup_stat(cg).unwrap(), k.cgroup_stats(cg).unwrap(), k.ps());
+    let before = snapshot();
+
+    k.power_off();
+    let refused: [(&str, KernelResult<()>); 25] = [
+        ("cgroup_create", k.cgroup_create(cg, "h").map(drop)),
+        ("cgroup_remove", k.cgroup_remove(empty)),
+        ("cgroup_set_limit", k.cgroup_set_limit(cg, Some(1 << 30))),
+        ("cgroup_set_cpu_max", k.cgroup_set_cpu_max(cg, Some((1, 2)))),
+        ("cgroup_set_io_read_budget", k.cgroup_set_io_read_budget(cg, Some(1 << 20))),
+        (
+            "cgroup_charge_cpu",
+            simkernel::image::charge_cpu(&k, pid, Duration::from_millis(1), &mut StepTrace::new())
+                .map(drop),
+        ),
+        ("spawn", k.spawn("q", cg).map(drop)),
+        ("spawn_child", k.spawn_child("q", Some(pid), cg).map(drop)),
+        ("unshare", k.unshare(pid, &[NamespaceKind::Pid])),
+        ("move_process", k.move_process(pid, empty)),
+        ("exit", k.exit(pid, 0)),
+        ("oom_kill", k.oom_kill(pid)),
+        ("reap", k.reap(zombie)),
+        ("mmap", k.mmap(pid, 1 << 20, MapKind::AnonPrivate).map(drop)),
+        ("touch", k.touch(pid, anon, 8 << 10)),
+        ("cow_write", k.cow_write(pid, cow, 4 << 10)),
+        ("mremap", k.mremap(pid, anon, 2 << 20)),
+        ("munmap", k.munmap(pid, anon)),
+        ("create_file", k.create_file("/g", FileContent::Synthetic(1)).map(drop)),
+        ("ensure_file", k.ensure_file("/g", FileContent::Synthetic(1)).map(drop)),
+        ("overwrite_file", k.overwrite_file(file, FileContent::Synthetic(1))),
+        ("read_file", k.read_file(pid, file).map(drop)),
+        ("read_file_cold", k.read_file_cold(pid, file).map(drop)),
+        ("evict_file", k.evict_file(file).map(drop)),
+        ("remove_file", k.remove_file(file)),
+    ];
+    for (verb, r) in refused {
+        assert_eq!(r, Err(KernelError::PoweredOff), "{verb} on a powered-off kernel");
+    }
+
+    assert_eq!(snapshot(), before, "nothing moved");
+    assert_eq!(k.proc_state(pid), Ok(ProcState::Running));
+    assert_eq!(k.proc_state(zombie), Ok(ProcState::Exited(0)));
+    assert_eq!(k.file_size(file), Ok(1 << 20));
+    assert_eq!(k.check_accounting(), Ok(()));
 }

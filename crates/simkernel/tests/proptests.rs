@@ -198,3 +198,51 @@ fn des_is_deterministic_and_work_conserving() {
         }
     });
 }
+
+/// An [`IdTable`] is a `BTreeMap` keyed by ids issued in increasing order:
+/// after any sequence of inserts (with gaps: ids drawn and never used),
+/// removes, reads and writes, its lookups, length and walk equal the
+/// model's, and an id once removed is never found again.
+#[test]
+fn id_table_matches_a_btreemap_model() {
+    use simkernel::proc::Pid;
+    use simkernel::table::IdTable;
+    use std::collections::{BTreeMap, BTreeSet};
+
+    check("id_table_matches_a_btreemap_model", 64, |g| {
+        let mut table: IdTable<Pid, u64> = IdTable::new();
+        let mut model: BTreeMap<Pid, u64> = BTreeMap::new();
+        let mut removed: BTreeSet<Pid> = BTreeSet::new();
+        let mut next = 0u64;
+        for _ in 0..g.range_u64(1, 200) {
+            // Any id up to a few past the newest: live, removed or unissued.
+            let probe = Pid(g.range_u64(0, next + 3));
+            match g.index(5) {
+                0 | 1 => {
+                    next += g.range_u64(0, 3);
+                    let value = g.next_u64();
+                    table.insert(Pid(next), value);
+                    model.insert(Pid(next), value);
+                    next += 1;
+                }
+                2 => {
+                    assert_eq!(table.remove(probe), model.remove(&probe), "remove {probe:?}");
+                    if probe.0 < next {
+                        removed.insert(probe);
+                    }
+                }
+                3 => {
+                    let value = g.next_u64();
+                    match (table.get_mut(probe), model.get_mut(&probe)) {
+                        (Some(t), Some(m)) => (*t, *m) = (value, value),
+                        (t, m) => assert_eq!(t, m, "get_mut {probe:?}"),
+                    }
+                }
+                _ => assert_eq!(table.get(probe), model.get(&probe), "get {probe:?}"),
+            }
+            assert_eq!(table.len(), model.len());
+            assert!(table.iter().eq(model.iter().map(|(k, v)| (*k, v))), "walk in id order");
+            assert!(removed.iter().all(|id| !table.contains(*id)), "a removed id came back");
+        }
+    });
+}

@@ -165,7 +165,7 @@ echo "== paper claims (figures claims: all 15, at the paper's densities) =="
 # executes each distinct guest once per process. Exit 1 is a failed claim.
 cargo run --release --offline -p harness --bin figures -- claims >/dev/null
 
-echo "== size: non-blank lines (ROADMAP item 7 reads each PR's delta off this, split test / non-test) =="
+echo "== size: non-blank lines (ROADMAP item 7 reads each PR's delta off this, split test / non-test) and host bytes per pod =="
 count() { find "$@" -not -path '*/target/*' -not -path './.git/*' -print0 | xargs -0 cat | grep -c '[^[:space:]]'; }
 # Non-test Rust is what precedes a file's first '#[cfg(test)]' (the repo's
 # tests-at-end convention) under crates/*/src, src/ and examples/; the
@@ -175,5 +175,9 @@ non_test=$(find crates/*/src src examples -name '*.rs' -print0 \
 echo "markdown (*.md): $(count . -name '*.md')"
 echo "rust non-test: $non_test"
 echo "rust test: $(($(count crates src tests examples -name '*.rs') - non_test))"
+# Host heap per resident pod, per config: a PR's delta in what a pod costs
+# the simulator sits next to its delta in lines.
+echo "host memory per resident pod (tests/host_footprint.rs):"
+cargo test -q --offline --test host_footprint -- --nocapture | grep 'B/pod'
 
 echo "verify: OK"

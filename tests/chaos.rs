@@ -282,7 +282,7 @@ fn clean_pod_termination_advances_no_simulated_time() {
     let trace = cluster.remove_pod_traced("svc-0").unwrap();
     assert_eq!(cluster.kernel().now(), before, "no grace period for a clean pod");
     assert!(
-        trace.entries().iter().any(|(p, _)| *p == Phase::Terminating),
+        trace.entries().any(|(p, _)| p == Phase::Terminating),
         "SIGTERM work is recorded under the Terminating phase"
     );
     assert!(cluster.kubelet().managed_pod("svc-0").is_none());
@@ -322,7 +322,7 @@ fn wedged_pod_termination_rides_out_the_grace_period_then_sigkills() {
         grace,
         "a wedged guest rides out exactly the grace period"
     );
-    assert!(trace.entries().iter().any(|(p, _)| *p == Phase::Terminating));
+    assert!(trace.entries().any(|(p, _)| p == Phase::Terminating));
     assert!(cluster.kubelet().managed_pod("hung-0").is_none());
     assert_eq!(cluster.kernel().live_procs(), procs_before, "SIGKILL reaped everything");
     assert_accounting(&cluster);

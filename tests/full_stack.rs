@@ -254,7 +254,9 @@ fn failed_pod_sync_rolls_back_cleanly() {
 
 /// FNV-1a of a pod's startup program, phase tags included.
 fn trace_fnv(trace: &memwasm::simkernel::StepTrace) -> u64 {
-    memwasm::wasm_core::cache::content_hash(format!("{:?}", trace.entries()).as_bytes())
+    memwasm::wasm_core::cache::content_hash(
+        format!("{:?}", trace.entries().collect::<Vec<_>>()).as_bytes(),
+    )
 }
 
 #[test]
@@ -371,7 +373,7 @@ fn every_config_is_charged_for_its_guest_cpu() {
             stats.cpu_throttled_ns
         );
         assert!(
-            pod.trace.entries().iter().any(|(p, s)| *p == Phase::Exec && matches!(s, Step::Io(_))),
+            pod.trace.entries().any(|(p, s)| p == Phase::Exec && matches!(s, Step::Io(_))),
             "{}: no throttle sleep among the Exec steps",
             config.label()
         );

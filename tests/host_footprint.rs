@@ -137,24 +137,27 @@ fn cycle(config: Config, workload: &Workload, pods: usize) -> KernelResult<Cycle
 /// more one-entry B-tree leaf per pod (≥ 368 B), or a dozen more boxes per
 /// start, does not fit.
 ///
-/// | config | bytes / blocks per pod | when the test was written | allocations per start | before bundles kept their spec | before guests were replayed |
-/// |---|---|---|---|---|---|
-/// | crun-wamr | 7 989.2 / 38.1 | 19 908.2 / 87.6 | 163 | 267 | 334 |
-/// | shim-wasmtime | 5 348.4 / 21.1 | 14 780.3 / 66.6 | 78 | 80 | 147 |
-/// | crun-wasmtime | 8 537.3 / 38.1 | 20 123.2 / 88.6 | 167 | 271 | 338 |
+/// | config | bytes / blocks per pod | before id-indexed tables | when the test was written | allocations per start | before bundles kept their spec | before guests were replayed |
+/// |---|---|---|---|---|---|---|
+/// | crun-wamr | 5 943.5 / 37.3 | 7 989.2 / 38.1 | 19 908.2 / 87.6 | 165 | 267 | 334 |
+/// | shim-wasmtime | 4 161.2 / 19.3 | 5 348.4 / 21.1 | 14 780.3 / 66.6 | 76 | 80 | 147 |
+/// | crun-wasmtime | 6 470.3 / 37.3 | 8 537.3 / 38.1 | 20 123.2 / 88.6 | 169 | 271 | 338 |
 ///
-/// The third column is the tree with a `BTreeMap` per process and per
-/// sandbox, two rootfs maps per bundle, a `String` per mapping label and
-/// traces left at their growth capacity; the bytes and blocks budgets were
-/// set below 0.6 × its bytes and 0.85 × its blocks. The fifth is a crun pod
+/// The third column keeps processes, cgroups, files and sandboxes inline
+/// in `BTreeMap` leaves, every file path twice, a `String` per pod for its
+/// image and runtime class, and a 24-byte trace record. The fourth is the
+/// tree with a `BTreeMap` per process and per sandbox, two rootfs maps per
+/// bundle, a `String` per mapping label and traces left at their growth
+/// capacity; the bytes and blocks budgets were set below 0.6 × its bytes
+/// and 0.85 × its blocks. The sixth is a crun pod
 /// start that parses the two `config.json` documents it has just written
 /// twice each. The last is a start that builds a WASI context, fifteen
 /// boxed host functions with their names, an instance and a linear memory
 /// for a guest the process has already run.
 const BUDGETS: [(Config, usize, usize, usize); 3] = [
-    (Config::WamrCrun, 8_250, 42, 168),
-    (Config::ShimWasmtime, 5_550, 24, 81),
-    (Config::CrunWasmtime, 8_800, 42, 172),
+    (Config::WamrCrun, 6_150, 40, 170),
+    (Config::ShimWasmtime, 4_300, 21, 79),
+    (Config::CrunWasmtime, 6_700, 40, 174),
 ];
 
 /// What may stay live after a cycle: process-wide caches that a second
