@@ -140,9 +140,6 @@ const TICK: Duration = Duration::from_millis(250);
 pub struct TrafficPlan {
     /// Deployment replicas behind the service.
     pub replicas: usize,
-    /// Hedge a still-unfinished request this many exec-multiples after
-    /// admission (`None`: hedging off).
-    pub hedge_after_execs: Option<u64>,
     /// `false` runs the contract's control arm: unlimited retries.
     pub retry_budget_enabled: bool,
     /// Seed for the service's routing RNG.
@@ -151,7 +148,7 @@ pub struct TrafficPlan {
 
 impl TrafficPlan {
     pub fn new(seed: u64) -> TrafficPlan {
-        TrafficPlan { replicas: 2, hedge_after_execs: None, retry_budget_enabled: true, seed }
+        TrafficPlan { replicas: 2, retry_budget_enabled: true, seed }
     }
 }
 
@@ -175,8 +172,6 @@ pub struct PhaseStats {
     pub failed: u64,
     /// Retry attempts issued for this phase's requests.
     pub retries: u64,
-    /// Hedge attempts issued.
-    pub hedges: u64,
     pub hist: LatencyHistogram,
     /// Wall-clock span of the phase's arrivals.
     pub span: Duration,
@@ -194,7 +189,6 @@ impl PhaseStats {
             timeouts: 0,
             failed: 0,
             retries: 0,
-            hedges: 0,
             hist: LatencyHistogram::new(),
             span: Duration::ZERO,
         }
@@ -223,19 +217,15 @@ pub struct TrafficRun {
     pub sheds_by_reason: [u64; 4],
     /// Total attempts admitted by the service, whole run.
     pub admitted: u64,
-    /// Total attempts issued (first + retries + hedges), whole run.
+    /// Total attempts issued (first + retries), whole run.
     pub attempts: u64,
     pub breaker_opens: u64,
     pub brownout_engagements: u64,
     /// Endpoint tokens aborted by `sync` (pod left the ready set) and
     /// re-driven through the retry path.
     pub aborted_retried: u64,
-    /// Attempts taken off an endpoint's queue because the sibling attempt
-    /// of the same request (its hedge, or the primary the hedge beat)
-    /// completed first: admitted, never served.
-    pub siblings_cancelled: u64,
-    /// High-water mark of the loop's event queue — ticks, finishes, retries
-    /// and hedges in flight; arrivals are streamed and never queued. A
+    /// High-water mark of the loop's event queue — ticks, finishes and
+    /// retries in flight; arrivals are streamed and never queued. A
     /// deterministic count: it follows work in flight, not requests offered.
     pub peak_live_events: usize,
     /// Summed metrics-server working set over ready endpoints at the end
@@ -257,7 +247,6 @@ impl TrafficRun {
             total.timeouts += p.timeouts;
             total.failed += p.failed;
             total.retries += p.retries;
-            total.hedges += p.hedges;
             total.span = total.span.saturating_add(p.span);
         }
         total
@@ -305,8 +294,8 @@ struct ScenarioScript {
 // ---------------------------------------------------------------------------
 // The event loop.
 
+/// An attempt's token is `req × TOKENS_PER_REQ + attempt`.
 const TOKENS_PER_REQ: u64 = 32;
-const HEDGE_TOKEN_OFFSET: u64 = 16;
 
 /// What the calendar queue carries. `Copy`, and it rides in the queue entry
 /// itself, so nothing is stored per event once it has popped. Arrivals are
@@ -319,8 +308,6 @@ enum Ev {
     /// `token` (scheduled by `try_start`; the index is re-resolved from the
     /// id because indices shift on sync).
     Finish { endpoint: u32, token: u64 },
-    /// Hedge request `req` if it is still unresolved.
-    Hedge(usize),
     /// Coarse cluster tick.
     Tick,
 }
@@ -338,43 +325,18 @@ thread_local! {
     static REQ_RECORDS: Cell<Vec<ReqState>> = const { Cell::new(Vec::new()) };
 }
 
-/// The one fixed-size record the loop keeps per request.
+/// The one fixed-size record the loop keeps per request. A request has at
+/// most one attempt in flight — a retry is issued only once the previous
+/// attempt has failed — and that attempt's token is derived from the
+/// request's index and `attempt`, so nothing about it is stored.
 #[derive(Debug, Clone, Copy)]
 struct ReqState {
     arrival: SimTime,
-    /// Outstanding attempt tokens and the id of the endpoint each is
-    /// queued/serving on; the first `live` are in use. Two is the most a
-    /// request can have: a retry is only issued when none is outstanding,
-    /// so the primary and its one hedge are the maximum.
-    outstanding: [(u64, u32); 2],
-    live: u8,
     phase: u8,
     /// Attempts issued so far (1 after the first).
     attempt: u8,
     done: bool,
     failed: bool,
-    hedged: bool,
-}
-
-impl ReqState {
-    fn outstanding(&self) -> &[(u64, u32)] {
-        &self.outstanding[..usize::from(self.live)]
-    }
-
-    fn add_outstanding(&mut self, token: u64, endpoint: u32) {
-        self.outstanding[usize::from(self.live)] = (token, endpoint);
-        self.live += 1;
-    }
-
-    /// Forget `token` (it finished or was aborted), keeping the order of
-    /// what remains: the hedge excludes the *first* outstanding endpoint.
-    fn settle(&mut self, token: u64) {
-        let live = usize::from(self.live);
-        if let Some(i) = self.outstanding().iter().position(|&(t, _)| t == token) {
-            self.outstanding.copy_within(i + 1..live, i);
-            self.live -= 1;
-        }
-    }
 }
 
 /// The open-loop arrival stream: walks the chained phases — each starts
@@ -435,7 +397,7 @@ impl<'a> Arrivals<'a> {
 }
 
 struct Loop {
-    /// Ticks, finishes, retries and hedges in flight. The payload's leading
+    /// Ticks, finishes and retries in flight. The payload's leading
     /// sequence number makes equal-time events pop in push order.
     queue: CalendarQueue<(u64, Ev)>,
     next_seq: u64,
@@ -445,8 +407,6 @@ struct Loop {
     client: ResilientClient,
     attempts: u64,
     aborted_retried: u64,
-    siblings_cancelled: u64,
-    hedge_after: Option<Duration>,
     /// Per-request deadline, counted from the request's arrival.
     deadline: Duration,
 }
@@ -464,13 +424,10 @@ impl Loop {
         let req = self.reqs.len();
         self.reqs.push(ReqState {
             arrival: now,
-            outstanding: [(0, 0); 2],
-            live: 0,
             phase: phase as u8,
             attempt: 0,
             done: false,
             failed: false,
-            hedged: false,
         });
         self.issue(req, now, service);
     }
@@ -478,9 +435,6 @@ impl Loop {
     /// Issue one attempt for `req` against the service at `now`.
     fn issue(&mut self, req: usize, now: SimTime, service: &mut Service) {
         let r = self.reqs[req];
-        if r.done || r.failed {
-            return;
-        }
         let (deadline, phase) = (r.arrival + self.deadline, usize::from(r.phase));
         if now >= deadline {
             self.reqs[req].failed = true;
@@ -499,12 +453,8 @@ impl Loop {
             .and_then(|ep| service.admit(ep, now, token, deadline).map(|a| (ep, a)));
         match admitted {
             Ok((ep, a)) => {
-                self.reqs[req].add_outstanding(token, service.endpoints[ep].id);
                 if a.server_idle {
                     self.start(ep, now, service);
-                }
-                if let (Some(d), 1, false) = (self.hedge_after, attempt, r.hedged) {
-                    self.push(now + d, Ev::Hedge(req));
                 }
             }
             Err(_reason) => {
@@ -528,10 +478,6 @@ impl Loop {
     /// budget: schedule a backed-off re-issue or give up.
     fn retry_or_fail(&mut self, req: usize, now: SimTime) {
         let r = self.reqs[req];
-        if r.done || r.failed || r.live > 0 {
-            // A sibling attempt (hedge) is still live — not a failure yet.
-            return;
-        }
         match self.client.approve_retry(u32::from(r.attempt) + 1) {
             Some(backoff) if now + backoff < r.arrival + self.deadline => {
                 self.push(now + backoff, Ev::Retry(req));
@@ -552,55 +498,20 @@ impl Loop {
         }
         let Some(c) = service.complete(ep, now) else { return };
         let req = (token / TOKENS_PER_REQ) as usize;
-        self.reqs[req].settle(token);
-        let r = self.reqs[req];
         if c.ok {
             self.client.note_success();
-            if !r.done && !r.failed {
-                self.reqs[req].done = true;
-                let phase = &mut self.phases[usize::from(r.phase)];
-                phase.completed += 1;
-                if c.degraded {
-                    phase.degraded += 1;
-                }
-                phase.hist.record(now.since(r.arrival));
-                // First completion wins: cancel any still-queued sibling
-                // (a hedge that lost the race) so it never runs.
-                for &(tok, sibling) in r.outstanding() {
-                    if let Some(sib_ep) = service.endpoint_index(sibling) {
-                        self.siblings_cancelled += u64::from(service.cancel_queued(sib_ep, tok));
-                    }
-                }
-                self.reqs[req].live = 0;
+            let r = &mut self.reqs[req];
+            r.done = true;
+            let phase = &mut self.phases[usize::from(r.phase)];
+            phase.completed += 1;
+            if c.degraded {
+                phase.degraded += 1;
             }
-        } else if !r.done {
+            phase.hist.record(now.since(r.arrival));
+        } else {
             self.retry_or_fail(req, now);
         }
         self.start(ep, now, service);
-    }
-
-    /// Hedge `req` if it is still unresolved: a second attempt on another
-    /// endpoint, best-effort (a shed hedge is not retried).
-    fn hedge(&mut self, req: usize, now: SimTime, service: &mut Service) {
-        let r = self.reqs[req];
-        if r.done || r.failed || r.live == 0 || r.hedged {
-            return;
-        }
-        self.reqs[req].hedged = true;
-        let primary_ep = service.endpoint_index(r.outstanding[0].1);
-        let token = req as u64 * TOKENS_PER_REQ + u64::from(r.attempt) + HEDGE_TOKEN_OFFSET;
-        let deadline = r.arrival + self.deadline;
-        let admitted = service
-            .route(primary_ep)
-            .and_then(|ep| service.admit(ep, now, token, deadline).map(|a| (ep, a)));
-        if let Ok((ep, a)) = admitted {
-            self.phases[usize::from(r.phase)].hedges += 1;
-            self.attempts += 1;
-            self.reqs[req].add_outstanding(token, service.endpoints[ep].id);
-            if a.server_idle {
-                self.start(ep, now, service);
-            }
-        }
     }
 
     /// Handle endpoint-abort tokens returned by `sync`: the pod left the
@@ -608,15 +519,8 @@ impl Loop {
     /// through the retry path.
     fn handle_aborts(&mut self, aborted: Vec<u64>, now: SimTime) {
         for token in aborted {
-            let req = (token / TOKENS_PER_REQ) as usize;
-            if req >= self.reqs.len() {
-                continue;
-            }
-            self.reqs[req].settle(token);
-            if !self.reqs[req].done && !self.reqs[req].failed {
-                self.aborted_retried += 1;
-                self.retry_or_fail(req, now);
-            }
+            self.aborted_retried += 1;
+            self.retry_or_fail((token / TOKENS_PER_REQ) as usize, now);
         }
     }
 }
@@ -703,12 +607,12 @@ fn run_traffic_on(
         if plan.retry_budget_enabled { RetryBudget::new() } else { RetryBudget::disabled() };
     let policy = RetryPolicy::new(exec);
 
-    // A request's phase and attempt count are stored as bytes, and attempt
-    // numbers share the token space with the hedge offset.
+    // A request's phase and attempt count are stored as bytes, and a token
+    // holds the attempt number below `TOKENS_PER_REQ`.
     assert!(phases.len() <= 256, "a traffic run has at most 256 phases");
     assert!(
-        u64::from(policy.max_attempts) < HEDGE_TOKEN_OFFSET,
-        "max_attempts must stay below the hedge token offset ({HEDGE_TOKEN_OFFSET})"
+        u64::from(policy.max_attempts) < TOKENS_PER_REQ,
+        "max_attempts must stay below the tokens per request ({TOKENS_PER_REQ})"
     );
     let execs = |n: u64| Duration::from_nanos(exec.as_nanos().saturating_mul(n));
     let mut reqs = REQ_RECORDS.take();
@@ -728,8 +632,6 @@ fn run_traffic_on(
         client: ResilientClient::new(policy, budget),
         attempts: 0,
         aborted_retried: 0,
-        siblings_cancelled: 0,
-        hedge_after: plan.hedge_after_execs.map(execs),
         deadline: execs(DEADLINE_EXECS),
     };
 
@@ -761,7 +663,7 @@ fn run_traffic_on(
 
     loop {
         // Arrival first on a tie: a request arriving in the same nanosecond
-        // as a tick, finish, retry or hedge is served before it, so the
+        // as a tick, finish or retry is served before it, so the
         // queue yields only what is due strictly before the next arrival.
         // (Among queued events push order decides; see `Loop::queue`.)
         let queued = match next_arrival {
@@ -783,7 +685,6 @@ fn run_traffic_on(
         match ev {
             Ev::Retry(req) => lp.issue(req, now, &mut service),
             Ev::Finish { endpoint, token } => lp.finish(endpoint, token, now, &mut service),
-            Ev::Hedge(req) => lp.hedge(req, now, &mut service),
             Ev::Tick => {
                 cluster.reconcile();
 
@@ -865,7 +766,6 @@ fn run_traffic_on(
         breaker_opens: service.endpoints.iter().map(|e| e.breaker.opened_total).sum::<u64>(),
         brownout_engagements: service.brownout_engagements,
         aborted_retried: lp.aborted_retried,
-        siblings_cancelled: lp.siblings_cancelled,
         peak_live_events: lp.peak_live_events,
         endpoint_working_set,
         scenario: scenario_obs.map(|(_, _, _, obs)| obs),
@@ -1369,6 +1269,13 @@ mod tests {
         // Mean gap ~ 10 ms at 100 rps: the 1000-arrival span lands near 10 s.
         let secs = ta.as_secs_f64();
         assert!((5.0..20.0).contains(&secs), "{secs}");
+    }
+
+    #[test]
+    fn a_request_record_is_sixteen_bytes() {
+        // The loop keeps one per request offered (210 000 a run on
+        // `traffic_steady`), so a field added to it must change this pin.
+        assert_eq!(std::mem::size_of::<ReqState>(), 16);
     }
 
     #[test]

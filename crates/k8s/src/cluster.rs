@@ -516,9 +516,8 @@ impl Cluster {
     /// of deployment to the last container's workload executing).
     ///
     /// Each node is its own core pool: pods contend for CPU only with
-    /// pods on the same node, so a multi-node run is one [`Sim`] per node
-    /// with the cluster makespan the maximum over nodes. A one-node
-    /// cluster takes the single-`Sim` path unchanged.
+    /// pods on the same node, so a run is one [`Sim`] per node with the
+    /// cluster makespan the maximum over nodes.
     pub fn measure_startup(&self, deployments: &[&Deployment]) -> SimOutcome {
         let pods: Vec<&crate::api::PodRecord> =
             deployments.iter().flat_map(|d| d.pods.iter()).collect();
@@ -527,10 +526,6 @@ impl Cluster {
             start_at: p.dispatched_at,
             steps: p.trace.steps(),
         };
-        if self.nodes.len() == 1 {
-            let tasks: Vec<TaskSpec> = pods.iter().map(|p| task_for(p)).collect();
-            return Sim::new(self.nodes[0].kernel.cores()).run(tasks);
-        }
 
         // Group pods by node, remembering their position in the input
         // order so results come back in deployment order with global ids.
@@ -559,12 +554,11 @@ impl Cluster {
         SimOutcome { results, makespan, events }
     }
 
-    /// Average metrics-server working set per pod, reading each pod's
-    /// cgroup on the node that hosts it.
+    /// Average metrics-server working set per pod in bytes, reading each
+    /// pod's cgroup on the node that hosts it — the paper's per-container
+    /// metric ("memory use per container as an average of the concurrently
+    /// deployed containers", §IV-A).
     pub fn average_working_set(&self, deployment: &Deployment) -> KernelResult<u64> {
-        if self.nodes.len() == 1 {
-            return crate::metrics::average_working_set(&self.nodes[0].kernel, deployment);
-        }
         if deployment.is_empty() {
             return Ok(0);
         }

@@ -9,8 +9,8 @@
 //! reconciliation, rolling updates and an HPA on top.
 //!
 //! Two observers produce the paper's memory numbers:
-//! * [`metrics`] — the metrics-server reading per-pod cgroup working sets
-//!   ("measured by Kubernetes", Figs. 3 and 6);
+//! * [`Cluster::average_working_set`] — the metrics-server reading
+//!   per-pod cgroup working sets ("measured by Kubernetes", Figs. 3 and 6);
 //! * [`simkernel::Kernel::free`] — the system-wide `free(1)` reading
 //!   ("measured by the OS", Figs. 4, 5 and 7), which also sees shim
 //!   processes, daemon growth, kernel overhead and the page cache.
@@ -35,11 +35,10 @@ pub use kubelet::{
     Kubelet, NodeConfig, PodEntry, ReconcileReport, RestartPolicy, DEFAULT_TERMINATION_GRACE,
     POD_INFRA_BYTES,
 };
-pub use metrics::{average_working_set, scrape, working_set_stddev, PodMetrics};
+pub use metrics::working_set_stddev;
 pub use node::{Node, NodeCondition, NodeLease};
 pub use scheduler::{NodeSnapshot, Policy, Scheduler};
 pub use service::{
-    Admitted, BreakerState, CircuitBreaker, Completion, Endpoint, LatencyHistogram,
-    ResilientClient, RetryBudget, RetryPolicy, Service, ServiceConfig, ServiceSignal, ShedReason,
-    Started,
+    Admitted, CircuitBreaker, Completion, Endpoint, LatencyHistogram, ResilientClient, RetryBudget,
+    RetryPolicy, Service, ServiceConfig, ServiceSignal, ShedReason, Started,
 };

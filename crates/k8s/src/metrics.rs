@@ -1,59 +1,31 @@
-//! The Kubernetes metrics-server observer.
+//! The spread of the Kubernetes metrics-server observer's per-pod readings.
 //!
-//! Scrapes per-pod cgroup working sets, exactly as metrics-server reads
-//! kubelet's cAdvisor stats on the paper's cluster. This is the
-//! "measured by Kubernetes" observer of Figs. 3 and 6; the `free(1)`
+//! The observer itself — per-pod cgroup working sets averaged over a
+//! deployment, exactly as metrics-server reads kubelet's cAdvisor stats on
+//! the paper's cluster — is [`crate::Cluster::average_working_set`], the
+//! "measured by Kubernetes" number of Figs. 3 and 6; the `free(1)`
 //! observer comes directly from [`simkernel::Kernel::free`].
 
 use simkernel::{Kernel, KernelResult};
 
 use crate::api::Deployment;
 
-/// One pod's reading.
-#[derive(Debug, Clone)]
-pub struct PodMetrics {
-    pub pod: String,
-    /// Working-set bytes (memory.current minus reclaimable file pages).
-    pub working_set: u64,
-}
-
-/// Scrape all pods of a deployment.
-pub fn scrape(kernel: &Kernel, deployment: &Deployment) -> KernelResult<Vec<PodMetrics>> {
-    deployment
-        .pods
-        .iter()
-        .map(|p| {
-            Ok(PodMetrics {
-                pod: p.spec.name.clone(),
-                working_set: kernel.cgroup_working_set(p.pod_cgroup)?,
-            })
-        })
-        .collect()
-}
-
-/// Average working set per pod in bytes — the paper's per-container metric
-/// ("memory use per container as an average of the concurrently deployed
-/// containers", §IV-A).
-pub fn average_working_set(kernel: &Kernel, deployment: &Deployment) -> KernelResult<u64> {
-    if deployment.is_empty() {
-        return Ok(0);
-    }
-    let total: u64 = scrape(kernel, deployment)?.iter().map(|m| m.working_set).sum();
-    Ok(total / deployment.len() as u64)
-}
-
 /// Standard deviation of the per-pod working sets (the paper reports the
 /// deviation is "negligible at less than 0.1 MB per container").
 pub fn working_set_stddev(kernel: &Kernel, deployment: &Deployment) -> KernelResult<f64> {
-    let samples = scrape(kernel, deployment)?;
+    let samples = deployment
+        .pods
+        .iter()
+        .map(|p| kernel.cgroup_working_set(p.pod_cgroup).map(|ws| ws as f64))
+        .collect::<KernelResult<Vec<f64>>>()?;
     if samples.len() < 2 {
         return Ok(0.0);
     }
-    let mean = samples.iter().map(|m| m.working_set as f64).sum::<f64>() / samples.len() as f64;
+    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
     let var = samples
         .iter()
-        .map(|m| {
-            let d = m.working_set as f64 - mean;
+        .map(|ws| {
+            let d = ws - mean;
             d * d
         })
         .sum::<f64>()

@@ -87,7 +87,7 @@ impl ShedReason {
 
 /// Circuit-breaker state (per endpoint, on the DES clock).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
+pub(crate) enum BreakerState {
     /// Normal traffic; counting consecutive failures.
     Closed,
     /// No traffic; waiting out the cool-off before a half-open probe.
@@ -102,7 +102,7 @@ pub enum BreakerState {
 /// failure).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CircuitBreaker {
-    pub state: BreakerState,
+    pub(crate) state: BreakerState,
     pub consecutive_failures: u32,
     /// When the breaker last opened (cool-off counts from here).
     pub opened_at: SimTime,
@@ -271,15 +271,11 @@ impl RetryPolicy {
 pub struct ResilientClient {
     pub budget: RetryBudget,
     pub policy: RetryPolicy,
-    /// Retries approved (budget withdrawals).
-    pub retries_approved: u64,
-    /// Retries denied by attempt cap or budget exhaustion.
-    pub retries_denied: u64,
 }
 
 impl ResilientClient {
     pub fn new(policy: RetryPolicy, budget: RetryBudget) -> ResilientClient {
-        ResilientClient { budget, policy, retries_approved: 0, retries_denied: 0 }
+        ResilientClient { budget, policy }
     }
 
     /// Record a request success (refills the retry budget).
@@ -291,10 +287,8 @@ impl ResilientClient {
     /// wait, or `None` when the attempt cap or the retry budget says stop.
     pub fn approve_retry(&mut self, next_attempt: u32) -> Option<Duration> {
         if next_attempt > self.policy.max_attempts || !self.budget.try_withdraw() {
-            self.retries_denied += 1;
             return None;
         }
-        self.retries_approved += 1;
         Some(self.policy.backoff_for(next_attempt))
     }
 }
@@ -304,7 +298,6 @@ impl ResilientClient {
 pub struct QueuedReq {
     /// Caller-assigned token (unique per attempt).
     pub token: u64,
-    pub enqueued: SimTime,
     /// Absolute deadline; the execution slice is capped to it.
     pub deadline: SimTime,
 }
@@ -323,7 +316,7 @@ pub struct InFlight {
 }
 
 /// One ready pod behind the service: a single-server FIFO queue plus its
-/// circuit breaker and accounting.
+/// circuit breaker.
 #[derive(Debug, Clone)]
 pub struct Endpoint {
     /// Stable handle assigned by [`Service::sync`] when the pod first joins
@@ -340,12 +333,6 @@ pub struct Endpoint {
     pub breaker: CircuitBreaker,
     /// Server busy until this instant (service work + reject costs).
     pub busy_until: SimTime,
-    /// Requests completed successfully.
-    pub completed: u64,
-    /// Requests shed at this endpoint (admission control).
-    pub shed: u64,
-    /// Requests interrupted at the execution cap.
-    pub interrupted: u64,
 }
 
 impl Endpoint {
@@ -358,9 +345,6 @@ impl Endpoint {
             serving: None,
             breaker: CircuitBreaker::new(),
             busy_until: SimTime::ZERO,
-            completed: 0,
-            shed: 0,
-            interrupted: 0,
         }
     }
 
@@ -475,8 +459,6 @@ pub struct Service {
     pub sheds: [u64; ShedReason::ALL.len()],
     /// Total requests admitted.
     pub admitted: u64,
-    /// Requests served in degraded mode.
-    pub degraded_served: u64,
     /// Routing RNG (pick-of-2); seeded, service-owned, deterministic.
     rng: SplitMix64,
     /// The next [`Endpoint::id`] `sync` hands out.
@@ -492,7 +474,6 @@ impl Service {
             brownout_engagements: 0,
             sheds: [0; ShedReason::ALL.len()],
             admitted: 0,
-            degraded_served: 0,
             rng: SplitMix64::new(seed),
             next_endpoint_id: 0,
         }
@@ -506,8 +487,8 @@ impl Service {
 
     /// Rebuild the endpoint list from the controller's currently-ready
     /// replicas (readiness gating: a pod joins only while Running *and*
-    /// ready on its node). Existing endpoint state (id, queue, breaker,
-    /// accounting) carries over by pod name, a pod joining gets the next
+    /// ready on its node). Existing endpoint state (id, queue, breaker)
+    /// carries over by pod name, a pod joining gets the next
     /// unused id; endpoints whose pod left the ready set are dropped and
     /// their queued/in-flight tokens returned so the client can
     /// abort-and-retry them.
@@ -550,7 +531,8 @@ impl Service {
 
     /// Deterministic pick-of-2 on live queue depth over breaker-admitting
     /// endpoints (ties break to the lower index). `exclude` skips an
-    /// endpoint (hedges must not land on the primary's pod).
+    /// endpoint. (The traffic loop passes `None`; the parameter stays
+    /// because `benchmark/` calls this by signature.)
     pub fn route(&mut self, exclude: Option<usize>) -> Result<usize, ShedReason> {
         // The candidates are never collected, so routing allocates nothing:
         // the k-th one is found by walking the endpoints (a handful) again,
@@ -611,7 +593,7 @@ impl Service {
         match verdict {
             Ok(()) => {
                 let server_idle = e.serving.is_none();
-                e.queue.push_back(QueuedReq { token, enqueued: now, deadline });
+                e.queue.push_back(QueuedReq { token, deadline });
                 if e.breaker.state == BreakerState::HalfOpen {
                     e.breaker.trial_inflight = true;
                 }
@@ -622,7 +604,6 @@ impl Service {
                 // Rejecting costs server time too — the metastability lever.
                 let from = if e.busy_until > now { e.busy_until } else { now };
                 e.busy_until = from + self.config.reject_cost;
-                e.shed += 1;
                 self.sheds[reason.index()] += 1;
                 Err(reason)
             }
@@ -665,50 +646,18 @@ impl Service {
         let threshold = self.config.breaker_threshold;
         let e = &mut self.endpoints[ep];
         let s = e.serving.take()?;
-        let mut opened = false;
-        if s.served {
-            e.completed += 1;
+        let opened = if s.served {
             e.breaker.on_success();
-            if s.degraded {
-                self.degraded_served += 1;
-            }
+            false
         } else {
-            e.interrupted += 1;
-            opened = e.breaker.on_failure(now, threshold);
-        }
+            e.breaker.on_failure(now, threshold)
+        };
         Some(Completion {
             token: s.token,
             ok: s.served,
             degraded: s.degraded,
             opened_breaker: opened,
         })
-    }
-
-    /// Remove a queued (not yet started) request — hedging's cancellation
-    /// path, so a hedge whose primary won never doubles server work.
-    /// Returns `true` if the token was still queued.
-    pub fn cancel_queued(&mut self, ep: usize, token: u64) -> bool {
-        let e = &mut self.endpoints[ep];
-        if let Some(i) = e.queue.iter().position(|q| q.token == token) {
-            e.queue.remove(i);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Abort everything in flight and queued on every endpoint (load
-    /// generator teardown between phases). Returns the aborted tokens.
-    pub fn drain(&mut self) -> Vec<u64> {
-        let mut aborted = Vec::new();
-        for e in &mut self.endpoints {
-            aborted.extend(e.queue.drain(..).map(|q| q.token));
-            if let Some(s) = e.serving.take() {
-                aborted.push(s.token);
-            }
-            e.breaker.trial_inflight = false;
-        }
-        aborted
     }
 
     /// The periodic half of the overload plane, at the cluster's current
@@ -877,7 +826,6 @@ mod tests {
         let err = s.admit(0, t(0), 16, deadline).unwrap_err();
         assert_eq!(err, ShedReason::QueueFull);
         assert_eq!(s.sheds[ShedReason::QueueFull.index()], 1);
-        assert_eq!(s.endpoints[0].shed, 1);
         // FIFO: starts pop in admission order.
         for expect in 0..16u64 {
             let started = s.try_start(0, t(0)).expect("queued request");
@@ -917,7 +865,6 @@ mod tests {
         assert_eq!(started.finish, t(2));
         let c = s.complete(0, t(2)).unwrap();
         assert!(!c.ok);
-        assert_eq!(s.endpoints[0].interrupted, 1);
         assert_eq!(s.endpoints[0].breaker.consecutive_failures, 1);
     }
 
@@ -980,7 +927,6 @@ mod tests {
         }
         let initial_retries = RetryBudget::new().cap / RETRY_COST_MILLITOKENS;
         assert_eq!(attempts, requests + initial_retries, "bounded: no amplification");
-        assert_eq!(client.retries_approved, initial_retries);
         // The control arm, by contrast, retries to the attempt cap forever.
         let mut control = ResilientClient::new(
             RetryPolicy::new(Duration::from_millis(1)),
@@ -1022,28 +968,6 @@ mod tests {
     }
 
     #[test]
-    fn hedge_cancellation_never_doubles_work() {
-        let mut s = test_service(2);
-        let deadline = t(10_000);
-        // Primary on endpoint 0, another request occupying endpoint 1, then
-        // the hedge queued behind it on endpoint 1.
-        s.admit(0, t(0), 10, deadline).unwrap();
-        s.try_start(0, t(0)).unwrap();
-        s.admit(1, t(0), 20, deadline).unwrap();
-        s.try_start(1, t(0)).unwrap();
-        s.admit(1, t(1), 11, deadline).unwrap(); // the hedge (same request as 10)
-                                                 // Primary wins: cancel the queued hedge before endpoint 1 frees up.
-        let c = s.complete(0, t(5)).unwrap();
-        assert!(c.ok);
-        assert!(s.cancel_queued(1, 11), "hedge still queued — cancelled");
-        // Endpoint 1 finishes its own request and goes idle: the hedge
-        // never ran, so no double work.
-        s.complete(1, t(5)).unwrap();
-        assert!(s.try_start(1, t(5)).is_none());
-        assert_eq!(s.endpoints[1].completed, 1);
-    }
-
-    #[test]
     fn pick_of_two_prefers_shallower_queues() {
         let mut s = test_service(4);
         let deadline = t(10_000);
@@ -1066,7 +990,7 @@ mod tests {
     }
 
     #[test]
-    fn route_excludes_the_primary_endpoint_for_hedges() {
+    fn route_never_picks_the_excluded_endpoint() {
         let mut s = test_service(2);
         for _ in 0..32 {
             assert_eq!(s.route(Some(0)).unwrap(), 1);
@@ -1117,25 +1041,44 @@ mod tests {
         let started = s.try_start(0, t(0)).unwrap();
         assert!(started.degraded);
         assert_eq!(started.finish, t(3));
-        // Drain below the low watermark → disengage.
-        s.drain();
-        assert!(!s.tick_brownout());
+        // Serve one request at a time: brownout holds while mean depth is
+        // below the high watermark but above the low one (2.0) …
+        let serve = |s: &mut Service, ep: usize| {
+            let started = s.try_start(ep, t(3)).expect("a queued request");
+            s.complete(ep, started.finish).unwrap();
+        };
+        s.complete(0, t(3)).unwrap();
+        assert!(s.tick_brownout(), "depths 5 and 6");
+        for _ in 0..3 {
+            serve(&mut s, 0);
+            serve(&mut s, 1);
+        }
+        assert!(s.tick_brownout(), "depths 2 and 3");
+        // … and disengages once it reaches it.
+        serve(&mut s, 1);
+        assert!(!s.tick_brownout(), "depths 2 and 2");
         assert_eq!(s.brownout_engagements, 1);
     }
 
     #[test]
     fn sync_aborts_requests_of_departed_endpoints() {
-        // Synthetic: endpoints not in the controller's replica set vanish.
+        // The synthetic endpoint's pod is not among the controller's
+        // replicas (it has none), so `sync` drops it and hands back both
+        // the in-flight and the queued token.
         let mut s = test_service(1);
         let deadline = t(10_000);
         s.admit(0, t(0), 1, deadline).unwrap();
         s.try_start(0, t(0)).unwrap();
         s.admit(0, t(0), 2, deadline).unwrap();
-        // Simulate what sync does for a departed pod: drain returns both the
-        // in-flight and the queued token.
-        let mut aborted = s.drain();
-        aborted.sort_unstable();
-        assert_eq!(aborted, vec![1, 2]);
+        let cluster = Cluster::bootstrap().unwrap();
+        let ctrl = DeploymentController::new(crate::api::DeploymentSpec::new(
+            "svc",
+            "svc:v1",
+            "crun-wamr",
+            1,
+        ));
+        assert_eq!(s.sync(&cluster, &ctrl), [2, 1]);
+        assert!(s.endpoints.is_empty());
     }
 
     #[test]

@@ -46,7 +46,6 @@ pub(crate) mod numeric;
 pub mod types;
 pub mod validate;
 pub mod values;
-pub mod wat;
 
 pub use builder::{FuncBuilder, ModuleBuilder};
 pub use cache::{ArtifactCache, CacheStats};

@@ -1007,11 +1007,7 @@ fn tiers_agree_on_structured_programs() {
             Err(why) => {
                 let min = shrink(prog, |p| differential(p).is_err());
                 let why_min = differential(&min).expect_err("shrinking keeps the failure");
-                panic!(
-                    "{why}\nshrunk to: {why_min}\nargs {:?}\n{}",
-                    min.args,
-                    wasm_core::wat::render(&build_program_module(&min))
-                );
+                panic!("{why}\nshrunk to: {why_min}\n{min:?}");
             }
         }
     });

@@ -94,14 +94,14 @@ lint_call_sites "Kernel::power_off stays inside the cluster layer" \
   '\.power_off\(' 'crates/*/src examples src' '^crates/k8s/|^crates/simkernel/' \
   "power_off call site(s) outside crates/k8s; ungraceful death must go through Cluster::crash_node and the lease tick"
 
-# The breaker, retry-budget and backoff verbs are pub(crate) in
-# crates/k8s. ShedReason and BreakerState are part of the Service API's
-# results and stay pub, but outside crates/k8s non-test code must not
-# match on them: the traffic harness would otherwise fork its own
-# overload policy and drift from the one the contracts pin.
+# The breaker state, retry-budget and backoff verbs are pub(crate) in
+# crates/k8s. ShedReason is part of the Service API's results and stays
+# pub, but outside crates/k8s non-test code must not match on it: the
+# traffic harness would otherwise fork its own overload policy and drift
+# from the one the contracts pin.
 lint_call_sites "shed and breaker taxonomies stay inside k8s::service" \
-  'ShedReason::|BreakerState::' 'crates/*/src examples src' '^crates/k8s/' \
-  "ShedReason/BreakerState matched outside crates/k8s; shedding and breaker policy lives in k8s::service"
+  'ShedReason::' 'crates/*/src examples src' '^crates/k8s/' \
+  "ShedReason matched outside crates/k8s; shedding and breaker policy lives in k8s::service"
 
 echo "== smoke: examples/quickstart =="
 cargo run --release --offline --example quickstart >/dev/null
