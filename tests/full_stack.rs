@@ -5,11 +5,14 @@ use memwasm::container_runtimes::profile::CRUN;
 use memwasm::container_runtimes::LowLevelRuntime;
 use memwasm::containerd_sim::{RuntimeClass, WasmSandboxer};
 use memwasm::engines::EngineKind;
-use memwasm::harness::chaos::{run_config, ChaosPlan};
+use memwasm::harness::chaos::{run_config, run_hung_guest, ChaosPlan};
+use memwasm::harness::isolation::{
+    run_tenants, Attacker, AttackerFate, IsolationPlan, VictimObservation,
+};
 use memwasm::harness::{measure_memory, new_cluster, warmup, Config, Workload};
-use memwasm::k8s_sim::{Cluster, DeployOpts};
+use memwasm::k8s_sim::{Cluster, DeployOpts, PodPhase};
 use memwasm::pyrt::PythonHandler;
-use memwasm::simkernel::{Phase, ProcState, Step};
+use memwasm::simkernel::{Duration, Phase, ProcState, Step};
 use memwasm::wamr_crun::{WamrCrunConfig, WamrHandler};
 use memwasm::workloads::{hung_service_image, wasm_microservice_image, MicroserviceConfig};
 
@@ -312,6 +315,104 @@ fn golden_chaos_smoke_outcomes() {
             "{}",
             config.label()
         );
+    }
+}
+
+#[test]
+fn golden_hung_guest_smoke_outcome() {
+    // The watchdog path end to end: per-site injections (only the probe
+    // site is armed), restarts, reconcile rounds, pods wedged at deploy,
+    // liveness kills, pods ready at the end and bytes left after teardown.
+    let o = run_hung_guest(Config::WamrCrun, &Workload::light(), &ChaosPlan::smoke(13)).unwrap();
+    assert_eq!(
+        (
+            o.chaos.injected,
+            o.chaos.restarts,
+            o.chaos.rounds,
+            o.wedged,
+            o.probe_kills,
+            o.ready,
+            o.chaos.leaked_bytes
+        ),
+        ([0, 0, 0, 0, 5, 0], 4, 4, 4, 4, 4, 3444736)
+    );
+}
+
+#[test]
+fn golden_isolation_smoke_runs() {
+    // Every observable of the five isolation-smoke runs on the
+    // contribution config: the reconcile rounds driven, what the
+    // containment stack did to the attacker and what the victims saw.
+    let victims = |makespan_ns, mean_working_set| VictimObservation {
+        makespan: Duration::from_nanos(makespan_ns),
+        mean_working_set,
+        restarts: 0,
+        running: 4,
+        ready: 4,
+        victims: 4,
+    };
+    let golden: [(Option<Attacker>, usize, Option<AttackerFate>, VictimObservation); 5] = [
+        (None, 1, None, victims(2_405_950_326, 5_898_240)),
+        (
+            Some(Attacker::Spinner),
+            16,
+            Some(AttackerFate {
+                phase: Some(PodPhase::Running),
+                restarts: 5,
+                failures: 0,
+                cpu_throttle_events: 1,
+                cpu_throttled_ns: 2_997_000_000,
+                io_throttle_events: 0,
+                io_queued_ns: 1_789_062,
+                oom_kills: 0,
+                probe_kills: 5,
+                pressure_evicted: false,
+            }),
+            victims(2_405_950_326, 5_905_408),
+        ),
+        (
+            Some(Attacker::Balloon),
+            16,
+            Some(AttackerFate {
+                phase: Some(PodPhase::CrashLoopBackOff),
+                failures: 16,
+                ..AttackerFate::default()
+            }),
+            victims(2_405_950_326, 6_135_808),
+        ),
+        (
+            Some(Attacker::Thrasher),
+            1,
+            Some(AttackerFate {
+                phase: Some(PodPhase::Evicted),
+                restarts: 0,
+                failures: 0,
+                cpu_throttle_events: 1,
+                cpu_throttled_ns: 66_396_870,
+                io_throttle_events: 8,
+                io_queued_ns: 8_240_414_062,
+                oom_kills: 0,
+                probe_kills: 0,
+                pressure_evicted: true,
+            }),
+            victims(2_406_400_326, 5_905_408),
+        ),
+        (
+            Some(Attacker::ForkBomb),
+            16,
+            Some(AttackerFate {
+                phase: Some(PodPhase::CrashLoopBackOff),
+                failures: 16,
+                ..AttackerFate::default()
+            }),
+            victims(2_405_950_326, 6_135_808),
+        ),
+    ];
+    for (attacker, rounds, fate, observed) in golden {
+        let run =
+            run_tenants(Config::WamrCrun, &Workload::light(), &IsolationPlan::smoke(), attacker)
+                .unwrap();
+        assert_eq!((run.rounds, run.fate, run.victims), (rounds, fate, observed), "{attacker:?}");
     }
 }
 
