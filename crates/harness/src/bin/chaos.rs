@@ -197,7 +197,7 @@ fn run_sweep(seed: u64, smoke: bool) {
 
     // Per-site injection totals across every run of the sweep (the probe
     // site only draws in scenarios that deploy probed pods).
-    let all: Vec<_> = outcome.faults.iter().chain(outcome.hung.iter().map(|h| &h.chaos)).collect();
+    let all: Vec<_> = outcome.faults.iter().chain(&outcome.hung).collect();
     let per_site: Vec<String> = FaultSite::ALL
         .iter()
         .map(|&s| format!("{}={}", s.label(), all.iter().map(|o| o.injected_at(s)).sum::<u64>()))

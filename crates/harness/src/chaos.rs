@@ -9,21 +9,24 @@
 //! guaranteed — the sweep asserts it, plus leak-to-baseline after
 //! teardown, for all seven Wasm configurations.
 //!
-//! The sweep also carries a **hung-guest** scenario ([`run_hung_guest`]):
-//! a service that busy-waits on the WASI clock past a readiness threshold,
-//! so every pod started before that instant wedges on its watchdog epoch
-//! budget. The recovery contract there is the watchdog pipeline end to
-//! end: liveness probes detect the wedge, the kubelet interrupts the guest
-//! through the epoch clock, CrashLoopBackOff restarts it after the backoff
-//! (by which point the simulated clock has passed the threshold), and the
-//! node converges with every pod Running *and* ready.
+//! The sweep also carries a **hung-guest** scenario
+//! ([`Scenario::hung_guest`]): a service that busy-waits on the WASI clock
+//! past a readiness threshold, so every pod started before that instant
+//! wedges on its watchdog epoch budget. The recovery contract there is the
+//! watchdog pipeline end to end: liveness probes detect the wedge, the
+//! kubelet interrupts the guest through the epoch clock, CrashLoopBackOff
+//! restarts it after the backoff (by which point the simulated clock has
+//! passed the threshold), and the node converges with every pod Running
+//! *and* ready.
 
-use k8s_sim::{DeployOpts, PodPhase, ProbeSpec, RestartPolicy};
-use simkernel::{Duration, FaultPlan, FaultSite, KernelResult};
+use k8s_sim::{DeployOpts, ProbeSpec, RestartPolicy};
+use oci_spec_lite::ImageBuilder;
+use simkernel::{Duration, FaultPlan, FaultSite, KernelResult, SimTime};
 
 use crate::config::{Config, Workload};
+use crate::parallel::run_grid;
 use crate::report::Table;
-use crate::runner::{new_cluster, warmup};
+use crate::runner::{new_cluster, supervise, warmup};
 
 /// The seven Wasm configurations the chaos sweep exercises (the paper's
 /// Figs. 3–5 rows; the Python baselines share no engine fault sites).
@@ -86,6 +89,66 @@ impl ChaosPlan {
     }
 }
 
+/// What one chaos run deploys and which fault sites it arms: the
+/// all-sites fault sweep and the hung-guest watchdog scenario are its two
+/// values, run by the one [`run_config`].
+#[derive(Debug, Clone, Copy)]
+pub struct Scenario {
+    /// Pod name prefix.
+    prefix: &'static str,
+    /// The image the pods run, built from the simulated time of the
+    /// deploy and pulled after the baseline reading; `None` runs the
+    /// configuration's own microservice.
+    image: Option<fn(SimTime) -> ImageBuilder>,
+    /// Sites armed at the plan's rate and per-site budget.
+    sites: &'static [FaultSite],
+    /// Mixed into the plan's seed per configuration, so configurations
+    /// (and scenarios) fail independently.
+    salt: u64,
+    /// Options of every pod; the restart policy is always `Always`.
+    opts: DeployOpts,
+}
+
+impl Scenario {
+    /// Every fault site armed against the configuration's microservice.
+    pub fn faults() -> Scenario {
+        Scenario {
+            prefix: "chaos",
+            image: None,
+            sites: &FaultSite::ALL,
+            salt: 0x9e37_79b9_7f4a_7c15,
+            opts: DeployOpts { restart: RestartPolicy::Always, ..Default::default() },
+        }
+    }
+
+    /// The hung-guest watchdog scenario. The guest busy-waits on the WASI
+    /// clock until [`HUNG_READY_AFTER`] past deploy time; because the DES
+    /// clock is frozen while a guest executes, every pod of the initial
+    /// deployment wedges deterministically on its watchdog epoch budget,
+    /// and restarts dispatched after the CrashLoopBackOff delay find the
+    /// threshold already behind them and come up ready. Only
+    /// [`FaultSite::Probe`] is armed — flaky probe RPCs on top of
+    /// genuinely wedged guests — so the detect → interrupt → restart →
+    /// converge contract must hold through spurious probe verdicts too.
+    pub fn hung_guest() -> Scenario {
+        Scenario {
+            prefix: "hung",
+            image: Some(|now| {
+                workloads::hung_service_image(HUNG_IMAGE_REF, (now + HUNG_READY_AFTER).as_nanos())
+            }),
+            sites: &[FaultSite::Probe],
+            salt: 0xA11C_E55E_D5EE_D001,
+            opts: DeployOpts {
+                restart: RestartPolicy::Always,
+                liveness_probe: Some(hung_liveness_probe()),
+                readiness_probe: Some(hung_readiness_probe()),
+                termination_grace: Some(Duration::from_secs(2)),
+                ..Default::default()
+            },
+        }
+    }
+}
+
 /// Outcome of one configuration's chaos run.
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosOutcome {
@@ -94,10 +157,17 @@ pub struct ChaosOutcome {
     pub injected: [u64; FaultSite::ALL.len()],
     /// Successful restarts summed over pods.
     pub restarts: u64,
-    /// Final phase counts.
+    /// Final phase counts; `evicted` counts both eviction reasons.
     pub running: usize,
     pub evicted: usize,
     pub failed: usize,
+    /// Pods both Running and ready (readiness probe passing) at the end.
+    pub ready: usize,
+    /// Pods whose first start wedged on the watchdog epoch budget.
+    pub wedged: usize,
+    /// Liveness-threshold kills performed by the kubelet (epoch interrupt
+    /// → teardown → CrashLoopBackOff).
+    pub probe_kills: u64,
     /// Reconcile rounds driven.
     pub rounds: usize,
     /// Every pod reached a steady phase within the round budget.
@@ -122,40 +192,11 @@ impl ChaosOutcome {
     }
 }
 
-/// Outcome of one configuration's hung-guest run: the fault-recovery
-/// accounting of [`ChaosOutcome`] plus the watchdog-specific counters the
-/// recovery contract is stated in.
-#[derive(Debug, Clone, Copy)]
-pub struct HungGuestOutcome {
-    /// Convergence/leak accounting shared with the fault sweep.
-    pub chaos: ChaosOutcome,
-    /// Pods whose first start wedged on the watchdog epoch budget.
-    pub wedged: usize,
-    /// Liveness-threshold kills performed by the kubelet (epoch interrupt
-    /// → teardown → CrashLoopBackOff).
-    pub probe_kills: u64,
-    /// Pods both Running and ready (readiness probe passing) at the end.
-    pub ready: usize,
-}
-
-/// Arm every fault site of a fresh plan at the same rate and budget.
-fn armed_plan(seed: u64, rate_ppm: u32, limit: u64) -> FaultPlan {
-    let mut plan = FaultPlan::new(seed);
-    for site in FaultSite::ALL {
-        plan = plan.with_rate(site, rate_ppm).with_limit(site, limit);
-    }
-    plan
-}
-
-/// Per-site injection counts as an array indexed like [`FaultSite::ALL`].
-fn injected_by_site(kernel: &simkernel::Kernel) -> [u64; FaultSite::ALL.len()] {
-    FaultSite::ALL.map(|s| kernel.faults_injected(s))
-}
-
-/// Run one configuration through deploy-under-faults → reconcile-to-steady
-/// → fault-free teardown, and report what happened.
+/// Run one configuration through a scenario: deploy under faults →
+/// reconcile to steady → fault-free teardown, and report what happened.
 pub fn run_config(
     config: Config,
+    scenario: &Scenario,
     workload: &Workload,
     plan: &ChaosPlan,
 ) -> KernelResult<ChaosOutcome> {
@@ -164,39 +205,28 @@ pub fn run_config(
     let procs_before = cluster.kernel().live_procs();
     let used_before = cluster.free().used;
 
-    // Per-config seed stream, so configs fail independently.
-    let seed = plan.seed ^ (config as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    cluster.kernel().set_fault_plan(armed_plan(seed, plan.rate_ppm, plan.limit_per_site));
-
-    cluster.deploy_with(
-        "chaos",
-        config.image_ref(),
-        config.class_name(),
-        plan.pods,
-        DeployOpts { restart: RestartPolicy::Always, ..Default::default() },
-    )?;
-
-    let mut rounds = 0;
-    while !cluster.kubelet().settled() && rounds < plan.max_rounds {
-        cluster.step();
-        cluster.reconcile();
-        rounds += 1;
+    let image = match scenario.image {
+        Some(build) => cluster.pull_image(build(cluster.now()))?,
+        None => config.image_ref().to_string(),
+    };
+    let mut faults = FaultPlan::new(plan.seed ^ (config as u64 + 1).wrapping_mul(scenario.salt));
+    for &site in scenario.sites {
+        faults = faults.with_rate(site, plan.rate_ppm).with_limit(site, plan.limit_per_site);
     }
+    cluster.kernel().set_fault_plan(faults);
+
+    cluster.deploy_with(scenario.prefix, &image, config.class_name(), plan.pods, scenario.opts)?;
+    let wedged = (0..plan.pods)
+        .filter(|i| cluster.containerd().pod_wedged(&format!("{}-{i}", scenario.prefix)))
+        .count();
+
+    let mut probe_kills = 0u64;
+    let rounds = supervise(&mut cluster, plan.max_rounds, |_, report| {
+        probe_kills += report.probe_killed.len() as u64;
+    })?;
     let converged = cluster.kubelet().settled();
-
-    let injected = injected_by_site(cluster.kernel());
-    let restarts = cluster.kubelet().managed().map(|e| e.restarts as u64).sum();
-    let mut running = 0;
-    let mut evicted = 0;
-    let mut failed = 0;
-    for e in cluster.kubelet().managed() {
-        match e.phase {
-            PodPhase::Running => running += 1,
-            PodPhase::Evicted => evicted += 1,
-            PodPhase::Failed => failed += 1,
-            _ => {}
-        }
-    }
+    let injected = FaultSite::ALL.map(|s| cluster.kernel().faults_injected(s));
+    let census = cluster.stats();
 
     // Disarm and tear down fault-free: recovery must leave nothing behind.
     cluster.kernel().set_fault_plan(FaultPlan::none());
@@ -207,10 +237,13 @@ pub fn run_config(
     Ok(ChaosOutcome {
         config,
         injected,
-        restarts,
-        running,
-        evicted,
-        failed,
+        restarts: census.restarts,
+        running: census.running,
+        evicted: census.evicted + census.pressure_evicted,
+        failed: census.failed,
+        ready: census.ready,
+        wedged,
+        probe_kills,
         rounds,
         converged,
         leaked_bytes,
@@ -218,117 +251,26 @@ pub fn run_config(
     })
 }
 
-/// Run one configuration through the hung-guest watchdog scenario.
-///
-/// The guest busy-waits on the WASI clock until `HUNG_READY_AFTER` past
-/// deploy time; because the DES clock is frozen while a guest executes,
-/// every pod of the initial deployment wedges deterministically on its
-/// watchdog epoch budget, and restarts dispatched after the
-/// CrashLoopBackOff delay find the threshold already behind them and come
-/// up ready. Only [`FaultSite::Probe`] is armed — flaky probe RPCs on top
-/// of genuinely wedged guests — so the detect → interrupt → restart →
-/// converge contract must hold through spurious probe verdicts too.
-pub fn run_hung_guest(
-    config: Config,
-    workload: &Workload,
-    plan: &ChaosPlan,
-) -> KernelResult<HungGuestOutcome> {
-    let mut cluster = new_cluster(&[config], workload)?;
-    warmup(&mut cluster, config)?;
-    let procs_before = cluster.kernel().live_procs();
-    let used_before = cluster.free().used;
-
-    let ready_after = cluster.kernel().now() + HUNG_READY_AFTER;
-    cluster.pull_image(workloads::hung_service_image(HUNG_IMAGE_REF, ready_after.as_nanos()))?;
-
-    let seed = plan.seed ^ (config as u64 + 1).wrapping_mul(0xA11C_E55E_D5EE_D001);
-    cluster.kernel().set_fault_plan(
-        FaultPlan::new(seed)
-            .with_rate(FaultSite::Probe, plan.rate_ppm)
-            .with_limit(FaultSite::Probe, plan.limit_per_site),
-    );
-
-    cluster.deploy_with(
-        "hung",
-        HUNG_IMAGE_REF,
-        config.class_name(),
-        plan.pods,
-        DeployOpts {
-            restart: RestartPolicy::Always,
-            liveness_probe: Some(hung_liveness_probe()),
-            readiness_probe: Some(hung_readiness_probe()),
-            termination_grace: Some(Duration::from_secs(2)),
-            ..Default::default()
-        },
-    )?;
-    let wedged =
-        (0..plan.pods).filter(|i| cluster.containerd().pod_wedged(&format!("hung-{i}"))).count();
-
-    let mut probe_kills = 0u64;
-    let mut rounds = 0;
-    while !cluster.kubelet().settled() && rounds < plan.max_rounds {
-        cluster.step();
-        let report = cluster.reconcile();
-        probe_kills += report.probe_killed.len() as u64;
-        rounds += 1;
-    }
-    let converged = cluster.kubelet().settled();
-
-    let injected = injected_by_site(cluster.kernel());
-    let restarts = cluster.kubelet().managed().map(|e| e.restarts as u64).sum();
-    let mut running = 0;
-    let mut ready = 0;
-    let mut evicted = 0;
-    let mut failed = 0;
-    for e in cluster.kubelet().managed() {
-        match e.phase {
-            PodPhase::Running => {
-                running += 1;
-                if e.ready {
-                    ready += 1;
-                }
-            }
-            PodPhase::Evicted => evicted += 1,
-            PodPhase::Failed => failed += 1,
-            _ => {}
-        }
-    }
-
-    cluster.kernel().set_fault_plan(FaultPlan::none());
-    cluster.teardown_managed()?;
-    let leaked_bytes = cluster.free().used.saturating_sub(used_before);
-    let leaked_procs = cluster.kernel().live_procs() as i64 - procs_before as i64;
-
-    Ok(HungGuestOutcome {
-        chaos: ChaosOutcome {
-            config,
-            injected,
-            restarts,
-            running,
-            evicted,
-            failed,
-            rounds,
-            converged,
-            leaked_bytes,
-            leaked_procs,
-        },
-        wedged,
-        probe_kills,
-        ready,
-    })
-}
-
 /// Everything one sweep produced: the fault runs and the hung-guest runs.
 #[derive(Debug, Clone)]
 pub struct SweepOutcome {
     pub faults: Vec<ChaosOutcome>,
-    pub hung: Vec<HungGuestOutcome>,
+    pub hung: Vec<ChaosOutcome>,
 }
 
 /// Sweep every Wasm configuration under the plan — the all-sites fault run
 /// per configuration plus the hung-guest watchdog scenario — and assemble
-/// the report table (one row per run, per-site injection columns).
+/// the report table (one row per run, per-site injection columns). Runs
+/// fan out over [`run_grid`] and merge in this order.
 pub fn sweep(workload: &Workload, plan: &ChaosPlan) -> KernelResult<(Table, SweepOutcome)> {
+    let runs: Vec<(Config, Scenario)> = WASM_CONFIGS
+        .iter()
+        .map(|&c| (c, Scenario::faults()))
+        .chain(HUNG_CONFIGS.iter().map(|&c| (c, Scenario::hung_guest())))
+        .collect();
+    let mut faults = run_grid(&runs, |(c, s)| run_config(*c, s, workload, plan))?;
+    let hung = faults.split_off(WASM_CONFIGS.len());
+
     let mut columns: Vec<String> = FaultSite::ALL.iter().map(|s| s.label().to_string()).collect();
     columns.extend(
         ["restarts", "running", "evicted", "failed", "rounds", "leaked KiB"]
@@ -355,17 +297,11 @@ pub fn sweep(workload: &Workload, plan: &ChaosPlan) -> KernelResult<(Table, Swee
         ]);
         v
     };
-    let mut faults = Vec::new();
-    for config in WASM_CONFIGS {
-        let o = run_config(config, workload, plan)?;
-        table.row(config.label(), row_values(&o), config.is_ours());
-        faults.push(o);
+    for o in &faults {
+        table.row(o.config.label(), row_values(o), o.config.is_ours());
     }
-    let mut hung = Vec::new();
-    for config in HUNG_CONFIGS {
-        let o = run_hung_guest(config, workload, plan)?;
-        table.row(&format!("hung-guest: {}", config.label()), row_values(&o.chaos), false);
-        hung.push(o);
+    for o in &hung {
+        table.row(format!("hung-guest: {}", o.config.label()), row_values(o), false);
     }
     Ok((table, SweepOutcome { faults, hung }))
 }
@@ -416,9 +352,9 @@ pub fn check_outcome(o: &ChaosOutcome, plan: &ChaosPlan) -> Result<(), String> {
 /// through the liveness-probe path and restarted, and the node converged
 /// with every pod Running *and* ready — on top of the base chaos contract
 /// (steady phases, no leaks).
-pub fn check_hung_outcome(o: &HungGuestOutcome, plan: &ChaosPlan) -> Result<(), String> {
-    check_outcome(&o.chaos, plan)?;
-    let label = o.chaos.config.label();
+pub fn check_hung_outcome(o: &ChaosOutcome, plan: &ChaosPlan) -> Result<(), String> {
+    check_outcome(o, plan)?;
+    let label = o.config.label();
     if o.wedged != plan.pods {
         return Err(format!("{label}: {} of {} pods wedged at deploy", o.wedged, plan.pods));
     }
@@ -428,13 +364,13 @@ pub fn check_hung_outcome(o: &HungGuestOutcome, plan: &ChaosPlan) -> Result<(), 
             o.probe_kills, o.wedged
         ));
     }
-    if (o.chaos.restarts as usize) < o.wedged {
-        return Err(format!("{label}: {} restarts for {} wedged pods", o.chaos.restarts, o.wedged));
+    if (o.restarts as usize) < o.wedged {
+        return Err(format!("{label}: {} restarts for {} wedged pods", o.restarts, o.wedged));
     }
-    if o.ready != plan.pods || o.chaos.running != plan.pods {
+    if o.ready != plan.pods || o.running != plan.pods {
         return Err(format!(
             "{label}: {} running / {} ready != {} pods",
-            o.chaos.running, o.ready, plan.pods
+            o.running, o.ready, plan.pods
         ));
     }
     Ok(())
@@ -448,7 +384,7 @@ mod tests {
     fn smoke_run_converges_and_returns_to_baseline() {
         let w = Workload::light();
         let plan = ChaosPlan::smoke(7);
-        let o = run_config(Config::WamrCrun, &w, &plan).unwrap();
+        let o = run_config(Config::WamrCrun, &Scenario::faults(), &w, &plan).unwrap();
         assert!(o.injected_total() > 0, "an aggressive smoke plan must inject something");
         check_outcome(&o, &plan).unwrap();
     }
@@ -457,7 +393,7 @@ mod tests {
     fn zero_rate_plan_injects_nothing_and_runs_clean() {
         let w = Workload::light();
         let plan = ChaosPlan { seed: 7, rate_ppm: 0, limit_per_site: 0, pods: 3, max_rounds: 5 };
-        let o = run_config(Config::WamrCrun, &w, &plan).unwrap();
+        let o = run_config(Config::WamrCrun, &Scenario::faults(), &w, &plan).unwrap();
         assert_eq!(o.injected_total(), 0);
         assert_eq!(o.restarts, 0);
         assert_eq!(o.rounds, 0, "a clean deploy is already settled");
@@ -468,7 +404,7 @@ mod tests {
     fn hung_guest_smoke_recovers_every_wedged_pod() {
         let w = Workload::light();
         let plan = ChaosPlan::smoke(13);
-        let o = run_hung_guest(Config::WamrCrun, &w, &plan).unwrap();
+        let o = run_config(Config::WamrCrun, &Scenario::hung_guest(), &w, &plan).unwrap();
         assert_eq!(o.wedged, plan.pods, "every first start must wedge");
         check_hung_outcome(&o, &plan).unwrap();
     }

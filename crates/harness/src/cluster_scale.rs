@@ -166,13 +166,16 @@ pub fn density_sweep(
 }
 
 /// Scheduler-policy ablation: the same (nodes, pods) point under every
-/// [`Policy`], one row per policy.
+/// [`Policy`], one row per policy (fanned out and merged like
+/// [`density_sweep`]).
 pub fn policy_ablation(
     config: Config,
     nodes: usize,
     pods: usize,
     workload: &Workload,
 ) -> KernelResult<Table> {
+    let samples =
+        run_grid(&Policy::ALL, |&policy| measure_scale(config, nodes, pods, policy, workload))?;
     let mut table = Table::new(
         format!("Scheduler-policy ablation: {} pods on {} nodes, {}", pods, nodes, config.label()),
         vec![
@@ -183,8 +186,7 @@ pub fn policy_ablation(
         ],
         "",
     );
-    for policy in Policy::ALL {
-        let s = measure_scale(config, nodes, pods, policy, workload)?;
+    for (policy, s) in Policy::ALL.iter().zip(&samples) {
         table.row(
             policy.label(),
             vec![

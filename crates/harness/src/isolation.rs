@@ -33,7 +33,7 @@ use simkernel::{Duration, IoModel, KernelConfig, KernelResult, Sim, TaskSpec};
 use crate::config::{Config, Workload};
 use crate::parallel::run_grid;
 use crate::report::Table;
-use crate::runner::warmup;
+use crate::runner::{supervise, warmup};
 
 /// Simulated cores of the isolation node. Deliberately narrow (vs the
 /// paper's 20) so a CPU-hungry attacker contends with victims in the DES.
@@ -385,27 +385,19 @@ pub fn run_tenants(
         },
     )?;
 
-    let mut rounds = 0;
-    loop {
-        // Sample before reconciling: eviction tears the sandbox (and its
-        // cgroup counters) down in the same pass that decides it.
-        if let Some(f) = fate.as_mut() {
-            sample_attacker(&cluster, f);
-        }
-        if cluster.kubelet().settled() || rounds >= plan.max_rounds {
-            break;
-        }
-        cluster.step();
-        let report = cluster.reconcile();
+    let rounds = supervise(&mut cluster, plan.max_rounds, |c, report| {
         if let Some(f) = fate.as_mut() {
             let hits = |names: &[String]| {
                 names.iter().filter(|n| n.starts_with("attacker")).count() as u64
             };
             f.oom_kills += hits(&report.oom_killed);
             f.probe_kills += hits(&report.probe_killed);
+            // Sampled after every pass, before the next one: eviction tears
+            // the sandbox (and its cgroup counters) down in the same pass
+            // that decides it.
+            sample_attacker(c, f);
         }
-        rounds += 1;
-    }
+    })?;
 
     if let Some(f) = fate.as_mut() {
         if let Some(e) = cluster.kubelet().managed_pod("attacker-0") {

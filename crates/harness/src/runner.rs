@@ -13,7 +13,7 @@
 //!   — matching a cluster that has been running workloads, and making the
 //!   per-container deviation negligible as the paper reports.
 
-use k8s_sim::{Cluster, Deployment};
+use k8s_sim::{Cluster, Deployment, ReconcileReport};
 use simkernel::{Duration, KernelResult};
 
 use crate::config::{Config, Workload};
@@ -84,6 +84,27 @@ pub fn warmup(cluster: &mut Cluster, config: Config) -> KernelResult<()> {
     let d = cluster.deploy("warmup", config.image_ref(), config.class_name(), 1)?;
     cluster.teardown(d)?;
     Ok(())
+}
+
+/// Drive node 0's kubelet until it settles or `max_rounds` rounds have
+/// run, on [`Cluster::run_rounds`]: a round steps the clock, then
+/// reconciles. `observe` sees the cluster before the first round and after
+/// each reconcile, with that pass's report (an empty one before the first
+/// round). Returns the rounds driven; the clock is not stepped past the
+/// last of them.
+pub(crate) fn supervise(
+    cluster: &mut Cluster,
+    max_rounds: usize,
+    mut observe: impl FnMut(&Cluster, &ReconcileReport),
+) -> KernelResult<usize> {
+    let mut passes = 0;
+    let rounds = cluster.run_rounds(usize::MAX, |c| {
+        let report = if passes > 0 { c.reconcile() } else { ReconcileReport::default() };
+        observe(c, &report);
+        passes += 1;
+        Ok(c.kubelet().settled() || passes > max_rounds)
+    })?;
+    Ok(rounds.expect("the pass ends the loop at the round bound"))
 }
 
 /// Deploy `density` pods of `config` on a fresh, warmed cluster and return

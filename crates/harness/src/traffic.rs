@@ -711,8 +711,7 @@ fn run_traffic_on(
                     } else if obs.rollout_done {
                         let p99 = measured_p99(&lp.phases);
                         let signal = service.signal(p99);
-                        let d =
-                            cluster.autoscale_observed(&mut ctrl, &script.hpa, Some(&signal))?;
+                        let d = cluster.autoscale(&mut ctrl, &script.hpa, Some(&signal))?;
                         if d.to > d.from {
                             obs.scaled_up = true;
                         }

@@ -54,17 +54,6 @@ pub const LEASE_GRACE: Duration = Duration::from_secs(40);
 /// giving them up for rescheduling on survivors.
 pub const POD_EVICTION_GRACE: Duration = Duration::from_secs(30);
 
-/// What one [`Cluster::tick_leases`] pass observed.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LeaseReport {
-    /// Nodes whose lease expired this pass (marked NotReady).
-    pub expired: Vec<usize>,
-    /// Nodes whose renewal recovered an expired lease (marked Ready).
-    pub recovered: Vec<usize>,
-    /// Stale replicas fenced on recovering nodes.
-    pub fenced: Vec<String>,
-}
-
 /// A booted Kubernetes cluster: one or more [`Node`]s and a [`Scheduler`].
 pub struct Cluster {
     pub nodes: Vec<Node>,
@@ -109,6 +98,11 @@ pub struct ClusterStats {
     pub pressure_evicted: usize,
     /// Supervised pods in the OomKilled phase (restart pending).
     pub oom_killed: usize,
+    /// Supervised pods parked as Failed: a sync error no restart can fix
+    /// (terminal).
+    pub failed: usize,
+    /// Successful restarts summed over supervised pods.
+    pub restarts: u64,
 }
 
 /// Options for [`Cluster::deploy_with`]: the fault-tolerance knobs of a
@@ -303,6 +297,7 @@ impl Cluster {
             stats.pods_managed += node.kubelet.pod_count();
             stats.live_procs += node.kernel.live_procs();
             for e in node.kubelet.managed() {
+                stats.restarts += u64::from(e.restarts);
                 match e.phase {
                     PodPhase::Running => {
                         stats.running += 1;
@@ -319,6 +314,7 @@ impl Cluster {
                         }
                     }
                     PodPhase::OomKilled => stats.oom_killed += 1,
+                    PodPhase::Failed => stats.failed += 1,
                     _ => {}
                 }
             }
@@ -406,38 +402,26 @@ impl Cluster {
     /// replicas the controller re-homed in the meantime, then marks the
     /// node Ready again; if fencing is interrupted mid-drain the node
     /// stays NotReady and the next due renewal retries.
-    pub fn tick_leases(&mut self) -> LeaseReport {
+    pub fn tick_leases(&mut self) {
         let now = self.now();
-        let mut report = LeaseReport::default();
         for node in &mut self.nodes {
             let due = now.since(node.lease.last_renewal) >= LEASE_RENEW_INTERVAL;
             let reachable = node.alive && !node.partitioned;
             if due && reachable && node.kernel.inject_fault(FaultSite::Heartbeat).is_ok() {
                 node.lease.last_renewal = now;
-                if node.condition == NodeCondition::NotReady {
-                    match node.fence() {
-                        Ok(mut fenced) => {
-                            report.fenced.append(&mut fenced);
-                            node.condition = NodeCondition::Ready;
-                            node.not_ready_since = None;
-                            report.recovered.push(node.index);
-                        }
-                        Err(_) => {
-                            // Partial fence: the un-drained names stayed
-                            // queued; stay NotReady until a later renewal
-                            // finishes the job.
-                        }
-                    }
+                // A partial fence leaves the un-drained names queued: the
+                // node stays NotReady until a later renewal finishes it.
+                if node.condition == NodeCondition::NotReady && node.fence().is_ok() {
+                    node.condition = NodeCondition::Ready;
+                    node.not_ready_since = None;
                 }
             } else if node.condition == NodeCondition::Ready
                 && now.since(node.lease.last_renewal) >= LEASE_GRACE
             {
                 node.condition = NodeCondition::NotReady;
                 node.not_ready_since = Some(now);
-                report.expired.push(node.index);
             }
         }
-        report
     }
 
     /// One kubelet supervision pass per node at the current simulated
@@ -481,19 +465,15 @@ impl Cluster {
     /// Remove one pod wherever it lives (graceful: SIGTERM → grace →
     /// SIGKILL via its node's kubelet). Idempotent like
     /// [`Kubelet::remove_pod`]: removing a pod that is already gone
-    /// everywhere is a successful no-op.
-    pub fn remove_pod(&mut self, name: &str) -> KernelResult<()> {
-        self.remove_pod_traced(name).map(|_| ())
-    }
-
-    /// [`Cluster::remove_pod`], returning the termination steps recorded
-    /// ([`simkernel::Phase::Terminating`]-tagged SIGTERM/SIGKILL work).
-    pub fn remove_pod_traced(&mut self, name: &str) -> KernelResult<simkernel::StepTrace> {
+    /// everywhere is a successful no-op. Returns the termination steps
+    /// recorded ([`simkernel::Phase::Terminating`]-tagged SIGTERM/SIGKILL
+    /// work).
+    pub fn remove_pod(&mut self, name: &str) -> KernelResult<simkernel::StepTrace> {
         let Some(idx) = self.host_of(name) else {
             return Ok(simkernel::StepTrace::new());
         };
         let node = &mut self.nodes[idx];
-        node.kubelet.remove_pod_traced(&mut node.containerd, name)
+        node.kubelet.remove_pod(&mut node.containerd, name)
     }
 
     /// Tear down every supervised pod on every node (the counterpart of a
@@ -593,12 +573,6 @@ impl Cluster {
     pub fn cordon(&mut self, node: usize) -> KernelResult<()> {
         self.check_node(node)?;
         self.nodes[node].schedulable = false;
-        Ok(())
-    }
-
-    pub fn uncordon(&mut self, node: usize) -> KernelResult<()> {
-        self.check_node(node)?;
-        self.nodes[node].schedulable = true;
         Ok(())
     }
 
@@ -765,7 +739,7 @@ impl Cluster {
     /// The controller round loop: `pass`, [`Cluster::step`], `pass`, … until
     /// a pass returns `true` (no step follows it; `Some(steps taken)`) or
     /// `max_rounds` rounds have run (`None`). Every wait for a controller
-    /// to converge is this loop. A pass that reconciles and then judges
+    /// or a kubelet to converge is this loop. A pass that reconciles and then judges
     /// leaves the clock where convergence was observed
     /// ([`Cluster::settle_controller`]); one that judges what the last step
     /// brought and then reconciles records times that include that step
@@ -883,20 +857,12 @@ impl Cluster {
     /// (`ceil(total_ws / target)`, plus one while throttle rates exceed
     /// their target), clamp to `[min, max]`, and converge — scale-ups go
     /// through the scheduler, scale-downs retire the newest replicas.
+    /// With a request-path [`ServiceSignal`] supplied, the HPA also scales
+    /// up while the service's mean endpoint queue depth or observed p99
+    /// latency exceed their targets — so saturation the working-set signal
+    /// can't see (requests queueing, not memory growing) still adds
+    /// replicas.
     pub fn autoscale(
-        &mut self,
-        ctrl: &mut DeploymentController,
-        hpa: &HpaSpec,
-    ) -> KernelResult<HpaDecision> {
-        self.autoscale_observed(ctrl, hpa, None)
-    }
-
-    /// [`Cluster::autoscale`] with the request-path signal attached: when a
-    /// [`ServiceSignal`] is supplied, the HPA also scales up while the
-    /// service's mean endpoint queue depth or observed p99 latency exceed
-    /// their targets — so saturation the working-set signal can't see
-    /// (requests queueing, not memory growing) still adds replicas.
-    pub fn autoscale_observed(
         &mut self,
         ctrl: &mut DeploymentController,
         hpa: &HpaSpec,
@@ -1220,9 +1186,7 @@ mod tests {
         // Heal: the first successful renewal fences the stale replicas
         // *before* the node turns Ready, so counts reconverge.
         cluster.heal_node(2).unwrap();
-        let report = cluster.tick_leases();
-        assert_eq!(report.recovered, vec![2]);
-        assert_eq!(report.fenced.len(), stale);
+        cluster.tick_leases();
         assert!(cluster.node(2).ready());
         assert_eq!(cluster.node(2).kubelet.pod_count(), 0);
         assert_eq!(cluster.ready_replicas(&ctrl), 6);
@@ -1248,7 +1212,6 @@ mod tests {
     fn node_ops_reject_bad_indices_and_invalid_states() {
         let mut cluster = cluster_with_wamr();
         assert!(matches!(cluster.cordon(7), Err(KernelError::NoSuchNode(7))));
-        assert!(matches!(cluster.uncordon(7), Err(KernelError::NoSuchNode(7))));
         assert!(matches!(cluster.drain_node(7), Err(KernelError::NoSuchNode(7))));
         assert!(matches!(cluster.crash_node(7), Err(KernelError::NoSuchNode(7))));
         assert!(matches!(cluster.restart_node(7), Err(KernelError::NoSuchNode(7))));
@@ -1279,7 +1242,7 @@ mod tests {
             target_queue_depth_x1000: None,
             target_p99_ns: None,
         };
-        let up = cluster.autoscale(&mut ctrl, &hpa).unwrap();
+        let up = cluster.autoscale(&mut ctrl, &hpa, None).unwrap();
         assert!(up.observed_working_set > 1 << 20, "{up:?}");
         assert_eq!(up.to, 5, "{up:?}");
         assert_eq!(ctrl.replicas.len(), 5);
@@ -1293,7 +1256,7 @@ mod tests {
             target_queue_depth_x1000: None,
             target_p99_ns: None,
         };
-        let down = cluster.autoscale(&mut ctrl, &hpa).unwrap();
+        let down = cluster.autoscale(&mut ctrl, &hpa, None).unwrap();
         assert_eq!(down.to, 2, "{down:?}");
         assert_eq!(ctrl.replicas.len(), 2);
         assert!(cluster.settle_controller(&mut ctrl, 50).unwrap());

@@ -164,6 +164,40 @@ pub struct PodEntry {
     readiness: Option<ProbeState>,
 }
 
+impl PodEntry {
+    /// Enter a failure phase — the only place one is written.
+    /// `OomKilled` and `CrashLoopBackOff` schedule the next restart on the
+    /// backoff schedule; `Evicted` and `Failed` are terminal. Both gates
+    /// drop: nothing reads them outside `Running`, and the next start
+    /// re-arms them.
+    fn fail(&mut self, phase: PodPhase, now: SimTime) {
+        self.phase = phase;
+        self.ready = false;
+        self.wedged = false;
+        self.next_restart_at = match phase {
+            PodPhase::OomKilled | PodPhase::CrashLoopBackOff => {
+                let at = now + Kubelet::backoff_delay(self.failures);
+                self.failures += 1;
+                Some(at)
+            }
+            _ => None,
+        };
+    }
+}
+
+/// Why [`Kubelet::reconcile`] takes a Running pod down.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fault {
+    /// A backing process was OOM-killed.
+    OomKilled,
+    /// The liveness probe crossed its failure threshold.
+    ProbeKilled,
+    /// Node memory pressure.
+    Evicted,
+    /// Sustained cpu/io throttle pressure.
+    PressureEvicted,
+}
+
 /// What one [`Kubelet::reconcile`] pass did.
 #[derive(Debug, Default)]
 pub struct ReconcileReport {
@@ -483,13 +517,12 @@ impl Kubelet {
     /// sync is absorbed into a CrashLoopBackOff entry (retried by
     /// [`Kubelet::reconcile`] on the backoff schedule) instead of failing
     /// the deploy; a non-retryable error parks the pod as `Failed`.
-    /// Returns the pod's resulting phase.
     pub(crate) fn manage_pod(
         &mut self,
         containerd: &mut Containerd,
         spec: PodSpec,
         dispatched_at: SimTime,
-    ) -> PodPhase {
+    ) {
         let seq = self.next_seq;
         self.next_seq += 1;
         let name = spec.name.clone();
@@ -509,35 +542,71 @@ impl Kubelet {
             liveness: None,
             readiness: None,
         };
-        match self.sync_pod(containerd, spec, dispatched_at) {
-            Ok(record) => {
-                entry.phase = PodPhase::Running;
-                entry.stdout = record.stdout;
-                entry.trace = record.trace;
-                entry.dispatched_at = record.dispatched_at;
-                entry.wedged = containerd.pod_wedged(&name);
-                Self::arm_probes(&mut entry, self.kernel.now());
-            }
-            Err(ref e) if Self::retryable(e) => {
-                entry.phase = PodPhase::CrashLoopBackOff;
-                entry.next_restart_at = Some(self.kernel.now() + Self::backoff_delay(0));
-                entry.failures = 1;
-            }
-            Err(_) => entry.phase = PodPhase::Failed,
-        }
-        let phase = entry.phase;
+        let synced = self.sync_pod(containerd, spec, dispatched_at);
+        Self::record_sync(&mut entry, synced, containerd, self.kernel.now());
         if !self.pods.contains_key(&name) && !self.infra_procs.contains_key(&name) {
             self.torn_down += 1;
         }
         self.pods.insert(name, entry);
-        phase
     }
 
-    /// Arm a freshly Running pod's probe machinery at time `now`.
-    fn arm_probes(e: &mut PodEntry, now: SimTime) {
-        e.ready = e.spec.readiness_probe.is_none();
-        e.liveness = e.spec.liveness_probe.as_ref().map(|p| ProbeState::arm(p, now));
-        e.readiness = e.spec.readiness_probe.as_ref().map(|p| ProbeState::arm(p, now));
+    /// Record a sync attempt on its supervision entry at time `now`: Running
+    /// with the start's output and freshly armed probes, or the failure
+    /// phase the error implies — CrashLoopBackOff when a retry can help,
+    /// Failed when it cannot.
+    fn record_sync(
+        e: &mut PodEntry,
+        synced: KernelResult<PodRecord>,
+        containerd: &Containerd,
+        now: SimTime,
+    ) {
+        match synced {
+            Ok(record) => {
+                e.phase = PodPhase::Running;
+                e.failures = 0;
+                e.next_restart_at = None;
+                e.stdout = record.stdout;
+                e.trace = record.trace;
+                e.dispatched_at = record.dispatched_at;
+                e.wedged = containerd.pod_wedged(&e.spec.name);
+                e.ready = e.spec.readiness_probe.is_none();
+                e.liveness = e.spec.liveness_probe.as_ref().map(|p| ProbeState::arm(p, now));
+                e.readiness = e.spec.readiness_probe.as_ref().map(|p| ProbeState::arm(p, now));
+            }
+            Err(ref err) if Self::retryable(err) => e.fail(PodPhase::CrashLoopBackOff, now),
+            Err(_) => e.fail(PodPhase::Failed, now),
+        }
+    }
+
+    /// The one failure transition of a Running pod: stop its guest first
+    /// when liveness killed it, release its node resources, record the
+    /// recovery step, and move its entry into the failure phase `fault`
+    /// implies. The entry stays, so a restart re-syncs from its spec.
+    fn fail_pod(
+        &mut self,
+        containerd: &mut Containerd,
+        name: String,
+        fault: Fault,
+        now: SimTime,
+        report: &mut ReconcileReport,
+    ) {
+        if fault == Fault::ProbeKilled {
+            // Detect → interrupt → restart: the wedged (or unhealthy) guest
+            // is stopped through its epoch clock before the teardown.
+            let _ = containerd.interrupt_pod(&name, Phase::TeardownAfterFault, &mut report.trace);
+        }
+        let _ = self.teardown_pod_resources(containerd, &name);
+        report.trace.push(Phase::TeardownAfterFault, Step::Cpu(cost::SYNC_CPU));
+        let (phase, reported) = match fault {
+            Fault::OomKilled => (PodPhase::OomKilled, &mut report.oom_killed),
+            Fault::ProbeKilled => (PodPhase::CrashLoopBackOff, &mut report.probe_killed),
+            Fault::Evicted => (PodPhase::Evicted, &mut report.evicted),
+            Fault::PressureEvicted => (PodPhase::Evicted, &mut report.pressure_evicted),
+        };
+        let e = self.pods.get_mut(&name).expect("a supervised pod");
+        e.fail(phase, now);
+        e.pressure_evicted = fault == Fault::PressureEvicted;
+        reported.push(name);
     }
 
     /// Fire every `spec` probe due by `now` against `pod`, advancing
@@ -607,13 +676,7 @@ impl Kubelet {
                 matches!(self.kernel.proc_state(pid), Ok(ProcState::OomKilled))
             });
             if infra_oomed || containerd.pod_oom_killed(&name) {
-                let _ = self.teardown_pod_resources(containerd, &name);
-                report.trace.push(Phase::TeardownAfterFault, Step::Cpu(cost::SYNC_CPU));
-                let e = self.pods.get_mut(&name).expect("selected from table");
-                e.phase = PodPhase::OomKilled;
-                e.next_restart_at = Some(now + Self::backoff_delay(e.failures));
-                e.failures += 1;
-                report.oom_killed.push(name);
+                self.fail_pod(containerd, name, Fault::OomKilled, now, &mut report);
             }
         }
 
@@ -628,50 +691,25 @@ impl Kubelet {
             .map(|(n, _)| n.clone())
             .collect();
         for name in probed {
+            let e = self.pods.get_mut(&name).expect("selected from table");
             let mut kill = false;
-            {
-                let e = self.pods.get_mut(&name).expect("selected from table");
-                if let (Some(p), Some(mut st)) = (e.spec.liveness_probe, e.liveness) {
-                    let (_, killed) =
-                        Self::fire_probes(containerd, &name, &p, &mut st, now, &mut report.trace);
-                    e.liveness = Some(st);
-                    kill = killed;
-                }
-                if !kill {
-                    if let (Some(p), Some(mut st)) = (e.spec.readiness_probe, e.readiness) {
-                        let (passed, unready) = Self::fire_probes(
-                            containerd,
-                            &name,
-                            &p,
-                            &mut st,
-                            now,
-                            &mut report.trace,
-                        );
-                        if unready {
-                            st.failures = 0;
-                            e.ready = false;
-                        } else if passed {
-                            e.ready = true;
-                        }
-                        e.readiness = Some(st);
-                    }
-                }
+            if let (Some(p), Some(mut st)) = (e.spec.liveness_probe, e.liveness) {
+                (_, kill) =
+                    Self::fire_probes(containerd, &name, &p, &mut st, now, &mut report.trace);
+                e.liveness = Some(st);
             }
             if kill {
-                // Detect → interrupt → restart: the wedged (or unhealthy)
-                // guest is stopped through its epoch clock, the pod torn
-                // down, and CrashLoopBackOff supervision takes over.
-                let _ =
-                    containerd.interrupt_pod(&name, Phase::TeardownAfterFault, &mut report.trace);
-                let _ = self.teardown_pod_resources(containerd, &name);
-                report.trace.push(Phase::TeardownAfterFault, Step::Cpu(cost::SYNC_CPU));
-                let e = self.pods.get_mut(&name).expect("selected from table");
-                e.phase = PodPhase::CrashLoopBackOff;
-                e.ready = false;
-                e.wedged = false;
-                e.next_restart_at = Some(now + Self::backoff_delay(e.failures));
-                e.failures += 1;
-                report.probe_killed.push(name);
+                self.fail_pod(containerd, name, Fault::ProbeKilled, now, &mut report);
+            } else if let (Some(p), Some(mut st)) = (e.spec.readiness_probe, e.readiness) {
+                let (passed, unready) =
+                    Self::fire_probes(containerd, &name, &p, &mut st, now, &mut report.trace);
+                if unready {
+                    st.failures = 0;
+                    e.ready = false;
+                } else if passed {
+                    e.ready = true;
+                }
+                e.readiness = Some(st);
             }
         }
 
@@ -683,12 +721,7 @@ impl Kubelet {
                 .max_by_key(|(_, e)| e.seq)
                 .map(|(n, _)| n.clone());
             let Some(name) = victim else { break };
-            let _ = self.teardown_pod_resources(containerd, &name);
-            report.trace.push(Phase::TeardownAfterFault, Step::Cpu(cost::SYNC_CPU));
-            let e = self.pods.get_mut(&name).expect("selected from table");
-            e.phase = PodPhase::Evicted;
-            e.next_restart_at = None;
-            report.evicted.push(name);
+            self.fail_pod(containerd, name, Fault::Evicted, now, &mut report);
         }
 
         // Sustained-pressure eviction: a Running pod whose cgroup has
@@ -710,13 +743,7 @@ impl Kubelet {
                 .map(|(n, _)| n.clone())
                 .collect();
             for name in offenders {
-                let _ = self.teardown_pod_resources(containerd, &name);
-                report.trace.push(Phase::TeardownAfterFault, Step::Cpu(cost::SYNC_CPU));
-                let e = self.pods.get_mut(&name).expect("selected from table");
-                e.phase = PodPhase::Evicted;
-                e.pressure_evicted = true;
-                e.next_restart_at = None;
-                report.pressure_evicted.push(name);
+                self.fail_pod(containerd, name, Fault::PressureEvicted, now, &mut report);
             }
         }
 
@@ -731,33 +758,16 @@ impl Kubelet {
             .collect();
         for name in due {
             let spec = self.pods.get(&name).expect("selected from table").spec.clone();
-            match self.sync_pod(containerd, spec, now) {
-                Ok(record) => {
-                    let wedged = containerd.pod_wedged(&name);
-                    let e = self.pods.get_mut(&name).expect("selected from table");
-                    e.phase = PodPhase::Running;
+            let synced = self.sync_pod(containerd, spec, now);
+            let e = self.pods.get_mut(&name).expect("selected from table");
+            Self::record_sync(e, synced, containerd, now);
+            match e.phase {
+                PodPhase::Running => {
                     e.restarts += 1;
-                    e.failures = 0;
-                    e.next_restart_at = None;
-                    e.stdout = record.stdout;
-                    e.trace = record.trace;
-                    e.dispatched_at = record.dispatched_at;
-                    e.wedged = wedged;
-                    Self::arm_probes(e, now);
                     report.restarted.push(name);
                 }
-                Err(ref err) if Self::retryable(err) => {
-                    let e = self.pods.get_mut(&name).expect("selected from table");
-                    e.phase = PodPhase::CrashLoopBackOff;
-                    e.next_restart_at = Some(now + Self::backoff_delay(e.failures));
-                    e.failures += 1;
-                    report.backoff.push(name);
-                }
-                Err(_) => {
-                    let e = self.pods.get_mut(&name).expect("selected from table");
-                    e.phase = PodPhase::Failed;
-                    e.next_restart_at = None;
-                }
+                PodPhase::CrashLoopBackOff => report.backoff.push(name),
+                _ => {}
             }
         }
         report
@@ -776,14 +786,9 @@ impl Kubelet {
     /// Idempotent and best-effort: every sub-step is attempted even when an
     /// earlier one fails (so a mid-teardown error cannot strand the rest),
     /// the first error is reported at the end, and removing a pod that is
-    /// already gone is a successful no-op.
-    pub fn remove_pod(&mut self, containerd: &mut Containerd, pod_name: &str) -> KernelResult<()> {
-        self.remove_pod_traced(containerd, pod_name).map(|_| ())
-    }
-
-    /// [`Kubelet::remove_pod`], returning the termination steps it recorded
-    /// ([`Phase::Terminating`]-tagged SIGTERM/SIGKILL work).
-    pub fn remove_pod_traced(
+    /// already gone is a successful no-op. Returns the termination steps
+    /// it recorded ([`Phase::Terminating`]-tagged SIGTERM/SIGKILL work).
+    pub fn remove_pod(
         &mut self,
         containerd: &mut Containerd,
         pod_name: &str,

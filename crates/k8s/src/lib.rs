@@ -30,7 +30,7 @@ pub use api::{
     PodSpec, ProbeSpec, ReplicaEntry, RolloutReport, RolloutStep,
 };
 pub use cluster::{Cluster, ClusterStats, DeployOpts};
-pub use cluster::{LeaseReport, LEASE_GRACE, LEASE_RENEW_INTERVAL, POD_EVICTION_GRACE};
+pub use cluster::{LEASE_GRACE, LEASE_RENEW_INTERVAL, POD_EVICTION_GRACE};
 pub use kubelet::{
     Kubelet, NodeConfig, PodEntry, ReconcileReport, RestartPolicy, DEFAULT_TERMINATION_GRACE,
     POD_INFRA_BYTES,

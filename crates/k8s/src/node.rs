@@ -196,17 +196,14 @@ impl Node {
     /// Fence the stale replicas the controller gave up on while this node
     /// was unreachable: gracefully terminate every pod in `fence_pending`.
     /// Runs on reconnection (first successful renewal of an expired
-    /// lease); idempotent for pods already gone. Returns the fenced names.
-    /// On error the un-drained names stay queued, so a later renewal can
-    /// retry the fence.
-    pub(crate) fn fence(&mut self) -> KernelResult<Vec<String>> {
-        let mut fenced = Vec::new();
-        while let Some(name) = self.fence_pending.first().cloned() {
-            self.kubelet.remove_pod(&mut self.containerd, &name)?;
+    /// lease); idempotent for pods already gone. On error the un-drained
+    /// names stay queued, so a later renewal can retry the fence.
+    pub(crate) fn fence(&mut self) -> KernelResult<()> {
+        while let Some(name) = self.fence_pending.first() {
+            self.kubelet.remove_pod(&mut self.containerd, name)?;
             self.fence_pending.remove(0);
-            fenced.push(name);
         }
-        Ok(fenced)
+        Ok(())
     }
 
     /// Supervised pods currently managed by this node's kubelet.

@@ -116,7 +116,15 @@ echo "== smoke: examples/multi_tenant (a memory limit through config.json to an 
 cargo run --release --offline --example multi_tenant >/dev/null
 
 echo "== smoke: chaos sweep + hung-guest watchdog scenario (--smoke plan) =="
-cargo run --release --offline -p harness --bin chaos -- --smoke >/dev/null
+# The sweep's runs fan out over the harness's grid runner: run it on one
+# worker and on two, and the stdout and the CSV must not differ.
+for n in 1 2; do
+  HARNESS_THREADS=$n cargo run --release --offline -p harness --bin chaos -- \
+    --smoke >"target/chaos-smoke.t$n"
+  cp target/experiments/chaos.csv "target/chaos-smoke.t$n.csv"
+done
+cmp target/chaos-smoke.t1 target/chaos-smoke.t2
+cmp target/chaos-smoke.t1.csv target/chaos-smoke.t2.csv
 
 echo "== smoke: multi-node drain (3 nodes, drain one, controller reconverges) =="
 # A spread deployment over 3 nodes, one node drained: every victim must be
@@ -165,7 +173,7 @@ echo "== paper claims (figures claims: all 15, at the paper's densities) =="
 # executes each distinct guest once per process. Exit 1 is a failed claim.
 cargo run --release --offline -p harness --bin figures -- claims >/dev/null
 
-echo "== size: non-blank lines (ROADMAP item 7 reads each PR's delta off this, split test / non-test) and host bytes per pod =="
+echo "== size: non-blank lines (ROADMAP item 9 reads each PR's delta off this, split test / non-test) and host bytes per pod =="
 count() { find "$@" -not -path '*/target/*' -not -path './.git/*' -print0 | xargs -0 cat | grep -c '[^[:space:]]'; }
 # Non-test Rust is what precedes a file's first '#[cfg(test)]' (the repo's
 # tests-at-end convention) under crates/*/src, src/ and examples/; the

@@ -10,7 +10,7 @@
 use std::sync::Mutex;
 
 use memwasm::harness::chaos::{
-    check_hung_outcome, check_outcome, hung_liveness_probe, run_config, run_hung_guest, ChaosPlan,
+    check_hung_outcome, check_outcome, hung_liveness_probe, run_config, ChaosPlan, Scenario,
     HUNG_IMAGE_REF,
 };
 use memwasm::harness::isolation::{
@@ -175,6 +175,34 @@ fn oom_killed_pod_is_detected_and_restarted() {
 }
 
 #[test]
+fn cluster_stats_count_failed_pods_and_restarts() {
+    let w = Workload::light();
+    let mut cluster = wamr_cluster(&w);
+    let always = DeployOpts { restart: RestartPolicy::Always, ..Default::default() };
+    // An image nobody pulled: no restart can fix that, so the pod parks
+    // as Failed instead of crash-looping.
+    let class = Config::WamrCrun.class_name();
+    cluster.deploy_with("ghost", "registry.local/missing:v1", class, 1, always).unwrap();
+    assert_eq!(cluster.kubelet().managed_pod("ghost-0").unwrap().phase, PodPhase::Failed);
+    let stats = cluster.stats();
+    assert_eq!((stats.failed, stats.crash_loop, stats.restarts), (1, 0, 0));
+
+    // One injected spawn fault, then the backoff restart: the restart is
+    // counted once, on the pod that took it.
+    cluster.kernel().set_fault_plan(FaultPlan::new(3).fail_call(FaultSite::Spawn, 0));
+    cluster.deploy_with("svc", Config::WamrCrun.image_ref(), class, 1, always).unwrap();
+    assert_eq!(cluster.stats().crash_loop, 1);
+    cluster.kernel().advance(Duration::from_secs(10));
+    assert_eq!(cluster.reconcile().restarted, ["svc-0"]);
+    let stats = cluster.stats();
+    assert_eq!((stats.running, stats.failed, stats.restarts), (1, 1, 1));
+    cluster.teardown_managed().unwrap();
+    let stats = cluster.stats();
+    assert_eq!((stats.running, stats.failed, stats.restarts), (0, 0, 0), "counts live entries");
+    assert_accounting(&cluster);
+}
+
+#[test]
 fn remove_pod_is_idempotent_on_a_crashlooping_pod() {
     let w = Workload::light();
     let mut cluster = wamr_cluster(&w);
@@ -205,7 +233,7 @@ fn seeded_chaos_converges_and_leaks_nothing() {
     // fault-free teardown back to baseline.
     let w = Workload::light();
     let plan = ChaosPlan::smoke(0x5EED);
-    let outcome = run_config(Config::WamrCrun, &w, &plan).unwrap();
+    let outcome = run_config(Config::WamrCrun, &Scenario::faults(), &w, &plan).unwrap();
     assert!(outcome.injected_total() > 0);
     check_outcome(&outcome, &plan).unwrap();
 }
@@ -219,7 +247,7 @@ fn hung_guest_is_detected_interrupted_restarted_and_converges() {
     // Running and ready — with flaky probe RPCs injected on top.
     let w = Workload::light();
     let plan = ChaosPlan::smoke(0xD06);
-    let outcome = run_hung_guest(Config::WamrCrun, &w, &plan).unwrap();
+    let outcome = run_config(Config::WamrCrun, &Scenario::hung_guest(), &w, &plan).unwrap();
     assert_eq!(outcome.wedged, plan.pods, "every first start must wedge");
     assert!(outcome.probe_kills as usize >= plan.pods);
     check_hung_outcome(&outcome, &plan).unwrap();
@@ -279,7 +307,7 @@ fn clean_pod_termination_advances_no_simulated_time() {
         )
         .unwrap();
     let before = cluster.kernel().now();
-    let trace = cluster.remove_pod_traced("svc-0").unwrap();
+    let trace = cluster.remove_pod("svc-0").unwrap();
     assert_eq!(cluster.kernel().now(), before, "no grace period for a clean pod");
     assert!(
         trace.entries().any(|(p, _)| p == Phase::Terminating),
@@ -316,7 +344,7 @@ fn wedged_pod_termination_rides_out_the_grace_period_then_sigkills() {
     assert!(cluster.containerd().pod_wedged("hung-0"), "the guest must wedge at deploy");
 
     let before = cluster.kernel().now();
-    let trace = cluster.remove_pod_traced("hung-0").unwrap();
+    let trace = cluster.remove_pod("hung-0").unwrap();
     assert_eq!(
         cluster.kernel().now().since(before),
         grace,

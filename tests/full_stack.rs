@@ -5,7 +5,7 @@ use memwasm::container_runtimes::profile::CRUN;
 use memwasm::container_runtimes::LowLevelRuntime;
 use memwasm::containerd_sim::{RuntimeClass, WasmSandboxer};
 use memwasm::engines::EngineKind;
-use memwasm::harness::chaos::{run_config, run_hung_guest, ChaosPlan};
+use memwasm::harness::chaos::{run_config, ChaosPlan, Scenario};
 use memwasm::harness::isolation::{
     run_tenants, Attacker, AttackerFate, IsolationPlan, VictimObservation,
 };
@@ -308,7 +308,8 @@ fn golden_chaos_smoke_outcomes() {
         (Config::ShimWasmtime, [3, 0, 6, 0, 0, 0], 4, 3, 3108864),
     ];
     for (config, injected, restarts, rounds, leaked_bytes) in GOLDEN {
-        let o = run_config(config, &Workload::light(), &ChaosPlan::smoke(7)).unwrap();
+        let o = run_config(config, &Scenario::faults(), &Workload::light(), &ChaosPlan::smoke(7))
+            .unwrap();
         assert_eq!(
             (o.injected, o.restarts, o.rounds, o.leaked_bytes),
             (injected, restarts, rounds, leaked_bytes),
@@ -323,17 +324,10 @@ fn golden_hung_guest_smoke_outcome() {
     // The watchdog path end to end: per-site injections (only the probe
     // site is armed), restarts, reconcile rounds, pods wedged at deploy,
     // liveness kills, pods ready at the end and bytes left after teardown.
-    let o = run_hung_guest(Config::WamrCrun, &Workload::light(), &ChaosPlan::smoke(13)).unwrap();
+    let (w, plan) = (Workload::light(), ChaosPlan::smoke(13));
+    let o = run_config(Config::WamrCrun, &Scenario::hung_guest(), &w, &plan).unwrap();
     assert_eq!(
-        (
-            o.chaos.injected,
-            o.chaos.restarts,
-            o.chaos.rounds,
-            o.wedged,
-            o.probe_kills,
-            o.ready,
-            o.chaos.leaked_bytes
-        ),
+        (o.injected, o.restarts, o.rounds, o.wedged, o.probe_kills, o.ready, o.leaked_bytes),
         ([0, 0, 0, 0, 5, 0], 4, 4, 4, 4, 4, 3444736)
     );
 }
