@@ -19,7 +19,7 @@ pub struct Bytes {
 
 impl Bytes {
     /// The empty buffer.
-    pub fn new() -> Bytes {
+    pub(crate) fn new() -> Bytes {
         Bytes::from(Vec::new())
     }
 
@@ -34,12 +34,8 @@ impl Bytes {
         Bytes::from(data)
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.end - self.start
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
     }
 
     /// Zero-copy sub-buffer over `range` (indices relative to `self`).
@@ -60,11 +56,6 @@ impl Bytes {
         assert!(begin <= end, "slice index starts at {begin} but ends at {end}");
         assert!(end <= self.len(), "range end {end} out of bounds (len {})", self.len());
         Bytes { data: Arc::clone(&self.data), start: self.start + begin, end: self.start + end }
-    }
-
-    /// Copy out as an owned vector.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.as_ref().to_vec()
     }
 }
 
@@ -216,7 +207,7 @@ mod tests {
         assert_eq!(Bytes::from_static(b"x"), Bytes::from(vec![b'x']));
         assert_eq!(Bytes::copy_from_slice(b"yz").len(), 2);
         assert_eq!(Bytes::from(String::from("s")), Bytes::from("s"));
-        assert!(Bytes::new().is_empty());
+        assert_eq!(Bytes::new().len(), 0);
         assert_eq!(format!("{:?}", Bytes::from(&b"a\n"[..])), "b\"a\\n\"");
     }
 }

@@ -26,7 +26,7 @@ use simkernel::{
 };
 use wasm_core::EpochClock;
 
-use crate::shim::{install_shims, runwasi_shim, spawn_shim, Shim, SHIM_RUNC_V2};
+use crate::shim::{install_shims, runwasi_shim, spawn_shim, SHIM_RUNC_V2};
 
 /// The containerd task-service lock: shim spawns serialize on it.
 pub const TASK_SERVICE_LOCK: LockId = LockId(100);
@@ -62,17 +62,17 @@ impl RuntimeClass {
 /// A CRI container record.
 #[derive(Debug)]
 pub struct CriContainer {
-    pub id: String,
+    pub(crate) id: String,
     /// The image's own reference, shared.
-    pub image: Arc<str>,
+    pub(crate) image: Arc<str>,
     /// Position in the shared OCI lifecycle state machine — the same
     /// machine `LowLevelRuntime` containers use.
-    pub state: Lifecycle,
-    pub stdout: Vec<u8>,
+    pub(crate) state: Lifecycle,
+    pub(crate) stdout: Vec<u8>,
     /// The workload overstayed its watchdog epoch budget during start: the
     /// container is up but wedged (never reached ready). Liveness probes
     /// report it unhealthy.
-    pub wedged: bool,
+    pub(crate) wedged: bool,
     /// Watchdog clock retained from the engine run (present when the
     /// container started with an epoch budget). [`Containerd::interrupt_pod`]
     /// bumps it so the guest observes the kill at its next epoch safepoint.
@@ -112,8 +112,9 @@ impl CriContainer {
 pub struct Sandbox {
     pub pod_cgroup: CgroupId,
     /// The runtime class's registered name, shared.
-    pub class: Arc<str>,
-    pub shim: Shim,
+    pub(crate) class: Arc<str>,
+    /// The shim process; the sandbox tears it down.
+    pub(crate) shim_pid: Pid,
     pause: Option<Container>,
     pause_bundle: Option<Bundle>,
     /// Sorted by id — a pod holds one container, a few at most — and grown
@@ -126,7 +127,7 @@ impl Sandbox {
         Sandbox {
             pod_cgroup: self.pod_cgroup,
             class: self.class.clone(),
-            shim: self.shim.clone(),
+            shim_pid: self.shim_pid,
             pause: self.pause.as_ref().map(Container::fork),
             pause_bundle: self.pause_bundle.clone(),
             containers: self.containers.iter().map(CriContainer::fork).collect(),
@@ -135,11 +136,6 @@ impl Sandbox {
 
     pub fn container(&self, id: &str) -> Option<&CriContainer> {
         self.position(id).ok().map(|i| &self.containers[i])
-    }
-
-    /// In id order.
-    pub fn container_ids(&self) -> Vec<String> {
-        self.containers.iter().map(|c| c.id.clone()).collect()
     }
 
     /// Where `id` is (`Ok`) or would be inserted (`Err`).
@@ -151,7 +147,7 @@ impl Sandbox {
 /// The containerd daemon.
 pub struct Containerd {
     kernel: Kernel,
-    pub daemon_pid: Pid,
+    pub(crate) daemon_pid: Pid,
     system_cgroup: CgroupId,
     kubepods: CgroupId,
     images: ImageStore,
@@ -269,7 +265,7 @@ impl Containerd {
         self.grow_daemon(DAEMON_GROWTH_PER_POD)?;
         let pod_cgroup = self.kernel.cgroup_create(self.kubepods, pod_id)?;
 
-        let (shim, pause, pause_bundle) = match class {
+        let (shim_pid, pause, pause_bundle) = match class {
             RuntimeClass::Oci { runtime } => {
                 // Shim in the system cgroup: invisible to pod metrics. Its
                 // guard owns the process until the sandbox is committed, so
@@ -325,7 +321,7 @@ impl Containerd {
                 // The pause container's runtime steps are sandbox assembly
                 // from the pod's point of view: retag them wholesale.
                 trace.extend(Phase::Sandbox, std::mem::take(&mut pause.trace).into_steps());
-                (Shim { pid: shim.detach(), profile: &SHIM_RUNC_V2 }, Some(pause), Some(bundle))
+                (shim.detach(), Some(pause), Some(bundle))
             }
             RuntimeClass::Runwasi { engine, .. } => {
                 // Shim in the pod cgroup: it will host the Wasm instance.
@@ -355,14 +351,14 @@ impl Containerd {
                     return Err(e);
                 }
                 trace.push(Phase::Sandbox, Step::Cpu(Duration::from_micros(400)));
-                (Shim { pid: shim.detach(), profile }, None, None)
+                (shim.detach(), None, None)
             }
         };
 
         let sandbox = Sandbox {
             pod_cgroup,
             class: Arc::clone(class_name),
-            shim,
+            shim_pid,
             pause,
             pause_bundle,
             containers: Vec::new(),
@@ -474,7 +470,7 @@ impl Containerd {
             .sandboxes
             .get_mut(pod_id)
             .ok_or_else(|| KernelError::InvalidState(format!("no sandbox {pod_id}")))?;
-        let shim_pid = sandbox.shim.pid;
+        let shim_pid = sandbox.shim_pid;
         let slot = sandbox
             .position(container_id)
             .map_err(|_| KernelError::InvalidState(format!("no container {container_id}")))?;
@@ -567,8 +563,8 @@ impl Containerd {
         if let Some(b) = sandbox.pause_bundle.take() {
             note(b.destroy(&self.kernel));
         }
-        note(self.kernel.exit(sandbox.shim.pid, 0));
-        note(self.kernel.reap(sandbox.shim.pid));
+        note(self.kernel.exit(sandbox.shim_pid, 0));
+        note(self.kernel.reap(sandbox.shim_pid));
         note(self.kernel.cgroup_remove(sandbox.pod_cgroup));
         match first_err {
             None => Ok(()),
@@ -687,18 +683,9 @@ impl Containerd {
         };
         let oomed =
             |pid: Pid| matches!(self.kernel.proc_state(pid), Ok(simkernel::ProcState::OomKilled));
-        oomed(s.shim.pid)
+        oomed(s.shim_pid)
             || s.pause.as_ref().map_or(false, |p| oomed(p.pid))
             || s.containers.iter().any(|c| c.oci.as_ref().map_or(false, |o| oomed(o.pid)))
-    }
-
-    /// Pod working set as the metrics-server reads it.
-    pub fn pod_working_set(&self, pod_id: &str) -> KernelResult<u64> {
-        let s = self
-            .sandboxes
-            .get(pod_id)
-            .ok_or_else(|| KernelError::InvalidState(format!("no sandbox {pod_id}")))?;
-        self.kernel.cgroup_working_set(s.pod_cgroup)
     }
 }
 
@@ -708,6 +695,24 @@ mod tests {
     use container_runtimes::handler::{PauseHandler, WasmEngineHandler};
     use container_runtimes::profile::{install_runtimes, CRUN};
     use simkernel::{Kernel, KernelConfig};
+
+    impl Sandbox {
+        /// In id order.
+        fn container_ids(&self) -> Vec<String> {
+            self.containers.iter().map(|c| c.id.clone()).collect()
+        }
+    }
+
+    impl Containerd {
+        /// Pod working set as the metrics-server reads it.
+        fn pod_working_set(&self, pod_id: &str) -> KernelResult<u64> {
+            let s = self
+                .sandboxes
+                .get(pod_id)
+                .ok_or_else(|| KernelError::InvalidState(format!("no sandbox {pod_id}")))?;
+            self.kernel.cgroup_working_set(s.pod_cgroup)
+        }
+    }
 
     fn microservice() -> Vec<u8> {
         wasm_core::builder::demo_wasi_module("on\n")

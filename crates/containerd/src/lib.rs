@@ -7,13 +7,9 @@
 //! runtime (crun / runC — including the paper's WAMR-crun) or directly to a
 //! runwasi shim embedding a Wasm engine.
 
-pub mod cri;
-pub mod sandbox_api;
-pub mod shim;
+pub(crate) mod cri;
+pub(crate) mod sandbox_api;
+pub(crate) mod shim;
 
 pub use cri::{Containerd, CriContainer, RuntimeClass, Sandbox, TASK_SERVICE_LOCK};
 pub use sandbox_api::{SandboxContainer, WasmSandbox, WasmSandboxer};
-pub use shim::{
-    all_shims, install_shims, runwasi_shim, Shim, ShimProfile, SHIM_RUNC_V2, SHIM_WASMEDGE,
-    SHIM_WASMER, SHIM_WASMTIME,
-};

@@ -28,8 +28,7 @@ use simkernel::{
 
 /// A sandbox hosting multiple Wasm containers in one process.
 pub struct WasmSandbox {
-    pub pod_id: String,
-    pub pod_cgroup: CgroupId,
+    pub(crate) pod_id: String,
     /// The single sandbox process hosting every instance.
     pub pid: Pid,
     fuel: u64,
@@ -40,13 +39,12 @@ pub struct WasmSandbox {
     bundles: Vec<Bundle>,
     /// Steps accumulated across sandbox + container startups, tagged with
     /// the lifecycle phase each belongs to.
-    pub trace: StepTrace,
+    pub(crate) trace: StepTrace,
 }
 
 /// One container (module instance) inside a sandbox.
 #[derive(Debug)]
 pub struct SandboxContainer {
-    pub id: String,
     pub stdout: Vec<u8>,
     pub exit_code: i32,
     /// The guest overstayed its watchdog epoch budget during start: the
@@ -57,8 +55,8 @@ pub struct SandboxContainer {
 /// The Kuasar-style Wasm sandboxer.
 pub struct WasmSandboxer {
     kernel: Kernel,
-    pub engine: EngineKind,
-    pub fuel: u64,
+    pub(crate) engine: EngineKind,
+    pub(crate) fuel: u64,
 }
 
 /// Sandboxer process overhead (the kuasar-wasm-sandboxer daemon share).
@@ -81,7 +79,6 @@ impl WasmSandboxer {
         trace.push(Phase::Sandbox, Step::Cpu(SANDBOX_CREATE));
         Ok(WasmSandbox {
             pod_id: pod_id.to_string(),
-            pod_cgroup,
             pid,
             fuel: self.fuel,
             containers: Vec::new(),
@@ -144,22 +141,10 @@ impl WasmSandboxer {
         sandbox.bundles.push(bundle);
         sandbox.trace.append(&mut run.trace);
         sandbox.containers.push(SandboxContainer {
-            id: id.to_string(),
             stdout: run.stdout,
             exit_code: run.exit_code,
             wedged: run.interrupted,
         });
-        Ok(())
-    }
-
-    /// Tear the sandbox (and every hosted container, and their bundles)
-    /// down.
-    pub fn remove_sandbox(&self, sandbox: WasmSandbox) -> KernelResult<()> {
-        for b in &sandbox.bundles {
-            b.destroy(&self.kernel)?;
-        }
-        self.kernel.exit(sandbox.pid, 0)?;
-        self.kernel.reap(sandbox.pid)?;
         Ok(())
     }
 }
@@ -175,6 +160,19 @@ mod tests {
     use super::*;
     use oci_spec_lite::{ImageBuilder, ImageStore};
     use simkernel::{Kernel, KernelConfig};
+
+    impl WasmSandboxer {
+        /// Tear the sandbox (and every hosted container, and their bundles)
+        /// down.
+        fn remove_sandbox(&self, sandbox: WasmSandbox) -> KernelResult<()> {
+            for b in &sandbox.bundles {
+                b.destroy(&self.kernel)?;
+            }
+            self.kernel.exit(sandbox.pid, 0)?;
+            self.kernel.reap(sandbox.pid)?;
+            Ok(())
+        }
+    }
 
     fn microservice() -> Vec<u8> {
         wasm_core::builder::demo_wasi_module("in sandbox\n")
@@ -299,7 +297,7 @@ mod tests {
         }
         let state = |sandbox: &WasmSandbox| {
             (
-                kernel.cgroup_working_set(sandbox.pod_cgroup).unwrap(),
+                kernel.cgroup_working_set(pod).unwrap(),
                 kernel.proc_rss(sandbox.pid).unwrap(),
                 kernel.live_procs(),
                 sandbox.containers().len(),

@@ -17,27 +17,27 @@
 
 use engines::EngineKind;
 use simkernel::{
-    CgroupId, Duration, Kernel, KernelResult, Phase, Pid, ProcGuard, ProcessImage, Step, StepTrace,
+    CgroupId, Duration, Kernel, KernelResult, Phase, ProcGuard, ProcessImage, Step, StepTrace,
 };
 
 /// Characteristics of a shim binary.
 #[derive(Debug, Clone)]
-pub struct ShimProfile {
-    pub name: &'static str,
-    pub binary_path: &'static str,
-    pub binary_size: u64,
-    pub binary_resident_fraction: f64,
+pub(crate) struct ShimProfile {
+    pub(crate) name: &'static str,
+    pub(crate) binary_path: &'static str,
+    pub(crate) binary_size: u64,
+    pub(crate) binary_resident_fraction: f64,
     /// Private heap of the resident shim process (Go/Rust runtime, ttrpc).
-    pub private_base: u64,
+    pub(crate) private_base: u64,
     /// CPU inside the daemon's task-service critical section: fork/exec of
     /// the shim plus the ttrpc handshake. Scales with binary size.
-    pub spawn_serialized: Duration,
+    pub(crate) spawn_serialized: Duration,
     /// CPU outside the lock (shim's own init).
-    pub init: Duration,
+    pub(crate) init: Duration,
 }
 
 /// containerd-shim-runc-v2 (drives crun/runC/youki).
-pub static SHIM_RUNC_V2: ShimProfile = ShimProfile {
+pub(crate) static SHIM_RUNC_V2: ShimProfile = ShimProfile {
     name: "containerd-shim-runc-v2",
     binary_path: "/usr/bin/containerd-shim-runc-v2",
     binary_size: 8 << 20,
@@ -50,7 +50,7 @@ pub static SHIM_RUNC_V2: ShimProfile = ShimProfile {
 };
 
 /// runwasi: containerd-shim-wasmtime-v1.
-pub static SHIM_WASMTIME: ShimProfile = ShimProfile {
+pub(crate) static SHIM_WASMTIME: ShimProfile = ShimProfile {
     name: "containerd-shim-wasmtime",
     binary_path: "/usr/bin/containerd-shim-wasmtime-v1",
     binary_size: 34 << 20,
@@ -61,7 +61,7 @@ pub static SHIM_WASMTIME: ShimProfile = ShimProfile {
 };
 
 /// runwasi: containerd-shim-wasmer-v1.
-pub static SHIM_WASMER: ShimProfile = ShimProfile {
+pub(crate) static SHIM_WASMER: ShimProfile = ShimProfile {
     name: "containerd-shim-wasmer",
     binary_path: "/usr/bin/containerd-shim-wasmer-v1",
     binary_size: 52 << 20,
@@ -72,7 +72,7 @@ pub static SHIM_WASMER: ShimProfile = ShimProfile {
 };
 
 /// runwasi: containerd-shim-wasmedge-v1.
-pub static SHIM_WASMEDGE: ShimProfile = ShimProfile {
+pub(crate) static SHIM_WASMEDGE: ShimProfile = ShimProfile {
     name: "containerd-shim-wasmedge",
     binary_path: "/usr/bin/containerd-shim-wasmedge-v1",
     binary_size: 26 << 20,
@@ -85,7 +85,7 @@ pub static SHIM_WASMEDGE: ShimProfile = ShimProfile {
 /// The shim profile for a runwasi engine. `None` for WAMR: no upstream
 /// runwasi WAMR shim exists — the paper's point is precisely that WAMR goes
 /// into crun instead.
-pub fn runwasi_shim(engine: EngineKind) -> Option<&'static ShimProfile> {
+pub(crate) fn runwasi_shim(engine: EngineKind) -> Option<&'static ShimProfile> {
     match engine {
         EngineKind::Wasmtime => Some(&SHIM_WASMTIME),
         EngineKind::Wasmer => Some(&SHIM_WASMER),
@@ -95,12 +95,12 @@ pub fn runwasi_shim(engine: EngineKind) -> Option<&'static ShimProfile> {
 }
 
 /// All shim profiles (for installation).
-pub fn all_shims() -> [&'static ShimProfile; 4] {
+pub(crate) fn all_shims() -> [&'static ShimProfile; 4] {
     [&SHIM_RUNC_V2, &SHIM_WASMTIME, &SHIM_WASMER, &SHIM_WASMEDGE]
 }
 
 /// Install the shim binaries into the VFS. Idempotent.
-pub fn install_shims(kernel: &Kernel) -> KernelResult<()> {
+pub(crate) fn install_shims(kernel: &Kernel) -> KernelResult<()> {
     for shim in all_shims() {
         kernel.ensure_file(
             shim.binary_path,
@@ -110,23 +110,16 @@ pub fn install_shims(kernel: &Kernel) -> KernelResult<()> {
     Ok(())
 }
 
-/// A live shim process, registered in a sandbox that tears it down.
-#[derive(Debug, Clone)]
-pub struct Shim {
-    pub pid: Pid,
-    pub profile: &'static ShimProfile,
-}
-
 /// Spawn a shim process into `cgroup`, charging its binary (shared) and
 /// private base, and recording its spawn steps under [`Phase::Sandbox`].
 /// `task_lock` is the daemon's task-service lock; the serialized section
 /// runs inside it.
 ///
 /// Returns the owning [`ProcGuard`]: until the caller commits the sandbox
-/// (detaching the guard into a [`Shim`]), any failure path drops the guard
+/// (detaching the guard into its shim pid), any failure path drops the guard
 /// and the shim is exited and reaped — a half-built sandbox never leaks its
 /// shim process.
-pub fn spawn_shim<'k>(
+pub(crate) fn spawn_shim<'k>(
     kernel: &'k Kernel,
     profile: &'static ShimProfile,
     cgroup: CgroupId,
@@ -178,7 +171,7 @@ mod tests {
             trace.entries().all(|(p, _)| p == Phase::Sandbox),
             "shim spawn is sandbox-phase work"
         );
-        let _shim = Shim { pid: shim.detach(), profile: &SHIM_WASMTIME };
+        shim.detach();
         let mut trace2 = StepTrace::new();
         let warm = spawn_shim(&kernel, &SHIM_WASMTIME, cg, LockId(1), &mut trace2).unwrap();
         assert!(!trace2.steps().iter().any(|s| matches!(s, Step::Io(_))), "second spawn is warm");

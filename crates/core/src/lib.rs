@@ -62,7 +62,7 @@ impl Default for WamrCrunConfig {
 /// The crun handler embedding the WebAssembly Micro Runtime.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WamrHandler {
-    pub config: WamrCrunConfig,
+    pub(crate) config: WamrCrunConfig,
 }
 
 impl WamrHandler {

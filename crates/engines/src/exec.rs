@@ -196,9 +196,9 @@ pub struct GuestOutcome {
     pub end: Result<(), Trap>,
     pub stats: ExecStats,
     pub stdout: Bytes,
-    pub stderr: Bytes,
+    pub(crate) stderr: Bytes,
     /// Size of the linear memory when the run ended (0 without one).
-    pub memory_bytes: u64,
+    pub(crate) memory_bytes: u64,
     /// The watchdog clock's reading when the run ended, `None` without a
     /// deadline.
     pub epoch: Option<u64>,
@@ -644,7 +644,7 @@ mod tests {
 
     fn run_one(kernel: &Kernel, module: FileId, kind: EngineKind, name: &str) -> (Pid, EngineRun) {
         let cg = kernel.cgroup_create(Kernel::ROOT_CGROUP, name).unwrap();
-        let pid = kernel.spawn(name, cg).unwrap();
+        let pid = ProcessImage::spawn(kernel, name, cg).build().unwrap().detach();
         let run = execute_wasm_opts(
             kernel,
             pid,
@@ -756,7 +756,7 @@ mod tests {
         let profile = EngineKind::Wasmtime.profile();
         let run_with = |name: &str, embedding: crate::exec::Embedding| {
             let cg = kernel.cgroup_create(Kernel::ROOT_CGROUP, name).unwrap();
-            let pid = kernel.spawn(name, cg).unwrap();
+            let pid = ProcessImage::spawn(&kernel, name, cg).build().unwrap().detach();
             execute_wasm_opts(
                 &kernel,
                 pid,
@@ -782,7 +782,7 @@ mod tests {
         let (kernel, module) = setup();
         let run_profile = |name: &str, profile: &crate::profile::EngineProfile| {
             let cg = kernel.cgroup_create(Kernel::ROOT_CGROUP, name).unwrap();
-            let pid = kernel.spawn(name, cg).unwrap();
+            let pid = ProcessImage::spawn(&kernel, name, cg).build().unwrap().detach();
             let run = execute_wasm_opts(
                 &kernel,
                 pid,
@@ -839,7 +839,7 @@ mod tests {
             .unwrap();
         let run_once = |name: &str| {
             let cg = kernel.cgroup_create(Kernel::ROOT_CGROUP, name).unwrap();
-            let pid = kernel.spawn(name, cg).unwrap();
+            let pid = ProcessImage::spawn(&kernel, name, cg).build().unwrap().detach();
             let run = execute_wasm_opts(
                 &kernel,
                 pid,
@@ -919,7 +919,8 @@ mod tests {
                 simkernel::vfs::FileContent::Bytes(Bytes::from(b.build_bytes())),
             )
             .unwrap();
-        let pid = kernel.spawn("argc", Kernel::ROOT_CGROUP).unwrap();
+        let pid =
+            ProcessImage::spawn(&kernel, "argc", Kernel::ROOT_CGROUP).build().unwrap().detach();
         let run = execute_wasm_opts(
             &kernel,
             pid,

@@ -26,7 +26,7 @@
 //! [`execute_wasm_opts`] — load, then run — is what the container runtimes
 //! and runwasi shims call.
 
-pub mod exec;
+pub(crate) mod exec;
 pub mod profile;
 
 pub use exec::{

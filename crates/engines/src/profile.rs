@@ -28,7 +28,7 @@ pub enum EngineKind {
 }
 
 impl EngineKind {
-    pub const ALL: [EngineKind; 4] =
+    pub(crate) const ALL: [EngineKind; 4] =
         [EngineKind::Wamr, EngineKind::Wasmtime, EngineKind::Wasmer, EngineKind::WasmEdge];
 
     pub fn profile(self) -> &'static EngineProfile {
@@ -44,60 +44,58 @@ impl EngineKind {
 /// A runtime design point.
 #[derive(Debug, Clone)]
 pub struct EngineProfile {
-    pub kind: EngineKind,
     pub name: &'static str,
     /// Version from the paper's Table I.
     pub version: &'static str,
     /// Path of the shared library in the simulated VFS.
-    pub lib_path: &'static str,
+    pub(crate) lib_path: &'static str,
     /// Size of the shared library file.
-    pub lib_size: u64,
+    pub(crate) lib_size: u64,
     /// Fraction of the library resident after dlopen (text + rodata used).
-    pub lib_resident_fraction: f64,
+    pub(crate) lib_resident_fraction: f64,
     /// Private anonymous bytes the engine allocates at init (GOT/relocs,
     /// allocator arenas, signal/trap machinery, type registries) when
     /// embedded through its default C API with stock configuration — what
     /// the crun integrations link against.
-    pub runtime_baseline: u64,
+    pub(crate) runtime_baseline: u64,
     /// Private bytes per instantiated module (metadata, trampolines).
-    pub per_instance_overhead: u64,
+    pub(crate) per_instance_overhead: u64,
     /// Baseline when embedded as a trimmed library build (the runwasi shims
     /// embed the engines as Rust crates with lean configurations; the
     /// difference is why containerd-shim-wasmtime places second in the
     /// paper's Figs. 5–7 while crun-Wasmtime does not).
-    pub embedded_baseline: u64,
+    pub(crate) embedded_baseline: u64,
     /// Per-instance overhead for the trimmed embedding.
-    pub embedded_per_instance: u64,
+    pub(crate) embedded_per_instance: u64,
     /// Execution strategy of the shared Wasm core.
     pub tier: ExecTier,
     /// Multiplier on measured lowered-code bytes for codegen metadata
     /// (relocation tables, unwind info, trap maps). Only used when eager.
-    pub code_metadata_factor: f64,
+    pub(crate) code_metadata_factor: f64,
     /// Compile cost per bytecode byte (eager tiers only).
-    pub compile_ns_per_byte: u64,
+    pub(crate) compile_ns_per_byte: u64,
     /// Validation cost per bytecode byte (all engines validate at load).
-    pub validate_ns_per_byte: u64,
+    pub(crate) validate_ns_per_byte: u64,
     /// One-time engine initialization latency per process.
-    pub init: Duration,
+    pub(crate) init: Duration,
     /// Non-contending per-container load latency: mapping and verifying
     /// artifacts, guard-page setup, madvise (stock C-API embedding).
-    pub load_io: Duration,
+    pub(crate) load_io: Duration,
     /// Load latency for the trimmed crate embedding (runwasi, sandbox API).
-    pub embedded_load_io: Duration,
+    pub(crate) embedded_load_io: Duration,
     /// Cost of creating an instance (memories, tables, trampolines).
-    pub instantiate: Duration,
+    pub(crate) instantiate: Duration,
     /// Simulated cost per retired Wasm instruction.
     pub exec_ns_per_instr: u64,
     /// Content-addressed on-disk code cache (Wasmtime's default-on cache).
-    pub code_cache: bool,
+    pub(crate) code_cache: bool,
     /// Directory for cache artifacts.
-    pub cache_dir: &'static str,
+    pub(crate) cache_dir: &'static str,
 }
 
 /// WAMR 2.1.0: classic in-place interpreter, minimal footprint — the
 /// engine the paper integrates into crun.
 pub static WAMR: EngineProfile = EngineProfile {
-    kind: EngineKind::Wamr,
     name: "wamr",
     version: "2.1.0",
     lib_path: "/usr/lib/libiwasm.so",
@@ -126,7 +124,6 @@ pub static WAMR: EngineProfile = EngineProfile {
 /// engines, trading per-container code memory for execution speed.
 /// Explored by `cargo run -p harness --bin studies -- wamr-aot`.
 pub static WAMR_AOT: EngineProfile = EngineProfile {
-    kind: EngineKind::Wamr,
     name: "wamr-aot",
     version: "2.1.0",
     lib_path: "/usr/lib/libiwasm.so",
@@ -151,7 +148,6 @@ pub static WAMR_AOT: EngineProfile = EngineProfile {
 
 /// Wasmtime 23.0.1: Cranelift JIT, eager compile, on-disk code cache.
 pub static WASMTIME: EngineProfile = EngineProfile {
-    kind: EngineKind::Wasmtime,
     name: "wasmtime",
     version: "23.0.1",
     lib_path: "/usr/lib/libwasmtime.so",
@@ -176,7 +172,6 @@ pub static WASMTIME: EngineProfile = EngineProfile {
 
 /// Wasmer 4.3.5: largest artifacts and baseline of the four.
 pub static WASMER: EngineProfile = EngineProfile {
-    kind: EngineKind::Wasmer,
     name: "wasmer",
     version: "4.3.5",
     lib_path: "/usr/lib/libwasmer.so",
@@ -201,7 +196,6 @@ pub static WASMER: EngineProfile = EngineProfile {
 
 /// WasmEdge 0.14.0: between WAMR and the heavyweight JIT engines.
 pub static WASMEDGE: EngineProfile = EngineProfile {
-    kind: EngineKind::WasmEdge,
     name: "wasmedge",
     version: "0.14.0",
     lib_path: "/usr/lib/libwasmedge.so",
@@ -231,7 +225,7 @@ impl EngineProfile {
     }
 
     /// Is compilation eager (JIT/AOT) for this profile?
-    pub fn eager_compile(&self) -> bool {
+    pub(crate) fn eager_compile(&self) -> bool {
         self.tier == ExecTier::Lowered
     }
 }

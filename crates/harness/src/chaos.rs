@@ -44,7 +44,7 @@ pub const WASM_CONFIGS: [Config; 7] = [
 /// config exercises the OCI handler watchdog path; its 370 ns/instr
 /// interpreter profile also keeps the epoch deadline (budget ÷ cost) small
 /// enough that the wedged spin stays cheap to simulate.
-pub const HUNG_CONFIGS: [Config; 1] = [Config::WamrCrun];
+pub(crate) const HUNG_CONFIGS: [Config; 1] = [Config::WamrCrun];
 
 /// Image reference of the hung-guest service.
 pub const HUNG_IMAGE_REF: &str = "registry.local/hung-service:v1";
@@ -52,7 +52,7 @@ pub const HUNG_IMAGE_REF: &str = "registry.local/hung-service:v1";
 /// How far past deploy time the hung guest's ready threshold sits. Must
 /// exceed the watchdog budget (so first starts wedge rather than ready)
 /// and stay under the first CrashLoopBackOff delay (so restarts succeed).
-pub const HUNG_READY_AFTER: Duration = Duration::from_secs(5);
+pub(crate) const HUNG_READY_AFTER: Duration = Duration::from_secs(5);
 
 /// Liveness probe for the hung-guest scenario: 2 s period × 2 failures
 /// derives a 4 s watchdog epoch budget for the guest.
@@ -61,7 +61,7 @@ pub fn hung_liveness_probe() -> ProbeSpec {
 }
 
 /// Readiness probe for the hung-guest scenario.
-pub fn hung_readiness_probe() -> ProbeSpec {
+pub(crate) fn hung_readiness_probe() -> ProbeSpec {
     ProbeSpec { period: Duration::from_secs(1), ..ProbeSpec::default() }
 }
 
@@ -152,15 +152,15 @@ impl Scenario {
 /// Outcome of one configuration's chaos run.
 #[derive(Debug, Clone, Copy)]
 pub struct ChaosOutcome {
-    pub config: Config,
+    pub(crate) config: Config,
     /// Faults actually injected, per site, indexed like [`FaultSite::ALL`].
     pub injected: [u64; FaultSite::ALL.len()],
     /// Successful restarts summed over pods.
     pub restarts: u64,
     /// Final phase counts; `evicted` counts both eviction reasons.
-    pub running: usize,
-    pub evicted: usize,
-    pub failed: usize,
+    pub(crate) running: usize,
+    pub(crate) evicted: usize,
+    pub(crate) failed: usize,
     /// Pods both Running and ready (readiness probe passing) at the end.
     pub ready: usize,
     /// Pods whose first start wedged on the watchdog epoch budget.
@@ -171,12 +171,12 @@ pub struct ChaosOutcome {
     /// Reconcile rounds driven.
     pub rounds: usize,
     /// Every pod reached a steady phase within the round budget.
-    pub converged: bool,
+    pub(crate) converged: bool,
     /// Anon-memory growth over the pre-deploy baseline after teardown
     /// (kubelet/daemon bookkeeping only when nothing leaks).
     pub leaked_bytes: u64,
     /// Process-count delta over the pre-deploy baseline after teardown.
-    pub leaked_procs: i64,
+    pub(crate) leaked_procs: i64,
 }
 
 impl ChaosOutcome {

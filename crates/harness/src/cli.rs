@@ -7,7 +7,7 @@
 #![allow(dead_code)]
 
 /// Print why the command line was rejected, then the usage; exit 2.
-pub fn usage_exit(usage: &str, why: &str) -> ! {
+pub(crate) fn usage_exit(usage: &str, why: &str) -> ! {
     eprintln!("error: {why}\n\nusage: {usage}");
     std::process::exit(2)
 }
@@ -15,8 +15,8 @@ pub fn usage_exit(usage: &str, why: &str) -> ! {
 /// A parsed command line: at most one subcommand, the boolean flags that
 /// were given, and the `--name N` options with their parsed values.
 #[derive(Debug, Default, PartialEq, Eq)]
-pub struct Cli {
-    pub command: Option<String>,
+pub(crate) struct Cli {
+    pub(crate) command: Option<String>,
     flags: Vec<String>,
     values: Vec<(String, u64)>,
 }
@@ -25,12 +25,12 @@ impl Cli {
     /// Parse the process arguments. Anything that is not one subcommand
     /// out of `commands`, one of `flags`, or one of `valued` followed by
     /// an unsigned integer prints `usage` and exits 2.
-    pub fn parse(usage: &str, commands: &[&str], flags: &[&str], valued: &[&str]) -> Cli {
+    pub(crate) fn parse(usage: &str, commands: &[&str], flags: &[&str], valued: &[&str]) -> Cli {
         Cli::parse_from(std::env::args().skip(1), commands, flags, valued)
             .unwrap_or_else(|why| usage_exit(usage, &why))
     }
 
-    pub fn parse_from(
+    pub(crate) fn parse_from(
         args: impl IntoIterator<Item = String>,
         commands: &[&str],
         flags: &[&str],
@@ -54,12 +54,12 @@ impl Cli {
         Ok(cli)
     }
 
-    pub fn has(&self, flag: &str) -> bool {
+    pub(crate) fn has(&self, flag: &str) -> bool {
         self.flags.iter().any(|f| f == flag)
     }
 
     /// The value of `--name N`, if given (the last one wins).
-    pub fn value(&self, name: &str) -> Option<u64> {
+    pub(crate) fn value(&self, name: &str) -> Option<u64> {
         self.values.iter().rev().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 }

@@ -76,7 +76,7 @@ impl Config {
     }
 
     /// Is this the paper's contribution?
-    pub fn is_ours(self) -> bool {
+    pub(crate) fn is_ours(self) -> bool {
         self == Config::WamrCrun
     }
 

@@ -216,7 +216,7 @@ fn reconverged(cluster: &Cluster, ctrl: &DeploymentController) -> bool {
 }
 
 /// Check the post-convergence invariants, appending violations.
-pub fn check_invariants(
+pub(crate) fn check_invariants(
     cluster: &Cluster,
     ctrl: &DeploymentController,
     violations: &mut Vec<String>,
@@ -268,10 +268,10 @@ const SETTLE_ROUNDS: usize = 100;
 /// A warmed cluster under a controller-managed deployment `svc`, driven
 /// until every replica is ready: where every fault scenario starts.
 pub(crate) struct Settled {
-    pub cluster: Cluster,
-    pub ctrl: DeploymentController,
+    pub(crate) cluster: Cluster,
+    pub(crate) ctrl: DeploymentController,
     /// Did the deployment become ready within [`SETTLE_ROUNDS`]?
-    pub settled: bool,
+    pub(crate) settled: bool,
 }
 
 impl Settled {
@@ -469,7 +469,7 @@ fn shrink_on(
 /// A violated schedule with its shrunk counterexample.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Counterexample {
-    pub index: usize,
+    pub(crate) index: usize,
     pub full: ScheduleOutcome,
     /// Minimal failing prefix (falls back to the full schedule when no
     /// strict prefix fails).
@@ -479,7 +479,6 @@ pub struct Counterexample {
 /// Everything one exploration produced.
 #[derive(Debug, Clone)]
 pub struct ExploreReport {
-    pub plan: ExplorePlan,
     pub outcomes: Vec<ScheduleOutcome>,
     pub counterexamples: Vec<Counterexample>,
 }
@@ -552,7 +551,7 @@ pub fn explore(
             .unwrap_or_else(|| full.clone());
         counterexamples.push(Counterexample { index, full: full.clone(), shrunk });
     }
-    Ok(ExploreReport { plan: *plan, outcomes, counterexamples })
+    Ok(ExploreReport { outcomes, counterexamples })
 }
 
 // ---- recovery-time scenarios -------------------------------------------
@@ -560,7 +559,6 @@ pub fn explore(
 /// Recovery timings of the crash and partition scenarios for one config.
 #[derive(Debug, Clone, Copy)]
 pub struct RecoverySample {
-    pub config: Config,
     /// Crash → node marked NotReady (lease-expiry detection latency).
     pub detect: Duration,
     /// Crash → deployment fully re-converged on the survivors.
@@ -608,7 +606,7 @@ pub fn recovery_times(config: Config, workload: &Workload) -> KernelResult<Recov
     })?;
     let heal_reconverge = cluster.now().since(t1);
 
-    Ok(RecoverySample { config, detect, crash_reconverge, heal_reconverge })
+    Ok(RecoverySample { detect, crash_reconverge, heal_reconverge })
 }
 
 /// The crash/partition recovery-time table over the seven Wasm configs

@@ -24,7 +24,7 @@ pub const PAPER_DENSITIES: [usize; 3] = [10, 100, 400];
 #[derive(Debug, Clone, Copy)]
 pub struct Sample {
     pub memory: MemorySample,
-    pub startup: StartupSample,
+    pub(crate) startup: StartupSample,
 }
 
 /// The samples of a (configurations × densities) grid, each cell measured
@@ -63,7 +63,7 @@ impl Grid {
     }
 
     /// The densities measured, ascending.
-    pub fn densities(&self) -> &[usize] {
+    pub(crate) fn densities(&self) -> &[usize] {
         &self.densities
     }
 

@@ -44,7 +44,7 @@ pub const ISOLATION_CORES: u32 = 2;
 /// `pressure_evicted` reason). Sized so the thrasher (whose churn pass
 /// count guarantees more) trips it while victims (zero throttles — they
 /// carry no limits) never can.
-pub const PRESSURE_EVICTION_THRESHOLD: u64 = 4;
+pub(crate) const PRESSURE_EVICTION_THRESHOLD: u64 = 4;
 
 /// `resources.limits.memory` on the attacker pod: the balloon and the
 /// fork-bomb are sized to ratchet well past it.
@@ -63,23 +63,23 @@ pub const ATTACKER_IO_BUDGET: u64 = 2 << 20;
 /// the 370 ns/instr interpreter profile (wedge → liveness kill) while
 /// staying under the unscaled deadline — without `cpu.max` the same spin
 /// would pass quietly.
-pub const SPINNER_ITERATIONS: i32 = 8_000;
+pub(crate) const SPINNER_ITERATIONS: i32 = 8_000;
 
 /// Balloon growth: 64 steps of 64 pages (4 MiB) each — a 256 MiB ratchet
 /// against the 64 MiB `memory.max`.
-pub const BALLOON_STEP_PAGES: i32 = 64;
-pub const BALLOON_STEPS: i32 = 64;
+pub(crate) const BALLOON_STEP_PAGES: i32 = 64;
+pub(crate) const BALLOON_STEPS: i32 = 64;
 
 /// Thrasher stream: an 8-pass cold scan over a 4 MiB payload — 16× the
 /// per-window io budget, and (with the io model armed) a displacement
 /// source against the victims' warm shared artifacts.
-pub const THRASH_STREAM_BYTES: usize = 4 << 20;
-pub const THRASH_PASSES: u32 = 8;
+pub(crate) const THRASH_STREAM_BYTES: usize = 4 << 20;
+pub(crate) const THRASH_PASSES: u32 = 8;
 
 /// Fork-bomb churn: instantiations per start. Each leaks one per-instance
 /// overhead charge (≥ 80 KiB on the leanest profile), so the churn total
 /// exceeds `memory.max` on every engine profile.
-pub const FORK_BOMB_CHURN: u32 = 1024;
+pub(crate) const FORK_BOMB_CHURN: u32 = 1024;
 
 /// The io-pressure model armed for attack runs (never for baselines):
 /// cold reads queue behind a global backlog and displace other tenants'
@@ -117,7 +117,7 @@ impl Attacker {
     pub const ALL: [Attacker; 4] =
         [Attacker::Spinner, Attacker::Balloon, Attacker::Thrasher, Attacker::ForkBomb];
 
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Attacker::Spinner => "cpu-spinner",
             Attacker::Balloon => "memory-balloon",
@@ -235,8 +235,8 @@ impl AttackerFate {
 /// victims (and the attacker) experienced.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IsolationRun {
-    pub config: Config,
-    pub attacker: Option<Attacker>,
+    pub(crate) config: Config,
+    pub(crate) attacker: Option<Attacker>,
     pub victims: VictimObservation,
     /// Present iff an attacker was deployed.
     pub fate: Option<AttackerFate>,
@@ -247,16 +247,14 @@ pub struct IsolationRun {
 /// One (configuration, attacker) cell of the score table.
 #[derive(Debug, Clone)]
 pub struct IsolationScore {
-    pub config: Config,
-    pub attacker: Attacker,
-    pub baseline: VictimObservation,
-    pub attacked: IsolationRun,
-    /// baseline/attacked victim makespan, clamped to ≤ 1.
-    pub latency_ratio: f64,
-    /// baseline/attacked victim working set, clamped to ≤ 1.
-    pub memory_ratio: f64,
-    /// `100 × min(latency_ratio, memory_ratio) / (1 + victim_restarts)`.
-    pub score: f64,
+    pub(crate) config: Config,
+    pub(crate) attacker: Attacker,
+    pub(crate) baseline: VictimObservation,
+    pub(crate) attacked: IsolationRun,
+    /// `100 × min(latency ratio, memory ratio) / (1 + victim_restarts)`,
+    /// each ratio baseline / attacked (victim makespan, victim working
+    /// set) clamped to ≤ 1.
+    pub(crate) score: f64,
 }
 
 /// Boot the isolation node: narrow core count, the paper-extension pod
@@ -427,8 +425,6 @@ pub fn score_runs(baseline: &IsolationRun, attacked: IsolationRun) -> IsolationS
         attacker: attacked.attacker.expect("score cells carry an attacker"),
         baseline: baseline.victims,
         attacked,
-        latency_ratio,
-        memory_ratio,
         score,
     }
 }

@@ -16,13 +16,13 @@
 pub mod chaos;
 pub mod claims;
 pub mod cluster_scale;
-pub mod config;
+pub(crate) mod config;
 pub mod explorer;
 pub mod figures;
 pub mod isolation;
-pub mod parallel;
-pub mod report;
-pub mod runner;
+pub(crate) mod parallel;
+pub(crate) mod report;
+pub(crate) mod runner;
 pub mod traffic;
 
 pub use cluster_scale::{
@@ -35,10 +35,6 @@ pub use explorer::{
     ScheduleOutcome,
 };
 pub use figures::{Column, Figure, Grid, Sample, FIGURES, PAPER_DENSITIES};
-pub use isolation::{
-    check_isolation, isolation_sweep, run_tenants, Attacker, AttackerFate, IsolationPlan,
-    IsolationRun, IsolationScore, VictimObservation,
-};
 pub use parallel::{run_cells, run_cells_on, run_grid, run_grid_on, worker_count, Cell};
 pub use report::{mb, Table};
 pub use runner::{

@@ -31,7 +31,7 @@ pub struct Cell {
 }
 
 impl Cell {
-    pub fn memory(config: Config, density: usize) -> Cell {
+    pub(crate) fn memory(config: Config, density: usize) -> Cell {
         Cell { config, density, observe: Observe::Memory }
     }
 

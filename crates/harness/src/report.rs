@@ -12,27 +12,27 @@ pub fn mb(bytes: u64) -> f64 {
 /// column per density (or a single column for startup figures).
 #[derive(Debug, Clone)]
 pub struct Table {
-    pub title: String,
-    pub columns: Vec<String>,
-    pub rows: Vec<TableRow>,
+    pub(crate) title: String,
+    pub(crate) columns: Vec<String>,
+    pub(crate) rows: Vec<TableRow>,
     /// Unit shown in the header ("MB/container", "s").
-    pub unit: &'static str,
+    pub(crate) unit: &'static str,
 }
 
 #[derive(Debug, Clone)]
-pub struct TableRow {
-    pub label: String,
-    pub values: Vec<f64>,
+pub(crate) struct TableRow {
+    pub(crate) label: String,
+    pub(crate) values: Vec<f64>,
     /// Highlighted ("our work's results are labeled in red").
-    pub ours: bool,
+    pub(crate) ours: bool,
 }
 
 impl Table {
-    pub fn new(title: impl Into<String>, columns: Vec<String>, unit: &'static str) -> Table {
+    pub(crate) fn new(title: impl Into<String>, columns: Vec<String>, unit: &'static str) -> Table {
         Table { title: title.into(), columns, rows: Vec::new(), unit }
     }
 
-    pub fn row(&mut self, label: impl Into<String>, values: Vec<f64>, ours: bool) {
+    pub(crate) fn row(&mut self, label: impl Into<String>, values: Vec<f64>, ours: bool) {
         self.rows.push(TableRow { label: label.into(), values, ours });
     }
 
@@ -99,25 +99,27 @@ impl Table {
             Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
         }
     }
-
-    /// Value lookup by row label (for assertions and claim checks).
-    pub fn value(&self, label_contains: &str, col: usize) -> Option<f64> {
-        self.rows
-            .iter()
-            .find(|r| r.label.contains(label_contains))
-            .and_then(|r| r.values.get(col))
-            .copied()
-    }
-
-    /// The highlighted row.
-    pub fn ours(&self) -> Option<&TableRow> {
-        self.rows.iter().find(|r| r.ours)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Table {
+        /// Value lookup by row label.
+        pub(crate) fn value(&self, label_contains: &str, col: usize) -> Option<f64> {
+            self.rows
+                .iter()
+                .find(|r| r.label.contains(label_contains))
+                .and_then(|r| r.values.get(col))
+                .copied()
+        }
+
+        /// The highlighted row.
+        pub(crate) fn ours(&self) -> Option<&TableRow> {
+            self.rows.iter().find(|r| r.ours)
+        }
+    }
 
     #[test]
     fn unit_conversion() {

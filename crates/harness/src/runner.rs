@@ -50,11 +50,11 @@ pub enum Observe {
 }
 
 impl Observe {
-    pub fn wants_memory(self) -> bool {
+    pub(crate) fn wants_memory(self) -> bool {
         matches!(self, Observe::Memory | Observe::Both)
     }
 
-    pub fn wants_startup(self) -> bool {
+    pub(crate) fn wants_startup(self) -> bool {
         matches!(self, Observe::Startup | Observe::Both)
     }
 }

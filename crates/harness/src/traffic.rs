@@ -45,10 +45,10 @@ use crate::runner::warmup;
 
 /// Instructions one request retires (on top of [`REQUEST_OVERHEAD`]) —
 /// priced per config by the engine's `exec_ns_per_instr`.
-pub const REQUEST_INSTRS: u64 = 13_500;
+pub(crate) const REQUEST_INSTRS: u64 = 13_500;
 
 /// Runtime-independent per-request overhead (network, host call shuffle).
-pub const REQUEST_OVERHEAD: Duration = Duration::from_micros(50);
+pub(crate) const REQUEST_OVERHEAD: Duration = Duration::from_micros(50);
 
 /// Full-service execution time for one request under `config`'s engine.
 pub fn request_exec(config: Config) -> Duration {
@@ -141,9 +141,9 @@ pub struct TrafficPlan {
     /// Deployment replicas behind the service.
     pub replicas: usize,
     /// `false` runs the contract's control arm: unlimited retries.
-    pub retry_budget_enabled: bool,
+    pub(crate) retry_budget_enabled: bool,
     /// Seed for the service's routing RNG.
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl TrafficPlan {
@@ -158,12 +158,12 @@ impl TrafficPlan {
 pub struct PhaseStats {
     pub label: &'static str,
     /// [`PhaseSpec::measured`] of the phase this is the record of.
-    pub measured: bool,
+    pub(crate) measured: bool,
     pub arrivals: u64,
     /// Requests that completed successfully (goodput numerator).
     pub completed: u64,
     /// Successful completions served in brownout mode.
-    pub degraded: u64,
+    pub(crate) degraded: u64,
     /// Admission sheds charged to this phase's requests (all attempts).
     pub shed: u64,
     /// Requests abandoned: deadline passed before any attempt succeeded.
@@ -174,7 +174,7 @@ pub struct PhaseStats {
     pub retries: u64,
     pub hist: LatencyHistogram,
     /// Wall-clock span of the phase's arrivals.
-    pub span: Duration,
+    pub(crate) span: Duration,
 }
 
 impl PhaseStats {
@@ -195,7 +195,7 @@ impl PhaseStats {
     }
 
     /// Successful completions per second of arrival span.
-    pub fn goodput_rps(&self) -> f64 {
+    pub(crate) fn goodput_rps(&self) -> f64 {
         if self.span == Duration::ZERO {
             return 0.0;
         }
@@ -255,7 +255,7 @@ impl TrafficRun {
     /// Bytes of endpoint working set per unit of goodput (the
     /// memory-per-RPS axis): how much resident memory each served RPS
     /// costs under this config.
-    pub fn mem_per_rps(&self, goodput_rps: f64) -> f64 {
+    pub(crate) fn mem_per_rps(&self, goodput_rps: f64) -> f64 {
         if goodput_rps <= 0.0 {
             return 0.0;
         }
@@ -818,7 +818,7 @@ pub struct TrafficSummary {
     pub goodput_rps: f64,
     pub shed_rate: f64,
     /// Bytes of endpoint working set per RPS of goodput.
-    pub mem_per_rps: f64,
+    pub(crate) mem_per_rps: f64,
     pub run: TrafficRun,
 }
 
@@ -944,7 +944,7 @@ impl ContractPlan {
 #[derive(Debug, Clone)]
 pub struct ContractOutcome {
     pub config: Config,
-    pub single_pod_capacity_rps: f64,
+    pub(crate) single_pod_capacity_rps: f64,
     /// p99 of the pre-overload baseline leg.
     pub baseline_p99: Duration,
     /// Goodput and p99 under 3× overload (treatment arm).

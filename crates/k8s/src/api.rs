@@ -49,26 +49,26 @@ pub struct PodSpec {
     /// deployment).
     pub image: Arc<str>,
     /// Runtime class name registered with containerd (shared likewise).
-    pub runtime_class: Arc<str>,
+    pub(crate) runtime_class: Arc<str>,
     /// Optional memory limit (resources.limits.memory).
-    pub memory_limit: Option<u64>,
+    pub(crate) memory_limit: Option<u64>,
     /// Optional `cpu.max` quota as `(quota_ns, period_ns)` applied to the
     /// pod's cgroup: the guest is throttled to quota/period of each period,
     /// stretching its wall time and shrinking its epoch-watchdog allowance.
-    pub cpu_max: Option<(u64, u64)>,
+    pub(crate) cpu_max: Option<(u64, u64)>,
     /// Optional per-window cold-read byte budget applied to the pod's
     /// cgroup (windows are [`simkernel::IO_WINDOW_NS`] long): reads past
     /// the budget queue for the next window.
-    pub io_read_budget: Option<u64>,
+    pub(crate) io_read_budget: Option<u64>,
     /// Liveness probe: consecutive failures interrupt the guest and route
     /// the pod into restart supervision.
-    pub liveness_probe: Option<ProbeSpec>,
+    pub(crate) liveness_probe: Option<ProbeSpec>,
     /// Readiness probe: gates the pod's contribution to cluster readiness.
-    pub readiness_probe: Option<ProbeSpec>,
+    pub(crate) readiness_probe: Option<ProbeSpec>,
     /// `terminationGracePeriodSeconds`: how long `remove_pod` waits between
     /// SIGTERM and SIGKILL for containers that do not terminate promptly.
     /// `None` uses the Kubernetes default (30s).
-    pub termination_grace: Option<Duration>,
+    pub(crate) termination_grace: Option<Duration>,
 }
 
 /// Pod lifecycle phase.
@@ -123,7 +123,7 @@ impl Deployment {
         self.pods.len()
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.pods.is_empty()
     }
 
@@ -158,12 +158,12 @@ pub struct DeploymentSpec {
     /// Pod-name prefix (`{name}-r{revision}-{ordinal}`).
     pub name: String,
     pub image: Arc<str>,
-    pub runtime_class: Arc<str>,
+    pub(crate) runtime_class: Arc<str>,
     /// Desired replica count.
     pub replicas: usize,
     /// `maxSurge`: extra pods allowed above `replicas` during a rolling
     /// update.
-    pub max_surge: usize,
+    pub(crate) max_surge: usize,
     /// `maxUnavailable`: pods that may be not-ready below `replicas`
     /// during a rolling update.
     pub max_unavailable: usize,
@@ -212,11 +212,11 @@ pub struct ReplicaEntry {
 pub struct DeploymentController {
     pub spec: DeploymentSpec,
     /// Current template revision; bumped by rolling updates.
-    pub revision: u32,
+    pub(crate) revision: u32,
     /// Replicas the controller believes exist.
     pub replicas: Vec<ReplicaEntry>,
     /// Monotonic ordinal so replacement pods never reuse a name.
-    pub next_ordinal: u64,
+    pub(crate) next_ordinal: u64,
 }
 
 impl DeploymentController {
@@ -225,16 +225,10 @@ impl DeploymentController {
     }
 
     /// Mint the next pod name for the given revision.
-    pub fn next_pod_name(&mut self, revision: u32) -> String {
+    pub(crate) fn next_pod_name(&mut self, revision: u32) -> String {
         let ordinal = self.next_ordinal;
         self.next_ordinal += 1;
         format!("{}-r{}-{}", self.spec.name, revision, ordinal)
-    }
-
-    /// Replicas created from a revision older than the current one.
-    pub fn stale(&self) -> impl Iterator<Item = &ReplicaEntry> {
-        let rev = self.revision;
-        self.replicas.iter().filter(move |r| r.revision < rev)
     }
 }
 
@@ -262,9 +256,9 @@ pub struct HpaSpec {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HpaDecision {
     /// Average working set per live pod at evaluation time.
-    pub observed_working_set: u64,
+    pub(crate) observed_working_set: u64,
     /// Average cpu-throttle events per live pod at evaluation time.
-    pub observed_cpu_throttle: u64,
+    pub(crate) observed_cpu_throttle: u64,
     /// Replicas before.
     pub from: usize,
     /// Replicas after (clamped to `[min_replicas, max_replicas]`).
@@ -281,7 +275,7 @@ pub struct RolloutStep {
     /// New-revision pods created this round.
     pub created: usize,
     /// Old-revision pods deleted this round.
-    pub deleted: usize,
+    pub(crate) deleted: usize,
     /// Every replica on the new revision and ready.
     pub done: bool,
 }
@@ -290,9 +284,9 @@ pub struct RolloutStep {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RolloutReport {
     /// New-revision pods created.
-    pub created: usize,
+    pub(crate) created: usize,
     /// Old-revision pods deleted.
-    pub deleted: usize,
+    pub(crate) deleted: usize,
     /// Reconcile rounds the rollout took.
     pub rounds: usize,
     /// All replicas on the new revision and ready within the round budget.

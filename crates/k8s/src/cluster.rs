@@ -170,7 +170,7 @@ impl Cluster {
     /// Boot a heterogeneous cluster: one (kernel, kubelet) shape per node,
     /// so mixed memory sizes, core counts and max-pods ceilings can share
     /// a scheduler. The uniform constructors delegate here.
-    pub fn new_with_configs(
+    pub(crate) fn new_with_configs(
         configs: &[(KernelConfig, NodeConfig)],
         policy: Policy,
     ) -> KernelResult<Cluster> {
@@ -450,7 +450,7 @@ impl Cluster {
     }
 
     /// Earliest pending kubelet deadline across live nodes.
-    pub fn next_deadline(&self) -> Option<SimTime> {
+    pub(crate) fn next_deadline(&self) -> Option<SimTime> {
         self.nodes.iter().filter(|n| n.alive).filter_map(|n| n.kubelet.next_deadline()).min()
     }
 
@@ -570,7 +570,7 @@ impl Cluster {
     }
 
     /// Mark a node unschedulable; running pods are unaffected.
-    pub fn cordon(&mut self, node: usize) -> KernelResult<()> {
+    pub(crate) fn cordon(&mut self, node: usize) -> KernelResult<()> {
         self.check_node(node)?;
         self.nodes[node].schedulable = false;
         Ok(())
@@ -932,6 +932,7 @@ mod tests {
     use container_runtimes::handler::PauseHandler;
     use container_runtimes::profile::CRUN;
     use container_runtimes::LowLevelRuntime;
+    use simkernel::ProcessImage;
     use wamr_crun::{WamrCrunConfig, WamrHandler};
 
     fn microservice() -> Vec<u8> {
@@ -1131,7 +1132,8 @@ mod tests {
         assert!(ctrl.replicas.iter().any(|r| r.node == 1));
         assert!(cluster.node(1).kernel.powered_off());
         assert!(matches!(
-            cluster.node(1).kernel.spawn("x", cluster.node(1).system_cgroup),
+            ProcessImage::spawn(&cluster.node(1).kernel, "x", cluster.node(1).system_cgroup)
+                .build(),
             Err(KernelError::PoweredOff)
         ));
 

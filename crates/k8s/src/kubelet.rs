@@ -70,18 +70,18 @@ mod cost {
     use simkernel::Duration;
 
     /// API server watch/dispatch round trip per pod.
-    pub const API_DISPATCH: Duration = Duration::from_millis(300);
+    pub(crate) const API_DISPATCH: Duration = Duration::from_millis(300);
     /// kubelet work-queue latency: sync batching, per-pod backoff.
-    pub const QUEUE_IO: Duration = Duration::from_millis(800);
+    pub(crate) const QUEUE_IO: Duration = Duration::from_millis(800);
     /// kubelet sync-loop processing.
-    pub const SYNC_CPU: Duration = Duration::from_millis(3);
+    pub(crate) const SYNC_CPU: Duration = Duration::from_millis(3);
     /// CNI ADD (veth, IPAM, routes).
-    pub const CNI_IO: Duration = Duration::from_millis(900);
-    pub const CNI_CPU: Duration = Duration::from_millis(2);
+    pub(crate) const CNI_IO: Duration = Duration::from_millis(900);
+    pub(crate) const CNI_CPU: Duration = Duration::from_millis(2);
     /// Volume/token mount setup.
-    pub const VOLUMES_IO: Duration = Duration::from_millis(85);
+    pub(crate) const VOLUMES_IO: Duration = Duration::from_millis(85);
     /// One CRI RPC round trip (kubelet ↔ containerd).
-    pub const CRI_RPC: Duration = Duration::from_millis(28);
+    pub(crate) const CRI_RPC: Duration = Duration::from_millis(28);
 }
 
 /// Kubernetes default `terminationGracePeriodSeconds`.
@@ -132,7 +132,7 @@ pub struct PodEntry {
     pub spec: PodSpec,
     /// Admission order (monotonic). Node-pressure eviction removes the
     /// *newest* best-effort pod first, so this is the eviction key.
-    pub seq: u64,
+    pub(crate) seq: u64,
     pub phase: PodPhase,
     /// Consecutive failed sync/restart attempts since the last success —
     /// the exponent of the backoff schedule.
@@ -211,7 +211,7 @@ pub struct ReconcileReport {
     /// Pods successfully restarted this pass.
     pub restarted: Vec<String>,
     /// Pods whose restart attempt failed again (backoff extended).
-    pub backoff: Vec<String>,
+    pub(crate) backoff: Vec<String>,
     /// Pods whose liveness probe crossed its failure threshold this pass:
     /// the guest was epoch-interrupted, the pod torn down, and a backoff
     /// restart scheduled.
@@ -219,7 +219,7 @@ pub struct ReconcileReport {
     /// Recovery work performed, tagged [`Phase::TeardownAfterFault`] —
     /// deliberately kept out of the pods' startup traces so the figure
     /// pipelines never see it.
-    pub trace: StepTrace,
+    pub(crate) trace: StepTrace,
 }
 
 impl ReconcileReport {
@@ -237,8 +237,8 @@ impl ReconcileReport {
 /// The node agent.
 pub struct Kubelet {
     kernel: Kernel,
-    pub config: NodeConfig,
-    pub pid: Pid,
+    pub(crate) config: NodeConfig,
+    pub(crate) pid: Pid,
     /// Pseudo-processes holding per-pod infrastructure charges.
     infra_procs: std::collections::BTreeMap<String, Pid>,
     /// Supervised pods (admitted with [`RestartPolicy::Always`]).
@@ -255,7 +255,7 @@ pub struct Kubelet {
 
 impl Kubelet {
     /// Start the kubelet daemon in the system cgroup.
-    pub fn start(
+    pub(crate) fn start(
         kernel: Kernel,
         system_cgroup: CgroupId,
         config: NodeConfig,
@@ -286,7 +286,7 @@ impl Kubelet {
 
     /// A deep copy of the kubelet's tables supervising `kernel`, a
     /// [`Kernel::fork`] of this kubelet's (pids carry over).
-    pub fn fork(&self, kernel: Kernel) -> Kubelet {
+    pub(crate) fn fork(&self, kernel: Kernel) -> Kubelet {
         Kubelet {
             kernel,
             config: self.config.clone(),
@@ -304,7 +304,7 @@ impl Kubelet {
 
     /// Pods successfully synced to Running since the kubelet started
     /// (monotonic; unaffected by teardown).
-    pub fn pods_synced(&self) -> usize {
+    pub(crate) fn pods_synced(&self) -> usize {
         self.pods_synced
     }
 
@@ -312,7 +312,7 @@ impl Kubelet {
     /// (supervised or not) plus supervised entries between restarts whose
     /// resources are torn down. This is the count the scheduler holds
     /// against [`NodeConfig::max_pods`].
-    pub fn occupancy(&self) -> usize {
+    pub(crate) fn occupancy(&self) -> usize {
         debug_assert_eq!(
             self.torn_down,
             self.pods.keys().filter(|k| !self.infra_procs.contains_key(*k)).count()
@@ -339,7 +339,7 @@ impl Kubelet {
     /// Delay before restart attempt `n` (0-based) of a crash-looping pod:
     /// kubelet's standard exponential schedule, 10s · 2ⁿ capped at 5
     /// minutes — 10s, 20s, 40s, 80s, 160s, 300s, 300s, …
-    pub fn backoff_delay(n: u32) -> Duration {
+    pub(crate) fn backoff_delay(n: u32) -> Duration {
         const CAP_SECS: u64 = 300;
         let secs = 10u64.checked_shl(n).map_or(CAP_SECS, |s| s.min(CAP_SECS));
         Duration::from_secs(secs)
@@ -378,7 +378,7 @@ impl Kubelet {
     /// lost, or a wedged guest awaiting liveness detection). Steady-state
     /// probes against settled pods are excluded — they fire forever and
     /// would otherwise keep the chaos loop spinning.
-    pub fn next_deadline(&self) -> Option<SimTime> {
+    pub(crate) fn next_deadline(&self) -> Option<SimTime> {
         self.pods
             .values()
             .flat_map(|e| {
@@ -651,7 +651,11 @@ impl Kubelet {
     /// 4. **Due restarts** — pods whose backoff deadline has passed are
     ///    re-synced from scratch; success resets the failure count, another
     ///    failure doubles the backoff.
-    pub fn reconcile(&mut self, containerd: &mut Containerd, now: SimTime) -> ReconcileReport {
+    pub(crate) fn reconcile(
+        &mut self,
+        containerd: &mut Containerd,
+        now: SimTime,
+    ) -> ReconcileReport {
         let mut report = ReconcileReport::default();
 
         // No process on this node has been OOM-killed since the last pass
@@ -788,7 +792,7 @@ impl Kubelet {
     /// the first error is reported at the end, and removing a pod that is
     /// already gone is a successful no-op. Returns the termination steps
     /// it recorded ([`Phase::Terminating`]-tagged SIGTERM/SIGKILL work).
-    pub fn remove_pod(
+    pub(crate) fn remove_pod(
         &mut self,
         containerd: &mut Containerd,
         pod_name: &str,

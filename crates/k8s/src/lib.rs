@@ -17,12 +17,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod api;
-pub mod cluster;
-pub mod kubelet;
-pub mod metrics;
-pub mod node;
-pub mod scheduler;
+pub(crate) mod api;
+pub(crate) mod cluster;
+pub(crate) mod kubelet;
+pub(crate) mod metrics;
+pub(crate) mod node;
+pub(crate) mod scheduler;
 pub mod service;
 
 pub use api::{

@@ -41,43 +41,43 @@ pub enum NodeCondition {
 /// lease may go before the node is marked NotReady.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeLease {
-    pub last_renewal: SimTime,
+    pub(crate) last_renewal: SimTime,
 }
 
 /// A booted worker node.
 pub struct Node {
     /// Node name (`node-0`, `node-1`, …) as the scheduler reports it.
-    pub name: String,
+    pub(crate) name: String,
     /// Position in the cluster's node vector; [`crate::api::PodRecord`]
     /// placements refer to this index.
     pub index: usize,
     pub kernel: Kernel,
     pub containerd: Containerd,
     pub kubelet: Kubelet,
-    pub system_cgroup: CgroupId,
-    pub kubepods: CgroupId,
+    pub(crate) system_cgroup: CgroupId,
+    pub(crate) kubepods: CgroupId,
     /// Cordoned nodes (`schedulable == false`) are skipped by every
     /// scheduling policy; running pods are unaffected until drained.
-    pub schedulable: bool,
+    pub(crate) schedulable: bool,
     /// Powered on? A crashed node keeps its (stale, frozen) kubelet and
     /// containerd state around until [`Node::restart`] rebuilds them.
-    pub alive: bool,
+    pub(crate) alive: bool,
     /// Partitioned from the control plane: pods keep running, heartbeat
     /// renewals don't go through.
-    pub partitioned: bool,
+    pub(crate) partitioned: bool,
     /// Lease-driven readiness; the scheduler only places on `Ready`.
     pub condition: NodeCondition,
     /// When the lease expired (cleared on recovery). The controller's
     /// pod-eviction grace counts from here.
-    pub not_ready_since: Option<SimTime>,
-    pub lease: NodeLease,
+    pub(crate) not_ready_since: Option<SimTime>,
+    pub(crate) lease: NodeLease,
     /// Replicas the controller gave up on while this node was unreachable.
     /// The node cannot be told to kill them while unreachable; the first
     /// successful renewal after a partition heals drains this list
     /// ([`Node::fence`]) so replica counts reconverge without split-brain
     /// double-counting. A restart clears it — a crash already took the
     /// pods down with the power.
-    pub fence_pending: Vec<String>,
+    pub(crate) fence_pending: Vec<String>,
 }
 
 impl Node {
@@ -171,7 +171,7 @@ impl Node {
 
     /// Cut the node off from the control plane without killing it: pods
     /// keep running, heartbeat renewals stop going through.
-    pub fn partition(&mut self) -> KernelResult<()> {
+    pub(crate) fn partition(&mut self) -> KernelResult<()> {
         if !self.alive {
             return Err(KernelError::InvalidState(format!("{} is crashed", self.name)));
         }
@@ -185,7 +185,7 @@ impl Node {
     /// Heal a partition. The node does not become `Ready` here — that
     /// happens at its next successful lease renewal, which also fences
     /// whatever the controller re-homed in the meantime.
-    pub fn heal(&mut self) -> KernelResult<()> {
+    pub(crate) fn heal(&mut self) -> KernelResult<()> {
         if !self.partitioned {
             return Err(KernelError::InvalidState(format!("{} is not partitioned", self.name)));
         }
@@ -206,14 +206,9 @@ impl Node {
         Ok(())
     }
 
-    /// Supervised pods currently managed by this node's kubelet.
-    pub fn pod_count(&self) -> usize {
-        self.kubelet.pod_count()
-    }
-
     /// Total cgroup throttle events (cpu + io) charged to this node's
     /// pod sandboxes — the pressure signal the scheduler scores on.
-    pub fn throttle_events(&self) -> u64 {
+    pub(crate) fn throttle_events(&self) -> u64 {
         let mut total = 0u64;
         for pod_cgroup in self.containerd.sandbox_cgroups() {
             if let Ok(stats) = self.kernel.cgroup_stats(pod_cgroup) {

@@ -19,27 +19,23 @@ use crate::node::Node;
 /// What the scheduler saw on one node when it made a decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeSnapshot {
-    pub index: usize,
-    pub schedulable: bool,
+    pub(crate) index: usize,
+    pub(crate) schedulable: bool,
     /// Supervised pods on the node's kubelet.
-    pub pods: usize,
+    pub(crate) pods: usize,
     /// The kubelet's admission ceiling.
-    pub max_pods: usize,
+    pub(crate) max_pods: usize,
     /// `free(1)` available bytes on the node kernel.
-    pub available: u64,
+    pub(crate) available: u64,
     /// Cumulative cpu + io throttle events over the node's pod sandboxes.
-    pub throttle_events: u64,
+    pub(crate) throttle_events: u64,
 }
 
 impl NodeSnapshot {
-    pub fn observe(node: &Node) -> NodeSnapshot {
-        NodeSnapshot::observe_with(node, true)
-    }
-
-    /// [`NodeSnapshot::observe`] with the throttle sum optional — policies
-    /// that never read it skip the per-sandbox cgroup walk, which matters
-    /// at 10k-pod placement rates.
-    pub fn observe_with(node: &Node, with_throttle: bool) -> NodeSnapshot {
+    /// What the scheduler sees of `node`, with the throttle sum optional —
+    /// policies that never read it skip the per-sandbox cgroup walk, which
+    /// matters at 10k-pod placement rates.
+    pub(crate) fn observe_with(node: &Node, with_throttle: bool) -> NodeSnapshot {
         NodeSnapshot {
             index: node.index,
             // Crashed and NotReady nodes are unschedulable regardless of
@@ -120,7 +116,10 @@ impl Scheduler {
 
     /// [`Scheduler::place`] on pre-taken snapshots, in ascending node
     /// index (testable without a booted cluster).
-    pub fn place_from(&self, snapshots: impl IntoIterator<Item = NodeSnapshot>) -> Option<usize> {
+    pub(crate) fn place_from(
+        &self,
+        snapshots: impl IntoIterator<Item = NodeSnapshot>,
+    ) -> Option<usize> {
         let mut best: Option<NodeSnapshot> = None;
         for s in snapshots.into_iter().filter(NodeSnapshot::feasible) {
             // Ascending index, strict preference: first best wins ties.

@@ -59,23 +59,14 @@ pub enum ShedReason {
 }
 
 impl ShedReason {
-    pub const ALL: [ShedReason; 4] = [
+    pub(crate) const ALL: [ShedReason; 4] = [
         ShedReason::NoEndpoint,
         ShedReason::QueueFull,
         ShedReason::WaitBudget,
         ShedReason::Deadline,
     ];
 
-    pub fn label(self) -> &'static str {
-        match self {
-            ShedReason::NoEndpoint => "no-endpoint",
-            ShedReason::QueueFull => "queue-full",
-            ShedReason::WaitBudget => "wait-budget",
-            ShedReason::Deadline => "deadline",
-        }
-    }
-
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             ShedReason::NoEndpoint => 0,
             ShedReason::QueueFull => 1,
@@ -103,17 +94,17 @@ pub(crate) enum BreakerState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CircuitBreaker {
     pub(crate) state: BreakerState,
-    pub consecutive_failures: u32,
+    pub(crate) consecutive_failures: u32,
     /// When the breaker last opened (cool-off counts from here).
-    pub opened_at: SimTime,
+    pub(crate) opened_at: SimTime,
     /// Times the breaker has opened over its lifetime.
     pub opened_total: u64,
     /// A half-open trial request is currently in flight.
-    pub trial_inflight: bool,
+    pub(crate) trial_inflight: bool,
 }
 
 impl CircuitBreaker {
-    pub fn new() -> CircuitBreaker {
+    pub(crate) fn new() -> CircuitBreaker {
         CircuitBreaker {
             state: BreakerState::Closed,
             consecutive_failures: 0,
@@ -184,18 +175,18 @@ impl Default for CircuitBreaker {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryBudget {
     /// Current balance, millitokens.
-    pub millitokens: u64,
+    pub(crate) millitokens: u64,
     /// Bucket capacity, millitokens.
-    pub cap: u64,
+    pub(crate) cap: u64,
     /// Deposit per recorded success, millitokens.
-    pub deposit_per_success: u64,
+    pub(crate) deposit_per_success: u64,
     /// `false` disables budget enforcement entirely — the contract's
     /// control arm, which demonstrably melts down under overload.
-    pub enabled: bool,
+    pub(crate) enabled: bool,
 }
 
 /// Cost of one retry, millitokens.
-pub const RETRY_COST_MILLITOKENS: u64 = 1_000;
+pub(crate) const RETRY_COST_MILLITOKENS: u64 = 1_000;
 
 impl RetryBudget {
     /// Default budget: starts full at 10 tokens, refills at 10% of
@@ -210,7 +201,7 @@ impl RetryBudget {
     }
 
     /// Record a success (deposits into the bucket, saturating at the cap).
-    pub fn deposit(&mut self) {
+    pub(crate) fn deposit(&mut self) {
         if self.enabled {
             self.millitokens = (self.millitokens + self.deposit_per_success).min(self.cap);
         }
@@ -241,8 +232,8 @@ impl Default for RetryBudget {
 pub struct RetryPolicy {
     /// Total attempts including the first (so `max_attempts - 1` retries).
     pub max_attempts: u32,
-    pub base_backoff: Duration,
-    pub max_backoff: Duration,
+    pub(crate) base_backoff: Duration,
+    pub(crate) max_backoff: Duration,
 }
 
 impl RetryPolicy {
@@ -269,8 +260,8 @@ impl RetryPolicy {
 /// past the budget.
 #[derive(Debug, Clone, Copy)]
 pub struct ResilientClient {
-    pub budget: RetryBudget,
-    pub policy: RetryPolicy,
+    pub(crate) budget: RetryBudget,
+    pub(crate) policy: RetryPolicy,
 }
 
 impl ResilientClient {
@@ -295,11 +286,11 @@ impl ResilientClient {
 
 /// One queued request on an endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct QueuedReq {
+pub(crate) struct QueuedReq {
     /// Caller-assigned token (unique per attempt).
-    pub token: u64,
+    pub(crate) token: u64,
     /// Absolute deadline; the execution slice is capped to it.
-    pub deadline: SimTime,
+    pub(crate) deadline: SimTime,
 }
 
 /// A request the endpoint's single server is executing right now.
@@ -307,12 +298,12 @@ pub struct QueuedReq {
 pub struct InFlight {
     pub token: u64,
     /// When the server will surface the outcome.
-    pub finish: SimTime,
+    pub(crate) finish: SimTime,
     /// `true`: served to completion. `false`: the epoch watchdog interrupted
     /// it at the execution cap (deadline or watchdog budget) — a failure.
-    pub served: bool,
+    pub(crate) served: bool,
     /// Served in brownout (degraded) mode.
-    pub degraded: bool,
+    pub(crate) degraded: bool,
 }
 
 /// One ready pod behind the service: a single-server FIFO queue plus its
@@ -328,11 +319,11 @@ pub struct Endpoint {
     pub pod: String,
     /// Node index hosting the pod.
     pub node: usize,
-    pub queue: VecDeque<QueuedReq>,
+    pub(crate) queue: VecDeque<QueuedReq>,
     pub serving: Option<InFlight>,
     pub breaker: CircuitBreaker,
     /// Server busy until this instant (service work + reject costs).
-    pub busy_until: SimTime,
+    pub(crate) busy_until: SimTime,
 }
 
 impl Endpoint {
@@ -361,25 +352,25 @@ pub struct ServiceConfig {
     /// Bounded per-endpoint queue capacity (excluding the in-service slot).
     pub queue_capacity: usize,
     /// Admission sheds when estimated wait (`depth × exec`) exceeds this.
-    pub wait_budget: Duration,
+    pub(crate) wait_budget: Duration,
     /// Server time one rejection costs the picked endpoint (parsing +
     /// writing the 503). This is why unbudgeted retry storms are
     /// metastable: reject work alone can exceed capacity.
-    pub reject_cost: Duration,
+    pub(crate) reject_cost: Duration,
     /// Full-service execution time per request on this deployment's
     /// runtime (derived from the engine profile by the harness).
-    pub exec: Duration,
+    pub(crate) exec: Duration,
     /// Degraded-mode execution time (optional work skipped).
-    pub exec_degraded: Duration,
+    pub(crate) exec_degraded: Duration,
     /// Consecutive failures that open an endpoint's breaker.
-    pub breaker_threshold: u32,
+    pub(crate) breaker_threshold: u32,
     /// Open → half-open probe delay.
-    pub breaker_cooloff: Duration,
+    pub(crate) breaker_cooloff: Duration,
     /// Mean endpoint depth (×1000, over ready endpoints) at or above which
     /// brownout engages.
-    pub brownout_high_x1000: u64,
+    pub(crate) brownout_high_x1000: u64,
     /// Mean depth (×1000) at or below which brownout disengages.
-    pub brownout_low_x1000: u64,
+    pub(crate) brownout_low_x1000: u64,
     /// Execution cap from the guest's epoch watchdog (the kubelet arms the
     /// same budget from the liveness probe). Deadline propagation takes
     /// `min(deadline remaining, watchdog_budget)`.
@@ -409,16 +400,16 @@ impl ServiceConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServiceSignal {
     /// Mean endpoint depth over ready endpoints, thousandths.
-    pub mean_depth_x1000: u64,
+    pub(crate) mean_depth_x1000: u64,
     /// p99 latency of recently completed requests (caller-computed).
-    pub p99: Duration,
+    pub(crate) p99: Duration,
 }
 
 /// What [`Service::admit`] decided.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Admitted {
     /// Endpoint index the request was queued on.
-    pub endpoint: usize,
+    pub(crate) endpoint: usize,
     /// The endpoint's server is idle — the caller should
     /// [`Service::try_start`] it now.
     pub server_idle: bool,
@@ -430,29 +421,29 @@ pub struct Started {
     pub token: u64,
     pub finish: SimTime,
     /// `false`: the epoch watchdog will interrupt at `finish` (cap hit).
-    pub served: bool,
-    pub degraded: bool,
+    pub(crate) served: bool,
+    pub(crate) degraded: bool,
 }
 
 /// What [`Service::complete`] reported for a finished request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
-    pub token: u64,
+    pub(crate) token: u64,
     /// Served to completion (vs interrupted at the execution cap).
     pub ok: bool,
     pub degraded: bool,
     /// The failure opened the endpoint's breaker.
-    pub opened_breaker: bool,
+    pub(crate) opened_breaker: bool,
 }
 
 /// The Service/ingress: readiness-gated endpoints, pick-of-2 routing,
 /// bounded queues, admission control, breakers, brownout.
 #[derive(Debug, Clone)]
 pub struct Service {
-    pub config: ServiceConfig,
+    pub(crate) config: ServiceConfig,
     pub endpoints: Vec<Endpoint>,
     /// Brownout engaged: new starts run in degraded mode.
-    pub degraded: bool,
+    pub(crate) degraded: bool,
     /// Times brownout engaged.
     pub brownout_engagements: u64,
     /// Sheds by [`ShedReason::index`].
@@ -695,7 +686,7 @@ impl Service {
     }
 
     /// Mean endpoint depth over ready endpoints, thousandths.
-    pub fn mean_depth_x1000(&self) -> u64 {
+    pub(crate) fn mean_depth_x1000(&self) -> u64 {
         if self.endpoints.is_empty() {
             return 0;
         }

@@ -126,7 +126,7 @@ fn check_law(bytes: &[u8], spec: &RuntimeSpec) {
 mod tests {
     use super::*;
     use crate::image::{ImageBuilder, ImageStore};
-    use simkernel::{FaultPlan, FaultSite, Kernel, KernelConfig};
+    use simkernel::{FaultPlan, FaultSite, Kernel, KernelConfig, ProcessImage};
 
     fn image(kernel: &Kernel) -> Image {
         let mut store = ImageStore::new();
@@ -150,7 +150,7 @@ mod tests {
         let spec = spec(&image);
         let bundle = Bundle::create(&kernel, "c1", &image, &spec).unwrap();
         let cg = kernel.cgroup_create(Kernel::ROOT_CGROUP, "rt").unwrap();
-        let pid = kernel.spawn("runtime", cg).unwrap();
+        let pid = ProcessImage::spawn(&kernel, "runtime", cg).build().unwrap().detach();
         (kernel, bundle, spec, pid)
     }
 
@@ -165,7 +165,8 @@ mod tests {
         let spec = spec(&image);
         let bundle = Bundle::create(&kernel, "c1", &image, &spec).unwrap();
 
-        let pid = kernel.spawn("runtime", Kernel::ROOT_CGROUP).unwrap();
+        let pid =
+            ProcessImage::spawn(&kernel, "runtime", Kernel::ROOT_CGROUP).build().unwrap().detach();
         let loaded = bundle.load_spec(&kernel, pid).unwrap();
         assert_eq!(*loaded, spec);
         // The config read went through the page cache.
@@ -246,7 +247,7 @@ mod tests {
         let parsed = Bundle::create(&kernel, "c2", &image, &spec).unwrap();
         overwrite(&kernel, &parsed, &spec.to_json());
         let cg = kernel.cgroup_create(Kernel::ROOT_CGROUP, "rt2").unwrap();
-        let parsed_pid = kernel.spawn("runtime", cg).unwrap();
+        let parsed_pid = ProcessImage::spawn(&kernel, "runtime", cg).build().unwrap().detach();
 
         let a = kept.load_spec(&kernel, kept_pid).unwrap();
         let b = parsed.load_spec(&kernel, parsed_pid).unwrap();
@@ -300,7 +301,8 @@ mod tests {
         assert_eq!(a.resolve("/data/stream.bin"), None, "the earlier bundle's view is unchanged");
         assert_eq!(a.resolve("/app/main.wasm"), c.resolve("/app/main.wasm"), "same layer file");
 
-        let pid = kernel.spawn("runtime", Kernel::ROOT_CGROUP).unwrap();
+        let pid =
+            ProcessImage::spawn(&kernel, "runtime", Kernel::ROOT_CGROUP).build().unwrap().detach();
         for bundle in [&a, &b, &c] {
             assert_eq!(*bundle.load_spec(&kernel, pid).unwrap(), spec);
             bundle.destroy(&kernel).unwrap();

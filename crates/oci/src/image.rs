@@ -16,10 +16,10 @@ use simkernel::{FileId, Kernel, KernelError, KernelResult};
 /// Image configuration (the OCI image-spec `config` object subset).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ImageConfig {
-    pub entrypoint: Vec<String>,
-    pub cmd: Vec<String>,
+    pub(crate) entrypoint: Vec<String>,
+    pub(crate) cmd: Vec<String>,
     pub env: Vec<String>,
-    pub working_dir: String,
+    pub(crate) working_dir: String,
     /// Annotations propagated to container specs (e.g. the Wasm variant).
     pub annotations: BTreeMap<String, String>,
 }
@@ -28,10 +28,10 @@ pub struct ImageConfig {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerFile {
     /// Path inside the container rootfs (e.g. "/app/main.wasm").
-    pub guest_path: String,
+    pub(crate) guest_path: String,
     /// Backing file in the VFS.
-    pub file: FileId,
-    pub size: u64,
+    pub(crate) file: FileId,
+    pub(crate) size: u64,
 }
 
 /// The rootfs view of an image, by guest path: a function of the image
@@ -40,7 +40,7 @@ pub struct LayerFile {
 #[derive(Debug, Default, PartialEq)]
 pub struct Rootfs {
     /// Guest rootfs path → backing layer file.
-    pub files: BTreeMap<String, FileId>,
+    pub(crate) files: BTreeMap<String, FileId>,
     /// Guest rootfs path → backing VFS path (for WASI preopens).
     pub host_paths: BTreeMap<String, String>,
 }
@@ -51,7 +51,7 @@ pub struct Image {
     /// Shared with every container record created from the image.
     pub reference: Arc<str>,
     pub config: ImageConfig,
-    pub files: Vec<LayerFile>,
+    pub(crate) files: Vec<LayerFile>,
     pub(crate) rootfs: Arc<Rootfs>,
 }
 
@@ -59,11 +59,6 @@ impl Image {
     /// Total bytes across layers.
     pub fn size(&self) -> u64 {
         self.files.iter().map(|f| f.size).sum()
-    }
-
-    /// Find a layer file by its guest path.
-    pub fn file(&self, guest_path: &str) -> Option<&LayerFile> {
-        self.files.iter().find(|f| f.guest_path == guest_path)
     }
 
     /// The effective command: entrypoint + cmd.
@@ -105,12 +100,6 @@ impl ImageBuilder {
     /// Add a file with real content.
     pub fn file(mut self, guest_path: &str, content: impl Into<Bytes>) -> Self {
         self.files.push((guest_path.to_string(), FileContent::Bytes(content.into())));
-        self
-    }
-
-    /// Add a size-only file (modeled binaries, stdlib trees).
-    pub fn synthetic(mut self, guest_path: &str, size: u64) -> Self {
-        self.files.push((guest_path.to_string(), FileContent::Synthetic(size)));
         self
     }
 
@@ -175,19 +164,27 @@ impl ImageStore {
             .get(reference)
             .ok_or_else(|| KernelError::PathNotFound(format!("image {reference}")))
     }
-
-    pub fn len(&self) -> usize {
-        self.images.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.images.is_empty()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simkernel::ProcessImage;
+
+    impl Image {
+        /// Find a layer file by its guest path.
+        pub(crate) fn file(&self, guest_path: &str) -> Option<&LayerFile> {
+            self.files.iter().find(|f| f.guest_path == guest_path)
+        }
+    }
+
+    impl ImageBuilder {
+        /// Add a size-only file (modeled binaries, stdlib trees).
+        pub(crate) fn synthetic(mut self, guest_path: &str, size: u64) -> Self {
+            self.files.push((guest_path.to_string(), FileContent::Synthetic(size)));
+            self
+        }
+    }
     use simkernel::KernelConfig;
 
     fn kernel() -> Kernel {
@@ -234,7 +231,7 @@ mod tests {
             let image = store.register(&k, ImageBuilder::new("svc:v1").file("/app/m.wasm", bytes));
             image.unwrap().file("/app/m.wasm").unwrap().file
         };
-        let pid = k.spawn("reader", Kernel::ROOT_CGROUP).unwrap();
+        let pid = ProcessImage::spawn(&k, "reader", Kernel::ROOT_CGROUP).build().unwrap().detach();
         let first = pull(&mut store, b"AAAA");
         assert_eq!(k.read_file(pid, first).unwrap().unwrap(), b"AAAA"[..]);
         assert!(k.file_cached(first).unwrap() > 0);

@@ -32,8 +32,8 @@ pub enum Value {
 /// Parse errors with byte positions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
-    pub pos: usize,
-    pub message: String,
+    pub(crate) pos: usize,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for JsonError {
@@ -66,16 +66,6 @@ impl Value {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             Value::Number(n) => Some(*n),
-            _ => None,
-        }
-    }
-
-    /// A whole number in `i64`'s range; out of range is `None`, not clamped.
-    pub fn as_i64(&self) -> Option<i64> {
-        match *self {
-            Value::Number(n) if n.fract() == 0.0 && (-TWO_63..TWO_63).contains(&n) => {
-                Some(n as i64)
-            }
             _ => None,
         }
     }
@@ -245,7 +235,7 @@ pub(crate) fn write_string(out: &mut String, s: &str) {
 
 /// Arrays and objects may nest this deep; a document that goes deeper is
 /// rejected instead of overflowing the stack of whoever parses it.
-pub const MAX_DEPTH: u32 = 128;
+pub(crate) const MAX_DEPTH: u32 = 128;
 
 /// A pull reader over one JSON document: the tokenizer both decoders are
 /// built on. [`parse`] drives it into a [`Value`] tree for generic callers;
@@ -337,7 +327,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Skip the value, validating it exactly as [`parse`] would.
-    pub fn skip(&mut self) -> Result<(), JsonError> {
+    pub(crate) fn skip(&mut self) -> Result<(), JsonError> {
         match self.peek() {
             Some(b'"') => self.scan_string().map(drop),
             Some(b'[') => self.array(|r| r.skip()),
@@ -348,7 +338,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The value if it is a string.
-    pub fn string(&mut self) -> Result<Option<String>, JsonError> {
+    pub(crate) fn string(&mut self) -> Result<Option<String>, JsonError> {
         match self.peek() {
             Some(b'"') => Ok(Some(self.scan_string()?.into_owned())),
             _ => self.skip().map(|()| None),
@@ -356,7 +346,7 @@ impl<'a> Reader<'a> {
     }
 
     /// The value if it is `true` or `false`.
-    pub fn boolean(&mut self) -> Result<Option<bool>, JsonError> {
+    pub(crate) fn boolean(&mut self) -> Result<Option<bool>, JsonError> {
         match self.peek() {
             Some(b't' | b'f') => self.scan_literal(),
             _ => self.skip().map(|()| None),
@@ -366,7 +356,7 @@ impl<'a> Reader<'a> {
     /// The value if it is a whole number in `u64`'s range. A plain integer
     /// token is read exactly; any other spelling (`-0`, `2.0`, `1e3`) as
     /// the `f64` a tree would hold.
-    pub fn unsigned(&mut self) -> Result<Option<u64>, JsonError> {
+    pub(crate) fn unsigned(&mut self) -> Result<Option<u64>, JsonError> {
         match self.peek() {
             Some(b'-' | b'0'..=b'9') => {
                 let start = self.pos;
@@ -378,7 +368,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Walk an array: `element` is called at each element and consumes it.
-    pub fn array(
+    pub(crate) fn array(
         &mut self,
         element: impl FnMut(&mut Self) -> Result<(), JsonError>,
     ) -> Result<(), JsonError> {
@@ -391,7 +381,7 @@ impl<'a> Reader<'a> {
     /// Walk an object: `member` is called at each member's value with its
     /// (unescaped) key and consumes the value. Keys arrive in document
     /// order, duplicates included; a tree keeps the last.
-    pub fn object(
+    pub(crate) fn object(
         &mut self,
         mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
     ) -> Result<(), JsonError> {
@@ -667,22 +657,17 @@ mod tests {
     #[test]
     fn accessors() {
         let v = parse(r#"{"n": 7, "s": "x", "b": true, "l": ["p", "q"]}"#).unwrap();
-        assert_eq!(v.get("n").unwrap().as_i64(), Some(7));
         assert_eq!(v.get("n").unwrap().as_u64(), Some(7));
         assert_eq!(v.get("b").unwrap().as_bool(), Some(true));
         assert_eq!(v.str_list("l"), vec!["p", "q"]);
         assert_eq!(v.str_list("missing"), Vec::<String>::new());
         assert_eq!(parse("-1").unwrap().as_u64(), None);
-        assert_eq!(parse("1.5").unwrap().as_i64(), None);
     }
 
     /// Out of range reads as absent, not as the nearest bound.
     #[test]
     fn whole_number_accessors_do_not_saturate() {
         let n = |s: &str| parse(s).unwrap();
-        assert_eq!(n("9223372036854775807").as_i64(), None, "rounds to 2^63");
-        assert_eq!(n("-9223372036854775808").as_i64(), Some(i64::MIN));
-        assert_eq!(n("1e19").as_i64(), None);
         assert_eq!(n("1e19").as_u64(), Some(10_000_000_000_000_000_000));
         assert_eq!(n("18446744073709551615").as_u64(), None, "rounds to 2^64");
         assert_eq!(n("-0").as_u64(), Some(0));

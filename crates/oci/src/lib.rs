@@ -15,10 +15,10 @@
 //!   read back from the simulated filesystem; a read of the bytes a bundle
 //!   wrote returns the spec it kept instead of a parse.
 
-pub mod bundle;
-pub mod image;
+pub(crate) mod bundle;
+pub(crate) mod image;
 pub mod json;
-pub mod spec;
+pub(crate) mod spec;
 
 pub use bundle::Bundle;
 pub use image::{Image, ImageBuilder, ImageConfig, ImageStore, LayerFile, Rootfs};

@@ -2,7 +2,7 @@
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BinOp {
+pub(crate) enum BinOp {
     Add,
     Sub,
     Mul,
@@ -22,7 +22,7 @@ pub enum BinOp {
 
 /// Expressions.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Expr {
+pub(crate) enum Expr {
     Int(i64),
     Float(f64),
     Str(String),
@@ -41,7 +41,7 @@ pub enum Expr {
 
 /// Statements.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Stmt {
+pub(crate) enum Stmt {
     Assign(String, Expr),
     AugAssign(String, BinOp, Expr),
     IndexAssign(Expr, Expr, Expr),
@@ -60,13 +60,13 @@ pub enum Stmt {
 /// A parsed program.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Program {
-    pub body: Vec<Stmt>,
+    pub(crate) body: Vec<Stmt>,
 }
 
 impl Program {
     /// Number of AST nodes — drives the modeled parse cost and the
     /// interpreter's code-object memory estimate.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         fn expr_nodes(e: &Expr) -> usize {
             1 + match e {
                 Expr::Attr(o, _) | Expr::Neg(o) | Expr::Not(o) => expr_nodes(o),

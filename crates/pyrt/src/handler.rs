@@ -28,27 +28,27 @@ pub const PY_EPOCH_TICK_OPS: u64 = 1_000;
 /// CPython 3.10-scale footprint constants.
 #[derive(Debug, Clone)]
 pub struct PythonProfile {
-    pub binary_path: &'static str,
+    pub(crate) binary_path: &'static str,
     /// python3 binary + libpython, modeled as one mappable object.
-    pub binary_size: u64,
-    pub binary_resident_fraction: f64,
+    pub(crate) binary_size: u64,
+    pub(crate) binary_resident_fraction: f64,
     /// Private interpreter heap after `Py_Initialize` (object arenas,
     /// interned strings, builtins, site).
-    pub init_heap: u64,
+    pub(crate) init_heap: u64,
     /// Private bytes per imported stdlib module (module dict, code objects).
-    pub per_import: u64,
+    pub(crate) per_import: u64,
     /// Page-cache bytes read per stdlib import (the .py/.pyc files).
-    pub stdlib_read_per_import: u64,
+    pub(crate) stdlib_read_per_import: u64,
     /// Bytes per AST node for compiled code objects.
-    pub bytes_per_ast_node: u64,
+    pub(crate) bytes_per_ast_node: u64,
     /// Bytes per tracked interpreter allocation.
-    pub bytes_per_alloc: u64,
+    pub(crate) bytes_per_alloc: u64,
     /// Interpreter initialization latency.
-    pub init: Duration,
+    pub(crate) init: Duration,
     /// Latency per import (stat + read + compile of stdlib modules).
-    pub import_each: Duration,
+    pub(crate) import_each: Duration,
     /// Parse cost per AST node.
-    pub parse_ns_per_node: u64,
+    pub(crate) parse_ns_per_node: u64,
     /// Execution cost per interpreter op.
     pub exec_ns_per_op: u64,
 }
@@ -138,15 +138,15 @@ impl From<&ScriptInputs<'_>> for ScriptKey {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScriptOutcome {
     /// AST nodes of the parsed script.
-    pub nodes: u64,
+    pub(crate) nodes: u64,
     /// What the run came to: the exit code (`sys.exit` or falling off the
     /// end), [`PyError::Interrupted`] at the watchdog deadline, or an
     /// uncaught error.
-    pub end: Result<i32, PyError>,
-    pub stats: PyStats,
-    pub stdout: Bytes,
+    pub(crate) end: Result<i32, PyError>,
+    pub(crate) stats: PyStats,
+    pub(crate) stdout: Bytes,
     /// Modules imported, in order.
-    pub imported: Vec<String>,
+    pub(crate) imported: Vec<String>,
 }
 
 /// The process-wide record of what each distinct script does; `clear()`
@@ -373,7 +373,7 @@ print(\"service ready\", total)
     fn executes_the_script_for_real() {
         let (kernel, bundle, spec) = setup();
         let cg = kernel.cgroup_create(Kernel::ROOT_CGROUP, "pod").unwrap();
-        let pid = kernel.spawn("py", cg).unwrap();
+        let pid = ProcessImage::spawn(&kernel, "py", cg).build().unwrap().detach();
         let h = PythonHandler::default();
         let out = h.execute(&kernel, pid, &bundle, &spec).unwrap();
         assert_eq!(out.exit_code, 0);
@@ -390,11 +390,11 @@ print(\"service ready\", total)
         let (kernel, bundle, spec) = setup();
         let h = PythonHandler::default();
         let cg1 = kernel.cgroup_create(Kernel::ROOT_CGROUP, "a").unwrap();
-        let p1 = kernel.spawn("py1", cg1).unwrap();
+        let p1 = ProcessImage::spawn(&kernel, "py1", cg1).build().unwrap().detach();
         h.execute(&kernel, p1, &bundle, &spec).unwrap();
         let cache_after_one = kernel.free().buff_cache;
         let cg2 = kernel.cgroup_create(Kernel::ROOT_CGROUP, "b").unwrap();
-        let p2 = kernel.spawn("py2", cg2).unwrap();
+        let p2 = ProcessImage::spawn(&kernel, "py2", cg2).build().unwrap().detach();
         let out2 = h.execute(&kernel, p2, &bundle, &spec).unwrap();
         assert_eq!(kernel.free().buff_cache, cache_after_one, "no new cache");
         assert!(
@@ -407,7 +407,7 @@ print(\"service ready\", total)
     fn missing_script_is_an_error() {
         let (kernel, bundle, mut spec) = setup();
         spec.process.args = vec!["/usr/bin/python3".to_string(), "/app/ghost.py".to_string()];
-        let pid = kernel.spawn("py", Kernel::ROOT_CGROUP).unwrap();
+        let pid = ProcessImage::spawn(&kernel, "py", Kernel::ROOT_CGROUP).build().unwrap().detach();
         let h = PythonHandler::default();
         assert!(matches!(
             h.execute(&kernel, pid, &bundle, &spec),
@@ -431,7 +431,7 @@ print(\"service ready\", total)
             .clone();
         let spec = RuntimeSpec::for_command("e", image.command());
         let bundle = Bundle::create(&kernel, "e", &image, &spec).unwrap();
-        let pid = kernel.spawn("py", Kernel::ROOT_CGROUP).unwrap();
+        let pid = ProcessImage::spawn(&kernel, "py", Kernel::ROOT_CGROUP).build().unwrap().detach();
         let out = PythonHandler::default().execute(&kernel, pid, &bundle, &spec).unwrap();
         assert_eq!(out.exit_code, 7);
     }

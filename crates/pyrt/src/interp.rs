@@ -38,9 +38,9 @@ pub enum PyValue {
 /// A user-defined function.
 #[derive(Debug)]
 pub struct FuncDef {
-    pub name: String,
-    pub params: Vec<String>,
-    pub body: Vec<Stmt>,
+    pub(crate) name: String,
+    pub(crate) params: Vec<String>,
+    pub(crate) body: Vec<Stmt>,
 }
 
 /// Runtime errors (including `sys.exit`).
@@ -71,36 +71,28 @@ impl fmt::Display for PyError {
 
 /// A shared epoch counter mirroring `wasm_core::EpochClock` (the crates are
 /// deliberately independent): the interpreter advances it as ops retire and
-/// checks it against a deadline at each tick; any holder of a clone can
-/// force it past every deadline with [`PyEpochClock::interrupt`], observed
-/// at the interpreter's next epoch check.
+/// checks it against a deadline at each tick.
 #[derive(Debug, Clone, Default)]
 pub struct PyEpochClock {
     epoch: std::sync::Arc<std::sync::atomic::AtomicU64>,
 }
 
 impl PyEpochClock {
-    pub fn new() -> PyEpochClock {
+    pub(crate) fn new() -> PyEpochClock {
         PyEpochClock::default()
     }
 
     /// Current epoch.
-    pub fn now(&self) -> u64 {
+    pub(crate) fn now(&self) -> u64 {
         self.epoch.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Advance by `ticks` epochs and return the new value (saturating, so
     /// an interrupted clock stays interrupted).
-    pub fn advance(&self, ticks: u64) -> u64 {
+    pub(crate) fn advance(&self, ticks: u64) -> u64 {
         let now = self.now().saturating_add(ticks);
         self.epoch.store(now, std::sync::atomic::Ordering::Relaxed);
         now
-    }
-
-    /// Force the clock past every deadline: the interpreter raises
-    /// [`PyError::Interrupted`] at its next epoch check.
-    pub fn interrupt(&self) {
-        self.epoch.store(u64::MAX, std::sync::atomic::Ordering::Relaxed);
     }
 }
 
@@ -130,7 +122,7 @@ pub struct PyStats {
     /// Heap allocations performed (objects, list growths, strings).
     pub allocs: u64,
     /// Modules imported.
-    pub imports: u64,
+    pub(crate) imports: u64,
 }
 
 /// The interpreter.
@@ -166,7 +158,7 @@ impl Interp {
 
     /// Arm the epoch watchdog: raise [`PyError::Interrupted`] once `clock`
     /// reaches `deadline`, checking every `tick_ops` interpreter ops.
-    pub fn with_epoch(mut self, clock: PyEpochClock, deadline: u64, tick_ops: u64) -> Self {
+    pub(crate) fn with_epoch(mut self, clock: PyEpochClock, deadline: u64, tick_ops: u64) -> Self {
         let tick_ops = tick_ops.max(1);
         self.epoch = Some(EpochState { clock, deadline, tick_ops, until_tick: tick_ops });
         self
@@ -1006,6 +998,14 @@ fn to_display(v: &PyValue) -> String {
 mod tests {
     use super::*;
     use crate::parser::parse;
+
+    impl PyEpochClock {
+        /// Force the clock past every deadline: the interpreter raises
+        /// [`PyError::Interrupted`] at its next epoch check.
+        fn interrupt(&self) {
+            self.epoch.store(u64::MAX, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
 
     fn run(src: &str) -> (String, i32, PyStats) {
         let program = parse(src).unwrap();

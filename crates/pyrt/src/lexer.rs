@@ -4,7 +4,7 @@ use std::fmt;
 
 /// Tokens produced by the lexer.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Tok {
+pub(crate) enum Tok {
     // Literals and names.
     Int(i64),
     Float(f64),
@@ -68,9 +68,9 @@ impl fmt::Display for Tok {
 
 /// Lexer errors with line numbers.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LexError {
-    pub line: usize,
-    pub message: String,
+pub(crate) struct LexError {
+    pub(crate) line: usize,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for LexError {
@@ -82,7 +82,7 @@ impl fmt::Display for LexError {
 impl std::error::Error for LexError {}
 
 /// Tokenize a source file.
-pub fn lex(src: &str) -> Result<Vec<Tok>, LexError> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Tok>, LexError> {
     let mut out = Vec::new();
     let mut indents = vec![0usize];
     for (lineno, raw_line) in src.lines().enumerate() {

@@ -9,13 +9,12 @@
 //! inside the container process with CPython-scale memory charging and
 //! cold-start latency.
 
-pub mod ast;
+pub(crate) mod ast;
 pub mod handler;
-pub mod interp;
-pub mod lexer;
-pub mod parser;
+pub(crate) mod interp;
+pub(crate) mod lexer;
+pub(crate) mod parser;
 
-pub use ast::{BinOp, Expr, Program, Stmt};
 pub use handler::{
     execute_script, install_python, scripts, PythonHandler, PythonProfile, ScriptInputs, ScriptKey,
     ScriptOutcome, PYTHON,

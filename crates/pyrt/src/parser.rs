@@ -8,7 +8,7 @@ use crate::lexer::{lex, LexError, Tok};
 /// Parse errors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParseError {
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for ParseError {

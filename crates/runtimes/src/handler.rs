@@ -88,7 +88,7 @@ pub fn resolve_module(bundle: &Bundle, spec: &RuntimeSpec) -> KernelResult<FileI
 }
 
 /// Guest path of the streaming data file adversarial thrasher images carry.
-pub const THRASH_STREAM_PATH: &str = "/data/stream.bin";
+pub(crate) const THRASH_STREAM_PATH: &str = "/data/stream.bin";
 
 /// What a guest start needs from its OCI container — the paper's §III-C
 /// integration aspect 2: the module the entrypoint names, the WASI view of
@@ -194,7 +194,7 @@ impl ContainerHandler for WasmEngineHandler {
 pub struct PauseHandler;
 
 /// Resident footprint of the pause process.
-pub const PAUSE_RESIDENT: u64 = 300 << 10;
+pub(crate) const PAUSE_RESIDENT: u64 = 300 << 10;
 
 impl ContainerHandler for PauseHandler {
     fn name(&self) -> &'static str {
@@ -227,7 +227,7 @@ impl ContainerHandler for PauseHandler {
 mod tests {
     use super::*;
     use oci_spec_lite::{ImageBuilder, ImageStore};
-    use simkernel::{Kernel, KernelConfig};
+    use simkernel::{Kernel, KernelConfig, ProcessImage};
 
     fn setup() -> (Kernel, Bundle, RuntimeSpec) {
         let kernel = Kernel::boot(KernelConfig::default());
@@ -260,7 +260,7 @@ mod tests {
         let (kernel, bundle, spec) = setup();
         let handler = WasmEngineHandler::new(EngineKind::Wasmtime);
         assert!(handler.matches(&spec, &bundle));
-        let pid = kernel.spawn("c1", Kernel::ROOT_CGROUP).unwrap();
+        let pid = ProcessImage::spawn(&kernel, "c1", Kernel::ROOT_CGROUP).build().unwrap().detach();
         let out = handler.execute(&kernel, pid, &bundle, &spec).unwrap();
         assert_eq!(out.exit_code, 0);
         assert_eq!(out.stdout, b"ok\n");
@@ -293,7 +293,7 @@ mod tests {
         let (kernel, bundle, mut spec) = setup();
         spec.process.args = vec!["/app/ghost.wasm".to_string()];
         let handler = WasmEngineHandler::new(EngineKind::Wamr);
-        let pid = kernel.spawn("c1", Kernel::ROOT_CGROUP).unwrap();
+        let pid = ProcessImage::spawn(&kernel, "c1", Kernel::ROOT_CGROUP).build().unwrap().detach();
         assert!(matches!(
             handler.execute(&kernel, pid, &bundle, &spec),
             Err(KernelError::PathNotFound(_))
@@ -306,7 +306,8 @@ mod tests {
         let spec = RuntimeSpec::for_command("pause", vec!["/pause".to_string()]);
         let h = PauseHandler;
         assert!(h.matches(&spec, &bundle));
-        let pid = kernel.spawn("pause", Kernel::ROOT_CGROUP).unwrap();
+        let pid =
+            ProcessImage::spawn(&kernel, "pause", Kernel::ROOT_CGROUP).build().unwrap().detach();
         h.execute(&kernel, pid, &bundle, &spec).unwrap();
         assert_eq!(kernel.proc_rss(pid).unwrap(), PAUSE_RESIDENT);
     }

@@ -20,8 +20,7 @@
 
 pub mod handler;
 pub mod profile;
-pub mod runtime;
+pub(crate) mod runtime;
 
-pub use handler::{ContainerHandler, HandlerOutcome, PauseHandler, WasmEngineHandler};
 pub use profile::{RuntimeKind, RuntimeProfile};
 pub use runtime::{Container, ContainerState, LowLevelRuntime, RuntimeCtx};

@@ -15,7 +15,7 @@ pub enum RuntimeKind {
 }
 
 impl RuntimeKind {
-    pub fn profile(self) -> &'static RuntimeProfile {
+    pub(crate) fn profile(self) -> &'static RuntimeProfile {
         match self {
             RuntimeKind::Crun => &CRUN,
             RuntimeKind::Runc => &RUNC,
@@ -27,38 +27,36 @@ impl RuntimeKind {
 /// Characteristics of one low-level runtime.
 #[derive(Debug, Clone)]
 pub struct RuntimeProfile {
-    pub kind: RuntimeKind,
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Version as in the paper's Table I (crun/youki are not listed there;
     /// contemporary releases are used).
     pub version: &'static str,
-    pub binary_path: &'static str,
-    pub binary_size: u64,
+    pub(crate) binary_path: &'static str,
+    pub(crate) binary_size: u64,
     /// Fraction of the binary resident while running.
-    pub binary_resident_fraction: f64,
+    pub(crate) binary_resident_fraction: f64,
     /// Private heap of the runtime process during create/start (the Go
     /// runtime arena for runc; a small arena for crun).
-    pub startup_heap: u64,
+    pub(crate) startup_heap: u64,
     /// Residual private bytes the container init process keeps from the
     /// runtime after start (crun's in-process handlers keep crun resident).
-    pub container_residual: u64,
+    pub(crate) container_residual: u64,
     /// Time to exec the runtime binary (after the first, page-cached, load).
-    pub exec: Duration,
+    pub(crate) exec: Duration,
     /// Time to set up the namespaces and rootfs pivot.
-    pub create_sandbox: Duration,
+    pub(crate) create_sandbox: Duration,
     /// Time to create and configure the container cgroup.
-    pub cgroup_setup: Duration,
+    pub(crate) cgroup_setup: Duration,
     /// Config parse cost per KiB of `config.json`.
-    pub parse_ns_per_kib: u64,
+    pub(crate) parse_ns_per_kib: u64,
     /// Non-contending latency per lifecycle operation: console FIFO setup,
     /// pidfile waits, state-file writes (`crun create` takes tens of ms on
     /// real systems).
-    pub op_io: Duration,
+    pub(crate) op_io: Duration,
 }
 
 /// crun: the lightweight C runtime the paper builds on.
 pub static CRUN: RuntimeProfile = RuntimeProfile {
-    kind: RuntimeKind::Crun,
     name: "crun",
     version: "1.15",
     binary_path: "/usr/bin/crun",
@@ -75,7 +73,6 @@ pub static CRUN: RuntimeProfile = RuntimeProfile {
 
 /// runC: the Kubernetes default (Go).
 pub static RUNC: RuntimeProfile = RuntimeProfile {
-    kind: RuntimeKind::Runc,
     name: "runc",
     version: "1.6.31",
     binary_path: "/usr/bin/runc",
@@ -92,7 +89,6 @@ pub static RUNC: RuntimeProfile = RuntimeProfile {
 
 /// youki: the Rust runtime.
 pub static YOUKI: RuntimeProfile = RuntimeProfile {
-    kind: RuntimeKind::Youki,
     name: "youki",
     version: "0.3.3",
     binary_path: "/usr/bin/youki",
@@ -108,7 +104,7 @@ pub static YOUKI: RuntimeProfile = RuntimeProfile {
 };
 
 impl RuntimeProfile {
-    pub fn binary_resident(&self) -> u64 {
+    pub(crate) fn binary_resident(&self) -> u64 {
         (self.binary_size as f64 * self.binary_resident_fraction) as u64
     }
 }

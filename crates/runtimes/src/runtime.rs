@@ -29,7 +29,7 @@ pub use simkernel::LifecycleState as ContainerState;
 /// A container managed by a low-level runtime.
 #[derive(Debug)]
 pub struct Container {
-    pub id: String,
+    pub(crate) id: String,
     /// The container init process.
     pub pid: Pid,
     /// The container's own cgroup (child of the pod cgroup).
@@ -101,10 +101,6 @@ impl LowLevelRuntime {
     pub fn register_handler(&mut self, handler: Box<dyn ContainerHandler>) -> &mut Self {
         self.handlers.push(Arc::from(handler));
         self
-    }
-
-    pub fn profile(&self) -> &'static RuntimeProfile {
-        self.profile
     }
 
     pub fn handler_names(&self) -> Vec<&'static str> {

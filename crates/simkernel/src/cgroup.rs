@@ -56,7 +56,7 @@ impl MemStat {
     /// The metrics-server "working set": everything except file pages that
     /// could be reclaimed (we treat unmapped file cache as reclaimable; the
     /// kernel tells us the mapped share via `mapped_file_bytes`).
-    pub fn working_set(&self, mapped_file_bytes: u64) -> u64 {
+    pub(crate) fn working_set(&self, mapped_file_bytes: u64) -> u64 {
         let reclaimable = self.file_bytes.saturating_sub(mapped_file_bytes);
         self.current.saturating_sub(reclaimable)
     }
@@ -71,15 +71,15 @@ pub struct CgroupStats {
     /// Times this cgroup's `memory.max` triggered an OOM.
     pub oom_events: u64,
     /// `cpu.max` as `(quota_ns, period_ns)`; `None` means unlimited.
-    pub cpu_max: Option<(u64, u64)>,
+    pub(crate) cpu_max: Option<(u64, u64)>,
     /// `cpu.stat nr_throttled`: charge operations that hit the quota.
     pub nr_cpu_throttled: u64,
     /// `cpu.stat throttled_usec` analogue: total throttled sleep, ns.
     pub cpu_throttled_ns: u64,
     /// Cold-read byte budget per [`IO_WINDOW_NS`]; `None` means unlimited.
-    pub io_read_budget: Option<u64>,
+    pub(crate) io_read_budget: Option<u64>,
     /// Subtree-inclusive cold-read bytes (all time).
-    pub io_cold_bytes: u64,
+    pub(crate) io_cold_bytes: u64,
     /// Cold reads that exceeded the window budget.
     pub io_throttle_events: u64,
     /// Total queueing delay experienced by this subtree's reads, ns.
@@ -88,7 +88,6 @@ pub struct CgroupStats {
 
 #[derive(Debug, Clone)]
 struct Cgroup {
-    name: String,
     parent: Option<CgroupId>,
     children: Vec<CgroupId>,
     /// Subtree-inclusive counters (maintained on every charge/uncharge by
@@ -124,9 +123,8 @@ struct Cgroup {
 }
 
 impl Cgroup {
-    fn new(name: &str, parent: Option<CgroupId>) -> Cgroup {
+    fn new(parent: Option<CgroupId>) -> Cgroup {
         Cgroup {
-            name: name.to_string(),
             parent,
             children: Vec::new(),
             stat: MemStat::default(),
@@ -149,7 +147,7 @@ impl Cgroup {
 
 /// The cgroup hierarchy.
 #[derive(Debug, Clone)]
-pub struct CgroupTree {
+pub(crate) struct CgroupTree {
     next_id: u64,
     groups: IdTable<CgroupId, Cgroup>,
     root: CgroupId,
@@ -157,42 +155,38 @@ pub struct CgroupTree {
 
 /// What kind of memory a charge is for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChargeKind {
+pub(crate) enum ChargeKind {
     Anon,
     File,
     Kernel,
 }
 
 impl CgroupTree {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let root = CgroupId(0);
         let mut groups = IdTable::new();
-        groups.insert(root, Cgroup::new("/", None));
+        groups.insert(root, Cgroup::new(None));
         CgroupTree { next_id: 1, groups, root }
     }
 
-    pub fn root(&self) -> CgroupId {
-        self.root
-    }
-
-    pub fn exists(&self, id: CgroupId) -> bool {
+    pub(crate) fn exists(&self, id: CgroupId) -> bool {
         self.groups.contains(id)
     }
 
-    pub fn create(&mut self, parent: CgroupId, name: &str) -> Option<CgroupId> {
+    pub(crate) fn create(&mut self, parent: CgroupId) -> Option<CgroupId> {
         if !self.groups.contains(parent) {
             return None;
         }
         let id = CgroupId(self.next_id);
         self.next_id += 1;
-        self.groups.insert(id, Cgroup::new(name, Some(parent)));
+        self.groups.insert(id, Cgroup::new(Some(parent)));
         self.groups.get_mut(parent).unwrap().children.push(id);
         Some(id)
     }
 
     /// Remove an empty leaf cgroup. Fails (returns false) if it has
     /// processes, children, or remaining charges.
-    pub fn remove(&mut self, id: CgroupId) -> bool {
+    pub(crate) fn remove(&mut self, id: CgroupId) -> bool {
         if id == self.root {
             return false;
         }
@@ -210,7 +204,7 @@ impl CgroupTree {
         true
     }
 
-    pub fn set_limit(&mut self, id: CgroupId, limit: Option<u64>) -> bool {
+    pub(crate) fn set_limit(&mut self, id: CgroupId, limit: Option<u64>) -> bool {
         match self.groups.get_mut(id) {
             Some(g) => {
                 g.limit = limit;
@@ -220,13 +214,9 @@ impl CgroupTree {
         }
     }
 
-    pub fn limit(&self, id: CgroupId) -> Option<u64> {
-        self.groups.get(id).and_then(|g| g.limit)
-    }
-
     /// Set `cpu.max` as `(quota_ns, period_ns)`. A zero quota or period is
     /// rejected (Linux requires both positive); `None` lifts the limit.
-    pub fn set_cpu_max(&mut self, id: CgroupId, cpu_max: Option<(u64, u64)>) -> bool {
+    pub(crate) fn set_cpu_max(&mut self, id: CgroupId, cpu_max: Option<(u64, u64)>) -> bool {
         if let Some((q, p)) = cpu_max {
             if q == 0 || p == 0 {
                 return false;
@@ -243,7 +233,7 @@ impl CgroupTree {
 
     /// The most restrictive `cpu.max` on the path to root (lowest
     /// quota/period ratio), with the cgroup it is set on.
-    pub fn effective_cpu_max(&self, id: CgroupId) -> Option<(CgroupId, u64, u64)> {
+    pub(crate) fn effective_cpu_max(&self, id: CgroupId) -> Option<(CgroupId, u64, u64)> {
         let mut best: Option<(CgroupId, u64, u64)> = None;
         let mut cur = Some(id);
         while let Some(c) = cur {
@@ -269,7 +259,7 @@ impl CgroupTree {
     /// time, of which all but `cpu_ns` is off-CPU throttled sleep. Records
     /// the throttle event on the limiting cgroup. With no `cpu.max` on the
     /// path this returns 0 and records nothing.
-    pub fn charge_cpu(&mut self, id: CgroupId, cpu_ns: u64) -> u64 {
+    pub(crate) fn charge_cpu(&mut self, id: CgroupId, cpu_ns: u64) -> u64 {
         let Some((limiter, quota, period)) = self.effective_cpu_max(id) else {
             return 0;
         };
@@ -287,7 +277,7 @@ impl CgroupTree {
     }
 
     /// Set the cold-read byte budget per [`IO_WINDOW_NS`]; `None` lifts it.
-    pub fn set_io_read_budget(&mut self, id: CgroupId, budget: Option<u64>) -> bool {
+    pub(crate) fn set_io_read_budget(&mut self, id: CgroupId, budget: Option<u64>) -> bool {
         match self.groups.get_mut(id) {
             Some(g) => {
                 g.io_read_budget = budget;
@@ -299,16 +289,12 @@ impl CgroupTree {
         }
     }
 
-    pub fn io_read_budget(&self, id: CgroupId) -> Option<u64> {
-        self.groups.get(id).and_then(|g| g.io_read_budget)
-    }
-
     /// Account `bytes` of cold page-cache read by `id` at simulated instant
     /// `now_ns`. Cold bytes accumulate subtree-inclusively (like memory
     /// charges); the nearest io budget on the path to root admits bytes
     /// against its current window and defers the excess. Returns the
     /// deferred (throttled) byte count — 0 when no budget is set.
-    pub fn charge_io_cold(&mut self, id: CgroupId, bytes: u64, now_ns: u64) -> u64 {
+    pub(crate) fn charge_io_cold(&mut self, id: CgroupId, bytes: u64, now_ns: u64) -> u64 {
         if !self.groups.contains(id) || bytes == 0 {
             return 0;
         }
@@ -339,7 +325,7 @@ impl CgroupTree {
     }
 
     /// Record `ns` of io queueing delay, subtree-inclusively.
-    pub fn record_io_queue(&mut self, id: CgroupId, ns: u64) {
+    pub(crate) fn record_io_queue(&mut self, id: CgroupId, ns: u64) {
         let mut cur = Some(id);
         while let Some(c) = cur {
             let Some(g) = self.groups.get_mut(c) else { break };
@@ -349,7 +335,7 @@ impl CgroupTree {
     }
 
     /// Full controller snapshot for one cgroup.
-    pub fn stats(&self, id: CgroupId) -> Option<CgroupStats> {
+    pub(crate) fn stats(&self, id: CgroupId) -> Option<CgroupStats> {
         let g = self.groups.get(id)?;
         Some(CgroupStats {
             mem: g.stat,
@@ -364,49 +350,40 @@ impl CgroupTree {
         })
     }
 
-    pub fn stat(&self, id: CgroupId) -> Option<MemStat> {
+    pub(crate) fn stat(&self, id: CgroupId) -> Option<MemStat> {
         self.groups.get(id).map(|g| g.stat)
     }
 
-    /// Mapped file bytes in the subtree (the non-reclaimable file share).
-    pub fn mapped_file(&self, id: CgroupId) -> Option<u64> {
-        self.groups.get(id).map(|g| g.mapped_file)
-    }
-
     /// Metrics-server working set for a cgroup.
-    pub fn working_set(&self, id: CgroupId) -> Option<u64> {
+    pub(crate) fn working_set(&self, id: CgroupId) -> Option<u64> {
         let g = self.groups.get(id)?;
         Some(g.stat.working_set(g.mapped_file))
     }
 
-    pub fn oom_events(&self, id: CgroupId) -> Option<u64> {
+    pub(crate) fn oom_events(&self, id: CgroupId) -> Option<u64> {
         self.groups.get(id).map(|g| g.oom_events)
     }
 
-    pub fn name(&self, id: CgroupId) -> Option<&str> {
-        self.groups.get(id).map(|g| g.name.as_str())
-    }
-
-    pub fn parent(&self, id: CgroupId) -> Option<CgroupId> {
+    pub(crate) fn parent(&self, id: CgroupId) -> Option<CgroupId> {
         self.groups.get(id).and_then(|g| g.parent)
     }
 
-    pub fn children(&self, id: CgroupId) -> Vec<CgroupId> {
+    pub(crate) fn children(&self, id: CgroupId) -> Vec<CgroupId> {
         self.groups.get(id).map(|g| g.children.clone()).unwrap_or_default()
     }
 
     /// Number of processes directly in this cgroup (0 if it does not exist).
-    pub fn procs(&self, id: CgroupId) -> u64 {
+    pub(crate) fn procs(&self, id: CgroupId) -> u64 {
         self.groups.get(id).map_or(0, |g| g.procs)
     }
 
-    pub fn proc_attached(&mut self, id: CgroupId) {
+    pub(crate) fn proc_attached(&mut self, id: CgroupId) {
         if let Some(g) = self.groups.get_mut(id) {
             g.procs += 1;
         }
     }
 
-    pub fn proc_detached(&mut self, id: CgroupId) {
+    pub(crate) fn proc_detached(&mut self, id: CgroupId) {
         if let Some(g) = self.groups.get_mut(id) {
             g.procs = g.procs.saturating_sub(1);
         }
@@ -414,7 +391,7 @@ impl CgroupTree {
 
     /// Would charging `bytes` to `id` exceed any limit on the path to root?
     /// Returns the first offending cgroup and its limit.
-    pub fn check_limit(&self, id: CgroupId, bytes: u64) -> Option<(CgroupId, u64)> {
+    pub(crate) fn check_limit(&self, id: CgroupId, bytes: u64) -> Option<(CgroupId, u64)> {
         let mut cur = Some(id);
         while let Some(c) = cur {
             let g = self.groups.get(c)?;
@@ -428,7 +405,7 @@ impl CgroupTree {
         None
     }
 
-    pub fn record_oom(&mut self, id: CgroupId) {
+    pub(crate) fn record_oom(&mut self, id: CgroupId) {
         if let Some(g) = self.groups.get_mut(id) {
             g.oom_events += 1;
         }
@@ -436,7 +413,7 @@ impl CgroupTree {
 
     /// Charge `bytes` of `kind` to `id` and all its ancestors.
     /// The caller is responsible for limit checks (via [`CgroupTree::check_limit`]).
-    pub fn charge(&mut self, id: CgroupId, kind: ChargeKind, bytes: u64) -> bool {
+    pub(crate) fn charge(&mut self, id: CgroupId, kind: ChargeKind, bytes: u64) -> bool {
         if !self.groups.contains(id) {
             return false;
         }
@@ -455,7 +432,7 @@ impl CgroupTree {
     }
 
     /// Reverse of [`CgroupTree::charge`].
-    pub fn uncharge(&mut self, id: CgroupId, kind: ChargeKind, bytes: u64) -> bool {
+    pub(crate) fn uncharge(&mut self, id: CgroupId, kind: ChargeKind, bytes: u64) -> bool {
         if !self.groups.contains(id) {
             return false;
         }
@@ -506,7 +483,7 @@ impl CgroupTree {
     }
 
     /// Adjust the subtree's mapped-file counter (can be negative).
-    pub fn adjust_mapped_file(&mut self, id: CgroupId, delta: i64) {
+    pub(crate) fn adjust_mapped_file(&mut self, id: CgroupId, delta: i64) {
         let mut cur = Some(id);
         while let Some(c) = cur {
             let Some(g) = self.groups.get_mut(c) else { break };
@@ -530,11 +507,22 @@ impl Default for CgroupTree {
 mod tests {
     use super::*;
 
+    impl CgroupTree {
+        fn root(&self) -> CgroupId {
+            self.root
+        }
+
+        /// Mapped file bytes in the subtree (the non-reclaimable file share).
+        fn mapped_file(&self, id: CgroupId) -> Option<u64> {
+            self.groups.get(id).map(|g| g.mapped_file)
+        }
+    }
+
     #[test]
     fn hierarchy_charge_propagates() {
         let mut t = CgroupTree::new();
-        let pods = t.create(t.root(), "kubepods").unwrap();
-        let pod = t.create(pods, "pod-1").unwrap();
+        let pods = t.create(t.root()).unwrap();
+        let pod = t.create(pods).unwrap();
         assert!(t.charge(pod, ChargeKind::Anon, 4096));
         assert_eq!(t.stat(pod).unwrap().current, 4096);
         assert_eq!(t.stat(pods).unwrap().current, 4096);
@@ -546,7 +534,7 @@ mod tests {
     #[test]
     fn working_set_excludes_reclaimable_file() {
         let mut t = CgroupTree::new();
-        let cg = t.create(t.root(), "c").unwrap();
+        let cg = t.create(t.root()).unwrap();
         t.charge(cg, ChargeKind::Anon, 10_000);
         t.charge(cg, ChargeKind::File, 8_000);
         t.adjust_mapped_file(cg, 3_000);
@@ -557,8 +545,8 @@ mod tests {
     #[test]
     fn limits_are_hierarchical() {
         let mut t = CgroupTree::new();
-        let parent = t.create(t.root(), "p").unwrap();
-        let child = t.create(parent, "c").unwrap();
+        let parent = t.create(t.root()).unwrap();
+        let child = t.create(parent).unwrap();
         t.set_limit(parent, Some(8192));
         assert!(t.check_limit(child, 4096).is_none());
         t.charge(child, ChargeKind::Anon, 8192);
@@ -570,7 +558,7 @@ mod tests {
     #[test]
     fn removal_rules() {
         let mut t = CgroupTree::new();
-        let g = t.create(t.root(), "g").unwrap();
+        let g = t.create(t.root()).unwrap();
         t.proc_attached(g);
         assert!(!t.remove(g), "non-empty cgroup must not be removable");
         t.proc_detached(g);
@@ -584,7 +572,7 @@ mod tests {
     #[test]
     fn oom_events_recorded() {
         let mut t = CgroupTree::new();
-        let g = t.create(t.root(), "g").unwrap();
+        let g = t.create(t.root()).unwrap();
         assert_eq!(t.oom_events(g), Some(0));
         t.record_oom(g);
         t.record_oom(g);
@@ -594,7 +582,7 @@ mod tests {
     #[test]
     fn cpu_max_throttles_and_records() {
         let mut t = CgroupTree::new();
-        let g = t.create(t.root(), "g").unwrap();
+        let g = t.create(t.root()).unwrap();
         // No quota: charge is free and records nothing.
         assert_eq!(t.charge_cpu(g, 1_000_000), 0);
         assert_eq!(t.stats(g).unwrap().nr_cpu_throttled, 0);
@@ -614,8 +602,8 @@ mod tests {
     #[test]
     fn cpu_max_is_hierarchical_and_tightest_wins() {
         let mut t = CgroupTree::new();
-        let parent = t.create(t.root(), "p").unwrap();
-        let child = t.create(parent, "c").unwrap();
+        let parent = t.create(t.root()).unwrap();
+        let child = t.create(parent).unwrap();
         t.set_cpu_max(parent, Some((50, 100)));
         t.set_cpu_max(child, Some((75, 100)));
         // Parent's 50% is tighter than the child's 75%.
@@ -629,7 +617,7 @@ mod tests {
     #[test]
     fn io_budget_admits_per_window_and_defers_excess() {
         let mut t = CgroupTree::new();
-        let g = t.create(t.root(), "g").unwrap();
+        let g = t.create(t.root()).unwrap();
         // No budget: nothing deferred, cold bytes still counted.
         assert_eq!(t.charge_io_cold(g, 4096, 0), 0);
         assert_eq!(t.stats(g).unwrap().io_cold_bytes, 4096);
@@ -646,8 +634,8 @@ mod tests {
     #[test]
     fn io_queue_delay_records_up_the_tree() {
         let mut t = CgroupTree::new();
-        let parent = t.create(t.root(), "p").unwrap();
-        let child = t.create(parent, "c").unwrap();
+        let parent = t.create(t.root()).unwrap();
+        let child = t.create(parent).unwrap();
         t.record_io_queue(child, 500);
         assert_eq!(t.stats(child).unwrap().io_queued_ns, 500);
         assert_eq!(t.stats(parent).unwrap().io_queued_ns, 500);
@@ -656,7 +644,7 @@ mod tests {
     #[test]
     fn mapped_file_adjustment_saturates() {
         let mut t = CgroupTree::new();
-        let g = t.create(t.root(), "g").unwrap();
+        let g = t.create(t.root()).unwrap();
         t.adjust_mapped_file(g, 100);
         t.adjust_mapped_file(g, -500);
         assert_eq!(t.mapped_file(g).unwrap(), 0);

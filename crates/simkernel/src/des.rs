@@ -33,7 +33,7 @@ pub struct LockId(pub u32);
 
 /// Simulated disk bandwidth for cold reads (NVMe-class). Single source of
 /// truth for every layer that models a cold file read.
-pub const DISK_BYTES_PER_SEC: u64 = 500 << 20;
+pub(crate) const DISK_BYTES_PER_SEC: u64 = 500 << 20;
 
 /// One unit of work in a task's startup program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -114,12 +114,6 @@ pub struct TaskResult {
     pub finished: SimTime,
 }
 
-impl TaskResult {
-    pub fn elapsed(&self) -> Duration {
-        self.finished - self.started
-    }
-}
-
 /// Result of a simulation run.
 #[derive(Debug, Clone)]
 pub struct SimOutcome {
@@ -136,18 +130,6 @@ impl SimOutcome {
     /// containers" metric (deploy begins at t=0).
     pub fn total(&self) -> Duration {
         self.makespan - SimTime::ZERO
-    }
-
-    pub fn mean_elapsed(&self) -> Duration {
-        if self.results.is_empty() {
-            return Duration::ZERO;
-        }
-        let sum: u64 = self.results.iter().map(|r| r.elapsed().as_nanos()).sum();
-        Duration(sum / self.results.len() as u64)
-    }
-
-    pub fn max_elapsed(&self) -> Duration {
-        self.results.iter().map(|r| r.elapsed()).max().unwrap_or(Duration::ZERO)
     }
 }
 
@@ -252,7 +234,7 @@ impl<P: Copy + Ord> CalendarQueue<P> {
     }
 
     /// Earliest `(time, payload)` without removing it; ties broken by payload.
-    pub fn peek(&self) -> Option<(SimTime, P)> {
+    pub(crate) fn peek(&self) -> Option<(SimTime, P)> {
         let b = self.locate()?;
         let (t, payload) = self.buckets[b][0];
         Some((SimTime(t), payload))
@@ -758,6 +740,12 @@ fn advance(
 mod tests {
     use super::*;
 
+    impl TaskResult {
+        fn elapsed(&self) -> Duration {
+            self.finished - self.started
+        }
+    }
+
     fn ms(n: u64) -> Duration {
         Duration::from_millis(n)
     }
@@ -897,14 +885,6 @@ mod tests {
         let out = Sim::new(4).run(tasks);
         assert_eq!(out.total(), Duration::ZERO);
         assert_eq!(out.results.len(), 5000);
-    }
-
-    #[test]
-    fn mean_and_max_elapsed() {
-        let tasks = vec![TaskSpec::new("a").cpu(ms(10)), TaskSpec::new("b").cpu(ms(30))];
-        let out = Sim::new(2).run(tasks);
-        assert_eq!(out.max_elapsed(), ms(30));
-        assert_eq!(out.mean_elapsed(), ms(20));
     }
 
     #[test]

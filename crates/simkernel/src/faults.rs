@@ -106,7 +106,6 @@ impl SiteState {
 /// A seeded, deterministic schedule of injected failures.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
-    seed: u64,
     sites: [SiteState; FaultSite::ALL.len()],
 }
 
@@ -125,7 +124,6 @@ impl FaultPlan {
     /// A plan with the given RNG seed and no failures scheduled yet.
     pub fn new(seed: u64) -> FaultPlan {
         FaultPlan {
-            seed,
             sites: [
                 SiteState::new(seed, 0),
                 SiteState::new(seed, 1),
@@ -135,11 +133,6 @@ impl FaultPlan {
                 SiteState::new(seed, 5),
             ],
         }
-    }
-
-    /// The seed this plan was built with.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// Fail roughly `ppm` out of every million calls at `site`.
@@ -160,17 +153,11 @@ impl FaultPlan {
         self
     }
 
-    /// True when nothing can ever be injected (no rates, no scheduled
-    /// calls). Such a plan never draws from its RNG.
-    pub fn is_zero(&self) -> bool {
-        self.sites.iter().all(|s| s.rate_ppm == 0 && s.nth.is_empty())
-    }
-
     /// Record one call at `site` and decide whether it fails.
     ///
     /// Deterministic in the sequence of calls: the decision depends only on
     /// the plan's seed, the site, and how many calls the site has seen.
-    pub fn should_fail(&mut self, site: FaultSite) -> bool {
+    pub(crate) fn should_fail(&mut self, site: FaultSite) -> bool {
         let s = &mut self.sites[site.index()];
         let call = s.calls;
         s.calls += 1;
@@ -198,25 +185,33 @@ impl FaultPlan {
         hit
     }
 
-    /// Calls observed at `site`.
-    pub fn calls(&self, site: FaultSite) -> u64 {
-        self.sites[site.index()].calls
-    }
-
     /// Faults injected at `site`.
-    pub fn injected(&self, site: FaultSite) -> u64 {
+    pub(crate) fn injected(&self, site: FaultSite) -> u64 {
         self.sites[site.index()].injected
-    }
-
-    /// Faults injected across every site.
-    pub fn total_injected(&self) -> u64 {
-        self.sites.iter().map(|s| s.injected).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaultPlan {
+        /// True when nothing can ever be injected (no rates, no scheduled
+        /// calls). Such a plan never draws from its RNG.
+        fn is_zero(&self) -> bool {
+            self.sites.iter().all(|s| s.rate_ppm == 0 && s.nth.is_empty())
+        }
+
+        /// Calls observed at `site`.
+        pub(crate) fn calls(&self, site: FaultSite) -> u64 {
+            self.sites[site.index()].calls
+        }
+
+        /// Faults injected across every site.
+        pub(crate) fn total_injected(&self) -> u64 {
+            self.sites.iter().map(|s| s.injected).sum()
+        }
+    }
 
     #[test]
     fn zero_plan_never_fails_and_never_draws() {

@@ -38,11 +38,27 @@
 //! The free functions ([`charge_anon`], [`map_shared`], [`map_cow`]) are the
 //! same discipline for charging growth onto an *existing* process (daemon
 //! metadata, per-pod kubelet growth, engine heaps), with [`Rollback`] as
-//! their undo when several of them make up one stage. `Kernel::mmap_labeled`
-//! and `Kernel::cgroup_charge_cpu` (whose one caller is [`charge_cpu`]) are
-//! `pub(crate)`, so the compiler keeps other crates on these doorways;
-//! `Kernel::spawn` has to stay `pub`, and `scripts/verify.sh` lints that
-//! nothing outside this crate calls it.
+//! their undo when several of them make up one stage. `Kernel::spawn`,
+//! `Kernel::mmap_labeled` and `Kernel::cgroup_charge_cpu` (whose one caller
+//! is [`charge_cpu`]) are `pub(crate)`, so the compiler keeps other crates
+//! on these doorways. A raw spawn outside this crate does not compile:
+//!
+//! ```compile_fail,E0624
+//! use simkernel::{Kernel, KernelConfig};
+//!
+//! let kernel = Kernel::boot(KernelConfig::default());
+//! let pid = kernel.spawn("svc", Kernel::ROOT_CGROUP).unwrap();
+//! ```
+//!
+//! The same process, spawned through its image:
+//!
+//! ```
+//! use simkernel::{Kernel, KernelConfig, ProcState, ProcessImage};
+//!
+//! let kernel = Kernel::boot(KernelConfig::default());
+//! let pid = ProcessImage::spawn(&kernel, "svc", Kernel::ROOT_CGROUP).build().unwrap().detach();
+//! assert_eq!(kernel.proc_state(pid), Ok(ProcState::Running));
+//! ```
 
 use crate::cgroup::CgroupId;
 use crate::des::Step;

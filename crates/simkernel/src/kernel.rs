@@ -106,7 +106,7 @@ struct KernelState {
     cgroups: CgroupTree,
     procs: IdTable<Pid, Process>,
     /// Running count of `procs` entries that are alive. Written only by
-    /// `spawn_child` and `teardown`.
+    /// `spawn` and `teardown`.
     live: usize,
     next_pid: u64,
     /// Machine-wide anonymous bytes (all processes).
@@ -201,10 +201,6 @@ impl Kernel {
         self.st().cfg.cores
     }
 
-    pub fn ram_bytes(&self) -> u64 {
-        self.st().cfg.ram_bytes
-    }
-
     /// The configuration this kernel was booted with (a crashed node's
     /// replacement boots the same shape).
     pub fn config(&self) -> KernelConfig {
@@ -232,11 +228,6 @@ impl Kernel {
     /// installing a plan at all.
     pub fn set_fault_plan(&self, plan: FaultPlan) {
         self.st().faults = plan;
-    }
-
-    /// Snapshot of the installed plan, with its call/injection counters.
-    pub fn fault_plan(&self) -> FaultPlan {
-        self.st().faults.clone()
     }
 
     /// Consult the installed plan at an upper-layer choke point (the kernel
@@ -276,21 +267,14 @@ impl Kernel {
         st.io_backlog = 0;
     }
 
-    pub fn io_model(&self) -> Option<IoModel> {
-        self.st().io_model
-    }
-
-    /// Current undrained cold-read backlog in bytes (always 0 when unarmed).
-    pub fn io_backlog(&self) -> u64 {
-        self.st().io_backlog
-    }
-
     // -------------------------------------------------------------- cgroups
 
-    pub fn cgroup_create(&self, parent: CgroupId, name: &str) -> KernelResult<CgroupId> {
+    /// Create a cgroup under `parent`. The name is the cgroupfs directory
+    /// name callers would see on Linux; no observer in the model reads it.
+    pub fn cgroup_create(&self, parent: CgroupId, _name: &str) -> KernelResult<CgroupId> {
         let mut st = self.st();
         st.check_power()?;
-        st.cgroups.create(parent, name).ok_or(KernelError::NoSuchCgroup(parent))
+        st.cgroups.create(parent).ok_or(KernelError::NoSuchCgroup(parent))
     }
 
     /// Remove a cgroup. Processes and anon/kernel charges must be gone;
@@ -364,7 +348,10 @@ impl Kernel {
 
     /// The tightest `(quota_ns, period_ns)` on the path from `cg` to the
     /// root, or `None` when the whole path is unlimited.
-    pub fn cgroup_effective_cpu_max(&self, cg: CgroupId) -> KernelResult<Option<(u64, u64)>> {
+    pub(crate) fn cgroup_effective_cpu_max(
+        &self,
+        cg: CgroupId,
+    ) -> KernelResult<Option<(u64, u64)>> {
         let st = self.st();
         if !st.cgroups.exists(cg) {
             return Err(KernelError::NoSuchCgroup(cg));
@@ -408,7 +395,7 @@ impl Kernel {
     /// Would charging `bytes` to `cg` breach `memory.max` anywhere up the
     /// hierarchy? Admission control: checks without charging, killing, or
     /// recording an OOM event (`ProcessImage` uses this before building).
-    pub fn cgroup_check_charge(&self, cg: CgroupId, bytes: u64) -> KernelResult<()> {
+    pub(crate) fn cgroup_check_charge(&self, cg: CgroupId, bytes: u64) -> KernelResult<()> {
         let st = self.st();
         if !st.cgroups.exists(cg) {
             return Err(KernelError::NoSuchCgroup(cg));
@@ -421,34 +408,20 @@ impl Kernel {
 
     // ------------------------------------------------------------ processes
 
-    /// Spawn a process into `cgroup`.
-    pub fn spawn(&self, name: &str, cgroup: CgroupId) -> KernelResult<Pid> {
-        self.spawn_child(name, None, cgroup)
-    }
-
-    /// Spawn with an explicit parent (fork/exec chains in the runtimes).
-    pub fn spawn_child(
-        &self,
-        name: &str,
-        parent: Option<Pid>,
-        cgroup: CgroupId,
-    ) -> KernelResult<Pid> {
+    /// Spawn a process into `cgroup`. Other crates spawn through
+    /// [`crate::ProcessImage`], which charges the image and owns the pid.
+    pub(crate) fn spawn(&self, name: &str, cgroup: CgroupId) -> KernelResult<Pid> {
         let mut st = self.st();
         st.check_power()?;
         if !st.cgroups.exists(cgroup) {
             return Err(KernelError::NoSuchCgroup(cgroup));
-        }
-        if let Some(p) = parent {
-            if !st.procs.get(p).map(|pr| pr.is_alive()).unwrap_or(false) {
-                return Err(KernelError::NoSuchProcess(p));
-            }
         }
         st.inject(FaultSite::Spawn)?;
         let pid = Pid(st.next_pid);
         st.next_pid += 1;
         let base = st.cfg.proc_kernel_base;
         st.charge_kernel(cgroup, base)?;
-        let mut proc = Process::new(pid, name, parent, cgroup);
+        let mut proc = Process::new(pid, name, cgroup);
         proc.kernel_charged = base;
         st.procs.insert(pid, proc);
         st.live += 1;
@@ -1192,12 +1165,16 @@ impl KernelState {
     }
 }
 
-/// Re-export for doc examples.
-pub use crate::vfs::FileContent as KernelFileContent;
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Kernel {
+        /// Snapshot of the installed plan, with its call/injection counters.
+        fn fault_plan(&self) -> FaultPlan {
+            self.st().faults.clone()
+        }
+    }
 
     fn kernel() -> Kernel {
         Kernel::boot(KernelConfig {

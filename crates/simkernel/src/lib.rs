@@ -27,11 +27,11 @@
 //! ## Quick tour
 //!
 //! ```
-//! use simkernel::{Kernel, KernelConfig, MapKind};
+//! use simkernel::{Kernel, KernelConfig, MapKind, ProcessImage};
 //!
 //! let kernel = Kernel::boot(KernelConfig::default());
 //! let cg = kernel.cgroup_create(Kernel::ROOT_CGROUP, "pod-a").unwrap();
-//! let pid = kernel.spawn("svc", cg).unwrap();
+//! let pid = ProcessImage::spawn(&kernel, "svc", cg).build().unwrap().detach();
 //! let map = kernel.mmap(pid, 2 << 20, MapKind::AnonPrivate).unwrap();
 //! kernel.touch(pid, map, 2 << 20).unwrap();
 //! assert_eq!(kernel.cgroup_stat(cg).unwrap().anon_bytes, 2 << 20);
@@ -39,21 +39,21 @@
 //! assert!(free.used > 0);
 //! ```
 
-pub mod cgroup;
-pub mod des;
-pub mod error;
-pub mod faults;
+pub(crate) mod cgroup;
+pub(crate) mod des;
+pub(crate) mod error;
+pub(crate) mod faults;
 pub mod image;
-pub mod kernel;
+pub(crate) mod kernel;
 pub mod lifecycle;
-pub mod mem;
+pub(crate) mod mem;
 pub mod proc;
 pub mod prop;
-pub mod replay;
+pub(crate) mod replay;
 pub mod rng;
 pub mod table;
-pub mod time;
-pub mod trace;
+pub(crate) mod time;
+pub(crate) mod trace;
 pub mod vfs;
 
 pub use cgroup::{CgroupId, CgroupStats, MemStat, IO_WINDOW_NS};

@@ -60,36 +60,6 @@ pub enum LifecycleState {
     Deleted,
 }
 
-impl LifecycleState {
-    pub const ALL: [LifecycleState; 7] = [
-        LifecycleState::Created,
-        LifecycleState::Running,
-        LifecycleState::Terminating,
-        LifecycleState::Stopped,
-        LifecycleState::Failed,
-        LifecycleState::OomKilled,
-        LifecycleState::Deleted,
-    ];
-
-    /// Rank in lifecycle order; legal transitions strictly increase it.
-    /// The three "down" states share a rank — there is no legal edge among
-    /// them, so strictness holds.
-    pub fn rank(self) -> u8 {
-        match self {
-            LifecycleState::Created => 0,
-            LifecycleState::Running => 1,
-            LifecycleState::Terminating => 2,
-            LifecycleState::Stopped | LifecycleState::Failed | LifecycleState::OomKilled => 3,
-            LifecycleState::Deleted => 4,
-        }
-    }
-
-    /// A state the container cannot leave except via `delete`.
-    pub fn is_down(self) -> bool {
-        matches!(self, LifecycleState::Stopped | LifecycleState::Failed | LifecycleState::OomKilled)
-    }
-}
-
 /// Is `from -> to` a legal OCI transition?
 pub const fn legal(from: LifecycleState, to: LifecycleState) -> bool {
     use LifecycleState::*;
@@ -112,7 +82,8 @@ pub const fn legal(from: LifecycleState, to: LifecycleState) -> bool {
 
 /// A container's position in the lifecycle. Starts at `Created`; every state
 /// change goes through [`Lifecycle::transition`] (strict) or the idempotent
-/// teardown helpers [`Lifecycle::stop`] / [`Lifecycle::delete`].
+/// helpers [`Lifecycle::begin_termination`], [`Lifecycle::stop`] and
+/// [`Lifecycle::fail`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Lifecycle {
     state: LifecycleState,
@@ -201,23 +172,6 @@ impl Lifecycle {
             _ => false,
         }
     }
-
-    /// Idempotent delete: advances any down state (`Stopped`, `Failed`,
-    /// `OomKilled`) to `Deleted` and reports whether resources still need
-    /// releasing. A second delete is a no-op; deleting a container that is
-    /// still up — `Running` or mid-grace-period `Terminating` — is rejected.
-    pub fn delete(&mut self, what: &str) -> KernelResult<bool> {
-        match self.state {
-            s if s.is_down() => {
-                self.state = LifecycleState::Deleted;
-                Ok(true)
-            }
-            LifecycleState::Deleted => Ok(false),
-            s => Err(KernelError::InvalidState(format!(
-                "{what}: cannot delete container in state {s:?} (stop it first)"
-            ))),
-        }
-    }
 }
 
 impl PartialEq<LifecycleState> for Lifecycle {
@@ -236,6 +190,58 @@ impl PartialEq<Lifecycle> for LifecycleState {
 mod tests {
     use super::*;
     use crate::prop;
+
+    impl LifecycleState {
+        const ALL: [LifecycleState; 7] = [
+            LifecycleState::Created,
+            LifecycleState::Running,
+            LifecycleState::Terminating,
+            LifecycleState::Stopped,
+            LifecycleState::Failed,
+            LifecycleState::OomKilled,
+            LifecycleState::Deleted,
+        ];
+
+        /// Rank in lifecycle order; legal transitions strictly increase it.
+        /// The three "down" states share a rank — there is no legal edge among
+        /// them, so strictness holds.
+        fn rank(self) -> u8 {
+            match self {
+                LifecycleState::Created => 0,
+                LifecycleState::Running => 1,
+                LifecycleState::Terminating => 2,
+                LifecycleState::Stopped | LifecycleState::Failed | LifecycleState::OomKilled => 3,
+                LifecycleState::Deleted => 4,
+            }
+        }
+
+        /// A state the container cannot leave except via `delete`.
+        fn is_down(self) -> bool {
+            matches!(
+                self,
+                LifecycleState::Stopped | LifecycleState::Failed | LifecycleState::OomKilled
+            )
+        }
+    }
+
+    impl Lifecycle {
+        /// Idempotent delete: advances any down state (`Stopped`, `Failed`,
+        /// `OomKilled`) to `Deleted` and reports whether resources still need
+        /// releasing. A second delete is a no-op; deleting a container that is
+        /// still up — `Running` or mid-grace-period `Terminating` — is rejected.
+        fn delete(&mut self, what: &str) -> KernelResult<bool> {
+            match self.state {
+                s if s.is_down() => {
+                    self.state = LifecycleState::Deleted;
+                    Ok(true)
+                }
+                LifecycleState::Deleted => Ok(false),
+                s => Err(KernelError::InvalidState(format!(
+                    "{what}: cannot delete container in state {s:?} (stop it first)"
+                ))),
+            }
+        }
+    }
 
     #[test]
     fn happy_path() {

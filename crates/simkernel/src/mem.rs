@@ -34,7 +34,7 @@ pub enum MapKind {
 
 impl MapKind {
     /// The backing file, if any.
-    pub fn file(&self) -> Option<FileId> {
+    pub(crate) fn file(&self) -> Option<FileId> {
         match self {
             MapKind::AnonPrivate => None,
             MapKind::FileShared(f) | MapKind::FileCow(f) => Some(*f),
@@ -44,20 +44,21 @@ impl MapKind {
 
 /// One region of a process address space.
 #[derive(Debug, Clone)]
-pub struct Mapping {
-    pub id: MappingId,
-    pub kind: MapKind,
+pub(crate) struct Mapping {
+    pub(crate) id: MappingId,
+    pub(crate) kind: MapKind,
     /// Reserved (virtual) length in bytes.
-    pub len: u64,
+    pub(crate) len: u64,
     /// Bytes of private anonymous memory committed in this mapping
     /// (all of it for `AnonPrivate` touches, the written part for `FileCow`).
-    pub committed_anon: u64,
+    pub(crate) committed_anon: u64,
     /// Bytes of file-backed pages this process has faulted in (its share of
     /// the page cache for RSS purposes; physical residency is on the file).
-    pub touched_file: u64,
+    pub(crate) touched_file: u64,
     /// What the region is for ("heap", "side-tables", an engine's name): a
     /// literal or a profile's name, never built per mapping.
-    pub label: &'static str,
+    #[expect(dead_code, reason = "ROADMAP item 1a")]
+    pub(crate) label: &'static str,
 }
 
 // A process holds its mappings inline in one vector: keep them a cache line.
@@ -66,13 +67,8 @@ const _: () = assert!(std::mem::size_of::<Mapping>() <= 64);
 impl Mapping {
     /// Resident set contribution of this mapping, Linux-style: private anon
     /// plus every shared page this process has touched.
-    pub fn rss(&self) -> u64 {
+    pub(crate) fn rss(&self) -> u64 {
         self.committed_anon + self.touched_file
-    }
-
-    /// Bytes that remain untouched (virtual-only).
-    pub fn uncommitted(&self) -> u64 {
-        self.len.saturating_sub(self.committed_anon + self.touched_file)
     }
 }
 
@@ -80,7 +76,7 @@ impl Mapping {
 /// than wrapping for byte counts within a page of `u64::MAX` (adversarial
 /// mmap lengths must fail the physical check, not alias to tiny values).
 #[inline]
-pub fn round_up_pages(bytes: u64, page_size: u64) -> u64 {
+pub(crate) fn round_up_pages(bytes: u64, page_size: u64) -> u64 {
     debug_assert!(page_size.is_power_of_two());
     bytes.div_ceil(page_size).saturating_mul(page_size)
 }
@@ -88,6 +84,13 @@ pub fn round_up_pages(bytes: u64, page_size: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Mapping {
+        /// Bytes that remain untouched (virtual-only).
+        fn uncommitted(&self) -> u64 {
+            self.len.saturating_sub(self.committed_anon + self.touched_file)
+        }
+    }
 
     #[test]
     fn round_up() {

@@ -37,29 +37,15 @@ pub enum NamespaceKind {
     User,
 }
 
-impl NamespaceKind {
-    /// The full set a typical OCI runtime configures.
-    pub const ALL: [NamespaceKind; 7] = [
-        NamespaceKind::Pid,
-        NamespaceKind::Mount,
-        NamespaceKind::Network,
-        NamespaceKind::Uts,
-        NamespaceKind::Ipc,
-        NamespaceKind::Cgroup,
-        NamespaceKind::User,
-    ];
-}
-
 /// A simulated process.
 #[derive(Debug, Clone)]
-pub struct Process {
-    pub pid: Pid,
-    pub name: String,
-    pub parent: Option<Pid>,
-    pub cgroup: CgroupId,
-    pub state: ProcState,
+pub(crate) struct Process {
+    pub(crate) pid: Pid,
+    pub(crate) name: String,
+    pub(crate) cgroup: CgroupId,
+    pub(crate) state: ProcState,
     /// Namespaces this process owns (created fresh for it, not inherited).
-    pub owned_namespaces: Vec<NamespaceKind>,
+    pub(crate) owned_namespaces: Vec<NamespaceKind>,
     next_mapping: u64,
     /// Private: every residency change goes through the methods below, so
     /// the running `rss` cannot drift from the mappings it summarises.
@@ -73,11 +59,10 @@ pub struct Process {
 }
 
 impl Process {
-    pub(crate) fn new(pid: Pid, name: &str, parent: Option<Pid>, cgroup: CgroupId) -> Self {
+    pub(crate) fn new(pid: Pid, name: &str, cgroup: CgroupId) -> Self {
         Process {
             pid,
             name: name.to_string(),
-            parent,
             cgroup,
             state: ProcState::Running,
             owned_namespaces: Vec::new(),
@@ -88,12 +73,12 @@ impl Process {
         }
     }
 
-    pub fn is_alive(&self) -> bool {
+    pub(crate) fn is_alive(&self) -> bool {
         self.state == ProcState::Running
     }
 
     /// Resident set size: private anon + touched shared file pages.
-    pub fn rss(&self) -> u64 {
+    pub(crate) fn rss(&self) -> u64 {
         debug_assert_eq!(self.rss, self.recount_rss());
         self.rss
     }
@@ -115,22 +100,17 @@ impl Process {
         }
     }
 
-    /// Total reserved virtual address space.
-    pub fn vsz(&self) -> u64 {
-        self.mappings.iter().map(|m| m.len).sum()
-    }
-
     /// Private anonymous bytes only (what the process "owns" exclusively).
-    pub fn anon_bytes(&self) -> u64 {
+    pub(crate) fn anon_bytes(&self) -> u64 {
         self.mappings.iter().map(|m| m.committed_anon).sum()
     }
 
     /// Every mapping, in id order.
-    pub fn mappings(&self) -> impl Iterator<Item = &Mapping> {
+    pub(crate) fn mappings(&self) -> impl Iterator<Item = &Mapping> {
         self.mappings.iter()
     }
 
-    pub fn mapping(&self, id: MappingId) -> Option<&Mapping> {
+    pub(crate) fn mapping(&self, id: MappingId) -> Option<&Mapping> {
         self.position(id).map(|i| &self.mappings[i])
     }
 
@@ -194,6 +174,26 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
+
+    impl NamespaceKind {
+        /// The full set a typical OCI runtime configures.
+        pub(crate) const ALL: [NamespaceKind; 7] = [
+            NamespaceKind::Pid,
+            NamespaceKind::Mount,
+            NamespaceKind::Network,
+            NamespaceKind::Uts,
+            NamespaceKind::Ipc,
+            NamespaceKind::Cgroup,
+            NamespaceKind::User,
+        ];
+    }
+
+    impl Process {
+        /// Total reserved virtual address space.
+        fn vsz(&self) -> u64 {
+            self.mappings.iter().map(|m| m.len).sum()
+        }
+    }
     use crate::mem::MapKind;
 
     fn anon(id: MappingId, len: u64, committed_anon: u64) -> Mapping {
@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn mapping_table_agrees_with_a_btree_model() {
         crate::prop::check("mapping_table_agrees_with_a_btree_model", 128, |g| {
-            let mut p = Process::new(Pid(1), "t", None, CgroupId(0));
+            let mut p = Process::new(Pid(1), "t", CgroupId(0));
             let mut model: BTreeMap<MappingId, Mapping> = BTreeMap::new();
             for _ in 0..1 + g.index(96) {
                 // Any id: live, removed, or never issued (the last two must
@@ -265,7 +265,7 @@ mod tests {
 
     #[test]
     fn removal_from_the_middle_and_of_the_last_keeps_order_and_ids() {
-        let mut p = Process::new(Pid(1), "t", None, CgroupId(0));
+        let mut p = Process::new(Pid(1), "t", CgroupId(0));
         let ids: Vec<MappingId> = (0..4)
             .map(|i| {
                 let id = p.alloc_mapping_id();
@@ -290,7 +290,7 @@ mod tests {
 
     #[test]
     fn rss_and_vsz() {
-        let mut p = Process::new(Pid(1), "t", None, CgroupId(0));
+        let mut p = Process::new(Pid(1), "t", CgroupId(0));
         let id = p.alloc_mapping_id();
         p.insert_mapping(Mapping {
             id,
@@ -308,14 +308,9 @@ mod tests {
 
     #[test]
     fn mapping_ids_unique() {
-        let mut p = Process::new(Pid(1), "t", None, CgroupId(0));
+        let mut p = Process::new(Pid(1), "t", CgroupId(0));
         let a = p.alloc_mapping_id();
         let b = p.alloc_mapping_id();
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn namespace_set_is_complete() {
-        assert_eq!(NamespaceKind::ALL.len(), 7);
     }
 }

@@ -51,7 +51,7 @@ where
 }
 
 /// Run one case with an explicit seed (the replay path).
-pub fn replay<F>(seed: u64, body: &mut F)
+pub(crate) fn replay<F>(seed: u64, body: &mut F)
 where
     F: FnMut(&mut SplitMix64),
 {

@@ -106,10 +106,6 @@ impl<K, O> Replay<K, O> {
         self.entries.read().unwrap_or_else(PoisonError::into_inner).len()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     pub fn stats(&self) -> ReplayStats {
         ReplayStats {
             executed: self.executed.load(Relaxed),
@@ -209,7 +205,7 @@ mod tests {
         let replay: Replay<Key, u64> = Replay::new();
         replay.outcome(&Inputs("a", 1), || Ok::<_, Never>((1, true))).unwrap();
         replay.clear();
-        assert!(replay.is_empty());
+        assert_eq!(replay.len(), 0);
         assert_eq!(replay.stats(), ReplayStats::default());
         assert_eq!(*replay.outcome(&Inputs("a", 1), || Ok::<_, Never>((2, true))).unwrap(), 2);
     }

@@ -1,11 +1,10 @@
 //! Deterministic pseudo-random number generation, std-only.
 //!
 //! The external `rand` crate is not resolvable in this offline workspace;
-//! this module provides the two small generators the repo needs instead:
-//! [`SplitMix64`] for seeding/general use and [`Xorshift64Star`] as an
-//! independent stream for differential tests. Both are deterministic and
-//! portable — the same seed produces the same sequence everywhere, which
-//! the repo's reproducibility guarantees rely on.
+//! this module provides the small generator the repo needs instead,
+//! [`SplitMix64`]. It is deterministic and portable — the same seed
+//! produces the same sequence everywhere, which the repo's reproducibility
+//! guarantees rely on.
 
 /// Sebastiano Vigna's SplitMix64: tiny state, excellent distribution, the
 /// canonical seeder for other generators.
@@ -80,7 +79,7 @@ impl SplitMix64 {
     }
 
     /// An ASCII string of `len` characters drawn from `alphabet`.
-    pub fn string_from(&mut self, alphabet: &[char], len: usize) -> String {
+    pub(crate) fn string_from(&mut self, alphabet: &[char], len: usize) -> String {
         (0..len).map(|_| *self.choose(alphabet)).collect()
     }
 
@@ -88,30 +87,6 @@ impl SplitMix64 {
     pub fn string_upto(&mut self, alphabet: &[char], min_len: usize, max_len: usize) -> String {
         let len = min_len + self.index((max_len - min_len).max(1));
         self.string_from(alphabet, len)
-    }
-}
-
-/// xorshift64* — a second, structurally different stream.
-#[derive(Debug, Clone)]
-pub struct Xorshift64Star {
-    state: u64,
-}
-
-impl Xorshift64Star {
-    pub fn new(seed: u64) -> Xorshift64Star {
-        // The state must be nonzero; fold the seed through SplitMix64.
-        let s = SplitMix64::new(seed).next_u64();
-        Xorshift64Star { state: if s == 0 { 0x9e3779b97f4a7c15 } else { s } }
-    }
-
-    #[inline]
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545f4914f6cdd1d)
     }
 }
 
@@ -140,15 +115,5 @@ mod tests {
             assert!((-5..5).contains(&i));
             assert!(g.index(3) < 3);
         }
-    }
-
-    #[test]
-    fn xorshift_never_zero() {
-        let mut g = Xorshift64Star::new(0);
-        for _ in 0..100 {
-            let _ = g.next_u64();
-        }
-        let mut h = Xorshift64Star::new(1);
-        assert_ne!(g.next_u64(), h.next_u64());
     }
 }

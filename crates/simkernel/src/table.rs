@@ -84,17 +84,13 @@ impl<K: TableId, V> IdTable<K, V> {
         self.len
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Every `(id, value)`, in id order.
     pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
         self.slots.iter().enumerate().filter_map(|(i, s)| Some((K::from_index(i), s.as_deref()?)))
     }
 
     /// Every value, in id order.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
+    pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
         self.slots.iter().filter_map(|s| s.as_deref())
     }
 

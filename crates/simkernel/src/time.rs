@@ -29,7 +29,7 @@ impl SimTime {
 
     /// Seconds since boot as a float (for report formatting only).
     #[inline]
-    pub fn as_secs_f64(self) -> f64 {
+    pub(crate) fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
 
@@ -80,16 +80,6 @@ impl Duration {
     }
 
     #[inline]
-    pub fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
-    #[inline]
-    pub fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
-    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
@@ -104,13 +94,6 @@ impl Duration {
     #[inline]
     pub fn scaled(self, factor: u64) -> Duration {
         Duration(self.0.saturating_mul(factor))
-    }
-
-    /// Scale by a float factor (rounds; used by contention models).
-    #[inline]
-    pub fn scaled_f64(self, factor: f64) -> Duration {
-        assert!(factor >= 0.0 && factor.is_finite());
-        Duration((self.0 as f64 * factor).round() as u64)
     }
 }
 
@@ -207,6 +190,16 @@ impl fmt::Display for Duration {
 mod tests {
     use super::*;
 
+    impl Duration {
+        fn as_micros(self) -> u64 {
+            self.0 / 1_000
+        }
+
+        fn as_millis(self) -> u64 {
+            self.0 / 1_000_000
+        }
+    }
+
     #[test]
     fn construction_and_conversion() {
         assert_eq!(Duration::from_secs(2).as_nanos(), 2_000_000_000);
@@ -237,7 +230,6 @@ mod tests {
     fn scaling() {
         let d = Duration::from_millis(10);
         assert_eq!(d.scaled(3).as_millis(), 30);
-        assert_eq!(d.scaled_f64(2.5).as_millis(), 25);
     }
 
     #[test]

@@ -211,10 +211,6 @@ impl StepTrace {
         self.entries.iter().map(|e| (e.phase(), e.step()))
     }
 
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -239,15 +235,6 @@ impl StepTrace {
             }
         }
         totals
-    }
-
-    /// Total busy time across all phases.
-    pub fn busy_total(&self) -> Duration {
-        let mut total = Duration::ZERO;
-        for d in self.phase_busy() {
-            total += d;
-        }
-        total
     }
 }
 
@@ -315,7 +302,6 @@ mod tests {
         let busy = t.phase_busy();
         assert_eq!(busy[Phase::Compile.index()], Duration::from_micros(15));
         assert_eq!(busy[Phase::Exec.index()], Duration::from_micros(2));
-        assert_eq!(t.busy_total(), Duration::from_micros(17));
     }
 
     #[test]

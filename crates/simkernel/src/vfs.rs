@@ -33,12 +33,8 @@ impl FileContent {
         }
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Real bytes if present.
-    pub fn bytes(&self) -> Option<&Bytes> {
+    pub(crate) fn bytes(&self) -> Option<&Bytes> {
         match self {
             FileContent::Bytes(b) => Some(b),
             FileContent::Synthetic(_) => None,
@@ -48,27 +44,27 @@ impl FileContent {
 
 /// A file plus its page-cache state.
 #[derive(Debug, Clone)]
-pub struct File {
-    pub id: FileId,
-    pub path: String,
-    pub content: FileContent,
+pub(crate) struct File {
+    pub(crate) id: FileId,
+    pub(crate) path: String,
+    pub(crate) content: FileContent,
     /// Bytes of this file currently resident in the page cache. Private:
     /// [`Vfs`] is the only writer, so its running total cannot drift.
     cached_bytes: u64,
     /// The cgroup charged for the cached pages (Linux first-toucher rule).
-    pub charged_to: Option<CgroupId>,
+    pub(crate) charged_to: Option<CgroupId>,
     /// Number of live shared mappings of this file. Cached pages of files
     /// with `map_refs == 0` are evictable under memory pressure.
-    pub map_refs: u64,
+    pub(crate) map_refs: u64,
 }
 
 impl File {
-    pub fn size(&self) -> u64 {
+    pub(crate) fn size(&self) -> u64 {
         self.content.len()
     }
 
     /// Bytes of this file currently resident in the page cache.
-    pub fn cached_bytes(&self) -> u64 {
+    pub(crate) fn cached_bytes(&self) -> u64 {
         self.cached_bytes
     }
 }
@@ -76,7 +72,7 @@ impl File {
 /// The filesystem: a flat, sorted path namespace (directories are implicit
 /// prefixes, which is all the container stack needs for bundles and images).
 #[derive(Debug, Clone, Default)]
-pub struct Vfs {
+pub(crate) struct Vfs {
     next_id: u64,
     files: IdTable<FileId, File>,
     /// Every file's id, sorted by the file's own path: the path is stored
@@ -87,12 +83,12 @@ pub struct Vfs {
 }
 
 impl Vfs {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Create a file. Returns `None` if the path already exists.
-    pub fn create(&mut self, path: &str, content: FileContent) -> Option<FileId> {
+    pub(crate) fn create(&mut self, path: &str, content: FileContent) -> Option<FileId> {
         let at = self.find(path).err()?;
         let id = FileId(self.next_id);
         self.next_id += 1;
@@ -122,7 +118,7 @@ impl Vfs {
 
     /// Replace the contents of an existing file, dropping its cache.
     /// Returns the evicted bytes and the cgroup they were charged to.
-    pub fn overwrite(
+    pub(crate) fn overwrite(
         &mut self,
         id: FileId,
         content: FileContent,
@@ -133,7 +129,7 @@ impl Vfs {
     }
 
     /// Set a file's resident bytes (a fault brought pages in).
-    pub fn set_cached(&mut self, id: FileId, bytes: u64) -> Option<()> {
+    pub(crate) fn set_cached(&mut self, id: FileId, bytes: u64) -> Option<()> {
         let f = self.files.get_mut(id)?;
         self.cached_total = self.cached_total - f.cached_bytes + bytes;
         f.cached_bytes = bytes;
@@ -142,27 +138,27 @@ impl Vfs {
 
     /// Drop a file's page cache. Returns the evicted bytes and the cgroup
     /// they were charged to (the caller uncharges it).
-    pub fn evict(&mut self, id: FileId) -> Option<(u64, Option<CgroupId>)> {
+    pub(crate) fn evict(&mut self, id: FileId) -> Option<(u64, Option<CgroupId>)> {
         let f = self.files.get_mut(id)?;
         let evicted = std::mem::take(&mut f.cached_bytes);
         self.cached_total -= evicted;
         Some((evicted, f.charged_to.take()))
     }
 
-    pub fn get(&self, id: FileId) -> Option<&File> {
+    pub(crate) fn get(&self, id: FileId) -> Option<&File> {
         self.files.get(id)
     }
 
-    pub fn get_mut(&mut self, id: FileId) -> Option<&mut File> {
+    pub(crate) fn get_mut(&mut self, id: FileId) -> Option<&mut File> {
         self.files.get_mut(id)
     }
 
-    pub fn lookup(&self, path: &str) -> Option<FileId> {
+    pub(crate) fn lookup(&self, path: &str) -> Option<FileId> {
         self.find(path).ok().map(|at| self.by_path[at])
     }
 
     /// Remove a file; returns the bytes that were cached (for uncharging).
-    pub fn remove(&mut self, id: FileId) -> Option<(File, u64)> {
+    pub(crate) fn remove(&mut self, id: FileId) -> Option<(File, u64)> {
         let at = self.find(&self.files.get(id)?.path).expect("every file is indexed");
         self.by_path.remove(at);
         let f = self.files.remove(id).expect("found above");
@@ -172,7 +168,10 @@ impl Vfs {
     }
 
     /// All files whose path starts with `prefix`, in path order.
-    pub fn list_prefix<'a>(&'a self, prefix: &'a str) -> impl Iterator<Item = &'a File> + 'a {
+    pub(crate) fn list_prefix<'a>(
+        &'a self,
+        prefix: &'a str,
+    ) -> impl Iterator<Item = &'a File> + 'a {
         let start = self.by_path.partition_point(|&id| self.path(id) < prefix);
         self.by_path[start..]
             .iter()
@@ -181,7 +180,7 @@ impl Vfs {
     }
 
     /// Total bytes resident in the page cache across all files.
-    pub fn total_cached(&self) -> u64 {
+    pub(crate) fn total_cached(&self) -> u64 {
         debug_assert_eq!(self.cached_total, self.recount_cached());
         self.cached_total
     }
@@ -227,16 +226,8 @@ impl Vfs {
 
     /// Files with cached pages and no live mappings, in id order
     /// (deterministic eviction order).
-    pub fn evictable(&self) -> impl Iterator<Item = FileId> + '_ {
+    pub(crate) fn evictable(&self) -> impl Iterator<Item = FileId> + '_ {
         self.files.values().filter(|f| f.map_refs == 0 && f.cached_bytes > 0).map(|f| f.id)
-    }
-
-    pub fn len(&self) -> usize {
-        self.files.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.files.is_empty()
     }
 }
 

@@ -13,8 +13,13 @@ use simkernel::rng::SplitMix64;
 use simkernel::vfs::FileContent;
 use simkernel::{
     CgroupId, Duration, FileId, IoModel, Kernel, KernelConfig, KernelError, KernelResult, MapKind,
-    MappingId, Pid, ProcState, StepTrace,
+    MappingId, Pid, ProcGuard, ProcState, ProcessImage, StepTrace,
 };
+
+/// A bare process, owned by the caller from here on.
+fn spawn(k: &Kernel, name: &str, cgroup: CgroupId) -> KernelResult<Pid> {
+    ProcessImage::spawn(k, name, cgroup).build().map(ProcGuard::detach)
+}
 
 /// The [`World::step`] operation that drops page cache directly.
 const DROP_CACHE: usize = 13;
@@ -77,7 +82,7 @@ impl World {
         let cgroup = *g.choose(&self.cgroups);
         let op = g.index(16);
         match op {
-            0 | 1 => self.procs.extend(k.spawn("p", cgroup)),
+            0 | 1 => self.procs.extend(spawn(k, "p", cgroup)),
             2 => {
                 self.created += 1;
                 let size = g.range_u64(1, 4 << 20);
@@ -226,8 +231,8 @@ fn a_powered_off_kernel_refuses_every_mutating_verb() {
     let k = Kernel::boot(KernelConfig::default());
     let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "g").unwrap();
     let empty = k.cgroup_create(Kernel::ROOT_CGROUP, "empty").unwrap();
-    let pid = k.spawn("p", cg).unwrap();
-    let zombie = k.spawn("z", cg).unwrap();
+    let pid = spawn(&k, "p", cg).unwrap();
+    let zombie = spawn(&k, "z", cg).unwrap();
     k.exit(zombie, 0).unwrap();
     let anon = k.mmap(pid, 1 << 20, MapKind::AnonPrivate).unwrap();
     k.touch(pid, anon, 4 << 10).unwrap();
@@ -238,7 +243,7 @@ fn a_powered_off_kernel_refuses_every_mutating_verb() {
     let before = snapshot();
 
     k.power_off();
-    let refused: [(&str, KernelResult<()>); 25] = [
+    let refused: [(&str, KernelResult<()>); 24] = [
         ("cgroup_create", k.cgroup_create(cg, "h").map(drop)),
         ("cgroup_remove", k.cgroup_remove(empty)),
         ("cgroup_set_limit", k.cgroup_set_limit(cg, Some(1 << 30))),
@@ -249,8 +254,7 @@ fn a_powered_off_kernel_refuses_every_mutating_verb() {
             simkernel::image::charge_cpu(&k, pid, Duration::from_millis(1), &mut StepTrace::new())
                 .map(drop),
         ),
-        ("spawn", k.spawn("q", cg).map(drop)),
-        ("spawn_child", k.spawn_child("q", Some(pid), cg).map(drop)),
+        ("spawn", spawn(&k, "q", cg).map(drop)),
         ("unshare", k.unshare(pid, &[NamespaceKind::Pid])),
         ("move_process", k.move_process(pid, empty)),
         ("exit", k.exit(pid, 0)),

@@ -4,7 +4,7 @@
 
 use simkernel::prop::check;
 use simkernel::rng::SplitMix64;
-use simkernel::{Duration, Kernel, KernelConfig, MapKind, Sim, Step, TaskSpec};
+use simkernel::{Duration, Kernel, KernelConfig, MapKind, ProcessImage, Sim, Step, TaskSpec};
 
 /// Random memory-lifecycle actions executed against one kernel.
 #[derive(Debug, Clone)]
@@ -55,7 +55,7 @@ fn accounting_conserves_under_random_ops() {
         for a in &actions {
             match a {
                 Action::Spawn => {
-                    procs.push(kernel.spawn("p", cg_a).unwrap());
+                    procs.push(ProcessImage::spawn(&kernel, "p", cg_a).build().unwrap().detach());
                 }
                 Action::ExitNewest => {
                     if let Some(pid) = procs.pop() {

@@ -43,26 +43,26 @@ pub(crate) struct WasiState {
     kernel: Kernel,
     pid: Pid,
     observed: Rc<Cell<bool>>,
-    pub args: Vec<String>,
-    pub env: Vec<(String, String)>,
+    pub(crate) args: Vec<String>,
+    pub(crate) env: Vec<(String, String)>,
     /// fd table; indices 0..=2 are stdio, preopens start at 3.
-    pub fds: Vec<Option<FdEntry>>,
+    pub(crate) fds: Vec<Option<FdEntry>>,
     /// Guest path prefix → VFS path prefix, parallel to preopen fds.
-    pub preopens: Vec<(String, String)>,
+    pub(crate) preopens: Vec<(String, String)>,
     /// Deterministic PRNG state for `random_get`.
-    pub rng: u64,
-    pub exit_code: Option<i32>,
+    pub(crate) rng: u64,
+    pub(crate) exit_code: Option<i32>,
 }
 
 impl WasiState {
     /// The kernel and the process this context executes as, marking the
     /// context as having observed the world.
-    pub fn world(&self) -> (&Kernel, Pid) {
+    pub(crate) fn world(&self) -> (&Kernel, Pid) {
         self.observed.set(true);
         (&self.kernel, self.pid)
     }
 
-    pub fn resolve(&self, dir_fd: usize, rel_path: &str) -> Option<String> {
+    pub(crate) fn resolve(&self, dir_fd: usize, rel_path: &str) -> Option<String> {
         let entry = self.fds.get(dir_fd)?.as_ref()?;
         let FdEntry::PreopenDir { guest_path } = entry else { return None };
         let (_, host_prefix) = self.preopens.iter().find(|(g, _)| g == guest_path)?;
@@ -72,7 +72,7 @@ impl WasiState {
         Some(p)
     }
 
-    pub fn alloc_fd(&mut self, entry: FdEntry) -> usize {
+    pub(crate) fn alloc_fd(&mut self, entry: FdEntry) -> usize {
         for (i, slot) in self.fds.iter_mut().enumerate() {
             if slot.is_none() {
                 *slot = Some(entry);
@@ -127,12 +127,6 @@ impl WasiCtx {
         self
     }
 
-    /// Set an environment variable.
-    pub fn env(self, k: impl Into<String>, v: impl Into<String>) -> Self {
-        self.state.borrow_mut().env.push((k.into(), v.into()));
-        self
-    }
-
     /// Set several environment variables.
     pub fn envs(self, envs: impl IntoIterator<Item = (String, String)>) -> Self {
         self.state.borrow_mut().env.extend(envs);
@@ -174,11 +168,6 @@ impl WasiCtx {
         WorldMark(self.state.borrow().observed.clone())
     }
 
-    /// Exit code recorded by `proc_exit`, if the guest called it.
-    pub fn exit_code(&self) -> Option<i32> {
-        self.state.borrow().exit_code
-    }
-
     /// Build the import set for [`wasm_core::Instance::instantiate`].
     pub fn into_imports(self) -> wasm_core::instance::Imports {
         crate::host::build_imports(self.state)
@@ -188,11 +177,19 @@ impl WasiCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkernel::KernelConfig;
+    use simkernel::{KernelConfig, ProcessImage};
+
+    impl WasiCtx {
+        /// Set an environment variable.
+        pub(crate) fn env(self, k: impl Into<String>, v: impl Into<String>) -> Self {
+            self.state.borrow_mut().env.push((k.into(), v.into()));
+            self
+        }
+    }
 
     fn ctx() -> WasiCtx {
         let kernel = Kernel::boot(KernelConfig::default());
-        let pid = kernel.spawn("t", Kernel::ROOT_CGROUP).unwrap();
+        let pid = ProcessImage::spawn(&kernel, "t", Kernel::ROOT_CGROUP).build().unwrap().detach();
         WasiCtx::new(kernel, pid)
     }
 

@@ -3,24 +3,18 @@
 /// WASI error numbers, as returned to guest code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u16)]
-pub enum Errno {
+pub(crate) enum Errno {
     Success = 0,
-    TooBig = 1,
-    Access = 2,
     BadF = 8,
-    Fault = 21,
     Inval = 28,
     Io = 29,
     NoEnt = 44,
-    NoSys = 52,
-    NotDir = 54,
-    Perm = 63,
     NotCapable = 76,
 }
 
 impl Errno {
     /// Raw value for returning to the guest.
-    pub fn raw(self) -> i32 {
+    pub(crate) fn raw(self) -> i32 {
         self as u16 as i32
     }
 }
@@ -34,7 +28,6 @@ mod tests {
         assert_eq!(Errno::Success.raw(), 0);
         assert_eq!(Errno::BadF.raw(), 8);
         assert_eq!(Errno::NoEnt.raw(), 44);
-        assert_eq!(Errno::NoSys.raw(), 52);
         assert_eq!(Errno::NotCapable.raw(), 76);
     }
 }

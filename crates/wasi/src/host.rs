@@ -403,7 +403,7 @@ mod tests {
     use std::sync::Arc;
 
     use simkernel::vfs::FileContent;
-    use simkernel::{Kernel, KernelConfig};
+    use simkernel::{Kernel, KernelConfig, ProcessImage};
     use wasm_core::{
         ExecTier, FuncType, Instance, InstanceConfig, ModuleBuilder, Trap, ValType, Value,
     };
@@ -413,7 +413,7 @@ mod tests {
 
     fn kernel_and_pid() -> (Kernel, simkernel::Pid) {
         let kernel = Kernel::boot(KernelConfig::default());
-        let pid = kernel.spawn("t", Kernel::ROOT_CGROUP).unwrap();
+        let pid = ProcessImage::spawn(&kernel, "t", Kernel::ROOT_CGROUP).build().unwrap().detach();
         (kernel, pid)
     }
 

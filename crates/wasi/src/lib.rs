@@ -11,7 +11,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use simkernel::{Kernel, KernelConfig};
+//! use simkernel::{Kernel, KernelConfig, ProcessImage};
 //! use wasi_sys::WasiCtx;
 //! use wasm_core::{Instance, InstanceConfig, ModuleBuilder, FuncType, ValType};
 //!
@@ -32,7 +32,7 @@
 //! b.export_func("_start", start);
 //!
 //! let kernel = Kernel::boot(KernelConfig::default());
-//! let pid = kernel.spawn("svc", Kernel::ROOT_CGROUP).unwrap();
+//! let pid = ProcessImage::spawn(&kernel, "svc", Kernel::ROOT_CGROUP).build().unwrap().detach();
 //! let ctx = WasiCtx::new(kernel, pid).arg("svc");
 //! let stdout = ctx.stdout_handle();
 //! let mut inst = Instance::instantiate(
@@ -44,9 +44,8 @@
 //! assert_eq!(&*stdout.borrow(), b"hi\n");
 //! ```
 
-pub mod ctx;
-pub mod errno;
+pub(crate) mod ctx;
+pub(crate) mod errno;
 mod host;
 
 pub use ctx::{StdioHandle, WasiCtx, WorldMark};
-pub use errno::Errno;

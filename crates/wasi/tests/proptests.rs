@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use simkernel::prop::check;
 use simkernel::rng::SplitMix64;
-use simkernel::{Kernel, KernelConfig};
+use simkernel::{Kernel, KernelConfig, ProcessImage};
 use wasi_sys::WasiCtx;
 use wasm_core::{FuncType, Instance, InstanceConfig, ModuleBuilder, ValType};
 
@@ -48,7 +48,7 @@ fn argv_roundtrips_for_arbitrary_arguments() {
     check("argv_roundtrips_for_arbitrary_arguments", 64, |g| {
         let args: Vec<String> = (0..1 + g.index(7)).map(|_| gen_arg(g)).collect();
         let kernel = Kernel::boot(KernelConfig::default());
-        let pid = kernel.spawn("t", Kernel::ROOT_CGROUP).unwrap();
+        let pid = ProcessImage::spawn(&kernel, "t", Kernel::ROOT_CGROUP).build().unwrap().detach();
         let ctx = WasiCtx::new(kernel, pid).args(args.clone());
         let mut inst = Instance::instantiate(
             args_probe_module(),
@@ -76,7 +76,7 @@ fn environ_sizes_are_consistent() {
         let env: Vec<(String, String)> =
             (0..g.index(6)).map(|_| (g.string_upto(KEY, 1, 13), gen_arg(g))).collect();
         let kernel = Kernel::boot(KernelConfig::default());
-        let pid = kernel.spawn("t", Kernel::ROOT_CGROUP).unwrap();
+        let pid = ProcessImage::spawn(&kernel, "t", Kernel::ROOT_CGROUP).build().unwrap().detach();
         let expected_buf: u32 = env.iter().map(|(k, v)| (k.len() + v.len() + 2) as u32).sum();
         let count = env.len() as u32;
 
@@ -120,7 +120,7 @@ fn random_get_fills_exactly_len_bytes() {
         let len = g.range_u64(0, 512) as u32;
         let seed = g.next_u64();
         let kernel = Kernel::boot(KernelConfig::default());
-        let pid = kernel.spawn("t", Kernel::ROOT_CGROUP).unwrap();
+        let pid = ProcessImage::spawn(&kernel, "t", Kernel::ROOT_CGROUP).build().unwrap().detach();
         let mut b = ModuleBuilder::new();
         let random = b.import_func(
             "wasi_snapshot_preview1",

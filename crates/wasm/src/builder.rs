@@ -123,12 +123,6 @@ impl ModuleBuilder {
         self
     }
 
-    /// Attach a custom section (e.g. padding to model debug info bloat).
-    pub fn custom(&mut self, name: &str, payload: impl Into<Bytes>) -> &mut Self {
-        self.module.customs.push((name.to_string(), payload.into()));
-        self
-    }
-
     /// Finish, returning the module AST.
     pub fn build(self) -> Module {
         self.module

@@ -113,7 +113,7 @@ impl CacheStats {
 /// Lock stripes in the cache map. A power of two so stripe selection is a
 /// mask of the content hash; 16 is comfortably above any worker count the
 /// harness spawns.
-pub const STRIPES: usize = 16;
+pub(crate) const STRIPES: usize = 16;
 
 type Shard = HashMap<u64, Vec<(Bytes, Arc<Module>)>>;
 
@@ -157,7 +157,7 @@ impl Default for ArtifactCache {
 }
 
 impl ArtifactCache {
-    pub fn new() -> ArtifactCache {
+    pub(crate) fn new() -> ArtifactCache {
         ArtifactCache::default()
     }
 
@@ -255,10 +255,6 @@ impl ArtifactCache {
             .sum()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Hit/miss counters since construction (or [`reset_stats`]).
     ///
     /// [`reset_stats`]: ArtifactCache::reset_stats
@@ -273,7 +269,7 @@ impl ArtifactCache {
 
     /// Zero the counters (entries stay). Lets tests measure the hit rate
     /// of one workload phase in isolation.
-    pub fn reset_stats(&self) {
+    pub(crate) fn reset_stats(&self) {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.contentions.store(0, Ordering::Relaxed);
@@ -383,7 +379,7 @@ mod tests {
         let bytes = module_bytes(5);
         let before = cache.get_or_decode(&bytes).unwrap();
         cache.clear();
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
         let after = cache.get_or_decode(&bytes).unwrap();
         assert!(!Arc::ptr_eq(&before, &after), "a cleared cache decodes again");
         let hashed_bytes = bytes.len() as u64;
@@ -412,7 +408,7 @@ mod tests {
         let cache = ArtifactCache::new();
         let garbage = Bytes::from(&b"\x00asm\x01\x00\x00\x00\xff"[..]);
         assert!(cache.get_or_decode(&garbage).is_err());
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
         // Hashed, found invalid, and not remembered: a retry hashes again.
         assert!(cache.get_or_decode(&garbage).is_err());
         let hashed_bytes = 2 * garbage.len() as u64;
@@ -447,7 +443,7 @@ mod tests {
         // Single-threaded use never waits on a stripe lock.
         assert_eq!(cache.stats().lock_contentions, 0);
         cache.clear();
-        assert!(cache.is_empty());
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]

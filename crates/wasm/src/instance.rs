@@ -380,7 +380,7 @@ impl Instance {
 
     /// Eagerly lower every local function (the compile phase of the
     /// JIT/AOT-profile engines). Idempotent.
-    pub fn compile_all(&mut self) {
+    pub(crate) fn compile_all(&mut self) {
         let module = Arc::clone(&self.module);
         for i in 0..module.funcs.len() {
             if self.lowered[i].is_none() {
@@ -392,11 +392,6 @@ impl Instance {
                 self.lowered[i] = Some(lf);
             }
         }
-    }
-
-    /// The module this instance runs.
-    pub fn module(&self) -> &Arc<Module> {
-        &self.module
     }
 
     /// Execution statistics so far.
@@ -439,7 +434,11 @@ impl Instance {
     }
 
     /// Invoke a function by index in the combined function space.
-    pub fn invoke_index(&mut self, func_idx: u32, args: &[Value]) -> Result<Vec<Value>, Trap> {
+    pub(crate) fn invoke_index(
+        &mut self,
+        func_idx: u32,
+        args: &[Value],
+    ) -> Result<Vec<Value>, Trap> {
         // Check the signature eagerly so both tiers agree on errors.
         let ft = self
             .module

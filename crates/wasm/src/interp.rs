@@ -47,17 +47,17 @@ const NO_ELSE: u32 = u32::MAX;
 /// One control-structure record: where its `else`/`end` live, and where
 /// the side table continues once control leaves through either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SideEntry {
+pub(crate) struct SideEntry {
     /// Byte offset of the `block`/`loop`/`if` opcode.
-    pub at: u32,
+    pub(crate) at: u32,
     /// Byte offset of the matching `end` opcode.
-    pub end: u32,
+    pub(crate) end: u32,
     /// Byte offset just past the matching `else` opcode (`u32::MAX` = none).
-    pub else_: u32,
+    pub(crate) else_: u32,
     /// Index of the first entry past this construct's `end`.
-    pub next: u32,
+    pub(crate) next: u32,
     /// Index of the first entry of the `else` arm (when there is one).
-    pub else_next: u32,
+    pub(crate) else_next: u32,
 }
 
 /// Per-function control side-table: one entry per `block`/`loop`/`if`, in
@@ -142,16 +142,8 @@ impl SideTable {
     /// The two cursor fields are this implementation's way of not
     /// searching and are deliberately not charged; every simulated
     /// "side-tables" mapping is sized from this figure.
-    pub fn memory_bytes(&self) -> u64 {
+    pub(crate) fn memory_bytes(&self) -> u64 {
         self.entries.len() as u64 * 12
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -1065,7 +1057,7 @@ mod tests {
         assert!(SideTable::build(&[op::BLOCK, 0x40, op::ELSE, op::END, op::END]).is_err());
         assert!(SideTable::build(&[op::BLOCK, 0x40, op::END]).is_err(), "never closed");
         assert!(SideTable::build(&[op::END, op::NOP]).is_err(), "code after the end");
-        assert!(SideTable::build(&[op::END]).unwrap().is_empty());
+        assert!(SideTable::build(&[op::END]).unwrap().entries.is_empty());
     }
 
     #[test]

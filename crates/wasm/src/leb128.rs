@@ -15,21 +15,8 @@ pub fn write_u32(out: &mut Vec<u8>, mut v: u32) {
     }
 }
 
-/// Encode an unsigned 64-bit integer.
-pub fn write_u64(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
-    }
-}
-
 /// Encode a signed 32-bit integer (SLEB128).
-pub fn write_i32(out: &mut Vec<u8>, v: i32) {
+pub(crate) fn write_i32(out: &mut Vec<u8>, v: i32) {
     write_i64(out, v as i64)
 }
 
@@ -56,11 +43,6 @@ pub fn read_u32(buf: &[u8]) -> Result<(u32, usize), DecodeError> {
     Ok((v as u32, n))
 }
 
-/// Decode an unsigned 64-bit integer; returns (value, bytes consumed).
-pub fn read_u64(buf: &[u8]) -> Result<(u64, usize), DecodeError> {
-    read_u64_impl(buf, 10)
-}
-
 fn read_u64_impl(buf: &[u8], max_bytes: usize) -> Result<(u64, usize), DecodeError> {
     let mut result: u64 = 0;
     let mut shift = 0u32;
@@ -84,7 +66,7 @@ fn read_u64_impl(buf: &[u8], max_bytes: usize) -> Result<(u64, usize), DecodeErr
 }
 
 /// Decode a signed 32-bit integer; returns (value, bytes consumed).
-pub fn read_i32(buf: &[u8]) -> Result<(i32, usize), DecodeError> {
+pub(crate) fn read_i32(buf: &[u8]) -> Result<(i32, usize), DecodeError> {
     let (v, n) = read_i64_impl(buf, 5)?;
     if v > i32::MAX as i64 || v < i32::MIN as i64 {
         return Err(DecodeError::IntegerTooLarge);
@@ -188,14 +170,5 @@ mod tests {
         assert!(read_u32(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x01]).is_err());
         // Too-large final byte for u32.
         assert!(read_u32(&[0xff, 0xff, 0xff, 0xff, 0x7f]).is_err());
-    }
-
-    #[test]
-    fn u64_max() {
-        let mut buf = Vec::new();
-        write_u64(&mut buf, u64::MAX);
-        let (got, n) = read_u64(&buf).unwrap();
-        assert_eq!(got, u64::MAX);
-        assert_eq!(n, 10);
     }
 }

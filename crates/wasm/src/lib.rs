@@ -32,26 +32,25 @@
 
 pub mod builder;
 pub mod cache;
-pub mod decode;
-pub mod encode;
-pub mod error;
+pub(crate) mod decode;
+pub(crate) mod encode;
+pub(crate) mod error;
 pub mod instance;
 pub mod instr;
 pub mod interp;
 pub mod leb128;
 pub mod lowered;
-pub mod memory;
+pub(crate) mod memory;
 pub mod module;
 pub(crate) mod numeric;
 pub mod types;
-pub mod validate;
-pub mod values;
+pub(crate) mod validate;
+pub(crate) mod values;
 
 pub use builder::{FuncBuilder, ModuleBuilder};
 pub use cache::{ArtifactCache, CacheStats};
 pub use decode::decode_module;
 pub use encode::encode_module;
-pub use error::{DecodeError, ValidationError};
 pub use instance::{
     EpochClock, EpochConfig, ExecStats, ExecTier, HostFunc, Imports, Instance, InstanceConfig,
 };

@@ -57,7 +57,7 @@ use crate::values::{nearest_f32, nearest_f64, trunc, Slot, Trap, Value};
 ///   function/type index, branch target (low 32 bits), or br_table index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u16)]
-pub enum Op {
+pub(crate) enum Op {
     /// `a ← b`.
     Copy,
     /// `a ← imm` (raw slot bits).
@@ -279,12 +279,12 @@ pub enum Op {
 
 /// One pre-decoded instruction word: 16 bytes, fixed width.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OpWord {
-    pub code: Op,
-    pub a: u16,
-    pub b: u16,
-    pub c: u16,
-    pub imm: u64,
+pub(crate) struct OpWord {
+    pub(crate) code: Op,
+    pub(crate) a: u16,
+    pub(crate) b: u16,
+    pub(crate) c: u16,
+    pub(crate) imm: u64,
 }
 
 /// Branch targets live in the low 32 bits of `imm`; `BrIfShuffle` keeps its
@@ -294,43 +294,40 @@ const TARGET_MASK: u64 = 0xffff_ffff;
 /// One resolved `br_table` arm: jump target plus the slot shuffle that
 /// moves the kept values into the target block's canonical slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LBranch {
-    pub target: u32,
-    pub dst: u16,
-    pub src: u16,
-    pub arity: u16,
+pub(crate) struct LBranch {
+    pub(crate) target: u32,
+    pub(crate) dst: u16,
+    pub(crate) src: u16,
+    pub(crate) arity: u16,
 }
 
 /// Side table of a lowered `br_table` (arms are too wide for an `OpWord`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LBrTable {
-    pub arms: Vec<LBranch>,
-    pub default: LBranch,
+pub(crate) struct LBrTable {
+    pub(crate) arms: Vec<LBranch>,
+    pub(crate) default: LBranch,
 }
 
 /// A function compiled to the pre-decoded register representation.
 #[derive(Debug)]
 pub struct LoweredFunc {
-    pub ops: Vec<OpWord>,
-    pub tables: Vec<LBrTable>,
-    pub param_count: u16,
+    pub(crate) ops: Vec<OpWord>,
+    pub(crate) tables: Vec<LBrTable>,
+    pub(crate) param_count: u16,
     /// Non-param locals (zeroed on entry).
-    pub local_count: u16,
-    pub result_count: u16,
+    pub(crate) local_count: u16,
+    pub(crate) result_count: u16,
     /// Total frame slots: params + locals + operand high-water mark.
-    pub frame_size: u16,
+    pub(crate) frame_size: u16,
     /// Superinstruction-fusion events during lowering (folded operands,
     /// immediate binops, fused compare-branches, retargeted `local.set`s…).
-    pub fused: u32,
-    /// Bytecode instructions decoded — compare against `ops.len()` for the
-    /// fusion ratio.
-    pub source_instrs: u32,
+    pub(crate) fused: u32,
 }
 
 impl LoweredFunc {
     /// Resident bytes of the compiled representation — what the JIT/AOT
     /// engine profiles charge as "machine code" via `stats.lowered_bytes`.
-    pub fn memory_bytes(&self) -> u64 {
+    pub(crate) fn memory_bytes(&self) -> u64 {
         let base = self.ops.len() * std::mem::size_of::<OpWord>();
         let tables: usize = self
             .tables
@@ -489,7 +486,6 @@ struct Lowerer<'m> {
     max_height: usize,
     live: bool,
     fused: u32,
-    source_instrs: u32,
 }
 
 impl<'m> Lowerer<'m> {
@@ -1312,7 +1308,6 @@ pub fn lower_function(module: &Module, func_idx: u32) -> Result<LoweredFunc, Str
         max_height: 0,
         live: true,
         fused: 0,
-        source_instrs: 0,
     };
 
     let code = &body.code;
@@ -1320,7 +1315,6 @@ pub fn lower_function(module: &Module, func_idx: u32) -> Result<LoweredFunc, Str
     while pos < code.len() && !lo.ctls.is_empty() {
         let (instr, n) = read_instr(&code[pos..]).map_err(|e| e.to_string())?;
         pos += n;
-        lo.source_instrs += 1;
         lo.step(instr)?;
     }
     let frame = local_total + lo.max_height;
@@ -1335,7 +1329,6 @@ pub fn lower_function(module: &Module, func_idx: u32) -> Result<LoweredFunc, Str
         result_count,
         frame_size: frame as u16,
         fused: lo.fused,
-        source_instrs: lo.source_instrs,
     })
 }
 
@@ -1916,11 +1909,16 @@ mod tests {
         let module = sum_to_builder().build();
         let lf = lower_function(&module, 0).unwrap();
         assert!(lf.fused > 0, "no fusion events recorded");
+        let code = &module.func_body(0).unwrap().code;
+        let (mut source_instrs, mut pos) = (0, 0);
+        while pos < code.len() {
+            pos += read_instr(&code[pos..]).unwrap().1;
+            source_instrs += 1;
+        }
         assert!(
-            lf.ops.len() < lf.source_instrs as usize,
-            "{} ops from {} bytecode instrs — fusion should shrink the stream",
-            lf.ops.len(),
-            lf.source_instrs
+            lf.ops.len() < source_instrs,
+            "{} ops from {source_instrs} bytecode instrs — fusion should shrink the stream",
+            lf.ops.len()
         );
     }
 

@@ -15,7 +15,7 @@ use crate::values::Trap;
 pub const WASM_PAGE_SIZE: u32 = 65536;
 
 /// Hard cap on pages (the 4 GiB i32 address space).
-pub const MAX_PAGES: u32 = 65536;
+pub(crate) const MAX_PAGES: u32 = 65536;
 
 const PAGE: usize = WASM_PAGE_SIZE as usize;
 
@@ -76,10 +76,6 @@ impl LinearMemory {
         self.data.len()
     }
 
-    pub fn limits(&self) -> Limits {
-        self.limits
-    }
-
     /// `memory.grow`: returns the old size in pages, or -1 on failure.
     pub fn grow(&mut self, delta_pages: u32) -> i32 {
         let old = self.size_pages();
@@ -119,7 +115,7 @@ impl LinearMemory {
 
     /// Read `N` bytes at `addr + offset`.
     #[inline]
-    pub fn read<const N: usize>(&self, addr: u32, offset: u32) -> Result<[u8; N], Trap> {
+    pub(crate) fn read<const N: usize>(&self, addr: u32, offset: u32) -> Result<[u8; N], Trap> {
         let start = self.range(addr, offset, N)?;
         let mut out = [0u8; N];
         out.copy_from_slice(&self.data[start..start + N]);

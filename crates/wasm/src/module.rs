@@ -13,7 +13,7 @@ use crate::types::{FuncType, GlobalType, MemoryType, TableType, ValType};
 
 /// What an import provides.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ImportDesc {
+pub(crate) enum ImportDesc {
     /// A function with the given type index.
     Func(u32),
     Table(TableType),
@@ -23,10 +23,10 @@ pub enum ImportDesc {
 
 /// One import: `module.name` with a description.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Import {
-    pub module: String,
-    pub name: String,
-    pub desc: ImportDesc,
+pub(crate) struct Import {
+    pub(crate) module: String,
+    pub(crate) name: String,
+    pub(crate) desc: ImportDesc,
 }
 
 /// What an export exposes (index into the respective space).
@@ -65,10 +65,10 @@ pub struct Global {
 
 /// An active element segment (table initializer).
 #[derive(Debug, Clone, PartialEq)]
-pub struct ElementSegment {
-    pub table: u32,
-    pub offset: ConstExpr,
-    pub funcs: Vec<u32>,
+pub(crate) struct ElementSegment {
+    pub(crate) table: u32,
+    pub(crate) offset: ConstExpr,
+    pub(crate) funcs: Vec<u32>,
 }
 
 /// An active data segment (memory initializer).
@@ -89,12 +89,12 @@ pub struct FuncBody {
 
 impl FuncBody {
     /// Total number of declared locals (excluding parameters).
-    pub fn local_count(&self) -> u32 {
+    pub(crate) fn local_count(&self) -> u32 {
         self.locals.iter().map(|(n, _)| *n).sum()
     }
 
     /// Expand the compressed local declarations into a flat type list.
-    pub fn expand_locals(&self) -> Vec<ValType> {
+    pub(crate) fn expand_locals(&self) -> Vec<ValType> {
         let mut out = Vec::with_capacity(self.local_count() as usize);
         for (count, ty) in &self.locals {
             for _ in 0..*count {
@@ -109,20 +109,20 @@ impl FuncBody {
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Module {
     pub types: Vec<FuncType>,
-    pub imports: Vec<Import>,
+    pub(crate) imports: Vec<Import>,
     /// Type indices of module-defined functions.
     pub funcs: Vec<u32>,
-    pub tables: Vec<TableType>,
+    pub(crate) tables: Vec<TableType>,
     pub memories: Vec<MemoryType>,
     pub globals: Vec<Global>,
     pub exports: Vec<Export>,
-    pub start: Option<u32>,
-    pub elements: Vec<ElementSegment>,
+    pub(crate) start: Option<u32>,
+    pub(crate) elements: Vec<ElementSegment>,
     /// Bodies of module-defined functions (parallel to `funcs`).
     pub bodies: Vec<FuncBody>,
     pub data: Vec<DataSegment>,
     /// Custom sections, preserved verbatim.
-    pub customs: Vec<(String, Bytes)>,
+    pub(crate) customs: Vec<(String, Bytes)>,
     /// Shared per-function derived code — lowered functions and control
     /// side-tables (excluded from `Clone` and `PartialEq` — it is derived
     /// state, not module identity).
@@ -136,25 +136,25 @@ impl Module {
         self.imports.iter().filter(|i| matches!(i.desc, ImportDesc::Func(_))).count() as u32
     }
 
-    pub fn num_imported_globals(&self) -> u32 {
+    pub(crate) fn num_imported_globals(&self) -> u32 {
         self.imports.iter().filter(|i| matches!(i.desc, ImportDesc::Global(_))).count() as u32
     }
 
-    pub fn num_imported_tables(&self) -> u32 {
+    pub(crate) fn num_imported_tables(&self) -> u32 {
         self.imports.iter().filter(|i| matches!(i.desc, ImportDesc::Table(_))).count() as u32
     }
 
-    pub fn num_imported_memories(&self) -> u32 {
+    pub(crate) fn num_imported_memories(&self) -> u32 {
         self.imports.iter().filter(|i| matches!(i.desc, ImportDesc::Memory(_))).count() as u32
     }
 
     /// Total size of the function index space.
-    pub fn num_funcs(&self) -> u32 {
+    pub(crate) fn num_funcs(&self) -> u32 {
         self.num_imported_funcs() + self.funcs.len() as u32
     }
 
     /// Type index of a function in the combined index space.
-    pub fn func_type_idx(&self, func_idx: u32) -> Option<u32> {
+    pub(crate) fn func_type_idx(&self, func_idx: u32) -> Option<u32> {
         let imported = self.num_imported_funcs();
         if func_idx < imported {
             self.imports
@@ -170,12 +170,12 @@ impl Module {
     }
 
     /// Resolved type of a function in the combined index space.
-    pub fn func_type(&self, func_idx: u32) -> Option<&FuncType> {
+    pub(crate) fn func_type(&self, func_idx: u32) -> Option<&FuncType> {
         self.types.get(self.func_type_idx(func_idx)? as usize)
     }
 
     /// Body of a module-defined function in the combined index space.
-    pub fn func_body(&self, func_idx: u32) -> Option<&FuncBody> {
+    pub(crate) fn func_body(&self, func_idx: u32) -> Option<&FuncBody> {
         let imported = self.num_imported_funcs();
         if func_idx < imported {
             return None;
@@ -184,12 +184,12 @@ impl Module {
     }
 
     /// Find an export by name.
-    pub fn export(&self, name: &str) -> Option<&Export> {
+    pub(crate) fn export(&self, name: &str) -> Option<&Export> {
         self.exports.iter().find(|e| e.name == name)
     }
 
     /// Find an exported function index by name.
-    pub fn exported_func(&self, name: &str) -> Option<u32> {
+    pub(crate) fn exported_func(&self, name: &str) -> Option<u32> {
         match self.export(name)?.desc {
             ExportDesc::Func(i) => Some(i),
             _ => None,

@@ -16,7 +16,7 @@ pub enum ValType {
 
 impl ValType {
     /// Binary encoding of the type.
-    pub fn byte(self) -> u8 {
+    pub(crate) fn byte(self) -> u8 {
         match self {
             ValType::I32 => 0x7f,
             ValType::I64 => 0x7e,
@@ -26,7 +26,7 @@ impl ValType {
     }
 
     /// Decode from the binary encoding.
-    pub fn from_byte(b: u8) -> Result<ValType, DecodeError> {
+    pub(crate) fn from_byte(b: u8) -> Result<ValType, DecodeError> {
         match b {
             0x7f => Ok(ValType::I32),
             0x7e => Ok(ValType::I64),
@@ -52,8 +52,8 @@ impl fmt::Display for ValType {
 /// A function type: parameters and results.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct FuncType {
-    pub params: Vec<ValType>,
-    pub results: Vec<ValType>,
+    pub(crate) params: Vec<ValType>,
+    pub(crate) results: Vec<ValType>,
 }
 
 impl FuncType {
@@ -86,7 +86,7 @@ impl fmt::Display for FuncType {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Limits {
     pub min: u32,
-    pub max: Option<u32>,
+    pub(crate) max: Option<u32>,
 }
 
 impl Limits {
@@ -95,18 +95,8 @@ impl Limits {
     }
 
     /// Structural validity: `min <= max` when a max exists.
-    pub fn is_valid(&self) -> bool {
+    pub(crate) fn is_valid(&self) -> bool {
         self.max.map(|m| self.min <= m).unwrap_or(true)
-    }
-
-    /// Does `other` fit within these limits? (import matching)
-    pub fn subsumes(&self, other: &Limits) -> bool {
-        other.min >= self.min
-            && match (self.max, other.max) {
-                (None, _) => true,
-                (Some(_), None) => false,
-                (Some(a), Some(b)) => b <= a,
-            }
     }
 }
 
@@ -119,8 +109,8 @@ pub struct GlobalType {
 
 /// A table type (MVP: funcref only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TableType {
-    pub limits: Limits,
+pub(crate) struct TableType {
+    pub(crate) limits: Limits,
 }
 
 /// A memory type.
@@ -161,14 +151,5 @@ mod tests {
         assert!(Limits::new(1, None).is_valid());
         assert!(Limits::new(1, Some(1)).is_valid());
         assert!(!Limits::new(2, Some(1)).is_valid());
-    }
-
-    #[test]
-    fn limits_subsumption() {
-        let outer = Limits::new(1, Some(10));
-        assert!(outer.subsumes(&Limits::new(2, Some(5))));
-        assert!(!outer.subsumes(&Limits::new(0, Some(5))), "min below bound");
-        assert!(!outer.subsumes(&Limits::new(2, None)), "unbounded max");
-        assert!(Limits::new(0, None).subsumes(&Limits::new(5, Some(100))));
     }
 }

@@ -23,16 +23,6 @@ impl Value {
         }
     }
 
-    /// The type's zero value.
-    pub fn zero(ty: ValType) -> Value {
-        match ty {
-            ValType::I32 => Value::I32(0),
-            ValType::I64 => Value::I64(0),
-            ValType::F32 => Value::F32(0.0),
-            ValType::F64 => Value::F64(0.0),
-        }
-    }
-
     pub fn as_i32(&self) -> Option<i32> {
         match self {
             Value::I32(v) => Some(*v),
@@ -48,7 +38,7 @@ impl Value {
     }
 
     /// Raw 64-bit representation (used by the untyped operand stack).
-    pub fn to_slot(self) -> Slot {
+    pub(crate) fn to_slot(self) -> Slot {
         match self {
             Value::I32(v) => Slot(v as u32 as u64),
             Value::I64(v) => Slot(v as u64),
@@ -58,7 +48,7 @@ impl Value {
     }
 
     /// Reconstruct a typed value from a raw slot.
-    pub fn from_slot(slot: Slot, ty: ValType) -> Value {
+    pub(crate) fn from_slot(slot: Slot, ty: ValType) -> Value {
         match ty {
             ValType::I32 => Value::I32(slot.0 as u32 as i32),
             ValType::I64 => Value::I64(slot.0 as i64),
@@ -82,71 +72,71 @@ impl fmt::Display for Value {
 /// An untyped 64-bit stack slot; validation guarantees well-typed use.
 /// This is how WAMR's interpreter represents its operand stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Slot(pub u64);
+pub(crate) struct Slot(pub u64);
 
 impl Slot {
     #[inline]
-    pub fn i32(self) -> i32 {
+    pub(crate) fn i32(self) -> i32 {
         self.0 as u32 as i32
     }
 
     #[inline]
-    pub fn u32(self) -> u32 {
+    pub(crate) fn u32(self) -> u32 {
         self.0 as u32
     }
 
     #[inline]
-    pub fn i64(self) -> i64 {
+    pub(crate) fn i64(self) -> i64 {
         self.0 as i64
     }
 
     #[inline]
-    pub fn u64(self) -> u64 {
+    pub(crate) fn u64(self) -> u64 {
         self.0
     }
 
     #[inline]
-    pub fn f32(self) -> f32 {
+    pub(crate) fn f32(self) -> f32 {
         f32::from_bits(self.0 as u32)
     }
 
     #[inline]
-    pub fn f64(self) -> f64 {
+    pub(crate) fn f64(self) -> f64 {
         f64::from_bits(self.0)
     }
 
     #[inline]
-    pub fn from_i32(v: i32) -> Slot {
+    pub(crate) fn from_i32(v: i32) -> Slot {
         Slot(v as u32 as u64)
     }
 
     #[inline]
-    pub fn from_u32(v: u32) -> Slot {
+    pub(crate) fn from_u32(v: u32) -> Slot {
         Slot(v as u64)
     }
 
     #[inline]
-    pub fn from_i64(v: i64) -> Slot {
+    pub(crate) fn from_i64(v: i64) -> Slot {
         Slot(v as u64)
     }
 
     #[inline]
-    pub fn from_u64(v: u64) -> Slot {
+    pub(crate) fn from_u64(v: u64) -> Slot {
         Slot(v)
     }
 
     #[inline]
-    pub fn from_f32(v: f32) -> Slot {
+    pub(crate) fn from_f32(v: f32) -> Slot {
         Slot(v.to_bits() as u64)
     }
 
     #[inline]
-    pub fn from_f64(v: f64) -> Slot {
+    pub(crate) fn from_f64(v: f64) -> Slot {
         Slot(v.to_bits())
     }
 
     #[inline]
-    pub fn from_bool(b: bool) -> Slot {
+    pub(crate) fn from_bool(b: bool) -> Slot {
         Slot(b as u64)
     }
 }
@@ -198,10 +188,10 @@ impl fmt::Display for Trap {
 impl std::error::Error for Trap {}
 
 /// Checked float→int truncations (spec: trap on NaN or out-of-range).
-pub mod trunc {
+pub(crate) mod trunc {
     use super::Trap;
 
-    pub fn i32_from_f32(v: f32) -> Result<i32, Trap> {
+    pub(crate) fn i32_from_f32(v: f32) -> Result<i32, Trap> {
         if v.is_nan() {
             return Err(Trap::InvalidConversionToInteger);
         }
@@ -213,7 +203,7 @@ pub mod trunc {
         Ok(v.trunc() as i32)
     }
 
-    pub fn u32_from_f32(v: f32) -> Result<u32, Trap> {
+    pub(crate) fn u32_from_f32(v: f32) -> Result<u32, Trap> {
         if v.is_nan() {
             return Err(Trap::InvalidConversionToInteger);
         }
@@ -224,7 +214,7 @@ pub mod trunc {
         Ok(v.trunc() as u32)
     }
 
-    pub fn i32_from_f64(v: f64) -> Result<i32, Trap> {
+    pub(crate) fn i32_from_f64(v: f64) -> Result<i32, Trap> {
         if v.is_nan() {
             return Err(Trap::InvalidConversionToInteger);
         }
@@ -235,7 +225,7 @@ pub mod trunc {
         Ok(t as i32)
     }
 
-    pub fn u32_from_f64(v: f64) -> Result<u32, Trap> {
+    pub(crate) fn u32_from_f64(v: f64) -> Result<u32, Trap> {
         if v.is_nan() {
             return Err(Trap::InvalidConversionToInteger);
         }
@@ -246,7 +236,7 @@ pub mod trunc {
         Ok(t as u32)
     }
 
-    pub fn i64_from_f32(v: f32) -> Result<i64, Trap> {
+    pub(crate) fn i64_from_f32(v: f32) -> Result<i64, Trap> {
         if v.is_nan() {
             return Err(Trap::InvalidConversionToInteger);
         }
@@ -257,7 +247,7 @@ pub mod trunc {
         Ok(v.trunc() as i64)
     }
 
-    pub fn u64_from_f32(v: f32) -> Result<u64, Trap> {
+    pub(crate) fn u64_from_f32(v: f32) -> Result<u64, Trap> {
         if v.is_nan() {
             return Err(Trap::InvalidConversionToInteger);
         }
@@ -267,7 +257,7 @@ pub mod trunc {
         Ok(v.trunc() as u64)
     }
 
-    pub fn i64_from_f64(v: f64) -> Result<i64, Trap> {
+    pub(crate) fn i64_from_f64(v: f64) -> Result<i64, Trap> {
         if v.is_nan() {
             return Err(Trap::InvalidConversionToInteger);
         }
@@ -277,7 +267,7 @@ pub mod trunc {
         Ok(v.trunc() as i64)
     }
 
-    pub fn u64_from_f64(v: f64) -> Result<u64, Trap> {
+    pub(crate) fn u64_from_f64(v: f64) -> Result<u64, Trap> {
         if v.is_nan() {
             return Err(Trap::InvalidConversionToInteger);
         }
@@ -290,7 +280,7 @@ pub mod trunc {
 
 /// IEEE-754 `nearest` (round half to even), the Wasm rounding mode.
 /// The sign of zero is preserved (`nearest(-0.5)` is `-0.0`).
-pub fn nearest_f32(v: f32) -> f32 {
+pub(crate) fn nearest_f32(v: f32) -> f32 {
     let r = v.round();
     let r = if (r - v).abs() == 0.5 && r % 2.0 != 0.0 { r - v.signum() } else { r };
     if r == 0.0 {
@@ -301,7 +291,7 @@ pub fn nearest_f32(v: f32) -> f32 {
 }
 
 /// IEEE-754 `nearest` for f64. The sign of zero is preserved.
-pub fn nearest_f64(v: f64) -> f64 {
+pub(crate) fn nearest_f64(v: f64) -> f64 {
     let r = v.round();
     let r = if (r - v).abs() == 0.5 && r % 2.0 != 0.0 { r - v.signum() } else { r };
     if r == 0.0 {
@@ -324,12 +314,6 @@ mod tests {
                 (a, b) => assert_eq!(a, b),
             }
         }
-    }
-
-    #[test]
-    fn zero_values() {
-        assert_eq!(Value::zero(ValType::I32), Value::I32(0));
-        assert_eq!(Value::zero(ValType::F64), Value::F64(0.0));
     }
 
     #[test]

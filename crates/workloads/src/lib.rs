@@ -17,8 +17,8 @@
 //!   values fold in a work-representation scale so this slice stands for
 //!   the paper's full workload.
 
-pub mod module;
-pub mod python;
+pub(crate) mod module;
+pub(crate) mod python;
 
 pub use module::{
     balloon_module, hung_service_module, microservice_module, microservice_module_bytes,

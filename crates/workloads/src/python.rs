@@ -6,12 +6,12 @@
 pub struct PythonScriptConfig {
     /// Startup-work loop iterations (logically equivalent to the Wasm
     /// microservice's warm-up loop).
-    pub loop_iterations: i64,
+    pub(crate) loop_iterations: i64,
     /// Modules the service imports at startup.
-    pub imports: &'static [&'static str],
-    pub ready_message: &'static str,
+    pub(crate) imports: &'static [&'static str],
+    pub(crate) ready_message: &'static str,
     /// Retain every loop result in an in-heap cache (memory-heavy shape).
-    pub retain_cache: bool,
+    pub(crate) retain_cache: bool,
 }
 
 impl Default for PythonScriptConfig {

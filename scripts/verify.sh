@@ -21,14 +21,37 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 echo "== cargo fmt --check =="
 cargo fmt --check
 
+echo "== check: #[cfg(test)] marks only a file's trailing test module =="
+# The lints below and the size count treat everything from a file's first
+# '#[cfg(test)]' down as test code. An item-level '#[cfg(test)]' halfway
+# down a file would silently hide the rest of it from both, so the
+# attribute may only open the last top-level item, a 'mod <name> {'.
+# A test-only helper goes into that module as an 'impl' block.
+cfg_test_misuse=$(find crates/*/src src examples -name '*.rs' -print0 | xargs -0 awk '
+  FNR == 1 { state = 0 }
+  /#\[cfg\(test\)\]/ {
+    if (state != 0 || $0 != "#[cfg(test)]") print FILENAME ":" FNR ": " $0
+    state = 1; next
+  }
+  state == 1 { if ($0 !~ /^mod [a-z_]+ \{$/) print FILENAME ":" FNR ": " $0; state = 2; next }
+  state == 2 && /^(pub|fn|impl|struct|enum|mod|use|const|static|type|trait|macro_rules|#\[)/ {
+    print FILENAME ":" FNR ": after the test module: " $0
+  }')
+if [ -n "$cfg_test_misuse" ]; then
+  echo "$cfg_test_misuse"
+  echo "check: #[cfg(test)] on something other than a file's trailing test module" >&2
+  exit 1
+fi
+
 # lint_call_sites <label> <regex> <roots> <exempt-path-regex> <message>
 # Fails the build with <message> if a non-test, non-comment line under
 # <roots> matches <regex> (ERE) in a file whose path does not match
 # <exempt-path-regex> ('^$' exempts nothing). Test modules (everything
 # from '#[cfg(test)]' down, by the repo's tests-at-end convention) and
 # comment lines are exempt. A regex over source is not a visibility rule:
-# a verb that one crate owns is pub(crate) instead, and only what crosses
-# a crate boundary is linted here.
+# a verb that one crate owns is pub(crate), which the workspace lints
+# (unreachable_pub, dead_code) keep honest, and only a verb that another
+# crate has to call is linted here. Each lint names that caller.
 lint_call_sites() {
   local label=$1 pattern=$2 roots=$3 exempt=$4 message=$5 violations=0 f hits
   echo "== lint: $label =="
@@ -47,17 +70,12 @@ lint_call_sites() {
   fi
 }
 
-# Outside simkernel (which owns the primitives), non-test code must build
-# processes via simkernel::image::ProcessImage, not raw kernel.spawn
-# (Kernel::mmap_labeled is pub(crate): the compiler holds that one).
-lint_call_sites "process creation goes through ProcessImage" \
-  'kernel\.spawn\(' 'crates/*/src' '^crates/simkernel/' \
-  "direct kernel.spawn call site(s) found; use simkernel::image::ProcessImage"
-
 # Any simkernel call that can return KernelError::FaultInjected must be
 # propagated (`?`) or matched in non-test code, never unwrap()/expect()ed:
 # a seeded fault plan would otherwise panic the stack instead of reaching
-# the kubelet's recovery path.
+# the kubelet's recovery path. This one is not a visibility question: the
+# verbs are the public doorways, and what is forbidden is a use of their
+# result.
 lint_call_sites "fault-returning simkernel APIs must propagate errors" \
   '\.(build|touch|read_file|charge_anon|map_shared|map_cow|charge_heap)\([^)]*\)[[:space:]]*\.(unwrap|expect)\(' \
   'crates/*/src' '^$' \
@@ -67,8 +85,9 @@ lint_call_sites "fault-returning simkernel APIs must propagate errors" \
 # fail) is the only sanctioned hard-kill verb, and only the kubelet may
 # call it: from the liveness-kill path and from the grace-period
 # escalation in remove_pod. New call sites elsewhere would bypass the
-# SIGTERM → grace → SIGKILL discipline. The definition site (containerd's
-# cri.rs) is exempt too.
+# SIGTERM → grace → SIGKILL discipline. It stays pub because that caller,
+# crates/k8s/src/kubelet.rs, is another crate. The definition site
+# (containerd's cri.rs) is exempt too.
 lint_call_sites "hard kills go through the kubelet watchdog path" \
   '\.interrupt_pod\(' 'crates/*/src' \
   '^crates/containerd/src/cri\.rs$|^crates/k8s/src/kubelet\.rs$' \
@@ -76,9 +95,11 @@ lint_call_sites "hard kills go through the kubelet watchdog path" \
 
 # Cgroup limit-setting is an accounting choke point: cpu/io limits are
 # applied once per pod sync (the kubelet), and call sites anywhere else
-# would bypass the pod-spec path. (The charge verb, Kernel::cgroup_charge_cpu,
-# is pub(crate): guest CPU is charged once per guest start through its one
-# caller, simkernel::image::charge_cpu.) simkernel is exempt.
+# would bypass the pod-spec path. The two verbs stay pub because that
+# caller, crates/k8s/src/kubelet.rs, is another crate. (The charge verb,
+# Kernel::cgroup_charge_cpu, is pub(crate): guest CPU is charged once per
+# guest start through its one caller, simkernel::image::charge_cpu.)
+# simkernel is exempt.
 lint_call_sites "cgroup limit verbs ride their sanctioned choke point" \
   '\.cgroup_set_cpu_max\(|\.cgroup_set_io_read_budget\(' 'crates/*/src' \
   '^crates/simkernel/|^crates/k8s/src/kubelet\.rs$' \
@@ -86,19 +107,20 @@ lint_call_sites "cgroup limit verbs ride their sanctioned choke point" \
 
 # Node::crash and Node::fence are pub(crate) in crates/k8s, so the
 # compiler keeps harness and example code on Cluster::crash_node /
-# restart_node / partition_node. Kernel::power_off crosses the simkernel
-# -> k8s crate boundary and has to stay pub; only crates/k8s may call it,
-# or lease bookkeeping, fencing and eviction go out of step. simkernel
-# (the definition site) is exempt.
+# restart_node / partition_node. Kernel::power_off stays pub because its
+# caller, Node::crash in crates/k8s/src/node.rs, is another crate; only
+# crates/k8s may call it, or lease bookkeeping, fencing and eviction go
+# out of step. simkernel (the definition site) is exempt.
 lint_call_sites "Kernel::power_off stays inside the cluster layer" \
   '\.power_off\(' 'crates/*/src examples src' '^crates/k8s/|^crates/simkernel/' \
   "power_off call site(s) outside crates/k8s; ungraceful death must go through Cluster::crash_node and the lease tick"
 
 # The breaker state, retry-budget and backoff verbs are pub(crate) in
-# crates/k8s. ShedReason is part of the Service API's results and stays
-# pub, but outside crates/k8s non-test code must not match on it: the
-# traffic harness would otherwise fork its own overload policy and drift
-# from the one the contracts pin.
+# crates/k8s. ShedReason stays pub because it is the error type of
+# Service::{route, admit}, which benchmark/src/probes.rs calls; outside
+# crates/k8s non-test code must not match on it: the traffic harness
+# would otherwise fork its own overload policy and drift from the one the
+# contracts pin.
 lint_call_sites "shed and breaker taxonomies stay inside k8s::service" \
   'ShedReason::' 'crates/*/src examples src' '^crates/k8s/' \
   "ShedReason matched outside crates/k8s; shedding and breaker policy lives in k8s::service"
@@ -178,10 +200,16 @@ count() { find "$@" -not -path '*/target/*' -not -path './.git/*' -print0 | xarg
 # Non-test Rust is what precedes a file's first '#[cfg(test)]' (the repo's
 # tests-at-end convention) under crates/*/src, src/ and examples/; the
 # rest of those files, tests/ and crates/*/tests/ are test code.
-non_test=$(find crates/*/src src examples -name '*.rs' -print0 \
-  | xargs -0 awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t' | grep -c '[^[:space:]]')
+non_test_src() {
+  find crates/*/src src examples -name '*.rs' -print0 \
+    | xargs -0 awk 'FNR==1{t=0} /#\[cfg\(test\)\]/{t=1} !t'
+}
+non_test=$(non_test_src | grep -c '[^[:space:]]')
 echo "markdown (*.md): $(count . -name '*.md')"
 echo "rust non-test: $non_test"
+# What the crates export: rustc's unreachable_pub denies a `pub` item
+# that its crate root does not export.
+echo "pub items (non-test): $(non_test_src | grep -c '^[[:space:]]*pub ')"
 echo "rust test: $(($(count crates src tests examples -name '*.rs') - non_test))"
 # Host heap per resident pod, per config: a PR's delta in what a pod costs
 # the simulator sits next to its delta in lines.

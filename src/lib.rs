@@ -43,6 +43,5 @@ pub use oci_spec_lite;
 pub use pyrt;
 pub use simkernel;
 pub use wamr_crun;
-pub use wasi_sys;
 pub use wasm_core;
 pub use workloads;

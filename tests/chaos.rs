@@ -20,7 +20,9 @@ use memwasm::harness::isolation::{
 };
 use memwasm::harness::{new_cluster, warmup, Config, Workload};
 use memwasm::k8s_sim::{Cluster, DeployOpts, NodeConfig, PodPhase, ProbeSpec, RestartPolicy};
-use memwasm::simkernel::{Duration, FaultPlan, FaultSite, KernelConfig, MapKind, Phase};
+use memwasm::simkernel::{
+    Duration, FaultPlan, FaultSite, KernelConfig, MapKind, Phase, ProcessImage,
+};
 use memwasm::workloads::hung_service_image;
 
 /// Serializes the tests that mutate the process-wide `HARNESS_THREADS`
@@ -147,7 +149,7 @@ fn oom_killed_pod_is_detected_and_restarted() {
     // largest consumer (the container workload), not the hog.
     let ws = kernel.cgroup_working_set(pod_cgroup).unwrap();
     kernel.cgroup_set_limit(pod_cgroup, Some(ws + (1 << 20))).unwrap();
-    let hog = kernel.spawn("hog", pod_cgroup).unwrap();
+    let hog = ProcessImage::spawn(&kernel, "hog", pod_cgroup).build().unwrap().detach();
     let map = kernel.mmap(hog, 4 << 20, MapKind::AnonPrivate).unwrap();
     kernel.touch(hog, map, 4 << 20).unwrap();
     assert!(kernel.cgroup_oom_events(pod_cgroup).unwrap() >= 1);

@@ -27,7 +27,7 @@ use memwasm::simkernel::image::watchdog_ticks;
 use memwasm::simkernel::vfs::FileContent;
 use memwasm::simkernel::{
     CgroupId, CgroupStats, Duration, FaultPlan, FaultSite, FileId, Kernel, KernelConfig,
-    KernelError, Pid, ProcState, ReplayStats, StepTrace,
+    KernelError, Pid, ProcState, ProcessImage, ReplayStats, StepTrace,
 };
 use memwasm::wasm_core::{
     ArtifactCache, ExecStats, FuncType, Instruction, Module, ModuleBuilder, Trap, ValType,
@@ -80,7 +80,7 @@ fn install(kernel: &Kernel, path: &str, module: Vec<u8>) -> FileId {
 
 fn pod(kernel: &Kernel, name: &str) -> (CgroupId, Pid) {
     let cg = kernel.cgroup_create(Kernel::ROOT_CGROUP, name).unwrap();
-    (cg, kernel.spawn(name, cg).unwrap())
+    (cg, ProcessImage::spawn(kernel, name, cg).build().unwrap().detach())
 }
 
 /// Everything of an [`EngineRun`] a layer above can read.
