@@ -15,7 +15,7 @@ use std::sync::Mutex;
 use memwasm::harness::traffic::{
     check_contract, check_scenario, pod_capacity_rps, request_exec, run_overload_contract,
     run_scenario, run_steady_cell, run_traffic, traffic_sweep, ArrivalProfile, ContractPlan,
-    PhaseSpec, SweepPlan, TrafficPlan, TrafficRun,
+    PhaseSpec, ScenarioObservation, SweepPlan, TrafficPlan, TrafficRun,
 };
 use memwasm::harness::{new_cluster, Config, Workload};
 use memwasm::k8s_sim::service::{Service, ServiceConfig};
@@ -171,7 +171,18 @@ fn golden_scenario_aborts_and_redrives_after_the_rollout() {
     // through the retry path.
     let r = run_scenario(Config::WamrCrun, &Workload::serving(), SEED).unwrap();
     assert_eq!(r.aborted_retried, 1);
-    assert_eq!(r.scenario.unwrap().final_replicas, 5);
+    // The scenario is the HPA's one workload: every observation is pinned.
+    assert_eq!(
+        r.scenario,
+        Some(ScenarioObservation {
+            rollout_done: true,
+            min_ready_during_rollout: 3,
+            ready_floor: 2,
+            inflight_during_rollout: true,
+            scaled_up: true,
+            final_replicas: 5,
+        })
+    );
     assert_eq!(r.endpoint_working_set, 29_519_872);
     assert_eq!((r.attempts, r.admitted), (12_004, 12_001));
     assert_eq!(
