@@ -44,7 +44,7 @@ pub enum RuntimeClass {
     /// Through containerd-shim-runc-v2 and a low-level OCI runtime.
     Oci { runtime: LowLevelRuntime },
     /// Through a runwasi shim embedding the engine.
-    Runwasi { engine: EngineKind, fuel: u64 },
+    Runwasi { engine: EngineKind },
 }
 
 impl RuntimeClass {
@@ -54,7 +54,7 @@ impl RuntimeClass {
             RuntimeClass::Oci { runtime } => {
                 RuntimeClass::Oci { runtime: runtime.fork(kernel.clone()) }
             }
-            &RuntimeClass::Runwasi { engine, fuel } => RuntimeClass::Runwasi { engine, fuel },
+            &RuntimeClass::Runwasi { engine } => RuntimeClass::Runwasi { engine },
         }
     }
 }
@@ -496,14 +496,11 @@ impl Containerd {
                 container.wedged = oci.wedged;
                 container.epoch_clock = oci.epoch_clock.take();
             }
-            RuntimeClass::Runwasi { engine, fuel } => {
+            RuntimeClass::Runwasi { engine } => {
                 // The shim executes the module in-process: crun's engine
                 // handler, embedded as a crate, in the shim's pid.
-                let shim = WasmEngineHandler {
-                    profile: engine.profile(),
-                    embedding: Embedding::Crate,
-                    fuel: *fuel,
-                };
+                let shim =
+                    WasmEngineHandler { profile: engine.profile(), embedding: Embedding::Crate };
                 let spec = container.bundle.spec().expect("kept until the container starts");
                 let mut run = shim.execute(&self.kernel, shim_pid, &container.bundle, spec)?;
                 trace.append(&mut run.trace);
@@ -734,10 +731,7 @@ mod tests {
         cd.register_class("crun-wamr", RuntimeClass::Oci { runtime: crun });
         cd.register_class(
             "runwasi-wasmtime",
-            RuntimeClass::Runwasi {
-                engine: EngineKind::Wasmtime,
-                fuel: engines::profile::DEFAULT_STARTUP_FUEL,
-            },
+            RuntimeClass::Runwasi { engine: EngineKind::Wasmtime },
         );
 
         cd.pull_image(

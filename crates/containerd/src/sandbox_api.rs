@@ -19,6 +19,7 @@
 //! per-pod costs that WAMR-crun pays per container.
 
 use container_runtimes::handler::guest_from_oci;
+use engines::profile::DEFAULT_STARTUP_FUEL;
 use engines::{load_engine, run_module, Embedding, EngineKind, ExecOptions, LoadedEngine};
 use oci_spec_lite::{Bundle, Image, RuntimeSpec};
 use simkernel::{
@@ -31,7 +32,6 @@ pub struct WasmSandbox {
     pub(crate) pod_id: String,
     /// The single sandbox process hosting every instance.
     pub pid: Pid,
-    fuel: u64,
     containers: Vec<SandboxContainer>,
     /// What `load_engine` returned, once a container has paid for it.
     engine: Option<LoadedEngine<'static>>,
@@ -56,7 +56,6 @@ pub struct SandboxContainer {
 pub struct WasmSandboxer {
     kernel: Kernel,
     pub(crate) engine: EngineKind,
-    pub(crate) fuel: u64,
 }
 
 /// Sandboxer process overhead (the kuasar-wasm-sandboxer daemon share).
@@ -65,7 +64,7 @@ const SANDBOX_CREATE: Duration = Duration::from_micros(4_000);
 
 impl WasmSandboxer {
     pub fn new(kernel: Kernel, engine: EngineKind) -> WasmSandboxer {
-        WasmSandboxer { kernel, engine, fuel: engines::profile::DEFAULT_STARTUP_FUEL }
+        WasmSandboxer { kernel, engine }
     }
 
     /// Create a pod sandbox: one process in the pod cgroup, engine loaded
@@ -80,7 +79,6 @@ impl WasmSandboxer {
         Ok(WasmSandbox {
             pod_id: pod_id.to_string(),
             pid,
-            fuel: self.fuel,
             containers: Vec::new(),
             engine: None,
             bundles: Vec::new(),
@@ -130,7 +128,8 @@ impl WasmSandboxer {
                 }
             };
             let fresh = StepTrace::new();
-            run_module(&self.kernel, sandbox.pid, engine, module, &wasi, sandbox.fuel, opts, fresh)
+            let fuel = DEFAULT_STARTUP_FUEL;
+            run_module(&self.kernel, sandbox.pid, engine, module, &wasi, fuel, opts, fresh)
         })();
         let mut run = started.inspect_err(|_| {
             // The sandbox process survives a failed guest and both stages

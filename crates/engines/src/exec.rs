@@ -143,11 +143,10 @@ pub struct GuestInputs<'a> {
     pub module: &'a Arc<Module>,
     pub tier: ExecTier,
     pub fuel: u64,
-    pub max_call_depth: usize,
-    /// The watchdog deadline in epoch ticks, and the instructions retired
-    /// per tick. [`watchdog_ticks`] has folded the pod's `cpu.max` into
+    /// The watchdog deadline in epoch ticks of [`EPOCH_TICK_INSTRS`]
+    /// instructions. [`watchdog_ticks`] has folded the pod's `cpu.max` into
     /// the ticks, so a throttled start and an unthrottled one differ here.
-    pub deadline: Option<(u64, u64)>,
+    pub deadline: Option<u64>,
     pub wasi: &'a WasiSpec,
 }
 
@@ -157,8 +156,7 @@ pub struct GuestKey {
     module: Arc<Module>,
     tier: ExecTier,
     fuel: u64,
-    max_call_depth: usize,
-    deadline: Option<(u64, u64)>,
+    deadline: Option<u64>,
     wasi: WasiSpec,
 }
 
@@ -167,7 +165,6 @@ impl PartialEq<GuestKey> for GuestInputs<'_> {
         Arc::ptr_eq(self.module, &k.module)
             && self.tier == k.tier
             && self.fuel == k.fuel
-            && self.max_call_depth == k.max_call_depth
             && self.deadline == k.deadline
             && *self.wasi == k.wasi
     }
@@ -179,7 +176,6 @@ impl From<&GuestInputs<'_>> for GuestKey {
             module: Arc::clone(i.module),
             tier: i.tier,
             fuel: i.fuel,
-            max_call_depth: i.max_call_depth,
             deadline: i.deadline,
             wasi: i.wasi.clone(),
         }
@@ -245,12 +241,12 @@ pub fn execute_guest(
     let config = InstanceConfig {
         tier: inputs.tier,
         fuel: Some(inputs.fuel),
-        epoch: inputs.deadline.map(|(deadline, tick_instrs)| EpochConfig {
+        epoch: inputs.deadline.map(|deadline| EpochConfig {
             clock: EpochClock::new(),
             deadline,
-            tick_instrs,
+            tick_instrs: EPOCH_TICK_INSTRS,
         }),
-        max_call_depth: inputs.max_call_depth,
+        ..InstanceConfig::default()
     };
     // The cache validated the module on insertion; skip re-validating per
     // container.
@@ -432,19 +428,10 @@ pub fn run_module(
     // by the pod's cpu.max.
     let ns_per_tick = profile.exec_ns_per_instr.max(1) * EPOCH_TICK_INSTRS;
     let deadline = match opts.epoch_budget {
-        Some(budget) => {
-            Some((watchdog_ticks(kernel, pid, budget, ns_per_tick)?, EPOCH_TICK_INSTRS))
-        }
+        Some(budget) => Some(watchdog_ticks(kernel, pid, budget, ns_per_tick)?),
         None => None,
     };
-    let inputs = GuestInputs {
-        module: &module,
-        tier: profile.tier,
-        fuel,
-        max_call_depth: 1024,
-        deadline,
-        wasi,
-    };
+    let inputs = GuestInputs { module: &module, tier: profile.tier, fuel, deadline, wasi };
     // The host executes each distinct guest once and keeps the outcome;
     // everything below is charged from it, per container, whether it was
     // computed just now or for an earlier start. A guest that looked at
@@ -546,7 +533,7 @@ pub fn run_module(
             .get_or_decode(&bytes)
             .map_err(|e| simkernel::KernelError::InvalidState(format!("bad module: {e}")))?;
         let churn_cfg =
-            InstanceConfig { tier: profile.tier, fuel: Some(0), epoch: None, max_call_depth: 1024 };
+            InstanceConfig { tier: profile.tier, fuel: Some(0), ..InstanceConfig::default() };
         let imports = WasiCtx::new(kernel.clone(), pid).into_imports();
         Instance::instantiate_prevalidated(spare, imports, churn_cfg)
             .map_err(|e| simkernel::KernelError::InvalidState(format!("instantiate: {e}")))?;

@@ -17,36 +17,29 @@ use crate::explorer::Settled;
 use crate::parallel::run_grid;
 use crate::report::{mb, Table};
 
-/// One multi-node density sweep: cluster shape plus the pod counts to
-/// sweep.
+/// One multi-node density sweep of the contribution config under spread
+/// placement: cluster size plus the pod counts to sweep.
 #[derive(Debug, Clone)]
 pub struct ScalePlan {
-    pub config: Config,
     pub nodes: usize,
     pub densities: Vec<usize>,
-    pub policy: Policy,
 }
 
+/// The config every density sweep deploys.
+const SWEEP_CONFIG: Config = Config::WamrCrun;
+/// The placement policy every density sweep schedules with.
+const SWEEP_POLICY: Policy = Policy::Spread;
+
 impl ScalePlan {
-    /// The EXPERIMENTS.md sweep: 25 nodes (12.5k pod capacity), spread
-    /// placement, swept to 10k pods.
+    /// The EXPERIMENTS.md sweep: 25 nodes (12.5k pod capacity), swept to
+    /// 10k pods.
     pub fn tenk() -> ScalePlan {
-        ScalePlan {
-            config: Config::WamrCrun,
-            nodes: 25,
-            densities: vec![1_000, 2_500, 5_000, 10_000],
-            policy: Policy::Spread,
-        }
+        ScalePlan { nodes: 25, densities: vec![1_000, 2_500, 5_000, 10_000] }
     }
 
     /// A CI-sized sweep (3 nodes, tens of pods).
     pub fn smoke() -> ScalePlan {
-        ScalePlan {
-            config: Config::WamrCrun,
-            nodes: 3,
-            densities: vec![12, 30],
-            policy: Policy::Spread,
-        }
+        ScalePlan { nodes: 3, densities: vec![12, 30] }
     }
 }
 
@@ -131,14 +124,14 @@ pub fn density_sweep(
     workload: &Workload,
 ) -> KernelResult<(Table, Vec<ScaleSample>)> {
     let samples = run_grid(&plan.densities, |&pods| {
-        measure_scale(plan.config, plan.nodes, pods, plan.policy, workload)
+        measure_scale(SWEEP_CONFIG, plan.nodes, pods, SWEEP_POLICY, workload)
     })?;
     let mut table = Table::new(
         format!(
             "Cluster density sweep: {} on {} nodes ({} placement)",
-            plan.config.label(),
+            SWEEP_CONFIG.label(),
             plan.nodes,
-            plan.policy.label()
+            SWEEP_POLICY.label()
         ),
         vec![
             "MB/ctr".to_string(),

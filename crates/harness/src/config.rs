@@ -114,7 +114,6 @@ impl Config {
         workload: &Workload,
     ) -> KernelResult<()> {
         let kernel = cluster.node(node).kernel.clone();
-        let fuel = engines::profile::DEFAULT_STARTUP_FUEL;
         let class = match self {
             Config::WamrCrun => {
                 let mut rt = LowLevelRuntime::new(kernel, &CRUN);
@@ -133,14 +132,14 @@ impl Config {
                 rt.register_handler(Box::new(PauseHandler));
                 RuntimeClass::Oci { runtime: rt }
             }
-            Config::ShimWasmtime => RuntimeClass::Runwasi { engine: EngineKind::Wasmtime, fuel },
-            Config::ShimWasmer => RuntimeClass::Runwasi { engine: EngineKind::Wasmer, fuel },
-            Config::ShimWasmEdge => RuntimeClass::Runwasi { engine: EngineKind::WasmEdge, fuel },
+            Config::ShimWasmtime => RuntimeClass::Runwasi { engine: EngineKind::Wasmtime },
+            Config::ShimWasmer => RuntimeClass::Runwasi { engine: EngineKind::Wasmer },
+            Config::ShimWasmEdge => RuntimeClass::Runwasi { engine: EngineKind::WasmEdge },
             Config::CrunPython | Config::RuncPython => {
                 pyrt::install_python(&cluster.node(node).kernel)?;
                 let profile = if self == Config::CrunPython { &CRUN } else { &RUNC };
                 let mut rt = LowLevelRuntime::new(kernel, profile);
-                rt.register_handler(Box::new(PythonHandler::default()));
+                rt.register_handler(Box::new(PythonHandler));
                 rt.register_handler(Box::new(PauseHandler));
                 RuntimeClass::Oci { runtime: rt }
             }

@@ -187,24 +187,40 @@ pub fn generate_schedule(seed: u64, nodes: usize, max_events: usize) -> Vec<Faul
 }
 
 /// Drive reconcile rounds — controller pass, kubelet/lease pass, clock
-/// step — until `done` holds or `max_rounds` have run; returns the rounds
-/// run. `done` is asked before each round, so it sees what the previous
-/// round's step brought and a time it records includes that step.
+/// step — until `done` holds (`Some(rounds run)`) or `max_rounds` have run
+/// (`None`). `done` is asked before each round, so it sees what the
+/// previous round's step brought and a time it records includes that step.
 fn drive(
     cluster: &mut Cluster,
     ctrl: &mut DeploymentController,
     max_rounds: usize,
     mut done: impl FnMut(&Cluster, &DeploymentController) -> bool,
-) -> KernelResult<usize> {
-    let steps = cluster.run_rounds(max_rounds, |c| {
+) -> KernelResult<Option<usize>> {
+    cluster.run_rounds(max_rounds, |c| {
         if done(c, ctrl) {
             return Ok(true);
         }
         c.reconcile_controller(ctrl)?;
         c.reconcile();
         Ok(false)
-    })?;
-    Ok(steps.unwrap_or(max_rounds))
+    })
+}
+
+/// [`drive`] for a wait that must end: `Err` naming the wait when `done`
+/// has not held within `max_rounds`.
+fn drive_until(
+    cluster: &mut Cluster,
+    ctrl: &mut DeploymentController,
+    max_rounds: usize,
+    wait: &str,
+    done: impl FnMut(&Cluster, &DeploymentController) -> bool,
+) -> KernelResult<()> {
+    match drive(cluster, ctrl, max_rounds, done)? {
+        Some(_) => Ok(()),
+        None => {
+            Err(KernelError::InvalidState(format!("{wait}: not reached in {max_rounds} rounds")))
+        }
+    }
 }
 
 /// Has the deployment reconverged: full replica count, all ready, all on
@@ -392,11 +408,13 @@ fn run_settled(
     let mut rounds = drive(&mut cluster, &mut ctrl, max_rounds, |c, _| {
         observe(c);
         c.now() >= horizon
-    })?;
+    })?
+    .unwrap_or(max_rounds);
     rounds += drive(&mut cluster, &mut ctrl, max_rounds - rounds, |c, ctrl| {
         observe(c);
         reconverged(c, ctrl)
-    })?;
+    })?
+    .unwrap_or(max_rounds - rounds);
     if !reconverged(&cluster, &ctrl) {
         violations.push(format!("did not reconverge within {max_rounds} rounds"));
     }
@@ -570,25 +588,27 @@ pub struct RecoverySample {
 /// Measure detection latency and time-to-reconverge for one runtime
 /// configuration: a 3-node cluster under a 6-replica deployment, one
 /// crash scenario and one partition/heal scenario, each on its own copy of
-/// the settled cluster. A deployment that never became ready is an error,
-/// not a timing.
+/// the settled cluster. A deployment that never became ready, or a wait
+/// that runs out of rounds, is an error, not a timing.
 pub fn recovery_times(config: Config, workload: &Workload) -> KernelResult<RecoverySample> {
     let (nodes, replicas, victim) = (3, 6, 1);
     let max_rounds = 600;
     let template = Settled::boot(config, nodes, replicas, workload)?.ready()?;
+    let label = config.label();
 
     // Crash: time from power loss to NotReady, and to reconvergence.
     let Settled { mut cluster, mut ctrl, .. } = template.fork();
     let t0 = cluster.now();
     cluster.crash_node(victim)?;
     let mut detect = None;
-    drive(&mut cluster, &mut ctrl, max_rounds, |c, ctrl| {
+    let wait = format!("{label}: crash detected and reconverged");
+    drive_until(&mut cluster, &mut ctrl, max_rounds, &wait, |c, ctrl| {
         if detect.is_none() && c.node(victim).condition == NodeCondition::NotReady {
             detect = Some(c.now().since(t0));
         }
         detect.is_some() && reconverged(c, ctrl)
     })?;
-    let detect = detect.unwrap_or(Duration(u64::MAX));
+    let detect = detect.expect("the crash wait ends only once the crash is detected");
     let crash_reconverge = cluster.now().since(t0);
 
     // Partition + heal: time from heal to fenced reconvergence.
@@ -596,12 +616,14 @@ pub fn recovery_times(config: Config, workload: &Workload) -> KernelResult<Recov
     cluster.partition_node(victim)?;
     // Drive until the partition has been detected and the victim's
     // replicas re-homed (an undetected partition still looks converged).
-    drive(&mut cluster, &mut ctrl, max_rounds, |c, ctrl| {
+    let wait = format!("{label}: partition detected and replicas re-homed");
+    drive_until(&mut cluster, &mut ctrl, max_rounds, &wait, |c, ctrl| {
         ctrl.replicas.iter().all(|r| r.node != victim) && reconverged(c, ctrl)
     })?;
     cluster.heal_node(victim)?;
     let t1 = cluster.now();
-    drive(&mut cluster, &mut ctrl, max_rounds, |c, ctrl| {
+    let wait = format!("{label}: partition healed, fenced and reconverged");
+    drive_until(&mut cluster, &mut ctrl, max_rounds, &wait, |c, ctrl| {
         c.node(victim).ready() && c.node(victim).kubelet.pod_count() == 0 && reconverged(c, ctrl)
     })?;
     let heal_reconverge = cluster.now().since(t1);
@@ -639,6 +661,19 @@ pub fn recovery_table(workload: &Workload) -> KernelResult<crate::report::Table>
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_wait_whose_condition_never_holds_reports_not_reached() {
+        let Settled { mut cluster, mut ctrl, .. } =
+            Settled::boot(Config::WamrCrun, 1, 1, &Workload::light()).unwrap().ready().unwrap();
+        assert_eq!(drive(&mut cluster, &mut ctrl, 3, |_, _| true).unwrap(), Some(0));
+        let before = cluster.now();
+        assert_eq!(drive(&mut cluster, &mut ctrl, 3, |_, _| false).unwrap(), None);
+        assert!(cluster.now() > before, "the rounds it ran out of were run");
+        let err = drive_until(&mut cluster, &mut ctrl, 3, "never", |_, _| false).unwrap_err();
+        assert_eq!(err.to_string(), "invalid state: never: not reached in 3 rounds");
+        drive_until(&mut cluster, &mut ctrl, 3, "at once", |_, _| true).unwrap();
+    }
 
     #[test]
     fn schedules_are_pure_functions_of_the_seed() {

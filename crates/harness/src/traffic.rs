@@ -31,6 +31,7 @@
 
 use std::cell::Cell;
 
+use k8s_sim::service::{MAX_ATTEMPTS, QUEUE_CAPACITY};
 use k8s_sim::{
     Cluster, DeploymentController, DeploymentSpec, HpaSpec, LatencyHistogram, ProbeSpec,
     ResilientClient, RetryBudget, RetryPolicy, Service, ServiceConfig,
@@ -275,27 +276,32 @@ pub struct ScenarioObservation {
     pub ready_floor: usize,
     /// Requests were in flight (queued or serving) during rollout steps.
     pub inflight_during_rollout: bool,
-    /// The HPA scaled up at least once on the queue-depth/latency signal.
+    /// The HPA scaled up at least once on the queue-depth signal.
     pub scaled_up: bool,
     /// Replicas when the run ended.
     pub final_replicas: usize,
 }
 
-/// Scenario script: what the tick loop drives besides traffic.
-#[derive(Debug, Clone, Copy)]
-struct ScenarioScript {
-    /// Begin the rolling update after this many ticks.
-    rollout_after_ticks: u64,
-    /// Evaluate the HPA (queue-depth + p99 triggers) every tick once the
-    /// rollout is done.
-    hpa: HpaSpec,
-}
+/// The scenario's deployment size.
+const SCENARIO_REPLICAS: usize = 3;
+
+/// What the scenario's tick loop drives besides traffic: the rolling
+/// update begins after this many ticks, and once it is done the HPA is
+/// evaluated every tick.
+const ROLLOUT_AFTER_TICKS: u64 = 2;
+
+/// The scenario's HPA: up to two replicas more while the mean endpoint
+/// queue depth is above two requests.
+const SCENARIO_HPA: HpaSpec =
+    HpaSpec { max_replicas: SCENARIO_REPLICAS + 2, target_queue_depth_x1000: 2_000 };
 
 // ---------------------------------------------------------------------------
 // The event loop.
 
 /// An attempt's token is `req × TOKENS_PER_REQ + attempt`.
 const TOKENS_PER_REQ: u64 = 32;
+// A token holds the attempt number below `TOKENS_PER_REQ`.
+const _: () = assert!((MAX_ATTEMPTS as u64) < TOKENS_PER_REQ);
 
 /// What the calendar queue carries. `Copy`, and it rides in the queue entry
 /// itself, so nothing is stored per event once it has popped. Arrivals are
@@ -588,7 +594,7 @@ pub fn run_traffic(
     phases: &[PhaseSpec],
 ) -> KernelResult<TrafficRun> {
     let (cluster, ctrl) = serving_cluster(config, workload, plan)?;
-    run_traffic_on(config, cluster, ctrl, plan, phases, None)
+    run_traffic_on(config, cluster, ctrl, plan, phases, false)
 }
 
 fn run_traffic_on(
@@ -597,7 +603,7 @@ fn run_traffic_on(
     mut ctrl: DeploymentController,
     plan: &TrafficPlan,
     phases: &[PhaseSpec],
-    script: Option<ScenarioScript>,
+    scenario: bool,
 ) -> KernelResult<TrafficRun> {
     let exec = request_exec(config);
     let mut service = build_service(config, &cluster, &ctrl, plan);
@@ -607,13 +613,8 @@ fn run_traffic_on(
         if plan.retry_budget_enabled { RetryBudget::new() } else { RetryBudget::disabled() };
     let policy = RetryPolicy::new(exec);
 
-    // A request's phase and attempt count are stored as bytes, and a token
-    // holds the attempt number below `TOKENS_PER_REQ`.
+    // A request's phase and attempt count are stored as bytes.
     assert!(phases.len() <= 256, "a traffic run has at most 256 phases");
-    assert!(
-        u64::from(policy.max_attempts) < TOKENS_PER_REQ,
-        "max_attempts must stay below the tokens per request ({TOKENS_PER_REQ})"
-    );
     let execs = |n: u64| Duration::from_nanos(exec.as_nanos().saturating_mul(n));
     let mut reqs = REQ_RECORDS.take();
     reqs.reserve(phases.iter().map(|p| p.requests).sum());
@@ -645,9 +646,8 @@ fn run_traffic_on(
     let mut next_tick = start + TICK;
     lp.push(next_tick, Ev::Tick);
 
-    let mut scenario_obs = script.map(|s| {
+    let mut scenario_obs = scenario.then(|| {
         (
-            s,
             0u64,
             false,
             ScenarioObservation {
@@ -689,10 +689,10 @@ fn run_traffic_on(
                 cluster.reconcile();
 
                 // Scenario hooks: rolling update, then HPA on the live
-                // service signal.
-                if let Some((script, ticks, rollout_begun, obs)) = scenario_obs.as_mut() {
+                // service's queue depth.
+                if let Some((ticks, rollout_begun, obs)) = scenario_obs.as_mut() {
                     *ticks += 1;
-                    if *ticks == script.rollout_after_ticks && !*rollout_begun {
+                    if *ticks == ROLLOUT_AFTER_TICKS && !*rollout_begun {
                         *rollout_begun = true;
                         let v2 = ctrl.spec.image.replace(":v1", ":v2");
                         cluster.begin_rolling_update(&mut ctrl, &v2);
@@ -708,13 +708,10 @@ fn run_traffic_on(
                         if step.done {
                             obs.rollout_done = true;
                         }
-                    } else if obs.rollout_done {
-                        let p99 = measured_p99(&lp.phases);
-                        let signal = service.signal(p99);
-                        let d = cluster.autoscale(&mut ctrl, &script.hpa, Some(&signal))?;
-                        if d.to > d.from {
-                            obs.scaled_up = true;
-                        }
+                    } else if obs.rollout_done
+                        && cluster.autoscale(&mut ctrl, &SCENARIO_HPA, &service)?
+                    {
+                        obs.scaled_up = true;
                     }
                     obs.final_replicas = ctrl.spec.replicas;
                 }
@@ -767,20 +764,8 @@ fn run_traffic_on(
         aborted_retried: lp.aborted_retried,
         peak_live_events: lp.peak_live_events,
         endpoint_working_set,
-        scenario: scenario_obs.map(|(_, _, _, obs)| obs),
+        scenario: scenario_obs.map(|(_, _, obs)| obs),
     })
-}
-
-/// p99 of the measured phase with the most completions so far (the HPA's
-/// latency signal); the earliest such phase on a tie, zero before any.
-fn measured_p99(phases: &[PhaseStats]) -> Duration {
-    let mut best: Option<&LatencyHistogram> = None;
-    for p in phases.iter().filter(|p| p.measured) {
-        if p.hist.count() > best.map_or(0, LatencyHistogram::count) {
-            best = Some(&p.hist);
-        }
-    }
-    best.map_or(Duration::ZERO, |h| h.quantile(0.99))
 }
 
 // ---------------------------------------------------------------------------
@@ -1072,11 +1057,11 @@ pub fn check_contract(o: &ContractOutcome, _plan: &ContractPlan) -> Result<(), S
     //    exec: queue wait inflated by reject work (each shed charges
     //    exec/8 of server time; at 3× offered load roughly two sheds
     //    interleave per service, ×1.25), plus the full retry backoff
-    //    chain (1+2+4 execs at max_attempts = 4), plus scheduling slack.
+    //    chain (1+2+4 execs at `MAX_ATTEMPTS` = 4), plus scheduling slack.
     //    Stays well under the 64-exec deadline — the point is that the
     //    bounded queue keeps admitted-request latency *bounded*, where an
     //    unbounded queue under 3× load grows without limit.
-    let bound_execs = 2 * ServiceConfig::for_exec(exec, exec).queue_capacity as u64 + 16;
+    let bound_execs = 2 * QUEUE_CAPACITY as u64 + 16;
     let bound_ns = exec.as_nanos().saturating_mul(bound_execs);
     if o.overload_p99.as_nanos() > bound_ns {
         return Err(format!(
@@ -1161,10 +1146,10 @@ pub fn contract_table(outcomes: &[ContractOutcome]) -> Table {
 /// Run the scenario driver: a 3-replica service under sustained traffic,
 /// a rolling update to a v2 image begun mid-run (stepped from the live
 /// tick loop, maxUnavailable asserted while requests are in flight), then
-/// the HPA driven each tick on the queue-depth/latency signal.
+/// the HPA driven each tick on the queue-depth signal.
 pub fn run_scenario(config: Config, workload: &Workload, seed: u64) -> KernelResult<TrafficRun> {
     let mut plan = TrafficPlan::new(seed);
-    plan.replicas = 3;
+    plan.replicas = SCENARIO_REPLICAS;
     let (mut cluster, ctrl) = serving_cluster(config, workload, &plan)?;
     // The update target: same workload, new tag — pulled up front so the
     // rollout can pull-and-start v2 pods mid-traffic.
@@ -1194,18 +1179,7 @@ pub fn run_scenario(config: Config, workload: &Workload, seed: u64) -> KernelRes
             measured: true,
         },
     ];
-    let script = ScenarioScript {
-        rollout_after_ticks: 2,
-        hpa: HpaSpec {
-            min_replicas: plan.replicas,
-            max_replicas: plan.replicas + 2,
-            target_working_set: None,
-            target_cpu_throttle: None,
-            target_queue_depth_x1000: Some(2_000),
-            target_p99_ns: None,
-        },
-    };
-    run_traffic_on(config, cluster, ctrl, &plan, &phases, Some(script))
+    run_traffic_on(config, cluster, ctrl, &plan, &phases, true)
 }
 
 /// Check the scenario's contract: the rollout converged under live

@@ -73,10 +73,10 @@ pub struct PodSpec {
 
 /// Pod lifecycle phase.
 ///
-/// Beyond the classic four, the kubelet's supervision loop surfaces the
-/// recovery states of the fault model: a pod OOM-killed by the kernel, a
-/// pod evicted for node pressure, and a pod waiting out its restart
-/// backoff.
+/// Beyond Pending, Running and Failed, the kubelet's supervision loop
+/// surfaces the recovery states of the fault model: a pod OOM-killed by
+/// the kernel, a pod evicted for node pressure, and a pod waiting out its
+/// restart backoff.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PodPhase {
     Pending,
@@ -84,7 +84,6 @@ pub enum PodPhase {
     /// Terminal: the pod cannot be (re)started — configuration error or
     /// restart policy exhausted.
     Failed,
-    Terminated,
     /// Waiting out the exponential restart backoff after failed starts.
     CrashLoopBackOff,
     /// Removed by node-pressure eviction (terminal: never restarted).
@@ -161,9 +160,6 @@ pub struct DeploymentSpec {
     pub(crate) runtime_class: Arc<str>,
     /// Desired replica count.
     pub replicas: usize,
-    /// `maxSurge`: extra pods allowed above `replicas` during a rolling
-    /// update.
-    pub(crate) max_surge: usize,
     /// `maxUnavailable`: pods that may be not-ready below `replicas`
     /// during a rolling update.
     pub max_unavailable: usize,
@@ -184,7 +180,6 @@ impl DeploymentSpec {
             image: image.into(),
             runtime_class: runtime_class.into(),
             replicas,
-            max_surge: 1,
             max_unavailable: 0,
             opts: crate::cluster::DeployOpts::default(),
         }
@@ -232,37 +227,15 @@ impl DeploymentController {
     }
 }
 
-/// Horizontal pod autoscaler policy for one controller.
+/// Horizontal pod autoscaler policy for one controller: scale up on the
+/// request-path pressure signal ([`crate::Cluster::autoscale`]).
 #[derive(Debug, Clone, Copy)]
 pub struct HpaSpec {
-    pub min_replicas: usize,
+    /// Replicas the HPA never scales past.
     pub max_replicas: usize,
-    /// Scale so that average working set per pod approaches this target
-    /// (the metrics-server signal; `desired = ceil(live × avg / target)`).
-    pub target_working_set: Option<u64>,
-    /// Scale up while average cpu-throttle events per pod exceed this
-    /// rate (the cgroup pressure signal).
-    pub target_cpu_throttle: Option<u64>,
-    /// Scale up while the service's mean endpoint queue depth (thousandths,
-    /// from [`crate::service::ServiceSignal`]) exceeds this — the
-    /// request-path pressure signal.
-    pub target_queue_depth_x1000: Option<u64>,
-    /// Scale up while the service's observed p99 latency exceeds this
-    /// many nanoseconds (the latency SLO signal).
-    pub target_p99_ns: Option<u64>,
-}
-
-/// What one HPA evaluation observed and decided.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HpaDecision {
-    /// Average working set per live pod at evaluation time.
-    pub(crate) observed_working_set: u64,
-    /// Average cpu-throttle events per live pod at evaluation time.
-    pub(crate) observed_cpu_throttle: u64,
-    /// Replicas before.
-    pub from: usize,
-    /// Replicas after (clamped to `[min_replicas, max_replicas]`).
-    pub to: usize,
+    /// Add a replica while the service's mean endpoint queue depth, in
+    /// thousandths, exceeds this.
+    pub target_queue_depth_x1000: u64,
 }
 
 /// Outcome of one rolling-update round ([`crate::Cluster::rollout_step`]):

@@ -12,8 +12,8 @@
 //! [`DeploymentController`] reconciliation (replace lost replicas via the
 //! scheduler), rolling updates (`maxSurge`/`maxUnavailable` gated on the
 //! readiness machinery), a horizontal pod autoscaler keyed off the
-//! metrics-server working set and cgroup cpu-throttle rates, and node
-//! drain/cordon for rescheduling chaos.
+//! service's mean endpoint queue depth, and node drain/cordon for
+//! rescheduling chaos.
 //!
 //! Nodes can also leave the cluster ungracefully. [`Cluster::crash_node`]
 //! is instant power loss and [`Cluster::partition_node`] cuts a node off
@@ -36,13 +36,13 @@ use simkernel::{
 };
 
 use crate::api::{
-    Deployment, DeploymentController, HpaDecision, HpaSpec, PodPhase, PodSpec, ProbeSpec,
-    ReplicaEntry, RolloutReport, RolloutStep,
+    Deployment, DeploymentController, HpaSpec, PodPhase, PodSpec, ProbeSpec, ReplicaEntry,
+    RolloutReport, RolloutStep,
 };
 use crate::kubelet::{Kubelet, NodeConfig, ReconcileReport, RestartPolicy};
 use crate::node::{Node, NodeCondition};
 use crate::scheduler::{Policy, Scheduler};
-use crate::service::ServiceSignal;
+use crate::service::Service;
 
 /// Lease-based failure detection, on Kubernetes' defaults: how often a
 /// reachable node renews its lease.
@@ -53,6 +53,11 @@ pub const LEASE_GRACE: Duration = Duration::from_secs(40);
 /// How long after NotReady the controller keeps a node's replicas before
 /// giving them up for rescheduling on survivors.
 pub const POD_EVICTION_GRACE: Duration = Duration::from_secs(30);
+/// Scheduler/API-server dispatch: one pod reaches a kubelet sync loop
+/// every 20 ms (50 pods per second), whatever the node.
+const DISPATCH_GAP: Duration = Duration::from_millis(20);
+/// `maxSurge`: extra pods a rolling update may run above `replicas`.
+const MAX_SURGE: usize = 1;
 
 /// A booted Kubernetes cluster: one or more [`Node`]s and a [`Scheduler`].
 pub struct Cluster {
@@ -357,14 +362,13 @@ impl Cluster {
         opts: DeployOpts,
     ) -> KernelResult<Deployment> {
         let mut deployment = Deployment::default();
-        let gap = Duration::from_secs_f64(1.0 / self.nodes[0].kubelet.config.dispatch_per_sec);
         // Dispatch stamps count from the current simulated time: a deploy
         // after the clock has advanced (rolling updates, chaos rounds)
         // must not back-date its pods to boot.
         let base = self.now();
         let (image, runtime_class) = (Arc::from(image), Arc::from(runtime_class));
         for i in 0..n {
-            let dispatched_at = base + gap.scaled(i as u64);
+            let dispatched_at = base + DISPATCH_GAP.scaled(i as u64);
             let spec = opts.pod_spec(format!("{name_prefix}-{i}"), &image, &runtime_class);
             let idx = self.place_pod()?;
             let node = &mut self.nodes[idx];
@@ -797,7 +801,7 @@ impl Cluster {
         let mut deleted = 0usize;
         // Surge: create new-revision pods while headroom allows.
         while ctrl.replicas.iter().filter(|r| r.revision == rev).count() < replicas
-            && ctrl.replicas.len() < replicas + ctrl.spec.max_surge
+            && ctrl.replicas.len() < replicas + MAX_SURGE
         {
             self.create_replica(ctrl, rev)?;
             created += 1;
@@ -852,76 +856,25 @@ impl Cluster {
         Ok(RolloutReport { created, deleted, rounds, converged: done.is_some() })
     }
 
-    /// One HPA evaluation: observe average working set and cpu-throttle
-    /// events per live replica, derive the desired replica count
-    /// (`ceil(total_ws / target)`, plus one while throttle rates exceed
-    /// their target), clamp to `[min, max]`, and converge — scale-ups go
-    /// through the scheduler, scale-downs retire the newest replicas.
-    /// With a request-path [`ServiceSignal`] supplied, the HPA also scales
-    /// up while the service's mean endpoint queue depth or observed p99
-    /// latency exceed their targets — so saturation the working-set signal
-    /// can't see (requests queueing, not memory growing) still adds
-    /// replicas.
+    /// One HPA evaluation on the request-path signal: while the service's
+    /// mean endpoint queue depth is above the target and the controller is
+    /// below `max_replicas`, add one replica through the scheduler —
+    /// saturation that shows as requests queueing rather than memory
+    /// growing. Returns whether it added one; otherwise nothing changes.
     pub fn autoscale(
         &mut self,
         ctrl: &mut DeploymentController,
         hpa: &HpaSpec,
-        service: Option<&ServiceSignal>,
-    ) -> KernelResult<HpaDecision> {
-        let mut live = 0u64;
-        let mut ws_total = 0u64;
-        let mut throttle_total = 0u64;
-        for r in &ctrl.replicas {
-            let node = &self.nodes[r.node];
-            let running =
-                node.kubelet.managed_pod(&r.pod).is_some_and(|e| e.phase == PodPhase::Running);
-            if !running {
-                continue;
-            }
-            live += 1;
-            if let Some(sb) = node.containerd.sandbox(&r.pod) {
-                ws_total += node.kernel.cgroup_working_set(sb.pod_cgroup)?;
-                throttle_total += node.kernel.cgroup_stats(sb.pod_cgroup)?.nr_cpu_throttled;
-            }
+        service: &Service,
+    ) -> KernelResult<bool> {
+        if service.mean_depth_x1000() <= hpa.target_queue_depth_x1000
+            || ctrl.spec.replicas >= hpa.max_replicas
+        {
+            return Ok(false);
         }
-        let from = ctrl.spec.replicas;
-        let observed_working_set = if live > 0 { ws_total / live } else { 0 };
-        let observed_cpu_throttle = if live > 0 { throttle_total / live } else { 0 };
-        let mut wants: Vec<usize> = Vec::new();
-        if let Some(target) = hpa.target_working_set {
-            if live > 0 && target > 0 {
-                wants.push(ws_total.div_ceil(target) as usize);
-            }
-        }
-        if let Some(target) = hpa.target_cpu_throttle {
-            if live > 0 && observed_cpu_throttle > target {
-                wants.push(from + 1);
-            }
-        }
-        if let Some(signal) = service {
-            if let Some(target) = hpa.target_queue_depth_x1000 {
-                if live > 0 && signal.mean_depth_x1000 > target {
-                    wants.push(from + 1);
-                }
-            }
-            if let Some(target) = hpa.target_p99_ns {
-                if live > 0 && signal.p99.as_nanos() > target {
-                    wants.push(from + 1);
-                }
-            }
-        }
-        let to = wants.into_iter().max().unwrap_or(from).clamp(hpa.min_replicas, hpa.max_replicas);
-        ctrl.spec.replicas = to;
-        if to > from {
-            self.reconcile_controller(ctrl)?;
-        } else {
-            while ctrl.replicas.len() > to {
-                let victim = ctrl.replicas.pop().expect("len > to >= 0");
-                let node = &mut self.nodes[victim.node];
-                node.kubelet.remove_pod(&mut node.containerd, &victim.pod)?;
-            }
-        }
-        Ok(HpaDecision { observed_working_set, observed_cpu_throttle, from, to })
+        ctrl.spec.replicas += 1;
+        self.reconcile_controller(ctrl)?;
+        Ok(true)
     }
 }
 
@@ -1229,38 +1182,38 @@ mod tests {
     }
 
     #[test]
-    fn hpa_scales_on_working_set_and_clamps() {
+    fn hpa_adds_one_replica_per_evaluation_above_the_target_up_to_max() {
         let mut cluster = cluster_with_wamr();
         let spec = DeploymentSpec::new("svc", "svc:v1", "crun-wamr", 2);
         let mut ctrl = DeploymentController::new(spec);
         assert!(cluster.settle_controller(&mut ctrl, 50).unwrap());
-
-        // Tiny target: total working set wants many replicas; clamp at 5.
-        let hpa = HpaSpec {
-            min_replicas: 1,
-            max_replicas: 5,
-            target_working_set: Some(1 << 20),
-            target_cpu_throttle: None,
-            target_queue_depth_x1000: None,
-            target_p99_ns: None,
+        let exec = Duration::from_millis(1);
+        let mut service = Service::new(crate::service::ServiceConfig::for_exec(exec, exec), 7);
+        service.sync(&cluster, &ctrl);
+        assert_eq!(service.endpoints.len(), 2);
+        let hpa = HpaSpec { max_replicas: 4, target_queue_depth_x1000: 2_000 };
+        let mut token = 0;
+        let mut queue_on_every_endpoint = |service: &mut Service, now: SimTime| {
+            for ep in 0..service.endpoints.len() {
+                token += 1;
+                service.admit(ep, now, token, now + Duration::from_secs(1)).unwrap();
+            }
         };
-        let up = cluster.autoscale(&mut ctrl, &hpa, None).unwrap();
-        assert!(up.observed_working_set > 1 << 20, "{up:?}");
-        assert_eq!(up.to, 5, "{up:?}");
-        assert_eq!(ctrl.replicas.len(), 5);
 
-        // Huge target: scale down to the floor.
-        let hpa = HpaSpec {
-            min_replicas: 2,
-            max_replicas: 5,
-            target_working_set: Some(1 << 40),
-            target_cpu_throttle: None,
-            target_queue_depth_x1000: None,
-            target_p99_ns: None,
-        };
-        let down = cluster.autoscale(&mut ctrl, &hpa, None).unwrap();
-        assert_eq!(down.to, 2, "{down:?}");
-        assert_eq!(ctrl.replicas.len(), 2);
+        // Idle, then exactly at the target: nothing changes.
+        for depth in 0..=2 {
+            assert_eq!(service.mean_depth_x1000(), depth * 1_000);
+            assert!(!cluster.autoscale(&mut ctrl, &hpa, &service).unwrap(), "depth {depth}");
+            assert_eq!((ctrl.spec.replicas, ctrl.replicas.len()), (2, 2));
+            queue_on_every_endpoint(&mut service, cluster.now());
+        }
+
+        // Above it: one replica per evaluation, then none past the maximum.
+        assert_eq!(service.mean_depth_x1000(), 3_000);
+        for (added, replicas) in [(true, 3), (true, 4), (false, 4)] {
+            assert_eq!(cluster.autoscale(&mut ctrl, &hpa, &service).unwrap(), added);
+            assert_eq!((ctrl.spec.replicas, ctrl.replicas.len()), (replicas, replicas));
+        }
         assert!(cluster.settle_controller(&mut ctrl, 50).unwrap());
     }
 

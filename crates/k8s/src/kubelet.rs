@@ -29,15 +29,6 @@ use crate::api::{PodPhase, PodRecord, PodSpec, ProbeSpec};
 pub struct NodeConfig {
     /// Maximum pods schedulable on this node.
     pub max_pods: usize,
-    /// Scheduler/API-server dispatch rate (pods per second reaching the
-    /// kubelet sync loop).
-    pub dispatch_per_sec: f64,
-    /// Node-pressure eviction threshold: when the node's available memory
-    /// drops below this, [`Kubelet::reconcile`] evicts best-effort pods
-    /// (newest first) until pressure clears. The default (100 MiB) is never
-    /// reached by the paper's experiments on the 256 GiB testbed, so the
-    /// figure paths are unaffected.
-    pub eviction_threshold: u64,
     /// Sustained-pressure eviction: a Running pod whose cgroup shows at
     /// least this many cpu-throttle + io-throttle events is evicted with a
     /// distinct reason ([`PodEntry::pressure_evicted`]). `None` (the
@@ -49,12 +40,7 @@ pub struct NodeConfig {
 impl Default for NodeConfig {
     /// Stock kubelet: 110 pods.
     fn default() -> Self {
-        NodeConfig {
-            max_pods: 110,
-            dispatch_per_sec: 50.0,
-            eviction_threshold: 100 << 20,
-            pressure_eviction_threshold: None,
-        }
+        NodeConfig { max_pods: 110, pressure_eviction_threshold: None }
     }
 }
 
@@ -64,6 +50,12 @@ impl NodeConfig {
         NodeConfig { max_pods: 500, ..Default::default() }
     }
 }
+
+/// Node-pressure eviction threshold: when the node's available memory drops
+/// below this, [`Kubelet::reconcile`] evicts best-effort pods (newest first)
+/// until pressure clears. The paper's experiments never reach it on the
+/// 256 GiB testbed, so the figure paths are unaffected.
+const EVICTION_THRESHOLD: u64 = 100 << 20;
 
 /// Latency constants of the pod sync pipeline (runtime-independent).
 mod cost {
@@ -646,7 +638,7 @@ impl Kubelet {
     ///    down, and schedules a backoff restart; a readiness verdict only
     ///    toggles the pod's readiness gate.
     /// 3. **Node-pressure eviction** — while available memory is below
-    ///    [`NodeConfig::eviction_threshold`], the newest best-effort pod is
+    ///    [`EVICTION_THRESHOLD`], the newest best-effort pod is
     ///    evicted (terminal: evicted pods are not restarted).
     /// 4. **Due restarts** — pods whose backoff deadline has passed are
     ///    re-synced from scratch; success resets the failure count, another
@@ -717,7 +709,7 @@ impl Kubelet {
             }
         }
 
-        while self.kernel.free().available < self.config.eviction_threshold {
+        while self.kernel.free().available < EVICTION_THRESHOLD {
             let victim = self
                 .pods
                 .iter()
@@ -872,7 +864,6 @@ mod tests {
     fn node_config_defaults_and_extension() {
         assert_eq!(NodeConfig::default().max_pods, 110);
         assert_eq!(NodeConfig::paper_extension().max_pods, 500);
-        assert_eq!(NodeConfig::paper_extension().eviction_threshold, 100 << 20);
     }
 
     #[test]

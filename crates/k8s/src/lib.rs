@@ -26,8 +26,8 @@ pub(crate) mod scheduler;
 pub mod service;
 
 pub use api::{
-    Deployment, DeploymentController, DeploymentSpec, HpaDecision, HpaSpec, PodPhase, PodRecord,
-    PodSpec, ProbeSpec, ReplicaEntry, RolloutReport, RolloutStep,
+    Deployment, DeploymentController, DeploymentSpec, HpaSpec, PodPhase, PodRecord, PodSpec,
+    ProbeSpec, ReplicaEntry, RolloutReport, RolloutStep,
 };
 pub use cluster::{Cluster, ClusterStats, DeployOpts};
 pub use cluster::{LEASE_GRACE, LEASE_RENEW_INTERVAL, POD_EVICTION_GRACE};
@@ -40,5 +40,5 @@ pub use node::{Node, NodeCondition, NodeLease};
 pub use scheduler::{NodeSnapshot, Policy, Scheduler};
 pub use service::{
     Admitted, CircuitBreaker, Completion, Endpoint, LatencyHistogram, ResilientClient, RetryBudget,
-    RetryPolicy, Service, ServiceConfig, ServiceSignal, ShedReason, Started,
+    RetryPolicy, Service, ServiceConfig, ShedReason, Started,
 };

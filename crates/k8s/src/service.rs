@@ -20,11 +20,10 @@
 //! [`simkernel::FaultSite::Probe`]) so a breaker never re-admits traffic to
 //! a pod the kubelet has evicted, and fault plans stay deterministic.
 //!
-//! **Brownout**: when mean queue depth crosses
-//! [`ServiceConfig::brownout_high`], the service flips every function into
-//! degraded mode (skip optional work, smaller response) until depth falls
-//! back below [`ServiceConfig::brownout_low`] — shedding work before
-//! shedding requests.
+//! **Brownout**: when mean queue depth crosses [`BROWNOUT_HIGH_X1000`], the
+//! service flips every function into degraded mode (skip optional work,
+//! smaller response) until depth falls back below [`BROWNOUT_LOW_X1000`] —
+//! shedding work before shedding requests.
 //!
 //! Deadlines propagate into the guest: a request's execution slice is capped
 //! by `min(deadline remaining, watchdog budget)` — the same epoch-watchdog
@@ -132,8 +131,9 @@ impl CircuitBreaker {
     }
 
     /// Record a service failure (timeout/interrupt — not an admission
-    /// shed). Returns `true` if this failure opened the breaker.
-    pub(crate) fn on_failure(&mut self, now: SimTime, threshold: u32) -> bool {
+    /// shed); the [`BREAKER_THRESHOLD`]th in a row opens a closed breaker.
+    /// Returns `true` if this failure opened the breaker.
+    pub(crate) fn on_failure(&mut self, now: SimTime) -> bool {
         match self.state {
             BreakerState::HalfOpen => {
                 // The trial failed: straight back to open, cool-off re-armed.
@@ -145,7 +145,7 @@ impl CircuitBreaker {
             }
             BreakerState::Closed => {
                 self.consecutive_failures += 1;
-                if self.consecutive_failures >= threshold {
+                if self.consecutive_failures >= BREAKER_THRESHOLD {
                     self.state = BreakerState::Open;
                     self.opened_at = now;
                     self.opened_total += 1;
@@ -169,17 +169,14 @@ impl Default for CircuitBreaker {
 ///
 /// Costs and deposits are in millitokens so the ~10%-of-successes ratio is
 /// exact integer arithmetic: each success deposits
-/// [`RetryBudget::deposit_per_success`] (default 100 m℥), each retry costs
-/// 1000 m℥ — so sustained retries are capped at 10% of the success rate,
-/// which is what turns a retry storm back into a trickle during collapse.
+/// [`RETRY_DEPOSIT_MILLITOKENS`], each retry costs
+/// [`RETRY_COST_MILLITOKENS`] — so sustained retries are capped at 10% of
+/// the success rate, which is what turns a retry storm back into a trickle
+/// during collapse.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryBudget {
     /// Current balance, millitokens.
     pub(crate) millitokens: u64,
-    /// Bucket capacity, millitokens.
-    pub(crate) cap: u64,
-    /// Deposit per recorded success, millitokens.
-    pub(crate) deposit_per_success: u64,
     /// `false` disables budget enforcement entirely — the contract's
     /// control arm, which demonstrably melts down under overload.
     pub(crate) enabled: bool,
@@ -187,12 +184,16 @@ pub struct RetryBudget {
 
 /// Cost of one retry, millitokens.
 pub(crate) const RETRY_COST_MILLITOKENS: u64 = 1_000;
+/// Deposit per recorded success, millitokens.
+const RETRY_DEPOSIT_MILLITOKENS: u64 = 100;
+/// Bucket capacity, millitokens: ten retries.
+const RETRY_BUDGET_CAP_MILLITOKENS: u64 = 10_000;
 
 impl RetryBudget {
     /// Default budget: starts full at 10 tokens, refills at 10% of
     /// successes.
     pub fn new() -> RetryBudget {
-        RetryBudget { millitokens: 10_000, cap: 10_000, deposit_per_success: 100, enabled: true }
+        RetryBudget { millitokens: RETRY_BUDGET_CAP_MILLITOKENS, enabled: true }
     }
 
     /// The control arm: every retry is approved, nothing is ever counted.
@@ -203,7 +204,8 @@ impl RetryBudget {
     /// Record a success (deposits into the bucket, saturating at the cap).
     pub(crate) fn deposit(&mut self) {
         if self.enabled {
-            self.millitokens = (self.millitokens + self.deposit_per_success).min(self.cap);
+            self.millitokens =
+                (self.millitokens + RETRY_DEPOSIT_MILLITOKENS).min(RETRY_BUDGET_CAP_MILLITOKENS);
         }
     }
 
@@ -227,11 +229,14 @@ impl Default for RetryBudget {
     }
 }
 
-/// Exponential-backoff retry policy (client side).
+/// Total attempts a request gets, the first included (so
+/// `MAX_ATTEMPTS - 1` retries).
+pub const MAX_ATTEMPTS: u32 = 4;
+
+/// Exponential-backoff retry policy (client side), at most
+/// [`MAX_ATTEMPTS`] attempts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Total attempts including the first (so `max_attempts - 1` retries).
-    pub max_attempts: u32,
     pub(crate) base_backoff: Duration,
     pub(crate) max_backoff: Duration,
 }
@@ -239,7 +244,6 @@ pub struct RetryPolicy {
 impl RetryPolicy {
     pub fn new(base_backoff: Duration) -> RetryPolicy {
         RetryPolicy {
-            max_attempts: 4,
             base_backoff,
             max_backoff: Duration::from_nanos(base_backoff.as_nanos().saturating_mul(16)),
         }
@@ -277,7 +281,7 @@ impl ResilientClient {
     /// May attempt `next_attempt` (2, 3, …) proceed? Returns the backoff to
     /// wait, or `None` when the attempt cap or the retry budget says stop.
     pub fn approve_retry(&mut self, next_attempt: u32) -> Option<Duration> {
-        if next_attempt > self.policy.max_attempts || !self.budget.try_withdraw() {
+        if next_attempt > MAX_ATTEMPTS || !self.budget.try_withdraw() {
             return None;
         }
         Some(self.policy.backoff_for(next_attempt))
@@ -346,11 +350,19 @@ impl Endpoint {
     }
 }
 
-/// Service policy knobs.
+/// Bounded per-endpoint queue capacity (excluding the in-service slot).
+pub const QUEUE_CAPACITY: usize = 16;
+/// Consecutive failures that open an endpoint's breaker.
+const BREAKER_THRESHOLD: u32 = 5;
+/// Mean endpoint depth (×1000, over ready endpoints) at or above which
+/// brownout engages.
+const BROWNOUT_HIGH_X1000: u64 = 6_000;
+/// Mean depth (×1000) at or below which brownout disengages.
+const BROWNOUT_LOW_X1000: u64 = 2_000;
+
+/// Service policy knobs, scaled from one deployment's execution time.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Bounded per-endpoint queue capacity (excluding the in-service slot).
-    pub queue_capacity: usize,
     /// Admission sheds when estimated wait (`depth × exec`) exceeds this.
     pub(crate) wait_budget: Duration,
     /// Server time one rejection costs the picked endpoint (parsing +
@@ -362,15 +374,8 @@ pub struct ServiceConfig {
     pub(crate) exec: Duration,
     /// Degraded-mode execution time (optional work skipped).
     pub(crate) exec_degraded: Duration,
-    /// Consecutive failures that open an endpoint's breaker.
-    pub(crate) breaker_threshold: u32,
     /// Open → half-open probe delay.
     pub(crate) breaker_cooloff: Duration,
-    /// Mean endpoint depth (×1000, over ready endpoints) at or above which
-    /// brownout engages.
-    pub(crate) brownout_high_x1000: u64,
-    /// Mean depth (×1000) at or below which brownout disengages.
-    pub(crate) brownout_low_x1000: u64,
     /// Execution cap from the guest's epoch watchdog (the kubelet arms the
     /// same budget from the liveness probe). Deadline propagation takes
     /// `min(deadline remaining, watchdog_budget)`.
@@ -382,27 +387,14 @@ impl ServiceConfig {
     pub fn for_exec(exec: Duration, exec_degraded: Duration) -> ServiceConfig {
         let ns = exec.as_nanos();
         ServiceConfig {
-            queue_capacity: 16,
             wait_budget: Duration::from_nanos(ns.saturating_mul(16)),
             reject_cost: Duration::from_nanos(ns / 8),
             exec,
             exec_degraded,
-            breaker_threshold: 5,
             breaker_cooloff: Duration::from_nanos(ns.saturating_mul(64).max(1_000_000)),
-            brownout_high_x1000: 6_000,
-            brownout_low_x1000: 2_000,
             watchdog_budget: Duration::from_secs(30),
         }
     }
-}
-
-/// Aggregate service-side signal for the HPA's queue-depth/latency trigger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ServiceSignal {
-    /// Mean endpoint depth over ready endpoints, thousandths.
-    pub(crate) mean_depth_x1000: u64,
-    /// p99 latency of recently completed requests (caller-computed).
-    pub(crate) p99: Duration,
 }
 
 /// What [`Service::admit`] decided.
@@ -570,7 +562,7 @@ impl Service {
         deadline: SimTime,
     ) -> Result<Admitted, ShedReason> {
         let exec = if self.degraded { self.config.exec_degraded } else { self.config.exec };
-        let (cap, budget) = (self.config.queue_capacity, self.config.wait_budget);
+        let (cap, budget) = (QUEUE_CAPACITY, self.config.wait_budget);
         let e = &mut self.endpoints[ep];
         let verdict = if deadline <= now {
             Err(ShedReason::Deadline)
@@ -634,14 +626,13 @@ impl Service {
     /// [`Service::try_start`] the endpoint again for the next queued
     /// request.
     pub fn complete(&mut self, ep: usize, now: SimTime) -> Option<Completion> {
-        let threshold = self.config.breaker_threshold;
         let e = &mut self.endpoints[ep];
         let s = e.serving.take()?;
         let opened = if s.served {
             e.breaker.on_success();
             false
         } else {
-            e.breaker.on_failure(now, threshold)
+            e.breaker.on_failure(now)
         };
         Some(Completion {
             token: s.token,
@@ -699,18 +690,13 @@ impl Service {
     /// mode after evaluation.
     fn tick_brownout(&mut self) -> bool {
         let depth = self.mean_depth_x1000();
-        if !self.degraded && depth >= self.config.brownout_high_x1000 {
+        if !self.degraded && depth >= BROWNOUT_HIGH_X1000 {
             self.degraded = true;
             self.brownout_engagements += 1;
-        } else if self.degraded && depth <= self.config.brownout_low_x1000 {
+        } else if self.degraded && depth <= BROWNOUT_LOW_X1000 {
             self.degraded = false;
         }
         self.degraded
-    }
-
-    /// The HPA-facing signal (p99 is supplied by the caller's histogram).
-    pub fn signal(&self, p99: Duration) -> ServiceSignal {
-        ServiceSignal { mean_depth_x1000: self.mean_depth_x1000(), p99 }
     }
 }
 
@@ -874,9 +860,9 @@ mod tests {
         let mut b = CircuitBreaker::new();
         assert!(b.admits());
         for i in 1..5u32 {
-            assert!(!b.on_failure(t(i as u64), 5));
+            assert!(!b.on_failure(t(i as u64)));
         }
-        assert!(b.on_failure(t(5), 5), "5th consecutive failure opens");
+        assert!(b.on_failure(t(5)), "5th consecutive failure opens");
         assert_eq!(b.state, BreakerState::Open);
         assert_eq!(b.opened_at, t(5));
         assert!(!b.admits());
@@ -887,7 +873,7 @@ mod tests {
         b.trial_inflight = true;
         assert!(!b.admits(), "one trial at a time");
         // Trial failure: straight back to open with a re-armed cool-off.
-        assert!(b.on_failure(t(9), 5));
+        assert!(b.on_failure(t(9)));
         assert_eq!(b.state, BreakerState::Open);
         assert_eq!(b.opened_at, t(9));
         assert_eq!(b.opened_total, 2);
@@ -916,7 +902,7 @@ mod tests {
                 attempt += 1;
             }
         }
-        let initial_retries = RetryBudget::new().cap / RETRY_COST_MILLITOKENS;
+        let initial_retries = RETRY_BUDGET_CAP_MILLITOKENS / RETRY_COST_MILLITOKENS;
         assert_eq!(attempts, requests + initial_retries, "bounded: no amplification");
         // The control arm, by contrast, retries to the attempt cap forever.
         let mut control = ResilientClient::new(
@@ -927,13 +913,13 @@ mod tests {
         for _ in 0..requests {
             control_attempts += 1;
             let mut attempt = 1;
-            while attempt < control.policy.max_attempts {
+            while attempt < MAX_ATTEMPTS {
                 assert!(control.approve_retry(attempt + 1).is_some());
                 control_attempts += 1;
                 attempt += 1;
             }
         }
-        assert_eq!(control_attempts, requests * control.policy.max_attempts as u64);
+        assert_eq!(control_attempts, requests * u64::from(MAX_ATTEMPTS));
     }
 
     #[test]

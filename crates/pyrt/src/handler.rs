@@ -95,7 +95,6 @@ pub struct ScriptInputs<'a> {
     /// `sys.argv` and `os.environ` are functions of its `args` and `env`,
     /// the two fields the key holds.
     pub process: &'a ProcessSpec,
-    pub fuel: u64,
     /// The watchdog deadline in ticks of [`PY_EPOCH_TICK_OPS`] ops, the
     /// pod's `cpu.max` folded in.
     pub deadline: Option<u64>,
@@ -107,14 +106,12 @@ pub struct ScriptKey {
     source: Bytes,
     args: Vec<String>,
     env: Vec<String>,
-    fuel: u64,
     deadline: Option<u64>,
 }
 
 impl PartialEq<ScriptKey> for ScriptInputs<'_> {
     fn eq(&self, k: &ScriptKey) -> bool {
-        self.fuel == k.fuel
-            && self.deadline == k.deadline
+        self.deadline == k.deadline
             && *self.source == k.source
             && self.process.args == k.args
             && self.process.env == k.env
@@ -127,7 +124,6 @@ impl From<&ScriptInputs<'_>> for ScriptKey {
             source: i.source.clone(),
             args: i.process.args.clone(),
             env: i.process.env.clone(),
-            fuel: i.fuel,
             deadline: i.deadline,
         }
     }
@@ -168,7 +164,7 @@ pub fn execute_script(inputs: &ScriptInputs<'_>) -> KernelResult<ScriptOutcome> 
         parse(source).map_err(|e| KernelError::InvalidState(format!("python parse: {e}")))?;
     let process = inputs.process;
     let argv = process.args.iter().skip_while(|a| a.contains("python")).cloned().collect();
-    let mut interp = Interp::new(argv, process.env_pairs()).with_fuel(inputs.fuel);
+    let mut interp = Interp::new(argv, process.env_pairs());
     if let Some(ticks) = inputs.deadline {
         interp = interp.with_epoch(PyEpochClock::new(), ticks, PY_EPOCH_TICK_OPS);
     }
@@ -185,19 +181,10 @@ pub fn execute_script(inputs: &ScriptInputs<'_>) -> KernelResult<ScriptOutcome> 
     })
 }
 
-/// Handler executing `python3 <script.py>` containers.
-#[derive(Debug, Clone)]
-pub struct PythonHandler {
-    pub profile: &'static PythonProfile,
-    /// Interpreter op budget.
-    pub fuel: u64,
-}
-
-impl Default for PythonHandler {
-    fn default() -> Self {
-        PythonHandler { profile: &PYTHON, fuel: 200_000_000 }
-    }
-}
+/// Handler executing `python3 <script.py>` containers, charged by the
+/// [`PYTHON`] profile; a script runs under [`Interp`]'s op budget.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct PythonHandler;
 
 impl PythonHandler {
     fn script_path(spec: &RuntimeSpec) -> Option<&str> {
@@ -230,7 +217,7 @@ impl ContainerHandler for PythonHandler {
         bundle: &Bundle,
         spec: &RuntimeSpec,
     ) -> KernelResult<HandlerOutcome> {
-        let p = self.profile;
+        let p = &PYTHON;
         let mut trace = StepTrace::new();
 
         // Exec python3: binary text shared (cold read once per node) plus
@@ -267,8 +254,7 @@ impl ContainerHandler for PythonHandler {
         };
         // Parse and execute (real) — once per distinct script per process;
         // everything below is charged from the outcome, per container.
-        let inputs =
-            ScriptInputs { source: &source, process: &spec.process, fuel: self.fuel, deadline };
+        let inputs = ScriptInputs { source: &source, process: &spec.process, deadline };
         let outcome = scripts().outcome(&inputs, || execute_script(&inputs).map(|o| (o, true)))?;
 
         // Code objects.
@@ -361,7 +347,7 @@ print(\"service ready\", total)
     #[test]
     fn matches_python_entrypoints() {
         let (_k, bundle, spec) = setup();
-        let h = PythonHandler::default();
+        let h = PythonHandler;
         assert!(h.matches(&spec, &bundle));
         let wasm_spec = RuntimeSpec::for_command("c", vec!["/app/m.wasm".to_string()]);
         assert!(!h.matches(&wasm_spec, &bundle));
@@ -374,7 +360,7 @@ print(\"service ready\", total)
         let (kernel, bundle, spec) = setup();
         let cg = kernel.cgroup_create(Kernel::ROOT_CGROUP, "pod").unwrap();
         let pid = ProcessImage::spawn(&kernel, "py", cg).build().unwrap().detach();
-        let h = PythonHandler::default();
+        let h = PythonHandler;
         let out = h.execute(&kernel, pid, &bundle, &spec).unwrap();
         assert_eq!(out.exit_code, 0);
         assert_eq!(out.stdout, b"service ready 499500\n");
@@ -388,7 +374,7 @@ print(\"service ready\", total)
     #[test]
     fn second_container_shares_binary_and_stdlib() {
         let (kernel, bundle, spec) = setup();
-        let h = PythonHandler::default();
+        let h = PythonHandler;
         let cg1 = kernel.cgroup_create(Kernel::ROOT_CGROUP, "a").unwrap();
         let p1 = ProcessImage::spawn(&kernel, "py1", cg1).build().unwrap().detach();
         h.execute(&kernel, p1, &bundle, &spec).unwrap();
@@ -408,7 +394,7 @@ print(\"service ready\", total)
         let (kernel, bundle, mut spec) = setup();
         spec.process.args = vec!["/usr/bin/python3".to_string(), "/app/ghost.py".to_string()];
         let pid = ProcessImage::spawn(&kernel, "py", Kernel::ROOT_CGROUP).build().unwrap().detach();
-        let h = PythonHandler::default();
+        let h = PythonHandler;
         assert!(matches!(
             h.execute(&kernel, pid, &bundle, &spec),
             Err(KernelError::PathNotFound(_))
@@ -432,7 +418,7 @@ print(\"service ready\", total)
         let spec = RuntimeSpec::for_command("e", image.command());
         let bundle = Bundle::create(&kernel, "e", &image, &spec).unwrap();
         let pid = ProcessImage::spawn(&kernel, "py", Kernel::ROOT_CGROUP).build().unwrap().detach();
-        let out = PythonHandler::default().execute(&kernel, pid, &bundle, &spec).unwrap();
+        let out = PythonHandler.execute(&kernel, pid, &bundle, &spec).unwrap();
         assert_eq!(out.exit_code, 7);
     }
 }

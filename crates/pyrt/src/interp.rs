@@ -138,6 +138,8 @@ pub struct Interp {
 }
 
 impl Interp {
+    /// An interpreter with a budget of 200 M ops ([`Interp::with_fuel`]
+    /// changes it).
     pub fn new(argv: Vec<String>, env: Vec<(String, String)>) -> Interp {
         Interp {
             globals: HashMap::new(),

@@ -8,6 +8,7 @@
 //! (`wamr-crun` crate) is one implementation of this trait; this module
 //! provides the pre-existing integrations it is compared against.
 
+use engines::profile::DEFAULT_STARTUP_FUEL;
 use engines::{
     execute_wasm_opts, Embedding, EngineKind, EngineProfile, EngineRun, ExecOptions, WasiSpec,
 };
@@ -152,17 +153,11 @@ fn wasi_spec_from_oci(bundle: &Bundle, spec: &RuntimeSpec) -> WasiSpec {
 pub struct WasmEngineHandler {
     pub profile: &'static EngineProfile,
     pub embedding: Embedding,
-    /// Instruction budget for the workload's startup phase.
-    pub fuel: u64,
 }
 
 impl WasmEngineHandler {
     pub fn new(engine: EngineKind) -> Self {
-        WasmEngineHandler {
-            profile: engine.profile(),
-            embedding: Embedding::CApi,
-            fuel: engines::profile::DEFAULT_STARTUP_FUEL,
-        }
+        WasmEngineHandler { profile: engine.profile(), embedding: Embedding::CApi }
     }
 }
 
@@ -184,7 +179,8 @@ impl ContainerHandler for WasmEngineHandler {
     ) -> KernelResult<HandlerOutcome> {
         let base = ExecOptions { embedding: self.embedding, ..Default::default() };
         let (module, wasi, opts) = guest_from_oci(bundle, spec, base)?;
-        Ok(execute_wasm_opts(kernel, pid, self.profile, module, &wasi, self.fuel, opts)?.into())
+        let fuel = DEFAULT_STARTUP_FUEL;
+        Ok(execute_wasm_opts(kernel, pid, self.profile, module, &wasi, fuel, opts)?.into())
     }
 }
 

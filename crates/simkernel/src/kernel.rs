@@ -24,6 +24,10 @@ use crate::vfs::{FileContent, FileId, Vfs};
 /// Page size used for rounding (matches the paper's x86-64 testbed).
 pub const PAGE_SIZE: u64 = 4096;
 
+/// Page-table overhead: one 8-byte PTE per resident 4 KiB page, plus upper
+/// levels — a process is charged `rss / PAGE_TABLE_DIVISOR` rounded to pages.
+const PAGE_TABLE_DIVISOR: u64 = 512;
+
 /// Static kernel parameters.
 #[derive(Debug, Clone)]
 pub struct KernelConfig {
@@ -34,9 +38,6 @@ pub struct KernelConfig {
     /// Fixed kernel overhead per process: task struct, kernel stack, fd
     /// table, signal handling. ~24 KiB is a reasonable Linux figure.
     pub proc_kernel_base: u64,
-    /// Page-table overhead: one 8-byte PTE per resident 4 KiB page, plus
-    /// upper levels — we charge `rss / page_table_divisor` rounded to pages.
-    pub page_table_divisor: u64,
     /// Memory the booted system uses before any workload (kernel image,
     /// systemd, sshd, ...). Visible to `free`, not to pod cgroups.
     pub boot_used_bytes: u64,
@@ -48,7 +49,6 @@ impl Default for KernelConfig {
             ram_bytes: 256 << 30,
             cores: 20,
             proc_kernel_base: 24 << 10,
-            page_table_divisor: 512,
             boot_used_bytes: 600 << 20,
         }
     }
@@ -1122,7 +1122,7 @@ impl KernelState {
             let p = self.alive(pid)?;
             4096 * p.owned_namespaces.len() as u64
         };
-        let pt = round_up_pages(rss / self.cfg.page_table_divisor, PAGE_SIZE);
+        let pt = round_up_pages(rss / PAGE_TABLE_DIVISOR, PAGE_SIZE);
         let new_total = base + ns_extra + pt;
         if new_total > old_total {
             let delta = new_total - old_total;
@@ -1181,7 +1181,6 @@ mod tests {
             ram_bytes: 1 << 30,
             cores: 4,
             proc_kernel_base: 24 << 10,
-            page_table_divisor: 512,
             boot_used_bytes: 64 << 20,
         })
     }
@@ -1404,7 +1403,6 @@ mod tests {
             ram_bytes: 64 << 20,
             cores: 1,
             proc_kernel_base: 4096,
-            page_table_divisor: 512,
             boot_used_bytes: 1 << 20,
         });
         let f = k.create_file("/big", FileContent::Synthetic(20 << 20)).unwrap();
@@ -1427,7 +1425,6 @@ mod tests {
             ram_bytes: 76 << 20,
             cores: 1,
             proc_kernel_base: 4096,
-            page_table_divisor: 512,
             boot_used_bytes: 1 << 20,
         });
         let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
@@ -1455,7 +1452,6 @@ mod tests {
             ram_bytes: 16 << 20,
             cores: 1,
             proc_kernel_base: 4096,
-            page_table_divisor: 512,
             boot_used_bytes: 1 << 20,
         });
         let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();

@@ -45,7 +45,6 @@ impl World {
             ram_bytes: 20 << 20,
             cores: 2,
             proc_kernel_base: 16 << 10,
-            page_table_divisor: 512,
             boot_used_bytes: 8 << 20,
         });
         if g.next_bool() {

@@ -42,7 +42,6 @@ fn accounting_conserves_under_random_ops() {
             ram_bytes: 2 << 30,
             cores: 4,
             proc_kernel_base: 16 << 10,
-            page_table_divisor: 512,
             boot_used_bytes: 8 << 20,
         });
         let cg_a = kernel.cgroup_create(Kernel::ROOT_CGROUP, "a").unwrap();

@@ -29,7 +29,7 @@ fn main() {
     // integration allows.
     let mut crun = LowLevelRuntime::new(cluster.kernel().clone(), &CRUN);
     crun.register_handler(Box::new(WamrHandler::new(WamrCrunConfig::default())));
-    crun.register_handler(Box::new(PythonHandler::default()));
+    crun.register_handler(Box::new(PythonHandler));
     crun.register_handler(Box::new(PauseHandler));
     println!("crun handlers: {:?}", crun.handler_names());
     cluster.register_class("crun-hybrid", RuntimeClass::Oci { runtime: crun });

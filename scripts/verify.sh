@@ -159,6 +159,11 @@ echo "== smoke: node crash (3 nodes, power-fail one, lease-driven recovery) =="
 # the deployment reconverge on the survivors with nothing leaked.
 cargo run --release --offline -p harness --bin chaos -- --node-crash-smoke >/dev/null
 
+echo "== smoke: recovery times (crash and partition/heal per Wasm config) =="
+# Lease detection and time-to-reconverge on a 3-node cluster per config: a
+# wait that runs out of rounds is an error, not a time, and fails here.
+cargo run --release --offline -p harness --bin chaos -- --recovery >/dev/null
+
 echo "== smoke: fault-schedule explorer (12 seeded schedules) =="
 # Seeded schedules of {crash, restart, partition, heal}; every schedule
 # must reconverge and pass the invariants, violations shrink to a minimal

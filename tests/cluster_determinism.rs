@@ -8,7 +8,6 @@ use std::sync::Mutex;
 use memwasm::harness::{
     cluster_scale, density_sweep, policy_ablation, run_drain, Config, ScalePlan, Workload,
 };
-use memwasm::k8s_sim::Policy;
 use memwasm::simkernel::{Sim, TaskSpec};
 
 /// Serializes every test that mutates the process-wide `HARNESS_THREADS`
@@ -58,12 +57,7 @@ fn single_node_sweep_matches_the_single_node_figure_path() {
     // A 1-node "cluster sweep" is the old single-node experiment: every
     // pod on node 0, metrics identical to the per-density figure cells.
     let w = Workload::light();
-    let plan = ScalePlan {
-        config: Config::WamrCrun,
-        nodes: 1,
-        densities: vec![5],
-        policy: Policy::Spread,
-    };
+    let plan = ScalePlan { nodes: 1, densities: vec![5] };
     let (_, samples) = density_sweep(&plan, &w).unwrap();
     assert_eq!(samples[0].min_pods_node, 5);
     assert_eq!(samples[0].max_pods_node, 5);

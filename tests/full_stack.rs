@@ -204,7 +204,7 @@ fn python_handler_in_hybrid_runtime_prefers_first_match() {
     let mut cluster = new_cluster(&[Config::CrunPython], &w).unwrap();
     let mut crun = LowLevelRuntime::new(cluster.kernel().clone(), &CRUN);
     crun.register_handler(Box::new(WamrHandler::new(WamrCrunConfig::default())));
-    crun.register_handler(Box::new(PythonHandler::default()));
+    crun.register_handler(Box::new(PythonHandler));
     crun.register_handler(Box::new(PauseHandler));
     cluster.register_class("hybrid", RuntimeClass::Oci { runtime: crun });
     let d = cluster.deploy("py", Config::CrunPython.image_ref(), "hybrid", 2).unwrap();

@@ -22,7 +22,7 @@ use memwasm::harness::{new_cluster, warmup, Config, Workload};
 use memwasm::oci_spec_lite::{
     Bundle, ImageBuilder, ImageStore, RuntimeSpec, WATCHDOG_BUDGET_ANNOTATION,
 };
-use memwasm::pyrt::{execute_script, scripts, PythonHandler, ScriptInputs};
+use memwasm::pyrt::{execute_script, scripts, PythonHandler, ScriptInputs, PYTHON};
 use memwasm::simkernel::image::watchdog_ticks;
 use memwasm::simkernel::vfs::FileContent;
 use memwasm::simkernel::{
@@ -328,7 +328,7 @@ fn a_replayed_python_start_equals_an_executed_one() {
     let _serial = serial();
     // crun-python and runc-python differ in the low-level runtime around
     // this handler, not in the handler.
-    let handler = PythonHandler::default();
+    let handler = PythonHandler;
     let kernel = Kernel::boot(KernelConfig::default());
     memwasm::pyrt::install_python(&kernel).unwrap();
     let mut store = ImageStore::new();
@@ -388,12 +388,10 @@ fn a_replayed_python_start_equals_an_executed_one() {
         let source = script.as_bytes().to_vec().into();
         let deadline = budget.map(|b| {
             let (_, pid) = pod(&kernel, &format!("{guest}-ticks"));
-            let ns_per_tick =
-                handler.profile.exec_ns_per_op * memwasm::pyrt::handler::PY_EPOCH_TICK_OPS;
+            let ns_per_tick = PYTHON.exec_ns_per_op * memwasm::pyrt::handler::PY_EPOCH_TICK_OPS;
             watchdog_ticks(&kernel, pid, b, ns_per_tick).unwrap()
         });
-        let inputs =
-            ScriptInputs { source: &source, process: &spec.process, fuel: handler.fuel, deadline };
+        let inputs = ScriptInputs { source: &source, process: &spec.process, deadline };
         assert_eq!(scripts().recorded(&inputs), Some(true), "{guest}: filed under these inputs");
         let direct = execute_script(&inputs).unwrap();
         let recorded = scripts().outcome(&inputs, || -> Result<_, KernelError> {
@@ -457,14 +455,7 @@ fn wamr_inputs<'a>(
     fuel: u64,
     deadline: Option<u64>,
 ) -> GuestInputs<'a> {
-    GuestInputs {
-        module,
-        tier: WAMR.tier,
-        fuel,
-        max_call_depth: 1024,
-        deadline: deadline.map(|ticks| (ticks, EPOCH_TICK_INSTRS)),
-        wasi,
-    }
+    GuestInputs { module, tier: WAMR.tier, fuel, deadline, wasi }
 }
 
 #[test]
