@@ -198,6 +198,32 @@ fn des_is_deterministic_and_work_conserving() {
     });
 }
 
+/// `Sim::run` (the event-queue loop) and `Sim::run_reference` (the O(tasks)
+/// scan it replaced) agree exactly on random task sets: lock convoys, tasks
+/// that share a start instant, one to eight cores.
+#[test]
+fn des_run_matches_reference_on_random_task_sets() {
+    check("des_run_matches_reference_on_random_task_sets", 64, |g| {
+        let mut tasks: Vec<TaskSpec> = (0..1 + g.index(39)).map(|_| gen_task(g, 3)).collect();
+        // About a third of the tasks start together with an earlier one.
+        for i in 1..tasks.len() {
+            if g.index(3) == 0 {
+                tasks[i].start_at = tasks[g.index(i)].start_at;
+            }
+        }
+        let cores = g.range_u64(1, 9) as u32;
+        let sim = Sim::new(cores);
+        let new = sim.run(tasks.clone());
+        let old = sim.run_reference(tasks);
+        assert_eq!(new.makespan, old.makespan, "makespan on {cores} cores");
+        assert_eq!(new.events, old.events, "events on {cores} cores");
+        assert_eq!(new.results.len(), old.results.len());
+        for (a, b) in new.results.iter().zip(&old.results) {
+            assert_eq!((a.id, a.started, a.finished), (b.id, b.started, b.finished));
+        }
+    });
+}
+
 /// An [`IdTable`] is a `BTreeMap` keyed by ids issued in increasing order:
 /// after any sequence of inserts (with gaps: ids drawn and never used),
 /// removes, reads and writes, its lookups, length and walk equal the

@@ -148,6 +148,18 @@ done
 cmp target/chaos-smoke.t1 target/chaos-smoke.t2
 cmp target/chaos-smoke.t1.csv target/chaos-smoke.t2.csv
 
+echo "== traffic: steady sweep + overload contract on all seven configs + scenario =="
+# The full run, not --smoke: every config's overload-and-recover contract
+# (exit 1 on a violation), the heaviest load the event queue carries. The
+# sweep fans out over the grid runner, so the stdout and the CSV must not
+# depend on the worker count.
+for n in 1 2; do
+  HARNESS_THREADS=$n cargo run --release --offline -p harness --bin traffic >"target/traffic.t$n"
+  cp target/experiments/traffic.csv "target/traffic.t$n.csv"
+done
+cmp target/traffic.t1 target/traffic.t2
+cmp target/traffic.t1.csv target/traffic.t2.csv
+
 echo "== smoke: multi-node drain (3 nodes, drain one, controller reconverges) =="
 # A spread deployment over 3 nodes, one node drained: every victim must be
 # rescheduled by the controller and come back Running+ready on a survivor.
