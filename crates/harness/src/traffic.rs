@@ -7,8 +7,8 @@
 //! plane: pick-of-2 routing → bounded-queue admission → per-endpoint
 //! single-server execution with deadline/watchdog caps → client-side
 //! retry budget and backoff → circuit breakers → brownout. The loop merges
-//! a streamed arrival generator with a [`CalendarQueue`] (the same
-//! structure behind the DES scheduler) of `Copy` events and moves the
+//! a streamed arrival generator with the event queue ([`CalendarQueue`],
+//! the binary heap behind the DES scheduler) of `Copy` events and moves the
 //! cluster's clock to each event's instant, so `cluster.now()` is the
 //! event time for everything an event touches: a request touches no
 //! allocator, the queue holds only work in flight, millions of simulated
@@ -303,7 +303,7 @@ const TOKENS_PER_REQ: u64 = 32;
 // A token holds the attempt number below `TOKENS_PER_REQ`.
 const _: () = assert!((MAX_ATTEMPTS as u64) < TOKENS_PER_REQ);
 
-/// What the calendar queue carries. `Copy`, and it rides in the queue entry
+/// What the event queue carries. `Copy`, and it rides in the queue entry
 /// itself, so nothing is stored per event once it has popped. Arrivals are
 /// not events: they come from the [`Arrivals`] stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

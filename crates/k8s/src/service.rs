@@ -31,10 +31,10 @@
 //! cannot finish in time is interrupted at the cap, not allowed to run on.
 //!
 //! The service itself never advances any clock: callers (the traffic
-//! harness's calendar-queue event loop) own time and drive
-//! [`Service::admit`] / [`Service::try_start`] / [`Service::complete`] /
-//! [`Service::sync`] explicitly, which is what makes whole traffic sweeps
-//! byte-identical across worker counts.
+//! harness's event loop) own time and drive [`Service::admit`] /
+//! [`Service::try_start`] / [`Service::complete`] / [`Service::sync`]
+//! explicitly, which is what makes whole traffic sweeps byte-identical
+//! across worker counts.
 
 use std::collections::VecDeque;
 

@@ -19,7 +19,8 @@
 //! append its contribution to a startup program without knowing about the
 //! simulator.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use crate::time::{Duration, SimTime};
 
@@ -156,18 +157,15 @@ struct TaskRt {
     finished_at: SimTime,
 }
 
-/// A calendar (bucketed) event queue over `(time, payload)` pairs.
+/// The event queue of both simulation loops: `(time, payload)` pairs in a
+/// binary heap, popped in `(time, payload)` order.
 ///
-/// Timed events — pending admissions and sleep ends — land in a bucket
-/// keyed by `time / width mod buckets`; within a bucket entries stay
-/// sorted ascending by `(time, payload)`. Locating the minimum walks one
-/// calendar revolution starting at the bucket of the last popped time and
-/// returns the first bucket whose head falls inside its own "year" window;
-/// a sparse far-future tail falls back to a direct scan of bucket heads.
-/// The bucket count doubles (and the width is re-derived from the live
-/// time range) when the load factor grows, so push/pop stay O(1) amortized
-/// where the old `BTreeMap` event map paid O(log n) — the difference that
-/// keeps 10k-pod cluster sweeps tractable.
+/// A heap because the queues are small. The DES holds at most one entry
+/// per task (an admission or a sleep end), and the traffic loop holds only
+/// work in flight: a high-water mark of 3 events on `traffic_steady` and
+/// 77 on `traffic_overload`. At those sizes an O(log n) sift costs less
+/// than the bucket scans, divisions and resizes of the calendar queue this
+/// type used to be; the name is kept because `benchmark/` names it.
 ///
 /// The payload is any `Copy + Ord` value and rides in the queue entry;
 /// its order breaks ties between equal times. The DES queues task ids
@@ -179,26 +177,14 @@ struct TaskRt {
 /// never schedules into the past).
 #[derive(Debug, Clone)]
 pub struct CalendarQueue<P = usize> {
-    buckets: Vec<Vec<(u64, P)>>,
-    /// Bucket width in nanoseconds.
-    width: u64,
-    len: usize,
+    heap: BinaryHeap<Reverse<(u64, P)>>,
     /// Lower bound on every queued time (advanced on pop).
     cursor: u64,
 }
 
-const INITIAL_BUCKETS: usize = 16;
-/// 50ms initial width — the dispatch-gap scale of the startup programs.
-const INITIAL_WIDTH: u64 = 50_000_000;
-
 impl<P: Copy + Ord> Default for CalendarQueue<P> {
     fn default() -> Self {
-        CalendarQueue {
-            buckets: vec![Vec::new(); INITIAL_BUCKETS],
-            width: INITIAL_WIDTH,
-            len: 0,
-            cursor: 0,
-        }
+        CalendarQueue { heap: BinaryHeap::new(), cursor: 0 }
     }
 }
 
@@ -213,104 +199,44 @@ impl CalendarQueue {
 
 impl<P: Copy + Ord> CalendarQueue<P> {
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     pub fn push(&mut self, t: SimTime, payload: P) {
         let t = t.as_nanos();
         debug_assert!(t >= self.cursor, "event scheduled in the past");
-        let b = ((t / self.width) as usize) % self.buckets.len();
-        let bucket = &mut self.buckets[b];
-        let at = bucket.partition_point(|&e| e < (t, payload));
-        bucket.insert(at, (t, payload));
-        self.len += 1;
-        if self.len > self.buckets.len() * 4 {
-            self.resize(self.buckets.len() * 2);
-        }
+        self.heap.push(Reverse((t, payload)));
     }
 
     /// Earliest `(time, payload)` without removing it; ties broken by payload.
     pub(crate) fn peek(&self) -> Option<(SimTime, P)> {
-        let b = self.locate()?;
-        let (t, payload) = self.buckets[b][0];
-        Some((SimTime(t), payload))
+        self.heap.peek().map(|&Reverse((t, payload))| (SimTime(t), payload))
     }
 
     /// Remove and return the earliest `(time, payload)`.
     pub fn pop(&mut self) -> Option<(SimTime, P)> {
-        let b = self.locate()?;
-        Some(self.take_head(b))
+        let Reverse((t, payload)) = self.heap.pop()?;
+        self.cursor = t;
+        Some((SimTime(t), payload))
     }
 
     /// Remove and return the earliest entry if its time is strictly before
-    /// `limit` — one minimum search for a caller that merges the queue with
-    /// another time-ordered source whose next item is due at `limit`.
+    /// `limit`, for a caller that merges the queue with another
+    /// time-ordered source whose next item is due at `limit`.
     pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, P)> {
-        let b = self.locate()?;
-        if self.buckets[b][0].0 >= limit.as_nanos() {
+        let Reverse((t, _)) = self.heap.peek()?;
+        if *t >= limit.as_nanos() {
             return None;
         }
-        Some(self.take_head(b))
-    }
-
-    fn take_head(&mut self, b: usize) -> (SimTime, P) {
-        let (t, payload) = self.buckets[b].remove(0);
-        self.cursor = t;
-        self.len -= 1;
-        (SimTime(t), payload)
-    }
-
-    /// Bucket whose head is the global minimum.
-    fn locate(&self) -> Option<usize> {
-        if self.len == 0 {
-            return None;
-        }
-        let nb = self.buckets.len() as u64;
-        let start_epoch = self.cursor / self.width;
-        // One revolution: the first bucket whose head lies in the epoch
-        // window being visited holds the global minimum (windows are
-        // disjoint and visited in increasing time order).
-        for k in 0..nb {
-            let epoch = start_epoch + k;
-            let b = (epoch % nb) as usize;
-            if let Some(&(t, _)) = self.buckets[b].first() {
-                if t / self.width == epoch {
-                    return Some(b);
-                }
-            }
-        }
-        // Every event is more than one revolution ahead: direct scan.
-        let mut best: Option<((u64, P), usize)> = None;
-        for (b, bucket) in self.buckets.iter().enumerate() {
-            if let Some(&head) = bucket.first() {
-                if best.is_none_or(|(min, _)| head < min) {
-                    best = Some((head, b));
-                }
-            }
-        }
-        best.map(|(_, b)| b)
-    }
-
-    fn resize(&mut self, nbuckets: usize) {
-        let mut entries: Vec<(u64, P)> = self.buckets.iter().flatten().copied().collect();
-        let min = entries.iter().map(|e| e.0).min().unwrap_or(0);
-        let max = entries.iter().map(|e| e.0).max().unwrap_or(0);
-        // Spread the live range across one rotation.
-        self.width = ((max - min) / nbuckets as u64 + 1).max(1);
-        self.buckets = vec![Vec::new(); nbuckets];
-        entries.sort_unstable();
-        for &(t, payload) in &entries {
-            let b = ((t / self.width) as usize) % nbuckets;
-            self.buckets[b].push((t, payload)); // ascending input keeps buckets sorted
-        }
+        self.pop()
     }
 }
 
-/// Extra bookkeeping the calendar-queue run threads through `advance`:
+/// Extra bookkeeping the event-queue run threads through `advance`:
 /// sleep ends become queue entries and tasks that land on a CPU step are
 /// recorded so the runnable set can be maintained incrementally.
 struct EventHooks<'a> {
@@ -334,10 +260,10 @@ impl Sim {
 
     /// Run every task to completion and report per-task finish times.
     ///
-    /// Event-driven over a [`CalendarQueue`]: the runnable set is
-    /// maintained incrementally and timed events (admissions, sleep ends)
-    /// come off the calendar, so cost scales with events rather than with
-    /// `events × tasks` as the scan loop did. Every float operation, its
+    /// Event-driven over a [`CalendarQueue`] (a binary heap): the runnable
+    /// set is maintained incrementally and timed events (admissions, sleep
+    /// ends) come off the queue, so cost scales with events rather than
+    /// with `events × tasks` as the scan loop did. Every float operation, its
     /// order, and the task-id processing order match
     /// [`Sim::run_reference`] exactly — outcomes are byte-identical (the
     /// equivalence tests pin this).
@@ -368,7 +294,7 @@ impl Sim {
         // `(0..n).filter(state == Running)` scan.
         let mut runnable: Vec<usize> = Vec::new();
 
-        // Every task enters the calendar at its start time; draining the
+        // Every task enters the queue at its start time; draining the
         // due entries admits the t=0 tasks in id order, exactly like the
         // reference pre-loop.
         for (i, rt) in rts.iter().enumerate() {
@@ -403,7 +329,7 @@ impl Sim {
                 (self.cores as f64 / runnable.len() as f64).min(1.0)
             };
 
-            // Candidate next events: CPU completions and the calendar head.
+            // Candidate next events: CPU completions and the queue head.
             let mut next: Option<SimTime> = None;
             let mut consider = |t: SimTime| {
                 next = Some(match next {
@@ -429,7 +355,7 @@ impl Sim {
             }
             now = next;
 
-            // Due events: finished CPU steps and due calendar entries
+            // Due events: finished CPU steps and due queue entries
             // (sleep ends, pending admissions), in task-id order.
             candidates.clear();
             candidates.extend(
@@ -498,7 +424,7 @@ impl Sim {
         finish(rts, events)
     }
 
-    /// The pre-calendar-queue run loop: a full O(tasks) scan per event.
+    /// The run loop before the event queue: a full O(tasks) scan per event.
     ///
     /// Kept verbatim as the equivalence oracle for [`Sim::run`] — the
     /// old-vs-new tests pin byte-identical outcomes on every figure path —
@@ -920,34 +846,6 @@ mod tests {
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop(), Some((SimTime(200), (1, 'a'))));
         assert_eq!(q.pop_before(SimTime(u64::MAX)), None);
-    }
-
-    #[test]
-    fn calendar_queue_survives_resize_and_sparse_tails() {
-        // Enough entries to force multiple resizes, spread over a wide,
-        // ragged time range including far-future outliers; interleave pops
-        // so the cursor advances through rotations.
-        let mut q = CalendarQueue::new();
-        let mut expect: Vec<(u64, usize)> = Vec::new();
-        let mut t = 1u64;
-        for i in 0..500usize {
-            t = t.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let time = (t >> 20) % 10_000_000_000; // 0..10s, pseudo-random
-            expect.push((time, i));
-            q.push(SimTime(time), i);
-        }
-        // A handful of events a full simulated year ahead (sparse tail).
-        for i in 500..505usize {
-            let time = 3_000_000_000_000 + (i as u64) * 7;
-            expect.push((time, i));
-            q.push(SimTime(time), i);
-        }
-        expect.sort_unstable();
-        let mut got = Vec::new();
-        while let Some((t, id)) = q.pop() {
-            got.push((t.as_nanos(), id));
-        }
-        assert_eq!(got, expect);
     }
 
     #[test]

@@ -224,6 +224,64 @@ fn des_run_matches_reference_on_random_task_sets() {
     });
 }
 
+/// The event queue pops what a `BTreeSet<(time, payload)>` would: under
+/// random interleavings of `push`, `pop` and `pop_before` (limits below, at
+/// and above the head), with many entries sharing a time and a few at the
+/// far end of the clock, every popped value, `len` and `is_empty` equal the
+/// model's after every operation.
+#[test]
+fn event_queue_matches_a_btreeset_model() {
+    use simkernel::{CalendarQueue, SimTime};
+    use std::collections::BTreeSet;
+
+    check("event_queue_matches_a_btreeset_model", 64, |g| {
+        let mut queue = CalendarQueue::new();
+        let mut model: BTreeSet<(u64, usize)> = BTreeSet::new();
+        // Pushes are never earlier than the last pop (the queue's invariant).
+        let mut floor = 0u64;
+        for op in 0..g.range_u64(1, 300) as usize {
+            let popped = match g.index(4) {
+                0 | 1 => {
+                    let t = match g.index(8) {
+                        0..=3 => floor.saturating_add(g.range_u64(0, 3)), // many equal times
+                        4..=6 => floor.saturating_add(g.range_u64(0, 1_000_000)),
+                        _ => g.range_u64(floor, u64::MAX), // up to u64::MAX - 1
+                    }
+                    .min(u64::MAX - 1);
+                    // Distinct payloads whose order is not push order.
+                    let payload = g.index(64) << 32 | op;
+                    queue.push(SimTime(t), payload);
+                    model.insert((t, payload));
+                    None
+                }
+                2 => {
+                    let got = queue.pop().map(|(t, p)| (t.as_nanos(), p));
+                    assert_eq!(got, model.pop_first(), "pop");
+                    got
+                }
+                _ => {
+                    let head = model.first().map_or(floor, |e| e.0);
+                    let limit = match g.index(4) {
+                        0 => head.saturating_sub(1),
+                        1 => head,
+                        2 => head + 1,
+                        _ => u64::MAX,
+                    };
+                    let got = queue.pop_before(SimTime(limit)).map(|(t, p)| (t.as_nanos(), p));
+                    let want = if head < limit { model.pop_first() } else { None };
+                    assert_eq!(got, want, "pop_before {limit} with head {head}");
+                    got
+                }
+            };
+            if let Some((t, _)) = popped {
+                floor = t;
+            }
+            assert_eq!(queue.len(), model.len());
+            assert_eq!(queue.is_empty(), model.is_empty());
+        }
+    });
+}
+
 /// An [`IdTable`] is a `BTreeMap` keyed by ids issued in increasing order:
 /// after any sequence of inserts (with gaps: ids drawn and never used),
 /// removes, reads and writes, its lookups, length and walk equal the
