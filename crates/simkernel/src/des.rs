@@ -164,8 +164,8 @@ struct TaskRt {
 /// per task (an admission or a sleep end), and the traffic loop holds only
 /// work in flight: a high-water mark of 3 events on `traffic_steady` and
 /// 77 on `traffic_overload`. At those sizes an O(log n) sift costs less
-/// than the bucket scans, divisions and resizes of the calendar queue this
-/// type used to be; the name is kept because `benchmark/` names it.
+/// than a calendar queue's bucket scans, divisions and resizes; the name
+/// `CalendarQueue` is kept because `benchmark/` names it.
 ///
 /// The payload is any `Copy + Ord` value and rides in the queue entry;
 /// its order breaks ties between equal times. The DES queues task ids
