@@ -2,9 +2,14 @@
 //! arbitrary operation sequences, and determinism/work-conservation of the
 //! discrete-event scheduler. Runs on the offline `simkernel::prop` harness.
 
+use std::collections::{BTreeMap, VecDeque};
+
 use simkernel::prop::check;
 use simkernel::rng::SplitMix64;
-use simkernel::{Duration, Kernel, KernelConfig, MapKind, ProcessImage, Sim, Step, TaskSpec};
+use simkernel::{
+    Duration, Kernel, KernelConfig, LockId, MapKind, ProcessImage, Sim, SimTime, Step, TaskId,
+    TaskSpec,
+};
 
 /// Random memory-lifecycle actions executed against one kernel.
 #[derive(Debug, Clone)]
@@ -144,16 +149,16 @@ fn accounting_conserves_under_random_ops() {
     });
 }
 
-// Random DES task sets.
-fn gen_task(g: &mut SplitMix64, max_lock: u32) -> TaskSpec {
+// Random DES task sets. Durations are whole multiples of `grain` ns.
+fn gen_task(g: &mut SplitMix64, max_lock: u32, grain: u64) -> TaskSpec {
     let start_ms = g.range_u64(0, 500);
-    let mut t = TaskSpec::new("t").starting_at(simkernel::SimTime(start_ms * 1_000_000));
+    let mut t = TaskSpec::new("t").starting_at(SimTime(start_ms * 1_000_000));
     for _ in 0..1 + g.index(7) {
         t = match g.index(3) {
-            0 => t.cpu(Duration::from_nanos(g.range_u64(1, 200_000_000))),
-            1 => t.io(Duration::from_nanos(g.range_u64(1, 200_000_000))),
+            0 => t.cpu(Duration::from_nanos(g.range_u64(1, 200_000_000 / grain) * grain)),
+            1 => t.io(Duration::from_nanos(g.range_u64(1, 200_000_000 / grain) * grain)),
             _ => {
-                let l = simkernel::LockId(g.range_u64(0, max_lock as u64) as u32);
+                let l = LockId(g.range_u64(0, max_lock as u64) as u32);
                 t.acquire(l).cpu(Duration::from_millis(1)).release(l)
             }
         };
@@ -164,7 +169,7 @@ fn gen_task(g: &mut SplitMix64, max_lock: u32) -> TaskSpec {
 #[test]
 fn des_is_deterministic_and_work_conserving() {
     check("des_is_deterministic_and_work_conserving", 48, |g| {
-        let tasks: Vec<TaskSpec> = (0..1 + g.index(23)).map(|_| gen_task(g, 3)).collect();
+        let tasks: Vec<TaskSpec> = (0..1 + g.index(23)).map(|_| gen_task(g, 3, 1)).collect();
         let cores = g.range_u64(1, 8) as u32;
         let sim = Sim::new(cores);
         let a = sim.run(tasks.clone());
@@ -172,25 +177,34 @@ fn des_is_deterministic_and_work_conserving() {
         for (x, y) in a.results.iter().zip(b.results.iter()) {
             assert_eq!(x.finished, y.finished, "deterministic");
         }
-        // Work conservation bounds: makespan ≥ max single-task critical
-        // path, and ≥ total CPU / cores (steps after last start).
+        // Work conservation bounds: makespan ≥ total CPU / cores, ≥ each
+        // task's start plus its CPU and I/O (a step never runs faster than
+        // one core), and ≥ the CPU and I/O each lock's critical sections
+        // hold (holds of one lock never overlap).
+        let makespan = a.makespan.as_nanos();
         let total_cpu: u64 = tasks.iter().map(|t| t.cpu_demand().as_nanos()).sum();
-        let longest: u64 = tasks
-            .iter()
-            .map(|t| {
-                t.start_at.as_nanos()
-                    + t.steps
-                        .iter()
-                        .map(|s| match s {
-                            Step::Cpu(d) | Step::Io(d) => d.as_nanos(),
-                            _ => 0,
-                        })
-                        .sum::<u64>()
-            })
-            .max()
-            .unwrap_or(0);
-        assert!(a.makespan.as_nanos() >= total_cpu / cores as u64);
-        assert!(a.makespan.as_nanos() + 2 >= longest, "{} vs {}", a.makespan.as_nanos(), longest);
+        assert!(makespan >= total_cpu / cores as u64);
+        let mut held: BTreeMap<LockId, u64> = BTreeMap::new();
+        for t in &tasks {
+            let mut own = 0;
+            let mut holding: Vec<LockId> = Vec::new();
+            for s in &t.steps {
+                match *s {
+                    Step::Cpu(d) | Step::Io(d) => {
+                        own += d.as_nanos();
+                        for l in &holding {
+                            *held.entry(*l).or_default() += d.as_nanos();
+                        }
+                    }
+                    Step::Acquire(l) => holding.push(l),
+                    Step::Release(l) => holding.retain(|h| *h != l),
+                }
+            }
+            assert!(makespan >= t.start_at.as_nanos() + own, "{makespan} vs one task's path");
+        }
+        for (l, hold) in held {
+            assert!(makespan >= hold, "{makespan} vs {l:?} held for {hold}");
+        }
         // All finish times are at/after their start times.
         for (r, t) in a.results.iter().zip(&tasks) {
             assert!(r.finished >= t.start_at);
@@ -198,30 +212,138 @@ fn des_is_deterministic_and_work_conserving() {
     });
 }
 
-/// `Sim::run` (the event-queue loop) and `Sim::run_reference` (the O(tasks)
-/// scan it replaced) agree exactly on random task sets: lock convoys, tasks
-/// that share a start instant, one to eight cores.
-#[test]
-fn des_run_matches_reference_on_random_task_sets() {
-    check("des_run_matches_reference_on_random_task_sets", 64, |g| {
-        let mut tasks: Vec<TaskSpec> = (0..1 + g.index(39)).map(|_| gen_task(g, 3)).collect();
-        // About a third of the tasks start together with an earlier one.
-        for i in 1..tasks.len() {
-            if g.index(3) == 0 {
-                tasks[i].start_at = tasks[g.index(i)].start_at;
+/// Units of remaining CPU work per ns in [`exact_des`]: 840 = lcm(1..=8),
+/// so with at most eight tasks every processor-sharing rate `min(c, n)/n`
+/// moves a whole number of units per ns and the arithmetic is exact.
+const UNITS_PER_NS: u64 = 840;
+
+/// The startup DES's model, written independently of `simkernel::des` as
+/// the O(tasks) scan it once was: per-task remaining CPU work, advanced by
+/// `dt × min(c, n)/n` each event; an event lands on the first ns at which
+/// some CPU step has no work left, some sleep ends or some task starts;
+/// due tasks are handled in id order; a released lock goes to its first
+/// waiter, and a woken task runs after the one that woke it. Exact for at
+/// most eight tasks. Returns each task's finish time and the event count.
+fn exact_des(cores: u64, tasks: &[TaskSpec]) -> (Vec<u64>, u64) {
+    #[derive(Clone, Copy, PartialEq)]
+    enum State {
+        Pending,
+        Running(u64),
+        Sleeping(u64),
+        Blocked,
+        Done,
+    }
+    assert!(tasks.len() <= 8, "the oracle is exact for at most eight tasks");
+    let n = tasks.len();
+    let mut state = vec![State::Pending; n];
+    let mut pc = vec![0usize; n];
+    let mut finish = vec![0u64; n];
+    let mut holder: BTreeMap<LockId, usize> = BTreeMap::new();
+    let mut waiting: BTreeMap<LockId, VecDeque<usize>> = BTreeMap::new();
+    let (mut now, mut events) = (0u64, 0u64);
+    loop {
+        for i in 0..n {
+            let due = match state[i] {
+                State::Pending => tasks[i].start_at.as_nanos() <= now,
+                State::Running(left) => left == 0,
+                State::Sleeping(end) => end <= now,
+                State::Blocked | State::Done => false,
+            };
+            if !due {
+                continue;
+            }
+            events += 1;
+            if state[i] != State::Pending {
+                pc[i] += 1;
+            }
+            // Run `i`, then every task a release of its wakes, until each
+            // waits or ends.
+            let mut woken = VecDeque::from([i]);
+            while let Some(j) = woken.pop_front() {
+                state[j] = loop {
+                    match tasks[j].steps.get(pc[j]) {
+                        None => {
+                            finish[j] = now;
+                            break State::Done;
+                        }
+                        Some(Step::Cpu(d)) if d.as_nanos() > 0 => {
+                            break State::Running(d.as_nanos() * UNITS_PER_NS)
+                        }
+                        Some(Step::Io(d)) if d.as_nanos() > 0 => {
+                            break State::Sleeping(now + d.as_nanos())
+                        }
+                        Some(Step::Cpu(_) | Step::Io(_)) => pc[j] += 1,
+                        Some(Step::Acquire(l)) => {
+                            if holder.contains_key(l) {
+                                waiting.entry(*l).or_default().push_back(j);
+                                break State::Blocked;
+                            }
+                            holder.insert(*l, j);
+                            pc[j] += 1;
+                        }
+                        Some(Step::Release(l)) => {
+                            assert_eq!(holder.remove(l), Some(j));
+                            pc[j] += 1;
+                            if let Some(w) = waiting.get_mut(l).and_then(VecDeque::pop_front) {
+                                holder.insert(*l, w);
+                                pc[w] += 1;
+                                woken.push_back(w);
+                            }
+                        }
+                    }
+                };
             }
         }
-        let cores = g.range_u64(1, 9) as u32;
-        let sim = Sim::new(cores);
-        let new = sim.run(tasks.clone());
-        let old = sim.run_reference(tasks);
-        assert_eq!(new.makespan, old.makespan, "makespan on {cores} cores");
-        assert_eq!(new.events, old.events, "events on {cores} cores");
-        assert_eq!(new.results.len(), old.results.len());
-        for (a, b) in new.results.iter().zip(&old.results) {
-            assert_eq!((a.id, a.started, a.finished), (b.id, b.started, b.finished));
+        if state.iter().all(|s| *s == State::Done) {
+            return (finish, events);
         }
-    });
+        let busy = state.iter().filter(|s| matches!(s, State::Running(_))).count() as u64;
+        let per_ns = (UNITS_PER_NS * cores.min(busy)).checked_div(busy).unwrap_or(0);
+        let next = (0..n)
+            .filter_map(|i| match state[i] {
+                State::Pending => Some(tasks[i].start_at.as_nanos()),
+                State::Running(left) => Some(now + left.div_ceil(per_ns)),
+                State::Sleeping(end) => Some(end),
+                State::Blocked | State::Done => None,
+            })
+            .min()
+            .expect("a task set the generator builds never deadlocks");
+        for s in &mut state {
+            if let State::Running(left) = s {
+                *left = left.saturating_sub((next - now) * per_ns);
+            }
+        }
+        now = next;
+    }
+}
+
+/// `Sim::run` is exact: on random sets of at most eight tasks (lock
+/// convoys, tasks that share a start instant, one to eight cores), with
+/// whole-ms and with random-ns durations, its finish times, makespan and
+/// event count equal [`exact_des`]'s.
+#[test]
+fn des_run_is_exact_on_small_task_sets() {
+    for grain in [1_000_000, 1] {
+        check(&format!("des_run_is_exact_on_small_task_sets/grain {grain}"), 512, |g| {
+            let mut tasks: Vec<TaskSpec> =
+                (0..1 + g.index(8)).map(|_| gen_task(g, 3, grain)).collect();
+            // About a third of the tasks start together with an earlier one.
+            for i in 1..tasks.len() {
+                if g.index(3) == 0 {
+                    tasks[i].start_at = tasks[g.index(i)].start_at;
+                }
+            }
+            let cores = g.range_u64(1, 9);
+            let out = Sim::new(cores as u32).run(tasks.clone());
+            let (finish, events) = exact_des(cores, &tasks);
+            assert_eq!(out.events, events, "events on {cores} cores");
+            assert_eq!(out.makespan, SimTime(finish.iter().copied().max().unwrap_or(0)));
+            for (i, r) in out.results.iter().enumerate() {
+                let want = (TaskId(i), tasks[i].start_at, SimTime(finish[i]));
+                assert_eq!((r.id, r.started, r.finished), want, "{cores} cores");
+            }
+        });
+    }
 }
 
 /// The event queue pops what a `BTreeSet<(time, payload)>` would: under
@@ -231,7 +353,7 @@ fn des_run_matches_reference_on_random_task_sets() {
 /// model's after every operation.
 #[test]
 fn event_queue_matches_a_btreeset_model() {
-    use simkernel::{CalendarQueue, SimTime};
+    use simkernel::CalendarQueue;
     use std::collections::BTreeSet;
 
     check("event_queue_matches_a_btreeset_model", 64, |g| {
@@ -290,7 +412,7 @@ fn event_queue_matches_a_btreeset_model() {
 fn id_table_matches_a_btreemap_model() {
     use simkernel::proc::Pid;
     use simkernel::table::IdTable;
-    use std::collections::{BTreeMap, BTreeSet};
+    use std::collections::BTreeSet;
 
     check("id_table_matches_a_btreemap_model", 64, |g| {
         let mut table: IdTable<Pid, u64> = IdTable::new();

@@ -226,11 +226,51 @@ echo "markdown (*.md): $(count . -name '*.md')"
 echo "rust non-test: $non_test"
 # What the crates export: rustc's unreachable_pub denies a `pub` item
 # that its crate root does not export.
-echo "pub items (non-test): $(non_test_src | grep -c '^[[:space:]]*pub ')"
+pub_items=$(non_test_src | grep -c '^[[:space:]]*pub ')
+echo "pub items (non-test): $pub_items"
 echo "rust test: $(($(count crates src tests examples -name '*.rs') - non_test))"
 # Host heap per resident pod, per config: a PR's delta in what a pod costs
 # the simulator sits next to its delta in lines.
 echo "host memory per resident pod (tests/host_footprint.rs):"
 cargo test -q --offline --test host_footprint -- --nocapture | grep 'B/pod'
+
+echo "== size budget: four numbers against their ceilings in scripts/size_budget.txt =="
+# A budget that is only written down gets skipped, so it gates. A change
+# that must grow a number raises its ceiling in the same diff.
+over=0
+# budget <name> <value> <what grew> <why that matters> <how to fix it>
+budget() {
+  local ceiling
+  ceiling=$(awk -v name="$1" '$1 == name { print $2 }' scripts/size_budget.txt)
+  if [ -z "$ceiling" ]; then
+    echo "size budget: scripts/size_budget.txt has no ceiling for $1" >&2
+    exit 1
+  fi
+  echo "$1: $2 (ceiling $ceiling)"
+  if [ "$2" -gt "$ceiling" ]; then
+    printf '%s\n' "size budget: $1 is $2, over its ceiling of $ceiling by $(($2 - ceiling))" \
+      "  What grew: $3" "  Why that matters: $4" "  How to fix it: $5" >&2
+    over=1
+  fi
+}
+budget rust-non-test "$non_test" \
+  "non-blank non-test Rust under crates/*/src, src/ and examples/." \
+  "every line is one more that each later refactor must read and keep byte-identical; the tree is meant to shrink (ROADMAP item 9)." \
+  "delete what the change made unnecessary (the old path, a setting with one value, a helper with one caller). If the growth is the point, raise the ceiling in scripts/size_budget.txt and say why in the change."
+budget pub-items "$pub_items" \
+  "non-test items declared 'pub'." \
+  "a pub item is API other crates may come to rely on, and rustc's dead-code lints cannot see past it." \
+  "make the item pub(crate) unless another crate, a doc test or benchmark/ calls it. If it must be pub, raise the ceiling in scripts/size_budget.txt."
+budget design-md-lines "$(wc -l <DESIGN.md)" \
+  "DESIGN.md." \
+  "it should hold mechanisms and invariants only, and is to shrink to one section per crate (ROADMAP item 9)." \
+  "replace the text the change supersedes instead of appending; measurements go to EXPERIMENTS.md, history to CHANGES.md."
+budget experiments-md-lines "$(wc -l <EXPERIMENTS.md)" \
+  "EXPERIMENTS.md." \
+  "it should keep the current table per experiment and workload, not every past before/after trail." \
+  "replace the table a new measurement supersedes; move history to CHANGES.md."
+if [ "$over" -ne 0 ]; then
+  exit 1
+fi
 
 echo "verify: OK"
