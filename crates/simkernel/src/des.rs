@@ -245,8 +245,9 @@ impl Sim {
     /// Events land on whole nanoseconds. `v` is a fixed-point count of
     /// 2⁻⁶⁴ ns, and every advance rounds *up*, so `v` never lags the exact
     /// value and a step ends on the first ns at which `v ≥ tag`: the ns
-    /// exact arithmetic gives. (Rounding down misses that ns whenever a
-    /// task ends exactly on one, which with `n > c` is most of the time.)
+    /// exact arithmetic gives. (Rounding down would leave `v` just short
+    /// of a tag that exact arithmetic reaches on a whole ns, and end that
+    /// step a ns late.)
     /// Tasks due in the same ns are handled in task-id order; this is the
     /// model's tie rule for who queues first on a lock.
     ///
