@@ -29,7 +29,7 @@ use wasm_core::EpochClock;
 use crate::shim::{install_shims, runwasi_shim, spawn_shim, SHIM_RUNC_V2};
 
 /// The containerd task-service lock: shim spawns serialize on it.
-pub const TASK_SERVICE_LOCK: LockId = LockId(100);
+pub(crate) const TASK_SERVICE_LOCK: LockId = LockId(100);
 
 /// containerd daemon footprint (resident once per node).
 const DAEMON_BINARY: &str = "/usr/bin/containerd";
@@ -595,7 +595,7 @@ impl Containerd {
     /// True when any container in the pod wedged on its watchdog budget and
     /// is still up (Running or riding out a termination grace period).
     pub fn pod_wedged(&self, pod_id: &str) -> bool {
-        self.sandboxes.get(pod_id).map_or(false, |s| {
+        self.sandboxes.get(pod_id).is_some_and(|s| {
             s.containers.iter().any(|c| {
                 c.wedged
                     && matches!(
@@ -681,8 +681,8 @@ impl Containerd {
         let oomed =
             |pid: Pid| matches!(self.kernel.proc_state(pid), Ok(simkernel::ProcState::OomKilled));
         oomed(s.shim_pid)
-            || s.pause.as_ref().map_or(false, |p| oomed(p.pid))
-            || s.containers.iter().any(|c| c.oci.as_ref().map_or(false, |o| oomed(o.pid)))
+            || s.pause.as_ref().is_some_and(|p| oomed(p.pid))
+            || s.containers.iter().any(|c| c.oci.as_ref().is_some_and(|o| oomed(o.pid)))
     }
 }
 
@@ -712,7 +712,7 @@ mod tests {
     }
 
     fn microservice() -> Vec<u8> {
-        wasm_core::builder::demo_wasi_module("on\n")
+        wasm_core::demo_wasi_module("on\n")
     }
 
     fn boot() -> Containerd {

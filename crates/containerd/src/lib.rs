@@ -11,5 +11,5 @@ pub(crate) mod cri;
 pub(crate) mod sandbox_api;
 pub(crate) mod shim;
 
-pub use cri::{Containerd, CriContainer, RuntimeClass, Sandbox, TASK_SERVICE_LOCK};
-pub use sandbox_api::{SandboxContainer, WasmSandbox, WasmSandboxer};
+pub use cri::{Containerd, RuntimeClass};
+pub use sandbox_api::WasmSandboxer;

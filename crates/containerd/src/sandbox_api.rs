@@ -174,7 +174,7 @@ mod tests {
     }
 
     fn microservice() -> Vec<u8> {
-        wasm_core::builder::demo_wasi_module("in sandbox\n")
+        wasm_core::demo_wasi_module("in sandbox\n")
     }
 
     fn setup() -> (Kernel, Image) {

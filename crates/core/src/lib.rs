@@ -117,7 +117,7 @@ mod tests {
     use simkernel::{KernelConfig, Step};
 
     fn microservice() -> Vec<u8> {
-        wasm_core::builder::demo_wasi_module("up\n")
+        wasm_core::demo_wasi_module("up\n")
     }
 
     struct World {

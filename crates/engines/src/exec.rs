@@ -585,7 +585,7 @@ pub fn run_module(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simkernel::{Kernel, KernelConfig};
+    use simkernel::{CgroupId, Kernel, KernelConfig};
     use wasm_core::{FuncType, ModuleBuilder, ValType};
 
     /// Minimal WASI microservice: print a line, spin a bounded loop, exit 0.
@@ -629,7 +629,12 @@ mod tests {
         (kernel, module)
     }
 
-    fn run_one(kernel: &Kernel, module: FileId, kind: EngineKind, name: &str) -> (Pid, EngineRun) {
+    fn run_one(
+        kernel: &Kernel,
+        module: FileId,
+        kind: EngineKind,
+        name: &str,
+    ) -> (CgroupId, EngineRun) {
         let cg = kernel.cgroup_create(Kernel::ROOT_CGROUP, name).unwrap();
         let pid = ProcessImage::spawn(kernel, name, cg).build().unwrap().detach();
         let run = execute_wasm_opts(
@@ -642,7 +647,7 @@ mod tests {
             ExecOptions::default(),
         )
         .unwrap();
-        (pid, run)
+        (cg, run)
     }
 
     #[test]
@@ -653,7 +658,7 @@ mod tests {
             assert_eq!(run.exit_code, 0, "{kind:?}");
             assert_eq!(run.stdout, b"service ready\n", "{kind:?}");
             assert!(run.stats.instrs_retired > 10_000, "{kind:?} ran the loop");
-            assert!(!run.trace.is_empty());
+            assert!(!run.trace.steps().is_empty());
         }
     }
 
@@ -662,9 +667,8 @@ mod tests {
         let (kernel, module) = setup();
         let mut rss = std::collections::BTreeMap::new();
         for kind in EngineKind::ALL {
-            let (pid, _) = run_one(&kernel, module, kind, kind.profile().name);
+            let (cg, _) = run_one(&kernel, module, kind, kind.profile().name);
             // Private footprint: anon bytes only (shared lib discounted).
-            let cg = kernel.proc_cgroup(pid).unwrap();
             rss.insert(kind, kernel.cgroup_stat(cg).unwrap().anon_bytes);
         }
         let wamr = rss[&EngineKind::Wamr];
@@ -677,11 +681,15 @@ mod tests {
     #[test]
     fn library_pages_shared_across_containers() {
         let (kernel, module) = setup();
-        let before = kernel.free().buff_cache;
+        let cache = || {
+            let free = kernel.free();
+            free.used_with_cache() - free.used
+        };
+        let before = cache();
         run_one(&kernel, module, EngineKind::Wamr, "c1");
-        let after_one = kernel.free().buff_cache;
+        let after_one = cache();
         run_one(&kernel, module, EngineKind::Wamr, "c2");
-        let after_two = kernel.free().buff_cache;
+        let after_two = cache();
         assert!(after_one > before, "first container faults the library in");
         assert_eq!(after_one, after_two, "second container adds no cache");
     }

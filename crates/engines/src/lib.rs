@@ -31,7 +31,6 @@ pub mod profile;
 
 pub use exec::{
     execute_guest, execute_wasm_opts, guests, install_engines, load_engine, run_module, Embedding,
-    EngineRun, ExecOptions, GuestInputs, GuestKey, GuestOutcome, LoadedEngine, WasiSpec,
-    EPOCH_TICK_INSTRS,
+    EngineRun, ExecOptions, GuestInputs, LoadedEngine, WasiSpec, EPOCH_TICK_INSTRS,
 };
 pub use profile::{EngineKind, EngineProfile};

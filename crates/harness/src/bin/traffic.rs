@@ -3,12 +3,13 @@
 //! Usage: `cargo run -p harness --bin traffic
 //! [-- --smoke | --scenario] [--seed N]`
 //!
-//! The full run serves ~150k measured Poisson requests per Wasm config at
-//! 80% of capacity and prints p50/p99/p999, goodput, shed rate and
-//! memory-per-RPS; then runs the overload-and-recover contract per config
-//! (3× capacity with a goodput floor and bounded p99, recovery back to
-//! within 10% of the pre-overload p99, and a retry-budget-disabled
-//! control arm that must demonstrably degrade); then the long-running
+//! The full run serves 280 000 measured Poisson requests per Wasm config,
+//! after a 14 000-request warmup, at 80% of capacity and prints p50/p99/
+//! p999, goodput, shed rate and memory-per-RPS; then runs the
+//! overload-and-recover contract per config (3× capacity with a goodput
+//! floor and bounded p99, recovery back to within 10% of the
+//! pre-overload p99, and a retry-budget-disabled control arm that must
+//! demonstrably degrade); then the long-running
 //! scenario (rolling update stepped and the HPA driven from the live
 //! traffic loop). `--smoke` is the light CI gate `scripts/verify.sh`
 //! runs: one config, a few thousand requests, the same contracts.

@@ -180,11 +180,6 @@ pub struct ChaosOutcome {
 }
 
 impl ChaosOutcome {
-    /// Faults injected across every site.
-    pub fn injected_total(&self) -> u64 {
-        self.injected.iter().sum()
-    }
-
     /// Faults injected at one site.
     pub fn injected_at(&self, site: FaultSite) -> u64 {
         let i = FaultSite::ALL.iter().position(|&s| s == site).expect("site in ALL");
@@ -379,6 +374,13 @@ pub fn check_hung_outcome(o: &ChaosOutcome, plan: &ChaosPlan) -> Result<(), Stri
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ChaosOutcome {
+        /// Faults injected across every site.
+        fn injected_total(&self) -> u64 {
+            self.injected.iter().sum()
+        }
+    }
 
     #[test]
     fn smoke_run_converges_and_returns_to_baseline() {

@@ -690,7 +690,7 @@ mod tests {
     fn generated_schedules_are_semantically_valid() {
         for seed in 0..200u64 {
             let events = generate_schedule(seed, 3, 6);
-            let mut state = vec![SimState::Up; 3];
+            let mut state = [SimState::Up; 3];
             for ev in events {
                 let ups = state.iter().filter(|&&s| s == SimState::Up).count();
                 match ev {
@@ -715,7 +715,7 @@ mod tests {
                         state[n] = SimState::Up;
                     }
                 }
-                assert!(state.iter().any(|&s| s == SimState::Up), "seed {seed}: no node left Up");
+                assert!(state.contains(&SimState::Up), "seed {seed}: no node left Up");
             }
         }
     }

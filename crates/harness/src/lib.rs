@@ -25,25 +25,20 @@ pub(crate) mod report;
 pub(crate) mod runner;
 pub mod traffic;
 
-pub use cluster_scale::{
-    density_sweep, measure_scale, policy_ablation, run_drain, DrainOutcome, ScalePlan, ScaleSample,
-};
+pub use cluster_scale::{measure_scale, ScaleSample};
 pub use config::{Config, Workload};
 pub use explorer::{
-    explore, generate_schedule, recovery_table, recovery_times, run_schedule, shrink,
-    Counterexample, ExplorePlan, ExploreReport, FaultEvent, InvariantKnobs, RecoverySample,
-    ScheduleOutcome,
+    explore, generate_schedule, recovery_times, run_schedule, ExplorePlan, FaultEvent,
+    InvariantKnobs, ScheduleOutcome,
 };
-pub use figures::{Column, Figure, Grid, Sample, FIGURES, PAPER_DENSITIES};
-pub use parallel::{run_cells, run_cells_on, run_grid, run_grid_on, worker_count, Cell};
-pub use report::{mb, Table};
+pub use figures::{Column, Figure, Grid};
+pub use parallel::{run_cells_on, Cell};
+pub use report::mb;
 pub use runner::{
-    deploy_density, measure_cell, measure_memory, measure_startup, new_cluster, warmup, CellSample,
-    MemorySample, Observe, StartupSample,
+    deploy_density, measure_cell, measure_memory, new_cluster, warmup, CellSample, MemorySample,
+    Observe, StartupSample,
 };
 pub use traffic::{
-    check_contract, check_scenario, contract_sweep, contract_table, pod_capacity_rps, request_exec,
-    run_overload_contract, run_scenario, run_steady_cell, run_traffic, traffic_sweep,
-    ArrivalProfile, ContractOutcome, ContractPlan, PhaseSpec, PhaseStats, ScenarioObservation,
-    SweepPlan, TrafficPlan, TrafficRun, TrafficSummary,
+    check_contract, request_exec, run_overload_contract, run_steady_cell, ContractPlan, PhaseStats,
+    SweepPlan,
 };

@@ -31,10 +31,6 @@ pub struct Cell {
 }
 
 impl Cell {
-    pub(crate) fn memory(config: Config, density: usize) -> Cell {
-        Cell { config, density, observe: Observe::Memory }
-    }
-
     pub fn startup(config: Config, density: usize) -> Cell {
         Cell { config, density, observe: Observe::Startup }
     }
@@ -42,18 +38,13 @@ impl Cell {
     pub fn both(config: Config, density: usize) -> Cell {
         Cell { config, density, observe: Observe::Both }
     }
-
-    /// The full (configs × densities) memory grid, in grid order.
-    pub fn memory_grid(configs: &[Config], densities: &[usize]) -> Vec<Cell> {
-        configs.iter().flat_map(|&c| densities.iter().map(move |&d| Cell::memory(c, d))).collect()
-    }
 }
 
 /// How many workers to use for a grid of `cells` cells: the
 /// `HARNESS_THREADS` environment variable if set to a positive integer,
 /// otherwise the machine's available parallelism — never more workers
 /// than cells.
-pub fn worker_count(cells: usize) -> usize {
+pub(crate) fn worker_count(cells: usize) -> usize {
     let cap = cells.max(1);
     if let Ok(v) = std::env::var("HARNESS_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
@@ -69,7 +60,7 @@ pub fn worker_count(cells: usize) -> usize {
 /// and return the results in item order. The one place the harness spawns
 /// threads: every sweep (figure cells, chaos and isolation grids, fault
 /// schedules, traffic cells, cluster densities) is a caller.
-pub fn run_grid<T: Sync, R: Send>(
+pub(crate) fn run_grid<T: Sync, R: Send>(
     items: &[T],
     run: impl Fn(&T) -> KernelResult<R> + Sync,
 ) -> KernelResult<Vec<R>> {
@@ -80,7 +71,7 @@ pub fn run_grid<T: Sync, R: Send>(
 /// grid of at most one item runs serially on the calling thread; a
 /// parallel run never spawns more workers than there are items. Output
 /// is identical for every `threads` value.
-pub fn run_grid_on<T: Sync, R: Send>(
+pub(crate) fn run_grid_on<T: Sync, R: Send>(
     items: &[T],
     threads: usize,
     run: impl Fn(&T) -> KernelResult<R> + Sync,
@@ -119,7 +110,7 @@ pub fn run_grid_on<T: Sync, R: Send>(
 }
 
 /// Measure every cell through [`run_grid`]; samples in grid order.
-pub fn run_cells(cells: &[Cell], workload: &Workload) -> KernelResult<Vec<CellSample>> {
+pub(crate) fn run_cells(cells: &[Cell], workload: &Workload) -> KernelResult<Vec<CellSample>> {
     run_cells_on(cells, workload, worker_count(cells.len()))
 }
 
@@ -136,6 +127,20 @@ pub fn run_cells_on(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Cell {
+        fn memory(config: Config, density: usize) -> Cell {
+            Cell { config, density, observe: Observe::Memory }
+        }
+
+        /// The full (configs × densities) memory grid, in grid order.
+        fn memory_grid(configs: &[Config], densities: &[usize]) -> Vec<Cell> {
+            configs
+                .iter()
+                .flat_map(|&c| densities.iter().map(move |&d| Cell::memory(c, d)))
+                .collect()
+        }
+    }
     use simkernel::KernelError;
 
     #[test]

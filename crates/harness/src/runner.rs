@@ -169,19 +169,19 @@ pub fn measure_memory(
     Ok(cell.memory.expect("Observe::Memory yields a memory sample"))
 }
 
-/// Measure the startup makespan at one (config, density) point.
-pub fn measure_startup(
-    config: Config,
-    density: usize,
-    workload: &Workload,
-) -> KernelResult<StartupSample> {
-    let cell = measure_cell(config, density, workload, Observe::Startup)?;
-    Ok(cell.startup.expect("Observe::Startup yields a startup sample"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Measure the startup makespan at one (config, density) point.
+    fn measure_startup(
+        config: Config,
+        density: usize,
+        workload: &Workload,
+    ) -> KernelResult<StartupSample> {
+        let cell = measure_cell(config, density, workload, Observe::Startup)?;
+        Ok(cell.startup.expect("Observe::Startup yields a startup sample"))
+    }
 
     #[test]
     fn memory_sample_shape() {

@@ -249,6 +249,7 @@ impl TrafficRun {
             total.failed += p.failed;
             total.retries += p.retries;
             total.span = total.span.saturating_add(p.span);
+            total.hist.merge(&p.hist);
         }
         total
     }
@@ -725,7 +726,7 @@ fn run_traffic_on(
                     lp.start(ep, now, &mut service);
                 }
 
-                next_tick = next_tick + TICK;
+                next_tick += TICK;
                 if next_arrival.is_some()
                     || next_tick <= arrivals.last + drain
                     || !lp.queue.is_empty()
@@ -1216,6 +1217,42 @@ pub fn check_scenario(run: &TrafficRun) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn measured_folds_the_histograms_of_the_measured_phases() {
+        let samples = [[3_000, 9_000_000, 40_000], [120_000, 7, 2_500_000]];
+        let mut phases = Vec::new();
+        let mut both = LatencyHistogram::new();
+        for (label, ns) in ["a", "b"].into_iter().zip(samples) {
+            let mut p = PhaseStats::new(label, true);
+            for d in ns.map(Duration::from_nanos) {
+                p.hist.record(d);
+                both.record(d);
+            }
+            phases.push(p);
+        }
+        let mut unmeasured = PhaseStats::new("warmup", false);
+        unmeasured.hist.record(Duration::from_secs(1));
+        phases.push(unmeasured);
+        let run = TrafficRun {
+            config: Config::WamrCrun,
+            phases,
+            sheds_by_reason: [0; 4],
+            admitted: 0,
+            attempts: 0,
+            breaker_opens: 0,
+            brownout_engagements: 0,
+            aborted_retried: 0,
+            peak_live_events: 0,
+            endpoint_working_set: 0,
+            scenario: None,
+        };
+        let hist = run.measured().hist;
+        assert_eq!(hist.count(), 6);
+        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(hist.quantile(q), both.quantile(q), "q={q}");
+        }
+    }
 
     #[test]
     fn request_exec_orders_engines() {

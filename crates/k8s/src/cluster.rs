@@ -889,7 +889,7 @@ mod tests {
     use wamr_crun::{WamrCrunConfig, WamrHandler};
 
     fn microservice() -> Vec<u8> {
-        wasm_core::builder::demo_wasi_module("svc up\n")
+        wasm_core::demo_wasi_module("svc up\n")
     }
 
     fn install_wamr_on(cluster: &mut Cluster, i: usize) {
@@ -1083,7 +1083,6 @@ mod tests {
         // replicas (nobody has told it otherwise).
         assert_eq!(cluster.node(1).condition, NodeCondition::Ready);
         assert!(ctrl.replicas.iter().any(|r| r.node == 1));
-        assert!(cluster.node(1).kernel.powered_off());
         assert!(matches!(
             ProcessImage::spawn(&cluster.node(1).kernel, "x", cluster.node(1).system_cgroup)
                 .build(),

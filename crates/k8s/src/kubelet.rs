@@ -77,11 +77,11 @@ mod cost {
 }
 
 /// Kubernetes default `terminationGracePeriodSeconds`.
-pub const DEFAULT_TERMINATION_GRACE: Duration = Duration::from_secs(30);
+pub(crate) const DEFAULT_TERMINATION_GRACE: Duration = Duration::from_secs(30);
 
 /// Per-pod infrastructure in the pod cgroup: tmpfs volumes, the projected
 /// service-account token, container log buffers.
-pub const POD_INFRA_BYTES: u64 = 1_600 << 10;
+pub(crate) const POD_INFRA_BYTES: u64 = 1_600 << 10;
 /// kubelet heap growth per managed pod.
 const KUBELET_GROWTH_PER_POD: u64 = 260 << 10;
 /// kubelet baseline footprint.
@@ -668,7 +668,7 @@ impl Kubelet {
         };
         self.oom_kills_seen = oom_kills;
         for name in running {
-            let infra_oomed = self.infra_procs.get(&name).map_or(false, |&pid| {
+            let infra_oomed = self.infra_procs.get(&name).is_some_and(|&pid| {
                 matches!(self.kernel.proc_state(pid), Ok(ProcState::OomKilled))
             });
             if infra_oomed || containerd.pod_oom_killed(&name) {
@@ -730,8 +730,8 @@ impl Kubelet {
                 .iter()
                 .filter(|(_, e)| e.phase == PodPhase::Running)
                 .filter(|(name, _)| {
-                    containerd.sandbox(name).map_or(false, |s| {
-                        self.kernel.cgroup_stats(s.pod_cgroup).map_or(false, |st| {
+                    containerd.sandbox(name).is_some_and(|s| {
+                        self.kernel.cgroup_stats(s.pod_cgroup).is_ok_and(|st| {
                             st.nr_cpu_throttled + st.io_throttle_events >= threshold
                         })
                     })
@@ -748,7 +748,7 @@ impl Kubelet {
             .iter()
             .filter(|(_, e)| {
                 matches!(e.phase, PodPhase::OomKilled | PodPhase::CrashLoopBackOff)
-                    && e.next_restart_at.map_or(false, |t| t <= now)
+                    && e.next_restart_at.is_some_and(|t| t <= now)
             })
             .map(|(n, _)| n.clone())
             .collect();

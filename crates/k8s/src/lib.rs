@@ -26,19 +26,15 @@ pub(crate) mod scheduler;
 pub mod service;
 
 pub use api::{
-    Deployment, DeploymentController, DeploymentSpec, HpaSpec, PodPhase, PodRecord, PodSpec,
-    ProbeSpec, ReplicaEntry, RolloutReport, RolloutStep,
+    Deployment, DeploymentController, DeploymentSpec, HpaSpec, PodPhase, ProbeSpec, RolloutStep,
 };
-pub use cluster::{Cluster, ClusterStats, DeployOpts};
-pub use cluster::{LEASE_GRACE, LEASE_RENEW_INTERVAL, POD_EVICTION_GRACE};
-pub use kubelet::{
-    Kubelet, NodeConfig, PodEntry, ReconcileReport, RestartPolicy, DEFAULT_TERMINATION_GRACE,
-    POD_INFRA_BYTES,
+pub use cluster::{
+    Cluster, ClusterStats, DeployOpts, LEASE_GRACE, LEASE_RENEW_INTERVAL, POD_EVICTION_GRACE,
 };
+pub use kubelet::{NodeConfig, ReconcileReport, RestartPolicy};
 pub use metrics::working_set_stddev;
-pub use node::{Node, NodeCondition, NodeLease};
-pub use scheduler::{NodeSnapshot, Policy, Scheduler};
+pub use node::{Node, NodeCondition};
+pub use scheduler::{Policy, Scheduler};
 pub use service::{
-    Admitted, CircuitBreaker, Completion, Endpoint, LatencyHistogram, ResilientClient, RetryBudget,
-    RetryPolicy, Service, ServiceConfig, ShedReason, Started,
+    LatencyHistogram, ResilientClient, RetryBudget, RetryPolicy, Service, ServiceConfig,
 };

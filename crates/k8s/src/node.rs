@@ -40,7 +40,7 @@ pub enum NodeCondition {
 /// cluster's lease config says how often renewals fire and how stale the
 /// lease may go before the node is marked NotReady.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeLease {
+pub(crate) struct NodeLease {
     pub(crate) last_renewal: SimTime,
 }
 

@@ -18,7 +18,7 @@ use crate::node::Node;
 
 /// What the scheduler saw on one node when it made a decision.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NodeSnapshot {
+pub(crate) struct NodeSnapshot {
     pub(crate) index: usize,
     pub(crate) schedulable: bool,
     /// Supervised pods on the node's kubelet.

@@ -733,6 +733,16 @@ impl LatencyHistogram {
         (1u64 << e) + ((frac + 1) << (e - 4)) - 1
     }
 
+    /// Add `other`'s samples: the counts bucket by bucket, the larger
+    /// maximum.
+    pub fn merge(&mut self, other: &LatencyHistogram) {
+        for (count, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *count += theirs;
+        }
+        self.total += other.total;
+        self.max_ns = self.max_ns.max(other.max_ns);
+    }
+
     pub fn record(&mut self, latency: Duration) {
         let ns = latency.as_nanos();
         self.counts[Self::bucket(ns)] += 1;

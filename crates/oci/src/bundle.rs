@@ -242,12 +242,15 @@ mod tests {
     /// The kernel sees the same read whichever way the spec comes back.
     #[test]
     fn reuse_leaves_the_kernel_as_a_parse_does() {
-        let (kernel, kept, spec, kept_pid) = setup();
+        let (kernel, kept, spec, _) = setup();
         let image = image(&kernel);
         let parsed = Bundle::create(&kernel, "c2", &image, &spec).unwrap();
         overwrite(&kernel, &parsed, &spec.to_json());
-        let cg = kernel.cgroup_create(Kernel::ROOT_CGROUP, "rt2").unwrap();
-        let parsed_pid = ProcessImage::spawn(&kernel, "runtime", cg).build().unwrap().detach();
+        let runtime = |name| {
+            let cg = kernel.cgroup_create(Kernel::ROOT_CGROUP, name).unwrap();
+            (cg, ProcessImage::spawn(&kernel, "runtime", cg).build().unwrap().detach())
+        };
+        let ((kept_cg, kept_pid), (parsed_cg, parsed_pid)) = (runtime("rt1"), runtime("rt2"));
 
         let a = kept.load_spec(&kernel, kept_pid).unwrap();
         let b = parsed.load_spec(&kernel, parsed_pid).unwrap();
@@ -257,9 +260,11 @@ mod tests {
         let cached = |b: &Bundle| kernel.file_cached(b.config_file).unwrap();
         assert_eq!(cached(&kept), cached(&parsed));
         assert!(cached(&kept) > 0);
-        let stat = |pid| kernel.cgroup_stat(kernel.proc_cgroup(pid).unwrap()).unwrap();
-        assert_eq!(stat(kept_pid), stat(parsed_pid));
-        assert!(stat(kept_pid).file_bytes > 0, "the first toucher is charged");
+        let stat = |cg| kernel.cgroup_stat(cg).unwrap();
+        assert_eq!(stat(kept_cg), stat(parsed_cg));
+        // The same spawn that read nothing: the difference is page cache.
+        let (idle_cg, _) = runtime("idle");
+        assert!(stat(kept_cg).current > stat(idle_cg).current, "the first toucher is charged");
     }
 
     #[test]

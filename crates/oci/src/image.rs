@@ -26,7 +26,7 @@ pub struct ImageConfig {
 
 /// One layer file inside an image.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LayerFile {
+pub(crate) struct LayerFile {
     /// Path inside the container rootfs (e.g. "/app/main.wasm").
     pub(crate) guest_path: String,
     /// Backing file in the VFS.

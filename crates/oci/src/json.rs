@@ -80,13 +80,6 @@ impl Value {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
             Value::Array(a) => Some(a),
@@ -553,6 +546,15 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Value {
+        pub(crate) fn as_bool(&self) -> Option<bool> {
+            match self {
+                Value::Bool(b) => Some(*b),
+                _ => None,
+            }
+        }
+    }
 
     #[test]
     fn scalars() {

@@ -17,14 +17,13 @@
 
 pub(crate) mod bundle;
 pub(crate) mod image;
-pub mod json;
+pub(crate) mod json;
 pub(crate) mod spec;
 
 pub use bundle::Bundle;
-pub use image::{Image, ImageBuilder, ImageConfig, ImageStore, LayerFile, Rootfs};
-pub use json::{parse as parse_json, JsonError, Value};
+pub use image::{Image, ImageBuilder, ImageStore};
+pub use json::{parse as parse_json, Value};
 pub use spec::{
-    LinuxSpec, MemoryResources, MountSpec, ProcessSpec, RootSpec, RuntimeSpec, BROWNOUT_ANNOTATION,
-    INSTANTIATE_CHURN_ANNOTATION, IO_CHURN_ANNOTATION, WASM_VARIANT_ANNOTATION,
-    WATCHDOG_BUDGET_ANNOTATION,
+    ProcessSpec, RuntimeSpec, BROWNOUT_ANNOTATION, INSTANTIATE_CHURN_ANNOTATION,
+    IO_CHURN_ANNOTATION, WASM_VARIANT_ANNOTATION, WATCHDOG_BUDGET_ANNOTATION,
 };

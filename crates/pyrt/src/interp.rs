@@ -21,7 +21,7 @@ use crate::ast::{BinOp, Expr, Program, Stmt};
 
 /// Runtime values.
 #[derive(Debug, Clone)]
-pub enum PyValue {
+pub(crate) enum PyValue {
     Int(i64),
     Float(f64),
     Str(Rc<String>),
@@ -32,12 +32,12 @@ pub enum PyValue {
     Builtin(&'static str),
     Module(&'static str),
     Range { start: i64, stop: i64, step: i64 },
-    BoundMethod(&'static str, &'static str),
+    BoundMethod,
 }
 
 /// A user-defined function.
 #[derive(Debug)]
-pub struct FuncDef {
+pub(crate) struct FuncDef {
     pub(crate) name: String,
     pub(crate) params: Vec<String>,
     pub(crate) body: Vec<Stmt>,
@@ -73,7 +73,7 @@ impl fmt::Display for PyError {
 /// deliberately independent): the interpreter advances it as ops retire and
 /// checks it against a deadline at each tick.
 #[derive(Debug, Clone, Default)]
-pub struct PyEpochClock {
+pub(crate) struct PyEpochClock {
     epoch: std::sync::Arc<std::sync::atomic::AtomicU64>,
 }
 
@@ -728,25 +728,20 @@ impl Interp {
                 ))))
             }
             ("math", "pi") => Ok(PyValue::Float(std::f64::consts::PI)),
-            (m, a) => Ok(PyValue::BoundMethod(
-                match m {
-                    "sys" => "sys",
-                    "os" => "os",
-                    "time" => "time",
-                    "math" => "math",
-                    "json" => "json",
-                    _ => return Err(PyError::Runtime(format!("no module {m}"))),
-                },
+            (m, a) => {
+                if !matches!(m, "sys" | "os" | "time" | "math" | "json") {
+                    return Err(PyError::Runtime(format!("no module {m}")));
+                }
                 match (m, a) {
-                    ("sys", "exit") => "exit",
-                    ("time", "time") => "time",
-                    ("time", "sleep") => "sleep",
-                    ("math", "sqrt") => "sqrt",
-                    ("math", "floor") => "floor",
-                    ("os", "getenv") => "getenv",
-                    _ => return Err(PyError::Runtime(format!("module {m} has no {a}"))),
-                },
-            )),
+                    ("sys", "exit")
+                    | ("time", "time")
+                    | ("time", "sleep")
+                    | ("math", "sqrt")
+                    | ("math", "floor")
+                    | ("os", "getenv") => Ok(PyValue::BoundMethod),
+                    _ => Err(PyError::Runtime(format!("module {m} has no {a}"))),
+                }
+            }
         }
     }
 
@@ -963,7 +958,7 @@ fn type_name(v: &PyValue) -> &'static str {
         PyValue::Builtin(_) => "builtin",
         PyValue::Module(_) => "module",
         PyValue::Range { .. } => "range",
-        PyValue::BoundMethod(_, _) => "builtin_function_or_method",
+        PyValue::BoundMethod => "builtin_function_or_method",
     }
 }
 
@@ -1177,5 +1172,129 @@ print(s, len(s), s[1], s * 2)
     fn math_module() {
         let (out, _, _) = run("import math\nprint(math.floor(math.sqrt(16) + 0.5))");
         assert_eq!(out, "4\n");
+    }
+
+    mod proptests {
+        //! Property tests for the mini-Python: generated arithmetic programs are
+        //! evaluated by the interpreter and checked against a Rust reference, and
+        //! the lexer/parser never panic on arbitrary input. Runs on the offline
+        //! `simkernel::prop` harness.
+
+        use crate::{parse, Interp, PyError};
+        use simkernel::prop::check;
+        use simkernel::rng::SplitMix64;
+
+        /// A random integer expression with a reference value, built bottom-up so
+        /// every generated program is semantically valid (no division by zero).
+        #[derive(Debug, Clone)]
+        struct ExprCase {
+            src: String,
+            value: i64,
+        }
+
+        fn gen_expr(g: &mut SplitMix64, depth: u32) -> ExprCase {
+            if depth == 0 || g.index(3) == 0 {
+                let v = g.range_i64(-1000, 1000);
+                return ExprCase { src: format!("({v})"), value: v };
+            }
+            let a = gen_expr(g, depth - 1);
+            match g.index(5) {
+                0 => {
+                    let b = gen_expr(g, depth - 1);
+                    ExprCase {
+                        src: format!("({} + {})", a.src, b.src),
+                        value: a.value.wrapping_add(b.value),
+                    }
+                }
+                1 => {
+                    let b = gen_expr(g, depth - 1);
+                    ExprCase {
+                        src: format!("({} - {})", a.src, b.src),
+                        value: a.value.wrapping_sub(b.value),
+                    }
+                }
+                2 => {
+                    let b = gen_expr(g, depth - 1);
+                    ExprCase {
+                        src: format!("({} * {})", a.src, b.src),
+                        value: a.value.wrapping_mul(b.value),
+                    }
+                }
+                // Floor-div and mod by a nonzero constant (Python semantics:
+                // div_euclid/rem_euclid for positive divisors).
+                3 => ExprCase { src: format!("({} // 7)", a.src), value: a.value.div_euclid(7) },
+                _ => ExprCase { src: format!("({} % 13)", a.src), value: a.value.rem_euclid(13) },
+            }
+        }
+
+        #[test]
+        fn expressions_match_reference() {
+            check("expressions_match_reference", 256, |g| {
+                let case = gen_expr(g, 4);
+                let src = format!("print({})", case.src);
+                let program = parse(&src).unwrap();
+                let mut interp = Interp::new(vec![], vec![]);
+                interp.run(&program).unwrap();
+                let out = String::from_utf8(interp.stdout.clone()).unwrap();
+                assert_eq!(out.trim(), case.value.to_string());
+            });
+        }
+
+        #[test]
+        fn lexer_and_parser_never_panic() {
+            const SOUP: &[char] = &[
+                'p', 'r', 'i', 'n', 't', 'd', 'e', 'f', '(', ')', ':', '=', '+', '-', '*', '/',
+                '%', '#', '"', '\'', ' ', '\n', '\t', '0', '7', '_', 'é', '!', '<', '>',
+            ];
+            check("lexer_and_parser_never_panic", 512, |g| {
+                let src = g.string_upto(SOUP, 0, 120);
+                let _ = parse(&src);
+            });
+        }
+
+        #[test]
+        fn loops_sum_matches_closed_form() {
+            check("loops_sum_matches_closed_form", 128, |g| {
+                let n = g.range_i64(0, 300);
+                let step = g.range_i64(1, 5);
+                let src = format!(
+                    "total = 0\nfor i in range(0, {n}, {step}):\n    total += i\nprint(total)"
+                );
+                let program = parse(&src).unwrap();
+                let mut interp = Interp::new(vec![], vec![]);
+                interp.run(&program).unwrap();
+                let expected: i64 = (0..n).step_by(step as usize).sum();
+                let out = String::from_utf8(interp.stdout.clone()).unwrap();
+                assert_eq!(out.trim(), expected.to_string());
+            });
+        }
+
+        #[test]
+        fn fuel_always_terminates() {
+            check("fuel_always_terminates", 64, |g| {
+                let fuel = g.range_u64(10, 5000);
+                let program = parse("while True:\n    pass").unwrap();
+                let mut interp = Interp::new(vec![], vec![]).with_fuel(fuel);
+                assert_eq!(interp.run(&program), Err(PyError::FuelExhausted));
+                assert!(interp.stats().ops <= fuel + 2);
+            });
+        }
+
+        #[test]
+        fn functions_compose() {
+            check("functions_compose", 128, |g| {
+                let a = g.range_i64(-100, 100);
+                let b = g.range_i64(-100, 100);
+                let src = format!(
+                    "def f(x):\n    return x * 2 + 1\n\ndef g(x):\n    return f(x) - 3\n\nprint(g({a}) + f({b}))"
+                );
+                let program = parse(&src).unwrap();
+                let mut interp = Interp::new(vec![], vec![]);
+                interp.run(&program).unwrap();
+                let expected = (a * 2 + 1 - 3) + (b * 2 + 1);
+                let out = String::from_utf8(interp.stdout.clone()).unwrap();
+                assert_eq!(out.trim(), expected.to_string());
+            });
+        }
     }
 }

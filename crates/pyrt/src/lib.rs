@@ -15,9 +15,6 @@ pub(crate) mod interp;
 pub(crate) mod lexer;
 pub(crate) mod parser;
 
-pub use handler::{
-    execute_script, install_python, scripts, PythonHandler, PythonProfile, ScriptInputs, ScriptKey,
-    ScriptOutcome, PYTHON,
-};
-pub use interp::{Interp, PyEpochClock, PyError, PyStats, PyValue};
-pub use parser::{parse, ParseError};
+pub use handler::{execute_script, install_python, scripts, PythonHandler, ScriptInputs, PYTHON};
+pub use interp::{Interp, PyError};
+pub use parser::parse;

@@ -248,7 +248,7 @@ mod tests {
     }
 
     fn test_module() -> Vec<u8> {
-        wasm_core::builder::demo_wasi_module("ok\n")
+        wasm_core::demo_wasi_module("ok\n")
     }
 
     #[test]
@@ -260,7 +260,7 @@ mod tests {
         let out = handler.execute(&kernel, pid, &bundle, &spec).unwrap();
         assert_eq!(out.exit_code, 0);
         assert_eq!(out.stdout, b"ok\n");
-        assert!(!out.trace.is_empty());
+        assert!(!out.trace.steps().is_empty());
     }
 
     #[test]

@@ -22,5 +22,5 @@ pub mod handler;
 pub mod profile;
 pub(crate) mod runtime;
 
-pub use profile::{RuntimeKind, RuntimeProfile};
+pub use profile::RuntimeProfile;
 pub use runtime::{Container, ContainerState, LowLevelRuntime, RuntimeCtx};

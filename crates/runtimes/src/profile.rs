@@ -8,7 +8,7 @@ use simkernel::Duration;
 
 /// The low-level OCI runtimes from the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum RuntimeKind {
+pub(crate) enum RuntimeKind {
     Crun,
     Runc,
     Youki,

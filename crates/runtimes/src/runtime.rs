@@ -326,7 +326,7 @@ mod tests {
     use simkernel::{Kernel, KernelConfig};
 
     fn microservice() -> Vec<u8> {
-        wasm_core::builder::demo_wasi_module("ready\n")
+        wasm_core::demo_wasi_module("ready\n")
     }
 
     fn setup(kernel: &Kernel) -> (Bundle, RuntimeSpec) {
@@ -372,7 +372,7 @@ mod tests {
         assert_eq!(c.state, ContainerState::Running);
         assert_eq!(c.handler, "wamr");
         assert_eq!(c.stdout, b"ready\n");
-        assert!(!c.trace.is_empty());
+        assert!(!c.trace.steps().is_empty());
 
         // Workload memory landed in the pod subtree.
         let pod_ws = kernel.cgroup_working_set(pod).unwrap();

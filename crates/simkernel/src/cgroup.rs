@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use crate::table::IdTable;
 
 /// Length of the io read-budget accounting window (1 simulated second).
-pub const IO_WINDOW_NS: u64 = 1_000_000_000;
+pub(crate) const IO_WINDOW_NS: u64 = 1_000_000_000;
 
 /// Identifier of a cgroup in the hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -47,9 +47,9 @@ pub struct MemStat {
     /// Anonymous bytes in the subtree.
     pub anon_bytes: u64,
     /// Page-cache bytes charged to the subtree.
-    pub file_bytes: u64,
+    pub(crate) file_bytes: u64,
     /// Kernel-side bytes (task structs, kernel stacks, page tables).
-    pub kernel_bytes: u64,
+    pub(crate) kernel_bytes: u64,
 }
 
 impl MemStat {

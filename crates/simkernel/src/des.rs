@@ -94,17 +94,6 @@ impl TaskSpec {
         self.steps.push(Step::Release(l));
         self
     }
-
-    /// Total CPU demand of the program (for reports).
-    pub fn cpu_demand(&self) -> Duration {
-        let mut total = Duration::ZERO;
-        for s in &self.steps {
-            if let Step::Cpu(d) = s {
-                total += *d;
-            }
-        }
-        total
-    }
 }
 
 /// Completion record for one task.
@@ -411,6 +400,19 @@ mod tests {
     impl TaskResult {
         fn elapsed(&self) -> Duration {
             self.finished - self.started
+        }
+    }
+
+    impl TaskSpec {
+        /// Total CPU demand of the program.
+        pub(crate) fn cpu_demand(&self) -> Duration {
+            let mut total = Duration::ZERO;
+            for s in &self.steps {
+                if let Step::Cpu(d) = s {
+                    total += *d;
+                }
+            }
+            total
         }
     }
 

@@ -63,10 +63,10 @@ impl Default for KernelConfig {
 /// and cache growth that per-pod cgroups do not.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FreeReport {
-    pub total: u64,
+    pub(crate) total: u64,
     pub used: u64,
-    pub buff_cache: u64,
-    pub free: u64,
+    pub(crate) buff_cache: u64,
+    pub(crate) free: u64,
     pub available: u64,
 }
 
@@ -213,11 +213,6 @@ impl Kernel {
     /// `free` and the other read-only observers keep working.
     pub fn power_off(&self) {
         self.st().powered_off = true;
-    }
-
-    /// Has this kernel suffered a power loss?
-    pub fn powered_off(&self) -> bool {
-        self.st().powered_off
     }
 
     // --------------------------------------------------------------- faults
@@ -443,34 +438,6 @@ impl Kernel {
         Ok(())
     }
 
-    /// Move a live process to another cgroup. Its anon and kernel charges
-    /// migrate; page-cache charges stay where they were faulted (Linux).
-    pub fn move_process(&self, pid: Pid, to: CgroupId) -> KernelResult<()> {
-        let mut st = self.st();
-        st.check_power()?;
-        if !st.cgroups.exists(to) {
-            return Err(KernelError::NoSuchCgroup(to));
-        }
-        let (from, anon, kernel, mapped) = {
-            let p = st.alive(pid)?;
-            let mapped: u64 = p.mappings().map(|m| m.touched_file).sum();
-            (p.cgroup, p.anon_bytes(), p.kernel_charged, mapped)
-        };
-        if from == to {
-            return Ok(());
-        }
-        st.cgroups.uncharge(from, ChargeKind::Anon, anon);
-        st.cgroups.uncharge(from, ChargeKind::Kernel, kernel);
-        st.cgroups.adjust_mapped_file(from, -(mapped as i64));
-        st.cgroups.charge(to, ChargeKind::Anon, anon);
-        st.cgroups.charge(to, ChargeKind::Kernel, kernel);
-        st.cgroups.adjust_mapped_file(to, mapped as i64);
-        st.cgroups.proc_detached(from);
-        st.cgroups.proc_attached(to);
-        st.alive_mut(pid)?.cgroup = to;
-        Ok(())
-    }
-
     /// Exit a process: tear down its address space and uncharge everything
     /// except page-cache residency (which persists machine-wide).
     pub fn exit(&self, pid: Pid, code: i32) -> KernelResult<()> {
@@ -508,7 +475,7 @@ impl Kernel {
         self.st().procs.get(pid).map(|p| p.rss()).ok_or(KernelError::NoSuchProcess(pid))
     }
 
-    pub fn proc_cgroup(&self, pid: Pid) -> KernelResult<CgroupId> {
+    pub(crate) fn proc_cgroup(&self, pid: Pid) -> KernelResult<CgroupId> {
         self.st().procs.get(pid).map(|p| p.cgroup).ok_or(KernelError::NoSuchProcess(pid))
     }
 
@@ -566,23 +533,10 @@ impl Kernel {
 
     /// Write to a copy-on-write file mapping: the written range becomes
     /// private anonymous memory.
-    pub fn cow_write(&self, pid: Pid, mapping: MappingId, bytes: u64) -> KernelResult<()> {
+    pub(crate) fn cow_write(&self, pid: Pid, mapping: MappingId, bytes: u64) -> KernelResult<()> {
         let mut st = self.st();
         st.check_power()?;
         st.touch_inner(pid, mapping, bytes, true)
-    }
-
-    /// Grow an existing mapping's reservation (e.g. `memory.grow`).
-    pub fn mremap(&self, pid: Pid, mapping: MappingId, new_len: u64) -> KernelResult<()> {
-        let mut st = self.st();
-        st.check_power()?;
-        let p = st.alive_mut(pid)?;
-        let m = p.mapping(mapping).ok_or(KernelError::NoSuchMapping(pid, mapping))?;
-        if new_len < m.rss() {
-            return Err(KernelError::InvalidState("mremap below committed size".into()));
-        }
-        p.set_mapping_len(mapping, new_len);
-        Ok(())
     }
 
     /// Unmap a region, uncharging this process's share.
@@ -1174,6 +1128,11 @@ mod tests {
         fn fault_plan(&self) -> FaultPlan {
             self.st().faults.clone()
         }
+
+        /// Has this kernel suffered a power loss?
+        pub(crate) fn powered_off(&self) -> bool {
+            self.st().powered_off
+        }
     }
 
     fn kernel() -> Kernel {
@@ -1478,20 +1437,6 @@ mod tests {
     }
 
     #[test]
-    fn move_process_migrates_charges() {
-        let k = kernel();
-        let a = k.cgroup_create(Kernel::ROOT_CGROUP, "a").unwrap();
-        let b = k.cgroup_create(Kernel::ROOT_CGROUP, "b").unwrap();
-        let pid = k.spawn("p", a).unwrap();
-        let m = k.mmap(pid, 1 << 20, MapKind::AnonPrivate).unwrap();
-        k.touch(pid, m, 1 << 20).unwrap();
-        k.move_process(pid, b).unwrap();
-        assert_eq!(k.cgroup_stat(a).unwrap().anon_bytes, 0);
-        assert_eq!(k.cgroup_stat(b).unwrap().anon_bytes, 1 << 20);
-        assert_eq!(k.proc_cgroup(pid).unwrap(), b);
-    }
-
-    #[test]
     fn cgroup_remove_reparents_cache_charge() {
         let k = kernel();
         let parent = k.cgroup_create(Kernel::ROOT_CGROUP, "pods").unwrap();
@@ -1535,22 +1480,6 @@ mod tests {
         let pid = k.spawn("p", Kernel::ROOT_CGROUP).unwrap();
         let m = k.mmap(pid, 4096, MapKind::AnonPrivate).unwrap();
         assert!(matches!(k.touch(pid, m, 8192), Err(KernelError::MappingOverflow { .. })));
-    }
-
-    #[test]
-    fn mremap_grows_reservation_only() {
-        let k = kernel();
-        let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
-        let pid = k.spawn("p", cg).unwrap();
-        let m = k.mmap(pid, 64 << 10, MapKind::AnonPrivate).unwrap();
-        k.touch(pid, m, 64 << 10).unwrap();
-        k.mremap(pid, m, 256 << 10).unwrap();
-        // Reservation grew; nothing extra committed yet.
-        assert_eq!(k.cgroup_stat(cg).unwrap().anon_bytes, 64 << 10);
-        k.touch(pid, m, 256 << 10).unwrap();
-        assert_eq!(k.cgroup_stat(cg).unwrap().anon_bytes, 256 << 10);
-        // Shrinking below the committed size is rejected.
-        assert!(k.mremap(pid, m, 128 << 10).is_err());
     }
 
     #[test]

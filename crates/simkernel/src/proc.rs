@@ -105,11 +105,6 @@ impl Process {
         self.mappings.iter().map(|m| m.committed_anon).sum()
     }
 
-    /// Every mapping, in id order.
-    pub(crate) fn mappings(&self) -> impl Iterator<Item = &Mapping> {
-        self.mappings.iter()
-    }
-
     pub(crate) fn mapping(&self, id: MappingId) -> Option<&Mapping> {
         self.position(id).map(|i| &self.mappings[i])
     }
@@ -160,13 +155,6 @@ impl Process {
             m.touched_file = touched_file;
         }
     }
-
-    /// Change a mapping's reserved length (`mremap`); residency is untouched.
-    pub(crate) fn set_mapping_len(&mut self, id: MappingId, len: u64) {
-        if let Some(i) = self.position(id) {
-            self.mappings[i].len = len;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -193,6 +181,11 @@ mod tests {
         fn vsz(&self) -> u64 {
             self.mappings.iter().map(|m| m.len).sum()
         }
+
+        /// Every mapping, in id order.
+        fn mappings(&self) -> impl Iterator<Item = &Mapping> {
+            self.mappings.iter()
+        }
     }
     use crate::mem::MapKind;
 
@@ -215,7 +208,7 @@ mod tests {
                 // miss the same way).
                 let issued = p.mapping_mark().0;
                 let any = MappingId(g.range_u64(0, issued + 2));
-                match g.index(6) {
+                match g.index(5) {
                     0..=2 => {
                         let id = p.alloc_mapping_id();
                         assert_eq!(id.0, issued, "ids are issued in order, never reused");
@@ -231,20 +224,13 @@ mod tests {
                         );
                         assert_eq!(p.mapping_mark().0, issued, "a removal frees no id");
                     }
-                    4 => {
+                    _ => {
                         let (anon_bytes, file_bytes) =
                             (g.range_u64(0, 1 << 16), g.range_u64(0, 1 << 16));
                         p.set_resident(any, anon_bytes, file_bytes);
                         if let Some(m) = model.get_mut(&any) {
                             m.committed_anon = anon_bytes;
                             m.touched_file = file_bytes;
-                        }
-                    }
-                    _ => {
-                        let len = g.range_u64(1, 1 << 24);
-                        p.set_mapping_len(any, len);
-                        if let Some(m) = model.get_mut(&any) {
-                            m.len = len;
                         }
                     }
                 }

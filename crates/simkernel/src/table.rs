@@ -15,7 +15,7 @@ use crate::proc::Pid;
 use crate::vfs::FileId;
 
 /// An id an [`IdTable`] indexes by: a number issued once, from 0 up.
-pub trait TableId: Copy {
+pub(crate) trait TableId: Copy {
     fn index(self) -> usize;
     fn from_index(index: usize) -> Self;
 }
@@ -39,7 +39,7 @@ table_id!(Pid, CgroupId, FileId);
 /// A map from monotonic ids to values. Nothing is allocated before the
 /// first insert; an id below the highest one inserted can never be inserted
 /// again, so a removed id never reappears.
-pub struct IdTable<K, V> {
+pub(crate) struct IdTable<K, V> {
     slots: Vec<Option<Box<V>>>,
     /// Occupied slots.
     len: usize,
@@ -47,13 +47,13 @@ pub struct IdTable<K, V> {
 }
 
 impl<K: TableId, V> IdTable<K, V> {
-    pub const fn new() -> Self {
+    pub(crate) const fn new() -> Self {
         IdTable { slots: Vec::new(), len: 0, key: PhantomData }
     }
 
     /// Insert the value of a newly issued id. Panics if `id` is not above
     /// every id this table has held.
-    pub fn insert(&mut self, id: K, value: V) {
+    pub(crate) fn insert(&mut self, id: K, value: V) {
         let i = id.index();
         assert!(i >= self.slots.len(), "table ids are issued once, in increasing order");
         self.slots.resize_with(i, || None);
@@ -61,31 +61,31 @@ impl<K: TableId, V> IdTable<K, V> {
         self.len += 1;
     }
 
-    pub fn get(&self, id: K) -> Option<&V> {
+    pub(crate) fn get(&self, id: K) -> Option<&V> {
         self.slots.get(id.index())?.as_deref()
     }
 
-    pub fn get_mut(&mut self, id: K) -> Option<&mut V> {
+    pub(crate) fn get_mut(&mut self, id: K) -> Option<&mut V> {
         self.slots.get_mut(id.index())?.as_deref_mut()
     }
 
-    pub fn contains(&self, id: K) -> bool {
+    pub(crate) fn contains(&self, id: K) -> bool {
         self.get(id).is_some()
     }
 
     /// Take an id's value out; its slot stays, empty, for good.
-    pub fn remove(&mut self, id: K) -> Option<V> {
+    pub(crate) fn remove(&mut self, id: K) -> Option<V> {
         let value = self.slots.get_mut(id.index())?.take()?;
         self.len -= 1;
         Some(*value)
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
     /// Every `(id, value)`, in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (K, &V)> {
         self.slots.iter().enumerate().filter_map(|(i, s)| Some((K::from_index(i), s.as_deref()?)))
     }
 

@@ -67,13 +67,6 @@ impl Duration {
         Duration(s * 1_000_000_000)
     }
 
-    /// Build from fractional seconds (rounds to nearest nanosecond).
-    #[inline]
-    pub fn from_secs_f64(s: f64) -> Duration {
-        assert!(s >= 0.0 && s.is_finite(), "negative or non-finite duration");
-        Duration((s * 1e9).round() as u64)
-    }
-
     #[inline]
     pub fn as_nanos(self) -> u64 {
         self.0
@@ -205,7 +198,6 @@ mod tests {
         assert_eq!(Duration::from_secs(2).as_nanos(), 2_000_000_000);
         assert_eq!(Duration::from_millis(3).as_micros(), 3_000);
         assert_eq!(Duration::from_micros(5).as_nanos(), 5_000);
-        assert_eq!(Duration::from_secs_f64(0.5).as_millis(), 500);
     }
 
     #[test]
@@ -245,11 +237,5 @@ mod tests {
         assert_eq!(format!("{}", Duration::from_micros(7)), "7.000us");
         assert_eq!(format!("{}", Duration::from_millis(7)), "7.000ms");
         assert_eq!(format!("{}", Duration::from_secs(7)), "7.000s");
-    }
-
-    #[test]
-    #[should_panic]
-    fn negative_secs_f64_panics() {
-        let _ = Duration::from_secs_f64(-1.0);
     }
 }

@@ -211,10 +211,6 @@ impl StepTrace {
         self.entries.iter().map(|e| (e.phase(), e.step()))
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Flatten to the raw step program in insertion order (what the DES
     /// consumes; byte-identical to the pre-trace plumbing).
     pub fn steps(&self) -> Vec<Step> {
@@ -241,6 +237,12 @@ impl StepTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl StepTrace {
+        pub(crate) fn is_empty(&self) -> bool {
+            self.entries.is_empty()
+        }
+    }
 
     #[test]
     fn flatten_preserves_insertion_order_across_phases() {

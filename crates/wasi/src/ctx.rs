@@ -6,7 +6,7 @@ use std::rc::Rc;
 use simkernel::{FileId, Kernel, Pid};
 
 /// Shared handle to a stdio capture buffer.
-pub type StdioHandle = Rc<RefCell<Vec<u8>>>;
+pub(crate) type StdioHandle = Rc<RefCell<Vec<u8>>>;
 
 /// An open guest file descriptor.
 #[derive(Debug, Clone)]

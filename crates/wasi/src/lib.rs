@@ -48,4 +48,4 @@ pub(crate) mod ctx;
 pub(crate) mod errno;
 mod host;
 
-pub use ctx::{StdioHandle, WasiCtx, WorldMark};
+pub use ctx::WasiCtx;

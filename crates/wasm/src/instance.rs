@@ -132,7 +132,8 @@ impl EpochState {
 }
 
 /// A host (import) function: receives the instance memory and arguments.
-pub type HostFunc = Box<dyn FnMut(&mut Option<LinearMemory>, &[Value]) -> Result<Vec<Value>, Trap>>;
+pub(crate) type HostFunc =
+    Box<dyn FnMut(&mut Option<LinearMemory>, &[Value]) -> Result<Vec<Value>, Trap>>;
 
 /// Named host imports for instantiation, keyed module → name so that
 /// resolution looks both up by borrowed `&str`.

@@ -30,7 +30,7 @@
 // indexing.
 #![forbid(unsafe_code)]
 
-pub mod builder;
+pub(crate) mod builder;
 pub mod cache;
 pub(crate) mod decode;
 pub(crate) mod encode;
@@ -47,16 +47,16 @@ pub mod types;
 pub(crate) mod validate;
 pub(crate) mod values;
 
-pub use builder::{FuncBuilder, ModuleBuilder};
-pub use cache::{ArtifactCache, CacheStats};
+pub use builder::{demo_wasi_module, FuncBuilder, ModuleBuilder};
+pub use cache::ArtifactCache;
 pub use decode::decode_module;
 pub use encode::encode_module;
 pub use instance::{
-    EpochClock, EpochConfig, ExecStats, ExecTier, HostFunc, Imports, Instance, InstanceConfig,
+    EpochClock, EpochConfig, ExecStats, ExecTier, Imports, Instance, InstanceConfig,
 };
 pub use instr::Instruction;
 pub use memory::{LinearMemory, WASM_PAGE_SIZE};
-pub use module::{FuncBody, Module};
-pub use types::{FuncType, GlobalType, Limits, ValType};
+pub use module::Module;
+pub use types::{FuncType, ValType};
 pub use validate::validate_module;
 pub use values::{Trap, Value};

@@ -25,7 +25,7 @@ pub(crate) enum ImportDesc {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Import {
     pub(crate) module: String,
-    pub(crate) name: String,
+    pub name: String,
     pub(crate) desc: ImportDesc,
 }
 
@@ -67,7 +67,7 @@ pub struct Global {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ElementSegment {
     pub(crate) table: u32,
-    pub(crate) offset: ConstExpr,
+    pub offset: ConstExpr,
     pub(crate) funcs: Vec<u32>,
 }
 

@@ -110,7 +110,7 @@ pub struct GlobalType {
 /// A table type (MVP: funcref only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct TableType {
-    pub(crate) limits: Limits,
+    pub limits: Limits,
 }
 
 /// A memory type.

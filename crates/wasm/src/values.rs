@@ -197,7 +197,7 @@ pub(crate) mod trunc {
         }
         // Exclusive upper bound: 2^31 is exactly representable in f32 while
         // 2^31 - 1 is not (it rounds up to 2^31, which must trap).
-        if v >= 2147483648.0_f32 || v < -2147483648.0_f32 {
+        if !(-2147483648.0_f32..2147483648.0_f32).contains(&v) {
             return Err(Trap::IntegerOverflow);
         }
         Ok(v.trunc() as i32)

@@ -21,6 +21,11 @@ cargo test -q --offline --manifest-path benchmark/Cargo.toml
 echo "== cargo fmt --check =="
 cargo fmt --check
 
+echo "== cargo clippy (workspace, all targets, warnings denied) =="
+# [workspace.lints.clippy] configures clippy; this is what runs it. The
+# benchmark package is outside the workspace and stays ungated.
+cargo clippy --offline --workspace --all-targets -- -D warnings
+
 echo "== check: #[cfg(test)] marks only a file's trailing test module =="
 # The lints below and the size count treat everything from a file's first
 # '#[cfg(test)]' down as test code. An item-level '#[cfg(test)]' halfway
@@ -260,7 +265,7 @@ budget rust-non-test "$non_test" \
 budget pub-items "$pub_items" \
   "non-test items declared 'pub'." \
   "a pub item is API other crates may come to rely on, and rustc's dead-code lints cannot see past it." \
-  "make the item pub(crate) unless another crate, a doc test or benchmark/ calls it. If it must be pub, raise the ceiling in scripts/size_budget.txt."
+  "make the item pub(crate) unless non-test code in another crate, a doc test or benchmark/ calls it (DESIGN.md, \"Crate boundaries\"). If it must be pub, raise the ceiling in scripts/size_budget.txt."
 budget design-md-lines "$(wc -l <DESIGN.md)" \
   "DESIGN.md." \
   "it should hold mechanisms and invariants only, and is to shrink to one section per crate (ROADMAP item 9)." \

@@ -5,9 +5,8 @@
 
 use std::sync::Mutex;
 
-use memwasm::harness::{
-    cluster_scale, density_sweep, policy_ablation, run_drain, Config, ScalePlan, Workload,
-};
+use memwasm::harness::cluster_scale::{self, density_sweep, policy_ablation, run_drain, ScalePlan};
+use memwasm::harness::{Config, Workload};
 use memwasm::simkernel::{Sim, TaskSpec};
 use memwasm::wasm_core::cache::content_hash;
 

@@ -1,7 +1,7 @@
 //! Determinism: every experiment is bit-for-bit repeatable — no wall clock,
 //! no OS randomness anywhere in the stack.
 
-use memwasm::harness::{measure_memory, measure_startup, Config, Workload};
+use memwasm::harness::{measure_cell, measure_memory, Config, Observe, Workload};
 
 #[test]
 fn memory_measurements_are_deterministic() {
@@ -18,8 +18,8 @@ fn memory_measurements_are_deterministic() {
 fn startup_measurements_are_deterministic() {
     let w = Workload::light();
     for config in [Config::WamrCrun, Config::ShimWasmEdge, Config::RuncPython] {
-        let a = measure_startup(config, 12, &w).unwrap();
-        let b = measure_startup(config, 12, &w).unwrap();
+        let startup = || measure_cell(config, 12, &w, Observe::Startup).unwrap().startup.unwrap();
+        let (a, b) = (startup(), startup());
         assert_eq!(a.total, b.total, "{config:?}");
     }
 }

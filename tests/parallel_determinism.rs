@@ -4,8 +4,9 @@
 
 use std::sync::Mutex;
 
+use memwasm::harness::figures::FIGURES;
 use memwasm::harness::{
-    run_cells_on, Cell, CellSample, Column, Config, Figure, Grid, Observe, Workload, FIGURES,
+    run_cells_on, Cell, CellSample, Column, Config, Figure, Grid, Observe, Workload,
 };
 
 /// Serializes every test that mutates the process-wide `HARNESS_THREADS`
@@ -96,7 +97,12 @@ fn pinned_thread_counts_are_byte_identical_and_parallel_is_not_slower() {
         eprintln!("skipping speedup sanity: {cores} core(s) < 4");
         return;
     }
-    let cells = Cell::memory_grid(&[Config::WamrCrun, Config::CrunWasmtime], &[4, 8, 12, 16]);
+    let cells: Vec<Cell> = [Config::WamrCrun, Config::CrunWasmtime]
+        .into_iter()
+        .flat_map(|c| {
+            [4, 8, 12, 16].map(|d| Cell { config: c, density: d, observe: Observe::Memory })
+        })
+        .collect();
     let t = std::time::Instant::now();
     run_cells_on(&cells, &w, 1).unwrap();
     let serial_s = t.elapsed().as_secs_f64();
