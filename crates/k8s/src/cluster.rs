@@ -1051,6 +1051,28 @@ mod tests {
         assert_eq!(cluster.ready_replicas(&ctrl), 4);
     }
 
+    /// `manage_pod` enters a supervised pod into the kubelet's table as
+    /// what its first sync made it: Running, CrashLoopBackOff after a
+    /// retryable error, Failed after a fatal one.
+    #[test]
+    fn a_managed_pods_entry_is_its_first_syncs_outcome() {
+        let mut cluster = cluster_with_wamr();
+        let opts = DeployOpts { restart: RestartPolicy::Always, ..Default::default() };
+        cluster.deploy_with("ok", "svc:v1", "crun-wamr", 1, opts).unwrap();
+        // The sandbox's shim spawn fails: a retry can help.
+        cluster
+            .kernel()
+            .set_fault_plan(simkernel::FaultPlan::new(3).fail_call(FaultSite::Spawn, 0));
+        cluster.deploy_with("retry", "svc:v1", "crun-wamr", 1, opts).unwrap();
+        cluster.kernel().set_fault_plan(simkernel::FaultPlan::none());
+        // No such runtime class: no retry can help.
+        cluster.deploy_with("fatal", "svc:v1", "crun-nothing", 1, opts).unwrap();
+        let phase = |pod: &str| cluster.kubelet().managed_pod(pod).map(|e| e.phase);
+        assert_eq!(phase("ok-0"), Some(PodPhase::Running));
+        assert_eq!(phase("retry-0"), Some(PodPhase::CrashLoopBackOff));
+        assert_eq!(phase("fatal-0"), Some(PodPhase::Failed));
+    }
+
     /// Reconcile and step until a lease has had time to expire and the
     /// pod-eviction grace to pass.
     fn advance_past_eviction(cluster: &mut Cluster) {

@@ -823,6 +823,40 @@ mod tests {
         assert!(s.try_start(0, t(0)).is_none());
     }
 
+    /// Under the policy every caller builds, `for_exec(exec, d)` with
+    /// `d ≤ exec`, admission is decided by the deadline and the queue
+    /// length alone, in either mode and at any depth: the estimated wait
+    /// never exceeds the budget while the queue has room.
+    #[test]
+    fn admission_is_decided_by_deadline_and_queue_length_alone() {
+        simkernel::prop::check("admission_is_decided_by_deadline_and_queue_length", 512, |g| {
+            let exec = Duration::from_nanos(g.range_u64(1, 1 << 40));
+            let degraded_exec = Duration::from_nanos(g.range_u64(0, exec.as_nanos() + 1));
+            let mut s = Service::new(ServiceConfig::for_exec(exec, degraded_exec), g.next_u64());
+            s.degraded = g.next_bool();
+            s.endpoints.push(Endpoint::new(0, "pod-0".into(), 0));
+            let now = t(g.range_u64(0, 10_000));
+            let queued = g.index(QUEUE_CAPACITY + 4);
+            let e = &mut s.endpoints[0];
+            for token in 0..queued as u64 {
+                e.queue.push_back(QueuedReq { token, deadline: t(20_000) });
+            }
+            if g.next_bool() {
+                let finish = now + exec;
+                e.serving = Some(InFlight { token: 99, finish, served: true, degraded: false });
+            }
+            let deadline = t(g.range_u64(0, 20_000));
+            let verdict = s.admit(0, now, 100, deadline);
+            let admits = deadline > now && queued < QUEUE_CAPACITY;
+            assert_eq!(verdict.is_ok(), admits, "queued {queued}, deadline {deadline} at {now}");
+            if let Err(reason) = verdict {
+                let expected =
+                    if deadline <= now { ShedReason::Deadline } else { ShedReason::QueueFull };
+                assert_eq!(reason, expected);
+            }
+        });
+    }
+
     #[test]
     fn admission_sheds_on_wait_budget_and_deadline() {
         let mut s = test_service(1);
