@@ -117,9 +117,8 @@ pub struct Sandbox {
     pub(crate) shim_pid: Pid,
     pause: Option<Container>,
     pause_bundle: Option<Bundle>,
-    /// Sorted by id — a pod holds one container, a few at most — and grown
-    /// one exact slot at a time.
-    containers: Vec<CriContainer>,
+    /// The pod's one app container, once created.
+    container: Option<CriContainer>,
 }
 
 impl Sandbox {
@@ -130,17 +129,16 @@ impl Sandbox {
             shim_pid: self.shim_pid,
             pause: self.pause.as_ref().map(Container::fork),
             pause_bundle: self.pause_bundle.clone(),
-            containers: self.containers.iter().map(CriContainer::fork).collect(),
+            container: self.container.as_ref().map(CriContainer::fork),
         }
     }
 
     pub fn container(&self, id: &str) -> Option<&CriContainer> {
-        self.position(id).ok().map(|i| &self.containers[i])
+        self.container.as_ref().filter(|c| c.id == id)
     }
 
-    /// Where `id` is (`Ok`) or would be inserted (`Err`).
-    fn position(&self, id: &str) -> Result<usize, usize> {
-        self.containers.binary_search_by(|c| c.id.as_str().cmp(id))
+    fn container_mut(&mut self, id: &str) -> Option<&mut CriContainer> {
+        self.container.as_mut().filter(|c| c.id == id)
     }
 }
 
@@ -361,7 +359,7 @@ impl Containerd {
             shim_pid,
             pause,
             pause_bundle,
-            containers: Vec::new(),
+            container: None,
         };
         self.sandboxes.insert(pod_id.to_string(), Box::new(sandbox));
         Ok(())
@@ -399,11 +397,12 @@ impl Containerd {
             .sandboxes
             .get_mut(pod_id)
             .ok_or_else(|| KernelError::InvalidState(format!("no sandbox {pod_id}")))?;
-        let Err(slot) = sandbox.position(container_id) else {
+        if let Some(c) = &sandbox.container {
             return Err(KernelError::InvalidState(format!(
-                "container {container_id} already exists in {pod_id}"
+                "{pod_id} already holds container {}",
+                c.id
             )));
-        };
+        }
 
         let mut spec = RuntimeSpec::for_command(container_id, image.command());
         spec.process.env = image.config.env.clone();
@@ -442,20 +441,16 @@ impl Containerd {
             RuntimeClass::Runwasi { .. } => None,
         };
 
-        sandbox.containers.reserve_exact(1);
-        sandbox.containers.insert(
-            slot,
-            CriContainer {
-                id: container_id.to_string(),
-                image: Arc::clone(&image.reference),
-                state: Lifecycle::new(),
-                stdout: Vec::new(),
-                wedged: false,
-                epoch_clock: None,
-                oci,
-                bundle,
-            },
-        );
+        sandbox.container = Some(CriContainer {
+            id: container_id.to_string(),
+            image: Arc::clone(&image.reference),
+            state: Lifecycle::new(),
+            stdout: Vec::new(),
+            wedged: false,
+            epoch_clock: None,
+            oci,
+            bundle,
+        });
         Ok(())
     }
 
@@ -471,17 +466,16 @@ impl Containerd {
             .get_mut(pod_id)
             .ok_or_else(|| KernelError::InvalidState(format!("no sandbox {pod_id}")))?;
         let shim_pid = sandbox.shim_pid;
-        let slot = sandbox
-            .position(container_id)
-            .map_err(|_| KernelError::InvalidState(format!("no container {container_id}")))?;
-        let container = &mut sandbox.containers[slot];
+        let class = self.classes.get(&sandbox.class).expect("class checked at sandbox");
+        let container = sandbox
+            .container_mut(container_id)
+            .ok_or_else(|| KernelError::InvalidState(format!("no container {container_id}")))?;
         if !lifecycle::legal(container.state.state(), ContainerState::Running) {
             return Err(KernelError::InvalidState(format!(
                 "container {container_id} is {:?}",
                 container.state.state()
             )));
         }
-        let class = self.classes.get(&sandbox.class).expect("class checked at sandbox");
         match class {
             RuntimeClass::Oci { runtime } => {
                 let ctx = RuntimeCtx { runtime_cgroup: self.system_cgroup };
@@ -518,16 +512,11 @@ impl Containerd {
     /// keeps the pod's log; the container record keeps none of it. Empty
     /// for an unknown pod or container.
     pub fn take_container_stdout(&mut self, pod_id: &str, container_id: &str) -> Vec<u8> {
-        let Some(sandbox) = self.sandboxes.get_mut(pod_id) else {
-            return Vec::new();
-        };
-        match sandbox.position(container_id) {
-            Ok(slot) => std::mem::take(&mut sandbox.containers[slot].stdout),
-            Err(_) => Vec::new(),
-        }
+        let container = self.sandboxes.get_mut(pod_id).and_then(|s| s.container_mut(container_id));
+        container.map(|c| std::mem::take(&mut c.stdout)).unwrap_or_default()
     }
 
-    /// CRI RemovePodSandbox: stop containers, pause, and the shim.
+    /// CRI RemovePodSandbox: stop the container, pause, and the shim.
     ///
     /// Idempotent: removing a sandbox that does not exist (already removed,
     /// or never fully created) is a successful no-op, so rollback paths can
@@ -546,7 +535,7 @@ impl Containerd {
                 first_err.get_or_insert(e);
             }
         };
-        for mut c in std::mem::take(&mut sandbox.containers) {
+        if let Some(mut c) = sandbox.container.take() {
             if let RuntimeClass::Oci { runtime } = class {
                 if let Some(oci) = c.oci.as_mut() {
                     note(runtime.delete(oci));
@@ -569,8 +558,8 @@ impl Containerd {
         }
     }
 
-    /// A kubelet health-probe RPC against the pod's containers. Returns
-    /// `Ok(true)` when every container is Running and responsive: a wedged
+    /// A kubelet health-probe RPC against the pod's container. Returns
+    /// `Ok(true)` when it is Running and responsive: a wedged
     /// container (watchdog-interrupted guest), a missing sandbox, or an
     /// OOM-killed backing process all probe unhealthy. [`FaultSite::Probe`]
     /// models a transient probe-RPC failure against a healthy pod — the
@@ -589,26 +578,21 @@ impl Containerd {
         if self.pod_oom_killed(pod_id) {
             return Ok(false);
         }
-        Ok(s.containers.iter().all(|c| c.state.is(ContainerState::Running) && !c.wedged))
+        Ok(s.container.iter().all(|c| c.state.is(ContainerState::Running) && !c.wedged))
     }
 
-    /// True when any container in the pod wedged on its watchdog budget and
-    /// is still up (Running or riding out a termination grace period).
+    /// True when the pod's container wedged on its watchdog budget and is
+    /// still up (Running or riding out a termination grace period).
     pub fn pod_wedged(&self, pod_id: &str) -> bool {
-        self.sandboxes.get(pod_id).is_some_and(|s| {
-            s.containers.iter().any(|c| {
-                c.wedged
-                    && matches!(
-                        c.state.state(),
-                        ContainerState::Running | ContainerState::Terminating
-                    )
-            })
+        self.sandboxes.get(pod_id).and_then(|s| s.container.as_ref()).is_some_and(|c| {
+            c.wedged
+                && matches!(c.state.state(), ContainerState::Running | ContainerState::Terminating)
         })
     }
 
-    /// Deliver SIGTERM to a pod's containers: each Running container moves
-    /// to [`ContainerState::Terminating`]. Returns `true` when any of them
-    /// is wedged — a wedged guest cannot honor SIGTERM, so the kubelet must
+    /// Deliver SIGTERM to a pod's container: a Running container moves to
+    /// [`ContainerState::Terminating`]. Returns `true` when it is wedged — a
+    /// wedged guest cannot honor SIGTERM, so the kubelet must
     /// ride out the grace period and escalate to [`Containerd::interrupt_pod`].
     /// Clean containers terminate promptly: the subsequent
     /// [`Containerd::remove_pod_sandbox`] stops them with no clock advance.
@@ -620,23 +604,22 @@ impl Containerd {
         let Some(sandbox) = self.sandboxes.get_mut(pod_id) else {
             return Ok(false);
         };
-        let mut wedged = false;
-        for c in &mut sandbox.containers {
-            if c.state.begin_termination() {
-                // SIGTERM delivery + signal-handler dispatch in the guest.
-                trace.push(Phase::Terminating, Step::Cpu(Duration::from_micros(150)));
-            }
-            if let Some(oci) = c.oci.as_mut() {
-                oci.state.begin_termination();
-            }
-            wedged |= c.wedged && c.state.is(ContainerState::Terminating);
+        let Some(c) = sandbox.container.as_mut() else {
+            return Ok(false);
+        };
+        if c.state.begin_termination() {
+            // SIGTERM delivery + signal-handler dispatch in the guest.
+            trace.push(Phase::Terminating, Step::Cpu(Duration::from_micros(150)));
         }
-        Ok(wedged)
+        if let Some(oci) = c.oci.as_mut() {
+            oci.state.begin_termination();
+        }
+        Ok(c.wedged && c.state.is(ContainerState::Terminating))
     }
 
-    /// SIGKILL a pod's containers: bump each guest's watchdog epoch clock
-    /// (the stop lands at its next epoch safepoint), mark the containers
-    /// Failed, and kill their init processes. This is the only hard-kill
+    /// SIGKILL a pod's container: bump its guest's watchdog epoch clock
+    /// (the stop lands at its next epoch safepoint), mark the container
+    /// Failed, and kill its init process. This is the only hard-kill
     /// path — the kubelet reaches it from a failed liveness probe or from
     /// termination-grace-period expiry, tagging the work with the phase the
     /// escalation belongs to.
@@ -649,7 +632,7 @@ impl Containerd {
         let Some(sandbox) = self.sandboxes.get_mut(pod_id) else {
             return Ok(());
         };
-        for c in &mut sandbox.containers {
+        if let Some(c) = sandbox.container.as_mut() {
             if let Some(clock) = &c.epoch_clock {
                 clock.interrupt();
             }
@@ -660,9 +643,9 @@ impl Containerd {
                 if self.kernel.proc_state(oci.pid).is_ok() {
                     self.kernel.reap(oci.pid)?;
                 }
-                oci.state.fail(false);
+                oci.state.fail();
             }
-            c.state.fail(false);
+            c.state.fail();
             c.wedged = false;
             trace.push(phase, Step::Cpu(Duration::from_micros(200)));
         }
@@ -682,7 +665,7 @@ impl Containerd {
             |pid: Pid| matches!(self.kernel.proc_state(pid), Ok(simkernel::ProcState::OomKilled));
         oomed(s.shim_pid)
             || s.pause.as_ref().is_some_and(|p| oomed(p.pid))
-            || s.containers.iter().any(|c| c.oci.as_ref().is_some_and(|o| oomed(o.pid)))
+            || s.container.as_ref().and_then(|c| c.oci.as_ref()).is_some_and(|o| oomed(o.pid))
     }
 }
 
@@ -692,13 +675,6 @@ mod tests {
     use container_runtimes::handler::{PauseHandler, WasmEngineHandler};
     use container_runtimes::profile::{install_runtimes, CRUN};
     use simkernel::{Kernel, KernelConfig};
-
-    impl Sandbox {
-        /// In id order.
-        fn container_ids(&self) -> Vec<String> {
-            self.containers.iter().map(|c| c.id.clone()).collect()
-        }
-    }
 
     impl Containerd {
         /// Pod working set as the metrics-server reads it.
@@ -835,33 +811,30 @@ mod tests {
     }
 
     #[test]
-    fn containers_are_listed_and_torn_down_in_id_order_whatever_order_they_came_in() {
+    fn a_sandbox_holds_one_container_and_teardown_attempts_everything() {
         let mut cd = boot();
         let procs = cd.kernel.live_procs();
         let mut trace = StepTrace::new();
         cd.run_pod_sandbox("p", "crun-wamr", &mut trace).unwrap();
-        for id in ["m", "z", "a"] {
-            cd.create_container("p", id, "svc:v1", None, &mut trace).unwrap();
-            cd.start_container("p", id, &mut trace).unwrap();
-        }
+        cd.create_container("p", "m", "svc:v1", None, &mut trace).unwrap();
+        let err = cd.create_container("p", "z", "svc:v1", None, &mut trace).unwrap_err();
+        assert!(
+            matches!(&err, KernelError::InvalidState(m) if m.contains("already holds container m")),
+            "{err:?}"
+        );
+        cd.start_container("p", "m", &mut trace).unwrap();
         let sandbox = cd.sandbox("p").unwrap();
-        assert_eq!(sandbox.container_ids(), ["a", "m", "z"]);
-        assert!(sandbox.container("m").is_some() && sandbox.container("b").is_none());
-        assert!(cd.create_container("p", "m", "svc:v1", None, &mut trace).is_err(), "duplicate id");
-        assert_eq!(cd.sandbox("p").unwrap().container_ids().len(), 3);
+        assert!(sandbox.container("m").is_some() && sandbox.container("z").is_none());
 
         // Teardown attempts everything and reports the first failure: with
-        // two bundles' config.json already gone, that is the first of them
-        // in id order — "a", created last — not in creation order.
-        let config = |id: &str| cd.kernel.lookup(&format!("/run/containers/{id}/config.json"));
-        let (a, m) = (config("a").unwrap(), config("m").unwrap());
-        assert!(m < a, "created earlier");
-        cd.kernel.remove_file(m).unwrap();
-        cd.kernel.remove_file(a).unwrap();
+        // the bundle's config.json already gone, the container's processes,
+        // the pause container and the shim still go.
+        let config = cd.kernel.lookup("/run/containers/m/config.json").unwrap();
+        cd.kernel.remove_file(config).unwrap();
         let err = cd.remove_pod_sandbox("p").unwrap_err();
-        assert!(matches!(err, KernelError::NoSuchFile(f) if f == a), "{err:?}");
+        assert!(matches!(err, KernelError::NoSuchFile(f) if f == config), "{err:?}");
         assert!(cd.sandbox("p").is_none());
-        assert_eq!(cd.kernel.live_procs(), procs, "every container was still torn down");
+        assert_eq!(cd.kernel.live_procs(), procs, "the container was still torn down");
     }
 
     #[test]
@@ -873,7 +846,7 @@ mod tests {
         cd.kernel.set_fault_plan(simkernel::FaultPlan::new(1).fail_call(FaultSite::Spawn, 0));
         let err = cd.create_container("p", "c", "svc:v1", None, &mut trace).unwrap_err();
         assert!(matches!(err, KernelError::FaultInjected(FaultSite::Spawn)), "{err:?}");
-        assert!(cd.sandbox("p").unwrap().container_ids().is_empty());
+        assert!(cd.sandbox("p").unwrap().container("c").is_none());
         cd.kernel.set_fault_plan(simkernel::FaultPlan::none());
         cd.create_container("p", "c", "svc:v1", None, &mut trace).unwrap();
         cd.start_container("p", "c", &mut trace).unwrap();

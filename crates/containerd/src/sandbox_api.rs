@@ -272,6 +272,7 @@ mod tests {
     fn every_sandbox_container_is_charged_for_its_guest_cpu() {
         let (kernel, image) = setup();
         let pod = kernel.cgroup_create(Kernel::ROOT_CGROUP, "pod").unwrap();
+        #[expect(clippy::disallowed_methods, reason = "a test sets the limit a pod spec would")]
         kernel.cgroup_set_cpu_max(pod, Some((1_000_000, 100_000_000))).unwrap();
         let sandboxer = WasmSandboxer::new(kernel.clone(), EngineKind::Wamr);
         let mut sandbox = sandboxer.create_sandbox("p", pod).unwrap();

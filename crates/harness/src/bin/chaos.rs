@@ -245,7 +245,7 @@ fn main() {
     }
 }
 
-// `cli.rs` is compiled into all five binaries; its tests live here, in the
+// `cli.rs` is compiled into all four binaries; its tests live here, in the
 // binary with the richest command line, so they run once.
 #[cfg(test)]
 mod tests {

@@ -14,11 +14,9 @@
 //! * `cluster [--smoke]` — pods-per-cluster density sweep (25 nodes, swept
 //!   to 10k pods) and the scheduler-policy ablation; `--smoke` is the
 //!   CI-sized plan (3 nodes, tens of pods).
-//! * `claims [--quick]` — every quantitative claim of the paper checked
-//!   against one measurement of the grid, exit 1 if one fails; `--quick`
-//!   checks the memory claims at densities 8/64 instead of 10/100/400 and
-//!   skips the three startup claims pinned to 400 pods (`[SKIP]`, not
-//!   counted).
+//! * `claims` — every quantitative claim of the paper checked against one
+//!   measurement of the grid at the paper's densities, exit 1 if one
+//!   fails.
 //!
 //! Figures print their table and write `target/experiments/<name>.csv`.
 
@@ -31,21 +29,20 @@ use harness::figures::{self, Figure, Grid, FIGURES, PAPER_DENSITIES};
 use harness::{Config, Workload};
 use simkernel::KernelResult;
 
-const USAGE: &str =
-    "figures <fig3..fig10|all|table1|table2|phases|cluster [--smoke]|claims [--quick]>";
+const USAGE: &str = "figures <fig3..fig10|all|table1|table2|phases|cluster [--smoke]|claims>";
 
-/// One subcommand besides the figures of [`FIGURES`]: its name, the one
-/// flag it accepts ("" for none), and the function that runs it given
-/// whether that flag was set.
-type Command = (&'static str, &'static str, fn(bool) -> KernelResult<()>);
+/// One subcommand besides the figures of [`FIGURES`]: its name and the
+/// function that runs it given whether `--smoke` was set (only `cluster`
+/// takes the flag).
+type Command = (&'static str, fn(bool) -> KernelResult<()>);
 
 const COMMANDS: [Command; 6] = [
-    ("all", "", |_| emit(&FIGURES)),
-    ("table1", "", |_| text(figures::table1())),
-    ("table2", "", |_| text(figures::table2())),
-    ("phases", "", |_| phases()),
-    ("cluster", "--smoke", cluster),
-    ("claims", "--quick", claims),
+    ("all", |_| emit(&FIGURES)),
+    ("table1", |_| text(figures::table1())),
+    ("table2", |_| text(figures::table2())),
+    ("phases", |_| phases()),
+    ("cluster", cluster),
+    ("claims", |_| claims()),
 ];
 
 fn names() -> Vec<&'static str> {
@@ -83,38 +80,28 @@ fn cluster(smoke: bool) -> KernelResult<()> {
     Ok(())
 }
 
-fn claims(quick: bool) -> KernelResult<()> {
-    let (memory, small_n, large_n): (&[usize], usize, Option<usize>) =
-        if quick { (&[8, 64], 10, None) } else { (&PAPER_DENSITIES, 10, Some(400)) };
-    let densities: Vec<usize> = memory.iter().copied().chain([small_n]).chain(large_n).collect();
-    let grid = Grid::measure(&Config::ALL, &densities, &Workload::default())?;
-    let all = claims::check(&grid, memory, small_n, large_n)?;
+fn claims() -> KernelResult<()> {
+    let grid = Grid::measure(&Config::ALL, &PAPER_DENSITIES, &Workload::default())?;
+    let all = claims::check(&grid, &PAPER_DENSITIES, 10, 400)?;
     let (text, passed) = render_claims(&all);
     println!("{text}");
     if !passed {
         println!("Some claims FAILED.");
         std::process::exit(1);
     }
-    match all.iter().filter(|c| c.skipped).count() {
-        0 => println!("All {} claims hold.", all.len()),
-        skipped => {
-            println!("All {} evaluated claims hold ({skipped} skipped).", all.len() - skipped)
-        }
-    }
+    println!("All {} claims hold.", all.len());
     Ok(())
 }
 
 fn main() {
-    let cli = cli::Cli::parse(USAGE, &names(), &["--smoke", "--quick"], &[]);
+    let cli = cli::Cli::parse(USAGE, &names(), &["--smoke"], &[]);
     let Some(name) = cli.command.as_deref() else { cli::usage_exit(USAGE, "which figure?") };
     // A figure takes no flag; everything else is a row of COMMANDS.
-    let command = COMMANDS.iter().find(|c| c.0 == name);
-    let flag = command.map_or("", |c| c.1);
-    if let Some(other) = ["--smoke", "--quick"].iter().find(|&&f| f != flag && cli.has(f)) {
-        cli::usage_exit(USAGE, &format!("{name} does not take {other}"));
+    if name != "cluster" && cli.has("--smoke") {
+        cli::usage_exit(USAGE, &format!("{name} does not take --smoke"));
     }
-    let result = match command {
-        Some(command) => (command.2)(cli.has(flag)),
+    let result = match COMMANDS.iter().find(|c| c.0 == name) {
+        Some(command) => (command.1)(cli.has("--smoke")),
         None => {
             let i = FIGURES.iter().position(|f| f.name == name);
             let i = i.expect("the parser admits only names()");

@@ -256,9 +256,13 @@ fn ablation_dlopen(w: &Workload) -> KernelResult<()> {
 }
 
 /// `ablation_inplace`: in-place interpretation vs forced eager lowering at
-/// the Wasm-core level (the memory/speed trade).
+/// the Wasm-core level (the memory/speed trade), then the workload's own
+/// counts on both tiers and under the Python interpreter — the inputs the
+/// cost-model constants are tuned against.
 fn ablation_inplace(w: &Workload) {
-    let module = Arc::new(decode_module(workloads::microservice_module(&w.wasm)).expect("decode"));
+    let bytes = workloads::microservice_module(&w.wasm);
+    let module_size = bytes.len();
+    let module = Arc::new(decode_module(bytes).expect("decode"));
     let run = |tier: ExecTier| {
         let imports = Imports::new()
             .func("wasi_snapshot_preview1", "fd_write", |_, _| Ok(vec![Value::I32(0)]));
@@ -278,6 +282,14 @@ fn ablation_inplace(w: &Workload) {
         b.lowered_bytes,
         b.lowered_bytes / module.code_size().max(1)
     );
+    println!("module size = {module_size} bytes");
+    println!("code size = {}", module.code_size());
+    println!("instrs (inplace) = {}", a.instrs_retired);
+    println!("instrs (lowered) = {} lowered_bytes = {}", b.instrs_retired, b.lowered_bytes);
+    let program = pyrt::parse(&workloads::python_microservice_script(&w.python)).expect("parse");
+    let mut python = pyrt::Interp::new(vec![], vec![]);
+    python.run(&program).expect("run");
+    println!("python ops = {} allocs = {}", python.stats().ops, python.stats().allocs);
 }
 
 /// `ablation_module_cache`: Wasmtime's content-addressed code cache. Cold

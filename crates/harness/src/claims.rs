@@ -16,15 +16,12 @@ use crate::report::mb;
 pub struct ClaimResult {
     pub name: &'static str,
     pub passed: bool,
-    /// The claim was not evaluated (`detail` says why): it has neither
-    /// passed nor failed, and does not count either way.
-    pub skipped: bool,
     pub detail: String,
 }
 
 impl ClaimResult {
     fn check(name: &'static str, passed: bool, detail: String) -> ClaimResult {
-        ClaimResult { name, passed, skipped: false, detail }
+        ClaimResult { name, passed, detail }
     }
 }
 
@@ -68,16 +65,11 @@ fn mean_reduction(read: Reading, other: Config, densities: &[usize]) -> KernelRe
 /// `memory_densities`, then the startup claims — Fig. 8's shapes at
 /// `small_n` pods and Fig. 9's density crossover at `large_n`. Deploys
 /// nothing: a cell the grid lacks is an error.
-///
-/// The Fig. 9 claims are pinned to the paper's contended density (their
-/// names end `_at_400`): the crossover they describe needs hundreds of pods
-/// contending for the task lock. With `large_n` `None` they are reported as
-/// skipped rather than evaluated where it has not happened yet.
 pub fn check(
     grid: &Grid,
     memory_densities: &[usize],
     small_n: usize,
-    large_n: impl Into<Option<usize>>,
+    large_n: usize,
 ) -> KernelResult<Vec<ClaimResult>> {
     let metrics = |c: Config, d: usize| grid.at(c, d).map(|s| mb(s.memory.metrics_avg));
     let free = |c: Config, d: usize| grid.at(c, d).map(|s| mb(s.memory.free_per_pod));
@@ -193,62 +185,38 @@ pub fn check(
 
     // Fig 9: the crossover — ours beats the shims at 400 (≈19%/28%), but
     // crun-Wasmtime beats ours (≈7%).
-    let large_n = large_n.into();
-    let mut at_400 = |name: &'static str,
-                      check: &dyn Fn(usize) -> KernelResult<(bool, String)>|
-     -> KernelResult<()> {
-        out.push(match large_n {
-            Some(n) => {
-                let (passed, detail) = check(n)?;
-                ClaimResult::check(name, passed, detail)
-            }
-            None => ClaimResult {
-                name,
-                passed: false,
-                skipped: true,
-                detail: "pinned to 400 pods; not evaluated at a reduced density".into(),
-            },
-        });
-        Ok(())
-    };
-    at_400("fig9_ours_beats_shims_at_400", &|n| {
-        let below_edge = min_reduction(&startup, &[Config::ShimWasmEdge], &[n])?;
-        let below_wt = min_reduction(&startup, &[Config::ShimWasmtime], &[n])?;
-        Ok((
-            below_edge >= 12.0 && below_wt >= 20.0,
-            format!(
-                "ours {below_edge:.1}% below shim-wasmedge (paper 18.82%), {below_wt:.1}% below shim-wasmtime (paper 28.38%)"
-            ),
-        ))
-    })?;
-    at_400("fig9_crun_wasmtime_beats_ours_at_400", &|n| {
-        let penalty = reduction(startup(Config::CrunWasmtime, n)?, startup(OURS, n)?);
-        Ok((
-            (2.0..=14.0).contains(&penalty),
-            format!(
-                "crun-wasmtime {penalty:.1}% faster than ours (paper: ours took 6.93% more time)"
-            ),
-        ))
-    })?;
-    at_400("fig9_ours_beats_python_at_400", &|n| {
-        let py_margin_l = min_reduction(&startup, &PYTHON, &[n])?;
-        Ok((py_margin_l > 0.0, format!("ours faster than Python at 400 by ≥{py_margin_l:.1}%")))
-    })?;
+    let below_edge = min_reduction(&startup, &[Config::ShimWasmEdge], &[large_n])?;
+    let below_wt = min_reduction(&startup, &[Config::ShimWasmtime], &[large_n])?;
+    out.push(ClaimResult::check(
+        "fig9_ours_beats_shims_at_400",
+        below_edge >= 12.0 && below_wt >= 20.0,
+        format!(
+            "ours {below_edge:.1}% below shim-wasmedge (paper 18.82%), {below_wt:.1}% below shim-wasmtime (paper 28.38%)"
+        ),
+    ));
+    let penalty = reduction(startup(Config::CrunWasmtime, large_n)?, startup(OURS, large_n)?);
+    out.push(ClaimResult::check(
+        "fig9_crun_wasmtime_beats_ours_at_400",
+        (2.0..=14.0).contains(&penalty),
+        format!("crun-wasmtime {penalty:.1}% faster than ours (paper: ours took 6.93% more time)"),
+    ));
+    let py_margin_l = min_reduction(&startup, &PYTHON, &[large_n])?;
+    out.push(ClaimResult::check(
+        "fig9_ours_beats_python_at_400",
+        py_margin_l > 0.0,
+        format!("ours faster than Python at 400 by ≥{py_margin_l:.1}%"),
+    ));
 
     Ok(out)
 }
 
-/// Render claim results, returning whether every evaluated claim passed.
+/// Render claim results, returning whether every claim passed.
 pub fn render_claims(claims: &[ClaimResult]) -> (String, bool) {
     let mut all = true;
     let mut out = String::new();
     for c in claims {
-        all &= c.passed || c.skipped;
-        let verdict = match (c.skipped, c.passed) {
-            (true, _) => "SKIP",
-            (false, true) => "PASS",
-            (false, false) => "FAIL",
-        };
+        all &= c.passed;
+        let verdict = if c.passed { "PASS" } else { "FAIL" };
         out.push_str(&format!("[{verdict}] {:<42} {}\n", c.name, c.detail));
     }
     (out, all)
@@ -262,21 +230,19 @@ mod tests {
     #[test]
     fn a_claim_about_a_cell_the_grid_lacks_is_an_error_not_a_verdict() {
         let grid = Grid::measure(&Config::ALL, &[2], &Workload::light()).unwrap();
-        let claims = check(&grid, &[2], 2, None).unwrap();
-        assert_eq!((claims.len(), claims.iter().filter(|c| c.skipped).count()), (15, 3));
+        let claims = check(&grid, &[2], 2, 2).unwrap();
+        assert_eq!(claims.len(), 15);
         let e = check(&grid, &[2], 2, 3).unwrap_err().to_string();
         assert!(e.contains("3 pods"), "{e}");
     }
 
     #[test]
-    fn a_skipped_claim_counts_neither_way_and_a_failed_one_still_fails() {
+    fn one_failed_claim_fails_the_render() {
         let pass = ClaimResult::check("holds", true, "1.0% (paper 1.0%)".into());
         let fail = ClaimResult::check("broken", false, "0.1% (paper 9.9%)".into());
-        let skip = ClaimResult { skipped: true, ..fail.clone() };
-        let (text, ok) = render_claims(&[pass.clone(), skip.clone()]);
-        assert!(ok, "{text}");
-        assert!(text.starts_with("[PASS] holds") && text.contains("\n[SKIP] broken"), "{text}");
-        let (text, ok) = render_claims(&[pass, skip, fail]);
+        let (text, ok) = render_claims(std::slice::from_ref(&pass));
+        assert!(ok && text.starts_with("[PASS] holds"), "{text}");
+        let (text, ok) = render_claims(&[pass, fail]);
         assert!(!ok && text.contains("\n[FAIL] broken"), "{text}");
     }
 }

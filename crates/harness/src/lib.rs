@@ -6,10 +6,9 @@
 //! quantitative claims as checks on that grid ([`claims`]).
 //!
 //! Every sweep fans out through [`parallel::run_grid`], the only place the
-//! harness spawns threads. Five binaries drive it: `figures <fig3..fig10|
+//! harness spawns threads. Four binaries drive it: `figures <fig3..fig10|
 //! all|table1|table2|phases|cluster|claims>` (print a table, write a CSV
-//! under `target/experiments/`), `calibrate`, `studies`, `chaos` and
-//! `traffic`.
+//! under `target/experiments/`), `studies`, `chaos` and `traffic`.
 
 #![forbid(unsafe_code)]
 

@@ -17,7 +17,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use simkernel::KernelResult;
+use simkernel::{KernelError, KernelResult};
 
 use crate::config::{Config, Workload};
 use crate::runner::{measure_cell, CellSample, Observe};
@@ -41,19 +41,26 @@ impl Cell {
 }
 
 /// How many workers to use for a grid of `cells` cells: the
-/// `HARNESS_THREADS` environment variable if set to a positive integer,
-/// otherwise the machine's available parallelism — never more workers
-/// than cells.
-pub(crate) fn worker_count(cells: usize) -> usize {
-    let cap = cells.max(1);
-    if let Ok(v) = std::env::var("HARNESS_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n.min(cap);
-            }
-        }
+/// `HARNESS_THREADS` environment variable when it is set, otherwise the
+/// machine's available parallelism — never more workers than cells.
+pub(crate) fn worker_count(cells: usize) -> KernelResult<usize> {
+    let threads = match std::env::var_os("HARNESS_THREADS") {
+        None => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        Some(value) => parse_threads(&value.to_string_lossy())?,
+    };
+    Ok(threads.min(cells.max(1)))
+}
+
+/// A set `HARNESS_THREADS` value: a positive integer, or an error that
+/// names it. A typo must not quietly mean "all cores", or a one-worker
+/// run compared against a two-worker one would compare two parallel runs.
+fn parse_threads(value: &str) -> KernelResult<usize> {
+    match value.trim().parse::<usize>() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(KernelError::InvalidState(format!(
+            "HARNESS_THREADS={value:?} is not a positive integer"
+        ))),
     }
-    std::thread::available_parallelism().map_or(1, |n| n.get()).min(cap)
 }
 
 /// Run `run` on every item, fanning out over [`worker_count`] workers,
@@ -64,7 +71,7 @@ pub(crate) fn run_grid<T: Sync, R: Send>(
     items: &[T],
     run: impl Fn(&T) -> KernelResult<R> + Sync,
 ) -> KernelResult<Vec<R>> {
-    run_grid_on(items, worker_count(items.len()), run)
+    run_grid_on(items, worker_count(items.len())?, run)
 }
 
 /// [`run_grid`] with an explicit worker count. One requested thread or a
@@ -111,7 +118,7 @@ pub(crate) fn run_grid_on<T: Sync, R: Send>(
 
 /// Measure every cell through [`run_grid`]; samples in grid order.
 pub(crate) fn run_cells(cells: &[Cell], workload: &Workload) -> KernelResult<Vec<CellSample>> {
-    run_cells_on(cells, workload, worker_count(cells.len()))
+    run_cells_on(cells, workload, worker_count(cells.len())?)
 }
 
 /// [`run_cells`] with an explicit worker count (1 = serial in the calling
@@ -141,13 +148,22 @@ mod tests {
                 .collect()
         }
     }
-    use simkernel::KernelError;
 
     #[test]
     fn worker_count_respects_env_and_cells() {
         // Never more workers than cells, regardless of the machine.
-        assert_eq!(worker_count(1), 1);
-        assert!(worker_count(1_000_000) >= 1);
+        assert_eq!(worker_count(1), Ok(1));
+        assert!(worker_count(1_000_000).unwrap() >= 1);
+    }
+
+    #[test]
+    fn a_thread_count_that_is_not_a_positive_integer_is_an_error_naming_it() {
+        assert_eq!(parse_threads("2"), Ok(2));
+        assert_eq!(parse_threads(" 3\n"), Ok(3));
+        for bad in ["0", "x", "-1", "", "1.5"] {
+            let e = parse_threads(bad).unwrap_err().to_string();
+            assert!(e.contains(&format!("HARNESS_THREADS={bad:?}")), "{e}");
+        }
     }
 
     #[test]

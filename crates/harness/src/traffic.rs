@@ -215,7 +215,7 @@ pub struct TrafficRun {
     pub config: Config,
     pub phases: Vec<PhaseStats>,
     /// Sheds by [`ShedReason::index`], whole run.
-    pub sheds_by_reason: [u64; 4],
+    pub sheds_by_reason: [u64; 3],
     /// Total attempts admitted by the service, whole run.
     pub admitted: u64,
     /// Total attempts issued (first + retries), whole run.
@@ -1237,7 +1237,7 @@ mod tests {
         let run = TrafficRun {
             config: Config::WamrCrun,
             phases,
-            sheds_by_reason: [0; 4],
+            sheds_by_reason: [0; 3],
             admitted: 0,
             attempts: 0,
             breaker_opens: 0,

@@ -73,13 +73,12 @@ pub struct PodSpec {
 
 /// Pod lifecycle phase.
 ///
-/// Beyond Pending, Running and Failed, the kubelet's supervision loop
+/// Beyond Running and Failed, the kubelet's supervision loop
 /// surfaces the recovery states of the fault model: a pod OOM-killed by
 /// the kernel, a pod evicted for node pressure, and a pod waiting out its
 /// restart backoff.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PodPhase {
-    Pending,
     Running,
     /// Terminal: the pod cannot be (re)started — configuration error or
     /// restart policy exhausted.
@@ -201,7 +200,7 @@ pub struct ReplicaEntry {
 ///
 /// The controller is plain bookkeeping — every state change goes through
 /// the cluster (scheduler placement, kubelet sync/removal); the cluster's
-/// `reconcile_controller` / `rolling_update` / `autoscale` methods drive
+/// `reconcile_controller` / `rollout_step` / `autoscale` methods drive
 /// it.
 #[derive(Debug, Clone)]
 pub struct DeploymentController {
@@ -240,9 +239,8 @@ pub struct HpaSpec {
 
 /// Outcome of one rolling-update round ([`crate::Cluster::rollout_step`]):
 /// what the surge/retire pass did and whether the rollout has converged.
-/// [`crate::Cluster::rolling_update`] is a loop of these; callers that
-/// need to interleave other cluster events with a rollout (a drain racing
-/// an update, chaos schedules) drive the steps themselves.
+/// Callers drive the rounds themselves, so other cluster events (a drain
+/// racing an update, live traffic) can interleave with a rollout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RolloutStep {
     /// New-revision pods created this round.
@@ -251,19 +249,6 @@ pub struct RolloutStep {
     pub(crate) deleted: usize,
     /// Every replica on the new revision and ready.
     pub done: bool,
-}
-
-/// Outcome of a rolling update.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RolloutReport {
-    /// New-revision pods created.
-    pub(crate) created: usize,
-    /// Old-revision pods deleted.
-    pub(crate) deleted: usize,
-    /// Reconcile rounds the rollout took.
-    pub rounds: usize,
-    /// All replicas on the new revision and ready within the round budget.
-    pub converged: bool,
 }
 
 #[cfg(test)]

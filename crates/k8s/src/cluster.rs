@@ -37,7 +37,7 @@ use simkernel::{
 
 use crate::api::{
     Deployment, DeploymentController, HpaSpec, PodPhase, PodSpec, ProbeSpec, ReplicaEntry,
-    RolloutReport, RolloutStep,
+    RolloutStep,
 };
 use crate::kubelet::{Kubelet, NodeConfig, ReconcileReport, RestartPolicy};
 use crate::node::{Node, NodeCondition};
@@ -167,24 +167,9 @@ impl Cluster {
         policy: Policy,
     ) -> KernelResult<Cluster> {
         assert!(n > 0, "a cluster needs at least one node");
-        let configs: Vec<(KernelConfig, NodeConfig)> =
-            (0..n).map(|_| (kcfg.clone(), ncfg.clone())).collect();
-        Cluster::new_with_configs(&configs, policy)
-    }
-
-    /// Boot a heterogeneous cluster: one (kernel, kubelet) shape per node,
-    /// so mixed memory sizes, core counts and max-pods ceilings can share
-    /// a scheduler. The uniform constructors delegate here.
-    pub(crate) fn new_with_configs(
-        configs: &[(KernelConfig, NodeConfig)],
-        policy: Policy,
-    ) -> KernelResult<Cluster> {
-        assert!(!configs.is_empty(), "a cluster needs at least one node");
         let clock = Clock::default();
-        let nodes = configs
-            .iter()
-            .enumerate()
-            .map(|(i, (kcfg, ncfg))| Node::bootstrap(i, kcfg.clone(), ncfg.clone(), &clock))
+        let nodes = (0..n)
+            .map(|i| Node::bootstrap(i, kcfg.clone(), ncfg.clone(), &clock))
             .collect::<KernelResult<Vec<Node>>>()?;
         Ok(Cluster { nodes, scheduler: Scheduler::new(policy), clock })
     }
@@ -320,7 +305,6 @@ impl Cluster {
                     }
                     PodPhase::OomKilled => stats.oom_killed += 1,
                     PodPhase::Failed => stats.failed += 1,
-                    _ => {}
                 }
             }
         }
@@ -780,8 +764,7 @@ impl Cluster {
 
     /// Flip a controller's template to a new image and bump the revision:
     /// the declarative half of a rolling update. Drive convergence with
-    /// [`Cluster::rollout_step`], or let [`Cluster::rolling_update`] loop
-    /// it for you.
+    /// [`Cluster::rollout_step`] rounds.
     pub fn begin_rolling_update(&mut self, ctrl: &mut DeploymentController, image: &str) {
         ctrl.revision += 1;
         ctrl.spec.image = image.into();
@@ -825,35 +808,6 @@ impl Cluster {
             && ctrl.replicas.iter().all(|r| r.revision == rev)
             && self.ready_replicas(ctrl) == replicas;
         Ok(RolloutStep { created, deleted, done })
-    }
-
-    /// Rolling update to a new image: [`Cluster::begin_rolling_update`]
-    /// followed by [`Cluster::rollout_step`] rounds until converged or
-    /// `max_rounds` elapse. After each step of the clock the kubelets
-    /// reconcile first, so the next round's surge and retire decisions see
-    /// the readiness the step brought.
-    pub fn rolling_update(
-        &mut self,
-        ctrl: &mut DeploymentController,
-        image: &str,
-        max_rounds: usize,
-    ) -> KernelResult<RolloutReport> {
-        self.begin_rolling_update(ctrl, image);
-        let mut created = 0usize;
-        let mut deleted = 0usize;
-        let mut stepped = false;
-        let done = self.run_rounds(max_rounds, |c| {
-            if stepped {
-                c.reconcile();
-            }
-            stepped = true;
-            let step = c.rollout_step(ctrl)?;
-            created += step.created;
-            deleted += step.deleted;
-            Ok(step.done)
-        })?;
-        let rounds = done.map_or(max_rounds, |steps| steps + 1);
-        Ok(RolloutReport { created, deleted, rounds, converged: done.is_some() })
     }
 
     /// One HPA evaluation on the request-path signal: while the service's
@@ -1026,7 +980,7 @@ mod tests {
     }
 
     #[test]
-    fn rolling_update_replaces_all_replicas() {
+    fn a_rollout_replaces_all_replicas() {
         let mut cluster = cluster_with_wamr();
         cluster
             .pull_image(
@@ -1039,10 +993,22 @@ mod tests {
         let mut ctrl = DeploymentController::new(spec);
         assert!(cluster.settle_controller(&mut ctrl, 50).unwrap());
 
-        let report = cluster.rolling_update(&mut ctrl, "svc:v2", 100).unwrap();
-        assert!(report.converged, "{report:?}");
-        assert_eq!(report.created, 4);
-        assert_eq!(report.deleted, 4);
+        cluster.begin_rolling_update(&mut ctrl, "svc:v2");
+        let (mut created, mut deleted, mut stepped) = (0, 0, false);
+        let steps = cluster.run_rounds(100, |c| {
+            // After a step of the clock the kubelets reconcile first, so
+            // the round's surge and retire see the readiness it brought.
+            if stepped {
+                c.reconcile();
+            }
+            stepped = true;
+            let step = c.rollout_step(&mut ctrl)?;
+            created += step.created;
+            deleted += step.deleted;
+            Ok(step.done)
+        });
+        assert!(steps.unwrap().is_some(), "the rollout converges");
+        assert_eq!((created, deleted), (4, 4));
         assert!(ctrl.replicas.iter().all(|r| r.revision == 2));
         for r in &ctrl.replicas {
             let e = cluster.node(r.node).kubelet.managed_pod(&r.pod).unwrap();
@@ -1167,21 +1133,6 @@ mod tests {
         assert_eq!(cluster.node(2).kubelet.pod_count(), 0);
         assert_eq!(cluster.ready_replicas(&ctrl), 6);
         assert_eq!(cluster.stats().running, 6);
-    }
-
-    #[test]
-    fn heterogeneous_nodes_respect_per_node_max_pods() {
-        let configs = vec![
-            (KernelConfig::default(), NodeConfig { max_pods: 2, ..NodeConfig::paper_extension() }),
-            (KernelConfig::default(), NodeConfig::paper_extension()),
-        ];
-        let mut cluster = Cluster::new_with_configs(&configs, Policy::Spread).unwrap();
-        install_wamr(&mut cluster);
-        let d = cluster.deploy("web", "svc:v1", "crun-wamr", 6).unwrap();
-        // The small node admits only its 2; the rest spill to the big one.
-        assert_eq!(d.pods.iter().filter(|p| p.node == 0).count(), 2);
-        assert_eq!(d.pods.iter().filter(|p| p.node == 1).count(), 4);
-        cluster.teardown(d).unwrap();
     }
 
     #[test]

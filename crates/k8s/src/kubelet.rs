@@ -390,6 +390,10 @@ impl Kubelet {
 
     /// Sync one pod: run the full startup pipeline through the CRI.
     /// Returns the pod record with its accumulated DES steps.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the pod sync applies the pod spec's cgroup limits, once per pod"
+    )]
     pub(crate) fn sync_pod(
         &mut self,
         containerd: &mut Containerd,
@@ -518,10 +522,14 @@ impl Kubelet {
         let seq = self.next_seq;
         self.next_seq += 1;
         let name = spec.name.clone();
+        let synced = self.sync_pod(containerd, spec.clone(), dispatched_at);
+        // The entry is what that first sync made it: `record_sync` fills in
+        // a success, or moves the entry to the failure phase the error
+        // implies.
         let mut entry = PodEntry {
-            spec: spec.clone(),
+            spec,
             seq,
-            phase: PodPhase::Pending,
+            phase: PodPhase::Running,
             failures: 0,
             restarts: 0,
             next_restart_at: None,
@@ -534,7 +542,6 @@ impl Kubelet {
             liveness: None,
             readiness: None,
         };
-        let synced = self.sync_pod(containerd, spec, dispatched_at);
         Self::record_sync(&mut entry, synced, containerd, self.kernel.now());
         if !self.pods.contains_key(&name) && !self.infra_procs.contains_key(&name) {
             self.torn_down += 1;
@@ -574,6 +581,7 @@ impl Kubelet {
     /// when liveness killed it, release its node resources, record the
     /// recovery step, and move its entry into the failure phase `fault`
     /// implies. The entry stays, so a restart re-syncs from its spec.
+    #[expect(clippy::disallowed_methods, reason = "the liveness kill is a sanctioned hard kill")]
     fn fail_pod(
         &mut self,
         containerd: &mut Containerd,
@@ -784,6 +792,10 @@ impl Kubelet {
     /// the first error is reported at the end, and removing a pod that is
     /// already gone is a successful no-op. Returns the termination steps
     /// it recorded ([`Phase::Terminating`]-tagged SIGTERM/SIGKILL work).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the grace-period escalation is a sanctioned hard kill"
+    )]
     pub(crate) fn remove_pod(
         &mut self,
         containerd: &mut Containerd,

@@ -16,6 +16,10 @@
 //!   processes, daemon growth, kernel overhead and the page cache.
 
 #![forbid(unsafe_code)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "ShedReason is this crate's: clippy.toml keeps it out of the others"
+)]
 
 pub(crate) mod api;
 pub(crate) mod cluster;

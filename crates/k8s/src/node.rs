@@ -142,6 +142,7 @@ impl Node {
     /// memory. The node's kubelet/containerd state is left frozen (stale)
     /// — the control plane only learns of the death when the lease
     /// expires.
+    #[expect(clippy::disallowed_methods, reason = "a node crash is the one ungraceful death")]
     pub(crate) fn crash(&mut self) -> KernelResult<()> {
         if !self.alive {
             return Err(KernelError::InvalidState(format!("{} is already crashed", self.name)));

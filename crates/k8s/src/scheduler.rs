@@ -1,8 +1,8 @@
 //! Pod placement: the cluster's scheduling policies.
 //!
 //! Every placement decision in the workspace goes through [`Scheduler`]
-//! (a lint in `scripts/verify.sh` keeps `kubelet.manage_pod` calls out of
-//! harness code). Policies score candidate nodes on three live signals:
+//! (the kubelet's sync verbs are `pub(crate)`, so harness code cannot
+//! place a pod itself). Policies score candidate nodes on three live signals:
 //!
 //! * **memory pressure** — the node kernel's `free(1)` available bytes;
 //! * **running-pod count** — supervised pods on the node's kubelet;

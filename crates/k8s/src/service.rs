@@ -5,8 +5,8 @@
 //! a Kubernetes Service + ingress does: readiness-gated endpoints,
 //! deterministic pick-of-2 load balancing on live queue depth, per-pod
 //! **bounded request queues**, and **admission control** that sheds with a
-//! typed 503 ([`ShedReason`]) when queue depth or estimated wait exceeds the
-//! budget. Rejecting is not free: each shed charges [`ServiceConfig::
+//! typed 503 ([`ShedReason`]) when the queue is full or the deadline has
+//! passed. Rejecting is not free: each shed charges [`ServiceConfig::
 //! reject_cost`] of server time to the picked endpoint, which is exactly the
 //! mechanism that makes unbudgeted retry storms metastable — the reject work
 //! alone can exceed capacity.
@@ -51,26 +51,19 @@ pub enum ShedReason {
     NoEndpoint,
     /// The picked endpoint's bounded queue is full.
     QueueFull,
-    /// Estimated queueing delay exceeds the admission wait budget.
-    WaitBudget,
     /// The request's deadline already passed (or cannot be met at all).
     Deadline,
 }
 
 impl ShedReason {
-    pub(crate) const ALL: [ShedReason; 4] = [
-        ShedReason::NoEndpoint,
-        ShedReason::QueueFull,
-        ShedReason::WaitBudget,
-        ShedReason::Deadline,
-    ];
+    pub(crate) const ALL: [ShedReason; 3] =
+        [ShedReason::NoEndpoint, ShedReason::QueueFull, ShedReason::Deadline];
 
     pub(crate) fn index(self) -> usize {
         match self {
             ShedReason::NoEndpoint => 0,
             ShedReason::QueueFull => 1,
-            ShedReason::WaitBudget => 2,
-            ShedReason::Deadline => 3,
+            ShedReason::Deadline => 2,
         }
     }
 }
@@ -363,8 +356,6 @@ const BROWNOUT_LOW_X1000: u64 = 2_000;
 /// Service policy knobs, scaled from one deployment's execution time.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Admission sheds when estimated wait (`depth × exec`) exceeds this.
-    pub(crate) wait_budget: Duration,
     /// Server time one rejection costs the picked endpoint (parsing +
     /// writing the 503). This is why unbudgeted retry storms are
     /// metastable: reject work alone can exceed capacity.
@@ -387,7 +378,6 @@ impl ServiceConfig {
     pub fn for_exec(exec: Duration, exec_degraded: Duration) -> ServiceConfig {
         let ns = exec.as_nanos();
         ServiceConfig {
-            wait_budget: Duration::from_nanos(ns.saturating_mul(16)),
             reject_cost: Duration::from_nanos(ns / 8),
             exec,
             exec_degraded,
@@ -550,8 +540,7 @@ impl Service {
     }
 
     /// Admission control at endpoint `ep`: shed (typed 503) when the
-    /// deadline already passed, the bounded queue is full, or the estimated
-    /// wait (`depth × exec`) exceeds the wait budget. A shed charges
+    /// deadline already passed or the bounded queue is full. A shed charges
     /// [`ServiceConfig::reject_cost`] of server time to the endpoint.
     /// On success the request is queued FIFO.
     pub fn admit(
@@ -561,15 +550,11 @@ impl Service {
         token: u64,
         deadline: SimTime,
     ) -> Result<Admitted, ShedReason> {
-        let exec = if self.degraded { self.config.exec_degraded } else { self.config.exec };
-        let (cap, budget) = (QUEUE_CAPACITY, self.config.wait_budget);
         let e = &mut self.endpoints[ep];
         let verdict = if deadline <= now {
             Err(ShedReason::Deadline)
-        } else if e.queue.len() >= cap {
+        } else if e.queue.len() >= QUEUE_CAPACITY {
             Err(ShedReason::QueueFull)
-        } else if Duration::from_nanos(exec.as_nanos().saturating_mul(e.depth() as u64)) > budget {
-            Err(ShedReason::WaitBudget)
         } else {
             Ok(())
         };
@@ -804,7 +789,6 @@ mod tests {
     #[test]
     fn bounded_queue_sheds_in_fifo_order() {
         let mut s = test_service(1);
-        s.config.wait_budget = Duration::from_secs(10); // only QueueFull fires
         let deadline = t(10_000);
         for token in 0..16u64 {
             s.admit(0, t(0), token, deadline).unwrap();
@@ -825,8 +809,7 @@ mod tests {
 
     /// Under the policy every caller builds, `for_exec(exec, d)` with
     /// `d ≤ exec`, admission is decided by the deadline and the queue
-    /// length alone, in either mode and at any depth: the estimated wait
-    /// never exceeds the budget while the queue has room.
+    /// length alone, in either mode and whoever is being served.
     #[test]
     fn admission_is_decided_by_deadline_and_queue_length_alone() {
         simkernel::prop::check("admission_is_decided_by_deadline_and_queue_length", 512, |g| {
@@ -858,16 +841,8 @@ mod tests {
     }
 
     #[test]
-    fn admission_sheds_on_wait_budget_and_deadline() {
+    fn admission_sheds_on_deadline() {
         let mut s = test_service(1);
-        // Wait budget of 2 execs: the third queued request estimates past it.
-        s.config.wait_budget = Duration::from_millis(10);
-        let deadline = t(10_000);
-        s.admit(0, t(0), 1, deadline).unwrap();
-        s.admit(0, t(0), 2, deadline).unwrap();
-        s.admit(0, t(0), 3, deadline).unwrap();
-        let err = s.admit(0, t(0), 4, deadline).unwrap_err();
-        assert_eq!(err, ShedReason::WaitBudget);
         // A request whose deadline already passed is shed typed Deadline.
         let err = s.admit(0, t(50), 5, t(40)).unwrap_err();
         assert_eq!(err, ShedReason::Deadline);
@@ -1120,11 +1095,10 @@ mod tests {
     #[test]
     fn reject_cost_delays_subsequent_starts() {
         let mut s = test_service(1);
-        s.config.wait_budget = Duration::ZERO; // every admit with depth ≥ 1 sheds
-        let deadline = t(10_000);
-        s.admit(0, t(0), 1, deadline).unwrap();
+        s.admit(0, t(0), 1, t(10_000)).unwrap();
         for token in 2..10u64 {
-            assert_eq!(s.admit(0, t(0), token, deadline).unwrap_err(), ShedReason::WaitBudget);
+            // Already past its deadline: shed.
+            assert_eq!(s.admit(0, t(0), token, t(0)).unwrap_err(), ShedReason::Deadline);
         }
         // 8 sheds × reject_cost (5ms/8) = 5ms of reject work before the
         // queued request can start.

@@ -39,6 +39,11 @@
 //! assert!(free.used > 0);
 //! ```
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the kernel verbs clippy.toml restricts are this crate's own"
+)]
+
 pub(crate) mod cgroup;
 pub(crate) mod des;
 pub(crate) mod error;

@@ -5,8 +5,8 @@
 //! `containerd` — previously tracked container state with their own ad-hoc
 //! enums and `if state != Created` checks, which is how asymmetric teardown
 //! creeps in: one path forgets to reject a double-start, the other forgets
-//! that delete-after-OOM is legal. This module is the one place transition
-//! legality lives:
+//! that delete-after-a-fault is legal. This module is the one place
+//! transition legality lives:
 //!
 //! ```text
 //!            ┌──────────┐
@@ -15,22 +15,21 @@
 //!                 │ start              │              │
 //!            ┌────▼─────┐             │         ┌────▼─────┐
 //!            │ Running  │──────────────┤ crash ──▶│  Failed  │
-//!            └──┬─┬─────┘   kill/exit  │          └────┬─────┘
-//!        SIGTERM│ │ memory.max breach  │               ▲ SIGKILL
-//!   ┌───────────▼┐│              ┌────▼─────┐    ┌────┴────────┐
-//!   │ Terminating ├┼─────────────▶│ Stopped  │◀───┤ Terminating │
-//!   └─────────────┘│ exits in     └────┬─────┘    │ grace over  │
-//!            ┌────▼──────┐ grace       │          └─────────────┘
-//!            │ OomKilled │             │ delete
-//!            └────┬──────┘             │
-//!                 │ delete        ┌───▼──────┐
-//!                 └──────────────▶│ Deleted  │   (terminal)
+//!            └──┬───────┘   kill/exit  │          └────┬─────┘
+//!        SIGTERM│                      │               ▲ SIGKILL
+//!   ┌───────────▼┐               ┌────▼─────┐    ┌────┴────────┐
+//!   │ Terminating ├──────────────▶│ Stopped  │◀───┤ Terminating │
+//!   └─────────────┘  exits in     └────┬─────┘    │ grace over  │
+//!                    grace             │ delete   └─────────────┘
+//!                                 ┌───▼──────┐
+//!                                 │ Deleted  │   (terminal; also from Failed)
 //!                                 └──────────┘
 //! ```
 //!
-//! `Stopped` is the orderly exit, `Failed` is an error exit (setup failure
-//! or crash), `OomKilled` is the kernel enforcing `memory.max`. All three
-//! are "down" states that only `delete` can leave. `Terminating` is the
+//! `Stopped` is the orderly exit, `Failed` is an error exit (setup failure,
+//! crash, or a SIGKILL). Both are "down" states that only `delete` can
+//! leave; a process the kernel OOM-kills is the kernel's record
+//! (`ProcState::OomKilled`), which the kubelet reads. `Terminating` is the
 //! grace-period window between SIGTERM and the outcome: the guest either
 //! exits in time (`Stopped`) or ignores the signal and is hard-killed when
 //! the grace period lapses (`Failed`). A terminating container is still up
@@ -54,9 +53,6 @@ pub enum LifecycleState {
     /// Error exit: setup failure before the first instruction, or a crash
     /// while running. Only `delete` leaves this state.
     Failed,
-    /// The kernel killed the container enforcing `memory.max`. Only
-    /// `delete` leaves this state.
-    OomKilled,
     Deleted,
 }
 
@@ -71,12 +67,10 @@ pub const fn legal(from: LifecycleState, to: LifecycleState) -> bool {
             | (Running, Terminating)
             | (Running, Stopped)
             | (Running, Failed)
-            | (Running, OomKilled)
             | (Terminating, Stopped)
             | (Terminating, Failed)
             | (Stopped, Deleted)
             | (Failed, Deleted)
-            | (OomKilled, Deleted)
     )
 }
 
@@ -140,32 +134,23 @@ impl Lifecycle {
     /// Idempotent stop for teardown paths: advances `Created`/`Running`/
     /// `Terminating` to `Stopped` and reports whether the caller must
     /// actually kill the process. Containers that are already down
-    /// (`Stopped`, `Failed`, `OomKilled`) or `Deleted` need no work.
+    /// (`Stopped`, `Failed`) or `Deleted` need no work.
     pub fn stop(&mut self) -> bool {
         match self.state {
             LifecycleState::Created | LifecycleState::Running | LifecycleState::Terminating => {
                 self.state = LifecycleState::Stopped;
                 true
             }
-            LifecycleState::Stopped
-            | LifecycleState::Failed
-            | LifecycleState::OomKilled
-            | LifecycleState::Deleted => false,
+            LifecycleState::Stopped | LifecycleState::Failed | LifecycleState::Deleted => false,
         }
     }
 
     /// Record a fault exit: `Created`/`Running`/`Terminating` containers
-    /// move to `Failed` (or `OomKilled` when `oom` is set — only legal while
-    /// `Running`, since a terminating guest is hard-killed, not OOM-billed);
-    /// already-down containers keep their state. Reports whether the caller
-    /// must reap the process.
-    pub fn fail(&mut self, oom: bool) -> bool {
+    /// move to `Failed`; already-down containers keep their state. Reports
+    /// whether the caller must reap the process.
+    pub fn fail(&mut self) -> bool {
         match self.state {
-            LifecycleState::Created | LifecycleState::Running => {
-                self.state = if oom { LifecycleState::OomKilled } else { LifecycleState::Failed };
-                true
-            }
-            LifecycleState::Terminating => {
+            LifecycleState::Created | LifecycleState::Running | LifecycleState::Terminating => {
                 self.state = LifecycleState::Failed;
                 true
             }
@@ -192,41 +177,37 @@ mod tests {
     use crate::prop;
 
     impl LifecycleState {
-        const ALL: [LifecycleState; 7] = [
+        const ALL: [LifecycleState; 6] = [
             LifecycleState::Created,
             LifecycleState::Running,
             LifecycleState::Terminating,
             LifecycleState::Stopped,
             LifecycleState::Failed,
-            LifecycleState::OomKilled,
             LifecycleState::Deleted,
         ];
 
         /// Rank in lifecycle order; legal transitions strictly increase it.
-        /// The three "down" states share a rank — there is no legal edge among
-        /// them, so strictness holds.
+        /// The two "down" states share a rank — there is no legal edge
+        /// between them, so strictness holds.
         fn rank(self) -> u8 {
             match self {
                 LifecycleState::Created => 0,
                 LifecycleState::Running => 1,
                 LifecycleState::Terminating => 2,
-                LifecycleState::Stopped | LifecycleState::Failed | LifecycleState::OomKilled => 3,
+                LifecycleState::Stopped | LifecycleState::Failed => 3,
                 LifecycleState::Deleted => 4,
             }
         }
 
         /// A state the container cannot leave except via `delete`.
         fn is_down(self) -> bool {
-            matches!(
-                self,
-                LifecycleState::Stopped | LifecycleState::Failed | LifecycleState::OomKilled
-            )
+            matches!(self, LifecycleState::Stopped | LifecycleState::Failed)
         }
     }
 
     impl Lifecycle {
-        /// Idempotent delete: advances any down state (`Stopped`, `Failed`,
-        /// `OomKilled`) to `Deleted` and reports whether resources still need
+        /// Idempotent delete: advances any down state (`Stopped`, `Failed`)
+        /// to `Deleted` and reports whether resources still need
         /// releasing. A second delete is a no-op; deleting a container that is
         /// still up — `Running` or mid-grace-period `Terminating` — is rejected.
         fn delete(&mut self, what: &str) -> KernelResult<bool> {
@@ -290,7 +271,7 @@ mod tests {
     }
 
     #[test]
-    fn failed_and_oom_killed_are_down_but_deletable() {
+    fn failed_is_down_but_deletable() {
         // Setup failure before start.
         let mut lc = Lifecycle::new();
         lc.transition(LifecycleState::Failed, "c").unwrap();
@@ -298,17 +279,13 @@ mod tests {
         assert!(lc.delete("c").unwrap(), "but its resources still release");
         assert_eq!(lc, LifecycleState::Deleted);
 
-        // OOM kill while running.
+        // A crash while running.
         let mut lc = Lifecycle::new();
         lc.transition(LifecycleState::Running, "c").unwrap();
-        lc.transition(LifecycleState::OomKilled, "c").unwrap();
+        lc.transition(LifecycleState::Failed, "c").unwrap();
         assert!(!lc.stop());
         assert!(lc.delete("c").unwrap());
 
-        // OomKilled is only reachable from Running (the kernel kills a
-        // process that is charging memory); Failed is also legal from
-        // Created (setup error).
-        assert!(!legal(LifecycleState::Created, LifecycleState::OomKilled));
         assert!(!legal(LifecycleState::Stopped, LifecycleState::Failed));
         assert!(!legal(LifecycleState::Failed, LifecycleState::Running), "no restart in place");
     }
@@ -317,14 +294,14 @@ mod tests {
     fn fail_helper_routes_to_the_right_down_state() {
         let mut lc = Lifecycle::new();
         lc.transition(LifecycleState::Running, "c").unwrap();
-        assert!(lc.fail(true), "first fault exits the process");
-        assert_eq!(lc, LifecycleState::OomKilled);
-        assert!(!lc.fail(false), "already down: keep the original cause");
-        assert_eq!(lc, LifecycleState::OomKilled);
+        assert!(lc.fail(), "first fault exits the process");
+        assert_eq!(lc, LifecycleState::Failed);
+        assert!(!lc.fail(), "already down: nothing left to reap");
 
         let mut lc = Lifecycle::new();
-        assert!(lc.fail(false));
-        assert_eq!(lc, LifecycleState::Failed);
+        lc.transition(LifecycleState::Stopped, "c").unwrap();
+        assert!(!lc.fail(), "an orderly exit keeps its cause");
+        assert_eq!(lc, LifecycleState::Stopped);
     }
 
     #[test]
@@ -352,13 +329,12 @@ mod tests {
         let mut lc = Lifecycle::new();
         lc.transition(LifecycleState::Running, "c").unwrap();
         assert!(lc.begin_termination());
-        assert!(lc.fail(false));
+        assert!(lc.fail());
         assert_eq!(lc, LifecycleState::Failed);
 
-        // Terminating is only reachable from Running, and never via OOM.
+        // Terminating is only reachable from Running.
         assert!(!legal(LifecycleState::Created, LifecycleState::Terminating));
         assert!(!legal(LifecycleState::Stopped, LifecycleState::Terminating));
-        assert!(!legal(LifecycleState::Terminating, LifecycleState::OomKilled));
         assert!(!LifecycleState::Terminating.is_down());
     }
 
@@ -393,18 +369,10 @@ mod tests {
                         }
                     }
                     5 => {
-                        let oom = g.next_bool();
-                        let acted = lc.fail(oom);
+                        let acted = lc.fail();
                         assert_eq!(lc.state() != before, acted);
                         if acted {
-                            // An OOM bill is only legal while Running; a
-                            // terminating guest is hard-killed to Failed.
-                            let want = if oom && before != LifecycleState::Terminating {
-                                LifecycleState::OomKilled
-                            } else {
-                                LifecycleState::Failed
-                            };
-                            assert_eq!(lc.state(), want);
+                            assert_eq!(lc.state(), LifecycleState::Failed);
                         }
                     }
                     6 => {

@@ -22,7 +22,8 @@ echo "== cargo fmt --check =="
 cargo fmt --check
 
 echo "== cargo clippy (workspace, all targets, warnings denied) =="
-# [workspace.lints.clippy] configures clippy; this is what runs it. The
+# [workspace.lints.clippy] and clippy.toml configure clippy; this is what
+# runs it. clippy.toml's call-site rules apply to test code too. The
 # benchmark package is outside the workspace and stays ungated.
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
@@ -55,8 +56,9 @@ fi
 # from '#[cfg(test)]' down, by the repo's tests-at-end convention) and
 # comment lines are exempt. A regex over source is not a visibility rule:
 # a verb that one crate owns is pub(crate), which the workspace lints
-# (unreachable_pub, dead_code) keep honest, and only a verb that another
-# crate has to call is linted here. Each lint names that caller.
+# (unreachable_pub, dead_code) keep honest, and a verb that another crate
+# has to call is a clippy.toml rule. A lint stays here only for what
+# neither can express.
 lint_call_sites() {
   local label=$1 pattern=$2 roots=$3 exempt=$4 message=$5 violations=0 f hits
   echo "== lint: $label =="
@@ -86,46 +88,20 @@ lint_call_sites "fault-returning simkernel APIs must propagate errors" \
   'crates/*/src' '^$' \
   "unwrap()/expect() on a fault-returning simkernel API; propagate the error so fault plans stay recoverable"
 
-# Containerd::interrupt_pod (epoch interrupt + SIGKILL + reap + lifecycle
-# fail) is the only sanctioned hard-kill verb, and only the kubelet may
-# call it: from the liveness-kill path and from the grace-period
-# escalation in remove_pod. New call sites elsewhere would bypass the
-# SIGTERM → grace → SIGKILL discipline. It stays pub because that caller,
-# crates/k8s/src/kubelet.rs, is another crate. The definition site
-# (containerd's cri.rs) is exempt too.
-lint_call_sites "hard kills go through the kubelet watchdog path" \
-  '\.interrupt_pod\(' 'crates/*/src' \
-  '^crates/containerd/src/cri\.rs$|^crates/k8s/src/kubelet\.rs$' \
-  "direct interrupt_pod call site(s) outside the kubelet; hard kills must ride the liveness/grace-period path"
-
-# Cgroup limit-setting is an accounting choke point: cpu/io limits are
-# applied once per pod sync (the kubelet), and call sites anywhere else
-# would bypass the pod-spec path. The two verbs stay pub because that
-# caller, crates/k8s/src/kubelet.rs, is another crate. (The charge verb,
-# Kernel::cgroup_charge_cpu, is pub(crate): guest CPU is charged once per
-# guest start through its one caller, simkernel::image::charge_cpu.)
-# simkernel is exempt.
-lint_call_sites "cgroup limit verbs ride their sanctioned choke point" \
-  '\.cgroup_set_cpu_max\(|\.cgroup_set_io_read_budget\(' 'crates/*/src' \
-  '^crates/simkernel/|^crates/k8s/src/kubelet\.rs$' \
-  "cgroup limit call site(s) outside the kubelet's pod sync; limits must not bypass the pod-spec path"
-
-# Node::crash and Node::fence are pub(crate) in crates/k8s, so the
-# compiler keeps harness and example code on Cluster::crash_node /
-# restart_node / partition_node. Kernel::power_off stays pub because its
-# caller, Node::crash in crates/k8s/src/node.rs, is another crate; only
-# crates/k8s may call it, or lease bookkeeping, fencing and eviction go
-# out of step. simkernel (the definition site) is exempt.
-lint_call_sites "Kernel::power_off stays inside the cluster layer" \
-  '\.power_off\(' 'crates/*/src examples src' '^crates/k8s/|^crates/simkernel/' \
-  "power_off call site(s) outside crates/k8s; ungraceful death must go through Cluster::crash_node and the lease tick"
+# Three call-site rules live in clippy.toml and fail the clippy step
+# above: Containerd::interrupt_pod (the kubelet's hard kill), the cgroup
+# limit verbs (the kubelet's pod sync) and Kernel::power_off (Node::crash).
+# Each sanctioned caller carries an `#[expect(clippy::disallowed_methods)]`
+# naming why, and simkernel, which defines the kernel verbs, allows them.
 
 # The breaker state, retry-budget and backoff verbs are pub(crate) in
 # crates/k8s. ShedReason stays pub because it is the error type of
 # Service::{route, admit}, which benchmark/src/probes.rs calls; outside
 # crates/k8s non-test code must not match on it: the traffic harness
 # would otherwise fork its own overload policy and drift from the one the
-# contracts pin.
+# contracts pin. clippy.toml's disallowed-types entry catches an import
+# or a type annotation, but not a fully qualified variant in a pattern
+# (`k8s_sim::service::ShedReason::QueueFull`), so this lint stays.
 lint_call_sites "shed and breaker taxonomies stay inside k8s::service" \
   'ShedReason::' 'crates/*/src examples src' '^crates/k8s/' \
   "ShedReason matched outside crates/k8s; shedding and breaker policy lives in k8s::service"

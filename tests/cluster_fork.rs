@@ -129,6 +129,7 @@ fn a_fork_has_clocks_of_its_own() {
     let mut fork = template.fork();
     assert_eq!((watchdog(&fork), fork.now()), (epoch, now));
     let containerd = &mut fork.node_mut(0).containerd;
+    #[expect(clippy::disallowed_methods, reason = "the test stands in for the kubelet's kill")]
     containerd.interrupt_pod("hung-0", Phase::Terminating, &mut StepTrace::new()).unwrap();
     assert_eq!(watchdog(&fork), u64::MAX);
     assert_eq!(watchdog(&template), epoch);

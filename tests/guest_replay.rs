@@ -598,6 +598,10 @@ fn cpu_max_shrinks_the_deadline_and_so_names_another_guest() {
         for (throttled, cpu_max) in [(false, None), (true, Some((20_000_000, 100_000_000)))] {
             let name = format!("spin-{throttled}-{round}");
             let (cg, pid) = pod(&kernel, &name);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a test sets the limit a pod spec would"
+            )]
             kernel.cgroup_set_cpu_max(cg, cpu_max).unwrap();
             let ticks = watchdog_ticks(&kernel, pid, budget, ns_per_tick).unwrap();
             let (run, moved) = counted(

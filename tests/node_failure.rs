@@ -147,7 +147,7 @@ fn drain_racing_rolling_update_converges_within_budget() {
     let mut recovered = false;
     let done = cluster.run_rounds(200, |c| {
         // After a step of the clock the kubelets reconcile before the
-        // rollout decides, as in `Cluster::rolling_update`.
+        // rollout decides.
         c.reconcile();
         let step: RolloutStep = c.rollout_step(&mut ctrl)?;
         let ready = c.ready_replicas(&ctrl);
@@ -241,7 +241,7 @@ fn golden_recovery_times_and_explorer_rounds() {
     }
 
     // `settle_controller` stops between a round's reconcile and its step;
-    // `rolling_update` has the kubelets reconcile again after each step.
+    // a rollout round after a step has the kubelets reconcile first.
     let mut cluster = wamr_cluster(3, &w).unwrap();
     let image_v2 = pull_v2(&mut cluster, &w);
     let mut spec = DeploymentSpec::new("svc", Config::WamrCrun.image_ref(), "crun-wamr", 6);
@@ -249,13 +249,18 @@ fn golden_recovery_times_and_explorer_rounds() {
     let mut ctrl = DeploymentController::new(spec);
     assert!(cluster.settle_controller(&mut ctrl, 100).unwrap());
     let settled_at = cluster.now();
-    let report = cluster.rolling_update(&mut ctrl, image_v2, 100).unwrap();
-    assert!(report.converged);
+    cluster.begin_rolling_update(&mut ctrl, image_v2);
+    let mut stepped = false;
+    let steps = cluster.run_rounds(100, |c| {
+        if stepped {
+            c.reconcile();
+        }
+        stepped = true;
+        Ok(c.rollout_step(&mut ctrl)?.done)
+    });
+    let rounds = steps.unwrap().expect("the rollout converges") + 1;
     let rolled_in = cluster.now().since(settled_at);
-    assert_eq!(
-        (settled_at.since(SimTime::ZERO), report.rounds, rolled_in),
-        (secs(2), 12, secs(17))
-    );
+    assert_eq!((settled_at.since(SimTime::ZERO), rounds, rolled_in), (secs(2), 12, secs(17)));
 }
 
 #[test]

@@ -146,7 +146,7 @@ fn golden_smoke_contract_both_arms() {
             ("recovery", 1_500, 0, 0, 0, 0, 14_680_063),
         ]
     );
-    assert_eq!(t.sheds_by_reason, [0, 2_941, 0, 0]);
+    assert_eq!(t.sheds_by_reason, [0, 2_941, 0]);
     assert_eq!((t.breaker_opens, t.brownout_engagements), (0, 1));
     assert_eq!((t.attempts, t.admitted), (8_329, 5_388));
 
@@ -159,7 +159,7 @@ fn golden_smoke_contract_both_arms() {
             ("overload", 359, 16_958, 12_841, 0, 4_141, 317_023_898),
         ]
     );
-    assert_eq!(c.sheds_by_reason, [0, 16_958, 0, 0]);
+    assert_eq!(c.sheds_by_reason, [0, 16_958, 0]);
     assert_eq!((c.breaker_opens, c.brownout_engagements), (1, 1));
     assert_eq!((c.attempts, c.admitted), (18_991, 2_033));
 }
