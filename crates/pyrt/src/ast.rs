@@ -1,59 +1,35 @@
-//! Abstract syntax tree for the Python subset.
+//! Abstract syntax tree of the grammar in [`crate::parser`].
 
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BinOp {
     Add,
-    Sub,
     Mul,
-    Div,
-    FloorDiv,
     Mod,
-    Pow,
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
-    And,
-    Or,
 }
 
 /// Expressions.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Expr {
     Int(i64),
-    Float(f64),
     Str(String),
-    Bool(bool),
-    None,
     Name(String),
     /// `a.b` (module attribute access).
     Attr(Box<Expr>, String),
     Bin(BinOp, Box<Expr>, Box<Expr>),
-    Neg(Box<Expr>),
-    Not(Box<Expr>),
     Call(Box<Expr>, Vec<Expr>),
-    List(Vec<Expr>),
-    Index(Box<Expr>, Box<Expr>),
+    /// `[]`.
+    EmptyList,
 }
 
 /// Statements.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum Stmt {
     Assign(String, Expr),
-    AugAssign(String, BinOp, Expr),
-    IndexAssign(Expr, Expr, Expr),
     Expr(Expr),
-    If { branches: Vec<(Expr, Vec<Stmt>)>, else_body: Vec<Stmt> },
-    While(Expr, Vec<Stmt>),
     For { var: String, iter: Expr, body: Vec<Stmt> },
     Def { name: String, params: Vec<String>, body: Vec<Stmt> },
-    Return(Option<Expr>),
-    Break,
-    Continue,
-    Pass,
+    Return(Expr),
     Import(String),
 }
 
@@ -69,31 +45,20 @@ impl Program {
     pub(crate) fn node_count(&self) -> usize {
         fn expr_nodes(e: &Expr) -> usize {
             1 + match e {
-                Expr::Attr(o, _) | Expr::Neg(o) | Expr::Not(o) => expr_nodes(o),
-                Expr::Bin(_, a, b) | Expr::Index(a, b) => expr_nodes(a) + expr_nodes(b),
+                Expr::Attr(o, _) => expr_nodes(o),
+                Expr::Bin(_, a, b) => expr_nodes(a) + expr_nodes(b),
                 Expr::Call(f, args) => expr_nodes(f) + args.iter().map(expr_nodes).sum::<usize>(),
-                Expr::List(items) => items.iter().map(expr_nodes).sum(),
-                _ => 0,
+                Expr::Int(_) | Expr::Str(_) | Expr::Name(_) | Expr::EmptyList => 0,
             }
         }
         fn stmt_nodes(s: &Stmt) -> usize {
             1 + match s {
-                Stmt::Assign(_, e) | Stmt::AugAssign(_, _, e) | Stmt::Expr(e) => expr_nodes(e),
-                Stmt::IndexAssign(a, b, c) => expr_nodes(a) + expr_nodes(b) + expr_nodes(c),
-                Stmt::If { branches, else_body } => {
-                    branches
-                        .iter()
-                        .map(|(c, b)| expr_nodes(c) + b.iter().map(stmt_nodes).sum::<usize>())
-                        .sum::<usize>()
-                        + else_body.iter().map(stmt_nodes).sum::<usize>()
-                }
-                Stmt::While(c, b) => expr_nodes(c) + b.iter().map(stmt_nodes).sum::<usize>(),
+                Stmt::Assign(_, e) | Stmt::Expr(e) | Stmt::Return(e) => expr_nodes(e),
                 Stmt::For { iter, body, .. } => {
                     expr_nodes(iter) + body.iter().map(stmt_nodes).sum::<usize>()
                 }
                 Stmt::Def { body, .. } => body.iter().map(stmt_nodes).sum(),
-                Stmt::Return(Some(e)) => expr_nodes(e),
-                _ => 0,
+                Stmt::Import(_) => 0,
             }
         }
         self.body.iter().map(stmt_nodes).sum()
@@ -112,7 +77,7 @@ mod tests {
                     "x".into(),
                     Expr::Bin(BinOp::Add, Box::new(Expr::Int(1)), Box::new(Expr::Int(2))),
                 ),
-                Stmt::Return(Some(Expr::Name("x".into()))),
+                Stmt::Return(Expr::Name("x".into())),
             ],
         };
         // assign(1) + bin(1) + 2 ints(2) + return(1) + name(1) = 6

@@ -87,12 +87,12 @@ pub fn install_python(kernel: &Kernel) -> KernelResult<()> {
 }
 
 /// Every input a script can see: the key its outcome is recorded under.
-/// [`Interp`] holds no handle to the kernel (`time.time()` counts its own
-/// ops), so unlike a Wasm guest a script has no road to anything else.
+/// [`Interp`] holds no handle to the kernel or a clock, so unlike a Wasm
+/// guest a script has no road to anything else.
 #[derive(Debug, Clone, Copy)]
 pub struct ScriptInputs<'a> {
     pub source: &'a Bytes,
-    /// `sys.argv` and `os.environ` are functions of its `args` and `env`,
+    /// `sys.argv` and `os.getenv` are functions of its `args` and `env`,
     /// the two fields the key holds.
     pub process: &'a ProcessSpec,
     /// The watchdog deadline in ticks of [`PY_EPOCH_TICK_OPS`] ops, the
@@ -328,11 +328,15 @@ import time
 
 total = 0
 for i in range(1000):
-    total += i
+    total = total + i
 print(\"service ready\", total)
 ";
 
     fn setup() -> (Kernel, Bundle, RuntimeSpec) {
+        setup_script(SCRIPT)
+    }
+
+    fn setup_script(script: &str) -> (Kernel, Bundle, RuntimeSpec) {
         let kernel = Kernel::boot(KernelConfig::default());
         install_python(&kernel).unwrap();
         let mut store = ImageStore::new();
@@ -341,13 +345,31 @@ print(\"service ready\", total)
                 &kernel,
                 ImageBuilder::new("python:3.10-slim")
                     .entrypoint(["/usr/bin/python3".to_string(), "/app/svc.py".to_string()])
-                    .file("/app/svc.py", SCRIPT.as_bytes().to_vec()),
+                    .file("/app/svc.py", script.as_bytes().to_vec()),
             )
             .unwrap()
             .clone();
         let spec = RuntimeSpec::for_command("py-1", image.command());
         let bundle = Bundle::create(&kernel, "py-1", &image, &spec).unwrap();
         (kernel, bundle, spec)
+    }
+
+    /// A loop over 2^40 values under a 50 ms watchdog budget: the
+    /// interpreter walks the range one value at a time, so the watchdog,
+    /// not the host allocator, ends it, and the container comes up wedged.
+    #[test]
+    fn a_huge_range_under_a_watchdog_is_a_wedged_container() {
+        let (kernel, bundle, mut spec) =
+            setup_script("print(\"spinning\")\nfor i in range(1099511627776):\n    x = i\n");
+        spec.annotations.insert(
+            oci_spec_lite::WATCHDOG_BUDGET_ANNOTATION.to_string(),
+            Duration::from_millis(50).as_nanos().to_string(),
+        );
+        let cg = kernel.cgroup_create(Kernel::ROOT_CGROUP, "pod").unwrap();
+        let pid = ProcessImage::spawn(&kernel, "py", cg).build().unwrap().detach();
+        let out = PythonHandler.execute(&kernel, pid, &bundle, &spec).unwrap();
+        assert!(out.interrupted, "the watchdog stopped it");
+        assert_eq!((out.exit_code, out.stdout.as_slice()), (0, &b"spinning\n"[..]));
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Tokenizer for the Python subset, with indentation-based block structure.
+//! Tokenizer for the grammar in [`crate::parser`], with indentation-based
+//! block structure.
 
 use std::fmt;
 
@@ -7,28 +8,14 @@ use std::fmt;
 pub(crate) enum Tok {
     // Literals and names.
     Int(i64),
-    Float(f64),
     Str(String),
     Name(String),
     // Keywords.
     Def,
     Return,
-    If,
-    Elif,
-    Else,
-    While,
     For,
     In,
-    Break,
-    Continue,
-    Pass,
     Import,
-    And,
-    Or,
-    Not,
-    True,
-    False,
-    None,
     // Punctuation and operators.
     LParen,
     RParen,
@@ -38,21 +25,9 @@ pub(crate) enum Tok {
     Colon,
     Dot,
     Assign,
-    PlusAssign,
-    MinusAssign,
     Plus,
-    Minus,
     Star,
-    DoubleStar,
-    Slash,
-    DoubleSlash,
     Percent,
-    Eq,
-    Ne,
-    Lt,
-    Le,
-    Gt,
-    Ge,
     // Layout.
     Newline,
     Indent,
@@ -60,11 +35,14 @@ pub(crate) enum Tok {
     Eof,
 }
 
-impl fmt::Display for Tok {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{self:?}")
-    }
-}
+/// Python keywords outside the grammar. Lexed as names they would be
+/// undefined variables, or nothing at all in a body that never runs, so a
+/// script that uses one is rejected here.
+const UNSUPPORTED_KEYWORDS: &[&str] = &[
+    "False", "None", "True", "and", "as", "assert", "async", "await", "break", "class", "continue",
+    "del", "elif", "else", "except", "finally", "from", "global", "if", "is", "lambda", "nonlocal",
+    "not", "or", "pass", "raise", "try", "while", "with", "yield",
+];
 
 /// Lexer errors with line numbers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -78,8 +56,6 @@ impl fmt::Display for LexError {
         write!(f, "line {}: {}", self.line, self.message)
     }
 }
-
-impl std::error::Error for LexError {}
 
 /// Tokenize a source file.
 pub(crate) fn lex(src: &str) -> Result<Vec<Tok>, LexError> {
@@ -134,20 +110,12 @@ fn lex_line(mut s: &str, line: usize, out: &mut Vec<Tok>) -> Result<(), LexError
             continue;
         }
         if c.is_ascii_digit() {
-            let end = s.find(|c: char| !(c.is_ascii_digit() || c == '.')).unwrap_or(s.len());
+            let end = s.find(|c: char| !c.is_ascii_digit()).unwrap_or(s.len());
             let text = &s[..end];
             s = &s[end..];
-            if text.contains('.') {
-                let v: f64 = text
-                    .parse()
-                    .map_err(|_| LexError { line, message: format!("bad float {text}") })?;
-                out.push(Tok::Float(v));
-            } else {
-                let v: i64 = text
-                    .parse()
-                    .map_err(|_| LexError { line, message: format!("bad int {text}") })?;
-                out.push(Tok::Int(v));
-            }
+            let v: i64 =
+                text.parse().map_err(|_| LexError { line, message: format!("bad int {text}") })?;
+            out.push(Tok::Int(v));
             continue;
         }
         if c.is_ascii_alphabetic() || c == '_' {
@@ -157,22 +125,12 @@ fn lex_line(mut s: &str, line: usize, out: &mut Vec<Tok>) -> Result<(), LexError
             out.push(match word {
                 "def" => Tok::Def,
                 "return" => Tok::Return,
-                "if" => Tok::If,
-                "elif" => Tok::Elif,
-                "else" => Tok::Else,
-                "while" => Tok::While,
                 "for" => Tok::For,
                 "in" => Tok::In,
-                "break" => Tok::Break,
-                "continue" => Tok::Continue,
-                "pass" => Tok::Pass,
                 "import" => Tok::Import,
-                "and" => Tok::And,
-                "or" => Tok::Or,
-                "not" => Tok::Not,
-                "True" => Tok::True,
-                "False" => Tok::False,
-                "None" => Tok::None,
+                kw if UNSUPPORTED_KEYWORDS.contains(&kw) => {
+                    return Err(LexError { line, message: format!("unsupported keyword {kw}") })
+                }
                 name => Tok::Name(name.to_string()),
             });
             continue;
@@ -207,26 +165,7 @@ fn lex_line(mut s: &str, line: usize, out: &mut Vec<Tok>) -> Result<(), LexError
             out.push(Tok::Str(value));
             continue;
         }
-        // Operators (longest first). `get` avoids slicing inside a
-        // multibyte character (two-byte operators are all ASCII anyway).
-        let two = s.get(..2).unwrap_or("");
-        let tok2 = match two {
-            "**" => Some(Tok::DoubleStar),
-            "//" => Some(Tok::DoubleSlash),
-            "==" => Some(Tok::Eq),
-            "!=" => Some(Tok::Ne),
-            "<=" => Some(Tok::Le),
-            ">=" => Some(Tok::Ge),
-            "+=" => Some(Tok::PlusAssign),
-            "-=" => Some(Tok::MinusAssign),
-            _ => None,
-        };
-        if let Some(t) = tok2 {
-            out.push(t);
-            s = &s[2..];
-            continue;
-        }
-        let tok1 = match c {
+        let tok = match c {
             '(' => Tok::LParen,
             ')' => Tok::RParen,
             '[' => Tok::LBracket,
@@ -236,17 +175,13 @@ fn lex_line(mut s: &str, line: usize, out: &mut Vec<Tok>) -> Result<(), LexError
             '.' => Tok::Dot,
             '=' => Tok::Assign,
             '+' => Tok::Plus,
-            '-' => Tok::Minus,
             '*' => Tok::Star,
-            '/' => Tok::Slash,
             '%' => Tok::Percent,
-            '<' => Tok::Lt,
-            '>' => Tok::Gt,
             other => {
                 return Err(LexError { line, message: format!("unexpected character {other:?}") })
             }
         };
-        out.push(tok1);
+        out.push(tok);
         s = &s[c.len_utf8()..];
     }
     Ok(())
@@ -258,16 +193,15 @@ mod tests {
 
     #[test]
     fn numbers_strings_names() {
-        let toks = lex("x = 42\ny = 3.5\nz = \"hi\\n\"").unwrap();
+        let toks = lex("x = 42\nz = \"hi\\n\"").unwrap();
         assert!(toks.contains(&Tok::Int(42)));
-        assert!(toks.contains(&Tok::Float(3.5)));
         assert!(toks.contains(&Tok::Str("hi\n".into())));
         assert!(toks.contains(&Tok::Name("x".into())));
     }
 
     #[test]
     fn indentation_blocks() {
-        let src = "if x:\n    y = 1\n    z = 2\nw = 3";
+        let src = "for i in r:\n    y = 1\n    z = 2\nw = 3";
         let toks = lex(src).unwrap();
         let indents = toks.iter().filter(|t| **t == Tok::Indent).count();
         let dedents = toks.iter().filter(|t| **t == Tok::Dedent).count();
@@ -277,19 +211,11 @@ mod tests {
 
     #[test]
     fn nested_dedents_at_eof() {
-        let src = "def f():\n    if x:\n        return 1";
+        let src = "def f():\n    for i in r:\n        return 1";
         let toks = lex(src).unwrap();
         let dedents = toks.iter().filter(|t| **t == Tok::Dedent).count();
         assert_eq!(dedents, 2, "all blocks closed at EOF");
         assert_eq!(*toks.last().unwrap(), Tok::Eof);
-    }
-
-    #[test]
-    fn operators() {
-        let toks = lex("a == b != c <= d >= e // f ** g").unwrap();
-        for t in [Tok::Eq, Tok::Ne, Tok::Le, Tok::Ge, Tok::DoubleSlash, Tok::DoubleStar] {
-            assert!(toks.contains(&t), "{t:?}");
-        }
     }
 
     #[test]
@@ -304,12 +230,14 @@ mod tests {
     fn errors() {
         assert!(lex("x = $").is_err());
         assert!(lex("s = \"unterminated").is_err());
-        assert!(lex("if x:\n    y = 1\n  z = 2").is_err(), "inconsistent dedent");
+        assert!(lex("for i in r:\n    y = 1\n  z = 2").is_err(), "inconsistent dedent");
+        assert!(lex("x = 99999999999999999999").is_err(), "overflows i64");
     }
 
     #[test]
     fn keywords_vs_names() {
-        let toks = lex("formula = 1").unwrap();
+        let toks = lex("formula = 1\niffy = 2").unwrap();
         assert!(toks.contains(&Tok::Name("formula".into())), "not the `for` keyword");
+        assert!(toks.contains(&Tok::Name("iffy".into())), "not the unsupported `if`");
     }
 }

@@ -2,9 +2,9 @@
 //!
 //! The paper compares its WAMR-crun integration against "standard Python
 //! containers" on crun and runC (§IV-D/E). This crate provides that
-//! baseline as a *real* interpreter for a Python subset — lexer with
-//! indentation handling, recursive-descent parser, tree-walking evaluator
-//! with functions, loops, lists and a small stdlib surface — plus a
+//! baseline: a lexer, parser and tree-walking evaluator that really execute
+//! the Python the workload scripts use (the grammar is in [`parse`]'s
+//! module, `parser.rs`; anything else fails with a typed error), plus a
 //! [`handler::PythonHandler`] that executes `.py` container entrypoints
 //! inside the container process with CPython-scale memory charging and
 //! cold-start latency.

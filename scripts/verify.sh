@@ -193,6 +193,15 @@ echo "== paper claims (figures claims: all 15, at the paper's densities) =="
 # executes each distinct guest once per process. Exit 1 is a failed claim.
 cargo run --release --offline -p harness --bin figures -- claims >/dev/null
 
+echo "== smoke: studies app-impact + ablations (the heavy Python scripts, pyrt's direct parse/run) =="
+# The only runs of the compute- and memory-heavy Python scripts (their
+# math/json imports and list.append) and of ablation_inplace's direct
+# pyrt::parse / Interp::run: with these two, every construct pyrt's
+# grammar keeps runs in tier-1.
+for s in app-impact ablations; do
+  cargo run --release --offline -p harness --bin studies -- "$s" >/dev/null
+done
+
 echo "== size: non-blank lines (ROADMAP item 9 reads each PR's delta off this, split test / non-test) and host bytes per pod =="
 count() { find "$@" -not -path '*/target/*' -not -path './.git/*' -print0 | xargs -0 cat | grep -c '[^[:space:]]'; }
 # Non-test Rust is what precedes a file's first '#[cfg(test)]' (the repo's

@@ -197,6 +197,51 @@ fn invalid_module_fails_cleanly() {
     assert!(rt.start(&ctx, &mut c, &bundle).is_err());
 }
 
+/// A script outside pyrt's grammar fails its container's start with a
+/// typed error, and deleting the container leaves nothing charged.
+#[test]
+fn python_script_outside_the_grammar_fails_cleanly() {
+    use memwasm::oci_spec_lite::{Bundle, ImageBuilder, ImageStore, RuntimeSpec};
+    use memwasm::simkernel::{Kernel, KernelError};
+    let cluster = Cluster::bootstrap().unwrap();
+    let kernel = cluster.kernel().clone();
+    memwasm::pyrt::install_python(&kernel).unwrap();
+    let mut rt = LowLevelRuntime::new(kernel.clone(), &CRUN);
+    rt.register_handler(Box::new(PythonHandler));
+    let ctx = memwasm::container_runtimes::RuntimeCtx {
+        runtime_cgroup: kernel.cgroup_create(Kernel::ROOT_CGROUP, "sys").unwrap(),
+    };
+    let mut store = ImageStore::new();
+    let scripts = [
+        ("while", "while x:\n    y = 1\n", "python parse: "),
+        ("if", "if x:\n    y = 1\nelse:\n    y = 2\n", "python parse: "),
+        ("aug", "x = 0\nx += 1\n", "python parse: "),
+        ("float", "x = 1.5\n", "python parse: "),
+        ("compare", "x = 1 == 2\n", "python parse: "),
+        ("index", "xs = []\ny = xs[0]\n", "python parse: "),
+        ("builtin", "print(len([]))\n", "python runtime: "),
+    ];
+    for (name, script, error) in scripts {
+        let image = ImageBuilder::new(&format!("{name}:v1"))
+            .entrypoint(["/usr/bin/python3".to_string(), "/app/svc.py".to_string()])
+            .file("/app/svc.py", script.as_bytes().to_vec());
+        let image = store.register(&kernel, image).unwrap().clone();
+        let spec = RuntimeSpec::for_command(name, image.command());
+        let bundle = Bundle::create(&kernel, name, &image, &spec).unwrap();
+        let used = kernel.free().used;
+        let pod = kernel.cgroup_create(Kernel::ROOT_CGROUP, &format!("pod-{name}")).unwrap();
+        let mut c = rt.create(&ctx, name, &bundle, pod).unwrap();
+        match rt.start(&ctx, &mut c, &bundle) {
+            Err(KernelError::InvalidState(m)) => assert!(m.starts_with(error), "{name}: {m}"),
+            other => panic!("{name}: {other:?}"),
+        }
+        rt.delete(&mut c).unwrap();
+        kernel.cgroup_remove(pod).unwrap();
+        assert_eq!(kernel.check_accounting(), Ok(()), "{name}");
+        assert_eq!(kernel.free().used, used, "{name}: nothing left charged");
+    }
+}
+
 #[test]
 fn python_handler_in_hybrid_runtime_prefers_first_match() {
     // A runtime with both WAMR and Python handlers routes by spec.

@@ -299,7 +299,7 @@ fn a_replayed_wasm_start_equals_an_executed_one_on_every_config() {
 
 const PY_EXIT: &str = "import sys\nprint(\"leaving\")\nsys.exit(3)\n";
 const PY_RAISES: &str = "print(\"about to fail\")\nx = undefined_name + 1\n";
-const PY_HANGS: &str = "print(\"spinning\")\nwhile True:\n    pass\n";
+const PY_HANGS: &str = "print(\"spinning\")\nfor i in range(1099511627776):\n    x = i\n";
 
 /// A Python container's bundle and spec on `kernel`.
 fn python_container(
