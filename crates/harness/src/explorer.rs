@@ -11,10 +11,12 @@
 //! it once and each schedule runs on its own [`Cluster::fork`] of it — a
 //! deep copy on a clock of its own, sharing nothing mutable with the
 //! template or a sibling. Schedules are therefore as independent as on
-//! fresh clusters, and [`explore`] can fan them across `HARNESS_THREADS`
-//! workers with results merged in seed order: the rendered report is
-//! byte-identical for any worker count, and to running each schedule
-//! through a standalone [`run_schedule`].
+//! fresh clusters, and a schedule's outcome is a function of its events:
+//! [`explore`] runs each distinct event sequence once, fanned across
+//! `HARNESS_THREADS` workers, and gives its outcome to every schedule that
+//! drew it, in seed order. The rendered report is byte-identical for any
+//! worker count, and to running each schedule through a standalone
+//! [`run_schedule`].
 //!
 //! After the last event the harness drives lease ticks, controller and
 //! kubelet reconciliation until the deployment reconverges, then checks
@@ -25,6 +27,8 @@
 //! regressing — and every node's kernel, crashed ones included, still
 //! passing `Kernel::check_accounting`. A violated schedule is shrunk to its
 //! minimal failing prefix ([`shrink`]), reproducible from the printed seed.
+
+use std::collections::HashMap;
 
 use k8s_sim::{
     Cluster, DeploymentController, DeploymentSpec, NodeCondition, Policy, LEASE_GRACE,
@@ -38,7 +42,7 @@ use crate::config::{Config, Workload};
 use crate::parallel::run_grid;
 
 /// One step of a fault schedule, naming its target node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultEvent {
     /// Instant power loss (ungraceful: no SIGTERM, no teardown).
     Crash(usize),
@@ -537,10 +541,11 @@ impl ExploreReport {
     }
 }
 
-/// Boot the plan's settled cluster once, then enumerate and run every
-/// schedule, fanned across `HARNESS_THREADS` work-stealing workers (each
-/// schedule runs on its own fork of the borrowed template), results merged
-/// in seed order; then shrink every violated schedule serially, in order.
+/// Boot the plan's settled cluster once and draw every schedule. Each
+/// distinct event sequence runs once, in first-drawn order, fanned across
+/// `HARNESS_THREADS` work-stealing workers (each on its own fork of the
+/// borrowed template); every schedule gets its sequence's outcome under its
+/// own seed. Then each distinct violated sequence is shrunk once, serially.
 /// Byte-identical output for any worker count.
 pub fn explore(
     plan: &ExplorePlan,
@@ -548,11 +553,23 @@ pub fn explore(
     knobs: InvariantKnobs,
 ) -> KernelResult<ExploreReport> {
     let template = Settled::for_plan(plan, workload)?;
-    let indices: Vec<usize> = (0..plan.schedules).collect();
-    let outcomes = run_grid(&indices, |&i| {
-        let seed = plan.schedule_seed(i);
-        let events = generate_schedule(seed, plan.nodes, plan.max_events);
-        run_settled(template.fork(), plan, seed, &events, workload, knobs)
+    // An outcome depends on the events alone (the seed is only echoed), so
+    // a repeat is its first draw's run: `slot[i]` is schedule i's place
+    // among the distinct sequences, kept in first-drawn order.
+    let mut first = HashMap::new();
+    let mut distinct = Vec::new();
+    let slot: Vec<usize> = (0..plan.schedules)
+        .map(|i| {
+            let seed = plan.schedule_seed(i);
+            let events = generate_schedule(seed, plan.nodes, plan.max_events);
+            *first.entry(events.clone()).or_insert_with(|| {
+                distinct.push((seed, events));
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    let ran = run_grid(&distinct, |(seed, events)| {
+        run_settled(template.fork(), plan, *seed, events, workload, knobs)
     })?;
     // Every fork has run and gone; the template they copied must be as
     // consistent as when it settled.
@@ -560,13 +577,29 @@ pub fn explore(
         return Err(KernelError::InvalidState(format!("explorer template: {drift}")));
     }
 
+    let prefixes = distinct
+        .iter()
+        .zip(&ran)
+        .map(|((seed, events), o)| {
+            if o.violations.is_empty() {
+                return Ok(None);
+            }
+            shrink_on(&template, plan, *seed, events, workload, knobs)
+        })
+        .collect::<KernelResult<Vec<_>>>()?;
+    let outcomes: Vec<_> = slot
+        .iter()
+        .enumerate()
+        .map(|(i, &k)| ScheduleOutcome { seed: plan.schedule_seed(i), ..ran[k].clone() })
+        .collect();
     let mut counterexamples = Vec::new();
-    for (index, full) in outcomes.iter().enumerate() {
+    for (index, (full, &k)) in outcomes.iter().zip(&slot).enumerate() {
         if full.violations.is_empty() {
             continue;
         }
-        let shrunk = shrink_on(&template, plan, full.seed, &full.events, workload, knobs)?
-            .unwrap_or_else(|| full.clone());
+        let shrunk = prefixes[k]
+            .clone()
+            .map_or_else(|| full.clone(), |p| ScheduleOutcome { seed: full.seed, ..p });
         counterexamples.push(Counterexample { index, full: full.clone(), shrunk });
     }
     Ok(ExploreReport { outcomes, counterexamples })
@@ -763,6 +796,35 @@ mod tests {
             assert_eq!(on(template.fork().fork()), booted, "{config:?}");
             assert_eq!(accounting_drift(&template.cluster).next(), None);
         }
+    }
+
+    #[test]
+    fn a_repeated_violated_schedule_reads_as_if_run_and_shrunk_on_its_own() {
+        // Schedule 11 repeats crash(2), which violates under this knob: its
+        // full and shrunk outcomes carry its own seed all the same.
+        let plan = ExplorePlan::smoke(1);
+        let w = Workload::light();
+        let knobs = InvariantKnobs { forbid_not_ready: true };
+        let report = explore(&plan, &w, knobs).unwrap();
+        let mut expected = Vec::new();
+        for (index, o) in report.outcomes.iter().enumerate() {
+            let seed = plan.schedule_seed(index);
+            let events = generate_schedule(seed, plan.nodes, plan.max_events);
+            let full = run_schedule(&plan, seed, &events, &w, knobs).unwrap();
+            assert_eq!(*o, full, "schedule {index}");
+            if !full.violations.is_empty() {
+                let shrunk = shrink(&plan, seed, &events, &w, knobs).unwrap();
+                expected.push(Counterexample {
+                    index,
+                    shrunk: shrunk.unwrap_or(full.clone()),
+                    full,
+                });
+            }
+        }
+        let repeat = &report.outcomes[11];
+        assert!(report.outcomes[..11].iter().any(|o| o.events == repeat.events));
+        assert!(expected.iter().any(|c| c.index == 11), "{}", report.render());
+        assert_eq!(report.counterexamples, expected);
     }
 
     #[test]
