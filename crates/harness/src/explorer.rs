@@ -555,7 +555,7 @@ pub fn explore(
     let template = Settled::for_plan(plan, workload)?;
     // An outcome depends on the events alone (the seed is only echoed), so
     // a repeat is its first draw's run: `slot[i]` is schedule i's place
-    // among the distinct sequences, kept in first-drawn order.
+    // among the distinct sequences.
     let mut first = HashMap::new();
     let mut distinct = Vec::new();
     let slot: Vec<usize> = (0..plan.schedules)
