@@ -605,8 +605,8 @@ mod tests {
             // Bounded warm-up loop.
             let i = f.local(ValType::I32);
             f.i32_const(5000).local_set(i);
-            f.block(wasm_core::types::BlockType::Empty, |f| {
-                f.loop_(wasm_core::types::BlockType::Empty, |f| {
+            f.block(|f| {
+                f.loop_(|f| {
                     f.local_get(i).op(wasm_core::Instruction::I32Eqz).br_if(1);
                     f.local_get(i).i32_const(1).op(wasm_core::Instruction::I32Sub).local_set(i);
                     f.br(0);
@@ -814,7 +814,7 @@ mod tests {
         b.data(16, &[0u8, 0, 0, 0, 5, 0, 0, 0][..]);
         let start = b.func(FuncType::new(vec![], vec![]), |f| {
             f.i32_const(1).i32_const(16).i32_const(1).i32_const(24).call(fd_write).drop_();
-            f.loop_(wasm_core::types::BlockType::Empty, |f| {
+            f.loop_(|f| {
                 f.br(0);
             });
         });
@@ -887,7 +887,9 @@ mod tests {
 
     #[test]
     fn wasi_args_reach_the_guest() {
-        // A guest that exits with argc.
+        // A guest that exits with argc (below 10): read as an i64 whose
+        // high half is zero and turned into an i32 by summing `argc >= k`
+        // for k = 1..=9.
         let mut b = ModuleBuilder::new();
         let sizes = b.import_func(
             "wasi_snapshot_preview1",
@@ -902,8 +904,13 @@ mod tests {
         let mem = b.memory(1, None);
         b.export_memory("memory", mem);
         let start = b.func(FuncType::new(vec![], vec![]), |f| {
-            f.i32_const(0).i32_const(4).call(sizes).drop_();
-            f.i32_const(0).i32_load(0).call(exit);
+            f.i32_const(0).i32_const(8).call(sizes).drop_();
+            f.i32_const(0);
+            for k in 1..=9 {
+                f.i32_const(0).i64_load(0).i64_const(k).op(wasm_core::Instruction::I64GeU);
+                f.op(wasm_core::Instruction::I32Add);
+            }
+            f.call(exit);
         });
         b.export_func("_start", start);
         let kernel = Kernel::boot(KernelConfig::default());

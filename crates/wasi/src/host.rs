@@ -423,17 +423,16 @@ mod tests {
 
     #[test]
     fn args_roundtrip_through_guest() {
-        // Guest: call args_sizes_get(0, 4), then args_get(8, 64), then read
-        // back argv[0] pointer and return the arg count.
+        // Guest: call args_sizes_get(0, 4), then args_get(8, 64); the host
+        // reads the arg count and the argv[0] pointer back.
         let mut b = ModuleBuilder::new();
         let sizes = b.import_func("wasi_snapshot_preview1", "args_sizes_get", wasi_sig(2));
         let get = b.import_func("wasi_snapshot_preview1", "args_get", wasi_sig(2));
         let mem = b.memory(1, None);
         b.export_memory("memory", mem);
-        let f = b.func(FuncType::new(vec![], vec![ValType::I32]), |f| {
+        let f = b.func(FuncType::new(vec![], vec![]), |f| {
             f.i32_const(0).i32_const(4).call(sizes).drop_();
             f.i32_const(8).i32_const(64).call(get).drop_();
-            f.i32_const(0).i32_load(0); // argc
         });
         b.export_func("main", f);
 
@@ -445,9 +444,10 @@ mod tests {
             InstanceConfig::default(),
         )
         .unwrap();
-        assert_eq!(inst.invoke("main", &[]).unwrap(), vec![Value::I32(3)]);
-        // argv buffer holds NUL-terminated strings.
+        inst.invoke("main", &[]).unwrap();
         let m = inst.memory().unwrap();
+        assert_eq!(m.load_u32(0, 0).unwrap(), 3, "argc");
+        // argv buffer holds NUL-terminated strings.
         let argv0_ptr = m.load_u32(8, 0).unwrap();
         assert_eq!(m.read_bytes(argv0_ptr, 4).unwrap(), b"svc\0");
     }
@@ -513,8 +513,9 @@ mod tests {
             )
             .unwrap();
 
-        // Guest: open "config.txt" under preopen fd 3, read 9 bytes to
-        // address 128, return nread.
+        // Guest: `open` opens "config.txt" under preopen fd 3 (the fd lands
+        // at 64); `read(fd)` reads up to 64 bytes to address 128 (nread
+        // lands at 80). The host carries the fd from one to the other.
         let mut b = ModuleBuilder::new();
         let path_open = b.import_func("wasi_snapshot_preview1", "path_open", {
             let mut params = vec![ValType::I32; 9];
@@ -525,7 +526,7 @@ mod tests {
         let mem = b.memory(1, None);
         b.export_memory("memory", mem);
         b.data(0, &b"config.txt"[..]);
-        let f = b.func(FuncType::new(vec![], vec![ValType::I32]), |f| {
+        let open = b.func(FuncType::new(vec![], vec![]), |f| {
             // path_open(3, 0, 0, 10, 0, 0, 0, 0, 64)
             f.i32_const(3)
                 .i32_const(0)
@@ -541,15 +542,13 @@ mod tests {
             // iovec at 72: { ptr: 128, len: 64 }
             f.i32_const(72).i32_const(128).i32_store(0);
             f.i32_const(76).i32_const(64).i32_store(0);
-            // fd_read(fd@64, 72, 1, 80)
-            f.i32_const(64).i32_load(0);
-            f.i32_const(72).i32_const(1).i32_const(80).call(fd_read).drop_();
-            // hack: fd_read expects fd first — rebuild properly below.
-            f.i32_const(80).i32_load(0);
         });
-        // The above sequence pushes the fd then the other args — matching
-        // fd_read(fd, iovs, iovs_len, nread).
-        b.export_func("main", f);
+        b.export_func("open", open);
+        let read = b.func(FuncType::new(vec![ValType::I32], vec![ValType::I32]), |f| {
+            // fd_read(fd, 72, 1, 80)
+            f.local_get(0).i32_const(72).i32_const(1).i32_const(80).call(fd_read);
+        });
+        b.export_func("read", read);
 
         let ctx = WasiCtx::new(kernel.clone(), pid).preopen("/data", "/containers/c1/rootfs/data");
         let mut inst = Instance::instantiate(
@@ -558,9 +557,12 @@ mod tests {
             InstanceConfig::default(),
         )
         .unwrap();
-        let out = inst.invoke("main", &[]).unwrap();
-        assert_eq!(out, vec![Value::I32(9)]);
-        assert_eq!(inst.memory().unwrap().read_bytes(128, 9).unwrap(), b"threads=4");
+        inst.invoke("open", &[]).unwrap();
+        let fd = inst.memory().unwrap().load_u32(64, 0).unwrap();
+        assert_eq!(inst.invoke("read", &[Value::I32(fd as i32)]).unwrap(), vec![Value::I32(0)]);
+        let m = inst.memory().unwrap();
+        assert_eq!(m.load_u32(80, 0).unwrap(), 9, "nread");
+        assert_eq!(m.read_bytes(128, 9).unwrap(), b"threads=4");
         // The read charged the file into the page cache.
         let file = kernel.lookup("/containers/c1/rootfs/data/config.txt").unwrap();
         assert!(kernel.file_cached(file).unwrap() > 0);
@@ -578,7 +580,7 @@ mod tests {
         let f = b.func(FuncType::new(vec![], vec![ValType::I64]), |f| {
             f.i32_const(0).i64_const(0).i32_const(16).call(clock).drop_();
             f.i32_const(32).i32_const(8).call(random).drop_();
-            f.i32_const(16).i64_load(0);
+            f.i32_const(0).i64_load(16);
         });
         b.export_func("main", f);
         let (kernel, pid) = kernel_and_pid();
@@ -598,10 +600,11 @@ mod tests {
 
     #[test]
     fn fd_seek_past_the_i64_range_is_inval_and_leaves_the_offset() {
-        // Guest: open "f" under preopen fd 3 (fd stored at 64), seek to
-        // i64::MAX from the start, seek i64::MAX further from there
-        // (errno kept at 120, new offset would land at 104), then ask
-        // where the offset is (at 112).
+        // Guest: `open` opens "f" under preopen fd 3 (fd stored at 64);
+        // `seek(fd)` seeks to i64::MAX from the start, seeks i64::MAX
+        // further from there (errno kept at 120, new offset would land at
+        // 104), then asks where the offset is (at 112). The host carries
+        // the fd from one to the other.
         let mut b = ModuleBuilder::new();
         let path_open = b.import_func("wasi_snapshot_preview1", "path_open", wasi_sig(9));
         let fd_seek = b.import_func(
@@ -615,19 +618,22 @@ mod tests {
         let mem = b.memory(1, None);
         b.export_memory("memory", mem);
         b.data(0, &b"f"[..]);
-        let f = b.func(FuncType::new(vec![], vec![ValType::I32]), |f| {
+        let open = b.func(FuncType::new(vec![], vec![]), |f| {
             f.i32_const(3).i32_const(0).i32_const(0).i32_const(1);
             f.i32_const(0).i32_const(0).i32_const(0).i32_const(0).i32_const(64);
             f.call(path_open).drop_();
-            f.i32_const(64).i32_load(0).i64_const(i64::MAX).i32_const(0).i32_const(96);
+        });
+        b.export_func("open", open);
+        let seek = b.func(FuncType::new(vec![ValType::I32], vec![ValType::I32]), |f| {
+            f.local_get(0).i64_const(i64::MAX).i32_const(0).i32_const(96);
             f.call(fd_seek).drop_();
             f.i32_const(120);
-            f.i32_const(64).i32_load(0).i64_const(i64::MAX).i32_const(1).i32_const(104);
+            f.local_get(0).i64_const(i64::MAX).i32_const(1).i32_const(104);
             f.call(fd_seek).i32_store(0);
-            f.i32_const(64).i32_load(0).i64_const(0).i32_const(1).i32_const(112);
+            f.local_get(0).i64_const(0).i32_const(1).i32_const(112);
             f.call(fd_seek);
         });
-        b.export_func("main", f);
+        b.export_func("seek", seek);
         let module = Arc::new(b.build());
 
         for tier in [ExecTier::InPlace, ExecTier::Lowered] {
@@ -638,7 +644,9 @@ mod tests {
             let config = InstanceConfig { tier, ..Default::default() };
             let mut inst =
                 Instance::instantiate(module.clone(), ctx.into_imports(), config).unwrap();
-            assert_eq!(inst.invoke("main", &[]).unwrap(), vec![Value::I32(0)], "{tier:?}");
+            inst.invoke("open", &[]).unwrap();
+            let fd = Value::I32(inst.memory().unwrap().load_u32(64, 0).unwrap() as i32);
+            assert_eq!(inst.invoke("seek", &[fd]).unwrap(), vec![Value::I32(0)], "{tier:?}");
             let m = inst.memory().unwrap();
             assert_eq!(m.load_u32(120, 0).unwrap(), Errno::Inval.raw() as u32, "{tier:?}");
             assert_eq!(m.load_u64(104, 0).unwrap(), 0, "{tier:?}: no offset reported");
@@ -727,7 +735,6 @@ mod tests {
                     match *arg {
                         I32(v) => f.i32_const(v),
                         I64(v) => f.i64_const(v),
-                        _ => unreachable!("wasi takes integers"),
                     };
                 }
                 f.call(host);

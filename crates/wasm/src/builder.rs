@@ -11,12 +11,9 @@ use std::collections::HashMap;
 use bytelite::Bytes;
 
 use crate::encode::encode_module;
-use crate::instr::{write_instr, BrTableData, Instruction, MemArg};
-use crate::module::{
-    ConstExpr, DataSegment, ElementSegment, Export, ExportDesc, FuncBody, Global, Import,
-    ImportDesc, Module,
-};
-use crate::types::{BlockType, FuncType, GlobalType, Limits, MemoryType, TableType, ValType};
+use crate::instr::{write_instr, Instruction, MemArg};
+use crate::module::{DataSegment, Export, ExportDesc, FuncBody, Import, Module};
+use crate::types::{FuncType, Limits, MemoryType, ValType};
 
 /// Builds a [`Module`] incrementally.
 #[derive(Debug, Default)]
@@ -31,7 +28,7 @@ impl ModuleBuilder {
     }
 
     /// Intern a function type, returning its index.
-    pub fn type_idx(&mut self, ft: FuncType) -> u32 {
+    fn type_idx(&mut self, ft: FuncType) -> u32 {
         if let Some(&i) = self.type_dedup.get(&ft) {
             return i;
         }
@@ -45,11 +42,11 @@ impl ModuleBuilder {
     /// (imports come first in the index space). Returns the function index.
     pub fn import_func(&mut self, module: &str, name: &str, ft: FuncType) -> u32 {
         assert!(self.module.funcs.is_empty(), "imports must be declared before local functions");
-        let t = self.type_idx(ft);
+        let type_idx = self.type_idx(ft);
         self.module.imports.push(Import {
             module: module.to_string(),
             name: name.to_string(),
-            desc: ImportDesc::Func(t),
+            type_idx,
         });
         self.module.num_imported_funcs() - 1
     }
@@ -58,20 +55,6 @@ impl ModuleBuilder {
     pub fn memory(&mut self, min_pages: u32, max_pages: Option<u32>) -> u32 {
         let idx = self.module.memories.len() as u32;
         self.module.memories.push(MemoryType { limits: Limits::new(min_pages, max_pages) });
-        idx
-    }
-
-    /// Declare a funcref table; returns its index.
-    pub fn table(&mut self, min: u32, max: Option<u32>) -> u32 {
-        let idx = self.module.tables.len() as u32;
-        self.module.tables.push(TableType { limits: Limits::new(min, max) });
-        idx
-    }
-
-    /// Define a global; returns its index.
-    pub fn global(&mut self, value: ValType, mutable: bool, init: ConstExpr) -> u32 {
-        let idx = self.module.num_imported_globals() + self.module.globals.len() as u32;
-        self.module.globals.push(Global { ty: GlobalType { value, mutable }, init });
         idx
     }
 
@@ -98,28 +81,9 @@ impl ModuleBuilder {
         self
     }
 
-    pub fn start(&mut self, func_idx: u32) -> &mut Self {
-        self.module.start = Some(func_idx);
-        self
-    }
-
     /// Add an active data segment at a constant i32 offset.
     pub fn data(&mut self, offset: i32, bytes: impl Into<Bytes>) -> &mut Self {
-        self.module.data.push(DataSegment {
-            memory: 0,
-            offset: ConstExpr::I32(offset),
-            bytes: bytes.into(),
-        });
-        self
-    }
-
-    /// Add an active element segment at a constant i32 offset.
-    pub fn elem(&mut self, offset: i32, funcs: Vec<u32>) -> &mut Self {
-        self.module.elements.push(ElementSegment {
-            table: 0,
-            offset: ConstExpr::I32(offset),
-            funcs,
-        });
+        self.module.data.push(DataSegment { memory: 0, offset, bytes: bytes.into() });
         self
     }
 
@@ -177,10 +141,6 @@ impl FuncBuilder {
         self.op(Instruction::I64Const(v))
     }
 
-    pub fn f64_const(&mut self, v: f64) -> &mut Self {
-        self.op(Instruction::F64Const(v))
-    }
-
     pub fn local_get(&mut self, i: u32) -> &mut Self {
         self.op(Instruction::LocalGet(i))
     }
@@ -189,24 +149,8 @@ impl FuncBuilder {
         self.op(Instruction::LocalSet(i))
     }
 
-    pub fn local_tee(&mut self, i: u32) -> &mut Self {
-        self.op(Instruction::LocalTee(i))
-    }
-
-    pub fn global_get(&mut self, i: u32) -> &mut Self {
-        self.op(Instruction::GlobalGet(i))
-    }
-
-    pub fn global_set(&mut self, i: u32) -> &mut Self {
-        self.op(Instruction::GlobalSet(i))
-    }
-
     pub fn call(&mut self, f: u32) -> &mut Self {
         self.op(Instruction::Call(f))
-    }
-
-    pub fn call_indirect(&mut self, type_idx: u32) -> &mut Self {
-        self.op(Instruction::CallIndirect { type_idx, table_idx: 0 })
     }
 
     pub fn drop_(&mut self) -> &mut Self {
@@ -221,18 +165,6 @@ impl FuncBuilder {
         self.op(Instruction::BrIf(depth))
     }
 
-    pub fn br_table(&mut self, targets: Vec<u32>, default: u32) -> &mut Self {
-        self.op(Instruction::BrTable(Box::new(BrTableData { targets, default })))
-    }
-
-    pub fn return_(&mut self) -> &mut Self {
-        self.op(Instruction::Return)
-    }
-
-    pub fn i32_load(&mut self, offset: u32) -> &mut Self {
-        self.op(Instruction::I32Load(MemArg { align: 2, offset }))
-    }
-
     pub fn i32_store(&mut self, offset: u32) -> &mut Self {
         self.op(Instruction::I32Store(MemArg { align: 2, offset }))
     }
@@ -241,35 +173,19 @@ impl FuncBuilder {
         self.op(Instruction::I64Load(MemArg { align: 3, offset }))
     }
 
-    pub fn i64_store(&mut self, offset: u32) -> &mut Self {
-        self.op(Instruction::I64Store(MemArg { align: 3, offset }))
-    }
-
-    /// Structured block: the closure fills the body; `end` is implicit.
-    pub fn block(&mut self, bt: BlockType, body: impl FnOnce(&mut FuncBuilder)) -> &mut Self {
-        self.op(Instruction::Block(bt));
+    /// Structured block (of the empty block type): the closure fills the
+    /// body; `end` is implicit.
+    pub fn block(&mut self, body: impl FnOnce(&mut FuncBuilder)) -> &mut Self {
+        self.op(Instruction::Block);
         body(self);
         self.op(Instruction::End)
     }
 
-    /// Structured loop: the closure fills the body; `end` is implicit.
-    pub fn loop_(&mut self, bt: BlockType, body: impl FnOnce(&mut FuncBuilder)) -> &mut Self {
-        self.op(Instruction::Loop(bt));
+    /// Structured loop (of the empty block type): the closure fills the
+    /// body; `end` is implicit.
+    pub fn loop_(&mut self, body: impl FnOnce(&mut FuncBuilder)) -> &mut Self {
+        self.op(Instruction::Loop);
         body(self);
-        self.op(Instruction::End)
-    }
-
-    /// Structured if/else; either arm closure may be empty.
-    pub fn if_else(
-        &mut self,
-        bt: BlockType,
-        then: impl FnOnce(&mut FuncBuilder),
-        els: impl FnOnce(&mut FuncBuilder),
-    ) -> &mut Self {
-        self.op(Instruction::If(bt));
-        then(self);
-        self.op(Instruction::Else);
-        els(self);
         self.op(Instruction::End)
     }
 
@@ -371,24 +287,24 @@ mod tests {
         b.func(FuncType::new(vec![ValType::I32], vec![]), |f| {
             let a = f.local(ValType::I32);
             let c = f.local(ValType::I32);
-            let d = f.local(ValType::F64);
+            let d = f.local(ValType::I64);
             assert_eq!((a, c, d), (1, 2, 3));
         });
         let m = b.build();
-        assert_eq!(m.bodies[0].locals, vec![(2, ValType::I32), (1, ValType::F64)]);
+        assert_eq!(m.bodies[0].locals, vec![(2, ValType::I32), (1, ValType::I64)]);
     }
 
     #[test]
     fn structured_control_helpers() {
         let mut b = ModuleBuilder::new();
-        b.func(FuncType::new(vec![], vec![ValType::I32]), |f| {
-            f.block(BlockType::Value(ValType::I32), |f| {
-                f.i32_const(5);
+        b.func(FuncType::new(vec![], vec![]), |f| {
+            f.block(|f| {
+                f.loop_(|_| {});
             });
         });
         let m = b.build();
-        // block i32 / i32.const 5 / end / end
-        assert_eq!(m.bodies[0].code.as_ref(), &[0x02, 0x7f, 0x41, 5, 0x0b, 0x0b]);
+        // block / loop / end / end / end
+        assert_eq!(m.bodies[0].code.as_ref(), &[0x02, 0x40, 0x03, 0x40, 0x0b, 0x0b, 0x0b]);
     }
 
     #[test]
@@ -400,6 +316,6 @@ mod tests {
         let m = decode_module(b.build_bytes()).unwrap();
         assert_eq!(m.memories.len(), 1);
         assert_eq!(m.data[0].bytes.as_ref(), b"hi");
-        assert_eq!(m.data[0].offset, ConstExpr::I32(16));
+        assert_eq!(m.data[0].offset, 16);
     }
 }

@@ -1,5 +1,10 @@
 //! Binary decoder (spec §5): bytes → [`Module`].
 //!
+//! The sections it reads are the ones the guests carry: type, import,
+//! function, memory, export, code and data (ids 1, 2, 3, 5, 7, 10 and 11).
+//! Any other id — custom, table, global, start, element — is
+//! [`DecodeError::UnknownSection`].
+//!
 //! Function bodies are taken as zero-copy [`Bytes`] slices of the input so
 //! that an in-place interpreter over a page-cache-shared module binary
 //! allocates essentially nothing — the property the WAMR profile measures.
@@ -9,11 +14,8 @@ use bytelite::Bytes;
 use crate::error::DecodeError;
 use crate::instr::{read_instr, Instruction};
 use crate::leb128;
-use crate::module::{
-    ConstExpr, DataSegment, ElementSegment, Export, ExportDesc, FuncBody, Global, Import,
-    ImportDesc, Module,
-};
-use crate::types::{FuncType, GlobalType, Limits, MemoryType, TableType, ValType};
+use crate::module::{DataSegment, Export, ExportDesc, FuncBody, Import, Module};
+use crate::types::{FuncType, Limits, MemoryType, ValType};
 
 const MAGIC: &[u8; 4] = b"\0asm";
 const VERSION: u32 = 1;
@@ -75,48 +77,21 @@ impl Reader {
         }
     }
 
-    fn table_type(&mut self) -> Result<TableType, DecodeError> {
-        let elem = self.byte()?;
-        if elem != 0x70 {
-            return Err(DecodeError::Malformed(format!(
-                "table element type must be funcref, got 0x{elem:02x}"
-            )));
-        }
-        Ok(TableType { limits: self.limits()? })
-    }
-
-    fn global_type(&mut self) -> Result<GlobalType, DecodeError> {
-        let value = self.valtype()?;
-        let mutable = match self.byte()? {
-            0x00 => false,
-            0x01 => true,
-            other => return Err(DecodeError::BadMutability(other)),
-        };
-        Ok(GlobalType { value, mutable })
-    }
-
-    /// A constant expression: one const-ish instruction followed by `end`.
-    fn const_expr(&mut self) -> Result<ConstExpr, DecodeError> {
+    /// A data segment's offset: `i32.const` followed by `end`.
+    fn offset_expr(&mut self) -> Result<i32, DecodeError> {
         let (instr, n) = read_instr(&self.data[self.pos..])?;
         self.pos += n;
-        let expr = match instr {
-            Instruction::I32Const(v) => ConstExpr::I32(v),
-            Instruction::I64Const(v) => ConstExpr::I64(v),
-            Instruction::F32Const(v) => ConstExpr::F32(v),
-            Instruction::F64Const(v) => ConstExpr::F64(v),
-            Instruction::GlobalGet(i) => ConstExpr::GlobalGet(i),
-            other => {
-                return Err(DecodeError::Malformed(format!(
-                    "non-constant instruction in const expression: {other:?}"
-                )))
-            }
+        let Instruction::I32Const(offset) = instr else {
+            return Err(DecodeError::Malformed(format!(
+                "data offset must be i32.const: {instr:?}"
+            )));
         };
         let (end, n) = read_instr(&self.data[self.pos..])?;
         self.pos += n;
         if end != Instruction::End {
-            return Err(DecodeError::Malformed("const expression must end with `end`".into()));
+            return Err(DecodeError::Malformed("data offset must end with `end`".into()));
         }
-        Ok(expr)
+        Ok(offset)
     }
 }
 
@@ -139,31 +114,14 @@ pub fn decode_module(bytes: impl Into<Bytes>) -> Result<Module, DecodeError> {
         let id = r.byte()?;
         let size = r.u32()? as usize;
         let body_start = r.pos;
-        if id > 11 {
+        if !matches!(id, 1 | 2 | 3 | 5 | 7 | 10 | 11) {
             return Err(DecodeError::UnknownSection(id));
         }
-        if id != 0 {
-            if id <= last_section {
-                return Err(DecodeError::SectionOrder(id));
-            }
-            last_section = id;
+        if id <= last_section {
+            return Err(DecodeError::SectionOrder(id));
         }
+        last_section = id;
         match id {
-            0 => {
-                let end = body_start + size;
-                if end > r.data.len() {
-                    return Err(DecodeError::UnexpectedEof);
-                }
-                let name = r.name()?;
-                // The name may (maliciously) extend past the declared
-                // section size; that is a malformed section, not a panic.
-                let payload =
-                    r.take(end.checked_sub(r.pos).ok_or(DecodeError::SectionSizeMismatch {
-                        declared: size as u32,
-                        actual: (r.pos - body_start) as u32,
-                    })?)?;
-                m.customs.push((name, payload));
-            }
             1 => {
                 let count = r.u32()?;
                 for _ in 0..count {
@@ -191,14 +149,10 @@ pub fn decode_module(bytes: impl Into<Bytes>) -> Result<Module, DecodeError> {
                 for _ in 0..count {
                     let module = r.name()?;
                     let name = r.name()?;
-                    let desc = match r.byte()? {
-                        0x00 => ImportDesc::Func(r.u32()?),
-                        0x01 => ImportDesc::Table(r.table_type()?),
-                        0x02 => ImportDesc::Memory(MemoryType { limits: r.limits()? }),
-                        0x03 => ImportDesc::Global(r.global_type()?),
+                    match r.byte()? {
+                        0x00 => m.imports.push(Import { module, name, type_idx: r.u32()? }),
                         other => return Err(DecodeError::BadKind(other)),
-                    };
-                    m.imports.push(Import { module, name, desc });
+                    }
                 }
             }
             3 => {
@@ -209,24 +163,10 @@ pub fn decode_module(bytes: impl Into<Bytes>) -> Result<Module, DecodeError> {
                 }
                 func_types = Some(v);
             }
-            4 => {
-                let count = r.u32()?;
-                for _ in 0..count {
-                    m.tables.push(r.table_type()?);
-                }
-            }
             5 => {
                 let count = r.u32()?;
                 for _ in 0..count {
                     m.memories.push(MemoryType { limits: r.limits()? });
-                }
-            }
-            6 => {
-                let count = r.u32()?;
-                for _ in 0..count {
-                    let ty = r.global_type()?;
-                    let init = r.const_expr()?;
-                    m.globals.push(Global { ty, init });
                 }
             }
             7 => {
@@ -235,28 +175,10 @@ pub fn decode_module(bytes: impl Into<Bytes>) -> Result<Module, DecodeError> {
                     let name = r.name()?;
                     let desc = match r.byte()? {
                         0x00 => ExportDesc::Func(r.u32()?),
-                        0x01 => ExportDesc::Table(r.u32()?),
                         0x02 => ExportDesc::Memory(r.u32()?),
-                        0x03 => ExportDesc::Global(r.u32()?),
                         other => return Err(DecodeError::BadKind(other)),
                     };
                     m.exports.push(Export { name, desc });
-                }
-            }
-            8 => {
-                m.start = Some(r.u32()?);
-            }
-            9 => {
-                let count = r.u32()?;
-                for _ in 0..count {
-                    let table = r.u32()?;
-                    let offset = r.const_expr()?;
-                    let n = r.u32()?;
-                    let mut funcs = Vec::with_capacity(n as usize);
-                    for _ in 0..n {
-                        funcs.push(r.u32()?);
-                    }
-                    m.elements.push(ElementSegment { table, offset, funcs });
                 }
             }
             10 => {
@@ -295,13 +217,13 @@ pub fn decode_module(bytes: impl Into<Bytes>) -> Result<Module, DecodeError> {
                 let count = r.u32()?;
                 for _ in 0..count {
                     let memory = r.u32()?;
-                    let offset = r.const_expr()?;
+                    let offset = r.offset_expr()?;
                     let n = r.u32()? as usize;
                     let bytes = r.take(n)?;
                     m.data.push(DataSegment { memory, offset, bytes });
                 }
             }
-            _ => unreachable!("id checked above"),
+            _ => unreachable!("id checked against the kept sections above"),
         }
         let consumed = r.pos - body_start;
         if consumed != size {
@@ -415,16 +337,27 @@ mod tests {
     }
 
     #[test]
-    fn custom_sections_preserved() {
-        let mut b = vec![];
-        b.extend_from_slice(b"\0asm");
-        b.extend_from_slice(&1u32.to_le_bytes());
-        // custom section: size 6, name "nm" (len 2), payload [1,2,3].
-        b.extend_from_slice(&[0, 6, 2, b'n', b'm', 1, 2, 3]);
-        let m = decode_module(b).unwrap();
-        assert_eq!(m.customs.len(), 1);
-        assert_eq!(m.customs[0].0, "nm");
-        assert_eq!(m.customs[0].1.as_ref(), &[1, 2, 3]);
+    fn sections_outside_the_kept_set_are_unknown() {
+        for id in [0u8, 4, 6, 8, 9, 12] {
+            let mut b = tiny();
+            b.extend_from_slice(&[id, 1, 0]);
+            assert_eq!(decode_module(b), Err(DecodeError::UnknownSection(id)), "id {id}");
+        }
+    }
+
+    #[test]
+    fn only_function_imports_and_function_or_memory_exports() {
+        let header = b"\0asm\x01\0\0\0";
+        for kind in [1u8, 2, 3] {
+            let mut b = header.to_vec();
+            b.extend_from_slice(&[2, 6, 1, 1, b'm', 1, b'n', kind]);
+            assert_eq!(decode_module(b), Err(DecodeError::BadKind(kind)), "import kind {kind}");
+        }
+        for kind in [1u8, 3] {
+            let mut b = header.to_vec();
+            b.extend_from_slice(&[7, 5, 1, 1, b'e', kind, 0]);
+            assert_eq!(decode_module(b), Err(DecodeError::BadKind(kind)), "export kind {kind}");
+        }
     }
 
     #[test]

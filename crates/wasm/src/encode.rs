@@ -1,9 +1,10 @@
 //! Binary encoder: [`Module`] → bytes. Inverse of [`crate::decode`];
 //! round-trip fidelity is enforced by property tests.
 
+use crate::instr::{write_instr, Instruction};
 use crate::leb128;
-use crate::module::{ConstExpr, ExportDesc, ImportDesc, Module};
-use crate::types::{GlobalType, Limits, TableType};
+use crate::module::{ExportDesc, Module};
+use crate::types::Limits;
 
 fn write_name(out: &mut Vec<u8>, s: &str) {
     leb128::write_u32(out, s.len() as u32);
@@ -22,29 +23,6 @@ fn write_limits(out: &mut Vec<u8>, l: &Limits) {
             leb128::write_u32(out, max);
         }
     }
-}
-
-fn write_table_type(out: &mut Vec<u8>, t: &TableType) {
-    out.push(0x70);
-    write_limits(out, &t.limits);
-}
-
-fn write_global_type(out: &mut Vec<u8>, g: &GlobalType) {
-    out.push(g.value.byte());
-    out.push(if g.mutable { 0x01 } else { 0x00 });
-}
-
-fn write_const_expr(out: &mut Vec<u8>, e: &ConstExpr) {
-    use crate::instr::{write_instr, Instruction as I};
-    let instr = match *e {
-        ConstExpr::I32(v) => I::I32Const(v),
-        ConstExpr::I64(v) => I::I64Const(v),
-        ConstExpr::F32(v) => I::F32Const(v),
-        ConstExpr::F64(v) => I::F64Const(v),
-        ConstExpr::GlobalGet(i) => I::GlobalGet(i),
-    };
-    write_instr(out, &instr);
-    write_instr(out, &I::End);
 }
 
 fn section(out: &mut Vec<u8>, id: u8, body: Vec<u8>) {
@@ -87,24 +65,8 @@ pub fn encode_module(m: &Module) -> Vec<u8> {
         for imp in &m.imports {
             write_name(&mut b, &imp.module);
             write_name(&mut b, &imp.name);
-            match &imp.desc {
-                ImportDesc::Func(t) => {
-                    b.push(0x00);
-                    leb128::write_u32(&mut b, *t);
-                }
-                ImportDesc::Table(t) => {
-                    b.push(0x01);
-                    write_table_type(&mut b, t);
-                }
-                ImportDesc::Memory(mt) => {
-                    b.push(0x02);
-                    write_limits(&mut b, &mt.limits);
-                }
-                ImportDesc::Global(g) => {
-                    b.push(0x03);
-                    write_global_type(&mut b, g);
-                }
-            }
+            b.push(0x00);
+            leb128::write_u32(&mut b, imp.type_idx);
         }
         section(&mut out, 2, b);
     }
@@ -119,16 +81,6 @@ pub fn encode_module(m: &Module) -> Vec<u8> {
         section(&mut out, 3, b);
     }
 
-    // Table section (4).
-    if !m.tables.is_empty() {
-        let mut b = Vec::new();
-        leb128::write_u32(&mut b, m.tables.len() as u32);
-        for t in &m.tables {
-            write_table_type(&mut b, t);
-        }
-        section(&mut out, 4, b);
-    }
-
     // Memory section (5).
     if !m.memories.is_empty() {
         let mut b = Vec::new();
@@ -137,17 +89,6 @@ pub fn encode_module(m: &Module) -> Vec<u8> {
             write_limits(&mut b, &mem.limits);
         }
         section(&mut out, 5, b);
-    }
-
-    // Global section (6).
-    if !m.globals.is_empty() {
-        let mut b = Vec::new();
-        leb128::write_u32(&mut b, m.globals.len() as u32);
-        for g in &m.globals {
-            write_global_type(&mut b, &g.ty);
-            write_const_expr(&mut b, &g.init);
-        }
-        section(&mut out, 6, b);
     }
 
     // Export section (7).
@@ -161,43 +102,13 @@ pub fn encode_module(m: &Module) -> Vec<u8> {
                     b.push(0x00);
                     leb128::write_u32(&mut b, i);
                 }
-                ExportDesc::Table(i) => {
-                    b.push(0x01);
-                    leb128::write_u32(&mut b, i);
-                }
                 ExportDesc::Memory(i) => {
                     b.push(0x02);
-                    leb128::write_u32(&mut b, i);
-                }
-                ExportDesc::Global(i) => {
-                    b.push(0x03);
                     leb128::write_u32(&mut b, i);
                 }
             }
         }
         section(&mut out, 7, b);
-    }
-
-    // Start section (8).
-    if let Some(start) = m.start {
-        let mut b = Vec::new();
-        leb128::write_u32(&mut b, start);
-        section(&mut out, 8, b);
-    }
-
-    // Element section (9).
-    if !m.elements.is_empty() {
-        let mut b = Vec::new();
-        leb128::write_u32(&mut b, m.elements.len() as u32);
-        for e in &m.elements {
-            leb128::write_u32(&mut b, e.table);
-            write_const_expr(&mut b, &e.offset);
-            leb128::write_u32(&mut b, e.funcs.len() as u32);
-            for f in &e.funcs {
-                leb128::write_u32(&mut b, *f);
-            }
-        }
-        section(&mut out, 9, b);
     }
 
     // Code section (10).
@@ -224,19 +135,12 @@ pub fn encode_module(m: &Module) -> Vec<u8> {
         leb128::write_u32(&mut b, m.data.len() as u32);
         for d in &m.data {
             leb128::write_u32(&mut b, d.memory);
-            write_const_expr(&mut b, &d.offset);
+            write_instr(&mut b, &Instruction::I32Const(d.offset));
+            write_instr(&mut b, &Instruction::End);
             leb128::write_u32(&mut b, d.bytes.len() as u32);
             b.extend_from_slice(&d.bytes);
         }
         section(&mut out, 11, b);
-    }
-
-    // Custom sections go last (a legal placement).
-    for (name, payload) in &m.customs {
-        let mut b = Vec::new();
-        write_name(&mut b, name);
-        b.extend_from_slice(payload);
-        section(&mut out, 0, b);
     }
 
     out
@@ -246,7 +150,7 @@ pub fn encode_module(m: &Module) -> Vec<u8> {
 mod tests {
     use super::*;
     use crate::decode::decode_module;
-    use crate::module::{DataSegment, Export, FuncBody, Global, Import};
+    use crate::module::{DataSegment, Export, FuncBody, Import};
     use crate::types::{FuncType, MemoryType, ValType};
     use bytelite::Bytes;
 
@@ -266,46 +170,20 @@ mod tests {
         m.imports.push(Import {
             module: "wasi_snapshot_preview1".into(),
             name: "proc_exit".into(),
-            desc: ImportDesc::Func(1),
+            type_idx: 1,
         });
         m.funcs.push(0);
         m.memories.push(MemoryType { limits: Limits::new(1, Some(16)) });
-        m.globals.push(Global {
-            ty: GlobalType { value: ValType::I64, mutable: true },
-            init: ConstExpr::I64(-5),
-        });
         m.exports.push(Export { name: "add".into(), desc: ExportDesc::Func(1) });
         m.exports.push(Export { name: "memory".into(), desc: ExportDesc::Memory(0) });
         m.bodies.push(FuncBody {
             locals: vec![(1, ValType::I64)],
             code: Bytes::from_static(&[0x20, 0x00, 0x20, 0x01, 0x6a, 0x0b]),
         });
-        m.data.push(DataSegment {
-            memory: 0,
-            offset: ConstExpr::I32(8),
-            bytes: Bytes::from_static(b"hello"),
-        });
-        m.start = Some(1);
-        m.customs.push(("producers".into(), Bytes::from_static(&[9, 9])));
+        m.data.push(DataSegment { memory: 0, offset: 8, bytes: Bytes::from_static(b"hello") });
 
         let bytes = encode_module(&m);
         let back = decode_module(bytes).unwrap();
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn globals_with_global_get_init() {
-        let mut m = Module::default();
-        m.imports.push(Import {
-            module: "env".into(),
-            name: "base".into(),
-            desc: ImportDesc::Global(GlobalType { value: ValType::I32, mutable: false }),
-        });
-        m.globals.push(Global {
-            ty: GlobalType { value: ValType::I32, mutable: false },
-            init: ConstExpr::GlobalGet(0),
-        });
-        let back = decode_module(encode_module(&m)).unwrap();
         assert_eq!(back, m);
     }
 }

@@ -15,24 +15,26 @@ pub enum DecodeError {
     IntegerTooLarge,
     /// LEB128 used more bytes than its width allows.
     IntegerTooLong,
-    /// Unknown section id.
+    /// A section id outside the kept set (custom, table, global, start and
+    /// element sections included).
     UnknownSection(u8),
     /// Sections out of order or duplicated.
     SectionOrder(u8),
     /// Declared size doesn't match actual content.
     SectionSizeMismatch { declared: u32, actual: u32 },
-    /// Unknown value type byte.
+    /// A value type other than `i32` and `i64`.
     BadValType(u8),
-    /// Unknown opcode byte.
+    /// A block type other than the empty one (`0x40`).
+    BadBlockType(u8),
+    /// An opcode outside the kept set.
     BadOpcode(u8),
-    /// Unknown import/export kind byte.
+    /// An import kind other than a function, or an export kind other than
+    /// a function or a memory.
     BadKind(u8),
     /// Malformed UTF-8 in a name.
     BadUtf8,
     /// Function and code section lengths disagree.
     FuncCodeMismatch { funcs: u32, bodies: u32 },
-    /// Malformed mutability flag.
-    BadMutability(u8),
     /// Limits flag invalid.
     BadLimitsFlag(u8),
     /// A structural constraint was violated (context in the string).
@@ -53,13 +55,13 @@ impl fmt::Display for DecodeError {
                 write!(f, "section size mismatch: declared {declared}, actual {actual}")
             }
             DecodeError::BadValType(b) => write!(f, "bad value type 0x{b:02x}"),
+            DecodeError::BadBlockType(b) => write!(f, "bad block type 0x{b:02x}"),
             DecodeError::BadOpcode(b) => write!(f, "bad opcode 0x{b:02x}"),
             DecodeError::BadKind(b) => write!(f, "bad import/export kind 0x{b:02x}"),
             DecodeError::BadUtf8 => write!(f, "malformed UTF-8 name"),
             DecodeError::FuncCodeMismatch { funcs, bodies } => {
                 write!(f, "function section has {funcs} entries but code section has {bodies}")
             }
-            DecodeError::BadMutability(b) => write!(f, "bad mutability flag 0x{b:02x}"),
             DecodeError::BadLimitsFlag(b) => write!(f, "bad limits flag 0x{b:02x}"),
             DecodeError::Malformed(s) => write!(f, "malformed module: {s}"),
         }
@@ -77,32 +79,25 @@ pub enum ValidationError {
     UnknownFunc(u32),
     /// A local index is out of range.
     UnknownLocal(u32),
-    /// A global index is out of range.
-    UnknownGlobal(u32),
     /// A label depth is out of range.
     UnknownLabel(u32),
-    /// A table index is out of range.
-    UnknownTable(u32),
     /// A memory index is out of range.
     UnknownMemory(u32),
     /// Operand stack type mismatch.
     TypeMismatch { context: String },
-    /// Assignment to an immutable global.
-    ImmutableGlobal(u32),
     /// Alignment exceeds natural alignment of the access.
     BadAlignment { align: u32, natural: u32 },
-    /// Multiple memories/tables declared (MVP allows at most one).
-    MultipleDeclared(&'static str),
+    /// More than one memory declared (MVP allows at most one).
+    MultipleMemories,
     /// Limits minimum exceeds maximum.
     BadLimits,
-    /// Start function has the wrong signature.
-    BadStartSignature,
-    /// Constant expression required (globals, element/data offsets).
-    NotConstant,
     /// Duplicate export name.
     DuplicateExport(String),
     /// Values remain on the stack at the end of a function/block.
     UnbalancedStack { expected: usize, actual: usize },
+    /// A function body holds bytes the instruction reader rejects (an
+    /// opcode or block type outside the kept set, a truncated immediate).
+    Decode(DecodeError),
 }
 
 impl fmt::Display for ValidationError {
@@ -111,27 +106,19 @@ impl fmt::Display for ValidationError {
             ValidationError::UnknownType(i) => write!(f, "unknown type index {i}"),
             ValidationError::UnknownFunc(i) => write!(f, "unknown function index {i}"),
             ValidationError::UnknownLocal(i) => write!(f, "unknown local index {i}"),
-            ValidationError::UnknownGlobal(i) => write!(f, "unknown global index {i}"),
             ValidationError::UnknownLabel(i) => write!(f, "unknown label depth {i}"),
-            ValidationError::UnknownTable(i) => write!(f, "unknown table index {i}"),
             ValidationError::UnknownMemory(i) => write!(f, "unknown memory index {i}"),
             ValidationError::TypeMismatch { context } => write!(f, "type mismatch: {context}"),
-            ValidationError::ImmutableGlobal(i) => write!(f, "global {i} is immutable"),
             ValidationError::BadAlignment { align, natural } => {
                 write!(f, "alignment 2^{align} exceeds natural 2^{natural}")
             }
-            ValidationError::MultipleDeclared(what) => {
-                write!(f, "at most one {what} is allowed in the MVP")
-            }
+            ValidationError::MultipleMemories => write!(f, "at most one memory is allowed"),
             ValidationError::BadLimits => write!(f, "limits minimum exceeds maximum"),
-            ValidationError::BadStartSignature => {
-                write!(f, "start function must have type [] -> []")
-            }
-            ValidationError::NotConstant => write!(f, "constant expression required"),
             ValidationError::DuplicateExport(n) => write!(f, "duplicate export name {n:?}"),
             ValidationError::UnbalancedStack { expected, actual } => {
                 write!(f, "unbalanced stack: expected {expected} values, found {actual}")
             }
+            ValidationError::Decode(e) => write!(f, "function body: {e}"),
         }
     }
 }

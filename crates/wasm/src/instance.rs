@@ -1,7 +1,7 @@
 //! Module instantiation and invocation.
 //!
-//! An [`Instance`] owns the runtime state (linear memory, globals, table,
-//! host imports) and executes through one of two tiers:
+//! An [`Instance`] owns the runtime state (linear memory and host imports)
+//! and executes through one of two tiers:
 //!
 //! * [`ExecTier::InPlace`] — the WAMR-style classic interpreter
 //!   ([`crate::interp`]): executes raw code bytes directly, building only a
@@ -22,8 +22,7 @@ use std::sync::Arc;
 use crate::interp;
 use crate::lowered::{self, LoweredFunc};
 use crate::memory::LinearMemory;
-use crate::module::{ConstExpr, ImportDesc, Module};
-use crate::types::ValType;
+use crate::module::Module;
 use crate::values::{Slot, Trap, Value};
 
 /// Execution strategy.
@@ -173,10 +172,9 @@ pub struct ExecStats {
     /// of every simulated startup time.
     ///
     /// * In-place tier: one unit per dispatched bytecode, control
-    ///   bookkeeping included — `block`, `loop`, `if`, `else` and every
-    ///   `end` control actually reaches (the function's last one too). An
-    ///   `end` that a taken branch, a `return` or a false `if` with no
-    ///   `else` arm jumps past is never dispatched and is not counted; a
+    ///   bookkeeping included — `block`, `loop` and every `end` control
+    ///   actually reaches (the function's last one too). An `end` that a
+    ///   taken branch jumps past is never dispatched and is not counted; a
     ///   back-edge to a `loop` does not re-dispatch the `loop` opcode.
     /// * Lowered tier: one unit per executed [`crate::lowered::OpWord`].
     ///
@@ -199,26 +197,18 @@ pub struct ExecStats {
 pub enum InstantiateError {
     /// No import provided for `module.name`.
     MissingImport(String, String),
-    /// Imported memories/tables/globals are not supported by this embedder.
-    UnsupportedImport(String),
-    /// An active segment falls outside its target.
-    SegmentOutOfBounds(&'static str),
+    /// An active data segment falls outside the memory.
+    DataOutOfBounds,
     /// The module failed validation.
     Invalid(crate::error::ValidationError),
-    /// Start function trapped.
-    StartTrapped(Trap),
 }
 
 impl std::fmt::Display for InstantiateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             InstantiateError::MissingImport(m, n) => write!(f, "missing import {m}.{n}"),
-            InstantiateError::UnsupportedImport(s) => write!(f, "unsupported import: {s}"),
-            InstantiateError::SegmentOutOfBounds(what) => {
-                write!(f, "active {what} segment out of bounds")
-            }
+            InstantiateError::DataOutOfBounds => write!(f, "active data segment out of bounds"),
             InstantiateError::Invalid(e) => write!(f, "validation failed: {e}"),
-            InstantiateError::StartTrapped(t) => write!(f, "start function trapped: {t}"),
         }
     }
 }
@@ -230,9 +220,6 @@ pub struct Instance {
     pub(crate) module: Arc<Module>,
     pub(crate) config: InstanceConfig,
     pub(crate) memory: Option<LinearMemory>,
-    pub(crate) globals: Vec<Slot>,
-    pub(crate) global_types: Vec<ValType>,
-    pub(crate) table: Vec<Option<u32>>,
     pub(crate) host_funcs: Vec<Option<HostFunc>>,
     /// Per local function: has this instance been charged for its control
     /// side-table yet (in-place tier; the table itself is shared per
@@ -279,63 +266,21 @@ impl Instance {
         mut imports: Imports,
         config: InstanceConfig,
     ) -> Result<Instance, InstantiateError> {
-        // Resolve imports. Only function imports are supported by this
-        // embedder (all WASI modules import functions only).
+        // Resolve imports (the guests import functions only).
         let mut host_funcs = Vec::new();
         for imp in &module.imports {
-            match &imp.desc {
-                ImportDesc::Func(_) => {
-                    let f = imports
-                        .funcs
-                        .get_mut(imp.module.as_str())
-                        .and_then(|names| names.remove(imp.name.as_str()))
-                        .ok_or_else(|| {
-                            InstantiateError::MissingImport(imp.module.clone(), imp.name.clone())
-                        })?;
-                    host_funcs.push(Some(f));
-                }
-                other => return Err(InstantiateError::UnsupportedImport(format!("{other:?}"))),
-            }
+            let f = imports
+                .funcs
+                .get_mut(imp.module.as_str())
+                .and_then(|names| names.remove(imp.name.as_str()))
+                .ok_or_else(|| {
+                    InstantiateError::MissingImport(imp.module.clone(), imp.name.clone())
+                })?;
+            host_funcs.push(Some(f));
         }
 
         // Memory.
         let memory = module.memories.first().map(|mt| LinearMemory::new(mt.limits));
-
-        // Globals.
-        let mut globals = Vec::with_capacity(module.globals.len());
-        let mut global_types = Vec::with_capacity(module.globals.len());
-        for g in &module.globals {
-            let slot = match g.init {
-                ConstExpr::I32(v) => Slot::from_i32(v),
-                ConstExpr::I64(v) => Slot::from_i64(v),
-                ConstExpr::F32(v) => Slot::from_f32(v),
-                ConstExpr::F64(v) => Slot::from_f64(v),
-                // Validation restricts global.get initializers to imported
-                // globals, which this embedder does not support.
-                ConstExpr::GlobalGet(_) => {
-                    return Err(InstantiateError::UnsupportedImport("global.get init".into()))
-                }
-            };
-            globals.push(slot);
-            global_types.push(g.ty.value);
-        }
-
-        // Table + element segments.
-        let mut table: Vec<Option<u32>> =
-            module.tables.first().map(|t| vec![None; t.limits.min as usize]).unwrap_or_default();
-        for seg in &module.elements {
-            let offset = match seg.offset {
-                ConstExpr::I32(v) => v as u32 as usize,
-                _ => return Err(InstantiateError::SegmentOutOfBounds("element")),
-            };
-            let end = offset + seg.funcs.len();
-            if end > table.len() {
-                return Err(InstantiateError::SegmentOutOfBounds("element"));
-            }
-            for (i, f) in seg.funcs.iter().enumerate() {
-                table[offset + i] = Some(*f);
-            }
-        }
 
         let n_local_funcs = module.funcs.len();
         let mut inst = Instance {
@@ -343,9 +288,6 @@ impl Instance {
             epoch: config.epoch.clone().map(EpochState::new),
             config,
             memory,
-            globals,
-            global_types,
-            table,
             host_funcs,
             side_table_charged: vec![false; n_local_funcs],
             lowered: vec![None; n_local_funcs],
@@ -357,23 +299,14 @@ impl Instance {
         // Data segments.
         let module = Arc::clone(&inst.module);
         for seg in &module.data {
-            let offset = match seg.offset {
-                ConstExpr::I32(v) => v as u32,
-                _ => return Err(InstantiateError::SegmentOutOfBounds("data")),
-            };
-            let mem = inst.memory.as_mut().ok_or(InstantiateError::SegmentOutOfBounds("data"))?;
-            mem.write_bytes(offset, &seg.bytes)
-                .map_err(|_| InstantiateError::SegmentOutOfBounds("data"))?;
+            let mem = inst.memory.as_mut().ok_or(InstantiateError::DataOutOfBounds)?;
+            mem.write_bytes(seg.offset as u32, &seg.bytes)
+                .map_err(|_| InstantiateError::DataOutOfBounds)?;
         }
 
         // Lowered tier compiles everything up front — that is the point.
         if inst.config.tier == ExecTier::Lowered {
             inst.compile_all();
-        }
-
-        // Run the start function if present.
-        if let Some(start) = inst.module.start {
-            inst.invoke_index(start, &[]).map_err(InstantiateError::StartTrapped)?;
         }
 
         Ok(inst)
@@ -417,29 +350,12 @@ impl Instance {
         self.memory.as_ref()
     }
 
-    /// Read a global by index (combined space; this embedder has no
-    /// imported globals, so indices match the module's own).
-    pub fn global(&self, idx: u32) -> Option<Value> {
-        let slot = *self.globals.get(idx as usize)?;
-        let ty = *self.global_types.get(idx as usize)?;
-        Some(Value::from_slot(slot, ty))
-    }
-
     /// Invoke an exported function by name.
     pub fn invoke(&mut self, name: &str, args: &[Value]) -> Result<Vec<Value>, Trap> {
-        let idx = self
+        let func_idx = self
             .module
             .exported_func(name)
             .ok_or_else(|| Trap::HostError(format!("no exported function {name:?}")))?;
-        self.invoke_index(idx, args)
-    }
-
-    /// Invoke a function by index in the combined function space.
-    pub(crate) fn invoke_index(
-        &mut self,
-        func_idx: u32,
-        args: &[Value],
-    ) -> Result<Vec<Value>, Trap> {
         // Check the signature eagerly so both tiers agree on errors.
         let ft = self
             .module
@@ -511,19 +427,6 @@ impl Instance {
         Ok(results.len())
     }
 
-    /// Resolve a `call_indirect` through table element `elem` and check
-    /// the callee against the expected type.
-    pub(crate) fn resolve_indirect(&self, type_idx: u32, elem: u32) -> Result<u32, Trap> {
-        let entry = self.table.get(elem as usize).ok_or(Trap::TableOutOfBounds)?;
-        let f = entry.ok_or(Trap::UninitializedElement)?;
-        let expected = &self.module.types[type_idx as usize];
-        let actual = self.module.func_type(f).ok_or(Trap::UninitializedElement)?;
-        if actual != expected {
-            return Err(Trap::IndirectCallTypeMismatch);
-        }
-        Ok(f)
-    }
-
     // Work-unit accounting. The executors do not call into the instance
     // per unit: they take a *slice* — the number of units that can retire
     // before anything has to be looked at — count it down in a local, and
@@ -590,7 +493,7 @@ impl Instance {
 mod tests {
     use super::*;
     use crate::builder::ModuleBuilder;
-    use crate::types::FuncType;
+    use crate::types::{FuncType, ValType};
 
     fn add_module() -> Arc<Module> {
         let mut b = ModuleBuilder::new();
@@ -662,7 +565,7 @@ mod tests {
         let err =
             Instance::instantiate(Arc::new(b.build()), Imports::new(), InstanceConfig::default())
                 .unwrap_err();
-        assert!(matches!(err, InstantiateError::SegmentOutOfBounds("data")));
+        assert!(matches!(err, InstantiateError::DataOutOfBounds));
     }
 
     #[test]
@@ -685,7 +588,7 @@ mod tests {
     fn fuel_exhaustion() {
         let mut b = ModuleBuilder::new();
         let f = b.func(FuncType::new(vec![], vec![]), |fb| {
-            fb.loop_(crate::types::BlockType::Empty, |fb| {
+            fb.loop_(|fb| {
                 fb.br(0);
             });
         });
@@ -702,7 +605,7 @@ mod tests {
     fn spin_module() -> Arc<Module> {
         let mut b = ModuleBuilder::new();
         let f = b.func(FuncType::new(vec![], vec![]), |fb| {
-            fb.loop_(crate::types::BlockType::Empty, |fb| {
+            fb.loop_(|fb| {
                 fb.br(0);
             });
         });

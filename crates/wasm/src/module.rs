@@ -9,33 +9,22 @@
 
 use bytelite::Bytes;
 
-use crate::types::{FuncType, GlobalType, MemoryType, TableType, ValType};
+use crate::types::{FuncType, MemoryType, ValType};
 
-/// What an import provides.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum ImportDesc {
-    /// A function with the given type index.
-    Func(u32),
-    Table(TableType),
-    Memory(MemoryType),
-    Global(GlobalType),
-}
-
-/// One import: `module.name` with a description.
+/// One import: the function `module.name`, of type `type_idx` (the guests
+/// import functions only).
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Import {
     pub(crate) module: String,
     pub name: String,
-    pub(crate) desc: ImportDesc,
+    pub(crate) type_idx: u32,
 }
 
 /// What an export exposes (index into the respective space).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExportDesc {
     Func(u32),
-    Table(u32),
     Memory(u32),
-    Global(u32),
 }
 
 /// One export.
@@ -45,37 +34,11 @@ pub struct Export {
     pub desc: ExportDesc,
 }
 
-/// A constant initializer expression (MVP subset).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum ConstExpr {
-    I32(i32),
-    I64(i64),
-    F32(f32),
-    F64(f64),
-    /// Reference to an (imported, immutable) global.
-    GlobalGet(u32),
-}
-
-/// A module-defined global.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Global {
-    pub ty: GlobalType,
-    pub init: ConstExpr,
-}
-
-/// An active element segment (table initializer).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ElementSegment {
-    pub(crate) table: u32,
-    pub offset: ConstExpr,
-    pub(crate) funcs: Vec<u32>,
-}
-
-/// An active data segment (memory initializer).
+/// An active data segment (memory initializer) at a constant offset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DataSegment {
     pub memory: u32,
-    pub offset: ConstExpr,
+    pub offset: i32,
     pub bytes: Bytes,
 }
 
@@ -112,17 +75,11 @@ pub struct Module {
     pub(crate) imports: Vec<Import>,
     /// Type indices of module-defined functions.
     pub funcs: Vec<u32>,
-    pub(crate) tables: Vec<TableType>,
     pub memories: Vec<MemoryType>,
-    pub globals: Vec<Global>,
     pub exports: Vec<Export>,
-    pub(crate) start: Option<u32>,
-    pub(crate) elements: Vec<ElementSegment>,
     /// Bodies of module-defined functions (parallel to `funcs`).
     pub bodies: Vec<FuncBody>,
     pub data: Vec<DataSegment>,
-    /// Custom sections, preserved verbatim.
-    pub(crate) customs: Vec<(String, Bytes)>,
     /// Shared per-function derived code — lowered functions and control
     /// side-tables (excluded from `Clone` and `PartialEq` — it is derived
     /// state, not module identity).
@@ -133,19 +90,7 @@ impl Module {
     /// Number of imported functions (they precede local ones in the index
     /// space).
     pub fn num_imported_funcs(&self) -> u32 {
-        self.imports.iter().filter(|i| matches!(i.desc, ImportDesc::Func(_))).count() as u32
-    }
-
-    pub(crate) fn num_imported_globals(&self) -> u32 {
-        self.imports.iter().filter(|i| matches!(i.desc, ImportDesc::Global(_))).count() as u32
-    }
-
-    pub(crate) fn num_imported_tables(&self) -> u32 {
-        self.imports.iter().filter(|i| matches!(i.desc, ImportDesc::Table(_))).count() as u32
-    }
-
-    pub(crate) fn num_imported_memories(&self) -> u32 {
-        self.imports.iter().filter(|i| matches!(i.desc, ImportDesc::Memory(_))).count() as u32
+        self.imports.len() as u32
     }
 
     /// Total size of the function index space.
@@ -155,17 +100,9 @@ impl Module {
 
     /// Type index of a function in the combined index space.
     pub(crate) fn func_type_idx(&self, func_idx: u32) -> Option<u32> {
-        let imported = self.num_imported_funcs();
-        if func_idx < imported {
-            self.imports
-                .iter()
-                .filter_map(|i| match i.desc {
-                    ImportDesc::Func(t) => Some(t),
-                    _ => None,
-                })
-                .nth(func_idx as usize)
-        } else {
-            self.funcs.get((func_idx - imported) as usize).copied()
+        match func_idx.checked_sub(self.num_imported_funcs()) {
+            None => Some(self.imports[func_idx as usize].type_idx),
+            Some(local) => self.funcs.get(local as usize).copied(),
         }
     }
 
@@ -212,11 +149,7 @@ mod tests {
         let mut m = Module::default();
         m.types.push(FuncType::new(vec![], vec![]));
         m.types.push(FuncType::new(vec![ValType::I32], vec![ValType::I32]));
-        m.imports.push(Import {
-            module: "env".into(),
-            name: "f".into(),
-            desc: ImportDesc::Func(1),
-        });
+        m.imports.push(Import { module: "env".into(), name: "f".into(), type_idx: 1 });
         m.funcs.push(0);
         m.bodies.push(FuncBody { locals: vec![], code: Bytes::from_static(&[0x0b]) });
         assert_eq!(m.num_imported_funcs(), 1);
@@ -231,11 +164,11 @@ mod tests {
     #[test]
     fn locals_expansion() {
         let b = FuncBody {
-            locals: vec![(2, ValType::I32), (1, ValType::F64)],
+            locals: vec![(2, ValType::I32), (1, ValType::I64)],
             code: Bytes::from_static(&[0x0b]),
         };
         assert_eq!(b.local_count(), 3);
-        assert_eq!(b.expand_locals(), vec![ValType::I32, ValType::I32, ValType::F64]);
+        assert_eq!(b.expand_locals(), vec![ValType::I32, ValType::I32, ValType::I64]);
     }
 
     #[test]

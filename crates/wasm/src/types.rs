@@ -1,5 +1,5 @@
-//! WebAssembly type grammar (spec §2.3): value, function, limit, global,
-//! table and memory types, plus block types.
+//! WebAssembly type grammar (spec §2.3), as far as the guests use it:
+//! value, function, limit and memory types.
 
 use std::fmt;
 
@@ -10,8 +10,6 @@ use crate::error::DecodeError;
 pub enum ValType {
     I32,
     I64,
-    F32,
-    F64,
 }
 
 impl ValType {
@@ -20,8 +18,6 @@ impl ValType {
         match self {
             ValType::I32 => 0x7f,
             ValType::I64 => 0x7e,
-            ValType::F32 => 0x7d,
-            ValType::F64 => 0x7c,
         }
     }
 
@@ -30,8 +26,6 @@ impl ValType {
         match b {
             0x7f => Ok(ValType::I32),
             0x7e => Ok(ValType::I64),
-            0x7d => Ok(ValType::F32),
-            0x7c => Ok(ValType::F64),
             other => Err(DecodeError::BadValType(other)),
         }
     }
@@ -42,8 +36,6 @@ impl fmt::Display for ValType {
         let s = match self {
             ValType::I32 => "i32",
             ValType::I64 => "i64",
-            ValType::F32 => "f32",
-            ValType::F64 => "f64",
         };
         write!(f, "{s}")
     }
@@ -82,7 +74,7 @@ impl fmt::Display for FuncType {
     }
 }
 
-/// Size limits for memories and tables (in pages / elements).
+/// Size limits of a memory, in pages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Limits {
     pub min: u32,
@@ -100,32 +92,10 @@ impl Limits {
     }
 }
 
-/// A global's type: value type and mutability.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct GlobalType {
-    pub value: ValType,
-    pub mutable: bool,
-}
-
-/// A table type (MVP: funcref only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct TableType {
-    pub limits: Limits,
-}
-
 /// A memory type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MemoryType {
     pub limits: Limits,
-}
-
-/// A block's type: empty, a single result, or (via the extended encoding)
-/// a reference to a function type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum BlockType {
-    Empty,
-    Value(ValType),
-    Func(u32),
 }
 
 #[cfg(test)]
@@ -134,16 +104,18 @@ mod tests {
 
     #[test]
     fn valtype_roundtrip() {
-        for t in [ValType::I32, ValType::I64, ValType::F32, ValType::F64] {
+        for t in [ValType::I32, ValType::I64] {
             assert_eq!(ValType::from_byte(t.byte()).unwrap(), t);
         }
-        assert!(ValType::from_byte(0x00).is_err());
+        for b in [0x00, 0x7d, 0x7c] {
+            assert_eq!(ValType::from_byte(b), Err(DecodeError::BadValType(b)));
+        }
     }
 
     #[test]
     fn functype_display() {
-        let ft = FuncType::new(vec![ValType::I32, ValType::I64], vec![ValType::F32]);
-        assert_eq!(ft.to_string(), "(i32 i64) -> (f32)");
+        let ft = FuncType::new(vec![ValType::I32, ValType::I64], vec![ValType::I32]);
+        assert_eq!(ft.to_string(), "(i32 i64) -> (i32)");
     }
 
     #[test]

@@ -8,73 +8,26 @@
 
 use crate::error::ValidationError;
 use crate::instr::{read_instr, Instruction};
-use crate::module::{ConstExpr, ExportDesc, ImportDesc, Module};
-use crate::types::{BlockType, FuncType, GlobalType, ValType};
+use crate::module::{ExportDesc, Module};
+use crate::types::{FuncType, ValType};
 
 /// Natural alignment exponent for a `2^align` check.
 fn natural_align(bytes: u32) -> u32 {
     bytes.trailing_zeros()
 }
 
-struct ModuleCtx<'m> {
-    module: &'m Module,
-    /// Global types in the combined index space.
-    globals: Vec<GlobalType>,
-    num_tables: u32,
-    num_memories: u32,
-}
-
-impl<'m> ModuleCtx<'m> {
-    fn new(module: &'m Module) -> Self {
-        let mut globals = Vec::new();
-        for imp in &module.imports {
-            if let ImportDesc::Global(g) = imp.desc {
-                globals.push(g);
-            }
-        }
-        for g in &module.globals {
-            globals.push(g.ty);
-        }
-        let num_tables = module.num_imported_tables() + module.tables.len() as u32;
-        let num_memories = module.num_imported_memories() + module.memories.len() as u32;
-        ModuleCtx { module, globals, num_tables, num_memories }
-    }
-
-    fn func_type(&self, idx: u32) -> Result<&FuncType, ValidationError> {
-        self.module.func_type(idx).ok_or(ValidationError::UnknownFunc(idx))
-    }
-
-    fn type_at(&self, idx: u32) -> Result<&FuncType, ValidationError> {
-        self.module.types.get(idx as usize).ok_or(ValidationError::UnknownType(idx))
-    }
-
-    fn block_signature(
-        &self,
-        bt: BlockType,
-    ) -> Result<(Vec<ValType>, Vec<ValType>), ValidationError> {
-        Ok(match bt {
-            BlockType::Empty => (vec![], vec![]),
-            BlockType::Value(t) => (vec![], vec![t]),
-            BlockType::Func(idx) => {
-                let ft = self.type_at(idx)?;
-                (ft.params.clone(), ft.results.clone())
-            }
-        })
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FrameKind {
     Block,
     Loop,
-    If,
-    Else,
     Func,
 }
 
 struct Frame {
     kind: FrameKind,
-    start_types: Vec<ValType>,
+    /// What the frame leaves on the stack: nothing for a block or loop
+    /// (the only block type kept is the empty one), the results for the
+    /// function.
     end_types: Vec<ValType>,
     /// Operand stack height on entry.
     height: usize,
@@ -86,7 +39,7 @@ impl Frame {
     /// The types a branch to this frame's label expects.
     fn label_types(&self) -> &[ValType] {
         if self.kind == FrameKind::Loop {
-            &self.start_types
+            &[]
         } else {
             &self.end_types
         }
@@ -94,7 +47,8 @@ impl Frame {
 }
 
 struct FuncValidator<'m> {
-    ctx: &'m ModuleCtx<'m>,
+    module: &'m Module,
+    has_memory: bool,
     locals: Vec<ValType>,
     /// Operand stack; `None` is the unknown (polymorphic) type.
     opds: Vec<Option<ValType>>,
@@ -104,10 +58,6 @@ struct FuncValidator<'m> {
 impl<'m> FuncValidator<'m> {
     fn push(&mut self, t: ValType) {
         self.opds.push(Some(t));
-    }
-
-    fn push_unknown(&mut self) {
-        self.opds.push(None);
     }
 
     fn pop(&mut self) -> Result<Option<ValType>, ValidationError> {
@@ -140,18 +90,9 @@ impl<'m> FuncValidator<'m> {
         Ok(())
     }
 
-    fn push_frame(&mut self, kind: FrameKind, start: Vec<ValType>, end: Vec<ValType>) {
+    fn push_frame(&mut self, kind: FrameKind, end: Vec<ValType>) {
         let height = self.opds.len();
-        for t in &start {
-            self.push(*t);
-        }
-        self.frames.push(Frame {
-            kind,
-            start_types: start,
-            end_types: end,
-            height,
-            unreachable: false,
-        });
+        self.frames.push(Frame { kind, end_types: end, height, unreachable: false });
     }
 
     fn pop_frame(&mut self) -> Result<Frame, ValidationError> {
@@ -185,70 +126,25 @@ impl<'m> FuncValidator<'m> {
         self.locals.get(idx as usize).copied().ok_or(ValidationError::UnknownLocal(idx))
     }
 
-    fn global(&self, idx: u32) -> Result<GlobalType, ValidationError> {
-        self.ctx.globals.get(idx as usize).copied().ok_or(ValidationError::UnknownGlobal(idx))
-    }
-
-    fn check_mem(&self) -> Result<(), ValidationError> {
-        if self.ctx.num_memories == 0 {
+    /// A memory access of `bytes` bytes: the module has a memory and the
+    /// alignment hint does not exceed the natural one.
+    fn check_mem(&self, align: Option<(u32, u32)>) -> Result<(), ValidationError> {
+        if !self.has_memory {
             return Err(ValidationError::UnknownMemory(0));
         }
-        Ok(())
-    }
-
-    fn check_align(&self, align: u32, access_bytes: u32) -> Result<(), ValidationError> {
-        let natural = natural_align(access_bytes);
-        if align > natural {
-            return Err(ValidationError::BadAlignment { align, natural });
+        if let Some((align, bytes)) = align {
+            let natural = natural_align(bytes);
+            if align > natural {
+                return Err(ValidationError::BadAlignment { align, natural });
+            }
         }
         Ok(())
     }
 
-    fn load(&mut self, align: u32, bytes: u32, result: ValType) -> Result<(), ValidationError> {
-        self.check_mem()?;
-        self.check_align(align, bytes)?;
-        self.pop_expect(ValType::I32)?;
+    fn binop(&mut self, t: ValType, result: ValType) -> Result<(), ValidationError> {
+        self.pop_expect(t)?;
+        self.pop_expect(t)?;
         self.push(result);
-        Ok(())
-    }
-
-    fn store(&mut self, align: u32, bytes: u32, operand: ValType) -> Result<(), ValidationError> {
-        self.check_mem()?;
-        self.check_align(align, bytes)?;
-        self.pop_expect(operand)?;
-        self.pop_expect(ValType::I32)?;
-        Ok(())
-    }
-
-    fn unop(&mut self, t: ValType) -> Result<(), ValidationError> {
-        self.pop_expect(t)?;
-        self.push(t);
-        Ok(())
-    }
-
-    fn binop(&mut self, t: ValType) -> Result<(), ValidationError> {
-        self.pop_expect(t)?;
-        self.pop_expect(t)?;
-        self.push(t);
-        Ok(())
-    }
-
-    fn testop(&mut self, t: ValType) -> Result<(), ValidationError> {
-        self.pop_expect(t)?;
-        self.push(ValType::I32);
-        Ok(())
-    }
-
-    fn relop(&mut self, t: ValType) -> Result<(), ValidationError> {
-        self.pop_expect(t)?;
-        self.pop_expect(t)?;
-        self.push(ValType::I32);
-        Ok(())
-    }
-
-    fn cvtop(&mut self, from: ValType, to: ValType) -> Result<(), ValidationError> {
-        self.pop_expect(from)?;
-        self.push(to);
         Ok(())
     }
 
@@ -256,41 +152,10 @@ impl<'m> FuncValidator<'m> {
         use Instruction as I;
         use ValType::*;
         match i {
-            I::Unreachable => self.set_unreachable(),
-            I::Nop => {}
-            I::Block(bt) => {
-                let (params, results) = self.ctx.block_signature(*bt)?;
-                self.pop_expects(&params)?;
-                self.push_frame(FrameKind::Block, params, results);
-            }
-            I::Loop(bt) => {
-                let (params, results) = self.ctx.block_signature(*bt)?;
-                self.pop_expects(&params)?;
-                self.push_frame(FrameKind::Loop, params, results);
-            }
-            I::If(bt) => {
-                self.pop_expect(I32)?;
-                let (params, results) = self.ctx.block_signature(*bt)?;
-                self.pop_expects(&params)?;
-                self.push_frame(FrameKind::If, params, results);
-            }
-            I::Else => {
-                let frame = self.pop_frame()?;
-                if frame.kind != FrameKind::If {
-                    return Err(ValidationError::TypeMismatch {
-                        context: "else without if".into(),
-                    });
-                }
-                self.push_frame(FrameKind::Else, frame.start_types, frame.end_types);
-            }
+            I::Block => self.push_frame(FrameKind::Block, vec![]),
+            I::Loop => self.push_frame(FrameKind::Loop, vec![]),
             I::End => {
                 let frame = self.pop_frame()?;
-                // An `if` without `else` must have matching params/results.
-                if frame.kind == FrameKind::If && frame.start_types != frame.end_types {
-                    return Err(ValidationError::TypeMismatch {
-                        context: "if without else must not change types".into(),
-                    });
-                }
                 for t in &frame.end_types {
                     self.push(*t);
                 }
@@ -308,47 +173,8 @@ impl<'m> FuncValidator<'m> {
                     self.push(*t);
                 }
             }
-            I::BrTable(data) => {
-                self.pop_expect(I32)?;
-                let default_types = self.label(data.default)?.label_types().to_vec();
-                // In unreachable code the operands are polymorphic, so the
-                // spec only requires arity agreement there; exact type
-                // equality is required in reachable code.
-                let unreachable = self.frames.last().map(|f| f.unreachable).unwrap_or(false);
-                for target in &data.targets {
-                    let types = self.label(*target)?.label_types();
-                    let agrees = if unreachable {
-                        types.len() == default_types.len()
-                    } else {
-                        types == default_types.as_slice()
-                    };
-                    if !agrees {
-                        return Err(ValidationError::TypeMismatch {
-                            context: "br_table arms disagree".into(),
-                        });
-                    }
-                }
-                self.pop_expects(&default_types)?;
-                self.set_unreachable();
-            }
-            I::Return => {
-                let types = self.frames[0].end_types.clone();
-                self.pop_expects(&types)?;
-                self.set_unreachable();
-            }
             I::Call(f) => {
-                let ft = self.ctx.func_type(*f)?.clone();
-                self.pop_expects(&ft.params)?;
-                for r in &ft.results {
-                    self.push(*r);
-                }
-            }
-            I::CallIndirect { type_idx, table_idx } => {
-                if *table_idx >= self.ctx.num_tables {
-                    return Err(ValidationError::UnknownTable(*table_idx));
-                }
-                let ft = self.ctx.type_at(*type_idx)?.clone();
-                self.pop_expect(I32)?;
+                let ft = self.module.func_type(*f).ok_or(ValidationError::UnknownFunc(*f))?.clone();
                 self.pop_expects(&ft.params)?;
                 for r in &ft.results {
                     self.push(*r);
@@ -356,21 +182,6 @@ impl<'m> FuncValidator<'m> {
             }
             I::Drop => {
                 self.pop()?;
-            }
-            I::Select => {
-                self.pop_expect(I32)?;
-                let a = self.pop()?;
-                let b = self.pop()?;
-                match (a, b) {
-                    (Some(x), Some(y)) if x != y => {
-                        return Err(ValidationError::TypeMismatch {
-                            context: format!("select operands differ: {x} vs {y}"),
-                        })
-                    }
-                    (Some(x), _) => self.push(x),
-                    (None, Some(y)) => self.push(y),
-                    (None, None) => self.push_unknown(),
-                }
             }
             I::LocalGet(idx) => {
                 let t = self.local(*idx)?;
@@ -380,238 +191,60 @@ impl<'m> FuncValidator<'m> {
                 let t = self.local(*idx)?;
                 self.pop_expect(t)?;
             }
-            I::LocalTee(idx) => {
-                let t = self.local(*idx)?;
-                self.pop_expect(t)?;
-                self.push(t);
+            I::I64Load(a) => {
+                self.check_mem(Some((a.align, 8)))?;
+                self.pop_expect(I32)?;
+                self.push(I64);
             }
-            I::GlobalGet(idx) => {
-                let g = self.global(*idx)?;
-                self.push(g.value);
-            }
-            I::GlobalSet(idx) => {
-                let g = self.global(*idx)?;
-                if !g.mutable {
-                    return Err(ValidationError::ImmutableGlobal(*idx));
-                }
-                self.pop_expect(g.value)?;
-            }
-            I::I32Load(a) => self.load(a.align, 4, I32)?,
-            I::I64Load(a) => self.load(a.align, 8, I64)?,
-            I::F32Load(a) => self.load(a.align, 4, F32)?,
-            I::F64Load(a) => self.load(a.align, 8, F64)?,
-            I::I32Load8S(a) | I::I32Load8U(a) => self.load(a.align, 1, I32)?,
-            I::I32Load16S(a) | I::I32Load16U(a) => self.load(a.align, 2, I32)?,
-            I::I64Load8S(a) | I::I64Load8U(a) => self.load(a.align, 1, I64)?,
-            I::I64Load16S(a) | I::I64Load16U(a) => self.load(a.align, 2, I64)?,
-            I::I64Load32S(a) | I::I64Load32U(a) => self.load(a.align, 4, I64)?,
-            I::I32Store(a) => self.store(a.align, 4, I32)?,
-            I::I64Store(a) => self.store(a.align, 8, I64)?,
-            I::F32Store(a) => self.store(a.align, 4, F32)?,
-            I::F64Store(a) => self.store(a.align, 8, F64)?,
-            I::I32Store8(a) => self.store(a.align, 1, I32)?,
-            I::I32Store16(a) => self.store(a.align, 2, I32)?,
-            I::I64Store8(a) => self.store(a.align, 1, I64)?,
-            I::I64Store16(a) => self.store(a.align, 2, I64)?,
-            I::I64Store32(a) => self.store(a.align, 4, I64)?,
-            I::MemorySize => {
-                self.check_mem()?;
-                self.push(I32);
+            I::I32Store(a) => {
+                self.check_mem(Some((a.align, 4)))?;
+                self.pop_expect(I32)?;
+                self.pop_expect(I32)?;
             }
             I::MemoryGrow => {
-                self.check_mem()?;
+                self.check_mem(None)?;
                 self.pop_expect(I32)?;
                 self.push(I32);
             }
             I::I32Const(_) => self.push(I32),
             I::I64Const(_) => self.push(I64),
-            I::F32Const(_) => self.push(F32),
-            I::F64Const(_) => self.push(F64),
-            I::I32Eqz => self.testop(I32)?,
-            I::I64Eqz => self.testop(I64)?,
-            I::I32Eq
-            | I::I32Ne
-            | I::I32LtS
-            | I::I32LtU
-            | I::I32GtS
-            | I::I32GtU
-            | I::I32LeS
-            | I::I32LeU
-            | I::I32GeS
-            | I::I32GeU => self.relop(I32)?,
-            I::I64Eq
-            | I::I64Ne
-            | I::I64LtS
-            | I::I64LtU
-            | I::I64GtS
-            | I::I64GtU
-            | I::I64LeS
-            | I::I64LeU
-            | I::I64GeS
-            | I::I64GeU => self.relop(I64)?,
-            I::F32Eq | I::F32Ne | I::F32Lt | I::F32Gt | I::F32Le | I::F32Ge => self.relop(F32)?,
-            I::F64Eq | I::F64Ne | I::F64Lt | I::F64Gt | I::F64Le | I::F64Ge => self.relop(F64)?,
-            I::I32Clz | I::I32Ctz | I::I32Popcnt => self.unop(I32)?,
-            I::I64Clz | I::I64Ctz | I::I64Popcnt => self.unop(I64)?,
-            I::I32Add
-            | I::I32Sub
-            | I::I32Mul
-            | I::I32DivS
-            | I::I32DivU
-            | I::I32RemS
-            | I::I32RemU
-            | I::I32And
-            | I::I32Or
-            | I::I32Xor
-            | I::I32Shl
-            | I::I32ShrS
-            | I::I32ShrU
-            | I::I32Rotl
-            | I::I32Rotr => self.binop(I32)?,
-            I::I64Add
-            | I::I64Sub
-            | I::I64Mul
-            | I::I64DivS
-            | I::I64DivU
-            | I::I64RemS
-            | I::I64RemU
-            | I::I64And
-            | I::I64Or
-            | I::I64Xor
-            | I::I64Shl
-            | I::I64ShrS
-            | I::I64ShrU
-            | I::I64Rotl
-            | I::I64Rotr => self.binop(I64)?,
-            I::F32Abs
-            | I::F32Neg
-            | I::F32Ceil
-            | I::F32Floor
-            | I::F32Trunc
-            | I::F32Nearest
-            | I::F32Sqrt => self.unop(F32)?,
-            I::F64Abs
-            | I::F64Neg
-            | I::F64Ceil
-            | I::F64Floor
-            | I::F64Trunc
-            | I::F64Nearest
-            | I::F64Sqrt => self.unop(F64)?,
-            I::F32Add
-            | I::F32Sub
-            | I::F32Mul
-            | I::F32Div
-            | I::F32Min
-            | I::F32Max
-            | I::F32Copysign => self.binop(F32)?,
-            I::F64Add
-            | I::F64Sub
-            | I::F64Mul
-            | I::F64Div
-            | I::F64Min
-            | I::F64Max
-            | I::F64Copysign => self.binop(F64)?,
-            I::I32WrapI64 => self.cvtop(I64, I32)?,
-            I::I32TruncF32S | I::I32TruncF32U => self.cvtop(F32, I32)?,
-            I::I32TruncF64S | I::I32TruncF64U => self.cvtop(F64, I32)?,
-            I::I64ExtendI32S | I::I64ExtendI32U => self.cvtop(I32, I64)?,
-            I::I64TruncF32S | I::I64TruncF32U => self.cvtop(F32, I64)?,
-            I::I64TruncF64S | I::I64TruncF64U => self.cvtop(F64, I64)?,
-            I::F32ConvertI32S | I::F32ConvertI32U => self.cvtop(I32, F32)?,
-            I::F32ConvertI64S | I::F32ConvertI64U => self.cvtop(I64, F32)?,
-            I::F32DemoteF64 => self.cvtop(F64, F32)?,
-            I::F64ConvertI32S | I::F64ConvertI32U => self.cvtop(I32, F64)?,
-            I::F64ConvertI64S | I::F64ConvertI64U => self.cvtop(I64, F64)?,
-            I::F64PromoteF32 => self.cvtop(F32, F64)?,
-            I::I32ReinterpretF32 => self.cvtop(F32, I32)?,
-            I::I64ReinterpretF64 => self.cvtop(F64, I64)?,
-            I::F32ReinterpretI32 => self.cvtop(I32, F32)?,
-            I::F64ReinterpretI64 => self.cvtop(I64, F64)?,
+            I::I32Eqz => {
+                self.pop_expect(I32)?;
+                self.push(I32);
+            }
+            I::I64GeU => self.binop(I64, I32)?,
+            I::I32Eq | I::I32Add | I::I32Sub | I::I32Mul | I::I32Xor | I::I32ShrU | I::I32Rotl => {
+                self.binop(I32, I32)?
+            }
         }
         Ok(())
     }
 }
 
-fn validate_const_expr(
-    ctx: &ModuleCtx<'_>,
-    expr: &ConstExpr,
-    expected: ValType,
-) -> Result<(), ValidationError> {
-    let actual = match expr {
-        ConstExpr::I32(_) => ValType::I32,
-        ConstExpr::I64(_) => ValType::I64,
-        ConstExpr::F32(_) => ValType::F32,
-        ConstExpr::F64(_) => ValType::F64,
-        ConstExpr::GlobalGet(idx) => {
-            let imported = ctx.module.num_imported_globals();
-            if *idx >= imported {
-                return Err(ValidationError::NotConstant);
-            }
-            let g = ctx.globals[*idx as usize];
-            if g.mutable {
-                return Err(ValidationError::NotConstant);
-            }
-            g.value
-        }
-    };
-    if actual != expected {
-        return Err(ValidationError::TypeMismatch {
-            context: format!("const expression: expected {expected}, found {actual}"),
-        });
-    }
-    Ok(())
+fn valid_memory_limits(m: &crate::types::MemoryType) -> bool {
+    m.limits.is_valid() && m.limits.min <= 65536 && m.limits.max.unwrap_or(0) <= 65536
 }
 
 /// Validate a whole module.
 pub fn validate_module(module: &Module) -> Result<(), ValidationError> {
-    let ctx = ModuleCtx::new(module);
+    let type_at = |idx: u32| -> Result<&FuncType, ValidationError> {
+        module.types.get(idx as usize).ok_or(ValidationError::UnknownType(idx))
+    };
+    let func_type = |idx: u32| module.func_type(idx).ok_or(ValidationError::UnknownFunc(idx));
 
     // Types referenced by functions and imports exist.
-    for t in &module.funcs {
-        ctx.type_at(*t)?;
-    }
-    for imp in &module.imports {
-        match &imp.desc {
-            ImportDesc::Func(t) => {
-                ctx.type_at(*t)?;
-            }
-            ImportDesc::Table(t) => {
-                if !t.limits.is_valid() {
-                    return Err(ValidationError::BadLimits);
-                }
-            }
-            ImportDesc::Memory(m) => {
-                if !m.limits.is_valid() || m.limits.min > 65536 || m.limits.max.unwrap_or(0) > 65536
-                {
-                    return Err(ValidationError::BadLimits);
-                }
-            }
-            ImportDesc::Global(_) => {}
-        }
+    for t in module.funcs.iter().chain(module.imports.iter().map(|i| &i.type_idx)) {
+        type_at(*t)?;
     }
 
-    // MVP: at most one table, one memory.
-    if ctx.num_tables > 1 {
-        return Err(ValidationError::MultipleDeclared("table"));
+    // MVP: at most one memory.
+    if module.memories.len() > 1 {
+        return Err(ValidationError::MultipleMemories);
     }
-    if ctx.num_memories > 1 {
-        return Err(ValidationError::MultipleDeclared("memory"));
+    if !module.memories.iter().all(valid_memory_limits) {
+        return Err(ValidationError::BadLimits);
     }
-    for t in &module.tables {
-        if !t.limits.is_valid() {
-            return Err(ValidationError::BadLimits);
-        }
-    }
-    for m in &module.memories {
-        if !m.limits.is_valid() || m.limits.min > 65536 || m.limits.max.unwrap_or(0) > 65536 {
-            return Err(ValidationError::BadLimits);
-        }
-    }
-
-    // Globals.
-    for g in &module.globals {
-        validate_const_expr(&ctx, &g.init, g.ty.value)?;
-    }
+    let has_memory = !module.memories.is_empty();
 
     // Exports: valid indices, unique names.
     let mut seen = std::collections::BTreeSet::new();
@@ -621,76 +254,40 @@ pub fn validate_module(module: &Module) -> Result<(), ValidationError> {
         }
         match e.desc {
             ExportDesc::Func(i) => {
-                ctx.func_type(i)?;
-            }
-            ExportDesc::Table(i) => {
-                if i >= ctx.num_tables {
-                    return Err(ValidationError::UnknownTable(i));
-                }
+                func_type(i)?;
             }
             ExportDesc::Memory(i) => {
-                if i >= ctx.num_memories {
+                if i != 0 || !has_memory {
                     return Err(ValidationError::UnknownMemory(i));
                 }
             }
-            ExportDesc::Global(i) => {
-                if i as usize >= ctx.globals.len() {
-                    return Err(ValidationError::UnknownGlobal(i));
-                }
-            }
-        }
-    }
-
-    // Start function.
-    if let Some(start) = module.start {
-        let ft = ctx.func_type(start)?;
-        if !ft.params.is_empty() || !ft.results.is_empty() {
-            return Err(ValidationError::BadStartSignature);
-        }
-    }
-
-    // Element segments.
-    for e in &module.elements {
-        if e.table >= ctx.num_tables {
-            return Err(ValidationError::UnknownTable(e.table));
-        }
-        validate_const_expr(&ctx, &e.offset, ValType::I32)?;
-        for f in &e.funcs {
-            ctx.func_type(*f)?;
         }
     }
 
     // Data segments.
     for d in &module.data {
-        if d.memory >= ctx.num_memories {
+        if d.memory != 0 || !has_memory {
             return Err(ValidationError::UnknownMemory(d.memory));
         }
-        validate_const_expr(&ctx, &d.offset, ValType::I32)?;
     }
 
     // Function bodies.
     let imported = module.num_imported_funcs();
     for (i, body) in module.bodies.iter().enumerate() {
-        let func_idx = imported + i as u32;
-        let ft = ctx.func_type(func_idx)?.clone();
+        let ft = func_type(imported + i as u32)?;
         let mut locals = ft.params.clone();
         locals.extend(body.expand_locals());
-        let mut v = FuncValidator { ctx: &ctx, locals, opds: Vec::new(), frames: Vec::new() };
-        v.push_frame(FrameKind::Func, vec![], ft.results.clone());
-        // The implicit function frame has no stack-visible params.
-        v.opds.clear();
-        v.frames[0].height = 0;
+        let mut v =
+            FuncValidator { module, has_memory, locals, opds: Vec::new(), frames: Vec::new() };
+        v.push_frame(FrameKind::Func, ft.results.clone());
 
         let code = &body.code;
         let mut pos = 0usize;
         while pos < code.len() {
-            let (instr, n) = read_instr(&code[pos..]).map_err(|e| {
-                ValidationError::TypeMismatch { context: format!("decode error in body: {e}") }
-            })?;
+            let (instr, n) = read_instr(&code[pos..]).map_err(ValidationError::Decode)?;
             pos += n;
-            let done_frames_before = v.frames.len();
             v.instr(&instr)?;
-            if done_frames_before == 1 && v.frames.is_empty() {
+            if v.frames.is_empty() {
                 // The function's closing `end` was consumed.
                 if pos != code.len() {
                     return Err(ValidationError::TypeMismatch {
@@ -721,7 +318,8 @@ pub fn validate_module(module: &Module) -> Result<(), ValidationError> {
 mod tests {
     use super::*;
     use crate::builder::ModuleBuilder;
-    use crate::types::{BlockType, FuncType};
+    use crate::error::DecodeError;
+    use crate::instr::MemArg;
 
     fn ft(params: Vec<ValType>, results: Vec<ValType>) -> FuncType {
         FuncType::new(params, results)
@@ -774,25 +372,15 @@ mod tests {
     }
 
     #[test]
-    fn unreachable_is_polymorphic() {
+    fn code_after_a_branch_is_polymorphic() {
         let mut b = ModuleBuilder::new();
-        b.func(ft(vec![], vec![ValType::I32]), |f| {
-            // After unreachable, anything type-checks.
-            f.op(Instruction::Unreachable).op(Instruction::I32Add);
+        b.func(ft(vec![], vec![]), |f| {
+            // After `br`, anything type-checks until the block ends.
+            f.block(|f| {
+                f.br(0).op(Instruction::I32Add).drop_();
+            });
         });
         validate_module(&b.build()).unwrap();
-    }
-
-    #[test]
-    fn if_without_else_must_be_balanced() {
-        let mut b = ModuleBuilder::new();
-        b.func(ft(vec![ValType::I32], vec![ValType::I32]), |f| {
-            f.local_get(0)
-                .op(Instruction::If(BlockType::Value(ValType::I32)))
-                .i32_const(1)
-                .op(Instruction::End);
-        });
-        assert!(validate_module(&b.build()).is_err());
     }
 
     #[test]
@@ -800,8 +388,8 @@ mod tests {
         let mut b = ModuleBuilder::new();
         b.func(ft(vec![ValType::I32], vec![ValType::I32]), |f| {
             let acc = f.local(ValType::I32);
-            f.block(BlockType::Empty, |f| {
-                f.loop_(BlockType::Empty, |f| {
+            f.block(|f| {
+                f.loop_(|f| {
                     f.local_get(0).op(Instruction::I32Eqz).br_if(1);
                     f.local_get(acc).local_get(0).op(Instruction::I32Add).local_set(acc);
                     f.local_get(0).i32_const(1).op(Instruction::I32Sub).local_set(0);
@@ -814,24 +402,12 @@ mod tests {
     }
 
     #[test]
-    fn immutable_global_set_rejected() {
-        let mut b = ModuleBuilder::new();
-        let g = b.global(ValType::I32, false, crate::module::ConstExpr::I32(0));
-        b.func(ft(vec![], vec![]), |f| {
-            f.i32_const(1).global_set(g);
-        });
-        assert_eq!(validate_module(&b.build()), Err(ValidationError::ImmutableGlobal(0)));
-    }
-
-    #[test]
     fn bad_alignment_rejected() {
         let mut b = ModuleBuilder::new();
         b.memory(1, None);
-        b.func(ft(vec![], vec![ValType::I32]), |f| {
-            f.i32_const(0).op(Instruction::I32Load(crate::instr::MemArg {
-                align: 3, // 2^3 = 8 > natural 4
-                offset: 0,
-            }));
+        b.func(ft(vec![], vec![ValType::I64]), |f| {
+            // 2^4 = 16 > natural 8.
+            f.i32_const(0).op(Instruction::I64Load(MemArg { align: 4, offset: 0 }));
         });
         assert!(matches!(validate_module(&b.build()), Err(ValidationError::BadAlignment { .. })));
     }
@@ -840,7 +416,7 @@ mod tests {
     fn memory_ops_require_memory() {
         let mut b = ModuleBuilder::new();
         b.func(ft(vec![], vec![ValType::I32]), |f| {
-            f.op(Instruction::MemorySize);
+            f.i32_const(1).op(Instruction::MemoryGrow);
         });
         assert_eq!(validate_module(&b.build()), Err(ValidationError::UnknownMemory(0)));
     }
@@ -855,40 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn start_signature_checked() {
-        let mut b = ModuleBuilder::new();
-        let f0 = b.func(ft(vec![ValType::I32], vec![]), |f| {
-            f.local_get(0).drop_();
-        });
-        b.start(f0);
-        assert_eq!(validate_module(&b.build()), Err(ValidationError::BadStartSignature));
-    }
-
-    #[test]
-    fn select_type_agreement() {
-        let mut b = ModuleBuilder::new();
-        b.func(ft(vec![], vec![ValType::I32]), |f| {
-            f.i32_const(1).f64_const(2.0).i32_const(0).op(Instruction::Select);
-        });
-        assert!(validate_module(&b.build()).is_err());
-    }
-
-    #[test]
-    fn br_table_arms_must_agree() {
-        let mut b = ModuleBuilder::new();
-        b.func(ft(vec![ValType::I32], vec![ValType::I32]), |f| {
-            f.block(BlockType::Value(ValType::I32), |f| {
-                f.block(BlockType::Empty, |f| {
-                    f.i32_const(1).local_get(0).br_table(vec![0], 1);
-                });
-                f.i32_const(2);
-            });
-        });
-        // Arm 0 expects [], default arm 1 expects [i32] — mismatch.
-        assert!(validate_module(&b.build()).is_err());
-    }
-
-    #[test]
     fn call_signature_enforced() {
         let mut b = ModuleBuilder::new();
         let callee = b.func(ft(vec![ValType::I64], vec![]), |f| {
@@ -898,5 +440,18 @@ mod tests {
             f.i32_const(0).call(callee); // wrong argument type
         });
         assert!(validate_module(&b.build()).is_err());
+    }
+
+    #[test]
+    fn bytes_the_reader_rejects_are_a_typed_error() {
+        let mut m = ModuleBuilder::new().build();
+        m.types.push(ft(vec![], vec![]));
+        m.funcs.push(0);
+        // `nop`, then the function's `end`.
+        m.bodies.push(crate::module::FuncBody {
+            locals: vec![],
+            code: bytelite::Bytes::from_static(&[0x01, 0x0b]),
+        });
+        assert_eq!(validate_module(&m), Err(ValidationError::Decode(DecodeError::BadOpcode(0x01))));
     }
 }

@@ -3,12 +3,12 @@
 //! Modules here are assembled by hand, byte by byte, because the builder
 //! only emits what the engine keeps. Every opcode, section, value type and
 //! block type outside the kept set must be turned away by `decode_module`
-//! or, for function bodies, by `validate_module`, with an error that names
-//! the offending byte; the kept opcodes must round-trip through the
+//! or, for function bodies, by `validate_module`, with a typed error that
+//! names the offending byte; the kept opcodes must round-trip through the
 //! instruction reader and writer.
 
 use wasm_core::instr::{read_instr, write_instr};
-use wasm_core::{decode_module, validate_module};
+use wasm_core::{decode_module, validate_module, DecodeError, ValidationError};
 
 /// The opcodes the guests use, each with a canonical immediate.
 const KEPT: [&[u8]; 23] = [
@@ -73,22 +73,21 @@ fn module(param: Option<u8>, locals: &[u8], body: &[u8], extra: &[(u8, &[u8])]) 
     out
 }
 
-/// Why `bytes` is not a module this engine runs, or `None` if it is.
-fn rejection(bytes: Vec<u8>) -> Option<String> {
+/// Why `bytes` is not a module this engine runs, or `None` if it is: the
+/// decoder's error, or the one the validator found in a function body.
+fn rejection(bytes: Vec<u8>) -> Option<DecodeError> {
     match decode_module(bytes) {
-        Err(e) => Some(e.to_string()),
-        Ok(m) => validate_module(&m).err().map(|e| e.to_string()),
+        Err(e) => Some(e),
+        Ok(m) => match validate_module(&m) {
+            Ok(()) => None,
+            Err(ValidationError::Decode(e)) => Some(e),
+            Err(other) => panic!("rejected for another reason: {other}"),
+        },
     }
 }
 
-fn assert_rejected_naming(bytes: Vec<u8>, byte: u8, what: &str) {
-    match rejection(bytes) {
-        None => panic!("{what}: accepted"),
-        Some(why) => assert!(
-            why.contains(&format!("0x{byte:02x}")) || why.contains(&format!("id {byte}")),
-            "{what}: rejected without naming 0x{byte:02x}: {why}"
-        ),
-    }
+fn assert_rejected(bytes: Vec<u8>, want: DecodeError) {
+    assert_eq!(rejection(bytes), Some(want.clone()), "{want}");
 }
 
 #[test]
@@ -103,7 +102,7 @@ fn every_opcode_outside_the_kept_set_is_rejected() {
         if KEPT.iter().any(|k| k[0] == op) {
             continue;
         }
-        assert_rejected_naming(module(None, &[0], &[op], &[]), op, &format!("opcode 0x{op:02x}"));
+        assert_rejected(module(None, &[0], &[op], &[]), DecodeError::BadOpcode(op));
     }
 }
 
@@ -117,11 +116,11 @@ fn unkept_sections_value_types_and_block_types_are_rejected() {
         (9, &[1, 0, 0x41, 0x00, 0x0b, 1, 0]),    // element: table 0 = [0]
     ];
     for (id, body) in unkept {
-        assert_rejected_naming(module(None, &[0], &[], &[(id, body)]), id, "section");
+        assert_rejected(module(None, &[0], &[], &[(id, body)]), DecodeError::UnknownSection(id));
     }
     for t in [0x7d, 0x7c] {
-        assert_rejected_naming(module(Some(t), &[0], &[], &[]), t, "param type");
-        assert_rejected_naming(module(None, &[1, 1, t], &[], &[]), t, "local type");
+        assert_rejected(module(Some(t), &[0], &[], &[]), DecodeError::BadValType(t));
+        assert_rejected(module(None, &[1, 1, t], &[], &[]), DecodeError::BadValType(t));
     }
     for bt in 0..=u8::MAX {
         if bt == 0x40 {
@@ -129,7 +128,7 @@ fn unkept_sections_value_types_and_block_types_are_rejected() {
         }
         for opener in [0x02, 0x03] {
             let body = [opener, bt, 0x0b];
-            assert_rejected_naming(module(None, &[0], &body, &[]), bt, "block type");
+            assert_rejected(module(None, &[0], &body, &[]), DecodeError::BadBlockType(bt));
         }
     }
 }

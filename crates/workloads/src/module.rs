@@ -4,7 +4,6 @@ use std::collections::HashMap;
 use std::sync::RwLock;
 
 use bytelite::Bytes;
-use wasm_core::types::BlockType;
 use wasm_core::{FuncType, Instruction, ModuleBuilder, ValType};
 
 /// Shape of the generated microservice.
@@ -183,8 +182,8 @@ fn build_microservice_module(cfg: &MicroserviceConfig) -> Vec<u8> {
         let acc = f.local(ValType::I32);
         let i = f.local(ValType::I32);
         f.i32_const(cfg.loop_iterations).local_set(i);
-        f.block(BlockType::Empty, |f| {
-            f.loop_(BlockType::Empty, |f| {
+        f.block(|f| {
+            f.loop_(|f| {
                 f.local_get(i).op(Instruction::I32Eqz).br_if(1);
                 // acc = mix(acc, i) — through real calls when padding exists.
                 match (mix_a, mix_b) {
@@ -260,8 +259,8 @@ pub fn hung_service_module(ready_after_ns: u64) -> Vec<u8> {
     let start = b.func(FuncType::new(vec![], vec![]), |f| {
         // fd_write(1, 16, 1, 48): announce before blocking.
         f.i32_const(1).i32_const(16).i32_const(1).i32_const(48).call(fd_write).drop_();
-        f.block(BlockType::Empty, |f| {
-            f.loop_(BlockType::Empty, |f| {
+        f.block(|f| {
+            f.loop_(|f| {
                 // clock_time_get(realtime, 0, &time)
                 f.i32_const(0).i64_const(0).i32_const(8).call(clock_time_get).drop_();
                 f.i32_const(0)
@@ -308,8 +307,8 @@ pub fn balloon_module(step_pages: i32, steps: i32) -> Vec<u8> {
         f.i32_const(1).i32_const(16).i32_const(1).i32_const(32).call(fd_write).drop_();
         let i = f.local(ValType::I32);
         f.i32_const(steps).local_set(i);
-        f.block(BlockType::Empty, |f| {
-            f.loop_(BlockType::Empty, |f| {
+        f.block(|f| {
+            f.loop_(|f| {
                 f.local_get(i).op(Instruction::I32Eqz).br_if(1);
                 // memory.grow(step) == -1 means the ratchet hit a wall.
                 f.i32_const(step_pages).op(Instruction::MemoryGrow);

@@ -30,7 +30,8 @@ use memwasm::simkernel::{
     KernelError, Pid, ProcState, ProcessImage, ReplayStats, StepTrace,
 };
 use memwasm::wasm_core::{
-    ArtifactCache, ExecStats, FuncType, Instruction, Module, ModuleBuilder, Trap, ValType,
+    ArtifactCache, ExecStats, FuncBuilder, FuncType, Instruction, Module, ModuleBuilder, Trap,
+    ValType,
 };
 use memwasm::workloads::{
     balloon_module, hung_service_module, microservice_module, python_microservice_script,
@@ -159,13 +160,13 @@ fn exit3_module() -> Vec<u8> {
     b.build_bytes()
 }
 
-/// `_start` executes `unreachable`.
+/// `_start` stores past the end of its one-page memory.
 fn trap_module() -> Vec<u8> {
     let mut b = ModuleBuilder::new();
     let mem = b.memory(1, None);
     b.export_memory("memory", mem);
     let start = b.func(FuncType::new(vec![], vec![]), |f| {
-        f.op(Instruction::Unreachable);
+        f.i32_const(64 << 10).i32_const(0).i32_store(0);
     });
     b.export_func("_start", start);
     b.build_bytes()
@@ -173,7 +174,9 @@ fn trap_module() -> Vec<u8> {
 
 /// Exits with `argc + 10 × envc + 100 × (fd 3 is a preopen)`, after
 /// fetching argv and environ: a guest whose outcome is a function of each
-/// WASI input, importing nothing that reaches the kernel.
+/// WASI input, importing nothing that reaches the kernel. A count (below
+/// 10) is read as an i64 whose high half is zero, and turned into an i32
+/// by summing `count >= k` for k = 1..=9.
 fn inputs_probe_module() -> Vec<u8> {
     let mut b = ModuleBuilder::new();
     let sig2 = || FuncType::new(vec![ValType::I32; 2], vec![ValType::I32]);
@@ -185,13 +188,21 @@ fn inputs_probe_module() -> Vec<u8> {
     let exit = b.import_func(WASI, "proc_exit", FuncType::new(vec![ValType::I32], vec![]));
     let mem = b.memory(1, None);
     b.export_memory("memory", mem);
+    let count = |f: &mut FuncBuilder, at: u32| {
+        f.i32_const(0);
+        for k in 1..=9 {
+            f.i32_const(0).i64_load(at).i64_const(k).op(Instruction::I64GeU);
+            f.op(Instruction::I32Add);
+        }
+    };
     let start = b.func(FuncType::new(vec![], vec![]), |f| {
-        f.i32_const(0).i32_const(4).call(args_sizes).drop_();
+        f.i32_const(0).i32_const(32).call(args_sizes).drop_();
         f.i32_const(256).i32_const(1024).call(args_get).drop_();
-        f.i32_const(8).i32_const(12).call(env_sizes).drop_();
+        f.i32_const(8).i32_const(40).call(env_sizes).drop_();
         f.i32_const(512).i32_const(2048).call(env_get).drop_();
-        f.i32_const(0).i32_load(0);
-        f.i32_const(8).i32_load(0).i32_const(10).op(Instruction::I32Mul);
+        count(f, 0);
+        count(f, 8);
+        f.i32_const(10).op(Instruction::I32Mul);
         f.op(Instruction::I32Add);
         f.i32_const(3).i32_const(16).call(prestat).op(Instruction::I32Eqz);
         f.i32_const(100).op(Instruction::I32Mul).op(Instruction::I32Add);
@@ -284,7 +295,8 @@ fn a_replayed_wasm_start_equals_an_executed_one_on_every_config() {
                 }
                 (Err(cold), Err(warm)) => {
                     assert_eq!((guest, cold), ("trap", warm), "{what}");
-                    assert!(warm.contains("guest trapped: unreachable"), "{what}: {warm}");
+                    let oob = "guest trapped: out of bounds memory access";
+                    assert!(warm.contains(oob), "{what}: {warm}");
                     trapped += 1;
                 }
                 _ => panic!("{what}: cold {first:?}, warm {executed:?}"),

@@ -4,7 +4,6 @@
 
 use std::sync::Arc;
 
-use memwasm::wasm_core::types::BlockType;
 use memwasm::wasm_core::{
     ExecTier, FuncType, Imports, Instance, InstanceConfig, Instruction as I, ModuleBuilder, Trap,
     ValType, Value,
@@ -53,36 +52,6 @@ fn wrapping_integer_arithmetic() {
 }
 
 #[test]
-fn division_traps_on_both_tiers() {
-    let build = || {
-        let mut b = ModuleBuilder::new();
-        let f = b.func(FuncType::new(vec![ValType::I32, ValType::I32], vec![ValType::I32]), |f| {
-            f.local_get(0).local_get(1).op(I::I32DivS);
-        });
-        b.export_func("div", f);
-        b
-    };
-    expect_trap(build, "div", &[Value::I32(1), Value::I32(0)], Trap::IntegerDivideByZero);
-    expect_trap(build, "div", &[Value::I32(i32::MIN), Value::I32(-1)], Trap::IntegerOverflow);
-    expect_both(build, "div", &[Value::I32(-7), Value::I32(2)], Value::I32(-3));
-}
-
-#[test]
-fn float_to_int_conversions() {
-    let build = || {
-        let mut b = ModuleBuilder::new();
-        let f = b.func(FuncType::new(vec![ValType::F64], vec![ValType::I32]), |f| {
-            f.local_get(0).op(I::I32TruncF64S);
-        });
-        b.export_func("trunc", f);
-        b
-    };
-    expect_both(build, "trunc", &[Value::F64(-3.99)], Value::I32(-3));
-    expect_trap(build, "trunc", &[Value::F64(f64::NAN)], Trap::InvalidConversionToInteger);
-    expect_trap(build, "trunc", &[Value::F64(3e10)], Trap::IntegerOverflow);
-}
-
-#[test]
 fn memory_grow_and_bounds() {
     let build = || {
         let mut b = ModuleBuilder::new();
@@ -94,65 +63,29 @@ fn memory_grow_and_bounds() {
             f.op(I::I32Add);
         });
         b.export_func("grow", f);
-        let oob = b.func(FuncType::new(vec![ValType::I32], vec![ValType::I32]), |f| {
-            f.local_get(0).i32_load(0);
+        let oob = b.func(FuncType::new(vec![ValType::I32], vec![ValType::I64]), |f| {
+            f.local_get(0).i64_load(0);
         });
         b.export_func("load", oob);
         b
     };
     expect_both(build, "grow", &[], Value::I32(0));
     expect_trap(build, "load", &[Value::I32(70 << 10)], Trap::MemoryOutOfBounds);
-    expect_both(build, "load", &[Value::I32(0)], Value::I32(0));
-}
-
-#[test]
-fn globals_and_start_function() {
-    let build = || {
-        let mut b = ModuleBuilder::new();
-        let g = b.global(ValType::I64, true, memwasm::wasm_core::module::ConstExpr::I64(5));
-        let init = b.func(FuncType::new(vec![], vec![]), |f| {
-            f.global_get(g).op(I::I64Const(37)).op(I::I64Add).global_set(g);
-        });
-        b.start(init);
-        let read = b.func(FuncType::new(vec![], vec![ValType::I64]), |f| {
-            f.global_get(g);
-        });
-        b.export_func("read", read);
-        b
-    };
-    expect_both(build, "read", &[], Value::I64(42));
-}
-
-#[test]
-fn block_results_flow_through_branches() {
-    let build = || {
-        let mut b = ModuleBuilder::new();
-        let f = b.func(FuncType::new(vec![ValType::I32], vec![ValType::I32]), |f| {
-            f.block(BlockType::Value(ValType::I32), |f| {
-                // Either branch carries an i32 out of the block.
-                f.i32_const(111);
-                f.local_get(0).br_if(0);
-                f.drop_();
-                f.i32_const(222);
-            });
-        });
-        b.export_func("pick", f);
-        b
-    };
-    expect_both(build, "pick", &[Value::I32(1)], Value::I32(111));
-    expect_both(build, "pick", &[Value::I32(0)], Value::I32(222));
+    expect_trap(build, "load", &[Value::I32((64 << 10) - 7)], Trap::MemoryOutOfBounds);
+    expect_both(build, "load", &[Value::I32(0)], Value::I64(0));
 }
 
 #[test]
 fn loop_branch_carries_params_to_loop_head() {
-    // A loop with a block-type from the type section (params via Func).
+    // A loop whose label is the target of the back-edge `br`; the sum
+    // travels from one iteration to the next in a local.
     let build = || {
         let mut b = ModuleBuilder::new();
         // Countdown using a loop whose label is branched to with br_if.
         let f = b.func(FuncType::new(vec![ValType::I32], vec![ValType::I32]), |f| {
             let sum = f.local(ValType::I32);
-            f.block(BlockType::Empty, |f| {
-                f.loop_(BlockType::Empty, |f| {
+            f.block(|f| {
+                f.loop_(|f| {
                     f.local_get(0).op(I::I32Eqz).br_if(1);
                     f.local_get(sum).local_get(0).op(I::I32Add).local_set(sum);
                     f.local_get(0).i32_const(1).op(I::I32Sub).local_set(0);
@@ -168,70 +101,11 @@ fn loop_branch_carries_params_to_loop_head() {
 }
 
 #[test]
-fn nan_propagation_bitpatterns_agree() {
-    let build = || {
-        let mut b = ModuleBuilder::new();
-        let f = b.func(FuncType::new(vec![ValType::F64, ValType::F64], vec![ValType::I64]), |f| {
-            f.local_get(0).local_get(1).op(I::F64Min).op(I::I64ReinterpretF64);
-        });
-        b.export_func("minbits", f);
-        b
-    };
-    let [a, b] = run_both(build, "minbits", &[Value::F64(f64::NAN), Value::F64(1.0)]);
-    assert_eq!(a, b, "tiers agree on NaN bit patterns");
-}
-
-#[test]
-fn select_and_shift_semantics() {
-    let build = || {
-        let mut b = ModuleBuilder::new();
-        let f = b.func(FuncType::new(vec![ValType::I32, ValType::I32], vec![ValType::I32]), |f| {
-            // select(a << 33, a >> 1, cond=b)
-            f.local_get(0).i32_const(33).op(I::I32Shl);
-            f.local_get(0).i32_const(1).op(I::I32ShrU);
-            f.local_get(1);
-            f.op(I::Select);
-        });
-        b.export_func("f", f);
-        b
-    };
-    // Shift count masked: 1 << 33 == 2.
-    expect_both(build, "f", &[Value::I32(1), Value::I32(1)], Value::I32(2));
-    expect_both(build, "f", &[Value::I32(8), Value::I32(0)], Value::I32(4));
-}
-
-#[test]
-fn call_indirect_type_mismatch_traps() {
-    let build = || {
-        let mut b = ModuleBuilder::new();
-        let sig_i32 = FuncType::new(vec![], vec![ValType::I32]);
-        let sig_i64 = FuncType::new(vec![], vec![ValType::I64]);
-        let f_i64 = b.func(sig_i64, |f| {
-            f.op(I::I64Const(1));
-        });
-        b.table(1, Some(1));
-        b.elem(0, vec![f_i64]);
-        let sig_i32_idx_holder = sig_i32.clone();
-        let caller = b.func(sig_i32, move |f| {
-            let _ = &sig_i32_idx_holder;
-            // type index 0 is () -> i64... depends on interning order; use
-            // call_indirect with the *other* signature's type idx.
-            f.i32_const(0).call_indirect(1);
-        });
-        b.export_func("call", caller);
-        b
-    };
-    // Type index 1 is () -> (i32) (interned second); the table holds an
-    // () -> (i64) function: mismatch.
-    expect_trap(build, "call", &[], Trap::IndirectCallTypeMismatch);
-}
-
-#[test]
 fn fuel_limits_agree() {
     let build = || {
         let mut b = ModuleBuilder::new();
         let f = b.func(FuncType::new(vec![], vec![]), |f| {
-            f.loop_(BlockType::Empty, |f| {
+            f.loop_(|f| {
                 f.br(0);
             });
         });
@@ -277,12 +151,11 @@ fn fused_local_operand_binops_agree() {
         (I::I32Add, 7, -3, 4),
         (I::I32Sub, 7, -3, 10),
         (I::I32Mul, -7, 3, -21),
-        (I::I32And, 0b1100, 0b1010, 0b1000),
-        (I::I32Or, 0b1100, 0b1010, 0b1110),
         (I::I32Xor, 0b1100, 0b1010, 0b0110),
-        (I::I32Shl, 1, 33, 2),
-        (I::I32ShrS, -8, 1, -4),
         (I::I32ShrU, -8, 31, 1),
+        (I::I32ShrU, 8, 33, 4),
+        (I::I32Rotl, i32::MIN, 33, 1),
+        (I::I32Eq, 5, 5, 1),
     ] {
         let build = move || {
             let mut b = ModuleBuilder::new();
@@ -307,12 +180,9 @@ fn fused_const_imm_binops_agree() {
         (I::I32Add, 5, 37, 42),
         (I::I32Sub, 5, 37, 32),
         (I::I32Mul, -3, 7, -21),
-        (I::I32And, 0xf0, 0xff, 0xf0),
-        (I::I32Or, 0x0f, 0xf0, 0xff),
         (I::I32Xor, -1, 0, -1),
-        (I::I32Shl, 4, 3, 48),
-        (I::I32ShrS, 2, -16, -4),
         (I::I32ShrU, 2, -16, 0x3ffffffc),
+        (I::I32ShrU, 34, -16, 0x3ffffffc),
     ] {
         let build = move || {
             let mut b = ModuleBuilder::new();
@@ -337,117 +207,62 @@ fn fused_const_address_loads_and_stores_agree() {
     let build = || {
         let mut b = ModuleBuilder::new();
         b.memory(1, Some(1));
-        let rt = b.func(FuncType::new(vec![ValType::I64], vec![ValType::I64]), |f| {
-            f.i32_const(64).local_get(0).i64_store(8);
+        let rt = b.func(FuncType::new(vec![ValType::I32], vec![ValType::I64]), |f| {
+            f.i32_const(64).local_get(0).i32_store(8);
+            f.i32_const(64).i32_const(-1).i32_store(12);
             f.i32_const(64).i64_load(8);
         });
         b.export_func("roundtrip", rt);
-        let oob = b.func(FuncType::new(vec![], vec![ValType::I32]), |f| {
-            f.i32_const(65 << 10).i32_load(0);
+        let oob = b.func(FuncType::new(vec![], vec![ValType::I64]), |f| {
+            f.i32_const(65 << 10).i64_load(0);
         });
         b.export_func("oob", oob);
         b
     };
-    expect_both(build, "roundtrip", &[Value::I64(-123456789)], Value::I64(-123456789));
+    let want = Value::I64(-0x1_0000_0000 | 0x7654_3210);
+    expect_both(build, "roundtrip", &[Value::I32(0x7654_3210)], want);
     expect_trap(build, "oob", &[], Trap::MemoryOutOfBounds);
     assert_fused(build);
 }
 
 #[test]
 fn fused_compare_branches_agree_in_both_polarities() {
-    // compare + br_if fuses to a branching compare; compare + if fuses the
-    // *inverted* compare. Drive every direction through both shapes with
-    // operand pairs on each side of the condition (including the signed /
-    // unsigned boundary at i32::MIN).
-    let cases: [(I, i32, i32, bool); 20] = [
+    // compare + br_if fuses to a branching compare (`i32.eq`, and `i32.eqz`
+    // to a branch on zero). Drive each through a taken and a not-taken
+    // branch, the signed/unsigned boundary at i32::MIN included.
+    let cases: [(I, i32, i32, bool); 6] = [
         (I::I32Eq, 3, 3, true),
         (I::I32Eq, 3, 4, false),
-        (I::I32Ne, 3, 4, true),
-        (I::I32Ne, 3, 3, false),
-        (I::I32LtS, i32::MIN, 0, true),
-        (I::I32LtS, 0, i32::MIN, false),
-        (I::I32LtU, 0, i32::MIN, true),
-        (I::I32LtU, i32::MIN, 0, false),
-        (I::I32GtS, 0, i32::MIN, true),
-        (I::I32GtS, i32::MIN, 0, false),
-        (I::I32GtU, i32::MIN, 0, true),
-        (I::I32GtU, 0, i32::MIN, false),
-        (I::I32LeS, 5, 5, true),
-        (I::I32LeS, 6, 5, false),
-        (I::I32LeU, -1, -1, true),
-        (I::I32LeU, -1, 0, false),
-        (I::I32GeS, 5, 5, true),
-        (I::I32GeS, 4, 5, false),
-        (I::I32GeU, -1, 0, true),
-        (I::I32GeU, 0, -1, false),
+        (I::I32Eq, i32::MIN, i32::MIN, true),
+        (I::I32Eq, i32::MIN, 0, false),
+        (I::I32Eqz, 0, 0, true),
+        (I::I32Eqz, i32::MIN, 0, false),
     ];
     for (op, a, b, taken) in cases {
-        let op_if = op.clone();
-        let br_shape = move || {
+        let build = move || {
             let mut mb = ModuleBuilder::new();
             let op = op.clone();
             let f =
                 mb.func(FuncType::new(vec![ValType::I32, ValType::I32], vec![ValType::I32]), |f| {
-                    f.block(BlockType::Empty, |f| {
-                        f.local_get(0).local_get(1).op(op).br_if(0);
-                        f.i32_const(0).return_();
+                    let r = f.local(ValType::I32);
+                    f.i32_const(1).local_set(r);
+                    f.block(|f| {
+                        f.local_get(0);
+                        if op != I::I32Eqz {
+                            f.local_get(1);
+                        }
+                        f.op(op).br_if(0);
+                        f.i32_const(0).local_set(r);
                     });
-                    f.i32_const(1);
-                });
-            mb.export_func("f", f);
-            mb
-        };
-        let if_shape = move || {
-            let mut mb = ModuleBuilder::new();
-            let op = op_if.clone();
-            let f =
-                mb.func(FuncType::new(vec![ValType::I32, ValType::I32], vec![ValType::I32]), |f| {
-                    f.local_get(0).local_get(1).op(op);
-                    f.if_else(
-                        BlockType::Value(ValType::I32),
-                        |f| {
-                            f.i32_const(1);
-                        },
-                        |f| {
-                            f.i32_const(0);
-                        },
-                    );
+                    f.local_get(r);
                 });
             mb.export_func("f", f);
             mb
         };
         let want = Value::I32(taken as i32);
-        expect_both(&br_shape, "f", &[Value::I32(a), Value::I32(b)], want);
-        expect_both(&if_shape, "f", &[Value::I32(a), Value::I32(b)], want);
-        assert_fused(&br_shape);
-        assert_fused(&if_shape);
+        expect_both(&build, "f", &[Value::I32(a), Value::I32(b)], want);
+        assert_fused(&build);
     }
-}
-
-#[test]
-fn fused_tee_and_select_chains_agree() {
-    // local.tee keeps the value live across a fused chain; select with a
-    // constant condition folds statically, a dynamic one stays an op.
-    let build = || {
-        let mut b = ModuleBuilder::new();
-        let f = b.func(FuncType::new(vec![ValType::I32], vec![ValType::I32]), |f| {
-            let t = f.local(ValType::I32);
-            // t = x + 1; select(t * 2, t, x != 0) with a dynamic condition,
-            // then add a statically-folded select(10, 20, 1).
-            f.local_get(0).i32_const(1).op(I::I32Add).local_tee(t);
-            f.i32_const(2).op(I::I32Mul);
-            f.local_get(t);
-            f.local_get(0);
-            f.op(I::Select);
-            f.i32_const(10).i32_const(20).i32_const(1).op(I::Select);
-            f.op(I::I32Add);
-        });
-        b.export_func("f", f);
-        b
-    };
-    expect_both(build, "f", &[Value::I32(3)], Value::I32(18)); // (3+1)*2 + 10
-    expect_both(build, "f", &[Value::I32(0)], Value::I32(11)); // (0+1)   + 10
-    assert_fused(build);
 }
 
 #[test]
@@ -462,9 +277,12 @@ fn epoch_interrupt_is_identical_under_fusion() {
         let mut b = ModuleBuilder::new();
         let f = b.func(FuncType::new(vec![], vec![ValType::I32]), |f| {
             let i = f.local(ValType::I32);
-            f.loop_(BlockType::Empty, |f| {
-                f.local_get(i).i32_const(1).op(I::I32Add).local_set(i);
-                f.local_get(i).i32_const(-1).op(I::I32Ne).br_if(0);
+            f.block(|f| {
+                f.loop_(|f| {
+                    f.local_get(i).i32_const(1).op(I::I32Add).local_set(i);
+                    f.local_get(i).i32_const(-1).op(I::I32Eq).br_if(1);
+                    f.br(0);
+                });
             });
             f.local_get(i);
         });
