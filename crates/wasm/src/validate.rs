@@ -9,22 +9,16 @@
 use crate::error::ValidationError;
 use crate::instr::{read_instr, Instruction};
 use crate::module::{ExportDesc, Module};
-use crate::types::{FuncType, ValType};
+use crate::types::{FuncType, MemoryType, ValType};
 
 /// Natural alignment exponent for a `2^align` check.
 fn natural_align(bytes: u32) -> u32 {
     bytes.trailing_zeros()
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FrameKind {
-    Block,
-    Loop,
-    Func,
-}
-
 struct Frame {
-    kind: FrameKind,
+    /// A branch to a loop goes back to its start and carries nothing.
+    is_loop: bool,
     /// What the frame leaves on the stack: nothing for a block or loop
     /// (the only block type kept is the empty one), the results for the
     /// function.
@@ -38,7 +32,7 @@ struct Frame {
 impl Frame {
     /// The types a branch to this frame's label expects.
     fn label_types(&self) -> &[ValType] {
-        if self.kind == FrameKind::Loop {
+        if self.is_loop {
             &[]
         } else {
             &self.end_types
@@ -90,9 +84,9 @@ impl<'m> FuncValidator<'m> {
         Ok(())
     }
 
-    fn push_frame(&mut self, kind: FrameKind, end: Vec<ValType>) {
+    fn push_frame(&mut self, is_loop: bool, end_types: Vec<ValType>) {
         let height = self.opds.len();
-        self.frames.push(Frame { kind, end_types: end, height, unreachable: false });
+        self.frames.push(Frame { is_loop, end_types, height, unreachable: false });
     }
 
     fn pop_frame(&mut self) -> Result<Frame, ValidationError> {
@@ -126,17 +120,17 @@ impl<'m> FuncValidator<'m> {
         self.locals.get(idx as usize).copied().ok_or(ValidationError::UnknownLocal(idx))
     }
 
-    /// A memory access of `bytes` bytes: the module has a memory and the
-    /// alignment hint does not exceed the natural one.
-    fn check_mem(&self, align: Option<(u32, u32)>) -> Result<(), ValidationError> {
+    fn check_mem(&self) -> Result<(), ValidationError> {
         if !self.has_memory {
             return Err(ValidationError::UnknownMemory(0));
         }
-        if let Some((align, bytes)) = align {
-            let natural = natural_align(bytes);
-            if align > natural {
-                return Err(ValidationError::BadAlignment { align, natural });
-            }
+        Ok(())
+    }
+
+    fn check_align(&self, align: u32, access_bytes: u32) -> Result<(), ValidationError> {
+        let natural = natural_align(access_bytes);
+        if align > natural {
+            return Err(ValidationError::BadAlignment { align, natural });
         }
         Ok(())
     }
@@ -152,8 +146,8 @@ impl<'m> FuncValidator<'m> {
         use Instruction as I;
         use ValType::*;
         match i {
-            I::Block => self.push_frame(FrameKind::Block, vec![]),
-            I::Loop => self.push_frame(FrameKind::Loop, vec![]),
+            I::Block => self.push_frame(false, vec![]),
+            I::Loop => self.push_frame(true, vec![]),
             I::End => {
                 let frame = self.pop_frame()?;
                 for t in &frame.end_types {
@@ -192,17 +186,19 @@ impl<'m> FuncValidator<'m> {
                 self.pop_expect(t)?;
             }
             I::I64Load(a) => {
-                self.check_mem(Some((a.align, 8)))?;
+                self.check_mem()?;
+                self.check_align(a.align, 8)?;
                 self.pop_expect(I32)?;
                 self.push(I64);
             }
             I::I32Store(a) => {
-                self.check_mem(Some((a.align, 4)))?;
+                self.check_mem()?;
+                self.check_align(a.align, 4)?;
                 self.pop_expect(I32)?;
                 self.pop_expect(I32)?;
             }
             I::MemoryGrow => {
-                self.check_mem(None)?;
+                self.check_mem()?;
                 self.pop_expect(I32)?;
                 self.push(I32);
             }
@@ -221,7 +217,7 @@ impl<'m> FuncValidator<'m> {
     }
 }
 
-fn valid_memory_limits(m: &crate::types::MemoryType) -> bool {
+fn valid_memory_limits(m: &MemoryType) -> bool {
     m.limits.is_valid() && m.limits.min <= 65536 && m.limits.max.unwrap_or(0) <= 65536
 }
 
@@ -279,7 +275,7 @@ pub fn validate_module(module: &Module) -> Result<(), ValidationError> {
         locals.extend(body.expand_locals());
         let mut v =
             FuncValidator { module, has_memory, locals, opds: Vec::new(), frames: Vec::new() };
-        v.push_frame(FrameKind::Func, ft.results.clone());
+        v.push_frame(false, ft.results.clone());
 
         let code = &body.code;
         let mut pos = 0usize;
