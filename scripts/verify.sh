@@ -193,7 +193,17 @@ cargo run --release --offline -p harness --bin figures -- cluster --smoke >/dev/
 echo "== paper claims (figures claims: all 15, at the paper's densities) =="
 # The full 27-cell grid, nothing skipped: under a second since the host
 # executes each distinct guest once per process. Exit 1 is a failed claim.
-cargo run --release --offline -p harness --bin figures -- claims >/dev/null
+# Its stdout must also be, line for line, the fenced block under
+# EXPERIMENTS.md's "Claim check summary", so the document cannot drift
+# from the program.
+cargo run --release --offline -p harness --bin figures -- claims >target/claims.stdout
+if ! diff <(awk '/^## Claim check summary/ { h = 1; next }
+                 h && /^```/ { if (in_block) exit; in_block = 1; next }
+                 in_block' EXPERIMENTS.md) target/claims.stdout; then
+  echo "EXPERIMENTS.md's claim check summary (<) differs from 'figures claims' (>)." >&2
+  echo "Regenerate the block from: cargo run --release --offline -p harness --bin figures -- claims" >&2
+  exit 1
+fi
 
 echo "== smoke: studies app-impact + ablations (the heavy Python scripts, pyrt's direct parse/run) =="
 # The only runs of the compute- and memory-heavy Python scripts (their
