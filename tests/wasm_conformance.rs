@@ -101,6 +101,31 @@ fn loop_branch_carries_params_to_loop_head() {
 }
 
 #[test]
+fn select_and_shift_semantics() {
+    // The kept set has no `select`: a `br_if` out of an empty block picks
+    // between rotl(a, 33) (cond == 0) and shr_u(a, 33) (cond != 0). Both
+    // shift counts are masked to 5 bits, so 33 acts as 1.
+    let build = || {
+        let mut b = ModuleBuilder::new();
+        let f = b.func(FuncType::new(vec![ValType::I32, ValType::I32], vec![ValType::I32]), |f| {
+            let out = f.local(ValType::I32);
+            f.local_get(0).i32_const(33).op(I::I32Rotl).local_set(out);
+            f.block(|f| {
+                f.local_get(1).op(I::I32Eqz).br_if(0);
+                f.local_get(0).i32_const(33).op(I::I32ShrU).local_set(out);
+            });
+            f.local_get(out);
+        });
+        b.export_func("f", f);
+        b
+    };
+    expect_both(build, "f", &[Value::I32(1), Value::I32(0)], Value::I32(2));
+    expect_both(build, "f", &[Value::I32(i32::MIN), Value::I32(0)], Value::I32(1));
+    expect_both(build, "f", &[Value::I32(8), Value::I32(1)], Value::I32(4));
+    expect_both(build, "f", &[Value::I32(-8), Value::I32(7)], Value::I32(0x7fff_fffc));
+}
+
+#[test]
 fn fuel_limits_agree() {
     let build = || {
         let mut b = ModuleBuilder::new();
