@@ -878,6 +878,48 @@ mod tests {
     }
 
     #[test]
+    fn a_guest_importing_an_unserved_function_fails_its_start_and_rolls_back() {
+        let mut b = ModuleBuilder::new();
+        let path_open = b.import_func(
+            "wasi_snapshot_preview1",
+            "path_open",
+            FuncType::new(vec![ValType::I32; 9], vec![ValType::I32]),
+        );
+        let mem = b.memory(1, None);
+        b.export_memory("memory", mem);
+        let start = b.func(FuncType::new(vec![], vec![]), |f| {
+            for _ in 0..9 {
+                f.i32_const(0);
+            }
+            f.call(path_open).drop_();
+        });
+        b.export_func("_start", start);
+        let kernel = Kernel::boot(KernelConfig::default());
+        install_engines(&kernel).unwrap();
+        let module = kernel
+            .create_file(
+                "/images/opener/app.wasm",
+                simkernel::vfs::FileContent::Bytes(Bytes::from(b.build_bytes())),
+            )
+            .unwrap();
+        for kind in EngineKind::ALL {
+            let name = kind.profile().name;
+            let cg = kernel.cgroup_create(Kernel::ROOT_CGROUP, name).unwrap();
+            let pid = ProcessImage::spawn(&kernel, name, cg).build().unwrap().detach();
+            let opts = ExecOptions::default();
+            let (engine, trace) = load_engine(&kernel, pid, kind.profile(), opts).unwrap();
+            let held = || (kernel.proc_rss(pid).unwrap(), kernel.cgroup_working_set(cg).unwrap());
+            let before = held();
+            let wasi = WasiSpec::default();
+            let err = run_module(&kernel, pid, engine, module, &wasi, 1_000_000, opts, trace)
+                .expect_err(name)
+                .to_string();
+            assert!(err.contains("wasi_snapshot_preview1.path_open"), "{name}: {err}");
+            assert_eq!(held(), before, "{name}: the failed start is rolled back");
+        }
+    }
+
+    #[test]
     fn no_epoch_budget_means_no_watchdog() {
         let (kernel, module) = setup();
         let (_, run) = run_one(&kernel, module, EngineKind::Wamr, "plain");
