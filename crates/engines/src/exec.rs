@@ -44,8 +44,6 @@ pub const EPOCH_TICK_INSTRS: u64 = 10_000;
 pub struct WasiSpec {
     pub args: Vec<String>,
     pub env: Vec<(String, String)>,
-    /// (guest path, VFS path prefix) preopened directories.
-    pub preopens: Vec<(String, String)>,
 }
 
 /// How the engine is embedded: through its stock C API (crun handlers link
@@ -198,9 +196,9 @@ pub struct GuestOutcome {
     /// The watchdog clock's reading when the run ended, `None` without a
     /// deadline.
     pub epoch: Option<u64>,
-    /// The guest reached the kernel through WASI — read a file, opened a
-    /// path, asked the time — so this is what it did *this* time, a
-    /// function of more than its [`GuestInputs`]; it is never recorded.
+    /// The guest reached the kernel through WASI — asked the time — so
+    /// this is what it did *this* time, a function of more than its
+    /// [`GuestInputs`]; it is never recorded.
     pub observed_world: bool,
 }
 
@@ -228,12 +226,9 @@ pub fn execute_guest(
     inputs: &GuestInputs<'_>,
 ) -> KernelResult<GuestOutcome> {
     let wasi = inputs.wasi;
-    let mut ctx = WasiCtx::new(kernel.clone(), pid)
+    let ctx = WasiCtx::new(kernel.clone(), pid)
         .args(wasi.args.iter().cloned())
         .envs(wasi.env.iter().cloned());
-    for (guest, host) in &wasi.preopens {
-        ctx = ctx.preopen(guest.clone(), host.clone());
-    }
     let stdout = ctx.stdout_handle();
     let stderr = ctx.stderr_handle();
     let world = ctx.world_mark();
@@ -246,7 +241,6 @@ pub fn execute_guest(
             deadline,
             tick_instrs: EPOCH_TICK_INSTRS,
         }),
-        ..InstanceConfig::default()
     };
     // The cache validated the module on insertion; skip re-validating per
     // container.

@@ -290,8 +290,8 @@ mod tests {
         let b = Bundle::create(&kernel, "b", &image, &spec).unwrap();
         assert!(Arc::ptr_eq(&a.rootfs, &b.rootfs), "one table per image, not per bundle");
         assert_eq!(
-            a.rootfs.host_paths.get("/app/main.wasm").map(String::as_str),
-            Some("/var/lib/images/svc_v1/app/main.wasm")
+            a.resolve("/app/main.wasm"),
+            kernel.lookup("/var/lib/images/svc_v1/app/main.wasm").ok()
         );
 
         // Re-registering the reference builds a new view; a bundle is a

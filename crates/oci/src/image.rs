@@ -41,8 +41,6 @@ pub(crate) struct LayerFile {
 pub struct Rootfs {
     /// Guest rootfs path → backing layer file.
     pub(crate) files: BTreeMap<String, FileId>,
-    /// Guest rootfs path → backing VFS path (for WASI preopens).
-    pub host_paths: BTreeMap<String, String>,
 }
 
 /// A stored image.
@@ -128,7 +126,6 @@ impl ImageBuilder {
                 Err(_) => kernel.create_file(&vfs_path, content)?,
             };
             rootfs.files.insert(guest_path.clone(), file);
-            rootfs.host_paths.insert(guest_path.clone(), vfs_path);
             files.push(LayerFile { guest_path, file, size });
         }
         Ok(Image {

@@ -93,7 +93,7 @@ pub(crate) const THRASH_STREAM_PATH: &str = "/data/stream.bin";
 
 /// What a guest start needs from its OCI container — the paper's §III-C
 /// integration aspect 2: the module the entrypoint names, the WASI view of
-/// `process.args` / `process.env` / the rootfs, and the embedder's `base`
+/// `process.args` and `process.env`, and the embedder's `base`
 /// options completed with what the spec annotates (watchdog budget,
 /// adversarial churn). The one translation, so that a crun handler, a
 /// runwasi shim and a sandboxer differ only in `base`.
@@ -105,7 +105,7 @@ pub fn guest_from_oci(
     let (instantiate_churn, io_churn) = adversarial_opts(bundle, spec);
     let epoch_budget = spec.watchdog_budget_ns().map(Duration::from_nanos);
     let opts = ExecOptions { epoch_budget, instantiate_churn, io_churn, ..base };
-    Ok((resolve_module(bundle, spec)?, wasi_spec_from_oci(bundle, spec), opts))
+    Ok((resolve_module(bundle, spec)?, wasi_spec_from_oci(spec), opts))
 }
 
 /// Extract the adversarial [`ExecOptions`] knobs from the spec's
@@ -120,27 +120,10 @@ fn adversarial_opts(bundle: &Bundle, spec: &RuntimeSpec) -> (u32, Option<(FileId
     (churn, io)
 }
 
-/// Build the WASI configuration from the OCI process spec (arguments,
-/// environment, preopens).
-fn wasi_spec_from_oci(bundle: &Bundle, spec: &RuntimeSpec) -> WasiSpec {
-    let preopens = bundle
-        .rootfs
-        .host_paths
-        .iter()
-        .filter_map(|(guest, host)| {
-            // Preopen the directories of data files (not the module itself).
-            let guest_dir = guest.rsplit_once('/').map(|(d, _)| d).unwrap_or("");
-            let host_dir = host.rsplit_once('/').map(|(d, _)| d).unwrap_or("");
-            if guest_dir.is_empty() || guest.ends_with(".wasm") {
-                None
-            } else {
-                Some((guest_dir.to_string(), host_dir.to_string()))
-            }
-        })
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect();
-    WasiSpec { args: spec.process.args.clone(), env: spec.process.env_pairs(), preopens }
+/// Build the WASI configuration from the OCI process spec (arguments and
+/// environment).
+fn wasi_spec_from_oci(spec: &RuntimeSpec) -> WasiSpec {
+    WasiSpec { args: spec.process.args.clone(), env: spec.process.env_pairs() }
 }
 
 /// An engine running a Wasm container inside the process it is handed,
@@ -274,14 +257,11 @@ mod tests {
 
     #[test]
     fn wasi_spec_extraction() {
-        let (_kernel, bundle, mut spec) = setup();
+        let (_kernel, _bundle, mut spec) = setup();
         spec.process.env = vec!["PORT=9".into()];
-        let wasi = wasi_spec_from_oci(&bundle, &spec);
+        let wasi = wasi_spec_from_oci(&spec);
         assert_eq!(wasi.args, vec!["/app/main.wasm"]);
         assert_eq!(wasi.env, vec![("PORT".to_string(), "9".to_string())]);
-        // /etc preopened for the config file, module dir excluded.
-        assert!(wasi.preopens.iter().any(|(g, _)| g == "/etc"));
-        assert!(!wasi.preopens.iter().any(|(g, _)| g == "/app"));
     }
 
     #[test]

@@ -6,10 +6,6 @@
 pub(crate) enum Errno {
     Success = 0,
     BadF = 8,
-    Inval = 28,
-    Io = 29,
-    NoEnt = 44,
-    NotCapable = 76,
 }
 
 impl Errno {
@@ -27,7 +23,5 @@ mod tests {
     fn raw_values_match_spec() {
         assert_eq!(Errno::Success.raw(), 0);
         assert_eq!(Errno::BadF.raw(), 8);
-        assert_eq!(Errno::NoEnt.raw(), 44);
-        assert_eq!(Errno::NotCapable.raw(), 76);
     }
 }

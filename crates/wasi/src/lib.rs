@@ -1,13 +1,18 @@
-//! # wasi-sys — a WASI preview-1 subset over the simulated kernel
+//! # wasi-sys — the WASI preview-1 functions the guests call
 //!
-//! Implements the system-interface surface the paper's integration work
-//! needed (§III-C "WASI Argument Handling"): command-line arguments,
-//! environment variables, pre-opened directories, stdio, clock, randomness
-//! and `proc_exit` — enough to run containerized WASI microservices.
+//! Serves the system-interface surface the paper's integration work
+//! needed (§III-C "WASI Argument Handling") and no more: seven functions.
+//! `args_sizes_get`, `args_get`, `environ_sizes_get`, `environ_get` and
+//! `proc_exit` are the process interface; `fd_write` appends to the
+//! stdout or stderr capture for fd 1 or 2 and is `EBADF` for every other
+//! fd; `clock_time_get` reads the [`simkernel`] clock, the one function
+//! that reaches the kernel, and so sets the context's *observed the
+//! world* mark.
 //!
-//! File access resolves against the [`simkernel`] VFS **on behalf of the
-//! container process**, so page-cache faults from `path_open`/`fd_read` are
-//! charged to the container's cgroup exactly as they would be on Linux.
+//! A module importing any other preview-1 function fails instantiation
+//! with `InstantiateError::MissingImport` naming it. There are no files,
+//! preopens or fds beyond stdio: a guest that needs files adds `path_open`
+//! back, with its fds charged to the process as kernel objects.
 //!
 //! ```
 //! use std::sync::Arc;

@@ -91,21 +91,22 @@ pub struct EpochConfig {
     pub tick_instrs: u64,
 }
 
+/// Call depth at which both tiers trap with `Trap::StackOverflow`.
+pub(crate) const MAX_CALL_DEPTH: usize = 1024;
+
 /// Instantiation/execution options.
 #[derive(Debug, Clone)]
 pub struct InstanceConfig {
     pub tier: ExecTier,
     /// Optional instruction budget; `Trap::OutOfFuel` when exhausted.
     pub fuel: Option<u64>,
-    /// Maximum call depth before `Trap::StackOverflow`.
-    pub max_call_depth: usize,
     /// Optional epoch watchdog; `Trap::Interrupted` past the deadline.
     pub epoch: Option<EpochConfig>,
 }
 
 impl Default for InstanceConfig {
     fn default() -> Self {
-        InstanceConfig { tier: ExecTier::InPlace, fuel: None, max_call_depth: 1024, epoch: None }
+        InstanceConfig { tier: ExecTier::InPlace, fuel: None, epoch: None }
     }
 }
 

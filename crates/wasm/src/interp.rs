@@ -30,7 +30,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use crate::instance::Instance;
+use crate::instance::{Instance, MAX_CALL_DEPTH};
 use crate::instr::{op, read_instr, Instruction};
 use crate::leb128;
 use crate::module::Module;
@@ -231,7 +231,6 @@ fn run(
 ) -> Result<(), Trap> {
     let imported = module.num_imported_funcs();
     let tables = module.compiled.side_tables(module.funcs.len());
-    let max_frames = inst.config.max_call_depth;
     let mut frames: Vec<Frame> = Vec::new();
     let mut labels: Vec<Target> = Vec::new();
 
@@ -416,7 +415,7 @@ fn run(
                     slice = inst.slice();
                     left = slice;
                 } else {
-                    if frames.len() + 1 >= max_frames {
+                    if frames.len() + 1 >= MAX_CALL_DEPTH {
                         trap!(Trap::StackOverflow);
                     }
                     let callee = (f - imported) as usize;
@@ -751,7 +750,7 @@ mod tests {
         let mut inst = instantiate(b);
         assert_eq!(inst.invoke("recur", &[]), Err(Trap::StackOverflow));
         // One `call` per live frame, the one that overflowed included.
-        assert_eq!(inst.stats().instrs_retired, InstanceConfig::default().max_call_depth as u64);
+        assert_eq!(inst.stats().instrs_retired, MAX_CALL_DEPTH as u64);
     }
 
     #[test]

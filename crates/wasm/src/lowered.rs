@@ -36,7 +36,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use crate::instance::Instance;
+use crate::instance::{Instance, MAX_CALL_DEPTH};
 use crate::instr::{read_instr, Instruction};
 use crate::interp::SideTable;
 use crate::module::Module;
@@ -882,7 +882,7 @@ fn run(
                     slice = inst.slice();
                     left = slice;
                 } else {
-                    if frames.len() + 1 >= inst.config.max_call_depth {
+                    if frames.len() + 1 >= MAX_CALL_DEPTH {
                         trap!(Trap::StackOverflow);
                     }
                     let callee = tri!(lowered_func(inst, f));

@@ -196,8 +196,7 @@ fn fuel_and_epoch_interleave_exactly() {
     for tier in TIERS {
         let run = |fuel: u64, tick_instrs: u64, deadline: u64| {
             let epoch = EpochConfig { clock: EpochClock::new(), deadline, tick_instrs };
-            let config =
-                InstanceConfig { tier, fuel: Some(fuel), epoch: Some(epoch), ..Default::default() };
+            let config = InstanceConfig { tier, fuel: Some(fuel), epoch: Some(epoch) };
             let (mut inst, _) = instantiate(&module, config);
             let outcome = inst.run_start();
             (outcome, inst.stats().instrs_retired, inst.fuel_remaining())

@@ -10,7 +10,7 @@
 //! |---|---|---|
 //! | kernel | [`simkernel`] | processes, page-level memory accounting, cgroups v2, page cache, `free(1)`, discrete-event clock |
 //! | Wasm core | [`wasm_core`] | binary format, validator, in-place interpreter, lowered (JIT-style) executor |
-//! | WASI | [`wasi_sys`] | args/env/preopens/stdio over the simulated VFS |
+//! | WASI | [`wasi_sys`] | args/env/stdio/clock, the seven calls the guests make |
 //! | engines | [`engines`] | WAMR / Wasmtime / Wasmer / WasmEdge profiles over the shared core |
 //! | OCI | [`oci_spec_lite`] | runtime/image specs, bundles, a from-scratch JSON |
 //! | runtimes | [`container_runtimes`] | crun / runC / youki lifecycles + the handler mechanism |

@@ -65,7 +65,6 @@ fn service_wasi() -> WasiSpec {
     WasiSpec {
         args: vec!["/app/main.wasm".into()],
         env: vec![("SERVICE_NAME".into(), "microservice".into())],
-        preopens: Vec::new(),
     }
 }
 
@@ -172,11 +171,11 @@ fn trap_module() -> Vec<u8> {
     b.build_bytes()
 }
 
-/// Exits with `argc + 10 × envc + 100 × (fd 3 is a preopen)`, after
-/// fetching argv and environ: a guest whose outcome is a function of each
-/// WASI input, importing nothing that reaches the kernel. A count (below
-/// 10) is read as an i64 whose high half is zero, and turned into an i32
-/// by summing `count >= k` for k = 1..=9.
+/// Exits with `argc + 10 × envc`, after fetching argv and environ: a
+/// guest whose outcome is a function of each WASI input, importing nothing
+/// that reaches the kernel. A count (below 10) is read as an i64 whose
+/// high half is zero, and turned into an i32 by summing `count >= k` for
+/// k = 1..=9.
 fn inputs_probe_module() -> Vec<u8> {
     let mut b = ModuleBuilder::new();
     let sig2 = || FuncType::new(vec![ValType::I32; 2], vec![ValType::I32]);
@@ -184,7 +183,6 @@ fn inputs_probe_module() -> Vec<u8> {
     let args_get = b.import_func(WASI, "args_get", sig2());
     let env_sizes = b.import_func(WASI, "environ_sizes_get", sig2());
     let env_get = b.import_func(WASI, "environ_get", sig2());
-    let prestat = b.import_func(WASI, "fd_prestat_get", sig2());
     let exit = b.import_func(WASI, "proc_exit", FuncType::new(vec![ValType::I32], vec![]));
     let mem = b.memory(1, None);
     b.export_memory("memory", mem);
@@ -204,8 +202,6 @@ fn inputs_probe_module() -> Vec<u8> {
         count(f, 8);
         f.i32_const(10).op(Instruction::I32Mul);
         f.op(Instruction::I32Add);
-        f.i32_const(3).i32_const(16).call(prestat).op(Instruction::I32Eqz);
-        f.i32_const(100).op(Instruction::I32Mul).op(Instruction::I32Add);
         f.call(exit);
     });
     b.export_func("_start", start);
@@ -510,11 +506,7 @@ fn a_guest_that_only_reads_its_own_inputs_is_replayed() {
     let _serial = serial();
     let kernel = boot();
     let file = install(&kernel, "/images/probe/app.wasm", inputs_probe_module());
-    let wasi = WasiSpec {
-        args: vec!["probe".into()],
-        env: vec![("A".into(), "1".into())],
-        ..Default::default()
-    };
+    let wasi = WasiSpec { args: vec!["probe".into()], env: vec![("A".into(), "1".into())] };
     guests().clear();
     let go = |name: &str| {
         start(&kernel, name, &WAMR, file, &wasi, DEFAULT_STARTUP_FUEL, ExecOptions::default())
@@ -523,8 +515,8 @@ fn a_guest_that_only_reads_its_own_inputs_is_replayed() {
     assert_eq!(moved, EXECUTED);
     let (second, moved) = counted(|| guests().stats(), || go("p2").0.unwrap());
     assert_eq!(moved, REPLAYED);
-    assert_eq!((first.exit_code, second.exit_code), (11, 11), "argc 1, envc 1, no preopen");
-    assert_eq!(first.stats.host_calls, 6);
+    assert_eq!((first.exit_code, second.exit_code), (11, 11), "argc 1, envc 1");
+    assert_eq!(first.stats.host_calls, 5);
     let module = module_of(&kernel, file);
     let inputs = wamr_inputs(&module, &wasi, DEFAULT_STARTUP_FUEL, None);
     assert_eq!(guests().recorded(&inputs), Some(true));
@@ -536,18 +528,16 @@ fn a_guest_that_only_reads_its_own_inputs_is_replayed() {
 fn every_input_the_guest_can_see_separates_entries() {
     let _serial = serial();
     let kernel = boot();
-    kernel.create_file("/rootfs/data/f", FileContent::Bytes(b"x".to_vec().into())).unwrap();
     let file = install(&kernel, "/images/probe/app.wasm", inputs_probe_module());
     let strs = |s: &[&str]| s.iter().map(|s| s.to_string()).collect::<Vec<_>>();
     let pairs = |s: &[(&str, &str)]| {
         s.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect::<Vec<_>>()
     };
-    let base = WasiSpec { args: strs(&["probe"]), env: pairs(&[("A", "1")]), preopens: vec![] };
+    let base = WasiSpec { args: strs(&["probe"]), env: pairs(&[("A", "1")]) };
     let variants = [
         (base.clone(), 11),
         (WasiSpec { args: strs(&["probe", "-v"]), ..base.clone() }, 12),
         (WasiSpec { env: pairs(&[("A", "1"), ("B", "2")]), ..base.clone() }, 21),
-        (WasiSpec { preopens: pairs(&[("/data", "/rootfs/data")]), ..base.clone() }, 111),
         // Same counts, other contents: still another guest.
         (WasiSpec { args: strs(&["other"]), ..base.clone() }, 11),
         (WasiSpec { env: pairs(&[("A", "2")]), ..base.clone() }, 11),
