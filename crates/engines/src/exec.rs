@@ -80,9 +80,9 @@ pub struct ExecOptions {
     /// byte-identical.
     pub epoch_budget: Option<Duration>,
     /// Adversarial knob: after `_start`, re-instantiate the module this many
-    /// times (a fork-bomb through the real `EngineInstantiate` fault site
-    /// and `ArtifactCache`), each instance's overhead staying charged — the
-    /// ratchet `memory.max` is there to stop.
+    /// times (a fork-bomb through the real `EngineInstantiate` fault site),
+    /// each instance's overhead staying charged — the ratchet `memory.max`
+    /// is there to stop.
     pub instantiate_churn: u32,
     /// Adversarial knob: after `_start`, stream `(file, passes)` cold reads
     /// (self-evict, then re-fault) — the page-cache thrasher. Cold bytes and
@@ -517,20 +517,14 @@ pub fn run_module(
     }
 
     // --- adversarial churn (isolation harness only) ----------------------
-    // Instantiation fork-bomb: each spin goes through the real choke points
-    // — the EngineInstantiate fault site, the shared ArtifactCache, a real
-    // instantiation — and leaves the per-instance overhead charged, so the
-    // only thing standing between the churn and the node is memory.max.
+    // Instantiation fork-bomb: each spin goes through the EngineInstantiate
+    // fault site, pays an instantiation and leaves the per-instance
+    // overhead charged, so the only thing standing between the churn and
+    // the node is memory.max. The host builds no instance for it: this
+    // module already instantiated with these imports, for this start or
+    // for the outcome it replays, so a spin cannot fail differently.
     for _ in 0..opts.instantiate_churn {
         kernel.inject_fault(simkernel::FaultSite::EngineInstantiate)?;
-        let spare = ArtifactCache::global()
-            .get_or_decode(&bytes)
-            .map_err(|e| simkernel::KernelError::InvalidState(format!("bad module: {e}")))?;
-        let churn_cfg =
-            InstanceConfig { tier: profile.tier, fuel: Some(0), ..InstanceConfig::default() };
-        let imports = WasiCtx::new(kernel.clone(), pid).into_imports();
-        Instance::instantiate_prevalidated(spare, imports, churn_cfg)
-            .map_err(|e| simkernel::KernelError::InvalidState(format!("instantiate: {e}")))?;
         trace.push(Phase::Exec, Step::Cpu(profile.instantiate));
         exec_cpu = exec_cpu.saturating_add(profile.instantiate);
         charge_anon(kernel, pid, per_instance, "churn-instance")?;

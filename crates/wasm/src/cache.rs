@@ -30,13 +30,12 @@
 //! one entry per distinct allocation ever looked up, which for the
 //! memoised workload modules is one per module.
 //!
-//! Both maps are sharded into [`STRIPES`] independently locked stripes —
-//! the content map by the low bits of the content hash, the identity map
-//! by a mix of the address — so parallel grid workers touching different
-//! modules never serialize on one global mutex. The (rare) occasions two
-//! workers *do* collide on a stripe are counted in
-//! [`CacheStats::lock_contentions`] — a driver-scaling canary the harness
-//! can watch.
+//! Both maps and the counters sit behind one mutex. A lookup holds it for
+//! a hash probe; a miss, once per distinct module, holds it while it
+//! decodes and validates, so a module is decoded exactly once however many
+//! workers ask for it at the same time. The times a lookup found the lock
+//! held are counted in [`CacheStats::lock_contentions`], a driver-scaling
+//! canary the harness can watch.
 //!
 //! [`clear`]: ArtifactCache::clear
 //!
@@ -46,8 +45,7 @@
 //! to skip the per-instance re-validation pass.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, TryLockError};
 
 use bytelite::Bytes;
 
@@ -89,8 +87,8 @@ impl std::error::Error for ArtifactError {}
 pub struct CacheStats {
     pub hits: u64,
     pub misses: u64,
-    /// Times a worker found its stripe's lock already held and had to
-    /// wait. Zero in serial runs; should stay near zero in parallel ones.
+    /// Times a lookup found the cache's lock already held and had to wait.
+    /// Zero in serial runs; should stay near zero in parallel ones.
     pub lock_contentions: u64,
     /// Bytes fed to [`content_hash`]: the length of every buffer seen for
     /// the first time. A process that starts ten thousand pods of one
@@ -110,13 +108,6 @@ impl CacheStats {
     }
 }
 
-/// Lock stripes in the cache map. A power of two so stripe selection is a
-/// mask of the content hash; 16 is comfortably above any worker count the
-/// harness spawns.
-pub(crate) const STRIPES: usize = 16;
-
-type Shard = HashMap<u64, Vec<(Bytes, Arc<Module>)>>;
-
 /// A buffer the cache has already hashed. `_pin` keeps the allocation the
 /// identity describes alive, which is what makes the identity a name for
 /// its contents.
@@ -126,63 +117,33 @@ struct Seen {
     module: Arc<Module>,
 }
 
-/// (address, length) of a `Bytes` view → what that view holds.
-type Views = HashMap<(usize, usize), Seen>;
-
-/// A content-addressed map from module bytes to decoded+validated modules.
-pub struct ArtifactCache {
-    /// hash → entries with that hash, sharded by `hash & (STRIPES - 1)`.
-    /// Collisions are resolved by comparing the stored bytes, so two
-    /// distinct modules never alias.
-    stripes: [Mutex<Shard>; STRIPES],
-    /// The identity fast path in front of `stripes`.
-    views: [Mutex<Views>; STRIPES],
-    hits: AtomicU64,
-    misses: AtomicU64,
-    contentions: AtomicU64,
-    hashed_bytes: AtomicU64,
+/// Everything behind the cache's one lock.
+#[derive(Default)]
+struct Maps {
+    /// (address, length) of a `Bytes` view → what that view holds: the
+    /// identity fast path in front of `contents`.
+    views: HashMap<(usize, usize), Seen>,
+    /// Content hash → entries with that hash. Collisions are resolved by
+    /// comparing the stored bytes, so two distinct modules never alias.
+    contents: HashMap<u64, Vec<(Bytes, Arc<Module>)>>,
+    stats: CacheStats,
 }
 
-impl Default for ArtifactCache {
-    fn default() -> Self {
-        ArtifactCache {
-            stripes: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            views: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            contentions: AtomicU64::new(0),
-            hashed_bytes: AtomicU64::new(0),
-        }
-    }
+/// A content-addressed map from module bytes to decoded+validated modules.
+#[derive(Default)]
+pub struct ArtifactCache {
+    maps: Mutex<Maps>,
 }
 
 impl ArtifactCache {
-    pub(crate) fn new() -> ArtifactCache {
-        ArtifactCache::default()
-    }
-
-    /// Lock the stripe of `map` that `selector` falls on, counting the
-    /// contended acquisitions.
-    fn stripe<'a, T>(
-        &self,
-        map: &'a [Mutex<T>; STRIPES],
-        selector: u64,
-    ) -> std::sync::MutexGuard<'a, T> {
-        let m = &map[(selector & (STRIPES as u64 - 1)) as usize];
-        match m.try_lock() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.contentions.fetch_add(1, Ordering::Relaxed);
-                m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-            }
-            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
-        }
+    fn maps(&self) -> MutexGuard<'_, Maps> {
+        self.maps.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The process-wide cache shared by every engine and worker thread.
     pub fn global() -> &'static ArtifactCache {
         static GLOBAL: OnceLock<ArtifactCache> = OnceLock::new();
-        GLOBAL.get_or_init(ArtifactCache::new)
+        GLOBAL.get_or_init(ArtifactCache::default)
     }
 
     /// Look up `bytes`, decoding and validating on first sight. Returns a
@@ -195,97 +156,66 @@ impl ArtifactCache {
     /// key the module is filed under: [`content_hash`] of `bytes`, computed
     /// the first time this buffer was seen and remembered since.
     pub fn get_or_decode_keyed(&self, bytes: &Bytes) -> Result<(u64, Arc<Module>), ArtifactError> {
+        let mut guard = match self.maps.try_lock() {
+            Ok(guard) => guard,
+            Err(TryLockError::WouldBlock) => {
+                let mut guard = self.maps();
+                guard.stats.lock_contentions += 1;
+                guard
+            }
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+        };
+        let maps = &mut *guard;
         let view = (bytes.as_ptr() as usize, bytes.len());
-        // Allocation addresses share their low (alignment) and high bits;
-        // a multiplicative mix spreads them over the stripes.
-        let mut views =
-            self.stripe(&self.views, (view.0 as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 60);
-        if let Some(seen) = views.get(&view) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(seen) = maps.views.get(&view) {
+            maps.stats.hits += 1;
             return Ok((seen.key, Arc::clone(&seen.module)));
         }
-        // First sight of this buffer, under its identity stripe's lock: a
-        // second worker handed the same buffer waits here and then takes
-        // the fast path, so a buffer is hashed (and decoded) exactly once.
-        self.hashed_bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+        // First sight of this buffer: hash it, then find its contents or
+        // decode them, all under the lock, so a buffer is hashed and its
+        // contents decoded exactly once.
+        maps.stats.hashed_bytes += bytes.len() as u64;
         let key = content_hash(bytes);
-        let module = self.by_content(key, bytes)?;
-        views.insert(view, Seen { _pin: bytes.clone(), key, module: Arc::clone(&module) });
-        Ok((key, module))
-    }
-
-    /// The content-addressed lookup behind the identity fast path.
-    fn by_content(&self, key: u64, bytes: &Bytes) -> Result<Arc<Module>, ArtifactError> {
-        let found = self
-            .stripe(&self.stripes, key)
+        let found = maps
+            .contents
             .get(&key)
             .and_then(|bucket| bucket.iter().find(|(b, _)| b == bytes))
             .map(|(_, m)| Arc::clone(m));
-        if let Some(found) = found {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(found);
-        }
-        // Decode outside the content lock: misses are rare and decoding
-        // under it would serialize workers whose modules share a stripe.
-        let module = crate::decode::decode_module(bytes.clone()).map_err(ArtifactError::Decode)?;
-        crate::validate::validate_module(&module).map_err(ArtifactError::Invalid)?;
-        let module = Arc::new(module);
-        let mut shard = self.stripe(&self.stripes, key);
-        let bucket = shard.entry(key).or_default();
-        // Another worker may have decoded equal bytes from another
-        // allocation concurrently; keep the first entry so every caller
-        // shares one Arc.
-        if let Some((_, existing)) = bucket.iter().find(|(b, _)| b == bytes) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(existing));
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        bucket.push((bytes.clone(), Arc::clone(&module)));
-        Ok(module)
+        let module = match found {
+            Some(module) => {
+                maps.stats.hits += 1;
+                module
+            }
+            None => {
+                let module =
+                    crate::decode::decode_module(bytes.clone()).map_err(ArtifactError::Decode)?;
+                crate::validate::validate_module(&module).map_err(ArtifactError::Invalid)?;
+                let module = Arc::new(module);
+                maps.stats.misses += 1;
+                maps.contents.entry(key).or_default().push((bytes.clone(), Arc::clone(&module)));
+                module
+            }
+        };
+        maps.views.insert(view, Seen { _pin: bytes.clone(), key, module: Arc::clone(&module) });
+        Ok((key, module))
     }
 
     /// Number of distinct modules cached.
     pub fn len(&self) -> usize {
-        self.stripes
-            .iter()
-            .map(|m| {
-                let shard = m.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                shard.values().map(Vec::len).sum::<usize>()
-            })
-            .sum()
+        self.maps().contents.values().map(Vec::len).sum()
     }
 
-    /// Hit/miss counters since construction (or [`reset_stats`]).
+    /// Hit/miss counters since construction (or [`clear`]).
     ///
-    /// [`reset_stats`]: ArtifactCache::reset_stats
+    /// [`clear`]: ArtifactCache::clear
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            lock_contentions: self.contentions.load(Ordering::Relaxed),
-            hashed_bytes: self.hashed_bytes.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zero the counters (entries stay). Lets tests measure the hit rate
-    /// of one workload phase in isolation.
-    pub(crate) fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.contentions.store(0, Ordering::Relaxed);
-        self.hashed_bytes.store(0, Ordering::Relaxed);
+        self.maps().stats
     }
 
     /// Drop all entries — the remembered buffer identities with the
     /// modules — and counters.
     pub fn clear(&self) {
-        for m in &self.views {
-            m.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
-        }
-        for m in &self.stripes {
-            m.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clear();
-        }
-        self.reset_stats();
+        *self.maps() = Maps::default();
     }
 }
 
@@ -307,7 +237,7 @@ mod tests {
 
     #[test]
     fn same_bytes_share_one_module() {
-        let cache = ArtifactCache::new();
+        let cache = ArtifactCache::default();
         let bytes = module_bytes(7);
         let a = cache.get_or_decode(&bytes).unwrap();
         let b = cache.get_or_decode(&bytes.clone()).unwrap();
@@ -322,7 +252,7 @@ mod tests {
 
     #[test]
     fn equal_contents_in_another_allocation_share_the_module() {
-        let cache = ArtifactCache::new();
+        let cache = ArtifactCache::default();
         let bytes = module_bytes(7);
         let copy = Bytes::copy_from_slice(&bytes);
         assert_ne!(bytes.as_ptr(), copy.as_ptr());
@@ -351,7 +281,7 @@ mod tests {
     /// its identity entry, so that is the buffer dropped here.
     #[test]
     fn a_reused_address_cannot_alias_another_module() {
-        let cache = ArtifactCache::new();
+        let cache = ArtifactCache::default();
         let original = module_bytes(0);
         cache.get_or_decode(&original).unwrap();
         for marker in 1..64 {
@@ -375,7 +305,7 @@ mod tests {
 
     #[test]
     fn clear_forgets_buffer_identities() {
-        let cache = ArtifactCache::new();
+        let cache = ArtifactCache::default();
         let bytes = module_bytes(5);
         let before = cache.get_or_decode(&bytes).unwrap();
         cache.clear();
@@ -391,7 +321,7 @@ mod tests {
 
     #[test]
     fn different_bytes_get_distinct_entries() {
-        let cache = ArtifactCache::new();
+        let cache = ArtifactCache::default();
         let a = cache.get_or_decode(&module_bytes(1)).unwrap();
         let b = cache.get_or_decode(&module_bytes(2)).unwrap();
         assert!(!Arc::ptr_eq(&a, &b));
@@ -405,7 +335,7 @@ mod tests {
 
     #[test]
     fn invalid_modules_are_not_cached() {
-        let cache = ArtifactCache::new();
+        let cache = ArtifactCache::default();
         let garbage = Bytes::from(&b"\x00asm\x01\x00\x00\x00\xff"[..]);
         assert!(cache.get_or_decode(&garbage).is_err());
         assert_eq!(cache.len(), 0);
@@ -417,38 +347,31 @@ mod tests {
 
     #[test]
     fn hit_rate_reflects_reuse() {
-        let cache = ArtifactCache::new();
+        let cache = ArtifactCache::default();
         let bytes = module_bytes(3);
         for _ in 0..10 {
             cache.get_or_decode(&bytes).unwrap();
         }
         assert!(cache.stats().hit_rate() >= 0.9);
-        cache.reset_stats();
+        cache.clear();
         assert_eq!(cache.stats(), CacheStats::default());
     }
 
     #[test]
-    fn striping_spreads_entries_and_counts_no_serial_contention() {
-        let cache = ArtifactCache::new();
-        // Enough distinct modules that at least two land on different
-        // stripes (keys are content hashes, stripes the low 4 bits).
-        let mut stripes_hit = std::collections::HashSet::new();
+    fn serial_lookups_never_wait_on_the_lock() {
+        let cache = ArtifactCache::default();
         for marker in 0..32 {
-            let bytes = module_bytes(marker);
-            stripes_hit.insert(content_hash(&bytes) & (STRIPES as u64 - 1));
-            cache.get_or_decode(&bytes).unwrap();
+            cache.get_or_decode(&module_bytes(marker)).unwrap();
         }
-        assert!(stripes_hit.len() > 1, "32 hashes should span multiple stripes");
         assert_eq!(cache.len(), 32);
-        // Single-threaded use never waits on a stripe lock.
         assert_eq!(cache.stats().lock_contentions, 0);
         cache.clear();
         assert_eq!(cache.len(), 0);
     }
 
     #[test]
-    fn parallel_lookups_share_entries_across_stripes() {
-        let cache = ArtifactCache::new();
+    fn parallel_lookups_share_entries() {
+        let cache = ArtifactCache::default();
         let all: Vec<Bytes> = (0..8).map(module_bytes).collect();
         std::thread::scope(|s| {
             for _ in 0..4 {
@@ -467,7 +390,7 @@ mod tests {
 
     #[test]
     fn cached_modules_instantiate_prevalidated() {
-        let cache = ArtifactCache::new();
+        let cache = ArtifactCache::default();
         let module = cache.get_or_decode(&module_bytes(11)).unwrap();
         let mut inst = crate::Instance::instantiate_prevalidated(
             module,

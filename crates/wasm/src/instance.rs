@@ -7,7 +7,7 @@
 //!   ([`crate::interp`]): executes raw code bytes directly, building only a
 //!   small per-function control side-table on first call;
 //! * [`ExecTier::Lowered`] — the JIT/AOT-style tier ([`crate::lowered`]):
-//!   every function is eagerly compiled at instantiation into a wide,
+//!   every function is eagerly lowered at instantiation into a wide,
 //!   jump-resolved internal representation that executes faster but costs
 //!   compile time and memory.
 //!
@@ -15,11 +15,12 @@
 //! to the simulated kernel: side-table bytes, lowered-code bytes, and
 //! retired instructions (the engines' execution-time model).
 
+use std::cell::OnceCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::interp;
+use crate::interp::{self, SideTable};
 use crate::lowered::{self, LoweredFunc};
 use crate::memory::LinearMemory;
 use crate::module::Module;
@@ -222,12 +223,12 @@ pub struct Instance {
     pub(crate) config: InstanceConfig,
     pub(crate) memory: Option<LinearMemory>,
     pub(crate) host_funcs: Vec<Option<HostFunc>>,
-    /// Per local function: has this instance been charged for its control
-    /// side-table yet (in-place tier; the table itself is shared per
-    /// module, the accounting is per instance).
-    pub(crate) side_table_charged: Vec<bool>,
-    /// Eagerly compiled functions (lowered tier), per local function.
-    pub(crate) lowered: Vec<Option<Arc<LoweredFunc>>>,
+    /// Control side-table per local function (in-place tier), built and
+    /// charged on the function's first call.
+    pub(crate) side_tables: Vec<OnceCell<SideTable>>,
+    /// Every local function lowered at instantiation (lowered tier; empty
+    /// on the in-place tier).
+    pub(crate) lowered: Vec<LoweredFunc>,
     pub(crate) stats: ExecStats,
     pub(crate) fuel: Option<u64>,
     epoch: Option<EpochState>,
@@ -283,15 +284,14 @@ impl Instance {
         // Memory.
         let memory = module.memories.first().map(|mt| LinearMemory::new(mt.limits));
 
-        let n_local_funcs = module.funcs.len();
         let mut inst = Instance {
             fuel: config.fuel,
             epoch: config.epoch.clone().map(EpochState::new),
             config,
             memory,
             host_funcs,
-            side_table_charged: vec![false; n_local_funcs],
-            lowered: vec![None; n_local_funcs],
+            side_tables: Vec::new(),
+            lowered: Vec::new(),
             stats: ExecStats::default(),
             module,
             value_stack: Vec::new(),
@@ -305,28 +305,24 @@ impl Instance {
                 .map_err(|_| InstantiateError::DataOutOfBounds)?;
         }
 
-        // Lowered tier compiles everything up front — that is the point.
-        if inst.config.tier == ExecTier::Lowered {
-            inst.compile_all();
+        match inst.config.tier {
+            ExecTier::InPlace => inst.side_tables.resize_with(module.funcs.len(), OnceCell::new),
+            // The lowered tier compiles everything up front — that is the
+            // point.
+            ExecTier::Lowered => {
+                inst.lowered = (module.num_imported_funcs()..module.num_funcs())
+                    .map(|f| {
+                        lowered::lower_function(&module, f).expect("validated function lowers")
+                    })
+                    .collect();
+                for lf in &inst.lowered {
+                    inst.stats.lowered_bytes += lf.memory_bytes();
+                    inst.stats.fused_ops += lf.fused as u64;
+                }
+            }
         }
 
         Ok(inst)
-    }
-
-    /// Eagerly lower every local function (the compile phase of the
-    /// JIT/AOT-profile engines). Idempotent.
-    pub(crate) fn compile_all(&mut self) {
-        let module = Arc::clone(&self.module);
-        for i in 0..module.funcs.len() {
-            if self.lowered[i].is_none() {
-                let func_idx = module.num_imported_funcs() + i as u32;
-                let lf =
-                    lowered::shared_lowered(&module, func_idx).expect("validated function lowers");
-                self.stats.lowered_bytes += lf.memory_bytes();
-                self.stats.fused_ops += lf.fused as u64;
-                self.lowered[i] = Some(lf);
-            }
-        }
     }
 
     /// Execution statistics so far.

@@ -6,10 +6,9 @@
 //! path); nothing is decoded into an intermediate form.
 //!
 //! The only derived structure is a small control [`SideTable`] per
-//! function — where each `block`/`loop` ends — built on a function's first
-//! call, shared by every instance of the module, and charged to each
-//! instance that calls the function. This is
-//! how WAMR's classic interpreter keeps per-instance memory near zero,
+//! function — where each `block`/`loop` ends — which each instance builds
+//! on the function's first call, keeps, and is charged for. This is how
+//! WAMR's classic interpreter keeps per-instance memory near zero,
 //! which — multiplied by 400 containers — is the paper's headline result.
 //!
 //! Operands *and* locals of every live frame share the instance's one slot
@@ -28,7 +27,8 @@
 //! handed out by the instance; see the accounting notes in
 //! [`crate::instance`].
 
-use std::sync::{Arc, OnceLock};
+use std::cell::OnceCell;
+use std::sync::Arc;
 
 use crate::instance::{Instance, MAX_CALL_DEPTH};
 use crate::instr::{op, read_instr, Instruction};
@@ -120,26 +120,20 @@ impl SideTable {
     }
 }
 
-/// The side table of local function `local`: built and published on the
-/// module on first use by anyone, charged to `inst` on its own first use.
-fn side_table<'m>(
+/// The side table of local function `local`, built and charged to `inst`
+/// on the function's first call.
+fn side_table<'t>(
     inst: &mut Instance,
-    module: &'m Module,
-    tables: &'m [OnceLock<SideTable>],
+    module: &Module,
+    tables: &'t [OnceCell<SideTable>],
     local: usize,
-) -> Result<&'m SideTable, Trap> {
-    let table = match tables[local].get() {
-        Some(t) => t,
-        None => {
-            let built = SideTable::build(&module.bodies[local].code)?;
-            tables[local].get_or_init(|| built)
-        }
-    };
-    if !inst.side_table_charged[local] {
-        inst.side_table_charged[local] = true;
-        inst.stats.side_table_bytes += table.memory_bytes();
+) -> Result<&'t SideTable, Trap> {
+    if let Some(table) = tables[local].get() {
+        return Ok(table);
     }
-    Ok(table)
+    let table = SideTable::build(&module.bodies[local].code)?;
+    inst.stats.side_table_bytes += table.memory_bytes();
+    Ok(tables[local].get_or_init(|| table))
 }
 
 /// A branch target inside the running function. (The function's own label
@@ -198,23 +192,25 @@ pub(crate) fn invoke(
     func_idx: u32,
     args: &[Value],
 ) -> Result<Vec<Value>, Trap> {
-    // Code and side tables are borrowed from this handle for the whole
-    // run, independently of `inst`.
+    // Code is borrowed from this handle for the whole run, independently
+    // of `inst`.
     let module = Arc::clone(&inst.module);
     let Some(local) = func_idx.checked_sub(module.num_imported_funcs()) else {
         return inst.call_host(func_idx, args);
     };
 
-    // Borrow the instance's reusable slot vector for this invocation so
-    // repeated invokes share one allocation (host functions cannot re-enter
-    // the interpreter, so it is never borrowed twice).
+    // Borrow the instance's side tables and reusable slot vector for this
+    // invocation so repeated invokes share them (host functions cannot
+    // re-enter the interpreter, so they are never borrowed twice).
+    let tables = std::mem::take(&mut inst.side_tables);
     let mut stack = std::mem::take(&mut inst.value_stack);
-    let outcome = run(inst, &module, &mut stack, local as usize, args);
+    let outcome = run(inst, &module, &tables, &mut stack, local as usize, args);
     let result = outcome.map(|()| {
         let types = &module.types[module.funcs[local as usize] as usize].results;
         types.iter().zip(&stack).map(|(t, s)| Value::from_slot(*s, *t)).collect()
     });
     inst.value_stack = stack;
+    inst.side_tables = tables;
     result
 }
 
@@ -225,12 +221,12 @@ pub(crate) fn invoke(
 fn run(
     inst: &mut Instance,
     module: &Module,
+    tables: &[OnceCell<SideTable>],
     stack: &mut Vec<Slot>,
     entry: usize,
     args: &[Value],
 ) -> Result<(), Trap> {
     let imported = module.num_imported_funcs();
-    let tables = module.compiled.side_tables(module.funcs.len());
     let mut frames: Vec<Frame> = Vec::new();
     let mut labels: Vec<Target> = Vec::new();
 
@@ -754,7 +750,7 @@ mod tests {
     }
 
     #[test]
-    fn side_tables_are_shared_per_module_and_charged_per_instance() {
+    fn each_instance_builds_and_is_charged_its_own_side_tables_once() {
         let mut b = ModuleBuilder::new();
         let f = b.func(FuncType::new(vec![], vec![ValType::I32]), |f| {
             f.block(|_| {});
@@ -766,15 +762,19 @@ mod tests {
             Instance::instantiate(Arc::clone(&module), Imports::new(), InstanceConfig::default())
                 .unwrap()
         });
-        assert_eq!(instances[0].stats().side_table_bytes, 0, "nothing is built before a call");
         for inst in &mut instances {
+            assert_eq!(inst.stats().side_table_bytes, 0, "nothing is built before a call");
+            assert!(inst.side_tables[0].get().is_none());
             inst.invoke("f", &[]).unwrap();
             let bytes_once = inst.stats().side_table_bytes;
             assert_eq!(bytes_once, 12);
+            let built: *const SideTable = inst.side_tables[0].get().unwrap();
             inst.invoke("f", &[]).unwrap();
             assert_eq!(inst.stats().side_table_bytes, bytes_once, "charged once, reused");
+            assert!(std::ptr::eq(built, inst.side_tables[0].get().unwrap()), "built once");
         }
-        let tables = module.compiled.side_tables(module.funcs.len());
-        assert_eq!(tables.iter().filter(|t| t.get().is_some()).count(), 1);
+        let [a, b] = &instances;
+        let (a, b) = (a.side_tables[0].get().unwrap(), b.side_tables[0].get().unwrap());
+        assert!(!std::ptr::eq(a, b), "each instance owns its table");
     }
 }

@@ -1,8 +1,8 @@
 //! The lowered execution tier (the Wasmtime/Wasmer/WasmEdge-profile tier),
 //! rebuilt as a fast interpreter in the WAMR mold.
 //!
-//! Functions are compiled — eagerly at instantiation, shared per module —
-//! into a pre-decoded, register-style IR:
+//! Each instance lowers every function of its module once, at
+//! instantiation, into a pre-decoded, register-style IR that it owns:
 //!
 //! * **Pre-decoded operands.** The lowering pass simulates the Wasm operand
 //!   stack and resolves every stack slot to a fixed frame-slot index, so the
@@ -26,19 +26,18 @@
 //! The lowered code is still several times larger than the raw bytecode
 //! (16 bytes per op versus 1–3 bytes), which is exactly the JIT/AOT
 //! memory/startup trade-off the paper measures against WAMR's in-place
-//! interpreter: [`LoweredFunc::memory_bytes`] is charged to
-//! `stats.lowered_bytes` per instance.
+//! interpreter: the instance that lowers a function is charged its
+//! [`LoweredFunc::memory_bytes`] in `stats.lowered_bytes`. Nothing is shared
+//! between instances or kept on the module: two instances of one module
+//! each lower it, as each sandbox maps its own code.
 //!
 //! Frames overlap: a call's arguments are materialized at the callee's
 //! frame base (`caller.base + argbase`), so calls copy nothing — the callee
 //! reads its params where the caller wrote them, and returns its results to
 //! the same place.
 
-use std::sync::{Arc, OnceLock};
-
 use crate::instance::{Instance, MAX_CALL_DEPTH};
 use crate::instr::{read_instr, Instruction};
-use crate::interp::SideTable;
 use crate::module::Module;
 use crate::values::{Slot, Trap, Value};
 
@@ -132,68 +131,6 @@ impl LoweredFunc {
     pub(crate) fn memory_bytes(&self) -> u64 {
         (self.ops.len() * std::mem::size_of::<OpWord>()) as u64
     }
-}
-
-/// One lazily filled cell per local function, allocated on first use.
-type PerFunc<T> = OnceLock<Box<[OnceLock<T>]>>;
-
-/// Per-module shared store of what the executors derive from function
-/// bodies: lowered code for this tier, control side-tables for the in-place
-/// tier. Instances of the same module share one copy of each (first
-/// builder wins a race); per-instance `stats.lowered_bytes` and
-/// `stats.side_table_bytes` still charge the full footprint to every
-/// instance, matching how a real runtime maps the code into each sandbox.
-///
-/// The store is deliberately excluded from `Module`'s `Clone`/`PartialEq`:
-/// it is a cache, not module identity.
-#[derive(Default)]
-pub(crate) struct CompiledCode {
-    lowered: PerFunc<Arc<LoweredFunc>>,
-    side_tables: PerFunc<SideTable>,
-}
-
-fn cells<T>(store: &PerFunc<T>, n: usize) -> &[OnceLock<T>] {
-    store.get_or_init(|| (0..n).map(|_| OnceLock::new()).collect())
-}
-
-impl CompiledCode {
-    /// The side-table cells of a module with `n` local functions.
-    pub(crate) fn side_tables(&self, n: usize) -> &[OnceLock<SideTable>] {
-        cells(&self.side_tables, n)
-    }
-}
-
-impl Clone for CompiledCode {
-    fn clone(&self) -> Self {
-        CompiledCode::default()
-    }
-}
-
-impl PartialEq for CompiledCode {
-    fn eq(&self, _other: &Self) -> bool {
-        true
-    }
-}
-
-impl std::fmt::Debug for CompiledCode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        fn filled<T>(store: &PerFunc<T>) -> usize {
-            store.get().map_or(0, |s| s.iter().filter(|c| c.get().is_some()).count())
-        }
-        let (lowered, side_tables) = (filled(&self.lowered), filled(&self.side_tables));
-        write!(f, "CompiledCode({lowered} lowered, {side_tables} side tables)")
-    }
-}
-
-/// Fetch (or compile and publish) the shared lowered code for `func_idx`.
-pub(crate) fn shared_lowered(module: &Module, func_idx: u32) -> Result<Arc<LoweredFunc>, Trap> {
-    let local_idx = (func_idx - module.num_imported_funcs()) as usize;
-    let cell = &cells(&module.compiled.lowered, module.funcs.len())[local_idx];
-    if let Some(f) = cell.get() {
-        return Ok(Arc::clone(f));
-    }
-    let lf = lower_function(module, func_idx).map_err(Trap::HostError)?;
-    Ok(Arc::clone(cell.get_or_init(|| Arc::new(lf))))
 }
 
 // ---------------------------------------------------------------------------
@@ -706,29 +643,12 @@ pub fn lower_function(module: &Module, func_idx: u32) -> Result<LoweredFunc, Str
 // Execution
 // ---------------------------------------------------------------------------
 
-/// One suspended (or current) activation: compiled code, frame base into
-/// the shared register file, and the resume pc.
-struct LFrame {
-    func: Arc<LoweredFunc>,
+/// One suspended (or current) activation: code, frame base into the shared
+/// register file, and the resume pc.
+struct LFrame<'c> {
+    func: &'c LoweredFunc,
     base: usize,
     pc: usize,
-}
-
-/// Get or compile the lowered code for a function, charging the instance's
-/// stats on first touch (each instance pays for the code mapped into it,
-/// even though compilation is shared per module).
-fn lowered_func(inst: &mut Instance, func_idx: u32) -> Result<Arc<LoweredFunc>, Trap> {
-    let imported = inst.module.num_imported_funcs();
-    let local_idx = (func_idx - imported) as usize;
-    if let Some(f) = &inst.lowered[local_idx] {
-        return Ok(Arc::clone(f));
-    }
-    let module = Arc::clone(&inst.module);
-    let lf = shared_lowered(&module, func_idx)?;
-    inst.stats.lowered_bytes += lf.memory_bytes();
-    inst.stats.fused_ops += lf.fused as u64;
-    inst.lowered[local_idx] = Some(Arc::clone(&lf));
-    Ok(lf)
 }
 
 /// Invoke `func_idx` with typed arguments through the lowered executor.
@@ -738,30 +658,34 @@ pub(crate) fn invoke(
     args: &[Value],
 ) -> Result<Vec<Value>, Trap> {
     let imported = inst.module.num_imported_funcs();
-    if func_idx < imported {
+    let Some(local) = func_idx.checked_sub(imported) else {
         return inst.call_host(func_idx, args);
-    }
+    };
     let result_types = inst.module.func_type(func_idx).expect("validated").results.clone();
 
-    // Reuse the instance's slot buffer as the register file across calls.
+    // Borrow the instance's code and slot buffer (the register file) for
+    // this invocation, as the in-place tier borrows its side tables.
+    let code = std::mem::take(&mut inst.lowered);
     let mut regs = std::mem::take(&mut inst.value_stack);
     regs.clear();
-    let outcome = run(inst, &mut regs, func_idx, args);
+    let outcome = run(inst, &code, &mut regs, local as usize, args);
     let results = outcome.map(|()| {
         result_types.iter().enumerate().map(|(i, t)| Value::from_slot(regs[i], *t)).collect()
     });
     regs.clear();
     inst.value_stack = regs;
+    inst.lowered = code;
     results
 }
 
 fn run(
     inst: &mut Instance,
+    code: &[LoweredFunc],
     regs: &mut Vec<Slot>,
-    func_idx: u32,
+    entry: usize,
     args: &[Value],
 ) -> Result<(), Trap> {
-    let func = lowered_func(inst, func_idx)?;
+    let func = &code[entry];
     let imported = inst.module.num_imported_funcs();
     regs.resize(func.frame_size as usize, Slot(0));
     for (i, v) in args.iter().enumerate() {
@@ -885,7 +809,7 @@ fn run(
                     if frames.len() + 1 >= MAX_CALL_DEPTH {
                         trap!(Trap::StackOverflow);
                     }
-                    let callee = tri!(lowered_func(inst, f));
+                    let callee = &code[(f - imported) as usize];
                     let need = ab + callee.frame_size as usize;
                     if regs.len() < need {
                         regs.resize(need, Slot(0));
@@ -980,6 +904,8 @@ fn run(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use crate::builder::ModuleBuilder;
     use crate::instance::{ExecTier, Imports, Instance, InstanceConfig};
     use crate::types::{FuncType, ValType};
@@ -1095,20 +1021,30 @@ mod tests {
     }
 
     #[test]
-    fn compiled_code_is_shared_across_instances() {
+    fn each_instance_lowers_and_is_charged_its_own_code_once() {
         let module = Arc::new(sum_to_builder().build());
-        let a = shared_lowered(&module, 0).unwrap();
-        let b = shared_lowered(&module, 0).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "second fetch must reuse the first compilation");
-
+        let expected = lower_function(&module, 0).unwrap();
         let config = InstanceConfig { tier: ExecTier::Lowered, ..Default::default() };
-        let i1 =
-            Instance::instantiate(Arc::clone(&module), Imports::new(), config.clone()).unwrap();
-        let i2 = Instance::instantiate(Arc::clone(&module), Imports::new(), config).unwrap();
-        // Shared compilation, but each instance is still charged the full
-        // code footprint (the code is mapped into both sandboxes).
-        assert!(i1.stats.lowered_bytes > 0);
-        assert_eq!(i1.stats.lowered_bytes, i2.stats.lowered_bytes);
-        assert_eq!(i1.stats.fused_ops, i2.stats.fused_ops);
+        let mut instances = [(); 2].map(|()| {
+            Instance::instantiate(Arc::clone(&module), Imports::new(), config.clone()).unwrap()
+        });
+        for inst in &mut instances {
+            // Lowered and charged at instantiation, before any call.
+            assert_eq!(inst.lowered.len(), 1);
+            assert_eq!(inst.lowered[0].ops, expected.ops);
+            let charged = inst.stats();
+            assert_eq!(charged.lowered_bytes, expected.memory_bytes());
+            assert_eq!(charged.fused_ops, expected.fused as u64);
+            // Calls run that code and charge nothing more for it.
+            inst.invoke("sum_to", &[Value::I32(10)]).unwrap();
+            inst.invoke("sum_to", &[Value::I32(10)]).unwrap();
+            assert_eq!(inst.stats().lowered_bytes, charged.lowered_bytes);
+            assert_eq!(inst.stats().fused_ops, charged.fused_ops);
+        }
+        let [a, b] = &instances;
+        assert!(
+            !std::ptr::eq(a.lowered[0].ops.as_ptr(), b.lowered[0].ops.as_ptr()),
+            "each instance owns its code"
+        );
     }
 }

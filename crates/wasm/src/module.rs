@@ -80,10 +80,6 @@ pub struct Module {
     /// Bodies of module-defined functions (parallel to `funcs`).
     pub bodies: Vec<FuncBody>,
     pub data: Vec<DataSegment>,
-    /// Shared per-function derived code — lowered functions and control
-    /// side-tables (excluded from `Clone` and `PartialEq` — it is derived
-    /// state, not module identity).
-    pub(crate) compiled: crate::lowered::CompiledCode,
 }
 
 impl Module {

@@ -76,4 +76,13 @@ fn artifact_cache_hit_rate_exceeds_90_percent_across_a_sweep() {
     );
     assert_eq!(scripts().stats(), ReplayStats { executed: 1, replayed: 31, unreplayable: 0 });
     assert_eq!((guests().len(), scripts().len()), (2, 1));
+
+    // Once warm, the same cells execute no guest at all: every start is
+    // replayed, so a pass lowers no function and builds no side table,
+    // which is why an instance, not the module, may own those.
+    let (wasm, python) = (guests().stats(), scripts().stats());
+    run_cells_on(&cells, &w, 1).unwrap();
+    assert_eq!(guests().stats().executed, wasm.executed, "{:?}", guests().stats());
+    assert_eq!(scripts().stats().executed, python.executed, "{:?}", scripts().stats());
+    assert_eq!(guests().stats().replayed, wasm.replayed + lookups);
 }
