@@ -80,8 +80,8 @@ pub struct CriContainer {
     /// Present for OCI-class containers (init process of the container).
     oci: Option<Container>,
     /// Keeps the spec it wrote until the container has started: an OCI
-    /// runtime's `config.json` reads return it, and the runwasi shim is
-    /// handed it in memory.
+    /// runtime's `config.json` loads return it after the read, and the
+    /// runwasi shim is handed it in memory.
     bundle: Bundle,
 }
 
@@ -886,6 +886,28 @@ mod tests {
             assert!(cd.sandbox(pod).unwrap().container(c).unwrap().bundle.spec().is_none());
         }
         assert!(cd.sandbox("p1").unwrap().pause_bundle.is_some(), "the OCI pod has a pause");
+    }
+
+    /// A started crun pod's two `config.json` files are their documents'
+    /// sizes: the kernel charges the lengths, and the host holds no text.
+    #[test]
+    fn a_started_pods_config_json_files_are_sizes_without_bytes() {
+        let mut cd = boot();
+        let mut trace = StepTrace::new();
+        cd.run_pod_sandbox("p1", "crun-wamr", &mut trace).unwrap();
+        cd.create_container("p1", "c1", "svc:v1", None, &mut trace).unwrap();
+        cd.start_container("p1", "c1", &mut trace).unwrap();
+        let sandbox = cd.sandbox("p1").unwrap();
+        let pause = sandbox.pause_bundle.as_ref().unwrap().config_file;
+        let workload = sandbox.container("c1").unwrap().bundle.config_file;
+        let reader = ProcessImage::spawn(&cd.kernel, "reader", Kernel::ROOT_CGROUP)
+            .build()
+            .unwrap()
+            .detach();
+        for (file, len) in [(pause, 405), (workload, 440)] {
+            assert_eq!(cd.kernel.file_size(file).unwrap(), len);
+            assert_eq!(cd.kernel.read_file(reader, file).unwrap(), None, "no bytes on the host");
+        }
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! OCI bundles: a directory with `config.json` plus a rootfs view.
 //!
-//! The `config.json` is written to the simulated VFS as **real JSON
-//! bytes**, and the low-level runtimes read them back through the kernel
-//! exactly as crun reads its bundle: page-cache fault, first-toucher
-//! charge, fault site. Turning the bytes into a struct has no simulated
-//! meaning, so a bundle keeps the spec it serialized until its container
-//! has started, and a read that returns the very buffer it wrote is
-//! answered with that spec; any other bytes are parsed. The rootfs is the
-//! image's own reference map onto its layer files (overlayfs semantics: no
-//! copies), shared by every bundle of the image.
+//! The `config.json` is written to the simulated VFS as its **size**: the
+//! spec is serialized with [`RuntimeSpec::to_json`], whose length is part
+//! of the model, and the file holds that many synthetic bytes, as an
+//! engine `.so` or a runtime binary does. The low-level runtimes read it
+//! back through the kernel exactly as crun reads its bundle: page-cache
+//! fault, first-toucher charge, fault site. The bytes would have no reader,
+//! so the bundle keeps the spec it serialized until its container has
+//! started, and every read returns that spec. The rootfs is the image's own
+//! reference map onto its layer files (overlayfs semantics: no copies),
+//! shared by every bundle of the image.
 
 use std::sync::Arc;
 
-use bytelite::Bytes;
 use simkernel::vfs::FileContent;
 use simkernel::{FileId, Kernel, KernelError, KernelResult, Pid};
 
@@ -27,19 +27,8 @@ pub struct Bundle {
     /// The rootfs view of the image the bundle was created from — a
     /// snapshot: re-registering the reference leaves it as it was.
     pub rootfs: Arc<Rootfs>,
-    /// What `create` wrote, until [`Bundle::release_spec`].
-    written: Option<Written>,
-}
-
-/// The `config.json` buffer a bundle handed the kernel and the spec it was
-/// serialized from. Holding the buffer pins its address, the way
-/// `ArtifactCache` pins its identity entries: while it is held, a buffer
-/// at that address and of that length is these bytes, and parsing them
-/// gives `spec` (`from_json(to_json(s)) == s`, `tests/proptests.rs`).
-#[derive(Debug, Clone)]
-struct Written {
-    bytes: Bytes,
-    spec: Arc<RuntimeSpec>,
+    /// The spec `create` serialized, until [`Bundle::release_spec`].
+    spec: Option<Arc<RuntimeSpec>>,
 }
 
 impl Bundle {
@@ -53,43 +42,31 @@ impl Bundle {
     ) -> KernelResult<Bundle> {
         let spec = spec.into();
         let config_path = format!("/run/containers/{container_id}/config.json");
-        let bytes = Bytes::from(spec.to_json());
-        let config_file = kernel.create_file(&config_path, FileContent::Bytes(bytes.clone()))?;
-        Ok(Bundle {
-            config_file,
-            rootfs: Arc::clone(&image.rootfs),
-            written: Some(Written { bytes, spec: Arc::new(spec) }),
-        })
+        let size = FileContent::Synthetic(spec.to_json().len() as u64);
+        let config_file = kernel.create_file(&config_path, size)?;
+        Ok(Bundle { config_file, rootfs: Arc::clone(&image.rootfs), spec: Some(Arc::new(spec)) })
     }
 
-    /// Read the spec back from the on-disk `config.json` (as the runtime
-    /// binary does), charging the read to `pid`. The read is always made;
-    /// only bytes this bundle did not write are parsed.
+    /// Read `config.json` (as the runtime binary does), charging the read
+    /// to `pid`, and return the spec it was written from. The read is
+    /// always made; once the spec is released, the load fails after it.
     pub fn load_spec(&self, kernel: &Kernel, pid: Pid) -> KernelResult<Arc<RuntimeSpec>> {
-        let bytes = kernel
-            .read_file(pid, self.config_file)?
-            .ok_or_else(|| KernelError::InvalidState("config.json has no content".into()))?;
-        // `ptr::eq` on slices compares address and length.
-        match &self.written {
-            Some(w) if std::ptr::eq(&*w.bytes, &*bytes) => {
-                #[cfg(debug_assertions)]
-                check_law(&bytes, &w.spec);
-                Ok(Arc::clone(&w.spec))
-            }
-            _ => parse(&bytes).map(Arc::new),
-        }
+        kernel.read_file(pid, self.config_file)?;
+        self.spec.clone().ok_or_else(|| {
+            KernelError::InvalidState("config.json: the bundle has released its spec".into())
+        })
     }
 
     /// The spec this bundle wrote, in memory — how the runwasi shim, which
     /// runs no OCI runtime binary, gets it. `None` once released.
     pub fn spec(&self) -> Option<&RuntimeSpec> {
-        self.written.as_ref().map(|w| &*w.spec)
+        self.spec.as_deref()
     }
 
-    /// Drop the kept spec and buffer: the container has started, and a
-    /// resident pod holds no spec on the host. Later loads parse.
+    /// Drop the kept spec: the container has started, and a resident pod
+    /// holds no spec on the host. Later loads fail.
     pub fn release_spec(&mut self) {
-        self.written = None;
+        self.spec = None;
     }
 
     /// Resolve a guest path within the rootfs.
@@ -103,29 +80,11 @@ impl Bundle {
     }
 }
 
-fn parse(bytes: &[u8]) -> KernelResult<RuntimeSpec> {
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| KernelError::InvalidState("config.json is not UTF-8".into()))?;
-    RuntimeSpec::from_json(text).map_err(|e| KernelError::InvalidState(format!("config.json: {e}")))
-}
-
-/// Debug builds re-check the law a reuse stands on against real specs:
-/// each thread's first reuses (every test runs on its own thread) are
-/// parsed all the same. Not every reuse — `tests/host_footprint.rs` counts
-/// a pod start's allocations in a debug build.
-#[cfg(debug_assertions)]
-fn check_law(bytes: &[u8], spec: &RuntimeSpec) {
-    use std::cell::Cell;
-    thread_local!(static CHECKS_LEFT: Cell<u32> = const { Cell::new(16) });
-    if CHECKS_LEFT.with(|n| n.replace(n.get().saturating_sub(1))) > 0 {
-        assert_eq!(parse(bytes).ok().as_ref(), Some(spec), "from_json(to_json(s)) != s");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::image::{ImageBuilder, ImageStore};
+    use bytelite::Bytes;
     use simkernel::{FaultPlan, FaultSite, Kernel, KernelConfig, ProcessImage};
 
     fn image(kernel: &Kernel) -> Image {
@@ -154,16 +113,15 @@ mod tests {
         (kernel, bundle, spec, pid)
     }
 
-    fn overwrite(kernel: &Kernel, bundle: &Bundle, json: &str) {
-        kernel.overwrite_file(bundle.config_file, FileContent::Bytes(Bytes::from(json))).unwrap();
-    }
-
     #[test]
     fn bundle_roundtrips_config_json() {
         let kernel = Kernel::boot(KernelConfig::default());
         let image = image(&kernel);
         let spec = spec(&image);
         let bundle = Bundle::create(&kernel, "c1", &image, &spec).unwrap();
+        // The file is the document's size, not its bytes.
+        let size = spec.to_json().len() as u64;
+        assert_eq!(kernel.file_content(bundle.config_file).unwrap(), FileContent::Synthetic(size));
 
         let pid =
             ProcessImage::spawn(&kernel, "runtime", Kernel::ROOT_CGROUP).build().unwrap().detach();
@@ -180,43 +138,12 @@ mod tests {
     }
 
     #[test]
-    fn loads_of_the_written_buffer_return_the_kept_spec() {
+    fn every_load_returns_the_kept_spec() {
         let (kernel, bundle, _, pid) = setup();
         let first = bundle.load_spec(&kernel, pid).unwrap();
         let second = bundle.load_spec(&kernel, pid).unwrap();
         assert!(Arc::ptr_eq(&first, &second));
-        assert!(std::ptr::eq(&*first, bundle.spec().unwrap()), "the kept spec, not a parse");
-    }
-
-    #[test]
-    fn other_bytes_are_parsed() {
-        let (kernel, bundle, spec, pid) = setup();
-        let kept = bundle.load_spec(&kernel, pid).unwrap();
-        // The same document in another buffer: parsed, and equal.
-        overwrite(&kernel, &bundle, &spec.to_json());
-        let reparsed = bundle.load_spec(&kernel, pid).unwrap();
-        assert!(!Arc::ptr_eq(&kept, &reparsed));
-        assert_eq!(reparsed, kept);
-        // Another valid document: its values, not the kept ones.
-        let mut other = spec.clone();
-        other.hostname = "renamed".into();
-        other.linux.memory.limit = Some(u64::MAX);
-        overwrite(&kernel, &bundle, &other.to_json());
-        assert_eq!(*bundle.load_spec(&kernel, pid).unwrap(), other);
-    }
-
-    #[test]
-    fn garbage_fails_as_it_always_has() {
-        let (kernel, bundle, _, pid) = setup();
-        let truncated = "{\"hostname\":";
-        overwrite(&kernel, &bundle, truncated);
-        let err = bundle.load_spec(&kernel, pid).unwrap_err();
-        let expected = format!("config.json: {}", RuntimeSpec::from_json(truncated).unwrap_err());
-        assert!(matches!(&err, KernelError::InvalidState(m) if *m == expected), "{err:?}");
-        let not_text = FileContent::Bytes(Bytes::from(vec![0xff]));
-        kernel.overwrite_file(bundle.config_file, not_text).unwrap();
-        let err = bundle.load_spec(&kernel, pid).unwrap_err();
-        assert!(matches!(&err, KernelError::InvalidState(m) if m == "config.json is not UTF-8"));
+        assert!(std::ptr::eq(&*first, bundle.spec().unwrap()));
     }
 
     #[test]
@@ -234,49 +161,55 @@ mod tests {
         let err = bundle.load_spec(&kernel, pid).unwrap_err();
         assert!(matches!(err, KernelError::FaultInjected(FaultSite::ColdRead)), "{err:?}");
         assert_eq!(kernel.file_cached(bundle.config_file).unwrap(), 0);
-        // The retry reads the file in, and it is still the written buffer.
+        // The retry reads the file in and returns the kept spec.
         let loaded = bundle.load_spec(&kernel, pid).unwrap();
         assert!(std::ptr::eq(&*loaded, bundle.spec().unwrap()));
+        assert!(kernel.file_cached(bundle.config_file).unwrap() > 0);
     }
 
-    /// The kernel sees the same read whichever way the spec comes back.
+    /// A load from the size reads as a load from the document's bytes did.
     #[test]
-    fn reuse_leaves_the_kernel_as_a_parse_does() {
-        let (kernel, kept, spec, _) = setup();
+    fn the_kernel_reads_the_size_as_it_read_the_bytes() {
+        let (kernel, sized, spec, _) = setup();
         let image = image(&kernel);
-        let parsed = Bundle::create(&kernel, "c2", &image, &spec).unwrap();
-        overwrite(&kernel, &parsed, &spec.to_json());
+        let written = Bundle::create(&kernel, "c2", &image, &spec).unwrap();
+        let bytes = FileContent::Bytes(Bytes::from(spec.to_json()));
+        kernel.overwrite_file(written.config_file, bytes).unwrap();
         let runtime = |name| {
             let cg = kernel.cgroup_create(Kernel::ROOT_CGROUP, name).unwrap();
             (cg, ProcessImage::spawn(&kernel, "runtime", cg).build().unwrap().detach())
         };
-        let ((kept_cg, kept_pid), (parsed_cg, parsed_pid)) = (runtime("rt1"), runtime("rt2"));
+        let ((sized_cg, sized_pid), (written_cg, written_pid)) = (runtime("rt1"), runtime("rt2"));
 
-        let a = kept.load_spec(&kernel, kept_pid).unwrap();
-        let b = parsed.load_spec(&kernel, parsed_pid).unwrap();
-        assert!(std::ptr::eq(&*a, kept.spec().unwrap()));
-        assert!(!std::ptr::eq(&*b, parsed.spec().unwrap()));
+        let a = sized.load_spec(&kernel, sized_pid).unwrap();
+        let b = written.load_spec(&kernel, written_pid).unwrap();
         assert_eq!(a, b);
         let cached = |b: &Bundle| kernel.file_cached(b.config_file).unwrap();
-        assert_eq!(cached(&kept), cached(&parsed));
-        assert!(cached(&kept) > 0);
+        assert_eq!(cached(&sized), cached(&written));
+        assert!(cached(&sized) > 0);
         let stat = |cg| kernel.cgroup_stat(cg).unwrap();
-        assert_eq!(stat(kept_cg), stat(parsed_cg));
+        assert_eq!(stat(sized_cg), stat(written_cg));
         // The same spawn that read nothing: the difference is page cache.
         let (idle_cg, _) = runtime("idle");
-        assert!(stat(kept_cg).current > stat(idle_cg).current, "the first toucher is charged");
+        assert!(stat(sized_cg).current > stat(idle_cg).current, "the first toucher is charged");
     }
 
+    /// A released bundle still reads its `config.json`, then fails with a
+    /// typed error instead of returning a spec it no longer holds.
     #[test]
-    fn a_released_bundle_holds_no_spec_and_parses() {
-        let (kernel, mut bundle, spec, pid) = setup();
+    fn a_released_bundle_holds_no_spec_and_fails_the_load_after_the_read() {
+        let (kernel, mut bundle, _, pid) = setup();
         let kept = bundle.load_spec(&kernel, pid).unwrap();
+        kernel.evict_file(bundle.config_file).unwrap();
         bundle.release_spec();
         assert!(bundle.spec().is_none());
-        let parsed = bundle.load_spec(&kernel, pid).unwrap();
-        assert!(!Arc::ptr_eq(&kept, &parsed));
-        assert_eq!(*parsed, spec);
         assert_eq!(Arc::strong_count(&kept), 1, "the bundle's own reference is gone");
+        let err = bundle.load_spec(&kernel, pid).unwrap_err();
+        assert!(
+            matches!(&err, KernelError::InvalidState(m) if m.starts_with("config.json:")),
+            "{err:?}"
+        );
+        assert!(kernel.file_cached(bundle.config_file).unwrap() > 0, "the read came first");
     }
 
     #[test]

@@ -1,20 +1,13 @@
 //! A small, self-contained JSON implementation (RFC 8259 subset).
 //!
-//! OCI bundles carry a real `config.json`; the container runtimes in this
-//! workspace parse those bytes off the simulated filesystem exactly as crun
-//! parses them off disk. `serde_json` is not in the approved offline
-//! dependency set, so this module provides the needed parser/serializer —
-//! strings with escapes, numbers, arrays, objects with stable (sorted) key
-//! order for deterministic output.
-//!
-//! There is one tokenizer, the pull `Reader`: it walks an object's
-//! members or an array's elements, scans strings and numbers, and skips
-//! (while validating) whatever its caller does not want. [`parse`] builds
-//! the generic [`Value`] tree on it; a caller that knows its schema
-//! (`RuntimeSpec::from_json`, whenever a runtime reads a `config.json`
-//! its bundle did not write) drives it directly and builds no tree.
+//! `serde_json` is not in the approved offline dependency set, so this
+//! module provides the parser/serializer the workspace needs — strings with
+//! escapes, numbers, arrays, objects with stable (sorted) key order for
+//! deterministic output. [`parse`] builds the generic [`Value`] tree, which
+//! `benchmark/` reads its inter-process lines with; the writers also serve
+//! `RuntimeSpec::to_json`, whose output length is a bundle's `config.json`
+//! size.
 
-use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 
@@ -230,38 +223,23 @@ pub(crate) fn write_string(out: &mut String, s: &str) {
 /// rejected instead of overflowing the stack of whoever parses it.
 pub(crate) const MAX_DEPTH: u32 = 128;
 
-/// A pull reader over one JSON document: the tokenizer both decoders are
-/// built on. [`parse`] drives it into a [`Value`] tree for generic callers;
-/// `RuntimeSpec::from_json` drives it straight into the struct.
-///
-/// Every method consumes exactly one value. The typed ones are tolerant
-/// the way a DOM lookup is: a value of another type is skipped — still
-/// fully validated — and reads as absent.
-pub(crate) struct Reader<'a> {
+/// A reader over one JSON document, building the tree as it goes.
+struct Reader<'a> {
     input: &'a str,
     pos: usize,
     depth: u32,
 }
 
-/// Read one document: `read` consumes the value, and nothing but
-/// whitespace may follow it.
-pub(crate) fn document<'a, T>(
-    input: &'a str,
-    read: impl FnOnce(&mut Reader<'a>) -> Result<T, JsonError>,
-) -> Result<T, JsonError> {
+/// Parse a JSON document: one value, and nothing but whitespace after it.
+pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut r = Reader { input, pos: 0, depth: 0 };
     r.skip_ws();
-    let out = read(&mut r)?;
+    let value = r.value()?;
     r.skip_ws();
     if r.pos != input.len() {
         return Err(r.err("trailing characters"));
     }
-    Ok(out)
-}
-
-/// Parse a JSON document.
-pub fn parse(input: &str) -> Result<Value, JsonError> {
-    document(input, Reader::value)
+    Ok(value)
 }
 
 impl<'a> Reader<'a> {
@@ -294,13 +272,13 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// The value as a tree.
+    /// The value as a tree. Of a repeated object key, the last one wins.
     fn value(&mut self) -> Result<Value, JsonError> {
         Ok(match self.peek() {
-            Some(b'"') => Value::String(self.scan_string()?.into_owned()),
+            Some(b'"') => Value::String(self.scan_string()?),
             Some(b'[') => {
                 let mut items = Vec::new();
-                self.array(|r| {
+                self.sequence(b']', |r| {
                     items.push(r.value()?);
                     Ok(())
                 })?;
@@ -308,8 +286,12 @@ impl<'a> Reader<'a> {
             }
             Some(b'{') => {
                 let mut map = BTreeMap::new();
-                self.object(|r, key| {
-                    map.insert(key.into_owned(), r.value()?);
+                self.sequence(b'}', |r| {
+                    let key = r.scan_string()?;
+                    r.skip_ws();
+                    r.expect(b':')?;
+                    r.skip_ws();
+                    map.insert(key, r.value()?);
                     Ok(())
                 })?;
                 Value::Object(map)
@@ -317,77 +299,6 @@ impl<'a> Reader<'a> {
             Some(b'-' | b'0'..=b'9') => Value::Number(self.scan_number()?),
             _ => self.scan_literal()?.map_or(Value::Null, Value::Bool),
         })
-    }
-
-    /// Skip the value, validating it exactly as [`parse`] would.
-    pub(crate) fn skip(&mut self) -> Result<(), JsonError> {
-        match self.peek() {
-            Some(b'"') => self.scan_string().map(drop),
-            Some(b'[') => self.array(|r| r.skip()),
-            Some(b'{') => self.object(|r, _| r.skip()),
-            Some(b'-' | b'0'..=b'9') => self.scan_number().map(drop),
-            _ => self.scan_literal().map(drop),
-        }
-    }
-
-    /// The value if it is a string.
-    pub(crate) fn string(&mut self) -> Result<Option<String>, JsonError> {
-        match self.peek() {
-            Some(b'"') => Ok(Some(self.scan_string()?.into_owned())),
-            _ => self.skip().map(|()| None),
-        }
-    }
-
-    /// The value if it is `true` or `false`.
-    pub(crate) fn boolean(&mut self) -> Result<Option<bool>, JsonError> {
-        match self.peek() {
-            Some(b't' | b'f') => self.scan_literal(),
-            _ => self.skip().map(|()| None),
-        }
-    }
-
-    /// The value if it is a whole number in `u64`'s range. A plain integer
-    /// token is read exactly; any other spelling (`-0`, `2.0`, `1e3`) as
-    /// the `f64` a tree would hold.
-    pub(crate) fn unsigned(&mut self) -> Result<Option<u64>, JsonError> {
-        match self.peek() {
-            Some(b'-' | b'0'..=b'9') => {
-                let start = self.pos;
-                let n = self.scan_number()?;
-                Ok(self.input[start..self.pos].parse().ok().or(Value::Number(n).as_u64()))
-            }
-            _ => self.skip().map(|()| None),
-        }
-    }
-
-    /// Walk an array: `element` is called at each element and consumes it.
-    pub(crate) fn array(
-        &mut self,
-        element: impl FnMut(&mut Self) -> Result<(), JsonError>,
-    ) -> Result<(), JsonError> {
-        match self.peek() {
-            Some(b'[') => self.sequence(b']', element),
-            _ => self.skip(),
-        }
-    }
-
-    /// Walk an object: `member` is called at each member's value with its
-    /// (unescaped) key and consumes the value. Keys arrive in document
-    /// order, duplicates included; a tree keeps the last.
-    pub(crate) fn object(
-        &mut self,
-        mut member: impl FnMut(&mut Self, Cow<'a, str>) -> Result<(), JsonError>,
-    ) -> Result<(), JsonError> {
-        match self.peek() {
-            Some(b'{') => self.sequence(b'}', |r| {
-                let key = r.scan_string()?;
-                r.skip_ws();
-                r.expect(b':')?;
-                r.skip_ws();
-                member(r, key)
-            }),
-            _ => self.skip(),
-        }
     }
 
     /// The comma-separated items between the bracket at `pos` and `close`.
@@ -439,12 +350,11 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// A quoted string, borrowed from the input unless it holds an escape;
-    /// then each run between escapes is copied whole.
-    fn scan_string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+    /// A quoted string: each run between escapes is copied whole.
+    fn scan_string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let input = self.input;
-        let mut unescaped: Option<String> = None;
+        let mut out = String::new();
         // `run..pos` is the pending unescaped run. It starts after an ASCII
         // byte and ends before one, so slicing it cannot split a character.
         let mut run = self.pos;
@@ -452,19 +362,12 @@ impl<'a> Reader<'a> {
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
-                    let tail = &input[run..self.pos - 1];
-                    return Ok(match unescaped {
-                        None => Cow::Borrowed(tail),
-                        Some(mut s) => {
-                            s.push_str(tail);
-                            Cow::Owned(s)
-                        }
-                    });
+                    out.push_str(&input[run..self.pos - 1]);
+                    return Ok(out);
                 }
                 Some(b'\\') => {
-                    let s = unescaped.get_or_insert_with(String::new);
-                    s.push_str(&input[run..self.pos - 1]);
-                    s.push(self.escape()?);
+                    out.push_str(&input[run..self.pos - 1]);
+                    out.push(self.escape()?);
                     run = self.pos;
                 }
                 Some(b) if b < 0x20 => return Err(self.err("control character in string")),
@@ -606,9 +509,7 @@ mod tests {
     }
 
     /// Hostile nesting is an error, not a stack overflow: 1 MiB of open
-    /// brackets on a 2 MiB stack, through the tree builder and through
-    /// skip-and-validate (what a typed read does with a value of another
-    /// type).
+    /// brackets on a 2 MiB stack.
     #[test]
     fn deep_nesting_is_rejected_not_overflowed() {
         let run = || {
@@ -616,9 +517,7 @@ mod tests {
                 let doc = unit.repeat((1 << 20) / unit.len());
                 let too_deep =
                     JsonError { pos: 128 * unit.len(), message: "nesting too deep".into() };
-                assert_eq!(parse(&doc), Err(too_deep.clone()));
-                assert_eq!(document(&doc, Reader::skip), Err(too_deep.clone()));
-                assert_eq!(document(&doc, Reader::string), Err(too_deep));
+                assert_eq!(parse(&doc), Err(too_deep));
             }
             // The limit itself is fine, one more is not.
             let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
@@ -674,22 +573,6 @@ mod tests {
         assert_eq!(n("18446744073709551615").as_u64(), None, "rounds to 2^64");
         assert_eq!(n("-0").as_u64(), Some(0));
         assert_eq!(n("1e999").as_u64(), None);
-    }
-
-    #[test]
-    fn unsigned_reads_a_plain_integer_exactly() {
-        let read = |s: &str| document(s, Reader::unsigned);
-        assert_eq!(read("18446744073709551615"), Ok(Some(u64::MAX)));
-        assert_eq!(read("9007199254740993"), Ok(Some((1 << 53) + 1)));
-        assert_eq!(read("18446744073709551616"), Ok(None), "past u64::MAX");
-        // Other spellings go through f64, as a tree holds them.
-        assert_eq!(read("2.0"), Ok(Some(2)));
-        assert_eq!(read("1e3"), Ok(Some(1000)));
-        assert_eq!(read("-0"), Ok(Some(0)));
-        assert_eq!(read("-1"), Ok(None));
-        assert_eq!(read("1.5"), Ok(None));
-        assert_eq!(read("\"7\""), Ok(None));
-        assert!(read("1e").is_err());
     }
 
     #[test]

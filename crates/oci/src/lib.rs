@@ -3,17 +3,17 @@
 //! The Open Container Initiative layer of the reproduction:
 //!
 //! * [`json`] — a from-scratch JSON parser/serializer (`serde_json` is not
-//!   in the offline dependency set), with deterministic output: one pull
-//!   tokenizer, and the generic `Value` tree built on it;
+//!   in the offline dependency set), with deterministic output: the generic
+//!   `Value` tree and the string writers;
 //! * [`spec`] — the runtime-spec subset (`config.json`): process, root,
 //!   mounts, namespaces, cgroups path, memory limits, annotations —
 //!   including the `module.wasm.image/variant` annotation that routes a
-//!   container to crun's Wasm handler — with its codec straight on the
-//!   tokenizer;
+//!   container to crun's Wasm handler — with its writer straight on the
+//!   string writers;
 //! * [`image`] — image store with overlay-style layer sharing;
-//! * [`bundle`] — bundle creation: real `config.json` bytes written to and
-//!   read back from the simulated filesystem; a read of the bytes a bundle
-//!   wrote returns the spec it kept instead of a parse.
+//! * [`bundle`] — bundle creation: a `config.json` of the serialized
+//!   spec's size written to and read back through the simulated
+//!   filesystem; a read returns the spec the bundle kept.
 
 pub(crate) mod bundle;
 pub(crate) mod image;

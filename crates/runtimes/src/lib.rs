@@ -13,10 +13,10 @@
 //! * **youki** — the Rust runtime, between the two.
 //!
 //! A [`runtime::LowLevelRuntime`] executes the OCI lifecycle — `create`
-//! (parse the real `config.json` from the VFS, build the container cgroup,
-//! spawn the init process, unshare namespaces, apply limits) and `start`
-//! (dispatch to the first matching handler) — charging all memory to the
-//! right cgroups and emitting DES latency steps.
+//! (read `config.json` from the VFS and charge its parse by size, build
+//! the container cgroup, spawn the init process, unshare namespaces, apply
+//! limits) and `start` (dispatch to the first matching handler) — charging
+//! all memory to the right cgroups and emitting DES latency steps.
 
 pub mod handler;
 pub mod profile;

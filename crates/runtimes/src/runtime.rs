@@ -1,12 +1,13 @@
 //! The low-level OCI runtime lifecycle: create → start → kill → delete.
 //!
 //! `create` runs a *transient* runtime process (crun/runc/youki) that
-//! reads the bundle's real `config.json` off the simulated filesystem,
-//! creates the container cgroup, spawns the container init process, and
-//! unshare()s its namespaces. `start` dispatches the workload to the first
-//! matching [`ContainerHandler`], which executes it inside the container
-//! process. The runtime process exits after each operation, exactly as the
-//! real binaries do — so the steady-state memory the experiments measure
+//! reads the bundle's `config.json` (a size on the simulated filesystem)
+//! and takes the spec the bundle kept, creates the container cgroup,
+//! spawns the container init process, and unshare()s its namespaces.
+//! `start` dispatches the workload to the first matching
+//! [`ContainerHandler`], which executes it inside the container process.
+//! The runtime process exits after each operation, exactly as the real
+//! binaries do — so the steady-state memory the experiments measure
 //! contains only container (and pause) processes.
 
 use std::sync::Arc;
@@ -154,8 +155,8 @@ impl LowLevelRuntime {
 
         let op_result =
             self.transient_runtime_op(ctx, "create", &mut trace, |kernel, rt_pid, trace| {
-                // Read the real config.json bytes off the VFS; the parse
-                // is charged by size whether or not the host repeats it.
+                // Read config.json through the VFS; the parse is charged by
+                // its size, and the bundle hands back the spec it wrote.
                 let spec = bundle.load_spec(kernel, rt_pid)?;
                 let config_kib = kernel.file_size(bundle.config_file)?.div_ceil(1024);
                 trace.push(

@@ -1507,6 +1507,34 @@ mod tests {
         assert_eq!(k.file_cached(f).unwrap(), 0);
     }
 
+    /// A size-only file stands in for real bytes of the same length: read
+    /// from two cgroups, it is cached, charged and reported alike, and
+    /// evicted alike.
+    #[test]
+    fn a_synthetic_file_reads_as_bytes_of_its_length_do() {
+        let observe = |content: FileContent| {
+            let k = kernel();
+            let cgs = ["first", "second"].map(|n| k.cgroup_create(Kernel::ROOT_CGROUP, n).unwrap());
+            let readers = cgs.map(|cg| k.spawn("reader", cg).unwrap());
+            let f = k.create_file("/config.json", content).unwrap();
+            let reading =
+                || (k.file_cached(f).unwrap(), cgs.map(|cg| k.cgroup_stat(cg).unwrap()), k.free());
+            for pid in readers {
+                k.read_file(pid, f).unwrap();
+            }
+            let read = reading();
+            k.evict_file(f).unwrap();
+            (read, reading())
+        };
+        for n in [405, 4097] {
+            let bytes = FileContent::Bytes(Bytes::from(vec![b'x'; n]));
+            let (read, evicted) = observe(FileContent::Synthetic(n as u64));
+            assert_eq!((read, evicted), observe(bytes), "{n} bytes");
+            assert!(read.0 > 0 && read.1[0].file_bytes > 0 && read.1[1].file_bytes == 0);
+            assert_eq!(evicted.0, 0);
+        }
+    }
+
     #[test]
     fn ps_lists_live_processes_with_rss() {
         let k = kernel();

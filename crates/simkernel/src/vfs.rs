@@ -1,11 +1,11 @@
 //! A minimal virtual filesystem with page-cache accounting.
 //!
-//! Files either carry real bytes (Wasm modules, Python scripts, OCI config
-//! JSON — content other subsystems actually parse and execute) or are
-//! *synthetic*: a size-only stand-in for large binaries we model but do not
-//! execute (e.g. the 40 MB Wasmer shared library). Both kinds participate
-//! identically in page-cache accounting, which is what the memory
-//! experiments observe.
+//! Files either carry real bytes (Wasm modules, Python scripts — content
+//! other subsystems actually parse and execute) or are *synthetic*: a
+//! size-only stand-in for what we model but never read the content of
+//! (e.g. the 40 MB Wasmer shared library, an OCI bundle's `config.json`).
+//! Both kinds participate identically in page-cache accounting, which is
+//! what the memory experiments observe.
 
 use bytelite::Bytes;
 
@@ -21,7 +21,7 @@ pub struct FileId(pub u64);
 pub enum FileContent {
     /// Real bytes; `len` is the file size.
     Bytes(Bytes),
-    /// Size-only stand-in for binaries we model but never parse.
+    /// Size-only stand-in for content we model but never read.
     Synthetic(u64),
 }
 

@@ -190,16 +190,23 @@ echo "== smoke: cluster density sweep + scheduler ablation (3 nodes) =="
 # dense_cluster workload times, which no test above runs.
 cargo run --release --offline -p harness --bin figures -- cluster --smoke >/dev/null
 
+# fenced_block <regex>: the first fenced block of EXPERIMENTS.md after the
+# line matching <regex>, fences left out. A block that must equal a
+# program's output line for line is compared against it with this, so
+# the document cannot drift from the program.
+fenced_block() {
+  awk -v anchor="$1" '$0 ~ anchor { h = 1; next }
+                      h && /^```/ { if (in_block) exit; in_block = 1; next }
+                      in_block' EXPERIMENTS.md
+}
+
 echo "== paper claims (figures claims: all 15, at the paper's densities) =="
 # The full 27-cell grid, nothing skipped: under a second since the host
 # executes each distinct guest once per process. Exit 1 is a failed claim.
 # Its stdout must also be, line for line, the fenced block under
-# EXPERIMENTS.md's "Claim check summary", so the document cannot drift
-# from the program.
+# EXPERIMENTS.md's "Claim check summary".
 cargo run --release --offline -p harness --bin figures -- claims >target/claims.stdout
-if ! diff <(awk '/^## Claim check summary/ { h = 1; next }
-                 h && /^```/ { if (in_block) exit; in_block = 1; next }
-                 in_block' EXPERIMENTS.md) target/claims.stdout; then
+if ! diff <(fenced_block '^## Claim check summary') target/claims.stdout; then
   echo "EXPERIMENTS.md's claim check summary (<) differs from 'figures claims' (>)." >&2
   echo "Regenerate the block from: cargo run --release --offline -p harness --bin figures -- claims" >&2
   exit 1
@@ -233,8 +240,16 @@ echo "pub items (non-test): $pub_items"
 echo "rust test: $(($(count crates src tests examples -name '*.rs') - non_test))"
 # Host heap per resident pod, per config: a PR's delta in what a pod costs
 # the simulator sits next to its delta in lines.
+# The three lines must also be the fenced block after EXPERIMENTS.md's
+# "Host heap per resident pod" paragraph.
 echo "host memory per resident pod (tests/host_footprint.rs):"
-cargo test -q --offline --test host_footprint -- --nocapture | grep 'B/pod'
+cargo test -q --offline --test host_footprint -- --nocapture | grep 'B/pod' \
+  | tee target/host_footprint.stdout
+if ! diff <(fenced_block '^Host heap per resident pod') target/host_footprint.stdout; then
+  echo "EXPERIMENTS.md's host heap block (<) differs from tests/host_footprint.rs (>)." >&2
+  echo "Regenerate the block from: cargo test -q --offline --test host_footprint -- --nocapture | grep 'B/pod'" >&2
+  exit 1
+fi
 
 echo "== size budget: four numbers against their ceilings in scripts/size_budget.txt =="
 # A budget that is only written down gets skipped, so it gates. A change

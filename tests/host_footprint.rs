@@ -137,27 +137,29 @@ fn cycle(config: Config, workload: &Workload, pods: usize) -> KernelResult<Cycle
 /// more one-entry B-tree leaf per pod (≥ 368 B), or a dozen more boxes per
 /// start, does not fit.
 ///
-/// | config | bytes / blocks per pod | before id-indexed tables | when the test was written | allocations per start | before bundles kept their spec | before guests were replayed |
-/// |---|---|---|---|---|---|---|
-/// | crun-wamr | 5 943.5 / 37.3 | 7 989.2 / 38.1 | 19 908.2 / 87.6 | 165 | 267 | 334 |
-/// | shim-wasmtime | 4 161.2 / 19.3 | 5 348.4 / 21.1 | 14 780.3 / 66.6 | 76 | 80 | 147 |
-/// | crun-wasmtime | 6 470.3 / 37.3 | 8 537.3 / 38.1 | 20 123.2 / 88.6 | 169 | 271 | 338 |
+/// | config | bytes / blocks per pod | before `config.json` was a size | before id-indexed tables | when the test was written | allocations per start | before bundles kept their spec | before guests were replayed |
+/// |---|---|---|---|---|---|---|---|
+/// | crun-wamr | 4 723.9 / 31.3 | 5 739.8 / 33.3 | 7 989.2 / 38.1 | 19 908.2 / 87.6 | 159 | 267 | 334 |
+/// | shim-wasmtime | 3 488.4 / 16.3 | 4 064.3 / 17.3 | 5 348.4 / 21.1 | 14 780.3 / 66.6 | 73 | 80 | 147 |
+/// | crun-wasmtime | 5 250.7 / 31.3 | 6 266.6 / 33.3 | 8 537.3 / 38.1 | 20 123.2 / 88.6 | 163 | 271 | 338 |
 ///
-/// The third column keeps processes, cgroups, files and sandboxes inline
+/// The third column is a tree whose bundles wrote each `config.json` as
+/// its text and kept the buffer until the container started: about 1 KB
+/// per crun pod, and one more allocation per bundle (161 / 74 / 165 per
+/// start). The fourth keeps processes, cgroups, files and sandboxes inline
 /// in `BTreeMap` leaves, every file path twice, a `String` per pod for its
-/// image and runtime class, and a 24-byte trace record. The fourth is the
+/// image and runtime class, and a 24-byte trace record. The fifth is the
 /// tree with a `BTreeMap` per process and per sandbox, two rootfs maps per
 /// bundle, a `String` per mapping label and traces left at their growth
-/// capacity; the bytes and blocks budgets were set below 0.6 × its bytes
-/// and 0.85 × its blocks. The sixth is a crun pod
-/// start that parses the two `config.json` documents it has just written
-/// twice each. The last is a start that builds a WASI context, fifteen
-/// boxed host functions with their names, an instance and a linear memory
-/// for a guest the process has already run.
+/// capacity. The seventh is a crun pod start that parses the two
+/// `config.json` documents it has just written twice each. The last is a
+/// start that builds a WASI context, fifteen boxed host functions with
+/// their names, an instance and a linear memory for a guest the process
+/// has already run.
 const BUDGETS: [(Config, usize, usize, usize); 3] = [
-    (Config::WamrCrun, 6_150, 40, 170),
-    (Config::ShimWasmtime, 4_300, 21, 79),
-    (Config::CrunWasmtime, 6_700, 40, 174),
+    (Config::WamrCrun, 4_900, 33, 164),
+    (Config::ShimWasmtime, 3_600, 18, 76),
+    (Config::CrunWasmtime, 5_450, 33, 168),
 ];
 
 /// What may stay live after a cycle: process-wide caches that a second
