@@ -10,10 +10,10 @@
 //! a streamed arrival generator with the event queue ([`CalendarQueue`],
 //! the binary heap behind the DES scheduler) of `Copy` events and moves the
 //! cluster's clock to each event's instant, so `cluster.now()` is the
-//! event time for everything an event touches: a request touches no
-//! allocator, the queue holds only work in flight, millions of simulated
-//! requests cost no wall-clock sleeps and every run is byte-identical for
-//! a given seed.
+//! event time for everything an event touches: the queue and the request
+//! records hold only work in flight (a resolved request's slot goes to the
+//! next arrival), millions of simulated requests cost no wall-clock sleeps
+//! and every run is byte-identical for a given seed.
 //!
 //! Per-request service time is the queueing model's per-config constant:
 //! a fixed per-request instruction count priced by each engine's
@@ -28,8 +28,6 @@
 //! baseline arrival sequence) and assert p99 re-converges to the
 //! pre-overload baseline; re-run overload with the retry budget disabled
 //! and assert the system demonstrably degrades (the control arm).
-
-use std::cell::Cell;
 
 use k8s_sim::service::{MAX_ATTEMPTS, QUEUE_CAPACITY};
 use k8s_sim::{
@@ -299,7 +297,7 @@ const SCENARIO_HPA: HpaSpec =
 // ---------------------------------------------------------------------------
 // The event loop.
 
-/// An attempt's token is `req × TOKENS_PER_REQ + attempt`.
+/// An attempt's token is `slot × TOKENS_PER_REQ + attempt` (see [`Loop::slots`]).
 const TOKENS_PER_REQ: u64 = 32;
 // A token holds the attempt number below `TOKENS_PER_REQ`.
 const _: () = assert!((MAX_ATTEMPTS as u64) < TOKENS_PER_REQ);
@@ -309,7 +307,7 @@ const _: () = assert!((MAX_ATTEMPTS as u64) < TOKENS_PER_REQ);
 /// not events: they come from the [`Arrivals`] stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
-    /// Re-issue request `req` after its retry backoff.
+    /// Re-issue the request in slot `slot` after its retry backoff.
     Retry(usize),
     /// The endpoint with stable id `endpoint` surfaces the outcome of
     /// `token` (scheduled by `try_start`; the index is re-resolved from the
@@ -319,31 +317,18 @@ enum Ev {
     Tick,
 }
 
-thread_local! {
-    /// The request records of this thread's previous run, emptied: a run
-    /// takes them, grows them to its size and hands them back. Megabytes
-    /// allocated and freed per run land wherever the heap has room, and one
-    /// small allocation left above the freed block keeps it resident while
-    /// the next run's is carved out beside it, so the process's peak RSS
-    /// depends on heap layout (the benchmark's `traffic_overload`: 10.7 or
-    /// 12.3 MiB for the same work, by what the pod starts before it
-    /// happened to allocate). One buffer per thread stays where it was
-    /// first mapped.
-    static REQ_RECORDS: Cell<Vec<ReqState>> = const { Cell::new(Vec::new()) };
-}
-
-/// The one fixed-size record the loop keeps per request. A request has at
-/// most one attempt in flight — a retry is issued only once the previous
-/// attempt has failed — and that attempt's token is derived from the
-/// request's index and `attempt`, so nothing about it is stored.
+/// The one fixed-size record the loop keeps per request in flight, in a
+/// slot of [`Loop::slots`]. A request has at most one attempt queued or
+/// serving — a retry is issued only once the previous one has failed — and
+/// its token is derived from the slot and `attempt`, so it is not stored.
 #[derive(Debug, Clone, Copy)]
 struct ReqState {
     arrival: SimTime,
     phase: u8,
     /// Attempts issued so far (1 after the first).
     attempt: u8,
-    done: bool,
-    failed: bool,
+    /// The slot holds an unresolved request.
+    live: bool,
 }
 
 /// The open-loop arrival stream: walks the chained phases — each starts
@@ -409,7 +394,10 @@ struct Loop {
     queue: CalendarQueue<(u64, Ev)>,
     next_seq: u64,
     peak_live_events: usize,
-    reqs: Vec<ReqState>,
+    /// The unresolved requests; a resolved one's slot goes on `free` for the
+    /// next arrival.
+    slots: Vec<ReqState>,
+    free: Vec<usize>,
     phases: Vec<PhaseStats>,
     client: ResilientClient,
     attempts: u64,
@@ -425,36 +413,51 @@ impl Loop {
         self.peak_live_events = self.peak_live_events.max(self.queue.len());
     }
 
-    /// A request of `phase` arrives at `now`: record it and issue its first
-    /// attempt.
+    /// A request of `phase` arrives at `now`: give it a slot and issue it.
     fn arrive(&mut self, phase: usize, now: SimTime, service: &mut Service) {
-        let req = self.reqs.len();
-        self.reqs.push(ReqState {
-            arrival: now,
-            phase: phase as u8,
-            attempt: 0,
-            done: false,
-            failed: false,
-        });
-        self.issue(req, now, service);
+        let r = ReqState { arrival: now, phase: phase as u8, attempt: 0, live: true };
+        let slot = self.free.pop().unwrap_or(self.slots.len());
+        if slot == self.slots.len() {
+            self.slots.push(r);
+        }
+        self.slots[slot] = r;
+        self.issue(slot, now, service);
     }
 
-    /// Issue one attempt for `req` against the service at `now`.
-    fn issue(&mut self, req: usize, now: SimTime, service: &mut Service) {
-        let r = self.reqs[req];
+    /// The request in `slot` has resolved: free the slot.
+    fn release(&mut self, slot: usize) {
+        self.slots[slot].live = false;
+        self.free.push(slot);
+    }
+
+    /// The slot `token` names. A freed request has no attempt queued or
+    /// serving, and a finish still queued for it names an endpoint `sync`
+    /// dropped (ids are never reused), so a reused token is never an old
+    /// one's; debug builds check it.
+    fn slot_of(&self, token: u64) -> usize {
+        let slot = (token / TOKENS_PER_REQ) as usize;
+        let r = self.slots[slot];
+        debug_assert!(r.live && u64::from(r.attempt) == token % TOKENS_PER_REQ, "stale {token}");
+        slot
+    }
+
+    /// Issue one attempt for the request in `slot` at `now`.
+    fn issue(&mut self, slot: usize, now: SimTime, service: &mut Service) {
+        let r = self.slots[slot];
+        debug_assert!(r.live, "slot {slot} reissued after it was freed");
         let (deadline, phase) = (r.arrival + self.deadline, usize::from(r.phase));
         if now >= deadline {
-            self.reqs[req].failed = true;
+            self.release(slot);
             self.phases[phase].timeouts += 1;
             return;
         }
         let attempt = r.attempt + 1;
-        self.reqs[req].attempt = attempt;
+        self.slots[slot].attempt = attempt;
         self.attempts += 1;
         if attempt > 1 {
             self.phases[phase].retries += 1;
         }
-        let token = req as u64 * TOKENS_PER_REQ + u64::from(attempt);
+        let token = slot as u64 * TOKENS_PER_REQ + u64::from(attempt);
         let admitted = service
             .route(None)
             .and_then(|ep| service.admit(ep, now, token, deadline).map(|a| (ep, a)));
@@ -468,7 +471,7 @@ impl Loop {
                 // Typed 503 (already tallied by the service); client-side
                 // the shed feeds the retry path.
                 self.phases[phase].shed += 1;
-                self.retry_or_fail(req, now);
+                self.retry_or_fail(slot, now);
             }
         }
     }
@@ -481,16 +484,16 @@ impl Loop {
         }
     }
 
-    /// Route a failed/shed/aborted attempt of `req` through the retry
-    /// budget: schedule a backed-off re-issue or give up.
-    fn retry_or_fail(&mut self, req: usize, now: SimTime) {
-        let r = self.reqs[req];
+    /// Route a failed/shed/aborted attempt of the request in `slot` through
+    /// the retry budget: schedule a backed-off re-issue or give up.
+    fn retry_or_fail(&mut self, slot: usize, now: SimTime) {
+        let r = self.slots[slot];
         match self.client.approve_retry(u32::from(r.attempt) + 1) {
             Some(backoff) if now + backoff < r.arrival + self.deadline => {
-                self.push(now + backoff, Ev::Retry(req));
+                self.push(now + backoff, Ev::Retry(slot));
             }
             _ => {
-                self.reqs[req].failed = true;
+                self.release(slot);
                 self.phases[usize::from(r.phase)].failed += 1;
             }
         }
@@ -504,11 +507,11 @@ impl Loop {
             return; // stale: the attempt was aborted or superseded
         }
         let Some(c) = service.complete(ep, now) else { return };
-        let req = (token / TOKENS_PER_REQ) as usize;
+        let slot = self.slot_of(token);
         if c.ok {
             self.client.note_success();
-            let r = &mut self.reqs[req];
-            r.done = true;
+            let r = self.slots[slot];
+            self.release(slot);
             let phase = &mut self.phases[usize::from(r.phase)];
             phase.completed += 1;
             if c.degraded {
@@ -516,7 +519,7 @@ impl Loop {
             }
             phase.hist.record(now.since(r.arrival));
         } else {
-            self.retry_or_fail(req, now);
+            self.retry_or_fail(slot, now);
         }
         self.start(ep, now, service);
     }
@@ -527,7 +530,7 @@ impl Loop {
     fn handle_aborts(&mut self, aborted: Vec<u64>, now: SimTime) {
         for token in aborted {
             self.aborted_retried += 1;
-            self.retry_or_fail((token / TOKENS_PER_REQ) as usize, now);
+            self.retry_or_fail(self.slot_of(token), now);
         }
     }
 }
@@ -617,13 +620,12 @@ fn run_traffic_on(
     // A request's phase and attempt count are stored as bytes.
     assert!(phases.len() <= 256, "a traffic run has at most 256 phases");
     let execs = |n: u64| Duration::from_nanos(exec.as_nanos().saturating_mul(n));
-    let mut reqs = REQ_RECORDS.take();
-    reqs.reserve(phases.iter().map(|p| p.requests).sum());
     let mut lp = Loop {
         queue: CalendarQueue::default(),
         next_seq: 0,
         peak_live_events: 0,
-        reqs,
+        slots: Vec::new(),
+        free: Vec::new(),
         phases: phases
             .iter()
             .map(|p| PhaseStats {
@@ -684,7 +686,7 @@ fn run_traffic_on(
         };
         cluster.advance(now.since(cluster.now()));
         match ev {
-            Ev::Retry(req) => lp.issue(req, now, &mut service),
+            Ev::Retry(slot) => lp.issue(slot, now, &mut service),
             Ev::Finish { endpoint, token } => lp.finish(endpoint, token, now, &mut service),
             Ev::Tick => {
                 cluster.reconcile();
@@ -739,9 +741,8 @@ fn run_traffic_on(
 
     // Account still-unresolved requests as failures (queue drained — only
     // requests stuck behind open breakers with exhausted budgets remain).
-    for r in lp.reqs.iter_mut().filter(|r| !r.done && !r.failed) {
+    for r in lp.slots.iter().filter(|r| r.live) {
         lp.phases[usize::from(r.phase)].failed += 1;
-        r.failed = true;
     }
 
     let mut endpoint_working_set = 0u64;
@@ -752,8 +753,6 @@ fn run_traffic_on(
         }
     }
 
-    lp.reqs.clear();
-    REQ_RECORDS.set(lp.reqs);
     Ok(TrafficRun {
         config,
         phases: lp.phases,
@@ -1283,8 +1282,8 @@ mod tests {
 
     #[test]
     fn a_request_record_is_sixteen_bytes() {
-        // The loop keeps one per request offered (210 000 a run on
-        // `traffic_steady`), so a field added to it must change this pin.
+        // The loop keeps one per request in flight, so a field added to it
+        // must change this pin.
         assert_eq!(std::mem::size_of::<ReqState>(), 16);
     }
 

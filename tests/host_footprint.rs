@@ -10,6 +10,11 @@
 //! growth capacity, a per-container copy of a per-image table) fails here
 //! before it shows in `dense_cluster`'s `peak_rss_mib`.
 //!
+//! A served request costs the host nothing that stays: the request loop's
+//! peak live heap must not grow with the requests a run offers, only with
+//! the requests it has in flight — what `traffic_steady`'s and
+//! `traffic_overload`'s `peak_rss_mib` follow.
+//!
 //! Its own integration-test binary with one test function: the counting
 //! allocator is process-global, and a second test running beside this one
 //! would be counted into it.
@@ -18,22 +23,27 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use memwasm::harness::cluster_scale::{new_scaled_cluster, warmup_nodes};
+use memwasm::harness::traffic::{
+    pod_capacity_rps, run_traffic, ArrivalProfile, PhaseSpec, TrafficPlan,
+};
 use memwasm::harness::{Config, Workload};
 use memwasm::k8s_sim::Policy;
 use memwasm::simkernel::KernelResult;
 use memwasm::workloads::MicroserviceConfig;
 
-/// Forwards every call to [`System`] unchanged and keeps three counts.
+/// Forwards every call to [`System`] unchanged and keeps four counts.
 struct Counting;
 
 static LIVE_BYTES: AtomicUsize = AtomicUsize::new(0);
+/// High-water mark of `LIVE_BYTES` since a reader last reset it.
+static PEAK_BYTES: AtomicUsize = AtomicUsize::new(0);
 static LIVE_BLOCKS: AtomicUsize = AtomicUsize::new(0);
 static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 
 /// Count a block `System` has just handed out (or failed to).
 fn counted(block: *mut u8, size: usize) -> *mut u8 {
     if !block.is_null() {
-        LIVE_BYTES.fetch_add(size, Relaxed);
+        PEAK_BYTES.fetch_max(LIVE_BYTES.fetch_add(size, Relaxed) + size, Relaxed);
         LIVE_BLOCKS.fetch_add(1, Relaxed);
         ALLOCATIONS.fetch_add(1, Relaxed);
     }
@@ -65,7 +75,8 @@ unsafe impl GlobalAlloc for Counting {
         // SAFETY: the caller's contract for `realloc`, passed on as is.
         let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
-            LIVE_BYTES.fetch_add(new_size, Relaxed);
+            let live = LIVE_BYTES.fetch_add(new_size, Relaxed) + new_size;
+            PEAK_BYTES.fetch_max(live, Relaxed);
             LIVE_BYTES.fetch_sub(layout.size(), Relaxed);
             ALLOCATIONS.fetch_add(1, Relaxed);
         }
@@ -166,6 +177,33 @@ const BUDGETS: [(Config, usize, usize, usize); 3] = [
 /// cycle can still grow by a rounding step, never anything per pod.
 const LEFT_OVER_BYTES: isize = 4_096;
 
+/// Requests a short and a long run offer, at each load.
+const TRAFFIC_REQUESTS: [usize; 2] = [20_000, 200_000];
+/// Offered load as a share of the two replicas' capacity: queues run deep
+/// at the first; at the second most first attempts are shed and retried.
+const TRAFFIC_LOADS: [f64; 2] = [0.7, 3.0];
+/// How far the long run's peak may sit from the short run's: a rounding
+/// step of the few in-flight buffers, never a record per request offered
+/// (180 000 more 16-byte records are 2.9 MB).
+const TRAFFIC_GROWTH_BYTES: isize = 1_024;
+
+/// The peak live heap of one crun-wamr traffic run (serving cluster boot
+/// included) over the reading before it.
+fn traffic_peak(requests: usize, load: f64) -> KernelResult<usize> {
+    let rate_rps = load * 2.0 * pod_capacity_rps(Config::WamrCrun);
+    let phases = [PhaseSpec {
+        label: "loaded",
+        profile: ArrivalProfile::Poisson { rate_rps },
+        requests,
+        seed: 7,
+        measured: true,
+    }];
+    let before = LIVE_BYTES.load(Relaxed);
+    PEAK_BYTES.store(before, Relaxed);
+    run_traffic(Config::WamrCrun, &Workload::serving(), &TrafficPlan::new(7), &phases)?;
+    Ok(PEAK_BYTES.load(Relaxed) - before)
+}
+
 #[test]
 fn a_resident_pod_costs_the_host_what_it_holds_and_teardown_returns_it() {
     let workload = boot_only();
@@ -206,6 +244,23 @@ fn a_resident_pod_costs_the_host_what_it_holds_and_teardown_returns_it() {
             "{}: {} bytes still live after teardown and drop",
             config.label(),
             c.left_over
+        );
+    }
+
+    // A first, short run fills the process-wide caches, as above.
+    traffic_peak(TRAFFIC_REQUESTS[0], TRAFFIC_LOADS[0]).unwrap();
+    for load in TRAFFIC_LOADS {
+        let [short, long] = TRAFFIC_REQUESTS.map(|n| traffic_peak(n, load).unwrap());
+        let growth = long as isize - short as isize;
+        println!(
+            "traffic at {load}x capacity: peak live heap {short} B over {} requests, {long} B over {}",
+            TRAFFIC_REQUESTS[0], TRAFFIC_REQUESTS[1]
+        );
+        assert!(
+            growth.abs() <= TRAFFIC_GROWTH_BYTES,
+            "traffic at {load}x capacity: the peak moved {growth} B from {} to {} requests",
+            TRAFFIC_REQUESTS[0],
+            TRAFFIC_REQUESTS[1]
         );
     }
 }
