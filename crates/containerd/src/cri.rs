@@ -565,8 +565,7 @@ impl Containerd {
     /// models a transient probe-RPC failure against a healthy pod — the
     /// probe reports failure without the pod being wrong, which is why
     /// probes carry a `failureThreshold` instead of acting on one miss.
-    pub fn probe(&self, pod_id: &str, trace: &mut StepTrace) -> KernelResult<bool> {
-        trace.push(Phase::RuntimeOp, Step::Io(Duration::from_micros(250)));
+    pub fn probe(&self, pod_id: &str) -> KernelResult<bool> {
         match self.kernel.inject_fault(FaultSite::Probe) {
             Ok(()) => {}
             Err(KernelError::FaultInjected(_)) => return Ok(false),
@@ -596,39 +595,24 @@ impl Containerd {
     /// ride out the grace period and escalate to [`Containerd::interrupt_pod`].
     /// Clean containers terminate promptly: the subsequent
     /// [`Containerd::remove_pod_sandbox`] stops them with no clock advance.
-    pub fn begin_pod_termination(
-        &mut self,
-        pod_id: &str,
-        trace: &mut StepTrace,
-    ) -> KernelResult<bool> {
-        let Some(sandbox) = self.sandboxes.get_mut(pod_id) else {
-            return Ok(false);
+    /// A missing sandbox or container has nothing to signal: `false`.
+    pub fn begin_pod_termination(&mut self, pod_id: &str) -> bool {
+        let Some(c) = self.sandboxes.get_mut(pod_id).and_then(|s| s.container.as_mut()) else {
+            return false;
         };
-        let Some(c) = sandbox.container.as_mut() else {
-            return Ok(false);
-        };
-        if c.state.begin_termination() {
-            // SIGTERM delivery + signal-handler dispatch in the guest.
-            trace.push(Phase::Terminating, Step::Cpu(Duration::from_micros(150)));
-        }
+        c.state.begin_termination();
         if let Some(oci) = c.oci.as_mut() {
             oci.state.begin_termination();
         }
-        Ok(c.wedged && c.state.is(ContainerState::Terminating))
+        c.wedged && c.state.is(ContainerState::Terminating)
     }
 
     /// SIGKILL a pod's container: bump its guest's watchdog epoch clock
     /// (the stop lands at its next epoch safepoint), mark the container
     /// Failed, and kill its init process. This is the only hard-kill
     /// path — the kubelet reaches it from a failed liveness probe or from
-    /// termination-grace-period expiry, tagging the work with the phase the
-    /// escalation belongs to.
-    pub fn interrupt_pod(
-        &mut self,
-        pod_id: &str,
-        phase: Phase,
-        trace: &mut StepTrace,
-    ) -> KernelResult<()> {
+    /// termination-grace-period expiry.
+    pub fn interrupt_pod(&mut self, pod_id: &str) -> KernelResult<()> {
         let Some(sandbox) = self.sandboxes.get_mut(pod_id) else {
             return Ok(());
         };
@@ -647,7 +631,6 @@ impl Containerd {
             }
             c.state.fail();
             c.wedged = false;
-            trace.push(phase, Step::Cpu(Duration::from_micros(200)));
         }
         Ok(())
     }
@@ -908,6 +891,52 @@ mod tests {
             assert_eq!(cd.kernel.file_size(file).unwrap(), len);
             assert_eq!(cd.kernel.read_file(reader, file).unwrap(), None, "no bytes on the host");
         }
+    }
+
+    /// A guest that spins from its first instruction until a watchdog
+    /// stops it.
+    fn spinning_module() -> Vec<u8> {
+        let mut b = wasm_core::ModuleBuilder::new();
+        let mem = b.memory(1, None);
+        b.export_memory("memory", mem);
+        let start = b.func(wasm_core::FuncType::new(vec![], vec![]), |f| {
+            f.loop_(|f| {
+                f.br(0);
+            });
+        });
+        b.export_func("_start", start);
+        b.build_bytes()
+    }
+
+    /// SIGTERM answers one question, whether the kubelet must wait out a
+    /// grace period: only a wedged guest makes it wait.
+    #[test]
+    fn only_a_wedged_guest_outlasts_sigterm() {
+        let mut cd = boot();
+        assert!(!cd.begin_pod_termination("ghost"), "no sandbox, nothing to signal");
+
+        let mut trace = StepTrace::new();
+        cd.run_pod_sandbox("clean", "crun-wamr", &mut trace).unwrap();
+        cd.create_container("clean", "c1", "svc:v1", None, &mut trace).unwrap();
+        cd.start_container("clean", "c1", &mut trace).unwrap();
+        assert!(!cd.begin_pod_termination("clean"), "a clean guest honors SIGTERM");
+        let c = cd.sandbox("clean").unwrap().container("c1").unwrap();
+        assert_eq!(c.state, ContainerState::Terminating);
+
+        cd.pull_image(
+            oci_spec_lite::ImageBuilder::new("spin:v1")
+                .entrypoint(["/app/main.wasm".to_string()])
+                .file("/app/main.wasm", spinning_module()),
+        )
+        .unwrap();
+        let budget = Duration::from_millis(1).as_nanos().to_string();
+        let watchdog = [(oci_spec_lite::WATCHDOG_BUDGET_ANNOTATION.to_string(), budget)];
+        cd.run_pod_sandbox("hung", "crun-wamr", &mut trace).unwrap();
+        cd.create_container_with("hung", "c2", "spin:v1", None, &watchdog, &mut trace).unwrap();
+        cd.start_container("hung", "c2", &mut trace).unwrap();
+        assert!(cd.pod_wedged("hung"));
+        assert!(cd.begin_pod_termination("hung"));
+        assert!(cd.begin_pod_termination("hung"), "re-delivered mid-grace, still wedged");
     }
 
     #[test]

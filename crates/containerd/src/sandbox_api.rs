@@ -22,10 +22,7 @@ use container_runtimes::handler::guest_from_oci;
 use engines::profile::DEFAULT_STARTUP_FUEL;
 use engines::{load_engine, run_module, Embedding, EngineKind, ExecOptions, LoadedEngine};
 use oci_spec_lite::{Bundle, Image, RuntimeSpec};
-use simkernel::{
-    CgroupId, Duration, Kernel, KernelError, KernelResult, Phase, Pid, ProcessImage, Step,
-    StepTrace,
-};
+use simkernel::{CgroupId, Kernel, KernelError, KernelResult, Pid, ProcessImage, StepTrace};
 
 /// A sandbox hosting multiple Wasm containers in one process.
 pub struct WasmSandbox {
@@ -37,9 +34,6 @@ pub struct WasmSandbox {
     engine: Option<LoadedEngine<'static>>,
     /// Bundles owned by this sandbox (destroyed with it).
     bundles: Vec<Bundle>,
-    /// Steps accumulated across sandbox + container startups, tagged with
-    /// the lifecycle phase each belongs to.
-    pub(crate) trace: StepTrace,
 }
 
 /// One container (module instance) inside a sandbox.
@@ -60,7 +54,6 @@ pub struct WasmSandboxer {
 
 /// Sandboxer process overhead (the kuasar-wasm-sandboxer daemon share).
 const SANDBOX_PROCESS_BASE: u64 = 640 << 10;
-const SANDBOX_CREATE: Duration = Duration::from_micros(4_000);
 
 impl WasmSandboxer {
     pub fn new(kernel: Kernel, engine: EngineKind) -> WasmSandboxer {
@@ -74,15 +67,12 @@ impl WasmSandboxer {
             .heap(SANDBOX_PROCESS_BASE, "sandbox-base")
             .build()?
             .detach();
-        let mut trace = StepTrace::new();
-        trace.push(Phase::Sandbox, Step::Cpu(SANDBOX_CREATE));
         Ok(WasmSandbox {
             pod_id: pod_id.to_string(),
             pid,
             containers: Vec::new(),
             engine: None,
             bundles: Vec::new(),
-            trace,
         })
     }
 
@@ -121,9 +111,8 @@ impl WasmSandboxer {
             let engine = match sandbox.engine {
                 Some(engine) => engine,
                 None => {
-                    let (engine, mut load) =
+                    let (engine, _) =
                         load_engine(&self.kernel, sandbox.pid, self.engine.profile(), opts)?;
-                    sandbox.trace.append(&mut load);
                     *sandbox.engine.insert(engine)
                 }
             };
@@ -131,14 +120,13 @@ impl WasmSandboxer {
             let fuel = DEFAULT_STARTUP_FUEL;
             run_module(&self.kernel, sandbox.pid, engine, module, &wasi, fuel, opts, fresh)
         })();
-        let mut run = started.inspect_err(|_| {
+        let run = started.inspect_err(|_| {
             // The sandbox process survives a failed guest and both stages
             // left it as they found it: only the bundle is ours to undo.
             let _ = bundle.destroy(&self.kernel);
         })?;
         bundle.release_spec();
         sandbox.bundles.push(bundle);
-        sandbox.trace.append(&mut run.trace);
         sandbox.containers.push(SandboxContainer {
             stdout: run.stdout,
             exit_code: run.exit_code,

@@ -215,10 +215,7 @@ impl Figure {
 /// different pods overlap under contention, so a row's sum exceeds its
 /// share of Fig. 8's wall-clock total.
 pub fn fig8_phases(workload: &Workload, n: usize) -> KernelResult<Table> {
-    // Columns are the frozen fault-free startup phases, not `Phase::ALL`:
-    // fault-only phases (teardown-after-fault) would otherwise widen this
-    // figure's CSV whenever the taxonomy grows.
-    let columns = Phase::STARTUP.iter().map(|p| p.label().to_string()).collect();
+    let columns = Phase::ALL.iter().map(|p| p.label().to_string()).collect();
     let mut table = Table::new(
         format!("Figure 8 (phase breakdown): mean per-pod busy time, {n} concurrent containers"),
         columns,
@@ -226,8 +223,7 @@ pub fn fig8_phases(workload: &Workload, n: usize) -> KernelResult<Table> {
     );
     for &config in &Config::ALL {
         let (_cluster, d) = deploy_density(config, n, workload)?;
-        let busy = d.mean_phase_busy();
-        let values = Phase::STARTUP.iter().map(|p| busy[p.index()].as_secs_f64()).collect();
+        let values = d.mean_phase_busy().iter().map(|busy| busy.as_secs_f64()).collect();
         table.row(config.label(), values, config.is_ours());
     }
     Ok(table)
@@ -322,16 +318,7 @@ mod tests {
     fn fig8_phases_shape() {
         let w = Workload::light();
         let t = fig8_phases(&w, 2).unwrap();
-        assert_eq!(t.columns.len(), Phase::STARTUP.len());
-        // Fault-only and termination phases are frozen out of the figure:
-        // its CSV must stay byte-identical as the lifecycle taxonomy grows.
-        for frozen_out in [Phase::TeardownAfterFault, Phase::Terminating] {
-            assert!(
-                !t.columns.iter().any(|c| c == frozen_out.label()),
-                "{} must not widen the fig8 phase CSV",
-                frozen_out.label()
-            );
-        }
+        assert_eq!(t.columns.len(), Phase::ALL.len());
         assert_eq!(t.rows.len(), Config::ALL.len());
         let api = Phase::ApiDispatch.index();
         let exec = Phase::Exec.index();

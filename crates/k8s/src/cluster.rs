@@ -432,7 +432,6 @@ impl Cluster {
             merged.restarted.append(&mut r.restarted);
             merged.backoff.append(&mut r.backoff);
             merged.probe_killed.append(&mut r.probe_killed);
-            merged.trace.append(&mut r.trace);
         }
         merged
     }
@@ -453,12 +452,10 @@ impl Cluster {
     /// Remove one pod wherever it lives (graceful: SIGTERM → grace →
     /// SIGKILL via its node's kubelet). Idempotent like
     /// [`Kubelet::remove_pod`]: removing a pod that is already gone
-    /// everywhere is a successful no-op. Returns the termination steps
-    /// recorded ([`simkernel::Phase::Terminating`]-tagged SIGTERM/SIGKILL
-    /// work).
-    pub fn remove_pod(&mut self, name: &str) -> KernelResult<simkernel::StepTrace> {
+    /// everywhere is a successful no-op.
+    pub fn remove_pod(&mut self, name: &str) -> KernelResult<()> {
         let Some(idx) = self.host_of(name) else {
-            return Ok(simkernel::StepTrace::new());
+            return Ok(());
         };
         let node = &mut self.nodes[idx];
         node.kubelet.remove_pod(&mut node.containerd, name)

@@ -208,10 +208,6 @@ pub struct ReconcileReport {
     /// the guest was epoch-interrupted, the pod torn down, and a backoff
     /// restart scheduled.
     pub probe_killed: Vec<String>,
-    /// Recovery work performed, tagged [`Phase::TeardownAfterFault`] —
-    /// deliberately kept out of the pods' startup traces so the figure
-    /// pipelines never see it.
-    pub(crate) trace: StepTrace,
 }
 
 impl ReconcileReport {
@@ -333,8 +329,9 @@ impl Kubelet {
     /// minutes — 10s, 20s, 40s, 80s, 160s, 300s, 300s, …
     pub(crate) fn backoff_delay(n: u32) -> Duration {
         const CAP_SECS: u64 = 300;
-        let secs = 10u64.checked_shl(n).map_or(CAP_SECS, |s| s.min(CAP_SECS));
-        Duration::from_secs(secs)
+        // 10 · 2⁵ is past the cap already; capping the exponent keeps the
+        // shift from pushing the set bits out (10 << 63 wraps to 0).
+        Duration::from_secs((10u64 << n.min(5)).min(CAP_SECS))
     }
 
     /// Whether a sync error is worth retrying: injected transient faults
@@ -578,9 +575,9 @@ impl Kubelet {
     }
 
     /// The one failure transition of a Running pod: stop its guest first
-    /// when liveness killed it, release its node resources, record the
-    /// recovery step, and move its entry into the failure phase `fault`
-    /// implies. The entry stays, so a restart re-syncs from its spec.
+    /// when liveness killed it, release its node resources, and move its
+    /// entry into the failure phase `fault` implies. The entry stays, so a
+    /// restart re-syncs from its spec.
     #[expect(clippy::disallowed_methods, reason = "the liveness kill is a sanctioned hard kill")]
     fn fail_pod(
         &mut self,
@@ -593,10 +590,9 @@ impl Kubelet {
         if fault == Fault::ProbeKilled {
             // Detect → interrupt → restart: the wedged (or unhealthy) guest
             // is stopped through its epoch clock before the teardown.
-            let _ = containerd.interrupt_pod(&name, Phase::TeardownAfterFault, &mut report.trace);
+            let _ = containerd.interrupt_pod(&name);
         }
         let _ = self.teardown_pod_resources(containerd, &name);
-        report.trace.push(Phase::TeardownAfterFault, Step::Cpu(cost::SYNC_CPU));
         let (phase, reported) = match fault {
             Fault::OomKilled => (PodPhase::OomKilled, &mut report.oom_killed),
             Fault::ProbeKilled => (PodPhase::CrashLoopBackOff, &mut report.probe_killed),
@@ -619,12 +615,11 @@ impl Kubelet {
         spec: &ProbeSpec,
         state: &mut ProbeState,
         now: SimTime,
-        trace: &mut StepTrace,
     ) -> (bool, bool) {
         let (mut passed, mut killed) = (false, false);
         while state.due <= now && !killed {
             state.due += spec.period;
-            if matches!(containerd.probe(pod, trace), Ok(true)) {
+            if matches!(containerd.probe(pod), Ok(true)) {
                 state.failures = 0;
                 passed = true;
             } else {
@@ -698,15 +693,13 @@ impl Kubelet {
             let e = self.pods.get_mut(&name).expect("selected from table");
             let mut kill = false;
             if let (Some(p), Some(mut st)) = (e.spec.liveness_probe, e.liveness) {
-                (_, kill) =
-                    Self::fire_probes(containerd, &name, &p, &mut st, now, &mut report.trace);
+                (_, kill) = Self::fire_probes(containerd, &name, &p, &mut st, now);
                 e.liveness = Some(st);
             }
             if kill {
                 self.fail_pod(containerd, name, Fault::ProbeKilled, now, &mut report);
             } else if let (Some(p), Some(mut st)) = (e.spec.readiness_probe, e.readiness) {
-                let (passed, unready) =
-                    Self::fire_probes(containerd, &name, &p, &mut st, now, &mut report.trace);
+                let (passed, unready) = Self::fire_probes(containerd, &name, &p, &mut st, now);
                 if unready {
                     st.failures = 0;
                     e.ready = false;
@@ -790,8 +783,7 @@ impl Kubelet {
     /// Idempotent and best-effort: every sub-step is attempted even when an
     /// earlier one fails (so a mid-teardown error cannot strand the rest),
     /// the first error is reported at the end, and removing a pod that is
-    /// already gone is a successful no-op. Returns the termination steps
-    /// it recorded ([`Phase::Terminating`]-tagged SIGTERM/SIGKILL work).
+    /// already gone is a successful no-op.
     #[expect(
         clippy::disallowed_methods,
         reason = "the grace-period escalation is a sanctioned hard kill"
@@ -800,32 +792,25 @@ impl Kubelet {
         &mut self,
         containerd: &mut Containerd,
         pod_name: &str,
-    ) -> KernelResult<StepTrace> {
+    ) -> KernelResult<()> {
         let entry = self.pods.remove(pod_name);
         if entry.is_some() && !self.infra_procs.contains_key(pod_name) {
             self.torn_down -= 1;
         }
         let grace =
             entry.and_then(|e| e.spec.termination_grace).unwrap_or(DEFAULT_TERMINATION_GRACE);
-        let mut trace = StepTrace::new();
         let mut first_err: Option<KernelError> = None;
-        match containerd.begin_pod_termination(pod_name, &mut trace) {
-            Ok(true) => {
-                // A wedged guest cannot run a SIGTERM handler: wait out the
-                // grace period on the simulated clock, then hard-kill.
-                self.kernel.advance(grace);
-                if let Err(e) = containerd.interrupt_pod(pod_name, Phase::Terminating, &mut trace) {
-                    first_err = Some(e);
-                }
-            }
-            Ok(false) => {}
-            Err(e) => first_err = Some(e),
+        if containerd.begin_pod_termination(pod_name) {
+            // A wedged guest cannot run a SIGTERM handler: wait out the
+            // grace period on the simulated clock, then hard-kill.
+            self.kernel.advance(grace);
+            first_err = containerd.interrupt_pod(pod_name).err();
         }
         if let Err(e) = self.teardown_pod_resources(containerd, pod_name) {
             first_err.get_or_insert(e);
         }
         match first_err {
-            None => Ok(trace),
+            None => Ok(()),
             Some(e) => Err(e),
         }
     }
@@ -883,6 +868,11 @@ mod tests {
         let secs: Vec<u64> =
             (0..8).map(|n| Kubelet::backoff_delay(n).as_nanos() / 1_000_000_000).collect();
         assert_eq!(secs, vec![10, 20, 40, 80, 160, 300, 300, 300]);
+        // Every attempt count, the ones whose shift would wrap included:
+        // the delay never falls and stays at the cap from attempt 5 on.
+        let delays: Vec<Duration> = (0..=64).map(Kubelet::backoff_delay).collect();
+        assert!(delays.windows(2).all(|w| w[0] <= w[1]), "{delays:?}");
+        assert!(delays[5..].iter().all(|&d| d == Duration::from_secs(300)), "{delays:?}");
         // Huge attempt counts saturate rather than overflow the shift.
         assert_eq!(Kubelet::backoff_delay(u32::MAX), Duration::from_secs(300));
     }

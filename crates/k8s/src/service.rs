@@ -39,7 +39,7 @@
 use std::collections::VecDeque;
 
 use simkernel::rng::SplitMix64;
-use simkernel::{Duration, KernelResult, SimTime, StepTrace};
+use simkernel::{Duration, KernelResult, SimTime};
 
 use crate::api::{DeploymentController, PodPhase};
 use crate::cluster::Cluster;
@@ -649,8 +649,7 @@ impl Service {
                 continue;
             }
             let node = &mut cluster.nodes[e.node];
-            let mut trace = StepTrace::new();
-            let ok = node.alive && node.containerd.probe(&e.pod, &mut trace)?;
+            let ok = node.alive && node.containerd.probe(&e.pod)?;
             if ok {
                 e.breaker.state = BreakerState::HalfOpen;
                 e.breaker.trial_inflight = false;

@@ -9,6 +9,9 @@
 //! insertion order (so DES results and figure CSVs are unchanged), while a
 //! per-phase breakdown of the startup latency — the `fig8_phases` report —
 //! falls out of the same data.
+//!
+//! A trace is a pod start's program and nothing else: teardown, SIGTERM and
+//! SIGKILL, health probes and breaker probes record no steps.
 
 use std::fmt;
 
@@ -43,39 +46,16 @@ pub enum Phase {
     Instantiate,
     /// Guest execution to first-ready.
     Exec,
-    /// Container/pod teardown.
+    /// Container/pod teardown. No step records it: only a pod start
+    /// records steps, and this is kept as the fig8 per-phase report's last
+    /// (zero) column.
     Teardown,
-    /// Teardown forced by a fault (OOM kill, eviction, failed sync
-    /// rollback) rather than an orderly remove — kept distinct so recovery
-    /// work never blends into the startup-phase breakdown.
-    TeardownAfterFault,
-    /// Graceful termination: SIGTERM delivery, grace-period wait, and the
-    /// escalation to SIGKILL when the guest ignores it. Like
-    /// [`Phase::TeardownAfterFault`], frozen out of the STARTUP prefix.
-    Terminating,
 }
 
 impl Phase {
-    pub const ALL: [Phase; 13] = [
-        Phase::ApiDispatch,
-        Phase::Sandbox,
-        Phase::Cni,
-        Phase::Volumes,
-        Phase::RuntimeOp,
-        Phase::EngineInit,
-        Phase::ModuleLoad,
-        Phase::Compile,
-        Phase::Instantiate,
-        Phase::Exec,
-        Phase::Teardown,
-        Phase::TeardownAfterFault,
-        Phase::Terminating,
-    ];
-
-    /// The phases a fault-free pod startup can produce — the column set of
-    /// the fig8 per-phase report, frozen so the figure stays byte-identical
-    /// as fault-only phases are appended to [`Phase::ALL`].
-    pub const STARTUP: [Phase; 11] = [
+    /// Every phase, in pipeline order: the column set of the fig8
+    /// per-phase report.
+    pub const ALL: [Phase; 11] = [
         Phase::ApiDispatch,
         Phase::Sandbox,
         Phase::Cni,
@@ -103,8 +83,6 @@ impl Phase {
             Phase::Instantiate => "instantiate",
             Phase::Exec => "exec",
             Phase::Teardown => "teardown",
-            Phase::TeardownAfterFault => "teardown-after-fault",
-            Phase::Terminating => "terminating",
         }
     }
 
@@ -122,8 +100,6 @@ impl Phase {
             Phase::Instantiate => 8,
             Phase::Exec => 9,
             Phase::Teardown => 10,
-            Phase::TeardownAfterFault => 11,
-            Phase::Terminating => 12,
         }
     }
 }
@@ -313,14 +289,5 @@ mod tests {
             assert!(seen.insert(p.label()), "duplicate label {}", p.label());
             assert_eq!(Phase::ALL[p.index()], p);
         }
-    }
-
-    #[test]
-    fn startup_is_a_prefix_of_all() {
-        // fig8 indexes phase_busy() with STARTUP phases; that only stays
-        // valid while STARTUP is an exact prefix of ALL.
-        assert_eq!(&Phase::ALL[..Phase::STARTUP.len()], &Phase::STARTUP[..]);
-        assert!(!Phase::STARTUP.contains(&Phase::TeardownAfterFault));
-        assert!(!Phase::STARTUP.contains(&Phase::Terminating));
     }
 }

@@ -8,7 +8,7 @@ use memwasm::harness::{Config, Workload};
 use memwasm::k8s_sim::{
     Cluster, ClusterStats, DeployOpts, DeploymentController, DeploymentSpec, Policy, RestartPolicy,
 };
-use memwasm::simkernel::{Duration, FreeReport, Phase, SimTime, StepTrace};
+use memwasm::simkernel::{Duration, FreeReport, SimTime};
 use memwasm::workloads::hung_service_image;
 
 const NODES: usize = 3;
@@ -130,7 +130,7 @@ fn a_fork_has_clocks_of_its_own() {
     assert_eq!((watchdog(&fork), fork.now()), (epoch, now));
     let containerd = &mut fork.node_mut(0).containerd;
     #[expect(clippy::disallowed_methods, reason = "the test stands in for the kubelet's kill")]
-    containerd.interrupt_pod("hung-0", Phase::Terminating, &mut StepTrace::new()).unwrap();
+    containerd.interrupt_pod("hung-0").unwrap();
     assert_eq!(watchdog(&fork), u64::MAX);
     assert_eq!(watchdog(&template), epoch);
 
