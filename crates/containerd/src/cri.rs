@@ -284,20 +284,12 @@ impl Containerd {
                 // Pause container through the low-level runtime. Failures
                 // past this point must not leak the shim or the pod cgroup.
                 let pause_result = (|| {
-                    let spec = RuntimeSpec::for_command(
-                        &format!("{pod_id}-pause"),
-                        vec!["/pause".to_string()],
-                    );
-                    let mut bundle = Bundle::create(
-                        &self.kernel,
-                        &format!("{pod_id}-pause"),
-                        &self.pause_image,
-                        spec,
-                    )?;
+                    let id = [pod_id, "-pause"].concat();
+                    let spec = RuntimeSpec::for_command(&id, vec!["/pause".to_string()]);
+                    let mut bundle = Bundle::create(&self.kernel, &id, &self.pause_image, spec)?;
                     let ctx = RuntimeCtx { runtime_cgroup: self.system_cgroup };
-                    let mut pause = runtime
-                        .create(&ctx, &format!("{pod_id}-pause"), &bundle, pod_cgroup)
-                        .inspect_err(|_| {
+                    let mut pause =
+                        runtime.create(&ctx, &id, &bundle, pod_cgroup).inspect_err(|_| {
                             let _ = bundle.destroy(&self.kernel);
                         })?;
                     if let Err(e) = runtime.start(&ctx, &mut pause, &bundle) {
@@ -318,7 +310,8 @@ impl Containerd {
                 };
                 // The pause container's runtime steps are sandbox assembly
                 // from the pod's point of view: retag them wholesale.
-                trace.extend(Phase::Sandbox, std::mem::take(&mut pause.trace).into_steps());
+                let steps = std::mem::take(&mut pause.trace);
+                trace.extend(Phase::Sandbox, steps.entries().map(|(_, step)| step));
                 (shim.detach(), Some(pause), Some(bundle))
             }
             RuntimeClass::Runwasi { engine, .. } => {
@@ -407,7 +400,7 @@ impl Containerd {
         let mut spec = RuntimeSpec::for_command(container_id, image.command());
         spec.process.env = image.config.env.clone();
         spec.linux.memory.limit = memory_limit;
-        spec.linux.cgroups_path = format!("/kubepods/{pod_id}/{container_id}");
+        spec.linux.cgroups_path = ["/kubepods/", pod_id, "/", container_id].concat();
         for (k, v) in &image.config.annotations {
             spec.annotations.insert(k.clone(), v.clone());
         }
@@ -480,12 +473,14 @@ impl Containerd {
             RuntimeClass::Oci { runtime } => {
                 let ctx = RuntimeCtx { runtime_cgroup: self.system_cgroup };
                 let oci = container.oci.as_mut().expect("oci class has container");
-                runtime.start(&ctx, oci, &container.bundle)?;
-                // `create` handed the create steps on, so what the runtime's
-                // record holds now is this start; nothing reads it there
-                // again, so steps, stdout and the watchdog clock (one holder
-                // per container) move rather than copy.
-                trace.append(&mut oci.trace);
+                // The runtime records into its container's trace: lend it
+                // the pod's for the start, so the steps land in place.
+                std::mem::swap(trace, &mut oci.trace);
+                let started = runtime.start(&ctx, oci, &container.bundle);
+                std::mem::swap(trace, &mut oci.trace);
+                started?;
+                // Nothing reads stdout or the watchdog clock (one holder per
+                // container) in the runtime's record again: they move.
                 container.stdout = std::mem::take(&mut oci.stdout);
                 container.wedged = oci.wedged;
                 container.epoch_clock = oci.epoch_clock.take();

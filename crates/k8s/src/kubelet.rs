@@ -408,7 +408,9 @@ impl Kubelet {
                 self.config.max_pods
             )));
         }
-        let mut trace = StepTrace::new();
+        // The start's one trace, which every layer below pushes into: room
+        // for a crun start's ~40 steps, the slack given back once it is up.
+        let mut trace = StepTrace::with_capacity(64);
         trace.push(Phase::ApiDispatch, Step::Io(cost::API_DISPATCH));
         trace.push(Phase::ApiDispatch, Step::Io(cost::QUEUE_IO));
         trace.push(Phase::ApiDispatch, Step::Cpu(cost::SYNC_CPU));
@@ -435,7 +437,7 @@ impl Kubelet {
             self.kernel.cgroup_set_io_read_budget(pod_cgroup, spec.io_read_budget)?;
         }
         let infra_pid =
-            ProcessImage::spawn(&self.kernel, format!("pod-infra:{}", spec.name), pod_cgroup)
+            ProcessImage::spawn(&self.kernel, ["pod-infra:", &spec.name].concat(), pod_cgroup)
                 .heap(POD_INFRA_BYTES, "pod-infra")
                 .build()?
                 .detach();
@@ -451,7 +453,7 @@ impl Kubelet {
         // CreateContainer + StartContainer. On failure the kubelet rolls
         // the pod back (sandbox, infra charge, bookkeeping) so a broken
         // image cannot leak node resources.
-        let cid = format!("{}-c0", spec.name);
+        let cid = [&spec.name, "-c0"].concat();
         // Arm the guest watchdog from the liveness-probe window: a guest
         // that would outlive `period × failureThreshold` is epoch-parked at
         // start rather than left spinning, so the probes that follow find a
@@ -463,30 +465,25 @@ impl Kubelet {
                 (WATCHDOG_BUDGET_ANNOTATION.to_string(), p.watchdog_budget().as_nanos().to_string())
             })
             .collect();
-        let result: KernelResult<StepTrace> = (|| {
-            let mut s = StepTrace::new();
-            s.push(Phase::RuntimeOp, Step::Io(cost::CRI_RPC));
+        let result: KernelResult<()> = (|| {
+            trace.push(Phase::RuntimeOp, Step::Io(cost::CRI_RPC));
             containerd.create_container_with(
                 &spec.name,
                 &cid,
                 &spec.image,
                 spec.memory_limit,
                 &watchdog,
-                &mut s,
+                &mut trace,
             )?;
-            s.push(Phase::RuntimeOp, Step::Io(cost::CRI_RPC));
-            containerd.start_container(&spec.name, &cid, &mut s)?;
-            Ok(s)
+            trace.push(Phase::RuntimeOp, Step::Io(cost::CRI_RPC));
+            containerd.start_container(&spec.name, &cid, &mut trace)
         })();
-        match result {
-            Ok(mut s) => trace.append(&mut s),
-            Err(e) => {
-                // Rollback is best-effort and must not shadow the original
-                // sync error: a second failure mid-teardown is dropped. Any
-                // supervision entry survives (reconcile retries from it).
-                let _ = self.teardown_pod_resources(containerd, &spec.name);
-                return Err(e);
-            }
+        if let Err(e) = result {
+            // Rollback is best-effort and must not shadow the original
+            // sync error: a second failure mid-teardown is dropped. Any
+            // supervision entry survives (reconcile retries from it).
+            let _ = self.teardown_pod_resources(containerd, &spec.name);
+            return Err(e);
         }
 
         let stdout = containerd.take_container_stdout(&spec.name, &cid);

@@ -40,7 +40,7 @@ pub struct ProcessSpec {
     pub args: Vec<String>,
     /// `KEY=VALUE` strings, as in the OCI spec.
     pub env: Vec<String>,
-    pub(crate) cwd: String,
+    pub(crate) cwd: &'static str,
     pub(crate) terminal: bool,
 }
 
@@ -57,17 +57,17 @@ impl ProcessSpec {
 /// `root` object.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct RootSpec {
-    pub(crate) path: String,
+    pub(crate) path: &'static str,
     pub(crate) readonly: bool,
 }
 
 /// One `mounts` entry.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub(crate) struct MountSpec {
-    pub(crate) destination: String,
-    pub(crate) source: String,
-    pub(crate) fstype: String,
-    pub(crate) options: Vec<String>,
+    pub(crate) destination: &'static str,
+    pub(crate) source: &'static str,
+    pub(crate) fstype: &'static str,
+    pub(crate) options: &'static [&'static str],
 }
 
 /// `linux.resources.memory`.
@@ -80,19 +80,20 @@ pub struct MemoryResources {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LinuxSpec {
     /// Namespace type names ("pid", "mount", "network", ...).
-    pub namespaces: Vec<String>,
+    pub namespaces: &'static [&'static str],
     pub cgroups_path: String,
     pub memory: MemoryResources,
 }
 
-/// A `config.json` runtime specification.
+/// A `config.json` runtime specification. What is the same in every
+/// container's spec is static: building one allocates only what names it.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RuntimeSpec {
-    pub(crate) oci_version: String,
+    pub(crate) oci_version: &'static str,
     pub process: ProcessSpec,
     pub(crate) root: RootSpec,
     pub(crate) hostname: String,
-    pub(crate) mounts: Vec<MountSpec>,
+    pub(crate) mounts: &'static [MountSpec],
     pub annotations: BTreeMap<String, String>,
     pub linux: LinuxSpec,
 }
@@ -100,28 +101,18 @@ pub struct RuntimeSpec {
 impl RuntimeSpec {
     /// A sensible default spec for a container executing `args`.
     pub fn for_command(id: &str, args: Vec<String>) -> RuntimeSpec {
+        static PROC: [MountSpec; 1] =
+            [MountSpec { destination: "/proc", source: "proc", fstype: "proc", options: &[] }];
         RuntimeSpec {
-            oci_version: "1.0.2".to_string(),
-            process: ProcessSpec { args, env: Vec::new(), cwd: "/".into(), terminal: false },
-            root: RootSpec { path: "rootfs".into(), readonly: true },
+            oci_version: "1.0.2",
+            process: ProcessSpec { args, env: Vec::new(), cwd: "/", terminal: false },
+            root: RootSpec { path: "rootfs", readonly: true },
             hostname: id.to_string(),
-            mounts: vec![MountSpec {
-                destination: "/proc".into(),
-                source: "proc".into(),
-                fstype: "proc".into(),
-                options: vec![],
-            }],
+            mounts: &PROC,
             annotations: BTreeMap::new(),
             linux: LinuxSpec {
-                namespaces: vec![
-                    "pid".into(),
-                    "mount".into(),
-                    "network".into(),
-                    "uts".into(),
-                    "ipc".into(),
-                    "cgroup".into(),
-                ],
-                cgroups_path: format!("/kubepods/{id}"),
+                namespaces: &["pid", "mount", "network", "uts", "ipc", "cgroup"],
+                cgroups_path: ["/kubepods/", id].concat(),
                 memory: MemoryResources::default(),
             },
         }
@@ -168,7 +159,7 @@ impl RuntimeSpec {
         out.push_str(",\"linux\":{\"cgroupsPath\":");
         write_string(&mut out, &self.linux.cgroups_path);
         out.push_str(",\"namespaces\":");
-        write_seq(&mut out, ['[', ']'], &self.linux.namespaces, |out, ns| {
+        write_seq(&mut out, ['[', ']'], self.linux.namespaces, |out, ns| {
             out.push_str("{\"type\":");
             write_string(out, ns);
             out.push('}');
@@ -179,29 +170,29 @@ impl RuntimeSpec {
             let _ = write!(out, ",\"resources\":{{\"memory\":{{\"limit\":{limit}}}}}");
         }
         out.push_str("},\"mounts\":");
-        write_seq(&mut out, ['[', ']'], &self.mounts, |out, m| {
+        write_seq(&mut out, ['[', ']'], self.mounts, |out, m| {
             out.push_str("{\"destination\":");
-            write_string(out, &m.destination);
+            write_string(out, m.destination);
             out.push_str(",\"options\":");
-            write_strings(out, &m.options);
+            write_strings(out, m.options);
             out.push_str(",\"source\":");
-            write_string(out, &m.source);
+            write_string(out, m.source);
             out.push_str(",\"type\":");
-            write_string(out, &m.fstype);
+            write_string(out, m.fstype);
             out.push('}');
         });
         out.push_str(",\"ociVersion\":");
-        write_string(&mut out, &self.oci_version);
+        write_string(&mut out, self.oci_version);
         out.push_str(",\"process\":{\"args\":");
         write_strings(&mut out, &self.process.args);
         out.push_str(",\"cwd\":");
-        write_string(&mut out, &self.process.cwd);
+        write_string(&mut out, self.process.cwd);
         out.push_str(",\"env\":");
         write_strings(&mut out, &self.process.env);
         out.push_str(",\"terminal\":");
         write_bool(&mut out, self.process.terminal);
         out.push_str("},\"root\":{\"path\":");
-        write_string(&mut out, &self.root.path);
+        write_string(&mut out, self.root.path);
         out.push_str(",\"readonly\":");
         write_bool(&mut out, self.root.readonly);
         out.push_str("}}");
@@ -217,8 +208,8 @@ impl From<&RuntimeSpec> for RuntimeSpec {
     }
 }
 
-fn write_strings(out: &mut String, items: &[String]) {
-    write_seq(out, ['[', ']'], items, |out, s| write_string(out, s));
+fn write_strings(out: &mut String, items: &[impl AsRef<str>]) {
+    write_seq(out, ['[', ']'], items, |out, s| write_string(out, s.as_ref()));
 }
 
 #[cfg(test)]
@@ -407,31 +398,38 @@ mod tests {
             (0..g.index(4)).map(|_| text(g)).collect()
         }
 
+        /// [`texts`] for a spec's static lists: the few kilobytes a run
+        /// draws are leaked.
+        fn static_texts(g: &mut SplitMix64) -> &'static [&'static str] {
+            texts(g).into_iter().map(|t| &*t.leak()).collect::<Vec<_>>().leak()
+        }
+
         /// Any spec at all: every string drawn from the escape set, any namespace
         /// names, any mounts, an absent limit or any `u64`, and every list, map
         /// and string sometimes empty.
         fn gen_spec(g: &mut SplitMix64) -> RuntimeSpec {
             RuntimeSpec {
-                oci_version: text(g),
+                oci_version: text(g).leak(),
                 process: ProcessSpec {
                     args: texts(g),
                     env: texts(g),
-                    cwd: text(g),
+                    cwd: text(g).leak(),
                     terminal: g.next_bool(),
                 },
-                root: RootSpec { path: text(g), readonly: g.next_bool() },
+                root: RootSpec { path: text(g).leak(), readonly: g.next_bool() },
                 hostname: text(g),
                 mounts: (0..g.index(3))
                     .map(|_| MountSpec {
-                        destination: text(g),
-                        source: text(g),
-                        fstype: text(g),
-                        options: texts(g),
+                        destination: text(g).leak(),
+                        source: text(g).leak(),
+                        fstype: text(g).leak(),
+                        options: static_texts(g),
                     })
-                    .collect(),
+                    .collect::<Vec<_>>()
+                    .leak(),
                 annotations: (0..g.index(4)).map(|_| (text(g), text(g))).collect(),
                 linux: LinuxSpec {
-                    namespaces: texts(g),
+                    namespaces: static_texts(g),
                     cgroups_path: text(g),
                     // Every magnitude equally often.
                     memory: MemoryResources {

@@ -37,8 +37,8 @@ pub struct Container {
     pub cgroup: CgroupId,
     /// Position in the shared OCI lifecycle state machine.
     pub state: Lifecycle,
-    /// Accumulated DES startup steps (create + start + workload), tagged
-    /// with the lifecycle phase each belongs to.
+    /// DES startup steps (create + start + workload) by lifecycle phase;
+    /// `start` pushes onto it, so a caller can lend it a trace of its own.
     pub trace: StepTrace,
     /// Captured workload stdout.
     pub stdout: Vec<u8>,
@@ -122,7 +122,7 @@ impl LowLevelRuntime {
         let kernel = &self.kernel;
         let p = self.profile;
         // Exec: map the runtime binary; first exec pays the cold read.
-        let rt = ProcessImage::spawn(kernel, format!("{}:{op}", p.name), ctx.runtime_cgroup)
+        let rt = ProcessImage::spawn(kernel, [p.name, ":", op].concat(), ctx.runtime_cgroup)
             .text(p.binary_path, p.binary_size, p.binary_resident(), p.name)
             .heap(p.startup_heap, "rt-heap")
             .build()?;
@@ -176,8 +176,8 @@ impl LowLevelRuntime {
                 // the runtime binary text and keeps a small private residual.
                 // The guard covers the window until unshare succeeds.
                 let init =
-                    ProcessImage::spawn(kernel, format!("container:{id}"), cgroup).build()?;
-                let kinds = namespace_kinds(&spec.linux.namespaces);
+                    ProcessImage::spawn(kernel, ["container:", id].concat(), cgroup).build()?;
+                let kinds = namespace_kinds(spec.linux.namespaces);
                 kernel.unshare(init.pid(), &kinds)?;
                 pid_slot = Some(init.detach());
                 trace.push(Phase::RuntimeOp, Step::Cpu(p.create_sandbox));
@@ -229,11 +229,11 @@ impl LowLevelRuntime {
             )));
         }
         let p = self.profile;
-        let mut trace = StepTrace::new();
         let mut outcome_slot: Option<HandlerOutcome> = None;
         let mut handler_name = "";
 
-        self.transient_runtime_op(ctx, "start", &mut trace, |kernel, rt_pid, trace| {
+        // The start's steps follow the create's in the container's trace.
+        self.transient_runtime_op(ctx, "start", &mut container.trace, |kernel, rt_pid, trace| {
             let spec = bundle.load_spec(kernel, rt_pid)?;
             let handler =
                 self.handlers.iter().find(|h| h.matches(&spec, bundle)).ok_or_else(|| {
@@ -268,7 +268,6 @@ impl LowLevelRuntime {
         })?;
 
         let outcome = outcome_slot.expect("set in start body");
-        container.trace.append(&mut trace);
         container.stdout = outcome.stdout;
         container.handler = handler_name;
         container.wedged = outcome.interrupted;
@@ -301,10 +300,10 @@ impl LowLevelRuntime {
 }
 
 /// Map OCI namespace names to kernel namespace kinds.
-fn namespace_kinds(names: &[String]) -> Vec<NamespaceKind> {
+fn namespace_kinds(names: &[&str]) -> Vec<NamespaceKind> {
     names
         .iter()
-        .filter_map(|n| match n.as_str() {
+        .filter_map(|&n| match n {
             "pid" => Some(NamespaceKind::Pid),
             "mount" => Some(NamespaceKind::Mount),
             "network" => Some(NamespaceKind::Network),

@@ -253,6 +253,7 @@ impl Sim {
             waiters: BTreeMap::new(),
             finished: 0,
             rts: Vec::with_capacity(n),
+            worklist: VecDeque::new(),
         };
         for (i, spec) in tasks.into_iter().enumerate() {
             run.timed.push(spec.start_at, i);
@@ -333,6 +334,7 @@ struct Run {
     holders: BTreeMap<LockId, usize>,
     waiters: BTreeMap<LockId, VecDeque<usize>>,
     finished: usize,
+    worklist: VecDeque<usize>,
 }
 
 struct TaskRt {
@@ -350,8 +352,8 @@ impl Run {
     /// recursive hand-off would overflow the stack when hundreds of
     /// waiters hold zero-width critical sections).
     fn resume(&mut self, start: usize, now: SimTime) {
-        let mut worklist: VecDeque<usize> = VecDeque::from([start]);
-        while let Some(i) = worklist.pop_front() {
+        self.worklist.push_back(start);
+        while let Some(i) = self.worklist.pop_front() {
             let rt = &mut self.rts[i];
             loop {
                 let Some(step) = rt.spec.steps.get(rt.pc) else {
@@ -384,7 +386,7 @@ impl Run {
                         assert_eq!(holder, Some(i), "task released a lock it does not hold");
                         if let Some(next) = self.waiters.get_mut(&l).and_then(VecDeque::pop_front) {
                             self.holders.insert(l, next);
-                            worklist.push_back(next);
+                            self.worklist.push_back(next);
                         }
                     }
                 }

@@ -70,14 +70,14 @@ use crate::trace::{Phase, StepTrace};
 use crate::vfs::FileId;
 use crate::{MapKind, MappingId};
 
-/// Declarative description of a process image: optional shared text plus any
-/// number of labeled private heaps. Built with [`ProcessImage::spawn`] (new
+/// Declarative description of a process image: optional shared text plus an
+/// optional labeled private heap. Built with [`ProcessImage::spawn`] (new
 /// process) or [`ProcessImage::attach`] (charge onto an existing one).
 pub struct ProcessImage<'k> {
     kernel: &'k Kernel,
     target: Target,
     text: Option<TextSpec>,
-    heaps: Vec<HeapSpec>,
+    heap: Option<HeapSpec>,
 }
 
 enum Target {
@@ -86,7 +86,7 @@ enum Target {
 }
 
 struct TextSpec {
-    path: String,
+    path: &'static str,
     map_len: u64,
     resident: u64,
     label: &'static str,
@@ -106,7 +106,7 @@ impl<'k> ProcessImage<'k> {
             kernel,
             target: Target::Spawn { name: name.into(), cgroup },
             text: None,
-            heaps: Vec::new(),
+            heap: None,
         }
     }
 
@@ -114,19 +114,19 @@ impl<'k> ProcessImage<'k> {
     /// init, an engine loaded inside a shim). The guard does not own the
     /// process and its drop is a no-op.
     pub fn attach(kernel: &'k Kernel, pid: Pid) -> Self {
-        ProcessImage { kernel, target: Target::Attach { pid }, text: None, heaps: Vec::new() }
+        ProcessImage { kernel, target: Target::Attach { pid }, text: None, heap: None }
     }
 
     /// Map the binary at `path` shared (`map_len` reserved, `resident` bytes
     /// touched) with page-cache cold-read accounting.
     pub fn text(
         mut self,
-        path: impl Into<String>,
+        path: &'static str,
         map_len: u64,
         resident: u64,
         label: &'static str,
     ) -> Self {
-        self.text = Some(TextSpec { path: path.into(), map_len, resident, label, shared: true });
+        self.text = Some(TextSpec { path, map_len, resident, label, shared: true });
         self
     }
 
@@ -134,52 +134,53 @@ impl<'k> ProcessImage<'k> {
     /// its own anonymous copy and the cold read is unconditional.
     pub fn text_private(
         mut self,
-        path: impl Into<String>,
+        path: &'static str,
         map_len: u64,
         resident: u64,
         label: &'static str,
     ) -> Self {
-        self.text = Some(TextSpec { path: path.into(), map_len, resident, label, shared: false });
+        self.text = Some(TextSpec { path, map_len, resident, label, shared: false });
         self
     }
 
-    /// Add a fully-touched private anonymous heap.
+    /// Give the image its fully-touched private anonymous heap (one per
+    /// image: a second call replaces the first).
     pub fn heap(mut self, bytes: u64, label: &'static str) -> Self {
-        self.heaps.push(HeapSpec { bytes, label });
+        self.heap = Some(HeapSpec { bytes, label });
         self
     }
 
     /// The private anonymous bytes this image will commit, page-rounded the
     /// way each individual touch will round them.
-    fn anon_footprint(text: &Option<TextSpec>, heaps: &[HeapSpec]) -> u64 {
+    fn anon_footprint(text: &Option<TextSpec>, heap: &Option<HeapSpec>) -> u64 {
         let page = |b: u64| crate::mem::round_up_pages(b, crate::kernel::PAGE_SIZE);
         let private_text =
             text.as_ref().filter(|t| !t.shared).map(|t| page(t.resident)).unwrap_or(0);
-        heaps.iter().map(|h| page(h.bytes)).sum::<u64>() + private_text
+        heap.as_ref().map_or(0, |h| page(h.bytes)) + private_text
     }
 
     /// Spawn (if needed) and charge the image. On any failure the spawned
     /// process is exited and reaped before the error is returned — a
     /// half-built image never leaks.
     pub fn build(self) -> KernelResult<ProcGuard<'k>> {
-        let ProcessImage { kernel, target, text, heaps } = self;
+        let ProcessImage { kernel, target, text, heap } = self;
         let mut guard = match target {
             Target::Spawn { name, cgroup } => {
                 // memory.max admission: check the image's anonymous
                 // footprint against the cgroup hierarchy *before* spawning
                 // or charging anything. An image that cannot fit is refused
                 // outright — no spawn, no partial charges, no OOM kill.
-                let anon = Self::anon_footprint(&text, &heaps);
+                let anon = Self::anon_footprint(&text, &heap);
                 if anon > 0 {
                     kernel.cgroup_check_charge(cgroup, anon)?;
                 }
-                let pid = kernel.spawn(&name, cgroup)?;
+                let pid = kernel.spawn(name, cgroup)?;
                 ProcGuard { kernel, pid, owned: true, cold_read: None }
             }
             Target::Attach { pid } => ProcGuard { kernel, pid, owned: false, cold_read: None },
         };
         if let Some(t) = &text {
-            let file = kernel.lookup(&t.path)?;
+            let file = kernel.lookup(t.path)?;
             guard.cold_read = if t.shared {
                 map_shared(kernel, guard.pid, file, t.map_len, t.resident, t.label)?
             } else {
@@ -190,7 +191,7 @@ impl<'k> ProcessImage<'k> {
                 Some(t.resident)
             };
         }
-        for h in &heaps {
+        if let Some(h) = &heap {
             let m = kernel.mmap_labeled(guard.pid, h.bytes, MapKind::AnonPrivate, h.label)?;
             kernel.touch(guard.pid, m, h.bytes)?;
         }

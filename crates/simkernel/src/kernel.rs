@@ -290,11 +290,7 @@ impl Kernel {
         if stat.file_bytes > 0 {
             st.cgroups.uncharge(cg, ChargeKind::File, stat.file_bytes);
             st.cgroups.charge(parent, ChargeKind::File, stat.file_bytes);
-            let ids: Vec<FileId> =
-                st.vfs.list_prefix("").filter(|f| f.charged_to == Some(cg)).map(|f| f.id).collect();
-            for id in ids {
-                st.vfs.get_mut(id).expect("listed file exists").charged_to = Some(parent);
-            }
+            st.vfs.recharge(cg, parent);
         }
         if st.cgroups.remove(cg) {
             Ok(())
@@ -405,7 +401,7 @@ impl Kernel {
 
     /// Spawn a process into `cgroup`. Other crates spawn through
     /// [`crate::ProcessImage`], which charges the image and owns the pid.
-    pub(crate) fn spawn(&self, name: &str, cgroup: CgroupId) -> KernelResult<Pid> {
+    pub(crate) fn spawn(&self, name: impl Into<String>, cgroup: CgroupId) -> KernelResult<Pid> {
         let mut st = self.st();
         st.check_power()?;
         if !st.cgroups.exists(cgroup) {
@@ -1127,6 +1123,11 @@ mod tests {
         /// Snapshot of the installed plan, with its call/injection counters.
         fn fault_plan(&self) -> FaultPlan {
             self.st().faults.clone()
+        }
+
+        /// The cgroup a file's page cache is charged to.
+        pub(crate) fn file_charge(&self, id: FileId) -> Option<CgroupId> {
+            self.st().vfs.get(id)?.charged_to
         }
 
         /// Has this kernel suffered a power loss?

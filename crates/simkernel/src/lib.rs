@@ -790,6 +790,83 @@ mod tests {
             });
         }
 
+        /// A bundle-like path: long shared prefixes, few distinct names, so
+        /// that creates collide with files that exist.
+        fn bundle_path(g: &mut SplitMix64) -> String {
+            const PODS: [&str; 4] = ["bench-1", "bench-12", "bench-123", "probe-7"];
+            const LEAVES: [&str; 4] =
+                ["config.json", "rootfs/app/main.wasm", "rootfs/app/main.py", "rootfs/app"];
+            let (pod, kind, leaf) = (g.index(4), g.index(2), g.index(4));
+            format!("/run/containers/{}-{}/{}", PODS[pod], ["c0", "pause"][kind], LEAVES[leaf])
+        }
+
+        /// The VFS path index is a `BTreeMap` from path to id: after any
+        /// sequence of creates (refused for a path that exists), lookups and
+        /// removes, every lookup equals the model's and `Vfs::check` holds.
+        #[test]
+        fn vfs_index_matches_a_btreemap_model() {
+            use crate::vfs::{FileContent, Vfs};
+
+            check("vfs_index_matches_a_btreemap_model", 64, |g| {
+                let mut vfs = Vfs::new();
+                let mut model: BTreeMap<String, crate::FileId> = BTreeMap::new();
+                for _ in 0..g.range_u64(1, 120) {
+                    let path = bundle_path(g);
+                    match g.index(3) {
+                        0 => {
+                            let made = vfs.create(&path, FileContent::Synthetic(1));
+                            assert_eq!(made.is_none(), model.contains_key(&path), "create {path}");
+                            if let Some(id) = made {
+                                model.insert(path, id);
+                            }
+                        }
+                        1 => assert_eq!(vfs.lookup(&path), model.get(&path).copied(), "{path}"),
+                        _ => {
+                            let removed = model.remove(&path).map(|id| vfs.remove(id));
+                            if let Some(removed) = removed {
+                                assert_eq!(removed.expect("modelled file exists").0.path, path);
+                            }
+                        }
+                    }
+                    vfs.check().unwrap();
+                    for (path, &id) in &model {
+                        assert_eq!(vfs.lookup(path), Some(id), "{path}");
+                    }
+                }
+            });
+        }
+
+        /// Removing a cgroup hands every file charged to it to its parent,
+        /// and no other file's charge moves.
+        #[test]
+        fn cgroup_remove_recharges_every_file_of_the_removed_cgroup() {
+            check("cgroup_remove_recharges_every_file_of_the_removed_cgroup", 32, |g| {
+                let k = Kernel::boot(KernelConfig::default());
+                let parent = k.cgroup_create(Kernel::ROOT_CGROUP, "pods").unwrap();
+                let pods: Vec<_> =
+                    (0..3).map(|i| k.cgroup_create(parent, &format!("pod-{i}")).unwrap()).collect();
+                let mut files = Vec::new();
+                for _ in 0..g.range_u64(1, 24) {
+                    let path = bundle_path(g);
+                    let f = k.ensure_file(&path, crate::vfs::FileContent::Synthetic(4096)).unwrap();
+                    let reader = pods[g.index(3)];
+                    let pid = ProcessImage::spawn(&k, "reader", reader).build().unwrap().detach();
+                    k.read_file(pid, f).unwrap();
+                    k.exit(pid, 0).unwrap();
+                    k.reap(pid).unwrap();
+                    files.push(f);
+                }
+                let gone = pods[g.index(3)];
+                let before: Vec<_> = files.iter().map(|&f| k.file_charge(f)).collect();
+                k.cgroup_remove(gone).unwrap();
+                for (&f, was) in files.iter().zip(before) {
+                    let now = if was == Some(gone) { Some(parent) } else { was };
+                    assert_eq!(k.file_charge(f), now, "{f:?}");
+                }
+                k.check_accounting().unwrap();
+            });
+        }
+
         /// An [`IdTable`] is a `BTreeMap` keyed by ids issued in increasing order:
         /// after any sequence of inserts (with gaps: ids drawn and never used),
         /// removes, reads and writes, its lookups, length and walk equal the

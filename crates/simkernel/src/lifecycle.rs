@@ -117,17 +117,13 @@ impl Lifecycle {
     }
 
     /// Begin graceful termination: a `Running` container moves to
-    /// `Terminating` (SIGTERM delivered, grace period started) and the call
-    /// reports `true`. Any other state — including an already-terminating
-    /// container — is left untouched, so re-delivering SIGTERM mid-grace is
-    /// a no-op rather than an error.
-    pub fn begin_termination(&mut self) -> bool {
-        match self.state {
-            LifecycleState::Running => {
-                self.state = LifecycleState::Terminating;
-                true
-            }
-            _ => false,
+    /// `Terminating` (SIGTERM delivered, grace period started). Any other
+    /// state — including an already-terminating container — is left
+    /// untouched, so re-delivering SIGTERM mid-grace is a no-op rather than
+    /// an error.
+    pub fn begin_termination(&mut self) {
+        if self.state == LifecycleState::Running {
+            self.state = LifecycleState::Terminating;
         }
     }
 
@@ -310,9 +306,10 @@ mod tests {
         // within the grace period (Stopped) or a hard kill (Failed).
         let mut lc = Lifecycle::new();
         lc.transition(LifecycleState::Running, "c").unwrap();
-        assert!(lc.begin_termination());
+        lc.begin_termination();
         assert_eq!(lc, LifecycleState::Terminating);
-        assert!(!lc.begin_termination(), "SIGTERM re-delivery is a no-op");
+        lc.begin_termination();
+        assert_eq!(lc, LifecycleState::Terminating, "SIGTERM re-delivery is a no-op");
 
         // Illegal resurrection and premature delete both rejected mid-grace.
         assert!(lc.transition(LifecycleState::Running, "c").is_err());
@@ -328,7 +325,8 @@ mod tests {
         // Grace period lapses: escalation to SIGKILL is a fault exit.
         let mut lc = Lifecycle::new();
         lc.transition(LifecycleState::Running, "c").unwrap();
-        assert!(lc.begin_termination());
+        lc.begin_termination();
+        assert_eq!(lc, LifecycleState::Terminating);
         assert!(lc.fail());
         assert_eq!(lc, LifecycleState::Failed);
 
@@ -376,9 +374,8 @@ mod tests {
                         }
                     }
                     6 => {
-                        let acted = lc.begin_termination();
-                        assert_eq!(acted, before == LifecycleState::Running);
-                        if acted {
+                        lc.begin_termination();
+                        if before == LifecycleState::Running {
                             assert_eq!(lc.state(), LifecycleState::Terminating);
                         } else {
                             assert_eq!(lc.state(), before, "SIGTERM re-delivery mutated state");

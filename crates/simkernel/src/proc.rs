@@ -59,10 +59,10 @@ pub(crate) struct Process {
 }
 
 impl Process {
-    pub(crate) fn new(pid: Pid, name: &str, cgroup: CgroupId) -> Self {
+    pub(crate) fn new(pid: Pid, name: impl Into<String>, cgroup: CgroupId) -> Self {
         Process {
             pid,
-            name: name.to_string(),
+            name: name.into(),
             cgroup,
             state: ProcState::Running,
             owned_namespaces: Vec::new(),

@@ -94,6 +94,11 @@ impl<K: TableId, V> IdTable<K, V> {
         self.slots.iter().filter_map(|s| s.as_deref())
     }
 
+    /// Every value, mutably, in id order.
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
+        self.slots.iter_mut().filter_map(|s| s.as_deref_mut())
+    }
+
     /// Compare the occupied-slot counter against a walk over the slots.
     pub(crate) fn check(&self, what: &str) -> Result<(), String> {
         let walked = self.values().count();

@@ -162,6 +162,12 @@ impl StepTrace {
         StepTrace { entries: Vec::new() }
     }
 
+    /// An empty trace with room for `steps` records, allocated once: a
+    /// start whose layers all push into one trace need not grow it.
+    pub fn with_capacity(steps: usize) -> StepTrace {
+        StepTrace { entries: Vec::with_capacity(steps) }
+    }
+
     pub fn push(&mut self, phase: Phase, step: Step) {
         self.entries.push(Entry::new(phase, step));
     }
@@ -172,8 +178,12 @@ impl StepTrace {
 
     /// Move every record from `other` onto the end of `self`, keeping
     /// `other`'s phase attribution. `other` is left empty and holding no
-    /// buffer: a drained trace often lives as long as its pod.
+    /// buffer: a drained trace often lives as long as its pod. An empty
+    /// `self` takes `other`'s buffer whole.
     pub fn append(&mut self, other: &mut StepTrace) {
+        if self.entries.is_empty() {
+            std::mem::swap(&mut self.entries, &mut other.entries);
+        }
         self.entries.append(&mut std::mem::take(&mut other.entries));
     }
 
@@ -191,10 +201,6 @@ impl StepTrace {
     /// consumes; byte-identical to the pre-trace plumbing).
     pub fn steps(&self) -> Vec<Step> {
         self.entries.iter().map(|e| e.step()).collect()
-    }
-
-    pub fn into_steps(self) -> Vec<Step> {
-        self.entries.into_iter().map(Entry::step).collect()
     }
 
     /// Busy time (CPU + I/O; lock steps carry no duration) charged to each
@@ -247,6 +253,17 @@ mod tests {
         assert_eq!(a.entries().nth(1).map(|(p, _)| p), Some(Phase::Compile));
     }
 
+    #[test]
+    fn append_into_an_empty_trace_takes_the_donor_buffer() {
+        let mut donor = StepTrace::new();
+        donor.push(Phase::Exec, Step::Cpu(Duration::from_micros(1)));
+        let buffer = donor.entries.as_ptr();
+        let mut t = StepTrace::new();
+        t.append(&mut donor);
+        assert_eq!(t.entries.as_ptr(), buffer);
+        assert_eq!(donor.entries.capacity(), 0);
+    }
+
     /// A record costs 16 bytes, and reads and prints as the pair it packs.
     #[test]
     fn a_record_is_a_step_with_its_phase_in_the_padding() {
@@ -266,7 +283,7 @@ mod tests {
             Phase::ALL.into_iter().zip(steps.iter().cloned().cycle()).collect();
         assert_eq!(t.entries().collect::<Vec<_>>(), pairs);
         assert_eq!(format!("{t:?}"), format!("StepTrace {{ entries: {pairs:?} }}"));
-        assert_eq!(t.clone().into_steps(), t.steps());
+        assert_eq!(t.entries().map(|(_, s)| s).collect::<Vec<_>>(), t.steps());
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! Both kinds participate identically in page-cache accounting, which is
 //! what the memory experiments observe.
 
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+
 use bytelite::Bytes;
 
 use crate::cgroup::CgroupId;
@@ -69,15 +71,17 @@ impl File {
     }
 }
 
-/// The filesystem: a flat, sorted path namespace (directories are implicit
+/// The filesystem: a flat path namespace (directories are implicit
 /// prefixes, which is all the container stack needs for bundles and images).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Vfs {
     next_id: u64,
     files: IdTable<FileId, File>,
-    /// Every file's id, sorted by the file's own path: the path is stored
-    /// once, in the file.
-    by_path: Vec<FileId>,
+    /// Every file's id under a 32-bit hash of its path, sorted: a lookup
+    /// binary-searches one flat array of 8-byte entries and compares paths
+    /// only where a hash matches. The path is stored once, in the file.
+    /// Nothing walks the index, so its order reaches no output.
+    by_path: Vec<(u32, u32)>,
     /// Running sum of every file's `cached_bytes`.
     cached_total: u64,
 }
@@ -89,7 +93,8 @@ impl Vfs {
 
     /// Create a file. Returns `None` if the path already exists.
     pub(crate) fn create(&mut self, path: &str, content: FileContent) -> Option<FileId> {
-        let at = self.find(path).err()?;
+        let hash = path_hash(path);
+        let at = self.find(hash, path).err()?;
         let id = FileId(self.next_id);
         self.next_id += 1;
         self.files.insert(
@@ -103,17 +108,17 @@ impl Vfs {
                 map_refs: 0,
             },
         );
-        self.by_path.insert(at, id);
+        self.by_path.insert(at, (hash, slot(id)));
         Some(id)
     }
 
-    /// Where `path` is in the path index (`Ok`) or would be inserted (`Err`).
-    fn find(&self, path: &str) -> Result<usize, usize> {
-        self.by_path.binary_search_by(|&id| self.path(id).cmp(path))
-    }
-
-    fn path(&self, id: FileId) -> &str {
-        &self.files.get(id).expect("indexed files exist").path
+    /// Where `path`, of hash `hash`, is in the path index (`Ok`), or where a
+    /// new file's entry for it goes (`Err`: after every entry of its hash).
+    fn find(&self, hash: u32, path: &str) -> Result<usize, usize> {
+        let start = self.by_path.partition_point(|&(h, _)| h < hash);
+        let end = start + self.by_path[start..].partition_point(|&(h, _)| h == hash);
+        let named = |e| self.files.get(file(e)).is_some_and(|f| f.path == path);
+        (start..end).find(|&at| named(&self.by_path[at])).ok_or(end)
     }
 
     /// Replace the contents of an existing file, dropping its cache.
@@ -154,12 +159,13 @@ impl Vfs {
     }
 
     pub(crate) fn lookup(&self, path: &str) -> Option<FileId> {
-        self.find(path).ok().map(|at| self.by_path[at])
+        self.find(path_hash(path), path).ok().map(|at| file(&self.by_path[at]))
     }
 
     /// Remove a file; returns the bytes that were cached (for uncharging).
     pub(crate) fn remove(&mut self, id: FileId) -> Option<(File, u64)> {
-        let at = self.find(&self.files.get(id)?.path).expect("every file is indexed");
+        let entry = (path_hash(&self.files.get(id)?.path), slot(id));
+        let at = self.by_path.binary_search(&entry).expect("every file is indexed");
         self.by_path.remove(at);
         let f = self.files.remove(id).expect("found above");
         let cached = f.cached_bytes;
@@ -167,16 +173,12 @@ impl Vfs {
         Some((f, cached))
     }
 
-    /// All files whose path starts with `prefix`, in path order.
-    pub(crate) fn list_prefix<'a>(
-        &'a self,
-        prefix: &'a str,
-    ) -> impl Iterator<Item = &'a File> + 'a {
-        let start = self.by_path.partition_point(|&id| self.path(id) < prefix);
-        self.by_path[start..]
-            .iter()
-            .map(|&id| self.files.get(id).expect("indexed files exist"))
-            .take_while(move |f| f.path.starts_with(prefix))
+    /// Charge every file charged to `from` to `to` instead: a removed
+    /// cgroup's page cache moves to its parent.
+    pub(crate) fn recharge(&mut self, from: CgroupId, to: CgroupId) {
+        for f in self.files.values_mut().filter(|f| f.charged_to == Some(from)) {
+            f.charged_to = Some(to);
+        }
     }
 
     /// Total bytes resident in the page cache across all files.
@@ -190,7 +192,8 @@ impl Vfs {
     }
 
     /// Compare the running total against a walk over every file, and the
-    /// path index against the files table: a bijection, in path order.
+    /// path index against the files table: a bijection, sorted, each entry
+    /// under its file's path hash, and each path naming one file.
     pub(crate) fn check(&self) -> Result<(), String> {
         let walked = self.recount_cached();
         if self.cached_total != walked {
@@ -200,14 +203,11 @@ impl Vfs {
             ));
         }
         self.files.check("files")?;
-        if let Some(id) = self.by_path.iter().find(|&&id| !self.files.contains(id)) {
-            return Err(format!("path index: {id:?} names no file"));
+        if let Some(e) = self.by_path.iter().find(|e| !self.files.contains(file(e))) {
+            return Err(format!("path index: {:?} names no file", file(e)));
         }
-        if let Some(w) = self.by_path.windows(2).find(|w| self.path(w[0]) >= self.path(w[1])) {
-            return Err(format!(
-                "path index: {:?} is indexed out of order or twice",
-                self.path(w[1])
-            ));
+        if let Some(w) = self.by_path.windows(2).find(|w| w[0] >= w[1]) {
+            return Err(format!("path index: {:?} is indexed out of order or twice", w[1]));
         }
         if self.by_path.len() != self.files.len() {
             return Err(format!(
@@ -231,9 +231,35 @@ impl Vfs {
     }
 }
 
+/// A path's key in the index: SipHash under std's fixed keys, so the index
+/// is the same in every run (the kernel draws no OS randomness).
+fn path_hash(path: &str) -> u32 {
+    BuildHasherDefault::<DefaultHasher>::default().hash_one(path) as u32
+}
+
+/// A file id as an index entry holds it. Ids are slots of an `IdTable`, so
+/// one past 2³² would already have cost the table 32 GiB of slots.
+fn slot(id: FileId) -> u32 {
+    u32::try_from(id.0).expect("file ids stay below 2^32")
+}
+
+fn file(&(_, id): &(u32, u32)) -> FileId {
+    FileId(id.into())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Vfs {
+        /// All files whose path starts with `prefix`, in path order.
+        pub(crate) fn list_prefix(&self, prefix: &str) -> impl Iterator<Item = &File> {
+            let mut listed: Vec<&File> =
+                self.files.values().filter(|f| f.path.starts_with(prefix)).collect();
+            listed.sort_by(|a, b| a.path.cmp(&b.path));
+            listed.into_iter()
+        }
+    }
 
     fn bytes(s: &str) -> FileContent {
         FileContent::Bytes(Bytes::copy_from_slice(s.as_bytes()))
@@ -269,6 +295,25 @@ mod tests {
         vfs.create("/other", FileContent::Synthetic(1)).unwrap();
         let names: Vec<_> = vfs.list_prefix("/img/").map(|f| f.path.clone()).collect();
         assert_eq!(names, vec!["/img/a", "/img/b"]);
+    }
+
+    /// Paths under one hash are told apart by their text, and a new path of
+    /// that hash goes after them.
+    #[test]
+    fn paths_sharing_a_hash_are_told_apart() {
+        let mut vfs = Vfs::new();
+        vfs.create("/a", FileContent::Synthetic(1)).unwrap();
+        vfs.create("/b", FileContent::Synthetic(1)).unwrap();
+        for entry in &mut vfs.by_path {
+            entry.0 = 7;
+        }
+        vfs.by_path.sort();
+        assert_eq!(
+            (vfs.find(7, "/a"), vfs.find(7, "/b"), vfs.find(7, "/c")),
+            (Ok(0), Ok(1), Err(2))
+        );
+        assert_eq!(vfs.find(6, "/a"), Err(0));
+        assert_eq!(vfs.find(8, "/a"), Err(2));
     }
 
     #[test]

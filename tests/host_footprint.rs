@@ -1,6 +1,7 @@
 //! What a resident simulated pod costs the *host*: live heap bytes and live
 //! heap blocks per pod after `Cluster::deploy`, how many allocations
-//! starting it made, and nothing left after teardown.
+//! starting it made, how many simulating its start made, and nothing left
+//! after teardown.
 //!
 //! The program is single-threaded and deterministic, so the bytes it has
 //! requested from the allocator and not yet returned repeat exactly from
@@ -105,11 +106,14 @@ fn reading() -> Reading {
 const NODES: usize = 5;
 const PODS: usize = 1_000;
 
-/// What one boot → warm-up → deploy → teardown → drop cycle read.
+/// What one boot → warm-up → deploy → simulate → teardown → drop cycle read.
 struct Cycle {
     /// What `deploy` added, with the `Deployment` it returned still held —
     /// as `measure_scale` holds it.
     deployed: Reading,
+    /// Allocations `measure_startup` made over the deployment, and the DES
+    /// events it ran.
+    simulated: (usize, u64),
     /// Live bytes after teardown and drop, over the pre-bootstrap reading.
     left_over: isize,
 }
@@ -129,6 +133,8 @@ fn cycle(config: Config, workload: &Workload, pods: usize) -> KernelResult<Cycle
     let before = reading();
     let deployment = cluster.deploy("bench", config.image_ref(), config.class_name(), pods)?;
     let after = reading();
+    let events = cluster.measure_startup(&[&deployment]).events;
+    let simulated = (reading().allocations - after.allocations, events);
     cluster.teardown(deployment)?;
     drop(cluster);
     let end = reading();
@@ -138,6 +144,7 @@ fn cycle(config: Config, workload: &Workload, pods: usize) -> KernelResult<Cycle
             blocks: after.blocks - before.blocks,
             allocations: after.allocations - before.allocations,
         },
+        simulated,
         left_over: end.bytes as isize - start.bytes as isize,
     })
 }
@@ -148,11 +155,11 @@ fn cycle(config: Config, workload: &Workload, pods: usize) -> KernelResult<Cycle
 /// more one-entry B-tree leaf per pod (≥ 368 B), or a dozen more boxes per
 /// start, does not fit.
 ///
-/// | config | bytes / blocks per pod | before `config.json` was a size | before id-indexed tables | when the test was written | allocations per start | before bundles kept their spec | before guests were replayed |
-/// |---|---|---|---|---|---|---|---|
-/// | crun-wamr | 4 723.9 / 31.3 | 5 739.8 / 33.3 | 7 989.2 / 38.1 | 19 908.2 / 87.6 | 159 | 267 | 334 |
-/// | shim-wasmtime | 3 488.4 / 16.3 | 4 064.3 / 17.3 | 5 348.4 / 21.1 | 14 780.3 / 66.6 | 73 | 80 | 147 |
-/// | crun-wasmtime | 5 250.7 / 31.3 | 6 266.6 / 33.3 | 8 537.3 / 38.1 | 20 123.2 / 88.6 | 163 | 271 | 338 |
+/// | config | bytes / blocks per pod | before `config.json` was a size | before id-indexed tables | when the test was written | allocations per start | before a start built only what it keeps | before bundles kept their spec | before guests were replayed |
+/// |---|---|---|---|---|---|---|---|---|
+/// | crun-wamr | 4 723.9 / 31.3 | 5 739.8 / 33.3 | 7 989.2 / 38.1 | 19 908.2 / 87.6 | 82 | 159 | 267 | 334 |
+/// | shim-wasmtime | 3 488.4 / 16.3 | 4 064.3 / 17.3 | 5 348.4 / 21.1 | 14 780.3 / 66.6 | 44 | 73 | 80 | 147 |
+/// | crun-wasmtime | 5 250.7 / 31.3 | 6 266.6 / 33.3 | 8 537.3 / 38.1 | 20 123.2 / 88.6 | 86 | 163 | 271 | 338 |
 ///
 /// The third column is a tree whose bundles wrote each `config.json` as
 /// its text and kept the buffer until the container started: about 1 KB
@@ -162,16 +169,24 @@ fn cycle(config: Config, workload: &Workload, pods: usize) -> KernelResult<Cycle
 /// image and runtime class, and a 24-byte trace record. The fifth is the
 /// tree with a `BTreeMap` per process and per sandbox, two rootfs maps per
 /// bundle, a `String` per mapping label and traces left at their growth
-/// capacity. The seventh is a crun pod start that parses the two
+/// capacity. The seventh is a start that grows a step trace per layer and
+/// copies each into its caller's, builds every constant of two OCI specs
+/// and of eight process images anew, and formats each process name and
+/// then copies it. The eighth is a crun pod start that parses the two
 /// `config.json` documents it has just written twice each. The last is a
 /// start that builds a WASI context, fifteen boxed host functions with
 /// their names, an instance and a linear memory for a guest the process
 /// has already run.
 const BUDGETS: [(Config, usize, usize, usize); 3] = [
-    (Config::WamrCrun, 4_900, 33, 164),
-    (Config::ShimWasmtime, 3_600, 18, 76),
-    (Config::CrunWasmtime, 5_450, 33, 168),
+    (Config::WamrCrun, 4_900, 32, 85),
+    (Config::ShimWasmtime, 3_600, 17, 46),
+    (Config::CrunWasmtime, 5_450, 32, 89),
 ];
+
+/// Allocations `measure_startup` may make per pod it simulates: the task's
+/// name and steps, and a share of the growth of per-node buffers — not one
+/// per DES event (about 36 a crun pod).
+const SIMULATION_ALLOCATIONS_PER_POD: usize = 3;
 
 /// What may stay live after a cycle: process-wide caches that a second
 /// cycle can still grow by a rounding step, never anything per pod.
@@ -238,6 +253,20 @@ fn a_resident_pod_costs_the_host_what_it_holds_and_teardown_returns_it() {
             "{}: {:.1} allocations per pod start, budget {allocations}",
             config.label(),
             per_pod(c.deployed.allocations)
+        );
+        let (simulated, events) = c.simulated;
+        println!(
+            "{:<24} {:>8.1} allocations/pod to simulate the start, {:.1} DES events/pod",
+            config.label(),
+            per_pod(simulated),
+            events as f64 / PODS as f64
+        );
+        assert!(
+            simulated <= SIMULATION_ALLOCATIONS_PER_POD * PODS,
+            "{}: measure_startup made {:.1} allocations per pod, budget {}",
+            config.label(),
+            per_pod(simulated),
+            SIMULATION_ALLOCATIONS_PER_POD
         );
         assert!(
             c.left_over <= LEFT_OVER_BYTES,
