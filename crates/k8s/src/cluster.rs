@@ -41,7 +41,7 @@ use crate::api::{
 };
 use crate::kubelet::{Kubelet, NodeConfig, ReconcileReport, RestartPolicy};
 use crate::node::{Node, NodeCondition};
-use crate::scheduler::{Policy, Scheduler};
+use crate::scheduler::{NodeSnapshot, Policy, Scheduler};
 use crate::service::Service;
 
 /// Lease-based failure detection, on Kubernetes' defaults: how often a
@@ -351,10 +351,13 @@ impl Cluster {
         // must not back-date its pods to boot.
         let base = self.now();
         let (image, runtime_class) = (Arc::from(image), Arc::from(runtime_class));
+        // A pod start changes only its node: only that one is re-observed.
+        let mut snaps: Vec<NodeSnapshot> =
+            self.nodes.iter().map(|n| self.scheduler.observe(n)).collect();
         for i in 0..n {
             let dispatched_at = base + DISPATCH_GAP.scaled(i as u64);
             let spec = opts.pod_spec(format!("{name_prefix}-{i}"), &image, &runtime_class);
-            let idx = self.place_pod()?;
+            let idx = self.place_pod(&snaps)?;
             let node = &mut self.nodes[idx];
             match opts.restart {
                 RestartPolicy::Never => {
@@ -367,13 +370,16 @@ impl Cluster {
                     node.kubelet.manage_pod(&mut node.containerd, spec, dispatched_at);
                 }
             }
+            snaps[idx] = self.scheduler.observe(&self.nodes[idx]);
         }
         Ok(deployment)
     }
 
     /// Scheduler decision for one pod (the single placement choke point).
-    fn place_pod(&self) -> KernelResult<usize> {
-        self.scheduler.place(&self.nodes).ok_or_else(|| {
+    fn place_pod(&self, snaps: &[NodeSnapshot]) -> KernelResult<usize> {
+        let idx = self.scheduler.place_from(snaps.iter().copied());
+        debug_assert_eq!(idx, self.scheduler.place(&self.nodes), "stale node snapshot");
+        idx.ok_or_else(|| {
             KernelError::InvalidState(
                 "scheduler: no feasible node (every node cordoned, NotReady or at max-pods)"
                     .to_string(),
@@ -483,14 +489,17 @@ impl Cluster {
     /// Each node is its own core pool: pods contend for CPU only with
     /// pods on the same node, so a run is one [`Sim`] per node with the
     /// cluster makespan the maximum over nodes.
+    ///
+    /// A node's schedule is its core count and, for each of its pods in
+    /// order, the pod's dispatch offset from the node's first dispatch and
+    /// its step trace. [`Sim::run`] is translation-invariant, so a node
+    /// whose schedule equals an earlier node's takes that node's outcome
+    /// shifted by the difference of their first dispatches, its events
+    /// counted again: only the first node of each distinct schedule is
+    /// simulated, and the outcome is what simulating every node gives.
     pub fn measure_startup(&self, deployments: &[&Deployment]) -> SimOutcome {
         let pods: Vec<&crate::api::PodRecord> =
             deployments.iter().flat_map(|d| d.pods.iter()).collect();
-        let task_for = |p: &crate::api::PodRecord| TaskSpec {
-            name: p.spec.name.clone(),
-            start_at: p.dispatched_at,
-            steps: p.trace.steps(),
-        };
 
         // Group pods by node, remembering their position in the input
         // order so results come back in deployment order with global ids.
@@ -498,25 +507,54 @@ impl Cluster {
         for (pos, p) in pods.iter().enumerate() {
             per_node[p.node].push(pos);
         }
-        let mut results: Vec<Option<TaskResult>> = (0..pods.len()).map(|_| None).collect();
-        let mut makespan = SimTime::ZERO;
-        let mut events = 0u64;
-        for (node, members) in per_node.iter().enumerate() {
-            if members.is_empty() {
-                continue;
-            }
-            let tasks: Vec<TaskSpec> = members.iter().map(|&pos| task_for(pods[pos])).collect();
-            let out = Sim::new(self.nodes[node].kernel.cores()).run(tasks);
-            makespan = makespan.max(out.makespan);
+        let first: Vec<SimTime> = per_node
+            .iter()
+            .map(|m| m.iter().map(|&pos| pods[pos].dispatched_at).min().unwrap_or(SimTime::ZERO))
+            .collect();
+        let cores: Vec<u32> = self.nodes.iter().map(|n| n.kernel.cores()).collect();
+        let same_schedule = |a: usize, b: usize| {
+            let (pa, pb) = (&per_node[a], &per_node[b]);
+            cores[a] == cores[b]
+                && pa.len() == pb.len()
+                && pa.iter().zip(pb).all(|(&x, &y)| {
+                    let (x, y) = (pods[x], pods[y]);
+                    x.dispatched_at - first[a] == y.dispatched_at - first[b] && x.trace == y.trace
+                })
+        };
+
+        // Each distinct schedule's first node, with that node's outcome.
+        let mut simulated: Vec<(usize, SimOutcome)> = Vec::new();
+        let mut finished = vec![SimTime::ZERO; pods.len()];
+        let (mut makespan, mut events) = (SimTime::ZERO, 0);
+        for (node, members) in per_node.iter().enumerate().filter(|(_, m)| !m.is_empty()) {
+            let known = simulated.iter().position(|&(origin, _)| same_schedule(origin, node));
+            let (origin, out) = match known {
+                Some(i) => &simulated[i],
+                None => {
+                    let tasks = members.iter().map(|&pos| TaskSpec {
+                        name: String::new(),
+                        start_at: pods[pos].dispatched_at,
+                        steps: pods[pos].trace.steps(),
+                    });
+                    simulated.push((node, Sim::new(cores[node]).run(tasks.collect())));
+                    &simulated[simulated.len() - 1]
+                }
+            };
+            let shift = |t: SimTime| first[node] + (t - first[*origin]);
+            makespan = makespan.max(shift(out.makespan));
             events += out.events;
-            for (local, r) in out.results.into_iter().enumerate() {
-                let pos = members[local];
-                results[pos] = Some(TaskResult { id: simkernel::TaskId(pos), ..r });
+            for (r, &pos) in out.results.iter().zip(members) {
+                finished[pos] = shift(r.finished);
             }
         }
-        let results: Vec<TaskResult> =
-            results.into_iter().map(|r| r.expect("every pod simulated")).collect();
-        SimOutcome { results, makespan, events }
+        let results =
+            pods.iter().zip(finished).enumerate().map(|(pos, (p, finished))| TaskResult {
+                id: simkernel::TaskId(pos),
+                name: p.spec.name.clone(),
+                started: p.dispatched_at,
+                finished,
+            });
+        SimOutcome { results: results.collect(), makespan, events }
     }
 
     /// Average metrics-server working set per pod in bytes, reading each
@@ -836,7 +874,7 @@ mod tests {
     use container_runtimes::handler::PauseHandler;
     use container_runtimes::profile::CRUN;
     use container_runtimes::LowLevelRuntime;
-    use simkernel::ProcessImage;
+    use simkernel::{ProcessImage, StepTrace};
     use wamr_crun::{WamrCrunConfig, WamrHandler};
 
     fn microservice() -> Vec<u8> {
@@ -950,6 +988,98 @@ mod tests {
         let d = cluster.deploy("web", "svc:v1", "crun-wamr", 6).unwrap();
         assert!(d.pods.iter().all(|p| p.node == 0));
         cluster.teardown(d).unwrap();
+    }
+
+    /// `n` pods on `nodes` alone: every other node is cordoned meanwhile.
+    fn deploy_on(cluster: &mut Cluster, nodes: &[usize], name: &str, n: usize) -> Deployment {
+        for (i, node) in cluster.nodes.iter_mut().enumerate() {
+            node.schedulable = nodes.contains(&i);
+        }
+        let d = cluster.deploy(name, "svc:v1", "crun-wamr", n).unwrap();
+        cluster.nodes.iter_mut().for_each(|node| node.schedulable = true);
+        d
+    }
+
+    #[test]
+    fn measure_startup_equals_a_des_run_per_node() {
+        // Six nodes. All but node 4 start and remove one pod first, so
+        // node 4's first measured pod reads the binaries cold. Node 5 has
+        // one core. Two deployments 10 ms apart put four pods on every
+        // node, contending on node 5's core; then nodes 2 and 3 get one
+        // more pod each, a second apart.
+        let mut cluster = Cluster::bootstrap_nodes(
+            6,
+            KernelConfig::default(),
+            NodeConfig::paper_extension(),
+            Policy::Spread,
+        )
+        .unwrap();
+        let one_core = KernelConfig { cores: 1, ..KernelConfig::default() };
+        cluster.nodes[5] =
+            Node::bootstrap(5, one_core, NodeConfig::paper_extension(), &cluster.clock).unwrap();
+        install_wamr(&mut cluster);
+        let warm = deploy_on(&mut cluster, &[0, 1, 2, 3, 5], "warm", 5);
+        cluster.teardown(warm).unwrap();
+        let early = deploy_on(&mut cluster, &[0, 1, 2, 3, 4, 5], "early", 12);
+        cluster.advance(Duration::from_millis(10));
+        let late = deploy_on(&mut cluster, &[0, 1, 2, 3, 4, 5], "late", 12);
+        cluster.advance(Duration::from_secs(1));
+        let on_2 = deploy_on(&mut cluster, &[2], "on-2", 1);
+        cluster.advance(Duration::from_secs(1));
+        let on_3 = deploy_on(&mut cluster, &[3], "on-3", 1);
+
+        // The earlier deployment comes after the later one.
+        let deployments = [&late, &early, &on_2, &on_3];
+        let got = cluster.measure_startup(&deployments);
+        let pods: Vec<&crate::api::PodRecord> =
+            deployments.iter().flat_map(|d| d.pods.iter()).collect();
+        let mut want = Vec::new();
+        let (mut makespan, mut events) = (SimTime::ZERO, 0);
+        let mut schedules = Vec::new();
+        let mut on_20_cores = Vec::new();
+        for node in 0..cluster.node_count() {
+            let members: Vec<usize> = (0..pods.len()).filter(|&i| pods[i].node == node).collect();
+            let tasks: Vec<TaskSpec> = members
+                .iter()
+                .map(|&i| TaskSpec {
+                    name: pods[i].spec.name.clone(),
+                    start_at: pods[i].dispatched_at,
+                    steps: pods[i].trace.steps(),
+                })
+                .collect();
+            let cores = cluster.node(node).kernel.cores();
+            on_20_cores.push(Sim::new(20).run(tasks.clone()).makespan);
+            let out = Sim::new(cores).run(tasks);
+            makespan = makespan.max(out.makespan);
+            events += out.events;
+            for (r, &i) in out.results.into_iter().zip(&members) {
+                want.push((i, r.name, r.started, r.finished));
+            }
+            let first = members.iter().map(|&i| pods[i].dispatched_at).min().unwrap();
+            let offsets: Vec<Duration> =
+                members.iter().map(|&i| pods[i].dispatched_at - first).collect();
+            let traces: Vec<&StepTrace> = members.iter().map(|&i| &pods[i].trace).collect();
+            schedules.push((cores, offsets, traces, out.makespan));
+        }
+        want.sort_by_key(|w| w.0);
+
+        // The cases are there: nodes 0 and 1 repeat a schedule; nodes 2
+        // and 3 differ in one offset alone, node 5 in its core count alone,
+        // which stretches its makespan; node 4's first pod reads cold.
+        let key = |n: usize| (&schedules[n].0, &schedules[n].1, &schedules[n].2);
+        assert_eq!(key(0), key(1));
+        assert_eq!((schedules[2].0, &schedules[2].2), (schedules[3].0, &schedules[3].2));
+        assert_ne!(schedules[2].1, schedules[3].1);
+        assert_eq!((&schedules[5].1, &schedules[5].2), (&schedules[0].1, &schedules[0].2));
+        assert!(schedules[5].3 > on_20_cores[5], "node 5's pods contend for its core");
+        let first_trace = |node| &early.pods.iter().find(|p| p.node == node).unwrap().trace;
+        assert_ne!(first_trace(4), first_trace(0), "node 4's first pod reads cold");
+        assert!(early.pods[0].dispatched_at < late.pods[0].dispatched_at);
+
+        let got_results: Vec<_> =
+            got.results.iter().map(|r| (r.id.0, r.name.clone(), r.started, r.finished)).collect();
+        assert_eq!(got_results, want);
+        assert_eq!((got.makespan, got.events), (makespan, events));
     }
 
     #[test]

@@ -32,23 +32,6 @@ pub(crate) struct NodeSnapshot {
 }
 
 impl NodeSnapshot {
-    /// What the scheduler sees of `node`, with the throttle sum optional —
-    /// policies that never read it skip the per-sandbox cgroup walk, which
-    /// matters at 10k-pod placement rates.
-    pub(crate) fn observe_with(node: &Node, with_throttle: bool) -> NodeSnapshot {
-        NodeSnapshot {
-            index: node.index,
-            // Crashed and NotReady nodes are unschedulable regardless of
-            // the cordon bit: the scheduler must never place onto a node
-            // whose lease has expired.
-            schedulable: node.schedulable && node.ready(),
-            pods: node.kubelet.occupancy(),
-            max_pods: node.kubelet.config.max_pods,
-            available: node.kernel.free().available,
-            throttle_events: if with_throttle { node.throttle_events() } else { 0 },
-        }
-    }
-
     /// Can this node accept one more pod?
     fn feasible(&self) -> bool {
         self.schedulable && self.pods < self.max_pods
@@ -110,8 +93,25 @@ impl Scheduler {
     /// ones (cordoned or at max-pods), pick the policy's best with the
     /// lowest node index breaking ties. `None` means the cluster is full.
     pub fn place(&self, nodes: &[Node]) -> Option<usize> {
+        self.place_from(nodes.iter().map(|n| self.observe(n)))
+    }
+
+    /// What this scheduler's policy sees of `node`. Only the policy that
+    /// scores on the throttle sum reads it: the per-sandbox cgroup walk
+    /// matters at 10k-pod placement rates.
+    pub(crate) fn observe(&self, node: &Node) -> NodeSnapshot {
         let with_throttle = self.policy == Policy::LeastThrottled;
-        self.place_from(nodes.iter().map(|n| NodeSnapshot::observe_with(n, with_throttle)))
+        NodeSnapshot {
+            index: node.index,
+            // Crashed and NotReady nodes are unschedulable regardless of
+            // the cordon bit: the scheduler must never place onto a node
+            // whose lease has expired.
+            schedulable: node.schedulable && node.ready(),
+            pods: node.kubelet.occupancy(),
+            max_pods: node.kubelet.config.max_pods,
+            available: node.kernel.free().available,
+            throttle_events: if with_throttle { node.throttle_events() } else { 0 },
+        }
     }
 
     /// [`Scheduler::place`] on pre-taken snapshots, in ascending node

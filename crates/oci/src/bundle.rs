@@ -1,9 +1,10 @@
 //! OCI bundles: a directory with `config.json` plus a rootfs view.
 //!
 //! The `config.json` is written to the simulated VFS as its **size**: the
-//! spec is serialized with [`RuntimeSpec::to_json`], whose length is part
-//! of the model, and the file holds that many synthetic bytes, as an
-//! engine `.so` or a runtime binary does. The low-level runtimes read it
+//! length of the document [`RuntimeSpec::to_json`] writes, which is part
+//! of the model, counted by the same writer without building the text. The
+//! file holds that many synthetic bytes, as an engine `.so` or a runtime
+//! binary does. The low-level runtimes read it
 //! back through the kernel exactly as crun reads its bundle: page-cache
 //! fault, first-toucher charge, fault site. The bytes would have no reader,
 //! so the bundle keeps the spec it serialized until its container has
@@ -42,7 +43,7 @@ impl Bundle {
     ) -> KernelResult<Bundle> {
         let spec = spec.into();
         let config_path = format!("/run/containers/{container_id}/config.json");
-        let size = FileContent::Synthetic(spec.to_json().len() as u64);
+        let size = FileContent::Synthetic(spec.json_len() as u64);
         let config_file = kernel.create_file(&config_path, size)?;
         Ok(Bundle { config_file, rootfs: Arc::clone(&image.rootfs), spec: Some(Arc::new(spec)) })
     }

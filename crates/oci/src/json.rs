@@ -158,12 +158,36 @@ fn write_value(out: &mut String, v: &Value) {
     }
 }
 
+/// Where the writers put a document: a `String`, or a [`ByteCount`] that
+/// keeps only its length — one writer for both, so the two cannot drift.
+pub(crate) trait Sink: fmt::Write {
+    fn push_str(&mut self, s: &str) {
+        let _ = self.write_str(s);
+    }
+
+    fn push(&mut self, c: char) {
+        let _ = self.write_char(c);
+    }
+}
+
+impl<W: fmt::Write> Sink for W {}
+
+/// A [`Sink`] that counts the UTF-8 bytes written to it and stores none.
+pub(crate) struct ByteCount(pub(crate) usize);
+
+impl fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.len();
+        Ok(())
+    }
+}
+
 /// `items`, comma-separated between `brackets`, each written by `item`.
-pub(crate) fn write_seq<T>(
-    out: &mut String,
+pub(crate) fn write_seq<W: Sink, T>(
+    out: &mut W,
     brackets: [char; 2],
     items: impl IntoIterator<Item = T>,
-    mut item: impl FnMut(&mut String, T),
+    mut item: impl FnMut(&mut W, T),
 ) {
     out.push(brackets[0]);
     for (i, it) in items.into_iter().enumerate() {
@@ -175,7 +199,7 @@ pub(crate) fn write_seq<T>(
     out.push(brackets[1]);
 }
 
-pub(crate) fn write_bool(out: &mut String, b: bool) {
+pub(crate) fn write_bool(out: &mut impl Sink, b: bool) {
     out.push_str(if b { "true" } else { "false" });
 }
 
@@ -193,7 +217,7 @@ fn write_number(out: &mut String, n: f64) {
 }
 
 /// A quoted string: runs that need no escape are copied whole.
-pub(crate) fn write_string(out: &mut String, s: &str) {
+pub(crate) fn write_string(out: &mut impl Sink, s: &str) {
     out.push('"');
     let mut run = 0;
     // Every byte that needs an escape is ASCII, so `run..i` and `i + 1..`

@@ -4,9 +4,8 @@
 //! is simulated by the writer's output length.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-use crate::json::{write_bool, write_seq, write_string};
+use crate::json::{write_bool, write_seq, write_string, ByteCount, Sink};
 
 /// The annotation crun uses to dispatch a container to a Wasm handler
 /// (the `module.wasm.image/variant=compat` convention).
@@ -148,18 +147,30 @@ impl RuntimeSpec {
     pub fn to_json(&self) -> String {
         // Roomy for the usual ~470 bytes; longer documents grow the buffer.
         let mut out = String::with_capacity(1024);
+        self.write_json(&mut out);
+        out
+    }
+
+    /// [`RuntimeSpec::to_json`]'s length, counted by its writer: no text.
+    pub(crate) fn json_len(&self) -> usize {
+        let mut count = ByteCount(0);
+        self.write_json(&mut count);
+        count.0
+    }
+
+    fn write_json(&self, out: &mut impl Sink) {
         out.push_str("{\"annotations\":");
-        write_seq(&mut out, ['{', '}'], &self.annotations, |out, (k, v)| {
+        write_seq(out, ['{', '}'], &self.annotations, |out, (k, v)| {
             write_string(out, k);
             out.push(':');
             write_string(out, v);
         });
         out.push_str(",\"hostname\":");
-        write_string(&mut out, &self.hostname);
+        write_string(out, &self.hostname);
         out.push_str(",\"linux\":{\"cgroupsPath\":");
-        write_string(&mut out, &self.linux.cgroups_path);
+        write_string(out, &self.linux.cgroups_path);
         out.push_str(",\"namespaces\":");
-        write_seq(&mut out, ['[', ']'], self.linux.namespaces, |out, ns| {
+        write_seq(out, ['[', ']'], self.linux.namespaces, |out, ns| {
             out.push_str("{\"type\":");
             write_string(out, ns);
             out.push('}');
@@ -170,7 +181,7 @@ impl RuntimeSpec {
             let _ = write!(out, ",\"resources\":{{\"memory\":{{\"limit\":{limit}}}}}");
         }
         out.push_str("},\"mounts\":");
-        write_seq(&mut out, ['[', ']'], self.mounts, |out, m| {
+        write_seq(out, ['[', ']'], self.mounts, |out, m| {
             out.push_str("{\"destination\":");
             write_string(out, m.destination);
             out.push_str(",\"options\":");
@@ -182,21 +193,20 @@ impl RuntimeSpec {
             out.push('}');
         });
         out.push_str(",\"ociVersion\":");
-        write_string(&mut out, self.oci_version);
+        write_string(out, self.oci_version);
         out.push_str(",\"process\":{\"args\":");
-        write_strings(&mut out, &self.process.args);
+        write_strings(out, &self.process.args);
         out.push_str(",\"cwd\":");
-        write_string(&mut out, self.process.cwd);
+        write_string(out, self.process.cwd);
         out.push_str(",\"env\":");
-        write_strings(&mut out, &self.process.env);
+        write_strings(out, &self.process.env);
         out.push_str(",\"terminal\":");
-        write_bool(&mut out, self.process.terminal);
+        write_bool(out, self.process.terminal);
         out.push_str("},\"root\":{\"path\":");
-        write_string(&mut out, self.root.path);
+        write_string(out, self.root.path);
         out.push_str(",\"readonly\":");
-        write_bool(&mut out, self.root.readonly);
+        write_bool(out, self.root.readonly);
         out.push_str("}}");
-        out
     }
 }
 
@@ -208,7 +218,7 @@ impl From<&RuntimeSpec> for RuntimeSpec {
     }
 }
 
-fn write_strings(out: &mut String, items: &[impl AsRef<str>]) {
+fn write_strings(out: &mut impl Sink, items: &[impl AsRef<str>]) {
     write_seq(out, ['[', ']'], items, |out, s| write_string(out, s.as_ref()));
 }
 
@@ -458,6 +468,18 @@ mod tests {
             assert!(exact_limits > 20 && empty_lists > 20, "{exact_limits} {empty_lists}");
             let empty = RuntimeSpec::default().to_json();
             assert_eq!(empty, parse(&empty).unwrap().to_json());
+        }
+
+        /// The counted `config.json` size a bundle is written with is the
+        /// length of the text `to_json` builds, for any spec: escapes,
+        /// multi-byte characters, any limit and every list empty included.
+        #[test]
+        fn counted_json_length_is_the_text_length() {
+            check("counted_json_length_is_the_text_length", 512, |g| {
+                let spec = gen_spec(g);
+                assert_eq!(spec.json_len(), spec.to_json().len());
+            });
+            assert_eq!(RuntimeSpec::default().json_len(), RuntimeSpec::default().to_json().len());
         }
     }
 }

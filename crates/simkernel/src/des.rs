@@ -113,6 +113,9 @@ pub struct SimOutcome {
     pub makespan: SimTime,
     /// State-transition events processed (admissions, CPU completions,
     /// sleep wakeups) — the DES cost metric the perf trajectory records.
+    /// A node whose startup schedule `Cluster::measure_startup` replays
+    /// from an earlier, identical node's counts that node's events again:
+    /// the total is what simulating every node processes.
     pub events: u64,
 }
 
@@ -239,6 +242,13 @@ impl Sim {
     /// step a ns late.)
     /// Tasks due in the same ns are handled in task-id order; this is the
     /// model's tie rule for who queues first on a lock.
+    ///
+    /// The run is translation-invariant: shifting every `start_at` by δ
+    /// shifts every finish by δ and leaves the event count and the tie
+    /// order alone. Virtual time enters the loop only as differences
+    /// (`tag − v`, `dt`), and the idle lead-in before the first admission
+    /// advances `v` by whole ns. `Cluster::measure_startup` replays a
+    /// repeated node schedule by this law.
     ///
     /// Panics if a task releases a lock it does not hold (a programming
     /// error in a startup program), if the task set deadlocks, or if

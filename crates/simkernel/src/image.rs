@@ -38,16 +38,18 @@
 //! The free functions ([`charge_anon`], [`map_shared`], [`map_cow`]) are the
 //! same discipline for charging growth onto an *existing* process (daemon
 //! metadata, per-pod kubelet growth, engine heaps), with [`Rollback`] as
-//! their undo when several of them make up one stage. `Kernel::spawn`,
-//! `Kernel::mmap_labeled` and `Kernel::cgroup_charge_cpu` (whose one caller
-//! is [`charge_cpu`]) are `pub(crate)`, so the compiler keeps other crates
-//! on these doorways. A raw spawn outside this crate does not compile:
+//! their undo when several of them make up one stage. Each doorway takes
+//! the kernel lock once and makes its calls on the held state, whose verbs
+//! (spawn, labeled mmap, copy-on-write) are crate-private, as is
+//! `Kernel::cgroup_charge_cpu` (whose one caller is [`charge_cpu`]): the
+//! compiler keeps other crates on these doorways. A raw spawn outside this
+//! crate does not compile:
 //!
 //! ```compile_fail,E0624
 //! use simkernel::{Kernel, KernelConfig};
 //!
 //! let kernel = Kernel::boot(KernelConfig::default());
-//! let pid = kernel.spawn("svc", Kernel::ROOT_CGROUP).unwrap();
+//! let pid = kernel.st().spawn("svc", Kernel::ROOT_CGROUP).unwrap();
 //! ```
 //!
 //! The same process, spawned through its image:
@@ -63,7 +65,7 @@
 use crate::cgroup::CgroupId;
 use crate::des::Step;
 use crate::error::KernelResult;
-use crate::kernel::Kernel;
+use crate::kernel::{Kernel, KernelState};
 use crate::proc::{Pid, ProcState};
 use crate::time::Duration;
 use crate::trace::{Phase, StepTrace};
@@ -159,12 +161,13 @@ impl<'k> ProcessImage<'k> {
         heap.as_ref().map_or(0, |h| page(h.bytes)) + private_text
     }
 
-    /// Spawn (if needed) and charge the image. On any failure the spawned
-    /// process is exited and reaped before the error is returned — a
-    /// half-built image never leaks.
+    /// Spawn (if needed) and charge the image, under one kernel lock. On
+    /// any failure the spawned process is exited and reaped before the
+    /// error is returned — a half-built image never leaks.
     pub fn build(self) -> KernelResult<ProcGuard<'k>> {
         let ProcessImage { kernel, target, text, heap } = self;
-        let mut guard = match target {
+        let mut st = kernel.st();
+        let (pid, owned) = match target {
             Target::Spawn { name, cgroup } => {
                 // memory.max admission: check the image's anonymous
                 // footprint against the cgroup hierarchy *before* spawning
@@ -172,30 +175,38 @@ impl<'k> ProcessImage<'k> {
                 // outright — no spawn, no partial charges, no OOM kill.
                 let anon = Self::anon_footprint(&text, &heap);
                 if anon > 0 {
-                    kernel.cgroup_check_charge(cgroup, anon)?;
+                    st.cgroup_check_charge(cgroup, anon)?;
                 }
-                let pid = kernel.spawn(name, cgroup)?;
-                ProcGuard { kernel, pid, owned: true, cold_read: None }
+                (st.spawn(name, cgroup)?, true)
             }
-            Target::Attach { pid } => ProcGuard { kernel, pid, owned: false, cold_read: None },
+            Target::Attach { pid } => (pid, false),
         };
-        if let Some(t) = &text {
-            let file = kernel.lookup(t.path)?;
-            guard.cold_read = if t.shared {
-                map_shared(kernel, guard.pid, file, t.map_len, t.resident, t.label)?
-            } else {
-                // Private copy: reserve the full map, fault in the resident
-                // fraction as anonymous memory; the read is always cold.
-                let m = kernel.mmap_labeled(guard.pid, t.map_len, MapKind::AnonPrivate, t.label)?;
-                kernel.touch(guard.pid, m, t.resident)?;
-                Some(t.resident)
-            };
+        let mut charge = || -> KernelResult<Option<u64>> {
+            let mut cold_read = None;
+            if let Some(t) = &text {
+                let file = st.lookup(t.path)?;
+                cold_read = if t.shared {
+                    shared_in(&mut st, pid, file, t.map_len, t.resident, t.label)?
+                } else {
+                    // Private copy: reserve the full map, fault in the
+                    // resident fraction as anonymous memory; always cold.
+                    let m = st.mmap_labeled(pid, t.map_len, MapKind::AnonPrivate, t.label)?;
+                    st.touch(pid, m, t.resident)?;
+                    Some(t.resident)
+                };
+            }
+            if let Some(h) = &heap {
+                let m = st.mmap_labeled(pid, h.bytes, MapKind::AnonPrivate, h.label)?;
+                st.touch(pid, m, h.bytes)?;
+            }
+            Ok(cold_read)
+        };
+        let cold_read = charge();
+        if cold_read.is_err() && owned {
+            let _ = reap_quietly(&mut st, pid, 1);
         }
-        if let Some(h) = &heap {
-            let m = kernel.mmap_labeled(guard.pid, h.bytes, MapKind::AnonPrivate, h.label)?;
-            kernel.touch(guard.pid, m, h.bytes)?;
-        }
-        Ok(guard)
+        drop(st);
+        Ok(ProcGuard { kernel, pid, owned, cold_read: cold_read? })
     }
 }
 
@@ -243,28 +254,29 @@ impl<'k> ProcGuard<'k> {
     /// processes). Robust to the process having already been OOM-killed.
     pub fn exit(mut self, code: i32) -> KernelResult<()> {
         self.owned = false;
-        reap_quietly(self.kernel, self.pid, code)
+        reap_quietly(&mut self.kernel.st(), self.pid, code)
     }
 }
 
+/// Reaps through the kernel lock: a guard is never dropped while a caller
+/// holds that lock, or the drop would wait on it forever.
 impl Drop for ProcGuard<'_> {
     fn drop(&mut self) {
         if self.owned {
             // Best-effort: an unwinding error path must not leak the pid,
             // and must tolerate the kernel having OOM-killed it already.
-            let kernel = self.kernel;
-            let _ = reap_quietly(kernel, self.pid, 1);
+            let _ = reap_quietly(&mut self.kernel.st(), self.pid, 1);
         }
     }
 }
 
 /// Exit (if still running) and reap `pid`, tolerating already-dead processes.
-fn reap_quietly(kernel: &Kernel, pid: Pid, code: i32) -> KernelResult<()> {
-    if matches!(kernel.proc_state(pid), Ok(ProcState::Running)) {
-        kernel.exit(pid, code)?;
+fn reap_quietly(st: &mut KernelState, pid: Pid, code: i32) -> KernelResult<()> {
+    if matches!(st.proc_state(pid), Ok(ProcState::Running)) {
+        st.exit(pid, code)?;
     }
-    if kernel.proc_state(pid).is_ok() {
-        kernel.reap(pid)?;
+    if st.proc_state(pid).is_ok() {
+        st.reap(pid)?;
     }
     Ok(())
 }
@@ -272,16 +284,17 @@ fn reap_quietly(kernel: &Kernel, pid: Pid, code: i32) -> KernelResult<()> {
 // ---------------------------------------------------------------- charging
 //
 // Growth onto existing processes. These are the only blessed doorways to
-// `mmap_labeled` outside simkernel.
+// `mmap_labeled` outside simkernel; each takes the kernel lock once.
 
 /// Charge `bytes` of fully-touched private anonymous memory to `pid`.
 pub fn charge_anon(kernel: &Kernel, pid: Pid, bytes: u64, label: &'static str) -> KernelResult<()> {
-    let m = kernel.mmap_labeled(pid, bytes, MapKind::AnonPrivate, label)?;
-    if let Err(e) = kernel.touch(pid, m, bytes) {
+    let mut st = kernel.st();
+    let m = st.mmap_labeled(pid, bytes, MapKind::AnonPrivate, label)?;
+    if let Err(e) = st.touch(pid, m, bytes) {
         // A transient failure (injected fault) leaves the process alive with
         // an empty reservation; drop it so a retry does not accumulate
         // mappings. Best-effort: the process may be dead (OOM-killed).
-        let _ = kernel.munmap(pid, m);
+        let _ = st.munmap(pid, m);
         return Err(e);
     }
     Ok(())
@@ -298,10 +311,22 @@ pub fn map_shared(
     resident: u64,
     label: &'static str,
 ) -> KernelResult<Option<u64>> {
-    let cold = kernel.file_cached(file)? < resident;
-    let m = kernel.mmap_labeled(pid, map_len, MapKind::FileShared(file), label)?;
-    if let Err(e) = kernel.touch(pid, m, resident) {
-        let _ = kernel.munmap(pid, m);
+    shared_in(&mut kernel.st(), pid, file, map_len, resident, label)
+}
+
+/// [`map_shared`] on a held kernel lock.
+fn shared_in(
+    st: &mut KernelState,
+    pid: Pid,
+    file: FileId,
+    map_len: u64,
+    resident: u64,
+    label: &'static str,
+) -> KernelResult<Option<u64>> {
+    let cold = st.file_cached(file)? < resident;
+    let m = st.mmap_labeled(pid, map_len, MapKind::FileShared(file), label)?;
+    if let Err(e) = st.touch(pid, m, resident) {
+        let _ = st.munmap(pid, m);
         return Err(e);
     }
     Ok(if cold { Some(resident) } else { None })
@@ -317,10 +342,11 @@ pub fn map_cow(
     bytes: u64,
     label: &'static str,
 ) -> KernelResult<Option<u64>> {
-    let cold = kernel.file_cached(file)? < bytes;
-    let m = kernel.mmap_labeled(pid, bytes, MapKind::FileCow(file), label)?;
-    if let Err(e) = kernel.touch(pid, m, bytes).and_then(|()| kernel.cow_write(pid, m, bytes)) {
-        let _ = kernel.munmap(pid, m);
+    let mut st = kernel.st();
+    let cold = st.file_cached(file)? < bytes;
+    let m = st.mmap_labeled(pid, bytes, MapKind::FileCow(file), label)?;
+    if let Err(e) = st.touch(pid, m, bytes).and_then(|()| st.cow_write(pid, m, bytes)) {
+        let _ = st.munmap(pid, m);
         return Err(e);
     }
     Ok(if cold { Some(bytes) } else { None })

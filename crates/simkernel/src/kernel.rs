@@ -99,7 +99,7 @@ pub struct IoModel {
 }
 
 #[derive(Debug, Clone)]
-struct KernelState {
+pub(crate) struct KernelState {
     cfg: KernelConfig,
     clock: Clock,
     vfs: Vfs,
@@ -148,7 +148,8 @@ impl Kernel {
     /// must not wedge every other worker sharing this kernel.
     /// A cluster moves the clock without visiting its nodes, so a queued
     /// cold-read backlog is drained up to now before anything reads it.
-    fn st(&self) -> MutexGuard<'_, KernelState> {
+    /// A doorway that makes several calls in a row takes this guard once.
+    pub(crate) fn st(&self) -> MutexGuard<'_, KernelState> {
         let mut st = self.state.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         if st.io_backlog > 0 {
             st.drain_io();
@@ -383,42 +384,7 @@ impl Kernel {
         self.st().cgroups.stats(cg).ok_or(KernelError::NoSuchCgroup(cg))
     }
 
-    /// Would charging `bytes` to `cg` breach `memory.max` anywhere up the
-    /// hierarchy? Admission control: checks without charging, killing, or
-    /// recording an OOM event (`ProcessImage` uses this before building).
-    pub(crate) fn cgroup_check_charge(&self, cg: CgroupId, bytes: u64) -> KernelResult<()> {
-        let st = self.st();
-        if !st.cgroups.exists(cg) {
-            return Err(KernelError::NoSuchCgroup(cg));
-        }
-        if let Some((offender, limit)) = st.cgroups.check_limit(cg, bytes) {
-            return Err(KernelError::OutOfMemory { cgroup: offender, requested: bytes, limit });
-        }
-        Ok(())
-    }
-
     // ------------------------------------------------------------ processes
-
-    /// Spawn a process into `cgroup`. Other crates spawn through
-    /// [`crate::ProcessImage`], which charges the image and owns the pid.
-    pub(crate) fn spawn(&self, name: impl Into<String>, cgroup: CgroupId) -> KernelResult<Pid> {
-        let mut st = self.st();
-        st.check_power()?;
-        if !st.cgroups.exists(cgroup) {
-            return Err(KernelError::NoSuchCgroup(cgroup));
-        }
-        st.inject(FaultSite::Spawn)?;
-        let pid = Pid(st.next_pid);
-        st.next_pid += 1;
-        let base = st.cfg.proc_kernel_base;
-        st.charge_kernel(cgroup, base)?;
-        let mut proc = Process::new(pid, name, cgroup);
-        proc.kernel_charged = base;
-        st.procs.insert(pid, proc);
-        st.live += 1;
-        st.cgroups.proc_attached(cgroup);
-        Ok(pid)
-    }
 
     /// Create fresh namespaces owned by a process (runtime `create` step).
     pub fn unshare(&self, pid: Pid, kinds: &[NamespaceKind]) -> KernelResult<()> {
@@ -437,9 +403,7 @@ impl Kernel {
     /// Exit a process: tear down its address space and uncharge everything
     /// except page-cache residency (which persists machine-wide).
     pub fn exit(&self, pid: Pid, code: i32) -> KernelResult<()> {
-        let mut st = self.st();
-        st.check_power()?;
-        st.teardown(pid, ProcState::Exited(code))
+        self.st().exit(pid, code)
     }
 
     /// Kernel OOM-kill: like exit, but recorded as such.
@@ -451,20 +415,11 @@ impl Kernel {
 
     /// Forget an exited process entirely.
     pub fn reap(&self, pid: Pid) -> KernelResult<()> {
-        let mut st = self.st();
-        st.check_power()?;
-        match st.procs.get(pid) {
-            Some(p) if !p.is_alive() => {
-                st.procs.remove(pid);
-                Ok(())
-            }
-            Some(_) => Err(KernelError::InvalidState(format!("{pid:?} still running"))),
-            None => Err(KernelError::NoSuchProcess(pid)),
-        }
+        self.st().reap(pid)
     }
 
     pub fn proc_state(&self, pid: Pid) -> KernelResult<ProcState> {
-        self.st().procs.get(pid).map(|p| p.state).ok_or(KernelError::NoSuchProcess(pid))
+        self.st().proc_state(pid)
     }
 
     pub fn proc_rss(&self, pid: Pid) -> KernelResult<u64> {
@@ -493,27 +448,7 @@ impl Kernel {
 
     /// Reserve a region. Nothing is committed until [`Kernel::touch`].
     pub fn mmap(&self, pid: Pid, len: u64, kind: MapKind) -> KernelResult<MappingId> {
-        self.mmap_labeled(pid, len, kind, "")
-    }
-
-    /// Reserve a region with a debug label.
-    pub(crate) fn mmap_labeled(
-        &self,
-        pid: Pid,
-        len: u64,
-        kind: MapKind,
-        label: &'static str,
-    ) -> KernelResult<MappingId> {
-        let mut st = self.st();
-        st.check_power()?;
-        if let Some(fid) = kind.file() {
-            let f = st.vfs.get_mut(fid).ok_or(KernelError::NoSuchFile(fid))?;
-            f.map_refs += 1;
-        }
-        let p = st.alive_mut(pid)?;
-        let id = p.alloc_mapping_id();
-        p.insert_mapping(Mapping { id, kind, len, committed_anon: 0, touched_file: 0, label });
-        Ok(id)
+        self.st().mmap_labeled(pid, len, kind, "")
     }
 
     /// Fault in `bytes` of a mapping (from its start, idempotent): commits
@@ -522,31 +457,12 @@ impl Kernel {
     /// On a cgroup limit breach the faulting process is OOM-killed and
     /// `OutOfMemory` is returned.
     pub fn touch(&self, pid: Pid, mapping: MappingId, bytes: u64) -> KernelResult<()> {
-        let mut st = self.st();
-        st.check_power()?;
-        st.touch_inner(pid, mapping, bytes, false)
-    }
-
-    /// Write to a copy-on-write file mapping: the written range becomes
-    /// private anonymous memory.
-    pub(crate) fn cow_write(&self, pid: Pid, mapping: MappingId, bytes: u64) -> KernelResult<()> {
-        let mut st = self.st();
-        st.check_power()?;
-        st.touch_inner(pid, mapping, bytes, true)
+        self.st().touch(pid, mapping, bytes)
     }
 
     /// Unmap a region, uncharging this process's share.
     pub fn munmap(&self, pid: Pid, mapping: MappingId) -> KernelResult<()> {
-        let mut st = self.st();
-        st.check_power()?;
-        let (cg, m) = {
-            let p = st.alive_mut(pid)?;
-            let m = p.remove_mapping(mapping).ok_or(KernelError::NoSuchMapping(pid, mapping))?;
-            (p.cgroup, m)
-        };
-        st.release_mapping(pid, cg, &m);
-        st.recompute_page_tables(pid)?;
-        Ok(())
+        self.st().munmap(pid, mapping)
     }
 
     /// A point in `pid`'s mapping history ([`crate::image::Rollback`]).
@@ -585,7 +501,7 @@ impl Kernel {
     }
 
     pub fn lookup(&self, path: &str) -> KernelResult<FileId> {
-        self.st().vfs.lookup(path).ok_or_else(|| KernelError::PathNotFound(path.to_string()))
+        self.st().lookup(path)
     }
 
     pub fn file_size(&self, id: FileId) -> KernelResult<u64> {
@@ -637,7 +553,7 @@ impl Kernel {
 
     /// Bytes of a file currently in the page cache.
     pub fn file_cached(&self, id: FileId) -> KernelResult<u64> {
-        self.st().vfs.get(id).map(|f| f.cached_bytes()).ok_or(KernelError::NoSuchFile(id))
+        self.st().file_cached(id)
     }
 
     /// Drop a file's page cache (used by teardown paths between repetitions).
@@ -723,6 +639,118 @@ impl Kernel {
 }
 
 impl KernelState {
+    // Verbs a doorway calls in a row on one guard; `Kernel`'s namesakes lock.
+
+    /// Would charging `bytes` to `cg` breach `memory.max` anywhere up the
+    /// hierarchy? Admission control: checks without charging, killing, or
+    /// recording an OOM event (`ProcessImage` uses this before building).
+    pub(crate) fn cgroup_check_charge(&self, cg: CgroupId, bytes: u64) -> KernelResult<()> {
+        if !self.cgroups.exists(cg) {
+            return Err(KernelError::NoSuchCgroup(cg));
+        }
+        if let Some((offender, limit)) = self.cgroups.check_limit(cg, bytes) {
+            return Err(KernelError::OutOfMemory { cgroup: offender, requested: bytes, limit });
+        }
+        Ok(())
+    }
+
+    /// Spawn a process into `cgroup`. Spawning is
+    /// [`crate::ProcessImage`]'s, which charges the image and owns the pid.
+    pub(crate) fn spawn(&mut self, name: impl Into<String>, cgroup: CgroupId) -> KernelResult<Pid> {
+        self.check_power()?;
+        if !self.cgroups.exists(cgroup) {
+            return Err(KernelError::NoSuchCgroup(cgroup));
+        }
+        self.inject(FaultSite::Spawn)?;
+        let pid = Pid(self.next_pid);
+        self.next_pid += 1;
+        let base = self.cfg.proc_kernel_base;
+        self.charge_kernel(cgroup, base)?;
+        let mut proc = Process::new(pid, name, cgroup);
+        proc.kernel_charged = base;
+        self.procs.insert(pid, proc);
+        self.live += 1;
+        self.cgroups.proc_attached(cgroup);
+        Ok(pid)
+    }
+
+    pub(crate) fn exit(&mut self, pid: Pid, code: i32) -> KernelResult<()> {
+        self.check_power()?;
+        self.teardown(pid, ProcState::Exited(code))
+    }
+
+    pub(crate) fn reap(&mut self, pid: Pid) -> KernelResult<()> {
+        self.check_power()?;
+        match self.procs.get(pid) {
+            Some(p) if !p.is_alive() => {
+                self.procs.remove(pid);
+                Ok(())
+            }
+            Some(_) => Err(KernelError::InvalidState(format!("{pid:?} still running"))),
+            None => Err(KernelError::NoSuchProcess(pid)),
+        }
+    }
+
+    pub(crate) fn proc_state(&self, pid: Pid) -> KernelResult<ProcState> {
+        self.procs.get(pid).map(|p| p.state).ok_or(KernelError::NoSuchProcess(pid))
+    }
+
+    /// Reserve a region with a debug label.
+    pub(crate) fn mmap_labeled(
+        &mut self,
+        pid: Pid,
+        len: u64,
+        kind: MapKind,
+        label: &'static str,
+    ) -> KernelResult<MappingId> {
+        self.check_power()?;
+        if let Some(fid) = kind.file() {
+            let f = self.vfs.get_mut(fid).ok_or(KernelError::NoSuchFile(fid))?;
+            f.map_refs += 1;
+        }
+        let p = self.alive_mut(pid)?;
+        let id = p.alloc_mapping_id();
+        p.insert_mapping(Mapping { id, kind, len, committed_anon: 0, touched_file: 0, label });
+        Ok(id)
+    }
+
+    pub(crate) fn touch(&mut self, pid: Pid, mapping: MappingId, bytes: u64) -> KernelResult<()> {
+        self.check_power()?;
+        self.touch_inner(pid, mapping, bytes, false)
+    }
+
+    /// Write to a copy-on-write file mapping: the written range becomes
+    /// private anonymous memory.
+    pub(crate) fn cow_write(
+        &mut self,
+        pid: Pid,
+        mapping: MappingId,
+        bytes: u64,
+    ) -> KernelResult<()> {
+        self.check_power()?;
+        self.touch_inner(pid, mapping, bytes, true)
+    }
+
+    pub(crate) fn munmap(&mut self, pid: Pid, mapping: MappingId) -> KernelResult<()> {
+        self.check_power()?;
+        let (cg, m) = {
+            let p = self.alive_mut(pid)?;
+            let m = p.remove_mapping(mapping).ok_or(KernelError::NoSuchMapping(pid, mapping))?;
+            (p.cgroup, m)
+        };
+        self.release_mapping(pid, cg, &m);
+        self.recompute_page_tables(pid)?;
+        Ok(())
+    }
+
+    pub(crate) fn lookup(&self, path: &str) -> KernelResult<FileId> {
+        self.vfs.lookup(path).ok_or_else(|| KernelError::PathNotFound(path.to_string()))
+    }
+
+    pub(crate) fn file_cached(&self, id: FileId) -> KernelResult<u64> {
+        self.vfs.get(id).map(|f| f.cached_bytes()).ok_or(KernelError::NoSuchFile(id))
+    }
+
     /// Drain the cold-read backlog, in whole bytes, by the time elapsed
     /// since it was last drained. Every path that arms the model enters the
     /// kernel between two clock movements: one floor per movement.
@@ -1134,6 +1162,15 @@ mod tests {
         pub(crate) fn powered_off(&self) -> bool {
             self.st().powered_off
         }
+
+        /// A bare process, owned by the caller.
+        pub(crate) fn spawn(&self, name: &str, cgroup: CgroupId) -> KernelResult<Pid> {
+            self.st().spawn(name, cgroup)
+        }
+
+        pub(crate) fn cow_write(&self, pid: Pid, m: MappingId, bytes: u64) -> KernelResult<()> {
+            self.st().cow_write(pid, m, bytes)
+        }
     }
 
     fn kernel() -> Kernel {
@@ -1349,8 +1386,8 @@ mod tests {
         let k = kernel();
         let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
         k.cgroup_set_limit(cg, Some(1 << 20)).unwrap();
-        k.cgroup_check_charge(cg, 512 << 10).unwrap();
-        let err = k.cgroup_check_charge(cg, 2 << 20).unwrap_err();
+        k.st().cgroup_check_charge(cg, 512 << 10).unwrap();
+        let err = k.st().cgroup_check_charge(cg, 2 << 20).unwrap_err();
         assert!(matches!(err, KernelError::OutOfMemory { .. }));
         // No event recorded, nothing charged.
         assert_eq!(k.cgroup_oom_events(cg).unwrap(), 0);

@@ -731,6 +731,78 @@ mod tests {
             }
         }
 
+        /// `Sim::run` is translation-invariant, the law `Cluster::measure_startup`
+        /// replays repeated node schedules by: shifting every task's start by δ
+        /// (any δ up to 2⁴⁰ ns) shifts every start, finish and the makespan by δ
+        /// and leaves the event count alone. Task sets run both over and under
+        /// the core count, with CPU and I/O steps of whole ms (many steps end on
+        /// the same instant) and of random ns, critical sections nested on one
+        /// to three locks, and tasks that share a start instant — so a loop that
+        /// rounds an absolute instant, not a difference, fails.
+        #[test]
+        fn des_run_shifts_with_its_start_instants() {
+            let (mut over, mut under) = (0, 0);
+            for grain in [1_000_000, 1] {
+                let name = format!("des_run_shifts_with_its_start_instants/grain {grain}");
+                check(&name, 4096, |g| {
+                    let cores = g.range_u64(1, 9);
+                    // As often more tasks than cores as not.
+                    let mut tasks: Vec<TaskSpec> = (0..1 + g.index(2 * cores as usize))
+                        .map(|_| gen_nested_task(g, grain))
+                        .collect();
+                    for i in 1..tasks.len() {
+                        if g.index(3) == 0 {
+                            tasks[i].start_at = tasks[g.index(i)].start_at;
+                        }
+                    }
+                    if tasks.len() as u64 > cores {
+                        over += 1;
+                    } else {
+                        under += 1;
+                    }
+                    let delta = Duration::from_nanos(g.range_u64(0, 1 << 40));
+                    let sim = Sim::new(cores as u32);
+                    let base = sim.run(tasks.clone());
+                    for t in &mut tasks {
+                        t.start_at += delta;
+                    }
+                    let shifted = sim.run(tasks);
+                    let on = format!("{cores} cores, δ {delta:?}");
+                    assert_eq!(shifted.events, base.events, "events on {on}");
+                    assert_eq!(shifted.makespan, base.makespan + delta, "{on}");
+                    for (s, b) in shifted.results.iter().zip(&base.results) {
+                        let want = (b.id, b.started + delta, b.finished + delta);
+                        assert_eq!((s.id, s.started, s.finished), want, "{on}");
+                    }
+                });
+            }
+            assert!(over > 2000 && under > 2000, "{over} over, {under} under the core count");
+        }
+
+        /// A task of one to six steps, each a CPU or I/O step or a critical
+        /// section on one to three locks, taken in ascending order and released
+        /// innermost first (nested, never deadlocked); every instant and
+        /// duration a whole multiple of `grain` ns.
+        fn gen_nested_task(g: &mut SplitMix64, grain: u64) -> TaskSpec {
+            let start = g.range_u64(0, 300_000_000 / grain) * grain;
+            let mut t = TaskSpec::new("t").starting_at(SimTime(start));
+            for _ in 0..1 + g.index(6) {
+                let d = Duration::from_nanos(g.range_u64(1, 50_000_000 / grain) * grain);
+                t = match g.index(3) {
+                    0 => t.cpu(d),
+                    1 => t.io(d),
+                    _ => {
+                        let locks: Vec<LockId> =
+                            (0..3).filter(|_| g.next_bool()).map(LockId).collect();
+                        let locks = if locks.is_empty() { vec![LockId(0)] } else { locks };
+                        t = locks.iter().fold(t, |t, &l| t.acquire(l).cpu(d));
+                        locks.iter().rev().fold(t, |t, &l| t.release(l))
+                    }
+                };
+            }
+            t
+        }
+
         /// The event queue pops what a `BTreeSet<(time, payload)>` would: under
         /// random interleavings of `push`, `pop` and `pop_before` (limits below, at
         /// and above the head), with many entries sharing a time and a few at the

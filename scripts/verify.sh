@@ -187,8 +187,21 @@ cargo run --release --offline -p harness --bin traffic -- --smoke >/dev/null
 
 echo "== smoke: cluster density sweep + scheduler ablation (3 nodes) =="
 # measure_scale / density_sweep: the entry point the benchmark's
-# dense_cluster workload times, which no test above runs.
-cargo run --release --offline -p harness --bin figures -- cluster --smoke >/dev/null
+# dense_cluster workload times, which no test above runs, and the one run
+# here of a multi-node measure_startup, which simulates each distinct node
+# schedule once. The sweep fans out over the grid runner, so the stdout
+# and both CSVs must not depend on the worker count.
+for n in 1 2; do
+  HARNESS_THREADS=$n cargo run --release --offline -p harness --bin figures -- \
+    cluster --smoke >"target/cluster-smoke.t$n"
+  for csv in cluster_density scheduler_ablation; do
+    cp "target/experiments/$csv.csv" "target/cluster-smoke.t$n.$csv.csv"
+  done
+done
+cmp target/cluster-smoke.t1 target/cluster-smoke.t2
+for csv in cluster_density scheduler_ablation; do
+  cmp "target/cluster-smoke.t1.$csv.csv" "target/cluster-smoke.t2.$csv.csv"
+done
 
 # fenced_block <regex>: the first fenced block of EXPERIMENTS.md after the
 # line matching <regex>, fences left out. A block that must equal a
