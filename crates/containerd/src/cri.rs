@@ -489,7 +489,7 @@ impl Containerd {
                 // The shim executes the module in-process: crun's engine
                 // handler, embedded as a crate, in the shim's pid.
                 let shim =
-                    WasmEngineHandler { profile: engine.profile(), embedding: Embedding::Crate };
+                    WasmEngineHandler { profile: *engine.profile(), embedding: Embedding::Crate };
                 let spec = container.bundle.spec().expect("kept until the container starts");
                 let mut run = shim.execute(&self.kernel, shim_pid, &container.bundle, spec)?;
                 trace.append(&mut run.trace);

@@ -41,8 +41,9 @@ impl EngineKind {
     }
 }
 
-/// A runtime design point.
-#[derive(Debug, Clone)]
+/// A runtime design point: numbers and static names, so a copy allocates
+/// nothing.
+#[derive(Debug, Clone, Copy)]
 pub struct EngineProfile {
     pub name: &'static str,
     /// Version from the paper's Table I.

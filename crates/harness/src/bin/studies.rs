@@ -31,58 +31,19 @@ mod cli;
 
 use std::sync::Arc;
 
-use container_runtimes::handler::{ContainerHandler, PauseHandler, WasmEngineHandler};
-use container_runtimes::profile::{CRUN, YOUKI};
-use container_runtimes::{LowLevelRuntime, RuntimeProfile};
-use containerd_sim::RuntimeClass;
+use container_runtimes::profile::YOUKI;
 use engines::profile::WAMR_AOT;
-use engines::EngineKind;
-use harness::{mb, measure_cell, measure_memory, new_cluster, Config, Grid, Observe, Workload};
-use k8s_sim::{Cluster, Deployment};
+use harness::{
+    mb, measure_memory, measure_stack, new_cluster, Config, Grid, Guest, Observe, Stack, Workload,
+};
 use simkernel::{Duration, KernelResult};
-use wamr_crun::{WamrCrunConfig, WamrHandler};
+use wamr_crun::WamrCrunConfig;
 use wasm_core::{decode_module, ExecTier, Imports, Instance, InstanceConfig, Value};
 use workloads::{MicroserviceConfig, PythonScriptConfig};
 
 const USAGE: &str = "studies <design-questions|app-impact|wamr-aot|ablations>";
 
-/// Deploy `density` pods named `name` of the Wasm microservice under a
-/// hand-built OCI runtime — `profile` with `handler` first and the pause
-/// handler for sandboxes — registered as runtime class `class`, on a
-/// fresh cluster warmed by one pod. Returns the cluster, its `free`
-/// reading just before the deployment, and the deployment.
-fn deploy_custom(
-    workload: &Workload,
-    profile: &'static RuntimeProfile,
-    handler: Box<dyn ContainerHandler>,
-    class: &str,
-    name: &str,
-    density: usize,
-) -> KernelResult<(Cluster, u64, Deployment)> {
-    let mut cluster = new_cluster(&[], workload)?;
-    let mut rt = LowLevelRuntime::new(cluster.kernel().clone(), profile);
-    rt.register_handler(handler);
-    rt.register_handler(Box::new(PauseHandler));
-    cluster.register_class(class, RuntimeClass::Oci { runtime: rt });
-    let image = Config::WamrCrun.image_ref();
-    cluster.pull_image(workloads::wasm_microservice_image(image, &workload.wasm))?;
-    let warm = cluster.deploy("warm", image, class, 1)?;
-    cluster.teardown(warm)?;
-    let before = cluster.free().used_with_cache();
-    let d = cluster.deploy(name, image, class, density)?;
-    Ok((cluster, before, d))
-}
-
 // ---- design-questions ---------------------------------------------------
-
-/// Both memory observers (metrics-server, `free`) for WAMR embedded in the
-/// low-level runtime `profile`.
-fn wamr_in(profile: &'static RuntimeProfile, workload: &Workload) -> KernelResult<(u64, u64)> {
-    let handler = Box::new(WamrHandler::new(WamrCrunConfig::default()));
-    let (cluster, before, d) = deploy_custom(workload, profile, handler, "q2", "q2", 20)?;
-    let metrics = cluster.average_working_set(&d)?;
-    Ok((metrics, (cluster.free().used_with_cache() - before) / 20))
-}
 
 fn design_questions() -> KernelResult<()> {
     let workload = Workload::default();
@@ -110,9 +71,12 @@ fn design_questions() -> KernelResult<()> {
 
     println!("Design question 2: which integration point for WAMR?\n");
     println!("{:<26} {:>12} {:>12}", "integration", "metrics MB", "free MB");
-    let (crun_m, crun_f) = wamr_in(&CRUN, &workload)?;
+    let crun = grid.at(Config::WamrCrun, density)?.memory;
+    let (crun_m, crun_f) = (crun.metrics_avg, crun.free_per_pod);
     println!("{:<26} {:>12.2} {:>12.2}", "WAMR in crun", mb(crun_m), mb(crun_f));
-    let (youki_m, youki_f) = wamr_in(&YOUKI, &workload)?;
+    let youki = Stack { runtime: YOUKI, ..Config::WamrCrun.stack() };
+    let (memory, _) = measure_stack(&youki, density, &workload, Observe::Memory)?;
+    let (youki_m, youki_f) = memory.expect("memory");
     println!("{:<26} {:>12.2} {:>12.2}", "WAMR in youki", mb(youki_m), mb(youki_f));
     let shim = measure_memory(Config::ShimWasmtime, density, &workload)?;
     println!(
@@ -179,35 +143,24 @@ fn app_impact() -> KernelResult<()> {
 
 fn wamr_aot() -> KernelResult<()> {
     let workload = Workload::default();
+    let wasmtime = Config::CrunWasmtime.stack();
+    // The crun engine handler, running WAMR in AOT mode.
+    let aot = Stack { class: "crun-wamr-aot", guest: Guest::Engine(WAMR_AOT), ..wasmtime };
+    let rows = [
+        ("crun-wamr (interp, paper)", Config::WamrCrun.stack()),
+        ("crun-wamr-aot (future)", aot),
+        ("crun-wasmtime (reference)", wasmtime),
+    ];
     for density in [10usize, 400] {
         println!("--- density {density} pods ---");
-        // One deployment per integration yields both observers.
-        let interp = measure_cell(Config::WamrCrun, density, &workload, Observe::Both)?;
-        let (interp_mem, interp_start) =
-            (interp.memory.expect("memory"), interp.startup.expect("startup"));
-        // The crun engine handler, running WAMR in AOT mode.
-        let aot =
-            WasmEngineHandler { profile: &WAMR_AOT, ..WasmEngineHandler::new(EngineKind::Wamr) };
-        let (cluster, _, d) =
-            deploy_custom(&workload, &CRUN, Box::new(aot), "crun-wamr-aot", "aot", density)?;
-        let aot_mem = cluster.average_working_set(&d)?;
-        let aot_start = cluster.measure_startup(&[&d]).total().as_secs_f64();
-        let wt = measure_cell(Config::CrunWasmtime, density, &workload, Observe::Both)?;
-        let (wt_mem, wt_start) = (wt.memory.expect("memory"), wt.startup.expect("startup"));
         println!("{:<26} {:>12} {:>12}", "integration", "metrics MB", "startup s");
-        println!(
-            "{:<26} {:>12.2} {:>12.2}",
-            "crun-wamr (interp, paper)",
-            mb(interp_mem.metrics_avg),
-            interp_start.total.as_secs_f64()
-        );
-        println!("{:<26} {:>12.2} {:>12.2}", "crun-wamr-aot (future)", mb(aot_mem), aot_start);
-        println!(
-            "{:<26} {:>12.2} {:>12.2}\n",
-            "crun-wasmtime (reference)",
-            mb(wt_mem.metrics_avg),
-            wt_start.total.as_secs_f64()
-        );
+        for (name, stack) in &rows {
+            // One deployment per integration yields both observers.
+            let (memory, startup) = measure_stack(stack, density, &workload, Observe::Both)?;
+            let (metrics, startup) = (memory.expect("memory").0, startup.expect("startup"));
+            println!("{name:<26} {:>12.2} {:>12.2}", mb(metrics), startup.as_secs_f64());
+        }
+        println!();
     }
     println!(
         "AOT narrows the dense-deployment startup gap to crun-Wasmtime at the\n\
@@ -234,18 +187,15 @@ fn ablation_workload() -> Workload {
 /// `ablation_dlopen`: WAMR-crun with vs without shared dynamic-library
 /// loading (both toggles live in [`WamrCrunConfig`]).
 fn ablation_dlopen(w: &Workload) -> KernelResult<()> {
-    let wamr_memory = |config: WamrCrunConfig| -> KernelResult<u64> {
-        let handler = Box::new(WamrHandler::new(config));
-        let (cluster, _, d) =
-            deploy_custom(w, &CRUN, handler, "wamr-ablate", "a", ABLATION_DENSITY)?;
-        cluster.average_working_set(&d)
+    let metrics = |stack: &Stack| -> KernelResult<u64> {
+        let (memory, _) = measure_stack(stack, ABLATION_DENSITY, w, Observe::Memory)?;
+        Ok(memory.expect("memory").0)
     };
-    let shared = wamr_memory(WamrCrunConfig::default())?;
-    let private = wamr_memory(WamrCrunConfig {
-        dynamic_lib_loading: false,
-        share_modules: false,
-        ..Default::default()
-    })?;
+    let wamr = Config::WamrCrun.stack();
+    let unshared =
+        WamrCrunConfig { dynamic_lib_loading: false, share_modules: false, ..Default::default() };
+    let shared = metrics(&wamr)?;
+    let private = metrics(&Stack { guest: Guest::Wamr(unshared), ..wamr })?;
     println!(
         "\nablation_dlopen: shared {:.2} MB/ctr vs static/private {:.2} MB/ctr (+{:.1}%)",
         mb(shared),

@@ -1,4 +1,4 @@
-//! Strict command-line parsing shared by the five harness binaries, each
+//! Strict command-line parsing shared by the four harness binaries, each
 //! of which includes this file with `#[path = "../cli.rs"] mod cli;`.
 //! A typo must not fall through to a default: `chaos --smok` would
 //! otherwise run the full multi-minute sweep.

@@ -73,7 +73,7 @@ pub fn new_scaled_cluster(
         k8s_sim::NodeConfig::paper_extension(),
         policy,
     )?;
-    config.install(&mut cluster, workload)?;
+    config.stack().install(&mut cluster, workload)?;
     Ok(cluster)
 }
 

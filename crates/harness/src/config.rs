@@ -1,10 +1,12 @@
-//! The nine runtime configurations the paper evaluates.
+//! The nine runtime configurations the paper evaluates, and the [`Stack`]
+//! each one installs: one table, [`Config::stack`].
 
-use container_runtimes::handler::{PauseHandler, WasmEngineHandler};
+use container_runtimes::handler::{ContainerHandler, PauseHandler, WasmEngineHandler};
 use container_runtimes::profile::{CRUN, RUNC};
-use container_runtimes::LowLevelRuntime;
+use container_runtimes::{LowLevelRuntime, RuntimeProfile};
 use containerd_sim::RuntimeClass;
-use engines::EngineKind;
+use engines::profile::{WASMEDGE, WASMER, WASMTIME};
+use engines::{Embedding, EngineKind, EngineProfile};
 use k8s_sim::Cluster;
 use pyrt::PythonHandler;
 use simkernel::KernelResult;
@@ -60,19 +62,27 @@ impl Config {
         }
     }
 
+    /// What this configuration installs: the table of the paper's nine.
+    pub fn stack(self) -> Stack {
+        let crun = |class, guest| Stack { class, runtime: CRUN, guest };
+        match self {
+            Config::WamrCrun => crun("crun-wamr", Guest::Wamr(WamrCrunConfig::default())),
+            Config::CrunWasmtime => crun("crun-wasmtime", Guest::Engine(WASMTIME)),
+            Config::CrunWasmer => crun("crun-wasmer", Guest::Engine(WASMER)),
+            Config::CrunWasmEdge => crun("crun-wasmedge", Guest::Engine(WASMEDGE)),
+            Config::ShimWasmtime => crun("runwasi-wasmtime", Guest::Runwasi(EngineKind::Wasmtime)),
+            Config::ShimWasmer => crun("runwasi-wasmer", Guest::Runwasi(EngineKind::Wasmer)),
+            Config::ShimWasmEdge => crun("runwasi-wasmedge", Guest::Runwasi(EngineKind::WasmEdge)),
+            Config::CrunPython => crun("crun-python", Guest::Python),
+            Config::RuncPython => {
+                Stack { class: "runc-python", runtime: RUNC, guest: Guest::Python }
+            }
+        }
+    }
+
     /// Runtime-class name registered with containerd.
     pub fn class_name(self) -> &'static str {
-        match self {
-            Config::WamrCrun => "crun-wamr",
-            Config::CrunWasmtime => "crun-wasmtime",
-            Config::CrunWasmer => "crun-wasmer",
-            Config::CrunWasmEdge => "crun-wasmedge",
-            Config::ShimWasmtime => "runwasi-wasmtime",
-            Config::ShimWasmer => "runwasi-wasmer",
-            Config::ShimWasmEdge => "runwasi-wasmedge",
-            Config::CrunPython => "crun-python",
-            Config::RuncPython => "runc-python",
-        }
+        self.stack().class
     }
 
     /// Is this the paper's contribution?
@@ -80,13 +90,50 @@ impl Config {
         self == Config::WamrCrun
     }
 
-    /// Does this configuration run Wasm (vs. native Python)?
-    pub fn is_wasm(self) -> bool {
-        !matches!(self, Config::CrunPython | Config::RuncPython)
-    }
-
     /// Image reference the configuration deploys.
     pub fn image_ref(self) -> &'static str {
+        self.stack().image_ref()
+    }
+}
+
+/// What runs a stack's guest.
+#[derive(Debug, Clone, Copy)]
+pub enum Guest {
+    /// WAMR embedded in the low-level runtime: the paper's contribution.
+    Wamr(WamrCrunConfig),
+    /// The low-level runtime's engine handler, linking the engine's C API.
+    Engine(EngineProfile),
+    /// A runwasi shim embedding the engine as a crate. The shim is its own
+    /// runtime: it reads no [`Stack::runtime`].
+    Runwasi(EngineKind),
+    /// The Python interpreter, on the Python image.
+    Python,
+}
+
+/// What a configuration installs on a node, as a value: a runtime class,
+/// and the image its guest runs. [`Config::stack`] holds the paper's nine;
+/// a study measures a variant as a copy with one field changed, e.g.
+/// `Stack { runtime: YOUKI, ..Config::WamrCrun.stack() }`. Profiles are
+/// held by value, so a copy allocates nothing and writes no `static`.
+#[derive(Debug, Clone, Copy)]
+pub struct Stack {
+    /// Runtime-class name registered with containerd.
+    pub class: &'static str,
+    /// The low-level OCI runtime the pod's containers are created by (the
+    /// table's runwasi rows carry crun's, which no shim reads).
+    pub runtime: RuntimeProfile,
+    /// What runs the guest.
+    pub guest: Guest,
+}
+
+impl Stack {
+    /// Does the stack run Wasm (vs. native Python)?
+    pub fn is_wasm(&self) -> bool {
+        !matches!(self.guest, Guest::Python)
+    }
+
+    /// Image reference the stack deploys.
+    pub(crate) fn image_ref(&self) -> &'static str {
         if self.is_wasm() {
             "registry.local/microservice-wasm:v1"
         } else {
@@ -94,57 +141,44 @@ impl Config {
         }
     }
 
-    /// Register this configuration's runtime class (and its image, if not
-    /// yet pulled) on every node of a cluster. Runtime state is per-node:
-    /// each node's containerd gets a runtime bound to that node's kernel,
-    /// and each node pulls its own copy of the image (node-local layer
-    /// stores, as on real clusters).
-    pub fn install(self, cluster: &mut Cluster, workload: &Workload) -> KernelResult<()> {
+    /// Register this stack's runtime class (and its image, if not yet
+    /// pulled) on every node of a cluster. Runtime state is per-node: each
+    /// node's containerd gets a runtime bound to that node's kernel, and
+    /// each node pulls its own copy of the image (node-local layer stores,
+    /// as on real clusters).
+    pub fn install(&self, cluster: &mut Cluster, workload: &Workload) -> KernelResult<()> {
         for node in 0..cluster.node_count() {
             self.install_on(cluster, node, workload)?;
         }
         Ok(())
     }
 
-    /// [`Config::install`] for a single node.
+    /// [`Stack::install`] for a single node.
     pub fn install_on(
-        self,
+        &self,
         cluster: &mut Cluster,
         node: usize,
         workload: &Workload,
     ) -> KernelResult<()> {
         let kernel = cluster.node(node).kernel.clone();
-        let class = match self {
-            Config::WamrCrun => {
-                let mut rt = LowLevelRuntime::new(kernel, &CRUN);
-                rt.register_handler(Box::new(WamrHandler::new(WamrCrunConfig::default())));
-                rt.register_handler(Box::new(PauseHandler));
-                RuntimeClass::Oci { runtime: rt }
+        let oci = |handler: Box<dyn ContainerHandler>| {
+            let mut runtime = LowLevelRuntime::new(kernel, &self.runtime);
+            runtime.register_handler(handler);
+            runtime.register_handler(Box::new(PauseHandler));
+            RuntimeClass::Oci { runtime }
+        };
+        let class = match self.guest {
+            Guest::Wamr(config) => oci(Box::new(WamrHandler::new(config))),
+            Guest::Engine(profile) => {
+                oci(Box::new(WasmEngineHandler { profile, embedding: Embedding::CApi }))
             }
-            Config::CrunWasmtime | Config::CrunWasmer | Config::CrunWasmEdge => {
-                let engine = match self {
-                    Config::CrunWasmtime => EngineKind::Wasmtime,
-                    Config::CrunWasmer => EngineKind::Wasmer,
-                    _ => EngineKind::WasmEdge,
-                };
-                let mut rt = LowLevelRuntime::new(kernel, &CRUN);
-                rt.register_handler(Box::new(WasmEngineHandler::new(engine)));
-                rt.register_handler(Box::new(PauseHandler));
-                RuntimeClass::Oci { runtime: rt }
-            }
-            Config::ShimWasmtime => RuntimeClass::Runwasi { engine: EngineKind::Wasmtime },
-            Config::ShimWasmer => RuntimeClass::Runwasi { engine: EngineKind::Wasmer },
-            Config::ShimWasmEdge => RuntimeClass::Runwasi { engine: EngineKind::WasmEdge },
-            Config::CrunPython | Config::RuncPython => {
+            Guest::Runwasi(engine) => RuntimeClass::Runwasi { engine },
+            Guest::Python => {
                 pyrt::install_python(&cluster.node(node).kernel)?;
-                let profile = if self == Config::CrunPython { &CRUN } else { &RUNC };
-                let mut rt = LowLevelRuntime::new(kernel, profile);
-                rt.register_handler(Box::new(PythonHandler));
-                rt.register_handler(Box::new(PauseHandler));
-                RuntimeClass::Oci { runtime: rt }
+                oci(Box::new(PythonHandler))
             }
         };
-        cluster.register_class_on(node, self.class_name(), class);
+        cluster.register_class_on(node, self.class, class);
 
         // Pull the image (idempotent thanks to the layer store).
         let image = if self.is_wasm() {
@@ -212,6 +246,6 @@ mod tests {
     #[test]
     fn exactly_one_ours() {
         assert_eq!(Config::ALL.iter().filter(|c| c.is_ours()).count(), 1);
-        assert_eq!(Config::ALL.iter().filter(|c| !c.is_wasm()).count(), 2);
+        assert_eq!(Config::ALL.iter().filter(|c| !c.stack().is_wasm()).count(), 2);
     }
 }

@@ -384,7 +384,7 @@ fn run_settled(
             FaultEvent::Restart(n) => {
                 cluster.restart_node(n)?;
                 // A replacement machine is provisioned from scratch.
-                plan.config.install_on(&mut cluster, n, workload)?;
+                plan.config.stack().install_on(&mut cluster, n, workload)?;
             }
             FaultEvent::Partition(n) => cluster.partition_node(n)?,
             FaultEvent::Heal(n) => cluster.heal_node(n)?,

@@ -266,7 +266,7 @@ pub fn isolation_cluster(config: Config, workload: &Workload) -> KernelResult<Cl
         ..NodeConfig::paper_extension()
     };
     let mut cluster = Cluster::bootstrap_with(kcfg, ncfg)?;
-    config.install(&mut cluster, workload)?;
+    config.stack().install(&mut cluster, workload)?;
     warmup(&mut cluster, config)?;
     Ok(cluster)
 }

@@ -1,6 +1,6 @@
 //! # harness — experiment drivers regenerating the paper's evaluation
 //!
-//! The nine runtime configurations ([`config`]), the measurement
+//! The nine runtime configurations and their stacks ([`config`]), the measurement
 //! methodology ([`runner`]), the paper's evaluation as one measured
 //! [`Grid`] with its figures as data ([`figures`]), and the paper's
 //! quantitative claims as checks on that grid ([`claims`]).
@@ -25,7 +25,7 @@ pub(crate) mod runner;
 pub mod traffic;
 
 pub use cluster_scale::{measure_scale, ScaleSample};
-pub use config::{Config, Workload};
+pub use config::{Config, Guest, Stack, Workload};
 pub use explorer::{
     explore, generate_schedule, recovery_times, run_schedule, ExplorePlan, FaultEvent,
     InvariantKnobs, ScheduleOutcome,
@@ -34,8 +34,8 @@ pub use figures::{Column, Figure, Grid};
 pub use parallel::{run_cells_on, Cell};
 pub use report::mb;
 pub use runner::{
-    deploy_density, measure_cell, measure_memory, new_cluster, warmup, CellSample, MemorySample,
-    Observe, StartupSample,
+    deploy_density, measure_cell, measure_memory, measure_stack, new_cluster, warmup, CellSample,
+    MemorySample, Observe, Reading, StartupSample,
 };
 pub use traffic::{
     check_contract, request_exec, run_overload_contract, run_steady_cell, ContractPlan, PhaseStats,

@@ -16,7 +16,7 @@
 use k8s_sim::{Cluster, Deployment, ReconcileReport};
 use simkernel::{Duration, KernelResult};
 
-use crate::config::{Config, Workload};
+use crate::config::{Config, Stack, Workload};
 
 /// One memory observation.
 #[derive(Debug, Clone, Copy)]
@@ -74,16 +74,19 @@ pub struct CellSample {
 pub fn new_cluster(configs: &[Config], workload: &Workload) -> KernelResult<Cluster> {
     let mut cluster = Cluster::bootstrap()?;
     for c in configs {
-        c.install(&mut cluster, workload)?;
+        c.stack().install(&mut cluster, workload)?;
     }
     Ok(cluster)
 }
 
 /// Deploy one warm-up pod and tear it down, leaving caches warm.
 pub fn warmup(cluster: &mut Cluster, config: Config) -> KernelResult<()> {
-    let d = cluster.deploy("warmup", config.image_ref(), config.class_name(), 1)?;
-    cluster.teardown(d)?;
-    Ok(())
+    warm(cluster, &config.stack())
+}
+
+fn warm(cluster: &mut Cluster, stack: &Stack) -> KernelResult<()> {
+    let d = cluster.deploy("warmup", stack.image_ref(), stack.class, 1)?;
+    cluster.teardown(d)
 }
 
 /// Drive node 0's kubelet until it settles or `max_rounds` rounds have
@@ -114,49 +117,73 @@ pub fn deploy_density(
     density: usize,
     workload: &Workload,
 ) -> KernelResult<(Cluster, Deployment)> {
-    let mut cluster = new_cluster(&[config], workload)?;
-    warmup(&mut cluster, config)?;
-    let d = cluster.deploy("bench", config.image_ref(), config.class_name(), density)?;
+    let (cluster, _, d) = deploy_stack(&config.stack(), density, workload)?;
     Ok((cluster, d))
 }
 
-/// Measure one (config, density) grid cell from a **single** deployment.
-///
-/// Builds a fresh warmed cluster, deploys once, and runs the requested
-/// observers against that one deployment. Memory observation (`free`
-/// deltas + metrics-server scrape) only reads cluster state, and startup
-/// observation is a pure DES replay of the recorded per-pod latency
-/// programs, so the two observers cannot perturb each other: a `Both` cell
-/// yields byte-identical samples to running [`measure_memory`] and
-/// [`measure_startup`] separately, at half the deployments.
+/// Boot a cluster with `stack` installed, warm it with one pod, and deploy
+/// `density` pods; also the `free` reading just before the deployment.
+fn deploy_stack(
+    stack: &Stack,
+    density: usize,
+    workload: &Workload,
+) -> KernelResult<(Cluster, u64, Deployment)> {
+    let mut cluster = Cluster::bootstrap()?;
+    stack.install(&mut cluster, workload)?;
+    warm(&mut cluster, stack)?;
+    let free_before = cluster.free().used_with_cache();
+    let d = cluster.deploy("bench", stack.image_ref(), stack.class, density)?;
+    Ok((cluster, free_before, d))
+}
+
+/// Measure one (config, density) grid cell: [`measure_stack`] on
+/// [`Config::stack`], tagged with the config.
 pub fn measure_cell(
     config: Config,
     density: usize,
     workload: &Workload,
     observe: Observe,
 ) -> KernelResult<CellSample> {
+    let (memory, startup) = measure_stack(&config.stack(), density, workload, observe)?;
+    let memory = memory.map(|(metrics_avg, free_per_pod)| MemorySample {
+        config,
+        density,
+        metrics_avg,
+        free_per_pod,
+    });
+    let startup = startup.map(|total| StartupSample { config, density, total });
+    Ok(CellSample { config, density, memory, startup })
+}
+
+/// What [`measure_stack`] reads, each part iff observed: the memory
+/// observers (metrics-server working set, `free` growth; bytes per pod)
+/// and the startup makespan.
+pub type Reading = (Option<(u64, u64)>, Option<Duration>);
+
+/// Deploy `density` pods of `stack` **once**, on a fresh warmed cluster,
+/// and run the requested observers against that deployment. Memory
+/// observation only reads cluster state, and startup observation is a pure
+/// DES replay of the recorded per-pod latency programs, so the two cannot
+/// perturb each other: a `Both` cell reads what two separate cells would.
+pub fn measure_stack(
+    stack: &Stack,
+    density: usize,
+    workload: &Workload,
+    observe: Observe,
+) -> KernelResult<Reading> {
     if density == 0 {
         return Err(simkernel::KernelError::InvalidState("density must be at least 1".into()));
     }
-    let mut cluster = new_cluster(&[config], workload)?;
-    warmup(&mut cluster, config)?;
-    let free_before = cluster.free().used_with_cache();
-    let d = cluster.deploy("bench", config.image_ref(), config.class_name(), density)?;
+    let (cluster, free_before, d) = deploy_stack(stack, density, workload)?;
     let memory = if observe.wants_memory() {
         let metrics_avg = cluster.average_working_set(&d)?;
         let free_after = cluster.free().used_with_cache();
-        let free_per_pod = free_after.saturating_sub(free_before) / density as u64;
-        Some(MemorySample { config, density, metrics_avg, free_per_pod })
+        Some((metrics_avg, free_after.saturating_sub(free_before) / density as u64))
     } else {
         None
     };
-    let startup = if observe.wants_startup() {
-        let outcome = cluster.measure_startup(&[&d]);
-        Some(StartupSample { config, density, total: outcome.total() })
-    } else {
-        None
-    };
-    Ok(CellSample { config, density, memory, startup })
+    let startup = observe.wants_startup().then(|| cluster.measure_startup(&[&d]).total());
+    Ok((memory, startup))
 }
 
 /// Measure both memory observers at one (config, density) point.
@@ -165,8 +192,9 @@ pub fn measure_memory(
     density: usize,
     workload: &Workload,
 ) -> KernelResult<MemorySample> {
-    let cell = measure_cell(config, density, workload, Observe::Memory)?;
-    Ok(cell.memory.expect("Observe::Memory yields a memory sample"))
+    let (memory, _) = measure_stack(&config.stack(), density, workload, Observe::Memory)?;
+    let (metrics_avg, free_per_pod) = memory.expect("Observe::Memory yields a memory reading");
+    Ok(MemorySample { config, density, metrics_avg, free_per_pod })
 }
 
 #[cfg(test)]
@@ -240,5 +268,46 @@ mod tests {
         assert!(c.memory.is_some() && c.startup.is_none());
         let c = measure_cell(Config::WamrCrun, 2, &w, Observe::Startup).unwrap();
         assert!(c.memory.is_none() && c.startup.is_some());
+    }
+
+    /// The stacks `studies` derives from the table, measured through the
+    /// one path: each moves the readings the way its study reports.
+    #[test]
+    fn derived_stacks_move_their_readings() {
+        use crate::config::Guest;
+        use container_runtimes::profile::YOUKI;
+        use engines::profile::{WAMR_AOT, WASMTIME};
+        use wamr_crun::WamrCrunConfig;
+
+        let w = Workload::light();
+        let read = |stack: &Stack| {
+            let (memory, startup) = measure_stack(stack, 4, &w, Observe::Both).unwrap();
+            (memory.unwrap(), startup.unwrap())
+        };
+        let wamr = Config::WamrCrun.stack();
+        let wasmtime = Config::CrunWasmtime.stack();
+        let ((wamr_metrics, wamr_free), _) = read(&wamr);
+
+        let ((metrics, free), _) = read(&Stack { runtime: YOUKI, ..wamr });
+        assert!(metrics > wamr_metrics && free > wamr_free, "WAMR in youki vs in crun");
+
+        let ((aot, _), _) = read(&Stack { guest: Guest::Engine(WAMR_AOT), ..wasmtime });
+        let ((wasmtime_metrics, _), wasmtime_startup) = read(&wasmtime);
+        assert!(wamr_metrics < aot && aot < wasmtime_metrics, "crun-wamr-aot between the two");
+
+        let unshared = WamrCrunConfig {
+            dynamic_lib_loading: false,
+            share_modules: false,
+            ..Default::default()
+        };
+        let ((metrics, _), _) = read(&Stack { guest: Guest::Wamr(unshared), ..wamr });
+        assert!(metrics > wamr_metrics, "WAMR without sharing vs shared");
+
+        // One field of a copied profile, no `static` written.
+        let mut slower = WASMTIME;
+        slower.exec_ns_per_instr = WASMTIME.exec_ns_per_instr * 5 / 4;
+        let (memory, startup) = read(&Stack { guest: Guest::Engine(slower), ..wasmtime });
+        assert!(startup > wasmtime_startup, "{startup} vs {wasmtime_startup}");
+        assert_eq!(memory, read(&wasmtime).0, "execution speed costs no memory");
     }
 }

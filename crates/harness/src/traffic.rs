@@ -544,7 +544,7 @@ fn serving_cluster(
     plan: &TrafficPlan,
 ) -> KernelResult<(Cluster, DeploymentController)> {
     let mut cluster = Cluster::bootstrap()?;
-    config.install(&mut cluster, workload)?;
+    config.stack().install(&mut cluster, workload)?;
     warmup(&mut cluster, config)?;
     let mut spec =
         DeploymentSpec::new("svc", config.image_ref(), config.class_name(), plan.replicas);

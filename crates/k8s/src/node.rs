@@ -160,7 +160,7 @@ impl Node {
     /// the old kernel are gone by construction. Runtime classes and images
     /// are *not* carried over — a replacement node is provisioned from
     /// scratch, so the caller re-installs them (the harness's
-    /// `Config::install_on`).
+    /// `Stack::install_on`).
     pub(crate) fn restart(&mut self, clock: &Clock) -> KernelResult<()> {
         if self.alive {
             return Err(KernelError::InvalidState(format!("{} is not crashed", self.name)));

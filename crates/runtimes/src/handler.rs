@@ -134,13 +134,13 @@ fn wasi_spec_from_oci(spec: &RuntimeSpec) -> WasiSpec {
 /// a runwasi shim does.
 #[derive(Debug, Clone, Copy)]
 pub struct WasmEngineHandler {
-    pub profile: &'static EngineProfile,
+    pub profile: EngineProfile,
     pub embedding: Embedding,
 }
 
 impl WasmEngineHandler {
     pub fn new(engine: EngineKind) -> Self {
-        WasmEngineHandler { profile: engine.profile(), embedding: Embedding::CApi }
+        WasmEngineHandler { profile: *engine.profile(), embedding: Embedding::CApi }
     }
 }
 
@@ -163,7 +163,7 @@ impl ContainerHandler for WasmEngineHandler {
         let base = ExecOptions { embedding: self.embedding, ..Default::default() };
         let (module, wasi, opts) = guest_from_oci(bundle, spec, base)?;
         let fuel = DEFAULT_STARTUP_FUEL;
-        Ok(execute_wasm_opts(kernel, pid, self.profile, module, &wasi, fuel, opts)?.into())
+        Ok(execute_wasm_opts(kernel, pid, &self.profile, module, &wasi, fuel, opts)?.into())
     }
 }
 

@@ -6,26 +6,9 @@
 
 use simkernel::Duration;
 
-/// The low-level OCI runtimes from the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub(crate) enum RuntimeKind {
-    Crun,
-    Runc,
-    Youki,
-}
-
-impl RuntimeKind {
-    pub(crate) fn profile(self) -> &'static RuntimeProfile {
-        match self {
-            RuntimeKind::Crun => &CRUN,
-            RuntimeKind::Runc => &RUNC,
-            RuntimeKind::Youki => &YOUKI,
-        }
-    }
-}
-
-/// Characteristics of one low-level runtime.
-#[derive(Debug, Clone)]
+/// Characteristics of one low-level runtime: numbers and static names,
+/// so a copy allocates nothing.
+#[derive(Debug, Clone, Copy)]
 pub struct RuntimeProfile {
     pub(crate) name: &'static str,
     /// Version as in the paper's Table I (crun/youki are not listed there;
@@ -111,8 +94,7 @@ impl RuntimeProfile {
 
 /// Install the runtime binaries into the VFS. Idempotent.
 pub fn install_runtimes(kernel: &simkernel::Kernel) -> simkernel::KernelResult<()> {
-    for kind in [RuntimeKind::Crun, RuntimeKind::Runc, RuntimeKind::Youki] {
-        let p = kind.profile();
+    for p in [&CRUN, &RUNC, &YOUKI] {
         kernel.ensure_file(p.binary_path, simkernel::vfs::FileContent::Synthetic(p.binary_size))?;
     }
     Ok(())

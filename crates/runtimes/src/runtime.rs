@@ -82,14 +82,15 @@ pub struct RuntimeCtx {
 /// A low-level OCI runtime with registered workload handlers.
 pub struct LowLevelRuntime {
     kernel: Kernel,
-    profile: &'static RuntimeProfile,
+    profile: RuntimeProfile,
     /// Stateless values, so forks of a runtime share them.
     handlers: Vec<Arc<dyn ContainerHandler>>,
 }
 
 impl LowLevelRuntime {
-    pub fn new(kernel: Kernel, profile: &'static RuntimeProfile) -> Self {
-        LowLevelRuntime { kernel, profile, handlers: Vec::new() }
+    /// A runtime on `kernel` holding its own copy of `profile`.
+    pub fn new(kernel: Kernel, profile: &RuntimeProfile) -> Self {
+        LowLevelRuntime { kernel, profile: *profile, handlers: Vec::new() }
     }
 
     /// The same runtime — profile and handlers, in order — on `kernel`: a
@@ -120,7 +121,7 @@ impl LowLevelRuntime {
         body: impl FnOnce(&Kernel, Pid, &mut StepTrace) -> KernelResult<()>,
     ) -> KernelResult<()> {
         let kernel = &self.kernel;
-        let p = self.profile;
+        let p = &self.profile;
         // Exec: map the runtime binary; first exec pays the cold read.
         let rt = ProcessImage::spawn(kernel, [p.name, ":", op].concat(), ctx.runtime_cgroup)
             .text(p.binary_path, p.binary_size, p.binary_resident(), p.name)
@@ -148,7 +149,7 @@ impl LowLevelRuntime {
         bundle: &Bundle,
         pod_cgroup: CgroupId,
     ) -> KernelResult<Container> {
-        let p = self.profile;
+        let p = &self.profile;
         let mut trace = StepTrace::new();
         let mut pid_slot: Option<Pid> = None;
         let mut cg_slot: Option<CgroupId> = None;
@@ -228,7 +229,7 @@ impl LowLevelRuntime {
                 container.state.state()
             )));
         }
-        let p = self.profile;
+        let p = &self.profile;
         let mut outcome_slot: Option<HandlerOutcome> = None;
         let mut handler_name = "";
 

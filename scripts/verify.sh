@@ -12,6 +12,12 @@ echo "== cargo test --workspace -q =="
 # package's alone (~75 s cold).
 cargo test --workspace -q --offline
 
+echo "== mutants: the catalogue entries whose file this change touches =="
+# scripts/mutants.txt keeps the bugs a test was shown to catch; a change to
+# a file one of them mutates must still be caught by its test. The whole
+# catalogue (every file) is `scripts/mutants.sh` with no flag.
+scripts/mutants.sh --touched target/mutants
+
 echo "== cargo test (benchmark package) =="
 # benchmark/ is its own package outside the workspace and imports the
 # harness API by name: a signature change must fail here, not in the

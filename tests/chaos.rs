@@ -366,7 +366,7 @@ fn zero_attacker_isolation_run_matches_plain_supervised_deploy() {
     // pre-existing deploy/reconcile loop, measured the same way.
     let kcfg = KernelConfig { cores: ISOLATION_CORES, ..KernelConfig::default() };
     let mut cluster = Cluster::bootstrap_with(kcfg, NodeConfig::paper_extension()).unwrap();
-    Config::WamrCrun.install(&mut cluster, &w).unwrap();
+    Config::WamrCrun.stack().install(&mut cluster, &w).unwrap();
     warmup(&mut cluster, Config::WamrCrun).unwrap();
     cluster
         .deploy_with(

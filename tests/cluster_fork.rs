@@ -40,7 +40,7 @@ fn script(cluster: &mut Cluster, ctrl: &mut DeploymentController, config: Config
     cluster.partition_node(2).unwrap();
     rounds(cluster, ctrl, 10);
     cluster.restart_node(1).unwrap();
-    config.install_on(cluster, 1, w).unwrap();
+    config.stack().install_on(cluster, 1, w).unwrap();
     rounds(cluster, ctrl, 10);
     cluster.heal_node(2).unwrap();
     rounds(cluster, ctrl, 120);

@@ -13,12 +13,16 @@
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use memwasm::container_runtimes::handler::{ContainerHandler, HandlerOutcome};
+use memwasm::container_runtimes::profile::CRUN;
+use memwasm::container_runtimes::RuntimeProfile;
 use memwasm::engines::profile::{DEFAULT_STARTUP_FUEL, WAMR};
 use memwasm::engines::{
     execute_guest, execute_wasm_opts, guests, install_engines, Embedding, EngineKind,
     EngineProfile, EngineRun, ExecOptions, GuestInputs, WasiSpec, EPOCH_TICK_INSTRS,
 };
-use memwasm::harness::{new_cluster, warmup, Config, Workload};
+use memwasm::harness::{
+    measure_stack, new_cluster, warmup, Config, Guest, Observe, Stack, Workload,
+};
 use memwasm::oci_spec_lite::{
     Bundle, ImageBuilder, ImageStore, RuntimeSpec, WATCHDOG_BUDGET_ANNOTATION,
 };
@@ -425,7 +429,8 @@ fn pods_of_every_config_see_the_same_bytes_replayed_or_executed() {
                     guests().clear();
                     scripts().clear();
                 }
-                let starts = || if config.is_wasm() { guests().stats() } else { scripts().stats() };
+                let starts =
+                    || if config.stack().is_wasm() { guests().stats() } else { scripts().stats() };
                 // The pods stay up (a `Deployment` is a record, dropping it
                 // tears nothing down), as the pods of a measured cell do.
                 let (d, moved) = counted(starts, || {
@@ -445,6 +450,50 @@ fn pods_of_every_config_see_the_same_bytes_replayed_or_executed() {
             assert_eq!(pods[1], pods[2], "{}: replayed, then executed", config.label());
         }
     }
+}
+
+/// A configuration is compared by content: a guest started under a
+/// field-equal copy of a profile, held by value, is the guest the `static`
+/// started, and a cell measured from a stack of such copies reads the
+/// table's cell.
+#[test]
+fn a_field_equal_profile_copy_is_the_same_configuration() {
+    let _serial = serial();
+    let kernel = boot();
+    let file =
+        install(&kernel, "/images/svc/app.wasm", microservice_module(&Workload::light().wasm));
+    let wasi = service_wasi();
+    let stock = EngineKind::Wasmtime.profile();
+    let copy: EngineProfile = *stock;
+    let go = |name: &str, profile: &EngineProfile| {
+        let opts = ExecOptions::default();
+        counted(
+            || guests().stats(),
+            || start(&kernel, name, profile, file, &wasi, DEFAULT_STARTUP_FUEL, opts),
+        )
+    };
+    // Two starts leave Wasmtime's code cache warm and its artifact read.
+    for pod in ["warm-1", "warm-2"] {
+        go(pod, stock).0 .0.unwrap();
+    }
+    guests().clear();
+    let (by_static, moved) = go("static", stock);
+    assert_eq!(moved, EXECUTED);
+    let (by_copy, moved) = go("copy", &copy);
+    assert_eq!(moved, REPLAYED, "the copy names the static's guest");
+    assert_eq!(by_copy, by_static);
+
+    let w = Workload::light();
+    let table = Config::CrunWasmtime.stack();
+    let runtime: RuntimeProfile = CRUN;
+    let copies = Stack { runtime, guest: Guest::Engine(copy), ..table };
+    guests().clear();
+    let measure = |stack: &Stack| measure_stack(stack, 3, &w, Observe::Both).unwrap();
+    let (from_table, moved) = counted(|| guests().stats(), || measure(&table));
+    assert_eq!(moved.executed, 1, "the warm-up pod executes; the cell's pods replay it");
+    let (from_copies, moved) = counted(|| guests().stats(), || measure(&copies));
+    assert_eq!(moved.executed, 0, "a stack of copies replays the table's guest");
+    assert_eq!(from_copies, from_table);
 }
 
 // ------------------------------------- (b) a guest that looks is never replayed

@@ -37,7 +37,7 @@ fn wamr_cluster(nodes: usize, workload: &Workload) -> KernelResult<Cluster> {
         memwasm::k8s_sim::NodeConfig::paper_extension(),
         Policy::Spread,
     )?;
-    Config::WamrCrun.install(&mut cluster, workload)?;
+    Config::WamrCrun.stack().install(&mut cluster, workload)?;
     Ok(cluster)
 }
 
