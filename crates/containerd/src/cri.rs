@@ -547,10 +547,7 @@ impl Containerd {
         note(self.kernel.exit(sandbox.shim_pid, 0));
         note(self.kernel.reap(sandbox.shim_pid));
         note(self.kernel.cgroup_remove(sandbox.pod_cgroup));
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        first_err.map_or(Ok(()), Err)
     }
 
     /// A kubelet health-probe RPC against the pod's container. Returns

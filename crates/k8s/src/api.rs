@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use simkernel::{CgroupId, Duration, Phase, SimTime, StepTrace};
+use simkernel::{CgroupId, Duration, Phase, SimTime};
 
 /// A kubelet health probe (`livenessProbe` / `readinessProbe`): fired on
 /// the simulated clock from the kubelet's reconcile loop as CRI probe RPCs
@@ -104,8 +104,8 @@ pub struct PodRecord {
     /// When the scheduler dispatched this pod to the kubelet.
     pub dispatched_at: SimTime,
     /// The pod's startup program (for the DES latency run), tagged with the
-    /// lifecycle phase each step belongs to.
-    pub trace: StepTrace,
+    /// lifecycle phase each step belongs to: a handle to its node's copy.
+    pub trace: crate::kubelet::Program,
     /// Captured workload stdout.
     pub stdout: Vec<u8>,
 }
@@ -270,7 +270,7 @@ mod tests {
             pod_cgroup: CgroupId(1),
             node: 0,
             dispatched_at: SimTime::ZERO,
-            trace: StepTrace::new(),
+            trace: Default::default(),
             stdout: vec![],
         });
         assert_eq!(d.len(), 1);
@@ -279,7 +279,7 @@ mod tests {
 
     #[test]
     fn mean_phase_busy_averages_over_pods() {
-        use simkernel::Step;
+        use simkernel::{Step, StepTrace};
         let mut d = Deployment::default();
         for i in 0..2u64 {
             let mut trace = StepTrace::new();
@@ -295,7 +295,7 @@ mod tests {
                 pod_cgroup: CgroupId(1),
                 node: 0,
                 dispatched_at: SimTime::ZERO,
-                trace,
+                trace: trace.into(),
                 stdout: vec![],
             });
         }

@@ -291,18 +291,11 @@ impl Cluster {
                 match e.phase {
                     PodPhase::Running => {
                         stats.running += 1;
-                        if e.ready {
-                            stats.ready += 1;
-                        }
+                        stats.ready += usize::from(e.ready);
                     }
                     PodPhase::CrashLoopBackOff => stats.crash_loop += 1,
-                    PodPhase::Evicted => {
-                        if e.pressure_evicted {
-                            stats.pressure_evicted += 1;
-                        } else {
-                            stats.evicted += 1;
-                        }
-                    }
+                    PodPhase::Evicted if e.pressure_evicted => stats.pressure_evicted += 1,
+                    PodPhase::Evicted => stats.evicted += 1,
                     PodPhase::OomKilled => stats.oom_killed += 1,
                     PodPhase::Failed => stats.failed += 1,
                 }
@@ -492,7 +485,7 @@ impl Cluster {
     ///
     /// A node's schedule is its core count and, for each of its pods in
     /// order, the pod's dispatch offset from the node's first dispatch and
-    /// its step trace. [`Sim::run`] is translation-invariant, so a node
+    /// its program handle. [`Sim::run`] is translation-invariant, so a node
     /// whose schedule equals an earlier node's takes that node's outcome
     /// shifted by the difference of their first dispatches, its events
     /// counted again: only the first node of each distinct schedule is
@@ -522,25 +515,40 @@ impl Cluster {
                 })
         };
 
+        let simulate = |node: usize| {
+            let tasks = per_node[node].iter().map(|&pos| TaskSpec {
+                name: String::new(),
+                start_at: pods[pos].dispatched_at,
+                steps: pods[pos].trace.steps(),
+            });
+            Sim::new(cores[node]).run(tasks.collect())
+        };
+
         // Each distinct schedule's first node, with that node's outcome.
         let mut simulated: Vec<(usize, SimOutcome)> = Vec::new();
         let mut finished = vec![SimTime::ZERO; pods.len()];
         let (mut makespan, mut events) = (SimTime::ZERO, 0);
+        let mut unchecked = cfg!(debug_assertions);
         for (node, members) in per_node.iter().enumerate().filter(|(_, m)| !m.is_empty()) {
             let known = simulated.iter().position(|&(origin, _)| same_schedule(origin, node));
             let (origin, out) = match known {
                 Some(i) => &simulated[i],
                 None => {
-                    let tasks = members.iter().map(|&pos| TaskSpec {
-                        name: String::new(),
-                        start_at: pods[pos].dispatched_at,
-                        steps: pods[pos].trace.steps(),
-                    });
-                    simulated.push((node, Sim::new(cores[node]).run(tasks.collect())));
+                    simulated.push((node, simulate(node)));
                     &simulated[simulated.len() - 1]
                 }
             };
             let shift = |t: SimTime| first[node] + (t - first[*origin]);
+            if unchecked && known.is_some() {
+                unchecked = false;
+                let at = |o: &SimOutcome| o.results.iter().map(|r| r.finished).collect::<Vec<_>>();
+                let direct = simulate(node);
+                debug_assert_eq!(
+                    (direct.makespan, direct.events, at(&direct)),
+                    (shift(out.makespan), out.events, at(out).into_iter().map(shift).collect()),
+                    "node {node} replays node {origin}"
+                );
+            }
             makespan = makespan.max(shift(out.makespan));
             events += out.events;
             for (r, &pos) in out.results.iter().zip(members) {
@@ -550,7 +558,7 @@ impl Cluster {
         let results =
             pods.iter().zip(finished).enumerate().map(|(pos, (p, finished))| TaskResult {
                 id: simkernel::TaskId(pos),
-                name: p.spec.name.clone(),
+                name: String::new(),
                 started: p.dispatched_at,
                 finished,
             });
@@ -871,10 +879,12 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::api::DeploymentSpec;
+    use crate::kubelet::Program;
     use container_runtimes::handler::PauseHandler;
     use container_runtimes::profile::CRUN;
     use container_runtimes::LowLevelRuntime;
     use simkernel::{ProcessImage, StepTrace};
+    use std::sync::Arc;
     use wamr_crun::{WamrCrunConfig, WamrHandler};
 
     fn microservice() -> Vec<u8> {
@@ -1004,7 +1014,8 @@ mod tests {
     fn measure_startup_equals_a_des_run_per_node() {
         // Six nodes. All but node 4 start and remove one pod first, so
         // node 4's first measured pod reads the binaries cold. Node 5 has
-        // one core. Two deployments 10 ms apart put four pods on every
+        // one core. A second on, so that no node's first dispatch is at
+        // time zero, two deployments 10 ms apart put four pods on every
         // node, contending on node 5's core; then nodes 2 and 3 get one
         // more pod each, a second apart.
         let mut cluster = Cluster::bootstrap_nodes(
@@ -1020,6 +1031,7 @@ mod tests {
         install_wamr(&mut cluster);
         let warm = deploy_on(&mut cluster, &[0, 1, 2, 3, 5], "warm", 5);
         cluster.teardown(warm).unwrap();
+        cluster.advance(Duration::from_secs(1));
         let early = deploy_on(&mut cluster, &[0, 1, 2, 3, 4, 5], "early", 12);
         cluster.advance(Duration::from_millis(10));
         let late = deploy_on(&mut cluster, &[0, 1, 2, 3, 4, 5], "late", 12);
@@ -1053,12 +1065,12 @@ mod tests {
             makespan = makespan.max(out.makespan);
             events += out.events;
             for (r, &i) in out.results.into_iter().zip(&members) {
-                want.push((i, r.name, r.started, r.finished));
+                want.push((i, r.started, r.finished));
             }
             let first = members.iter().map(|&i| pods[i].dispatched_at).min().unwrap();
             let offsets: Vec<Duration> =
                 members.iter().map(|&i| pods[i].dispatched_at - first).collect();
-            let traces: Vec<&StepTrace> = members.iter().map(|&i| &pods[i].trace).collect();
+            let traces: Vec<&StepTrace> = members.iter().map(|&i| &*pods[i].trace).collect();
             schedules.push((cores, offsets, traces, out.makespan));
         }
         want.sort_by_key(|w| w.0);
@@ -1077,9 +1089,72 @@ mod tests {
         assert!(early.pods[0].dispatched_at < late.pods[0].dispatched_at);
 
         let got_results: Vec<_> =
-            got.results.iter().map(|r| (r.id.0, r.name.clone(), r.started, r.finished)).collect();
+            got.results.iter().map(|r| (r.id.0, r.started, r.finished)).collect();
         assert_eq!(got_results, want);
         assert_eq!((got.makespan, got.events), (makespan, events));
+    }
+
+    /// The first start on a node reads its binaries cold; every later one
+    /// on that node, supervised or not, holds the node's one warm program,
+    /// which the cold pod does not share.
+    #[test]
+    fn warm_pods_share_their_nodes_program_and_a_cold_pod_keeps_its_own() {
+        let mut cluster = cluster_with_wamr();
+        let d = cluster.deploy("web", "svc:v1", "crun-wamr", 6).unwrap();
+        let opts = DeployOpts { restart: RestartPolicy::Always, ..Default::default() };
+        cluster.deploy_with("sup", "svc:v1", "crun-wamr", 2, opts).unwrap();
+        let handle = |p: &Program| Arc::clone(p.handle().expect("a started pod"));
+        let (cold, warm) = (handle(&d.pods[0].trace), handle(&d.pods[1].trace));
+        let managed = cluster.kubelet().managed().map(|e| handle(&e.trace));
+        for h in d.pods[2..].iter().map(|p| handle(&p.trace)).chain(managed) {
+            assert!(Arc::ptr_eq(&h, &warm));
+        }
+        assert_ne!(*cold, *warm, "the first pod reads cold");
+        let table = cluster.kubelet().programs();
+        assert_eq!(table.len(), 2);
+        assert!(Arc::ptr_eq(&table[0], &cold) && Arc::ptr_eq(&table[1], &warm));
+    }
+
+    /// Starts and removals churn through a node's program table without
+    /// growing it: after each deploy it holds only programs a live pod
+    /// holds, and once every pod is gone at most the last one is left.
+    #[test]
+    fn a_nodes_program_table_holds_only_what_its_pods_hold() {
+        let mut cluster = cluster_with_wamr();
+        for round in 0..20 {
+            let d = cluster.deploy(&format!("r{round}"), "svc:v1", "crun-wamr", 3).unwrap();
+            let held = |p: &Arc<StepTrace>| {
+                d.pods.iter().any(|pod| pod.trace.handle().is_some_and(|h| Arc::ptr_eq(h, p)))
+            };
+            assert!(cluster.kubelet().programs().iter().all(held), "round {round}");
+            cluster.teardown(d).unwrap();
+        }
+        assert!(cluster.kubelet().programs().len() <= 1);
+    }
+
+    /// A fork starts out sharing its origin's programs; a restart in the
+    /// fork interns into the fork's table and leaves the origin's as it was.
+    #[test]
+    fn a_forks_restart_interns_into_the_forks_table() {
+        let mut cluster = cluster_with_wamr();
+        let opts = DeployOpts { restart: RestartPolicy::Always, ..Default::default() };
+        cluster.deploy_with("p", "svc:v1", "crun-wamr", 1, opts).unwrap();
+        let before = cluster.kubelet().programs().to_vec();
+        let mut fork = cluster.fork();
+        let kernel = fork.kernel().clone();
+        let init = kernel.ps().into_iter().find(|p| p.1 == "container:p-0-c0").unwrap().0;
+        kernel.oom_kill(init).unwrap();
+        assert_eq!(fork.reconcile().oom_killed, ["p-0"]);
+        fork.advance(Kubelet::backoff_delay(0));
+        assert_eq!(fork.reconcile().restarted, ["p-0"]);
+
+        let restarted = fork.kubelet().managed_pod("p-0").unwrap().trace.handle().unwrap();
+        let holds = |table: &[Arc<StepTrace>]| table.iter().any(|p| Arc::ptr_eq(p, restarted));
+        assert!(holds(fork.kubelet().programs()));
+        assert!(!holds(cluster.kubelet().programs()));
+        let origin = cluster.kubelet().programs();
+        assert_eq!(origin.len(), before.len());
+        assert!(origin.iter().zip(&before).all(|(a, b)| Arc::ptr_eq(a, b)));
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!   paper's §III-C extension raises it to 500 to run the density
 //!   experiments. [`NodeConfig::paper_extension`] reproduces that setting.
 
+use std::sync::Arc;
+
 use containerd_sim::Containerd;
 use oci_spec_lite::WATCHDOG_BUDGET_ANNOTATION;
 use simkernel::image::charge_anon;
@@ -116,6 +118,21 @@ impl ProbeState {
     }
 }
 
+/// A pod start's finished program: a handle to its node's copy
+/// ([`Kubelet::intern`]), compared by pointer first. The default, held by a
+/// supervised pod that has not started, allocates nothing and reads empty.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Program(Option<Arc<StepTrace>>);
+
+impl std::ops::Deref for Program {
+    type Target = StepTrace;
+
+    fn deref(&self) -> &StepTrace {
+        static EMPTY: StepTrace = StepTrace::new();
+        self.0.as_deref().unwrap_or(&EMPTY)
+    }
+}
+
 /// A pod under kubelet supervision ([`RestartPolicy::Always`]): survives
 /// sync failures and OOM kills as a table entry whose phase tracks the
 /// recovery state machine.
@@ -145,7 +162,7 @@ pub struct PodEntry {
     pub pressure_evicted: bool,
     /// Startup program of the most recent successful sync (the DES replay
     /// input for supervised pods, mirroring `PodRecord::trace`).
-    pub trace: StepTrace,
+    pub trace: Program,
     /// Dispatch time of the most recent successful sync.
     pub dispatched_at: SimTime,
     /// The most recent start wedged on its watchdog budget: the guest was
@@ -239,6 +256,8 @@ pub struct Kubelet {
     pods_synced: usize,
     /// [`Kernel::oom_kills`] as read at the top of the last reconcile pass.
     oom_kills_seen: u64,
+    /// The start programs this node's pods hold, one allocation each.
+    programs: Vec<Arc<StepTrace>>,
 }
 
 impl Kubelet {
@@ -269,6 +288,7 @@ impl Kubelet {
             next_seq: 0,
             pods_synced: 0,
             oom_kills_seen: 0,
+            programs: Vec::new(),
         })
     }
 
@@ -280,6 +300,7 @@ impl Kubelet {
             config: self.config.clone(),
             infra_procs: self.infra_procs.clone(),
             pods: self.pods.clone(),
+            programs: self.programs.clone(),
             // The daemon's pid and the counters: plain `Copy` values.
             ..*self
         }
@@ -409,7 +430,7 @@ impl Kubelet {
             )));
         }
         // The start's one trace, which every layer below pushes into: room
-        // for a crun start's ~40 steps, the slack given back once it is up.
+        // for a crun start's ~40 steps.
         let mut trace = StepTrace::with_capacity(64);
         trace.push(Phase::ApiDispatch, Step::Io(cost::API_DISPATCH));
         trace.push(Phase::ApiDispatch, Step::Io(cost::QUEUE_IO));
@@ -487,10 +508,6 @@ impl Kubelet {
         }
 
         let stdout = containerd.take_container_stdout(&spec.name, &cid);
-        // The record lives as long as the pod: keep the steps, not the
-        // capacity their collection grew through.
-        trace.shrink_to_fit();
-
         self.pods_synced += 1;
         Ok(PodRecord {
             spec,
@@ -498,9 +515,22 @@ impl Kubelet {
             pod_cgroup,
             node: 0,
             dispatched_at,
-            trace,
+            trace: self.intern(trace),
             stdout,
         })
+    }
+
+    /// The node's handle to `trace`'s program: an equal one a pod here
+    /// holds, else `trace` entered into the table. Programs only the table
+    /// still holds leave it, so it never outgrows what the node's pods hold.
+    fn intern(&mut self, trace: StepTrace) -> Program {
+        let at = self.programs.iter().position(|p| **p == trace).unwrap_or_else(|| {
+            self.programs.push(Arc::new(trace));
+            self.programs.len() - 1
+        });
+        let shared = Arc::clone(&self.programs[at]);
+        self.programs.retain(|p| Arc::strong_count(p) > 1);
+        Program(Some(shared))
     }
 
     /// Admit a pod under supervision ([`RestartPolicy::Always`]): a failed
@@ -530,7 +560,7 @@ impl Kubelet {
             stdout: Vec::new(),
             ready: false,
             pressure_evicted: false,
-            trace: StepTrace::new(),
+            trace: Program::default(),
             dispatched_at,
             wedged: false,
             liveness: None,
@@ -806,10 +836,7 @@ impl Kubelet {
         if let Err(e) = self.teardown_pod_resources(containerd, pod_name) {
             first_err.get_or_insert(e);
         }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        first_err.map_or(Ok(()), Err)
     }
 
     /// Release a pod's node resources without touching the supervision
@@ -843,16 +870,33 @@ impl Kubelet {
         if let Err(e) = containerd.remove_pod_sandbox(pod_name) {
             first_err.get_or_insert(e);
         }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        first_err.map_or(Ok(()), Err)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Kubelet {
+        /// The node's program table.
+        pub(crate) fn programs(&self) -> &[Arc<StepTrace>] {
+            &self.programs
+        }
+    }
+
+    impl Program {
+        /// The shared program; `None` before a start.
+        pub(crate) fn handle(&self) -> Option<&Arc<StepTrace>> {
+            self.0.as_ref()
+        }
+    }
+
+    impl From<StepTrace> for Program {
+        fn from(trace: StepTrace) -> Program {
+            Program(Some(Arc::new(trace)))
+        }
+    }
 
     #[test]
     fn node_config_defaults_and_extension() {

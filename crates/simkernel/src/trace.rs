@@ -158,7 +158,7 @@ pub struct StepTrace {
 }
 
 impl StepTrace {
-    pub fn new() -> StepTrace {
+    pub const fn new() -> StepTrace {
         StepTrace { entries: Vec::new() }
     }
 
@@ -185,11 +185,6 @@ impl StepTrace {
             std::mem::swap(&mut self.entries, &mut other.entries);
         }
         self.entries.append(&mut std::mem::take(&mut other.entries));
-    }
-
-    /// Give back the capacity growth left over, for a trace that is kept.
-    pub fn shrink_to_fit(&mut self) {
-        self.entries.shrink_to_fit();
     }
 
     /// Every record, in insertion order.

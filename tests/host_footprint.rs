@@ -155,41 +155,45 @@ fn cycle(config: Config, workload: &Workload, pods: usize) -> KernelResult<Cycle
 /// more one-entry B-tree leaf per pod (≥ 368 B), or a dozen more boxes per
 /// start, does not fit.
 ///
-/// | config | bytes / blocks per pod | before `config.json` was a size | before id-indexed tables | when the test was written | allocations per start | before `config.json` was counted | before a start built only what it keeps | before bundles kept their spec | before guests were replayed |
-/// |---|---|---|---|---|---|---|---|---|---|
-/// | crun-wamr | 4 723.9 / 31.3 | 5 739.8 / 33.3 | 7 989.2 / 38.1 | 19 908.2 / 87.6 | 80 | 82 | 159 | 267 | 334 |
-/// | shim-wasmtime | 3 488.4 / 16.3 | 4 064.3 / 17.3 | 5 348.4 / 21.1 | 14 780.3 / 66.6 | 43 | 44 | 73 | 80 | 147 |
-/// | crun-wasmtime | 5 250.7 / 31.3 | 6 266.6 / 33.3 | 8 537.3 / 38.1 | 20 123.2 / 88.6 | 84 | 86 | 163 | 271 | 338 |
+/// | config | bytes / blocks per pod | before programs were shared | before `config.json` was a size | before id-indexed tables | when the test was written | allocations per start | before programs were shared | before `config.json` was counted | before a start built only what it keeps | before bundles kept their spec | before guests were replayed |
+/// |---|---|---|---|---|---|---|---|---|---|---|---|
+/// | crun-wamr | 4 083.6 / 30.3 | 4 723.9 / 31.3 | 5 739.8 / 33.3 | 7 989.2 / 38.1 | 19 908.2 / 87.6 | 79 | 80 | 82 | 159 | 267 | 334 |
+/// | shim-wasmtime | 3 061.3 / 15.3 | 3 488.4 / 16.3 | 4 064.3 / 17.3 | 5 348.4 / 21.1 | 14 780.3 / 66.6 | 42 | 43 | 44 | 73 | 80 | 147 |
+/// | crun-wasmtime | 4 599.6 / 30.3 | 5 250.7 / 31.3 | 6 266.6 / 33.3 | 8 537.3 / 38.1 | 20 123.2 / 88.6 | 83 | 84 | 86 | 163 | 271 | 338 |
 ///
-/// The third column is a tree whose bundles wrote each `config.json` as
-/// its text and kept the buffer until the container started: about 1 KB
-/// per crun pod, and one more allocation per bundle (161 / 74 / 165 per
-/// start). The fourth keeps processes, cgroups, files and sandboxes inline
-/// in `BTreeMap` leaves, every file path twice, a `String` per pod for its
-/// image and runtime class, and a 24-byte trace record. The fifth is the
-/// tree with a `BTreeMap` per process and per sandbox, two rootfs maps per
-/// bundle, a `String` per mapping label and traces left at their growth
-/// capacity. The seventh is a start that writes each `config.json` as a
-/// `String` to take its length. The eighth is a start that grows a step
-/// trace per layer and copies each into its caller's, builds every
-/// constant of two OCI specs and of eight process images anew, and formats
-/// each process name and then copies it. The ninth is a crun pod start
-/// that parses the two `config.json` documents it has just written twice
-/// each. The last is a start that builds a WASI context, fifteen boxed host
-/// functions with their names, an instance and a linear memory for a guest
-/// the process has already run.
+/// The third column (and the eighth) is a tree in which every pod kept its
+/// own copy of its start's step program, shrunk to fit: ~40 records of
+/// 16 bytes where a node's warm pods now share one. The fourth is a tree
+/// whose bundles wrote each `config.json` as its text and kept the buffer
+/// until the container started: about 1 KB per crun pod, and one more
+/// allocation per bundle (161 / 74 / 165 per start). The fifth keeps
+/// processes, cgroups, files and sandboxes inline in `BTreeMap` leaves,
+/// every file path twice, a `String` per pod for its image and runtime
+/// class, and a 24-byte trace record. The sixth is the tree with a
+/// `BTreeMap` per process and per sandbox, two rootfs maps per bundle, a
+/// `String` per mapping label and traces left at their growth capacity.
+/// The ninth is a start that writes each `config.json` as a `String` to
+/// take its length. The tenth is a start that grows a step trace per layer
+/// and copies each into its caller's, builds every constant of two OCI
+/// specs and of eight process images anew, and formats each process name
+/// and then copies it. The eleventh is a crun pod start that parses the
+/// two `config.json` documents it has just written twice each. The last is
+/// a start that builds a WASI context, fifteen boxed host functions with
+/// their names, an instance and a linear memory for a guest the process
+/// has already run.
 const BUDGETS: [(Config, usize, usize, usize); 3] = [
-    (Config::WamrCrun, 4_900, 32, 83),
-    (Config::ShimWasmtime, 3_600, 17, 45),
-    (Config::CrunWasmtime, 5_450, 32, 87),
+    (Config::WamrCrun, 4_250, 31, 82),
+    (Config::ShimWasmtime, 3_180, 16, 44),
+    (Config::CrunWasmtime, 4_780, 31, 86),
 ];
 
-/// Allocations `measure_startup` may make per pod it simulates: its
-/// result's name, its steps when its node is the first of a distinct
-/// schedule (here the five nodes repeat one), and a share of per-node
-/// buffers — not one per DES event (about 36 a crun pod). It reads 1.3 a
-/// pod; 2.1 when every node was simulated.
-const SIMULATION_ALLOCATIONS_PER_POD: usize = 2;
+/// Allocations `measure_startup` may make per pod it simulates: its steps
+/// when its node is the first of a distinct schedule (here the five nodes
+/// repeat one), and a share of per-node buffers — not one per DES event
+/// (about 36 a crun pod). It reads 0.3 a pod, 0.5 in a debug build (which
+/// simulates one replayed node again to check the replay); 1.3 when each
+/// result held a copy of its pod's name, 2.1 when every node was simulated.
+const SIMULATION_ALLOCATIONS_PER_POD: usize = 1;
 
 /// What may stay live after a cycle: process-wide caches that a second
 /// cycle can still grow by a rounding step, never anything per pod.
