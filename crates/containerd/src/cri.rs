@@ -92,6 +92,12 @@ impl CriContainer {
         self.epoch_clock.as_ref().map(EpochClock::now)
     }
 
+    /// The container's init process: OCI classes only, since a runwasi
+    /// container runs inside its shim. Processes have no names to find it by.
+    pub fn init_pid(&self) -> Option<Pid> {
+        self.oci.as_ref().map(|c| c.pid)
+    }
+
     /// Deep copy; the retained watchdog clock is re-made at its reading
     /// (see [`Container::fork`]).
     fn fork(&self) -> CriContainer {

@@ -63,7 +63,7 @@ impl WasmSandboxer {
     /// Create a pod sandbox: one process in the pod cgroup, engine loaded
     /// lazily on the first container.
     pub fn create_sandbox(&self, pod_id: &str, pod_cgroup: CgroupId) -> KernelResult<WasmSandbox> {
-        let pid = ProcessImage::spawn(&self.kernel, format!("wasm-sandbox:{pod_id}"), pod_cgroup)
+        let pid = ProcessImage::spawn(&self.kernel, "wasm-sandbox", pod_cgroup)
             .heap(SANDBOX_PROCESS_BASE, "sandbox-base")
             .build()?
             .detach();

@@ -1132,6 +1132,12 @@ mod tests {
         assert!(cluster.kubelet().programs().len() <= 1);
     }
 
+    /// A pod's container init, read through its CRI record.
+    fn container_init(cluster: &Cluster, pod: &str) -> simkernel::Pid {
+        let sandbox = cluster.containerd().sandbox(pod).expect("sandbox");
+        sandbox.container(&[pod, "-c0"].concat()).and_then(|c| c.init_pid()).expect("init")
+    }
+
     /// A fork starts out sharing its origin's programs; a restart in the
     /// fork interns into the fork's table and leaves the origin's as it was.
     #[test]
@@ -1142,7 +1148,7 @@ mod tests {
         let before = cluster.kubelet().programs().to_vec();
         let mut fork = cluster.fork();
         let kernel = fork.kernel().clone();
-        let init = kernel.ps().into_iter().find(|p| p.1 == "container:p-0-c0").unwrap().0;
+        let init = container_init(&fork, "p-0");
         kernel.oom_kill(init).unwrap();
         assert_eq!(fork.reconcile().oom_killed, ["p-0"]);
         fork.advance(Kubelet::backoff_delay(0));
@@ -1436,14 +1442,10 @@ mod tests {
         cluster.deploy_with("victim", "svc:v1", "crun-wamr", 1, opts).unwrap();
         cluster.deploy_with("killer", "assassin:v1", "crun-assassin", 1, opts).unwrap();
         let kernel = cluster.kernel().clone();
-        let init_of = |pod: &str| {
-            let name = format!("container:{pod}-c0");
-            kernel.ps().into_iter().find(|p| p.1 == name).expect("container init").0
-        };
         assert!(cluster.reconcile().quiet(), "nobody killed yet: the pass walks no pod");
 
         // Killed between two passes: torn down by the very next one.
-        kernel.oom_kill(init_of("killer-0")).unwrap();
+        kernel.oom_kill(container_init(&cluster, "killer-0")).unwrap();
         let pass = cluster.reconcile();
         assert_eq!(pass.oom_killed, ["killer-0"]);
         assert!(cluster.reconcile().quiet(), "the total has not moved since");
@@ -1451,7 +1453,7 @@ mod tests {
         // Killed by a restart, later in the same pass than the walk: that
         // pass cannot have seen it (the victim still reads Running), the
         // next one must.
-        *target.lock().unwrap() = Some(init_of("victim-0"));
+        *target.lock().unwrap() = Some(container_init(&cluster, "victim-0"));
         cluster.advance(Kubelet::backoff_delay(0));
         let pass = cluster.reconcile();
         assert_eq!((pass.restarted, pass.oom_killed), (vec!["killer-0".to_string()], vec![]));

@@ -457,11 +457,10 @@ impl Kubelet {
         if spec.io_read_budget.is_some() {
             self.kernel.cgroup_set_io_read_budget(pod_cgroup, spec.io_read_budget)?;
         }
-        let infra_pid =
-            ProcessImage::spawn(&self.kernel, ["pod-infra:", &spec.name].concat(), pod_cgroup)
-                .heap(POD_INFRA_BYTES, "pod-infra")
-                .build()?
-                .detach();
+        let infra_pid = ProcessImage::spawn(&self.kernel, "pod-infra", pod_cgroup)
+            .heap(POD_INFRA_BYTES, "pod-infra")
+            .build()?
+            .detach();
         if self.infra_procs.insert(spec.name.clone(), infra_pid).is_none()
             && self.pods.contains_key(&spec.name)
         {

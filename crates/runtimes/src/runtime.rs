@@ -14,7 +14,6 @@ use std::sync::Arc;
 
 use oci_spec_lite::Bundle;
 use simkernel::lifecycle;
-use simkernel::proc::NamespaceKind;
 use simkernel::{
     CgroupId, Duration, Kernel, KernelError, KernelResult, Lifecycle, Phase, Pid, ProcessImage,
     Step, StepTrace,
@@ -116,14 +115,13 @@ impl LowLevelRuntime {
     fn transient_runtime_op(
         &self,
         ctx: &RuntimeCtx,
-        op: &str,
         trace: &mut StepTrace,
         body: impl FnOnce(&Kernel, Pid, &mut StepTrace) -> KernelResult<()>,
     ) -> KernelResult<()> {
         let kernel = &self.kernel;
         let p = &self.profile;
         // Exec: map the runtime binary; first exec pays the cold read.
-        let rt = ProcessImage::spawn(kernel, [p.name, ":", op].concat(), ctx.runtime_cgroup)
+        let rt = ProcessImage::spawn(kernel, p.name, ctx.runtime_cgroup)
             .text(p.binary_path, p.binary_size, p.binary_resident(), p.name)
             .heap(p.startup_heap, "rt-heap")
             .build()?;
@@ -154,36 +152,33 @@ impl LowLevelRuntime {
         let mut pid_slot: Option<Pid> = None;
         let mut cg_slot: Option<CgroupId> = None;
 
-        let op_result =
-            self.transient_runtime_op(ctx, "create", &mut trace, |kernel, rt_pid, trace| {
-                // Read config.json through the VFS; the parse is charged by
-                // its size, and the bundle hands back the spec it wrote.
-                let spec = bundle.load_spec(kernel, rt_pid)?;
-                let config_kib = kernel.file_size(bundle.config_file)?.div_ceil(1024);
-                trace.push(
-                    Phase::RuntimeOp,
-                    Step::Cpu(Duration::from_nanos(config_kib * p.parse_ns_per_kib)),
-                );
+        let op_result = self.transient_runtime_op(ctx, &mut trace, |kernel, rt_pid, trace| {
+            // Read config.json through the VFS; the parse is charged by
+            // its size, and the bundle hands back the spec it wrote.
+            let spec = bundle.load_spec(kernel, rt_pid)?;
+            let config_kib = kernel.file_size(bundle.config_file)?.div_ceil(1024);
+            trace.push(
+                Phase::RuntimeOp,
+                Step::Cpu(Duration::from_nanos(config_kib * p.parse_ns_per_kib)),
+            );
 
-                // Container cgroup under the pod, with the spec's memory limit.
-                let cgroup = kernel.cgroup_create(pod_cgroup, id)?;
-                cg_slot = Some(cgroup);
-                if let Some(limit) = spec.linux.memory.limit {
-                    kernel.cgroup_set_limit(cgroup, Some(limit))?;
-                }
-                trace.push(Phase::RuntimeOp, Step::Cpu(p.cgroup_setup));
+            // Container cgroup under the pod, with the spec's memory limit.
+            let cgroup = kernel.cgroup_create(pod_cgroup, id)?;
+            cg_slot = Some(cgroup);
+            if let Some(limit) = spec.linux.memory.limit {
+                kernel.cgroup_set_limit(cgroup, Some(limit))?;
+            }
+            trace.push(Phase::RuntimeOp, Step::Cpu(p.cgroup_setup));
 
-                // Container init process: a fork of the runtime, so it shares
-                // the runtime binary text and keeps a small private residual.
-                // The guard covers the window until unshare succeeds.
-                let init =
-                    ProcessImage::spawn(kernel, ["container:", id].concat(), cgroup).build()?;
-                let kinds = namespace_kinds(spec.linux.namespaces);
-                kernel.unshare(init.pid(), &kinds)?;
-                pid_slot = Some(init.detach());
-                trace.push(Phase::RuntimeOp, Step::Cpu(p.create_sandbox));
-                Ok(())
-            });
+            // Container init process: a fork of the runtime, so it shares
+            // the runtime binary text and keeps a small private residual.
+            // The guard covers the window until unshare succeeds.
+            let init = ProcessImage::spawn(kernel, "container", cgroup).build()?;
+            kernel.unshare(init.pid(), spec.linux.namespaces.len() as u32)?;
+            pid_slot = Some(init.detach());
+            trace.push(Phase::RuntimeOp, Step::Cpu(p.create_sandbox));
+            Ok(())
+        });
         if let Err(e) = op_result {
             // Failures after the container pid/cgroup exist must not leak.
             self.cleanup_partial(pid_slot, cg_slot);
@@ -234,7 +229,7 @@ impl LowLevelRuntime {
         let mut handler_name = "";
 
         // The start's steps follow the create's in the container's trace.
-        self.transient_runtime_op(ctx, "start", &mut container.trace, |kernel, rt_pid, trace| {
+        self.transient_runtime_op(ctx, &mut container.trace, |kernel, rt_pid, trace| {
             let spec = bundle.load_spec(kernel, rt_pid)?;
             let handler =
                 self.handlers.iter().find(|h| h.matches(&spec, bundle)).ok_or_else(|| {
@@ -298,23 +293,6 @@ impl LowLevelRuntime {
         container.state.transition(ContainerState::Deleted, &container.id)?;
         Ok(())
     }
-}
-
-/// Map OCI namespace names to kernel namespace kinds.
-fn namespace_kinds(names: &[&str]) -> Vec<NamespaceKind> {
-    names
-        .iter()
-        .filter_map(|&n| match n {
-            "pid" => Some(NamespaceKind::Pid),
-            "mount" => Some(NamespaceKind::Mount),
-            "network" => Some(NamespaceKind::Network),
-            "uts" => Some(NamespaceKind::Uts),
-            "ipc" => Some(NamespaceKind::Ipc),
-            "cgroup" => Some(NamespaceKind::Cgroup),
-            "user" => Some(NamespaceKind::User),
-            _ => None,
-        })
-        .collect()
 }
 
 #[cfg(test)]

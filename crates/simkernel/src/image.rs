@@ -49,7 +49,7 @@
 //! use simkernel::{Kernel, KernelConfig};
 //!
 //! let kernel = Kernel::boot(KernelConfig::default());
-//! let pid = kernel.st().spawn("svc", Kernel::ROOT_CGROUP).unwrap();
+//! let pid = kernel.st().spawn(Kernel::ROOT_CGROUP, 0).unwrap();
 //! ```
 //!
 //! The same process, spawned through its image:
@@ -83,7 +83,7 @@ pub struct ProcessImage<'k> {
 }
 
 enum Target {
-    Spawn { name: String, cgroup: CgroupId },
+    Spawn { cgroup: CgroupId },
     Attach { pid: Pid },
 }
 
@@ -102,14 +102,10 @@ struct HeapSpec {
 
 impl<'k> ProcessImage<'k> {
     /// Image for a process to be spawned in `cgroup`. The returned guard
-    /// owns the process: dropping it exits and reaps.
-    pub fn spawn(kernel: &'k Kernel, name: impl Into<String>, cgroup: CgroupId) -> Self {
-        ProcessImage {
-            kernel,
-            target: Target::Spawn { name: name.into(), cgroup },
-            text: None,
-            heap: None,
-        }
+    /// owns the process: dropping it exits and reaps. The name is the
+    /// `comm` callers would see on Linux; the model keeps no process names.
+    pub fn spawn(kernel: &'k Kernel, _name: impl AsRef<str>, cgroup: CgroupId) -> Self {
+        ProcessImage { kernel, target: Target::Spawn { cgroup }, text: None, heap: None }
     }
 
     /// Image charged onto an already-running process (`exec` into a container
@@ -168,7 +164,7 @@ impl<'k> ProcessImage<'k> {
         let ProcessImage { kernel, target, text, heap } = self;
         let mut st = kernel.st();
         let (pid, owned) = match target {
-            Target::Spawn { name, cgroup } => {
+            Target::Spawn { cgroup } => {
                 // memory.max admission: check the image's anonymous
                 // footprint against the cgroup hierarchy *before* spawning
                 // or charging anything. An image that cannot fit is refused
@@ -177,7 +173,8 @@ impl<'k> ProcessImage<'k> {
                 if anon > 0 {
                     st.cgroup_check_charge(cgroup, anon)?;
                 }
-                (st.spawn(name, cgroup)?, true)
+                let mappings = usize::from(text.is_some()) + usize::from(heap.is_some());
+                (st.spawn(cgroup, mappings)?, true)
             }
             Target::Attach { pid } => (pid, false),
         };
@@ -464,6 +461,23 @@ mod tests {
     }
 
     #[test]
+    fn a_spawned_image_holds_room_for_exactly_its_mappings() {
+        let kernel = boot();
+        kernel.ensure_file("/bin/x", FileContent::Synthetic(4 << 20)).unwrap();
+        let g = ProcessImage::spawn(&kernel, "x", Kernel::ROOT_CGROUP)
+            .text("/bin/x", 4 << 20, 1 << 20, "x")
+            .heap(64 << 10, "x-heap")
+            .build()
+            .unwrap();
+        assert_eq!(kernel.mapping_capacity(g.pid()), 2);
+        // Growth past the image doubles from there.
+        g.charge_heap(4096, "more").unwrap();
+        assert_eq!(kernel.mapping_capacity(g.pid()), 4);
+        let bare = ProcessImage::spawn(&kernel, "bare", Kernel::ROOT_CGROUP).build().unwrap();
+        assert_eq!(kernel.mapping_capacity(bare.pid()), 0);
+    }
+
+    #[test]
     fn drop_exits_and_reaps_owned_process() {
         let kernel = boot();
         let procs = kernel.live_procs();
@@ -547,7 +561,7 @@ mod tests {
     #[test]
     fn attach_guard_does_not_own_the_process() {
         let kernel = boot();
-        let pid = kernel.spawn("daemon", Kernel::ROOT_CGROUP).unwrap();
+        let pid = kernel.spawn(Kernel::ROOT_CGROUP).unwrap();
         {
             let g = ProcessImage::attach(&kernel, pid).heap(128 << 10, "meta").build().unwrap();
             assert_eq!(g.pid(), pid);
@@ -590,7 +604,7 @@ mod tests {
     fn rollback_unmaps_what_a_failed_stage_mapped_and_nothing_older() {
         let kernel = boot();
         let f = kernel.ensure_file("/lib/e.so", FileContent::Synthetic(1 << 20)).unwrap();
-        let pid = kernel.spawn("host", Kernel::ROOT_CGROUP).unwrap();
+        let pid = kernel.spawn(Kernel::ROOT_CGROUP).unwrap();
         charge_anon(&kernel, pid, 64 << 10, "older").unwrap();
         let (rss, used) = (kernel.proc_rss(pid).unwrap(), kernel.free().used);
         let stage = |fail: bool| -> KernelResult<()> {
@@ -617,7 +631,7 @@ mod tests {
     fn guest_cpu_helpers_are_inert_without_a_quota_and_scale_with_one() {
         let kernel = boot();
         let cg = kernel.cgroup_create(Kernel::ROOT_CGROUP, "pod").unwrap();
-        let pid = kernel.spawn("guest", cg).unwrap();
+        let pid = kernel.spawn(cg).unwrap();
         let budget = Duration::from_millis(40);
         let mut trace = StepTrace::new();
         assert_eq!(watchdog_ticks(&kernel, pid, budget, 4_000_000).unwrap(), 10);
@@ -637,7 +651,7 @@ mod tests {
     fn map_cow_dirties_pages_privately() {
         let kernel = boot();
         let f = kernel.ensure_file("/cache/a.cwasm", FileContent::Synthetic(256 << 10)).unwrap();
-        let pid = kernel.spawn("eng", Kernel::ROOT_CGROUP).unwrap();
+        let pid = kernel.spawn(Kernel::ROOT_CGROUP).unwrap();
         let cold = map_cow(&kernel, pid, f, 256 << 10, "code-cache").unwrap();
         assert_eq!(cold, Some(256 << 10));
         assert_eq!(kernel.proc_rss(pid).unwrap(), 256 << 10);

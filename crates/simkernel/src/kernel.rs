@@ -16,7 +16,7 @@ use crate::cgroup::{CgroupId, CgroupStats, CgroupTree, ChargeKind, MemStat, IO_W
 use crate::error::{KernelError, KernelResult};
 use crate::faults::{FaultPlan, FaultSite};
 use crate::mem::{round_up_pages, MapKind, Mapping, MappingId};
-use crate::proc::{NamespaceKind, Pid, ProcState, Process};
+use crate::proc::{Pid, ProcState, Process};
 use crate::table::IdTable;
 use crate::time::{Clock, Duration, SimTime};
 use crate::vfs::{FileContent, FileId, Vfs};
@@ -27,6 +27,9 @@ pub const PAGE_SIZE: u64 = 4096;
 /// Page-table overhead: one 8-byte PTE per resident 4 KiB page, plus upper
 /// levels — a process is charged `rss / PAGE_TABLE_DIVISOR` rounded to pages.
 const PAGE_TABLE_DIVISOR: u64 = 512;
+
+/// Slab memory per namespace a process owns; ~4 KiB apiece is the right order.
+const NAMESPACE_BYTES: u64 = 4096;
 
 /// Static kernel parameters.
 #[derive(Debug, Clone)]
@@ -386,16 +389,16 @@ impl Kernel {
 
     // ------------------------------------------------------------ processes
 
-    /// Create fresh namespaces owned by a process (runtime `create` step).
-    pub fn unshare(&self, pid: Pid, kinds: &[NamespaceKind]) -> KernelResult<()> {
+    /// Create `namespaces` fresh namespaces owned by a process (runtime
+    /// `create` step).
+    pub fn unshare(&self, pid: Pid, namespaces: u32) -> KernelResult<()> {
         let mut st = self.st();
         st.check_power()?;
-        // Namespaces cost slab memory; ~4 KiB apiece is the right order.
-        let extra = 4096 * kinds.len() as u64;
+        let extra = NAMESPACE_BYTES * u64::from(namespaces);
         let cg = st.alive(pid)?.cgroup;
         st.charge_kernel(cg, extra)?;
         let p = st.alive_mut(pid)?;
-        p.owned_namespaces.extend_from_slice(kinds);
+        p.namespaces += namespaces;
         p.kernel_charged += extra;
         Ok(())
     }
@@ -595,7 +598,9 @@ impl Kernel {
     /// `rss`, `live_procs`, each cgroup's process count) against the values
     /// recomputed by walking the files, mappings and processes they
     /// summarise, and `oom_kills` against the victims not yet reaped (a
-    /// lower bound: reaping forgets the victim, not the kill). The tables
+    /// lower bound: reaping forgets the victim, not the kill), and every
+    /// live process's kernel charge against its base, namespaces and page
+    /// tables for its rss (the one law the namespace count rests on). The tables
     /// must agree with each other too: the path index and the files are a
     /// bijection, every cgroup's children name it as their parent, and
     /// every live process sits in a cgroup that exists. `Err` names the
@@ -615,6 +620,13 @@ impl Kernel {
         let mut in_group: BTreeMap<CgroupId, u64> = BTreeMap::new();
         for p in st.procs.values().filter(|p| p.is_alive()) {
             *in_group.entry(p.cgroup).or_default() += 1;
+            let owed = st.kernel_bytes(p);
+            if p.kernel_charged != owed {
+                return Err(format!(
+                    "{:?}: kernel charge {} != {owed} for its base, namespaces and page tables",
+                    p.pid, p.kernel_charged
+                ));
+            }
         }
         st.cgroups.check(|cg| in_group.get(&cg).copied().unwrap_or(0))?;
         if let Some(cg) = in_group.keys().find(|&&cg| !st.cgroups.exists(cg)) {
@@ -627,14 +639,10 @@ impl Kernel {
         Ok(())
     }
 
-    /// Snapshot of every live process: (pid, name, cgroup, rss).
-    pub fn ps(&self) -> Vec<(Pid, String, CgroupId, u64)> {
+    /// Snapshot of every live process: (pid, cgroup, rss).
+    pub fn ps(&self) -> Vec<(Pid, CgroupId, u64)> {
         let st = self.st();
-        st.procs
-            .values()
-            .filter(|p| p.is_alive())
-            .map(|p| (p.pid, p.name.clone(), p.cgroup, p.rss()))
-            .collect()
+        st.procs.values().filter(|p| p.is_alive()).map(|p| (p.pid, p.cgroup, p.rss())).collect()
     }
 }
 
@@ -654,9 +662,10 @@ impl KernelState {
         Ok(())
     }
 
-    /// Spawn a process into `cgroup`. Spawning is
-    /// [`crate::ProcessImage`]'s, which charges the image and owns the pid.
-    pub(crate) fn spawn(&mut self, name: impl Into<String>, cgroup: CgroupId) -> KernelResult<Pid> {
+    /// Spawn a process into `cgroup`, with room for the `mappings` its
+    /// image makes. Spawning is [`crate::ProcessImage`]'s, which charges the
+    /// image and owns the pid.
+    pub(crate) fn spawn(&mut self, cgroup: CgroupId, mappings: usize) -> KernelResult<Pid> {
         self.check_power()?;
         if !self.cgroups.exists(cgroup) {
             return Err(KernelError::NoSuchCgroup(cgroup));
@@ -666,7 +675,7 @@ impl KernelState {
         self.next_pid += 1;
         let base = self.cfg.proc_kernel_base;
         self.charge_kernel(cgroup, base)?;
-        let mut proc = Process::new(pid, name, cgroup);
+        let mut proc = Process::new(pid, cgroup, mappings);
         proc.kernel_charged = base;
         self.procs.insert(pid, proc);
         self.live += 1;
@@ -1090,18 +1099,17 @@ impl KernelState {
         }
     }
 
+    /// The kernel bytes a live process is charged: its base, its
+    /// namespaces' slab and page tables for its current RSS.
+    fn kernel_bytes(&self, p: &Process) -> u64 {
+        let page_tables = round_up_pages(p.rss() / PAGE_TABLE_DIVISOR, PAGE_SIZE);
+        self.cfg.proc_kernel_base + NAMESPACE_BYTES * u64::from(p.namespaces) + page_tables
+    }
+
     /// Recharge page-table overhead to match current RSS.
     fn recompute_page_tables(&mut self, pid: Pid) -> KernelResult<()> {
-        let (cg, rss, base, old_total) = {
-            let p = self.alive(pid)?;
-            (p.cgroup, p.rss(), self.cfg.proc_kernel_base, p.kernel_charged)
-        };
-        let ns_extra = {
-            let p = self.alive(pid)?;
-            4096 * p.owned_namespaces.len() as u64
-        };
-        let pt = round_up_pages(rss / PAGE_TABLE_DIVISOR, PAGE_SIZE);
-        let new_total = base + ns_extra + pt;
+        let p = self.alive(pid)?;
+        let (cg, old_total, new_total) = (p.cgroup, p.kernel_charged, self.kernel_bytes(p));
         if new_total > old_total {
             let delta = new_total - old_total;
             self.ensure_physical(delta)?;
@@ -1163,9 +1171,14 @@ mod tests {
             self.st().powered_off
         }
 
+        /// Mappings a live process has room for without reallocating.
+        pub(crate) fn mapping_capacity(&self, pid: Pid) -> usize {
+            self.st().alive(pid).map_or(0, Process::mapping_capacity)
+        }
+
         /// A bare process, owned by the caller.
-        pub(crate) fn spawn(&self, name: &str, cgroup: CgroupId) -> KernelResult<Pid> {
-            self.st().spawn(name, cgroup)
+        pub(crate) fn spawn(&self, cgroup: CgroupId) -> KernelResult<Pid> {
+            self.st().spawn(cgroup, 0)
         }
 
         pub(crate) fn cow_write(&self, pid: Pid, m: MappingId, bytes: u64) -> KernelResult<()> {
@@ -1198,7 +1211,7 @@ mod tests {
     fn anon_touch_charges_cgroup_and_free() {
         let k = kernel();
         let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
-        let pid = k.spawn("p", cg).unwrap();
+        let pid = k.spawn(cg).unwrap();
         let before = k.free().used;
         let m = k.mmap(pid, 10 << 20, MapKind::AnonPrivate).unwrap();
         // Reservation alone commits nothing.
@@ -1219,8 +1232,8 @@ mod tests {
         let lib = k.create_file("/usr/lib/libwamr.so", FileContent::Synthetic(1 << 20)).unwrap();
         let cg_a = k.cgroup_create(Kernel::ROOT_CGROUP, "a").unwrap();
         let cg_b = k.cgroup_create(Kernel::ROOT_CGROUP, "b").unwrap();
-        let pa = k.spawn("a", cg_a).unwrap();
-        let pb = k.spawn("b", cg_b).unwrap();
+        let pa = k.spawn(cg_a).unwrap();
+        let pb = k.spawn(cg_b).unwrap();
         let ma = k.mmap(pa, 1 << 20, MapKind::FileShared(lib)).unwrap();
         let mb = k.mmap(pb, 1 << 20, MapKind::FileShared(lib)).unwrap();
         k.touch(pa, ma, 1 << 20).unwrap();
@@ -1240,7 +1253,7 @@ mod tests {
         let k = kernel();
         let lib = k.create_file("/lib.so", FileContent::Synthetic(512 << 10)).unwrap();
         let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
-        let pid = k.spawn("p", cg).unwrap();
+        let pid = k.spawn(cg).unwrap();
         let m1 = k.mmap(pid, 1 << 20, MapKind::AnonPrivate).unwrap();
         let m2 = k.mmap(pid, 512 << 10, MapKind::FileShared(lib)).unwrap();
         k.touch(pid, m1, 1 << 20).unwrap();
@@ -1260,7 +1273,7 @@ mod tests {
         let k = kernel();
         let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
         k.cgroup_set_limit(cg, Some(1 << 20)).unwrap();
-        let pid = k.spawn("p", cg).unwrap();
+        let pid = k.spawn(cg).unwrap();
         let m = k.mmap(pid, 8 << 20, MapKind::AnonPrivate).unwrap();
         let err = k.touch(pid, m, 4 << 20).unwrap_err();
         assert!(matches!(err, KernelError::OutOfMemory { .. }));
@@ -1282,8 +1295,8 @@ mod tests {
         k.cgroup_set_limit(parent, Some(10 << 20)).unwrap();
         let cg_small = k.cgroup_create(parent, "small").unwrap();
         let cg_big = k.cgroup_create(parent, "big").unwrap();
-        let small = k.spawn("small", cg_small).unwrap();
-        let big = k.spawn("big", cg_big).unwrap();
+        let small = k.spawn(cg_small).unwrap();
+        let big = k.spawn(cg_big).unwrap();
         let mb = k.mmap(big, 8 << 20, MapKind::AnonPrivate).unwrap();
         k.touch(big, mb, 8 << 20).unwrap();
         let ms = k.mmap(small, 4 << 20, MapKind::AnonPrivate).unwrap();
@@ -1306,7 +1319,7 @@ mod tests {
         let k = kernel();
         let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
         k.cgroup_set_limit(cg, Some(1 << 20)).unwrap();
-        let pid = k.spawn("p", cg).unwrap();
+        let pid = k.spawn(cg).unwrap();
         let m = k.mmap(pid, 8 << 20, MapKind::AnonPrivate).unwrap();
         // The faulter is the only (and largest) candidate: it is killed and
         // the charge fails — the pre-existing single-process semantics.
@@ -1321,12 +1334,12 @@ mod tests {
         k.set_fault_plan(crate::FaultPlan::new(1).fail_call(crate::FaultSite::Spawn, 0));
         let procs_before = k.live_procs();
         let used_before = k.free().used;
-        let err = k.spawn("p", Kernel::ROOT_CGROUP).unwrap_err();
+        let err = k.spawn(Kernel::ROOT_CGROUP).unwrap_err();
         assert!(matches!(err, KernelError::FaultInjected(crate::FaultSite::Spawn)));
         assert_eq!(k.live_procs(), procs_before, "nothing spawned");
         assert_eq!(k.free().used, used_before, "nothing charged");
         // The fault is transient: the retry succeeds.
-        let pid = k.spawn("p", Kernel::ROOT_CGROUP).unwrap();
+        let pid = k.spawn(Kernel::ROOT_CGROUP).unwrap();
         assert!(matches!(k.proc_state(pid), Ok(ProcState::Running)));
         assert_eq!(k.faults_injected(crate::FaultSite::Spawn), 1);
     }
@@ -1335,7 +1348,7 @@ mod tests {
     fn injected_charge_fault_does_not_kill() {
         let k = kernel();
         let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
-        let pid = k.spawn("p", cg).unwrap();
+        let pid = k.spawn(cg).unwrap();
         let m = k.mmap(pid, 1 << 20, MapKind::AnonPrivate).unwrap();
         k.set_fault_plan(crate::FaultPlan::new(2).fail_call(crate::FaultSite::MmapCharge, 0));
         let err = k.touch(pid, m, 1 << 20).unwrap_err();
@@ -1351,7 +1364,7 @@ mod tests {
     #[test]
     fn injected_cold_read_fault_spares_the_cache_state() {
         let k = kernel();
-        let pid = k.spawn("p", Kernel::ROOT_CGROUP).unwrap();
+        let pid = k.spawn(Kernel::ROOT_CGROUP).unwrap();
         let f = k.create_file("/f", FileContent::Synthetic(256 << 10)).unwrap();
         k.set_fault_plan(crate::FaultPlan::new(3).fail_call(crate::FaultSite::ColdRead, 0));
         let err = k.read_file(pid, f).unwrap_err();
@@ -1372,7 +1385,7 @@ mod tests {
         let without = kernel();
         for k in [&with_plan, &without] {
             let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
-            let pid = k.spawn("p", cg).unwrap();
+            let pid = k.spawn(cg).unwrap();
             let m = k.mmap(pid, 1 << 20, MapKind::AnonPrivate).unwrap();
             k.touch(pid, m, 1 << 20).unwrap();
         }
@@ -1404,7 +1417,7 @@ mod tests {
         });
         let f = k.create_file("/big", FileContent::Synthetic(20 << 20)).unwrap();
         let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
-        let pid = k.spawn("p", cg).unwrap();
+        let pid = k.spawn(cg).unwrap();
         k.read_file(pid, f).unwrap();
         assert_eq!(k.free().buff_cache, 20 << 20);
         // Allocate enough anon to force eviction of the (unmapped) cache.
@@ -1425,7 +1438,7 @@ mod tests {
             boot_used_bytes: 1 << 20,
         });
         let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
-        let pid = k.spawn("p", cg).unwrap();
+        let pid = k.spawn(cg).unwrap();
         let f = k.create_file("/big", FileContent::Synthetic(40 << 20)).unwrap();
         // Partially cache the file (8 MiB), unmapped → evictable.
         let m = k.mmap(pid, 40 << 20, MapKind::FileShared(f)).unwrap();
@@ -1452,7 +1465,7 @@ mod tests {
             boot_used_bytes: 1 << 20,
         });
         let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
-        let pid = k.spawn("p", cg).unwrap();
+        let pid = k.spawn(cg).unwrap();
         let m = k.mmap(pid, 64 << 20, MapKind::AnonPrivate).unwrap();
         let err = k.touch(pid, m, 64 << 20).unwrap_err();
         assert!(matches!(err, KernelError::PhysicalExhausted { .. }));
@@ -1463,7 +1476,7 @@ mod tests {
         let k = kernel();
         let lib = k.create_file("/lib.so", FileContent::Synthetic(1 << 20)).unwrap();
         let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
-        let pid = k.spawn("p", cg).unwrap();
+        let pid = k.spawn(cg).unwrap();
         // Read-only: cache charged but reclaimable, so working set ~ kernel.
         k.read_file(pid, lib).unwrap();
         let ws_unmapped = k.cgroup_working_set(cg).unwrap();
@@ -1480,7 +1493,7 @@ mod tests {
         let parent = k.cgroup_create(Kernel::ROOT_CGROUP, "pods").unwrap();
         let pod = k.cgroup_create(parent, "pod").unwrap();
         let f = k.create_file("/img", FileContent::Synthetic(1 << 20)).unwrap();
-        let pid = k.spawn("p", pod).unwrap();
+        let pid = k.spawn(pod).unwrap();
         k.read_file(pid, f).unwrap();
         k.exit(pid, 0).unwrap();
         k.reap(pid).unwrap();
@@ -1495,17 +1508,24 @@ mod tests {
     fn unshare_charges_namespace_slab() {
         let k = kernel();
         let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
-        let pid = k.spawn("p", cg).unwrap();
+        let pid = k.spawn(cg).unwrap();
         let before = k.cgroup_stat(cg).unwrap().kernel_bytes;
-        k.unshare(pid, &NamespaceKind::ALL).unwrap();
+        k.unshare(pid, 7).unwrap();
         let after = k.cgroup_stat(cg).unwrap().kernel_bytes;
         assert_eq!(after - before, 7 * 4096);
+        // The process keeps paying for them as its page tables move.
+        k.check_accounting().unwrap();
+        let m = k.mmap(pid, 1 << 20, MapKind::AnonPrivate).unwrap();
+        k.touch(pid, m, 1 << 20).unwrap();
+        let touched = k.cgroup_stat(cg).unwrap().kernel_bytes;
+        assert_eq!(touched - before, 7 * 4096 + 4096, "namespaces and one page of tables");
+        k.check_accounting().unwrap();
     }
 
     #[test]
     fn reap_requires_exit() {
         let k = kernel();
-        let pid = k.spawn("p", Kernel::ROOT_CGROUP).unwrap();
+        let pid = k.spawn(Kernel::ROOT_CGROUP).unwrap();
         assert!(k.reap(pid).is_err());
         k.exit(pid, 3).unwrap();
         k.reap(pid).unwrap();
@@ -1515,7 +1535,7 @@ mod tests {
     #[test]
     fn mapping_overflow_rejected() {
         let k = kernel();
-        let pid = k.spawn("p", Kernel::ROOT_CGROUP).unwrap();
+        let pid = k.spawn(Kernel::ROOT_CGROUP).unwrap();
         let m = k.mmap(pid, 4096, MapKind::AnonPrivate).unwrap();
         assert!(matches!(k.touch(pid, m, 8192), Err(KernelError::MappingOverflow { .. })));
     }
@@ -1524,7 +1544,7 @@ mod tests {
     fn overwrite_file_drops_cache_and_uncharges() {
         let k = kernel();
         let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
-        let pid = k.spawn("p", cg).unwrap();
+        let pid = k.spawn(cg).unwrap();
         let f = k.create_file("/f", FileContent::Synthetic(1 << 20)).unwrap();
         k.read_file(pid, f).unwrap();
         assert_eq!(k.cgroup_stat(cg).unwrap().file_bytes, 1 << 20);
@@ -1537,7 +1557,7 @@ mod tests {
     #[test]
     fn evict_file_returns_bytes() {
         let k = kernel();
-        let pid = k.spawn("p", Kernel::ROOT_CGROUP).unwrap();
+        let pid = k.spawn(Kernel::ROOT_CGROUP).unwrap();
         let f = k.create_file("/f", FileContent::Synthetic(256 << 10)).unwrap();
         k.read_file(pid, f).unwrap();
         assert_eq!(k.evict_file(f).unwrap(), 256 << 10);
@@ -1553,7 +1573,7 @@ mod tests {
         let observe = |content: FileContent| {
             let k = kernel();
             let cgs = ["first", "second"].map(|n| k.cgroup_create(Kernel::ROOT_CGROUP, n).unwrap());
-            let readers = cgs.map(|cg| k.spawn("reader", cg).unwrap());
+            let readers = cgs.map(|cg| k.spawn(cg).unwrap());
             let f = k.create_file("/config.json", content).unwrap();
             let reading =
                 || (k.file_cached(f).unwrap(), cgs.map(|cg| k.cgroup_stat(cg).unwrap()), k.free());
@@ -1577,23 +1597,23 @@ mod tests {
     fn ps_lists_live_processes_with_rss() {
         let k = kernel();
         let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
-        let a = k.spawn("alpha", cg).unwrap();
-        let b = k.spawn("beta", cg).unwrap();
+        let a = k.spawn(cg).unwrap();
+        let b = k.spawn(cg).unwrap();
         let m = k.mmap(a, 1 << 20, MapKind::AnonPrivate).unwrap();
         k.touch(a, m, 1 << 20).unwrap();
         k.exit(b, 0).unwrap();
         let ps = k.ps();
         assert_eq!(ps.len(), 1);
         assert_eq!(ps[0].0, a);
-        assert_eq!(ps[0].1, "alpha");
-        assert_eq!(ps[0].3, 1 << 20);
+        assert_eq!(ps[0].1, cg);
+        assert_eq!(ps[0].2, 1 << 20);
     }
 
     #[test]
     fn cow_write_turns_file_pages_private() {
         let k = kernel();
         let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
-        let pid = k.spawn("p", cg).unwrap();
+        let pid = k.spawn(cg).unwrap();
         let f = k.create_file("/data", FileContent::Synthetic(128 << 10)).unwrap();
         let m = k.mmap(pid, 128 << 10, MapKind::FileCow(f)).unwrap();
         // Reading shares the page cache...
@@ -1609,7 +1629,7 @@ mod tests {
     fn cow_write_does_not_double_count() {
         let k = kernel();
         let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
-        let pid = k.spawn("p", cg).unwrap();
+        let pid = k.spawn(cg).unwrap();
         let f = k.create_file("/data", FileContent::Synthetic(128 << 10)).unwrap();
         let m = k.mmap(pid, 128 << 10, MapKind::FileCow(f)).unwrap();
         k.touch(pid, m, 128 << 10).unwrap(); // read: file-backed share
@@ -1629,15 +1649,15 @@ mod tests {
         let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
         k.cgroup_set_limit(cg, Some(64 << 10)).unwrap();
         // Kernel charge at spawn counts toward the limit.
-        let p1 = k.spawn("a", cg).unwrap(); // 24 KiB base
-        let p2 = k.spawn("b", cg).unwrap();
-        let err = k.spawn("c", cg).unwrap_err(); // 72 KiB > 64 KiB
+        let p1 = k.spawn(cg).unwrap(); // 24 KiB base
+        let p2 = k.spawn(cg).unwrap();
+        let err = k.spawn(cg).unwrap_err(); // 72 KiB > 64 KiB
         assert!(matches!(err, KernelError::OutOfMemory { .. }));
         let _ = (p1, p2);
         // Page-cache faults count too.
         let cg2 = k.cgroup_create(Kernel::ROOT_CGROUP, "c2").unwrap();
         k.cgroup_set_limit(cg2, Some(64 << 10)).unwrap();
-        let pid = k.spawn("r", cg2).unwrap();
+        let pid = k.spawn(cg2).unwrap();
         let f = k.create_file("/big", FileContent::Synthetic(1 << 20)).unwrap();
         assert_eq!(k.oom_kills(), 0, "a refused spawn kills nobody");
         assert!(matches!(k.read_file(pid, f), Err(KernelError::OutOfMemory { .. })));
@@ -1651,7 +1671,7 @@ mod tests {
         let reader = |name: &str| {
             let cg = k.cgroup_create(Kernel::ROOT_CGROUP, name).unwrap();
             k.cgroup_set_limit(cg, Some(64 << 10)).unwrap();
-            k.spawn(name, cg).unwrap()
+            k.spawn(cg).unwrap()
         };
         // A cold read, a mapped-file fault and the explicit verb; the two
         // anon-fault paths (faulter, sibling) and `read_file` are counted
@@ -1663,14 +1683,14 @@ mod tests {
         let m = k.mmap(mapper, 1 << 20, MapKind::FileShared(f)).unwrap();
         assert!(k.touch(mapper, m, 1 << 20).is_err());
         assert_eq!(k.oom_kills(), 2);
-        let plain = k.spawn("plain", Kernel::ROOT_CGROUP).unwrap();
+        let plain = k.spawn(Kernel::ROOT_CGROUP).unwrap();
         k.oom_kill(plain).unwrap();
         assert_eq!(k.oom_kills(), 3);
         for pid in [cold, mapper, plain] {
             assert_eq!(k.proc_state(pid).unwrap(), ProcState::OomKilled);
         }
         // An exit is not a kill, and a dead process cannot be killed twice.
-        let quiet = k.spawn("quiet", Kernel::ROOT_CGROUP).unwrap();
+        let quiet = k.spawn(Kernel::ROOT_CGROUP).unwrap();
         k.exit(quiet, 0).unwrap();
         assert!(k.oom_kill(plain).is_err());
         assert_eq!(k.oom_kills(), 3);
@@ -1682,7 +1702,7 @@ mod tests {
         let k = kernel();
         k.set_fault_plan(crate::FaultPlan::new(7).with_rate(crate::FaultSite::Probe, 500_000));
         let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
-        let pid = k.spawn("p", cg).unwrap();
+        let pid = k.spawn(cg).unwrap();
         let heap = k.mmap(pid, 1 << 20, MapKind::AnonPrivate).unwrap();
         k.touch(pid, heap, 64 << 10).unwrap();
         let file = k.create_file("/f", FileContent::Synthetic(256 << 10)).unwrap();
@@ -1695,7 +1715,7 @@ mod tests {
         let before = observe(&k);
 
         // Everything a fork can do to itself leaves the origin as it was.
-        let child = fork.spawn("child", cg).unwrap();
+        let child = fork.spawn(cg).unwrap();
         fork.touch(pid, heap, 1 << 20).unwrap();
         fork.read_file_cold(child, file).unwrap();
         fork.exit(pid, 0).unwrap();
@@ -1722,7 +1742,7 @@ mod tests {
     fn munmap_releases() {
         let k = kernel();
         let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
-        let pid = k.spawn("p", cg).unwrap();
+        let pid = k.spawn(cg).unwrap();
         let m = k.mmap(pid, 1 << 20, MapKind::AnonPrivate).unwrap();
         k.touch(pid, m, 1 << 20).unwrap();
         k.munmap(pid, m).unwrap();

@@ -88,7 +88,6 @@ mod tests {
         //! from a tight `memory.max`, and charges refused because RAM is exhausted.
         //! A powered-off kernel refuses every verb that would change it.
 
-        use crate::proc::NamespaceKind;
         use crate::prop::check;
         use crate::rng::SplitMix64;
         use crate::vfs::FileContent;
@@ -345,7 +344,7 @@ mod tests {
                     .map(drop),
                 ),
                 ("spawn", spawn(&k, "q", cg).map(drop)),
-                ("unshare", k.unshare(pid, &[NamespaceKind::Pid])),
+                ("unshare", k.unshare(pid, 1)),
                 ("exit", k.exit(pid, 0)),
                 ("oom_kill", k.oom_kill(pid)),
                 ("reap", k.reap(zombie)),

@@ -25,49 +25,42 @@ pub enum ProcState {
     OomKilled,
 }
 
-/// Linux namespace kinds a container runtime creates per container.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum NamespaceKind {
-    Pid,
-    Mount,
-    Network,
-    Uts,
-    Ipc,
-    Cgroup,
-    User,
-}
-
-/// A simulated process.
+/// A simulated process: only what the kernel reads back. It has no name;
+/// a caller that needs one keys its own table by pid.
 #[derive(Debug, Clone)]
 pub(crate) struct Process {
     pub(crate) pid: Pid,
-    pub(crate) name: String,
     pub(crate) cgroup: CgroupId,
     pub(crate) state: ProcState,
-    /// Namespaces this process owns (created fresh for it, not inherited).
-    pub(crate) owned_namespaces: Vec<NamespaceKind>,
+    /// Namespaces this process owns (created fresh for it, not inherited);
+    /// each costs a slab charge, and nothing reads which kinds they are.
+    pub(crate) namespaces: u32,
     next_mapping: u64,
     /// Private: every residency change goes through the methods below, so
     /// the running `rss` cannot drift from the mappings it summarises.
     /// Sorted by id — ids only grow, so an insert is a push — and a process
-    /// holds a handful, so a lookup is a binary search over one allocation.
+    /// holds a handful, so a lookup is a binary search over one allocation,
+    /// which doubles from one (see [`Process::insert_mapping`]).
     mappings: Vec<Mapping>,
     /// Running sum of every mapping's [`Mapping::rss`].
     rss: u64,
-    /// Kernel bytes currently charged for this process (base + page tables).
+    /// Kernel bytes charged for this process: base, namespaces, page tables.
     pub(crate) kernel_charged: u64,
 }
 
+// Every resident pod keeps four of these boxed in the kernel's table.
+const _: () = assert!(std::mem::size_of::<Process>() <= 80);
+
 impl Process {
-    pub(crate) fn new(pid: Pid, name: impl Into<String>, cgroup: CgroupId) -> Self {
+    /// A running process with room for exactly `mappings` mappings.
+    pub(crate) fn new(pid: Pid, cgroup: CgroupId, mappings: usize) -> Self {
         Process {
             pid,
-            name: name.into(),
             cgroup,
             state: ProcState::Running,
-            owned_namespaces: Vec::new(),
+            namespaces: 0,
             next_mapping: 0,
-            mappings: Vec::new(),
+            mappings: Vec::with_capacity(mappings),
             rss: 0,
             kernel_charged: 0,
         }
@@ -125,6 +118,11 @@ impl Process {
             "mapping ids are allocated once, in order"
         );
         self.rss += m.rss();
+        // Double from one, not from `Vec`'s minimum of four: a process keeps
+        // a few mappings for as long as its pod is resident.
+        if self.mappings.len() == self.mappings.capacity() {
+            self.mappings.reserve_exact(self.mappings.len().max(1));
+        }
         self.mappings.push(m);
     }
 
@@ -163,19 +161,6 @@ mod tests {
 
     use super::*;
 
-    impl NamespaceKind {
-        /// The full set a typical OCI runtime configures.
-        pub(crate) const ALL: [NamespaceKind; 7] = [
-            NamespaceKind::Pid,
-            NamespaceKind::Mount,
-            NamespaceKind::Network,
-            NamespaceKind::Uts,
-            NamespaceKind::Ipc,
-            NamespaceKind::Cgroup,
-            NamespaceKind::User,
-        ];
-    }
-
     impl Process {
         /// Total reserved virtual address space.
         fn vsz(&self) -> u64 {
@@ -185,6 +170,11 @@ mod tests {
         /// Every mapping, in id order.
         fn mappings(&self) -> impl Iterator<Item = &Mapping> {
             self.mappings.iter()
+        }
+
+        /// Mappings the process has room for without reallocating.
+        pub(crate) fn mapping_capacity(&self) -> usize {
+            self.mappings.capacity()
         }
     }
     use crate::mem::MapKind;
@@ -201,7 +191,7 @@ mod tests {
     #[test]
     fn mapping_table_agrees_with_a_btree_model() {
         crate::prop::check("mapping_table_agrees_with_a_btree_model", 128, |g| {
-            let mut p = Process::new(Pid(1), "t", CgroupId(0));
+            let mut p = Process::new(Pid(1), CgroupId(0), 0);
             let mut model: BTreeMap<MappingId, Mapping> = BTreeMap::new();
             for _ in 0..1 + g.index(96) {
                 // Any id: live, removed, or never issued (the last two must
@@ -251,7 +241,7 @@ mod tests {
 
     #[test]
     fn removal_from_the_middle_and_of_the_last_keeps_order_and_ids() {
-        let mut p = Process::new(Pid(1), "t", CgroupId(0));
+        let mut p = Process::new(Pid(1), CgroupId(0), 0);
         let ids: Vec<MappingId> = (0..4)
             .map(|i| {
                 let id = p.alloc_mapping_id();
@@ -276,7 +266,7 @@ mod tests {
 
     #[test]
     fn rss_and_vsz() {
-        let mut p = Process::new(Pid(1), "t", CgroupId(0));
+        let mut p = Process::new(Pid(1), CgroupId(0), 0);
         let id = p.alloc_mapping_id();
         p.insert_mapping(Mapping {
             id,
@@ -293,8 +283,22 @@ mod tests {
     }
 
     #[test]
+    fn mapping_capacity_doubles_from_one() {
+        let mut p = Process::new(Pid(1), CgroupId(0), 0);
+        for n in 1..=9usize {
+            let id = p.alloc_mapping_id();
+            p.insert_mapping(anon(id, 4096, 0));
+            let cap = p.mapping_capacity();
+            assert!(n <= cap && cap < 2 * n, "{n} mappings in a capacity of {cap}");
+            if n.is_power_of_two() {
+                assert_eq!(cap, n, "a full vector holds exactly its count");
+            }
+        }
+    }
+
+    #[test]
     fn mapping_ids_unique() {
-        let mut p = Process::new(Pid(1), "t", CgroupId(0));
+        let mut p = Process::new(Pid(1), CgroupId(0), 0);
         let a = p.alloc_mapping_id();
         let b = p.alloc_mapping_id();
         assert_ne!(a, b);
