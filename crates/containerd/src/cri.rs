@@ -19,10 +19,10 @@ use container_runtimes::handler::{ContainerHandler, WasmEngineHandler};
 use container_runtimes::{Container, ContainerState, LowLevelRuntime, RuntimeCtx};
 use engines::{Embedding, EngineKind};
 use oci_spec_lite::{Bundle, Image, ImageStore, RuntimeSpec};
-use simkernel::image::charge_anon;
+use simkernel::image::{charge_anon, grow_anon};
 use simkernel::{
     lifecycle, CgroupId, Duration, FaultSite, Kernel, KernelError, KernelResult, Lifecycle, LockId,
-    Phase, Pid, ProcessImage, Step, StepTrace,
+    MappingId, Phase, Pid, ProcessImage, Step, StepTrace,
 };
 use wasm_core::EpochClock;
 
@@ -152,6 +152,8 @@ impl Sandbox {
 pub struct Containerd {
     kernel: Kernel,
     pub(crate) daemon_pid: Pid,
+    /// The daemon's heap, which its metadata grows in place.
+    daemon_heap: MappingId,
     system_cgroup: CgroupId,
     kubepods: CgroupId,
     images: ImageStore,
@@ -177,11 +179,12 @@ impl Containerd {
         )?;
         // Resident daemon: half its binary text plus the Go heap. Ownership
         // moves to the Containerd value (the node never stops it).
-        let daemon_pid = ProcessImage::spawn(&kernel, "containerd", system_cgroup)
+        let daemon = ProcessImage::spawn(&kernel, "containerd", system_cgroup)
             .text(DAEMON_BINARY, DAEMON_BINARY_SIZE, DAEMON_BINARY_SIZE / 2, "containerd")
             .heap(DAEMON_HEAP, "daemon-heap")
-            .build()?
-            .detach();
+            .build()?;
+        let daemon_heap = daemon.heap().expect("the image has a heap");
+        let daemon_pid = daemon.detach();
 
         let pause_image = images
             .register(&kernel, oci_spec_lite::ImageBuilder::new("registry.k8s.io/pause:3.9"))?
@@ -189,6 +192,7 @@ impl Containerd {
         Ok(Containerd {
             kernel,
             daemon_pid,
+            daemon_heap,
             system_cgroup,
             kubepods,
             images,
@@ -245,9 +249,9 @@ impl Containerd {
         self.sandboxes.values().map(|s| s.pod_cgroup)
     }
 
-    /// Charge daemon metadata growth.
+    /// Charge daemon metadata growth to the daemon's heap.
     fn grow_daemon(&self, bytes: u64) -> KernelResult<()> {
-        charge_anon(&self.kernel, self.daemon_pid, bytes, "daemon-meta")
+        grow_anon(&self.kernel, self.daemon_pid, self.daemon_heap, bytes)
     }
 
     /// CRI RunPodSandbox: pod cgroup, shim, pause container. All recorded
@@ -342,7 +346,7 @@ impl Containerd {
                     };
                 // The shim holds the sandbox itself (no pause process); a
                 // small allocation models its sandbox bookkeeping.
-                if let Err(e) = shim.charge_heap(160 << 10, "sandbox-meta") {
+                if let Err(e) = charge_anon(&self.kernel, shim.pid(), 160 << 10, "sandbox-meta") {
                     drop(shim);
                     let _ = self.kernel.cgroup_remove(pod_cgroup);
                     return Err(e);

@@ -947,6 +947,39 @@ mod tests {
         assert_eq!(cluster.kubelet().pod_count(), 0);
     }
 
+    /// Daemons keep no record per pod started: after twenty deploy and
+    /// teardown rounds, containerd and the kubelet (the system cgroup's
+    /// processes once the shims are gone) hold the mappings they were
+    /// spawned with, their binary and their heap, and the heap holds the
+    /// growth of every pod started.
+    #[test]
+    fn daemons_keep_no_record_per_pod_started() {
+        let mut cluster = cluster_with_wamr();
+        let daemons = |c: &Cluster| -> Vec<(simkernel::Pid, u64)> {
+            let system = c.system_cgroup();
+            c.kernel().ps().into_iter().filter(|p| p.1 == system).map(|p| (p.0, p.2)).collect()
+        };
+        let spawned = daemons(&cluster);
+        assert_eq!(spawned.len(), 2);
+        for round in 0..20 {
+            let d = cluster.deploy(&format!("r{round}"), "svc:v1", "crun-wamr", 5).unwrap();
+            cluster.teardown(d).unwrap();
+        }
+        let after = daemons(&cluster);
+        assert_eq!(after.iter().map(|d| d.0).collect::<Vec<_>>(), [spawned[0].0, spawned[1].0]);
+        let kubelet = cluster.kubelet().pid;
+        for ((pid, rss), (_, rss_spawned)) in after.into_iter().zip(spawned) {
+            // Mapping ids are issued in order: a probe mapping gets the
+            // third, the spawn's two and nothing since.
+            let probe = ProcessImage::attach(cluster.kernel(), pid).heap(4096, "probe").build();
+            assert_eq!(probe.unwrap().heap(), Some(simkernel::MappingId(2)), "{pid:?}");
+            assert!(rss > rss_spawned, "{pid:?}: its heap grew");
+            if pid == kubelet {
+                assert_eq!(rss - rss_spawned, 100 * crate::kubelet::KUBELET_GROWTH_PER_POD);
+            }
+        }
+    }
+
     #[test]
     fn max_pods_enforced() {
         let mut cluster = Cluster::bootstrap_with(

@@ -18,10 +18,10 @@ use std::sync::Arc;
 
 use containerd_sim::Containerd;
 use oci_spec_lite::WATCHDOG_BUDGET_ANNOTATION;
-use simkernel::image::charge_anon;
+use simkernel::image::grow_anon;
 use simkernel::{
-    CgroupId, Duration, Kernel, KernelError, KernelResult, Phase, Pid, ProcState, ProcessImage,
-    SimTime, Step, StepTrace,
+    CgroupId, Duration, Kernel, KernelError, KernelResult, MappingId, Phase, Pid, ProcState,
+    ProcessImage, SimTime, Step, StepTrace,
 };
 
 use crate::api::{PodPhase, PodRecord, PodSpec, ProbeSpec};
@@ -85,7 +85,7 @@ pub(crate) const DEFAULT_TERMINATION_GRACE: Duration = Duration::from_secs(30);
 /// service-account token, container log buffers.
 pub(crate) const POD_INFRA_BYTES: u64 = 1_600 << 10;
 /// kubelet heap growth per managed pod.
-const KUBELET_GROWTH_PER_POD: u64 = 260 << 10;
+pub(crate) const KUBELET_GROWTH_PER_POD: u64 = 260 << 10;
 /// kubelet baseline footprint.
 const KUBELET_BINARY: &str = "/usr/bin/kubelet";
 const KUBELET_BINARY_SIZE: u64 = 110 << 20;
@@ -244,6 +244,8 @@ pub struct Kubelet {
     kernel: Kernel,
     pub(crate) config: NodeConfig,
     pub(crate) pid: Pid,
+    /// The daemon's heap, which its per-pod bookkeeping grows in place.
+    heap: MappingId,
     /// Pseudo-processes holding per-pod infrastructure charges.
     infra_procs: std::collections::BTreeMap<String, Pid>,
     /// Supervised pods (admitted with [`RestartPolicy::Always`]).
@@ -273,15 +275,16 @@ impl Kubelet {
         )?;
         // Resident daemon: a third of the Go binary's text plus its heap.
         // Ownership moves to the Kubelet value (the node never stops it).
-        let pid = ProcessImage::spawn(&kernel, "kubelet", system_cgroup)
+        let daemon = ProcessImage::spawn(&kernel, "kubelet", system_cgroup)
             .text(KUBELET_BINARY, KUBELET_BINARY_SIZE, KUBELET_BINARY_SIZE / 3, "kubelet")
             .heap(KUBELET_HEAP, "kubelet-heap")
-            .build()?
-            .detach();
+            .build()?;
+        let (heap, pid) = (daemon.heap().expect("the image has a heap"), daemon.detach());
         Ok(Kubelet {
             kernel,
             config,
             pid,
+            heap,
             infra_procs: Default::default(),
             pods: Default::default(),
             torn_down: 0,
@@ -301,7 +304,7 @@ impl Kubelet {
             infra_procs: self.infra_procs.clone(),
             pods: self.pods.clone(),
             programs: self.programs.clone(),
-            // The daemon's pid and the counters: plain `Copy` values.
+            // The daemon's pid and heap and the counters: plain `Copy` values.
             ..*self
         }
     }
@@ -468,7 +471,7 @@ impl Kubelet {
         }
 
         // kubelet bookkeeping growth.
-        charge_anon(&self.kernel, self.pid, KUBELET_GROWTH_PER_POD, "kubelet-pod")?;
+        grow_anon(&self.kernel, self.pid, self.heap, KUBELET_GROWTH_PER_POD)?;
 
         // CreateContainer + StartContainer. On failure the kubelet rolls
         // the pod back (sandbox, infra charge, bookkeeping) so a broken

@@ -86,10 +86,13 @@ pub struct CgroupStats {
     pub io_queued_ns: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Cgroup {
     parent: Option<CgroupId>,
-    children: Vec<CgroupId>,
+    /// Groups naming this one as `parent`.
+    children: u32,
+    /// Number of processes directly in this cgroup.
+    procs: u32,
     /// Subtree-inclusive counters (maintained on every charge/uncharge by
     /// walking ancestors, so reads are O(1)).
     stat: MemStat,
@@ -97,6 +100,23 @@ struct Cgroup {
     mapped_file: u64,
     /// `memory.max`: `None` means unlimited.
     limit: Option<u64>,
+    /// Subtree-inclusive cold-read bytes (all time).
+    io_cold_bytes: u64,
+    /// Subtree-inclusive queueing delay, ns.
+    io_queued_ns: u64,
+    /// Times this cgroup's limit triggered an OOM.
+    oom_events: u64,
+    /// The cpu and io controllers' state, made when one is first set and
+    /// kept when it is lifted (its counters survive); most groups never
+    /// set one.
+    controllers: Option<Box<Controllers>>,
+}
+
+// A crun pod keeps three of these boxed in the kernel's table.
+const _: () = assert!(std::mem::size_of::<Cgroup>() <= 112);
+
+#[derive(Debug, Clone, Default)]
+struct Controllers {
     /// `cpu.max` as `(quota_ns, period_ns)`: the subtree may run `quota` of
     /// CPU time per `period` of wall time. `None` means unlimited.
     cpu_max: Option<(u64, u64)>,
@@ -110,39 +130,8 @@ struct Cgroup {
     io_window_start_ns: u64,
     /// Bytes admitted in the current window.
     io_window_bytes: u64,
-    /// Subtree-inclusive cold-read bytes (all time).
-    io_cold_bytes: u64,
     /// Reads that exceeded the window budget.
     io_throttle_events: u64,
-    /// Subtree-inclusive queueing delay, ns.
-    io_queued_ns: u64,
-    /// Number of processes directly in this cgroup.
-    procs: u64,
-    /// Times this cgroup's limit triggered an OOM.
-    oom_events: u64,
-}
-
-impl Cgroup {
-    fn new(parent: Option<CgroupId>) -> Cgroup {
-        Cgroup {
-            parent,
-            children: Vec::new(),
-            stat: MemStat::default(),
-            mapped_file: 0,
-            limit: None,
-            cpu_max: None,
-            nr_cpu_throttled: 0,
-            cpu_throttled_ns: 0,
-            io_read_budget: None,
-            io_window_start_ns: 0,
-            io_window_bytes: 0,
-            io_cold_bytes: 0,
-            io_throttle_events: 0,
-            io_queued_ns: 0,
-            procs: 0,
-            oom_events: 0,
-        }
-    }
 }
 
 /// The cgroup hierarchy.
@@ -150,7 +139,6 @@ impl Cgroup {
 pub(crate) struct CgroupTree {
     next_id: u64,
     groups: IdTable<CgroupId, Cgroup>,
-    root: CgroupId,
 }
 
 /// What kind of memory a charge is for.
@@ -163,10 +151,9 @@ pub(crate) enum ChargeKind {
 
 impl CgroupTree {
     pub(crate) fn new() -> Self {
-        let root = CgroupId(0);
         let mut groups = IdTable::new();
-        groups.insert(root, Cgroup::new(None));
-        CgroupTree { next_id: 1, groups, root }
+        groups.insert(CgroupId(0), Cgroup::default());
+        CgroupTree { next_id: 1, groups }
     }
 
     pub(crate) fn exists(&self, id: CgroupId) -> bool {
@@ -179,56 +166,50 @@ impl CgroupTree {
         }
         let id = CgroupId(self.next_id);
         self.next_id += 1;
-        self.groups.insert(id, Cgroup::new(Some(parent)));
-        self.groups.get_mut(parent).unwrap().children.push(id);
+        self.groups.insert(id, Cgroup { parent: Some(parent), ..Cgroup::default() });
+        self.groups.get_mut(parent).unwrap().children += 1;
         Some(id)
     }
 
-    /// Remove an empty leaf cgroup. Fails (returns false) if it has
-    /// processes, children, or remaining charges.
-    pub(crate) fn remove(&mut self, id: CgroupId) -> bool {
-        if id == self.root {
-            return false;
+    /// Remove a leaf cgroup with no processes and no anon or kernel
+    /// charge. Its page-cache charge moves to its parent, whose subtree
+    /// counts it already. Returns the parent and the file bytes moved;
+    /// `None` if the group is the root, missing or busy.
+    pub(crate) fn remove(&mut self, id: CgroupId) -> Option<(CgroupId, u64)> {
+        let g = self.groups.get(id)?;
+        let parent = g.parent?;
+        if g.procs > 0 || g.children > 0 || g.stat.anon_bytes > 0 || g.stat.kernel_bytes > 0 {
+            return None;
         }
-        let Some(g) = self.groups.get(id) else { return false };
-        if g.procs > 0 || !g.children.is_empty() || g.stat.current > 0 {
-            return false;
-        }
-        let parent = g.parent;
+        let file = g.stat.file_bytes;
         self.groups.remove(id);
-        if let Some(p) = parent {
-            if let Some(pg) = self.groups.get_mut(p) {
-                pg.children.retain(|c| *c != id);
-            }
-        }
-        true
+        self.groups.get_mut(parent).expect("a group's parent exists").children -= 1;
+        Some((parent, file))
     }
 
     pub(crate) fn set_limit(&mut self, id: CgroupId, limit: Option<u64>) -> bool {
-        match self.groups.get_mut(id) {
-            Some(g) => {
-                g.limit = limit;
-                true
-            }
-            None => false,
+        let Some(g) = self.groups.get_mut(id) else { return false };
+        g.limit = limit;
+        true
+    }
+
+    /// Apply `f` to a group's controller state, made first if `set` (a
+    /// lift of a controller never set makes nothing).
+    fn controller(&mut self, id: CgroupId, set: bool, f: impl FnOnce(&mut Controllers)) -> bool {
+        let Some(g) = self.groups.get_mut(id) else { return false };
+        if set || g.controllers.is_some() {
+            f(g.controllers.get_or_insert_with(Default::default));
         }
+        true
     }
 
     /// Set `cpu.max` as `(quota_ns, period_ns)`. A zero quota or period is
     /// rejected (Linux requires both positive); `None` lifts the limit.
     pub(crate) fn set_cpu_max(&mut self, id: CgroupId, cpu_max: Option<(u64, u64)>) -> bool {
-        if let Some((q, p)) = cpu_max {
-            if q == 0 || p == 0 {
-                return false;
-            }
+        if cpu_max.is_some_and(|(q, p)| q == 0 || p == 0) {
+            return false;
         }
-        match self.groups.get_mut(id) {
-            Some(g) => {
-                g.cpu_max = cpu_max;
-                true
-            }
-            None => false,
-        }
+        self.controller(id, cpu_max.is_some(), |c| c.cpu_max = cpu_max)
     }
 
     /// The most restrictive `cpu.max` on the path to root (lowest
@@ -238,7 +219,7 @@ impl CgroupTree {
         let mut cur = Some(id);
         while let Some(c) = cur {
             let g = self.groups.get(c)?;
-            if let Some((q, p)) = g.cpu_max {
+            if let Some((q, p)) = g.controllers.as_deref().and_then(|c| c.cpu_max) {
                 let tighter = match best {
                     // Compare q/p < bq/bp without division: q*bp < bq*p.
                     Some((_, bq, bp)) => (q as u128) * (bp as u128) < (bq as u128) * (p as u128),
@@ -271,22 +252,19 @@ impl CgroupTree {
             return 0;
         }
         let g = self.groups.get_mut(limiter).expect("limiter found by ancestor walk");
-        g.nr_cpu_throttled += 1;
-        g.cpu_throttled_ns += sleep;
+        let c = g.controllers.as_mut().expect("the limiter's cpu.max is set");
+        c.nr_cpu_throttled += 1;
+        c.cpu_throttled_ns += sleep;
         sleep
     }
 
     /// Set the cold-read byte budget per [`IO_WINDOW_NS`]; `None` lifts it.
     pub(crate) fn set_io_read_budget(&mut self, id: CgroupId, budget: Option<u64>) -> bool {
-        match self.groups.get_mut(id) {
-            Some(g) => {
-                g.io_read_budget = budget;
-                g.io_window_start_ns = 0;
-                g.io_window_bytes = 0;
-                true
-            }
-            None => false,
-        }
+        self.controller(id, budget.is_some(), |c| {
+            c.io_read_budget = budget;
+            c.io_window_start_ns = 0;
+            c.io_window_bytes = 0;
+        })
     }
 
     /// Account `bytes` of cold page-cache read by `id` at simulated instant
@@ -303,23 +281,26 @@ impl CgroupTree {
         while let Some(c) = cur {
             let g = self.groups.get_mut(c).expect("ancestor exists");
             g.io_cold_bytes += bytes;
-            if budget_owner.is_none() && g.io_read_budget.is_some() {
+            if budget_owner.is_none()
+                && g.controllers.as_deref().is_some_and(|c| c.io_read_budget.is_some())
+            {
                 budget_owner = Some(c);
             }
             cur = g.parent;
         }
         let Some(owner) = budget_owner else { return 0 };
         let g = self.groups.get_mut(owner).expect("owner found by ancestor walk");
-        let budget = g.io_read_budget.expect("owner has a budget");
-        if now_ns.saturating_sub(g.io_window_start_ns) >= IO_WINDOW_NS {
-            g.io_window_start_ns = now_ns;
-            g.io_window_bytes = 0;
+        let c = g.controllers.as_mut().expect("the owner's budget is set");
+        let budget = c.io_read_budget.expect("owner has a budget");
+        if now_ns.saturating_sub(c.io_window_start_ns) >= IO_WINDOW_NS {
+            c.io_window_start_ns = now_ns;
+            c.io_window_bytes = 0;
         }
-        let admitted = bytes.min(budget.saturating_sub(g.io_window_bytes));
-        g.io_window_bytes += admitted;
+        let admitted = bytes.min(budget.saturating_sub(c.io_window_bytes));
+        c.io_window_bytes += admitted;
         let throttled = bytes - admitted;
         if throttled > 0 {
-            g.io_throttle_events += 1;
+            c.io_throttle_events += 1;
         }
         throttled
     }
@@ -337,15 +318,17 @@ impl CgroupTree {
     /// Full controller snapshot for one cgroup.
     pub(crate) fn stats(&self, id: CgroupId) -> Option<CgroupStats> {
         let g = self.groups.get(id)?;
+        let unset = Controllers::default();
+        let c = g.controllers.as_deref().unwrap_or(&unset);
         Some(CgroupStats {
             mem: g.stat,
             oom_events: g.oom_events,
-            cpu_max: g.cpu_max,
-            nr_cpu_throttled: g.nr_cpu_throttled,
-            cpu_throttled_ns: g.cpu_throttled_ns,
-            io_read_budget: g.io_read_budget,
+            cpu_max: c.cpu_max,
+            nr_cpu_throttled: c.nr_cpu_throttled,
+            cpu_throttled_ns: c.cpu_throttled_ns,
+            io_read_budget: c.io_read_budget,
             io_cold_bytes: g.io_cold_bytes,
-            io_throttle_events: g.io_throttle_events,
+            io_throttle_events: c.io_throttle_events,
             io_queued_ns: g.io_queued_ns,
         })
     }
@@ -368,13 +351,17 @@ impl CgroupTree {
         self.groups.get(id).and_then(|g| g.parent)
     }
 
-    pub(crate) fn children(&self, id: CgroupId) -> Vec<CgroupId> {
-        self.groups.get(id).map(|g| g.children.clone()).unwrap_or_default()
-    }
-
-    /// Number of processes directly in this cgroup (0 if it does not exist).
-    pub(crate) fn procs(&self, id: CgroupId) -> u64 {
-        self.groups.get(id).map_or(0, |g| g.procs)
+    /// Is `cg` inside the subtree rooted at `root` (inclusive)?
+    pub(crate) fn in_subtree(&self, mut cg: CgroupId, root: CgroupId) -> bool {
+        loop {
+            if cg == root {
+                return true;
+            }
+            match self.parent(cg) {
+                Some(p) => cg = p,
+                None => return false,
+            }
+        }
     }
 
     pub(crate) fn proc_attached(&mut self, id: CgroupId) {
@@ -389,18 +376,23 @@ impl CgroupTree {
         }
     }
 
-    /// Would charging `bytes` to `id` exceed any limit on the path to root?
-    /// Returns the first offending cgroup and its limit.
-    pub(crate) fn check_limit(&self, id: CgroupId, bytes: u64) -> Option<(CgroupId, u64)> {
-        let mut cur = Some(id);
-        while let Some(c) = cur {
-            let g = self.groups.get(c)?;
-            if let Some(lim) = g.limit {
-                if g.stat.current.saturating_add(bytes) > lim {
-                    return Some((c, lim));
+    /// Would the `charges`, `(group, bytes)` each, together exceed any
+    /// limit on their paths to root? Where two paths meet, their bytes add.
+    /// Returns the first offending cgroup, walking the paths in order, and
+    /// its limit.
+    pub(crate) fn check_limit(&self, charges: &[(CgroupId, u64)]) -> Option<(CgroupId, u64)> {
+        for &(start, _) in charges {
+            let mut cur = Some(start);
+            while let Some(c) = cur {
+                let g = self.groups.get(c)?;
+                if let Some(lim) = g.limit {
+                    let bytes = charges.iter().filter(|&&(id, _)| self.in_subtree(id, c));
+                    if g.stat.current.saturating_add(bytes.map(|&(_, b)| b).sum()) > lim {
+                        return Some((c, lim));
+                    }
                 }
+                cur = g.parent;
             }
-            cur = g.parent;
         }
         None
     }
@@ -412,7 +404,10 @@ impl CgroupTree {
     }
 
     /// Charge `bytes` of `kind` to `id` and all its ancestors.
-    /// The caller is responsible for limit checks (via [`CgroupTree::check_limit`]).
+    /// The caller is responsible for limit checks (via [`CgroupTree::check_limit`]):
+    /// no charge takes a group from within its `memory.max` to above it. A
+    /// limit lowered below `current` leaves the group above it, and it
+    /// refuses every charge until it is back within.
     pub(crate) fn charge(&mut self, id: CgroupId, kind: ChargeKind, bytes: u64) -> bool {
         if !self.groups.contains(id) {
             return false;
@@ -420,6 +415,11 @@ impl CgroupTree {
         let mut cur = Some(id);
         while let Some(c) = cur {
             let g = self.groups.get_mut(c).expect("ancestor exists");
+            let (was, lim) = (g.stat.current, g.limit.unwrap_or(u64::MAX));
+            debug_assert!(
+                was > lim || was + bytes <= lim,
+                "{c:?}: {was} + {bytes} B crosses {lim}"
+            );
             g.stat.current += bytes;
             match kind {
                 ChargeKind::Anon => g.stat.anon_bytes += bytes,
@@ -453,9 +453,8 @@ impl CgroupTree {
     }
 
     /// Check the tree's shape and its process counters: every group's
-    /// `children` are exactly the groups naming it as `parent` (in id
-    /// order), and its `procs` counter equals `live(group)`, the live
-    /// processes in it.
+    /// `children` count equals the groups naming it as `parent`, and its
+    /// `procs` counter equals `live(group)`, the live processes in it.
     pub(crate) fn check(&self, live: impl Fn(CgroupId) -> u64) -> Result<(), String> {
         self.groups.check("cgroups")?;
         let mut named: BTreeMap<CgroupId, Vec<CgroupId>> = BTreeMap::new();
@@ -466,13 +465,13 @@ impl CgroupTree {
         }
         for (id, g) in self.groups.iter() {
             let expected = named.remove(&id).unwrap_or_default();
-            if g.children != expected {
+            if g.children as usize != expected.len() {
                 return Err(format!(
-                    "{id:?}: children {:?} != {expected:?} naming it as parent",
+                    "{id:?}: children count {} != {expected:?} naming it as parent",
                     g.children
                 ));
             }
-            if g.procs != live(id) {
+            if u64::from(g.procs) != live(id) {
                 return Err(format!("{id:?}: procs counter {} != {} live", g.procs, live(id)));
             }
         }
@@ -509,7 +508,7 @@ mod tests {
 
     impl CgroupTree {
         fn root(&self) -> CgroupId {
-            self.root
+            CgroupId(0)
         }
 
         /// Mapped file bytes in the subtree (the non-reclaimable file share).
@@ -548,11 +547,27 @@ mod tests {
         let parent = t.create(t.root()).unwrap();
         let child = t.create(parent).unwrap();
         t.set_limit(parent, Some(8192));
-        assert!(t.check_limit(child, 4096).is_none());
+        assert!(t.check_limit(&[(child, 4096)]).is_none());
         t.charge(child, ChargeKind::Anon, 8192);
-        let (victim, lim) = t.check_limit(child, 1).unwrap();
+        let (victim, lim) = t.check_limit(&[(child, 1)]).unwrap();
         assert_eq!(victim, parent);
         assert_eq!(lim, 8192);
+    }
+
+    /// Two charges checked together add where their paths meet, and only
+    /// there.
+    #[test]
+    fn charges_checked_together_add_at_their_common_ancestors() {
+        let mut t = CgroupTree::new();
+        let parent = t.create(t.root()).unwrap();
+        let [a, b] = [0; 2].map(|_| t.create(parent).unwrap());
+        t.set_limit(parent, Some(8192));
+        t.set_limit(a, Some(4096));
+        assert_eq!(t.check_limit(&[(a, 4096), (b, 4096)]), None);
+        assert_eq!(t.check_limit(&[(a, 4096), (b, 4097)]), Some((parent, 8192)));
+        assert_eq!(t.check_limit(&[(b, 4097), (a, 4096)]), Some((parent, 8192)));
+        assert_eq!(t.check_limit(&[(a, 4096), (a, 1)]), Some((a, 4096)), "same group: both");
+        assert_eq!(t.check_limit(&[(b, 1), (a, 4097)]), Some((a, 4096)));
     }
 
     #[test]
@@ -560,13 +575,98 @@ mod tests {
         let mut t = CgroupTree::new();
         let g = t.create(t.root()).unwrap();
         t.proc_attached(g);
-        assert!(!t.remove(g), "non-empty cgroup must not be removable");
+        assert_eq!(t.remove(g), None, "non-empty cgroup must not be removable");
         t.proc_detached(g);
+        for kind in [ChargeKind::Anon, ChargeKind::Kernel] {
+            t.charge(g, kind, 100);
+            assert_eq!(t.remove(g), None, "charged cgroup must not be removable");
+            t.uncharge(g, kind, 100);
+        }
+        // Page cache outlives the group: its parent, which counts it
+        // already, keeps it.
         t.charge(g, ChargeKind::File, 100);
-        assert!(!t.remove(g), "charged cgroup must not be removable");
-        t.uncharge(g, ChargeKind::File, 100);
-        assert!(t.remove(g));
-        assert!(!t.remove(t.root()), "root is permanent");
+        assert_eq!(t.remove(g), Some((t.root(), 100)));
+        assert_eq!(t.stat(t.root()).unwrap().file_bytes, 100);
+        assert_eq!(t.remove(g), None, "removed once");
+        assert_eq!(t.remove(t.root()), None, "root is permanent");
+    }
+
+    /// A group counts its children: one with a child is busy, and removing
+    /// the child frees it. The `check` law compares each count with the
+    /// groups naming it as their parent.
+    #[test]
+    fn a_group_counts_its_children() {
+        let mut t = CgroupTree::new();
+        let pods = t.create(t.root()).unwrap();
+        let kids = [0; 3].map(|_| t.create(pods).unwrap());
+        let grandchild = t.create(kids[1]).unwrap();
+        t.check(|_| 0).unwrap();
+        assert_eq!(t.remove(pods), None, "a group with children must not be removable");
+        assert_eq!(t.remove(kids[1]), None);
+        assert_eq!(t.remove(grandchild), Some((kids[1], 0)));
+        for kid in kids {
+            assert_eq!(t.remove(kid), Some((pods, 0)));
+            t.check(|_| 0).unwrap();
+        }
+        assert_eq!(t.remove(pods), Some((t.root(), 0)), "its last child gone");
+        t.check(|_| 0).unwrap();
+
+        let g = t.create(t.root()).unwrap();
+        t.create(g).unwrap();
+        t.groups.get_mut(g).unwrap().children += 1;
+        let err = t.check(|_| 0).unwrap_err();
+        assert!(err.contains("children count 2"), "{err}");
+    }
+
+    /// Unset controllers allocate nothing: not on create, not when a
+    /// controller never set is lifted, not when cpu time or cold reads are
+    /// charged.
+    #[test]
+    fn unset_controllers_allocate_nothing() {
+        let mut t = CgroupTree::new();
+        let parent = t.create(t.root()).unwrap();
+        let g = t.create(parent).unwrap();
+        assert!(t.set_cpu_max(g, None) && t.set_io_read_budget(g, None));
+        assert_eq!(t.charge_cpu(g, 1_000_000), 0);
+        assert_eq!(t.charge_io_cold(g, 4096, 0), 0);
+        t.record_io_queue(g, 500);
+        assert!(t.groups.values().all(|c| c.controllers.is_none()));
+        // Setting one on the parent makes the parent's state, no other.
+        t.set_cpu_max(parent, Some((50, 100)));
+        assert_eq!(t.charge_cpu(g, 1_000), 1_000);
+        let made: Vec<bool> = t.groups.values().map(|c| c.controllers.is_some()).collect();
+        assert_eq!(made, [false, true, false]);
+    }
+
+    /// Setting a controller and lifting it again leaves `stats()` reading
+    /// what a group that never set one reads, but for the throttle counters
+    /// the controller recorded while it was set.
+    #[test]
+    fn a_lifted_controller_keeps_its_counters() {
+        let mut t = CgroupTree::new();
+        let [set, never] = [0; 2].map(|_| t.create(t.root()).unwrap());
+        for g in [set, never] {
+            t.charge(g, ChargeKind::Anon, 8192);
+            t.charge_io_cold(g, 4096, 0);
+        }
+        t.set_cpu_max(set, Some((25, 100)));
+        t.set_io_read_budget(set, Some(10_000));
+        assert_eq!(t.charge_cpu(set, 1_000), 3_000);
+        assert_eq!(t.charge_io_cold(set, 12_000, 0), 2_000);
+        t.set_cpu_max(set, None);
+        t.set_io_read_budget(set, None);
+        // Lifted: nothing more is throttled or deferred.
+        assert_eq!(t.charge_cpu(set, 1_000), 0);
+        assert_eq!(t.charge_io_cold(set, 12_000, 0), 0);
+        t.charge_io_cold(never, 24_000, 0);
+        let expected = CgroupStats {
+            nr_cpu_throttled: 1,
+            cpu_throttled_ns: 3_000,
+            io_throttle_events: 1,
+            ..t.stats(never).unwrap()
+        };
+        assert_eq!(t.stats(set), Some(expected));
+        assert_eq!(t.stats(never).unwrap().nr_cpu_throttled, 0);
     }
 
     #[test]

@@ -35,10 +35,11 @@
 //! section; transient runtime ops emit it immediately; warm restarts emit
 //! nothing), which is what keeps existing figures byte-identical.
 //!
-//! The free functions ([`charge_anon`], [`map_shared`], [`map_cow`]) are the
-//! same discipline for charging growth onto an *existing* process (daemon
-//! metadata, per-pod kubelet growth, engine heaps), with [`Rollback`] as
-//! their undo when several of them make up one stage. Each doorway takes
+//! The free functions ([`charge_anon`], [`grow_anon`], [`map_shared`],
+//! [`map_cow`]) are the same discipline for charging growth onto an
+//! *existing* process (engine heaps; a daemon's heap, grown in place per
+//! pod), with [`Rollback`] as their undo when several of them make up one
+//! stage. Each doorway takes
 //! the kernel lock once and makes its calls on the held state, whose verbs
 //! (spawn, labeled mmap, copy-on-write) are crate-private, as is
 //! `Kernel::cgroup_charge_cpu` (whose one caller is [`charge_cpu`]): the
@@ -178,7 +179,7 @@ impl<'k> ProcessImage<'k> {
             }
             Target::Attach { pid } => (pid, false),
         };
-        let mut charge = || -> KernelResult<Option<u64>> {
+        let mut charge = || -> KernelResult<(Option<u64>, Option<MappingId>)> {
             let mut cold_read = None;
             if let Some(t) = &text {
                 let file = st.lookup(t.path)?;
@@ -192,18 +193,20 @@ impl<'k> ProcessImage<'k> {
                     Some(t.resident)
                 };
             }
-            if let Some(h) = &heap {
+            let heap = heap.as_ref().map(|h| -> KernelResult<MappingId> {
                 let m = st.mmap_labeled(pid, h.bytes, MapKind::AnonPrivate, h.label)?;
                 st.touch(pid, m, h.bytes)?;
-            }
-            Ok(cold_read)
+                Ok(m)
+            });
+            Ok((cold_read, heap.transpose()?))
         };
-        let cold_read = charge();
-        if cold_read.is_err() && owned {
+        let charged = charge();
+        if charged.is_err() && owned {
             let _ = reap_quietly(&mut st, pid, 1);
         }
         drop(st);
-        Ok(ProcGuard { kernel, pid, owned, cold_read: cold_read? })
+        let (cold_read, heap) = charged?;
+        Ok(ProcGuard { kernel, pid, owned, cold_read, heap })
     }
 }
 
@@ -215,6 +218,7 @@ pub struct ProcGuard<'k> {
     pid: Pid,
     owned: bool,
     cold_read: Option<u64>,
+    heap: Option<MappingId>,
 }
 
 impl<'k> ProcGuard<'k> {
@@ -234,9 +238,10 @@ impl<'k> ProcGuard<'k> {
         self.cold_read.map(Step::disk_read)
     }
 
-    /// Charge an additional fully-touched anonymous region.
-    pub fn charge_heap(&self, bytes: u64, label: &'static str) -> KernelResult<()> {
-        charge_anon(self.kernel, self.pid, bytes, label)
+    /// The image's heap mapping, for [`grow_anon`] (a daemon that grows
+    /// per pod keeps one heap).
+    pub fn heap(&self) -> Option<MappingId> {
+        self.heap
     }
 
     /// Keep the process alive past this guard: ownership moves to the caller
@@ -295,6 +300,13 @@ pub fn charge_anon(kernel: &Kernel, pid: Pid, bytes: u64, label: &'static str) -
         return Err(e);
     }
     Ok(())
+}
+
+/// Grow `pid`'s private anonymous `heap` (its image's, see
+/// [`ProcGuard::heap`]) in place by `bytes`, fully touched. A refused
+/// growth leaves the heap's length and residency as they were.
+pub fn grow_anon(kernel: &Kernel, pid: Pid, heap: MappingId, bytes: u64) -> KernelResult<()> {
+    kernel.st().grow(pid, heap, bytes)
 }
 
 /// Map `file` shared into `pid`, touching `resident` of `map_len` bytes.
@@ -471,7 +483,7 @@ mod tests {
             .unwrap();
         assert_eq!(kernel.mapping_capacity(g.pid()), 2);
         // Growth past the image doubles from there.
-        g.charge_heap(4096, "more").unwrap();
+        charge_anon(&kernel, g.pid(), 4096, "more").unwrap();
         assert_eq!(kernel.mapping_capacity(g.pid()), 4);
         let bare = ProcessImage::spawn(&kernel, "bare", Kernel::ROOT_CGROUP).build().unwrap();
         assert_eq!(kernel.mapping_capacity(bare.pid()), 0);

@@ -281,36 +281,21 @@ impl Kernel {
     pub fn cgroup_remove(&self, cg: CgroupId) -> KernelResult<()> {
         let mut st = self.st();
         st.check_power()?;
-        let stat = st.cgroups.stat(cg).ok_or(KernelError::NoSuchCgroup(cg))?;
-        let children = st.cgroups.children(cg);
-        let has_procs = st.cgroups.procs(cg) > 0;
-        if has_procs || !children.is_empty() || stat.anon_bytes > 0 || stat.kernel_bytes > 0 {
-            return Err(KernelError::CgroupBusy(cg));
+        if !st.cgroups.exists(cg) {
+            return Err(KernelError::NoSuchCgroup(cg));
         }
-        let parent = st.cgroups.parent(cg).ok_or(KernelError::CgroupBusy(cg))?;
-        // Reparent page-cache charges: move the local file charge up. The
-        // ancestors already include it, so only the removed node's local
-        // share needs re-pointing on the file objects.
-        if stat.file_bytes > 0 {
-            st.cgroups.uncharge(cg, ChargeKind::File, stat.file_bytes);
-            st.cgroups.charge(parent, ChargeKind::File, stat.file_bytes);
+        let (parent, file) = st.cgroups.remove(cg).ok_or(KernelError::CgroupBusy(cg))?;
+        // The file objects charged to the removed group now name its parent.
+        if file > 0 {
             st.vfs.recharge(cg, parent);
         }
-        if st.cgroups.remove(cg) {
-            Ok(())
-        } else {
-            Err(KernelError::CgroupBusy(cg))
-        }
+        Ok(())
     }
 
     pub fn cgroup_set_limit(&self, cg: CgroupId, limit: Option<u64>) -> KernelResult<()> {
         let mut st = self.st();
         st.check_power()?;
-        if st.cgroups.set_limit(cg, limit) {
-            Ok(())
-        } else {
-            Err(KernelError::NoSuchCgroup(cg))
-        }
+        st.cgroups.set_limit(cg, limit).then_some(()).ok_or(KernelError::NoSuchCgroup(cg))
     }
 
     pub fn cgroup_stat(&self, cg: CgroupId) -> KernelResult<MemStat> {
@@ -368,18 +353,11 @@ impl Kernel {
     }
 
     /// Set (or clear) the per-window cold-read byte budget
-    /// ([`IO_WINDOW_NS`]-sized windows). Rejects a zero budget.
+    /// ([`IO_WINDOW_NS`]-sized windows); a zero budget defers every read.
     pub fn cgroup_set_io_read_budget(&self, cg: CgroupId, budget: Option<u64>) -> KernelResult<()> {
         let mut st = self.st();
         st.check_power()?;
-        if !st.cgroups.exists(cg) {
-            return Err(KernelError::NoSuchCgroup(cg));
-        }
-        if st.cgroups.set_io_read_budget(cg, budget) {
-            Ok(())
-        } else {
-            Err(KernelError::InvalidState(format!("invalid io budget {budget:?} for {cg:?}")))
-        }
+        st.cgroups.set_io_read_budget(cg, budget).then_some(()).ok_or(KernelError::NoSuchCgroup(cg))
     }
 
     /// Full controller snapshot: memory, cpu throttling, io pressure.
@@ -523,15 +501,7 @@ impl Kernel {
     pub fn read_file(&self, pid: Pid, id: FileId) -> KernelResult<Option<Bytes>> {
         let mut st = self.st();
         st.check_power()?;
-        let cg = st.alive(pid)?.cgroup;
-        if let Err(e) = st.fault_file(cg, id, u64::MAX) {
-            if let KernelError::OutOfMemory { .. } = e {
-                // As in Linux, breaching memory.max on a page-cache fault
-                // OOM-kills the reading process.
-                st.teardown(pid, ProcState::OomKilled)?;
-            }
-            return Err(e);
-        }
+        st.fault_for(pid, id, u64::MAX, 0)?;
         let f = st.vfs.get(id).ok_or(KernelError::NoSuchFile(id))?;
         Ok(f.content.bytes().cloned())
     }
@@ -542,16 +512,7 @@ impl Kernel {
     pub fn read_file_cold(&self, pid: Pid, id: FileId) -> KernelResult<(u64, u64)> {
         let mut st = self.st();
         st.check_power()?;
-        let cg = st.alive(pid)?.cgroup;
-        match st.fault_file(cg, id, u64::MAX) {
-            Ok(out) => Ok(out),
-            Err(e) => {
-                if let KernelError::OutOfMemory { .. } = e {
-                    st.teardown(pid, ProcState::OomKilled)?;
-                }
-                Err(e)
-            }
-        }
+        st.fault_for(pid, id, u64::MAX, 0)
     }
 
     /// Bytes of a file currently in the page cache.
@@ -620,7 +581,7 @@ impl Kernel {
         let mut in_group: BTreeMap<CgroupId, u64> = BTreeMap::new();
         for p in st.procs.values().filter(|p| p.is_alive()) {
             *in_group.entry(p.cgroup).or_default() += 1;
-            let owed = st.kernel_bytes(p);
+            let owed = st.kernel_bytes(p.namespaces, p.rss());
             if p.kernel_charged != owed {
                 return Err(format!(
                     "{:?}: kernel charge {} != {owed} for its base, namespaces and page tables",
@@ -656,7 +617,7 @@ impl KernelState {
         if !self.cgroups.exists(cg) {
             return Err(KernelError::NoSuchCgroup(cg));
         }
-        if let Some((offender, limit)) = self.cgroups.check_limit(cg, bytes) {
+        if let Some((offender, limit)) = self.cgroups.check_limit(&[(cg, bytes)]) {
             return Err(KernelError::OutOfMemory { cgroup: offender, requested: bytes, limit });
         }
         Ok(())
@@ -728,6 +689,21 @@ impl KernelState {
         self.touch_inner(pid, mapping, bytes, false)
     }
 
+    /// Extend a private anonymous mapping by `bytes` and touch all of it:
+    /// one mapping that grows in place. A refused growth leaves the length
+    /// as it was, and the touch, admitted whole, leaves the rest.
+    pub(crate) fn grow(&mut self, pid: Pid, mapping: MappingId, bytes: u64) -> KernelResult<()> {
+        self.check_power()?;
+        let p = self.alive_mut(pid)?;
+        let len = p.mapping(mapping).ok_or(KernelError::NoSuchMapping(pid, mapping))?.len;
+        p.set_len(mapping, len + bytes);
+        self.touch_inner(pid, mapping, len + bytes, false).inspect_err(|_| {
+            if let Ok(p) = self.alive_mut(pid) {
+                p.set_len(mapping, len);
+            }
+        })
+    }
+
     /// Write to a copy-on-write file mapping: the written range becomes
     /// private anonymous memory.
     pub(crate) fn cow_write(
@@ -748,7 +724,7 @@ impl KernelState {
             (p.cgroup, m)
         };
         self.release_mapping(pid, cg, &m);
-        self.recompute_page_tables(pid)?;
+        self.recharge_page_tables(pid);
         Ok(())
     }
 
@@ -810,25 +786,12 @@ impl KernelState {
         }
     }
 
-    /// Is `cg` inside the subtree rooted at `root` (inclusive)?
-    fn cgroup_in_subtree(&self, mut cg: CgroupId, root: CgroupId) -> bool {
-        loop {
-            if cg == root {
-                return true;
-            }
-            match self.cgroups.parent(cg) {
-                Some(p) => cg = p,
-                None => return false,
-            }
-        }
-    }
-
     /// OOM victim selection, Linux-style: the largest-anon live process in
     /// the offending cgroup's subtree (ties broken toward the lowest pid).
     fn oom_victim(&self, offender: CgroupId) -> Option<Pid> {
         let mut best: Option<(u64, Pid)> = None;
         for p in self.procs.values().filter(|p| p.is_alive()) {
-            if !self.cgroup_in_subtree(p.cgroup, offender) {
+            if !self.cgroups.in_subtree(p.cgroup, offender) {
                 continue;
             }
             let score = p.anon_bytes();
@@ -842,14 +805,21 @@ impl KernelState {
     /// Charge kernel bytes with physical-pressure handling. Kernel memory
     /// counts toward `memory.max`, as in cgroup v2.
     fn charge_kernel(&mut self, cg: CgroupId, bytes: u64) -> KernelResult<()> {
-        if let Some((victim, limit)) = self.cgroups.check_limit(cg, bytes) {
-            self.cgroups.record_oom(victim);
-            return Err(KernelError::OutOfMemory { cgroup: victim, requested: bytes, limit });
-        }
-        self.ensure_physical(bytes)?;
+        self.admit_kernel(cg, bytes)?;
         self.cgroups.charge(cg, ChargeKind::Kernel, bytes);
         self.total_kernel += bytes;
         Ok(())
+    }
+
+    /// Make room for `bytes` of kernel memory in `cg`, committing nothing:
+    /// within every `memory.max` on its path (an OOM event on the offender
+    /// otherwise), then in RAM.
+    fn admit_kernel(&mut self, cg: CgroupId, bytes: u64) -> KernelResult<()> {
+        if let Some((victim, limit)) = self.cgroups.check_limit(&[(cg, bytes)]) {
+            self.cgroups.record_oom(victim);
+            return Err(KernelError::OutOfMemory { cgroup: victim, requested: bytes, limit });
+        }
+        self.ensure_physical(bytes)
     }
 
     /// Uncharge what [`Vfs::evict`] reports it dropped.
@@ -890,9 +860,17 @@ impl KernelState {
     }
 
     /// Fault up to `limit` bytes of a file into the page cache, charging the
-    /// first-toucher cgroup. Returns `(newly cached bytes, io queue delay in
-    /// ns)`; the delay is always 0 unless an [`IoModel`] is armed.
-    fn fault_file(&mut self, cg: CgroupId, id: FileId, limit: u64) -> KernelResult<(u64, u64)> {
+    /// first-toucher cgroup, after admitting it whole with the `tables`
+    /// bytes of page tables the reader in `cg` will charge on success.
+    /// Returns `(newly cached bytes, io queue delay in ns)`; the delay is
+    /// always 0 unless an [`IoModel`] is armed.
+    fn fault_file(
+        &mut self,
+        cg: CgroupId,
+        id: FileId,
+        limit: u64,
+        tables: u64,
+    ) -> KernelResult<(u64, u64)> {
         let (size, cached) = {
             let f = self.vfs.get(id).ok_or(KernelError::NoSuchFile(id))?;
             (f.size(), f.cached_bytes())
@@ -900,6 +878,9 @@ impl KernelState {
         let target =
             round_up_pages(size.min(limit), PAGE_SIZE).min(round_up_pages(size, PAGE_SIZE));
         if cached >= target {
+            if tables > 0 {
+                self.admit_kernel(cg, tables)?;
+            }
             return Ok((0, 0));
         }
         // A cold read is about to hit the (simulated) disk — fault site.
@@ -910,7 +891,7 @@ impl KernelState {
         // (undercharging the cgroup and corrupting later uncharges).
         let mut fresh = cached;
         loop {
-            self.ensure_physical(target - fresh)?;
+            self.ensure_physical(target - fresh + tables)?;
             let now_cached = self.vfs.get(id).ok_or(KernelError::NoSuchFile(id))?.cached_bytes();
             if now_cached == fresh {
                 break;
@@ -923,7 +904,8 @@ impl KernelState {
             *f.charged_to.get_or_insert(cg)
         };
         // Page-cache charges count toward memory.max too (cgroup v2).
-        if let Some((victim, limit)) = self.cgroups.check_limit(charge_to, delta) {
+        if let Some((victim, limit)) = self.cgroups.check_limit(&[(charge_to, delta), (cg, tables)])
+        {
             self.cgroups.record_oom(victim);
             return Err(KernelError::OutOfMemory { cgroup: victim, requested: delta, limit });
         }
@@ -931,6 +913,23 @@ impl KernelState {
         self.cgroups.charge(charge_to, ChargeKind::File, delta);
         let queued = self.io_pressure(cg, id, delta);
         Ok((delta, queued))
+    }
+
+    /// [`KernelState::fault_file`] for live `pid`. As in Linux, breaching
+    /// `memory.max` on a page-cache fault OOM-kills the faulting process.
+    fn fault_for(
+        &mut self,
+        pid: Pid,
+        id: FileId,
+        limit: u64,
+        tables: u64,
+    ) -> KernelResult<(u64, u64)> {
+        let cg = self.alive(pid)?.cgroup;
+        let faulted = self.fault_file(cg, id, limit, tables);
+        if let Err(KernelError::OutOfMemory { .. }) = faulted {
+            self.teardown(pid, ProcState::OomKilled)?;
+        }
+        faulted
     }
 
     /// Account a cold read of `bytes` against the reader's io controllers
@@ -984,6 +983,9 @@ impl KernelState {
         }
     }
 
+    /// Fault in `bytes` of a mapping. The whole charge — anon or file pages
+    /// plus the page tables the new rss needs — is admitted before any of
+    /// it commits, so a refused touch leaves everything as it was.
     fn touch_inner(
         &mut self,
         pid: Pid,
@@ -991,22 +993,28 @@ impl KernelState {
         bytes: u64,
         cow: bool,
     ) -> KernelResult<()> {
-        let (cg, kind, len, committed_anon, touched_file) = {
+        let (cg, m, rss, namespaces, charged) = {
             let p = self.alive(pid)?;
             let m = p.mapping(mapping).ok_or(KernelError::NoSuchMapping(pid, mapping))?;
-            (p.cgroup, m.kind, m.len, m.committed_anon, m.touched_file)
+            (p.cgroup, m.clone(), p.rss(), p.namespaces, p.kernel_charged)
         };
+        let (len, committed_anon, touched_file) = (m.len, m.committed_anon, m.touched_file);
         if bytes > len {
             return Err(KernelError::MappingOverflow { mapping, len, offset: bytes });
         }
-        let rounded = round_up_pages(bytes, PAGE_SIZE).min(round_up_pages(len, PAGE_SIZE));
-        match (kind, cow) {
+        let target = round_up_pages(bytes, PAGE_SIZE).min(round_up_pages(len, PAGE_SIZE));
+        match (m.kind, cow) {
             (MapKind::AnonPrivate, _) | (MapKind::FileCow(_), true) => {
-                let target = rounded;
                 if target <= committed_anon {
                     return Ok(());
                 }
                 let delta = target - committed_anon;
+                // COW: the written range is no longer backed by the file
+                // for this process — the file share must not be counted
+                // twice in RSS / mapped_file / working set.
+                let overlap = if cow { touched_file.min(target) } else { 0 };
+                let tables =
+                    self.kernel_bytes(namespaces, rss + delta - overlap).saturating_sub(charged);
                 self.inject(FaultSite::MmapCharge)?;
                 // OOM enforcement: while the charge would breach memory.max,
                 // kill the largest-anon process in the offending cgroup's
@@ -1015,7 +1023,9 @@ impl KernelState {
                 // itself is the victim (or nothing is left to kill), the
                 // charge fails. Each round kills one live process, so the
                 // loop terminates.
-                while let Some((offender, limit)) = self.cgroups.check_limit(cg, delta) {
+                while let Some((offender, limit)) =
+                    self.cgroups.check_limit(&[(cg, delta + tables)])
+                {
                     self.cgroups.record_oom(offender);
                     let victim = self.oom_victim(offender);
                     let oom =
@@ -1030,56 +1040,26 @@ impl KernelState {
                         None => return Err(oom),
                     }
                 }
-                self.ensure_physical(delta)?;
+                self.ensure_physical(delta + tables)?;
                 self.cgroups.charge(cg, ChargeKind::Anon, delta);
                 self.total_anon += delta;
-                // COW: the written range is no longer backed by the file
-                // for this process — the file share must not be counted
-                // twice in RSS / mapped_file / working set.
-                let overlap = if cow { touched_file.min(target) } else { 0 };
                 if overlap > 0 {
                     self.cgroups.adjust_mapped_file(cg, -(overlap as i64));
                 }
                 self.alive_mut(pid)?.set_resident(mapping, target, touched_file - overlap);
             }
             (MapKind::FileShared(fid), _) | (MapKind::FileCow(fid), false) => {
-                if let Err(e) = self.fault_file(cg, fid, rounded) {
-                    if let KernelError::OutOfMemory { .. } = e {
-                        // Page-cache charge breached memory.max: the kernel
-                        // OOM-kills the faulting process, as with anon.
-                        self.teardown(pid, ProcState::OomKilled)?;
-                    }
-                    return Err(e);
-                }
-                let target = rounded;
-                if target <= touched_file {
+                let delta = target.saturating_sub(touched_file);
+                let tables = self.kernel_bytes(namespaces, rss + delta).saturating_sub(charged);
+                self.fault_for(pid, fid, target, tables)?;
+                if delta == 0 {
                     return Ok(());
                 }
-                let delta = target - touched_file;
                 self.cgroups.adjust_mapped_file(cg, delta as i64);
                 self.alive_mut(pid)?.set_resident(mapping, committed_anon, target);
             }
         }
-        if let Err(e) = self.recompute_page_tables(pid) {
-            // Keep accounting consistent: a page-table allocation failure
-            // rolls the just-committed mapping back before propagating.
-            let (cg2, m) = {
-                let p = self.alive(pid)?;
-                (p.cgroup, p.mapping(mapping).cloned())
-            };
-            if let Some(m) = m {
-                // Uncharge without touching map_refs: the mapping remains.
-                if m.committed_anon > 0 {
-                    self.cgroups.uncharge(cg2, ChargeKind::Anon, m.committed_anon);
-                    self.total_anon = self.total_anon.saturating_sub(m.committed_anon);
-                }
-                if m.touched_file > 0 {
-                    self.cgroups.adjust_mapped_file(cg2, -(m.touched_file as i64));
-                }
-                self.alive_mut(pid)?.set_resident(mapping, 0, 0);
-            }
-            return Err(e);
-        }
+        self.recharge_page_tables(pid);
         Ok(())
     }
 
@@ -1099,29 +1079,27 @@ impl KernelState {
         }
     }
 
-    /// The kernel bytes a live process is charged: its base, its
-    /// namespaces' slab and page tables for its current RSS.
-    fn kernel_bytes(&self, p: &Process) -> u64 {
-        let page_tables = round_up_pages(p.rss() / PAGE_TABLE_DIVISOR, PAGE_SIZE);
-        self.cfg.proc_kernel_base + NAMESPACE_BYTES * u64::from(p.namespaces) + page_tables
+    /// The kernel bytes a live process with `namespaces` is charged at
+    /// `rss`: its base, its namespaces' slab and page tables for that RSS.
+    fn kernel_bytes(&self, namespaces: u32, rss: u64) -> u64 {
+        let page_tables = round_up_pages(rss / PAGE_TABLE_DIVISOR, PAGE_SIZE);
+        self.cfg.proc_kernel_base + NAMESPACE_BYTES * u64::from(namespaces) + page_tables
     }
 
-    /// Recharge page-table overhead to match current RSS.
-    fn recompute_page_tables(&mut self, pid: Pid) -> KernelResult<()> {
-        let p = self.alive(pid)?;
-        let (cg, old_total, new_total) = (p.cgroup, p.kernel_charged, self.kernel_bytes(p));
+    /// Recharge page-table overhead to match a live process's RSS. Growth
+    /// was admitted by the touch that made it; a shrink cannot fail.
+    fn recharge_page_tables(&mut self, pid: Pid) {
+        let Ok(p) = self.alive(pid) else { return };
+        let (cg, old_total) = (p.cgroup, p.kernel_charged);
+        let new_total = self.kernel_bytes(p.namespaces, p.rss());
         if new_total > old_total {
-            let delta = new_total - old_total;
-            self.ensure_physical(delta)?;
-            self.cgroups.charge(cg, ChargeKind::Kernel, delta);
-            self.total_kernel += delta;
+            self.cgroups.charge(cg, ChargeKind::Kernel, new_total - old_total);
+            self.total_kernel += new_total - old_total;
         } else if new_total < old_total {
-            let delta = old_total - new_total;
-            self.cgroups.uncharge(cg, ChargeKind::Kernel, delta);
-            self.total_kernel = self.total_kernel.saturating_sub(delta);
+            self.cgroups.uncharge(cg, ChargeKind::Kernel, old_total - new_total);
+            self.total_kernel = self.total_kernel.saturating_sub(old_total - new_total);
         }
-        self.alive_mut(pid)?.kernel_charged = new_total;
-        Ok(())
+        self.alive_mut(pid).expect("alive above").kernel_charged = new_total;
     }
 
     /// Tear down a live process into `final_state`: unmap everything and
@@ -1184,6 +1162,99 @@ mod tests {
         pub(crate) fn cow_write(&self, pid: Pid, m: MappingId, bytes: u64) -> KernelResult<()> {
             self.st().cow_write(pid, m, bytes)
         }
+
+        /// A mapping's reserved length.
+        fn mapping_len(&self, pid: Pid, m: MappingId) -> Option<u64> {
+            Some(self.st().alive(pid).ok()?.mapping(m)?.len)
+        }
+
+        /// What a refused charge must leave as it was: `free`, the
+        /// process's rss and the cgroup's counters.
+        fn charges(&self, pid: Pid, cg: CgroupId) -> (FreeReport, u64, MemStat) {
+            (self.free(), self.proc_rss(pid).unwrap(), self.cgroup_stat(cg).unwrap())
+        }
+    }
+
+    /// A 64 MiB node with a process holding a 4 MiB resident heap of `len`
+    /// reserved: its pid, cgroup and heap.
+    fn small_node(len: u64) -> (Kernel, Pid, CgroupId, MappingId) {
+        let k = Kernel::boot(KernelConfig {
+            ram_bytes: 64 << 20,
+            cores: 1,
+            proc_kernel_base: 4096,
+            boot_used_bytes: 1 << 20,
+        });
+        let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
+        let pid = k.spawn(cg).unwrap();
+        let heap = k.mmap(pid, len, MapKind::AnonPrivate).unwrap();
+        k.touch(pid, heap, 4 << 20).unwrap();
+        (k, pid, cg, heap)
+    }
+
+    /// A touch whose pages fit in RAM but whose page tables do not is
+    /// refused whole: the 4 MiB already resident stay resident and charged.
+    #[test]
+    fn a_touch_refused_at_the_ram_boundary_leaves_the_mapping_as_it_was() {
+        let (k, pid, cg, heap) = small_node(64 << 20);
+        let before = k.charges(pid, cg);
+        assert_eq!(before.1, 4 << 20);
+        let err = k.touch(pid, heap, (4 << 20) + before.0.free).unwrap_err();
+        assert!(matches!(err, KernelError::PhysicalExhausted { .. }), "{err:?}");
+        assert_eq!(k.charges(pid, cg), before);
+        assert_eq!(k.check_accounting(), Ok(()));
+        // What fits with its page tables still goes in.
+        k.touch(pid, heap, (4 << 20) + before.0.free - (256 << 10)).unwrap();
+        assert_eq!(k.check_accounting(), Ok(()));
+    }
+
+    /// Page tables count toward `memory.max`: a touch whose pages fit under
+    /// the limit but whose page tables do not is an OOM, anon or file, and
+    /// no touch leaves `memory.current` above the limit.
+    #[test]
+    fn page_tables_are_charged_within_memory_max() {
+        let k = kernel();
+        let lib = k.create_file("/lib.so", FileContent::Synthetic(8 << 20)).unwrap();
+        for kind in [MapKind::AnonPrivate, MapKind::FileShared(lib)] {
+            let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
+            k.cgroup_set_limit(cg, Some(8 << 20)).unwrap();
+            let pid = k.spawn(cg).unwrap();
+            let m = k.mmap(pid, 8 << 20, kind).unwrap();
+            // Pages up to exactly the limit, beside the process's base.
+            let room = (8 << 20) - k.cgroup_stat(cg).unwrap().current;
+            let err = k.touch(pid, m, room).unwrap_err();
+            assert!(matches!(err, KernelError::OutOfMemory { .. }), "{kind:?}: {err:?}");
+            assert_eq!(k.proc_state(pid).unwrap(), ProcState::OomKilled, "{kind:?}");
+            assert!(k.cgroup_stat(cg).unwrap().current <= 8 << 20, "{kind:?}");
+            assert_eq!(k.check_accounting(), Ok(()));
+            // With room for its page tables the same touch fits.
+            let pid = k.spawn(cg).unwrap();
+            let m = k.mmap(pid, 8 << 20, kind).unwrap();
+            k.touch(pid, m, room - (64 << 10)).unwrap();
+            assert!(k.cgroup_stat(cg).unwrap().current <= 8 << 20, "{kind:?}");
+            k.exit(pid, 0).unwrap();
+            k.evict_file(lib).unwrap();
+        }
+    }
+
+    /// A heap grows in place, one mapping whatever the growths; a refused
+    /// growth, injected or at the RAM boundary, leaves its length,
+    /// residency and charges as they were.
+    #[test]
+    fn a_refused_growth_leaves_the_heap_as_it_was() {
+        let (k, pid, cg, heap) = small_node(4 << 20);
+        k.st().grow(pid, heap, 64 << 10).unwrap();
+        assert_eq!(k.mapping_len(pid, heap), Some((4 << 20) + (64 << 10)));
+        assert_eq!(k.proc_rss(pid).unwrap(), (4 << 20) + (64 << 10), "the whole growth touched");
+        k.set_fault_plan(crate::FaultPlan::new(2).fail_call(crate::FaultSite::MmapCharge, 0));
+        let before = k.charges(pid, cg);
+        let err = k.st().grow(pid, heap, 64 << 10).unwrap_err();
+        assert_eq!(err, KernelError::FaultInjected(crate::FaultSite::MmapCharge));
+        let err = k.st().grow(pid, heap, before.0.free).unwrap_err();
+        assert!(matches!(err, KernelError::PhysicalExhausted { .. }), "{err:?}");
+        assert_eq!(k.mapping_len(pid, heap), Some((4 << 20) + (64 << 10)));
+        assert_eq!(k.charges(pid, cg), before);
+        assert_eq!(k.check_accounting(), Ok(()));
+        assert_eq!(k.st().alive(pid).unwrap().mapping_mark(), MappingId(1), "one mapping");
     }
 
     fn kernel() -> Kernel {

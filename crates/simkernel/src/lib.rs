@@ -68,8 +68,7 @@ pub use faults::{FaultPlan, FaultSite};
 pub use image::{ProcGuard, ProcessImage};
 pub use kernel::{FreeReport, IoModel, Kernel, KernelConfig, PAGE_SIZE};
 pub use lifecycle::{Lifecycle, LifecycleState};
-pub use mem::MapKind;
-pub(crate) use mem::MappingId;
+pub use mem::{MapKind, MappingId};
 pub use proc::{Pid, ProcState};
 pub use replay::{Replay, ReplayStats};
 pub use time::{Clock, Duration, SimTime};

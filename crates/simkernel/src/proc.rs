@@ -144,6 +144,13 @@ impl Process {
         std::mem::take(&mut self.mappings)
     }
 
+    /// Set a mapping's reserved length (it grows in place).
+    pub(crate) fn set_len(&mut self, id: MappingId, len: u64) {
+        if let Some(i) = self.position(id) {
+            self.mappings[i].len = len;
+        }
+    }
+
     /// Set how much of a mapping is resident as private anon / file pages.
     pub(crate) fn set_resident(&mut self, id: MappingId, committed_anon: u64, touched_file: u64) {
         if let Some(i) = self.position(id) {
