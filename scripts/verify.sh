@@ -269,6 +269,18 @@ if ! diff <(fenced_block '^Host heap per resident pod') target/host_footprint.st
   echo "Regenerate the block from: cargo test -q --offline --test host_footprint -- --nocapture | grep 'B/pod'" >&2
   exit 1
 fi
+# What each benchmark workload's shape costs the host, in counts: the
+# block after EXPERIMENTS.md's "Host cost census" paragraph. A change that
+# moves a count pastes the new block there.
+echo "host cost census (tests/host_census.rs):"
+census_rows='^(shape|fig_sweep|dense_cluster|traffic_steady|traffic_overload|fault_explore) '
+cargo test -q --offline --test host_census -- --nocapture | grep -E "$census_rows" \
+  | tee target/host_census.stdout
+if ! diff <(fenced_block '^Host cost census') target/host_census.stdout; then
+  echo "EXPERIMENTS.md's host cost census (<) differs from tests/host_census.rs (>)." >&2
+  echo "Regenerate the block from: cargo test -q --offline --test host_census -- --nocapture | grep -E '$census_rows'" >&2
+  exit 1
+fi
 
 echo "== size budget: four numbers against their ceilings in scripts/size_budget.txt =="
 # A budget that is only written down gets skipped, so it gates. A change
