@@ -16,12 +16,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use container_runtimes::handler::{ContainerHandler, WasmEngineHandler};
-use container_runtimes::{Container, ContainerState, LowLevelRuntime, RuntimeCtx};
+use container_runtimes::{ContainerState, LowLevelRuntime, Resident, RuntimeCtx};
 use engines::{Embedding, EngineKind};
 use oci_spec_lite::{Bundle, Image, ImageStore, RuntimeSpec};
 use simkernel::image::{charge_anon, grow_anon};
 use simkernel::{
-    lifecycle, CgroupId, Duration, FaultSite, Kernel, KernelError, KernelResult, Lifecycle, LockId,
+    lifecycle, CgroupId, Duration, FaultSite, FileId, Kernel, KernelError, KernelResult, LockId,
     MappingId, Phase, Pid, ProcessImage, Step, StepTrace,
 };
 use wasm_core::EpochClock;
@@ -59,58 +59,44 @@ impl RuntimeClass {
     }
 }
 
-/// A CRI container record.
+/// A CRI container record: its id, its one resident record and its bundle.
 #[derive(Debug)]
 pub struct CriContainer {
     pub(crate) id: String,
-    /// The image's own reference, shared.
-    pub(crate) image: Arc<str>,
-    /// Position in the shared OCI lifecycle state machine — the same
-    /// machine `LowLevelRuntime` containers use.
-    pub(crate) state: Lifecycle,
-    pub(crate) stdout: Vec<u8>,
-    /// The workload overstayed its watchdog epoch budget during start: the
-    /// container is up but wedged (never reached ready). Liveness probes
-    /// report it unhealthy.
-    pub(crate) wedged: bool,
-    /// Watchdog clock retained from the engine run (present when the
-    /// container started with an epoch budget). [`Containerd::interrupt_pod`]
-    /// bumps it so the guest observes the kill at its next epoch safepoint.
-    epoch_clock: Option<EpochClock>,
-    /// Present for OCI-class containers (init process of the container).
-    oci: Option<Container>,
-    /// Keeps the spec it wrote until the container has started: an OCI
-    /// runtime's `config.json` loads return it after the read, and the
-    /// runwasi shim is handed it in memory.
-    bundle: Bundle,
+    /// The process it runs in (its init under an OCI runtime, the shim
+    /// under runwasi) with its one lifecycle state, `wedged` verdict and
+    /// watchdog clock, which [`Containerd::interrupt_pod`] bumps.
+    run: Resident,
+    /// The bundle with its spec, until the container starts: an OCI
+    /// runtime's `config.json` loads return it, and the runwasi shim is
+    /// handed it in memory. Teardown then removes the `config.json` alone.
+    bundle: Option<Bundle>,
+    config_file: FileId,
 }
 
 impl CriContainer {
     /// Reading of the retained watchdog clock (`u64::MAX` once
     /// interrupted); `None` when the container started without a budget.
     pub fn watchdog_epoch(&self) -> Option<u64> {
-        self.epoch_clock.as_ref().map(EpochClock::now)
-    }
-
-    /// The container's init process: OCI classes only, since a runwasi
-    /// container runs inside its shim. Processes have no names to find it by.
-    pub fn init_pid(&self) -> Option<Pid> {
-        self.oci.as_ref().map(|c| c.pid)
+        self.run.epoch_clock.as_ref().map(EpochClock::now)
     }
 
     /// Deep copy; the retained watchdog clock is re-made at its reading
-    /// (see [`Container::fork`]).
+    /// (see [`Resident::fork`]).
     fn fork(&self) -> CriContainer {
         CriContainer {
             id: self.id.clone(),
-            image: self.image.clone(),
-            stdout: self.stdout.clone(),
-            epoch_clock: self.epoch_clock.as_ref().map(EpochClock::fork),
-            oci: self.oci.as_ref().map(Container::fork),
+            run: self.run.fork(),
             bundle: self.bundle.clone(),
             ..*self
         }
     }
+}
+
+/// An OCI pod's pause container, started with its sandbox.
+struct Pause {
+    run: Resident,
+    config_file: FileId,
 }
 
 /// A pod sandbox: cgroup + shim (+ pause container for OCI classes). Its
@@ -121,11 +107,13 @@ pub struct Sandbox {
     pub(crate) class: Arc<str>,
     /// The shim process; the sandbox tears it down.
     pub(crate) shim_pid: Pid,
-    pause: Option<Container>,
-    pause_bundle: Option<Bundle>,
+    pause: Option<Pause>,
     /// The pod's one app container, once created.
     container: Option<CriContainer>,
 }
+
+// The daemon keeps one boxed per resident pod.
+const _: () = assert!(std::mem::size_of::<Sandbox>() <= 192);
 
 impl Sandbox {
     fn fork(&self) -> Sandbox {
@@ -133,8 +121,7 @@ impl Sandbox {
             pod_cgroup: self.pod_cgroup,
             class: self.class.clone(),
             shim_pid: self.shim_pid,
-            pause: self.pause.as_ref().map(Container::fork),
-            pause_bundle: self.pause_bundle.clone(),
+            pause: self.pause.as_ref().map(|p| Pause { run: p.run.fork(), ..*p }),
             container: self.container.as_ref().map(CriContainer::fork),
         }
     }
@@ -143,8 +130,10 @@ impl Sandbox {
         self.container.as_ref().filter(|c| c.id == id)
     }
 
-    fn container_mut(&mut self, id: &str) -> Option<&mut CriContainer> {
-        self.container.as_mut().filter(|c| c.id == id)
+    /// The container's own init process: OCI classes only, since a runwasi
+    /// container runs in its shim. Processes have no names to find it by.
+    pub fn init_pid(&self) -> Option<Pid> {
+        self.container.as_ref().map(|c| c.run.pid).filter(|&pid| pid != self.shim_pid)
     }
 }
 
@@ -273,7 +262,7 @@ impl Containerd {
         self.grow_daemon(DAEMON_GROWTH_PER_POD)?;
         let pod_cgroup = self.kernel.cgroup_create(self.kubepods, pod_id)?;
 
-        let (shim_pid, pause, pause_bundle) = match class {
+        let (shim_pid, pause) = match class {
             RuntimeClass::Oci { runtime } => {
                 // Shim in the system cgroup: invisible to pod metrics. Its
                 // guard owns the process until the sandbox is committed, so
@@ -296,21 +285,20 @@ impl Containerd {
                 let pause_result = (|| {
                     let id = [pod_id, "-pause"].concat();
                     let spec = RuntimeSpec::for_command(&id, vec!["/pause".to_string()]);
-                    let mut bundle = Bundle::create(&self.kernel, &id, &self.pause_image, spec)?;
+                    let bundle = Bundle::create(&self.kernel, &id, &self.pause_image, spec)?;
                     let ctx = RuntimeCtx { runtime_cgroup: self.system_cgroup };
                     let mut pause =
                         runtime.create(&ctx, &id, &bundle, pod_cgroup).inspect_err(|_| {
                             let _ = bundle.destroy(&self.kernel);
                         })?;
                     if let Err(e) = runtime.start(&ctx, &mut pause, &bundle) {
-                        let _ = runtime.delete(&mut pause);
+                        let _ = runtime.delete(&mut pause.run);
                         let _ = bundle.destroy(&self.kernel);
                         return Err(e);
                     }
-                    bundle.release_spec();
-                    Ok((pause, bundle))
+                    Ok((pause, bundle.config_file))
                 })();
-                let (mut pause, bundle) = match pause_result {
+                let (mut pause, config_file) = match pause_result {
                     Ok(v) => v,
                     Err(e) => {
                         drop(shim);
@@ -322,7 +310,7 @@ impl Containerd {
                 // from the pod's point of view: retag them wholesale.
                 let steps = std::mem::take(&mut pause.trace);
                 trace.extend(Phase::Sandbox, steps.entries().map(|(_, step)| step));
-                (shim.detach(), Some(pause), Some(bundle))
+                (shim.detach(), Some(Pause { run: pause.run, config_file }))
             }
             RuntimeClass::Runwasi { engine, .. } => {
                 // Shim in the pod cgroup: it will host the Wasm instance.
@@ -352,18 +340,12 @@ impl Containerd {
                     return Err(e);
                 }
                 trace.push(Phase::Sandbox, Step::Cpu(Duration::from_micros(400)));
-                (shim.detach(), None, None)
+                (shim.detach(), None)
             }
         };
 
-        let sandbox = Sandbox {
-            pod_cgroup,
-            class: Arc::clone(class_name),
-            shim_pid,
-            pause,
-            pause_bundle,
-            container: None,
-        };
+        let sandbox =
+            Sandbox { pod_cgroup, class: Arc::clone(class_name), shim_pid, pause, container: None };
         self.sandboxes.insert(pod_id.to_string(), Box::new(sandbox));
         Ok(())
     }
@@ -426,7 +408,7 @@ impl Containerd {
         trace.push(Phase::RuntimeOp, Step::Io(Duration::from_micros(800)));
 
         let class = self.classes.get(&sandbox.class).expect("class checked at sandbox");
-        let oci = match class {
+        let run = match class {
             RuntimeClass::Oci { runtime } => {
                 let ctx = RuntimeCtx { runtime_cgroup: self.system_cgroup };
                 let mut c = match runtime.create(&ctx, container_id, &bundle, sandbox.pod_cgroup) {
@@ -439,86 +421,68 @@ impl Containerd {
                     }
                 };
                 trace.append(&mut c.trace);
-                Some(c)
+                c.run
             }
-            RuntimeClass::Runwasi { .. } => None,
+            // The guest will run in the shim, in the pod's cgroup.
+            RuntimeClass::Runwasi { .. } => Resident::new(sandbox.shim_pid, sandbox.pod_cgroup),
         };
 
         sandbox.container = Some(CriContainer {
             id: container_id.to_string(),
-            image: Arc::clone(&image.reference),
-            state: Lifecycle::new(),
-            stdout: Vec::new(),
-            wedged: false,
-            epoch_clock: None,
-            oci,
-            bundle,
+            run,
+            config_file: bundle.config_file,
+            bundle: Some(bundle),
         });
         Ok(())
     }
 
-    /// CRI StartContainer: dispatch the workload.
+    /// CRI StartContainer: dispatch the workload. Returns its stdout, which
+    /// the caller (the kubelet, which keeps the pod's log) takes: the
+    /// container record keeps none of it.
     pub fn start_container(
         &mut self,
         pod_id: &str,
         container_id: &str,
         trace: &mut StepTrace,
-    ) -> KernelResult<()> {
+    ) -> KernelResult<Vec<u8>> {
         let sandbox = self
             .sandboxes
             .get_mut(pod_id)
             .ok_or_else(|| KernelError::InvalidState(format!("no sandbox {pod_id}")))?;
         let shim_pid = sandbox.shim_pid;
         let class = self.classes.get(&sandbox.class).expect("class checked at sandbox");
-        let container = sandbox
-            .container_mut(container_id)
+        let container = sandbox.container.as_mut().filter(|c| c.id == container_id);
+        let CriContainer { run, bundle: kept, .. } = container
             .ok_or_else(|| KernelError::InvalidState(format!("no container {container_id}")))?;
-        if !lifecycle::legal(container.state.state(), ContainerState::Running) {
+        if !lifecycle::legal(run.state.state(), ContainerState::Running) {
             return Err(KernelError::InvalidState(format!(
                 "container {container_id} is {:?}",
-                container.state.state()
+                run.state.state()
             )));
         }
-        match class {
+        let bundle = kept.as_ref().expect("kept until the container starts");
+        let stdout = match class {
             RuntimeClass::Oci { runtime } => {
                 let ctx = RuntimeCtx { runtime_cgroup: self.system_cgroup };
-                let oci = container.oci.as_mut().expect("oci class has container");
-                // The runtime records into its container's trace: lend it
-                // the pod's for the start, so the steps land in place.
-                std::mem::swap(trace, &mut oci.trace);
-                let started = runtime.start(&ctx, oci, &container.bundle);
-                std::mem::swap(trace, &mut oci.trace);
-                started?;
-                // Nothing reads stdout or the watchdog clock (one holder per
-                // container) in the runtime's record again: they move.
-                container.stdout = std::mem::take(&mut oci.stdout);
-                container.wedged = oci.wedged;
-                container.epoch_clock = oci.epoch_clock.take();
+                runtime.start_resident(&ctx, container_id, run, bundle, trace)?.0
             }
             RuntimeClass::Runwasi { engine } => {
                 // The shim executes the module in-process: crun's engine
                 // handler, embedded as a crate, in the shim's pid.
                 let shim =
                     WasmEngineHandler { profile: *engine.profile(), embedding: Embedding::Crate };
-                let spec = container.bundle.spec().expect("kept until the container starts");
-                let mut run = shim.execute(&self.kernel, shim_pid, &container.bundle, spec)?;
-                trace.append(&mut run.trace);
-                container.stdout = run.stdout;
-                container.wedged = run.interrupted;
-                container.epoch_clock = run.epoch_clock;
+                let spec = bundle.spec().expect("kept until the container starts");
+                let mut outcome = shim.execute(&self.kernel, shim_pid, bundle, spec)?;
+                trace.append(&mut outcome.trace);
+                run.wedged = outcome.interrupted;
+                run.epoch_clock = outcome.epoch_clock;
+                run.state.transition(ContainerState::Running, container_id)?;
+                outcome.stdout
             }
-        }
-        container.bundle.release_spec();
-        container.state.transition(ContainerState::Running, container_id)?;
-        Ok(())
-    }
-
-    /// Hand a container's captured stdout to the caller — the kubelet, which
-    /// keeps the pod's log; the container record keeps none of it. Empty
-    /// for an unknown pod or container.
-    pub fn take_container_stdout(&mut self, pod_id: &str, container_id: &str) -> Vec<u8> {
-        let container = self.sandboxes.get_mut(pod_id).and_then(|s| s.container_mut(container_id));
-        container.map(|c| std::mem::take(&mut c.stdout)).unwrap_or_default()
+        };
+        // A resident pod holds no spec on the host.
+        *kept = None;
+        Ok(stdout)
     }
 
     /// CRI RemovePodSandbox: stop the container, pause, and the shim.
@@ -542,17 +506,15 @@ impl Containerd {
         };
         if let Some(mut c) = sandbox.container.take() {
             if let RuntimeClass::Oci { runtime } = class {
-                if let Some(oci) = c.oci.as_mut() {
-                    note(runtime.delete(oci));
-                }
+                note(runtime.delete(&mut c.run));
             }
-            note(c.bundle.destroy(&self.kernel));
+            note(self.kernel.remove_file(c.config_file));
         }
-        if let (RuntimeClass::Oci { runtime }, Some(mut pause)) = (class, sandbox.pause.take()) {
-            note(runtime.delete(&mut pause));
-        }
-        if let Some(b) = sandbox.pause_bundle.take() {
-            note(b.destroy(&self.kernel));
+        if let Some(mut pause) = sandbox.pause.take() {
+            if let RuntimeClass::Oci { runtime } = class {
+                note(runtime.delete(&mut pause.run));
+            }
+            note(self.kernel.remove_file(pause.config_file));
         }
         note(self.kernel.exit(sandbox.shim_pid, 0));
         note(self.kernel.reap(sandbox.shim_pid));
@@ -579,15 +541,19 @@ impl Containerd {
         if self.pod_oom_killed(pod_id) {
             return Ok(false);
         }
-        Ok(s.container.iter().all(|c| c.state.is(ContainerState::Running) && !c.wedged))
+        Ok(s.container.iter().all(|c| c.run.state.is(ContainerState::Running) && !c.run.wedged))
     }
 
     /// True when the pod's container wedged on its watchdog budget and is
     /// still up (Running or riding out a termination grace period).
     pub fn pod_wedged(&self, pod_id: &str) -> bool {
-        self.sandboxes.get(pod_id).and_then(|s| s.container.as_ref()).is_some_and(|c| {
-            c.wedged
-                && matches!(c.state.state(), ContainerState::Running | ContainerState::Terminating)
+        let c = self.sandboxes.get(pod_id).and_then(|s| s.container.as_ref());
+        c.is_some_and(|c| {
+            let up = matches!(
+                c.run.state.state(),
+                ContainerState::Running | ContainerState::Terminating
+            );
+            c.run.wedged && up
         })
     }
 
@@ -602,11 +568,8 @@ impl Containerd {
         let Some(c) = self.sandboxes.get_mut(pod_id).and_then(|s| s.container.as_mut()) else {
             return false;
         };
-        c.state.begin_termination();
-        if let Some(oci) = c.oci.as_mut() {
-            oci.state.begin_termination();
-        }
-        c.wedged && c.state.is(ContainerState::Terminating)
+        c.run.state.begin_termination();
+        c.run.wedged && c.run.state.is(ContainerState::Terminating)
     }
 
     /// SIGKILL a pod's container: bump its guest's watchdog epoch clock
@@ -618,21 +581,21 @@ impl Containerd {
         let Some(sandbox) = self.sandboxes.get_mut(pod_id) else {
             return Ok(());
         };
+        let init = sandbox.init_pid();
         if let Some(c) = sandbox.container.as_mut() {
-            if let Some(clock) = &c.epoch_clock {
+            if let Some(clock) = &c.run.epoch_clock {
                 clock.interrupt();
             }
-            if let Some(oci) = c.oci.as_mut() {
-                if matches!(self.kernel.proc_state(oci.pid), Ok(simkernel::ProcState::Running)) {
-                    self.kernel.exit(oci.pid, 137)?;
+            if let Some(pid) = init {
+                if matches!(self.kernel.proc_state(pid), Ok(simkernel::ProcState::Running)) {
+                    self.kernel.exit(pid, 137)?;
                 }
-                if self.kernel.proc_state(oci.pid).is_ok() {
-                    self.kernel.reap(oci.pid)?;
+                if self.kernel.proc_state(pid).is_ok() {
+                    self.kernel.reap(pid)?;
                 }
-                oci.state.fail();
             }
-            c.state.fail();
-            c.wedged = false;
+            c.run.state.fail();
+            c.run.wedged = false;
         }
         Ok(())
     }
@@ -648,9 +611,10 @@ impl Containerd {
         };
         let oomed =
             |pid: Pid| matches!(self.kernel.proc_state(pid), Ok(simkernel::ProcState::OomKilled));
+        // A runwasi container's process is the shim's.
         oomed(s.shim_pid)
-            || s.pause.as_ref().is_some_and(|p| oomed(p.pid))
-            || s.container.as_ref().and_then(|c| c.oci.as_ref()).is_some_and(|o| oomed(o.pid))
+            || s.pause.as_ref().is_some_and(|p| oomed(p.run.pid))
+            || s.container.as_ref().is_some_and(|c| oomed(c.run.pid))
     }
 }
 
@@ -716,11 +680,10 @@ mod tests {
             "RunPodSandbox work (shim, pause) is all sandbox-phase"
         );
         cd.create_container("pod-1", "c1", "svc:v1", None, &mut trace).unwrap();
-        cd.start_container("pod-1", "c1", &mut trace).unwrap();
+        assert_eq!(cd.start_container("pod-1", "c1", &mut trace).unwrap(), b"on\n");
         let sandbox = cd.sandbox("pod-1").unwrap();
         let c = sandbox.container("c1").unwrap();
-        assert_eq!(c.state, ContainerState::Running);
-        assert_eq!(c.stdout, b"on\n");
+        assert_eq!(c.run.state, ContainerState::Running);
         // The start carried engine work: later phases are represented too.
         assert!(trace.entries().any(|(p, _)| p == Phase::Exec));
         // Pod working set includes pause + wasm workload.
@@ -737,9 +700,7 @@ mod tests {
         let mut trace = StepTrace::new();
         cd.run_pod_sandbox("pod-2", "runwasi-wasmtime", &mut trace).unwrap();
         cd.create_container("pod-2", "c1", "svc:v1", None, &mut trace).unwrap();
-        cd.start_container("pod-2", "c1", &mut trace).unwrap();
-        let c = cd.sandbox("pod-2").unwrap().container("c1").unwrap();
-        assert_eq!(c.stdout, b"on\n");
+        assert_eq!(cd.start_container("pod-2", "c1", &mut trace).unwrap(), b"on\n");
         // The shim lives in the pod cgroup: its heavy base is visible to
         // metrics, unlike the runc-v2 shim.
         let ws = cd.pod_working_set("pod-2").unwrap();
@@ -834,11 +795,12 @@ mod tests {
         assert!(cd.sandbox("p").unwrap().container("c").is_none());
         cd.kernel.set_fault_plan(simkernel::FaultPlan::none());
         cd.create_container("p", "c", "svc:v1", None, &mut trace).unwrap();
-        cd.start_container("p", "c", &mut trace).unwrap();
-        assert_eq!(cd.sandbox("p").unwrap().container("c").unwrap().stdout, b"on\n");
+        assert_eq!(cd.start_container("p", "c", &mut trace).unwrap(), b"on\n");
         cd.remove_pod_sandbox("p").unwrap();
     }
 
+    /// The start hands its caller the container's stdout, once: a second
+    /// start of the container fails and hands over nothing.
     #[test]
     fn the_kubelet_takes_a_containers_stdout_once() {
         let mut cd = boot();
@@ -847,16 +809,18 @@ mod tests {
         for (pod, c, class) in [("p1", "c1", "crun-wamr"), ("p2", "c2", "runwasi-wasmtime")] {
             cd.run_pod_sandbox(pod, class, &mut trace).unwrap();
             cd.create_container(pod, c, "svc:v1", None, &mut trace).unwrap();
-            cd.start_container(pod, c, &mut trace).unwrap();
-            assert_eq!(cd.take_container_stdout(pod, c), b"on\n");
-            assert!(cd.take_container_stdout(pod, c).is_empty(), "moved, not copied");
-            assert!(cd.take_container_stdout(pod, "ghost").is_empty());
+            assert_eq!(cd.start_container(pod, c, &mut trace).unwrap(), b"on\n");
+            assert!(cd.start_container(pod, c, &mut trace).is_err(), "started once");
+            assert!(cd.start_container(pod, "ghost", &mut trace).is_err());
         }
-        assert!(cd.take_container_stdout("ghost", "c1").is_empty());
+        assert!(cd.start_container("ghost", "c1", &mut trace).is_err());
     }
 
     /// A bundle keeps its spec until its container starts, in both
-    /// classes; the pause container starts with its sandbox.
+    /// classes; the pause container starts with its sandbox. A started
+    /// sandbox keeps one resident record per process and the `config.json`
+    /// ids teardown removes: no spec, and (by its type) no step entries and
+    /// no stdout bytes — the start handed its stdout over.
     #[test]
     fn a_started_container_holds_no_spec() {
         let mut cd = boot();
@@ -864,13 +828,18 @@ mod tests {
         for (pod, c, class) in [("p1", "c1", "crun-wamr"), ("p2", "c2", "runwasi-wasmtime")] {
             cd.run_pod_sandbox(pod, class, &mut trace).unwrap();
             cd.create_container(pod, c, "svc:v1", None, &mut trace).unwrap();
+            let kept =
+                |cd: &Containerd| cd.sandbox(pod).unwrap().container(c).unwrap().bundle.clone();
+            assert!(kept(&cd).is_some_and(|b| b.spec().is_some()), "not started");
+            assert_eq!(cd.start_container(pod, c, &mut trace).unwrap(), b"on\n");
+            assert!(kept(&cd).is_none(), "the config.json's id alone");
             let sandbox = cd.sandbox(pod).unwrap();
-            assert!(sandbox.pause_bundle.as_ref().is_none_or(|b| b.spec().is_none()));
-            assert!(sandbox.container(c).unwrap().bundle.spec().is_some(), "not started yet");
-            cd.start_container(pod, c, &mut trace).unwrap();
-            assert!(cd.sandbox(pod).unwrap().container(c).unwrap().bundle.spec().is_none());
+            let own_process = sandbox.init_pid().is_some();
+            assert_eq!(
+                (own_process, sandbox.pause.is_some()),
+                (class == "crun-wamr", class == "crun-wamr")
+            );
         }
-        assert!(cd.sandbox("p1").unwrap().pause_bundle.is_some(), "the OCI pod has a pause");
     }
 
     /// A started crun pod's two `config.json` files are their documents'
@@ -883,8 +852,8 @@ mod tests {
         cd.create_container("p1", "c1", "svc:v1", None, &mut trace).unwrap();
         cd.start_container("p1", "c1", &mut trace).unwrap();
         let sandbox = cd.sandbox("p1").unwrap();
-        let pause = sandbox.pause_bundle.as_ref().unwrap().config_file;
-        let workload = sandbox.container("c1").unwrap().bundle.config_file;
+        let pause = sandbox.pause.as_ref().unwrap().config_file;
+        let workload = sandbox.container("c1").unwrap().config_file;
         let reader = ProcessImage::spawn(&cd.kernel, "reader", Kernel::ROOT_CGROUP)
             .build()
             .unwrap()
@@ -923,7 +892,7 @@ mod tests {
         cd.start_container("clean", "c1", &mut trace).unwrap();
         assert!(!cd.begin_pod_termination("clean"), "a clean guest honors SIGTERM");
         let c = cd.sandbox("clean").unwrap().container("c1").unwrap();
-        assert_eq!(c.state, ContainerState::Terminating);
+        assert_eq!(c.run.state, ContainerState::Terminating);
 
         cd.pull_image(
             oci_spec_lite::ImageBuilder::new("spin:v1")

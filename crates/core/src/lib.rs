@@ -166,7 +166,7 @@ mod tests {
         let w = world();
         let rt = wamr_crun_runtime(w.kernel.clone(), WamrCrunConfig::default());
         let (c, pod) = deploy(&w, &rt, "c1");
-        assert_eq!(c.state, ContainerState::Running);
+        assert_eq!(c.run.state, ContainerState::Running);
         assert_eq!(c.handler, "wamr");
         assert_eq!(c.stdout, b"up\n");
         assert!(w.kernel.cgroup_working_set(pod).unwrap() > 0);

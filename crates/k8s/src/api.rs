@@ -40,36 +40,39 @@ impl ProbeSpec {
     }
 }
 
+/// What every pod of one deployment shares: made once per `deploy_with`
+/// call, and once per revision by a controller.
+#[derive(Debug, Default)]
+pub(crate) struct PodTemplate {
+    pub(crate) image: Arc<str>,
+    /// Runtime class name registered with containerd.
+    pub(crate) runtime_class: Arc<str>,
+    /// Limits, probes and grace period.
+    pub(crate) opts: crate::cluster::DeployOpts,
+}
+
 /// A pod specification: one container per pod, as in the paper's
-/// experiments (Table II: "1 container per pod").
+/// experiments (Table II: "1 container per pod"), and its template.
 #[derive(Debug, Clone, Default)]
 pub struct PodSpec {
     pub name: String,
-    /// Image reference for the single container (shared by every pod of a
-    /// deployment).
-    pub image: Arc<str>,
-    /// Runtime class name registered with containerd (shared likewise).
-    pub(crate) runtime_class: Arc<str>,
-    /// Optional memory limit (resources.limits.memory).
-    pub(crate) memory_limit: Option<u64>,
-    /// Optional `cpu.max` quota as `(quota_ns, period_ns)` applied to the
-    /// pod's cgroup: the guest is throttled to quota/period of each period,
-    /// stretching its wall time and shrinking its epoch-watchdog allowance.
-    pub(crate) cpu_max: Option<(u64, u64)>,
-    /// Optional per-window cold-read byte budget applied to the pod's
-    /// cgroup (windows are [`simkernel::IO_WINDOW_NS`] long): reads past
-    /// the budget queue for the next window.
-    pub(crate) io_read_budget: Option<u64>,
-    /// Liveness probe: consecutive failures interrupt the guest and route
-    /// the pod into restart supervision.
-    pub(crate) liveness_probe: Option<ProbeSpec>,
-    /// Readiness probe: gates the pod's contribution to cluster readiness.
-    pub(crate) readiness_probe: Option<ProbeSpec>,
-    /// `terminationGracePeriodSeconds`: how long `remove_pod` waits between
-    /// SIGTERM and SIGKILL for containers that do not terminate promptly.
-    /// `None` uses the Kubernetes default (30s).
-    pub(crate) termination_grace: Option<Duration>,
+    pub(crate) template: Arc<PodTemplate>,
 }
+
+impl PodSpec {
+    /// The pod's image reference, from its template.
+    pub fn image(&self) -> &str {
+        &self.template.image
+    }
+
+    /// Limits, probes and grace period, from its template.
+    pub(crate) fn opts(&self) -> &crate::cluster::DeployOpts {
+        &self.template.opts
+    }
+}
+
+// One per resident pod, a second per supervised one.
+const _: () = assert!(std::mem::size_of::<PodSpec>() <= 32);
 
 /// Pod lifecycle phase.
 ///
@@ -109,6 +112,9 @@ pub struct PodRecord {
     /// Captured workload stdout.
     pub stdout: Vec<u8>,
 }
+
+// A deployment holds one per pod, 10 000 in the benchmark's densest pass.
+const _: () = assert!(std::mem::size_of::<PodRecord>() <= 96);
 
 /// A set of pods deployed together (the paper's 10–400 container runs).
 #[derive(Debug, Default)]
@@ -211,11 +217,14 @@ pub struct DeploymentController {
     pub replicas: Vec<ReplicaEntry>,
     /// Monotonic ordinal so replacement pods never reuse a name.
     pub(crate) next_ordinal: u64,
+    /// The current revision's pod template, made for its first replica and
+    /// shared by the rest; [`crate::Cluster::begin_rolling_update`] drops it.
+    pub(crate) template: Option<Arc<PodTemplate>>,
 }
 
 impl DeploymentController {
     pub fn new(spec: DeploymentSpec) -> DeploymentController {
-        DeploymentController { spec, revision: 1, replicas: Vec::new(), next_ordinal: 0 }
+        Self { spec, revision: 1, replicas: Vec::new(), next_ordinal: 0, template: None }
     }
 
     /// Mint the next pod name for the given revision.
@@ -260,12 +269,7 @@ mod tests {
         let mut d = Deployment::default();
         assert!(d.is_empty());
         d.pods.push(PodRecord {
-            spec: PodSpec {
-                name: "p".into(),
-                image: "i".into(),
-                runtime_class: "c".into(),
-                ..Default::default()
-            },
+            spec: PodSpec { name: "p".into(), ..Default::default() },
             phase: PodPhase::Running,
             pod_cgroup: CgroupId(1),
             node: 0,
@@ -285,12 +289,7 @@ mod tests {
             let mut trace = StepTrace::new();
             trace.push(Phase::Cni, Step::Cpu(Duration::from_micros(100 * (i + 1))));
             d.pods.push(PodRecord {
-                spec: PodSpec {
-                    name: format!("p{i}"),
-                    image: "i".into(),
-                    runtime_class: "c".into(),
-                    ..Default::default()
-                },
+                spec: PodSpec { name: format!("p{i}"), ..Default::default() },
                 phase: PodPhase::Running,
                 pod_cgroup: CgroupId(1),
                 node: 0,

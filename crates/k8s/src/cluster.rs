@@ -36,8 +36,8 @@ use simkernel::{
 };
 
 use crate::api::{
-    Deployment, DeploymentController, HpaSpec, PodPhase, PodSpec, ProbeSpec, ReplicaEntry,
-    RolloutStep,
+    Deployment, DeploymentController, HpaSpec, PodPhase, PodSpec, PodTemplate, ProbeSpec,
+    ReplicaEntry, RolloutStep,
 };
 use crate::kubelet::{Kubelet, NodeConfig, ReconcileReport, RestartPolicy};
 use crate::node::{Node, NodeCondition};
@@ -131,19 +131,10 @@ pub struct DeployOpts {
 }
 
 impl DeployOpts {
-    /// Build the [`PodSpec`] these options imply for one pod name.
-    fn pod_spec(&self, name: String, image: &Arc<str>, runtime_class: &Arc<str>) -> PodSpec {
-        PodSpec {
-            name,
-            image: Arc::clone(image),
-            runtime_class: Arc::clone(runtime_class),
-            memory_limit: self.memory_limit,
-            cpu_max: self.cpu_max,
-            io_read_budget: self.io_read_budget,
-            liveness_probe: self.liveness_probe,
-            readiness_probe: self.readiness_probe,
-            termination_grace: self.termination_grace,
-        }
+    /// The template these options imply for pods of `image` under
+    /// `runtime_class`: made once, shared by every pod it stamps.
+    fn template(&self, image: Arc<str>, runtime_class: Arc<str>) -> Arc<PodTemplate> {
+        Arc::new(PodTemplate { image, runtime_class, opts: *self })
     }
 }
 
@@ -343,13 +334,14 @@ impl Cluster {
         // after the clock has advanced (rolling updates, chaos rounds)
         // must not back-date its pods to boot.
         let base = self.now();
-        let (image, runtime_class) = (Arc::from(image), Arc::from(runtime_class));
+        let template = opts.template(image.into(), runtime_class.into());
         // A pod start changes only its node: only that one is re-observed.
         let mut snaps: Vec<NodeSnapshot> =
             self.nodes.iter().map(|n| self.scheduler.observe(n)).collect();
         for i in 0..n {
             let dispatched_at = base + DISPATCH_GAP.scaled(i as u64);
-            let spec = opts.pod_spec(format!("{name_prefix}-{i}"), &image, &runtime_class);
+            let spec =
+                PodSpec { name: format!("{name_prefix}-{i}"), template: Arc::clone(&template) };
             let idx = self.place_pod(&snaps)?;
             let node = &mut self.nodes[idx];
             match opts.restart {
@@ -745,8 +737,11 @@ impl Cluster {
             return Ok(None);
         };
         let name = ctrl.next_pod_name(revision);
-        let spec =
-            ctrl.spec.opts.pod_spec(name.clone(), &ctrl.spec.image, &ctrl.spec.runtime_class);
+        let DeploymentController { spec, template, .. } = ctrl;
+        let template = template.get_or_insert_with(|| {
+            spec.opts.template(Arc::clone(&spec.image), Arc::clone(&spec.runtime_class))
+        });
+        let spec = PodSpec { name: name.clone(), template: Arc::clone(template) };
         let dispatched_at = self.now();
         let node = &mut self.nodes[idx];
         node.kubelet.manage_pod(&mut node.containerd, spec, dispatched_at);
@@ -811,6 +806,7 @@ impl Cluster {
     pub fn begin_rolling_update(&mut self, ctrl: &mut DeploymentController, image: &str) {
         ctrl.revision += 1;
         ctrl.spec.image = image.into();
+        ctrl.template = None;
     }
 
     /// One rolling-update round: surge new-revision pods up to
@@ -1168,7 +1164,7 @@ mod tests {
     /// A pod's container init, read through its CRI record.
     fn container_init(cluster: &Cluster, pod: &str) -> simkernel::Pid {
         let sandbox = cluster.containerd().sandbox(pod).expect("sandbox");
-        sandbox.container(&[pod, "-c0"].concat()).and_then(|c| c.init_pid()).expect("init")
+        sandbox.init_pid().expect("init")
     }
 
     /// A fork starts out sharing its origin's programs; a restart in the
@@ -1253,9 +1249,63 @@ mod tests {
         assert!(ctrl.replicas.iter().all(|r| r.revision == 2));
         for r in &ctrl.replicas {
             let e = cluster.node(r.node).kubelet.managed_pod(&r.pod).unwrap();
-            assert_eq!(&*e.spec.image, "svc:v2");
+            assert_eq!(e.spec.image(), "svc:v2");
         }
         assert_eq!(cluster.ready_replicas(&ctrl), 4);
+    }
+
+    /// One template per `deploy_with` call: the call's pods hold it and
+    /// nothing else does, a second call makes its own, and a supervised
+    /// restart keeps the pod's. A controller's replicas share their
+    /// revision's, and a rolling update makes a new one.
+    #[test]
+    fn pods_share_their_deployments_template() {
+        let mut cluster = cluster_with_wamr();
+        let a = cluster.deploy("a", "svc:v1", "crun-wamr", 3).unwrap();
+        let shared = &a.pods[0].spec.template;
+        assert!(a.pods.iter().all(|p| Arc::ptr_eq(&p.spec.template, shared)));
+        assert_eq!(Arc::strong_count(shared), 3, "held by the call's pods alone");
+
+        let opts = DeployOpts { restart: RestartPolicy::Always, ..Default::default() };
+        cluster.deploy_with("s", "svc:v1", "crun-wamr", 2, opts).unwrap();
+        let held = |c: &Cluster, pod: &str| {
+            let node = (0..c.node_count()).find(|&n| c.node(n).kubelet.managed_pod(pod).is_some());
+            Arc::clone(&c.node(node.unwrap()).kubelet.managed_pod(pod).unwrap().spec.template)
+        };
+        let supervised = held(&cluster, "s-0");
+        assert!(!Arc::ptr_eq(&supervised, shared), "one template per call");
+        assert!(Arc::ptr_eq(&supervised, &held(&cluster, "s-1")));
+        let init = container_init(&cluster, "s-0");
+        cluster.kernel().oom_kill(init).unwrap();
+        assert_eq!(cluster.reconcile().oom_killed, ["s-0"]);
+        cluster.advance(Kubelet::backoff_delay(0));
+        assert_eq!(cluster.reconcile().restarted, ["s-0"]);
+        assert!(Arc::ptr_eq(&held(&cluster, "s-0"), &supervised), "a restart keeps it");
+
+        cluster
+            .pull_image(
+                ImageBuilder::new("svc:v2")
+                    .entrypoint(["/app/main.wasm".to_string()])
+                    .file("/app/main.wasm", microservice()),
+            )
+            .unwrap();
+        let mut ctrl =
+            DeploymentController::new(DeploymentSpec::new("c", "svc:v1", "crun-wamr", 2));
+        assert!(cluster.settle_controller(&mut ctrl, 50).unwrap());
+        let templates = |c: &Cluster, ctrl: &DeploymentController| -> Vec<Arc<PodTemplate>> {
+            ctrl.replicas.iter().map(|r| held(c, &r.pod)).collect()
+        };
+        let v1 = templates(&cluster, &ctrl);
+        assert!(Arc::ptr_eq(&v1[0], &v1[1]), "a revision's replicas share one");
+        cluster.begin_rolling_update(&mut ctrl, "svc:v2");
+        let rolled = cluster.run_rounds(100, |c| {
+            c.reconcile();
+            Ok(c.rollout_step(&mut ctrl)?.done)
+        });
+        assert!(rolled.unwrap().is_some(), "the rollout converges");
+        let v2 = templates(&cluster, &ctrl);
+        assert!(Arc::ptr_eq(&v2[0], &v2[1]) && !Arc::ptr_eq(&v2[0], &v1[0]));
+        assert_eq!(&*v2[0].image, "svc:v2");
     }
 
     /// `manage_pod` enters a supervised pod into the kubelet's table as

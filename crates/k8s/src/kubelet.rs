@@ -378,8 +378,8 @@ impl Kubelet {
                 && match e.phase {
                     PodPhase::Evicted | PodPhase::Failed => true,
                     PodPhase::Running => {
-                        (e.ready || e.spec.readiness_probe.is_none())
-                            && !(e.wedged && e.spec.liveness_probe.is_some())
+                        (e.ready || e.spec.opts().readiness_probe.is_none())
+                            && !(e.wedged && e.spec.opts().liveness_probe.is_some())
                     }
                     _ => false,
                 }
@@ -397,7 +397,7 @@ impl Kubelet {
             .flat_map(|e| {
                 let mut due = [e.next_restart_at, None, None];
                 if e.phase == PodPhase::Running {
-                    if !e.ready && e.spec.readiness_probe.is_some() {
+                    if !e.ready && e.spec.opts().readiness_probe.is_some() {
                         due[1] = e.readiness.map(|p| p.due);
                     }
                     if e.wedged {
@@ -441,7 +441,7 @@ impl Kubelet {
 
         // RunPodSandbox (CRI RPC + containerd work).
         trace.push(Phase::Sandbox, Step::Io(cost::CRI_RPC));
-        containerd.run_pod_sandbox(&spec.name, &spec.runtime_class, &mut trace)?;
+        containerd.run_pod_sandbox(&spec.name, &spec.template.runtime_class, &mut trace)?;
 
         // CNI and volumes happen after the sandbox exists.
         trace.push(Phase::Cni, Step::Io(cost::CNI_IO));
@@ -454,11 +454,11 @@ impl Kubelet {
         // Apply the pod's cpu/io controllers before any container runs in
         // the cgroup; pods without them never touch the controllers (the
         // figure paths stay byte-identical).
-        if spec.cpu_max.is_some() {
-            self.kernel.cgroup_set_cpu_max(pod_cgroup, spec.cpu_max)?;
+        if spec.opts().cpu_max.is_some() {
+            self.kernel.cgroup_set_cpu_max(pod_cgroup, spec.opts().cpu_max)?;
         }
-        if spec.io_read_budget.is_some() {
-            self.kernel.cgroup_set_io_read_budget(pod_cgroup, spec.io_read_budget)?;
+        if spec.opts().io_read_budget.is_some() {
+            self.kernel.cgroup_set_io_read_budget(pod_cgroup, spec.opts().io_read_budget)?;
         }
         let infra_pid = ProcessImage::spawn(&self.kernel, "pod-infra", pod_cgroup)
             .heap(POD_INFRA_BYTES, "pod-infra")
@@ -482,34 +482,32 @@ impl Kubelet {
         // start rather than left spinning, so the probes that follow find a
         // wedged (but memory-accounted) container to act on.
         let watchdog: Vec<(String, String)> = spec
+            .opts()
             .liveness_probe
             .iter()
             .map(|p| {
                 (WATCHDOG_BUDGET_ANNOTATION.to_string(), p.watchdog_budget().as_nanos().to_string())
             })
             .collect();
-        let result: KernelResult<()> = (|| {
+        let started: KernelResult<Vec<u8>> = (|| {
             trace.push(Phase::RuntimeOp, Step::Io(cost::CRI_RPC));
             containerd.create_container_with(
                 &spec.name,
                 &cid,
-                &spec.image,
-                spec.memory_limit,
+                &spec.template.image,
+                spec.opts().memory_limit,
                 &watchdog,
                 &mut trace,
             )?;
             trace.push(Phase::RuntimeOp, Step::Io(cost::CRI_RPC));
             containerd.start_container(&spec.name, &cid, &mut trace)
         })();
-        if let Err(e) = result {
+        let stdout = started.inspect_err(|_| {
             // Rollback is best-effort and must not shadow the original
             // sync error: a second failure mid-teardown is dropped. Any
             // supervision entry survives (reconcile retries from it).
             let _ = self.teardown_pod_resources(containerd, &spec.name);
-            return Err(e);
-        }
-
-        let stdout = containerd.take_container_stdout(&spec.name, &cid);
+        })?;
         self.pods_synced += 1;
         Ok(PodRecord {
             spec,
@@ -594,9 +592,10 @@ impl Kubelet {
                 e.trace = record.trace;
                 e.dispatched_at = record.dispatched_at;
                 e.wedged = containerd.pod_wedged(&e.spec.name);
-                e.ready = e.spec.readiness_probe.is_none();
-                e.liveness = e.spec.liveness_probe.as_ref().map(|p| ProbeState::arm(p, now));
-                e.readiness = e.spec.readiness_probe.as_ref().map(|p| ProbeState::arm(p, now));
+                e.ready = e.spec.opts().readiness_probe.is_none();
+                e.liveness = e.spec.opts().liveness_probe.as_ref().map(|p| ProbeState::arm(p, now));
+                e.readiness =
+                    e.spec.opts().readiness_probe.as_ref().map(|p| ProbeState::arm(p, now));
             }
             Err(ref err) if Self::retryable(err) => e.fail(PodPhase::CrashLoopBackOff, now),
             Err(_) => e.fail(PodPhase::Failed, now),
@@ -721,13 +720,13 @@ impl Kubelet {
         for name in probed {
             let e = self.pods.get_mut(&name).expect("selected from table");
             let mut kill = false;
-            if let (Some(p), Some(mut st)) = (e.spec.liveness_probe, e.liveness) {
+            if let (Some(p), Some(mut st)) = (e.spec.opts().liveness_probe, e.liveness) {
                 (_, kill) = Self::fire_probes(containerd, &name, &p, &mut st, now);
                 e.liveness = Some(st);
             }
             if kill {
                 self.fail_pod(containerd, name, Fault::ProbeKilled, now, &mut report);
-            } else if let (Some(p), Some(mut st)) = (e.spec.readiness_probe, e.readiness) {
+            } else if let (Some(p), Some(mut st)) = (e.spec.opts().readiness_probe, e.readiness) {
                 let (passed, unready) = Self::fire_probes(containerd, &name, &p, &mut st, now);
                 if unready {
                     st.failures = 0;
@@ -743,7 +742,9 @@ impl Kubelet {
             let victim = self
                 .pods
                 .iter()
-                .filter(|(_, e)| e.phase == PodPhase::Running && e.spec.memory_limit.is_none())
+                .filter(|(_, e)| {
+                    e.phase == PodPhase::Running && e.spec.opts().memory_limit.is_none()
+                })
                 .max_by_key(|(_, e)| e.seq)
                 .map(|(n, _)| n.clone());
             let Some(name) = victim else { break };
@@ -826,8 +827,9 @@ impl Kubelet {
         if entry.is_some() && !self.infra_procs.contains_key(pod_name) {
             self.torn_down -= 1;
         }
-        let grace =
-            entry.and_then(|e| e.spec.termination_grace).unwrap_or(DEFAULT_TERMINATION_GRACE);
+        let grace = entry
+            .and_then(|e| e.spec.opts().termination_grace)
+            .unwrap_or(DEFAULT_TERMINATION_GRACE);
         let mut first_err: Option<KernelError> = None;
         if containerd.begin_pod_termination(pod_name) {
             // A wedged guest cannot run a SIGTERM handler: wait out the

@@ -23,4 +23,4 @@ pub mod profile;
 pub(crate) mod runtime;
 
 pub use profile::RuntimeProfile;
-pub use runtime::{Container, ContainerState, LowLevelRuntime, RuntimeCtx};
+pub use runtime::{Container, ContainerState, LowLevelRuntime, Resident, RuntimeCtx};

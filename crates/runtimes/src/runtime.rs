@@ -30,12 +30,8 @@ pub use simkernel::LifecycleState as ContainerState;
 #[derive(Debug)]
 pub struct Container {
     pub(crate) id: String,
-    /// The container init process.
-    pub pid: Pid,
-    /// The container's own cgroup (child of the pod cgroup).
-    pub cgroup: CgroupId,
-    /// Position in the shared OCI lifecycle state machine.
-    pub state: Lifecycle,
+    /// What a caller keeps of it once it has started.
+    pub run: Resident,
     /// DES startup steps (create + start + workload) by lifecycle phase;
     /// `start` pushes onto it, so a caller can lend it a trace of its own.
     pub trace: StepTrace,
@@ -43,6 +39,18 @@ pub struct Container {
     pub stdout: Vec<u8>,
     /// Name of the handler that ran the workload ("" before `start`).
     pub handler: &'static str,
+}
+
+/// A container as its caller keeps it resident: what `delete`, a probe and
+/// a hard kill read.
+#[derive(Debug)]
+pub struct Resident {
+    /// The container init process.
+    pub pid: Pid,
+    /// The container's own cgroup (child of the pod cgroup).
+    pub cgroup: CgroupId,
+    /// Position in the shared OCI lifecycle state machine.
+    pub state: Lifecycle,
     /// The workload overstayed its watchdog epoch budget: the container is
     /// up but never reached ready. Liveness probes report failure for it.
     pub wedged: bool,
@@ -51,19 +59,17 @@ pub struct Container {
     pub epoch_clock: Option<wasm_core::EpochClock>,
 }
 
-impl Container {
-    /// A deep copy for a forked kernel (pids and cgroup ids carry over).
-    /// The retained watchdog clock is a cell, so it is re-made at its
-    /// reading: a derived `Clone` would let an interrupt in one copy tick
-    /// the other's.
-    pub fn fork(&self) -> Container {
-        Container {
-            id: self.id.clone(),
-            trace: self.trace.clone(),
-            stdout: self.stdout.clone(),
+impl Resident {
+    /// A created container in `pid` and `cgroup`.
+    pub fn new(pid: Pid, cgroup: CgroupId) -> Resident {
+        Resident { pid, cgroup, state: Lifecycle::new(), wedged: false, epoch_clock: None }
+    }
+
+    /// A deep copy for a forked kernel. The watchdog clock, a cell, is
+    /// re-made at its reading: an interrupt in one copy leaves the other's.
+    pub fn fork(&self) -> Resident {
+        Resident {
             epoch_clock: self.epoch_clock.as_ref().map(wasm_core::EpochClock::fork),
-            // Pid, cgroup, lifecycle state, handler name, `wedged`: plain
-            // `Copy` values.
             ..*self
         }
     }
@@ -187,14 +193,10 @@ impl LowLevelRuntime {
 
         Ok(Container {
             id: id.to_string(),
-            pid: pid_slot.expect("set in create body"),
-            cgroup: cg_slot.expect("set in create body"),
-            state: Lifecycle::new(),
+            run: Resident::new(pid_slot.expect("set by create"), cg_slot.expect("set by create")),
             trace,
             stdout: Vec::new(),
             handler: "",
-            wedged: false,
-            epoch_clock: None,
         })
     }
 
@@ -217,28 +219,41 @@ impl LowLevelRuntime {
         container: &mut Container,
         bundle: &Bundle,
     ) -> KernelResult<()> {
-        if !lifecycle::legal(container.state.state(), ContainerState::Running) {
+        let Container { id, run, trace, stdout, handler } = container;
+        // The start's steps follow the create's in the container's trace.
+        (*stdout, *handler) = self.start_resident(ctx, id, run, bundle, trace)?;
+        Ok(())
+    }
+
+    /// [`LowLevelRuntime::start`] for a created container its caller keeps
+    /// as a [`Resident`] named `id`, recording into the caller's `trace`.
+    /// Returns the workload's stdout and the handler's name.
+    pub fn start_resident(
+        &self,
+        ctx: &RuntimeCtx,
+        id: &str,
+        run: &mut Resident,
+        bundle: &Bundle,
+        trace: &mut StepTrace,
+    ) -> KernelResult<(Vec<u8>, &'static str)> {
+        if !lifecycle::legal(run.state.state(), ContainerState::Running) {
             return Err(KernelError::InvalidState(format!(
-                "start {}: illegal lifecycle transition {:?} -> Running",
-                container.id,
-                container.state.state()
+                "start {id}: illegal lifecycle transition {:?} -> Running",
+                run.state.state()
             )));
         }
         let p = &self.profile;
-        let mut outcome_slot: Option<HandlerOutcome> = None;
-        let mut handler_name = "";
+        let mut outcome_slot: Option<(HandlerOutcome, &'static str)> = None;
 
-        // The start's steps follow the create's in the container's trace.
-        self.transient_runtime_op(ctx, &mut container.trace, |kernel, rt_pid, trace| {
+        self.transient_runtime_op(ctx, trace, |kernel, rt_pid, trace| {
             let spec = bundle.load_spec(kernel, rt_pid)?;
             let handler =
                 self.handlers.iter().find(|h| h.matches(&spec, bundle)).ok_or_else(|| {
                     KernelError::InvalidState(format!(
-                        "no handler for container {} (args {:?})",
-                        container.id, spec.process.args
+                        "no handler for container {id} (args {:?})",
+                        spec.process.args
                     ))
                 })?;
-            handler_name = handler.name();
             // In-process handlers (crun's Wasm handlers) keep the runtime's
             // image resident in the container process — its (shared) binary
             // text and a private residual. exec()ing handlers (Python,
@@ -246,7 +261,7 @@ impl LowLevelRuntime {
             // No cold-read step: the transient op above already faulted the
             // binary in, so the fork's text pages are warm by construction.
             if handler.in_process() {
-                let mut image = ProcessImage::attach(kernel, container.pid).text(
+                let mut image = ProcessImage::attach(kernel, run.pid).text(
                     p.binary_path,
                     p.binary_size,
                     p.binary_resident(),
@@ -257,25 +272,23 @@ impl LowLevelRuntime {
                 }
                 let _warm = image.build()?;
             }
-            let mut outcome = handler.execute(kernel, container.pid, bundle, &spec)?;
+            let mut outcome = handler.execute(kernel, run.pid, bundle, &spec)?;
             trace.append(&mut outcome.trace);
-            outcome_slot = Some(outcome);
+            outcome_slot = Some((outcome, handler.name()));
             Ok(())
         })?;
 
-        let outcome = outcome_slot.expect("set in start body");
-        container.stdout = outcome.stdout;
-        container.handler = handler_name;
-        container.wedged = outcome.interrupted;
-        container.epoch_clock = outcome.epoch_clock;
-        container.state.transition(ContainerState::Running, &container.id)?;
-        Ok(())
+        let (outcome, handler) = outcome_slot.expect("set in start body");
+        run.wedged = outcome.interrupted;
+        run.epoch_clock = outcome.epoch_clock;
+        run.state.transition(ContainerState::Running, id)?;
+        Ok((outcome.stdout, handler))
     }
 
     /// OCI `kill` + `delete`: stop the init process and remove the cgroup.
     /// Idempotent — a second delete (or deleting an already-stopped
     /// container) is a no-op.
-    pub fn delete(&self, container: &mut Container) -> KernelResult<()> {
+    pub fn delete(&self, container: &mut Resident) -> KernelResult<()> {
         if container.state.stop() {
             // The init process may already be gone (OOM-killed by the
             // kernel); delete must still reap it and remove the cgroup.
@@ -290,7 +303,8 @@ impl LowLevelRuntime {
             return Ok(());
         }
         self.kernel.cgroup_remove(container.cgroup)?;
-        container.state.transition(ContainerState::Deleted, &container.id)?;
+        // Stopped or Failed by now, and both move to Deleted.
+        container.state.transition(ContainerState::Deleted, "delete")?;
         Ok(())
     }
 }
@@ -342,13 +356,13 @@ mod tests {
         rt.register_handler(Box::new(WasmEngineHandler::new(EngineKind::Wamr)));
 
         let mut c = rt.create(&ctx, "c1", &bundle, pod).unwrap();
-        assert_eq!(c.state, ContainerState::Created);
+        assert_eq!(c.run.state, ContainerState::Created);
         // The init process exists but maps nothing until `start` selects a
         // handler (exec()ing handlers replace the image entirely).
-        assert_eq!(kernel.proc_rss(c.pid).unwrap(), 0);
+        assert_eq!(kernel.proc_rss(c.run.pid).unwrap(), 0);
 
         rt.start(&ctx, &mut c, &bundle).unwrap();
-        assert_eq!(c.state, ContainerState::Running);
+        assert_eq!(c.run.state, ContainerState::Running);
         assert_eq!(c.handler, "wamr");
         assert_eq!(c.stdout, b"ready\n");
         assert!(!c.trace.steps().is_empty());
@@ -359,9 +373,9 @@ mod tests {
         // Transient runtime processes are gone.
         assert_eq!(kernel.live_procs(), 1, "only the container init remains");
 
-        rt.delete(&mut c).unwrap();
-        assert_eq!(c.state, ContainerState::Deleted);
-        rt.delete(&mut c).unwrap(); // idempotent
+        rt.delete(&mut c.run).unwrap();
+        assert_eq!(c.run.state, ContainerState::Deleted);
+        rt.delete(&mut c.run).unwrap(); // idempotent
         assert_eq!(kernel.live_procs(), 0);
     }
 

@@ -15,7 +15,7 @@ use std::sync::{Mutex, MutexGuard};
 use crate::cgroup::{CgroupId, CgroupStats, CgroupTree, ChargeKind, MemStat, IO_WINDOW_NS};
 use crate::error::{KernelError, KernelResult};
 use crate::faults::{FaultPlan, FaultSite};
-use crate::mem::{round_up_pages, MapKind, Mapping, MappingId};
+use crate::mem::{pages, round_up_pages, MapKind, Mapping, MappingId};
 use crate::proc::{Pid, ProcState, Process};
 use crate::table::IdTable;
 use crate::time::{Clock, Duration, SimTime};
@@ -168,6 +168,7 @@ impl Kernel {
     /// Boot a kernel on an existing clock (a cluster's nodes share one).
     pub fn boot_on(cfg: KernelConfig, clock: Clock) -> Kernel {
         assert!(cfg.ram_bytes > cfg.boot_used_bytes, "RAM must exceed boot footprint");
+        assert!(cfg.ram_bytes < PAGE_SIZE << 32, "RAM must be under 2^32 pages (16 TiB)");
         assert!(cfg.cores > 0);
         let state = KernelState {
             clock,
@@ -680,7 +681,7 @@ impl KernelState {
         }
         let p = self.alive_mut(pid)?;
         let id = p.alloc_mapping_id();
-        p.insert_mapping(Mapping { id, kind, len, committed_anon: 0, touched_file: 0, label });
+        p.insert_mapping(Mapping::new(id, kind, len, label));
         Ok(id)
     }
 
@@ -998,7 +999,7 @@ impl KernelState {
             let m = p.mapping(mapping).ok_or(KernelError::NoSuchMapping(pid, mapping))?;
             (p.cgroup, m.clone(), p.rss(), p.namespaces, p.kernel_charged)
         };
-        let (len, committed_anon, touched_file) = (m.len, m.committed_anon, m.touched_file);
+        let (len, (committed_anon, touched_file)) = (m.len, m.resident());
         if bytes > len {
             return Err(KernelError::MappingOverflow { mapping, len, offset: bytes });
         }
@@ -1049,6 +1050,10 @@ impl KernelState {
                 self.alive_mut(pid)?.set_resident(mapping, target, touched_file - overlap);
             }
             (MapKind::FileShared(fid), _) | (MapKind::FileCow(fid), false) => {
+                // Only a file mapping past its file's end can ask for 2^32 pages.
+                let free = self.cfg.ram_bytes.saturating_sub(self.total_anon + self.total_kernel);
+                pages(target)
+                    .ok_or(KernelError::PhysicalExhausted { requested: target, available: free })?;
                 let delta = target.saturating_sub(touched_file);
                 let tables = self.kernel_bytes(namespaces, rss + delta).saturating_sub(charged);
                 self.fault_for(pid, fid, target, tables)?;
@@ -1065,12 +1070,13 @@ impl KernelState {
 
     /// Release one mapping's charges for a process.
     fn release_mapping(&mut self, _pid: Pid, cg: CgroupId, m: &Mapping) {
-        if m.committed_anon > 0 {
-            self.cgroups.uncharge(cg, ChargeKind::Anon, m.committed_anon);
-            self.total_anon = self.total_anon.saturating_sub(m.committed_anon);
+        let (committed_anon, touched_file) = m.resident();
+        if committed_anon > 0 {
+            self.cgroups.uncharge(cg, ChargeKind::Anon, committed_anon);
+            self.total_anon = self.total_anon.saturating_sub(committed_anon);
         }
-        if m.touched_file > 0 {
-            self.cgroups.adjust_mapped_file(cg, -(m.touched_file as i64));
+        if touched_file > 0 {
+            self.cgroups.adjust_mapped_file(cg, -(touched_file as i64));
         }
         if let Some(fid) = m.kind.file() {
             if let Some(f) = self.vfs.get_mut(fid) {
@@ -1276,6 +1282,34 @@ mod tests {
         assert_eq!(k.now(), SimTime::ZERO);
         k.advance(Duration::from_secs(1));
         assert_eq!(k.now().as_secs_f64(), 1.0);
+    }
+
+    /// A mapping counts resident pages in a `u32`: RAM of 2^32 pages is
+    /// refused at boot, and a page fewer boots.
+    #[test]
+    fn boot_refuses_ram_of_two_to_the_32_pages() {
+        let ram = |ram_bytes| KernelConfig { ram_bytes, ..KernelConfig::default() };
+        assert_eq!(Kernel::boot(ram((PAGE_SIZE << 32) - PAGE_SIZE)).free().total, (1 << 44) - 4096);
+        let refused = std::panic::catch_unwind(|| Kernel::boot(ram(PAGE_SIZE << 32)));
+        let message = refused.err().and_then(|e| e.downcast_ref::<&str>().copied());
+        assert_eq!(message, Some("RAM must be under 2^32 pages (16 TiB)"));
+    }
+
+    /// A file mapping longer than its file can ask for 2^32 resident pages,
+    /// on a node with RAM for their page tables; the touch is refused and
+    /// leaves the mapping as it was.
+    #[test]
+    fn a_touch_past_two_to_the_32_pages_is_refused() {
+        let k = Kernel::boot(KernelConfig { ram_bytes: 64 << 30, ..KernelConfig::default() });
+        let lib = k.create_file("/lib.so", FileContent::Synthetic(1 << 20)).unwrap();
+        let cg = k.cgroup_create(Kernel::ROOT_CGROUP, "c").unwrap();
+        let pid = k.spawn(cg).unwrap();
+        let m = k.mmap(pid, 1 << 50, MapKind::FileShared(lib)).unwrap();
+        k.touch(pid, m, 1 << 20).unwrap();
+        let err = k.touch(pid, m, PAGE_SIZE << 32).unwrap_err();
+        assert!(matches!(err, KernelError::PhysicalExhausted { .. }), "{err:?}");
+        assert_eq!(k.proc_rss(pid).unwrap(), 1 << 20);
+        k.check_accounting().unwrap();
     }
 
     #[test]

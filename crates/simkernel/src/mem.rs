@@ -13,11 +13,12 @@
 //! * copy-on-write file mappings (data segments) turn into private anon
 //!   charges when written.
 
+use crate::kernel::PAGE_SIZE;
 use crate::vfs::FileId;
 
 /// Identifier of a mapping within one process address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct MappingId(pub u64);
+pub struct MappingId(pub u32);
 
 /// What backs a mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,33 +43,56 @@ impl MapKind {
     }
 }
 
-/// One region of a process address space.
+/// One region of a process address space. Residency is counted in whole
+/// pages, in a `u32`: [`crate::Kernel::boot`] keeps RAM under 2^32 pages.
 #[derive(Debug, Clone)]
 pub(crate) struct Mapping {
     pub(crate) id: MappingId,
+    /// A tag and a 32-bit file id: 8 bytes.
     pub(crate) kind: MapKind,
     /// Reserved (virtual) length in bytes.
     pub(crate) len: u64,
-    /// Bytes of private anonymous memory committed in this mapping
-    /// (all of it for `AnonPrivate` touches, the written part for `FileCow`).
-    pub(crate) committed_anon: u64,
-    /// Bytes of file-backed pages this process has faulted in (its share of
-    /// the page cache for RSS purposes; physical residency is on the file).
-    pub(crate) touched_file: u64,
+    /// Private anonymous pages committed (all of it for `AnonPrivate`
+    /// touches, the written part for `FileCow`).
+    committed_pages: u32,
+    /// File-backed pages this process has faulted in (its share of the
+    /// page cache for RSS purposes; physical residency is on the file).
+    touched_pages: u32,
     /// What the region is for ("heap", "side-tables", an engine's name): a
     /// literal or a profile's name, never built per mapping.
     #[expect(dead_code, reason = "ROADMAP item 1a")]
     pub(crate) label: &'static str,
 }
 
-// A process holds its mappings inline in one vector: keep them a cache line.
-const _: () = assert!(std::mem::size_of::<Mapping>() <= 64);
+// A process holds its mappings inline in one vector, about a dozen a pod.
+const _: () = assert!(std::mem::size_of::<Mapping>() <= 48);
+
+/// Whole pages covering `bytes` (a partial page is resident), if a `u32`.
+pub(crate) fn pages(bytes: u64) -> Option<u32> {
+    u32::try_from(bytes.div_ceil(PAGE_SIZE)).ok()
+}
 
 impl Mapping {
+    pub(crate) fn new(id: MappingId, kind: MapKind, len: u64, label: &'static str) -> Mapping {
+        Mapping { id, kind, len, committed_pages: 0, touched_pages: 0, label }
+    }
+
+    /// Bytes resident as private anon and as file pages.
+    pub(crate) fn resident(&self) -> (u64, u64) {
+        (u64::from(self.committed_pages) * PAGE_SIZE, u64::from(self.touched_pages) * PAGE_SIZE)
+    }
+
+    /// Set both in whole pages; the kernel refuses a size past a `u32` first.
+    pub(crate) fn set_resident(&mut self, committed_anon: u64, touched_file: u64) {
+        self.committed_pages = pages(committed_anon).expect("under 2^32 pages");
+        self.touched_pages = pages(touched_file).expect("under 2^32 pages");
+    }
+
     /// Resident set contribution of this mapping, Linux-style: private anon
     /// plus every shared page this process has touched.
     pub(crate) fn rss(&self) -> u64 {
-        self.committed_anon + self.touched_file
+        let (anon, file) = self.resident();
+        anon + file
     }
 }
 
@@ -88,7 +112,7 @@ mod tests {
     impl Mapping {
         /// Bytes that remain untouched (virtual-only).
         fn uncommitted(&self) -> u64 {
-            self.len.saturating_sub(self.committed_anon + self.touched_file)
+            self.len.saturating_sub(self.rss())
         }
     }
 
@@ -104,16 +128,21 @@ mod tests {
 
     #[test]
     fn mapping_rss() {
-        let m = Mapping {
-            id: MappingId(1),
-            kind: MapKind::AnonPrivate,
-            len: 10 << 20,
-            committed_anon: 1 << 20,
-            touched_file: 0,
-            label: "heap",
-        };
+        let mut m = Mapping::new(MappingId(1), MapKind::AnonPrivate, 10 << 20, "heap");
+        m.set_resident(1 << 20, 0);
         assert_eq!(m.rss(), 1 << 20);
         assert_eq!(m.uncommitted(), 9 << 20);
+    }
+
+    /// A partial page is a resident page, and the last page a `u32` holds
+    /// still counts: no rounding down, no wrap.
+    #[test]
+    fn resident_sizes_round_up_to_whole_pages_in_a_u32() {
+        let last = u64::from(u32::MAX) * PAGE_SIZE;
+        let mut m = Mapping::new(MappingId(7), MapKind::FileCow(FileId(4)), u64::MAX, "m");
+        m.set_resident(1, last);
+        assert_eq!(m.resident(), (PAGE_SIZE, last));
+        assert_eq!((pages(0), pages(PAGE_SIZE + 1), pages(last + 1)), (Some(0), Some(2), None));
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub(crate) struct Process {
     /// Namespaces this process owns (created fresh for it, not inherited);
     /// each costs a slab charge, and nothing reads which kinds they are.
     pub(crate) namespaces: u32,
-    next_mapping: u64,
+    next_mapping: u32,
     /// Private: every residency change goes through the methods below, so
     /// the running `rss` cannot drift from the mappings it summarises.
     /// Sorted by id — ids only grow, so an insert is a push — and a process
@@ -95,7 +95,7 @@ impl Process {
 
     /// Private anonymous bytes only (what the process "owns" exclusively).
     pub(crate) fn anon_bytes(&self) -> u64 {
-        self.mappings.iter().map(|m| m.committed_anon).sum()
+        self.mappings.iter().map(|m| m.resident().0).sum()
     }
 
     pub(crate) fn mapping(&self, id: MappingId) -> Option<&Mapping> {
@@ -108,7 +108,7 @@ impl Process {
 
     pub(crate) fn alloc_mapping_id(&mut self) -> MappingId {
         let id = MappingId(self.next_mapping);
-        self.next_mapping += 1;
+        self.next_mapping = self.next_mapping.checked_add(1).expect("2^32 mappings in one process");
         id
     }
 
@@ -155,9 +155,9 @@ impl Process {
     pub(crate) fn set_resident(&mut self, id: MappingId, committed_anon: u64, touched_file: u64) {
         if let Some(i) = self.position(id) {
             let m = &mut self.mappings[i];
-            self.rss = self.rss - m.rss() + committed_anon + touched_file;
-            m.committed_anon = committed_anon;
-            m.touched_file = touched_file;
+            self.rss -= m.rss();
+            m.set_resident(committed_anon, touched_file);
+            self.rss += m.rss();
         }
     }
 }
@@ -184,64 +184,82 @@ mod tests {
             self.mappings.capacity()
         }
     }
-    use crate::mem::MapKind;
+    use crate::kernel::PAGE_SIZE;
+    use crate::mem::{round_up_pages, MapKind};
 
     fn anon(id: MappingId, len: u64, committed_anon: u64) -> Mapping {
-        Mapping { id, kind: MapKind::AnonPrivate, len, committed_anon, touched_file: 0, label: "m" }
+        let mut m = Mapping::new(id, MapKind::AnonPrivate, len, "m");
+        m.set_resident(committed_anon, 0);
+        m
     }
 
-    /// Everything a mapping holds but its (constant) kind and label.
+    /// Everything a mapping holds but its (constant) kind and label, in bytes.
     fn fields(m: &Mapping) -> (MappingId, u64, u64, u64) {
-        (m.id, m.len, m.committed_anon, m.touched_file)
+        let (anon, file) = m.resident();
+        (m.id, m.len, anon, file)
     }
 
+    /// The most a mapping keeps resident: `u32::MAX` pages, just under the
+    /// 2^32 pages of RAM `Kernel::boot` refuses.
+    const RAM_BOUND: u64 = u32::MAX as u64 * PAGE_SIZE;
+
+    /// A resident size: small and page-unaligned, or anywhere up to the RAM
+    /// bound.
+    fn resident(g: &mut crate::rng::SplitMix64) -> u64 {
+        if g.next_bool() {
+            g.range_u64(0, 1 << 16)
+        } else {
+            g.range_u64(0, RAM_BOUND + 1)
+        }
+    }
+
+    /// The process keeps what a byte-counting model keeps, with every
+    /// resident size rounded up to whole pages, for sizes up to the RAM
+    /// bound: the page counters neither round down nor wrap.
     #[test]
     fn mapping_table_agrees_with_a_btree_model() {
         crate::prop::check("mapping_table_agrees_with_a_btree_model", 128, |g| {
             let mut p = Process::new(Pid(1), CgroupId(0), 0);
-            let mut model: BTreeMap<MappingId, Mapping> = BTreeMap::new();
+            // Id → (len, anon bytes, file bytes), whole pages.
+            let mut model: BTreeMap<MappingId, (MappingId, u64, u64, u64)> = BTreeMap::new();
             for _ in 0..1 + g.index(96) {
                 // Any id: live, removed, or never issued (the last two must
                 // miss the same way).
                 let issued = p.mapping_mark().0;
-                let any = MappingId(g.range_u64(0, issued + 2));
+                let any = MappingId(g.range_u64(0, u64::from(issued) + 2) as u32);
                 match g.index(5) {
                     0..=2 => {
                         let id = p.alloc_mapping_id();
                         assert_eq!(id.0, issued, "ids are issued in order, never reused");
-                        let m = anon(id, g.range_u64(1, 1 << 20), g.range_u64(0, 1 << 16));
-                        model.insert(id, m.clone());
-                        p.insert_mapping(m);
+                        let (len, committed) = (g.range_u64(1, 1 << 20), resident(g));
+                        model.insert(id, (id, len, round_up_pages(committed, PAGE_SIZE), 0));
+                        p.insert_mapping(anon(id, len, committed));
                     }
                     3 => {
                         let removed = p.remove_mapping(any);
-                        assert_eq!(
-                            removed.as_ref().map(fields),
-                            model.remove(&any).as_ref().map(fields)
-                        );
+                        assert_eq!(removed.as_ref().map(fields), model.remove(&any));
                         assert_eq!(p.mapping_mark().0, issued, "a removal frees no id");
                     }
                     _ => {
-                        let (anon_bytes, file_bytes) =
-                            (g.range_u64(0, 1 << 16), g.range_u64(0, 1 << 16));
+                        let (anon_bytes, file_bytes) = (resident(g), resident(g));
                         p.set_resident(any, anon_bytes, file_bytes);
                         if let Some(m) = model.get_mut(&any) {
-                            m.committed_anon = anon_bytes;
-                            m.touched_file = file_bytes;
+                            m.2 = round_up_pages(anon_bytes, PAGE_SIZE);
+                            m.3 = round_up_pages(file_bytes, PAGE_SIZE);
                         }
                     }
                 }
                 p.check().unwrap();
-                assert!(p.mappings().map(fields).eq(model.values().map(fields)), "id order");
-                assert_eq!(p.rss(), model.values().map(|m| m.rss()).sum::<u64>());
-                assert_eq!(p.vsz(), model.values().map(|m| m.len).sum::<u64>());
-                assert_eq!(p.anon_bytes(), model.values().map(|m| m.committed_anon).sum::<u64>());
+                assert!(p.mappings().map(fields).eq(model.values().copied()), "id order");
+                assert_eq!(p.rss(), model.values().map(|m| m.2 + m.3).sum::<u64>());
+                assert_eq!(p.vsz(), model.values().map(|m| m.1).sum::<u64>());
+                assert_eq!(p.anon_bytes(), model.values().map(|m| m.2).sum::<u64>());
                 for id in (0..p.mapping_mark().0 + 2).map(MappingId) {
-                    assert_eq!(p.mapping(id).map(fields), model.get(&id).map(fields), "{id:?}");
+                    assert_eq!(p.mapping(id).map(fields), model.get(&id).copied(), "{id:?}");
                 }
             }
             let taken = p.take_mappings();
-            assert!(taken.iter().map(fields).eq(model.values().map(fields)), "teardown order");
+            assert!(taken.iter().map(fields).eq(model.values().copied()), "teardown order");
             assert_eq!((p.rss(), p.mappings().count()), (0, 0));
         });
     }
@@ -257,8 +275,8 @@ mod tests {
             })
             .collect();
         let mark = p.mapping_mark();
-        assert_eq!(p.remove_mapping(ids[1]).map(|m| m.committed_anon), Some(8192));
-        assert_eq!(p.remove_mapping(ids[3]).map(|m| m.committed_anon), Some(16384));
+        assert_eq!(p.remove_mapping(ids[1]).map(|m| m.resident().0), Some(8192));
+        assert_eq!(p.remove_mapping(ids[3]).map(|m| m.resident().0), Some(16384));
         assert!(p.remove_mapping(ids[1]).is_none(), "already removed");
         assert_eq!(p.mappings().map(|m| m.id).collect::<Vec<_>>(), [ids[0], ids[2]]);
         assert_eq!(p.rss(), 4096 + 12288);
@@ -275,14 +293,7 @@ mod tests {
     fn rss_and_vsz() {
         let mut p = Process::new(Pid(1), CgroupId(0), 0);
         let id = p.alloc_mapping_id();
-        p.insert_mapping(Mapping {
-            id,
-            kind: MapKind::AnonPrivate,
-            len: 1 << 20,
-            committed_anon: 4096,
-            touched_file: 0,
-            label: "heap",
-        });
+        p.insert_mapping(anon(id, 1 << 20, 4096));
         assert_eq!(p.rss(), 4096);
         assert_eq!(p.vsz(), 1 << 20);
         assert_eq!(p.anon_bytes(), 4096);

@@ -28,7 +28,7 @@ macro_rules! table_id {
             }
 
             fn from_index(index: usize) -> Self {
-                $id(index as u64)
+                $id(index as _)
             }
         }
     )*};

@@ -14,9 +14,10 @@ use bytelite::Bytes;
 use crate::cgroup::CgroupId;
 use crate::table::IdTable;
 
-/// Identifier of a file in the VFS.
+/// Identifier of a file in the VFS. Ids are slots of an `IdTable`, so one
+/// past 2³² would already have cost the table 32 GiB of slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FileId(pub u64);
+pub struct FileId(pub u32);
 
 /// File contents: real bytes or a synthetic size.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,7 +76,7 @@ impl File {
 /// prefixes, which is all the container stack needs for bundles and images).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Vfs {
-    next_id: u64,
+    next_id: u32,
     files: IdTable<FileId, File>,
     /// Every file's id under a 32-bit hash of its path, sorted: a lookup
     /// binary-searches one flat array of 8-byte entries and compares paths
@@ -96,7 +97,7 @@ impl Vfs {
         let hash = path_hash(path);
         let at = self.find(hash, path).err()?;
         let id = FileId(self.next_id);
-        self.next_id += 1;
+        self.next_id = self.next_id.checked_add(1).expect("file ids stay below 2^32");
         self.files.insert(
             id,
             File {
@@ -108,7 +109,7 @@ impl Vfs {
                 map_refs: 0,
             },
         );
-        self.by_path.insert(at, (hash, slot(id)));
+        self.by_path.insert(at, (hash, id.0));
         Some(id)
     }
 
@@ -164,7 +165,7 @@ impl Vfs {
 
     /// Remove a file; returns the bytes that were cached (for uncharging).
     pub(crate) fn remove(&mut self, id: FileId) -> Option<(File, u64)> {
-        let entry = (path_hash(&self.files.get(id)?.path), slot(id));
+        let entry = (path_hash(&self.files.get(id)?.path), id.0);
         let at = self.by_path.binary_search(&entry).expect("every file is indexed");
         self.by_path.remove(at);
         let f = self.files.remove(id).expect("found above");
@@ -237,14 +238,8 @@ fn path_hash(path: &str) -> u32 {
     BuildHasherDefault::<DefaultHasher>::default().hash_one(path) as u32
 }
 
-/// A file id as an index entry holds it. Ids are slots of an `IdTable`, so
-/// one past 2³² would already have cost the table 32 GiB of slots.
-fn slot(id: FileId) -> u32 {
-    u32::try_from(id.0).expect("file ids stay below 2^32")
-}
-
 fn file(&(_, id): &(u32, u32)) -> FileId {
-    FileId(id.into())
+    FileId(id)
 }
 
 #[cfg(test)]

@@ -157,14 +157,14 @@ fn oom_killed_container_via_memory_limit() {
     };
     let pod = kernel.cgroup_create(memwasm::simkernel::Kernel::ROOT_CGROUP, "pod-oom").unwrap();
     let mut c = rt.create(&ctx, "oom", &bundle, pod).unwrap();
-    let container_pid = c.pid;
+    let container_pid = c.run.pid;
     let err = rt.start(&ctx, &mut c, &bundle).unwrap_err();
     assert!(
         matches!(err, memwasm::simkernel::KernelError::OutOfMemory { .. }),
         "expected OOM, got {err}"
     );
     assert_eq!(kernel.proc_state(container_pid).unwrap(), ProcState::OomKilled);
-    assert!(kernel.cgroup_oom_events(c.cgroup).unwrap() >= 1);
+    assert!(kernel.cgroup_oom_events(c.run.cgroup).unwrap() >= 1);
 }
 
 #[test]
@@ -235,7 +235,7 @@ fn python_script_outside_the_grammar_fails_cleanly() {
             Err(KernelError::InvalidState(m)) => assert!(m.starts_with(error), "{name}: {m}"),
             other => panic!("{name}: {other:?}"),
         }
-        rt.delete(&mut c).unwrap();
+        rt.delete(&mut c.run).unwrap();
         kernel.cgroup_remove(pod).unwrap();
         assert_eq!(kernel.check_accounting(), Ok(()), "{name}");
         assert_eq!(kernel.free().used, used, "{name}: nothing left charged");

@@ -155,45 +155,30 @@ fn cycle(config: Config, workload: &Workload, pods: usize) -> KernelResult<Cycle
 /// more one-entry B-tree leaf per pod (≥ 368 B), or a dozen more boxes per
 /// start, does not fit.
 ///
-/// | config | bytes / blocks per pod | before cgroups held only set controllers | before a process held only what it is | before programs were shared | before `config.json` was a size | before id-indexed tables | when the test was written | allocations per start | before cgroups held only set controllers | before a process held only what it is | before programs were shared | before `config.json` was counted | before a start built only what it keeps | before bundles kept their spec | before guests were replayed |
-/// |---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|
-/// | crun-wamr | 2 733.6 / 23.3 | 3 306.9 / 24.3 | 4 083.6 / 30.3 | 4 723.9 / 31.3 | 5 739.8 / 33.3 | 7 989.2 / 38.1 | 19 908.2 / 87.6 | 68 | 69 | 79 | 80 | 82 | 159 | 267 | 334 |
-/// | shim-wasmtime | 2 397.1 / 13.3 | 2 746.4 / 13.3 | 3 061.3 / 15.3 | 3 488.4 / 16.3 | 4 064.3 / 17.3 | 5 348.4 / 21.1 | 14 780.3 / 66.6 | 41 | 41 | 42 | 43 | 44 | 73 | 80 | 147 |
-/// | crun-wasmtime | 3 249.7 / 23.3 | 3 822.9 / 24.3 | 4 599.6 / 30.3 | 5 250.7 / 31.3 | 6 266.6 / 33.3 | 8 537.3 / 38.1 | 20 123.2 / 88.6 | 72 | 73 | 83 | 84 | 86 | 163 | 271 | 338 |
+/// | config | bytes / blocks per pod | before pods shared a template | before cgroups held only set controllers | before a process held only what it is | before programs were shared | before `config.json` was a size | before id-indexed tables | when the test was written | allocations per start | before cgroups held only set controllers | before a process held only what it is | before programs were shared | before `config.json` was counted | before a start built only what it keeps | before bundles kept their spec | before guests were replayed |
+/// |---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|
+/// | crun-wamr | 2 079.2 / 21.3 | 2 733.6 / 23.3 | 3 306.9 / 24.3 | 4 083.6 / 30.3 | 4 723.9 / 31.3 | 5 739.8 / 33.3 | 7 989.2 / 38.1 | 19 908.2 / 87.6 | 68 | 69 | 79 | 80 | 82 | 159 | 267 | 334 |
+/// | shim-wasmtime | 1 705.5 / 13.3 | 2 397.1 / 13.3 | 2 746.4 / 13.3 | 3 061.3 / 15.3 | 3 488.4 / 16.3 | 4 064.3 / 17.3 | 5 348.4 / 21.1 | 14 780.3 / 66.6 | 41 | 41 | 42 | 43 | 44 | 73 | 80 | 147 |
+/// | crun-wasmtime | 2 467.2 / 21.3 | 3 249.7 / 23.3 | 3 822.9 / 24.3 | 4 599.6 / 30.3 | 5 250.7 / 31.3 | 6 266.6 / 33.3 | 8 537.3 / 38.1 | 20 123.2 / 88.6 | 72 | 73 | 83 | 84 | 86 | 163 | 271 | 338 |
 ///
-/// The third column (and the tenth) is a tree in which every cgroup (a
-/// crun pod makes three) held the cpu and io state of controllers it never
-/// set and a vector of its children, 208 bytes where it now takes 112, and
-/// containerd and the kubelet added a mapping per pod and per container
-/// to their heaps rather than growing one. The fourth column (and the
-/// eleventh) is a tree in which each process kept
-/// a name built per start, a vector of its namespace kinds, and mappings in
-/// a vector grown from four: 120 bytes a record, where a pod's four now take
-/// 80 and hold their mappings at their count. The fifth column (and the
-/// twelfth) is a tree in which every pod kept its
-/// own copy of its start's step program, shrunk to fit: ~40 records of
-/// 16 bytes where a node's warm pods now share one. The sixth is a tree
-/// whose bundles wrote each `config.json` as its text and kept the buffer
-/// until the container started: about 1 KB per crun pod, and one more
-/// allocation per bundle (161 / 74 / 165 per start). The seventh keeps
-/// processes, cgroups, files and sandboxes inline in `BTreeMap` leaves,
-/// every file path twice, a `String` per pod for its image and runtime
-/// class, and a 24-byte trace record. The eighth is the tree with a
-/// `BTreeMap` per process and per sandbox, two rootfs maps per bundle, a
-/// `String` per mapping label and traces left at their growth capacity.
-/// The thirteenth is a start that writes each `config.json` as a `String` to
-/// take its length. The fourteenth is a start that grows a step trace per layer
-/// and copies each into its caller's, builds every constant of two OCI
-/// specs and of eight process images anew, and formats each process name
-/// and then copies it. The fifteenth is a crun pod start that parses the
-/// two `config.json` documents it has just written twice each. The last is
-/// a start that builds a WASI context, fifteen boxed host functions with
-/// their names, an instance and a linear memory for a guest the process
-/// has already run.
+/// Each "before" column is the tree just before the change it names, and
+/// CHANGES.md says what that change took out. In brief, going back: each
+/// pod kept a copy of its deployment's template, a sandbox two full
+/// runtime container records with three id strings and its stdout, and a
+/// mapping took 64 bytes; cgroups held unset controllers and daemons added
+/// a mapping per pod; a process kept a name and a namespace list; each pod
+/// kept its own step program; bundles wrote and kept `config.json` text
+/// (one more allocation per start); tables were `BTreeMap`s keyed inline,
+/// with every path twice and a `String` per image and class; and before
+/// that, a map per process, label strings and traces at growth capacity.
+/// Allocations fell further back as starts stopped writing `config.json`
+/// as a `String`, stopped growing and copying a trace per layer, stopped
+/// parsing each `config.json` twice, and stopped rebuilding a guest the
+/// process had already run.
 const BUDGETS: [(Config, usize, usize, usize); 3] = [
-    (Config::WamrCrun, 2_840, 24, 71),
-    (Config::ShimWasmtime, 2_490, 14, 43),
-    (Config::CrunWasmtime, 3_380, 24, 75),
+    (Config::WamrCrun, 2_160, 22, 71),
+    (Config::ShimWasmtime, 1_780, 14, 43),
+    (Config::CrunWasmtime, 2_560, 22, 75),
 ];
 
 /// Allocations `measure_startup` may make per pod it simulates: its steps

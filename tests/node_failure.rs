@@ -167,7 +167,7 @@ fn drain_racing_rolling_update_converges_within_budget() {
     assert_eq!(cluster.node(victim).kubelet.pod_count(), 0);
     for r in &ctrl.replicas {
         let e = cluster.node(r.node).kubelet.managed_pod(&r.pod).unwrap();
-        assert_eq!(&*e.spec.image, image_v2);
+        assert_eq!(e.spec.image(), image_v2);
     }
     assert_accounting(&cluster);
 }
