@@ -203,11 +203,11 @@ pub struct GuestOutcome {
 }
 
 /// The process-wide record of what each distinct guest does, shared by
-/// every cluster and worker thread. One entry per distinct guest ever
-/// started, pinning its module as the artifact cache pins the buffer;
-/// after [`ArtifactCache::clear`] a module is decoded into a new `Arc`,
-/// misses here and is executed again. `clear()` for tests that reset
-/// process-wide state.
+/// every cluster (and every test thread) in the process. One entry per
+/// distinct guest ever started, pinning its module as the artifact cache
+/// pins the buffer; after [`ArtifactCache::clear`] a module is decoded into
+/// a new `Arc`, misses here and is executed again. `clear()` for tests that
+/// reset process-wide state.
 pub fn guests() -> &'static Replay<GuestKey, GuestOutcome> {
     static GUESTS: Replay<GuestKey, GuestOutcome> = Replay::new();
     &GUESTS
@@ -398,7 +398,7 @@ pub fn run_module(
 
     // Decode + validate through the process-wide artifact cache: the host
     // decodes and validates each distinct module once and shares the
-    // result across containers, clusters, and worker threads. The
+    // result across containers, clusters and test threads. The
     // *simulated* validation cost is unchanged — still charged here, per
     // container, for every engine. The cache addresses the module by its
     // contents; `module_key` is that address, what Wasmtime names its

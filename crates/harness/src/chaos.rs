@@ -24,7 +24,6 @@ use oci_spec_lite::ImageBuilder;
 use simkernel::{Duration, FaultPlan, FaultSite, KernelResult, SimTime};
 
 use crate::config::{Config, Workload};
-use crate::parallel::run_grid;
 use crate::report::Table;
 use crate::runner::{new_cluster, supervise, warmup};
 
@@ -255,15 +254,18 @@ pub struct SweepOutcome {
 
 /// Sweep every Wasm configuration under the plan — the all-sites fault run
 /// per configuration plus the hung-guest watchdog scenario — and assemble
-/// the report table (one row per run, per-site injection columns). Runs
-/// fan out over [`run_grid`] and merge in this order.
+/// the report table (one row per run, per-site injection columns), in
+/// this order.
 pub fn sweep(workload: &Workload, plan: &ChaosPlan) -> KernelResult<(Table, SweepOutcome)> {
     let runs: Vec<(Config, Scenario)> = WASM_CONFIGS
         .iter()
         .map(|&c| (c, Scenario::faults()))
         .chain(HUNG_CONFIGS.iter().map(|&c| (c, Scenario::hung_guest())))
         .collect();
-    let mut faults = run_grid(&runs, |(c, s)| run_config(*c, s, workload, plan))?;
+    let mut faults = runs
+        .iter()
+        .map(|(c, s)| run_config(*c, s, workload, plan))
+        .collect::<KernelResult<Vec<_>>>()?;
     let hung = faults.split_off(WASM_CONFIGS.len());
 
     let mut columns: Vec<String> = FaultSite::ALL.iter().map(|s| s.label().to_string()).collect();

@@ -14,7 +14,6 @@ use simkernel::{Duration, KernelConfig, KernelResult};
 
 use crate::config::{Config, Workload};
 use crate::explorer::Settled;
-use crate::parallel::run_grid;
 use crate::report::{mb, Table};
 
 /// One multi-node density sweep of the contribution config under spread
@@ -116,16 +115,17 @@ pub fn measure_scale(
     })
 }
 
-/// The pods-per-cluster density sweep: one row per density, measured on
-/// independent fresh clusters (fanned across `HARNESS_THREADS` workers,
-/// merged in sweep order — byte-identical to a serial run).
+/// The pods-per-cluster density sweep: one row per density, each measured
+/// on a fresh cluster, in sweep order.
 pub fn density_sweep(
     plan: &ScalePlan,
     workload: &Workload,
 ) -> KernelResult<(Table, Vec<ScaleSample>)> {
-    let samples = run_grid(&plan.densities, |&pods| {
-        measure_scale(SWEEP_CONFIG, plan.nodes, pods, SWEEP_POLICY, workload)
-    })?;
+    let samples = plan
+        .densities
+        .iter()
+        .map(|&pods| measure_scale(SWEEP_CONFIG, plan.nodes, pods, SWEEP_POLICY, workload))
+        .collect::<KernelResult<Vec<_>>>()?;
     let mut table = Table::new(
         format!(
             "Cluster density sweep: {} on {} nodes ({} placement)",
@@ -159,16 +159,17 @@ pub fn density_sweep(
 }
 
 /// Scheduler-policy ablation: the same (nodes, pods) point under every
-/// [`Policy`], one row per policy (fanned out and merged like
-/// [`density_sweep`]).
+/// [`Policy`], one row per policy (measured like [`density_sweep`]).
 pub fn policy_ablation(
     config: Config,
     nodes: usize,
     pods: usize,
     workload: &Workload,
 ) -> KernelResult<Table> {
-    let samples =
-        run_grid(&Policy::ALL, |&policy| measure_scale(config, nodes, pods, policy, workload))?;
+    let samples = Policy::ALL
+        .iter()
+        .map(|&policy| measure_scale(config, nodes, pods, policy, workload))
+        .collect::<KernelResult<Vec<_>>>()?;
     let mut table = Table::new(
         format!("Scheduler-policy ablation: {} pods on {} nodes, {}", pods, nodes, config.label()),
         vec![

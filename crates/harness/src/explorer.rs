@@ -12,10 +12,9 @@
 //! deep copy on a clock of its own, sharing nothing mutable with the
 //! template or a sibling. Schedules are therefore as independent as on
 //! fresh clusters, and a schedule's outcome is a function of its events:
-//! [`explore`] runs each distinct event sequence once, fanned across
-//! `HARNESS_THREADS` workers, and gives its outcome to every schedule that
-//! drew it, in seed order. The rendered report is byte-identical for any
-//! worker count, and to running each schedule through a standalone
+//! [`explore`] runs each distinct event sequence once and gives its outcome
+//! to every schedule that drew it, in seed order. The rendered report is
+//! byte-identical to running each schedule through a standalone
 //! [`run_schedule`].
 //!
 //! After the last event the harness drives lease ticks, controller and
@@ -39,7 +38,6 @@ use simkernel::{Duration, KernelError, KernelResult};
 
 use crate::cluster_scale::{new_scaled_cluster, warmup_nodes};
 use crate::config::{Config, Workload};
-use crate::parallel::run_grid;
 
 /// One step of a fault schedule, naming its target node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -507,8 +505,8 @@ pub struct ExploreReport {
 
 impl ExploreReport {
     /// Render the full run as text — one line per schedule plus one block
-    /// per counterexample. Byte-identical across worker counts and
-    /// repeated runs (the determinism tests compare exactly this).
+    /// per counterexample. Byte-identical across repeated runs (the
+    /// determinism tests compare exactly this).
     pub fn render(&self) -> String {
         let mut out = String::new();
         for (i, o) in self.outcomes.iter().enumerate() {
@@ -542,11 +540,9 @@ impl ExploreReport {
 }
 
 /// Boot the plan's settled cluster once and draw every schedule. Each
-/// distinct event sequence runs once, in first-drawn order, fanned across
-/// `HARNESS_THREADS` work-stealing workers (each on its own fork of the
-/// borrowed template); every schedule gets its sequence's outcome under its
-/// own seed. Then each distinct violated sequence is shrunk once, serially.
-/// Byte-identical output for any worker count.
+/// distinct event sequence runs once, in first-drawn order, on its own fork
+/// of the template; every schedule gets its sequence's outcome under its
+/// own seed. Then each distinct violated sequence is shrunk once.
 pub fn explore(
     plan: &ExplorePlan,
     workload: &Workload,
@@ -568,9 +564,10 @@ pub fn explore(
             })
         })
         .collect();
-    let ran = run_grid(&distinct, |(seed, events)| {
-        run_settled(template.fork(), plan, *seed, events, workload, knobs)
-    })?;
+    let ran = distinct
+        .iter()
+        .map(|(seed, events)| run_settled(template.fork(), plan, *seed, events, workload, knobs))
+        .collect::<KernelResult<Vec<_>>>()?;
     // Every fork has run and gone; the template they copied must be as
     // consistent as when it settled.
     if let Some(drift) = accounting_drift(&template.cluster).next() {

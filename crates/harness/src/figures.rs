@@ -12,9 +12,8 @@
 use simkernel::{KernelError, KernelResult, Phase};
 
 use crate::config::{Config, Workload};
-use crate::parallel::{run_cells, Cell};
 use crate::report::{mb, Table};
-use crate::runner::{deploy_density, MemorySample, StartupSample};
+use crate::runner::{deploy_density, measure_cell, MemorySample, Observe, StartupSample};
 
 /// The paper's deployment densities (Table II: 10 to 400 containers).
 pub const PAPER_DENSITIES: [usize; 3] = [10, 100, 400];
@@ -37,8 +36,8 @@ pub struct Grid {
 
 impl Grid {
     /// Deploy every (configuration, density) cell once — each on its own
-    /// freshly booted, warmed cluster, through the parallel driver — and
-    /// keep all three readings. Densities are put in ascending order, and
+    /// freshly booted, warmed cluster, in grid order — and keep all three
+    /// readings. Densities are put in ascending order, and
     /// one listed twice is measured once.
     pub fn measure(
         configs: &[Config],
@@ -48,17 +47,17 @@ impl Grid {
         let mut densities = densities.to_vec();
         densities.sort_unstable();
         densities.dedup();
-        let cells: Vec<Cell> = configs
+        let samples = configs
             .iter()
-            .flat_map(|&c| densities.iter().map(move |&d| Cell::both(c, d)))
-            .collect();
-        let samples = run_cells(&cells, workload)?
-            .into_iter()
-            .map(|c| Sample {
-                memory: c.memory.expect("Cell::both observes memory"),
-                startup: c.startup.expect("Cell::both observes startup"),
+            .flat_map(|&c| densities.iter().map(move |&d| (c, d)))
+            .map(|(c, d)| {
+                let cell = measure_cell(c, d, workload, Observe::Both)?;
+                Ok(Sample {
+                    memory: cell.memory.expect("Observe::Both observes memory"),
+                    startup: cell.startup.expect("Observe::Both observes startup"),
+                })
             })
-            .collect();
+            .collect::<KernelResult<Vec<_>>>()?;
         Ok(Grid { densities, samples })
     }
 

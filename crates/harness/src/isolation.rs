@@ -23,15 +23,14 @@
 //! Determinism: a run with `attacker == None` arms neither the io model
 //! nor any cgroup limit, so it exercises exactly the pre-existing deploy
 //! path — the zero-attacker run is byte-identical to a plain supervised
-//! deploy, and the whole sweep is byte-identical across worker counts
-//! (merged in grid order, like the figure driver).
+//! deploy, and the whole sweep is byte-identical across runs (cells run
+//! in grid order, like the figure grid's).
 
 use k8s_sim::{Cluster, DeployOpts, NodeConfig, PodPhase, ProbeSpec, RestartPolicy};
 use oci_spec_lite::ImageBuilder;
 use simkernel::{Duration, IoModel, KernelConfig, KernelResult, Sim, TaskSpec};
 
 use crate::config::{Config, Workload};
-use crate::parallel::run_grid;
 use crate::report::Table;
 use crate::runner::{supervise, warmup};
 
@@ -462,9 +461,7 @@ pub fn check_isolation(s: &IsolationScore, plan: &IsolationPlan) -> Result<(), S
 /// one attacker-free baseline plus one run per attacker — and assemble the
 /// score table (rows: configurations; columns: attackers).
 ///
-/// Cells fan out over [`run_grid`]'s workers exactly like the figure
-/// driver: every cell boots its own cluster, and results merge in grid
-/// order, so the table is byte-identical for every `HARNESS_THREADS`.
+/// Every cell boots its own cluster; cells run in grid order.
 pub fn isolation_sweep(
     configs: &[Config],
     attackers: &[Attacker],
@@ -478,7 +475,10 @@ pub fn isolation_sweep(
         })
         .collect();
 
-    let runs = run_grid(&cells, |&(c, a)| run_tenants(c, workload, plan, a))?;
+    let runs = cells
+        .iter()
+        .map(|&(c, a)| run_tenants(c, workload, plan, a))
+        .collect::<KernelResult<Vec<_>>>()?;
 
     let mut table = Table::new(
         format!(

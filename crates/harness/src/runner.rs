@@ -155,6 +155,35 @@ pub fn measure_cell(
     Ok(CellSample { config, density, memory, startup })
 }
 
+/// One (configuration, density, observers) point of an experiment grid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Cell {
+    pub config: Config,
+    pub density: usize,
+    pub observe: Observe,
+}
+
+impl Cell {
+    pub fn startup(config: Config, density: usize) -> Cell {
+        Cell { config, density, observe: Observe::Startup }
+    }
+
+    pub fn both(config: Config, density: usize) -> Cell {
+        Cell { config, density, observe: Observe::Both }
+    }
+}
+
+/// [`measure_cell`] on every cell in order; the first error stops the run.
+/// `threads` is unread: `benchmark/` still passes it and reports
+/// `harness.parallel.speedup_2w`, which therefore reads about 1.0.
+pub fn run_cells_on(
+    cells: &[Cell],
+    workload: &Workload,
+    _threads: usize,
+) -> KernelResult<Vec<CellSample>> {
+    cells.iter().map(|c| measure_cell(c.config, c.density, workload, c.observe)).collect()
+}
+
 /// What [`measure_stack`] reads, each part iff observed: the memory
 /// observers (metrics-server working set, `free` growth; bytes per pod)
 /// and the startup makespan.

@@ -38,7 +38,6 @@ use simkernel::rng::SplitMix64;
 use simkernel::{CalendarQueue, Duration, KernelResult, SimTime};
 
 use crate::config::{Config, Workload};
-use crate::parallel::run_grid;
 use crate::report::Table;
 use crate::runner::warmup;
 
@@ -845,15 +844,16 @@ pub fn run_steady_cell(
     })
 }
 
-/// The traffic sweep: one steady-state cell per config, fanned out over
-/// [`run_grid`]'s workers and merged in grid order — byte-identical for
-/// every `HARNESS_THREADS`.
+/// The traffic sweep: one steady-state cell per config, in config order.
 pub fn traffic_sweep(
     configs: &[Config],
     workload: &Workload,
     plan: &SweepPlan,
 ) -> KernelResult<(Table, Vec<TrafficSummary>)> {
-    let summaries = run_grid(configs, |&c| run_steady_cell(c, workload, plan))?;
+    let summaries = configs
+        .iter()
+        .map(|&c| run_steady_cell(c, workload, plan))
+        .collect::<KernelResult<Vec<_>>>()?;
 
     let mut table = Table::new(
         format!(
@@ -1101,14 +1101,13 @@ pub fn check_contract(o: &ContractOutcome, _plan: &ContractPlan) -> Result<(), S
     Ok(())
 }
 
-/// Run the contract for every config in parallel (work-stealing, results
-/// in grid order).
+/// Run the contract for every config, in config order.
 pub fn contract_sweep(
     configs: &[Config],
     workload: &Workload,
     plan: &ContractPlan,
 ) -> KernelResult<Vec<ContractOutcome>> {
-    run_grid(configs, |&c| run_overload_contract(c, workload, plan))
+    configs.iter().map(|&c| run_overload_contract(c, workload, plan)).collect()
 }
 
 /// The overload-recovery table (one row per config).

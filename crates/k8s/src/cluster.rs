@@ -68,14 +68,6 @@ pub struct Cluster {
     clock: Clock,
 }
 
-// The fault explorer's workers all borrow one cluster to fork. An `Rc`, a
-// `RefCell` or a non-`Sync` handler added to any layer below fails here,
-// not as a trait-bound error inside `harness::parallel`.
-const _: fn() = || {
-    fn shared<T: Send + Sync>() {}
-    shared::<Cluster>();
-};
-
 /// Cluster-level bookkeeping counters (summed over all nodes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ClusterStats {

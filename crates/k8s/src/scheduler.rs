@@ -12,7 +12,7 @@
 //! Scoring is pure integer comparison with a lowest-node-index tie-break,
 //! so placement is deterministic for a given cluster state — the
 //! scheduler-determinism tests pin the resulting tables byte-identical
-//! across worker counts and repeated runs.
+//! across repeated runs.
 
 use crate::node::Node;
 

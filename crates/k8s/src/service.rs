@@ -34,7 +34,7 @@
 //! harness's event loop) own time and drive [`Service::admit`] /
 //! [`Service::try_start`] / [`Service::complete`] / [`Service::sync`]
 //! explicitly, which is what makes whole traffic sweeps byte-identical
-//! across worker counts.
+//! across runs.
 
 use std::collections::VecDeque;
 
@@ -686,7 +686,7 @@ impl Service {
 
 /// A deterministic log-bucketed latency histogram (16 sub-buckets per
 /// power of two, ~4-6% relative resolution): integer-only, so percentile
-/// tables are byte-identical across worker counts and platforms.
+/// tables are byte-identical across runs and platforms.
 #[derive(Debug, Clone)]
 pub struct LatencyHistogram {
     counts: Vec<u64>,

@@ -147,8 +147,7 @@ impl Kernel {
     pub const ROOT_CGROUP: CgroupId = CgroupId(0);
 
     /// Lock the kernel state. Poisoning is ignored: the state is a plain
-    /// value and a panicking worker thread (parallel experiment driver)
-    /// must not wedge every other worker sharing this kernel.
+    /// value.
     /// A cluster moves the clock without visiting its nodes, so a queued
     /// cold-read backlog is drained up to now before anything reads it.
     /// A doorway that makes several calls in a row takes this guard once.

@@ -6,7 +6,7 @@
 //! decode/validate steps), but on the *host* side re-decoding an identical
 //! module hundreds of times per experiment grid cell is pure waste. This
 //! cache shares one decoded, validated [`Module`] per distinct byte string
-//! across all clusters and worker threads in the process.
+//! across all clusters (and test threads) in the process.
 //!
 //! Keys are FNV-1a content hashes; each bucket stores the full original
 //! bytes so hash collisions degrade to byte comparison, never to a wrong
@@ -33,9 +33,8 @@
 //! Both maps and the counters sit behind one mutex. A lookup holds it for
 //! a hash probe; a miss, once per distinct module, holds it while it
 //! decodes and validates, so a module is decoded exactly once however many
-//! workers ask for it at the same time. The times a lookup found the lock
-//! held are counted in [`CacheStats::lock_contentions`], a driver-scaling
-//! canary the harness can watch.
+//! test threads ask for it at the same time. The times a lookup found the
+//! lock held are counted in [`CacheStats::lock_contentions`].
 //!
 //! [`clear`]: ArtifactCache::clear
 //!
@@ -140,7 +139,7 @@ impl ArtifactCache {
         self.maps.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The process-wide cache shared by every engine and worker thread.
+    /// The process-wide cache shared by every engine and test thread.
     pub fn global() -> &'static ArtifactCache {
         static GLOBAL: OnceLock<ArtifactCache> = OnceLock::new();
         GLOBAL.get_or_init(ArtifactCache::default)

@@ -109,8 +109,8 @@ pub fn microservice_module(cfg: &MicroserviceConfig) -> Vec<u8> {
 /// the memo each deployment re-runs the module builder.
 pub fn microservice_module_bytes(cfg: &MicroserviceConfig) -> Bytes {
     static MEMO: RwLock<Option<HashMap<MicroserviceConfig, Bytes>>> = RwLock::new(None);
-    // Read-locked fast path: after warm-up every deployment on every
-    // driver worker hits here concurrently, so this must not serialize.
+    // Read-locked fast path: after warm-up every deployment hits here,
+    // from any test thread, so this must not serialize.
     if let Some(bytes) = MEMO
         .read()
         .unwrap_or_else(std::sync::PoisonError::into_inner)

@@ -6,11 +6,10 @@
 # Usage: scripts/same_outputs.sh <parent-tree> [<out-dir>]
 #
 # Builds each side's harness binaries, examples and benchmark package, then
-# at HARNESS_THREADS=1 and =4 runs `figures all phases table1 table2
-# claims` and `cluster --smoke`, the four `studies`, the seven `chaos`
-# modes (`--explore --schedules 200` among them), the four `traffic` modes
-# and the four examples, and `diff -r`s the stdouts and the CSVs they
-# leave in target/experiments. Then compares the `sim_digest` of the five
+# runs `figures all phases table1 table2 claims` and `cluster --smoke`, the
+# four `studies`, the seven `chaos` modes (`--explore --schedules 200`
+# among them), the four `traffic` modes and the four examples, and
+# `diff -r`s the stdouts and the CSVs they leave in target/experiments. Then compares the `sim_digest` of the five
 # benchmark workloads at seeds 1 and 5. Exits 1 on any difference and 2 on
 # a usage or build error. Outputs stay in <out-dir> (default: a new
 # temporary directory) for inspection.
@@ -59,15 +58,10 @@ run_side() {
 }
 
 differ=0
-for n in 1 4; do
-  echo "== outputs at HARNESS_THREADS=$n =="
-  for side in parent change; do
-    src=$parent
-    [ $side = change ] && src=$change
-    (export HARNESS_THREADS=$n; run_side "$src" "$out/${side}_t$n")
-  done
-  diff -r "$out/parent_t$n" "$out/change_t$n" || differ=1
-done
+echo "== outputs =="
+run_side "$parent" "$out/parent"
+run_side "$change" "$out/change"
+diff -r "$out/parent" "$out/change" || differ=1
 
 echo "== sim_digest =="
 for w in fig_sweep dense_cluster traffic_steady traffic_overload fault_explore; do

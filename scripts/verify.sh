@@ -125,27 +125,12 @@ echo "== smoke: examples/multi_tenant (a memory limit through config.json to an 
 cargo run --release --offline --example multi_tenant >/dev/null
 
 echo "== smoke: chaos sweep + hung-guest watchdog scenario (--smoke plan) =="
-# The sweep's runs fan out over the harness's grid runner: run it on one
-# worker and on two, and the stdout and the CSV must not differ.
-for n in 1 2; do
-  HARNESS_THREADS=$n cargo run --release --offline -p harness --bin chaos -- \
-    --smoke >"target/chaos-smoke.t$n"
-  cp target/experiments/chaos.csv "target/chaos-smoke.t$n.csv"
-done
-cmp target/chaos-smoke.t1 target/chaos-smoke.t2
-cmp target/chaos-smoke.t1.csv target/chaos-smoke.t2.csv
+cargo run --release --offline -p harness --bin chaos -- --smoke >/dev/null
 
 echo "== traffic: steady sweep + overload contract on all seven configs + scenario =="
 # The full run, not --smoke: every config's overload-and-recover contract
-# (exit 1 on a violation), the heaviest load the event queue carries. The
-# sweep fans out over the grid runner, so the stdout and the CSV must not
-# depend on the worker count.
-for n in 1 2; do
-  HARNESS_THREADS=$n cargo run --release --offline -p harness --bin traffic >"target/traffic.t$n"
-  cp target/experiments/traffic.csv "target/traffic.t$n.csv"
-done
-cmp target/traffic.t1 target/traffic.t2
-cmp target/traffic.t1.csv target/traffic.t2.csv
+# (exit 1 on a violation), the heaviest load the event queue carries.
+cargo run --release --offline -p harness --bin traffic >/dev/null
 
 echo "== smoke: multi-node drain (3 nodes, drain one, controller reconverges) =="
 # A spread deployment over 3 nodes, one node drained: every victim must be
@@ -166,16 +151,10 @@ cargo run --release --offline -p harness --bin chaos -- --recovery >/dev/null
 echo "== smoke: fault-schedule explorer (30 seeded schedules) =="
 # Seeded schedules of {crash, restart, partition, heal}; every schedule
 # must reconverge and pass the invariants, violations shrink to a minimal
-# failing prefix (exit 1 if any survive). Twice: one settled cluster is
-# borrowed by every worker that forks it, so the binary's stdout must not
-# depend on how many there are. 30 schedules at the default seed are 25
-# distinct ones, so the five repeats take their outcome from the run of
-# the schedule they repeat, and the comparison covers that too.
-for n in 1 2; do
-  HARNESS_THREADS=$n cargo run --release --offline -p harness --bin chaos -- \
-    --explore --schedules 30 >"target/explore-smoke.t$n"
-done
-cmp target/explore-smoke.t1 target/explore-smoke.t2
+# failing prefix (exit 1 if any survive). 30 schedules at the default
+# seed are 25 distinct ones, so the five repeats take their outcome from
+# the run of the schedule they repeat.
+cargo run --release --offline -p harness --bin chaos -- --explore --schedules 30 >/dev/null
 
 echo "== smoke: adversarial isolation (1 attacker × 4 kinds vs 4 victims) =="
 # Containment contracts on the contribution config: every attacker
@@ -195,19 +174,8 @@ echo "== smoke: cluster density sweep + scheduler ablation (3 nodes) =="
 # measure_scale / density_sweep: the entry point the benchmark's
 # dense_cluster workload times, which no test above runs, and the one run
 # here of a multi-node measure_startup, which simulates each distinct node
-# schedule once. The sweep fans out over the grid runner, so the stdout
-# and both CSVs must not depend on the worker count.
-for n in 1 2; do
-  HARNESS_THREADS=$n cargo run --release --offline -p harness --bin figures -- \
-    cluster --smoke >"target/cluster-smoke.t$n"
-  for csv in cluster_density scheduler_ablation; do
-    cp "target/experiments/$csv.csv" "target/cluster-smoke.t$n.$csv.csv"
-  done
-done
-cmp target/cluster-smoke.t1 target/cluster-smoke.t2
-for csv in cluster_density scheduler_ablation; do
-  cmp "target/cluster-smoke.t1.$csv.csv" "target/cluster-smoke.t2.$csv.csv"
-done
+# schedule once.
+cargo run --release --offline -p harness --bin figures -- cluster --smoke >/dev/null
 
 # fenced_block <regex>: the first fenced block of EXPERIMENTS.md after the
 # line matching <regex>, fences left out. A block that must equal a

@@ -1,42 +1,28 @@
 //! Multi-node determinism: scheduler placement and the cluster-scale
 //! tables are pure functions of the plan — byte-identical across repeated
-//! runs and across `HARNESS_THREADS` worker counts — and the startup DES's
-//! outcomes on figure paths are pinned.
-
-use std::sync::Mutex;
+//! runs — and the startup DES's outcomes on figure paths are pinned.
 
 use memwasm::harness::cluster_scale::{self, density_sweep, policy_ablation, run_drain, ScalePlan};
 use memwasm::harness::{Config, Workload};
 use memwasm::simkernel::{Sim, TaskSpec};
 use memwasm::wasm_core::cache::content_hash;
 
-/// Serializes every test that mutates the process-wide `HARNESS_THREADS`
-/// environment variable — tests in one binary share the environment.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
 #[test]
-fn density_sweep_is_byte_identical_across_worker_counts() {
-    let _env = ENV_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+fn density_sweep_is_byte_identical_across_runs() {
+    // The second sweep starts from the host memos the first one filled.
     let w = Workload::light();
     let plan = ScalePlan::smoke();
-
-    let mut runs = Vec::new();
-    for threads in ["1", "2", "8"] {
-        std::env::set_var("HARNESS_THREADS", threads);
+    let run = || {
         let (table, samples) = density_sweep(&plan, &w).unwrap();
-        runs.push((threads, table.to_csv().into_bytes(), samples));
-    }
-    std::env::remove_var("HARNESS_THREADS");
-    let (_, csv1, samples1) = &runs[0];
-    for (threads, csv, samples) in &runs[1..] {
-        assert_eq!(csv, csv1, "sweep CSV bytes differ at HARNESS_THREADS={threads}");
-        assert_eq!(samples, samples1, "samples differ at HARNESS_THREADS={threads}");
-    }
+        (table.to_csv().into_bytes(), samples)
+    };
+    let (first, second) = (run(), run());
+    assert_eq!(second.0, first.0, "sweep CSV bytes differ between runs");
+    assert_eq!(second.1, first.1, "samples differ between runs");
 }
 
 #[test]
 fn repeated_runs_place_identically() {
-    let _env = ENV_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let w = Workload::light();
 
     // Same plan, fresh clusters: placement and the rendered ablation table

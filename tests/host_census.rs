@@ -1,12 +1,12 @@
 //! What the five benchmark workloads cost the host, in counts: a census.
 //!
 //! Each workload's shape runs at the benchmark's smoke size through the
-//! harness entry points its pass calls, on one worker thread
-//! (`HARNESS_THREADS=1`). Per shape the test prints the allocations made,
-//! the bytes requested, the peak live heap over the live heap at the
-//! shape's start, and the simulator's own counters: DES events, guests
-//! executed and replayed, artifact-cache misses, pods the kubelets synced,
-//! and the traffic loop's peak live events. A `-` is a counter the shape's
+//! harness entry points its pass calls, on the test's own thread. Per
+//! shape the test prints the allocations made, the bytes requested, the
+//! peak live heap over the live heap at the shape's start, and the
+//! simulator's own counters: DES events, guests executed and replayed,
+//! artifact-cache misses, pods the kubelets synced, and the traffic
+//! loop's peak live events. A `-` is a counter the shape's
 //! entry point does not expose.
 //!
 //! Everything here is single-threaded and deterministic, so two runs print
@@ -226,9 +226,6 @@ fn cell<T: std::fmt::Display>(value: Option<T>, width: usize) -> String {
 #[test]
 fn each_benchmark_workload_costs_the_host_a_count() {
     COUNTED.with(|c| c.set(true));
-    // One worker: the explorer fans its schedules over `HARNESS_THREADS`,
-    // and two workers would interleave their allocations.
-    std::env::set_var("HARNESS_THREADS", "1");
     let shapes: [(&str, Shape); 5] = [
         ("fig_sweep", fig_sweep),
         ("dense_cluster", dense_cluster),

@@ -3,8 +3,6 @@
 //! racing a rolling update, and the fault-schedule explorer's determinism
 //! and shrinking contracts.
 
-use std::sync::Mutex;
-
 use memwasm::harness::chaos::{hung_liveness_probe, HUNG_IMAGE_REF};
 use memwasm::harness::explorer::{
     explore, generate_schedule, recovery_times, run_schedule, shrink, ExplorePlan, FaultEvent,
@@ -17,10 +15,6 @@ use memwasm::k8s_sim::{
 };
 use memwasm::simkernel::{Duration, KernelConfig, KernelResult, SimTime};
 use memwasm::workloads::hung_service_image;
-
-/// Serializes every test that mutates the process-wide `HARNESS_THREADS`
-/// environment variable — tests in one binary share the environment.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 /// The kernels' running totals (page cache, per-process RSS, live
 /// processes) still equal the walks they replaced, on every node.
@@ -173,28 +167,17 @@ fn drain_racing_rolling_update_converges_within_budget() {
 }
 
 #[test]
-fn explorer_is_byte_identical_across_worker_counts_and_runs() {
-    let _env = ENV_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+fn explorer_is_byte_identical_across_runs() {
+    // The second run starts from the host memos the first one filled.
     let w = Workload::light();
     let plan = ExplorePlan { schedules: 8, ..ExplorePlan::smoke(0xBADD_5EED) };
-
-    let mut runs = Vec::new();
-    for threads in ["1", "2", "8", "1"] {
-        std::env::set_var("HARNESS_THREADS", threads);
-        let report = explore(&plan, &w, InvariantKnobs::default()).unwrap();
-        runs.push((threads, report.render().into_bytes()));
-    }
-    std::env::remove_var("HARNESS_THREADS");
-    let (_, first) = &runs[0];
-    for (threads, bytes) in &runs[1..] {
-        assert_eq!(bytes, first, "explorer output differs at HARNESS_THREADS={threads}");
-    }
+    let run = || explore(&plan, &w, InvariantKnobs::default()).unwrap().render();
+    let (first, second) = (run(), run());
+    assert_eq!(second, first, "explorer output differs between runs");
 }
 
 #[test]
 fn broken_invariant_is_caught_shrunk_and_reproducible() {
-    let _env = ENV_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    std::env::set_var("HARNESS_THREADS", "2");
     let w = Workload::light();
     // The deliberately-broken invariant: forbid NotReady entirely. Any
     // schedule containing a crash or partition must now fail — and every
@@ -202,7 +185,6 @@ fn broken_invariant_is_caught_shrunk_and_reproducible() {
     let knobs = InvariantKnobs { forbid_not_ready: true };
     let plan = ExplorePlan { schedules: 4, ..ExplorePlan::smoke(0xFA11_FA11) };
     let report = explore(&plan, &w, knobs).unwrap();
-    std::env::remove_var("HARNESS_THREADS");
     assert_eq!(report.counterexamples.len(), plan.schedules, "every schedule must violate");
 
     for c in &report.counterexamples {

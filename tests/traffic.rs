@@ -1,7 +1,6 @@
 //! The traffic plane's contracts: the overload-and-recover scenario holds
 //! on the contribution config (with its retry-budget control arm), the
-//! sweep is byte-identical across `HARNESS_THREADS` worker counts and
-//! repeated runs, and the scenario driver steps a rolling update and the
+//! sweep is byte-identical across repeated runs, and the scenario driver steps a rolling update and the
 //! HPA from the live request loop without breaching maxUnavailable.
 //!
 //! The `golden_*` tests pin exact outputs of the request loop for one
@@ -9,8 +8,6 @@
 //! loop was rewritten to stream arrivals and carry `Copy` events, so they
 //! (with the benchmark's `sim_digest`s) are the oracle that the rewrite
 //! serves every request exactly as the pre-scheduling loop did.
-
-use std::sync::Mutex;
 
 use memwasm::harness::traffic::{
     check_contract, check_scenario, pod_capacity_rps, request_exec, run_overload_contract,
@@ -21,10 +18,6 @@ use memwasm::harness::{new_cluster, Config, Workload};
 use memwasm::k8s_sim::service::{Service, ServiceConfig};
 use memwasm::k8s_sim::{DeploymentController, DeploymentSpec};
 use memwasm::simkernel::Duration;
-
-/// Serializes every test that mutates the process-wide `HARNESS_THREADS`
-/// environment variable — tests in one binary share the environment.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
 
 const SEED: u64 = 0xC4A0_5EED;
 
@@ -44,28 +37,23 @@ fn overload_contract_holds_on_the_contribution_config() {
 }
 
 #[test]
-fn traffic_sweep_is_byte_identical_across_worker_counts() {
-    let _env = ENV_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+fn traffic_sweep_is_byte_identical_across_runs() {
+    // The second run starts from the host memos (artifact cache, guest
+    // replay) the first one filled: neither may leak into an output.
     let w = Workload::serving();
     let plan = SweepPlan::smoke(SEED);
     let configs = [Config::WamrCrun, Config::CrunWasmtime, Config::CrunWasmEdge];
-
-    let mut runs = Vec::new();
-    for threads in ["1", "2", "8"] {
-        std::env::set_var("HARNESS_THREADS", threads);
+    let run = || {
         let (table, summaries) = traffic_sweep(&configs, &w, &plan).unwrap();
         let stats: Vec<_> = summaries
             .iter()
             .map(|s| (s.config, s.p50, s.p99, s.p999, s.run.measured().completed, s.run.admitted))
             .collect();
-        runs.push((threads, table.to_csv().into_bytes(), stats));
-    }
-    std::env::remove_var("HARNESS_THREADS");
-    let (_, csv1, stats1) = &runs[0];
-    for (threads, csv, stats) in &runs[1..] {
-        assert_eq!(csv, csv1, "sweep CSV bytes differ at HARNESS_THREADS={threads}");
-        assert_eq!(stats, stats1, "summaries differ at HARNESS_THREADS={threads}");
-    }
+        (table.to_csv().into_bytes(), stats)
+    };
+    let (first, second) = (run(), run());
+    assert_eq!(second.0, first.0, "sweep CSV bytes differ between runs");
+    assert_eq!(second.1, first.1, "summaries differ between runs");
 }
 
 #[test]
